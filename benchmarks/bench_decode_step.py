@@ -1,35 +1,29 @@
-"""Decode-step wall clock: packed backend + preallocated KV vs PR-2.
+"""Decode-step wall clock: packed backend vs the looped oracle.
 
-Three variants of the same batched decode step, all committing
-bit-identical logits (asserted while timing):
+Two variants of the same batched decode step at the model level,
+committing bit-identical logits (asserted while timing):
 
-* ``pr2``     — the PR-2 serving hot path: looped per-sequence
-  ``run_layer`` calls over concatenate-grown KV storage
-  (``DenseExecutor(kv_preallocate=False)``);
-* ``looped``  — the looped oracle over this PR's preallocated,
-  page-aligned KV buffers (isolates the storage win);
-* ``packed``  — :class:`repro.nn.batched_attention.PackedDecodeBackend`:
-  fused batch-level Q/K/V + output projections, central dense attention
-  core over zero-copy cache views (isolates the batching win on top).
+* ``looped``  — the oracle, ``decode_step_batch(backend=None)``:
+  per-sequence ``run_layer`` calls over page-aligned KV buffers;
+* ``packed``  — :class:`repro.nn.batched_attention.PackedDecodeBackend`
+  at the exact tier: fused batch-level Q/K/V + output projections,
+  central dense attention core over zero-copy cache views.
 
 The sweep covers B ∈ {4, 16, 64} at the serving benchmark's prompt
-scale and a long-context row where the PR-2 path's O(L) concatenate per
-appended token — O(L²) copy traffic over a generation — dominates.  A
-second section times the serving engine end to end under both
-backends.
+scale plus a long-context row.  Engine-level wall clock is
+``benchmarks/e2e``'s job (``BENCHMARK.json``); the faster fp32/int8
+tiers are measured by ``bench_numerics.py``.
 
-Honest-ceiling note (recorded in the published table): the issue's
-target of a ≥ 3× step speedup at batch 16 is not reachable on this
-substrate under the bit-identity constraint.  OpenBLAS reductions are
-not padding-invariant (zero-padding the k-axis or the score columns
-changes last-ulp results), so the packed core must keep exact-length
-per-sequence matmuls and softmax denominators; what remains removable
-is interpreter overhead and the concat copy traffic.  The concat adds
-at most ~2× the mandatory KV read traffic of attention itself, and the
-(shared) FFN/gelu tax is identical in every variant, which caps the
-achievable same-math ratio near ~2×.  The assertions below gate the
-achieved wins (and the CI smoke variant fails the build on any
-looped-vs-packed regression, speedup < 1×).
+Honest-ceiling note (recorded in the published table): a ≥ 3× step
+speedup at batch 16 is not reachable on this substrate under the
+bit-identity constraint.  OpenBLAS reductions are not padding-invariant
+(zero-padding the k-axis or the score columns changes last-ulp
+results), so the packed core must keep exact-length per-sequence
+matmuls and softmax denominators; what remains removable is
+interpreter overhead, and the (shared) FFN/gelu tax is identical in
+both variants.  The assertions below gate the achieved win (and the CI
+smoke variant fails the build on any looped-vs-packed regression,
+speedup < 1×).
 """
 
 import copy
@@ -42,17 +36,14 @@ from repro.config import GPT2_SMALL
 from repro.eval.reporting import Table
 from repro.nn import PackedDecodeBackend
 from repro.nn.transformer import DenseExecutor
-from repro.serving import KVMemoryPool, ServingEngine
 from repro.workloads import (
     accuracy_scale_config,
     build_task_model,
     build_vocabulary,
-    make_lm_corpus,
-    synthetic_request_trace,
 )
 
 PAGE_TOKENS = 16
-VARIANTS = ("pr2", "looped", "packed")
+VARIANTS = ("looped", "packed")
 
 
 @pytest.fixture(scope="module")
@@ -63,16 +54,14 @@ def decode_world():
         max_seq_len=2048,
     )
     model, _ = build_task_model(config, vocab, "lm", seed=0)
-    return config, model, PackedDecodeBackend(model)
+    return model, PackedDecodeBackend(model)
 
 
-def build_executors(model, batch, prompt_len, variant):
+def build_executors(model, batch, prompt_len):
     """Prefill one prototype executor and clone it across the batch."""
     rng = np.random.default_rng(1)
     prompt = rng.integers(0, model.config.vocab_size, size=prompt_len)
-    prototype = DenseExecutor(
-        kv_page_tokens=PAGE_TOKENS, kv_preallocate=(variant != "pr2")
-    )
+    prototype = DenseExecutor(kv_page_tokens=PAGE_TOKENS)
     state = model.prefill_begin(prompt.tolist(), prototype)
     while not state.done:
         model.prefill_chunk(state, 256)
@@ -88,7 +77,7 @@ def time_decode_steps(model, backend, batch, prompt_len, variant,
     minimum tracks the code's true cost — a genuine regression slows
     every trial and still moves it.
     """
-    executors = build_executors(model, batch, prompt_len, variant)
+    executors = build_executors(model, batch, prompt_len)
     use = backend if variant == "packed" else None
     logits = model.decode_step_batch(
         [3] * batch, [prompt_len] * batch, executors, backend=use
@@ -117,8 +106,7 @@ def decode_sweep(model, backend, cases, steps=6, trials=3):
                 model, backend, batch, prompt_len, variant,
                 steps=steps, trials=trials,
             )
-        # Every variant must have sampled identical token streams.
-        assert np.array_equal(final_logits["pr2"], final_logits["looped"])
+        # Both variants must have sampled identical token streams.
         assert np.array_equal(final_logits["looped"], final_logits["packed"])
         rows.append((batch, prompt_len, per_variant))
     return rows
@@ -127,63 +115,42 @@ def decode_sweep(model, backend, cases, steps=6, trials=3):
 def speedup_table(rows, title):
     table = Table(
         title=title,
-        headers=["batch", "context", "PR-2 (ms)", "looped (ms)",
-                 "packed (ms)", "packed vs PR-2", "packed vs looped"],
+        headers=["batch", "context", "looped (ms)", "packed (ms)",
+                 "packed vs looped"],
     )
     for batch, prompt_len, r in rows:
         table.add_row(
             str(batch), str(prompt_len),
-            f"{r['pr2'] * 1e3:.2f}", f"{r['looped'] * 1e3:.2f}",
-            f"{r['packed'] * 1e3:.2f}",
-            f"{r['pr2'] / r['packed']:.2f}x",
+            f"{r['looped'] * 1e3:.2f}", f"{r['packed'] * 1e3:.2f}",
             f"{r['looped'] / r['packed']:.2f}x",
         )
     table.add_note(
-        "identical logits asserted across all variants every run; "
-        "best-of-3-trials per-step wall clock"
+        "identical logits asserted across both variants every run; "
+        "best-of-trials per-step wall clock"
     )
     table.add_note(
-        "PR-2 = looped run_layer over concatenate-grown KV (the prior "
-        "hot path); looped = same loop over preallocated buffers; "
-        "packed = fused batched projections + central attention core"
+        "looped = decode_step_batch(backend=None), per-sequence run_layer "
+        "(the bit-identity oracle); packed = fused batched projections + "
+        "central attention core (exact tier)"
     )
     table.add_note(
-        "the issue's 3x-at-batch-16 target is unreachable bit-identically "
-        "on this BLAS: padding-variant reductions force exact-length "
-        "per-sequence matmuls, and concat adds at most ~2x the mandatory "
-        "KV read traffic (see module docstring)"
+        "a 3x-at-batch-16 win is unreachable bit-identically on this "
+        "BLAS: padding-variant reductions force exact-length per-sequence "
+        "matmuls (see module docstring; bench_numerics measures the "
+        "fp32/int8 tiers that trade the contract away)"
     )
     return table
 
 
 def test_decode_step_speedup(decode_world, benchmark, publish):
-    config, model, backend = decode_world
+    model, backend = decode_world
     cases = [(4, 192), (16, 192), (64, 192), (16, 1024)]
     rows = benchmark.pedantic(
         decode_sweep, args=(model, backend, cases), rounds=1, iterations=1
     )
-    table = speedup_table(
-        rows, "decode step: packed backend + preallocated KV vs PR-2"
-    )
-
-    # Engine end to end: the PR-2 configuration vs this PR's default.
-    engine_rows = engine_wall_clock(config, model)
-    engine_table = Table(
-        title="serving engine wall clock (chunked prefill + decode)",
-        headers=["configuration", "wall clock (s)", "speedup"],
-    )
-    pr2_s, packed_s = engine_rows
-    engine_table.add_row("PR-2 (looped, concat KV)", f"{pr2_s:.2f}", "1.00x")
-    engine_table.add_row(
-        "this PR (packed, preallocated KV)", f"{packed_s:.2f}",
-        f"{pr2_s / packed_s:.2f}x",
-    )
-    engine_table.add_note(
-        "identical token streams asserted; the engine clock includes the "
-        "(backend-independent) FFN/gelu tax, which bounds this ratio"
-    )
-    publish("decode_step", table, engine_table)
-
+    publish("decode_step", speedup_table(
+        rows, "decode step: packed backend vs the looped oracle"
+    ))
     for batch, prompt_len, r in rows:
         if batch >= 16:
             # Regression gate on the batches with real headroom; the
@@ -192,54 +159,6 @@ def test_decode_step_speedup(decode_world, benchmark, publish):
             assert r["looped"] / r["packed"] >= 1.0, (
                 f"packed slower than looped at B={batch}, L={prompt_len}"
             )
-        assert r["pr2"] / r["packed"] >= 1.1, (
-            f"packed lost its win over the PR-2 hot path at B={batch}"
-        )
-    by_case = {(b, p): r for b, p, r in rows}
-    # The batch-16 wins this PR actually achieves (measured 1.35x and
-    # 2.1x), gated with slack for slower shared runners.
-    assert by_case[(16, 192)]["pr2"] / by_case[(16, 192)]["packed"] >= 1.2
-    assert by_case[(16, 1024)]["pr2"] / by_case[(16, 1024)]["packed"] >= 1.4
-    # Engine must not regress, and tokens matched inside engine_wall_clock.
-    assert packed_s <= pr2_s * 1.10
-
-
-def engine_wall_clock(config, model):
-    corpus = make_lm_corpus(
-        build_vocabulary(size=512, n_classes=4, seed=0), n_tokens=8192, seed=2
-    )
-    requests = synthetic_request_trace(
-        corpus, n_requests=8, rate_per_s=1000.0, prompt_len=192,
-        max_new_tokens=(12, 20), seed=11,
-    )
-
-    def build(backend, preallocate):
-        per_token = (
-            2 * config.n_heads * config.head_dim * config.bytes_per_element
-        )
-        pool = KVMemoryPool(
-            config, budget_bytes=1024 * PAGE_TOKENS * per_token,
-            page_tokens=PAGE_TOKENS,
-        )
-        factory = None
-        if not preallocate:
-            factory = lambda: DenseExecutor(kv_preallocate=False)
-        return ServingEngine(
-            model, pool, prefill_chunk=32, attention_backend=backend,
-            executor_factory=factory,
-        )
-
-    start = time.perf_counter()
-    pr2_stats = build("looped", preallocate=False).run(requests)
-    pr2_s = time.perf_counter() - start
-    start = time.perf_counter()
-    packed_stats = build("packed", preallocate=True).run(requests)
-    packed_s = time.perf_counter() - start
-    assert (
-        [r.token_ids for r in pr2_stats.records]
-        == [r.token_ids for r in packed_stats.records]
-    ), "packed engine changed the served token streams"
-    return pr2_s, packed_s
 
 
 @pytest.mark.smoke
@@ -248,18 +167,16 @@ def test_decode_step_smoke(decode_world, publish, history):
     looped (speedup < 1x fails the build) and must stay bit-identical."""
     from repro.insight import metric
 
-    _, model, backend = decode_world
+    model, backend = decode_world
     rows = decode_sweep(model, backend, [(16, 192)], steps=4, trials=4)
-    table = speedup_table(rows, "decode step smoke (batch 16)")
-    publish("decode_step_smoke", table)
+    publish(
+        "decode_step_smoke", speedup_table(rows, "decode step smoke (batch 16)")
+    )
     (_, _, r), = rows
-    # Wall-clock ratios wobble with machine load, so these carry a much
+    # Wall-clock ratios wobble with machine load, so this carries a much
     # wider tolerance floor than the simulated-clock metrics.
     history("decode_step", {
         "looped_over_packed": metric(r["looped"] / r["packed"], "x",
                                      "higher", rel_tol=0.6),
-        "pr2_over_packed": metric(r["pr2"] / r["packed"], "x",
-                                  "higher", rel_tol=0.5),
     }, context={"batch": 16, "seq_len": 192})
     assert r["looped"] / r["packed"] >= 1.0, "looped-vs-packed regression"
-    assert r["pr2"] / r["packed"] >= 1.1, "lost the win over the PR-2 path"

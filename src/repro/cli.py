@@ -49,16 +49,14 @@ trace/model seed, and ``--token-keep`` the final-layer keep fraction
 of the cascade schedule (spatten mode).  Pool geometry comes from
 ``--pool-kib`` (total budget; ``--replica-budget-kib`` overrides the
 even per-replica split in serve-cluster) and ``--page-tokens`` (KV
-columns per page).  ``--attention-backend {packed,looped}`` selects
-the fused packed decode backend (default) or the per-sequence looped
-oracle; ``serve-cluster --traffic {mixed,uniform}`` picks the skewed
-per-request schedule mix or plain uniform traffic.  ``--numerics
-{exact,fp32,int8}`` picks the decode-path numerics-ladder tier:
-``exact`` (default) keeps fp64 bit identity with the looped oracle,
-``fp32`` and ``int8`` trade declared accuracy budgets for decode-step
-speed on the packed backend (the tier lands in the stats report's
-``numerics`` field; see the "Numerics ladder" section of the serving
-guide, :mod:`repro.serving`).
+columns per page).  ``serve-cluster --traffic {mixed,uniform}`` picks
+the skewed per-request schedule mix or plain uniform traffic.
+``--numerics {exact,fp32,int8}`` picks the decode-path numerics-ladder
+tier: ``exact`` (default) keeps fp64 bit identity with the looped
+oracle, ``fp32`` and ``int8`` trade declared accuracy budgets for
+decode-step speed (the tier lands in the stats report's ``numerics``
+field; see the "Numerics ladder" section of the serving guide,
+:mod:`repro.serving`).
 
 ``repro lint`` runs the :mod:`repro.analysis` static-analysis pass —
 determinism, clock-domain, page-accounting, and doc/schema drift rules
@@ -489,7 +487,6 @@ def _serve(args) -> int:
         telemetry = _build_telemetry(args)
         engine = ServingEngine(
             model, pool, pruning=mode_pruning, prefill_chunk=prefill_chunk,
-            attention_backend=args.attention_backend,
             admission=args.admission,
             numerics=args.numerics,
             preempt_policy=args.preempt_policy,
@@ -640,7 +637,6 @@ def _serve_cluster(args) -> int:
         policy=args.policy,
         pruning=engine_pruning,
         prefill_chunk=prefill_chunk,
-        attention_backend=args.attention_backend,
         admission=args.admission,
         numerics=args.numerics,
         preempt_policy=args.preempt_policy,
@@ -682,13 +678,6 @@ def _add_serving_flags(parser) -> None:
                         help="prompt tokens committed per mixed step; 0 runs "
                              "the whole prefill monolithically at admission "
                              "(stalls the live decode batch)")
-    parser.add_argument("--attention-backend", choices=("packed", "looped"),
-                        default="packed",
-                        help="decode attention backend: 'packed' batches "
-                             "projections and the dense attention core "
-                             "across the live batch (default); 'looped' "
-                             "keeps the per-sequence oracle (bit-identical "
-                             "tokens, slower wall clock)")
     parser.add_argument("--numerics", choices=("exact", "fp32", "int8"),
                         default="exact",
                         help="numerics-ladder tier of the decode hot path: "
@@ -699,8 +688,7 @@ def _add_serving_flags(parser) -> None:
                              "per-row fp32 scales (4x less KV DRAM) at a "
                              "declared accuracy budget — see "
                              "repro.nn.numerics and benchmarks/"
-                             "bench_numerics.py (requires the packed "
-                             "attention backend)")
+                             "bench_numerics.py")
     parser.add_argument("--admission", choices=("reserve", "optimistic"),
                         default="reserve",
                         help="'reserve' bills each request its worst-case "

@@ -106,9 +106,8 @@ class ClusterEngine:
         pruning: fleet-default cascade schedule (requests may override
             per-request via :attr:`~repro.serving.request.Request.
             pruning`).
-        quant / cost_model / prefill_chunk / attention_backend /
-        admission / numerics / preempt_policy / headroom_pages /
-        sampler:
+        quant / cost_model / prefill_chunk / admission / numerics /
+        preempt_policy / headroom_pages / sampler:
             forwarded to every replica's engine, identical semantics
             to :class:`~repro.serving.engine.ServingEngine`.  The
             ``numerics`` tier is fleet-wide: every replica runs the
@@ -170,7 +169,6 @@ class ClusterEngine:
         quant: Optional[QuantConfig] = None,
         cost_model: Optional[CostModel] = None,
         prefill_chunk: Optional[int] = None,
-        attention_backend: str = "packed",
         admission: str = "reserve",
         numerics: str = "exact",
         preempt_policy: str = "lowest_priority",
@@ -223,7 +221,6 @@ class ClusterEngine:
                     cost_model=cost_model,
                     sampler=sampler,
                     prefill_chunk=prefill_chunk,
-                    attention_backend=attention_backend,
                     admission=admission,
                     numerics=numerics,
                     preempt_policy=preempt_policy,

@@ -12,7 +12,7 @@ Public surface:
 """
 
 from .beam import BeamHypothesis, beam_search
-from .batched_attention import ATTENTION_BACKENDS, PackedDecodeBackend
+from .batched_attention import PackedDecodeBackend, UnpackableExecutorError
 from .attention import (
     AttentionRecord,
     AttentionWeights,
@@ -39,6 +39,7 @@ from .numerics import (
     FP32,
     INT8,
     NUMERICS_LADDER,
+    NumericsMismatchError,
     NumericsPolicy,
     resolve_numerics,
 )
@@ -67,8 +68,8 @@ from .weights import (
 __all__ = [
     "BeamHypothesis",
     "beam_search",
-    "ATTENTION_BACKENDS",
     "PackedDecodeBackend",
+    "UnpackableExecutorError",
     "AttentionRecord",
     "AttentionWeights",
     "MultiHeadAttention",
@@ -91,6 +92,7 @@ __all__ = [
     "FP32",
     "INT8",
     "NUMERICS_LADDER",
+    "NumericsMismatchError",
     "NumericsPolicy",
     "resolve_numerics",
     "AttentionExecutor",

@@ -6,86 +6,103 @@ sequence per layer, which leaves the interpreter, not BLAS, as the
 bottleneck (PAPER.md §IV's accelerator wins precisely because it feeds
 wide batched Q·K·V units).  :class:`PackedDecodeBackend` restructures
 one decode step so that everything that *can* run as a single
-batch-level BLAS call does:
+batch-level BLAS call does.
 
-* **fused Q/K/V projection** — one ``[B, 1, d] @ [d, 3d]`` matmul per
-  layer replaces ``3B`` single-row GEMMs;
-* **central dense attention core** — scores, the length-masked softmax,
-  and A·V run over zero-copy views of each sequence's preallocated KV
-  buffers (:class:`~repro.nn.kv_cache.LayerKVCache`), with the
-  elementwise softmax stages (max, shift, exp, normalize) batched
-  across sequences in a reusable padded scratch tensor;
-* **fused output FC** — one ``[B, 1, h·D] @ [d, d]`` matmul replaces
-  ``B`` per-sequence projections;
-* **fused chunk projection** — during chunked prefill, the Q/K/V
-  projections of every in-flight prompt's chunk run as one GEMM over
-  the concatenated rows.
+One skeleton, two cores
+-----------------------
 
-Bit-identity contract
----------------------
+Every tier of the numerics ladder (:mod:`repro.nn.numerics`) runs the
+same per-layer attention skeleton, :meth:`PackedDecodeBackend
+._attend_layer`, as SpAtten runs one datapath in which pruning and
+quantization are stages (PAPER.md §IV, Fig. 8):
 
-The packed path must produce logits **bit-identical** to the looped
-oracle (``tests/test_packed_decode.py`` enforces this property across
+1. group the batch rows by
+   :attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`
+   (once per call; an executor on another tier than the backend's, or
+   one that opts out of packing, is a named error rather than a silent
+   change of arithmetic);
+2. **fused Q/K/V projection** of all ``B`` rows against one ``[d, 3d]``
+   weight, split into per-head ``[B, h, 1, D]`` views;
+3. ``"custom"`` rows (SpAtten: cascade pruning decisions, per-sequence
+   surviving-head gathers, progressive quantization, trace accounting)
+   run their own per-sequence core on those projections via
+   :meth:`~repro.nn.transformer.AttentionExecutor.decode_attend_packed`;
+4. ``"dense"`` rows (cache-only state) run the backend's **dense core**;
+5. **fused output FC** over every row's merged head features.
+
+Two pieces depend on the tier, both bound once at construction from
+``policy.is_exact``: the projection kernel of steps 2 and 5 and the
+dense core of step 4.  Weights live in one holder at the policy's
+compute dtype (under fp64 it aliases the model's own arrays) and
+scratch in one family of buffers grown on demand.
+:meth:`~PackedDecodeBackend.decode_layer` is the exact tier's entry
+(the model keeps its fp64 residual/LayerNorm/FFN stack around it);
+:meth:`~PackedDecodeBackend.decode_step_policy` is the fp32/int8 entry
+and additionally runs the layer stack in the compute dtype.  During
+chunked prefill, :meth:`~PackedDecodeBackend.project_chunk_rows` runs
+the Q/K/V projections of every in-flight prompt's chunk as one GEMM
+over the concatenated rows (fp64 on every tier — prefill is oracle
+math).
+
+Exact tier: the bit-identity contract
+-------------------------------------
+
+Under ``exact`` the packed path must produce logits **bit-identical**
+to the looped oracle, ``decode_step_batch(backend=None)``
+(``tests/test_packed_decode.py`` enforces this property across
 executors, ragged lengths, pruned-head sets, and mid-generation
-evictions).  That constraint dictates the design, because BLAS
-reductions are not grouping-invariant:
+evictions).  That constraint dictates the exact kernel and core,
+because BLAS reductions are not grouping-invariant:
 
 * multi-slice ``np.matmul`` (the gufunc) computes each 2-D slice with
   the same kernel as a standalone single-row matmul, so batching the
-  projections is exact — but a *2-D* ``[B, d] @ [d, d]`` GEMM is not
-  (single-row products take a GEMV-shaped path whose accumulation
-  differs in the last ulp);
+  projections as ``[B, 1, d] @ [d, 3d]`` is exact — but a *2-D*
+  ``[B, d] @ [d, d]`` GEMM is not (single-row products take a
+  GEMV-shaped path whose accumulation differs in the last ulp);
 * fusing Q/K/V into one ``[d, 3d]`` weight is exact (output columns are
   independent), and concatenating chunk rows is exact for blocks of
   ≥ 2 rows (row blocks of a GEMM are independent) — single-row chunks
   are projected solo;
 * zero-padding the *reduction* axis is **not** exact on OpenBLAS (the
   k-loop blocking changes with length), so scores and A·V run per
-  sequence at exact lengths over zero-copy cache views, never over a
+  sequence at exact lengths over zero-copy views of each sequence's
+  KV buffers (:class:`~repro.nn.kv_cache.LayerKVCache`), never over a
   padded pack;
 * ``max`` is order-exact, and exp/shift/normalize are elementwise, so
   those softmax stages batch across the padded scratch; the softmax
   *denominator* (a length-sensitive pairwise sum) reduces per sequence
   over exact-length views.
 
-Executors opt in through
-:attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`:
-dense caches run the central core above; SpAtten executors run their
-own per-sequence core (cascade pruning decisions, progressive
-quantization, trace accounting) on backend-supplied projections, with
-per-sequence surviving-head sets honored by gathering live-head slices
-from the full-width rows; anything else falls back to ``run_layer``
-with unchanged semantics.
+SpAtten's per-sequence surviving-head sets are honored by gathering
+live-head slices from the full-width rows (per-head projections are
+independent output columns).
 
-Numerics-policy fast path
--------------------------
+fp32 / int8 tiers: the padded arena
+-----------------------------------
 
 Under a non-exact :class:`~repro.nn.numerics.NumericsPolicy` the
 bit-identity constraint is *traded away* for a declared accuracy
 budget, which unlocks the padded-pack design the contract above
-forbids.  :meth:`PackedDecodeBackend.decode_step_policy` then runs the
-whole decode step in the policy's compute dtype (fp32):
+forbids:
 
+* projections are plain 2-D GEMMs (one call, not ``B`` GEMVs);
 * every dense sequence's K/V live in a persistent per-layer **arena**
-  — ``[S, h, cap, D]`` fp32 planes in batch-row order — so the score
-  and A·V stages run as *one* batched ``[B, h, 1, max_len]`` gufunc
-  matmul each, with a masked softmax batched over the padded scratch
-  (padding columns are masked to ``-1e30`` and underflow to exact 0);
+  — ``[S, h, cap, D]`` compute-dtype planes in batch-row order — so
+  the score and A·V stages run as *one* batched ``[B, h, 1, max_len]``
+  gufunc matmul each, with a masked softmax batched over the padded
+  scratch (padding columns are masked to ``-1e30`` and underflow to
+  exact 0);
 * arena rows sync incrementally: an unchanged
   :attr:`~repro.nn.kv_cache.LayerKVCache.version` plus one new column
   means an O(h·D) tail write; eviction, preemption, or batch-order
   churn trigger an O(L) rebuild from the cache (dequantizing int8
   codes through their per-row scales);
-* LayerNorm, the tanh/gelu FFN, and the LM head run vectorized in
-  fp32 over weight copies cast once at backend construction;
-* the ``int8`` tier additionally rounds the decode-step Q rows through
-  the int8 grid (:func:`repro.core.quantization.quantize_rows`), so
-  score GEMMs see int8-quantized operands with fp32 accumulation, and
-  quantizes each step's *batch* of new K/V columns in one call before
-  handing each cache its pre-quantized slice.
-
-The ``exact`` policy never touches any of this: every pre-existing
-code path runs verbatim and stays bit-identical to the looped oracle.
+* LayerNorm, the tanh/gelu FFN, and the LM head run vectorized in the
+  compute dtype over weight copies cast once at backend construction;
+* the ``int8`` tier quantizes each step's *batch* of new K/V columns in
+  one pass before handing each cache its pre-quantized slice, so score
+  GEMMs read fp32 Q against dequantized int8 K (fp32 accumulation) —
+  exactly what the cache stores.
 """
 
 from __future__ import annotations
@@ -95,13 +112,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .attention import split_heads
-from .numerics import resolve_numerics
+from .numerics import NumericsMismatchError, resolve_numerics
 from .transformer import AttentionExecutor, TransformerModel
 
-__all__ = ["PackedDecodeBackend", "ATTENTION_BACKENDS"]
-
-#: Selectable attention backends for the serving decode path.
-ATTENTION_BACKENDS = ("looped", "packed")
+__all__ = ["PackedDecodeBackend", "UnpackableExecutorError"]
 
 #: Sentinel score for padding columns; matches the masking convention of
 #: :func:`repro.nn.attention.scaled_dot_attention` and underflows to an
@@ -111,6 +125,43 @@ _MASKED = -1e30
 #: tanh-approximation gelu constant (Python float: binary ops against
 #: it preserve the array's compute dtype instead of promoting to fp64).
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+
+#: Column growth quantum of the score scratch and the arena planes.
+_SCRATCH_PAGE = 64
+
+#: ``(batch row, executor)`` pairs of one packed style.
+_Rows = List[Tuple[int, AttentionExecutor]]
+
+
+class UnpackableExecutorError(ValueError):
+    """An executor in the batch cannot be driven by the packed backend.
+
+    Its :attr:`~repro.nn.transformer.AttentionExecutor
+    .packed_decode_style` is neither ``"dense"`` nor ``"custom"`` (an
+    executor that was never prefilled, or one without packed support).
+    Decode such executors through the looped oracle,
+    ``decode_step_batch(backend=None)``.
+    """
+
+
+def _project_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` for ``x [B, n]``, each row through the single-row kernel.
+
+    The exact tier's projection: the ``[B, 1, n]`` gufunc computes every
+    slice exactly as the looped path's ``x[i:i+1] @ w``, so the batch is
+    bit-identical to the oracle row for row.
+    """
+    out = np.matmul(x[:, None, :], w)
+    out += b
+    return out[:, 0, :]
+
+
+def _project_gemm(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` as one 2-D GEMM (the ``[B, 1, n]`` gufunc dispatches
+    ``B`` separate GEMVs) — the non-exact tiers' projection."""
+    out = x @ w
+    out += b
+    return out
 
 
 def _policy_layer_norm(
@@ -142,12 +193,13 @@ def _policy_layer_norm(
     return centered
 
 
-class _PolicyWeights:
-    """Model weights cast once into a policy's compute dtype.
+class _Weights:
+    """Model weights at a policy's compute dtype.
 
-    Holding the cast copies on the backend makes every policy decode
-    step allocation-free on the weight side; the fp64 originals stay
-    untouched for the exact paths (prefill projections included).
+    Under fp64 (``exact``) every entry *is* the model's own array — no
+    copy exists.  Narrower tiers hold one cast copy each, made once
+    here, which keeps every decode step allocation-free on the weight
+    side; the fp64 originals stay untouched for prefill.
     """
 
     __slots__ = (
@@ -156,33 +208,38 @@ class _PolicyWeights:
     )
 
     def __init__(self, model, wqkv, bqkv, compute_dtype):
-        ct = compute_dtype
+        def cast(a):
+            if a.dtype == compute_dtype:
+                return a
+            # C order: the tied LM head is a transposed view.
+            return a.astype(compute_dtype, order="C")
+
         params = model.params
-        self.tok_emb = params.token_embedding.astype(ct)
-        self.pos_emb = params.pos_embedding.astype(ct)
-        self.lm_proj = np.ascontiguousarray(params.lm_projection()).astype(ct)
-        self.wqkv = [w.astype(ct) for w in wqkv]
-        self.bqkv = [b.astype(ct) for b in bqkv]
+        self.tok_emb = cast(params.token_embedding)
+        self.pos_emb = cast(params.pos_embedding)
+        self.lm_proj = cast(params.lm_projection())
+        self.wqkv = [cast(w) for w in wqkv]
+        self.bqkv = [cast(b) for b in bqkv]
         self.wo, self.bo = [], []
         self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b = [], [], [], []
         self.w1, self.b1, self.w2, self.b2 = [], [], [], []
         for layer_idx in range(model.config.n_layers):
             bp = model.block(layer_idx)
             aw = model.attention(layer_idx).weights
-            self.wo.append(aw.wo.astype(ct))
-            self.bo.append(aw.bo.astype(ct))
-            self.ln1_g.append(bp.ln1_gamma.astype(ct))
-            self.ln1_b.append(bp.ln1_beta.astype(ct))
-            self.ln2_g.append(bp.ln2_gamma.astype(ct))
-            self.ln2_b.append(bp.ln2_beta.astype(ct))
-            self.w1.append(bp.ffn_w1.astype(ct))
-            self.b1.append(bp.ffn_b1.astype(ct))
-            self.w2.append(bp.ffn_w2.astype(ct))
-            self.b2.append(bp.ffn_b2.astype(ct))
+            self.wo.append(cast(aw.wo))
+            self.bo.append(cast(aw.bo))
+            self.ln1_g.append(cast(bp.ln1_gamma))
+            self.ln1_b.append(cast(bp.ln1_beta))
+            self.ln2_g.append(cast(bp.ln2_gamma))
+            self.ln2_b.append(cast(bp.ln2_beta))
+            self.w1.append(cast(bp.ffn_w1))
+            self.b1.append(cast(bp.ffn_b1))
+            self.w2.append(cast(bp.ffn_w2))
+            self.b2.append(cast(bp.ffn_b2))
 
 
 class _ArenaPlane:
-    """One layer's persistent padded KV arena (policy fast path).
+    """One layer's persistent padded KV arena (non-exact tiers).
 
     ``k`` is a ``[S, h, D, cap]`` and ``v`` a ``[S, h, cap, D]``
     compute-dtype plane holding the dequantized KV columns of up to
@@ -207,64 +264,48 @@ class _ArenaPlane:
 class PackedDecodeBackend:
     """Batched attention executor state shared across decode steps.
 
-    One backend instance serves one model; the serving engine creates it
-    once and passes it to every
+    One backend instance serves one model at one numerics tier; the
+    serving engine creates it once and passes it to every
     :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch` /
     :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
     call.  The backend holds the fused per-layer projection weights and
-    reusable scratch tensors (scores, denominators, head outputs), which
-    grow page-aligned with the live batch instead of being rebuilt every
-    step.
+    reusable scratch tensors (scores, denominators, head outputs, the
+    KV arena), which grow with the live batch instead of being rebuilt
+    every step.
     """
 
-    def __init__(
-        self,
-        model: TransformerModel,
-        scratch_page_tokens: int = 64,
-        numerics=None,
-    ):
-        if scratch_page_tokens < 1:
-            raise ValueError("scratch_page_tokens must be >= 1")
+    def __init__(self, model: TransformerModel, numerics=None):
         self._model = model
-        self._scratch_page = scratch_page_tokens
         #: The numerics ladder tier this backend runs decode steps at;
-        #: ``exact`` (the default) leaves every code path bit-identical.
+        #: ``exact`` (the default) is bit-identical to the looped oracle.
         self.policy = resolve_numerics(numerics)
         cfg = model.config
-        d = cfg.d_model
         # Fused [d, 3d] QKV weights: output column blocks of a GEMM are
         # independent, so (x @ wqkv)[:, :d] is bit-identical to x @ wq.
+        # Kept at fp64 for chunked prefill, which is oracle math on
+        # every tier.
         self._wqkv: List[np.ndarray] = []
         self._bqkv: List[np.ndarray] = []
         for layer_idx in range(cfg.n_layers):
             w = model.attention(layer_idx).weights
             self._wqkv.append(np.concatenate([w.wq, w.wk, w.wv], axis=1))
             self._bqkv.append(np.concatenate([w.bq, w.bk, w.bv]))
-        # Reusable scratch, grown on demand.
-        self._scores = np.zeros((0, cfg.n_heads, 1, 0))
-        self._denom = np.zeros((0, cfg.n_heads, 1, 1))
-        self._head_out = np.zeros((0, cfg.n_heads, 1, cfg.head_dim))
-        self._merged = np.zeros((0, 1, d))
-        # Policy fast-path state (unused — and unallocated — for exact).
-        self._cast: Optional[_PolicyWeights] = None
-        self._planes: List[Optional[_ArenaPlane]] = []
-        self._p_scores = None
-        self._p_merged = None
-        if not self.policy.is_exact:
-            ct = self.policy.compute_dtype
-            self._cast = _PolicyWeights(model, self._wqkv, self._bqkv, ct)
-            self._planes = [None] * cfg.n_layers
-            self._p_scores = np.zeros((0, cfg.n_heads, 1, 0), dtype=ct)
-            self._p_merged = np.zeros((0, 1, d), dtype=ct)
-            self._p_qpack = np.zeros((0, cfg.n_heads, 1, cfg.head_dim), dtype=ct)
-            self._p_kvrows = np.zeros((0, cfg.n_heads, cfg.head_dim), dtype=ct)
-            self._p_qcodes_f = np.zeros((0, cfg.n_heads, cfg.head_dim), dtype=ct)
-            self._p_qscales = np.zeros((0, cfg.n_heads, 1), dtype=np.float32)
-            self._p_qcodes = np.zeros((0, cfg.n_heads, cfg.head_dim), dtype=np.int8)
-            d_ff = self._cast.w1[0].shape[1]
-            self._p_ffn_h = np.zeros((0, d_ff), dtype=ct)
-            self._p_ffn_i = np.zeros((0, d_ff), dtype=ct)
-            self._inv_sqrt_d = 1.0 / float(np.sqrt(cfg.head_dim))
+        self._weights = _Weights(
+            model, self._wqkv, self._bqkv, self.policy.compute_dtype
+        )
+        # The two tier-dependent pieces of the skeleton.
+        if self.policy.is_exact:
+            self._project = _project_rows
+            self._dense_core = _dense_core_exact
+        else:
+            self._project = _project_gemm
+            self._dense_core = _dense_core_arena
+        # Reusable scratch (name -> buffer) and per-layer arena planes,
+        # both allocated on first use: a tier pays only for what its
+        # core touches.
+        self._scratch: Dict[str, np.ndarray] = {}
+        self._planes: List[Optional[_ArenaPlane]] = [None] * cfg.n_layers
+        self._inv_sqrt_d = 1.0 / float(np.sqrt(cfg.head_dim))
         #: Optional :class:`repro.telemetry.HotPathProfiler` measuring
         #: real wall-clock time per stage (the serving engine attaches
         #: it when profiling is requested).  ``None`` costs one ``is
@@ -274,225 +315,27 @@ class PackedDecodeBackend:
     # ------------------------------------------------------------------
     # Scratch management
     # ------------------------------------------------------------------
-    def _scores_scratch(self, n: int, max_len: int) -> np.ndarray:
-        h = self._model.config.n_heads
-        if self._scores.shape[0] < n or self._scores.shape[3] < max_len:
-            pages = -(-max_len // self._scratch_page)
-            cap = max(pages * self._scratch_page, self._scores.shape[3])
-            self._scores = np.zeros((max(n, self._scores.shape[0]), h, 1, cap))
-        return self._scores[:n, :, :, :max_len]
-
-    def _batch_scratch(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        cfg = self._model.config
-        if self._denom.shape[0] < n:
-            self._denom = np.zeros((n, cfg.n_heads, 1, 1))
-            self._head_out = np.zeros((n, cfg.n_heads, 1, cfg.head_dim))
-        return self._denom[:n], self._head_out[:n]
-
-    def _merged_scratch(self, batch: int) -> np.ndarray:
-        d = self._model.config.d_model
-        if self._merged.shape[0] < batch:
-            self._merged = np.zeros((batch, 1, d))
-        return self._merged[:batch]
-
-    # ------------------------------------------------------------------
-    # Decode
-    # ------------------------------------------------------------------
-    def decode_layer(
-        self,
-        model: TransformerModel,
-        layer_idx: int,
-        x: np.ndarray,
-        positions: np.ndarray,
-        executors: Sequence[AttentionExecutor],
-    ) -> np.ndarray:
-        """Packed attention of one block over a decode batch.
-
-        Returns ``attn_out [B, d_model]``, bit-identical to
-        concatenating the looped per-sequence ``run_layer`` outputs.
-        """
-        if model is not self._model:
-            raise ValueError(
-                "PackedDecodeBackend is bound to a different model; create "
-                "one backend per TransformerModel"
+    def _rows(self, name: str, n: int, *tail: int, dtype=None) -> np.ndarray:
+        """Persistent ``[n, *tail]`` scratch ``name``, grown on demand."""
+        buf = self._scratch.get(name)
+        if buf is None or buf.shape[0] < n:
+            buf = self._scratch[name] = np.zeros(
+                (n, *tail), dtype=dtype or self.policy.compute_dtype
             )
-        cfg = model.config
-        d, n_heads, head_dim = cfg.d_model, cfg.n_heads, cfg.head_dim
-        batch = len(executors)
+        return buf[:n]
 
-        # Fused batched QKV projection.  The gufunc computes each [1, d]
-        # slice with the single-row kernel, so row i is bit-identical to
-        # the looped path's x[i:i+1] @ w projections.
-        prof = self.profiler
-        t0 = prof.start() if prof is not None else 0.0
-        qkv = np.matmul(x[:, None, :], self._wqkv[layer_idx])
-        qkv += self._bqkv[layer_idx]
-        if prof is not None:
-            prof.stop("decode_qkv_proj", t0)
-
-        merged = self._merged_scratch(batch)
-        dense_rows: List[Tuple[int, np.ndarray, object]] = []
-        fallback_rows: List[int] = []
-        for i, executor in enumerate(executors):
-            row = qkv[i]  # [1, 3d]
-            style = executor.packed_decode_style
-            if style == "none":
-                # Fallback rows ride through the batched GEMMs and are
-                # overwritten below; opt-out executors are rare enough
-                # that the wasted rows cost less than gathering the
-                # batch around them.
-                fallback_rows.append(i)
-                continue
-            q = split_heads(row[:, :d], n_heads)
-            k_new = split_heads(row[:, d : 2 * d], n_heads)
-            v_new = split_heads(row[:, 2 * d :], n_heads)
-            if style == "dense":
-                cache = executor.decode_kv_append(
-                    layer_idx, k_new, v_new, positions[i : i + 1]
-                )
-                dense_rows.append((i, q, cache))
-            elif style == "custom":
-                t0 = prof.start() if prof is not None else 0.0
-                merged[i] = executor.decode_attend_packed(
-                    layer_idx, model, q, k_new, v_new, positions[i : i + 1]
-                )
-                if prof is not None:
-                    prof.stop("decode_custom_core", t0)
-            else:
-                raise ValueError(
-                    f"unknown packed_decode_style {style!r} from "
-                    f"{type(executor).__name__}"
-                )
-        if dense_rows:
-            t0 = prof.start() if prof is not None else 0.0
-            self._dense_core(dense_rows, merged, head_dim)
-            if prof is not None:
-                prof.stop("decode_dense_core", t0)
-
-        # Fused batched output FC over every packed sequence's merged
-        # head features (row blocks are independent, so each row equals
-        # the looped [1, h*D] @ wo product).
-        t0 = prof.start() if prof is not None else 0.0
-        weights = model.attention(layer_idx).weights
-        out = np.matmul(merged, weights.wo)
-        out += weights.bo
-        attn_out = out[:, 0, :]
-        if prof is not None:
-            prof.stop("decode_output_fc", t0)
-        for i in fallback_rows:
-            t0 = prof.start() if prof is not None else 0.0
-            attn_out[i] = executors[i].run_layer(
-                layer_idx, model, x[i : i + 1], positions[i : i + 1], "decode"
-            ).output[0]
-            if prof is not None:
-                prof.stop("decode_fallback", t0)
-        return attn_out
-
-    def _dense_core(
-        self,
-        dense_rows: List[Tuple[int, np.ndarray, object]],
-        merged: np.ndarray,
-        head_dim: int,
-    ) -> None:
-        """Attention core for the cache-only (dense) sequences.
-
-        Scores and A·V run per sequence at exact lengths over zero-copy
-        cache views (BLAS reductions are not padding-invariant); the
-        elementwise softmax stages batch across the padded scratch.
-        """
-        lens = [len(cache) for (_, _, cache) in dense_rows]
-        n, max_len, min_len = len(dense_rows), max(lens), min(lens)
-        scores = self._scores_scratch(n, max_len)
-        if min_len < max_len:
-            # Mask the ragged tail once for the whole batch; each
-            # sequence's real columns are then overwritten in place by
-            # its exact-length scores below.
-            scores[:, :, :, min_len:] = _MASKED
-        for j, (_, q, cache) in enumerate(dense_rows):
-            np.matmul(
-                q, cache.keys.transpose(0, 2, 1), out=scores[j, :, :, : lens[j]]
-            )
-        scores /= np.sqrt(head_dim)
-        # max is order-exact and shift/exp/normalize are elementwise, so
-        # they batch; the denominator's pairwise sum is length-sensitive
-        # and reduces per sequence over the exact live width.
-        shift = scores.max(axis=-1, keepdims=True)
-        scores -= shift
-        np.exp(scores, out=scores)
-        denom, head_out = self._batch_scratch(n)
-        for j in range(n):
-            np.sum(
-                scores[j, :, :, : lens[j]], axis=-1, keepdims=True,
-                out=denom[j],
-            )
-        scores /= denom
-        for j, (_, _, cache) in enumerate(dense_rows):
-            np.matmul(scores[j, :, :, : lens[j]], cache.values, out=head_out[j])
-        rows = [i for (i, _, _) in dense_rows]
-        merged[rows] = head_out.transpose(0, 2, 1, 3).reshape(n, 1, -1)
-
-    # ------------------------------------------------------------------
-    # Numerics-policy fast path (fp32 / int8 tiers)
-    # ------------------------------------------------------------------
-    def _policy_scores(self, n: int, max_len: int) -> np.ndarray:
-        h = self._model.config.n_heads
-        if self._p_scores.shape[0] < n or self._p_scores.shape[3] < max_len:
-            pages = -(-max_len // self._scratch_page)
-            cap = max(pages * self._scratch_page, self._p_scores.shape[3])
-            self._p_scores = np.zeros(
-                (max(n, self._p_scores.shape[0]), h, 1, cap),
+    def _scores(self, n: int, max_len: int) -> np.ndarray:
+        """``[n, h, 1, max_len]`` score scratch (columns grow by pages)."""
+        buf = self._scratch.get("scores")
+        if buf is None or buf.shape[0] < n or buf.shape[3] < max_len:
+            rows, cap = (0, 0) if buf is None else (buf.shape[0], buf.shape[3])
+            pages = -(-max_len // _SCRATCH_PAGE)
+            buf = self._scratch["scores"] = np.zeros(
+                (max(n, rows), self._model.config.n_heads, 1,
+                 max(pages * _SCRATCH_PAGE, cap)),
                 dtype=self.policy.compute_dtype,
             )
-        return self._p_scores[:n, :, :, :max_len]
-
-    def _policy_merged(self, batch: int) -> np.ndarray:
-        d = self._model.config.d_model
-        if self._p_merged.shape[0] < batch:
-            self._p_merged = np.zeros(
-                (batch, 1, d), dtype=self.policy.compute_dtype
-            )
-        return self._p_merged[:batch]
-
-    def _policy_qpack(self, n: int) -> np.ndarray:
-        """Persistent ``[n, h, 1, D]`` scratch for the scaled Q pack."""
-        cfg = self._model.config
-        if self._p_qpack.shape[0] < n:
-            self._p_qpack = np.empty(
-                (n, cfg.n_heads, 1, cfg.head_dim),
-                dtype=self.policy.compute_dtype,
-            )
-        return self._p_qpack[:n]
-
-    def _policy_kv_stage(self, n: int) -> np.ndarray:
-        """Persistent ``[2n, h, D]`` staging rows for the fused KV quantize."""
-        cfg = self._model.config
-        if self._p_kvrows.shape[0] < 2 * n:
-            self._p_kvrows = np.empty(
-                (2 * n, cfg.n_heads, cfg.head_dim),
-                dtype=self.policy.compute_dtype,
-            )
-        return self._p_kvrows[: 2 * n]
-
-    def _policy_quant_work(self, n: int):
-        """Persistent int8-tier scratch: float codes, scales, int8 codes.
-
-        Shapes ``[2n, h, D]`` / ``[2n, h, 1]`` / ``[2n, h, D]``; the
-        caches copy out of these on append, so one set of buffers
-        serves every layer of every step allocation-free.
-        """
-        cfg = self._model.config
-        if self._p_qcodes_f.shape[0] < 2 * n:
-            shape = (2 * n, cfg.n_heads, cfg.head_dim)
-            ct = self.policy.compute_dtype
-            self._p_qcodes_f = np.empty(shape, dtype=ct)
-            self._p_qscales = np.empty(
-                (2 * n, cfg.n_heads, 1), dtype=np.float32
-            )
-            self._p_qcodes = np.empty(shape, dtype=np.int8)
-        m = 2 * n
-        return (
-            self._p_qcodes_f[:m], self._p_qscales[:m], self._p_qcodes[:m]
-        )
+        return buf[:n, :, :, :max_len]
 
     def _plane(self, layer_idx: int, n_rows: int, cap_needed: int) -> _ArenaPlane:
         """The layer's arena, grown (rows and columns) to fit this step.
@@ -510,8 +353,8 @@ class PackedDecodeBackend:
             old_rows = plane.k.shape[0] if plane is not None else 0
             old_cap = plane.k.shape[3] if plane is not None else 0
             rows = max(n_rows, old_rows)
-            pages = -(-cap_needed // self._scratch_page)
-            cap = max(pages * self._scratch_page, 2 * old_cap)
+            pages = -(-cap_needed // _SCRATCH_PAGE)
+            cap = max(pages * _SCRATCH_PAGE, 2 * old_cap)
             ct = self.policy.compute_dtype
             plane = _ArenaPlane(
                 np.zeros((rows, cfg.n_heads, cfg.head_dim, cap), dtype=ct),
@@ -519,6 +362,124 @@ class PackedDecodeBackend:
             )
             self._planes[layer_idx] = plane
         return plane
+
+    # ------------------------------------------------------------------
+    # The per-layer skeleton and its two entry points
+    # ------------------------------------------------------------------
+    def _check_model(self, model: TransformerModel) -> None:
+        if model is not self._model:
+            raise ValueError(
+                "PackedDecodeBackend is bound to a different model; create "
+                "one backend per TransformerModel"
+            )
+
+    def _group_rows(
+        self, model: TransformerModel, executors: Sequence[AttentionExecutor]
+    ) -> Tuple[_Rows, _Rows]:
+        """Validate the batch and split it into (dense, custom) rows.
+
+        Executor styles cannot change mid-step, so the policy entry
+        groups once and reuses the grouping across every layer.
+        """
+        self._check_model(model)
+        policy = self.policy
+        dense_rows: _Rows = []
+        custom_rows: _Rows = []
+        for i, executor in enumerate(executors):
+            tier = executor.numerics
+            # Identity is the hot path; equality admits deep-copied
+            # executors, whose frozen policy is an equal clone.
+            if tier is not policy and tier != policy:
+                raise NumericsMismatchError(
+                    f"row {i}: {type(executor).__name__} stores KV at the "
+                    f"{tier.name!r} tier but the backend runs "
+                    f"{policy.name!r}; build executors and backend "
+                    "from one NumericsPolicy"
+                )
+            style = executor.packed_decode_style
+            if style == "dense":
+                dense_rows.append((i, executor))
+            elif style == "custom":
+                custom_rows.append((i, executor))
+            else:
+                raise UnpackableExecutorError(
+                    f"row {i}: {type(executor).__name__} has "
+                    f"packed_decode_style {style!r}; the packed backend "
+                    "drives only 'dense' and 'custom' executors (use "
+                    "decode_step_batch(backend=None) for the rest)"
+                )
+        return dense_rows, custom_rows
+
+    def _attend_layer(
+        self,
+        layer_idx: int,
+        x: np.ndarray,
+        positions: np.ndarray,
+        rows: Tuple[_Rows, _Rows],
+    ) -> np.ndarray:
+        """Packed attention of one block: ``x [B, d]`` → ``attn_out [B, d]``."""
+        dense_rows, custom_rows = rows
+        model = self._model
+        cfg = model.config
+        batch = len(x)
+        w = self._weights
+        prof = self.profiler
+
+        t0 = prof.start() if prof is not None else 0.0
+        qkv = self._project(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
+        # Batched head split: [B, 3d] → three [B, h, 1, D] views, so row
+        # i's slice is the [h, 1, D] column the executor protocol takes.
+        heads = qkv.reshape(batch, 3, cfg.n_heads, 1, cfg.head_dim)
+        q_all, k_all, v_all = heads[:, 0], heads[:, 1], heads[:, 2]
+        if prof is not None:
+            prof.stop("decode_qkv_proj", t0)
+
+        merged = self._rows("merged", batch, 1, cfg.d_model)
+        for i, executor in custom_rows:
+            t0 = prof.start() if prof is not None else 0.0
+            merged[i] = executor.decode_attend_packed(
+                layer_idx, model, q_all[i], k_all[i], v_all[i],
+                positions[i : i + 1],
+            )
+            if prof is not None:
+                prof.stop("decode_custom_core", t0)
+        if dense_rows:
+            t0 = prof.start() if prof is not None else 0.0
+            self._dense_core(
+                self, layer_idx, dense_rows, q_all, k_all, v_all, positions,
+                merged,
+            )
+            if prof is not None:
+                prof.stop("decode_dense_core", t0)
+
+        # Fused output FC over every sequence's merged head features.
+        t0 = prof.start() if prof is not None else 0.0
+        attn_out = self._project(
+            merged[:, 0, :], w.wo[layer_idx], w.bo[layer_idx]
+        )
+        if prof is not None:
+            prof.stop("decode_output_fc", t0)
+        return attn_out
+
+    def decode_layer(
+        self,
+        model: TransformerModel,
+        layer_idx: int,
+        x: np.ndarray,
+        positions: np.ndarray,
+        executors: Sequence[AttentionExecutor],
+    ) -> np.ndarray:
+        """Packed attention of one block over a decode batch.
+
+        The exact tier's entry point:
+        :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch`
+        keeps its own fp64 layer stack and calls this once per block.
+        Returns ``attn_out [B, d_model]``, bit-identical to
+        concatenating the looped per-sequence ``run_layer`` outputs.
+        """
+        return self._attend_layer(
+            layer_idx, x, positions, self._group_rows(model, executors)
+        )
 
     def decode_step_policy(
         self,
@@ -534,69 +495,36 @@ class PackedDecodeBackend:
         backend's policy is non-exact.  The layer stack mirrors the
         exact path operation-for-operation — embedding gather, packed
         attention, residual + LayerNorm, tanh/gelu FFN, LM head — but
-        runs vectorized over cast weights with the arena-packed
-        attention core of :meth:`_dense_core_policy`.  Rows whose
-        executor opts out of packing (``packed_decode_style == "none"``)
-        fall back to ``run_layer`` in fp64; ``custom`` executors
+        runs vectorized over the cast weights.  ``custom`` executors
         (SpAtten) keep their own per-sequence core and semantics, with
         dtype-aware KV storage underneath.
         """
-        if model is not self._model:
-            raise ValueError(
-                "PackedDecodeBackend is bound to a different model; create "
-                "one backend per TransformerModel"
-            )
-        cw = self._cast
-        # Executor styles cannot change mid-step: group rows once and
-        # reuse the grouping across every layer.
-        dense_rows: List[Tuple[int, AttentionExecutor]] = []
-        custom_rows: List[Tuple[int, AttentionExecutor]] = []
-        fallback_rows: List[Tuple[int, AttentionExecutor]] = []
-        for i, executor in enumerate(executors):
-            style = executor.packed_decode_style
-            if style == "dense":
-                dense_rows.append((i, executor))
-            elif style == "custom":
-                custom_rows.append((i, executor))
-            elif style == "none":
-                fallback_rows.append((i, executor))
-            else:
-                raise ValueError(
-                    f"unknown packed_decode_style {style!r} from "
-                    f"{type(executor).__name__}"
-                )
-        dense_idx = [i for i, _ in dense_rows]
-        x = cw.tok_emb[token_ids] + cw.pos_emb[positions]
+        rows = self._group_rows(model, executors)
+        w = self._weights
+        x = w.tok_emb[token_ids] + w.pos_emb[positions]
         for layer_idx in range(model.config.n_layers):
-            attn_out = self._decode_layer_policy(
-                model, layer_idx, x, positions,
-                dense_rows, dense_idx, custom_rows, fallback_rows,
-            )
+            attn_out = self._attend_layer(layer_idx, x, positions, rows)
             # Residual adds run in place on the freshly produced left
             # operand (attn/FFN output buffers are never aliased to x).
             attn_out += x
             x = _policy_layer_norm(
-                attn_out, cw.ln1_g[layer_idx], cw.ln1_b[layer_idx]
+                attn_out, w.ln1_g[layer_idx], w.ln1_b[layer_idx]
             )
             ffn_out = self._ffn_policy(layer_idx, x)
             ffn_out += x
             x = _policy_layer_norm(
-                ffn_out, cw.ln2_g[layer_idx], cw.ln2_b[layer_idx],
+                ffn_out, w.ln2_g[layer_idx], w.ln2_b[layer_idx],
             )
-        return x @ cw.lm_proj
+        return x @ w.lm_proj
 
     def _ffn_policy(self, layer_idx: int, x: np.ndarray) -> np.ndarray:
         """Vectorized compute-dtype tanh/gelu FFN (the PR-3 fp64 tax)."""
-        cw = self._cast
-        if self._p_ffn_h.shape[0] < len(x):
-            d_ff = cw.w1[0].shape[1]
-            ct = self.policy.compute_dtype
-            self._p_ffn_h = np.empty((len(x), d_ff), dtype=ct)
-            self._p_ffn_i = np.empty((len(x), d_ff), dtype=ct)
-        hidden = self._p_ffn_h[: len(x)]
-        inner = self._p_ffn_i[: len(x)]
-        np.matmul(x, cw.w1[layer_idx], out=hidden)
-        hidden += cw.b1[layer_idx]
+        w = self._weights
+        d_ff = w.w1[layer_idx].shape[1]
+        hidden = self._rows("ffn_hidden", len(x), d_ff)
+        inner = self._rows("ffn_inner", len(x), d_ff)
+        np.matmul(x, w.w1[layer_idx], out=hidden)
+        hidden += w.b1[layer_idx]
         # h + 0.044715 h^3 factored as h (1 + 0.044715 h^2): one fewer
         # full-array multiply, every op in-place on the scratch.
         np.square(hidden, out=inner)
@@ -608,216 +536,9 @@ class PackedDecodeBackend:
         inner += 1.0
         inner *= hidden
         inner *= 0.5
-        out = inner @ cw.w2[layer_idx]
-        out += cw.b2[layer_idx]
+        out = inner @ w.w2[layer_idx]
+        out += w.b2[layer_idx]
         return out
-
-    def _decode_layer_policy(
-        self,
-        model: TransformerModel,
-        layer_idx: int,
-        x: np.ndarray,
-        positions: np.ndarray,
-        dense_rows: List[Tuple[int, AttentionExecutor]],
-        dense_idx: List[int],
-        custom_rows: List[Tuple[int, AttentionExecutor]],
-        fallback_rows: List[Tuple[int, AttentionExecutor]],
-    ) -> np.ndarray:
-        cfg = model.config
-        d, n_heads, head_dim = cfg.d_model, cfg.n_heads, cfg.head_dim
-        batch = len(x)
-        prof = self.profiler
-        t0 = prof.start() if prof is not None else 0.0
-        cw = self._cast
-        # One 2D GEMM (not a [B, 1, d] batched matmul, which dispatches
-        # B separate GEMVs) for the fused QKV projection.
-        flat = x @ cw.wqkv[layer_idx]
-        flat += cw.bqkv[layer_idx]
-        # Batched head split: views, replacing 3·B per-row reshapes.
-        q_all = flat[:, :d].reshape(batch, n_heads, head_dim)
-        k_all = flat[:, d : 2 * d].reshape(batch, n_heads, head_dim)
-        v_all = flat[:, 2 * d :].reshape(batch, n_heads, head_dim)
-        if prof is not None:
-            prof.stop("decode_qkv_proj", t0)
-
-        merged = self._policy_merged(batch)
-        for i, executor in custom_rows:
-            t0 = prof.start() if prof is not None else 0.0
-            merged[i] = executor.decode_attend_packed(
-                layer_idx, model,
-                q_all[i][:, None, :], k_all[i][:, None, :],
-                v_all[i][:, None, :], positions[i : i + 1],
-            )
-            if prof is not None:
-                prof.stop("decode_custom_core", t0)
-        if dense_rows:
-            t0 = prof.start() if prof is not None else 0.0
-            self._dense_core_policy(
-                layer_idx, dense_rows, dense_idx, q_all, k_all, v_all,
-                positions, merged,
-            )
-            if prof is not None:
-                prof.stop("decode_dense_core", t0)
-
-        t0 = prof.start() if prof is not None else 0.0
-        attn_out = merged[:, 0, :] @ cw.wo[layer_idx]
-        attn_out += cw.bo[layer_idx]
-        if prof is not None:
-            prof.stop("decode_output_fc", t0)
-        for i, executor in fallback_rows:
-            t0 = prof.start() if prof is not None else 0.0
-            attn_out[i] = executor.run_layer(
-                layer_idx, model,
-                # repro: allow[det-dtype-literal] -- fallback rows run the
-                # per-sequence fp64 oracle regardless of the policy tier
-                np.asarray(x[i : i + 1], dtype=np.float64),
-                positions[i : i + 1], "decode",
-            ).output[0]
-            if prof is not None:
-                prof.stop("decode_fallback", t0)
-        return attn_out
-
-    def _dense_core_policy(
-        self,
-        layer_idx: int,
-        dense_rows: List[Tuple[int, AttentionExecutor]],
-        dense_idx: List[int],
-        q_all: np.ndarray,
-        k_all: np.ndarray,
-        v_all: np.ndarray,
-        positions: np.ndarray,
-        merged: np.ndarray,
-    ) -> None:
-        """Arena-packed attention core for the dense rows of one layer.
-
-        Appends this step's KV columns (the whole batch's k/v rows
-        quantized in *one* :func:`quantize_rows` call under int8),
-        syncs each cache into its batch-order arena row (a single
-        vectorized fancy-index tail write in the steady state), then
-        runs scores → masked softmax → A·V as three batched tensor ops
-        over the ``[n, h, ...]`` pack — no per-sequence BLAS calls.
-        """
-        ct = self.policy.compute_dtype
-        n = len(dense_rows)
-        # All-dense batches (the common serving case) index with plain
-        # slices — views, not fancy-index copies.
-        sel = slice(None) if n == merged.shape[0] else dense_idx
-        quantized = self.policy.quantized_gemm
-        if quantized:
-            # One fused quantization of this step's k and v rows —
-            # inlined :func:`repro.core.quantization.quantize_rows`
-            # (bit-identical codes and scales, asserted by
-            # tests/test_numerics.py) over persistent scratch: every op
-            # runs in place, and the finite-input guard is skipped
-            # because decode activations are bounded by construction
-            # (LayerNormed hidden state through finite weights).  Q
-            # stays in the compute dtype — the score GEMM reads fp Q
-            # against dequantized int8 K, matching what the cache
-            # stores.
-            kv_rows = self._policy_kv_stage(n)
-            kv_rows[:n] = k_all[sel]
-            kv_rows[n:] = v_all[sel]
-            codes_f, scales, codes = self._policy_quant_work(n)
-            np.abs(kv_rows, out=codes_f)
-            np.fmax.reduce(codes_f, axis=-1, keepdims=True, out=scales)
-            np.divide(scales, 127.0, out=scales)
-            scales[scales == 0.0] = 1.0
-            np.divide(kv_rows, scales, out=codes_f)
-            np.rint(codes_f, out=codes_f)
-            np.clip(codes_f, -127.0, 127.0, out=codes_f)
-            # codes_f holds exact integers in [-127, 127] after the
-            # rint+clip, so the int8 assignment cast is value-exact.
-            codes[...] = codes_f
-            # Dequantize in place over the staging rows: these are the
-            # arena columns (what the score GEMM reads back).
-            np.multiply(codes_f, scales, out=kv_rows)
-            k_cols = kv_rows[:n]
-            v_cols = kv_rows[n:]
-            k_codes, k_scales = codes[:n], scales[:n, :, 0]
-            v_codes, v_scales = codes[n:], scales[n:, :, 0]
-        else:
-            k_cols = k_all[sel]
-            v_cols = v_all[sel]
-        # Append this step's column to every cache first so plane
-        # capacity can be ensured once, before any row writes.
-        lens = np.empty(n, dtype=np.int64)
-        caches = []
-        for j, (i, executor) in enumerate(dense_rows):
-            cache = executor.decode_kv_cache(layer_idx)
-            if quantized:
-                cache.append_decode_col_quantized(
-                    k_codes[j], k_scales[j],
-                    v_codes[j], v_scales[j], positions[i],
-                )
-            else:
-                cache.append_decode_col(k_cols[j], v_cols[j], positions[i])
-            caches.append(cache)
-            lens[j] = cache._len
-        max_len = int(lens.max())
-        min_len = int(lens.min())
-        plane = self._plane(layer_idx, n, max_len)
-        owners = plane.owners
-        plane_k, plane_v = plane.k, plane.v
-        rebuild: List[int] = []
-        for j in range(n):
-            cache = caches[j]
-            if owners[j] is cache:
-                synced_len, synced_version = cache._arena_state
-                if synced_version == cache.version and synced_len == lens[j] - 1:
-                    cache._arena_state = (synced_len + 1, synced_version)
-                    continue
-            rebuild.append(j)
-        if not rebuild and min_len == max_len:
-            # Steady state, uniform lengths: the new columns land in one
-            # basic-slice write per plane.
-            plane_k[:n, :, :, max_len - 1] = k_cols
-            plane_v[:n, :, max_len - 1] = v_cols
-        elif len(rebuild) < n:
-            # Steady state, ragged lengths: one vectorized fancy-index
-            # tail write lands every append-only row's new column at
-            # its own length.
-            if rebuild:
-                skip = set(rebuild)
-                fast = np.array([j for j in range(n) if j not in skip])
-            else:
-                fast = np.arange(n)
-            tail = lens[fast] - 1
-            plane_k[fast, :, :, tail] = k_cols[fast]
-            plane_v[fast, :, tail] = v_cols[fast]
-        for j in rebuild:
-            # Ownership, order, or content (eviction) changed: rebuild
-            # the row from cache truth (dequantized under int8).
-            cache = caches[j]
-            length = int(lens[j])
-            k, v = cache.compute_columns(0, length)
-            plane_k[j, :, :, :length] = k.transpose(0, 2, 1)
-            plane_v[j, :, :length] = v
-            owners[j] = cache
-            cache._arena_state = (length, cache.version)
-
-        q_pack = self._policy_qpack(n)
-        np.multiply(
-            q_all[sel][:, :, None, :], self._inv_sqrt_d, out=q_pack
-        )
-        scores = self._policy_scores(n, max_len)
-        np.matmul(q_pack, plane_k[:n, :, :, :max_len], out=scores)
-        if min_len < max_len:
-            for j in range(n):
-                if lens[j] < max_len:
-                    scores[j, :, :, lens[j] :] = _MASKED
-        # fmax skips NaN handling (scores are finite by construction).
-        shift = np.fmax.reduce(scores, axis=-1, keepdims=True)
-        scores -= shift
-        np.exp(scores, out=scores)
-        denom = np.add.reduce(scores, axis=-1, keepdims=True)
-        # Normalize after A·V: dividing the [n, h, 1, D] head outputs
-        # touches max_len/D fewer elements than dividing the scores,
-        # and (exp·V)/denom distributes over the dot product.
-        head_out = np.matmul(scores, plane_v[:n, :, :max_len])
-        head_out /= denom
-        # [n, h, 1, D] → [n, 1, h·D] reshapes in place (the moved axis
-        # is the singleton), so no transpose copy is needed.
-        merged[sel] = head_out.reshape(n, 1, -1)
 
     # ------------------------------------------------------------------
     # Chunked prefill
@@ -840,11 +561,7 @@ class PackedDecodeBackend:
         Only executors whose :attr:`packed_decode_style` is ``"dense"``
         are projected — others keep their own projection semantics.
         """
-        if model is not self._model:
-            raise ValueError(
-                "PackedDecodeBackend is bound to a different model; create "
-                "one backend per TransformerModel"
-            )
+        self._check_model(model)
         prof = self.profiler
         t0 = prof.start() if prof is not None else 0.0
         eligible = [
@@ -882,3 +599,210 @@ class PackedDecodeBackend:
             split_heads(proj[:, d : 2 * d], n_heads),
             split_heads(proj[:, 2 * d :], n_heads),
         )
+
+
+def _dense_core_exact(
+    backend: "PackedDecodeBackend",
+    layer_idx: int,
+    dense_rows: _Rows,
+    q_all: np.ndarray,
+    k_all: np.ndarray,
+    v_all: np.ndarray,
+    positions: np.ndarray,
+    merged: np.ndarray,
+) -> None:
+    """Bit-identical attention core for the dense rows of one layer.
+
+    Each executor appends its column exactly as the looped path
+    would; scores and A·V then run per sequence at exact lengths
+    over zero-copy cache views (BLAS reductions are not
+    padding-invariant) while the elementwise softmax stages batch
+    across the padded scratch.
+    """
+    cfg = backend._model.config
+    caches = [
+        executor.decode_kv_append(
+            layer_idx, k_all[i], v_all[i], positions[i : i + 1]
+        )
+        for i, executor in dense_rows
+    ]
+    lens = [len(cache) for cache in caches]
+    n, max_len, min_len = len(caches), max(lens), min(lens)
+    scores = backend._scores(n, max_len)
+    if min_len < max_len:
+        # Mask the ragged tail once for the whole batch; each
+        # sequence's real columns are then overwritten in place by
+        # its exact-length scores below.
+        scores[:, :, :, min_len:] = _MASKED
+    for j, (i, _) in enumerate(dense_rows):
+        np.matmul(
+            q_all[i], caches[j].keys.transpose(0, 2, 1),
+            out=scores[j, :, :, : lens[j]],
+        )
+    scores /= np.sqrt(cfg.head_dim)
+    # max is order-exact and shift/exp/normalize are elementwise, so
+    # they batch; the denominator's pairwise sum is length-sensitive
+    # and reduces per sequence over the exact live width.
+    shift = scores.max(axis=-1, keepdims=True)
+    scores -= shift
+    np.exp(scores, out=scores)
+    denom = backend._rows("denom", n, cfg.n_heads, 1, 1)
+    head_out = backend._rows("head_out", n, cfg.n_heads, 1, cfg.head_dim)
+    for j in range(n):
+        np.sum(
+            scores[j, :, :, : lens[j]], axis=-1, keepdims=True,
+            out=denom[j],
+        )
+    scores /= denom
+    for j, cache in enumerate(caches):
+        np.matmul(scores[j, :, :, : lens[j]], cache.values, out=head_out[j])
+    merged[[i for i, _ in dense_rows]] = (
+        head_out.transpose(0, 2, 1, 3).reshape(n, 1, -1)
+    )
+
+
+def _dense_core_arena(
+    backend: "PackedDecodeBackend",
+    layer_idx: int,
+    dense_rows: _Rows,
+    q_all: np.ndarray,
+    k_all: np.ndarray,
+    v_all: np.ndarray,
+    positions: np.ndarray,
+    merged: np.ndarray,
+) -> None:
+    """Arena-packed attention core for the dense rows of one layer.
+
+    Appends this step's KV columns (the whole batch's k/v rows
+    quantized in *one* pass under int8), syncs each cache into its
+    batch-order arena row (a single vectorized fancy-index tail
+    write in the steady state), then runs scores → masked softmax →
+    A·V as three batched tensor ops over the ``[n, h, ...]`` pack —
+    no per-sequence BLAS calls.
+    """
+    cfg = backend._model.config
+    n = len(dense_rows)
+    # All-dense batches (the common serving case) index with plain
+    # slices — views, not fancy-index copies.
+    sel = (
+        slice(None) if n == merged.shape[0]
+        else [i for i, _ in dense_rows]
+    )
+    k_cols = k_all[sel][:, :, 0]  # [n, h, D]
+    v_cols = v_all[sel][:, :, 0]
+    quantized = backend.policy.quantized_gemm
+    if quantized:
+        # One fused quantization of this step's k and v rows —
+        # inlined :func:`repro.core.quantization.quantize_rows`
+        # (bit-identical codes and scales, asserted by
+        # tests/test_numerics.py) over persistent scratch: every op
+        # runs in place, and the finite-input guard is skipped
+        # because decode activations are bounded by construction
+        # (LayerNormed hidden state through finite weights).  Q
+        # stays in the compute dtype — the score GEMM reads fp Q
+        # against dequantized int8 K, matching what the cache
+        # stores.
+        shape = (cfg.n_heads, cfg.head_dim)
+        kv_rows = backend._rows("kv_stage", 2 * n, *shape)
+        kv_rows[:n] = k_cols
+        kv_rows[n:] = v_cols
+        codes_f = backend._rows("quant_codes_f", 2 * n, *shape)
+        scales = backend._rows(
+            "quant_scales", 2 * n, cfg.n_heads, 1, dtype=np.float32
+        )
+        codes = backend._rows("quant_codes", 2 * n, *shape, dtype=np.int8)
+        np.abs(kv_rows, out=codes_f)
+        np.fmax.reduce(codes_f, axis=-1, keepdims=True, out=scales)
+        np.divide(scales, 127.0, out=scales)
+        scales[scales == 0.0] = 1.0
+        np.divide(kv_rows, scales, out=codes_f)
+        np.rint(codes_f, out=codes_f)
+        np.clip(codes_f, -127.0, 127.0, out=codes_f)
+        # codes_f holds exact integers in [-127, 127] after the
+        # rint+clip, so the int8 assignment cast is value-exact.
+        codes[...] = codes_f
+        # Dequantize in place over the staging rows: these are the
+        # arena columns (what the score GEMM reads back).
+        np.multiply(codes_f, scales, out=kv_rows)
+        k_cols = kv_rows[:n]
+        v_cols = kv_rows[n:]
+        k_codes, k_scales = codes[:n], scales[:n, :, 0]
+        v_codes, v_scales = codes[n:], scales[n:, :, 0]
+    # Append this step's column to every cache first so plane
+    # capacity can be ensured once, before any row writes.
+    lens = np.empty(n, dtype=np.int64)
+    caches = []
+    for j, (i, executor) in enumerate(dense_rows):
+        cache = executor.decode_kv_cache(layer_idx)
+        if quantized:
+            cache.append_decode_col_quantized(
+                k_codes[j], k_scales[j],
+                v_codes[j], v_scales[j], positions[i],
+            )
+        else:
+            cache.append_decode_col(k_cols[j], v_cols[j], positions[i])
+        caches.append(cache)
+        lens[j] = cache._len
+    max_len = int(lens.max())
+    min_len = int(lens.min())
+    plane = backend._plane(layer_idx, n, max_len)
+    owners = plane.owners
+    plane_k, plane_v = plane.k, plane.v
+    rebuild: List[int] = []
+    for j in range(n):
+        cache = caches[j]
+        if owners[j] is cache:
+            synced_len, synced_version = cache._arena_state
+            if synced_version == cache.version and synced_len == lens[j] - 1:
+                cache._arena_state = (synced_len + 1, synced_version)
+                continue
+        rebuild.append(j)
+    if not rebuild and min_len == max_len:
+        # Steady state, uniform lengths: the new columns land in one
+        # basic-slice write per plane.
+        plane_k[:n, :, :, max_len - 1] = k_cols
+        plane_v[:n, :, max_len - 1] = v_cols
+    elif len(rebuild) < n:
+        # Steady state, ragged lengths: one vectorized fancy-index
+        # tail write lands every append-only row's new column at
+        # its own length.
+        if rebuild:
+            skip = set(rebuild)
+            fast = np.array([j for j in range(n) if j not in skip])
+        else:
+            fast = np.arange(n)
+        tail = lens[fast] - 1
+        plane_k[fast, :, :, tail] = k_cols[fast]
+        plane_v[fast, :, tail] = v_cols[fast]
+    for j in rebuild:
+        # Ownership, order, or content (eviction) changed: rebuild
+        # the row from cache truth (dequantized under int8).
+        cache = caches[j]
+        length = int(lens[j])
+        k, v = cache.compute_columns(0, length)
+        plane_k[j, :, :, :length] = k.transpose(0, 2, 1)
+        plane_v[j, :, :length] = v
+        owners[j] = cache
+        cache._arena_state = (length, cache.version)
+
+    q_pack = backend._rows("q_pack", n, cfg.n_heads, 1, cfg.head_dim)
+    np.multiply(q_all[sel], backend._inv_sqrt_d, out=q_pack)
+    scores = backend._scores(n, max_len)
+    np.matmul(q_pack, plane_k[:n, :, :, :max_len], out=scores)
+    if min_len < max_len:
+        for j in range(n):
+            if lens[j] < max_len:
+                scores[j, :, :, lens[j] :] = _MASKED
+    # fmax skips NaN handling (scores are finite by construction).
+    shift = np.fmax.reduce(scores, axis=-1, keepdims=True)
+    scores -= shift
+    np.exp(scores, out=scores)
+    denom = np.add.reduce(scores, axis=-1, keepdims=True)
+    # Normalize after A·V: dividing the [n, h, 1, D] head outputs
+    # touches max_len/D fewer elements than dividing the scores,
+    # and (exp·V)/denom distributes over the dot product.
+    head_out = np.matmul(scores, plane_v[:n, :, :max_len])
+    head_out /= denom
+    # [n, h, 1, D] → [n, 1, h·D] reshapes in place (the moved axis
+    # is the singleton), so no transpose copy is needed.
+    merged[sel] = head_out.reshape(n, 1, -1)

@@ -11,17 +11,15 @@ Storage model (capacity/length separation)
 ------------------------------------------
 
 The cache distinguishes the *live length* (columns holding real K/V
-state) from the *capacity* (columns the backing buffers can hold).  By
-default buffers are preallocated and grown by amortized doubling at
+state) from the *capacity* (columns the backing buffers can hold).
+Buffers are preallocated and grown by amortized doubling at
 **page granularity** — ``page_tokens`` columns per growth quantum, the
 same unit the serving memory pool (:class:`repro.serving.KVMemoryPool`)
 budgets in — so appending a decode token is an O(1) in-place write
 instead of an O(L) ``np.concatenate`` (O(L²) copy traffic over a
 generation).  :attr:`keys` / :attr:`values` / :attr:`token_ids` expose
 zero-copy views of the live prefix, and :meth:`keep` compacts surviving
-columns in place.  ``preallocate=False`` restores the historical
-concatenate-per-append storage (kept as a benchmarking baseline for
-``benchmarks/bench_decode_step.py``).
+columns in place.
 
 Numerics-policy storage (dtype parameterization)
 ------------------------------------------------
@@ -79,9 +77,6 @@ class LayerKVCache:
             a multiple of this, mirroring the serving pool's page size
             (the pool charges pages for *live* columns; the doubling
             policy may preallocate capacity up to ~2× ahead of them).
-        preallocate: grow buffers by amortized doubling (default).  When
-            False, every append reallocates exactly-sized arrays via
-            ``np.concatenate`` — the pre-packed-backend behaviour.
         dtype: storage dtype of the K/V planes (see module docstring);
             ``np.int8`` stores codes plus per-(head, column) fp32 scales.
     """
@@ -92,7 +87,6 @@ class LayerKVCache:
         head_dim: int,
         bytes_per_element: int = 2,
         page_tokens: int = 16,
-        preallocate: bool = True,
         # repro: allow[det-dtype-literal] -- the *default* is the exact
         # tier's fp64; policies override it via NumericsPolicy.kv_dtype
         dtype=np.float64,
@@ -116,7 +110,6 @@ class LayerKVCache:
         self.head_dim = head_dim
         self.bytes_per_element = bytes_per_element
         self.page_tokens = page_tokens
-        self.preallocate = preallocate
         self._len = 0
         self._keys = np.zeros((n_heads, 0, head_dim), dtype=self.dtype)
         self._values = np.zeros((n_heads, 0, head_dim), dtype=self.dtype)
@@ -191,12 +184,10 @@ class LayerKVCache:
 
         Used by prefill to size buffers for a known prompt length up
         front, so chunked summarization never pays a mid-prefill
-        reallocation.  A no-op when capacity already suffices or in
-        concatenate-growth mode.
+        reallocation.  A no-op when capacity already suffices.
         """
-        if not self.preallocate or n_tokens <= self.capacity:
-            return
-        self._grow(n_tokens)
+        if n_tokens > self.capacity:
+            self._grow(n_tokens)
 
     def _grow(self, min_capacity: int) -> None:
         new_cap = self._aligned(max(2 * self.capacity, min_capacity))
@@ -288,7 +279,7 @@ class LayerKVCache:
         no reshapes.  Float storage only — int8 callers use
         :meth:`append_decode_col_quantized` with precomputed codes.
         """
-        if self.quantized or not self.preallocate:
+        if self.quantized:
             self.append(k[:, None, :], v[:, None, :], [token_id])
             return
         pos = self._len
@@ -319,12 +310,6 @@ class LayerKVCache:
             raise ValueError(
                 "append_decode_col_quantized requires int8 storage dtype"
             )
-        if not self.preallocate:
-            self.append_quantized(
-                k_codes[:, None, :], k_scales[:, None],
-                v_codes[:, None, :], v_scales[:, None], [token_id],
-            )
-            return
         pos = self._len
         keys = self._keys
         if pos + 1 > keys.shape[1]:
@@ -339,25 +324,6 @@ class LayerKVCache:
 
     def _append_storage(self, k, v, token_ids, k_scales=None, v_scales=None):
         n_new = k.shape[1]
-        if not self.preallocate:
-            self._keys = np.concatenate(
-                [self._keys[:, : self._len], k], axis=1
-            ).astype(self.dtype, copy=False)
-            self._values = np.concatenate(
-                [self._values[:, : self._len], v], axis=1
-            ).astype(self.dtype, copy=False)
-            self._token_ids = np.concatenate(
-                [self.token_ids, np.asarray(token_ids)]
-            )
-            if self.quantized:
-                self._kscales = np.concatenate(
-                    [self._kscales[:, : self._len], k_scales], axis=1
-                ).astype(np.float32, copy=False)
-                self._vscales = np.concatenate(
-                    [self._vscales[:, : self._len], v_scales], axis=1
-                ).astype(np.float32, copy=False)
-            self._len += n_new
-            return
         if self._len + n_new > self.capacity:
             self._grow(self._len + n_new)
         end = self._len + n_new
@@ -391,16 +357,6 @@ class LayerKVCache:
                 )
         n_kept = len(column_indices)
         self.evicted_tokens += self._len - n_kept
-        if not self.preallocate:
-            self._keys = self._keys[:, : self._len][:, column_indices, :]
-            self._values = self._values[:, : self._len][:, column_indices, :]
-            if self.quantized:
-                self._kscales = self._kscales[:, : self._len][:, column_indices]
-                self._vscales = self._vscales[:, : self._len][:, column_indices]
-            self._token_ids = self.token_ids[column_indices]
-            self._len = n_kept
-            self.version += 1
-            return
         if n_kept < self._len:
             # Advanced indexing on the right materializes the survivors
             # before assignment, so the overlapping copy is safe.
@@ -457,11 +413,10 @@ class LayerKVCache:
         Chunked dense prefill attends against K/V padded to the final
         prompt width so the softmax reduction matches the monolithic
         pass column-for-column (see
-        :meth:`repro.nn.transformer.DenseExecutor.begin_prefill`).  With
-        preallocated float buffers this is a zero-copy view — capacity
-        is grown to ``total`` and the tail is guaranteed zero; the
-        concatenate-growth mode and the int8 tier (which must
-        dequantize) materialize padded copies.
+        :meth:`repro.nn.transformer.DenseExecutor.begin_prefill`).  For
+        float storage this is a zero-copy view — capacity is grown to
+        ``total`` and the tail is guaranteed zero; the int8 tier (which
+        must dequantize) materializes padded copies.
         """
         if total < self._len:
             raise ValueError(
@@ -473,15 +428,6 @@ class LayerKVCache:
             k[:, : self._len] = self._dequant(self._keys, self._kscales, 0, self._len)
             v[:, : self._len] = self._dequant(self._values, self._vscales, 0, self._len)
             return k, v
-        if not self.preallocate:
-            pad = np.zeros(
-                (self.n_heads, total - self._len, self.head_dim),
-                dtype=self.dtype,
-            )
-            return (
-                np.concatenate([self.keys, pad], axis=1),
-                np.concatenate([self.values, pad], axis=1),
-            )
         self.reserve(total)
         if self._tail_dirty:
             self._keys[:, self._len :] = 0.0
@@ -507,11 +453,6 @@ class LayerKVCache:
         return self._len * self._bytes_per_column
 
     @property
-    def n_bytes(self) -> int:
-        """Backward-compatible alias for :attr:`nbytes`."""
-        return self.nbytes
-
-    @property
     def capacity_nbytes(self) -> int:
         """Preallocated-buffer footprint at the storage width."""
         return self.capacity * self._bytes_per_column
@@ -527,7 +468,6 @@ class KVCache:
         head_dim: int,
         bytes_per_element: int = 2,
         page_tokens: int = 16,
-        preallocate: bool = True,
         # repro: allow[det-dtype-literal] -- exact-tier default, overridden
         # per policy via NumericsPolicy.kv_dtype
         dtype=np.float64,
@@ -535,8 +475,7 @@ class KVCache:
         self.layers: List[LayerKVCache] = [
             LayerKVCache(
                 n_heads, head_dim, bytes_per_element,
-                page_tokens=page_tokens, preallocate=preallocate,
-                dtype=dtype,
+                page_tokens=page_tokens, dtype=dtype,
             )
             for _ in range(n_layers)
         ]
@@ -569,11 +508,6 @@ class KVCache:
     def nbytes(self) -> int:
         """Total live-column footprint in bytes at the storage width."""
         return sum(layer.nbytes for layer in self.layers)
-
-    @property
-    def n_bytes(self) -> int:
-        """Backward-compatible alias for :attr:`nbytes`."""
-        return self.nbytes
 
     @property
     def capacity_nbytes(self) -> int:

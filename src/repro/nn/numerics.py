@@ -15,8 +15,8 @@ philosophy to the serving hot path as an explicit, operator-visible
 axis:
 
 ``exact``
-    The default.  fp64 compute, fp64 KV storage, every existing code
-    path runs verbatim — still bit-identical to the looped oracle
+    The default.  fp64 compute, fp64 KV storage, exact-length
+    per-sequence attention cores — bit-identical to the looped oracle
     (asserted by the identity tests and ``benchmarks/bench_numerics``).
 ``fp32``
     fp32 KV planes and an fp32 batched decode core: one padded
@@ -50,8 +50,18 @@ __all__ = [
     "FP32",
     "INT8",
     "NUMERICS_LADDER",
+    "NumericsMismatchError",
     "resolve_numerics",
 ]
+
+
+class NumericsMismatchError(ValueError):
+    """An executor and the decode backend driving it sit on different tiers.
+
+    The backend would run one tier's arithmetic over a KV cache stored
+    (and billed) at another's width — silently losing bit identity
+    under ``exact``, or the declared budget under ``fp32``/``int8``.
+    """
 
 
 @dataclass(frozen=True)

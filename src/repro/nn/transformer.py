@@ -27,6 +27,7 @@ from ..config import ModelConfig
 from .attention import AttentionRecord, AttentionWeights, MultiHeadAttention
 from .functional import gelu, layer_norm, linear, softmax
 from .kv_cache import KVCache
+from .numerics import EXACT, resolve_numerics
 
 __all__ = [
     "BlockParams",
@@ -133,8 +134,10 @@ class AttentionExecutor:
     def packed_decode_style(self) -> str:
         """How the packed decode backend may drive this executor.
 
-        * ``"none"`` — no packed support; the backend falls back to a
-          per-sequence :meth:`run_layer` call (full looped semantics).
+        * ``"none"`` — no packed support; the backend refuses the batch
+          with :class:`~repro.nn.batched_attention
+          .UnpackableExecutorError`.  Decode such executors through the
+          looped oracle, ``decode_step_batch(backend=None)``.
         * ``"dense"`` — the executor's only per-layer decode state is a
           :class:`~repro.nn.kv_cache.LayerKVCache`; the backend appends
           the new column via :meth:`decode_kv_append` and runs the whole
@@ -160,11 +163,10 @@ class AttentionExecutor:
 
         Defaults to the exact (fp64, bit-identical) policy; executors
         that accept a ``numerics`` argument override this with the
-        resolved policy so the serving engine and backend can assert
-        a consistent tier across the whole stack.
+        resolved policy.  The packed backend refuses a batch whose
+        executors sit on another tier than its own
+        (:class:`~repro.nn.numerics.NumericsMismatchError`).
         """
-        from .numerics import EXACT
-
         return EXACT
 
     def decode_kv_append(
@@ -182,7 +184,7 @@ class AttentionExecutor:
         """The layer's :class:`~repro.nn.kv_cache.LayerKVCache` without
         appending (``"dense"`` style only).
 
-        The numerics-policy fast path appends centrally — batching the
+        The fp32/int8 dense core appends centrally — batching the
         quantization of a whole step's new columns — so it needs the
         bare cache rather than the append-and-return of
         :meth:`decode_kv_append`.
@@ -275,10 +277,6 @@ class DenseExecutor(AttentionExecutor):
         kv_page_tokens: KV-cache growth quantum in columns (aligned with
             the serving pool's page size; see
             :class:`~repro.nn.kv_cache.LayerKVCache`).
-        kv_preallocate: grow KV buffers by amortized doubling (default).
-            ``False`` restores concatenate-per-append storage — the
-            pre-packed-backend hot path, kept as the baseline for
-            ``benchmarks/bench_decode_step.py``.
         numerics: :class:`~repro.nn.numerics.NumericsPolicy` (or tier
             name) selecting the KV storage representation — fp64 under
             ``exact`` (default, bit-identical), fp32 planes or int8
@@ -290,16 +288,12 @@ class DenseExecutor(AttentionExecutor):
     def __init__(
         self,
         kv_page_tokens: int = 16,
-        kv_preallocate: bool = True,
         numerics=None,
     ) -> None:
-        from .numerics import resolve_numerics
-
         self._cache: Optional[KVCache] = None
         self._n_heads = 0
         self._prefill_total = 0
         self._kv_page_tokens = kv_page_tokens
-        self._kv_preallocate = kv_preallocate
         self._numerics = resolve_numerics(numerics)
 
     @property
@@ -318,7 +312,6 @@ class DenseExecutor(AttentionExecutor):
                     cfg.bytes_per_element
                 ),
                 page_tokens=self._kv_page_tokens,
-                preallocate=self._kv_preallocate,
                 dtype=policy.kv_dtype,
             )
         else:
@@ -367,7 +360,7 @@ class DenseExecutor(AttentionExecutor):
         return layer_cache
 
     def decode_kv_cache(self, layer_idx: int):
-        """Bare layer cache for the policy path's central append."""
+        """Bare layer cache for the arena core's central append."""
         return self._cache[layer_idx]
 
     def run_layer(
@@ -401,8 +394,8 @@ class DenseExecutor(AttentionExecutor):
                 # Mid-chunked-prefill: pad K/V to the final prompt
                 # width (the causal mask excludes the extra columns) so
                 # the softmax normalizes over the same columns as the
-                # monolithic pass — see begin_prefill.  With
-                # preallocated buffers this view costs no copy.
+                # monolithic pass — see begin_prefill.  A zero-copy
+                # view for float storage.
                 kv = layer_cache.padded_to(self._prefill_total)
             else:
                 kv = layer_cache.as_tuple()

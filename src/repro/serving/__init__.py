@@ -45,14 +45,14 @@ Layers of the subsystem
   report (throughput, p50/p95 queue wait, TTFT and inter-token decode
   latency, pool occupancy, reclamation).
 * :mod:`repro.nn.batched_attention` — the **packed decode backend**
-  behind ``ServingEngine(attention_backend="packed")`` (the default).
-  Every mixed step's decode attention runs with fused batch-level
-  Q/K/V and output-FC matmuls plus a central attention core over
-  zero-copy views of preallocated KV buffers, instead of ``B ×
-  n_layers`` single-row ``run_layer`` calls.  ``"looped"`` keeps the
-  per-sequence path as the bit-identity oracle: both backends commit
-  identical token streams and identical simulated-clock stats — the
-  packed one in less wall time (``benchmarks/bench_decode_step.py``).
+  every engine decodes through.  Every mixed step's decode attention
+  runs with fused batch-level Q/K/V and output-FC matmuls plus a
+  central attention core over zero-copy views of preallocated KV
+  buffers, instead of ``B × n_layers`` single-row ``run_layer`` calls.
+  The per-sequence looped path stays in the model
+  (``TransformerModel.decode_step_batch(backend=None)``) as the
+  bit-identity oracle the identity tests and
+  ``benchmarks/bench_decode_step.py`` compare against.
 
 KV storage model
 ----------------
@@ -174,8 +174,8 @@ philosophy to the hot path as an explicit, operator-visible axis:
 ========  ==========================================================
 tier      decode hot path
 ========  ==========================================================
-`exact`   the default — fp64 compute, fp64 KV, every pre-existing
-          code path verbatim, still bit-identical to the oracle
+`exact`   the default — fp64 compute, fp64 KV, per-sequence
+          exact-length attention cores: bit-identical to the oracle
 `fp32`    fp32 KV planes + one padded ``[B, h, 1, max_len]``
           masked-softmax attention over a shared scratch arena and a
           vectorized fp32 FFN
@@ -186,8 +186,10 @@ tier      decode hot path
 
 Select a tier with ``ServingEngine(numerics=...)`` /
 ``ClusterEngine(numerics=...)`` or CLI ``--numerics
-{exact,fp32,int8}`` (packed backend only — the looped oracle *is* the
-bit-identity reference and serves only ``exact``).  The tier lands in
+{exact,fp32,int8}``.  The engine builds its backend and every
+executor from that one policy; a backend handed executors of another
+tier raises :class:`~repro.nn.numerics.NumericsMismatchError`.  The
+tier lands in
 the stats report's ``numerics`` field and the
 ``repro_numerics_steps_total`` telemetry counter.  Every non-exact
 tier declares its quality budget (max mean KL from the oracle's

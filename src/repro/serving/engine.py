@@ -109,7 +109,7 @@ import numpy as np
 from ..config import PruningConfig, QuantConfig
 from ..core import schedule as sched
 from ..core.pipeline import SpAttenExecutor
-from ..nn.batched_attention import ATTENTION_BACKENDS, PackedDecodeBackend
+from ..nn.batched_attention import PackedDecodeBackend
 from ..nn.numerics import resolve_numerics
 from ..nn.transformer import (
     AttentionExecutor,
@@ -235,21 +235,12 @@ class ServingEngine:
             interleaved with decode; ``None`` (default) runs the whole
             prompt monolithically at admission, stalling the live
             batch (kept for comparison benchmarks).
-        attention_backend: ``"packed"`` (default) runs decode steps and
-            chunked-prefill projections through
-            :class:`~repro.nn.batched_attention.PackedDecodeBackend` —
-            fused batch-level projection/output GEMMs over preallocated
-            KV buffers; ``"looped"`` keeps the per-sequence
-            ``run_layer`` hot path (the bit-identity oracle —
-            both backends commit identical token streams and identical
-            simulated-clock stats, the packed one in less wall time).
         numerics: numerics ladder tier (``"exact"``, ``"fp32"``, or
             ``"int8"`` — see :mod:`repro.nn.numerics`).  ``"exact"``
             (default) keeps every path bit-identical to the fp64
             oracle; the faster tiers store KV state at a narrower dtype
             and run the decode layer stack in the policy's compute
-            dtype under a declared accuracy budget.  Non-exact tiers
-            require the ``"packed"`` attention backend.
+            dtype under a declared accuracy budget.
         admission: ``"reserve"`` (default) bills every request its
             worst-case schedule-bound reservation for its whole
             lifetime; ``"optimistic"`` admits against actual pool usage
@@ -263,8 +254,6 @@ class ServingEngine:
             be admitted optimistically — slack that absorbs resident
             sequences' decode growth before preemption has to step in
             (0 = fully optimistic).
-        executor_factory: override the per-request executor (tests).
-            When set, it wins over per-request pruning overrides.
         name: label for cluster replicas (defaults to ``"engine"``).
         telemetry: :class:`repro.telemetry.Telemetry` sinks this engine
             emits to — request lifecycle spans, pool ledger events, and
@@ -300,12 +289,10 @@ class ServingEngine:
         cost_model: Optional[CostModel] = None,
         sampler: Optional[Callable[[np.ndarray], int]] = None,
         prefill_chunk: Optional[int] = None,
-        attention_backend: str = "packed",
         numerics: str = "exact",
         admission: str = "reserve",
         preempt_policy: str = "lowest_priority",
         headroom_pages: int = 0,
-        executor_factory: Optional[Callable[[], AttentionExecutor]] = None,
         name: str = "engine",
         telemetry: Optional[Telemetry] = None,
         audit_every: Optional[int] = None,
@@ -319,18 +306,7 @@ class ServingEngine:
             raise ValueError(
                 "prefill_chunk must be >= 1, or None for monolithic prefill"
             )
-        if attention_backend not in ATTENTION_BACKENDS:
-            raise ValueError(
-                f"unknown attention_backend {attention_backend!r}; "
-                f"choose from {ATTENTION_BACKENDS}"
-            )
         resolved_numerics = resolve_numerics(numerics)
-        if not resolved_numerics.is_exact and attention_backend != "packed":
-            raise ValueError(
-                f"numerics tier {resolved_numerics.name!r} requires the "
-                f"'packed' attention backend; the 'looped' path is the "
-                f"bit-identity oracle and only serves 'exact'"
-            )
         if admission not in ADMISSION_MODES:
             raise ValueError(
                 f"unknown admission mode {admission!r}; choose from "
@@ -349,7 +325,6 @@ class ServingEngine:
         self.cost = cost_model or CostModel()
         self.sampler = sampler or greedy_sampler
         self.prefill_chunk = prefill_chunk
-        self.attention_backend = attention_backend
         #: Resolved :class:`~repro.nn.numerics.NumericsPolicy` governing
         #: decode-step compute and KV storage across every executor this
         #: engine creates (see the "Numerics ladder" guide section).
@@ -373,12 +348,10 @@ class ServingEngine:
         #: bit-identical to one built before the knob existed.  The
         #: chaos engine toggles it over bounded fault windows.
         self.slowdown = 1.0
-        self._backend = (
-            PackedDecodeBackend(model, numerics=resolved_numerics)
-            if attention_backend == "packed"
-            else None
-        )
-        self._executor_factory = executor_factory
+        #: Decode steps and chunked-prefill projections run through one
+        #: packed backend at the engine's tier (fused batch-level GEMMs;
+        #: see :mod:`repro.nn.batched_attention`).
+        self._backend = PackedDecodeBackend(model, numerics=resolved_numerics)
         self.queue = RequestQueue()
         self.live: List[LiveSequence] = []
         self.prefilling: List[PrefillingSequence] = []
@@ -437,8 +410,6 @@ class ServingEngine:
     def _make_executor(
         self, pruning: Optional[PruningConfig]
     ) -> AttentionExecutor:
-        if self._executor_factory is not None:
-            return self._executor_factory()
         if pruning is not None or self.quant is not None:
             # Thread the pool's page size into the caches so buffer
             # growth and pool-page accounting share one unit.
@@ -540,8 +511,7 @@ class ServingEngine:
         self.slowdown = 1.0
         if self.telemetry.active:
             self.pool.observer = self
-        if self._backend is not None:
-            self._backend.profiler = self.telemetry.profiler
+        self._backend.profiler = self.telemetry.profiler
 
     def submit(
         self,

@@ -8,11 +8,11 @@ packed decode hot path".  :class:`HotPathProfiler` measures that with
 ``time.perf_counter`` around the
 :class:`~repro.nn.batched_attention.PackedDecodeBackend` stages:
 
-* ``decode_qkv_proj`` — the fused ``[B,1,d] @ [d,3d]`` projection;
-* ``decode_dense_core`` — scores/softmax/A·V over the cache views;
+* ``decode_qkv_proj`` — the fused ``[B, d] @ [d, 3d]`` projection;
+* ``decode_dense_core`` — KV append + scores/softmax/A·V of the dense
+  rows (exact-length cache views or the padded arena, by tier);
 * ``decode_custom_core`` — SpAtten executors' per-sequence cores;
 * ``decode_output_fc`` — the fused output projection;
-* ``decode_fallback`` — opt-out executors' ``run_layer`` rows;
 * ``prefill_chunk_proj`` — the fused chunked-prefill projections.
 
 Wall times are inherently nondeterministic, so profiler output is kept

@@ -14,7 +14,7 @@ def layer_cache():
 class TestLayerKVCache:
     def test_starts_empty(self, layer_cache):
         assert len(layer_cache) == 0
-        assert layer_cache.n_bytes == 0
+        assert layer_cache.nbytes == 0
 
     def test_append_accumulates(self, layer_cache, rng):
         k = rng.normal(size=(2, 3, 4))
@@ -57,8 +57,7 @@ class TestLayerKVCache:
             rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)), np.arange(3)
         )
         # 2 tensors x 2 heads x 3 tokens x 4 dims x 2 bytes
-        assert layer_cache.n_bytes == 2 * 2 * 3 * 4 * 2
-        assert layer_cache.nbytes == layer_cache.n_bytes
+        assert layer_cache.nbytes == 2 * 2 * 3 * 4 * 2
 
     def test_nbytes_is_dtype_aware(self, rng):
         cache = LayerKVCache(n_heads=2, head_dim=4, bytes_per_element=4)
@@ -130,8 +129,7 @@ class TestKVCache:
                 rng.normal(size=(2, 1, 4)), rng.normal(size=(2, 1, 4)),
                 np.array([0]),
             )
-        assert cache.n_bytes == 2 * (2 * 2 * 1 * 4 * 2)
-        assert cache.nbytes == cache.n_bytes
+        assert cache.nbytes == 2 * (2 * 2 * 1 * 4 * 2)
 
     def test_bytes_per_element_propagates_to_layers(self, rng):
         cache = KVCache(n_layers=2, n_heads=2, head_dim=4, bytes_per_element=4)
@@ -218,23 +216,6 @@ class TestCapacityModel:
         assert np.all(values[:, 2:] == 0.0)
         with pytest.raises(ValueError):
             cache.padded_to(1)  # below the live length
-
-    def test_concat_mode_matches_preallocated_results(self, rng):
-        fast = LayerKVCache(n_heads=2, head_dim=4, preallocate=True)
-        legacy = LayerKVCache(n_heads=2, head_dim=4, preallocate=False)
-        for i in range(7):
-            k = rng.normal(size=(2, 1, 4))
-            v = rng.normal(size=(2, 1, 4))
-            for cache in (fast, legacy):
-                cache.append(k, v, np.array([i]))
-        fast.keep(np.array([0, 3, 5]))
-        legacy.keep(np.array([0, 3, 5]))
-        np.testing.assert_array_equal(fast.keys, legacy.keys)
-        np.testing.assert_array_equal(fast.values, legacy.values)
-        np.testing.assert_array_equal(fast.token_ids, legacy.token_ids)
-        pk_fast, _ = fast.padded_to(9)
-        pk_legacy, _ = legacy.padded_to(9)
-        np.testing.assert_array_equal(pk_fast, pk_legacy)
 
     def test_nbytes_counts_live_columns_not_capacity(self, rng):
         cache = LayerKVCache(n_heads=2, head_dim=4, page_tokens=16)

@@ -75,19 +75,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "GFLOPS" in out and "*" in out  # table + chart
 
-    def test_serve_attention_backend_flags(self, capsys):
-        base = ["serve", "--requests", "3", "--rate", "500", "--mode",
-                "dense", "--prompt-len", "12", "--max-new", "2", "4",
-                "--layers", "2", "--pool-kib", "256"]
-        assert main(base + ["--attention-backend", "looped"]) == 0
-        looped_out = capsys.readouterr().out
-        assert main(base + ["--attention-backend", "packed"]) == 0
-        packed_out = capsys.readouterr().out
-        # A pure optimization: identical serving report either way.
-        assert looped_out == packed_out
-        with pytest.raises(SystemExit):
-            main(base + ["--attention-backend", "einsum"])
-
     def test_serve_stats_json_flag(self, capsys, tmp_path):
         import json
 

@@ -6,16 +6,16 @@ The ladder's contract has three parts, each tested here:
   resolve deterministically; unknown tiers fail loudly.
 * **Exact stays exact** — ``numerics="exact"`` changes *nothing*: the
   packed backend and executors remain bit-identical to the looped fp64
-  oracle across dense, SpAtten (pruning + progressive quantization),
-  and fallback rows, exactly as the pre-ladder identity suite asserts.
+  oracle across dense and SpAtten (pruning + progressive quantization)
+  rows, exactly as the pre-ladder identity suite asserts.
 * **Non-exact tiers are correct, not just fast** — fp32/int8 logits
   track the oracle within tier-appropriate tolerance; the arena's
   steady-state incremental updates agree bit-for-bit with a full
   rebuild from cache truth (exercised via mid-run executor cloning);
   the int8 hot path's inlined quantization matches
   :func:`repro.core.quantization.quantize_rows` code-for-code and
-  scale-for-scale; and the serving engine refuses tier/backend
-  combinations it cannot honour.
+  scale-for-scale; and a backend refuses executors of another tier
+  by name, in both directions.
 """
 
 import copy
@@ -31,6 +31,7 @@ from repro.nn.numerics import (
     FP32,
     INT8,
     NUMERICS_LADDER,
+    NumericsMismatchError,
     NumericsPolicy,
     resolve_numerics,
 )
@@ -237,6 +238,25 @@ class TestNonExactTiers:
             positions = [p + 1 for p in positions]
 
 
+class TestTierMismatch:
+    """One tier across the stack, or a named error — never a silent mix."""
+
+    @pytest.mark.parametrize(
+        "backend_tier,executor_tier", [("exact", "fp32"), ("fp32", "exact")]
+    )
+    def test_backend_refuses_other_tier_executors(
+        self, decoder, backend_tier, executor_tier
+    ):
+        backend = PackedDecodeBackend(decoder, numerics=backend_tier)
+        spec = [("dense", 5), ("spatten", 12)]
+        execs = _prefilled(decoder, spec, seed=2, numerics=executor_tier)
+        lengths = [ex.kv_lengths() for ex in execs]
+        with pytest.raises(NumericsMismatchError, match=executor_tier):
+            decoder.decode_step_batch([1, 2], [5, 12], execs, backend=backend)
+        # Refused before any executor state moved.
+        assert [ex.kv_lengths() for ex in execs] == lengths
+
+
 class TestHotPathQuantization:
     """The int8 decode hot path inlines ``quantize_rows`` — prove it."""
 
@@ -291,13 +311,6 @@ class TestServingEngineNumerics:
             page_tokens=8,
         )
         return config, model, pool
-
-    def test_non_exact_requires_packed_backend(self, small_world):
-        _, model, pool = small_world
-        with pytest.raises(ValueError, match="packed"):
-            ServingEngine(
-                model, pool, numerics="fp32", attention_backend="looped"
-            )
 
     def test_unknown_tier_rejected(self, small_world):
         _, model, pool = small_world

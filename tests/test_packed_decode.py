@@ -11,7 +11,7 @@ executor state (KV buffers, alive sets, traces) across:
 * ragged sequence lengths within one batch,
 * cascade-pruned head sets that differ per sequence,
 * mid-generation ``keep()`` evictions from cascade token pruning,
-* mixed executor types in one batch, plus the ``run_layer`` fallback,
+* mixed executor types in one batch,
 * chunked prefill with fused chunk projections (single-token prompts
   included).
 
@@ -23,7 +23,12 @@ import pytest
 
 from repro.config import ModelConfig, PruningConfig, QuantConfig
 from repro.core.pipeline import SpAttenExecutor
-from repro.nn import PackedDecodeBackend, TransformerModel, random_model
+from repro.nn import (
+    PackedDecodeBackend,
+    TransformerModel,
+    UnpackableExecutorError,
+    random_model,
+)
 from repro.nn.transformer import DenseExecutor
 
 
@@ -47,9 +52,9 @@ PRUNING = PruningConfig(
 QUANT = QuantConfig(msb_bits=6, lsb_bits=4, progressive=True, threshold=0.1)
 
 
-class _FallbackExecutor(DenseExecutor):
-    """Dense math but opted out of packed decode: exercises the
-    per-sequence ``run_layer`` fallback inside the backend."""
+class _OptOutExecutor(DenseExecutor):
+    """Dense math but opted out of packed decode: the backend must
+    refuse it by name instead of guessing an arithmetic for it."""
 
     @property
     def packed_decode_style(self) -> str:
@@ -63,8 +68,6 @@ def _make_batch(model, spec, seed):
     for kind, prompt_len in spec:
         if kind == "dense":
             executor = DenseExecutor()
-        elif kind == "fallback":
-            executor = _FallbackExecutor()
         elif kind == "spatten":
             executor = SpAttenExecutor(PRUNING)
         elif kind == "quant":
@@ -125,10 +128,10 @@ def test_spatten_pruned_batch_bit_identical(decoder, backend):
 
 
 def test_mixed_executor_batch_bit_identical(decoder, backend):
-    """Dense + SpAtten + quantized + fallback sharing one batch."""
+    """Dense + SpAtten + quantized sharing one batch."""
     spec = [
         ("dense", 17), ("spatten", 30), ("quant", 12),
-        ("fallback", 9), ("dense", 44), ("spatten", 6),
+        ("dense", 44), ("spatten", 6),
     ]
     _run_twin_decode(decoder, backend, spec, n_steps=8)
 
@@ -155,7 +158,7 @@ def test_spatten_evictions_happen_and_match(decoder, backend):
 def test_randomized_batches_bit_identical(decoder, backend, seed):
     """Property-style sweep: random composition, lengths, and horizon."""
     rng = np.random.default_rng(100 + seed)
-    kinds = ["dense", "spatten", "quant", "fallback"]
+    kinds = ["dense", "spatten", "quant"]
     spec = [
         (kinds[int(rng.integers(0, len(kinds)))],
          int(rng.integers(2, 60)))
@@ -239,6 +242,20 @@ def test_backend_rejects_foreign_model(decoder, backend):
     other.prefill([1, 2, 3], executor)
     with pytest.raises(ValueError, match="different model"):
         other.decode_step_batch([4], [3], [executor], backend=backend)
+
+
+@pytest.mark.parametrize("numerics", ["exact", "fp32"])
+def test_opt_out_executor_is_a_named_error(decoder, numerics):
+    """A ``"none"``-style row is refused on every tier — no silent
+    per-row fp64 fallback inside a packed (or fp32) batch."""
+    backend = PackedDecodeBackend(decoder, numerics=numerics)
+    executors = [
+        DenseExecutor(numerics=numerics), _OptOutExecutor(numerics=numerics)
+    ]
+    for executor in executors:
+        decoder.prefill([1, 2, 3], executor)
+    with pytest.raises(UnpackableExecutorError, match="_OptOutExecutor"):
+        decoder.decode_step_batch([4, 4], [3, 3], executors, backend=backend)
 
 
 def test_spatten_rejects_precomputed_projections(decoder):

@@ -238,17 +238,23 @@ class TestPrefillKVLengths:
 
 class TestBatchedDecodeEquivalence:
     @pytest.mark.parametrize(
-        "pruning,quant",
+        "pruning,quant,prefill_chunk",
         [
-            (None, None),
-            (PRUNING, None),
-            (PRUNING, QuantConfig(msb_bits=6, lsb_bits=4, progressive=True)),
+            (None, None, None),
+            (PRUNING, None, None),
+            (PRUNING, QuantConfig(msb_bits=6, lsb_bits=4, progressive=True),
+             None),
+            (None, None, 8),
+            (PRUNING, None, 8),
         ],
-        ids=["dense", "pruned", "pruned+quant"],
+        ids=["dense", "pruned", "pruned+quant", "dense-chunked",
+             "pruned-chunked"],
     )
     def test_matches_single_sequence_generate(
-        self, serving_setup, pruning, quant
+        self, serving_setup, pruning, quant, prefill_chunk
     ):
+        """Engine streams == solo ``model.generate`` (the looped oracle),
+        monolithic and chunked prefill alike."""
         config, model, corpus = serving_setup
         prompts = lm_prompts(corpus, PROMPT_LEN, 3, seed=11)
         max_new = 6
@@ -265,7 +271,10 @@ class TestBatchedDecodeEquivalence:
             for i, prompt in enumerate(prompts)
         ]
         pool = make_pool(config, pages=256, page_tokens=8)
-        engine = ServingEngine(model, pool, pruning=pruning, quant=quant)
+        engine = ServingEngine(
+            model, pool, pruning=pruning, quant=quant,
+            prefill_chunk=prefill_chunk,
+        )
         stats = engine.run(requests)
         batched = [record.token_ids for record in stats.records]
         assert batched == sequential
@@ -281,44 +290,8 @@ class TestBatchedDecodeEquivalence:
 
 
 class TestAttentionBackend:
-    """The packed backend is a pure optimization: identical serving."""
-
-    def run_backend(self, serving_setup, backend, pruning=None,
-                    prefill_chunk=8):
-        config, model, corpus = serving_setup
-        requests = synthetic_request_trace(
-            corpus, n_requests=8, rate_per_s=800.0, prompt_len=PROMPT_LEN,
-            max_new_tokens=(4, 8), seed=23,
-        )
-        pool = make_pool(config, pages=96, page_tokens=8)
-        engine = ServingEngine(
-            model, pool, pruning=pruning, prefill_chunk=prefill_chunk,
-            attention_backend=backend,
-        )
-        return engine.run(requests)
-
-    @pytest.mark.parametrize("pruning", [None, PRUNING],
-                             ids=["dense", "spatten"])
-    def test_packed_and_looped_serve_identically(self, serving_setup, pruning):
-        looped = self.run_backend(serving_setup, "looped", pruning)
-        packed = self.run_backend(serving_setup, "packed", pruning)
-        assert (
-            [r.token_ids for r in looped.records]
-            == [r.token_ids for r in packed.records]
-        ), "packed backend changed the served token streams"
-        # The simulated clock charges identical work either way, so the
-        # whole latency report must match, not just the tokens.
-        assert looped.makespan_s == packed.makespan_s
-        assert looped.ttft_p95 == packed.ttft_p95
-        assert looped.decode_latency_p95 == packed.decode_latency_p95
-        assert looped.reclaimed_pages == packed.reclaimed_pages
-
-    def test_packed_is_the_default(self, serving_setup):
-        config, model, _ = serving_setup
-        pool = make_pool(config, pages=16, page_tokens=8)
-        engine = ServingEngine(model, pool)
-        assert engine.attention_backend == "packed"
-        assert engine._backend is not None
+    """Engine-to-backend wiring; stream identity against the looped
+    oracle is ``test_matches_single_sequence_generate``."""
 
     def test_pool_page_size_threads_into_kv_caches(self, serving_setup):
         config, model, _ = serving_setup
@@ -331,20 +304,6 @@ class TestAttentionBackend:
         )._make_executor(PRUNING)
         model.prefill([1, 2, 3], spatten)
         assert spatten._cache[0].page_tokens == pool.page_tokens
-
-    def test_unknown_backend_rejected(self, serving_setup):
-        config, model, _ = serving_setup
-        pool = make_pool(config, pages=16, page_tokens=8)
-        with pytest.raises(ValueError, match="attention_backend"):
-            ServingEngine(model, pool, attention_backend="einsum")
-
-    def test_monolithic_prefill_with_packed_backend(self, serving_setup):
-        looped = self.run_backend(serving_setup, "looped", prefill_chunk=None)
-        packed = self.run_backend(serving_setup, "packed", prefill_chunk=None)
-        assert (
-            [r.token_ids for r in looped.records]
-            == [r.token_ids for r in packed.records]
-        )
 
 
 class TestServingEngine:

@@ -440,8 +440,7 @@ class TestProfiler:
     def test_packed_backend_stages_recorded(self, serving_setup):
         tel = Telemetry(profile=True)
         requests = trace(serving_setup[2], n=6)
-        run_engine(serving_setup, requests, telemetry=tel,
-                   attention_backend="packed")
+        run_engine(serving_setup, requests, telemetry=tel)
         prof = tel.profiler
         assert prof.calls("decode_qkv_proj") > 0
         assert prof.total_seconds > 0
