@@ -23,6 +23,16 @@ declared ``kl_budget`` / ``argmax_budget`` fails the build — the
 ladder is only allowed to be fast where it is provably accurate
 enough.
 
+The same sweep runs a second time with **cascade pruning on**
+(:data:`PRUNING`): every tier's SpAtten executors against the fp64
+looped SpAtten oracle, gated by the same declared budgets — a tier
+whose arithmetic flips a pruning decision pays for it in KL here.  On
+``fp32`` / ``int8`` those rows take the backend's batched pruned core,
+and the smoke run publishes ``spatten_fp32_over_dense_fp32`` (pruned
+over dense decode-step time, both at fp32, batch 16) to the regression
+history: ROADMAP item 2's "the paper's path is the fast path" target is
+a ratio at or below 1.
+
 Measurement protocol: wall-clock per-step times are *interleaved
 best-of-N trials* — every trial times all tiers back to back on
 freshly cloned prefilled executors, and each tier reports its minimum.
@@ -39,7 +49,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import GPT2_SMALL
+from repro.config import GPT2_SMALL, PruningConfig
+from repro.core.pipeline import SpAttenExecutor
 from repro.eval.reporting import Table
 from repro.nn import PackedDecodeBackend
 from repro.nn.functional import log_softmax
@@ -54,6 +65,11 @@ from repro.workloads import (
 BATCH = 16
 PREFILL = 64
 PAGE_TOKENS = 16
+#: The cascade schedule of the SpAtten columns (the end-to-end
+#: benchmark's).
+PRUNING = PruningConfig(
+    token_keep_final=0.35, head_keep_final=0.75, value_keep=0.9
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,19 +88,28 @@ def numerics_world():
     return config, model, prompts
 
 
-def build_tier(model, prompts, tier):
-    """Prefilled executors + packed backend for one ladder tier."""
+def _executor(policy, pruning):
+    if pruning is None:
+        return DenseExecutor(kv_page_tokens=PAGE_TOKENS, numerics=policy)
+    return SpAttenExecutor(
+        pruning, kv_page_tokens=PAGE_TOKENS, numerics=policy
+    )
+
+
+def build_tier(model, prompts, tier, pruning=None):
+    """Prefilled executors + packed backend for one ladder tier
+    (SpAtten executors under ``pruning``, dense ones without)."""
     policy = resolve_numerics(tier)
     backend = PackedDecodeBackend(model, numerics=policy)
     executors = []
     for prompt in prompts:
-        ex = DenseExecutor(kv_page_tokens=PAGE_TOKENS, numerics=policy)
+        ex = _executor(policy, pruning)
         model.prefill(prompt, ex)
         executors.append(ex)
     return backend, executors
 
 
-def measure_quality(model, prompts, steps):
+def measure_quality(model, prompts, steps, pruning=None):
     """Teacher-forced sweep vs the fp64 looped oracle.
 
     Every tier decodes the *same* oracle-chosen token at every step, so
@@ -97,11 +122,12 @@ def measure_quality(model, prompts, steps):
     is additionally asserted bit-identical (``np.array_equal``) to the
     looped oracle at every step.
     """
-    oracle_execs = [DenseExecutor(kv_page_tokens=PAGE_TOKENS)
-                    for _ in prompts]
+    oracle_execs = [_executor(None, pruning) for _ in prompts]
     for ex, prompt in zip(oracle_execs, prompts):
         model.prefill(prompt, ex)
-    tiers = {t: build_tier(model, prompts, t) for t in NUMERICS_LADDER}
+    tiers = {
+        t: build_tier(model, prompts, t, pruning) for t in NUMERICS_LADDER
+    }
 
     acc = {t: {"kl": 0.0, "match": 0, "nll_o": 0.0, "nll_t": 0.0}
            for t in NUMERICS_LADDER}
@@ -147,21 +173,25 @@ def measure_quality(model, prompts, steps):
     return quality, token_streams
 
 
-def measure_times(model, prompts, token_streams, trials):
+def measure_times(model, prompts, streams_by_family, trials):
     """Interleaved best-of-``trials`` per-step wall clock per tier.
 
-    Each trial clones fresh prefilled executors for *every* tier and
-    times them back to back over the same teacher-forced token streams;
-    per-tier cost is the minimum across trials (see module docstring
-    for why interleaved best-of beats sequential timing on a shared
-    runner).
+    ``streams_by_family`` maps ``"dense"`` / ``"spatten"`` to that
+    family's teacher-forced token streams.  Each trial clones fresh
+    prefilled executors for *every* tier of *every* family and times
+    them back to back; per-variant cost is the minimum across trials
+    (see module docstring for why interleaved best-of beats sequential
+    timing on a shared runner).  Returns ``{family: {tier: s/step}}``.
     """
-    steps = len(token_streams)
-    prototypes = {t: build_tier(model, prompts, t) for t in NUMERICS_LADDER}
-    samples = {t: [] for t in NUMERICS_LADDER}
+    prunings = {"dense": None, "spatten": PRUNING}
+    prototypes = {
+        (family, tier): build_tier(model, prompts, tier, prunings[family])
+        for family in streams_by_family for tier in NUMERICS_LADDER
+    }
+    samples = {variant: [] for variant in prototypes}
     for _ in range(trials):
-        for tier in NUMERICS_LADDER:
-            backend, proto = prototypes[tier]
+        for (family, tier), (backend, proto) in prototypes.items():
+            token_streams = streams_by_family[family]
             execs = [copy.deepcopy(ex) for ex in proto]
             start = time.perf_counter()
             for step, tokens in enumerate(token_streams):
@@ -169,27 +199,51 @@ def measure_times(model, prompts, token_streams, trials):
                     tokens, [PREFILL + step] * len(prompts), execs,
                     backend=backend,
                 )
-            samples[tier].append((time.perf_counter() - start) / steps)
-    return {t: float(np.min(s)) for t, s in samples.items()}
+            samples[family, tier].append(
+                (time.perf_counter() - start) / len(token_streams)
+            )
+    return {
+        family: {
+            tier: float(np.min(samples[family, tier]))
+            for tier in NUMERICS_LADDER
+        }
+        for family in streams_by_family
+    }
+
+
+def measure_ladder(model, prompts, steps, trials):
+    """Quality and times of both families: ``(times, quality)``, each
+    ``{family: {tier: ...}}``."""
+    quality, streams = {}, {}
+    for family, pruning in (("dense", None), ("spatten", PRUNING)):
+        quality[family], streams[family] = measure_quality(
+            model, prompts, steps, pruning
+        )
+    return measure_times(model, prompts, streams, trials), quality
 
 
 def ladder_table(times, quality, title):
     table = Table(
         title=title,
         headers=["tier", "ms/step", "speedup vs exact", "mean KL",
-                 "argmax match", "NLL delta", "KV bytes/elem"],
+                 "argmax match", "NLL delta", "KV bytes/elem",
+                 "spatten ms/step", "spatten KL", "spatten argmax"],
     )
+    dense_t, spatten_t = times["dense"], times["spatten"]
     for tier in NUMERICS_LADDER:
         policy = resolve_numerics(tier)
-        q = quality[tier]
+        q, sq = quality["dense"][tier], quality["spatten"][tier]
         table.add_row(
             tier,
-            f"{times[tier] * 1e3:.2f}",
-            f"{times['exact'] / times[tier]:.2f}x",
+            f"{dense_t[tier] * 1e3:.2f}",
+            f"{dense_t['exact'] / dense_t[tier]:.2f}x",
             f"{q['kl']:.2e}",
             f"{q['argmax']:.4f}",
             f"{q['nll_delta']:+.2e}",
             str(policy.storage_bytes_per_element(2)),
+            f"{spatten_t[tier] * 1e3:.2f}",
+            f"{sq['kl']:.2e}",
+            f"{sq['argmax']:.4f}",
         )
     table.add_note(
         f"batch {BATCH}, prefill {PREFILL}; teacher-forced vs the fp64 "
@@ -208,12 +262,25 @@ def ladder_table(times, quality, title):
         "KV bytes/elem is the DRAM *accounting* width: the exact tier "
         "keeps the model's declared width (2 here), fp32/int8 override it"
     )
+    table.add_note(
+        f"spatten columns: cascade pruning on (token keep "
+        f"{PRUNING.token_keep_final}, head keep {PRUNING.head_keep_final}, "
+        f"value keep {PRUNING.value_keep}) vs the fp64 looped SpAtten "
+        f"oracle, same budgets; exact runs one core per sequence, "
+        f"fp32/int8 the batched pruned core"
+    )
+    table.add_note(
+        f"spatten fp32 / dense fp32 step time: "
+        f"{spatten_t['fp32'] / dense_t['fp32']:.2f} (ROADMAP item 2 "
+        f"target: <= 1)"
+    )
     return table
 
 
 def assert_quality_budgets(quality):
     """The gate the ladder's contract promises: exceed your declared
-    accuracy budget and the build fails."""
+    accuracy budget and the build fails.  ``quality`` is one family's
+    ``{tier: ...}``."""
     for tier, q in quality.items():
         policy = resolve_numerics(tier)
         if policy.is_exact:
@@ -231,21 +298,22 @@ def assert_quality_budgets(quality):
 
 def test_numerics_ladder(numerics_world, benchmark, publish):
     _, model, prompts = numerics_world
-    quality, token_streams = benchmark.pedantic(
-        measure_quality, args=(model, prompts, 96), rounds=1, iterations=1
+    times, quality = benchmark.pedantic(
+        measure_ladder, args=(model, prompts, 96, 4), rounds=1, iterations=1
     )
-    times = measure_times(model, prompts, token_streams, trials=4)
     publish("numerics", ladder_table(
         times, quality,
         "numerics ladder: decode step at an accuracy budget (batch 16)",
     ))
-    assert_quality_budgets(quality)
+    for family in quality:
+        assert_quality_budgets(quality[family])
     # The headline wins past the bit-identity ceiling (measured 3.6x
     # fp32 and 3.2x int8 at batch 16), gated at the issue's floors.
-    assert times["exact"] / times["fp32"] >= 1.5, (
+    dense = times["dense"]
+    assert dense["exact"] / dense["fp32"] >= 1.5, (
         "fp32 tier lost its >=1.5x win over packed-exact"
     )
-    assert times["exact"] / times["int8"] >= 3.0, (
+    assert dense["exact"] / dense["int8"] >= 3.0, (
         "int8 tier lost its >=3x win over packed-exact"
     )
 
@@ -258,23 +326,26 @@ def test_numerics_smoke(numerics_world, publish, history):
     from repro.insight import metric
 
     _, model, prompts = numerics_world
-    quality, token_streams = measure_quality(model, prompts, 32)
-    times = measure_times(model, prompts, token_streams, trials=3)
+    times, quality = measure_ladder(model, prompts, 32, 3)
     publish("numerics_smoke", ladder_table(
         times, quality, "numerics ladder smoke (batch 16)",
     ))
-    assert_quality_budgets(quality)
+    for family in quality:
+        assert_quality_budgets(quality[family])
+    dense, spatten = times["dense"], times["spatten"]
     history("numerics", {
-        "fp32_speedup": metric(times["exact"] / times["fp32"], "x",
+        "fp32_speedup": metric(dense["exact"] / dense["fp32"], "x",
                                "higher", rel_tol=0.5),
-        "int8_speedup": metric(times["exact"] / times["int8"], "x",
+        "int8_speedup": metric(dense["exact"] / dense["int8"], "x",
                                "higher", rel_tol=0.5),
-        "int8_kl": metric(quality["int8"]["kl"], "nats", "lower",
+        "int8_kl": metric(quality["dense"]["int8"]["kl"], "nats", "lower",
                           rel_tol=0.6),
-        "int8_argmax": metric(quality["int8"]["argmax"], "frac",
+        "int8_argmax": metric(quality["dense"]["int8"]["argmax"], "frac",
                               "higher", rel_tol=0.05),
+        "spatten_fp32_over_dense_fp32": metric(
+            spatten["fp32"] / dense["fp32"], "x", "lower", rel_tol=0.5),
     }, context={"batch": BATCH, "prefill": PREFILL})
     # Wall-clock floors with slack for loaded runners; the full bench
     # (and the history gate) hold the 1.5x / 3x lines.
-    assert times["exact"] / times["fp32"] >= 1.2, "fp32 speedup regressed"
-    assert times["exact"] / times["int8"] >= 2.0, "int8 speedup regressed"
+    assert dense["exact"] / dense["fp32"] >= 1.2, "fp32 speedup regressed"
+    assert dense["exact"] / dense["int8"] >= 2.0, "int8 speedup regressed"

@@ -280,6 +280,10 @@ NUMERICS_GOVERNED_PATHS = frozenset({
     "src/repro/nn/transformer.py",
     "src/repro/nn/functional.py",
     "src/repro/core/pipeline.py",
+    "src/repro/core/batched_cascade.py",
+    "src/repro/core/token_pruning.py",
+    "src/repro/core/topk.py",
+    "src/repro/core/value_pruning.py",
 })
 
 

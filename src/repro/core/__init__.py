@@ -15,6 +15,7 @@ Typical use::
     trace = executor.trace          # feed to repro.hardware / repro.eval
 """
 
+from .batched_cascade import CascadeBatch
 from .head_pruning import HeadPruningDecision, prune_heads
 from .importance import HeadImportanceAccumulator, TokenImportanceAccumulator
 from .pipeline import SpAttenExecutor
@@ -35,7 +36,13 @@ from .schedule import (
     token_keep_fractions,
 )
 from .token_pruning import TokenPruningDecision, prune_tokens
-from .topk import QuickSelectStats, filter_topk, quick_select_kth, topk_indices
+from .topk import (
+    QuickSelectStats,
+    filter_topk,
+    quick_select_kth,
+    topk_indices,
+    topk_mask,
+)
 from .trace import (
     DEFAULT_LSB_FRACTION,
     AttentionTrace,
@@ -46,6 +53,7 @@ from .trace import (
 from .value_pruning import apply_local_value_pruning, local_value_keep_indices
 
 __all__ = [
+    "CascadeBatch",
     "HeadPruningDecision",
     "prune_heads",
     "HeadImportanceAccumulator",
@@ -69,6 +77,7 @@ __all__ = [
     "filter_topk",
     "quick_select_kth",
     "topk_indices",
+    "topk_mask",
     "DEFAULT_LSB_FRACTION",
     "AttentionTrace",
     "LayerStep",

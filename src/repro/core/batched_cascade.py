@@ -1,0 +1,215 @@
+"""Cascade pruning control of a whole decode batch (paper Section IV-B).
+
+The accelerator's top-k engine and its Q·K / A·V units are
+batch-parallel, so pruning *control* never starves the datapath
+(Fig. 8).  :class:`CascadeBatch` is that arrangement for the packed
+decode backend's padded arena (:mod:`repro.nn.batched_attention`): the
+control state of every pruned sequence of one decode step — cumulative
+token and head importance, the live token and head sets, the schedule
+targets — gathered into ``[B, ...]`` planes, so that each layer's
+cascade runs as a handful of array operations over the batch instead of
+one Python core per sequence:
+
+* :meth:`~CascadeBatch.prune` — cascade token pruning (ragged per-row
+  keep count, current token protected) and cascade head pruning, each
+  one :func:`~repro.core.topk.topk_mask` over a padded plane;
+* :meth:`~CascadeBatch.value_mask` — local value pruning of every
+  sequence and head at once;
+* :meth:`~CascadeBatch.accumulate_tokens` /
+  :meth:`~CascadeBatch.accumulate_heads` — Algorithm 2's importance
+  accumulation as one reduction and one scatter.
+
+Every decision is the one the per-sequence functions
+(:func:`~repro.core.token_pruning.prune_tokens`,
+:func:`~repro.core.head_pruning.prune_heads`,
+:func:`~repro.core.value_pruning.local_value_keep_indices`) make on the
+same scores: the counts come from the same schedule arithmetic and the
+selection from the same rule (:mod:`repro.core.topk`).  The executors
+stay the truth between steps — the planes are loaded from them when the
+step opens and stored back by :meth:`~CascadeBatch.commit`.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence
+
+import numpy as np
+
+from .schedule import decode_token_targets
+from .topk import topk_mask
+from .trace import LayerStep
+from .value_pruning import value_keep_count
+
+__all__ = ["CascadeBatch"]
+
+
+class CascadeBatch:
+    """Cascade control planes of the pruned rows of one decode step.
+
+    Opening the batch is layer 0's admission: each sequence's new token
+    (``positions[j]``) joins its live set and its length grows by one.
+
+    Attributes:
+        alive: ``[B, P]`` live-token mask by original position (``P`` is
+            the longest sequence's length; shorter rows are padded dead).
+        head_alive: ``[B, h]`` live-head mask.
+        sink: column index of :attr:`token_ids`' padding — one past
+            every real position, where padded arena columns scatter
+            their (zero) probability mass.
+    """
+
+    def __init__(self, executors: Sequence, positions: np.ndarray):
+        n = len(executors)
+        n_heads = executors[0].head_acc.n_heads
+        self._executors = executors
+        self._positions = positions
+        for executor in executors:
+            if executor._original_length is None:
+                raise RuntimeError(
+                    "decode before summarize; call encode/generate"
+                )
+        lengths = [executor._total_length + 1 for executor in executors]
+        self._lengths = lengths
+        self._total = np.array(lengths)
+        self.sink = max(lengths)
+        # Cumulative scores are the ranking truth, so they stay fp64 on
+        # every tier (a tier's compute dtype governs the attention
+        # arithmetic, not the accumulators).
+        # repro: allow[det-dtype-literal] -- importance accumulators
+        self._scores = np.zeros((n, self.sink + 1), dtype=np.float64)
+        # repro: allow[det-dtype-literal] -- importance accumulators
+        self._head_scores = np.empty((n, n_heads), dtype=np.float64)
+        self.alive = np.zeros((n, self.sink), dtype=bool)
+        self.head_alive = np.zeros((n, n_heads), dtype=bool)
+        for j, (executor, length) in enumerate(zip(executors, lengths)):
+            self._scores[j, :length] = executor.token_acc.live_scores(length)
+            self._head_scores[j] = executor.head_acc.live_scores()
+            self.alive[j, :length] = executor._alive_mask[:length]
+            self.head_alive[j, executor._alive_heads] = True
+        self._rows = np.arange(n)
+        self.alive[self._rows, positions] = True
+        self._n_alive = np.array([e._n_alive for e in executors]) + 1
+        self._n_heads_alive = np.count_nonzero(self.head_alive, axis=1)
+        self._heads_pruned = False
+        # Per-sequence schedules, [B, n_layers] / [B].
+        self._token_fracs = np.array([e._token_fracs for e in executors])
+        self._head_counts = np.array([e._head_counts for e in executors])
+        self._min_tokens = np.array([e.pruning.min_tokens for e in executors])
+        self._value_keep = np.array([e.pruning.value_keep for e in executors])
+        # Work shapes of the layers run so far (the executors' traces).
+        self._n_values: Optional[np.ndarray] = None
+        self._steps: List[tuple] = []
+
+    @property
+    def any_head_dead(self) -> bool:
+        """Whether some sequence computes fewer than all heads."""
+        return bool(self._n_heads_alive.min() < self.head_alive.shape[1])
+
+    # ------------------------------------------------------------------
+    # Per-layer stages, in the order the backend runs them
+    # ------------------------------------------------------------------
+    def prune(self, layer_idx: int) -> None:
+        """Entry pruning of one layer: tokens, then heads.
+
+        Only rows whose live set exceeds the layer's target are ranked.
+        Dead and padded positions score ``-inf`` and the protected
+        current token ``+inf``, which is
+        :func:`~repro.core.token_pruning.prune_tokens` with
+        ``protected_ids=[position]`` on each row's live tokens.
+        """
+        targets = decode_token_targets(
+            self._min_tokens, self._token_fracs[:, layer_idx], self._total
+        )
+        rows = np.flatnonzero(targets < self._n_alive)
+        if len(rows):
+            ranked = np.where(
+                self.alive[rows], self._scores[rows, : self.sink], -np.inf
+            )
+            ranked[np.arange(len(rows)), self._positions[rows]] = np.inf
+            self.alive[rows] = topk_mask(ranked, targets[rows])
+            self._n_alive[rows] = targets[rows]
+
+        targets = np.maximum(self._head_counts[:, layer_idx], 1)
+        rows = np.flatnonzero(targets < self._n_heads_alive)
+        if len(rows):
+            ranked = np.where(
+                self.head_alive[rows], self._head_scores[rows], -np.inf
+            )
+            self.head_alive[rows] = topk_mask(ranked, targets[rows])
+            self._n_heads_alive[rows] = targets[rows]
+            self._heads_pruned = True
+
+    def value_mask(
+        self, probs: np.ndarray, lengths: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Local value pruning: the V vectors each head fetches.
+
+        ``probs`` is the padded ``[B, h, L]`` probability plane and
+        ``lengths`` each row's live columns.  Returns the ``[B, h, L]``
+        keep mask, or ``None`` when no row drops anything.  Padding
+        columns hold exact zeros *after* every real column, so they lose
+        every tie and are never kept ahead of a real one.
+        """
+        self._n_values = value_keep_count(self._value_keep, lengths)
+        if not (self._n_values < lengths).any():
+            return None
+        # A dead head's probabilities are whatever its stale keys give —
+        # often one exact tie across the row, which would send the whole
+        # plane through the tie filter; its mask is never read, so it
+        # keeps the full width.
+        counts = np.where(
+            self.head_alive, self._n_values[:, None], probs.shape[-1]
+        )
+        return topk_mask(probs, counts)
+
+    def accumulate_tokens(
+        self, probs: np.ndarray, token_ids: np.ndarray
+    ) -> None:
+        """Add one layer's probability mass to the token scores.
+
+        ``probs`` ``[B, h, L]`` must already be zero on dead heads;
+        ``token_ids`` ``[B, L]`` labels each arena column with its
+        original position, padding with :attr:`sink`.
+        """
+        mass = np.add.reduce(probs, axis=1)
+        self._scores[self._rows[:, None], token_ids] += mass
+
+    def accumulate_heads(
+        self, head_out: np.ndarray, lengths: np.ndarray
+    ) -> None:
+        """Add one layer's head output magnitudes; closes the layer.
+
+        ``head_out`` is ``[B, h, 1, D]``, zero on dead heads.  The
+        layer's work shape is recorded with the value counts
+        :meth:`value_mask` computed for it.
+        """
+        self._head_scores += np.add.reduce(np.abs(head_out), axis=(2, 3))
+        self._steps.append(
+            (lengths.tolist(), self._n_heads_alive.tolist(),
+             self._n_values.tolist())
+        )
+
+    # ------------------------------------------------------------------
+    def commit(self) -> None:
+        """Store the step's control state back into the executors."""
+        n_alive = self._n_alive.tolist()
+        for j, (executor, length) in enumerate(
+            zip(self._executors, self._lengths)
+        ):
+            executor.token_acc.live_scores(length)[:] = self._scores[j, :length]
+            executor.head_acc.live_scores()[:] = self._head_scores[j]
+            executor._alive_mask[:length] = self.alive[j, :length]
+            executor._n_alive = n_alive[j]
+            executor._total_length = length
+            if self._heads_pruned:
+                executor._alive_heads = np.flatnonzero(self.head_alive[j])
+            trace = executor.trace
+            trace.n_generated += 1
+            for layer_idx, (n_keys, n_heads, n_values) in enumerate(
+                self._steps
+            ):
+                trace.add(LayerStep(
+                    layer=layer_idx, stage="decode", n_queries=1,
+                    n_keys=n_keys[j], n_heads=n_heads[j],
+                    n_values=n_values[j],
+                ))

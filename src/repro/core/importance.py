@@ -72,6 +72,15 @@ class TokenImportanceAccumulator:
             self.ensure_length(int(token_ids.max()) + 1)
         return self._scores[token_ids]
 
+    def live_scores(self, length: int) -> np.ndarray:
+        """Writable view of the scores of positions ``[0, length)``.
+
+        The batched decode core loads a step's scores from this view and
+        stores the accumulated ones back through it.
+        """
+        self.ensure_length(length)
+        return self._scores[:length]
+
     @property
     def raw_scores(self) -> np.ndarray:
         """Scores indexed by original position (read-only copy)."""
@@ -109,6 +118,11 @@ class HeadImportanceAccumulator:
 
     def scores_for(self, head_ids: np.ndarray) -> np.ndarray:
         return self._scores[np.asarray(head_ids, dtype=np.int64)]
+
+    def live_scores(self) -> np.ndarray:
+        """Writable view of every head's score (see
+        :meth:`TokenImportanceAccumulator.live_scores`)."""
+        return self._scores
 
     @property
     def raw_scores(self) -> np.ndarray:

@@ -32,6 +32,7 @@ from ..nn.kv_cache import KVCache
 from ..nn.numerics import resolve_numerics
 from ..nn.transformer import AttentionExecutor, LayerExecution, TransformerModel
 from . import schedule as sched
+from .batched_cascade import CascadeBatch
 from .head_pruning import prune_heads
 from .importance import HeadImportanceAccumulator, TokenImportanceAccumulator
 from .quantization import LinearQuantizer, needs_lsb
@@ -56,11 +57,12 @@ class SpAttenExecutor(AttentionExecutor):
             engine passes its memory pool's page size so buffer growth
             and pool-page accounting share one unit.
         numerics: :class:`~repro.nn.numerics.NumericsPolicy` (or tier
-            name) governing KV storage dtype and DRAM accounting.  The
-            SpAtten attention core itself keeps its own per-sequence
-            semantics — progressive quantization is configured through
-            ``quant`` — but the cache underneath stores at the policy's
-            dtype so a mixed fleet shares one storage contract.
+            name) governing KV storage dtype and DRAM accounting, and —
+            together with ``quant`` — which packed decode core runs the
+            sequence (:attr:`packed_decode_style`).  Progressive
+            quantization is configured through ``quant``; the cache
+            underneath stores at the policy's dtype so a mixed fleet
+            shares one storage contract.
     """
 
     def __init__(
@@ -80,7 +82,10 @@ class SpAttenExecutor(AttentionExecutor):
         self.head_acc: Optional[HeadImportanceAccumulator] = None
         self.trace: Optional[AttentionTrace] = None
         self._cache: Optional[KVCache] = None
-        self._alive_tokens: Optional[np.ndarray] = None
+        # Live token set, indexed by original position: the cascade's
+        # truth, gathered from by both decode routes.
+        self._alive_mask: Optional[np.ndarray] = None
+        self._n_alive = 0
         self._alive_heads: Optional[np.ndarray] = None
         self._token_counts: Optional[np.ndarray] = None
         self._token_fracs: Optional[np.ndarray] = None
@@ -97,7 +102,8 @@ class SpAttenExecutor(AttentionExecutor):
         self.token_acc = TokenImportanceAccumulator()
         self.head_acc = HeadImportanceAccumulator(cfg.n_heads)
         self._alive_heads = np.arange(cfg.n_heads, dtype=np.int64)
-        self._alive_tokens = None
+        self._alive_mask = None
+        self._n_alive = 0
         policy = self._numerics
         self._cache = (
             KVCache(
@@ -122,6 +128,7 @@ class SpAttenExecutor(AttentionExecutor):
         cfg = self._model_config
         self._original_length = sentence_length
         self._total_length = sentence_length
+        self._alive_mask = np.zeros(cfg.max_seq_len, dtype=bool)
         self._token_counts = sched.token_keep_counts(
             self.pruning, cfg.n_layers, sentence_length
         )
@@ -134,6 +141,13 @@ class SpAttenExecutor(AttentionExecutor):
         self.trace = AttentionTrace(
             cfg, sentence_length, 0, quant=self.quant, pruning=self.pruning
         )
+
+    @property
+    def _alive_tokens(self) -> Optional[np.ndarray]:
+        """Original positions of the live tokens, ascending."""
+        if self._alive_mask is None:
+            return None
+        return np.flatnonzero(self._alive_mask)
 
     @property
     def supports_incremental_prefill(self) -> bool:
@@ -347,7 +361,6 @@ class SpAttenExecutor(AttentionExecutor):
         cfg = self._model_config
         if layer_idx == 0:
             self._init_schedules(len(x))
-            self._alive_tokens = positions.copy()
 
         # --- cascade token pruning (entry, schedule-driven) -----------
         target = int(self._token_counts[layer_idx])
@@ -360,7 +373,9 @@ class SpAttenExecutor(AttentionExecutor):
         kept_rows = decision.kept_rows
         x_live = x[kept_rows]
         live_positions = positions[kept_rows]
-        self._alive_tokens = decision.kept_ids
+        self._alive_mask[:] = False
+        self._alive_mask[decision.kept_ids] = True
+        self._n_alive = decision.n_kept
 
         # --- cascade head pruning (entry) ------------------------------
         self._prune_heads_at(layer_idx)
@@ -371,7 +386,9 @@ class SpAttenExecutor(AttentionExecutor):
             layer_cache = self._cache[layer_idx]
             # Summarization visits each layer once, so the cache is empty
             # here; appending keeps decode and summarize on one code path.
-            k_full = np.zeros((cfg.n_heads, len(x_live), cfg.head_dim))
+            k_full = np.zeros(
+                (cfg.n_heads, len(x_live), cfg.head_dim), dtype=k_live.dtype
+            )
             v_full = np.zeros_like(k_full)
             k_full[self._alive_heads] = k_live
             v_full[self._alive_heads] = v_live
@@ -407,30 +424,31 @@ class SpAttenExecutor(AttentionExecutor):
             # A new token enters the live set.
             self._total_length += 1
             self.trace.n_generated += 1
-            self._alive_tokens = np.append(self._alive_tokens, positions)
+            self._alive_mask[positions[0]] = True
+            self._n_alive += 1
 
         # --- cascade token pruning over the global live set -----------
         target = sched.decode_token_target(
             self.pruning, float(self._token_fracs[layer_idx]), self._total_length
         )
-        if target < len(self._alive_tokens):
+        if target < self._n_alive:
+            alive_tokens = self._alive_tokens
             decision = prune_tokens(
-                self._alive_tokens,
-                self.token_acc.scores_for(self._alive_tokens),
+                alive_tokens,
+                self.token_acc.scores_for(alive_tokens),
                 target,
                 protected_ids=[int(positions[0])],
             )
-            self._alive_tokens = decision.kept_ids
+            self._alive_mask[decision.pruned_ids] = False
+            self._n_alive = decision.n_kept
 
         self._prune_heads_at(layer_idx)
 
         # --- evict pruned tokens from this layer's KV cache ------------
         layer_cache = self._cache[layer_idx]
-        keep_cols = np.flatnonzero(
-            np.isin(layer_cache.token_ids, self._alive_tokens)
-        )
-        if len(keep_cols) < len(layer_cache):
-            layer_cache.keep(keep_cols)
+        keep_cols = self._alive_mask[layer_cache.token_ids]
+        if not keep_cols.all():
+            layer_cache.keep(np.flatnonzero(keep_cols))
 
     def _decode_attend_merged(
         self,
@@ -450,7 +468,7 @@ class SpAttenExecutor(AttentionExecutor):
         """
         cfg = self._model_config
         layer_cache = self._cache[layer_idx]
-        k_full = np.zeros((cfg.n_heads, 1, cfg.head_dim))
+        k_full = np.zeros((cfg.n_heads, 1, cfg.head_dim), dtype=k_live.dtype)
         v_full = np.zeros_like(k_full)
         k_full[self._alive_heads] = k_live
         v_full[self._alive_heads] = v_live
@@ -493,14 +511,40 @@ class SpAttenExecutor(AttentionExecutor):
 
     @property
     def packed_decode_style(self) -> str:
-        """The backend supplies projections; SpAtten runs its own core.
+        """Which packed decode core runs this sequence.
 
-        Cascade pruning decisions, per-sequence surviving-head gathers,
-        progressive quantization (whose scales are data-dependent), and
-        trace accounting are inherently per-sequence, so only the
-        projections and the output FC are batched for this executor.
+        * ``"pruned"`` — non-exact tier, no progressive quantization:
+          the cascade's control state (live token mask, live heads,
+          importance scores, schedule targets) is plain per-sequence
+          arrays, so the backend gathers it into batch planes
+          (:meth:`decode_batch_control`) and runs pruning decisions,
+          eviction, attention, local value pruning and importance
+          accumulation for every such row at once over a padded pack.
+        * ``"custom"`` — the exact tier, where
+          :meth:`decode_attend_packed` is the bit-identity oracle, and
+          progressive-quantization rows on any tier, whose LSB refetch
+          is decided per row from that row's own probabilities: the
+          backend batches only the projections and the output FC.
+
+        Both are functions of what the executor *is*
+        (``numerics.is_exact``, ``quant is None``); nothing selects the
+        route from outside.
         """
-        return "custom" if self._cache is not None else "none"
+        if self._cache is None:
+            return "none"
+        if self._numerics.is_exact or self.quant is not None:
+            return "custom"
+        return "pruned"
+
+    def decode_kv_cache(self, layer_idx: int):
+        """Bare layer cache: the ``"pruned"`` core evicts and appends
+        centrally."""
+        return self._cache[layer_idx]
+
+    @staticmethod
+    def decode_batch_control(executors, positions: np.ndarray) -> CascadeBatch:
+        """Open one decode step for a batch of ``"pruned"`` executors."""
+        return CascadeBatch(executors, positions)
 
     def decode_attend_packed(
         self,

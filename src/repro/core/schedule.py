@@ -29,6 +29,7 @@ __all__ = [
     "head_keep_fractions",
     "head_keep_counts",
     "decode_token_target",
+    "decode_token_targets",
 ]
 
 
@@ -129,3 +130,20 @@ def decode_token_target(
     """
     floor = min(total_length, max(1, pruning.min_tokens))
     return max(int(round(layer_keep_fraction * total_length)), floor)
+
+
+def decode_token_targets(
+    min_tokens: np.ndarray,
+    layer_keep_fractions: np.ndarray,
+    total_lengths: np.ndarray,
+) -> np.ndarray:
+    """:func:`decode_token_target` of a whole decode batch at one layer.
+
+    One entry per sequence (``min_tokens`` is each sequence's
+    :attr:`PruningConfig.min_tokens`); ``np.rint`` and Python's
+    ``round`` both round halves to even, so entry ``i`` equals the
+    scalar function on sequence ``i``'s arguments.
+    """
+    floor = np.minimum(total_lengths, np.maximum(min_tokens, 1))
+    targets = np.rint(layer_keep_fractions * total_lengths).astype(np.int64)
+    return np.maximum(targets, floor)

@@ -59,7 +59,7 @@ def prune_tokens(
         increasing so downstream K/V gathering preserves token order.
     """
     live_ids = np.asarray(live_ids, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
     if live_ids.shape != scores.shape:
         raise ValueError("live_ids and scores must align")
     n_live = len(live_ids)

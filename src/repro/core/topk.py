@@ -8,6 +8,10 @@ implements the *functional* algorithms that the rest of the library uses:
 * :func:`topk_indices` — order-preserving top-k, the semantic ground
   truth everything is tested against (the hardware engine "keeps the
   original order of inputs").
+* :func:`topk_mask` — the same selection over the last axis of a padded
+  ``[..., n]`` plane with a ragged per-row ``k``: what the batched
+  decode core (:mod:`repro.core.batched_cascade`) runs once per layer
+  for every sequence and head at a time.
 * :func:`quick_select_kth` — the paper's Algorithm 3 as a pure function,
   returning the k-th largest value and the tie budget, along with the
   per-round partition sizes that drive the cycle model in
@@ -15,6 +19,16 @@ implements the *functional* algorithms that the rest of the library uses:
 * :func:`filter_topk` — the post-quick-select filtering step: keep
   elements strictly greater than the threshold plus exactly
   ``num_eq_k_th_largest`` elements equal to it, preserving input order.
+
+There is exactly one selection rule in the library — the ``k`` largest,
+ties toward earlier indices — and it lives here.  Its two kernels
+differ only in shape: one row with a scalar ``k`` ranks by a stable
+sort; a plane finds each row's k-th largest value and filters
+(Algorithm 3 and the zero-eliminator stage, vectorized).  A stable
+sort of a ``[19, 8, 40]`` plane costs 2.5x the threshold filter and
+the threshold filter on one row 5x the stable sort, so each shape keeps
+the cheaper kernel; ``tests/test_topk.py`` pins them to the same
+selection on generated scores with forced ties.
 
 The cycle-accurate engine (comparator arrays, zero eliminators, FIFO
 occupancy) lives in the hardware package; the functions here are the
@@ -30,6 +44,7 @@ import numpy as np
 
 __all__ = [
     "topk_indices",
+    "topk_mask",
     "quick_select_kth",
     "filter_topk",
     "QuickSelectStats",
@@ -50,9 +65,43 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if k == n:
         return np.arange(n, dtype=np.int64)
-    # Stable selection: sort by (-score, index) and take the first k.
-    order = np.lexsort((np.arange(n), -scores))
+    # Stable descending sort: equal scores keep their stream order, so
+    # the first k are the k largest with ties toward earlier indices.
+    order = np.argsort(-scores, kind="stable")
     return np.sort(order[:k]).astype(np.int64)
+
+
+def topk_mask(scores: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per-row mask of the ``k`` largest entries along the last axis.
+
+    The plane form of :func:`topk_indices`: ``scores`` is ``[..., n]``,
+    ``k`` an integer array broadcastable to ``scores.shape[:-1]`` with
+    ``0 <= k <= n`` (one count per row — rows may differ), and
+    ``topk_mask(scores, k)[row]`` is True exactly at
+    ``topk_indices(scores[row], k[row])``.  Callers exclude a column
+    (padding, an already-pruned token) by scoring it ``-inf`` and force
+    one in (a protected token) with ``+inf``; a row's ``k`` must not
+    exceed its finite-or-forced count.
+
+    Each row keeps everything at or above its k-th largest value; where
+    ties straddle the cut, the latest surplus ties are dropped — the
+    threshold and ``num_eq_k_th_largest`` of :func:`quick_select_kth`
+    followed by :func:`filter_topk`, for every row at once.
+    """
+    n = scores.shape[-1]
+    k = np.asarray(k)[..., None]
+    ordered = np.sort(scores, axis=-1)
+    # Ascending order: the k-th largest sits at n - k (k == 0 reads the
+    # maximum, and the surplus-tie pass below then drops every match).
+    kth = np.take_along_axis(ordered, np.minimum(n - k, n - 1), axis=-1)
+    mask = scores >= kth
+    surplus = np.count_nonzero(mask, axis=-1, keepdims=True) - k
+    if surplus.any():
+        ties = scores == kth
+        later_ties = np.cumsum(ties[..., ::-1], axis=-1)[..., ::-1]
+        ties &= later_ties <= surplus
+        mask &= ~ties
+    return mask
 
 
 @dataclass
@@ -100,7 +149,7 @@ def quick_select_kth(
         threshold must be kept so that exactly ``k`` elements survive
         filtering (the paper's tie-handling output).
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
     n = len(values)
     if n == 0:
         raise ValueError("quick_select_kth requires a non-empty array")

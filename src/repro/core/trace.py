@@ -40,7 +40,7 @@ __all__ = ["LayerStep", "AttentionTrace", "dense_trace", "spatten_trace"]
 DEFAULT_LSB_FRACTION = 0.059
 
 
-@dataclass
+@dataclass(slots=True)
 class LayerStep:
     """Work shape of one attention execution.
 

@@ -15,7 +15,25 @@ import numpy as np
 
 from .topk import topk_indices
 
-__all__ = ["local_value_keep_indices", "apply_local_value_pruning"]
+__all__ = [
+    "value_keep_count",
+    "local_value_keep_indices",
+    "apply_local_value_pruning",
+]
+
+
+def value_keep_count(keep_fraction, n_keys, min_keep: int = 1):
+    """V vectors each head fetches out of ``n_keys`` live columns.
+
+    ``ceil(keep_fraction * n_keys)``, floored at ``min_keep`` (itself
+    capped at ``n_keys``).  Scalars give the per-sequence count; arrays
+    (one fraction and one live length per sequence) give the batched
+    decode core the whole batch's counts from the same arithmetic.
+    """
+    return np.maximum(
+        np.ceil(keep_fraction * n_keys).astype(np.int64),
+        np.minimum(min_keep, n_keys),
+    )
 
 
 def local_value_keep_indices(
@@ -38,8 +56,7 @@ def local_value_keep_indices(
         raise ValueError("probs must be [heads, queries, keys]")
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
-    n_keys = probs.shape[2]
-    keep_count = max(int(np.ceil(keep_fraction * n_keys)), min(min_keep, n_keys))
+    keep_count = int(value_keep_count(keep_fraction, probs.shape[2], min_keep))
     return [
         topk_indices(head_probs.sum(axis=0), keep_count)
         for head_probs in probs
@@ -68,7 +85,10 @@ def apply_local_value_pruning(
     values = np.asarray(values)
     n_heads, n_queries, _ = probs.shape
     head_dim = values.shape[2]
-    outputs = np.zeros((n_heads, n_queries, head_dim), dtype=np.float64)
+    outputs = np.zeros(
+        (n_heads, n_queries, head_dim),
+        dtype=np.result_type(probs, values),
+    )
     kept_counts = np.zeros(n_heads, dtype=np.int64)
     for head, kept in enumerate(kept_per_head):
         kept_counts[head] = len(kept)

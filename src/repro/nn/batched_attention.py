@@ -23,18 +23,29 @@ quantization are stages (PAPER.md §IV, Fig. 8):
    change of arithmetic);
 2. **fused Q/K/V projection** of all ``B`` rows against one ``[d, 3d]``
    weight, split into per-head ``[B, h, 1, D]`` views;
-3. ``"custom"`` rows (SpAtten: cascade pruning decisions, per-sequence
-   surviving-head gathers, progressive quantization, trace accounting)
-   run their own per-sequence core on those projections via
+3. ``"custom"`` rows — SpAtten on the exact tier, where the
+   per-sequence core is the bit-identity oracle, and
+   progressive-quantization rows on any tier, whose LSB refetch is
+   decided per row from that row's own probabilities — run their own
+   per-sequence core on those projections via
    :meth:`~repro.nn.transformer.AttentionExecutor.decode_attend_packed`;
-4. ``"dense"`` rows (cache-only state) run the backend's **dense core**;
-5. **fused output FC** over every row's merged head features.
+4. ``"pruned"`` rows (SpAtten on ``fp32`` / ``int8`` without
+   progressive quantization) run the backend's **pruned core**: the
+   whole cascade of one layer — token and head pruning decisions, KV
+   eviction, scores, masked softmax, local value pruning, A·V,
+   importance accumulation — as batch-level array operations over a
+   padded pack, with the rows' control state held for the step in a
+   batch control object
+   (:meth:`~repro.nn.transformer.AttentionExecutor.decode_batch_control`);
+5. ``"dense"`` rows (cache-only state) run the backend's **dense core**;
+6. **fused output FC** over every row's merged head features.
 
 Two pieces depend on the tier, both bound once at construction from
-``policy.is_exact``: the projection kernel of steps 2 and 5 and the
-dense core of step 4.  Weights live in one holder at the policy's
-compute dtype (under fp64 it aliases the model's own arrays) and
-scratch in one family of buffers grown on demand.
+``policy.is_exact``: the projection kernel of steps 2 and 6 and the
+dense core of step 5 (step 4 exists only off the exact tier).  Weights
+live in one holder at the policy's compute dtype (under fp64 it aliases
+the model's own arrays) and scratch in one family of buffers grown on
+demand.
 :meth:`~PackedDecodeBackend.decode_layer` is the exact tier's entry
 (the model keeps its fp64 residual/LayerNorm/FFN stack around it);
 :meth:`~PackedDecodeBackend.decode_step_policy` is the fp32/int8 entry
@@ -102,7 +113,15 @@ forbids:
 * the ``int8`` tier quantizes each step's *batch* of new K/V columns in
   one pass before handing each cache its pre-quantized slice, so score
   GEMMs read fp32 Q against dequantized int8 K (fp32 accumulation) —
-  exactly what the cache stores.
+  exactly what the cache stores;
+* pruned rows take the same padded-pack core with SpAtten's stages in
+  the datapath (:func:`_pruned_core_arena`), as the accelerator keeps
+  its top-k engine beside batch-parallel Q·K / A·V units so pruning
+  control never starves them (PAPER.md §IV-B).  Their planes are staged
+  per layer rather than mirrored across steps: cascade eviction changes
+  the live columns of most rows at most layers of every step, so a
+  persistent mirror would be rebuilt from cache truth about as often as
+  it could be appended to.
 """
 
 from __future__ import annotations
@@ -129,6 +148,11 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 #: Column growth quantum of the score scratch and the arena planes.
 _SCRATCH_PAGE = 64
 
+#: Column growth quantum of the pruned core's K/V staging planes, whose
+#: every column is resident whether live or not: sized close to the
+#: live columns (pruned rows hold a fraction of their sequence).
+_STAGING_PAGE = 16
+
 #: ``(batch row, executor)`` pairs of one packed style.
 _Rows = List[Tuple[int, AttentionExecutor]]
 
@@ -137,8 +161,9 @@ class UnpackableExecutorError(ValueError):
     """An executor in the batch cannot be driven by the packed backend.
 
     Its :attr:`~repro.nn.transformer.AttentionExecutor
-    .packed_decode_style` is neither ``"dense"`` nor ``"custom"`` (an
-    executor that was never prefilled, or one without packed support).
+    .packed_decode_style` is none of ``"dense"``, ``"custom"`` and
+    ``"pruned"`` (an executor that was never prefilled, or one without
+    packed support).
     Decode such executors through the looped oracle,
     ``decode_step_batch(backend=None)``.
     """
@@ -282,16 +307,18 @@ class PackedDecodeBackend:
         cfg = model.config
         # Fused [d, 3d] QKV weights: output column blocks of a GEMM are
         # independent, so (x @ wqkv)[:, :d] is bit-identical to x @ wq.
-        # Kept at fp64 for chunked prefill, which is oracle math on
-        # every tier.
-        self._wqkv: List[np.ndarray] = []
-        self._bqkv: List[np.ndarray] = []
-        for layer_idx in range(cfg.n_layers):
-            w = model.attention(layer_idx).weights
-            self._wqkv.append(np.concatenate([w.wq, w.wk, w.wv], axis=1))
-            self._bqkv.append(np.concatenate([w.bq, w.bk, w.bv]))
+        fused = [self._fuse_qkv(layer_idx) for layer_idx in range(cfg.n_layers)]
         self._weights = _Weights(
-            model, self._wqkv, self._bqkv, self.policy.compute_dtype
+            model, [w for w, _ in fused], [b for _, b in fused],
+            self.policy.compute_dtype,
+        )
+        # Chunked prefill is oracle math on every tier and projects with
+        # the fp64 fused weights.  The exact tier's decode weights *are*
+        # those; a narrower tier fuses a layer's again the first time a
+        # dense prompt needs them (a pruned-only engine never does, and
+        # does not hold them).
+        self._wqkv_fp64: List[Optional[Tuple[np.ndarray, np.ndarray]]] = (
+            fused if self.policy.is_exact else [None] * cfg.n_layers
         )
         # The two tier-dependent pieces of the skeleton.
         if self.policy.is_exact:
@@ -311,6 +338,13 @@ class PackedDecodeBackend:
         #: it when profiling is requested).  ``None`` costs one ``is
         #: None`` check per stage — the hot path stays unchanged.
         self.profiler = None
+
+    def _fuse_qkv(self, layer_idx: int) -> Tuple[np.ndarray, np.ndarray]:
+        w = self._model.attention(layer_idx).weights
+        return (
+            np.concatenate([w.wq, w.wk, w.wv], axis=1),
+            np.concatenate([w.bq, w.bk, w.bv]),
+        )
 
     # ------------------------------------------------------------------
     # Scratch management
@@ -336,6 +370,23 @@ class PackedDecodeBackend:
                 dtype=self.policy.compute_dtype,
             )
         return buf[:n, :, :, :max_len]
+
+    def _kv_staging(self, n: int, max_len: int) -> np.ndarray:
+        """``[2, n, h, max_len, D]`` K and V staging planes of the pruned
+        core — one pair, refilled by every layer."""
+        buf = self._scratch.get("staged_kv")
+        if buf is None or buf.shape[1] < n or buf.shape[3] < max_len:
+            rows, cap = (0, 0) if buf is None else (buf.shape[1], buf.shape[3])
+            cfg = self._model.config
+            # Drop the outgrown planes first: growth never holds both.
+            buf = self._scratch["staged_kv"] = None
+            buf = self._scratch["staged_kv"] = np.zeros(
+                (2, max(n, rows), cfg.n_heads,
+                 max(-(-max_len // _STAGING_PAGE) * _STAGING_PAGE, cap),
+                 cfg.head_dim),
+                dtype=self.policy.compute_dtype,
+            )
+        return buf[:, :n, :, :max_len]
 
     def _plane(self, layer_idx: int, n_rows: int, cap_needed: int) -> _ArenaPlane:
         """The layer's arena, grown (rows and columns) to fit this step.
@@ -375,16 +426,16 @@ class PackedDecodeBackend:
 
     def _group_rows(
         self, model: TransformerModel, executors: Sequence[AttentionExecutor]
-    ) -> Tuple[_Rows, _Rows]:
-        """Validate the batch and split it into (dense, custom) rows.
+    ) -> Tuple[_Rows, _Rows, _Rows]:
+        """Validate the batch and split it into (dense, custom, pruned)
+        rows.
 
         Executor styles cannot change mid-step, so the policy entry
         groups once and reuses the grouping across every layer.
         """
         self._check_model(model)
         policy = self.policy
-        dense_rows: _Rows = []
-        custom_rows: _Rows = []
+        by_style: Dict[str, _Rows] = {"dense": [], "custom": [], "pruned": []}
         for i, executor in enumerate(executors):
             tier = executor.numerics
             # Identity is the hot path; equality admits deep-copied
@@ -397,28 +448,30 @@ class PackedDecodeBackend:
                     "from one NumericsPolicy"
                 )
             style = executor.packed_decode_style
-            if style == "dense":
-                dense_rows.append((i, executor))
-            elif style == "custom":
-                custom_rows.append((i, executor))
-            else:
+            if style not in by_style:
                 raise UnpackableExecutorError(
                     f"row {i}: {type(executor).__name__} has "
                     f"packed_decode_style {style!r}; the packed backend "
-                    "drives only 'dense' and 'custom' executors (use "
-                    "decode_step_batch(backend=None) for the rest)"
+                    "drives only 'dense', 'custom' and 'pruned' executors "
+                    "(use decode_step_batch(backend=None) for the rest)"
                 )
-        return dense_rows, custom_rows
+            by_style[style].append((i, executor))
+        return by_style["dense"], by_style["custom"], by_style["pruned"]
 
     def _attend_layer(
         self,
         layer_idx: int,
         x: np.ndarray,
         positions: np.ndarray,
-        rows: Tuple[_Rows, _Rows],
+        rows: Tuple[_Rows, _Rows, _Rows],
+        cascade=None,
     ) -> np.ndarray:
-        """Packed attention of one block: ``x [B, d]`` → ``attn_out [B, d]``."""
-        dense_rows, custom_rows = rows
+        """Packed attention of one block: ``x [B, d]`` → ``attn_out [B, d]``.
+
+        ``cascade`` is the step's batch control of the pruned rows
+        (:meth:`decode_step_policy` opens and commits it).
+        """
+        dense_rows, custom_rows, pruned_rows = rows
         model = self._model
         cfg = model.config
         batch = len(x)
@@ -443,6 +496,18 @@ class PackedDecodeBackend:
             )
             if prof is not None:
                 prof.stop("decode_custom_core", t0)
+        if pruned_rows:
+            t0 = prof.start() if prof is not None else 0.0
+            caches = _prune_control(layer_idx, pruned_rows, cascade)
+            if prof is not None:
+                prof.stop("decode_prune_control", t0)
+            t0 = prof.start() if prof is not None else 0.0
+            _pruned_core_arena(
+                self, layer_idx, pruned_rows, cascade, caches,
+                q_all, k_all, v_all, positions, merged,
+            )
+            if prof is not None:
+                prof.stop("decode_pruned_core", t0)
         if dense_rows:
             t0 = prof.start() if prof is not None else 0.0
             self._dense_core(
@@ -495,15 +560,26 @@ class PackedDecodeBackend:
         backend's policy is non-exact.  The layer stack mirrors the
         exact path operation-for-operation — embedding gather, packed
         attention, residual + LayerNorm, tanh/gelu FFN, LM head — but
-        runs vectorized over the cast weights.  ``custom`` executors
-        (SpAtten) keep their own per-sequence core and semantics, with
-        dtype-aware KV storage underneath.
+        runs vectorized over the cast weights.  ``pruned`` executors'
+        cascade control is opened here as one batch, stepped by every
+        layer's pruned core, and committed back to the executors once
+        the stack is through; ``custom`` executors keep their own
+        per-sequence core.
         """
         rows = self._group_rows(model, executors)
+        pruned_rows = rows[2]
+        cascade = None
+        if pruned_rows:
+            cascade = pruned_rows[0][1].decode_batch_control(
+                [executor for _, executor in pruned_rows],
+                positions[[i for i, _ in pruned_rows]],
+            )
         w = self._weights
         x = w.tok_emb[token_ids] + w.pos_emb[positions]
         for layer_idx in range(model.config.n_layers):
-            attn_out = self._attend_layer(layer_idx, x, positions, rows)
+            attn_out = self._attend_layer(
+                layer_idx, x, positions, rows, cascade
+            )
             # Residual adds run in place on the freshly produced left
             # operand (attn/FFN output buffers are never aliased to x).
             attn_out += x
@@ -515,6 +591,8 @@ class PackedDecodeBackend:
             x = _policy_layer_norm(
                 ffn_out, w.ln2_g[layer_idx], w.ln2_b[layer_idx],
             )
+        if cascade is not None:
+            cascade.commit()
         return x @ w.lm_proj
 
     def _ffn_policy(self, layer_idx: int, x: np.ndarray) -> np.ndarray:
@@ -570,7 +648,9 @@ class PackedDecodeBackend:
         ]
         multi = [i for i in eligible if len(rows[i]) >= 2]
         solo = [i for i in eligible if len(rows[i]) == 1]
-        wqkv, bqkv = self._wqkv[layer_idx], self._bqkv[layer_idx]
+        if self._wqkv_fp64[layer_idx] is None:
+            self._wqkv_fp64[layer_idx] = self._fuse_qkv(layer_idx)
+        wqkv, bqkv = self._wqkv_fp64[layer_idx]
         projected: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         if multi:
             proj = np.concatenate([rows[i] for i in multi], axis=0) @ wqkv
@@ -661,6 +741,67 @@ def _dense_core_exact(
     )
 
 
+def _batch_selector(rows: _Rows, batch: int):
+    """Index of ``rows`` into ``[batch, ...]`` arrays.
+
+    All-one-style batches (the common serving case) index with a plain
+    slice — views, not fancy-index copies.
+    """
+    if len(rows) == batch:
+        return slice(None)
+    return [i for i, _ in rows]
+
+
+def _stage_kv_columns(
+    backend: "PackedDecodeBackend", k_cols: np.ndarray, v_cols: np.ndarray
+):
+    """This step's ``[n, h, D]`` K/V columns as the attention core reads
+    them back, plus what an int8 cache stores.
+
+    Returns ``(k_cols, v_cols, quantized)``: the inputs and ``None``
+    under float storage; under int8 the dequantized columns and the
+    ``(k_codes, k_scales, v_codes, v_scales)`` batch.
+    """
+    if not backend.policy.quantized_gemm:
+        return k_cols, v_cols, None
+    # One fused quantization of this step's k and v rows —
+    # inlined :func:`repro.core.quantization.quantize_rows`
+    # (bit-identical codes and scales, asserted by
+    # tests/test_numerics.py) over persistent scratch: every op
+    # runs in place, and the finite-input guard is skipped
+    # because decode activations are bounded by construction
+    # (LayerNormed hidden state through finite weights).  Q
+    # stays in the compute dtype — the score GEMM reads fp Q
+    # against dequantized int8 K, matching what the cache
+    # stores.
+    n = len(k_cols)
+    shape = k_cols.shape[1:]
+    kv_rows = backend._rows("kv_stage", 2 * n, *shape)
+    kv_rows[:n] = k_cols
+    kv_rows[n:] = v_cols
+    codes_f = backend._rows("quant_codes_f", 2 * n, *shape)
+    scales = backend._rows(
+        "quant_scales", 2 * n, shape[0], 1, dtype=np.float32
+    )
+    codes = backend._rows("quant_codes", 2 * n, *shape, dtype=np.int8)
+    np.abs(kv_rows, out=codes_f)
+    np.fmax.reduce(codes_f, axis=-1, keepdims=True, out=scales)
+    np.divide(scales, 127.0, out=scales)
+    scales[scales == 0.0] = 1.0
+    np.divide(kv_rows, scales, out=codes_f)
+    np.rint(codes_f, out=codes_f)
+    np.clip(codes_f, -127.0, 127.0, out=codes_f)
+    # codes_f holds exact integers in [-127, 127] after the
+    # rint+clip, so the int8 assignment cast is value-exact.
+    codes[...] = codes_f
+    # Dequantize in place over the staging rows: these are the
+    # arena columns (what the score GEMM reads back).
+    np.multiply(codes_f, scales, out=kv_rows)
+    return kv_rows[:n], kv_rows[n:], (
+        codes[:n], scales[:n, :, 0], codes[n:], scales[n:, :, 0]
+    )
+
+
 def _dense_core_arena(
     backend: "PackedDecodeBackend",
     layer_idx: int,
@@ -682,52 +823,12 @@ def _dense_core_arena(
     """
     cfg = backend._model.config
     n = len(dense_rows)
-    # All-dense batches (the common serving case) index with plain
-    # slices — views, not fancy-index copies.
-    sel = (
-        slice(None) if n == merged.shape[0]
-        else [i for i, _ in dense_rows]
+    sel = _batch_selector(dense_rows, merged.shape[0])
+    k_cols, v_cols, quantized = _stage_kv_columns(
+        backend, k_all[sel][:, :, 0], v_all[sel][:, :, 0]
     )
-    k_cols = k_all[sel][:, :, 0]  # [n, h, D]
-    v_cols = v_all[sel][:, :, 0]
-    quantized = backend.policy.quantized_gemm
     if quantized:
-        # One fused quantization of this step's k and v rows —
-        # inlined :func:`repro.core.quantization.quantize_rows`
-        # (bit-identical codes and scales, asserted by
-        # tests/test_numerics.py) over persistent scratch: every op
-        # runs in place, and the finite-input guard is skipped
-        # because decode activations are bounded by construction
-        # (LayerNormed hidden state through finite weights).  Q
-        # stays in the compute dtype — the score GEMM reads fp Q
-        # against dequantized int8 K, matching what the cache
-        # stores.
-        shape = (cfg.n_heads, cfg.head_dim)
-        kv_rows = backend._rows("kv_stage", 2 * n, *shape)
-        kv_rows[:n] = k_cols
-        kv_rows[n:] = v_cols
-        codes_f = backend._rows("quant_codes_f", 2 * n, *shape)
-        scales = backend._rows(
-            "quant_scales", 2 * n, cfg.n_heads, 1, dtype=np.float32
-        )
-        codes = backend._rows("quant_codes", 2 * n, *shape, dtype=np.int8)
-        np.abs(kv_rows, out=codes_f)
-        np.fmax.reduce(codes_f, axis=-1, keepdims=True, out=scales)
-        np.divide(scales, 127.0, out=scales)
-        scales[scales == 0.0] = 1.0
-        np.divide(kv_rows, scales, out=codes_f)
-        np.rint(codes_f, out=codes_f)
-        np.clip(codes_f, -127.0, 127.0, out=codes_f)
-        # codes_f holds exact integers in [-127, 127] after the
-        # rint+clip, so the int8 assignment cast is value-exact.
-        codes[...] = codes_f
-        # Dequantize in place over the staging rows: these are the
-        # arena columns (what the score GEMM reads back).
-        np.multiply(codes_f, scales, out=kv_rows)
-        k_cols = kv_rows[:n]
-        v_cols = kv_rows[n:]
-        k_codes, k_scales = codes[:n], scales[:n, :, 0]
-        v_codes, v_scales = codes[n:], scales[n:, :, 0]
+        k_codes, k_scales, v_codes, v_scales = quantized
     # Append this step's column to every cache first so plane
     # capacity can be ensured once, before any row writes.
     lens = np.empty(n, dtype=np.int64)
@@ -805,4 +906,116 @@ def _dense_core_arena(
     head_out /= denom
     # [n, h, 1, D] → [n, 1, h·D] reshapes in place (the moved axis
     # is the singleton), so no transpose copy is needed.
+    merged[sel] = head_out.reshape(n, 1, -1)
+
+
+def _prune_control(layer_idx: int, pruned_rows: _Rows, cascade) -> list:
+    """Pruning control of one layer's pruned rows; returns their caches.
+
+    The batch decides (cascade token and head pruning as ranked masks
+    over the control planes), then each sequence's
+    :class:`~repro.nn.kv_cache.LayerKVCache` — the truth for
+    ``kv_lengths()``, eviction counts and pool pages — drops the columns
+    whose token left the live set.
+    """
+    cascade.prune(layer_idx)
+    alive = cascade.alive
+    caches = []
+    for j, (_, executor) in enumerate(pruned_rows):
+        cache = executor.decode_kv_cache(layer_idx)
+        keep = alive[j, cache.token_ids]
+        if np.count_nonzero(keep) < len(keep):
+            cache.keep(keep.nonzero()[0])
+        caches.append(cache)
+    return caches
+
+
+def _pruned_core_arena(
+    backend: "PackedDecodeBackend",
+    layer_idx: int,
+    pruned_rows: _Rows,
+    cascade,
+    caches: list,
+    q_all: np.ndarray,
+    k_all: np.ndarray,
+    v_all: np.ndarray,
+    positions: np.ndarray,
+    merged: np.ndarray,
+) -> None:
+    """Arena-packed attention core for the pruned rows of one layer.
+
+    The dense arena core with SpAtten's stages in the datapath: dead
+    heads gated by a ``[n, h]`` plane (their new K/V columns are stored
+    as zeros and their probabilities contribute nothing), local value
+    pruning as one ranked mask over the ``[n, h, max_len]``
+    probabilities, and token / head importance accumulated for the
+    whole batch.  Probabilities are normalized before A·V here —
+    importance accumulates probabilities, not exponentials.
+
+    The padded K/V planes are *staged*, not persistent: cascade eviction
+    changes the live columns of most rows at most layers of every step
+    (one old token leaves per ``1 / (1 - keep)`` generated), so a
+    mirrored arena would rebuild those rows from cache truth anyway.
+    Every layer instead refills one shared pair of planes from its
+    caches — the same copies, no ownership to track, and one pair's
+    memory instead of one pair per layer.
+    """
+    cfg = backend._model.config
+    n = len(pruned_rows)
+    sel = _batch_selector(pruned_rows, merged.shape[0])
+    k_cols, v_cols = k_all[sel][:, :, 0], v_all[sel][:, :, 0]
+    head_gate = None
+    if cascade.any_head_dead:
+        head_gate = cascade.head_alive[:, :, None]
+        k_cols = k_cols * head_gate
+        v_cols = v_cols * head_gate
+    k_cols, v_cols, quantized = _stage_kv_columns(backend, k_cols, v_cols)
+    if quantized:
+        k_codes, k_scales, v_codes, v_scales = quantized
+    row_positions = positions[sel]
+    lens = np.array([cache._len for cache in caches]) + 1
+    max_len = int(lens.max())
+    keys, values = backend._kv_staging(n, max_len)  # [n, h, max_len, D] each
+    token_ids = np.full((n, max_len), cascade.sink)
+    for j, cache in enumerate(caches):
+        if quantized:
+            cache.append_decode_col_quantized(
+                k_codes[j], k_scales[j],
+                v_codes[j], v_scales[j], row_positions[j],
+            )
+        else:
+            cache.append_decode_col(k_cols[j], v_cols[j], row_positions[j])
+        length = cache._len
+        keys[j, :, :length], values[j, :, :length] = cache.compute_columns(
+            0, length
+        )
+        token_ids[j, :length] = cache.token_ids
+
+    q_pack = backend._rows("q_pack", n, cfg.n_heads, 1, cfg.head_dim)
+    np.multiply(q_all[sel], backend._inv_sqrt_d, out=q_pack)
+    scores = backend._scores(n, max_len)
+    # Keys are staged in the caches' own [L, D] layout (a straight copy
+    # per row); BLAS takes the transposed view without materializing it.
+    np.matmul(q_pack, keys.transpose(0, 1, 3, 2), out=scores)
+    if int(lens.min()) < max_len:
+        np.copyto(
+            scores, _MASKED,
+            where=(token_ids == cascade.sink)[:, None, None, :],
+        )
+    # fmax skips NaN handling (scores are finite by construction).
+    shift = np.fmax.reduce(scores, axis=-1, keepdims=True)
+    scores -= shift
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    probs = scores[:, :, 0]  # [n, h, max_len] view
+    # Ranked on every head's own probabilities, before dead heads are
+    # zeroed: an all-zero row would be one big tie.
+    value_mask = cascade.value_mask(probs, lens)
+    if head_gate is not None:
+        probs *= head_gate
+    cascade.accumulate_tokens(probs, token_ids)
+    if value_mask is not None:
+        probs *= value_mask
+    head_out = np.matmul(scores, values)
+    cascade.accumulate_heads(head_out, lens)
     merged[sel] = head_out.reshape(n, 1, -1)

@@ -347,28 +347,39 @@ class LayerKVCache:
         cache; out-of-range indices raise ``ValueError``.
         """
         column_indices = np.asarray(column_indices, dtype=np.int64).reshape(-1)
-        if len(column_indices):
-            if not np.all(np.diff(column_indices) > 0):
+        n_kept, n_live = len(column_indices), self._len
+        if n_kept:
+            if not (column_indices[1:] > column_indices[:-1]).all():
                 raise ValueError("column_indices must be strictly increasing")
-            if column_indices[0] < 0 or column_indices[-1] >= len(self):
+            if column_indices[0] < 0 or column_indices[-1] >= n_live:
                 raise ValueError(
-                    f"column index out of range: cache has {len(self)} columns, "
+                    f"column index out of range: cache has {n_live} columns, "
                     f"got indices in [{column_indices[0]}, {column_indices[-1]}]"
                 )
-        n_kept = len(column_indices)
-        self.evicted_tokens += self._len - n_kept
-        if n_kept < self._len:
+        if n_kept == n_live:
+            return
+        self.evicted_tokens += n_live - n_kept
+        planes = [self._keys, self._values]
+        if self.quantized:
+            planes += [self._kscales, self._vscales]
+        if n_live - n_kept == 1:
+            # One evicted column — the steady state of decode, where
+            # roughly one old token leaves per generated one — is the
+            # index missing from 0..n_live-1; the columns after it
+            # shift left by one (NumPy buffers the overlapping copy).
+            gap = n_live * (n_live - 1) // 2 - int(column_indices.sum())
+            for plane in planes:
+                plane[:, gap:n_kept] = plane[:, gap + 1 : n_live]
+            self._token_ids[gap:n_kept] = self._token_ids[gap + 1 : n_live]
+        else:
             # Advanced indexing on the right materializes the survivors
             # before assignment, so the overlapping copy is safe.
-            self._keys[:, :n_kept] = self._keys[:, column_indices]
-            self._values[:, :n_kept] = self._values[:, column_indices]
-            if self.quantized:
-                self._kscales[:, :n_kept] = self._kscales[:, column_indices]
-                self._vscales[:, :n_kept] = self._vscales[:, column_indices]
+            for plane in planes:
+                plane[:, :n_kept] = plane[:, column_indices]
             self._token_ids[:n_kept] = self._token_ids[column_indices]
-            self._len = n_kept
-            self._tail_dirty = True
-            self.version += 1
+        self._len = n_kept
+        self._tail_dirty = True
+        self.version += 1
 
     # ------------------------------------------------------------------
     # Views

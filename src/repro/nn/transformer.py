@@ -147,13 +147,20 @@ class AttentionExecutor:
           the executor runs its own per-sequence core via
           :meth:`decode_attend_packed` (pruning decisions, progressive
           quantization, trace accounting).
+        * ``"pruned"`` — non-exact tiers only: the executor prunes, but
+          its control state is plain arrays the backend can gather.  The
+          backend opens one batch control per step through
+          :meth:`decode_batch_control`, reads each layer's cache through
+          :meth:`decode_kv_cache`, and runs decisions, eviction,
+          attention and importance accumulation for all such rows at
+          once.
 
-        Whatever the style, the packed result must be bit-identical to
-        the looped :meth:`run_layer` path — the backend only batches
-        operations whose grouping provably does not change the floats.
-        (Under a non-exact :class:`~repro.nn.numerics.NumericsPolicy`
-        the backend instead targets the policy's declared accuracy
-        budget; the style contract is unchanged.)
+        ``"dense"`` and ``"custom"`` results must be bit-identical to the
+        looped :meth:`run_layer` path on the exact tier — the backend
+        only batches operations whose grouping provably does not change
+        the floats.  Under a non-exact
+        :class:`~repro.nn.numerics.NumericsPolicy` every style instead
+        targets the policy's declared accuracy budget.
         """
         return "none"
 
@@ -182,12 +189,25 @@ class AttentionExecutor:
 
     def decode_kv_cache(self, layer_idx: int):
         """The layer's :class:`~repro.nn.kv_cache.LayerKVCache` without
-        appending (``"dense"`` style only).
+        appending (``"dense"`` and ``"pruned"`` styles).
 
-        The fp32/int8 dense core appends centrally — batching the
-        quantization of a whole step's new columns — so it needs the
+        The fp32/int8 cores append centrally — batching the
+        quantization of a whole step's new columns — so they need the
         bare cache rather than the append-and-return of
         :meth:`decode_kv_append`.
+        """
+        raise NotImplementedError
+
+    @staticmethod
+    def decode_batch_control(executors, positions: np.ndarray):
+        """Open one decode step's batch control (``"pruned"`` style).
+
+        ``executors`` are the batch's ``"pruned"`` rows in batch order
+        and ``positions`` their new tokens' positions.  The returned
+        object carries the rows' pruning state as ``[B, ...]`` planes
+        for the step and stores it back on ``commit()``; see
+        :class:`repro.core.batched_cascade.CascadeBatch`, the one
+        implementation, for the stages the backend calls.
         """
         raise NotImplementedError
 

@@ -184,6 +184,22 @@ tier      decode hot path
           quantize_rows`) — 4× less KV DRAM than fp32
 ========  ==========================================================
 
+SpAtten sequences ride the same ladder.  On `exact`, and wherever a
+request carries progressive quantization (its LSB refetch is decided
+per row from that row's own probabilities), each sequence runs its own
+core per layer — the oracle the identity tests compare against.  On
+`fp32` / `int8` every other SpAtten sequence takes the backend's
+*pruned core*: one :class:`~repro.core.batched_cascade.CascadeBatch`
+per step holds the batch's importance scores, live token / head masks
+and schedule targets as ``[B, ...]`` planes, and each layer's cascade
+— ranked-mask token and head pruning, KV eviction, masked softmax,
+local value pruning, A·V, importance accumulation — runs as array
+operations over the padded batch.  The route is a function of the tier
+and of ``quant`` alone; decisions are the per-sequence functions'
+(one selection rule, :mod:`repro.core.topk`), and each sequence's
+:class:`~repro.nn.kv_cache.LayerKVCache` stays the truth for
+``kv_lengths()``, eviction counts and pool pages.
+
 Select a tier with ``ServingEngine(numerics=...)`` /
 ``ClusterEngine(numerics=...)`` or CLI ``--numerics
 {exact,fp32,int8}``.  The engine builds its backend and every
@@ -347,7 +363,9 @@ independent sinks:
   text exposition (:func:`~repro.telemetry.prometheus_text`).
 * **Profiling** — :class:`~repro.telemetry.HotPathProfiler` times the
   packed decode backend's stages in *wall-clock* seconds (QKV
-  projection, attention core, output FC).  Deliberately separate from
+  projection; dense, pruned and per-sequence attention cores, with the
+  pruned rows' batched pruning control as its own stage; output FC).
+  Deliberately separate from
   the simulated clock and excluded from the deterministic artifacts.
 
 Two invariants the test suite enforces (``tests/test_telemetry.py``):

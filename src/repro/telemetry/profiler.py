@@ -11,7 +11,13 @@ packed decode hot path".  :class:`HotPathProfiler` measures that with
 * ``decode_qkv_proj`` — the fused ``[B, d] @ [d, 3d]`` projection;
 * ``decode_dense_core`` — KV append + scores/softmax/A·V of the dense
   rows (exact-length cache views or the padded arena, by tier);
-* ``decode_custom_core`` — SpAtten executors' per-sequence cores;
+* ``decode_custom_core`` — per-sequence SpAtten cores: every SpAtten
+  row on the exact tier, progressive-quantization rows on any tier;
+* ``decode_prune_control`` — the batched cascade of the other SpAtten
+  rows on ``fp32`` / ``int8``: token and head pruning decisions over
+  the batch's control planes plus KV-cache eviction;
+* ``decode_pruned_core`` — their KV append + scores / softmax / local
+  value pruning / A·V / importance accumulation over the padded pack;
 * ``decode_output_fc`` — the fused output projection;
 * ``prefill_chunk_proj`` — the fused chunked-prefill projections.
 

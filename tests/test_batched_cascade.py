@@ -1,0 +1,187 @@
+"""Batched cascade control ≡ the per-sequence pruning functions.
+
+:class:`repro.core.batched_cascade.CascadeBatch` decides for a whole
+decode batch at once over padded planes.  Every decision must be the
+one the per-sequence reference (``prune_tokens``, ``prune_heads``,
+``local_value_keep_indices``) makes on the same scores — with ragged
+lengths, tied scores, the protected current token, targets at or above
+the live count, and padding that is never selected.  The cases are
+generated: hypothesis draws a seed, the seed draws a batch.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import ModelConfig, PruningConfig
+from repro.core.batched_cascade import CascadeBatch
+from repro.core.head_pruning import prune_heads
+from repro.core.importance import (
+    HeadImportanceAccumulator,
+    TokenImportanceAccumulator,
+)
+from repro.core.schedule import decode_token_target
+from repro.core.token_pruning import prune_tokens
+from repro.core.trace import AttentionTrace
+from repro.core.value_pruning import local_value_keep_indices
+
+N_LAYERS = 3
+N_HEADS = 6
+CONFIG = ModelConfig(
+    "cascade-stub", n_layers=N_LAYERS, n_heads=N_HEADS, d_model=24, d_ff=48,
+    vocab_size=32, max_seq_len=96, causal=True,
+)
+
+
+def _stub_executor(rng):
+    """The control state of one prefilled SpAtten sequence, drawn at
+    random — few distinct score values, so ranks tie across the cut."""
+    total = int(rng.integers(2, 40))
+    alive = rng.random(total) < rng.uniform(0.3, 1.0)
+    alive[rng.integers(total)] = True
+    token_acc = TokenImportanceAccumulator(total)
+    token_acc.live_scores(total)[:] = rng.integers(0, 4, size=total)
+    head_acc = HeadImportanceAccumulator(N_HEADS)
+    head_acc.live_scores()[:] = rng.integers(0, 3, size=N_HEADS)
+    n_live_heads = int(rng.integers(1, N_HEADS + 1))
+    mask = np.zeros(CONFIG.max_seq_len, dtype=bool)
+    mask[:total] = alive
+    pruning = PruningConfig(
+        min_tokens=int(rng.integers(1, 6)),
+        value_keep=float(rng.choice([0.5, 0.75, 0.9, 1.0])),
+    )
+    return SimpleNamespace(
+        _original_length=total, _total_length=total,
+        token_acc=token_acc, head_acc=head_acc,
+        _alive_mask=mask, _n_alive=int(alive.sum()),
+        _alive_heads=np.sort(
+            rng.choice(N_HEADS, size=n_live_heads, replace=False)
+        ),
+        # Fractions from "keeps everything" (target >= live) downward.
+        _token_fracs=np.sort(rng.uniform(0.1, 1.2, size=N_LAYERS))[::-1],
+        _head_counts=np.sort(rng.integers(1, N_HEADS + 1, size=N_LAYERS))[::-1],
+        pruning=pruning,
+        trace=AttentionTrace(CONFIG, total, 0, pruning=pruning),
+    )
+
+
+def _open(seed):
+    rng = np.random.default_rng(seed)
+    executors = [_stub_executor(rng) for _ in range(rng.integers(1, 7))]
+    positions = np.array([e._total_length for e in executors])
+    return rng, executors, CascadeBatch(executors, positions), positions
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_token_and_head_decisions_match_per_sequence(seed):
+    _, executors, batch, positions = _open(seed)
+    for layer_idx in range(N_LAYERS):
+        before = batch.alive.copy()
+        heads_before = batch.head_alive.copy()
+        batch.prune(layer_idx)
+        for j, executor in enumerate(executors):
+            total = executor._total_length + 1
+            live = np.flatnonzero(before[j])
+            assert live.max() < total, "padding was alive"
+            target = decode_token_target(
+                executor.pruning, float(executor._token_fracs[layer_idx]),
+                total,
+            )
+            expected = live
+            if target < len(live):
+                expected = prune_tokens(
+                    live, executor.token_acc.scores_for(live), target,
+                    protected_ids=[int(positions[j])],
+                ).kept_ids
+            assert np.array_equal(np.flatnonzero(batch.alive[j]), expected)
+            assert batch.alive[j, positions[j]], "current token pruned"
+            assert not batch.alive[j, total:].any(), "padding selected"
+
+            live_heads = np.flatnonzero(heads_before[j])
+            expected = live_heads
+            target = int(executor._head_counts[layer_idx])
+            if target < len(live_heads):
+                expected = prune_heads(
+                    live_heads, executor.head_acc.scores_for(live_heads),
+                    target,
+                ).kept_ids
+            assert np.array_equal(
+                np.flatnonzero(batch.head_alive[j]), expected
+            )
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_value_masks_match_per_sequence(seed):
+    rng, executors, batch, _ = _open(seed)
+    lengths = rng.integers(1, 30, size=len(executors))
+    width = int(lengths.max())
+    # Quantized probabilities tie; padding columns are exact zeros.
+    probs = rng.integers(0, 5, size=(len(executors), N_HEADS, width)) / 8.0
+    probs *= (np.arange(width) < lengths[:, None])[:, None, :]
+    mask = batch.value_mask(probs, lengths)
+    for j, executor in enumerate(executors):
+        length = int(lengths[j])
+        kept = local_value_keep_indices(
+            probs[j][:, None, :length], executor.pruning.value_keep
+        )
+        for head in np.flatnonzero(batch.head_alive[j]):
+            got = (
+                np.arange(length) if mask is None
+                else np.flatnonzero(mask[j, head])
+            )
+            assert np.array_equal(got, kept[head])
+            assert got.max(initial=-1) < length, "padding column kept"
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_commit_stores_the_step_back(seed):
+    """What the planes decided and accumulated over a step is what the
+    executors hold afterwards."""
+    rng, executors, batch, positions = _open(seed)
+    n = len(executors)
+    totals = positions + 1
+    # Opening the batch grew each accumulator to cover the new token.
+    token_scores = [e.token_acc.raw_scores for e in executors]
+    head_scores = [e.head_acc.raw_scores for e in executors]
+    for layer_idx in range(N_LAYERS):
+        batch.prune(layer_idx)
+        lengths = np.minimum(rng.integers(1, 9, size=n), totals)
+        width = int(lengths.max())
+        token_ids = np.full((n, width), batch.sink)
+        probs = rng.random((n, N_HEADS, width))
+        for j, length in enumerate(lengths):
+            token_ids[j, :length] = np.sort(
+                rng.choice(totals[j], size=length, replace=False)
+            )
+            probs[j, :, length:] = 0.0
+            token_scores[j][token_ids[j, :length]] += (
+                probs[j, :, :length].sum(axis=0)
+            )
+        batch.value_mask(probs, lengths)
+        batch.accumulate_tokens(probs, token_ids)
+        head_out = rng.normal(size=(n, N_HEADS, 1, 4))
+        batch.accumulate_heads(head_out, lengths)
+        for j in range(n):
+            head_scores[j] += np.abs(head_out[j]).sum(axis=(1, 2))
+    batch.commit()
+    for j, executor in enumerate(executors):
+        assert executor._total_length == totals[j]
+        assert executor.trace.n_generated == 1
+        assert np.array_equal(
+            np.flatnonzero(executor._alive_mask),
+            np.flatnonzero(batch.alive[j]),
+        )
+        assert executor._n_alive == np.count_nonzero(batch.alive[j])
+        assert np.array_equal(
+            executor._alive_heads, np.flatnonzero(batch.head_alive[j])
+        )
+        assert np.allclose(executor.token_acc.raw_scores, token_scores[j])
+        assert np.allclose(executor.head_acc.raw_scores, head_scores[j])
+        steps = executor.trace.decode_steps
+        assert [step.layer for step in steps] == list(range(N_LAYERS))
+        assert steps[-1].n_heads == len(executor._alive_heads)

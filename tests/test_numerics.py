@@ -11,8 +11,11 @@ The ladder's contract has three parts, each tested here:
 * **Non-exact tiers are correct, not just fast** — fp32/int8 logits
   track the oracle within tier-appropriate tolerance; the arena's
   steady-state incremental updates agree bit-for-bit with a full
-  rebuild from cache truth (exercised via mid-run executor cloning);
-  the int8 hot path's inlined quantization matches
+  rebuild from cache truth (exercised via mid-run executor cloning),
+  for dense, SpAtten and mixed batches, across evictions, batch
+  reorders and recompute-on-resume; the batched SpAtten route commits
+  the state the per-sequence route commits; the int8 hot path's
+  inlined quantization matches
   :func:`repro.core.quantization.quantize_rows` code-for-code and
   scale-for-scale; and a backend refuses executors of another tier
   by name, in both directions.
@@ -58,21 +61,47 @@ def decoder():
     return TransformerModel(config, random_model(config, seed=33))
 
 
+@pytest.fixture(scope="module")
+def small_world():
+    vocab = build_vocabulary(size=512, n_classes=4, seed=0)
+    config = accuracy_scale_config(
+        GPT2_SMALL, len(vocab), n_layers=2, d_model=64, n_heads=4,
+        max_seq_len=160,
+    )
+    model, _ = build_task_model(config, vocab, "lm", seed=0)
+    pool = KVMemoryPool(
+        config,
+        budget_bytes=64 * 8 * 2 * config.n_heads * config.head_dim
+        * config.bytes_per_element,
+        page_tokens=8,
+    )
+    return config, model, pool
+
+
+def _executor(kind, numerics=None):
+    if kind == "dense":
+        return DenseExecutor(numerics=numerics)
+    if kind == "spatten":
+        return SpAttenExecutor(PRUNING, numerics=numerics)
+    if kind == "quant":
+        return SpAttenExecutor(PRUNING, QUANT, numerics=numerics)
+    raise ValueError(kind)  # pragma: no cover - spec typo guard
+
+
+def _prompts(model, spec, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        rng.integers(0, model.config.vocab_size, size=prompt_len).tolist()
+        for _, prompt_len in spec
+    ]
+
+
 def _prefilled(model, spec, seed, numerics=None):
     """Executors from ``[(kind, prompt_len), ...]`` at one ladder tier."""
-    rng = np.random.default_rng(seed)
     executors = []
-    for kind, prompt_len in spec:
-        if kind == "dense":
-            executor = DenseExecutor(numerics=numerics)
-        elif kind == "spatten":
-            executor = SpAttenExecutor(PRUNING, numerics=numerics)
-        elif kind == "quant":
-            executor = SpAttenExecutor(PRUNING, QUANT, numerics=numerics)
-        else:  # pragma: no cover - spec typo guard
-            raise ValueError(kind)
-        prompt = rng.integers(0, model.config.vocab_size, size=prompt_len)
-        model.prefill(prompt.tolist(), executor)
+    for (kind, _), prompt in zip(spec, _prompts(model, spec, seed)):
+        executor = _executor(kind, numerics)
+        model.prefill(prompt, executor)
         executors.append(executor)
     return executors
 
@@ -200,42 +229,235 @@ class TestNonExactTiers:
         assert execs[0].evicted_kv_tokens > 0, "schedule never evicted"
         assert execs[0]._cache[0].dtype == np.dtype(np.int8)
 
-    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    # The dense cases keep the ids they have always had.
+    @pytest.mark.parametrize("tier,spec", [
+        pytest.param(tier, spec, id=f"{name}{tier}")
+        for name, spec in [
+            ("", [("dense", 5), ("dense", 23), ("dense", 11)]),
+            ("spatten-", [("spatten", 48), ("spatten", 30), ("spatten", 12)]),
+            ("mixed-", [("dense", 5), ("spatten", 40), ("dense", 23),
+                        ("spatten", 17)]),
+        ]
+        for tier in ("fp32", "int8")
+    ])
     def test_arena_incremental_matches_rebuild_from_truth(
-        self, decoder, tier
+        self, decoder, tier, spec
     ):
-        """Steady-state tail writes == full rebuild from cache truth.
+        """Incremental packed state == a rebuild from executor truth.
 
-        Cloned executors are not arena owners (ownership is by object
-        identity), so continuing a cloned batch forces every row through
-        the rebuild path; the original batch keeps its incremental
-        arena.  Both must produce bit-identical logits — otherwise the
-        arena is drifting from the caches it mirrors.
+        One batch keeps its backend for the whole run, so its dense
+        rows' arena advances by tail writes.  Before every step the
+        batch is deep-copied and the copy decoded by a *fresh* backend:
+        cloned caches own no arena row (ownership is by identity), so
+        that side is rebuilt from cache truth.  Both must produce
+        bit-identical logits and leave identical KV lengths — through
+        cascade evictions, a batch reorder, and a row recomputed from
+        scratch (what preemption and resume does to a sequence) —
+        otherwise the backend is drifting from the state it mirrors.
         """
-        spec = [("dense", 5), ("dense", 23), ("dense", 11)]
         policy = resolve_numerics(tier)
         backend = PackedDecodeBackend(decoder, numerics=policy)
+        prompts = _prompts(decoder, spec, seed=7)
         execs = _prefilled(decoder, spec, seed=7, numerics=policy)
+        kinds = [kind for kind, _ in spec]
+        streams = [list(prompt) for prompt in prompts]
         tokens = [3] * len(spec)
         positions = [length for _, length in spec]
-        for _ in range(4):  # populate arena steady state
-            logits = decoder.decode_step_batch(
-                tokens, positions, execs, backend=backend
-            )
-            tokens = [int(np.argmax(row)) for row in logits]
-            positions = [p + 1 for p in positions]
-        cloned = copy.deepcopy(execs)
-        fresh_backend = PackedDecodeBackend(decoder, numerics=policy)
-        for _ in range(3):
+        for step in range(12):
+            if step == 6:  # batch reorder: every row changes arena slot
+                order = np.roll(np.arange(len(spec)), 1)
+                execs, kinds, streams, tokens, positions = (
+                    [seq[i] for i in order]
+                    for seq in (execs, kinds, streams, tokens, positions)
+                )
+            if step == 9:  # resume: row 1 recomputed from its tokens
+                execs[1] = _executor(kinds[1], policy)
+                decoder.prefill(streams[1], execs[1])
+            cloned = copy.deepcopy(execs)
             incremental = decoder.decode_step_batch(
                 tokens, positions, execs, backend=backend
             )
             rebuilt = decoder.decode_step_batch(
-                tokens, positions, cloned, backend=fresh_backend
+                tokens, positions, cloned,
+                backend=PackedDecodeBackend(decoder, numerics=policy),
             )
-            assert np.array_equal(incremental, rebuilt)
+            assert np.array_equal(incremental, rebuilt), f"step {step}"
+            assert [e.kv_lengths() for e in execs] == [
+                e.kv_lengths() for e in cloned
+            ]
+            for stream, token in zip(streams, tokens):
+                stream.append(token)
             tokens = [int(np.argmax(row)) for row in incremental]
             positions = [p + 1 for p in positions]
+        if "spatten" in kinds:
+            assert max(e.evicted_kv_tokens for e in execs) > 0
+
+
+class TestBatchedCascadeRoute:
+    """fp32/int8 SpAtten rows without progressive quantization run the
+    cascade as batch-level array ops; everything they commit must be
+    what the per-sequence route commits."""
+
+    SPEC = [("spatten", 48), ("spatten", 36), ("spatten", 20), ("spatten", 7)]
+
+    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    def test_state_matches_per_sequence_route(self, decoder, tier):
+        """Same-tier twins, one through the packed backend and one
+        through the looped per-sequence ``run_layer`` path, teacher
+        forced: cascade state is identical after every step."""
+        backend = PackedDecodeBackend(decoder, numerics=tier)
+        batched = _prefilled(decoder, self.SPEC, seed=4, numerics=tier)
+        looped = _prefilled(decoder, self.SPEC, seed=4, numerics=tier)
+        assert {e.packed_decode_style for e in batched} == {"pruned"}
+        tokens = [1, 2, 3, 4]
+        positions = [length for _, length in self.SPEC]
+        for step in range(24):
+            decoder.decode_step_batch(
+                tokens, positions, batched, backend=backend
+            )
+            logits = decoder.decode_step_batch(tokens, positions, looped)
+            for b, l in zip(batched, looped):
+                assert b.kv_lengths() == l.kv_lengths(), step
+                assert b.evicted_kv_tokens == l.evicted_kv_tokens
+                assert b.n_live_heads == l.n_live_heads
+                assert np.array_equal(b._alive_heads, l._alive_heads)
+                assert np.array_equal(b._alive_tokens, l._alive_tokens)
+                assert b.trace.n_generated == l.trace.n_generated == step + 1
+                assert b.trace.count_signature() == l.trace.count_signature()
+            tokens = [int(np.argmax(row)) for row in logits]
+            positions = [p + 1 for p in positions]
+        assert batched[0].evicted_kv_tokens > 0, "schedule never evicted"
+
+    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    def test_engine_ledger_matches_per_sequence_route(
+        self, small_world, tier, monkeypatch
+    ):
+        """Two engines on one trace — SpAtten rows batched in one,
+        forced through ``decode_attend_packed`` in the other — hold the
+        same per-sequence KV state and a clean pool ledger after N
+        steps, and finish with the same streams and stats."""
+        from repro.serving.request import Request
+
+        config, model, _ = small_world
+        rng = np.random.default_rng(5)
+        requests = [
+            Request(
+                request_id=i,
+                prompt_ids=rng.integers(0, config.vocab_size, size=24).tolist(),
+                max_new_tokens=int(rng.integers(6, 14)),
+                arrival_time=0.0005 * i,
+            )
+            for i in range(6)
+        ]
+
+        def engine_after(n_steps, per_sequence):
+            if per_sequence:
+                monkeypatch.setattr(
+                    SpAttenExecutor, "packed_decode_style",
+                    property(lambda self: "custom"),
+                )
+            pool = KVMemoryPool(
+                config, budget_bytes=1 << 20, page_tokens=8
+            )
+            engine = ServingEngine(
+                model, pool, pruning=PRUNING, numerics=tier, prefill_chunk=16
+            )
+            engine.start()
+            for request in requests:
+                engine.submit(request)
+            for _ in range(n_steps):
+                engine.step()
+            pool.audit()
+            state = {
+                seq.seq_id: (
+                    seq.executor.kv_lengths(),
+                    seq.executor.evicted_kv_tokens,
+                    seq.executor.n_live_heads,
+                    seq.executor.trace.n_generated,
+                    pool.reserved_pages_of(seq.seq_id),
+                )
+                for seq in engine.live
+            }
+            while engine.has_work:
+                engine.step()
+            stats = engine.finish()
+            pool.audit()
+            assert pool.allocated_pages == 0
+            monkeypatch.undo()
+            return state, pool, stats
+
+        state_b, pool_b, stats_b = engine_after(8, per_sequence=False)
+        state_s, pool_s, stats_s = engine_after(8, per_sequence=True)
+        assert state_b and state_b == state_s
+        assert stats_b.to_dict() == stats_s.to_dict()
+        assert [r.token_ids for r in stats_b.records] == [
+            r.token_ids for r in stats_s.records
+        ]
+
+    def test_int8_step_columns_equal_quantize_rows(self, decoder):
+        """The pruned core's batch quantization (dead heads zeroed
+        first) stores the codes and scales ``quantize_rows`` gives."""
+        from repro.core.quantization import quantize_rows
+
+        spec = [("spatten", 30), ("spatten", 18)]
+        fp32_execs = _prefilled(decoder, spec, seed=11, numerics="fp32")
+        int8_execs = _prefilled(decoder, spec, seed=11, numerics="int8")
+        tokens, positions = [4, 8], [30, 18]
+        decoder.decode_step_batch(
+            tokens, positions, fp32_execs,
+            backend=PackedDecodeBackend(decoder, numerics="fp32"),
+        )
+        decoder.decode_step_batch(
+            tokens, positions, int8_execs,
+            backend=PackedDecodeBackend(decoder, numerics="int8"),
+        )
+        # Layer 0 consumes identical fp32 inputs on both tiers, so the
+        # fp32 cache's new layer-0 column is what the int8 core
+        # quantized.
+        for ex32, ex8 in zip(fp32_execs, int8_execs):
+            assert ex8.n_live_heads < decoder.config.n_heads
+            ref_cache, hot_cache = ex32._cache[0], ex8._cache[0]
+            pos = len(ref_cache) - 1
+            assert len(hot_cache) == len(ref_cache)
+            for ref_plane, codes_plane, scales_plane in (
+                (ref_cache.keys, hot_cache._keys, hot_cache._kscales),
+                (ref_cache.values, hot_cache._values, hot_cache._vscales),
+            ):
+                want_codes, want_scales = quantize_rows(
+                    ref_plane[:, pos, :], bits=8
+                )
+                assert np.array_equal(codes_plane[:, pos], want_codes)
+                assert np.array_equal(scales_plane[:, pos],
+                                      want_scales[:, 0])
+
+    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    def test_progressive_quant_rows_keep_the_per_sequence_core(
+        self, decoder, tier, monkeypatch
+    ):
+        """The route is a function of the tier and ``quant`` alone: in
+        one non-exact batch the quant row takes ``decode_attend_packed``
+        and the plain SpAtten row never does."""
+        spec = [("spatten", 20), ("quant", 20), ("dense", 9)]
+        execs = _prefilled(decoder, spec, seed=6, numerics=tier)
+        assert [e.packed_decode_style for e in execs] == [
+            "pruned", "custom", "dense"
+        ]
+        called = []
+        original = SpAttenExecutor.decode_attend_packed
+
+        def spy(self, *args, **kwargs):
+            called.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpAttenExecutor, "decode_attend_packed", spy)
+        logits = decoder.decode_step_batch(
+            [1, 2, 3], [20, 20, 9], execs,
+            backend=PackedDecodeBackend(decoder, numerics=tier),
+        )
+        assert np.isfinite(logits).all()
+        assert called == [execs[1]] * decoder.config.n_layers
+        exact = _prefilled(decoder, spec[:1], seed=6, numerics="exact")
+        assert exact[0].packed_decode_style == "custom"
 
 
 class TestTierMismatch:
@@ -296,22 +518,6 @@ class TestHotPathQuantization:
 
 
 class TestServingEngineNumerics:
-    @pytest.fixture(scope="class")
-    def small_world(self):
-        vocab = build_vocabulary(size=512, n_classes=4, seed=0)
-        config = accuracy_scale_config(
-            GPT2_SMALL, len(vocab), n_layers=2, d_model=64, n_heads=4,
-            max_seq_len=160,
-        )
-        model, _ = build_task_model(config, vocab, "lm", seed=0)
-        pool = KVMemoryPool(
-            config,
-            budget_bytes=64 * 8 * 2 * config.n_heads * config.head_dim
-            * config.bytes_per_element,
-            page_tokens=8,
-        )
-        return config, model, pool
-
     def test_unknown_tier_rejected(self, small_world):
         _, model, pool = small_world
         with pytest.raises(ValueError, match="numerics"):

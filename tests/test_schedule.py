@@ -6,6 +6,7 @@ import pytest
 from repro.config import PruningConfig
 from repro.core.schedule import (
     decode_token_target,
+    decode_token_targets,
     effective_token_keep,
     head_keep_counts,
     head_keep_fractions,
@@ -115,3 +116,18 @@ class TestDecodeTarget:
     def test_no_pruning_fraction(self):
         config = PruningConfig()
         assert decode_token_target(config, 1.0, 57) == 57
+
+    def test_batch_targets_equal_scalar_targets(self):
+        """The vectorized form is the scalar one entry for entry —
+        including exact halves (0.5 x odd length), where ``round`` and
+        ``np.rint`` must both round to even."""
+        rng = np.random.default_rng(0)
+        fractions = np.concatenate([rng.random(200), np.full(56, 0.5)])
+        totals = rng.integers(1, 400, size=len(fractions))
+        min_tokens = rng.integers(0, 12, size=len(fractions))
+        batch = decode_token_targets(min_tokens, fractions, totals)
+        for i in range(len(fractions)):
+            config = PruningConfig(min_tokens=int(min_tokens[i]))
+            assert batch[i] == decode_token_target(
+                config, float(fractions[i]), int(totals[i])
+            )

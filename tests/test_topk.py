@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.topk import filter_topk, quick_select_kth, topk_indices
+from repro.core.topk import (
+    filter_topk,
+    quick_select_kth,
+    topk_indices,
+    topk_mask,
+)
 
 score_arrays = hnp.arrays(
     np.float64,
@@ -44,6 +49,61 @@ class TestTopkIndices:
         # The selected multiset of values equals the k largest values.
         expected = np.sort(scores)[::-1][:k]
         assert np.allclose(np.sort(scores[chosen])[::-1], expected)
+
+
+def _lexsort_topk(scores, k):
+    """The selection ``topk_indices`` made before it ranked by a stable
+    sort: sort by (-score, index), take the first k."""
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return np.sort(order[:k])
+
+
+#: Few distinct values, so most draws tie across the cut.
+tied_scores = hnp.arrays(
+    np.float64, st.integers(1, 24),
+    elements=st.integers(0, 3).map(float),
+)
+
+
+class TestOneSelectionRule:
+    """The row kernel, the plane kernel and the former lexsort agree."""
+
+    @given(tied_scores, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_stable_sort_matches_lexsort(self, scores, data):
+        n = len(scores)
+        k = data.draw(st.sampled_from(
+            sorted({0, 1, n - 1, n, data.draw(st.integers(0, n))})
+        ))
+        assert np.array_equal(topk_indices(scores, k), _lexsort_topk(scores, k))
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 12)),
+            elements=st.integers(0, 3).map(float),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_plane_mask_matches_rows(self, plane, data):
+        """Ragged k per row, ties, -inf exclusions and a +inf forced
+        entry: every row of the mask is that row's ``topk_indices``."""
+        n = plane.shape[-1]
+        rows = plane.shape[:-1]
+        excluded = data.draw(hnp.arrays(bool, plane.shape))
+        excluded[..., 0] = False  # at least one candidate per row
+        plane = np.where(excluded, -np.inf, plane)
+        plane[..., 0] = np.inf  # protected
+        n_candidates = n - np.count_nonzero(excluded, axis=-1)
+        k = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, n)))
+        k = np.minimum(k, n_candidates)
+        mask = topk_mask(plane, k)
+        for row in np.ndindex(*rows):
+            assert np.array_equal(
+                np.flatnonzero(mask[row]), topk_indices(plane[row], k[row])
+            ), (plane[row], k[row])
+            assert not (mask[row] & excluded[row]).any()
 
 
 class TestQuickSelect:
