@@ -79,8 +79,9 @@ overhead until asked for.  Both serving subcommands take:
   backlog).
 * ``--prom-out PATH`` — final counter/gauge/histogram state in
   Prometheus text exposition format.
-* ``--profile`` — wall-clock hot-path profile of the packed decode
-  backend, printed after the report (wall time, *not* simulated time;
+* ``--profile`` — wall-clock hot-path profile of the packed backend's
+  decode step (``decode_*`` stages) and prompt pass (``prefill_*``
+  stages), printed after the report (wall time, *not* simulated time;
   excluded from the deterministic artifacts above).
 * ``--audit-every N`` — run the KV pool's invariant audit every N
   engine steps (fleet-ledger audit in serve-cluster), surfaced as the
@@ -745,8 +746,9 @@ def _add_serving_flags(parser) -> None:
                         help="write final metrics in Prometheus text "
                              "exposition format ('-' for stdout)")
     parser.add_argument("--profile", action="store_true",
-                        help="profile the packed decode backend's hot "
-                             "path (wall clock, printed after the report)")
+                        help="profile the packed backend's decode step "
+                             "and prompt pass (wall clock, printed after "
+                             "the report)")
     parser.add_argument("--audit-every", type=int, metavar="N", default=None,
                         help="run the KV pool invariant audit every N "
                              "engine steps (global ledger audit in "

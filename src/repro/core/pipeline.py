@@ -27,7 +27,7 @@ import numpy as np
 
 from ..config import ModelConfig, PruningConfig, QuantConfig
 from ..nn.attention import AttentionRecord, expand_pruned_heads, merge_heads
-from ..nn.functional import softmax
+from ..nn.functional import softmax_inplace
 from ..nn.kv_cache import KVCache
 from ..nn.numerics import resolve_numerics
 from ..nn.transformer import AttentionExecutor, LayerExecution, TransformerModel
@@ -200,22 +200,26 @@ class SpAttenExecutor(AttentionExecutor):
         ``lsb_fraction`` is the fraction of softmax rows that required
         the LSB refetch (0.0 without progressive quantization).
         """
-        head_dim = q.shape[-1]
+        # A Python float keeps the operands' dtype (a NumPy fp64 scalar
+        # would promote a narrower tier's scores).
+        scale = float(np.sqrt(q.shape[-1]))
+        masked = None if mask is None else ~mask
 
         def scores_of(qq: np.ndarray, kk: np.ndarray) -> np.ndarray:
-            s = qq @ kk.transpose(0, 2, 1) / np.sqrt(head_dim)
-            if mask is not None:
-                s = np.where(mask[None, :, :], s, -1e30)
+            s = qq @ kk.transpose(0, 2, 1)
+            s /= scale
+            if masked is not None:
+                np.copyto(s, -1e30, where=masked)
             return s
 
         if self.quant is None:
-            return softmax(scores_of(q, k), axis=-1), 0.0
+            return softmax_inplace(scores_of(q, k)), 0.0
 
         quantizer = LinearQuantizer(self.quant.msb_bits, self.quant.lsb_bits)
         q_q, k_q = quantizer.quantize(q), quantizer.quantize(k)
         q_msb = quantizer.dequantize_msb(q_q)
         k_msb = quantizer.dequantize_msb(k_q)
-        probs_msb = softmax(scores_of(q_msb, k_msb), axis=-1)
+        probs_msb = softmax_inplace(scores_of(q_msb, k_msb))
         if not self.quant.progressive:
             # Static quantization (the paper's BERT setting): a single
             # MSB-width fetch, never refined.
@@ -226,7 +230,7 @@ class SpAttenExecutor(AttentionExecutor):
             return probs_msb, 0.0
         q_full = quantizer.dequantize_full(q_q)
         k_full = quantizer.dequantize_full(k_q)
-        probs_full = softmax(scores_of(q_full, k_full), axis=-1)
+        probs_full = softmax_inplace(scores_of(q_full, k_full))
         probs = np.where(refetch[:, :, None], probs_full, probs_msb)
         return probs, float(refetch.mean())
 
@@ -282,25 +286,6 @@ class SpAttenExecutor(AttentionExecutor):
         k, v = attn.project_kv(x_live)
         return q, k[self._alive_heads], v[self._alive_heads]
 
-    def _finish_layer(
-        self,
-        model: TransformerModel,
-        layer_idx: int,
-        probs: np.ndarray,
-        v_live: np.ndarray,
-        key_ids: np.ndarray,
-        query_ids: np.ndarray,
-        lsb_fraction: float,
-        stage: str,
-    ) -> Tuple[np.ndarray, AttentionRecord]:
-        """Local V pruning, importance accumulation, output projection."""
-        merged, record = self._finish_layer_merged(
-            model, layer_idx, probs, v_live, key_ids, query_ids,
-            lsb_fraction, stage,
-        )
-        output = model.attention(layer_idx).project_merged(merged)
-        return output, record
-
     def _finish_layer_merged(
         self,
         model: TransformerModel,
@@ -312,12 +297,13 @@ class SpAttenExecutor(AttentionExecutor):
         lsb_fraction: float,
         stage: str,
     ) -> Tuple[np.ndarray, AttentionRecord]:
-        """Everything in :meth:`_finish_layer` except the output FC.
+        """Local V pruning, importance accumulation, head merge.
 
-        Returns the merged full-width head features ``[L, h*D]`` so the
-        packed decode backend can batch the output projection across
-        sequences (:mod:`repro.nn.batched_attention`); the looped path
-        applies the same FC per sequence, which is bit-identical.
+        Everything after the probabilities except the output FC:
+        returns the merged full-width head features ``[L, h*D]`` so the
+        packed backend can batch the output projection across sequences
+        (:mod:`repro.nn.batched_attention`); the looped path applies the
+        same FC per sequence, which is bit-identical.
         """
         kept_per_head = local_value_keep_indices(probs, self.pruning.value_keep)
         head_out, kept_counts = apply_local_value_pruning(
@@ -351,18 +337,22 @@ class SpAttenExecutor(AttentionExecutor):
         )
         return merged, record
 
-    def _run_summarize(
-        self,
-        layer_idx: int,
-        model: TransformerModel,
-        x: np.ndarray,
-        positions: np.ndarray,
-    ) -> LayerExecution:
+    def summarize_control(
+        self, layer_idx: int, positions: np.ndarray
+    ) -> np.ndarray:
+        """Pre-projection summarize control: the layer's entry pruning.
+
+        Cascade token pruning of the rows at ``positions`` against the
+        schedule (the first layer's call fixes the sentence length),
+        then cascade head pruning.  Returns the surviving rows' indices
+        into ``positions``.  Shared verbatim by :meth:`run_layer` and
+        the packed backend's prompt pass, so both commit exactly the
+        same pruning decisions on the same scores.
+        """
         cfg = self._model_config
         if layer_idx == 0:
-            self._init_schedules(len(x))
+            self._init_schedules(len(positions))
 
-        # --- cascade token pruning (entry, schedule-driven) -----------
         target = int(self._token_counts[layer_idx])
         protected = (
             [self._original_length - 1] if cfg.causal else [0]
@@ -370,29 +360,36 @@ class SpAttenExecutor(AttentionExecutor):
         decision = prune_tokens(
             positions, self.token_acc.scores_for(positions), target, protected
         )
-        kept_rows = decision.kept_rows
-        x_live = x[kept_rows]
-        live_positions = positions[kept_rows]
         self._alive_mask[:] = False
         self._alive_mask[decision.kept_ids] = True
         self._n_alive = decision.n_kept
 
-        # --- cascade head pruning (entry) ------------------------------
         self._prune_heads_at(layer_idx)
+        return decision.kept_rows
 
-        q_live, k_live, v_live = self._project_live(model, layer_idx, x_live)
+    def _summarize_attend_merged(
+        self,
+        layer_idx: int,
+        model: TransformerModel,
+        q_live: np.ndarray,
+        k_live: np.ndarray,
+        v_live: np.ndarray,
+        live_positions: np.ndarray,
+    ) -> Tuple[np.ndarray, AttentionRecord]:
+        """Post-projection summarize core; returns merged ``[L, h*D]``.
 
-        if cfg.causal:
+        Caches the live heads' K/V (the pruned heads' columns stay
+        zero), runs the quantization-aware attention probabilities in
+        the projections' dtype, and finishes with local value pruning
+        and importance accumulation — everything except the output FC.
+        """
+        if self._model_config.causal:
             layer_cache = self._cache[layer_idx]
             # Summarization visits each layer once, so the cache is empty
             # here; appending keeps decode and summarize on one code path.
-            k_full = np.zeros(
-                (cfg.n_heads, len(x_live), cfg.head_dim), dtype=k_live.dtype
+            layer_cache.append(
+                k_live, v_live, live_positions, heads=self._alive_heads
             )
-            v_full = np.zeros_like(k_full)
-            k_full[self._alive_heads] = k_live
-            v_full[self._alive_heads] = v_live
-            layer_cache.append(k_full, v_full, live_positions)
             key_ids = layer_cache.token_ids
             mask = key_ids[None, :] <= live_positions[:, None]
         else:
@@ -401,10 +398,26 @@ class SpAttenExecutor(AttentionExecutor):
 
         probs, lsb_fraction = self._attention_probs(q_live, k_live, mask)
         v_used = self._quantize_values(v_live)
-        output, record = self._finish_layer(
+        return self._finish_layer_merged(
             model, layer_idx, probs, v_used, key_ids, live_positions,
             lsb_fraction, "summarize",
         )
+
+    def _run_summarize(
+        self,
+        layer_idx: int,
+        model: TransformerModel,
+        x: np.ndarray,
+        positions: np.ndarray,
+    ) -> LayerExecution:
+        kept_rows = self.summarize_control(layer_idx, positions)
+        q_live, k_live, v_live = self._project_live(
+            model, layer_idx, x[kept_rows]
+        )
+        merged, record = self._summarize_attend_merged(
+            layer_idx, model, q_live, k_live, v_live, positions[kept_rows]
+        )
+        output = model.attention(layer_idx).project_merged(merged)
         return LayerExecution(output, record, kept_rows)
 
     def _decode_control(self, layer_idx: int, positions: np.ndarray) -> None:
@@ -461,18 +474,13 @@ class SpAttenExecutor(AttentionExecutor):
     ) -> Tuple[np.ndarray, AttentionRecord]:
         """Post-projection decode core; returns merged ``[1, h*D]``.
 
-        Appends the (full-width, dead-head-zeroed) K/V column, runs the
-        quantization-aware attention probabilities over the live heads,
+        Appends the live heads' K/V column (pruned heads store zeros),
+        runs the quantization-aware attention probabilities over them,
         and finishes with local value pruning and importance
         accumulation — everything except the output FC.
         """
-        cfg = self._model_config
         layer_cache = self._cache[layer_idx]
-        k_full = np.zeros((cfg.n_heads, 1, cfg.head_dim), dtype=k_live.dtype)
-        v_full = np.zeros_like(k_full)
-        k_full[self._alive_heads] = k_live
-        v_full[self._alive_heads] = v_live
-        layer_cache.append(k_full, v_full, positions)
+        layer_cache.append(k_live, v_live, positions, heads=self._alive_heads)
 
         key_ids = layer_cache.token_ids
         k_use = layer_cache.keys[self._alive_heads]
@@ -502,7 +510,7 @@ class SpAttenExecutor(AttentionExecutor):
         return LayerExecution(output, record, np.arange(1))
 
     # ------------------------------------------------------------------
-    # Packed decode protocol (repro.nn.batched_attention)
+    # Packed backend protocol (repro.nn.batched_attention)
     # ------------------------------------------------------------------
     @property
     def numerics(self):
@@ -569,5 +577,30 @@ class SpAttenExecutor(AttentionExecutor):
         v_live = v_full[self._alive_heads]
         merged, _ = self._decode_attend_merged(
             layer_idx, model, q_live, k_live, v_live, positions
+        )
+        return merged
+
+    def summarize_attend_packed(
+        self,
+        layer_idx: int,
+        model: TransformerModel,
+        q_full: np.ndarray,
+        k_full: np.ndarray,
+        v_full: np.ndarray,
+        positions: np.ndarray,
+    ) -> np.ndarray:
+        """Whole-sentence summarize core on backend-projected rows.
+
+        The prompt-pass counterpart of :meth:`decode_attend_packed`:
+        the backend has dropped the rows :meth:`summarize_control`
+        pruned and projected the survivors full-width in its compute
+        dtype (``[h, L, D]`` each); the surviving-head slices run the
+        same attend path as :meth:`run_layer`, returning the merged
+        pre-projection features ``[L, h*D]`` in that dtype.
+        """
+        heads = self._alive_heads
+        merged, _ = self._summarize_attend_merged(
+            layer_idx, model, q_full[heads], k_full[heads], v_full[heads],
+            positions,
         )
         return merged

@@ -1,4 +1,4 @@
-"""Packed batched attention backend for the serving decode hot path.
+"""Packed batched attention backend for the serving hot path.
 
 The looped decode path issues ``B × n_layers`` separate single-row
 ``run_layer`` calls per mixed step — dozens of tiny NumPy ops per
@@ -49,11 +49,21 @@ demand.
 :meth:`~PackedDecodeBackend.decode_layer` is the exact tier's entry
 (the model keeps its fp64 residual/LayerNorm/FFN stack around it);
 :meth:`~PackedDecodeBackend.decode_step_policy` is the fp32/int8 entry
-and additionally runs the layer stack in the compute dtype.  During
-chunked prefill, :meth:`~PackedDecodeBackend.project_chunk_rows` runs
-the Q/K/V projections of every in-flight prompt's chunk as one GEMM
-over the concatenated rows (fp64 on every tier — prefill is oracle
-math).
+and additionally runs the layer stack in the compute dtype.
+
+The prompt pass is on the ladder too — SpAtten prunes and quantizes the
+summarization stage as much as the generation stage (PAPER.md §III,
+Fig. 3) — with the same split.  On the exact tier the model keeps its
+fp64 stack and :meth:`~PackedDecodeBackend.project_chunk_rows` only
+fuses the Q/K/V projections of every in-flight prompt's chunk into one
+GEMM over the concatenated rows.  On fp32/int8,
+:meth:`~PackedDecodeBackend.prefill_chunk_policy` owns the step: dense
+chunks and the whole-sentence SpAtten cascades that complete in it run
+one compute-dtype layer stack (fused QKV GEMM, masked softmax,
+LayerNorm, in-place tanh/gelu FFN, LM head), K/V reach the caches from
+compute-dtype rows (int8 quantizes them from fp32, live heads only),
+and the cascade's token / head importance alone accumulates in fp64 —
+the ranking truth, as in the decode step's batch control.
 
 Exact tier: the bit-identity contract
 -------------------------------------
@@ -109,7 +119,8 @@ forbids:
   churn trigger an O(L) rebuild from the cache (dequantizing int8
   codes through their per-row scales);
 * LayerNorm, the tanh/gelu FFN, and the LM head run vectorized in the
-  compute dtype over weight copies cast once at backend construction;
+  compute dtype over weight copies cast once at backend construction,
+  for decode steps and prompt passes alike;
 * the ``int8`` tier quantizes each step's *batch* of new K/V columns in
   one pass before handing each cache its pre-quantized slice, so score
   GEMMs read fp32 Q against dequantized int8 K (fp32 accumulation) —
@@ -131,8 +142,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .attention import split_heads
+from .functional import GELU_C, softmax_inplace
 from .numerics import NumericsMismatchError, resolve_numerics
-from .transformer import AttentionExecutor, TransformerModel
+from .transformer import AttentionExecutor, PrefillState, TransformerModel
 
 __all__ = ["PackedDecodeBackend", "UnpackableExecutorError"]
 
@@ -141,12 +153,12 @@ __all__ = ["PackedDecodeBackend", "UnpackableExecutorError"]
 #: exact 0.0 after the softmax's exp.
 _MASKED = -1e30
 
-#: tanh-approximation gelu constant (Python float: binary ops against
-#: it preserve the array's compute dtype instead of promoting to fp64).
-_GELU_C = float(np.sqrt(2.0 / np.pi))
-
 #: Column growth quantum of the score scratch and the arena planes.
 _SCRATCH_PAGE = 64
+
+#: Rows per pass of the compute-dtype FFN: its two ``[rows, d_ff]``
+#: scratch planes persist, and a prompt step can carry thousands of rows.
+_FFN_BLOCK = 256
 
 #: Column growth quantum of the pruned core's K/V staging planes, whose
 #: every column is resident whether live or not: sized close to the
@@ -221,10 +233,11 @@ def _policy_layer_norm(
 class _Weights:
     """Model weights at a policy's compute dtype.
 
-    Under fp64 (``exact``) every entry *is* the model's own array — no
-    copy exists.  Narrower tiers hold one cast copy each, made once
-    here, which keeps every decode step allocation-free on the weight
-    side; the fp64 originals stay untouched for prefill.
+    Under fp64 (``exact``) every entry but the fused QKV pair *is* the
+    model's own array.  Narrower tiers hold one cast copy each, made
+    once here, which keeps every prompt pass and decode step
+    allocation-free on the weight side; the model's fp64 originals stay
+    untouched for the oracle.
     """
 
     __slots__ = (
@@ -232,7 +245,7 @@ class _Weights:
         "ln1_g", "ln1_b", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2",
     )
 
-    def __init__(self, model, wqkv, bqkv, compute_dtype):
+    def __init__(self, model, compute_dtype):
         def cast(a):
             if a.dtype == compute_dtype:
                 return a
@@ -243,14 +256,19 @@ class _Weights:
         self.tok_emb = cast(params.token_embedding)
         self.pos_emb = cast(params.pos_embedding)
         self.lm_proj = cast(params.lm_projection())
-        self.wqkv = [cast(w) for w in wqkv]
-        self.bqkv = [cast(b) for b in bqkv]
-        self.wo, self.bo = [], []
+        self.wqkv, self.bqkv, self.wo, self.bo = [], [], [], []
         self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b = [], [], [], []
         self.w1, self.b1, self.w2, self.b2 = [], [], [], []
         for layer_idx in range(model.config.n_layers):
             bp = model.block(layer_idx)
             aw = model.attention(layer_idx).weights
+            # Fused [d, 3d] QKV weights: output column blocks of a GEMM
+            # are independent, so (x @ wqkv)[:, :d] is bit-identical to
+            # x @ wq.
+            self.wqkv.append(
+                cast(np.concatenate([aw.wq, aw.wk, aw.wv], axis=1))
+            )
+            self.bqkv.append(cast(np.concatenate([aw.bq, aw.bk, aw.bv])))
             self.wo.append(cast(aw.wo))
             self.bo.append(cast(aw.bo))
             self.ln1_g.append(cast(bp.ln1_gamma))
@@ -286,8 +304,28 @@ class _ArenaPlane:
         self.owners: List[Optional[object]] = [None] * k.shape[0]
 
 
+class _PromptRows:
+    """One sequence's rows in a prompt step
+    (:meth:`PackedDecodeBackend.prefill_chunk_policy`).
+
+    ``index`` is the sequence's place in the step's states; ``dense``
+    whether the backend runs its attention core centrally;
+    ``positions`` the original positions of its rows still in the
+    residual stream — the chunk ``[start, end)`` going in, fewer as
+    cascade pruning drops rows layer by layer.
+    """
+
+    __slots__ = ("index", "executor", "dense", "positions")
+
+    def __init__(self, index, executor, dense, start, end):
+        self.index = index
+        self.executor = executor
+        self.dense = dense
+        self.positions = np.arange(start, end)
+
+
 class PackedDecodeBackend:
-    """Batched attention executor state shared across decode steps.
+    """Batched attention executor state shared across serving steps.
 
     One backend instance serves one model at one numerics tier; the
     serving engine creates it once and passes it to every
@@ -301,25 +339,12 @@ class PackedDecodeBackend:
 
     def __init__(self, model: TransformerModel, numerics=None):
         self._model = model
-        #: The numerics ladder tier this backend runs decode steps at;
-        #: ``exact`` (the default) is bit-identical to the looped oracle.
+        #: The numerics ladder tier this backend runs decode steps and
+        #: prompt passes at; ``exact`` (the default) is bit-identical to
+        #: the looped oracle.
         self.policy = resolve_numerics(numerics)
         cfg = model.config
-        # Fused [d, 3d] QKV weights: output column blocks of a GEMM are
-        # independent, so (x @ wqkv)[:, :d] is bit-identical to x @ wq.
-        fused = [self._fuse_qkv(layer_idx) for layer_idx in range(cfg.n_layers)]
-        self._weights = _Weights(
-            model, [w for w, _ in fused], [b for _, b in fused],
-            self.policy.compute_dtype,
-        )
-        # Chunked prefill is oracle math on every tier and projects with
-        # the fp64 fused weights.  The exact tier's decode weights *are*
-        # those; a narrower tier fuses a layer's again the first time a
-        # dense prompt needs them (a pruned-only engine never does, and
-        # does not hold them).
-        self._wqkv_fp64: List[Optional[Tuple[np.ndarray, np.ndarray]]] = (
-            fused if self.policy.is_exact else [None] * cfg.n_layers
-        )
+        self._weights = _Weights(model, self.policy.compute_dtype)
         # The two tier-dependent pieces of the skeleton.
         if self.policy.is_exact:
             self._project = _project_rows
@@ -338,13 +363,6 @@ class PackedDecodeBackend:
         #: it when profiling is requested).  ``None`` costs one ``is
         #: None`` check per stage — the hot path stays unchanged.
         self.profiler = None
-
-    def _fuse_qkv(self, layer_idx: int) -> Tuple[np.ndarray, np.ndarray]:
-        w = self._model.attention(layer_idx).weights
-        return (
-            np.concatenate([w.wq, w.wk, w.wv], axis=1),
-            np.concatenate([w.bq, w.bk, w.bv]),
-        )
 
     # ------------------------------------------------------------------
     # Scratch management
@@ -580,47 +598,200 @@ class PackedDecodeBackend:
             attn_out = self._attend_layer(
                 layer_idx, x, positions, rows, cascade
             )
-            # Residual adds run in place on the freshly produced left
-            # operand (attn/FFN output buffers are never aliased to x).
-            attn_out += x
-            x = _policy_layer_norm(
-                attn_out, w.ln1_g[layer_idx], w.ln1_b[layer_idx]
-            )
-            ffn_out = self._ffn_policy(layer_idx, x)
-            ffn_out += x
-            x = _policy_layer_norm(
-                ffn_out, w.ln2_g[layer_idx], w.ln2_b[layer_idx],
-            )
+            x = self._ffn_half(layer_idx, x, attn_out)
         if cascade is not None:
             cascade.commit()
         return x @ w.lm_proj
 
+    def _ffn_half(
+        self, layer_idx: int, x: np.ndarray, attn_out: np.ndarray
+    ) -> np.ndarray:
+        """A block after its attention: residual + LayerNorm, FFN,
+        residual + LayerNorm, in the compute dtype.
+
+        Residual adds run in place on the freshly produced left operand
+        (attention / FFN output buffers are never aliased to ``x``).
+        """
+        w = self._weights
+        attn_out += x
+        x = _policy_layer_norm(
+            attn_out, w.ln1_g[layer_idx], w.ln1_b[layer_idx]
+        )
+        ffn_out = self._ffn_policy(layer_idx, x)
+        ffn_out += x
+        return _policy_layer_norm(
+            ffn_out, w.ln2_g[layer_idx], w.ln2_b[layer_idx]
+        )
+
     def _ffn_policy(self, layer_idx: int, x: np.ndarray) -> np.ndarray:
-        """Vectorized compute-dtype tanh/gelu FFN (the PR-3 fp64 tax)."""
+        """Vectorized compute-dtype tanh/gelu FFN (the PR-3 fp64 tax).
+
+        Rows go through in blocks of :data:`_FFN_BLOCK`, so the
+        ``[rows, d_ff]`` scratch stays a decode batch's size however
+        many prompt rows a step carries.
+        """
         w = self._weights
         d_ff = w.w1[layer_idx].shape[1]
-        hidden = self._rows("ffn_hidden", len(x), d_ff)
-        inner = self._rows("ffn_inner", len(x), d_ff)
-        np.matmul(x, w.w1[layer_idx], out=hidden)
-        hidden += w.b1[layer_idx]
-        # h + 0.044715 h^3 factored as h (1 + 0.044715 h^2): one fewer
-        # full-array multiply, every op in-place on the scratch.
-        np.square(hidden, out=inner)
-        inner *= 0.044715
-        inner += 1.0
-        inner *= hidden
-        inner *= _GELU_C
-        np.tanh(inner, out=inner)
-        inner += 1.0
-        inner *= hidden
-        inner *= 0.5
-        out = inner @ w.w2[layer_idx]
+        out = np.empty_like(x)
+        for start in range(0, len(x), _FFN_BLOCK):
+            rows = x[start : start + _FFN_BLOCK]
+            hidden = self._rows("ffn_hidden", len(rows), d_ff)
+            inner = self._rows("ffn_inner", len(rows), d_ff)
+            np.matmul(rows, w.w1[layer_idx], out=hidden)
+            hidden += w.b1[layer_idx]
+            # functional.gelu's formula, every op in place on the scratch.
+            np.square(hidden, out=inner)
+            inner *= 0.044715
+            inner += 1.0
+            inner *= hidden
+            inner *= GELU_C
+            np.tanh(inner, out=inner)
+            inner += 1.0
+            inner *= hidden
+            inner *= 0.5
+            np.matmul(
+                inner, w.w2[layer_idx], out=out[start : start + _FFN_BLOCK]
+            )
         out += w.b2[layer_idx]
         return out
 
     # ------------------------------------------------------------------
-    # Chunked prefill
+    # Prefill
     # ------------------------------------------------------------------
+    def prefill_chunk_policy(
+        self,
+        model: TransformerModel,
+        states: Sequence[PrefillState],
+        max_tokens: int,
+    ) -> List[Optional[np.ndarray]]:
+        """One prefill chunk per in-flight prompt, in the compute dtype.
+
+        :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
+        delegates here (after its input validation) whenever the
+        backend's policy is non-exact — the prompt pass's counterpart of
+        :meth:`decode_step_policy`.  Every prompt row of the step runs
+        one layer stack over the cast weights: ``"dense"`` executors'
+        next chunk, attended centrally against their cache
+        (:func:`_prefill_dense_core`), and, for every other executor
+        whose *final* chunk this is, the whole sentence — cascade
+        pruning decides over all of it, so earlier chunks only advance
+        the committed-token counter, as on the exact tier.  Such an
+        executor prunes its rows at each layer's entry
+        (:meth:`~repro.nn.transformer.AttentionExecutor
+        .summarize_control`), so pruned tokens skip the projections and
+        the FFN, and runs its own core on the survivors' projections
+        (:meth:`~repro.nn.transformer.AttentionExecutor
+        .summarize_attend_packed`).  The QKV projection, the output FC,
+        the residual / LayerNorm / FFN arithmetic and the LM head each
+        run once per layer over all sequences' rows.
+
+        Returns one entry per state: the next-token logits (compute
+        dtype) of prompts that completed, else ``None``.
+        """
+        dense_rows, _, _ = self._group_rows(
+            model, [state.executor for state in states]
+        )
+        dense = {i for i, _ in dense_rows}
+        spans = [state.next_span(max_tokens) for state in states]
+        # The sequences with rows in this step, in batch order.
+        active: List[_PromptRows] = []
+        for i, (state, (start, end)) in enumerate(zip(states, spans)):
+            if i in dense:
+                active.append(_PromptRows(i, state.executor, True, start, end))
+            elif end == state.prompt_len:
+                active.append(_PromptRows(i, state.executor, False, 0, end))
+        results: List[Optional[np.ndarray]] = [None] * len(states)
+        if active:
+            hidden = self._prefill_layers(model, states, active)
+            # A sequence's last row survives every layer (cascade pruning
+            # protects the final prompt token) and ends its block.
+            ends = np.cumsum([len(rows.positions) for rows in active])
+            done = [
+                j for j, rows in enumerate(active)
+                if spans[rows.index][1] == states[rows.index].prompt_len
+            ]
+            if done:
+                logits = hidden[ends[done] - 1] @ self._weights.lm_proj
+                for j, row in zip(done, logits):
+                    results[active[j].index] = row
+        for state, (_, end), logits in zip(states, spans, results):
+            state.n_committed = end
+            state.logits = logits
+        return results
+
+    def _prefill_layers(self, model, states, active) -> np.ndarray:
+        """The layer stack of one prompt step over ``active``'s rows.
+
+        Returns the final hidden rows, one block per sequence in order;
+        each entry's ``positions`` are left at its surviving rows'.
+        """
+        cfg = model.config
+        w = self._weights
+        prof = self.profiler
+        token_ids = np.concatenate([
+            states[rows.index].prompt_ids[rows.positions] for rows in active
+        ])
+        positions = np.concatenate([rows.positions for rows in active])
+        if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:
+            raise ValueError("token id out of vocabulary range")
+        if positions.max() >= cfg.max_seq_len:
+            raise ValueError(
+                f"sequence exceeds max_seq_len={cfg.max_seq_len}"
+            )
+        x = w.tok_emb[token_ids] + w.pos_emb[positions]
+        for layer_idx in range(cfg.n_layers):
+            # Entry pruning: rows the cascade drops leave the residual
+            # stream before the projections (and the FFN) see them.
+            t_core = prof.start() if prof is not None else 0.0
+            kept, offset = [], 0
+            for rows in active:
+                n_rows = len(rows.positions)
+                survivors = np.arange(n_rows)
+                if not rows.dense:
+                    survivors = rows.executor.summarize_control(
+                        layer_idx, rows.positions
+                    )
+                    rows.positions = rows.positions[survivors]
+                kept.append(survivors + offset)
+                offset += n_rows
+            kept = np.concatenate(kept)
+            if len(kept) < len(x):
+                x = x[kept]
+
+            t0 = prof.start() if prof is not None else 0.0
+            qkv = self._project(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
+            if prof is not None:
+                # prefill_core is the attention half (entry pruning to
+                # output FC) less the projection it brackets.
+                t_core += prof.stop("prefill_chunk_proj", t0)
+
+            heads = qkv.reshape(len(x), 3, cfg.n_heads, cfg.head_dim)
+            merged = np.empty_like(x)
+            offset = 0
+            for rows in active:
+                block = slice(offset, offset + len(rows.positions))
+                offset = block.stop
+                # [L, 3, h, D] -> three [h, L, D] views.
+                q, k, v = heads[block].transpose(1, 2, 0, 3)
+                if rows.dense:
+                    _prefill_dense_core(
+                        self, rows.executor.decode_kv_cache(layer_idx),
+                        q, k, v, rows.positions, merged[block],
+                    )
+                else:
+                    merged[block] = rows.executor.summarize_attend_packed(
+                        layer_idx, model, q, k, v, rows.positions
+                    )
+            attn_out = self._project(merged, w.wo[layer_idx], w.bo[layer_idx])
+            if prof is not None:
+                prof.stop("prefill_core", t_core)
+
+            t0 = prof.start() if prof is not None else 0.0
+            x = self._ffn_half(layer_idx, x, attn_out)
+            if prof is not None:
+                prof.stop("prefill_ffn", t0)
+        return x
+
     def project_chunk_rows(
         self,
         model: TransformerModel,
@@ -629,7 +800,8 @@ class PackedDecodeBackend:
         executors: Sequence[AttentionExecutor],
         order: Sequence[int],
     ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Fused Q/K/V projection of every incremental prefill chunk.
+        """Fused Q/K/V projection of every incremental prefill chunk
+        (exact tier; :meth:`prefill_chunk_policy` projects the others').
 
         ``rows[i]`` holds sequence ``i``'s chunk hidden rows
         ``[L_i, d]``.  Chunks of ≥ 2 rows are concatenated into one
@@ -648,9 +820,8 @@ class PackedDecodeBackend:
         ]
         multi = [i for i in eligible if len(rows[i]) >= 2]
         solo = [i for i in eligible if len(rows[i]) == 1]
-        if self._wqkv_fp64[layer_idx] is None:
-            self._wqkv_fp64[layer_idx] = self._fuse_qkv(layer_idx)
-        wqkv, bqkv = self._wqkv_fp64[layer_idx]
+        wqkv = self._weights.wqkv[layer_idx]
+        bqkv = self._weights.bqkv[layer_idx]
         projected: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         if multi:
             proj = np.concatenate([rows[i] for i in multi], axis=0) @ wqkv
@@ -679,6 +850,36 @@ class PackedDecodeBackend:
             split_heads(proj[:, d : 2 * d], n_heads),
             split_heads(proj[:, 2 * d :], n_heads),
         )
+
+
+def _prefill_dense_core(
+    backend: "PackedDecodeBackend",
+    cache,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    positions: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Causal attention of one dense prompt chunk against its cache.
+
+    ``q/k/v`` are the chunk's ``[h, L, D]`` projections in the compute
+    dtype.  K/V go to the cache first (int8 quantizes them from that
+    dtype), and the chunk attends over what the cache then holds —
+    earlier chunks and its own columns alike read back through the
+    storage representation, so a chunked prompt sees the keys a
+    one-chunk prompt sees.  Writes the merged head features into
+    ``out [L, h*D]``.
+    """
+    cache.append(k, v, positions)
+    keys, values = cache.compute_columns()
+    scores = np.matmul(q * backend._inv_sqrt_d, keys.transpose(0, 2, 1))
+    np.copyto(
+        scores, _MASKED,
+        where=cache.token_ids[None, :] > positions[:, None],
+    )
+    softmax_inplace(scores)
+    out[...] = np.matmul(scores, values).transpose(1, 0, 2).reshape(out.shape)
 
 
 def _dense_core_exact(
@@ -1002,11 +1203,7 @@ def _pruned_core_arena(
             scores, _MASKED,
             where=(token_ids == cascade.sink)[:, None, None, :],
         )
-    # fmax skips NaN handling (scores are finite by construction).
-    shift = np.fmax.reduce(scores, axis=-1, keepdims=True)
-    scores -= shift
-    np.exp(scores, out=scores)
-    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    softmax_inplace(scores)
     probs = scores[:, :, 0]  # [n, h, max_len] view
     # Ranked on every head's own probabilities, before dead heads are
     # zeroed: an all-zero row would be one big tie.

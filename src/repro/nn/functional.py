@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "softmax",
+    "softmax_inplace",
     "log_softmax",
     "layer_norm",
     "gelu",
@@ -22,6 +23,10 @@ __all__ = [
 ]
 
 
+#: ``sqrt(2 / pi)`` of the tanh-approximation gelu.
+GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along ``axis``.
 
@@ -29,11 +34,28 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     attention scores becomes a probability distribution summing to 1.
     """
     # repro: allow[det-dtype-literal] -- this IS the fp64 oracle softmax
-    # every numerics tier is measured against; the policy path has its own
+    # every numerics tier is measured against; paths that must keep a
+    # narrower dtype use softmax_inplace
     x = np.asarray(x, dtype=np.float64)
     shifted = x - np.max(x, axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=axis, keepdims=True)
+
+
+def softmax_inplace(scores: np.ndarray) -> np.ndarray:
+    """Row softmax over the last axis, in place, in the array's own dtype.
+
+    For scores a numerics tier computed in its compute dtype
+    (:func:`softmax` promotes to fp64): the same shift / exp / normalise
+    — bit-identical to :func:`softmax` on fp64 input — over a float
+    array the caller owns, which must be finite: masked entries carry a
+    large negative sentinel, not ``-inf``.  Returns ``scores``.
+    """
+    # fmax skips NaN handling (scores are finite by construction).
+    scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -57,9 +79,21 @@ def layer_norm(
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit (tanh approximation, as in BERT/GPT-2)."""
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    """Gaussian error linear unit (tanh approximation, as in BERT/GPT-2).
+
+    ``x + 0.044715 x^3`` is evaluated in the factored form
+    ``x (1 + 0.044715 x^2)`` (no ``np.power``), and every constant is a
+    Python float, so the result keeps ``x``'s floating dtype.
+    """
+    inner = (x * x) * 0.044715
+    inner += 1.0
+    inner *= x
+    inner *= GELU_C
+    inner = np.tanh(inner)
+    inner += 1.0
+    inner *= x
+    inner *= 0.5
+    return inner
 
 
 def relu(x: np.ndarray) -> np.ndarray:

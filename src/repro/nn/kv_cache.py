@@ -209,22 +209,36 @@ class LayerKVCache:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def append(self, k: np.ndarray, v: np.ndarray, token_ids: np.ndarray) -> None:
+    def append(
+        self,
+        k: np.ndarray,
+        v: np.ndarray,
+        token_ids: np.ndarray,
+        heads: Optional[np.ndarray] = None,
+    ) -> None:
         """Add new per-head K/V columns (``[h, L_new, D]``) in place.
 
         Float storage casts on write; int8 storage quantizes each
         (head, column) row through
         :func:`repro.core.quantization.quantize_rows` — these are the
         "per-row scales computed at prefill".
+
+        ``heads`` gives the original indices of the heads the planes
+        hold (``[len(heads), L_new, D]``) when cascade head pruning
+        computed only those: the other heads' new columns are stored as
+        zeros — nothing reads them again — and never quantized.
         """
+        n_given = self.n_heads if heads is None else len(heads)
         if k.shape != v.shape:
             raise ValueError("K and V shapes must match")
-        if k.shape[0] != self.n_heads or k.shape[2] != self.head_dim:
+        if k.shape[0] != n_given or k.shape[2] != self.head_dim:
             raise ValueError(
-                f"expected [h={self.n_heads}, *, D={self.head_dim}], got {k.shape}"
+                f"expected [h={n_given}, *, D={self.head_dim}], got {k.shape}"
             )
         if k.shape[1] != len(token_ids):
             raise ValueError("token_ids must label every appended column")
+        if n_given == self.n_heads:
+            heads = None
         if self.quantized:
             from ..core.quantization import quantize_rows
 
@@ -232,10 +246,10 @@ class LayerKVCache:
             v_codes, v_scales = quantize_rows(v, bits=8, axis=-1)
             self._append_storage(
                 k_codes, v_codes, token_ids,
-                k_scales[..., 0], v_scales[..., 0],
+                k_scales[..., 0], v_scales[..., 0], heads,
             )
             return
-        self._append_storage(k, v, token_ids)
+        self._append_storage(k, v, token_ids, heads=heads)
 
     def append_quantized(
         self,
@@ -322,18 +336,30 @@ class LayerKVCache:
         self._token_ids[pos] = token_id
         self._len = pos + 1
 
-    def _append_storage(self, k, v, token_ids, k_scales=None, v_scales=None):
+    def _append_storage(
+        self, k, v, token_ids, k_scales=None, v_scales=None, heads=None
+    ):
         n_new = k.shape[1]
         if self._len + n_new > self.capacity:
             self._grow(self._len + n_new)
-        end = self._len + n_new
-        self._keys[:, self._len : end] = k
-        self._values[:, self._len : end] = v
-        self._token_ids[self._len : end] = np.asarray(token_ids)
+        cols = slice(self._len, self._len + n_new)
+        rows = slice(None)
+        if heads is not None:
+            # The absent heads' columns: zero planes at the unit scale
+            # quantize_rows gives a zero row.
+            rows = heads
+            self._keys[:, cols] = 0
+            self._values[:, cols] = 0
+            if self.quantized:
+                self._kscales[:, cols] = 1.0
+                self._vscales[:, cols] = 1.0
+        self._keys[rows, cols] = k
+        self._values[rows, cols] = v
+        self._token_ids[cols] = np.asarray(token_ids)
         if self.quantized:
-            self._kscales[:, self._len : end] = k_scales
-            self._vscales[:, self._len : end] = v_scales
-        self._len = end
+            self._kscales[rows, cols] = k_scales
+            self._vscales[rows, cols] = v_scales
+        self._len = cols.stop
 
     def keep(self, column_indices: np.ndarray) -> None:
         """Retain only the given cache columns (cascade token pruning).

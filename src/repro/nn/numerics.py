@@ -1,4 +1,4 @@
-"""Numerics policies: the accuracy-for-speed ladder of the decode path.
+"""Numerics policies: the accuracy-for-speed ladder of the serving path.
 
 The repo's original contract was *bit identity* — every serving path had
 to reproduce the fp64 looped oracle to the last ulp.  PR 3 measured the
@@ -22,14 +22,23 @@ axis:
     fp32 KV planes and an fp32 batched decode core: one padded
     ``[B, h, 1, max_len]`` masked-softmax attention over a shared
     scratch arena plus a vectorized fp32 tanh/gelu FFN — the design
-    PR 3 proved impossible bit-identically.
+    PR 3 proved impossible bit-identically.  Prompts are summarized by
+    the same backend in fp32.
 ``int8``
     Same batched core, but the KV cache stores int8 codes with per-row
     (head × column) fp32 scales — :func:`repro.core.quantization
     .quantize_rows` — so the score GEMM reads fp32 Q against
     dequantized int8 K (fp32 accumulation), exactly what the cache can
     reproduce.  4× less KV storage than fp32 at a declared accuracy
-    budget.
+    budget.  Prompts are summarized in fp32 and their K/V quantized
+    from it.
+
+A tier governs both stages of a request — prompt summarization and
+decode — whenever the model is driven through a
+:class:`~repro.nn.batched_attention.PackedDecodeBackend` of that tier.
+Cumulative token / head importance stays fp64 on every tier (it is the
+pruning decisions' ranking truth), and ``prefill`` /
+``decode_step_batch`` without a backend remain the fp64 oracle.
 
 Every policy declares its quality budget (max mean KL divergence from
 the fp64 oracle's next-token distribution and min argmax-match rate);
@@ -70,7 +79,8 @@ class NumericsPolicy:
 
     Attributes:
         name: ladder tier name (``exact`` / ``fp32`` / ``int8``).
-        compute_dtype: dtype of the decode-step hidden-state math.
+        compute_dtype: dtype of the prompt-pass and decode-step
+            hidden-state math.
         kv_dtype: storage dtype of KV cache planes (``np.int8`` stores
             codes plus per-row fp32 scales).
         kv_bytes_per_element: DRAM accounting width per cached scalar.

@@ -155,6 +155,11 @@ class AttentionExecutor:
           attention and importance accumulation for all such rows at
           once.
 
+        A non-exact backend's prompt pass reads the same property:
+        ``"dense"`` executors' chunks attend centrally against their
+        cache, every other style is summarized whole-sentence through
+        :meth:`summarize_control` / :meth:`summarize_attend_packed`.
+
         ``"dense"`` and ``"custom"`` results must be bit-identical to the
         looped :meth:`run_layer` path on the exact tier — the backend
         only batches operations whose grouping provably does not change
@@ -230,6 +235,40 @@ class AttentionExecutor:
         """
         raise NotImplementedError
 
+    def summarize_control(
+        self, layer_idx: int, positions: np.ndarray
+    ) -> np.ndarray:
+        """Entry pruning of one summarize layer, ahead of the projections.
+
+        The non-exact tiers' prompt pass
+        (:meth:`~repro.nn.batched_attention.PackedDecodeBackend
+        .prefill_chunk_policy`) runs every executor that is not
+        ``"dense"`` whole-sentence: each layer first asks the executor
+        which of the rows at ``positions`` survive — the returned
+        indices; the others leave the residual stream — then projects
+        the survivors together with every other sequence's rows and
+        hands them to :meth:`summarize_attend_packed`.
+        """
+        raise NotImplementedError
+
+    def summarize_attend_packed(
+        self,
+        layer_idx: int,
+        model: "TransformerModel",
+        q_full: np.ndarray,
+        k_full: np.ndarray,
+        v_full: np.ndarray,
+        positions: np.ndarray,
+    ) -> np.ndarray:
+        """Whole-sentence summarize core on the backend's projections.
+
+        Receives the surviving rows' full-width ``q/k/v`` (``[h, L, D]``
+        each, in the backend's compute dtype), caches K/V, and returns
+        the merged pre-projection features ``[L, n_heads * head_dim]``
+        in that dtype.
+        """
+        raise NotImplementedError
+
     @property
     def supports_incremental_prefill(self) -> bool:
         """Whether summarization may run chunk-by-chunk, bit-identically.
@@ -300,9 +339,12 @@ class DenseExecutor(AttentionExecutor):
         numerics: :class:`~repro.nn.numerics.NumericsPolicy` (or tier
             name) selecting the KV storage representation — fp64 under
             ``exact`` (default, bit-identical), fp32 planes or int8
-            codes with per-row scales otherwise.  Storage only: the
-            executor's own compute stays the fp64 oracle math; the
-            packed backend supplies the policy's fast decode core.
+            codes with per-row scales otherwise.  :meth:`run_layer`
+            computes in whatever dtype it is handed — fp64 from the
+            model's own stack, which is what ``prefill(backend=None)``
+            and the looped oracle run on every tier — while a non-exact
+            packed backend runs both the prompt pass and the decode
+            core over this cache in the policy's compute dtype.
     """
 
     def __init__(
@@ -479,7 +521,8 @@ class PrefillState:
     counts prompt tokens whose chunk has been scheduled; once every
     token has committed, ``logits`` holds the next-token logits — bit
     identical to what a monolithic :meth:`TransformerModel.prefill`
-    call would have returned for the same executor type.
+    call would have returned for the same executor type, unless a
+    non-exact backend ran the chunks (then within its tier's budget).
     """
 
     executor: AttentionExecutor
@@ -569,6 +612,17 @@ class TransformerModel:
         hidden = gelu(linear(x, bp.ffn_w1, bp.ffn_b1))
         return linear(hidden, bp.ffn_w2, bp.ffn_b2)
 
+    def _residual_ffn(
+        self, layer_idx: int, x: np.ndarray, attn_out: np.ndarray
+    ) -> np.ndarray:
+        """A block after its attention: residual + LayerNorm, FFN,
+        residual + LayerNorm."""
+        bp = self.block(layer_idx)
+        x = layer_norm(x + attn_out, bp.ln1_gamma, bp.ln1_beta)
+        return layer_norm(
+            x + self._ffn(layer_idx, x), bp.ln2_gamma, bp.ln2_beta
+        )
+
     def _run_block(
         self,
         layer_idx: int,
@@ -578,14 +632,10 @@ class TransformerModel:
         stage: str,
     ):
         """One block: attention (possibly pruned) + FFN with residuals."""
-        bp = self.block(layer_idx)
         execution = executor.run_layer(layer_idx, self, x, positions, stage)
         kept = execution.kept_query_rows
-        x = x[kept]
-        positions = positions[kept]
-        x = layer_norm(x + execution.output, bp.ln1_gamma, bp.ln1_beta)
-        x = layer_norm(x + self._ffn(layer_idx, x), bp.ln2_gamma, bp.ln2_beta)
-        return x, positions, execution.record
+        x = self._residual_ffn(layer_idx, x[kept], execution.output)
+        return x, positions[kept], execution.record
 
     # ------------------------------------------------------------------
     # Stages
@@ -633,15 +683,31 @@ class TransformerModel:
         return self._summarize_rows(prompt_ids, executor)
 
     def _summarize_rows(
-        self, prompt_ids: Sequence[int], executor: AttentionExecutor
+        self,
+        prompt_ids: Sequence[int],
+        executor: AttentionExecutor,
+        profiler=None,
     ) -> np.ndarray:
-        """Monolithic summarization pass; returns next-token logits."""
+        """Monolithic summarization pass; returns next-token logits.
+
+        ``profiler`` (a serving prompt pass's, when one is attached)
+        times each block's halves as ``prefill_core`` / ``prefill_ffn``.
+        """
         x = self.embed(prompt_ids)
         positions = np.arange(len(prompt_ids))
         for layer_idx in range(self.config.n_layers):
-            x, positions, _ = self._run_block(
-                layer_idx, x, positions, executor, stage="summarize"
+            t0 = profiler.start() if profiler is not None else 0.0
+            execution = executor.run_layer(
+                layer_idx, self, x, positions, "summarize"
             )
+            if profiler is not None:
+                profiler.stop("prefill_core", t0)
+                t0 = profiler.start()
+            kept = execution.kept_query_rows
+            x = self._residual_ffn(layer_idx, x[kept], execution.output)
+            positions = positions[kept]
+            if profiler is not None:
+                profiler.stop("prefill_ffn", t0)
         return self.lm_logits(x[-1:])[0]
 
     def prefill_begin(
@@ -708,6 +774,15 @@ class TransformerModel:
         preserves bit-exactness while the serving cost model still
         charges the work chunk by chunk.
 
+        All of the above is the fp64 oracle: what runs without a
+        ``backend`` and with an ``exact`` one, whatever tier the
+        executors store KV at.  A backend on a non-exact numerics tier
+        instead owns the whole prompt pass — same chunk spans, same
+        deferral, every sequence's rows through one layer stack in the
+        tier's compute dtype — and returns logits in that dtype
+        (:meth:`~repro.nn.batched_attention.PackedDecodeBackend
+        .prefill_chunk_policy`).
+
         Returns one entry per state: the next-token logits for states
         whose prompt completed this call, else ``None``.
         """
@@ -716,6 +791,11 @@ class TransformerModel:
         for state in states:
             if state.done:
                 raise ValueError("prefill already complete for this state")
+        if backend is not None and not backend.policy.is_exact:
+            # Non-exact numerics tier: the backend owns the whole prompt
+            # pass, as it owns the decode step (see decode_step_batch).
+            return backend.prefill_chunk_policy(self, states, max_tokens)
+        profiler = backend.profiler if backend is not None else None
         results: List[Optional[np.ndarray]] = [None] * len(states)
         incremental = [
             i for i, s in enumerate(states)
@@ -736,7 +816,6 @@ class TransformerModel:
                                      position_offset=start)
                 row_positions[i] = np.arange(start, end)
             for layer_idx in range(self.config.n_layers):
-                bp = self.block(layer_idx)
                 projected = (
                     backend.project_chunk_rows(
                         self, layer_idx,
@@ -747,6 +826,7 @@ class TransformerModel:
                     if backend is not None
                     else {}
                 )
+                t0 = profiler.start() if profiler is not None else 0.0
                 outputs = []
                 for i in incremental:
                     kwargs = (
@@ -760,17 +840,21 @@ class TransformerModel:
                     rows[i] = rows[i][kept]
                     row_positions[i] = row_positions[i][kept]
                     outputs.append(execution.output)
-                x = np.concatenate([rows[i] for i in incremental], axis=0)
-                attn_out = np.concatenate(outputs, axis=0)
-                x = layer_norm(x + attn_out, bp.ln1_gamma, bp.ln1_beta)
-                x = layer_norm(
-                    x + self._ffn(layer_idx, x), bp.ln2_gamma, bp.ln2_beta
+                if profiler is not None:
+                    profiler.stop("prefill_core", t0)
+                    t0 = profiler.start()
+                x = self._residual_ffn(
+                    layer_idx,
+                    np.concatenate([rows[i] for i in incremental], axis=0),
+                    np.concatenate(outputs, axis=0),
                 )
                 offset = 0
                 for i in incremental:
                     n = len(rows[i])
                     rows[i] = x[offset:offset + n]
                     offset += n
+                if profiler is not None:
+                    profiler.stop("prefill_ffn", t0)
             for i in incremental:
                 s = states[i]
                 s.n_committed = s.next_span(max_tokens)[1]
@@ -784,7 +868,9 @@ class TransformerModel:
             if s.done:
                 # Whole-sentence execution on the final chunk; the
                 # executor was already begun by prefill_begin().
-                s.logits = self._summarize_rows(s.prompt_ids, s.executor)
+                s.logits = self._summarize_rows(
+                    s.prompt_ids, s.executor, profiler
+                )
                 results[i] = s.logits
         return results
 

@@ -172,17 +172,31 @@ budget* instead of a bit budget; :mod:`repro.nn.numerics` ports that
 philosophy to the hot path as an explicit, operator-visible axis:
 
 ========  ==========================================================
-tier      decode hot path
+tier      prompt pass and decode hot path
 ========  ==========================================================
 `exact`   the default — fp64 compute, fp64 KV, per-sequence
           exact-length attention cores: bit-identical to the oracle
 `fp32`    fp32 KV planes + one padded ``[B, h, 1, max_len]``
           masked-softmax attention over a shared scratch arena and a
-          vectorized fp32 FFN
+          vectorized fp32 FFN; prompts summarized in fp32
 `int8`    same batched core over int8 KV codes with per-(head ×
           column) fp32 scales (:func:`repro.core.quantization.
-          quantize_rows`) — 4× less KV DRAM than fp32
+          quantize_rows`) — 4× less KV DRAM than fp32; prompts
+          summarized in fp32 and quantized from it
 ========  ==========================================================
+
+The tier governs both stages, as SpAtten prunes and quantizes both
+(paper Section III, Fig. 3).  Off `exact` the backend owns the prompt
+pass too (:meth:`~repro.nn.batched_attention.PackedDecodeBackend.
+prefill_chunk_policy`): every prompt row of a step — dense chunks and
+the whole-sentence SpAtten cascades completing in it — shares one
+compute-dtype layer stack (fused QKV GEMM, masked softmax, LayerNorm,
+tanh/gelu FFN, LM head), K/V reach the caches from those rows (int8
+quantizes the live heads from fp32), and only token / head importance
+stays fp64, because the cumulative scores are the ranking truth.  A
+chunked prompt then agrees with a one-chunk prompt to the tier's
+tolerance, not bit for bit.  ``prefill(backend=None)`` and the `exact`
+tier remain the fp64 oracle.
 
 SpAtten sequences ride the same ladder.  On `exact`, and wherever a
 request carries progressive quantization (its LSB refetch is decided
@@ -211,8 +225,8 @@ the stats report's ``numerics`` field and the
 tier declares its quality budget (max mean KL from the oracle's
 next-token distribution, min argmax-match rate);
 ``benchmarks/bench_numerics.py`` sweeps the ladder, measures
-decode-step speedup and distribution drift against the fp64 oracle,
-and exits non-zero when a tier exceeds its declared budget — the
+decode-step and prompt-pass speedup and distribution drift against the
+fp64 oracle, and exits non-zero when a tier exceeds its declared budget — the
 ladder is only allowed to be fast where it is provably accurate
 enough.
 
@@ -362,11 +376,13 @@ independent sinks:
   time-series (:func:`~repro.telemetry.metrics_jsonl`) or Prometheus
   text exposition (:func:`~repro.telemetry.prometheus_text`).
 * **Profiling** — :class:`~repro.telemetry.HotPathProfiler` times the
-  packed decode backend's stages in *wall-clock* seconds (QKV
-  projection; dense, pruned and per-sequence attention cores, with the
-  pruned rows' batched pruning control as its own stage; output FC).
-  Deliberately separate from
-  the simulated clock and excluded from the deterministic artifacts.
+  packed backend's stages in *wall-clock* seconds: the decode step's
+  (QKV projection; dense, pruned and per-sequence attention cores,
+  with the pruned rows' batched pruning control as its own stage;
+  output FC) and the prompt pass's (``prefill_chunk_proj``,
+  ``prefill_core``, ``prefill_ffn`` — on every tier).  Deliberately
+  separate from the simulated clock and excluded from the
+  deterministic artifacts.
 
 Two invariants the test suite enforces (``tests/test_telemetry.py``):
 telemetry is **inert** — on or off, token streams and stats are

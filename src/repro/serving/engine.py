@@ -30,10 +30,14 @@ admission-time prefill (the PR-1 behaviour, kept for comparison — the
 TTFT/decode-latency benchmark in
 ``benchmarks/bench_serving_throughput.py`` quantifies the stall).
 
-Chunked prefill is bit-exact: the chunked pass commits exactly the
-same logits, caches, and therefore token streams as the monolithic
-path, in both dense and SpAtten modes (see
+On the ``exact`` tier chunked prefill is bit-exact: the chunked pass
+commits exactly the same logits, caches, and therefore token streams
+as the monolithic path, in both dense and SpAtten modes (see
 :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`).
+Both forms enter the model through that one method with the engine's
+backend, so under ``fp32`` / ``int8`` the prompt pass runs in the
+tier's compute dtype either way, and a chunked pass agrees with a
+one-chunk pass to the tier's tolerance rather than bit for bit.
 
 After every step the pool is synced against each executor's real
 per-layer cache lengths, so columns evicted by cascade token pruning
@@ -348,9 +352,10 @@ class ServingEngine:
         #: bit-identical to one built before the knob existed.  The
         #: chaos engine toggles it over bounded fault windows.
         self.slowdown = 1.0
-        #: Decode steps and chunked-prefill projections run through one
-        #: packed backend at the engine's tier (fused batch-level GEMMs;
-        #: see :mod:`repro.nn.batched_attention`).
+        #: Decode steps and prompt passes run through one packed backend
+        #: at the engine's tier (fused batch-level GEMMs; off the exact
+        #: tier the whole layer stack in the tier's compute dtype — see
+        #: :mod:`repro.nn.batched_attention`).
         self._backend = PackedDecodeBackend(model, numerics=resolved_numerics)
         self.queue = RequestQueue()
         self.live: List[LiveSequence] = []
@@ -913,7 +918,12 @@ class ServingEngine:
         record.admit_time = clock.now
         self._note_admitted(request, clock.now)
         executor = self._make_executor(pruning)
-        logits = self.model.prefill(request.prompt_ids, executor)
+        # One chunk spanning the prompt: the same model entry (and
+        # numerics tier) the chunked scheduler's mixed steps go through.
+        state = self.model.prefill_begin(request.prompt_ids, executor)
+        logits = self.model.prefill_chunk_batch(
+            [state], request.prompt_len, backend=self._backend
+        )[0]
         clock.advance(
             self.cost.prefill_time(
                 self.model.config, request.prompt_len, pruning

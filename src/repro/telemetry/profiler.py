@@ -1,12 +1,13 @@
-"""Wall-clock hot-path profiler for the packed decode backend.
+"""Wall-clock hot-path profiler for the packed backend.
 
 Everything else in :mod:`repro.telemetry` runs on the *simulated*
 clock; this profiler is the deliberate exception.  The simulated cost
 model answers "what would this schedule cost on modeled hardware" —
 it cannot answer "where does the *real* Python/BLAS time go in the
-packed decode hot path".  :class:`HotPathProfiler` measures that with
+packed hot path".  :class:`HotPathProfiler` measures that with
 ``time.perf_counter`` around the
-:class:`~repro.nn.batched_attention.PackedDecodeBackend` stages:
+:class:`~repro.nn.batched_attention.PackedDecodeBackend` stages of the
+decode step and the prompt pass:
 
 * ``decode_qkv_proj`` — the fused ``[B, d] @ [d, 3d]`` projection;
 * ``decode_dense_core`` — KV append + scores/softmax/A·V of the dense
@@ -19,7 +20,17 @@ packed decode hot path".  :class:`HotPathProfiler` measures that with
 * ``decode_pruned_core`` — their KV append + scores / softmax / local
   value pruning / A·V / importance accumulation over the padded pack;
 * ``decode_output_fc`` — the fused output projection;
-* ``prefill_chunk_proj`` — the fused chunked-prefill projections.
+* ``prefill_chunk_proj`` — the prompt pass's fused Q/K/V projections;
+* ``prefill_core`` — the rest of its attention half: cascade entry
+  pruning, KV append, scores / softmax / A·V per sequence (plus local
+  value pruning and importance accumulation for SpAtten prompts) and
+  the output FC;
+* ``prefill_ffn`` — its residual adds, LayerNorms and tanh/gelu FFN.
+
+The three ``prefill_*`` stages cover the prompt pass on every tier —
+the model's own fp64 stack under ``exact``, the backend's
+compute-dtype stack under ``fp32`` / ``int8`` — up to the embedding
+gather and the LM head.
 
 Wall times are inherently nondeterministic, so profiler output is kept
 *out* of the trace and metrics artifacts (whose bytes must reproduce);
@@ -50,10 +61,12 @@ class HotPathProfiler:
     def start(self) -> float:
         return time.perf_counter()
 
-    def stop(self, stage: str, t0: float) -> None:
+    def stop(self, stage: str, t0: float) -> float:
+        """Charge ``stage`` the time since ``t0``; returns that time."""
         dt = time.perf_counter() - t0
         self._calls[stage] = self._calls.get(stage, 0) + 1
         self._seconds[stage] = self._seconds.get(stage, 0.0) + dt
+        return dt
 
     # ------------------------------------------------------------------
     # Read side
@@ -93,7 +106,8 @@ class HotPathProfiler:
             t.add_row(stage, str(calls), f"{seconds * 1e3:.2f}",
                       f"{per_call:.1f}", f"{share:.1%}")
         t.add_note(
-            "real time.perf_counter seconds around PackedDecodeBackend "
-            "stages — separate from the simulated serving clock"
+            "real time.perf_counter seconds around the packed backend's "
+            "decode_* and prefill_* stages — separate from the simulated "
+            "serving clock"
         )
         return t

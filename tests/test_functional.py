@@ -15,6 +15,7 @@ from repro.nn.functional import (
     log_softmax,
     relu,
     softmax,
+    softmax_inplace,
 )
 
 finite_rows = hnp.arrays(
@@ -41,6 +42,16 @@ class TestSoftmax:
         probs = softmax(np.array([1e4, 0.0, -1e4]))
         assert np.isfinite(probs).all()
         assert probs[0] == pytest.approx(1.0)
+
+    @given(finite_rows)
+    @settings(max_examples=30, deadline=None)
+    def test_inplace_form_keeps_dtype_and_matches(self, x):
+        # fp64 is bit-identical: the exact tier's SpAtten core uses it.
+        for dtype, tol in ((np.float64, 0.0), (np.float32, 1e-6)):
+            scores = x.astype(dtype)
+            probs = softmax_inplace(scores)
+            assert probs is scores and probs.dtype == dtype
+            assert np.allclose(probs, softmax(x), rtol=0, atol=tol)
 
     def test_matches_log_softmax(self):
         x = np.random.default_rng(0).normal(size=(4, 9))
@@ -74,6 +85,16 @@ class TestActivations:
         assert gelu(np.array([100.0]))[0] == pytest.approx(100.0)
         assert gelu(np.array([-100.0]))[0] == pytest.approx(0.0, abs=1e-6)
         assert gelu(np.array([0.0]))[0] == 0.0
+
+    def test_gelu_is_the_tanh_form_in_the_input_dtype(self):
+        x = np.random.default_rng(6).normal(0, 3, size=(7, 33))
+        cubic = 0.5 * x * (
+            1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3))
+        )
+        assert np.allclose(gelu(x), cubic, rtol=0, atol=1e-14)
+        narrow = gelu(x.astype(np.float32))
+        assert narrow.dtype == np.float32
+        assert np.allclose(narrow, cubic, rtol=0, atol=1e-5)
 
     def test_gelu_monotone_above_dip(self):
         # GELU has a local minimum near x = -0.75; it is monotone above.

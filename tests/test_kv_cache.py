@@ -277,6 +277,39 @@ class TestNumericsStorage:
         assert np.all(pk[:, 3:] == 0.0)
         assert np.all(pv[:, 3:] == 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int8])
+    def test_append_of_live_heads_equals_zero_filled_append(self, rng, dtype):
+        """``heads=`` stores exactly what appending the full-width planes
+        with the absent heads zeroed stores — over a dirty tail too."""
+        heads = np.array([0, 2])
+        caches = [
+            LayerKVCache(n_heads=3, head_dim=4, dtype=dtype, page_tokens=4)
+            for _ in range(2)
+        ]
+        for step, n_new in enumerate((6, 1, 3)):
+            k_live = rng.normal(size=(2, n_new, 4))
+            v_live = rng.normal(size=(2, n_new, 4))
+            k_full = np.zeros((3, n_new, 4))
+            v_full = np.zeros((3, n_new, 4))
+            k_full[heads], v_full[heads] = k_live, v_live
+            ids = np.arange(n_new) + 10 * step
+            caches[0].append(k_live, v_live, ids, heads=heads)
+            caches[1].append(k_full, v_full, ids)
+            if step == 0:  # compaction leaves stale columns past the end
+                for cache in caches:
+                    cache.keep(np.array([0, 3]))
+        live, full = caches
+        assert np.array_equal(live.token_ids, full.token_ids)
+        for name in ("_keys", "_values") + (
+            ("_kscales", "_vscales") if live.quantized else ()
+        ):
+            assert np.array_equal(
+                getattr(live, name)[:, :len(live)],
+                getattr(full, name)[:, :len(full)],
+            ), name
+        with pytest.raises(ValueError, match="expected"):
+            live.append(k_full, v_full, ids, heads=heads)
+
     def test_fp32_decode_col_appends_at_storage_dtype(self, rng):
         cache = LayerKVCache(
             n_heads=2, head_dim=4, dtype=np.float32, bytes_per_element=4

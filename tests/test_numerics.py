@@ -19,6 +19,12 @@ The ladder's contract has three parts, each tested here:
   :func:`repro.core.quantization.quantize_rows` code-for-code and
   scale-for-scale; and a backend refuses executors of another tier
   by name, in both directions.
+* **The prompt pass is on the ladder** — a tier backend summarizes
+  prompts in its compute dtype: next-token distributions stay inside
+  the tier's declared budgets against the fp64 oracle, chunked and
+  one-chunk passes agree, SpAtten keeps the oracle's per-layer token
+  and head sets, int8 caches hold ``quantize_rows`` of the K/V the
+  pass computed, and ``exact`` / ``backend=None`` remain the oracle.
 """
 
 import copy
@@ -28,7 +34,10 @@ import pytest
 
 from repro.config import GPT2_SMALL, ModelConfig, PruningConfig, QuantConfig
 from repro.core.pipeline import SpAttenExecutor
+from repro.core.quantization import quantize_rows
 from repro.nn import PackedDecodeBackend, TransformerModel, random_model
+from repro.nn.functional import kl_divergence, softmax
+from repro.nn.kv_cache import LayerKVCache
 from repro.nn.numerics import (
     EXACT,
     FP32,
@@ -44,6 +53,8 @@ from repro.workloads import (
     accuracy_scale_config,
     build_task_model,
     build_vocabulary,
+    make_lm_corpus,
+    synthetic_request_trace,
 )
 
 PRUNING = PruningConfig(
@@ -458,6 +469,276 @@ class TestBatchedCascadeRoute:
         assert called == [execs[1]] * decoder.config.n_layers
         exact = _prefilled(decoder, spec[:1], seed=6, numerics="exact")
         assert exact[0].packed_decode_style == "custom"
+
+
+def _tier_prefill(model, backend, kinds, prompts, chunk):
+    """Prefill ``prompts`` together through ``backend``, ``chunk`` tokens
+    a step; returns ``(logits, executors)``."""
+    states = [
+        model.prefill_begin(prompt, _executor(kind, backend.policy))
+        for kind, prompt in zip(kinds, prompts)
+    ]
+    logits = [None] * len(states)
+    while not all(state.done for state in states):
+        open_ = [i for i, state in enumerate(states) if not state.done]
+        out = model.prefill_chunk_batch(
+            [states[i] for i in open_], chunk, backend=backend
+        )
+        for i, row in zip(open_, out):
+            if row is not None:
+                logits[i] = row
+    return logits, [state.executor for state in states]
+
+
+class TestTierPrefill:
+    """A non-exact backend runs the prompt pass in its compute dtype."""
+
+    # Ragged lengths: 65 leaves a trailing single-row chunk at chunk 32
+    # (absorbed into its predecessor), 1 is a one-row prompt, 40 ends
+    # mid-chunk.
+    LENGTHS = (96, 65, 40, 1)
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        vocab = build_vocabulary(size=512, n_classes=4, seed=0)
+        config = accuracy_scale_config(
+            GPT2_SMALL, len(vocab), n_layers=4, d_model=64, n_heads=4,
+            max_seq_len=160,
+        )
+        model, _ = build_task_model(config, vocab, "lm", seed=0)
+        corpus = make_lm_corpus(vocab, n_tokens=2048, seed=2)
+        rng = np.random.default_rng(21)
+        prompts = [
+            rng.integers(0, config.vocab_size, size=n).tolist()
+            for n in self.LENGTHS
+        ]
+        return config, model, corpus, prompts
+
+    @pytest.mark.smoke
+    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    @pytest.mark.parametrize("kind", ["dense", "spatten"])
+    def test_next_token_distribution_within_declared_budget(
+        self, world, tier, kind
+    ):
+        _, model, _, prompts = world
+        policy = resolve_numerics(tier)
+        backend = PackedDecodeBackend(model, numerics=policy)
+        logits, _ = _tier_prefill(
+            model, backend, [kind] * len(prompts), prompts, chunk=32
+        )
+        oracle = [model.prefill(p, _executor(kind)) for p in prompts]
+        assert all(row.dtype == policy.compute_dtype for row in logits)
+        kl = np.mean([
+            kl_divergence(softmax(o), softmax(t))
+            for o, t in zip(oracle, logits)
+        ])
+        match = np.mean([
+            int(np.argmax(o)) == int(np.argmax(t))
+            for o, t in zip(oracle, logits)
+        ])
+        assert kl <= policy.kl_budget
+        assert match >= policy.argmax_budget
+
+    @pytest.mark.parametrize("tier,tol", [("fp32", 1e-4), ("int8", 1e-4)])
+    @pytest.mark.parametrize("kind", ["dense", "spatten"])
+    def test_chunked_agrees_with_one_chunk(self, world, tier, tol, kind):
+        """Same tier, same prompts: 32-token chunks (batched across the
+        ragged prompts) vs each prompt in one chunk on its own."""
+        _, model, _, prompts = world
+        backend = PackedDecodeBackend(model, numerics=tier)
+        kinds = [kind] * len(prompts)
+        chunked, chunked_execs = _tier_prefill(
+            model, backend, kinds, prompts, chunk=32
+        )
+        for i, prompt in enumerate(prompts):
+            (whole,), (executor,) = _tier_prefill(
+                model, backend, [kind], [prompt], chunk=len(prompt)
+            )
+            assert np.allclose(chunked[i], whole, rtol=tol, atol=tol)
+            assert executor.kv_lengths() == chunked_execs[i].kv_lengths()
+
+    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    def test_spatten_commits_the_oracle_pruning_decisions(self, world, tier):
+        """Importance accumulates in fp64 on every tier, so the tier's
+        pass keeps the oracle's tokens and heads at every layer."""
+        config, model, _, prompts = world
+        prompts = prompts[:3]
+        backend = PackedDecodeBackend(model, numerics=tier)
+        _, tier_execs = _tier_prefill(
+            model, backend, ["spatten"] * len(prompts), prompts, chunk=32
+        )
+        for prompt, executor in zip(prompts, tier_execs):
+            oracle = _executor("spatten")
+            model.prefill(prompt, oracle)
+            assert executor.kv_lengths() == oracle.kv_lengths()
+            assert executor.kv_lengths()[-1] < len(prompt)
+            assert np.array_equal(executor._alive_heads, oracle._alive_heads)
+            assert len(oracle._alive_heads) < config.n_heads
+            assert np.array_equal(executor._alive_mask, oracle._alive_mask)
+            assert (executor.trace.count_signature()
+                    == oracle.trace.count_signature())
+            for layer_idx in range(config.n_layers):
+                mine = executor._cache[layer_idx]
+                theirs = oracle._cache[layer_idx]
+                assert np.array_equal(mine.token_ids, theirs.token_ids)
+                # A pruned head's columns are stored as zeros.
+                live = lambda cache: np.abs(cache.keys).sum(axis=(1, 2)) > 0
+                assert np.array_equal(live(mine), live(theirs))
+
+    @pytest.mark.parametrize("kind", ["dense", "spatten"])
+    def test_int8_cache_holds_quantize_rows_of_the_computed_kv(
+        self, world, kind, monkeypatch
+    ):
+        """Codes and scales come from the fp32 K/V the pass computed —
+        for SpAtten from the live heads only, the pruned heads' columns
+        being what ``quantize_rows`` makes of a zero row."""
+        config, model, _, prompts = world
+        seen = []
+        append = LayerKVCache.append
+
+        def spy(cache, k, v, token_ids, heads=None):
+            assert k.dtype == v.dtype == np.float32
+            seen.append((cache, np.array(k), np.array(v), heads))
+            return append(cache, k, v, token_ids, heads)
+
+        monkeypatch.setattr(LayerKVCache, "append", spy)
+        backend = PackedDecodeBackend(model, numerics="int8")
+        _, (executor,) = _tier_prefill(
+            model, backend, [kind], prompts[:1], chunk=32
+        )
+        pruned_heads = False
+        for layer_idx in range(config.n_layers):
+            cache = executor._cache[layer_idx]
+            shape = (config.n_heads, len(cache), config.head_dim)
+            k_full = np.zeros(shape, dtype=np.float32)
+            v_full = np.zeros_like(k_full)
+            start = 0
+            for owner, k, v, heads in seen:
+                if owner is not cache:
+                    continue
+                rows = slice(None) if heads is None else heads
+                pruned_heads |= len(k) < config.n_heads
+                k_full[rows, start:start + k.shape[1]] = k
+                v_full[rows, start:start + k.shape[1]] = v
+                start += k.shape[1]
+            assert start == len(cache)
+            for plane, codes, scales in (
+                (k_full, cache._keys, cache.key_scales),
+                (v_full, cache._values, cache.value_scales),
+            ):
+                want_codes, want_scales = quantize_rows(plane)
+                assert np.array_equal(codes[:, :len(cache)], want_codes)
+                assert np.array_equal(scales, want_scales[..., 0])
+        assert pruned_heads == (kind == "spatten")
+
+    def test_exact_backend_and_no_backend_stay_the_oracle(self, world):
+        _, model, _, prompts = world
+        # Not the one-token prompt: batched with others its single row
+        # rides a multi-row GEMM, which is not the solo GEMV bit for bit.
+        prompts = prompts[:3]
+        exact = PackedDecodeBackend(model, numerics="exact")
+        for kind in ("dense", "spatten"):
+            oracle = [model.prefill(p, _executor(kind)) for p in prompts]
+            packed, _ = _tier_prefill(
+                model, exact, [kind] * len(prompts), prompts, chunk=32
+            )
+            for o, t in zip(oracle, packed):
+                assert np.array_equal(o, t)
+            # Tier executors without a tier backend: fp64 math over
+            # tier storage, as before.
+            stored = model.prefill(prompts[0], _executor(kind, "fp32"))
+            assert stored.dtype == np.float64
+            assert np.allclose(stored, oracle[0], rtol=1e-4, atol=1e-4)
+
+    def test_out_of_range_prompt_is_rejected(self, world):
+        config, model, _, _ = world
+        backend = PackedDecodeBackend(model, numerics="fp32")
+        state = model.prefill_begin(
+            [1, config.vocab_size], _executor("dense", "fp32")
+        )
+        with pytest.raises(ValueError, match="vocabulary"):
+            model.prefill_chunk_batch([state], 8, backend=backend)
+        state = model.prefill_begin(
+            [1] * (config.max_seq_len + 1), _executor("dense", "fp32")
+        )
+        with pytest.raises(ValueError, match="max_seq_len"):
+            model.prefill_chunk_batch([state], 1000, backend=backend)
+
+    @pytest.mark.parametrize("prefill_chunk", [8, None])
+    def test_engine_prompt_pass_runs_at_the_engine_tier(
+        self, world, prefill_chunk, monkeypatch
+    ):
+        """Chunked and monolithic admission both enter the model through
+        the backend, so neither silently stays fp64 on fp32."""
+        config, model, corpus, _ = world
+        calls = []
+        policy_pass = PackedDecodeBackend.prefill_chunk_policy
+
+        def spy(backend, model_, states, max_tokens):
+            calls.append(max_tokens)
+            return policy_pass(backend, model_, states, max_tokens)
+
+        monkeypatch.setattr(PackedDecodeBackend, "prefill_chunk_policy", spy)
+        requests = synthetic_request_trace(
+            corpus, n_requests=4, rate_per_s=2000.0, prompt_len=24,
+            max_new_tokens=(4, 8), seed=3,
+        )
+        streams = {}
+        for tier in ("exact", "fp32"):
+            pool = KVMemoryPool(
+                config,
+                budget_bytes=160 * 8 * 2 * config.n_heads * config.head_dim
+                * config.bytes_per_element,
+                page_tokens=8,
+            )
+            engine = ServingEngine(
+                model, pool, pruning=PRUNING, prefill_chunk=prefill_chunk,
+                numerics=tier,
+            )
+            stats = engine.run(requests)
+            streams[tier] = [list(r.token_ids) for r in stats.records]
+            assert bool(calls) == (tier == "fp32")
+        assert streams["fp32"] == streams["exact"]
+        assert set(calls) == {24 if prefill_chunk is None else prefill_chunk}
+
+    def test_preempted_spatten_request_replays_its_stream_on_fp32(self, world):
+        """ROADMAP item 5's cross product: SpAtten x preemption x fp32.
+        A preempted request recomputes its prompt through the tier's
+        prompt pass and must continue the stream it had."""
+        config, model, corpus, _ = world
+        requests = synthetic_request_trace(
+            corpus, n_requests=16, rate_per_s=2000.0, prompt_len=24,
+            max_new_tokens=(12, 24), seed=11,
+        )
+
+        def run(pages, admission):
+            pool = KVMemoryPool(
+                config,
+                budget_bytes=pages * 8 * 2 * config.n_heads * config.head_dim
+                * config.bytes_per_element,
+                page_tokens=8,
+            )
+            engine = ServingEngine(
+                model, pool, pruning=PruningConfig(
+                    token_keep_final=0.3, head_keep_final=0.625,
+                    value_keep=0.9,
+                ),
+                prefill_chunk=8, admission=admission, numerics="fp32",
+            )
+            stats = engine.run(requests)
+            pool.audit()
+            return stats
+
+        roomy = run(160, "reserve")
+        tight = run(36, "optimistic")
+        assert tight.n_preemptions > 0 and tight.recompute_tokens > 0
+        assert all(
+            r.n_generated == r.request.max_new_tokens for r in tight.records
+        )
+        assert (
+            {r.request.request_id: list(r.token_ids) for r in tight.records}
+            == {r.request.request_id: list(r.token_ids) for r in roomy.records}
+        )
 
 
 class TestTierMismatch:

@@ -446,6 +446,26 @@ class TestProfiler:
         assert prof.total_seconds > 0
         assert "decode_qkv_proj" in str(prof.table())
 
+    @pytest.mark.parametrize("numerics", ["exact", "fp32"])
+    @pytest.mark.parametrize("pruning", [None, PRUNING],
+                             ids=["dense", "spatten"])
+    def test_prompt_pass_stages_recorded(self, serving_setup, numerics,
+                                         pruning):
+        """The prompt pass is attributed on every tier: the model's own
+        fp64 stack under exact, the backend's stack off it."""
+        tel = Telemetry(profile=True)
+        requests = trace(serving_setup[2], n=4)
+        run_engine(serving_setup, requests, telemetry=tel, pruning=pruning,
+                   numerics=numerics)
+        prof = tel.profiler
+        n_layers = serving_setup[0].n_layers
+        assert prof.calls("prefill_core") > 0
+        assert prof.calls("prefill_core") == prof.calls("prefill_ffn")
+        assert prof.calls("prefill_core") % n_layers == 0
+        if pruning is None or numerics != "exact":
+            assert prof.calls("prefill_chunk_proj") > 0
+        assert "prefill_ffn" in str(prof.table())
+
     def test_unit_timing(self):
         prof = HotPathProfiler()
         t0 = prof.start()
