@@ -37,6 +37,13 @@ python -m repro.cli serve --mode spatten --requests 8 --layers 2 \
     --metrics-out benchmarks/results/telemetry/serve_metrics.jsonl \
     --prom-out benchmarks/results/telemetry/serve_metrics.prom \
     --stats-json benchmarks/results/telemetry/serve_stats.json
+# The four artifacts are checked in and reproduce byte for byte, so a
+# drifting lifecycle event stream is its own red line.
+git diff --exit-code -- \
+    benchmarks/results/telemetry/serve_trace.json \
+    benchmarks/results/telemetry/serve_metrics.jsonl \
+    benchmarks/results/telemetry/serve_metrics.prom \
+    benchmarks/results/telemetry/serve_stats.json
 python -m repro.cli trace-report \
     benchmarks/results/telemetry/serve_trace.json
 

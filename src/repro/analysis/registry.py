@@ -2,8 +2,8 @@
 
 A rule is a class with a unique ``rule_id``, a ``family`` (one of the
 families the pass ships: ``determinism``, ``clock-domain``,
-``accounting``, ``drift``, ``observability`` — plus the engine's own
-``lint`` hygiene family), and one of two check hooks:
+``accounting``, ``drift`` — plus the engine's own ``lint`` hygiene
+family), and one of two check hooks:
 
 * per-file rules implement ``check_module(module, index)`` and run on
   every scanned module;
@@ -71,7 +71,6 @@ def all_rule_classes() -> Dict[str, Type[Rule]]:
         rules_domains,
         rules_drift,
         rules_lint,
-        rules_observability,
     )
 
     return {rule_id: _REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)}

@@ -85,7 +85,12 @@ from ..nn.transformer import TransformerModel
 from ..serving.degradation import DegradationPolicy
 from ..serving.engine import ServingEngine
 from ..serving.memory_pool import PoolExhausted
-from ..serving.request import Request, RequestRecord, RequestStatus
+from ..serving.request import (
+    Request,
+    RequestRecord,
+    RequestStatus,
+    transition,
+)
 from ..serving.stats import CostModel
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .router import Replica, ClusterRouter
@@ -489,51 +494,30 @@ class ClusterEngine:
                     self._retries,
                     (retry_at, request.request_id, request, record),
                 )
-                tel = self.telemetry
-                if tel.tracer is not None:
-                    tel.tracer.instant(
-                        "route_retry", available, "fleet", "router",
-                        request_id=request.request_id,
-                        attempt=record.n_retries, retry_at=retry_at,
-                    )
-                if tel.metrics is not None:
-                    tel.metrics.counter(
-                        "repro_route_retries_total", engine="fleet"
-                    ).inc()
+                self.telemetry.instant(
+                    "route_retry", available, "fleet", "router",
+                    request_id=request.request_id,
+                    attempt=record.n_retries, retry_at=retry_at,
+                )
+                self.telemetry.count(
+                    "repro_route_retries_total", engine="fleet"
+                )
                 return False
             reason = "deadline"
         elif self.retry_budget > 0:
             reason = "retry_budget"
         else:
             reason = "unplaceable"
-        self._fail_request(request, record, available, reason)
-        return False
-
-    def _fail_request(
-        self,
-        request: Request,
-        record: RequestRecord,
-        t: float,
-        reason: str,
-    ) -> None:
-        # repro: allow[obs-span-balance] -- an unplaced request holds no
-        # open lifecycle span (it never reached a replica queue); its
-        # terminal marker is the route_failed instant below, and latency
-        # attribution books its whole life as retry backoff.
-        record.status = RequestStatus.FAILED
-        record.failure = reason
+        # An unplaced request holds no open span (it belongs to no
+        # replica queue); latency attribution books its whole life as
+        # retry backoff up to the route_failed instant.
+        transition(
+            record, "route_failed", available, self.telemetry, "fleet",
+            request_id=request.request_id, reason=reason,
+            arrival_time=request.arrival_time,
+        )
         self.failed_requests.append(request.request_id)
-        tel = self.telemetry
-        if tel.tracer is not None:
-            tel.tracer.instant(
-                "route_failed", t, "fleet", "router",
-                request_id=request.request_id, reason=reason,
-                arrival_time=request.arrival_time,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_failed_total", engine="fleet"
-            ).inc()
+        return False
 
     def _update_breaker(self, t: float) -> None:
         """Reconcile the router's circuit breaker at routing time.
@@ -551,19 +535,14 @@ class ClusterEngine:
         }
         opened, closed = self.router.update_breaker(suspected)
         tel = self.telemetry
-        if tel.tracer is not None:
-            for idx in opened:
-                tel.tracer.instant(
-                    "breaker_open", t, "fleet", "router", replica=idx,
-                )
-            for idx in closed:
-                tel.tracer.instant(
-                    "breaker_close", t, "fleet", "router", replica=idx,
-                )
-        if opened and tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_breaker_trips_total", engine="fleet"
-            ).inc(len(opened))
+        for name, indices in (("breaker_open", opened),
+                              ("breaker_close", closed)):
+            for idx in indices:
+                tel.instant(name, t, "fleet", "router", replica=idx)
+        if opened:
+            tel.count(
+                "repro_breaker_trips_total", len(opened), engine="fleet"
+            )
 
     # ------------------------------------------------------------------
     # Fault events
@@ -601,30 +580,23 @@ class ClusterEngine:
         self._activity_timeline.append((t, self.pool.n_active))
         if self._monitor is not None:
             self._monitor.note_alive(idx, t)
-        tel = self.telemetry
-        if tel.tracer is not None:
-            tel.tracer.instant(
-                "replica_recover", t, "fleet", "scheduler", replica=idx,
-                downtime_s=(None if down is None else round(t - down, 9)),
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_replica_recoveries_total", engine="fleet"
-            ).inc()
+        self.telemetry.instant(
+            "replica_recover", t, "fleet", "scheduler", replica=idx,
+            downtime_s=(None if down is None else round(t - down, 9)),
+        )
+        self.telemetry.count("repro_replica_recoveries_total", engine="fleet")
 
     def _set_straggler(self, idx: int, t: float, factor: float) -> None:
         """Open (factor > 1) or close (factor = 1) a straggler window."""
         self.replicas[idx].engine.set_slowdown(factor)
-        tel = self.telemetry
-        name = "straggler_start" if factor > 1.0 else "straggler_end"
-        if tel.tracer is not None:
-            tel.tracer.instant(
-                name, t, "fleet", "faults", replica=idx, factor=factor,
-            )
-        if factor > 1.0 and tel.metrics is not None:
-            tel.metrics.counter(
+        self.telemetry.instant(
+            "straggler_start" if factor > 1.0 else "straggler_end",
+            t, "fleet", "faults", replica=idx, factor=factor,
+        )
+        if factor > 1.0:
+            self.telemetry.count(
                 "repro_straggler_windows_total", engine="fleet"
-            ).inc()
+            )
 
     def _inject_corruption(self, event: FaultEvent) -> None:
         """Flip one stored KV-page checksum on the target shard.
@@ -655,21 +627,18 @@ class ClusterEngine:
                     layer, page = pairs[int(event.u_page * len(pairs))]
                     shard.corrupt_page(seq_id, layer, page)
                     victim = (seq_id, layer, page)
-        tel = self.telemetry
-        if tel.tracer is not None:
-            args = {"replica": idx}
-            if victim is not None:
-                args.update(
-                    seq_id=victim[0], layer=victim[1], page=victim[2]
-                )
-            tel.tracer.instant(
-                "corruption_injected" if victim else "corruption_noop",
-                event.time, "fleet", "faults", **args,
+        if victim is None:
+            self.telemetry.instant(
+                "corruption_noop", event.time, "fleet", "faults", replica=idx
             )
-        if victim is not None and tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_corruptions_injected_total", engine="fleet"
-            ).inc()
+            return
+        self.telemetry.instant(
+            "corruption_injected", event.time, "fleet", "faults",
+            replica=idx, seq_id=victim[0], layer=victim[1], page=victim[2],
+        )
+        self.telemetry.count(
+            "repro_corruptions_injected_total", engine="fleet"
+        )
 
     def _availability(self, makespan: float) -> float:
         """Time-averaged active-replica fraction over the makespan."""
@@ -713,18 +682,16 @@ class ClusterEngine:
         self.n_requeued += len(requeued)
         available = max(t, replica.engine.now)
         tel = self.telemetry
-        if tel.tracer is not None:
-            tel.tracer.instant(
-                f"replica_{kind}", available, "fleet", "scheduler",
-                replica=idx, n_requeued=len(requeued),
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_replica_retirements_total", engine="fleet", kind=kind
-            ).inc()
-            tel.metrics.counter(
-                "repro_requests_requeued_total", engine="fleet"
-            ).inc(len(requeued))
+        tel.instant(
+            f"replica_{kind}", available, "fleet", "scheduler",
+            replica=idx, n_requeued=len(requeued),
+        )
+        tel.count(
+            "repro_replica_retirements_total", engine="fleet", kind=kind
+        )
+        tel.count(
+            "repro_requests_requeued_total", len(requeued), engine="fleet"
+        )
         for request, record in requeued:
             self._route(request, record, available=available)
 
@@ -739,37 +706,31 @@ class ClusterEngine:
         round-robin).  Recorded under the ``fleet`` process so a trace
         shows *why* each request landed where it did.
         """
-        tel = self.telemetry
-        if tel.tracer is not None:
-            args = {
-                f"replica{r.index}": (
-                    est if score is None else round(float(score), 9)
-                )
-                for r, est, score in scored
-            }
-            tel.tracer.instant(
-                "routed", self._event_time, "fleet", "router",
-                request_id=request.request_id, chosen=chosen.index,
-                policy=self.router.policy, **args,
+        scores = {
+            f"replica{r.index}": (
+                est if score is None else round(float(score), 9)
             )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_routed_total", engine="fleet",
-                replica=str(chosen.index),
-            ).inc()
+            for r, est, score in scored
+        }
+        self.telemetry.instant(
+            "routed", self._event_time, "fleet", "router",
+            request_id=request.request_id, chosen=chosen.index,
+            policy=self.router.policy, **scores,
+        )
+        self.telemetry.count(
+            "repro_requests_routed_total", engine="fleet",
+            replica=str(chosen.index),
+        )
 
     def ledger_transition(self, replica: int, kind: str) -> None:
         """Observer hook the sharded ledger calls on drain/fail."""
-        tel = self.telemetry
-        if tel.tracer is not None:
-            tel.tracer.instant(
-                f"ledger_{kind}", self._event_time, "fleet", "ledger",
-                replica=replica,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_ledger_transitions_total", engine="fleet", kind=kind
-            ).inc()
+        self.telemetry.instant(
+            f"ledger_{kind}", self._event_time, "fleet", "ledger",
+            replica=replica,
+        )
+        self.telemetry.count(
+            "repro_ledger_transitions_total", engine="fleet", kind=kind
+        )
 
     def _note_fleet_step(self, now: float) -> None:
         """Per-replica-step fleet bookkeeping: periodic global audit
@@ -778,10 +739,7 @@ class ClusterEngine:
         tel = self.telemetry
         if self.audit_every and self._steps % self.audit_every == 0:
             self.pool.audit()
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "repro_pool_audits_total", engine="fleet"
-                ).inc()
+            tel.count("repro_pool_audits_total", engine="fleet")
         if tel.tracer is not None:
             tel.tracer.counter(
                 "fleet_pool", now, "fleet",

@@ -115,8 +115,9 @@ class LinearQuantizer:
     def quantize(self, x: np.ndarray) -> QuantizedTensor:
         """Quantize to the full (MSB+LSB) width.
 
-        Zero-range input (all zeros, or empty) uses scale 1.0 so the
-        round trip is exact; non-finite input raises
+        Zero-range input (all zeros, empty, or a range so small the
+        scale underflows) uses scale 1.0 and zero codes; non-finite
+        input raises
         :class:`QuantizationRangeError`.
         """
         x = np.asarray(x, dtype=np.float64)
@@ -126,7 +127,9 @@ class LinearQuantizer:
             )
         max_abs = float(np.max(np.abs(x))) if x.size else 0.0
         qmax = 2 ** (self.total_bits - 1) - 1
-        scale = max_abs / qmax if max_abs > 0 else 1.0
+        # A subnormal range underflows max_abs / qmax to 0.0; it is the
+        # zero-range case (zero codes at scale 1.0), not a division by 0.
+        scale = max_abs / qmax or 1.0
         codes = np.clip(np.rint(x / scale), -qmax, qmax).astype(np.int32)
         return QuantizedTensor(codes=codes, scale=scale, bits=self.total_bits)
 

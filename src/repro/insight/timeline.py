@@ -53,10 +53,12 @@ SNAP_EPS_US = Fraction(1, 1000)
 #: Request tracks are named ``req <id>`` by the engines.
 _TRACK_RE = re.compile(r"^req (\d+)$")
 
-#: Lifecycle phase spans the engines emit on request tracks.
+#: Lifecycle phase spans on request tracks — the span-holding phases of
+#: :data:`repro.serving.request.LIFECYCLE` (``SPAN_PHASES`` there).
 PHASES = ("queued", "prefill", "decode")
 
-#: Instants that terminate a request's timeline.
+#: Instants that terminate a request's timeline: the instants of the
+#: table's rows whose next phase is ``finished`` / ``failed``.
 _TERMINALS = ("finished", "shed", "route_failed")
 
 

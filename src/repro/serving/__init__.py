@@ -393,6 +393,51 @@ simulated clock.  ``audit_every=N`` (CLI ``--audit-every``)
 additionally runs the pool's ledger audit every N steps, counted as
 ``repro_pool_audits_total``.
 
+Request lifecycle
+-----------------
+
+Everything a request does between arrival and its terminal state is
+one row of one table, :data:`repro.serving.request.LIFECYCLE`, applied
+by one function, :func:`repro.serving.request.transition` — the only
+writer of a record's ``status``, ``admit_time`` / ``first_token_time``
+/ ``finish_time`` and ``phase`` (assigning them anywhere else raises).
+An event outside its legal phases raises
+:class:`~repro.serving.request.IllegalTransitionError`.  The record
+carries which phase is open and since when, so the event that leaves a
+``queued`` / ``prefill`` / ``decode`` phase closes exactly that span,
+labelled with the row's outcome; span balance and record/trace
+agreement hold by construction.  Counters are
+``repro_<name>_total{engine=...}``:
+
+============  ================  ========  ===========  =====================  ==================================
+event         legal in          next      span         instants               counters
+============  ================  ========  ===========  =====================  ==================================
+submitted     unrouted          pending   —            submitted              requests_submitted
+queued        pending           queued    —            —                      —
+admitted      queued            prefill   admitted     admitted               requests_admitted
+promoted      prefill           decode    promoted     promoted               tokens
+token         decode            —         —            —                      tokens
+finished      decode            finished  finished     finished               requests_finished
+preempted     prefill, decode   queued    preempted    preempted, requeued    preemptions
+quarantined   prefill, decode   queued    quarantined  quarantined, requeued  corruptions
+drained       pending … decode  unrouted  drained      —                      —
+shed          queued            failed    failed       shed                   requests_shed{reason}, requests_failed
+repruned      queued            —         —            repruned               requests_repruned
+route_failed  unrouted          failed    —            route_failed           requests_failed
+============  ================  ========  ===========  =====================  ==================================
+
+``unrouted`` records belong to no engine (fresh, or handed back by a
+drain for re-routing); ``pending`` ones were submitted but are not yet
+visible to the queue, and hold no span — ``queued`` is applied at the
+time the request became visible, so the queue wait starts there.
+``preempted`` / ``quarantined`` / ``drained`` also reset the record to
+its pre-admission state (timestamps and tokens cleared, tallies kept);
+the two strikes book the discarded work as ``recompute_tokens`` and arm
+the livelock guard.  ``shed`` covers the degradation ladder and an
+expired ``deadline_s`` (the ``reason`` arg; a request that was ever
+admitted is exempt from the deadline).  ``route_failed`` is emitted by
+the cluster on the ``fleet`` process's ``router`` track.
+
 SLOs, latency attribution & regression tracking
 -----------------------------------------------
 
@@ -498,12 +543,6 @@ hard gate ahead of the test suite, archiving the JSON report (CLI
   match the checked-in golden ``benchmarks/results/
   stats_schema_v2.json`` (``tests/test_analysis.py`` round-trips the
   same contract at runtime).
-* **observability** — ``obs-span-balance``: any serving/cluster code
-  path that ends a request's lifecycle phase (requeues a record or
-  marks it FINISHED/FAILED) must emit a lifecycle span, directly or
-  via a same-class helper — otherwise the request's timeline has an
-  untiled hole latency attribution cannot explain.
-
 Suppressions are explicit and always carry a reason::
 
     start = time.time()  # repro: allow[det-wallclock] -- console-only
@@ -542,10 +581,13 @@ from .preemption import (
 )
 from .request import (
     INHERIT_PRUNING,
+    LIFECYCLE,
+    IllegalTransitionError,
     Request,
     RequestQueue,
     RequestRecord,
     RequestStatus,
+    transition,
 )
 from .stats import CostModel, ServingStats, SimulatedClock
 
@@ -569,6 +611,9 @@ __all__ = [
     "RequestQueue",
     "RequestRecord",
     "RequestStatus",
+    "IllegalTransitionError",
+    "LIFECYCLE",
+    "transition",
     "CostModel",
     "ServingStats",
     "SimulatedClock",

@@ -105,7 +105,7 @@ traces and schedule-aware cluster routing possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,7 +135,7 @@ from .request import (
     Request,
     RequestQueue,
     RequestRecord,
-    RequestStatus,
+    transition,
 )
 from .stats import CostModel, ServingStats, SimulatedClock
 
@@ -158,6 +158,24 @@ STEP_SECONDS_BUCKETS = (
 STEP_FLOPS_BUCKETS = (
     1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8, 3e8, 1e9, 3e9, 1e10,
 )
+#: Gauges and tracer counter tracks are projections of the per-step
+#: sample: gauge name -> sample key, track -> {series: sample key}.
+STEP_GAUGES = {
+    "repro_live_sequences": "live",
+    "repro_prefilling_sequences": "prefilling",
+    "repro_queued_requests": "queued",
+    "repro_pool_allocated_pages": "allocated_pages",
+    "repro_pool_reserved_pages": "reserved_pages",
+    "repro_pruning_saved_pages": "saved_pages",
+}
+STEP_TRACKS = {
+    "batch": {key: key for key in ("live", "prefilling", "queued")},
+    "kv_pool": {key: key for key in (
+        "allocated_pages", "reserved_pages", "reclaimed_pages",
+        "saved_pages",
+    )},
+    "step_flops": {"prefill": "prefill_flops", "decode": "decode_flops"},
+}
 
 
 def greedy_sampler(logits: np.ndarray) -> int:
@@ -169,6 +187,10 @@ class ScheduledSequence:
     """Base for sequences the scheduler tracks by their request record."""
 
     record: RequestRecord
+    #: Worst-case schedule-bound pages of the sequence — the minuend of
+    #: the pruning-savings gauge (bound minus pages actually allocated),
+    #: so only computed when telemetry is on.
+    bound_pages: int = field(default=0, kw_only=True)
 
     @property
     def request(self) -> Request:
@@ -203,20 +225,6 @@ class PrefillingSequence(ScheduledSequence):
     state: PrefillState
     #: The request's resolved cascade schedule (``None`` = dense).
     pruning: Optional[PruningConfig] = None
-
-
-@dataclass
-class _PendingArrival:
-    """A submitted request not yet visible to the priority queue.
-
-    ``available`` is when the scheduler may first see it: the arrival
-    time for fresh requests, or the requeue time for requests handed
-    back by a drained replica (which must not restart in the simulated
-    past).
-    """
-
-    available: float
-    request: Request
 
 
 class ServingEngine:
@@ -362,22 +370,19 @@ class ServingEngine:
         self.prefilling: List[PrefillingSequence] = []
         # Stepwise-run state (populated by start()).
         self._clock: Optional[SimulatedClock] = None
-        self._pending: List[_PendingArrival] = []
+        #: Submitted records not yet visible to the queue.  Each one's
+        #: ``phase_start`` is when the scheduler may first see it: the
+        #: arrival time, or the requeue time for a request handed back
+        #: by a drained replica (which must not restart in the
+        #: simulated past).
+        self._pending: List[RequestRecord] = []
         self._records: Dict[int, RequestRecord] = {}
         self._batch_sizes: List[int] = []
         self._occupancy_samples: List[float] = []
         #: Every preemption this run, in order (tests assert the
         #: livelock guard on it; reports aggregate from the records).
         self.preemption_log: List[PreemptionEvent] = []
-        # Telemetry bookkeeping (only populated when telemetry.active).
         self._steps = 0
-        #: When each waiting request last entered the queue (drives the
-        #: ``queued`` lifecycle span; reset on preempt-requeue).
-        self._queue_entered: Dict[int, float] = {}
-        #: Worst-case schedule-bound pages of every resident sequence —
-        #: the minuend of the pruning-savings gauge (bound minus pages
-        #: actually allocated).
-        self._bound_pages: Dict[int, int] = {}
         #: Pool corruption events already handled by quarantine; the
         #: cheap per-step guard that keeps the checksum scan off the
         #: fault-free hot path.
@@ -509,13 +514,12 @@ class ServingEngine:
         self._occupancy_samples = []
         self.preemption_log = []
         self._steps = 0
-        self._queue_entered = {}
-        self._bound_pages = {}
         self._corrupt_seen = self.pool.n_corrupt_events
         self._pressure_streak = 0
         self.slowdown = 1.0
-        if self.telemetry.active:
-            self.pool.observer = self
+        # Cleared when inert, so a pool a traced engine drove before
+        # stops notifying that stale engine.
+        self.pool.observer = self if self.telemetry.active else None
         self._backend.profiler = self.telemetry.profiler
 
     def submit(
@@ -546,23 +550,14 @@ class ServingEngine:
             if available_time is None
             else max(float(available_time), request.arrival_time)
         )
-        self._pending.append(_PendingArrival(available, request))
-        tel = self.telemetry
-        if tel.active:
-            self._queue_entered[request.request_id] = available
-            if tel.tracer is not None:
-                tel.tracer.instant(
-                    "submitted", available, self.name,
-                    f"req {request.request_id}",
-                    prompt_len=request.prompt_len,
-                    max_new_tokens=request.max_new_tokens,
-                    priority=request.priority,
-                    arrival_time=request.arrival_time,
-                )
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "repro_requests_submitted_total", engine=self.name
-                ).inc()
+        self._pending.append(record)
+        self._transition(
+            record, "submitted", available,
+            prompt_len=request.prompt_len,
+            max_new_tokens=request.max_new_tokens,
+            priority=request.priority,
+            arrival_time=request.arrival_time,
+        )
         return record
 
     def step(self, horizon: Optional[float] = None) -> float:
@@ -591,7 +586,7 @@ class ServingEngine:
             self._relieve_pressure(clock)
         if not self.live and not self.prefilling:
             if self._pending:
-                target = min(entry.available for entry in self._pending)
+                target = min(r.phase_start for r in self._pending)
                 if horizon is not None:
                     target = min(target, float(horizon))
                 clock.advance_to(target)
@@ -613,33 +608,33 @@ class ServingEngine:
 
         Pending, queued, prefilling, and live requests all come back
         (in that order).  Admitted sequences release their pool pages
-        and their records reset to the pre-admission state — greedy
-        decoding is deterministic, so a request restarted on another
-        replica commits the same token stream it would have here.
+        and every record resets to the pre-admission state (the
+        ``drained`` lifecycle event) — greedy decoding is deterministic,
+        so a request restarted on another replica commits the same
+        token stream it would have here.
         Requests already finished on this engine stay in its report.
         """
-        requeued: List[Tuple[Request, RequestRecord]] = []
-        for entry in self._pending:
-            self._note_drained(self._records[entry.request.request_id])
-            requeued.append((entry.request, self._records.pop(
-                entry.request.request_id)))
-        self._pending = []
-        for request in self.queue.drain():
-            self._note_drained(self._records[request.request_id])
-            requeued.append((request, self._records.pop(request.request_id)))
-        for seq in self.prefilling:
-            self._note_drained(seq.record)
+        now = self.now
+        for record in self._pending:
+            if record.phase_start <= now:
+                # Visible but not yet ingested: its queue wait is real,
+                # and must tile the timeline for latency attribution.
+                self._transition(record, "queued", record.phase_start)
+        waiting = [record.request for record in self._pending]
+        waiting += self.queue.drain()
+        resident = self.prefilling + self.live
+        self._pending, self.prefilling, self.live = [], [], []
+        for request in waiting:
+            self._transition(
+                self._records[request.request_id], "drained", now
+            )
+        for seq in resident:
+            self._transition(seq.record, "drained", now)
             self.pool.release(seq.seq_id)
-            seq.record.reset_for_requeue()
-            requeued.append((seq.request, self._records.pop(seq.seq_id)))
-        self.prefilling = []
-        for seq in self.live:
-            self._note_drained(seq.record)
-            self.pool.release(seq.seq_id)
-            seq.record.reset_for_requeue()
-            requeued.append((seq.request, self._records.pop(seq.seq_id)))
-        self.live = []
-        return requeued
+        return [
+            (request, self._records.pop(request.request_id))
+            for request in waiting + [seq.request for seq in resident]
+        ]
 
     def finish(self) -> ServingStats:
         """Build the stats report over the requests this engine served."""
@@ -743,8 +738,8 @@ class ServingEngine:
         """
         cfg = self.model.config
         total = 0.0
-        for entry in self._pending:
-            total += self.request_flops_estimate(entry.request)
+        for record in self._pending:
+            total += self.request_flops_estimate(record.request)
         for request in self.queue.as_ordered_list():
             total += self.request_flops_estimate(request)
         for seq in self.prefilling:
@@ -778,8 +773,8 @@ class ServingEngine:
         """
         rate = self.cost.flops_per_second
         total = 0.0
-        for entry in self._pending:
-            total += self._request_page_seconds(entry.request)
+        for record in self._pending:
+            total += self._request_page_seconds(record.request)
         for request in self.queue.as_ordered_list():
             total += self._request_page_seconds(request)
         cfg = self.model.config
@@ -826,12 +821,15 @@ class ServingEngine:
     # Scheduling phases
     # ------------------------------------------------------------------
     def _ingest(self, now: float) -> None:
-        still_pending: List[_PendingArrival] = []
-        for entry in self._pending:
-            if entry.available <= now:
-                self.queue.push(entry.request)
+        still_pending: List[RequestRecord] = []
+        for record in self._pending:
+            if record.phase_start <= now:
+                # The queue wait starts when the request became
+                # visible, not at the step that noticed.
+                self._transition(record, "queued", record.phase_start)
+                self.queue.push(record.request)
             else:
-                still_pending.append(entry)
+                still_pending.append(record)
         self._pending = still_pending
 
     def _admit_ready(self, clock: SimulatedClock) -> None:
@@ -841,11 +839,11 @@ class ServingEngine:
             if not self._fits_now(request):
                 break  # head-of-line blocking: keep admission order fair
             self.queue.pop()
-            record = self._records[request.request_id]
+            seq = self._reserve(request, clock)
             if self.prefill_chunk is None:
-                self._admit(request, clock, record)
+                self._prefill_now(seq, clock)
             else:
-                self._reserve(request, clock, record)
+                self.prefilling.append(seq)
 
     def _fits_now(self, request: Request) -> bool:
         """Admission check for the current mode.
@@ -865,7 +863,15 @@ class ServingEngine:
             request.prompt_len, pruning, self.headroom_pages
         )
 
-    def _pool_admit(self, request: Request) -> None:
+    def _reserve(
+        self, request: Request, clock: SimulatedClock
+    ) -> PrefillingSequence:
+        """Admit: reserve pages and open the resumable prefill.
+
+        No prompt work runs here — the prompt commits chunk by chunk
+        inside subsequent mixed steps, so reservation itself costs no
+        simulated time and never stalls the live batch.
+        """
         pruning = self.pruning_of(request)
         if self.admission == "reserve":
             self.pool.admit(
@@ -877,76 +883,75 @@ class ServingEngine:
                 request.request_id, request.prompt_len, pruning,
                 headroom_pages=self.headroom_pages,
             )
-
-    def _reserve(
-        self,
-        request: Request,
-        clock: SimulatedClock,
-        record: RequestRecord,
-    ) -> None:
-        """Phase 1 of chunked admission: reserve pages, open the prefill.
-
-        No prompt work runs here — the prompt commits chunk by chunk
-        inside subsequent mixed steps, so reservation itself costs no
-        simulated time and never stalls the live batch.
-        """
-        pruning = self.pruning_of(request)
-        self._pool_admit(request)
-        record.status = RequestStatus.RUNNING
-        record.admit_time = clock.now
-        self._note_admitted(request, clock.now)
-        executor = self._make_executor(pruning)
-        state = self.model.prefill_begin(request.prompt_ids, executor)
-        self.prefilling.append(
-            PrefillingSequence(record=record, state=state, pruning=pruning)
+        bound = (
+            self.pool.reservation_pages(
+                request.prompt_len, request.max_new_tokens, pruning
+            )
+            if self.telemetry.active else 0
+        )
+        record = self._records[request.request_id]
+        self._transition(
+            record, "admitted", clock.now,
+            bound_pages=bound, admission=self.admission,
+            billed_pages=self.pool.reserved_pages_of(request.request_id),
+        )
+        state = self.model.prefill_begin(
+            request.prompt_ids, self._make_executor(pruning)
+        )
+        return PrefillingSequence(
+            record=record, state=state, pruning=pruning, bound_pages=bound
         )
 
-    def _admit(
-        self,
-        request: Request,
-        clock: SimulatedClock,
-        record: RequestRecord,
+    def _prefill_now(
+        self, seq: PrefillingSequence, clock: SimulatedClock
     ) -> None:
         """Monolithic admission: run the whole prefill on the spot.
 
         This is the head-of-line stall the chunked scheduler removes —
-        every live sequence waits out the full prompt duration.
+        every live sequence waits out the full prompt duration.  One
+        chunk spanning the prompt: the same model entry (and numerics
+        tier) the chunked scheduler's mixed steps go through.
         """
-        pruning = self.pruning_of(request)
-        self._pool_admit(request)
-        record.status = RequestStatus.RUNNING
-        record.admit_time = clock.now
-        self._note_admitted(request, clock.now)
-        executor = self._make_executor(pruning)
-        # One chunk spanning the prompt: the same model entry (and
-        # numerics tier) the chunked scheduler's mixed steps go through.
-        state = self.model.prefill_begin(request.prompt_ids, executor)
+        prompt_len = seq.request.prompt_len
         logits = self.model.prefill_chunk_batch(
-            [state], request.prompt_len, backend=self._backend
+            [seq.state], prompt_len, backend=self._backend
         )[0]
         clock.advance(
             self.cost.prefill_time(
-                self.model.config, request.prompt_len, pruning
+                self.model.config, prompt_len, seq.pruning
             ) * self.slowdown
         )
-        self._sync_pool(request.request_id, executor)
-        self.pool.finish_prefill(request.request_id)
+        self._commit_chunk(seq)
+        live = self._promote(seq, logits, clock)
+        if live is not None:
+            self.live.append(live)
+
+    def _promote(
+        self,
+        seq: PrefillingSequence,
+        logits: np.ndarray,
+        clock: SimulatedClock,
+    ) -> Optional[LiveSequence]:
+        """The final prefill chunk landed: sample the first token and
+        move the sequence to decode.  Returns the live sequence, or
+        ``None`` when a one-token budget retired it on the spot."""
+        record = seq.record
+        self.pool.finish_prefill(seq.seq_id)
         first = self.sampler(logits)
         record.token_ids.append(first)
-        record.preempt_protected = False
-        record.first_token_time = clock.now
-        self._note_promoted(record, clock.now)
-        seq = LiveSequence(
+        self._transition(record, "promoted", clock.now)
+        live = LiveSequence(
             record=record,
-            executor=executor,
+            executor=seq.state.executor,
             next_token=first,
-            next_position=request.prompt_len,
+            next_position=seq.state.prompt_len,
             last_commit_time=clock.now,
+            bound_pages=seq.bound_pages,
         )
-        if record.n_generated >= request.max_new_tokens:
-            self._retire(seq, clock)
-        else:
-            self.live.append(seq)
+        if record.n_generated >= seq.request.max_new_tokens:
+            self._retire(live, clock)
+            return None
+        return live
 
     def _decode_step(self, clock: SimulatedClock) -> float:
         """One batched decode step over the live set; returns duration."""
@@ -970,15 +975,12 @@ class ServingEngine:
         charged as a single engine step."""
         cfg = self.model.config
         prefills = list(self.prefilling)
-        spans = [
-            (seq,) + seq.state.next_span(self.prefill_chunk)
-            for seq in prefills
-        ]
         prefill_flops = sum(
             self.cost.prefill_chunk_flops(
-                cfg, seq.state.prompt_len, start, end, seq.pruning
+                cfg, seq.state.prompt_len,
+                *seq.state.next_span(self.prefill_chunk), seq.pruning,
             )
-            for seq, start, end in spans
+            for seq in prefills
         )
         decode_batch = list(self.live)
         decode_logits = (
@@ -1009,28 +1011,13 @@ class ServingEngine:
         # just landed.  Promotions join the *next* step's decode batch.
         promoted: List[LiveSequence] = []
         still_prefilling: List[PrefillingSequence] = []
-        for (seq, _, _), logits in zip(spans, chunk_logits):
-            self._sync_prefill_pool(seq)
-            # Committing a chunk is progress: the livelock guard lifts.
-            seq.record.preempt_protected = False
+        for seq, logits in zip(prefills, chunk_logits):
+            self._commit_chunk(seq)
             if not seq.state.done:
                 still_prefilling.append(seq)
                 continue
-            self.pool.finish_prefill(seq.seq_id)
-            first = self.sampler(logits)
-            seq.record.token_ids.append(first)
-            seq.record.first_token_time = clock.now
-            self._note_promoted(seq.record, clock.now)
-            live = LiveSequence(
-                record=seq.record,
-                executor=seq.state.executor,
-                next_token=first,
-                next_position=seq.state.prompt_len,
-                last_commit_time=clock.now,
-            )
-            if seq.record.n_generated >= seq.request.max_new_tokens:
-                self._retire(live, clock)
-            else:
+            live = self._promote(seq, logits, clock)
+            if live is not None:
                 promoted.append(live)
         self.prefilling = still_prefilling
 
@@ -1067,7 +1054,7 @@ class ServingEngine:
             self._sync_pool(seq.seq_id, seq.executor)
             token = self.sampler(logits[row])
             seq.record.token_ids.append(token)
-            self._count_token()
+            self._transition(seq.record, "token", clock.now)
             seq.record.preempt_protected = False
             seq.record.token_latencies.append(
                 clock.now - seq.last_commit_time
@@ -1104,14 +1091,16 @@ class ServingEngine:
         else:
             self.pool.sync(seq_id, lengths)
 
-    def _sync_prefill_pool(self, seq: PrefillingSequence) -> None:
-        """Grow the sequence's pool pages to match its committed chunks.
+    def _commit_chunk(self, seq: PrefillingSequence) -> None:
+        """Book a committed chunk: grow the sequence's pool pages to match.
 
         Incremental executors report real per-layer cache lengths.
         Deferred executors (cascade pruning runs whole-sentence on the
         final chunk) are modeled via :func:`prefill_kv_lengths` until
         their real lengths exist — the two coincide at the final chunk.
+        Committing a chunk is progress, so the livelock guard lifts.
         """
+        seq.record.preempt_protected = False
         state = seq.state
         if state.executor.supports_incremental_prefill or state.done:
             self._sync_pool(seq.seq_id, state.executor)
@@ -1140,42 +1129,30 @@ class ServingEngine:
         if self.pool.n_corrupt_events == self._corrupt_seen:
             return
         report = self.pool.verify_checksums()
-        for seq in [s for s in self.live if s.seq_id in report]:
-            self.live.remove(seq)
-            work = seq.request.prompt_len + seq.record.n_generated
-            self._quarantine(seq, work, report[seq.seq_id], clock)
-        for seq in [s for s in self.prefilling if s.seq_id in report]:
-            self.prefilling.remove(seq)
-            self._quarantine(seq, seq.state.n_committed,
-                             report[seq.seq_id], clock)
+        for seq in self.live + self.prefilling:
+            if seq.seq_id in report:
+                self._evict(
+                    seq, "quarantined", self.pool.quarantine_release, clock,
+                    corrupted=[list(p) for p in report[seq.seq_id]],
+                )
         self._corrupt_seen = self.pool.n_corrupt_events
         if report:
             self.pool.audit()
 
-    def _quarantine(
-        self,
-        seq: ScheduledSequence,
-        work: int,
-        bad_pages: List[Tuple[int, int]],
-        clock: SimulatedClock,
-    ) -> None:
-        pages = self.pool.quarantine_release(seq.seq_id)
-        self._note_quarantined(seq.record, clock.now, pages, work,
-                               bad_pages)
-        seq.record.reset_for_corruption(recompute_tokens=work)
-        self.queue.push(seq.request)
-
     def _expire_deadlines(self, clock: SimulatedClock) -> None:
-        """Fail queued requests whose admission deadline has passed."""
+        """Fail queued requests whose admission deadline has passed.
+
+        The deadline is time to *first* admission: a request the engine
+        admitted in time and then requeued itself (preemption,
+        quarantine) is exempt — eviction costs latency, never tokens.
+        """
         if self.deadline_s is None or not self.queue:
             return
         now = clock.now
         for request in list(self.queue.as_ordered_list()):
-            if now > request.arrival_time + self.deadline_s:
-                self.queue.remove(request)
-                self._fail_request(
-                    self._records[request.request_id], "deadline", now
-                )
+            if now > request.arrival_time + self.deadline_s and not \
+                    self._records[request.request_id].admitted_before:
+                self._fail_request(request, "deadline", now)
 
     def _apply_degradation(self, clock: SimulatedClock) -> None:
         """Run the shed -> reprune ladder under sustained pressure.
@@ -1209,10 +1186,8 @@ class ServingEngine:
         ]
         if not candidates:
             return False
-        victim = candidates[-1]  # lowest priority, furthest from service
-        self.queue.remove(victim)
-        self._fail_request(self._records[victim.request_id], "shed",
-                           clock.now)
+        # Lowest priority, furthest from service.
+        self._fail_request(candidates[-1], "shed", clock.now)
         return True
 
     def _reprune_head(self, clock: SimulatedClock) -> None:
@@ -1236,14 +1211,18 @@ class ServingEngine:
             return
         record.pruning_override = escalated
         record.degraded = True
-        self._note_repruned(record, clock.now, billed, after)
+        self._transition(
+            record, "repruned", clock.now,
+            pages_before=billed, pages_after=after,
+        )
 
-    def _fail_request(
-        self, record: RequestRecord, reason: str, now: float
-    ) -> None:
-        record.status = RequestStatus.FAILED
-        record.failure = reason
-        self._note_shed(record, now, reason)
+    def _fail_request(self, request: Request, reason: str, now: float) -> None:
+        """Drop one queued request for good (ladder shed, deadline)."""
+        self.queue.remove(request)
+        self._transition(
+            self._records[request.request_id], "shed", now,
+            reason=reason, priority=request.priority,
+        )
 
     # ------------------------------------------------------------------
     # Preemption (optimistic admission's run-time safety)
@@ -1342,17 +1321,10 @@ class ServingEngine:
         return next(s for s in residents if s.seq_id == chosen.seq_id)
 
     def _preempt(self, seq: ScheduledSequence, clock: SimulatedClock) -> None:
-        """Evict one resident sequence and requeue it for recompute."""
-        if isinstance(seq, LiveSequence):
-            self.live.remove(seq)
-            work = seq.request.prompt_len + seq.record.n_generated
-        else:
-            self.prefilling.remove(seq)
-            work = seq.state.n_committed
-        pages = self.pool.preempt_release(seq.seq_id)
-        self._note_preempted(seq.record, clock.now, pages, work)
-        seq.record.reset_for_preempt(recompute_tokens=work)
-        self.queue.push(seq.request)
+        pages, work = self._evict(
+            seq, "preempted", self.pool.preempt_release, clock,
+            policy=self.preemption.policy,
+        )
         self.preemption_log.append(PreemptionEvent(
             time=clock.now,
             request_id=seq.seq_id,
@@ -1361,18 +1333,52 @@ class ServingEngine:
             policy=self.preemption.policy,
         ))
 
+    def _evict(
+        self,
+        seq: ScheduledSequence,
+        event: str,
+        release: Callable[[int], int],
+        clock: SimulatedClock,
+        **args,
+    ) -> Tuple[int, int]:
+        """Evict one resident sequence and requeue it here for recompute.
+
+        ``event`` is the requeueing lifecycle event (``preempted`` /
+        ``quarantined``) and ``release`` the pool call that frees the
+        sequence's account.  Returns ``(pages freed, work tokens
+        discarded)``.
+        """
+        if isinstance(seq, LiveSequence):
+            self.live.remove(seq)
+            work = seq.request.prompt_len + seq.record.n_generated
+        else:
+            self.prefilling.remove(seq)
+            work = seq.state.n_committed
+        pages = release(seq.seq_id)
+        self._transition(
+            seq.record, event, clock.now,
+            pages_freed=pages, work_tokens=work, **args,
+        )
+        self.queue.push(seq.request)
+        return pages, work
+
     def _retire(self, seq: LiveSequence, clock: SimulatedClock) -> None:
-        seq.record.status = RequestStatus.FINISHED
-        seq.record.finish_time = clock.now
         self.pool.note_reclaimed_tokens(seq.executor.evicted_kv_tokens)
         self.pool.release(seq.seq_id)
-        self._note_retired(seq.record, clock.now)
+        self._transition(
+            seq.record, "finished", clock.now,
+            n_tokens=seq.record.n_generated,
+            n_preemptions=seq.record.n_preemptions,
+        )
 
     # ------------------------------------------------------------------
-    # Telemetry emission (every site guards on the null sink first)
+    # Lifecycle and telemetry
     # ------------------------------------------------------------------
-    def _track(self, request_id: int) -> str:
-        return f"req {request_id}"
+    def _transition(
+        self, record: RequestRecord, event: str, now: float, **args
+    ) -> None:
+        """Apply one ``LIFECYCLE`` event under this engine's sinks and name."""
+        transition(record, event, now, self.telemetry, self.name, **args)
 
     def pool_event(self, kind: str, seq_id: int, **info) -> None:
         """Observer hook the pool calls on ledger mutations.
@@ -1381,242 +1387,12 @@ class ServingEngine:
         inert engine never pays for it (the pool's own guard is a
         single ``is None`` check).
         """
-        tel = self.telemetry
-        if tel.tracer is not None:
-            tel.tracer.instant(
-                f"pool_{kind}", self.now, self.name, "pool",
-                seq_id=seq_id, **info,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_pool_events_total", engine=self.name, kind=kind
-            ).inc()
-
-    def _note_admitted(self, request: Request, now: float) -> None:
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = request.request_id
-        bound = self.pool.reservation_pages(
-            request.prompt_len, request.max_new_tokens,
-            self.pruning_of(request),
+        self.telemetry.instant(
+            f"pool_{kind}", self.now, self.name, "pool",
+            seq_id=seq_id, **info,
         )
-        self._bound_pages[rid] = bound
-        entered = self._queue_entered.pop(rid, now)
-        if tel.tracer is not None:
-            track = self._track(rid)
-            tel.tracer.span(
-                "queued", entered, now, self.name, track,
-                outcome="admitted",
-            )
-            tel.tracer.instant(
-                "admitted", now, self.name, track,
-                bound_pages=bound, admission=self.admission,
-                billed_pages=self.pool.reserved_pages_of(rid),
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_admitted_total", engine=self.name
-            ).inc()
-
-    def _note_promoted(self, record: RequestRecord, now: float) -> None:
-        """The sequence's final prefill chunk committed its first token."""
-        self._count_token()
-        tel = self.telemetry
-        if tel.tracer is not None:
-            track = self._track(record.request.request_id)
-            tel.tracer.span(
-                "prefill", record.admit_time, now, self.name, track,
-                outcome="promoted",
-            )
-            tel.tracer.instant("promoted", now, self.name, track)
-
-    def _count_token(self) -> None:
-        tel = self.telemetry
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_tokens_total", engine=self.name
-            ).inc()
-
-    def _note_retired(self, record: RequestRecord, now: float) -> None:
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        self._queue_entered.pop(rid, None)
-        if tel.tracer is not None:
-            track = self._track(rid)
-            tel.tracer.span(
-                "decode", record.first_token_time, now, self.name, track,
-                outcome="finished",
-            )
-            tel.tracer.instant(
-                "finished", now, self.name, track,
-                n_tokens=record.n_generated,
-                n_preemptions=record.n_preemptions,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_finished_total", engine=self.name
-            ).inc()
-
-    def _note_preempted(
-        self, record: RequestRecord, now: float, pages: int, work: int
-    ) -> None:
-        """Called *before* the record resets (the span needs its times)."""
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        self._queue_entered[rid] = now  # back to the queue from here
-        if tel.tracer is not None:
-            track = self._track(rid)
-            if record.first_token_time is not None:
-                tel.tracer.span(
-                    "decode", record.first_token_time, now, self.name,
-                    track, outcome="preempted",
-                )
-            elif record.admit_time is not None:
-                tel.tracer.span(
-                    "prefill", record.admit_time, now, self.name, track,
-                    outcome="preempted",
-                )
-            tel.tracer.instant(
-                "preempted", now, self.name, track, pages_freed=pages,
-                work_tokens=work, policy=self.preemption.policy,
-            )
-            tel.tracer.instant("requeued", now, self.name, track)
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_preemptions_total", engine=self.name
-            ).inc()
-
-    def _note_quarantined(
-        self,
-        record: RequestRecord,
-        now: float,
-        pages: int,
-        work: int,
-        bad_pages: List[Tuple[int, int]],
-    ) -> None:
-        """Called *before* the record resets for its recompute."""
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        self._queue_entered[rid] = now  # back to the queue from here
-        if tel.tracer is not None:
-            track = self._track(rid)
-            if record.first_token_time is not None:
-                tel.tracer.span(
-                    "decode", record.first_token_time, now, self.name,
-                    track, outcome="quarantined",
-                )
-            elif record.admit_time is not None:
-                tel.tracer.span(
-                    "prefill", record.admit_time, now, self.name, track,
-                    outcome="quarantined",
-                )
-            tel.tracer.instant(
-                "quarantined", now, self.name, track,
-                pages_freed=pages, work_tokens=work,
-                corrupted=[list(p) for p in bad_pages],
-            )
-            tel.tracer.instant("requeued", now, self.name, track)
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_corruptions_total", engine=self.name
-            ).inc()
-
-    def _note_shed(
-        self, record: RequestRecord, now: float, reason: str
-    ) -> None:
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        entered = self._queue_entered.pop(rid, now)
-        if tel.tracer is not None:
-            track = self._track(rid)
-            tel.tracer.span(
-                "queued", entered, now, self.name, track, outcome="failed",
-            )
-            tel.tracer.instant(
-                "shed", now, self.name, track, reason=reason,
-                priority=record.request.priority,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_shed_total", engine=self.name,
-                reason=reason,
-            ).inc()
-            tel.metrics.counter(
-                "repro_requests_failed_total", engine=self.name
-            ).inc()
-
-    def _note_repruned(
-        self, record: RequestRecord, now: float, billed: int, after: int
-    ) -> None:
-        tel = self.telemetry
-        if not tel.active:
-            return
-        if tel.tracer is not None:
-            tel.tracer.instant(
-                "repruned", now, self.name,
-                self._track(record.request.request_id),
-                pages_before=billed, pages_after=after,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_repruned_total", engine=self.name
-            ).inc()
-
-    def _note_drained(self, record: RequestRecord) -> None:
-        """Called *before* the record resets for its requeue."""
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        entered = self._queue_entered.pop(rid, None)
-        if tel.tracer is None:
-            return
-        now = self.now
-        track = self._track(rid)
-        if record.first_token_time is not None:
-            tel.tracer.span(
-                "decode", record.first_token_time, now, self.name, track,
-                outcome="drained",
-            )
-        elif record.admit_time is not None:
-            tel.tracer.span(
-                "prefill", record.admit_time, now, self.name, track,
-                outcome="drained",
-            )
-        elif entered is not None and entered <= now:
-            # Queued (or already-visible pending) request swept up by a
-            # drain: close its queue wait so the lifecycle tiles the
-            # timeline for latency attribution.  A pending request whose
-            # availability lies in the simulated future never entered
-            # the queue, so it gets no span.
-            tel.tracer.span(
-                "queued", entered, now, self.name, track,
-                outcome="drained",
-            )
-
-    def _pruning_savings(self) -> int:
-        """Pages the cascade schedules have freed vs. their worst case.
-
-        The schedule-bound reservation of every resident sequence minus
-        the pages actually backing live columns — the capacity pruning
-        is provably saving right now.
-        """
-        return max(
-            0, sum(self._bound_pages.values()) - self.pool.allocated_pages
+        self.telemetry.count(
+            "repro_pool_events_total", engine=self.name, kind=kind
         )
 
     def _note_step(
@@ -1635,77 +1411,54 @@ class ServingEngine:
         tel = self.telemetry
         if self.audit_every and self._steps % self.audit_every == 0:
             self.pool.audit()
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "repro_pool_audits_total", engine=self.name
-                ).inc()
+            tel.count("repro_pool_audits_total", engine=self.name)
         if not tel.active:
             return
         pool = self.pool
-        savings = self._pruning_savings()
-        queued = len(self.queue) + len(self._pending)
-        step_flops = prefill_flops + decode_flops
+        # Pages the cascade schedules have freed vs. their worst case:
+        # every resident sequence's schedule-bound reservation minus the
+        # pages actually backing live columns.
+        bound = sum(seq.bound_pages for seq in self.live + self.prefilling)
+        sample = {
+            "t": now,
+            "engine": self.name,
+            "step_seconds": dt,
+            "step_flops": prefill_flops + decode_flops,
+            "prefill_flops": prefill_flops,
+            "decode_flops": decode_flops,
+            "live": n_decode,
+            "prefilling": n_prefill,
+            "queued": len(self.queue) + len(self._pending),
+            "allocated_pages": pool.allocated_pages,
+            "reserved_pages": pool.reserved_pages,
+            "reclaimed_pages": pool.reclaimed_pages,
+            "saved_pages": max(0, bound - pool.allocated_pages),
+        }
+        tel.count("repro_steps_total", engine=self.name)
+        tel.count(
+            "repro_numerics_steps_total",
+            engine=self.name, numerics=self.numerics.name,
+        )
         if tel.metrics is not None:
             m = tel.metrics
-            m.counter("repro_steps_total", engine=self.name).inc()
-            m.counter(
-                "repro_numerics_steps_total",
-                engine=self.name, numerics=self.numerics.name,
-            ).inc()
             m.histogram(
                 "repro_step_seconds", STEP_SECONDS_BUCKETS,
                 engine=self.name,
             ).observe(dt)
             m.histogram(
                 "repro_step_flops", STEP_FLOPS_BUCKETS, engine=self.name,
-            ).observe(step_flops)
-            m.gauge("repro_live_sequences", engine=self.name).set(n_decode)
-            m.gauge(
-                "repro_prefilling_sequences", engine=self.name
-            ).set(n_prefill)
-            m.gauge("repro_queued_requests", engine=self.name).set(queued)
-            m.gauge(
-                "repro_pool_allocated_pages", engine=self.name
-            ).set(pool.allocated_pages)
-            m.gauge(
-                "repro_pool_reserved_pages", engine=self.name
-            ).set(pool.reserved_pages)
-            m.gauge(
-                "repro_pruning_saved_pages", engine=self.name
-            ).set(savings)
-            m.record_sample({
-                "t": now,
-                "engine": self.name,
-                "step_seconds": dt,
-                "step_flops": step_flops,
-                "prefill_flops": prefill_flops,
-                "decode_flops": decode_flops,
-                "live": n_decode,
-                "prefilling": n_prefill,
-                "queued": queued,
-                "allocated_pages": pool.allocated_pages,
-                "reserved_pages": pool.reserved_pages,
-                "reclaimed_pages": pool.reclaimed_pages,
-                "saved_pages": savings,
-                "backlog_flops": self.outstanding_flops(),
-            })
+            ).observe(sample["step_flops"])
+            for gauge, key in STEP_GAUGES.items():
+                m.gauge(gauge, engine=self.name).set(sample[key])
+            m.record_sample(
+                {**sample, "backlog_flops": self.outstanding_flops()}
+            )
         if tel.tracer is not None:
-            t = tel.tracer
-            t.counter(
-                "batch", now, self.name,
-                live=n_decode, prefilling=n_prefill, queued=queued,
-            )
-            t.counter(
-                "kv_pool", now, self.name,
-                allocated_pages=pool.allocated_pages,
-                reserved_pages=pool.reserved_pages,
-                reclaimed_pages=pool.reclaimed_pages,
-                saved_pages=savings,
-            )
-            t.counter(
-                "step_flops", now, self.name,
-                prefill=prefill_flops, decode=decode_flops,
-            )
+            for track, series in STEP_TRACKS.items():
+                tel.tracer.counter(
+                    track, now, self.name,
+                    **{name: sample[key] for name, key in series.items()},
+                )
 
     # ------------------------------------------------------------------
     # Run loop

@@ -21,8 +21,9 @@ deterministically:
   request re-enters the queue with its original arrival time and lines
   up ahead of younger work).
 
-Every policy skips *protected* candidates — the livelock guard set by
-:meth:`repro.serving.request.RequestRecord.reset_for_preempt` and
+Every policy skips *protected* candidates — the livelock guard armed by
+the ``preempted`` / ``quarantined`` rows of
+:data:`repro.serving.request.LIFECYCLE` and
 cleared when the request next commits work — so no request can be
 preempted twice without making progress in between.
 """

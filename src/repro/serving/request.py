@@ -7,6 +7,12 @@ priority values are served first, ties break FIFO on arrival time, and
 requests that are equal on both pop in the order they were pushed
 (a monotonic per-queue counter, so pop order never depends on request
 ids or payload comparison).
+
+The request lifecycle lives here too: :data:`LIFECYCLE` is the one table
+of events a request can go through and :func:`transition` the one
+function that applies a row — record fields, the phase span it closes,
+the instants and counters it emits (see "Request lifecycle" in the
+serving guide).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +31,11 @@ __all__ = [
     "Request",
     "RequestRecord",
     "RequestQueue",
+    "IllegalTransitionError",
+    "Transition",
+    "LIFECYCLE",
+    "SPAN_PHASES",
+    "transition",
 ]
 
 
@@ -106,15 +117,37 @@ class Request:
         return self.prompt_len + self.max_new_tokens
 
 
+#: Record fields only :func:`transition` writes.
+_LIFECYCLE_FIELDS = frozenset({
+    "status", "admit_time", "first_token_time", "finish_time",
+    "phase", "phase_start", "admitted_before",
+})
+
+
 @dataclass
 class RequestRecord:
-    """Lifecycle timestamps and output of one served request."""
+    """Lifecycle timestamps and output of one served request.
+
+    ``status``, the three timestamps and the ``phase`` bookkeeping are
+    written by :func:`transition` alone; assigning them raises.
+    """
 
     request: Request
     status: RequestStatus = RequestStatus.QUEUED
     admit_time: Optional[float] = None
     first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
+    #: Where the request is in :data:`LIFECYCLE`: ``unrouted`` (owned
+    #: by no engine — fresh, or handed back by a drain), ``pending``
+    #: (submitted, not yet visible to the queue), one of
+    #: :data:`SPAN_PHASES`, or terminal ``finished`` / ``failed``.
+    phase: str = "unrouted"
+    #: Simulated time the current phase began — the start of the span
+    #: the next phase-changing event closes.
+    phase_start: float = 0.0
+    #: True once any admission cycle began, kept across requeues (the
+    #: timestamps above describe the *current* cycle only).
+    admitted_before: bool = False
     token_ids: List[int] = field(default_factory=list)
     #: Simulated inter-token gap of each decode token: clock delta from
     #: the previous committed token of *this* request to this one.  The
@@ -125,7 +158,7 @@ class RequestRecord:
     token_latencies: List[float] = field(default_factory=list)
     #: Times this request was preempted (optimistic admission releasing
     #: its pages under pool pressure).  Cumulative across preempt /
-    #: requeue cycles — :meth:`reset_for_requeue` does *not* clear it.
+    #: requeue cycles — the requeue reset does *not* clear it.
     n_preemptions: int = 0
     #: Prompt and decode tokens discarded by preemptions and recomputed
     #: from scratch on readmission.  Greedy decoding replays the exact
@@ -179,49 +212,12 @@ class RequestRecord:
     def n_generated(self) -> int:
         return len(self.token_ids)
 
-    def reset_for_requeue(self) -> None:
-        """Return the record to its pre-admission state (replica drain).
-
-        A drained or failed replica's in-flight requests restart from
-        scratch on another replica.  Greedy decoding is deterministic,
-        so the regenerated token stream is identical; the original
-        ``arrival_time`` is kept, so the drain penalty stays visible in
-        the queue-wait and TTFT percentiles.
-        """
-        self.status = RequestStatus.QUEUED
-        self.admit_time = None
-        self.first_token_time = None
-        self.finish_time = None
-        self.token_ids.clear()
-        self.token_latencies.clear()
-
-    def reset_for_preempt(self, recompute_tokens: int) -> None:
-        """Return to the queue after a preemption, keeping the tally.
-
-        Lifecycle state resets exactly like a drain requeue (greedy
-        decoding guarantees the replayed stream is bit-identical), but
-        the preemption counters accumulate: ``recompute_tokens`` is the
-        work discarded this time (committed prompt tokens plus decode
-        tokens), and the livelock-guard flag protects the request from
-        being victimized again before it makes progress.
-        """
-        self.n_preemptions += 1
-        self.recompute_tokens += int(recompute_tokens)
-        self.preempt_protected = True
-        self.reset_for_requeue()
-
-    def reset_for_corruption(self, recompute_tokens: int) -> None:
-        """Return to the queue after a KV-corruption quarantine.
-
-        The sequence's poisoned pages were released; the request
-        recomputes from scratch exactly like a preemption (and is
-        protected from immediate preemption the same way), but the
-        strike is tallied separately in ``n_corruptions``.
-        """
-        self.n_corruptions += 1
-        self.recompute_tokens += int(recompute_tokens)
-        self.preempt_protected = True
-        self.reset_for_requeue()
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _LIFECYCLE_FIELDS and name in self.__dict__:
+            raise AttributeError(
+                f"RequestRecord.{name} is written by transition() only"
+            )
+        object.__setattr__(self, name, value)
 
 
 class RequestQueue:
@@ -293,3 +289,164 @@ class RequestQueue:
         drained = [entry[3] for entry in sorted(self._heap)]
         self._heap.clear()
         return drained
+
+
+class IllegalTransitionError(RuntimeError):
+    """A lifecycle event was applied in a phase its row does not list."""
+
+
+#: Phases that hold an open span (named after the phase) on the
+#: request's trace track.
+SPAN_PHASES = ("queued", "prefill", "decode")
+
+
+@dataclass(frozen=True)
+class Transition:
+    """One row of :data:`LIFECYCLE`.
+
+    Attributes:
+        sources: phases the event is legal in.
+        target: next phase (``None`` = stay; the open span carries on).
+        status: ``RequestStatus`` set (``None`` = unchanged).
+        stamp: record timestamp field set to the event time.
+        strike: strike tally bumped (``n_preemptions`` /
+            ``n_corruptions``); a strike also books the discarded
+            ``work_tokens`` as ``recompute_tokens`` and arms the
+            livelock guard (``preempt_protected``).
+        requeue: reset the record to its pre-admission state — greedy
+            decoding replays the identical stream, and the original
+            ``arrival_time`` keeps the penalty visible in the tails.
+        outcome: ``outcome`` label of the phase span the event closes.
+        instants: instants emitted; the first carries the caller's args.
+        counters: ``(name, *label_args)`` counters bumped, labelled with
+            the emitting engine plus the named event args.
+        track: trace track (``None`` = the request's own ``req <id>``).
+    """
+
+    sources: Tuple[str, ...]
+    target: Optional[str] = None
+    status: Optional[RequestStatus] = None
+    stamp: Optional[str] = None
+    strike: Optional[str] = None
+    requeue: bool = False
+    outcome: Optional[str] = None
+    instants: Tuple[str, ...] = ()
+    counters: Tuple[Tuple[str, ...], ...] = ()
+    track: Optional[str] = None
+
+
+#: Every event of the request lifecycle, by name.  Failing events
+#: (``shed`` — the degradation ladder or an expired deadline — and
+#: ``route_failed``) take the failure reason as their ``reason`` arg.
+LIFECYCLE: Dict[str, Transition] = {
+    "submitted": Transition(
+        ("unrouted",), "pending", instants=("submitted",),
+        counters=(("repro_requests_submitted_total",),),
+    ),
+    "queued": Transition(("pending",), "queued"),
+    "admitted": Transition(
+        ("queued",), "prefill", RequestStatus.RUNNING, stamp="admit_time",
+        outcome="admitted", instants=("admitted",),
+        counters=(("repro_requests_admitted_total",),),
+    ),
+    "promoted": Transition(
+        ("prefill",), "decode", stamp="first_token_time",
+        outcome="promoted", instants=("promoted",),
+        counters=(("repro_tokens_total",),),
+    ),
+    "token": Transition(("decode",), counters=(("repro_tokens_total",),)),
+    "finished": Transition(
+        ("decode",), "finished", RequestStatus.FINISHED, stamp="finish_time",
+        outcome="finished", instants=("finished",),
+        counters=(("repro_requests_finished_total",),),
+    ),
+    "preempted": Transition(
+        ("prefill", "decode"), "queued", strike="n_preemptions",
+        requeue=True, outcome="preempted",
+        instants=("preempted", "requeued"),
+        counters=(("repro_preemptions_total",),),
+    ),
+    "quarantined": Transition(
+        ("prefill", "decode"), "queued", strike="n_corruptions",
+        requeue=True, outcome="quarantined",
+        instants=("quarantined", "requeued"),
+        counters=(("repro_corruptions_total",),),
+    ),
+    "drained": Transition(
+        ("pending", "queued", "prefill", "decode"), "unrouted",
+        requeue=True, outcome="drained",
+    ),
+    "shed": Transition(
+        ("queued",), "failed", RequestStatus.FAILED, outcome="failed",
+        instants=("shed",),
+        counters=(("repro_requests_shed_total", "reason"),
+                  ("repro_requests_failed_total",)),
+    ),
+    "repruned": Transition(
+        ("queued",), instants=("repruned",),
+        counters=(("repro_requests_repruned_total",),),
+    ),
+    "route_failed": Transition(
+        ("unrouted",), "failed", RequestStatus.FAILED,
+        instants=("route_failed",),
+        counters=(("repro_requests_failed_total",),), track="router",
+    ),
+}
+
+
+def transition(
+    record: RequestRecord, event: str, now: float, tel, process: str,
+    **args,
+) -> None:
+    """Apply one :data:`LIFECYCLE` row to ``record`` at time ``now``.
+
+    The only writer of a record's status, timestamps and phase: checks
+    the event is legal in the record's phase
+    (:class:`IllegalTransitionError` otherwise), moves the record
+    fields the row names, then — through ``tel``
+    (:class:`repro.telemetry.Telemetry`), under ``process`` — closes
+    the span of the phase it left and emits the row's instants and
+    counters.
+    """
+    row = LIFECYCLE.get(event)
+    if row is None or record.phase not in row.sources:
+        raise IllegalTransitionError(
+            f"request {record.request.request_id}: event {event!r} is not "
+            f"legal in phase {record.phase!r}"
+        )
+    state = vars(record)
+    phase, phase_start = record.phase, record.phase_start
+    if row.requeue:
+        state["admitted_before"] |= record.admit_time is not None
+        state.update(
+            status=RequestStatus.QUEUED, admit_time=None,
+            first_token_time=None, finish_time=None,
+        )
+        record.token_ids.clear()
+        record.token_latencies.clear()
+    if row.strike is not None:
+        state[row.strike] += 1
+        record.recompute_tokens += int(args["work_tokens"])
+        record.preempt_protected = True
+    if row.status is not None:
+        state["status"] = row.status
+        if row.status is RequestStatus.FAILED:
+            record.failure = args["reason"]
+    if row.stamp is not None:
+        state[row.stamp] = now
+    if row.target is not None:
+        state["phase"] = row.target
+        state["phase_start"] = now
+    if not tel.active:
+        return
+    track = row.track or f"req {record.request.request_id}"
+    if row.outcome is not None and phase in SPAN_PHASES:
+        tel.span(
+            phase, phase_start, now, process, track, outcome=row.outcome
+        )
+    for i, name in enumerate(row.instants):
+        tel.instant(name, now, process, track, **(args if i == 0 else {}))
+    for name, *label_args in row.counters:
+        tel.count(
+            name, engine=process, **{key: args[key] for key in label_args}
+        )

@@ -11,9 +11,9 @@ reproducible:
 
 ``tracer``
     :class:`Tracer` — span/instant/counter events on the simulated
-    timeline.  The serving engine emits each request's lifecycle
-    (``queued`` → ``admitted`` → ``prefill`` → ``promoted`` →
-    ``decode`` → ``finished`` / ``preempted`` / ``drained``), the KV
+    timeline.  Each request's lifecycle spans and instants come from
+    one table (:data:`repro.serving.request.LIFECYCLE`, rendered in
+    the serving guide's "Request lifecycle" section), the KV
     pool emits alloc/evict/preempt events through its observer hook,
     the cluster router emits per-replica scored decisions, and the
     sharded ledger emits drain/fail transitions.
@@ -50,11 +50,11 @@ Emitters take a single :class:`Telemetry` object::
     write_text("trace.json", chrome_trace_json(tel.tracer), "trace")
 
 With telemetry off (the default everywhere), emitters receive
-:data:`NULL_TELEMETRY`, whose ``active`` flag is ``False``.  Every
-hot-path emission site is guarded by that flag *before* building any
-event payload, so disabled telemetry costs one attribute check and
-allocates nothing — the inertness tests pin bit-identical token
-streams with telemetry on vs. off.
+:data:`NULL_TELEMETRY`, whose ``active`` flag is ``False`` and whose
+:meth:`~Telemetry.instant` / :meth:`~Telemetry.span` /
+:meth:`~Telemetry.count` helpers return at their sink guard; the
+per-step sample is built only under ``active``.  The inertness tests
+pin bit-identical token streams with telemetry on vs. off.
 """
 
 from __future__ import annotations
@@ -129,6 +129,26 @@ class Telemetry:
     def active(self) -> bool:
         """True when trace events or metric samples should be emitted."""
         return self.tracer is not None or self.metrics is not None
+
+    # Emission helpers: the tracer / metrics ``None`` guards live here,
+    # so emitters state *what* happened once and never branch on which
+    # sinks are installed.
+    def instant(
+        self, name: str, t: float, process: str, track: str, **args
+    ) -> None:
+        if self.tracer is not None:
+            self.tracer.instant(name, t, process, track, **args)
+
+    def span(
+        self, name: str, start: float, end: float, process: str,
+        track: str, **args,
+    ) -> None:
+        if self.tracer is not None:
+            self.tracer.span(name, start, end, process, track, **args)
+
+    def count(self, name: str, amount: float = 1.0, **labels: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name, **labels).inc(amount)
 
     def __repr__(self) -> str:
         return (

@@ -522,98 +522,6 @@ class TestStatsSchemaDriftRule:
 
 
 # ----------------------------------------------------------------------
-# Observability family
-# ----------------------------------------------------------------------
-class TestSpanBalanceRule:
-    def test_fires_on_spanless_terminal_transition(self, tmp_path):
-        result = lint(tmp_path, {
-            "src/repro/serving/bad.py": (
-                "class Engine:\n"
-                "    def fail(self, record):\n"
-                "        record.status = RequestStatus.FAILED\n"
-            ),
-        }, rules=["obs-span-balance"])
-        assert rule_ids(result) == ["obs-span-balance"]
-        finding = result.unsuppressed[0]
-        assert finding.line == 3  # anchored at the mutating line
-        assert "Engine.fail()" in finding.message
-
-    def test_fires_on_spanless_requeue(self, tmp_path):
-        result = lint(tmp_path, {
-            "src/repro/cluster/bad.py": (
-                "class Fleet:\n"
-                "    def evict(self, record):\n"
-                "        record.reset_for_preempt()\n"
-            ),
-        }, rules=["obs-span-balance"])
-        assert rule_ids(result) == ["obs-span-balance"]
-
-    def test_silent_when_span_emitted_directly(self, tmp_path):
-        result = lint(tmp_path, {
-            "src/repro/serving/good.py": (
-                "class Engine:\n"
-                "    def fail(self, record, now):\n"
-                "        self.tel.tracer.span(\n"
-                "            'decode', record.entered, now)\n"
-                "        record.status = RequestStatus.FAILED\n"
-            ),
-        }, rules=["obs-span-balance"])
-        assert result.unsuppressed == []
-
-    def test_silent_when_span_emitted_via_helper(self, tmp_path):
-        # Transitive: the transition method calls a same-class helper
-        # that emits the span.
-        result = lint(tmp_path, {
-            "src/repro/serving/good.py": (
-                "class Engine:\n"
-                "    def _close(self, record, now):\n"
-                "        self.tel.tracer.span('decode', 0.0, now)\n"
-                "    def preempt(self, record, now):\n"
-                "        self._close(record, now)\n"
-                "        record.reset_for_preempt()\n"
-            ),
-        }, rules=["obs-span-balance"])
-        assert result.unsuppressed == []
-
-    def test_record_reset_methods_are_exempt(self, tmp_path):
-        # The record's own reset_for_* methods are the transition, not
-        # the scheduler path that owes the span.
-        result = lint(tmp_path, {
-            "src/repro/serving/record.py": (
-                "class RequestRecord:\n"
-                "    def reset_for_requeue(self):\n"
-                "        self.status = RequestStatus.QUEUED\n"
-                "    def reset_for_corruption(self):\n"
-                "        self.reset_for_requeue()\n"
-            ),
-        }, rules=["obs-span-balance"])
-        assert result.unsuppressed == []
-
-    def test_out_of_scope_paths_are_ignored(self, tmp_path):
-        result = lint(tmp_path, {
-            "src/repro/eval/bad.py": (
-                "class Harness:\n"
-                "    def fail(self, record):\n"
-                "        record.status = RequestStatus.FAILED\n"
-            ),
-        }, rules=["obs-span-balance"])
-        assert result.unsuppressed == []
-
-    def test_suppression_on_mutating_line(self, tmp_path):
-        result = lint(tmp_path, {
-            "src/repro/serving/bad.py": (
-                "class Engine:\n"
-                "    def fail(self, record):\n"
-                "        # repro: allow[obs-span-balance] -- no span open\n"
-                "        record.status = RequestStatus.FAILED\n"
-            ),
-        }, rules=["obs-span-balance"])
-        assert result.unsuppressed == []
-        assert [f.rule for f in result.suppressed] == ["obs-span-balance"]
-        assert result.suppressed[0].reason == "no span open"
-
-
-# ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
 class TestSuppressions:
@@ -829,7 +737,7 @@ class TestRepoIsClean:
 
         families = {cls.family for cls in all_rule_classes().values()}
         assert {"determinism", "clock-domain", "accounting",
-                "drift", "observability"} <= families
+                "drift"} <= families
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,9 @@ from repro.serving import (
     RequestStatus,
     ServingEngine,
     ServingStats,
+    transition,
 )
+from repro.telemetry import NULL_TELEMETRY
 from repro.workloads import (
     accuracy_scale_config,
     build_task_model,
@@ -425,8 +427,8 @@ class TestFailureReporting:
         request = Request(request_id, np.arange(1, 9),
                           max_new_tokens=4, priority=priority)
         record = RequestRecord(request)
-        record.status = RequestStatus.FAILED
-        record.failure = "unplaceable"
+        transition(record, "route_failed", 0.0, NULL_TELEMETRY, "fleet",
+                   reason="unplaceable")
         return record
 
     def _stats(self, records):

@@ -362,6 +362,25 @@ class TestOptimisticEngine:
         assert tokens_by_id(optimistic) == tokens_by_id(reserve)
         assert_all_complete(optimistic)
 
+    def test_deadline_spares_requests_the_engine_preempted(
+        self, serving_setup
+    ):
+        """``deadline_s`` is time to *first* admission: a request
+        admitted in time, then preempted and requeued past the deadline,
+        must finish — preemption costs latency, never tokens."""
+        _, _, corpus = serving_setup
+        stats, _, _ = self.run_engine(
+            serving_setup, trace(corpus), pages=48, admission="optimistic",
+            pruning=None, deadline_s=0.01)
+        failed = [r for r in stats.records if r.failure is not None]
+        assert failed  # the deadline still fires on never-admitted work
+        assert all(r.failure == "deadline" and r.n_preemptions == 0
+                   for r in failed)
+        preempted = [r for r in stats.records if r.n_preemptions]
+        assert preempted
+        assert all(r.n_generated == r.request.max_new_tokens
+                   for r in preempted)
+
     def test_long_prefill_floor_survives_decode_growth(self, serving_setup):
         """Regression companion to the pool-level floor test: a long
         dense prompt committing chunk by chunk while short requests

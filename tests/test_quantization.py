@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -119,6 +119,8 @@ class TestQuantizerEdgeCases:
         assert issubclass(QuantizationRangeError, ValueError)
 
     @given(value_arrays)
+    # Subnormal range: max_abs / qmax underflows to 0.0.
+    @example(np.array([5e-324, 0.0]))
     @settings(max_examples=60, deadline=None)
     def test_most_negative_code_never_produced(self, x):
         # Symmetric grid: -128 would dequantize outside the declared

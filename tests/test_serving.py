@@ -20,7 +20,9 @@ from repro.serving import (
     SimulatedClock,
     prefill_kv_lengths,
     pruned_kv_bounds,
+    transition,
 )
+from repro.telemetry import NULL_TELEMETRY
 from repro.workloads import (
     accuracy_scale_config,
     build_task_model,
@@ -480,7 +482,10 @@ class TestChunkedServing:
         pool = make_pool(config, pages=64, page_tokens=8)
         engine = ServingEngine(model, pool, prefill_chunk=8)
         clock = SimulatedClock()
-        engine._reserve(request, clock, RequestRecord(request))
+        engine.start(clock)
+        engine.submit(request)
+        engine._ingest(clock.now)
+        engine._admit_ready(clock)
         assert pool.allocated_pages == 0  # reservation allocates nothing
         for committed in (8, 16, 24):  # PROMPT_LEN == 24
             engine._mixed_step(clock)
@@ -497,7 +502,10 @@ class TestChunkedServing:
         pool = make_pool(config, pages=64, page_tokens=8)
         engine = ServingEngine(model, pool, pruning=PRUNING, prefill_chunk=8)
         clock = SimulatedClock()
-        engine._reserve(request, clock, RequestRecord(request))
+        engine.start(clock)
+        engine.submit(request)
+        engine._ingest(clock.now)
+        engine._admit_ready(clock)
         assert pool.allocated_pages == 0
         for committed in (8, 16, 24):
             engine._mixed_step(clock)
@@ -544,11 +552,16 @@ class TestChunkedServing:
             ServingEngine(model, pool, prefill_chunk=0)
 
 
+def drive(record, **events):
+    """Walk a bare record through lifecycle events (name=time)."""
+    for event, t in events.items():
+        transition(record, event, t, NULL_TELEMETRY, "engine")
+
+
 class TestStatsPartialRuns:
     def test_from_run_skips_and_counts_unadmitted_records(self):
         served = RequestRecord(Request(0, [1, 2], 2, arrival_time=0.1))
-        served.admit_time = 0.5
-        served.first_token_time = 0.7
+        drive(served, submitted=0.1, queued=0.1, admitted=0.5, promoted=0.7)
         served.token_ids = [3, 4]
         served.token_latencies = [0.1]
         stranded = RequestRecord(Request(1, [1, 2], 2, arrival_time=0.2))
@@ -566,8 +579,7 @@ class TestStatsPartialRuns:
 
     def test_fully_served_runs_report_no_unadmitted(self):
         record = RequestRecord(Request(0, [1], 1, arrival_time=0.0))
-        record.admit_time = 0.0
-        record.first_token_time = 0.1
+        drive(record, submitted=0.0, queued=0.0, admitted=0.0, promoted=0.1)
         record.token_ids = [5]
         stats = ServingStats.from_run(
             mode="dense", records=[record], makespan_s=0.2, batch_sizes=[1],

@@ -418,6 +418,25 @@ class TestTraceContent:
 # ----------------------------------------------------------------------
 # audit-every cadence
 # ----------------------------------------------------------------------
+class TestPoolObserver:
+    def test_inert_engine_clears_a_stale_observer(self, serving_setup):
+        """A pool a traced engine drove must stop notifying it once a
+        telemetry-off engine takes the pool over."""
+        config, model, corpus = serving_setup
+        requests = trace(corpus, n=4)
+        pool = make_pool(config)
+        tel = Telemetry()
+        traced = ServingEngine(model, pool, pruning=PRUNING, prefill_chunk=8,
+                               telemetry=tel)
+        traced.run(requests)
+        assert pool.observer is traced
+        n_events = len(tel.tracer)
+        ServingEngine(model, pool, pruning=PRUNING,
+                      prefill_chunk=8).run(requests)
+        assert pool.observer is None
+        assert len(tel.tracer) == n_events
+
+
 class TestAuditEvery:
     def test_rejects_nonpositive(self, serving_setup):
         config, model, _ = serving_setup
