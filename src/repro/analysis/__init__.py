@@ -31,7 +31,7 @@ simulation runs, with an AST-based framework tailored to this codebase:
 CI and ``scripts/run_tier1.sh`` run ``repro lint`` as a hard gate: the
 tree must carry zero unsuppressed violations, and every suppression
 must state its reason.  See the "Static analysis" section of the
-serving guide (:mod:`repro.serving`) for the rule catalog and the
+serving guide (``docs/serving.md``) for the rule catalog and the
 how-to-add-a-rule walkthrough.
 """
 

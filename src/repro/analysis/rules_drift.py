@@ -4,12 +4,13 @@ Two artifacts in this repo are hand-maintained mirrors of code and rot
 silently when the code moves:
 
 * ``drift-cli-doc`` — the CLI flag surface.  The module docstrings of
-  ``repro.cli`` and the serving/cluster guides narrate flags by name;
-  this rule extracts every ``--flag`` token from those docstrings and
-  every ``add_argument("--flag", ...)`` definition from ``cli.py`` and
-  flags both directions of drift: a documented flag that no parser
-  defines (stale doc), and a defined flag no guide mentions
-  (undocumented surface).
+  ``repro.cli`` and ``repro.cluster`` and the serving guide
+  (``docs/serving.md``) narrate flags by name; this rule extracts every
+  ``--flag`` token from those documents and every
+  ``add_argument("--flag", ...)`` definition from ``cli.py`` and flags
+  both directions of drift: a documented flag that no parser defines
+  (stale doc), and a defined flag no guide mentions (undocumented
+  surface).
 * ``drift-stats-schema`` — the ``--stats-json`` document shape.
   ``benchmarks/results/stats_schema_v2.json`` is the checked-in golden
   schema for ``STATS_SCHEMA_VERSION``; this rule statically derives the
@@ -36,10 +37,11 @@ __all__ = ["CliDocDriftRule", "StatsSchemaDriftRule", "GOLDEN_SCHEMA_PATH"]
 
 _CLI_PATH = "src/repro/cli.py"
 
-#: Module docstrings that narrate the CLI flag surface.
+#: Documents that narrate the CLI flag surface: the module docstring
+#: of a ``.py`` source, the whole text of anything else.
 _DOC_SOURCES = (
     "src/repro/cli.py",
-    "src/repro/serving/__init__.py",
+    "docs/serving.md",
     "src/repro/cluster/__init__.py",
 )
 
@@ -62,16 +64,25 @@ def _docstring_span(module: ModuleInfo) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _doc_flag_tokens(module: ModuleInfo) -> List[Tuple[str, int]]:
-    """(flag, line) for every --flag token in the module docstring."""
-    span = _docstring_span(module)
-    if span is None:
-        return []
-    out = []
-    for lineno in range(span[0], span[1] + 1):
-        for match in _FLAG_TOKEN_RE.finditer(module.lines[lineno - 1]):
-            out.append((match.group(0), lineno))
-    return out
+def _doc_flag_tokens(
+    index: RepoIndex, relpath: str
+) -> List[Tuple[str, int]]:
+    """(flag, line) for every --flag token one doc source narrates."""
+    if relpath.endswith(".py"):
+        module = index.module(relpath)
+        span = _docstring_span(module) if module is not None else None
+        if span is None:
+            return []
+        lines = module.lines[span[0] - 1:span[1]]
+        first = span[0]
+    else:
+        lines = (index.read_text(relpath) or "").splitlines()
+        first = 1
+    return [
+        (match.group(0), lineno)
+        for lineno, line in enumerate(lines, first)
+        for match in _FLAG_TOKEN_RE.finditer(line)
+    ]
 
 
 def _defined_flags(cli: ModuleInfo) -> Dict[str, int]:
@@ -95,7 +106,7 @@ class CliDocDriftRule(Rule):
     rule_id = "drift-cli-doc"
     family = "drift"
     description = (
-        "CLI flags vs the cli.py / serving-guide docstrings: stale "
+        "CLI flags vs the cli.py docstring and docs/serving.md: stale "
         "documented flags and undocumented defined flags"
     )
     anchors = (_CLI_PATH,)
@@ -111,10 +122,7 @@ class CliDocDriftRule(Rule):
         defined = _defined_flags(cli)
         documented: Set[str] = set()
         for relpath in _DOC_SOURCES:
-            doc = index.module(relpath)
-            if doc is None:
-                continue
-            for flag, lineno in _doc_flag_tokens(doc):
+            for flag, lineno in _doc_flag_tokens(index, relpath):
                 documented.add(flag)
                 if flag not in defined:
                     yield Finding(
@@ -123,7 +131,7 @@ class CliDocDriftRule(Rule):
                         path=relpath,
                         line=lineno,
                         message=(
-                            f"docstring mentions {flag}, but no parser in "
+                            f"doc mentions {flag}, but no parser in "
                             f"cli.py defines that flag (stale doc?)"
                         ),
                     )

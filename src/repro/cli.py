@@ -14,8 +14,9 @@ reports, with the paper's numbers quoted in the table notes.  The
 continuous-batching engine (:mod:`repro.serving`) and prints its
 :class:`~repro.serving.ServingStats` report.  Its defaults match the
 flag defaults below: 16 requests arriving at 200 req/s (simulated),
-served with chunked prefill (32-token chunks; pass ``--prefill-chunk
-0`` for the stalling monolithic prefill).  ``serve-cluster`` routes
+served with chunked prefill (32-token chunks; ``--prefill-chunk 0``
+commits each prompt whole in one mixed step, stalling the live batch
+for it).  ``serve-cluster`` routes
 the trace across N replicas (:mod:`repro.cluster`) with a pluggable
 policy over a sharded KV pool; ``--drain-at TIME:REPLICA`` retires a
 replica mid-run and requeues its in-flight requests through the
@@ -35,7 +36,7 @@ cleanly past a per-request deadline, and ``--retry-budget`` bounds
 placement retry-with-exponential-backoff when a request momentarily
 fits no active replica (budget exhaustion fails the request — never a
 dead loop).  See the "Fault tolerance & chaos testing" section of the
-serving guide (:mod:`repro.serving`).  Both serving subcommands accept
+serving guide (``docs/serving.md``).  Both serving subcommands accept
 ``--admission optimistic`` (admit against actual pool usage plus
 ``--headroom-pages``, preempting under pressure with
 ``--preempt-policy``; see :mod:`repro.serving.preemption`) and
@@ -56,7 +57,7 @@ tier: ``exact`` (default) keeps fp64 bit identity with the looped
 oracle, ``fp32`` and ``int8`` trade declared accuracy budgets for
 decode-step speed (the tier lands in the stats report's ``numerics``
 field; see the "Numerics ladder" section of the serving guide,
-:mod:`repro.serving`).
+``docs/serving.md``).
 
 ``repro lint`` runs the :mod:`repro.analysis` static-analysis pass —
 determinism, clock-domain, page-accounting, and doc/schema drift rules
@@ -65,7 +66,7 @@ finding.  ``--format json`` switches the console report, ``--out PATH``
 archives the JSON report for CI, ``--rules ID,ID`` restricts the run,
 and ``--list-rules`` prints the catalog.  Tier-1 and CI gate on it; see
 the "Static analysis" section of the serving guide
-(:mod:`repro.serving`) for the rule catalog and suppression syntax.
+(``docs/serving.md``) for the rule catalog and suppression syntax.
 
 Observability (``repro.telemetry``) is off by default and adds zero
 overhead until asked for.  Both serving subcommands take:
@@ -100,22 +101,17 @@ storm table from a trace file without a browser.
 SLOs and latency attribution (:mod:`repro.insight`): both serving
 subcommands accept repeated ``--slo CLASS:METRIC:pPCT:TARGET_MS``
 objectives (e.g. ``--slo 0:ttft:p95:150 --slo all:e2e:p99:2000``)
-evaluated on the simulated clock, with ``--slo-window-ms`` setting the
-tumbling window for error-budget burn-rate accounting; attainment
-lands in the stats report's ``slo`` section without perturbing any
-other field.  ``repro slo-report TRACE --slo SPEC`` evaluates the same
-objectives *offline* over a ``--trace-out`` file and prints the exact
-critical-path latency attribution (every request's end-to-end latency
-decomposed bit-exactly into queue wait, prefill, decode,
-preempt/quarantine/drain discard + requeue, and retry backoff) — exit
-1 when an objective is missed.  ``repro bench-compare`` judges each
-benchmark's newest history record (``benchmarks/results/history/
-*.jsonl``, appended by the bench smoke suite) against the median of
-its earlier records with noise-aware thresholds, exiting 1 on
-regression; ``--history DIR`` points it elsewhere.  Both subcommands
-share the ``--format`` / ``--out`` conventions of ``repro lint``.  See
-the "SLOs, latency attribution & regression tracking" section of the
-serving guide (:mod:`repro.serving`).
+evaluated on the simulated clock over ``--slo-window-ms`` tumbling
+windows; attainment lands in the stats report's ``slo`` section.
+``repro slo-report TRACE --slo SPEC`` evaluates the same objectives
+*offline* over a ``--trace-out`` file with the exact critical-path
+latency attribution (exit 1 when an objective is missed), and ``repro
+bench-compare`` gates each benchmark's newest history record against
+the median of its earlier ones (``--history DIR`` points it away from
+``benchmarks/results/history/``; exit 1 on regression).  Both share
+the ``--format`` / ``--out`` conventions of ``repro lint``.  See the
+"SLOs, latency attribution & regression tracking" section of the
+serving guide (``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -204,14 +200,17 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
-def serve_command(args) -> int:
-    """Serve a synthetic arrival trace with the continuous-batching engine."""
+def serving_command(args) -> int:
+    """``serve`` / ``serve-cluster``: serve a synthetic arrival trace with
+    the continuous-batching engine, or across N replicas behind the
+    cluster router."""
     from .serving import PoolExhausted
 
+    run = _serve if args.command == "serve" else _serve_cluster
     try:
-        return _serve(args)
+        return run(args)
     except (ValueError, PoolExhausted) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 
 
@@ -229,8 +228,6 @@ def trace_report_command(args) -> int:
 
 def slo_report_command(args) -> int:
     """Evaluate SLOs + latency attribution over a saved trace file."""
-    import json
-
     from .insight import SLOPolicy, TraceAttribution, timelines_from_events
     from .telemetry import load_chrome_trace
 
@@ -250,24 +247,28 @@ def slo_report_command(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"slo-report: {exc}", file=sys.stderr)
         return 2
-    doc = {"slo": report.to_dict(), "attribution": attribution.to_dict()}
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(report.render())
-        print()
-        print(attribution.render())
+    _emit_report(
+        args,
+        {"slo": report.to_dict(), "attribution": attribution.to_dict()},
+        report.render() + "\n\n" + attribution.render(),
+    )
+    return 0 if report.attained is not False else 1
+
+
+def _emit_report(args, doc: dict, text: str) -> None:
+    """Print a report the way ``--format`` asks; archive it at ``--out``."""
+    import json
+
+    rendered = json.dumps(doc, indent=2, sort_keys=True)
+    print(rendered if args.format == "json" else text)
     if args.out:
         # The archived report is always the JSON rendering (CI artifact).
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return 0 if report.attained is not False else 1
+            fh.write(rendered + "\n")
 
 
 def bench_compare_command(args) -> int:
     """Gate on benchmark history: latest run vs median of earlier runs."""
-    import json
-
     from .insight import compare_all
 
     try:
@@ -275,26 +276,8 @@ def bench_compare_command(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"bench-compare: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True)
-                     + "\n")
+    _emit_report(args, report.to_dict(), report.render())
     return report.exit_code
-
-
-def serve_cluster_command(args) -> int:
-    """Serve a trace across N replicas behind the cluster router."""
-    from .serving import PoolExhausted
-
-    try:
-        return _serve_cluster(args)
-    except (ValueError, PoolExhausted) as exc:
-        print(f"serve-cluster: {exc}", file=sys.stderr)
-        return 2
 
 
 def lint_command(args) -> int:
@@ -331,13 +314,6 @@ def lint_command(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(render_json(result))
     return result.exit_code
-
-
-def _telemetry_requested(args) -> bool:
-    return bool(
-        args.trace_out or args.metrics_out or args.prom_out or args.profile
-        or args.audit_every
-    )
 
 
 def _build_telemetry(args):
@@ -414,48 +390,50 @@ def _write_telemetry(args, telemetry, mode, multi_mode: bool) -> None:
         write_text,
     )
 
-    if args.trace_out:
-        write_text(
-            _sink_path(args.trace_out, mode, multi_mode),
-            chrome_trace_json(telemetry.tracer),
-            "trace",
-        )
-    if args.metrics_out:
-        write_text(
-            _sink_path(args.metrics_out, mode, multi_mode),
-            metrics_jsonl(telemetry.metrics),
-            "metrics",
-        )
-    if args.prom_out:
-        write_text(
-            _sink_path(args.prom_out, mode, multi_mode),
-            prometheus_text(telemetry.metrics),
-            "prometheus metrics",
-        )
+    for path, render, sink, label in (
+        (args.trace_out, chrome_trace_json, telemetry.tracer, "trace"),
+        (args.metrics_out, metrics_jsonl, telemetry.metrics, "metrics"),
+        (args.prom_out, prometheus_text, telemetry.metrics,
+         "prometheus metrics"),
+    ):
+        if path:
+            write_text(_sink_path(path, mode, multi_mode), render(sink), label)
     if args.profile and telemetry.profiler is not None:
         print()
         print(telemetry.profiler.table())
 
 
-def _serve(args) -> int:
+def _serving_world(args, longest_prompt: int):
+    """The model config, model, LM corpus and cascade schedule both
+    serving subcommands run, sized for ``longest_prompt``."""
     from .config import GPT2_SMALL, PruningConfig
-    from .serving import KVMemoryPool, ServingEngine
     from .workloads import (
         accuracy_scale_config,
         build_task_model,
         build_vocabulary,
         make_lm_corpus,
-        synthetic_request_trace,
     )
 
     vocab = build_vocabulary(size=512, n_classes=4, seed=args.seed)
     config = accuracy_scale_config(
         GPT2_SMALL, len(vocab), n_layers=args.layers, d_model=128, n_heads=8,
-        max_seq_len=max(256, args.prompt_len + args.max_new[1] + 1),
+        max_seq_len=max(256, longest_prompt + args.max_new[1] + 1),
     )
     model, _ = build_task_model(config, vocab, "lm", seed=args.seed)
-    corpus = make_lm_corpus(vocab, n_tokens=4096, seed=args.seed + 1)
-    requests = synthetic_request_trace(
+    corpus = make_lm_corpus(
+        vocab, n_tokens=max(4096, 8 * longest_prompt), seed=args.seed + 1
+    )
+    pruning = PruningConfig(
+        token_keep_final=args.token_keep, head_keep_final=0.75, value_keep=0.9
+    )
+    return config, model, corpus, pruning
+
+
+def _uniform_trace(args, corpus):
+    """The Poisson arrival trace of identically shaped requests."""
+    from .workloads import synthetic_request_trace
+
+    return synthetic_request_trace(
         corpus,
         n_requests=args.requests,
         rate_per_s=args.rate,
@@ -464,15 +442,31 @@ def _serve(args) -> int:
         n_priorities=args.priorities,
         seed=args.seed,
     )
-    pruning = PruningConfig(
-        token_keep_final=args.token_keep, head_keep_final=0.75, value_keep=0.9
+
+
+def _engine_flags(args) -> dict:
+    """Engine keywords both serving subcommands take from shared flags."""
+    return dict(
+        # 0 = the engine's default: one chunk spanning the whole prompt.
+        prefill_chunk=args.prefill_chunk or None,
+        admission=args.admission,
+        numerics=args.numerics,
+        preempt_policy=args.preempt_policy,
+        headroom_pages=args.headroom_pages,
+        audit_every=args.audit_every,
     )
+
+
+def _serve(args) -> int:
+    from .serving import KVMemoryPool, ServingEngine
+
+    config, model, corpus, pruning = _serving_world(args, args.prompt_len)
+    requests = _uniform_trace(args, corpus)
     modes = (
         [("dense", None), ("spatten", pruning)]
         if args.mode == "both"
         else [(args.mode, pruning if args.mode == "spatten" else None)]
     )
-    prefill_chunk = args.prefill_chunk if args.prefill_chunk != 0 else None
     multi_mode = len(modes) > 1
     _check_stdout_sinks(args, multi_mode)
     slo = _build_slo(args)
@@ -487,14 +481,8 @@ def _serve(args) -> int:
         # metrics document per mode instead of interleaving them.
         telemetry = _build_telemetry(args)
         engine = ServingEngine(
-            model, pool, pruning=mode_pruning, prefill_chunk=prefill_chunk,
-            admission=args.admission,
-            numerics=args.numerics,
-            preempt_policy=args.preempt_policy,
-            headroom_pages=args.headroom_pages,
-            telemetry=telemetry,
-            audit_every=args.audit_every,
-            slo=slo,
+            model, pool, pruning=mode_pruning, telemetry=telemetry, slo=slo,
+            **_engine_flags(args),
         )
         stats = engine.run(requests)
         throughputs[mode] = stats.throughput_tps
@@ -541,44 +529,17 @@ def _parse_retire_events(specs, flag: str):
 
 def _serve_cluster(args) -> int:
     from .cluster import ClusterEngine, ShardedKVPool
-    from .config import GPT2_SMALL, PruningConfig
-    from .workloads import (
-        TrafficClass,
-        accuracy_scale_config,
-        build_task_model,
-        build_vocabulary,
-        heterogeneous_request_trace,
-        make_lm_corpus,
-        synthetic_request_trace,
-    )
+    from .config import PruningConfig
+    from .workloads import TrafficClass, heterogeneous_request_trace
 
     if args.replicas < 1:
         raise ValueError("--replicas must be >= 1")
-    pruning = PruningConfig(
-        token_keep_final=args.token_keep, head_keep_final=0.75, value_keep=0.9
-    )
     long_prompt = (
         args.prompt_len if args.traffic == "uniform" else 3 * args.prompt_len
     )
-    vocab = build_vocabulary(size=512, n_classes=4, seed=args.seed)
-    config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=args.layers, d_model=128, n_heads=8,
-        max_seq_len=max(256, long_prompt + args.max_new[1] + 1),
-    )
-    model, _ = build_task_model(config, vocab, "lm", seed=args.seed)
-    corpus = make_lm_corpus(
-        vocab, n_tokens=max(4096, 8 * long_prompt), seed=args.seed + 1
-    )
+    config, model, corpus, pruning = _serving_world(args, long_prompt)
     if args.traffic == "uniform":
-        requests = synthetic_request_trace(
-            corpus,
-            n_requests=args.requests,
-            rate_per_s=args.rate,
-            prompt_len=args.prompt_len,
-            max_new_tokens=tuple(args.max_new),
-            n_priorities=args.priorities,
-            seed=args.seed,
-        )
+        requests = _uniform_trace(args, corpus)
         engine_pruning = pruning if args.mode == "spatten" else None
     else:
         # Skewed mix: mostly cheap heavily-pruned requests, a minority
@@ -611,7 +572,6 @@ def _serve_cluster(args) -> int:
             config, total_budget_bytes=args.pool_kib * 1024,
             n_replicas=args.replicas, page_tokens=args.page_tokens,
         )
-    prefill_chunk = args.prefill_chunk if args.prefill_chunk != 0 else None
     telemetry = _build_telemetry(args)
     fault_plan = None
     heartbeat_timeout_s = None
@@ -637,11 +597,7 @@ def _serve_cluster(args) -> int:
         model, pool,
         policy=args.policy,
         pruning=engine_pruning,
-        prefill_chunk=prefill_chunk,
-        admission=args.admission,
-        numerics=args.numerics,
-        preempt_policy=args.preempt_policy,
-        headroom_pages=args.headroom_pages,
+        **_engine_flags(args),
         drain_events=_parse_retire_events(args.drain_at, "--drain-at"),
         fail_events=_parse_retire_events(args.fail_at, "--fail-at"),
         recover_events=_parse_retire_events(args.recover_at, "--recover-at"),
@@ -651,7 +607,6 @@ def _serve_cluster(args) -> int:
         retry_budget=args.retry_budget,
         degradation=degradation,
         telemetry=telemetry,
-        audit_every=args.audit_every,
         slo=_build_slo(args),
     )
     if fault_plan is not None:
@@ -676,9 +631,10 @@ def _add_serving_flags(parser) -> None:
     parser.add_argument("--rate", type=float, default=200.0,
                         help="Poisson arrival rate (req per simulated second)")
     parser.add_argument("--prefill-chunk", type=int, default=32,
-                        help="prompt tokens committed per mixed step; 0 runs "
-                             "the whole prefill monolithically at admission "
-                             "(stalls the live decode batch)")
+                        help="prompt tokens committed per mixed step; 0 "
+                             "commits each prompt whole in one step (one "
+                             "chunk spanning any prompt, which stalls the "
+                             "live decode batch for it)")
     parser.add_argument("--numerics", choices=("exact", "fp32", "int8"),
                         default="exact",
                         help="numerics-ladder tier of the decode hot path: "
@@ -768,6 +724,15 @@ def _add_serving_flags(parser) -> None:
                              "error-budget burn-rate accounting")
 
 
+def _add_report_flags(parser) -> None:
+    """``--format`` / ``--out`` of lint, slo-report and bench-compare."""
+    parser.add_argument("--format", choices=("text", "json"), default="text",
+                        help="console report format")
+    parser.add_argument("--out", metavar="PATH", default=None,
+                        help="also write the JSON report to PATH "
+                             "(CI archives it as a build artifact)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="SpAtten (HPCA 2021) reproduction harness"
@@ -850,14 +815,10 @@ def main(argv=None) -> int:
     )
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint (default: src/repro)")
-    lint.add_argument("--format", choices=("text", "json"), default="text",
-                      help="console report format")
+    _add_report_flags(lint)
     lint.add_argument("--rules", metavar="ID,ID,...", default=None,
                       help="comma-separated rule ids to run "
                            "(default: every registered rule)")
-    lint.add_argument("--out", metavar="PATH", default=None,
-                      help="also write the JSON report to PATH "
-                           "(CI archives it as a build artifact)")
     lint.add_argument("--list-rules", action="store_true",
                       help="list registered rules and exit")
     report = sub.add_parser(
@@ -880,11 +841,7 @@ def main(argv=None) -> int:
                             metavar="W",
                             help="tumbling window width (simulated ms) for "
                                  "burn-rate accounting")
-    slo_report.add_argument("--format", choices=("text", "json"),
-                            default="text", help="console report format")
-    slo_report.add_argument("--out", metavar="PATH", default=None,
-                            help="also write the JSON report to PATH "
-                                 "(CI archives it as a build artifact)")
+    _add_report_flags(slo_report)
     compare = sub.add_parser(
         "bench-compare",
         help="gate on benchmark history: judge each bench's latest "
@@ -898,25 +855,17 @@ def main(argv=None) -> int:
     compare.add_argument("--history", metavar="DIR",
                          default="benchmarks/results/history",
                          help="history directory of per-bench JSONL files")
-    compare.add_argument("--format", choices=("text", "json"),
-                         default="text", help="console report format")
-    compare.add_argument("--out", metavar="PATH", default=None,
-                         help="also write the JSON report to PATH "
-                              "(CI archives it as a build artifact)")
+    _add_report_flags(compare)
     args = parser.parse_args(argv)
 
-    if args.command == "serve":
-        return serve_command(args)
-    if args.command == "serve-cluster":
-        return serve_cluster_command(args)
-    if args.command == "lint":
-        return lint_command(args)
-    if args.command == "trace-report":
-        return trace_report_command(args)
-    if args.command == "slo-report":
-        return slo_report_command(args)
-    if args.command == "bench-compare":
-        return bench_compare_command(args)
+    commands = {
+        "serve": serving_command, "serve-cluster": serving_command,
+        "lint": lint_command, "trace-report": trace_report_command,
+        "slo-report": slo_report_command,
+        "bench-compare": bench_compare_command,
+    }
+    if args.command in commands:
+        return commands[args.command](args)
 
     if args.command == "list":
         for name in EXPERIMENTS:

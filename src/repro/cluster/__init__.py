@@ -64,7 +64,7 @@ and the pruning-aware-vs-round-robin TTFT comparison under
 Chaos runs (``repro serve-cluster --chaos-seed 0 --chaos-profile
 moderate --retry-budget 2``) put the same fleet under a deterministic
 fault plan — see the "Fault tolerance & chaos testing" section of the
-serving guide (:mod:`repro.serving`) and the soak harness
+serving guide (``docs/serving.md``) and the soak harness
 ``benchmarks/bench_chaos.py``.
 """
 

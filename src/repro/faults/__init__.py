@@ -12,7 +12,7 @@ the property the seed-sweep soak in ``benchmarks/bench_chaos.py``
 asserts.
 
 See the "Fault tolerance & chaos testing" section of the serving guide
-(:mod:`repro.serving`) for the fault taxonomy, the retry/backoff
+(``docs/serving.md``) for the fault taxonomy, the retry/backoff
 semantics, and the graceful-degradation ladder.
 """
 

@@ -11,8 +11,8 @@ cause                     phase     what it measures
 ========================  ========  =======================================
 ``queue_wait``            queued    first admission wait (pool/batch
                                     pressure, admission stall)
-``prefill``               prefill   the surviving prefill (chunked or
-                                    monolithic) that promoted the request
+``prefill``               prefill   the surviving prefill (every chunk of
+                                    it) that promoted the request
 ``decode``                decode    the surviving decode — the sum of the
                                     inter-token gaps
 ``preempt_discard``       varies    prefill/decode work a preemption threw

@@ -827,7 +827,7 @@ class TransformerModel:
                     else {}
                 )
                 t0 = profiler.start() if profiler is not None else 0.0
-                outputs = []
+                outputs: dict = {}
                 for i in incremental:
                     kwargs = (
                         {"projected": projected[i]} if i in projected else {}
@@ -839,20 +839,27 @@ class TransformerModel:
                     kept = execution.kept_query_rows
                     rows[i] = rows[i][kept]
                     row_positions[i] = row_positions[i][kept]
-                    outputs.append(execution.output)
+                    outputs[i] = execution.output
                 if profiler is not None:
                     profiler.stop("prefill_core", t0)
                     t0 = profiler.start()
-                x = self._residual_ffn(
-                    layer_idx,
-                    np.concatenate([rows[i] for i in incremental], axis=0),
-                    np.concatenate(outputs, axis=0),
-                )
-                offset = 0
-                for i in incremental:
-                    n = len(rows[i])
-                    rows[i] = x[offset:offset + n]
-                    offset += n
+                # Single-row blocks run solo, as in project_chunk_rows:
+                # a one-token prompt's oracle takes the single-row
+                # kernel, which groups its accumulation differently
+                # from a row block of a multi-row GEMM.
+                groups = [[i for i in incremental if len(rows[i]) >= 2]]
+                groups += [[i] for i in incremental if len(rows[i]) == 1]
+                for group in filter(None, groups):
+                    x = self._residual_ffn(
+                        layer_idx,
+                        np.concatenate([rows[i] for i in group], axis=0),
+                        np.concatenate([outputs[i] for i in group], axis=0),
+                    )
+                    offset = 0
+                    for i in group:
+                        n = len(rows[i])
+                        rows[i] = x[offset:offset + n]
+                        offset += n
                 if profiler is not None:
                     profiler.stop("prefill_ffn", t0)
             for i in incremental:

@@ -1,7 +1,6 @@
 """Continuous-batching serving engine over a pruning-aware KV pool.
 
-Each engine iteration mirrors a production serving loop with a
-three-phase scheduler:
+Each engine iteration mirrors a production serving loop:
 
 1. **ingest** — requests whose simulated arrival time has passed move
    into the priority queue;
@@ -14,86 +13,30 @@ three-phase scheduler:
 3. **mixed step** — one engine step batches a prefill chunk
    (``prefill_chunk`` tokens) for *every* admitted-but-not-yet-live
    sequence together with one batched decode step across all live
-   sequences.  The simulated clock advances once per mixed step
-   (:meth:`repro.serving.stats.CostModel.mixed_step_time`), so a long
-   prompt no longer freezes the live decode batch for its whole
-   duration — the head-of-line prefill stall this scheduler exists to
-   fix.  A sequence is **promoted** to the decode set (sampling its
-   first token) only when its final chunk commits; pool pages grow
-   chunk by chunk as the prompt's KV columns materialize.
+   sequences, and the simulated clock advances once
+   (:meth:`repro.serving.stats.CostModel.mixed_step_time`): a long
+   prompt stalls the live decode batch for one chunk, not for its
+   whole duration.  A sequence is **promoted** to the decode set
+   (sampling its first token) only when its final chunk commits; pool
+   pages grow chunk by chunk as the prompt's KV columns materialize.
+   ``prefill_chunk=None`` is the chunk value
+   ``model.config.max_seq_len``, not a second scheduler: each prompt
+   commits whole in one step — the stall
+   ``benchmarks/bench_serving_throughput.py`` quantifies;
 4. **retire** — sequences that hit their decode budget release their
    pages immediately, and the freed space backfills from the queue on
    the next iteration.
 
-With ``prefill_chunk=None`` the engine falls back to monolithic
-admission-time prefill (the PR-1 behaviour, kept for comparison — the
-TTFT/decode-latency benchmark in
-``benchmarks/bench_serving_throughput.py`` quantifies the stall).
-
-On the ``exact`` tier chunked prefill is bit-exact: the chunked pass
-commits exactly the same logits, caches, and therefore token streams
-as the monolithic path, in both dense and SpAtten modes (see
-:meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`).
-Both forms enter the model through that one method with the engine's
-backend, so under ``fp32`` / ``int8`` the prompt pass runs in the
-tier's compute dtype either way, and a chunked pass agrees with a
-one-chunk pass to the tier's tolerance rather than bit for bit.
-
+On the ``exact`` tier any chunk size commits exactly the logits,
+caches, and therefore token streams of a solo
+:meth:`~repro.nn.transformer.TransformerModel.prefill`, dense and
+SpAtten alike; under ``fp32`` / ``int8`` the prompt pass runs in the
+tier's compute dtype and chunk sizes agree to the tier's tolerance.
 After every step the pool is synced against each executor's real
 per-layer cache lengths, so columns evicted by cascade token pruning
-drain whole pages back to the free list mid-flight.
-
-Admission modes and preemption
-------------------------------
-
-Admission is two-mode (``ServingEngine(admission=...)``):
-
-* ``"reserve"`` (default) — the request is billed its schedule-bound
-  *worst-case* page reservation from admission to retirement.  Safe by
-  construction, but pages reclaimed by mid-generation pruning cannot
-  admit new work already refused at reservation time, so under load
-  the engine idles capacity the pruning schedule provably freed.
-* ``"optimistic"`` — admission checks the request's post-prefill
-  prompt footprint plus a configurable ``headroom_pages`` against the
-  pool's *actual* usage; future decode growth is deliberately
-  unbilled.  Safety moves to run time: before every step the engine
-  projects each resident sequence's growth
-  (:meth:`~repro.serving.memory_pool.KVMemoryPool.pressure_pages`)
-  and, under pressure, **preempts** a victim — releases its pages,
-  requeues it, and recomputes it from scratch on readmission
-  (``recompute-on-preempt``).  Greedy decoding makes the replayed
-  stream bit-identical, so preemption costs latency, never tokens —
-  the same invariant cluster drains rely on.  Victim selection is
-  policy-pluggable (:mod:`repro.serving.preemption`), a preempted
-  request is protected from re-victimization until it commits new
-  work (livelock guard), and a lone resident sequence is never
-  preempted (its worst-case bound fits the whole pool, enforced at
-  submit).  The pool audits itself after every preemption cycle.
-
-Stepwise driving (cluster mode)
--------------------------------
-
-:meth:`ServingEngine.run` is a thin loop over a stepwise API that an
-external driver — :class:`repro.cluster.ClusterEngine` — uses to run
-*several* engines on parallel simulated timelines:
-
-* :meth:`~ServingEngine.start` opens a run (own clock per engine);
-* :meth:`~ServingEngine.submit` delivers one request (the cluster
-  router calls this at the request's arrival, or at a drain event's
-  requeue time via ``available_time``);
-* :meth:`~ServingEngine.step` executes exactly one scheduler
-  iteration; an idle engine jumps its clock to the next pending
-  arrival, capped at ``horizon`` so a cluster driver can interleave
-  globally ordered events;
-* :meth:`~ServingEngine.drain` pre-empts everything in flight —
-  queued, prefilling, *and* live sequences — releasing their pool
-  pages and handing the (reset) requests back for re-routing;
-* :meth:`~ServingEngine.finish` builds the :class:`ServingStats`
-  report over the requests this engine actually served.
-
-Because ``run()`` itself is implemented on these hooks, a single-
-replica cluster run is *identical* (same committed tokens, same
-simulated-clock stats) to a plain ``engine.run(requests)``.
+drain whole pages back to the free list mid-flight.  Admission modes,
+preemption and the stepwise API a cluster driver steps engines through
+are narrated in ``docs/serving.md``.
 
 Requests may carry their own cascade schedule
 (:attr:`repro.serving.request.Request.pruning`); the engine resolves
@@ -106,7 +49,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -242,11 +187,10 @@ class ServingEngine:
         cost_model: simulated-clock step costs.
         sampler: logits -> token id (greedy by default, which keeps
             batched serving bit-comparable with ``model.generate``).
-        prefill_chunk: prompt tokens committed per mixed step.  With a
-            chunk size, prefill is batched across requests and
-            interleaved with decode; ``None`` (default) runs the whole
-            prompt monolithically at admission, stalling the live
-            batch (kept for comparison benchmarks).
+        prefill_chunk: prompt tokens committed per mixed step, batched
+            across requests and interleaved with decode.  ``None``
+            (default) means ``model.config.max_seq_len``: every prompt
+            commits whole in one step, stalling the live batch for it.
         numerics: numerics ladder tier (``"exact"``, ``"fp32"``, or
             ``"int8"`` — see :mod:`repro.nn.numerics`).  ``"exact"``
             (default) keeps every path bit-identical to the fp64
@@ -257,7 +201,7 @@ class ServingEngine:
             worst-case schedule-bound reservation for its whole
             lifetime; ``"optimistic"`` admits against actual pool usage
             plus ``headroom_pages`` and relies on preemption under
-            pressure (see the module docstring).
+            pressure (see ``docs/serving.md``).
         preempt_policy: victim selection under pool pressure —
             ``"lowest_priority"``, ``"most_pages"``, or
             ``"latest_arrival"`` (:mod:`repro.serving.preemption`).
@@ -269,7 +213,7 @@ class ServingEngine:
         name: label for cluster replicas (defaults to ``"engine"``).
         telemetry: :class:`repro.telemetry.Telemetry` sinks this engine
             emits to — request lifecycle spans, pool ledger events, and
-            per-step metric samples (see the package guide).  ``None``
+            per-step metric samples (see ``docs/serving.md``).  ``None``
             (the default) installs the inert
             :data:`~repro.telemetry.NULL_TELEMETRY`, whose ``active``
             flag short-circuits every emission site before any event is
@@ -314,9 +258,11 @@ class ServingEngine:
     ):
         if not model.config.causal:
             raise ValueError("serving requires a causal (GPT-style) model")
-        if prefill_chunk is not None and prefill_chunk < 1:
+        if prefill_chunk is None:  # one chunk spans any prompt
+            prefill_chunk = model.config.max_seq_len
+        if prefill_chunk < 1:
             raise ValueError(
-                "prefill_chunk must be >= 1, or None for monolithic prefill"
+                "prefill_chunk must be >= 1, or None for the whole prompt"
             )
         resolved_numerics = resolve_numerics(numerics)
         if admission not in ADMISSION_MODES:
@@ -451,14 +397,6 @@ class ServingEngine:
             self._pending or self.queue or self.prefilling or self.live
         )
 
-    @property
-    def n_inflight(self) -> int:
-        """Requests currently owned by the scheduler (not yet finished)."""
-        return (
-            len(self._pending) + len(self.queue)
-            + len(self.prefilling) + len(self.live)
-        )
-
     def validate_request(self, request: Request) -> None:
         """Reject a request this engine could never serve.
 
@@ -565,11 +503,10 @@ class ServingEngine:
 
         Ingests every pending request whose availability has passed,
         backfills admissions from the queue, then executes one mixed
-        (or monolithic-era decode) step.  An engine with nothing
-        admitted jumps its clock to the next pending arrival — capped
-        at ``horizon``, so a cluster driver can stop the jump at the
-        next globally ordered event (an arrival it has not routed yet,
-        or a drain).
+        step.  An engine with nothing admitted jumps its clock to the
+        next pending arrival — capped at ``horizon``, so a cluster
+        driver can stop the jump at the next globally ordered event (an
+        arrival it has not routed yet, or a drain).
         """
         clock = self.clock
         before = clock.now
@@ -594,12 +531,8 @@ class ServingEngine:
             if self.queue:  # pragma: no cover - submit() pre-validation
                 raise PoolExhausted("queued request can never be admitted")
             return 0.0
-        if self.prefill_chunk is None:
-            self._batch_sizes.append(len(self.live))
-            self._decode_step(clock)
-        else:
-            self._batch_sizes.append(len(self.live) + len(self.prefilling))
-            self._mixed_step(clock)
+        self._batch_sizes.append(len(self.live) + len(self.prefilling))
+        self._mixed_step(clock)
         self._occupancy_samples.append(self.pool.occupancy)
         return clock.now - before
 
@@ -727,37 +660,38 @@ class ServingEngine:
             ))
         return self.cost.decode_seq_flops(cfg, bounds, heads)
 
-    def outstanding_flops(self) -> float:
-        """Estimated arithmetic still owed to every in-flight request.
+    def _backlog(self) -> Iterator[Tuple[Request, bool, float]]:
+        """``(request, resident, remaining FLOPs)`` of all in-flight work.
 
-        The cluster's ``pruning_aware`` policy reads this as the
-        replica's backlog: pending and queued requests charge their
-        full end-to-end estimate, prefilling sequences their remaining
-        chunks plus decode budget, live sequences their remaining
-        tokens at the executor's *actual* live KV lengths and heads.
+        Pending and queued requests owe their full end-to-end estimate,
+        prefilling sequences their remaining chunks plus decode budget,
+        live sequences their remaining tokens at the executor's *actual*
+        live KV lengths and heads.  ``resident``: the pool holds an
+        account for the request, so its bill is a ledger read.
         """
         cfg = self.model.config
-        total = 0.0
-        for record in self._pending:
-            total += self.request_flops_estimate(record.request)
-        for request in self.queue.as_ordered_list():
-            total += self.request_flops_estimate(request)
+        waiting = [record.request for record in self._pending]
+        for request in waiting + self.queue.as_ordered_list():
+            yield request, False, self.request_flops_estimate(request)
         for seq in self.prefilling:
-            state = seq.state
-            if state.n_committed < state.prompt_len:
-                total += self.cost.prefill_chunk_flops(
-                    cfg, state.prompt_len, state.n_committed,
-                    state.prompt_len, seq.pruning,
-                )
-            total += seq.request.max_new_tokens * self._decode_tok_estimate(
-                seq.pruning, state.prompt_len, seq.request.max_new_tokens
+            state = seq.state  # never done here: done sequences promote
+            max_new = seq.request.max_new_tokens
+            yield seq.request, True, self.cost.prefill_chunk_flops(
+                cfg, state.prompt_len, state.n_committed,
+                state.prompt_len, seq.pruning,
+            ) + max_new * self._decode_tok_estimate(
+                seq.pruning, state.prompt_len, max_new
             )
         for seq in self.live:
             remaining = seq.request.max_new_tokens - seq.record.n_generated
-            total += remaining * self.cost.decode_seq_flops(
+            yield seq.request, True, remaining * self.cost.decode_seq_flops(
                 cfg, seq.executor.kv_lengths(), seq.executor.n_live_heads
             )
-        return total
+
+    def outstanding_flops(self) -> float:
+        """Estimated arithmetic still owed to every in-flight request
+        (the ``pruning_aware`` routing policy's compute backlog)."""
+        return sum((flops for _, _, flops in self._backlog()), 0.0)
 
     def outstanding_page_seconds(self) -> float:
         """Estimated page-holding backlog: pages x seconds still owed.
@@ -766,56 +700,24 @@ class ServingEngine:
         than a page *count* — a dense request holding 50 pages for a
         long generation is a different load than a pruned request
         holding 8 pages briefly.  Each in-flight request contributes
-        its schedule-bound reservation multiplied by its remaining
-        service-time estimate; queued requests charge their full
-        estimate.  Divided by the shard's page count this is the
-        replica's expected page-availability delay.
+        the pages it is (or, still waiting, will be) billed multiplied
+        by its remaining service-time estimate.  Divided by the
+        shard's page count this is the replica's expected
+        page-availability delay.
         """
+        pool = self.pool
         rate = self.cost.flops_per_second
-        total = 0.0
-        for record in self._pending:
-            total += self._request_page_seconds(record.request)
-        for request in self.queue.as_ordered_list():
-            total += self._request_page_seconds(request)
-        cfg = self.model.config
-        for seq in self.prefilling:
-            state = seq.state
-            remaining = 0.0
-            if state.n_committed < state.prompt_len:
-                remaining += self.cost.prefill_chunk_flops(
-                    cfg, state.prompt_len, state.n_committed,
-                    state.prompt_len, seq.pruning,
+        return sum((
+            (
+                pool.reserved_pages_of(request.request_id)
+                if resident
+                else pool.reservation_pages(
+                    request.prompt_len, request.max_new_tokens,
+                    self.pruning_of(request),
                 )
-            remaining += (
-                seq.request.max_new_tokens * self._decode_tok_estimate(
-                    seq.pruning, state.prompt_len,
-                    seq.request.max_new_tokens,
-                )
-            )
-            total += (
-                self.pool.reserved_pages_of(seq.seq_id) * remaining / rate
-            )
-        for seq in self.live:
-            remaining_toks = (
-                seq.request.max_new_tokens - seq.record.n_generated
-            )
-            remaining = remaining_toks * self.cost.decode_seq_flops(
-                cfg, seq.executor.kv_lengths(), seq.executor.n_live_heads
-            )
-            total += (
-                self.pool.reserved_pages_of(seq.seq_id) * remaining / rate
-            )
-        return total
-
-    def _request_page_seconds(self, request: Request) -> float:
-        pruning = self.pruning_of(request)
-        need = self.pool.reservation_pages(
-            request.prompt_len, request.max_new_tokens, pruning
-        )
-        service_s = (
-            self.request_flops_estimate(request) / self.cost.flops_per_second
-        )
-        return need * service_s
+            ) * flops / rate
+            for request, resident, flops in self._backlog()
+        ), 0.0)
 
     # ------------------------------------------------------------------
     # Scheduling phases
@@ -839,11 +741,7 @@ class ServingEngine:
             if not self._fits_now(request):
                 break  # head-of-line blocking: keep admission order fair
             self.queue.pop()
-            seq = self._reserve(request, clock)
-            if self.prefill_chunk is None:
-                self._prefill_now(seq, clock)
-            else:
-                self.prefilling.append(seq)
+            self.prefilling.append(self._reserve(request, clock))
 
     def _fits_now(self, request: Request) -> bool:
         """Admission check for the current mode.
@@ -902,30 +800,6 @@ class ServingEngine:
             record=record, state=state, pruning=pruning, bound_pages=bound
         )
 
-    def _prefill_now(
-        self, seq: PrefillingSequence, clock: SimulatedClock
-    ) -> None:
-        """Monolithic admission: run the whole prefill on the spot.
-
-        This is the head-of-line stall the chunked scheduler removes —
-        every live sequence waits out the full prompt duration.  One
-        chunk spanning the prompt: the same model entry (and numerics
-        tier) the chunked scheduler's mixed steps go through.
-        """
-        prompt_len = seq.request.prompt_len
-        logits = self.model.prefill_chunk_batch(
-            [seq.state], prompt_len, backend=self._backend
-        )[0]
-        clock.advance(
-            self.cost.prefill_time(
-                self.model.config, prompt_len, seq.pruning
-            ) * self.slowdown
-        )
-        self._commit_chunk(seq)
-        live = self._promote(seq, logits, clock)
-        if live is not None:
-            self.live.append(live)
-
     def _promote(
         self,
         seq: PrefillingSequence,
@@ -953,23 +827,7 @@ class ServingEngine:
             return None
         return live
 
-    def _decode_step(self, clock: SimulatedClock) -> float:
-        """One batched decode step over the live set; returns duration."""
-        batch = list(self.live)
-        logits = self.model.decode_step_batch(
-            [seq.next_token for seq in batch],
-            [seq.next_position for seq in batch],
-            [seq.executor for seq in batch],
-            backend=self._backend,
-        )
-        decode_flops = self._decode_flops(batch)
-        dt = self.cost.step_time(decode_flops, len(batch)) * self.slowdown
-        clock.advance(dt)
-        self.live = self._commit_decode(batch, logits, clock)
-        self._note_step(clock.now, dt, 0.0, decode_flops, 0, len(batch))
-        return dt
-
-    def _mixed_step(self, clock: SimulatedClock) -> float:
+    def _mixed_step(self, clock: SimulatedClock) -> None:
         """One mixed step: a prefill chunk per admitted-but-not-live
         sequence plus one batched decode step over the live set, all
         charged as a single engine step."""
@@ -1001,7 +859,13 @@ class ServingEngine:
             if prefills
             else []
         )
-        decode_flops = self._decode_flops(decode_batch)
+        # Each live row's cache lengths are read once: they price the
+        # step and are what the pool commits below.
+        decode_lengths = [seq.executor.kv_lengths() for seq in decode_batch]
+        decode_flops = sum(
+            self.cost.decode_seq_flops(cfg, lengths, seq.executor.n_live_heads)
+            for seq, lengths in zip(decode_batch, decode_lengths)
+        )
         dt = self.cost.mixed_step_time(
             prefill_flops, decode_flops, len(prefills), len(decode_batch),
         ) * self.slowdown
@@ -1021,45 +885,32 @@ class ServingEngine:
                 promoted.append(live)
         self.prefilling = still_prefilling
 
-        still_live = (
-            self._commit_decode(decode_batch, decode_logits, clock)
-            if decode_batch
-            else []
-        )
-        self.live = still_live + promoted
+        self.live = self._commit_decode(
+            decode_batch, decode_lengths, decode_logits, clock
+        ) + promoted
         self._note_step(
             clock.now, dt, prefill_flops, decode_flops,
             len(prefills), len(decode_batch),
-        )
-        return dt
-
-    def _decode_flops(self, batch: Sequence[LiveSequence]) -> float:
-        return sum(
-            self.cost.decode_seq_flops(
-                self.model.config, seq.executor.kv_lengths(),
-                seq.executor.n_live_heads,
-            )
-            for seq in batch
         )
 
     def _commit_decode(
         self,
         batch: Sequence[LiveSequence],
+        kv_lengths: Sequence[List[int]],
         logits: np.ndarray,
         clock: SimulatedClock,
     ) -> List[LiveSequence]:
         """Sample and record each live sequence's token; retire finishers."""
         still_live: List[LiveSequence] = []
+        now = clock.now
         for row, seq in enumerate(batch):
-            self._sync_pool(seq.seq_id, seq.executor)
+            self._pool_sync(seq.seq_id, kv_lengths[row])
             token = self.sampler(logits[row])
             seq.record.token_ids.append(token)
-            self._transition(seq.record, "token", clock.now)
+            self._transition(seq.record, "token", now)
             seq.record.preempt_protected = False
-            seq.record.token_latencies.append(
-                clock.now - seq.last_commit_time
-            )
-            seq.last_commit_time = clock.now
+            seq.record.token_latencies.append(now - seq.last_commit_time)
+            seq.last_commit_time = now
             if seq.record.n_generated >= seq.request.max_new_tokens:
                 self._retire(seq, clock)
             else:
@@ -1067,11 +918,6 @@ class ServingEngine:
                 seq.next_position += 1
                 still_live.append(seq)
         return still_live
-
-    def _sync_pool(self, seq_id: int, executor: AttentionExecutor) -> None:
-        lengths = executor.kv_lengths()
-        if lengths:  # executors without a KV cache have nothing to page
-            self._pool_sync(seq_id, lengths)
 
     def _pool_sync(self, seq_id: int, lengths: List[int]) -> None:
         """Commit real cache lengths to the pool.
@@ -1082,6 +928,8 @@ class ServingEngine:
         means the projection (not the pool) is broken — surface it
         loudly rather than drop live KV state.
         """
+        if not lengths:  # executors without a KV cache have nothing to page
+            return
         if self.admission == "optimistic":
             if not self.pool.try_grow(seq_id, lengths):
                 raise PoolExhausted(
@@ -1103,15 +951,13 @@ class ServingEngine:
         seq.record.preempt_protected = False
         state = seq.state
         if state.executor.supports_incremental_prefill or state.done:
-            self._sync_pool(seq.seq_id, state.executor)
+            lengths = state.executor.kv_lengths()
         else:
-            self._pool_sync(
-                seq.seq_id,
-                prefill_kv_lengths(
-                    seq.pruning, self.model.config.n_layers,
-                    state.prompt_len, state.n_committed,
-                ),
+            lengths = prefill_kv_lengths(
+                seq.pruning, self.model.config.n_layers,
+                state.prompt_len, state.n_committed,
             )
+        self._pool_sync(seq.seq_id, lengths)
 
     # ------------------------------------------------------------------
     # Fault handling: quarantine, deadlines, graceful degradation
@@ -1254,11 +1100,7 @@ class ServingEngine:
             ]
         for seq in self.prefilling:
             state = seq.state
-            end = (
-                state.next_span(self.prefill_chunk)[1]
-                if self.prefill_chunk is not None
-                else state.prompt_len
-            )
+            end = state.next_span(self.prefill_chunk)[1]
             if state.executor.supports_incremental_prefill:
                 projections[seq.seq_id] = [end] * n_layers
             else:
@@ -1267,7 +1109,7 @@ class ServingEngine:
                 )
         return projections
 
-    def _relieve_pressure(self, clock: SimulatedClock) -> int:
+    def _relieve_pressure(self, clock: SimulatedClock) -> None:
         """Preempt victims until the next step's projected growth fits.
 
         Optimistic admission means reservations no longer bound
@@ -1279,11 +1121,10 @@ class ServingEngine:
         Victims are protected from re-selection until they commit new
         work (livelock guard), and a lone resident sequence is never
         preempted — its worst-case bound fits the whole pool
-        (:meth:`validate_request`).  Returns the number of victims;
-        the pool audits itself after any preemption.
+        (:meth:`validate_request`).  Any preemption ends in a pool audit.
         """
         projections = self._step_projections()
-        n_preempted = 0
+        preempted = False
         while self.pool.pressure_pages(projections) > 0:
             victim = self._select_victim()
             if victim is None:
@@ -1294,10 +1135,9 @@ class ServingEngine:
                 )
             self._preempt(victim, clock)
             projections.pop(victim.seq_id, None)
-            n_preempted += 1
-        if n_preempted:
+            preempted = True
+        if preempted:
             self.pool.audit()
-        return n_preempted
 
     def _select_victim(self) -> Optional[ScheduledSequence]:
         residents: List[ScheduledSequence] = list(self.live)

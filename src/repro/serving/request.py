@@ -152,7 +152,7 @@ class RequestRecord:
     #: Simulated inter-token gap of each decode token: clock delta from
     #: the previous committed token of *this* request to this one.  The
     #: gap includes any stall the scheduler imposed between the two
-    #: steps (e.g. another request's monolithic prefill), which is what
+    #: steps (e.g. another request's whole-prompt chunk), which is what
     #: makes decode-latency percentiles sensitive to head-of-line
     #: blocking.  The first token's latency is ``time_to_first_token``.
     token_latencies: List[float] = field(default_factory=list)

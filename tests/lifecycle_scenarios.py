@@ -5,7 +5,10 @@ three deterministic artifacts a lifecycle change could move — the
 Chrome trace, the Prometheus exposition and the stats JSON.
 ``tests/data/lifecycle_golden.json`` holds their sha256 as recorded at
 the commit *before* the request lifecycle moved into one transition
-function; ``tests/test_lifecycle.py`` asserts them.  None of the
+function; ``tests/test_lifecycle.py`` asserts them.  The two that run
+the default ``prefill_chunk=None`` (``reserve_spatten``'s second run,
+``degradation_ladder``) were re-recorded when ``None`` became the
+whole-prompt chunk of the one mixed-step scheduler.  None of the
 scenarios sets ``deadline_s``.
 
 Re-record (only when an intended behaviour change moves the stream)::
@@ -80,8 +83,8 @@ def _trace(corpus, n, rate, max_new, seed):
 
 
 def reserve_spatten(setup):
-    """Reserve-mode SpAtten serve, chunked then monolithic prefill (the
-    two admission bodies), periodic audits on."""
+    """Reserve-mode SpAtten serve at a real chunk size, then at the
+    default whole-prompt chunk (``None``), periodic audits on."""
     config, model, corpus = setup
     requests = _trace(corpus, 8, 2000.0, (6, 12), seed=3)
     runs = []

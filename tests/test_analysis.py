@@ -429,6 +429,18 @@ class TestCliDocDriftRule:
         }, rules=["drift-cli-doc"])
         assert result.unsuppressed == []
 
+    def test_markdown_guide_is_a_doc_source(self, tmp_path):
+        """``docs/serving.md`` narrates flags as whole text: it documents
+        ``--rate`` for the parser and its own stale flag fires there."""
+        result = lint(tmp_path, {
+            "src/repro/cli.py": _CLI_SYNCED.replace(" --rate 100", ""),
+            "docs/serving.md": "# Guide\n\nPass `--rate 100`, `--gone 1`.\n",
+        }, rules=["drift-cli-doc"])
+        assert [(f.path, f.line) for f in result.unsuppressed] == [
+            ("docs/serving.md", 3)
+        ]
+        assert "--gone" in result.unsuppressed[0].message
+
     def test_section_underlines_are_not_flags(self, tmp_path):
         result = lint(tmp_path, {
             "src/repro/cli.py": (

@@ -317,7 +317,7 @@ class TestClusterEngine:
     @pytest.mark.parametrize("pruning", [None, PRUNING],
                              ids=["dense", "spatten"])
     @pytest.mark.parametrize("prefill_chunk", [None, 8],
-                             ids=["monolithic", "chunked"])
+                             ids=["whole-prompt", "chunked"])
     def test_single_replica_matches_plain_engine(
         self, cluster_setup, pruning, prefill_chunk
     ):

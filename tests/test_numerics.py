@@ -668,8 +668,9 @@ class TestTierPrefill:
     def test_engine_prompt_pass_runs_at_the_engine_tier(
         self, world, prefill_chunk, monkeypatch
     ):
-        """Chunked and monolithic admission both enter the model through
-        the backend, so neither silently stays fp64 on fp32."""
+        """Every chunk size — ``None`` is one chunk spanning any prompt —
+        enters the model through the backend, so the prompt pass never
+        silently stays fp64 on fp32."""
         config, model, corpus, _ = world
         calls = []
         policy_pass = PackedDecodeBackend.prefill_chunk_policy
@@ -699,7 +700,7 @@ class TestTierPrefill:
             streams[tier] = [list(r.token_ids) for r in stats.records]
             assert bool(calls) == (tier == "fp32")
         assert streams["fp32"] == streams["exact"]
-        assert set(calls) == {24 if prefill_chunk is None else prefill_chunk}
+        assert set(calls) == {prefill_chunk or config.max_seq_len}
 
     def test_preempted_spatten_request_replays_its_stream_on_fp32(self, world):
         """ROADMAP item 5's cross product: SpAtten x preemption x fp32.

@@ -203,6 +203,25 @@ def test_chunked_prefill_packed_bit_identical(decoder, backend, chunk):
     )
 
 
+@pytest.mark.parametrize("packed", [False, True], ids=["looped", "exact"])
+def test_one_token_prompt_batched_matches_solo_prefill(
+    decoder, backend, packed
+):
+    """A one-token prompt's single row must not ride the other chunks'
+    multi-row FFN GEMM: its solo oracle takes the single-row kernel."""
+    rng = np.random.default_rng(5)
+    prompts = [
+        rng.integers(0, decoder.config.vocab_size, size=n).tolist()
+        for n in (1, 9)
+    ]
+    states = [decoder.prefill_begin(p, DenseExecutor()) for p in prompts]
+    batched = decoder.prefill_chunk_batch(
+        states, 64, backend=backend if packed else None
+    )
+    for prompt, logits in zip(prompts, batched):
+        assert np.array_equal(logits, decoder.prefill(prompt, DenseExecutor()))
+
+
 def test_prefill_then_packed_decode_roundtrip(decoder, backend):
     """Chunked-packed prefill feeding packed decode stays on the oracle."""
     rng = np.random.default_rng(77)

@@ -411,9 +411,11 @@ class TestOptimisticEngine:
         assert_all_complete(tight)
         assert pool.reserved_pages == 0 and pool.allocated_pages == 0
 
-    def test_monolithic_prefill_supports_optimistic_mode(
+    def test_whole_prompt_chunk_supports_optimistic_mode(
         self, serving_setup
     ):
+        """The default ``prefill_chunk=None`` (one chunk per prompt)
+        under optimistic admission and pool pressure."""
         config, model, corpus = serving_setup
         requests = trace(corpus, n=8, seed=19)
         baseline = ServingEngine(

@@ -22,7 +22,7 @@ from repro.serving import (
     pruned_kv_bounds,
     transition,
 )
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, Telemetry, chrome_trace_json
 from repro.workloads import (
     accuracy_scale_config,
     build_task_model,
@@ -256,7 +256,7 @@ class TestBatchedDecodeEquivalence:
         self, serving_setup, pruning, quant, prefill_chunk
     ):
         """Engine streams == solo ``model.generate`` (the looped oracle),
-        monolithic and chunked prefill alike."""
+        whole-prompt and chunked prefill alike."""
         config, model, corpus = serving_setup
         prompts = lm_prompts(corpus, PROMPT_LEN, 3, seed=11)
         max_new = 6
@@ -418,7 +418,7 @@ class TestServingEngine:
 
 
 class TestChunkedServing:
-    """The three-phase mixed-step scheduler (prefill_chunk != None)."""
+    """The three-phase mixed-step scheduler at every chunk size."""
 
     @pytest.mark.parametrize(
         "pruning,quant",
@@ -429,29 +429,52 @@ class TestChunkedServing:
         ],
         ids=["dense", "pruned", "pruned+quant"],
     )
-    @pytest.mark.parametrize("chunk", [2, 8, 64])
+    @pytest.mark.parametrize("chunk", [2, 8, 64, None])
     def test_token_streams_bit_identical_to_monolithic(
         self, serving_setup, pruning, quant, chunk
     ):
+        """Every chunk size commits the streams of the model's own
+        monolithic pass: solo ``model.generate``, one request at a time."""
         config, model, corpus = serving_setup
         requests = synthetic_request_trace(
             corpus, n_requests=6, rate_per_s=400.0, prompt_len=PROMPT_LEN,
             max_new_tokens=(3, 6), seed=37,
         )
-        streams = {}
-        for label, prefill_chunk in (("mono", None), ("chunked", chunk)):
-            pool = make_pool(config, pages=256, page_tokens=8)
-            engine = ServingEngine(
-                model, pool, pruning=pruning, quant=quant,
-                prefill_chunk=prefill_chunk,
-            )
-            stats = engine.run(requests)
-            streams[label] = [r.token_ids for r in stats.records]
-            assert all(
-                r.n_generated == r.request.max_new_tokens
-                for r in stats.records
-            )
-        assert streams["chunked"] == streams["mono"]
+        solo = [
+            model.generate(
+                r.prompt_ids, r.max_new_tokens,
+                executor=(
+                    SpAttenExecutor(pruning, quant) if pruning or quant
+                    else None
+                ),
+            ).token_ids
+            for r in requests
+        ]
+        pool = make_pool(config, pages=256, page_tokens=8)
+        stats = ServingEngine(
+            model, pool, pruning=pruning, quant=quant, prefill_chunk=chunk,
+        ).run(requests)
+        assert [r.token_ids for r in stats.records] == solo
+
+    def test_none_is_a_chunk_value_not_a_second_scheduler(
+        self, serving_setup
+    ):
+        """``prefill_chunk=None`` *is* ``prefill_chunk=max_seq_len``:
+        byte-identical trace and stats, not merely the same tokens."""
+        config, model, corpus = serving_setup
+        requests = synthetic_request_trace(
+            corpus, n_requests=6, rate_per_s=400.0, prompt_len=PROMPT_LEN,
+            max_new_tokens=(3, 6), seed=37,
+        )
+        artifacts = []
+        for chunk in (None, config.max_seq_len):
+            tel = Telemetry()
+            stats = ServingEngine(
+                model, make_pool(config, pages=64, page_tokens=8),
+                pruning=PRUNING, prefill_chunk=chunk, telemetry=tel,
+            ).run(requests)
+            artifacts.append((chrome_trace_json(tel.tracer), stats.to_json()))
+        assert artifacts[0] == artifacts[1]
 
     def test_priority_order_admission_under_pool_contention(
         self, serving_setup
@@ -522,16 +545,16 @@ class TestChunkedServing:
     def test_prefill_never_stalls_live_decode(self, serving_setup):
         """The head-of-line fix, observed directly on inter-token gaps.
 
-        Request 1 arrives while request 0 decodes.  Monolithically its
-        whole prompt lands inside one clock advance, so request 0's
+        Request 1 arrives while request 0 decodes.  As one whole-prompt
+        chunk its prompt lands inside one mixed step, so request 0's
         next inter-token gap swallows the full prefill; chunked, every
         gap stays bounded by a mixed step that carries at most one
-        chunk of the new prompt.
+        small chunk of the new prompt.
         """
         config, model, corpus = serving_setup
         prompts = lm_prompts(corpus, PROMPT_LEN, 2, seed=53)
         worst = {}
-        for label, chunk in (("mono", None), ("chunked", 4)):
+        for label, chunk in (("whole", None), ("chunked", 4)):
             requests = [
                 Request(0, prompts[0], 12, arrival_time=0.0),
                 Request(1, prompts[1], 4, arrival_time=1e-4),
@@ -542,8 +565,8 @@ class TestChunkedServing:
             )
             worst[label] = max(stats.records[0].token_latencies)
         prefill_s = CostModel().prefill_time(config, PROMPT_LEN)
-        assert worst["mono"] > prefill_s  # the stall is visible...
-        assert worst["chunked"] < worst["mono"]  # ...and chunking removes it
+        assert worst["whole"] > prefill_s  # the stall is visible...
+        assert worst["chunked"] < worst["whole"]  # ...and chunking removes it
 
     def test_invalid_prefill_chunk_rejected(self, serving_setup):
         config, model, _ = serving_setup
