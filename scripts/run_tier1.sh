@@ -61,3 +61,8 @@ python -m repro.cli slo-report \
 python -m repro.cli bench-compare \
     --history benchmarks/results/history \
     --out benchmarks/results/bench_compare.json
+
+# Size of src/: all lines / code lines (non-docstring, non-comment).
+# CHANGES.md's per-PR "net src/ lines, code vs prose" is this total at
+# the change minus the same total at the parent commit.
+python scripts/count_loc.py src

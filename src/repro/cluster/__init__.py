@@ -20,10 +20,10 @@ Layers of the subsystem
 * :mod:`~repro.cluster.router` — :class:`ClusterRouter` with pluggable
   policies: ``round_robin``, ``least_loaded`` (free reservation
   pages), and ``pruning_aware`` (schedule-bound cost scoring from
-  :func:`~repro.serving.memory_pool.pruned_kv_bounds` and the serving
-  :class:`~repro.serving.stats.CostModel`), plus the heartbeat-driven
-  circuit breaker that steers placements away from suspected-stale
-  replicas.
+  each candidate's :class:`~repro.core.schedule.SequencePlan` and the
+  serving :class:`~repro.serving.stats.CostModel`), plus the
+  heartbeat-driven circuit breaker that steers placements away from
+  suspected-stale replicas.
 * :mod:`~repro.cluster.engine` — :class:`ClusterEngine`: the
   event-driven driver merging arrivals, per-replica scheduler steps on
   parallel simulated timelines, retry-with-backoff placements, and the

@@ -468,7 +468,7 @@ class ClusterEngine:
             self._update_breaker(available)
         if active:
             try:
-                replica = self.router.choose(request, active)
+                replica = self.router.choose(request, active, record)
             except PoolExhausted:
                 replica = None
         if replica is None:

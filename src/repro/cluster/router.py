@@ -9,10 +9,12 @@ Three policies, in increasing awareness of what a request will cost:
   pressure is the admission bottleneck, so this is the natural
   memory-greedy policy.
 * ``pruning_aware`` — score replicas by the request's *schedule-bound*
-  cost estimate: worst-case KV pages from :func:`repro.serving.
-  memory_pool.pruned_kv_bounds` (via the shard's page arithmetic) and
-  end-to-end FLOPs from the serving :class:`~repro.serving.stats.
-  CostModel` (:meth:`~repro.serving.engine.ServingEngine.
+  cost estimate, read off one :class:`~repro.core.schedule.
+  SequencePlan` per candidate (:meth:`~repro.serving.engine.
+  ServingEngine.plan_for`): worst-case KV pages from its ``kv_bounds``
+  (via the shard's page arithmetic) and end-to-end FLOPs from the
+  serving :class:`~repro.serving.stats.CostModel`
+  (:meth:`~repro.serving.engine.ServingEngine.
   request_flops_estimate`).  Each replica's score is the projected
   delay of the placement's *bottleneck resource*: the compute backlog
   ``(outstanding + request FLOPs) / flops_per_second`` versus the
@@ -36,11 +38,12 @@ cost tightly enough to route on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
+from ..core.schedule import SequencePlan
 from ..serving.engine import ServingEngine
 from ..serving.memory_pool import KVMemoryPool, PoolExhausted
-from ..serving.request import Request
+from ..serving.request import Request, RequestRecord
 
 __all__ = ["ROUTING_POLICIES", "Replica", "ClusterRouter"]
 
@@ -111,10 +114,19 @@ class ClusterRouter:
         self.breaker_open = suspected
         return opened, closed
 
-    def choose(self, request: Request, replicas: Sequence[Replica]) -> Replica:
+    def choose(
+        self,
+        request: Request,
+        replicas: Sequence[Replica],
+        record: Optional[RequestRecord] = None,
+    ) -> Replica:
         """Pick the replica this request is placed on.
 
-        ``replicas`` must be the *active* set.  One
+        ``replicas`` must be the *active* set; ``record`` is the
+        record the request travels with, so a schedule override the
+        degradation ladder installed before a drain is what every
+        candidate is filtered and priced at.  One schedule replay
+        (:meth:`~repro.serving.engine.ServingEngine.plan_for`) and one
         :meth:`~repro.serving.engine.ServingEngine.
         placement_pages_estimate` call per replica both filters
         (``None``: that engine can never admit the request — worst-case
@@ -128,14 +140,12 @@ class ClusterRouter:
         Raises :class:`PoolExhausted` when no active replica can ever
         serve the request.
         """
-        candidates = [
-            (r, est)
-            for r, est in (
-                (r, r.engine.placement_pages_estimate(request))
-                for r in replicas
-            )
-            if est is not None
-        ]
+        candidates = []
+        for r in replicas:
+            plan = r.engine.plan_for(request, record)
+            est = r.engine.placement_pages_estimate(request, plan)
+            if est is not None:
+                candidates.append((r, plan, est))
         if not candidates:
             raise PoolExhausted(
                 f"request {request.request_id} fits no active replica "
@@ -149,7 +159,7 @@ class ClusterRouter:
             if healthy:
                 candidates = healthy
         if self.policy == "round_robin":
-            scored = [(r, est, None) for r, est in candidates]
+            scored = [(r, est, None) for r, _, est in candidates]
             chosen = candidates[self._rr_cursor % len(candidates)][0]
             self._rr_cursor += 1
         elif self.policy == "least_loaded":
@@ -157,7 +167,7 @@ class ClusterRouter:
             # policy minimizes its negation, ties on replica index).
             scored = [
                 (r, est, float(r.shard.free_reservation_pages))
-                for r, est in candidates
+                for r, _, est in candidates
             ]
             chosen = min(
                 scored, key=lambda cn: (-cn[2], cn[0].index)
@@ -167,8 +177,8 @@ class ClusterRouter:
             # better); computed once per candidate and reused for both
             # the choice and the observer record.
             scored = [
-                (r, est, self._pruning_aware_key(request, r, est)[0])
-                for r, est in candidates
+                (r, est, self._pruning_aware_key(plan, r, est)[0])
+                for r, plan, est in candidates
             ]
             chosen = min(scored, key=lambda cn: (cn[2], cn[0].index))[0]
         self.routed_counts[chosen.index] = (
@@ -180,7 +190,7 @@ class ClusterRouter:
 
     @staticmethod
     def _pruning_aware_key(
-        request: Request, replica: Replica, need: int
+        plan: SequencePlan, replica: Replica, need: int
     ) -> Tuple[float, int]:
         """Sort key: (projected bottleneck delay, index).
 
@@ -198,7 +208,7 @@ class ClusterRouter:
         """
         engine = replica.engine
         rate = engine.cost.flops_per_second
-        req_flops = engine.request_flops_estimate(request)
+        req_flops = engine.request_flops_estimate(plan)
         compute_s = (engine.outstanding_flops() + req_flops) / rate
         page_s = (
             engine.outstanding_page_seconds()

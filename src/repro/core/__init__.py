@@ -28,6 +28,7 @@ from .quantization import (
     softmax_error_bound,
 )
 from .schedule import (
+    SequencePlan,
     decode_token_target,
     effective_token_keep,
     head_keep_counts,
@@ -65,6 +66,7 @@ __all__ = [
     "needs_lsb",
     "quantize_attention_inputs",
     "softmax_error_bound",
+    "SequencePlan",
     "decode_token_target",
     "effective_token_keep",
     "head_keep_counts",

@@ -92,8 +92,8 @@ class CascadeBatch:
         self._n_heads_alive = np.count_nonzero(self.head_alive, axis=1)
         self._heads_pruned = False
         # Per-sequence schedules, [B, n_layers] / [B].
-        self._token_fracs = np.array([e._token_fracs for e in executors])
-        self._head_counts = np.array([e._head_counts for e in executors])
+        self._token_fracs = np.array([e._plan.token_fracs for e in executors])
+        self._head_counts = np.array([e._plan.head_counts for e in executors])
         self._min_tokens = np.array([e.pruning.min_tokens for e in executors])
         self._value_keep = np.array([e.pruning.value_keep for e in executors])
         # Work shapes of the layers run so far (the executors' traces).

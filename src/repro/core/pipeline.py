@@ -15,8 +15,8 @@
 
 The executor emits an :class:`~repro.core.trace.AttentionTrace` whose
 count fields are guaranteed (and tested) to match the analytic
-:func:`~repro.core.trace.spatten_trace`, because both call the same
-schedule functions.
+:func:`~repro.core.trace.spatten_trace`, because both read one
+:class:`~repro.core.schedule.SequencePlan`.
 """
 
 from __future__ import annotations
@@ -87,9 +87,7 @@ class SpAttenExecutor(AttentionExecutor):
         self._alive_mask: Optional[np.ndarray] = None
         self._n_alive = 0
         self._alive_heads: Optional[np.ndarray] = None
-        self._token_counts: Optional[np.ndarray] = None
-        self._token_fracs: Optional[np.ndarray] = None
-        self._head_counts: Optional[np.ndarray] = None
+        self._plan: Optional[sched.SequencePlan] = None
         self._original_length: Optional[int] = None
         self._total_length = 0
 
@@ -118,9 +116,7 @@ class SpAttenExecutor(AttentionExecutor):
             else None
         )
         self.trace = None
-        self._token_counts = None
-        self._token_fracs = None
-        self._head_counts = None
+        self._plan = None
         self._original_length = None
         self._total_length = 0
 
@@ -129,14 +125,8 @@ class SpAttenExecutor(AttentionExecutor):
         self._original_length = sentence_length
         self._total_length = sentence_length
         self._alive_mask = np.zeros(cfg.max_seq_len, dtype=bool)
-        self._token_counts = sched.token_keep_counts(
-            self.pruning, cfg.n_layers, sentence_length
-        )
-        self._token_fracs = sched.token_keep_fractions(
-            self.pruning, cfg.n_layers, sentence_length
-        )
-        self._head_counts = sched.head_keep_counts(
-            self.pruning, cfg.n_layers, cfg.n_heads
+        self._plan = sched.SequencePlan.build(
+            self.pruning, cfg, sentence_length
         )
         self.trace = AttentionTrace(
             cfg, sentence_length, 0, quant=self.quant, pruning=self.pruning
@@ -268,7 +258,7 @@ class SpAttenExecutor(AttentionExecutor):
         raise ValueError(f"unknown stage {stage!r}")
 
     def _prune_heads_at(self, layer_idx: int) -> None:
-        target = int(self._head_counts[layer_idx])
+        target = self._plan.head_counts[layer_idx]
         if target < len(self._alive_heads):
             decision = prune_heads(
                 self._alive_heads,
@@ -353,7 +343,7 @@ class SpAttenExecutor(AttentionExecutor):
         if layer_idx == 0:
             self._init_schedules(len(positions))
 
-        target = int(self._token_counts[layer_idx])
+        target = self._plan.token_counts[layer_idx]
         protected = (
             [self._original_length - 1] if cfg.causal else [0]
         )
@@ -442,7 +432,7 @@ class SpAttenExecutor(AttentionExecutor):
 
         # --- cascade token pruning over the global live set -----------
         target = sched.decode_token_target(
-            self.pruning, float(self._token_fracs[layer_idx]), self._total_length
+            self.pruning, self._plan.token_fracs[layer_idx], self._total_length
         )
         if target < self._n_alive:
             alive_tokens = self._alive_tokens

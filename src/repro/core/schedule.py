@@ -7,22 +7,31 @@ additionally scaled by sentence length.
 
 Schedules here are expressed as *keep fractions relative to the original
 sentence length* — Fig. 1 reports surviving tokens per layer in exactly
-those terms (11 -> 6 tokens, 12 -> 10 -> 8 heads).  Both the
-:class:`~repro.core.pipeline.SpAttenExecutor` (data-driven run) and the
-analytic trace builder (:mod:`repro.core.trace`) call the *same* count
-functions below, which is what lets the reproduction validate that the
-analytic performance model matches the executed model exactly.
+those terms (11 -> 6 tokens, 12 -> 10 -> 8 heads).
+
+The schedule is fixed before a sequence runs, so it is replayed once:
+:meth:`SequencePlan.build` calls the count functions below and freezes
+the result.  The :class:`~repro.core.pipeline.SpAttenExecutor`
+(data-driven run), the analytic trace builder (:mod:`repro.core.trace`)
+and the serving layer (admission, pool billing, cost model, routing
+estimates — :meth:`repro.serving.engine.ServingEngine.plan_for`) all
+read one plan from that one builder, which is what makes the executed
+model, the analytic performance model and the serving bill agree by
+construction.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..config import PruningConfig
+from ..config import ModelConfig, PruningConfig
 
 __all__ = [
+    "SequencePlan",
     "effective_token_keep",
     "token_keep_fractions",
     "token_keep_counts",
@@ -147,3 +156,80 @@ def decode_token_targets(
     floor = np.minimum(total_lengths, np.maximum(min_tokens, 1))
     targets = np.rint(layer_keep_fractions * total_lengths).astype(np.int64)
     return np.maximum(targets, floor)
+
+
+@dataclass(frozen=True, slots=True)
+class SequencePlan:
+    """One sequence's cascade schedule, replayed once and frozen.
+
+    Slotted because one plan stays on every request record for as long
+    as the record does.
+
+    Attributes:
+        pruning: the resolved schedule (``None`` = dense: every layer
+            keeps every token and head).
+        prompt_len: sentence length the schedule was replayed for.
+        max_new_tokens: decode budget ``kv_bounds`` covers.
+        token_counts: per-layer surviving prompt tokens after
+            summarization (:func:`token_keep_counts`) — also the
+            sequence's post-prefill KV columns.
+        token_fracs: per-layer keep fractions the decode targets scale
+            with (:func:`token_keep_fractions`).
+        head_counts: per-layer surviving heads
+            (:func:`head_keep_counts`).
+        kv_bounds: per-layer worst-case KV columns over the sequence's
+            lifetime: layer ``l`` holds at most ``token_counts[l]``
+            columns during summarization and at most
+            ``decode_token_target(l, prompt + max_new)`` during
+            generation, so the bound is tight, not heuristic.
+    """
+
+    pruning: Optional[PruningConfig]
+    prompt_len: int
+    max_new_tokens: int
+    token_counts: Tuple[int, ...]
+    token_fracs: Tuple[float, ...]
+    head_counts: Tuple[int, ...]
+    kv_bounds: Tuple[int, ...]
+
+    @classmethod
+    def build(
+        cls,
+        pruning: Optional[PruningConfig],
+        model: ModelConfig,
+        prompt_len: int,
+        max_new_tokens: int = 0,
+    ) -> "SequencePlan":
+        """Replay ``pruning`` for one sequence of ``model``."""
+        total = prompt_len + max_new_tokens
+        n_layers = model.n_layers
+        if pruning is None:
+            return cls(
+                None, prompt_len, max_new_tokens,
+                (prompt_len,) * n_layers, (1.0,) * n_layers,
+                (model.n_heads,) * n_layers, (total,) * n_layers,
+            )
+        counts = token_keep_counts(pruning, n_layers, prompt_len)
+        fracs = token_keep_fractions(pruning, n_layers, prompt_len)
+        heads = head_keep_counts(pruning, n_layers, model.n_heads)
+        bounds = np.maximum(
+            counts, decode_token_targets(pruning.min_tokens, fracs, total)
+        )
+        return cls(
+            pruning, prompt_len, max_new_tokens,
+            tuple(counts.tolist()), tuple(fracs.tolist()),
+            tuple(heads.tolist()), tuple(bounds.tolist()),
+        )
+
+    def prefix_kv_lengths(self, n_committed: int) -> List[int]:
+        """Modeled per-layer KV columns after committing a prompt prefix.
+
+        Executors that defer execution to the final chunk (cascade
+        token pruning is a whole-sentence decision) have no real cache
+        lengths until then; their pool pages grow with the committed
+        prefix, capped at each layer's summarize keep count.  At the
+        final chunk the model and the executor's real post-pruning
+        lengths coincide exactly.
+        """
+        n_committed = min(int(n_committed), self.prompt_len)
+        return [min(n_committed, count) for count in self.token_counts]

@@ -12,8 +12,9 @@ Two ways to obtain a trace:
 
 * measured — :class:`~repro.core.pipeline.SpAttenExecutor` emits one as
   it runs a real model;
-* analytic — :func:`spatten_trace` replays the *same* schedule functions
-  (:mod:`repro.core.schedule`) at count level, without touching weights.
+* analytic — :func:`spatten_trace` reads the *same* schedule plan
+  (:class:`repro.core.schedule.SequencePlan`) at count level, without
+  touching weights.
 
 Unit tests assert the two agree exactly on every count field, which is
 what licenses using cheap analytic traces for the paper-scale
@@ -194,15 +195,13 @@ def spatten_trace(
     trace = AttentionTrace(
         model, seq_len, n_generate, quant=quant, pruning=pruning
     )
-    token_counts = sched.token_keep_counts(pruning, model.n_layers, seq_len)
-    token_fracs = sched.token_keep_fractions(pruning, model.n_layers, seq_len)
-    head_counts = sched.head_keep_counts(pruning, model.n_layers, model.n_heads)
+    plan = sched.SequencePlan.build(pruning, model, seq_len, n_generate)
 
     alive = seq_len
     alive_heads = model.n_heads
     for layer in range(model.n_layers):
-        alive = min(alive, int(token_counts[layer]))
-        alive_heads = min(alive_heads, int(head_counts[layer]))
+        alive = min(alive, plan.token_counts[layer])
+        alive_heads = min(alive_heads, plan.head_counts[layer])
         trace.add(
             LayerStep(
                 layer, "summarize", alive, alive, alive_heads,
@@ -215,7 +214,7 @@ def spatten_trace(
         alive += 1  # the newly generated token joins the live set
         for layer in range(model.n_layers):
             target = sched.decode_token_target(
-                pruning, float(token_fracs[layer]), total_length
+                pruning, plan.token_fracs[layer], total_length
             )
             alive = min(alive, target)
             trace.add(

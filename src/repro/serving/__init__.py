@@ -1,9 +1,9 @@
 """Continuous-batching inference serving with a pruning-aware KV pool.
 
 SpAtten's cascade token pruning frees KV-cache columns *mid-generation*;
-this package turns that into a serving-level win: a paged KV pool whose
-admission control knows the pruning schedule, so pruned sequences
-reserve — and hold — a fraction of the dense KV footprint.
+this package turns that into a serving-level win: a paged KV pool
+billed from each request's replayed pruning schedule, so pruned
+sequences reserve — and hold — a fraction of the dense KV footprint.
 
 The guide lives in ``docs/serving.md`` (layers, KV storage model,
 admission modes & preemption, quick start, numerics ladder, cluster
@@ -11,10 +11,13 @@ mode, fault tolerance & chaos testing, observability, the request
 lifecycle table, SLOs & regression tracking, static analysis).  Map:
 
 * :mod:`~repro.serving.request` — :class:`Request`,
-  :class:`RequestRecord`, :class:`RequestQueue`, and the one lifecycle
-  table (:data:`LIFECYCLE`) applied by :func:`transition`.
-* :mod:`~repro.serving.memory_pool` — :class:`KVMemoryPool`: per-layer
-  pages, schedule-aware reservations, optimistic billing, reclamation.
+  :class:`RequestRecord` (which carries the request's
+  :class:`repro.core.SequencePlan`: its schedule, replayed once at
+  ``submit``), :class:`RequestQueue`, and the one lifecycle table
+  (:data:`LIFECYCLE`) applied by :func:`transition`.
+* :mod:`~repro.serving.memory_pool` — :class:`KVMemoryPool`: a page
+  ledger over per-layer column counts — reservations, optimistic
+  billing, reclamation; it knows nothing about schedules.
 * :mod:`~repro.serving.preemption` — victim selection under pool
   pressure (:class:`PreemptionPolicy`).
 * :mod:`~repro.serving.degradation` — the shed -> reprune ladder
@@ -35,12 +38,7 @@ from .engine import (
     ServingEngine,
     greedy_sampler,
 )
-from .memory_pool import (
-    KVMemoryPool,
-    PoolExhausted,
-    prefill_kv_lengths,
-    pruned_kv_bounds,
-)
+from .memory_pool import KVMemoryPool, PoolExhausted
 from .preemption import (
     PREEMPTION_POLICIES,
     PreemptionCandidate,
@@ -73,8 +71,6 @@ __all__ = [
     "greedy_sampler",
     "KVMemoryPool",
     "PoolExhausted",
-    "prefill_kv_lengths",
-    "pruned_kv_bounds",
     "Request",
     "RequestQueue",
     "RequestRecord",

@@ -40,15 +40,18 @@ are narrated in ``docs/serving.md``.
 
 Requests may carry their own cascade schedule
 (:attr:`repro.serving.request.Request.pruning`); the engine resolves
-it per request — executors, pool reservations, and the cost model all
-follow the request's schedule, which is what makes heterogeneous
-traces and schedule-aware cluster routing possible.
+and replays it once per request (:meth:`ServingEngine.plan_for`, at
+:meth:`~ServingEngine.submit`) into the
+:class:`~repro.core.schedule.SequencePlan` on the request's record —
+executors, pool reservations, and the cost model all read that plan,
+which is what makes heterogeneous traces and schedule-aware cluster
+routing possible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -56,8 +59,8 @@ from typing import (
 import numpy as np
 
 from ..config import PruningConfig, QuantConfig
-from ..core import schedule as sched
 from ..core.pipeline import SpAttenExecutor
+from ..core.schedule import SequencePlan
 from ..nn.batched_attention import PackedDecodeBackend
 from ..nn.numerics import resolve_numerics
 from ..nn.transformer import (
@@ -68,8 +71,7 @@ from ..nn.transformer import (
 )
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .degradation import DegradationPolicy
-from .memory_pool import KVMemoryPool, PoolExhausted, prefill_kv_lengths, \
-    pruned_kv_bounds
+from .memory_pool import KVMemoryPool, PoolExhausted
 from .preemption import (
     PreemptionCandidate,
     PreemptionEvent,
@@ -132,10 +134,6 @@ class ScheduledSequence:
     """Base for sequences the scheduler tracks by their request record."""
 
     record: RequestRecord
-    #: Worst-case schedule-bound pages of the sequence — the minuend of
-    #: the pruning-savings gauge (bound minus pages actually allocated),
-    #: so only computed when telemetry is on.
-    bound_pages: int = field(default=0, kw_only=True)
 
     @property
     def request(self) -> Request:
@@ -157,10 +155,6 @@ class LiveSequence(ScheduledSequence):
     #: inter-token decode-latency metric, which therefore *includes*
     #: any stall between this sequence's consecutive tokens).
     last_commit_time: float = 0.0
-    #: Per-layer schedule bounds (:func:`pruned_kv_bounds`), filled
-    #: lazily by the optimistic pressure projection — constant per
-    #: request, so the schedule replays once, not every step.
-    kv_bounds: Optional[List[int]] = None
 
 
 @dataclass
@@ -168,8 +162,6 @@ class PrefillingSequence(ScheduledSequence):
     """An admitted request whose prompt is still committing in chunks."""
 
     state: PrefillState
-    #: The request's resolved cascade schedule (``None`` = dense).
-    pruning: Optional[PruningConfig] = None
 
 
 class ServingEngine:
@@ -343,19 +335,29 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Per-request schedule resolution
     # ------------------------------------------------------------------
-    def pruning_of(self, request: Request) -> Optional[PruningConfig]:
-        """The cascade schedule this request runs under (None = dense).
+    def plan_for(
+        self, request: Request, record: Optional[RequestRecord] = None
+    ) -> SequencePlan:
+        """Replay the cascade schedule this request would run under here.
 
-        A degradation-ladder override on the request's record (set
-        while the request waited under pressure, and carried across
-        cluster requeues) wins over the request's own schedule.
+        A degradation-ladder override on ``record`` (set while the
+        request waited under pressure, and carried across cluster
+        requeues) wins over the request's own schedule, which wins
+        over the engine default (``plan.pruning`` is the resolved
+        schedule, ``None`` = dense).  This is the one place the
+        serving layer replays a schedule: :meth:`submit` stores the
+        result on the record and everything downstream reads it.
         """
-        record = self._records.get(request.request_id)
-        if record is not None and record.pruning_override is not None:
-            return record.pruning_override
-        if request.pruning is INHERIT_PRUNING:
-            return self.pruning
-        return request.pruning
+        pruning = record.pruning_override if record is not None else None
+        if pruning is None:
+            pruning = (
+                self.pruning if request.pruning is INHERIT_PRUNING
+                else request.pruning
+            )
+        return SequencePlan.build(
+            pruning, self.model.config,
+            request.prompt_len, request.max_new_tokens,
+        )
 
     def set_slowdown(self, factor: float) -> None:
         """Set the straggler factor (>= 1) scaling every step duration."""
@@ -397,8 +399,8 @@ class ServingEngine:
             self._pending or self.queue or self.prefilling or self.live
         )
 
-    def validate_request(self, request: Request) -> None:
-        """Reject a request this engine could never serve.
+    def validate_request(self, request: Request, plan: SequencePlan) -> None:
+        """Reject a request this engine could never serve under ``plan``.
 
         Raises ``ValueError`` for context overflow and
         :class:`PoolExhausted` for reservations larger than the whole
@@ -413,10 +415,7 @@ class ServingEngine:
                 f"tokens (prompt + max_new), model max_seq_len is "
                 f"{max_seq_len}"
             )
-        pruning = self.pruning_of(request)
-        need = self.pool.reservation_pages(
-            request.prompt_len, request.max_new_tokens, pruning,
-        )
+        need = self.pool.pages_for_lengths(plan.kv_bounds)
         # Even optimistic mode needs the worst-case bound to fit the
         # whole pool: preemption can evict every *other* sequence, but
         # a lone resident sequence must be able to run to completion.
@@ -426,9 +425,7 @@ class ServingEngine:
                 f"holds {self.pool.n_pages}: it can never be admitted"
             )
         if self.admission == "optimistic":
-            floor = self.pool.optimistic_floor_pages(
-                request.prompt_len, pruning
-            )
+            floor = self.pool.pages_for_lengths(plan.token_counts)
             if floor + self.headroom_pages > self.pool.n_pages:
                 raise PoolExhausted(
                     f"request {request.request_id} needs {floor} prompt "
@@ -439,7 +436,9 @@ class ServingEngine:
 
     def can_ever_admit(self, request: Request) -> bool:
         """Whether this engine could ever serve the request (routing)."""
-        return self.placement_pages_estimate(request) is not None
+        return self.placement_pages_estimate(
+            request, self.plan_for(request)
+        ) is not None
 
     def start(self, clock: Optional[SimulatedClock] = None) -> None:
         """Open a stepwise run (fresh clock, empty pending/record state)."""
@@ -468,20 +467,24 @@ class ServingEngine:
     ) -> RequestRecord:
         """Deliver one request to this engine's scheduler.
 
-        Validates that the request can ever be served here (context
-        length, worst-case reservation vs. this pool).  ``record``
-        carries lifecycle state across replicas when the cluster
-        requeues a drained request; ``available_time`` delays queue
-        visibility past the arrival time (a requeue must not restart
-        in the simulated past).
+        Replays the request's schedule once (:meth:`plan_for`),
+        validates that it can ever be served here (context length,
+        worst-case reservation vs. this pool) and stores the plan on
+        the record.  ``record`` carries lifecycle state — including a
+        degradation-ladder schedule override — across replicas when
+        the cluster requeues a drained request; ``available_time``
+        delays queue visibility past the arrival time (a requeue must
+        not restart in the simulated past).
         """
         if request.request_id in self._records:
             raise ValueError(
                 f"request {request.request_id} already submitted; "
                 f"request_ids must be unique"
             )
-        self.validate_request(request)
         record = record if record is not None else RequestRecord(request)
+        plan = self.plan_for(request, record)
+        self.validate_request(request, plan)
+        record.plan = plan
         self._records[request.request_id] = record
         available = (
             request.arrival_time
@@ -595,73 +598,54 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Routing cost estimates (used by repro.cluster policies)
     # ------------------------------------------------------------------
-    def placement_pages_estimate(self, request: Request) -> Optional[int]:
+    def placement_pages_estimate(
+        self, request: Request, plan: SequencePlan
+    ) -> Optional[int]:
         """Pages a placement would charge this pool, or ``None`` if never.
 
-        Feasibility defers entirely to :meth:`validate_request` — the
-        same check :meth:`submit` will run — so the cluster router's
-        filter can never accept a replica whose submit would then
-        reject (the two cannot drift apart).  A non-``None`` result is
-        the exact page bill admission will apply: the worst-case
-        schedule-bound reservation in reserve mode, the optimistic
-        prompt floor plus headroom in optimistic mode.  Note the bill
-        is a per-request quantity: the *load sensitivity* of a routing
-        score comes from the backlog terms
+        ``plan`` is :meth:`plan_for` of the request *and the record it
+        travels with*, so a requeued request is priced at the schedule
+        admission will bill.  Feasibility defers entirely to
+        :meth:`validate_request` — the same check :meth:`submit` runs
+        on the same plan — so the cluster router's filter can never
+        accept a replica whose submit would then reject.  A
+        non-``None`` result is the exact page bill admission will
+        apply: the worst-case schedule-bound reservation in reserve
+        mode, the optimistic prompt floor plus headroom in optimistic
+        mode.  Note the bill is a per-request quantity: the *load
+        sensitivity* of a routing score comes from the backlog terms
         (:meth:`outstanding_flops`, :meth:`outstanding_page_seconds`,
         the shard's free pages), which under optimistic admission read
         reservations that track actual usage.
         """
         try:
-            self.validate_request(request)
+            self.validate_request(request, plan)
         except (ValueError, PoolExhausted):
             return None
-        pruning = self.pruning_of(request)
         if self.admission == "reserve":
-            return self.pool.reservation_pages(
-                request.prompt_len, request.max_new_tokens, pruning
-            )
+            return self.pool.pages_for_lengths(plan.kv_bounds)
         return (
-            self.pool.optimistic_floor_pages(request.prompt_len, pruning)
+            self.pool.pages_for_lengths(plan.token_counts)
             + self.headroom_pages
         )
 
-    def request_flops_estimate(self, request: Request) -> float:
+    def request_flops_estimate(self, plan: SequencePlan) -> float:
         """Schedule-bound FLOPs to serve one request end to end.
 
         Prefill is charged exactly (:meth:`CostModel.prefill_flops` is
-        schedule-aware); decode is bounded with the per-layer KV caps
-        from :func:`pruned_kv_bounds` and the schedule's smallest
-        surviving-head count — an upper estimate that preserves the
-        *ordering* between dense and heavily pruned requests, which is
-        all placement needs.
+        schedule-aware); decode is bounded with the plan's per-layer
+        KV caps and the schedule's smallest surviving-head count — an
+        upper estimate that preserves the *ordering* between dense and
+        heavily pruned requests, which is all placement needs.
         """
-        pruning = self.pruning_of(request)
         cfg = self.model.config
-        prefill = self.cost.prefill_flops(cfg, request.prompt_len, pruning)
-        return prefill + request.max_new_tokens * self._decode_tok_estimate(
-            pruning, request.prompt_len, request.max_new_tokens
+        prefill = self.cost.prefill_flops(cfg, plan)
+        return prefill + plan.max_new_tokens * self.cost.decode_seq_flops(
+            cfg, plan.kv_bounds, min(plan.head_counts)
         )
 
-    def _decode_tok_estimate(
-        self,
-        pruning: Optional[PruningConfig],
-        prompt_len: int,
-        max_new_tokens: int,
-    ) -> float:
-        cfg = self.model.config
-        bounds = pruned_kv_bounds(
-            pruning, cfg.n_layers, prompt_len, max_new_tokens
-        )
-        if pruning is None:
-            heads = cfg.n_heads
-        else:
-            heads = int(min(
-                sched.head_keep_counts(pruning, cfg.n_layers, cfg.n_heads)
-            ))
-        return self.cost.decode_seq_flops(cfg, bounds, heads)
-
-    def _backlog(self) -> Iterator[Tuple[Request, bool, float]]:
-        """``(request, resident, remaining FLOPs)`` of all in-flight work.
+    def _backlog(self) -> Iterator[Tuple[RequestRecord, bool, float]]:
+        """``(record, resident, remaining FLOPs)`` of all in-flight work.
 
         Pending and queued requests owe their full end-to-end estimate,
         prefilling sequences their remaining chunks plus decode budget,
@@ -670,21 +654,23 @@ class ServingEngine:
         account for the request, so its bill is a ledger read.
         """
         cfg = self.model.config
-        waiting = [record.request for record in self._pending]
-        for request in waiting + self.queue.as_ordered_list():
-            yield request, False, self.request_flops_estimate(request)
+        queued = [
+            self._records[request.request_id]
+            for request in self.queue.as_ordered_list()
+        ]
+        for record in self._pending + queued:
+            yield record, False, self.request_flops_estimate(record.plan)
         for seq in self.prefilling:
             state = seq.state  # never done here: done sequences promote
-            max_new = seq.request.max_new_tokens
-            yield seq.request, True, self.cost.prefill_chunk_flops(
-                cfg, state.prompt_len, state.n_committed,
-                state.prompt_len, seq.pruning,
-            ) + max_new * self._decode_tok_estimate(
-                seq.pruning, state.prompt_len, max_new
+            plan = seq.record.plan
+            yield seq.record, True, self.cost.prefill_chunk_flops(
+                cfg, plan, state.n_committed, state.prompt_len,
+            ) + plan.max_new_tokens * self.cost.decode_seq_flops(
+                cfg, plan.kv_bounds, min(plan.head_counts)
             )
         for seq in self.live:
             remaining = seq.request.max_new_tokens - seq.record.n_generated
-            yield seq.request, True, remaining * self.cost.decode_seq_flops(
+            yield seq.record, True, remaining * self.cost.decode_seq_flops(
                 cfg, seq.executor.kv_lengths(), seq.executor.n_live_heads
             )
 
@@ -709,14 +695,11 @@ class ServingEngine:
         rate = self.cost.flops_per_second
         return sum((
             (
-                pool.reserved_pages_of(request.request_id)
+                pool.reserved_pages_of(record.request.request_id)
                 if resident
-                else pool.reservation_pages(
-                    request.prompt_len, request.max_new_tokens,
-                    self.pruning_of(request),
-                )
+                else pool.pages_for_lengths(record.plan.kv_bounds)
             ) * flops / rate
-            for request, resident, flops in self._backlog()
+            for record, resident, flops in self._backlog()
         ), 0.0)
 
     # ------------------------------------------------------------------
@@ -752,13 +735,11 @@ class ServingEngine:
         admit new work mid-run instead of idling until a reservation
         retires.
         """
-        pruning = self.pruning_of(request)
+        plan = self._records[request.request_id].plan
         if self.admission == "reserve":
-            return self.pool.can_admit(
-                request.prompt_len, request.max_new_tokens, pruning
-            )
+            return self.pool.can_admit(plan.kv_bounds)
         return self.pool.can_admit_optimistic(
-            request.prompt_len, pruning, self.headroom_pages
+            plan.token_counts, self.headroom_pages
         )
 
     def _reserve(
@@ -770,35 +751,25 @@ class ServingEngine:
         inside subsequent mixed steps, so reservation itself costs no
         simulated time and never stalls the live batch.
         """
-        pruning = self.pruning_of(request)
+        record = self._records[request.request_id]
+        plan = record.plan
         if self.admission == "reserve":
-            self.pool.admit(
-                request.request_id, request.prompt_len,
-                request.max_new_tokens, pruning,
-            )
+            self.pool.admit(request.request_id, plan.kv_bounds)
         else:
             self.pool.admit_optimistic(
-                request.request_id, request.prompt_len, pruning,
+                request.request_id, plan.token_counts,
                 headroom_pages=self.headroom_pages,
             )
-        bound = (
-            self.pool.reservation_pages(
-                request.prompt_len, request.max_new_tokens, pruning
-            )
-            if self.telemetry.active else 0
-        )
-        record = self._records[request.request_id]
         self._transition(
             record, "admitted", clock.now,
-            bound_pages=bound, admission=self.admission,
+            bound_pages=self.pool.pages_for_lengths(plan.kv_bounds),
+            admission=self.admission,
             billed_pages=self.pool.reserved_pages_of(request.request_id),
         )
         state = self.model.prefill_begin(
-            request.prompt_ids, self._make_executor(pruning)
+            request.prompt_ids, self._make_executor(plan.pruning)
         )
-        return PrefillingSequence(
-            record=record, state=state, pruning=pruning, bound_pages=bound
-        )
+        return PrefillingSequence(record=record, state=state)
 
     def _promote(
         self,
@@ -820,7 +791,6 @@ class ServingEngine:
             next_token=first,
             next_position=seq.state.prompt_len,
             last_commit_time=clock.now,
-            bound_pages=seq.bound_pages,
         )
         if record.n_generated >= seq.request.max_new_tokens:
             self._retire(live, clock)
@@ -835,8 +805,7 @@ class ServingEngine:
         prefills = list(self.prefilling)
         prefill_flops = sum(
             self.cost.prefill_chunk_flops(
-                cfg, seq.state.prompt_len,
-                *seq.state.next_span(self.prefill_chunk), seq.pruning,
+                cfg, seq.record.plan, *seq.state.next_span(self.prefill_chunk)
             )
             for seq in prefills
         )
@@ -944,8 +913,10 @@ class ServingEngine:
 
         Incremental executors report real per-layer cache lengths.
         Deferred executors (cascade pruning runs whole-sentence on the
-        final chunk) are modeled via :func:`prefill_kv_lengths` until
-        their real lengths exist — the two coincide at the final chunk.
+        final chunk) are modeled via the plan's
+        :meth:`~repro.core.schedule.SequencePlan.prefix_kv_lengths`
+        until their real lengths exist — the two coincide at the final
+        chunk.
         Committing a chunk is progress, so the livelock guard lifts.
         """
         seq.record.preempt_protected = False
@@ -953,10 +924,7 @@ class ServingEngine:
         if state.executor.supports_incremental_prefill or state.done:
             lengths = state.executor.kv_lengths()
         else:
-            lengths = prefill_kv_lengths(
-                seq.pruning, self.model.config.n_layers,
-                state.prompt_len, state.n_committed,
-            )
+            lengths = seq.record.plan.prefix_kv_lengths(state.n_committed)
         self._pool_sync(seq.seq_id, lengths)
 
     # ------------------------------------------------------------------
@@ -1045,17 +1013,16 @@ class ServingEngine:
         record = self._records[request.request_id]
         if record.pruning_override is not None:
             return
-        pool = self.pool
-        billed = pool.reservation_pages(
+        plan = SequencePlan.build(
+            escalated, self.model.config,
             request.prompt_len, request.max_new_tokens,
-            self.pruning_of(request),
         )
-        after = pool.reservation_pages(
-            request.prompt_len, request.max_new_tokens, escalated
-        )
+        billed = self.pool.pages_for_lengths(record.plan.kv_bounds)
+        after = self.pool.pages_for_lengths(plan.kv_bounds)
         if after >= billed:
             return
         record.pruning_override = escalated
+        record.plan = plan
         record.degraded = True
         self._transition(
             record, "repruned", clock.now,
@@ -1082,31 +1049,21 @@ class ServingEngine:
         worst case — which keeps a lone resident sequence's projection
         within the pool no matter how tight the budget.  Prefilling
         sequences commit their next chunk, modeled with the same
-        :func:`prefill_kv_lengths` cap the pool is billed with.
+        ``prefix_kv_lengths`` cap the pool is billed with (for an
+        incremental executor — a dense plan — that is the committed
+        prefix in every layer).
         """
-        n_layers = self.model.config.n_layers
         projections: Dict[int, List[int]] = {}
         for seq in self.live:
-            if seq.kv_bounds is None:
-                seq.kv_bounds = pruned_kv_bounds(
-                    self.pruning_of(seq.request), n_layers,
-                    seq.request.prompt_len, seq.request.max_new_tokens,
-                )
             projections[seq.seq_id] = [
                 min(length + 1, bound)
                 for length, bound in zip(
-                    seq.executor.kv_lengths(), seq.kv_bounds
+                    seq.executor.kv_lengths(), seq.record.plan.kv_bounds
                 )
             ]
         for seq in self.prefilling:
-            state = seq.state
-            end = state.next_span(self.prefill_chunk)[1]
-            if state.executor.supports_incremental_prefill:
-                projections[seq.seq_id] = [end] * n_layers
-            else:
-                projections[seq.seq_id] = prefill_kv_lengths(
-                    seq.pruning, n_layers, state.prompt_len, end
-                )
+            end = seq.state.next_span(self.prefill_chunk)[1]
+            projections[seq.seq_id] = seq.record.plan.prefix_kv_lengths(end)
         return projections
 
     def _relieve_pressure(self, clock: SimulatedClock) -> None:
@@ -1258,7 +1215,10 @@ class ServingEngine:
         # Pages the cascade schedules have freed vs. their worst case:
         # every resident sequence's schedule-bound reservation minus the
         # pages actually backing live columns.
-        bound = sum(seq.bound_pages for seq in self.live + self.prefilling)
+        bound = sum(
+            pool.pages_for_lengths(seq.record.plan.kv_bounds)
+            for seq in self.live + self.prefilling
+        )
         sample = {
             "t": now,
             "engine": self.name,
@@ -1309,7 +1269,7 @@ class ServingEngine:
         if len(set(ids)) != len(ids):
             raise ValueError("request_ids must be unique")
         for request in requests:
-            self.validate_request(request)
+            self.validate_request(request, self.plan_for(request))
         self.start()
         for request in sorted(
             requests, key=lambda r: (r.arrival_time, r.request_id)

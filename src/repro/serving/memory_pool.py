@@ -5,16 +5,21 @@ holds the K and V vectors of ``page_tokens`` cache columns of one layer
 (all heads), at the model's storage width — the same dtype-aware byte
 arithmetic as :attr:`repro.nn.kv_cache.LayerKVCache.nbytes`.
 
+The pool is a pure page ledger: it speaks per-layer KV *column counts*
+and knows nothing about pruning schedules.  Callers hand it the columns
+to bill — the serving engine reads them off each request's
+:class:`~repro.core.SequencePlan` — and every page count comes from one
+helper, :meth:`KVMemoryPool.pages_for_lengths`.
+
 Two accounting planes:
 
 * **reservations** gate admission.  A request reserves, per layer, the
-  worst-case number of pages its KV cache can ever hold.  For a dense
+  pages of the worst-case column bound its caller passes.  For a dense
   sequence that is ``prompt + max_new_tokens`` columns in every layer;
-  for a SpAtten sequence the bound is *schedule-aware*: cascade token
-  pruning caps layer ``l``'s cache at the per-layer keep target
-  (:mod:`repro.core.schedule`), so deep layers reserve only a fraction
-  of the dense footprint.  This is what lets pruned serving admit more
-  concurrent sequences into the same budget.
+  a SpAtten sequence's plan caps layer ``l`` at its per-layer keep
+  target, so deep layers reserve only a fraction of the dense
+  footprint.  This is what lets pruned serving admit more concurrent
+  sequences into the same budget.
 * **allocations** track the pages actually backing live cache columns.
   Each engine step syncs them against the executor's real per-layer
   lengths; when cascade pruning evicts columns, whole pages drain back
@@ -48,74 +53,15 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from ..config import ModelConfig, PruningConfig
-from ..core import schedule as sched
+from ..config import ModelConfig
 
-__all__ = [
-    "PoolExhausted",
-    "KVMemoryPool",
-    "pruned_kv_bounds",
-    "prefill_kv_lengths",
-]
+__all__ = ["PoolExhausted", "KVMemoryPool"]
 
 
 class PoolExhausted(RuntimeError):
     """Raised when an allocation cannot fit the configured budget."""
-
-
-def pruned_kv_bounds(
-    pruning: Optional[PruningConfig],
-    n_layers: int,
-    prompt_len: int,
-    max_new_tokens: int,
-) -> List[int]:
-    """Per-layer worst-case KV column counts for one sequence.
-
-    Without pruning every layer can hold the full ``prompt + max_new``
-    columns.  With cascade token pruning, layer ``l`` holds at most
-    ``token_keep_counts[l]`` columns during summarization and at most
-    ``decode_token_target(l, prompt + max_new)`` during generation —
-    both replayed from the exact schedule the executor runs, so the
-    bound is tight, not heuristic.
-    """
-    total = prompt_len + max_new_tokens
-    if pruning is None:
-        return [total] * n_layers
-    counts = sched.token_keep_counts(pruning, n_layers, prompt_len)
-    fracs = sched.token_keep_fractions(pruning, n_layers, prompt_len)
-    return [
-        max(
-            int(counts[layer]),
-            sched.decode_token_target(pruning, float(fracs[layer]), total),
-        )
-        for layer in range(n_layers)
-    ]
-
-
-def prefill_kv_lengths(
-    pruning: Optional[PruningConfig],
-    n_layers: int,
-    prompt_len: int,
-    n_committed: int,
-) -> List[int]:
-    """Modeled per-layer KV columns after committing a prompt prefix.
-
-    Under chunked prefill the engine grows a sequence's pool pages
-    chunk by chunk instead of all at once at admission.  Incremental
-    (dense) executors report real cache lengths — the committed prefix
-    in every layer.  Executors that defer execution to the final chunk
-    (cascade token pruning is a whole-sentence decision) are modeled
-    the same way, capped at each layer's summarize keep target from
-    :mod:`repro.core.schedule`; at the final chunk the model and the
-    executor's real post-pruning lengths coincide exactly.
-    """
-    n_committed = min(int(n_committed), prompt_len)
-    if pruning is None:
-        return [n_committed] * n_layers
-    counts = sched.token_keep_counts(pruning, n_layers, prompt_len)
-    return [min(n_committed, int(c)) for c in counts]
 
 
 @dataclass
@@ -203,39 +149,16 @@ class KVMemoryPool:
     def pages_for_tokens(self, n_tokens: int) -> int:
         return math.ceil(n_tokens / self.page_tokens)
 
+    def pages_for_lengths(self, kv_lengths: Sequence[int]) -> int:
+        """Pages backing the given per-layer KV column counts."""
+        if len(kv_lengths) != self.model.n_layers:
+            raise ValueError("kv_lengths must cover every layer")
+        return sum(self.pages_for_tokens(length) for length in kv_lengths)
+
     @staticmethod
     def _page_checksum(seq_id: int, layer: int, page: int) -> int:
         """Expected integrity tag of one allocated page (pure function)."""
         return zlib.crc32(f"{seq_id}:{layer}:{page}".encode())
-
-    def reservation_pages(
-        self,
-        prompt_len: int,
-        max_new_tokens: int,
-        pruning: Optional[PruningConfig] = None,
-    ) -> int:
-        """Worst-case pages one request needs over its whole lifetime."""
-        bounds = pruned_kv_bounds(
-            pruning, self.model.n_layers, prompt_len, max_new_tokens
-        )
-        return sum(self.pages_for_tokens(b) for b in bounds)
-
-    def optimistic_floor_pages(
-        self,
-        prompt_len: int,
-        pruning: Optional[PruningConfig] = None,
-    ) -> int:
-        """Post-prefill prompt footprint: the optimistic admission bill.
-
-        Unlike :meth:`reservation_pages` this excludes the decode
-        budget entirely — future generation growth is covered by the
-        headroom the caller admits with, and by preemption when the
-        optimism turns out wrong.
-        """
-        lengths = prefill_kv_lengths(
-            pruning, self.model.n_layers, prompt_len, prompt_len
-        )
-        return sum(self.pages_for_tokens(length) for length in lengths)
 
     # ------------------------------------------------------------------
     # Occupancy views
@@ -290,30 +213,20 @@ class KVMemoryPool:
     # ------------------------------------------------------------------
     # Admission / lifecycle
     # ------------------------------------------------------------------
-    def can_admit(
-        self,
-        prompt_len: int,
-        max_new_tokens: int,
-        pruning: Optional[PruningConfig] = None,
-    ) -> bool:
-        need = self.reservation_pages(prompt_len, max_new_tokens, pruning)
+    def can_admit(self, kv_bounds: Sequence[int]) -> bool:
+        need = self.pages_for_lengths(kv_bounds)
         return need <= self.free_reservation_pages
 
-    def admit(
-        self,
-        seq_id: int,
-        prompt_len: int,
-        max_new_tokens: int,
-        pruning: Optional[PruningConfig] = None,
-    ) -> int:
-        """Reserve worst-case pages for a sequence; returns the count.
+    def admit(self, seq_id: int, kv_bounds: Sequence[int]) -> int:
+        """Reserve the pages of a sequence's worst-case per-layer column
+        bounds for its whole lifetime; returns the count.
 
         Raises :class:`PoolExhausted` if the reservation does not fit —
         callers use :meth:`can_admit` first and keep the request queued.
         """
         if seq_id in self._accounts:
             raise ValueError(f"sequence {seq_id} already admitted")
-        need = self.reservation_pages(prompt_len, max_new_tokens, pruning)
+        need = self.pages_for_lengths(kv_bounds)
         if need > self.n_pages:
             raise PoolExhausted(
                 f"request needs {need} pages but the pool only has "
@@ -333,30 +246,28 @@ class KVMemoryPool:
         return need
 
     def can_admit_optimistic(
-        self,
-        prompt_len: int,
-        pruning: Optional[PruningConfig] = None,
-        headroom_pages: int = 0,
+        self, prompt_kv_lengths: Sequence[int], headroom_pages: int = 0
     ) -> bool:
-        need = self.optimistic_floor_pages(prompt_len, pruning)
+        need = self.pages_for_lengths(prompt_kv_lengths)
         return need + headroom_pages <= self.free_reservation_pages
 
     def admit_optimistic(
         self,
         seq_id: int,
-        prompt_len: int,
-        pruning: Optional[PruningConfig] = None,
+        prompt_kv_lengths: Sequence[int],
         headroom_pages: int = 0,
     ) -> int:
         """Admit against actual usage: bill only the prompt footprint.
 
-        The sequence's account reserves its post-prefill prompt pages
-        as a floor while the prompt commits; afterwards (once the
-        caller signals :meth:`finish_prefill`) the reservation tracks
-        the pages actually allocated, shrinking as cascade pruning
-        evicts columns.  ``headroom_pages`` must also be free at
-        admission — slack that absorbs the decode growth of the
-        sequences already resident before preemption has to step in.
+        ``prompt_kv_lengths`` is the sequence's per-layer post-prefill
+        column count — unlike :meth:`admit`'s bounds it excludes the
+        decode budget entirely.  The account reserves those pages as a
+        floor while the prompt commits; afterwards (once the caller
+        signals :meth:`finish_prefill`) the reservation tracks the
+        pages actually allocated, shrinking as cascade pruning evicts
+        columns.  ``headroom_pages`` must also be free at admission —
+        slack that absorbs the decode growth of the sequences already
+        resident before preemption has to step in.
         Returns the floor; raises :class:`PoolExhausted` when it does
         not fit (callers use :meth:`can_admit_optimistic` first).
         """
@@ -364,7 +275,7 @@ class KVMemoryPool:
             raise ValueError(f"sequence {seq_id} already admitted")
         if headroom_pages < 0:
             raise ValueError("headroom_pages must be >= 0")
-        need = self.optimistic_floor_pages(prompt_len, pruning)
+        need = self.pages_for_lengths(prompt_kv_lengths)
         if need + headroom_pages > self.n_pages:
             raise PoolExhausted(
                 f"request needs {need} prompt pages plus {headroom_pages} "
@@ -439,14 +350,13 @@ class KVMemoryPool:
             )
         if freed:
             self.reclaimed_pages += freed
-        if self.allocated_pages > self.n_pages:
+        allocated = self.allocated_pages
+        if allocated > self.n_pages:
             raise PoolExhausted(
-                f"allocations ({self.allocated_pages} pages) overflow the "
+                f"allocations ({allocated} pages) overflow the "
                 f"pool ({self.n_pages}); reservation accounting is broken"
             )
-        self.peak_allocated_pages = max(
-            self.peak_allocated_pages, self.allocated_pages
-        )
+        self.peak_allocated_pages = max(self.peak_allocated_pages, allocated)
         if grown or freed:  # quiet syncs stay out of the trace
             self._notify("sync", seq_id, grown=grown, freed=freed)
         return freed
@@ -484,9 +394,7 @@ class KVMemoryPool:
         reservations fitting the pool implies allocations do too.
         """
         account = self._account(seq_id)
-        if len(kv_lengths) != self.model.n_layers:
-            raise ValueError("kv_lengths must cover every layer")
-        new_pages = sum(self.pages_for_tokens(length) for length in kv_lengths)
+        new_pages = self.pages_for_lengths(kv_lengths)
         others = self.reserved_pages - account.reserved_pages
         if others + self._projected_reserved(account, new_pages) \
                 > self.n_pages:
@@ -517,8 +425,7 @@ class KVMemoryPool:
                 total += account.reserved_pages
             else:
                 total += self._projected_reserved(
-                    account,
-                    sum(self.pages_for_tokens(length) for length in lengths),
+                    account, self.pages_for_lengths(lengths)
                 )
         return max(0, total - self.n_pages)
 

@@ -25,6 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.schedule import SequencePlan
+
 __all__ = [
     "INHERIT_PRUNING",
     "RequestStatus",
@@ -126,10 +128,12 @@ _LIFECYCLE_FIELDS = frozenset({
 
 @dataclass
 class RequestRecord:
-    """Lifecycle timestamps and output of one served request.
+    """Lifecycle timestamps, output and schedule plan of one request.
 
     ``status``, the three timestamps and the ``phase`` bookkeeping are
     written by :func:`transition` alone; assigning them raises.
+    ``plan`` is what every serving module reads instead of replaying
+    the request's cascade schedule (see the field).
     """
 
     request: Request
@@ -184,10 +188,17 @@ class RequestRecord:
     #: token stream is not comparable to a fault-free run's.
     degraded: bool = False
     #: The escalated schedule applied by the degradation ladder; when
-    #: set, :meth:`ServingEngine.pruning_of` returns it instead of the
+    #: set, :meth:`ServingEngine.plan_for` resolves it instead of the
     #: request's own schedule.  Lives on the record (not the request)
     #: so it survives cross-replica requeues.
     pruning_override: Optional[object] = None
+    #: The request's cascade schedule replayed for the engine that
+    #: holds it: keep counts, head counts and worst-case KV bounds per
+    #: layer.  Built by :meth:`ServingEngine.submit` (again only when
+    #: the degradation ladder installs ``pruning_override``) and read —
+    #: never re-derived — by admission, pool billing, the cost model
+    #: and the backlog estimates.
+    plan: Optional[SequencePlan] = None
     #: Terminal failure reason for ``FAILED`` records: ``"unplaceable"``
     #: (no surviving replica can ever hold the reservation),
     #: ``"retry_budget"`` (placement retries exhausted), ``"deadline"``

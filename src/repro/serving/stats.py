@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..config import ModelConfig, PruningConfig
-from ..core import schedule as sched
+from ..config import ModelConfig
+from ..core import SequencePlan
 from ..eval.reporting import Table
 from .request import RequestRecord, RequestStatus
 
@@ -91,30 +91,22 @@ class CostModel:
             flops += proj + ffn + attn
         return flops
 
-    def prefill_flops(
-        self,
-        model: ModelConfig,
-        prompt_len: int,
-        pruning: Optional[PruningConfig] = None,
-    ) -> float:
+    def prefill_flops(self, model: ModelConfig, plan: SequencePlan) -> float:
         """FLOPs to summarize a whole prompt.
 
-        Without ``pruning`` this is the dense upper bound.  With a
-        cascade schedule it is *schedule-aware*: layer ``l`` charges
-        only its surviving tokens and heads, replayed from the same
-        keep targets (:mod:`repro.core.schedule`) the executor runs —
-        so pruned prefill is genuinely cheaper on the serving clock.
+        *Schedule-aware*: layer ``l`` charges only the surviving tokens
+        and heads of the sequence's ``plan`` — the keep counts the
+        executor runs — so pruned prefill is genuinely cheaper on the
+        serving clock; a dense plan is the upper bound.
         """
-        return self.prefill_chunk_flops(model, prompt_len, 0, prompt_len,
-                                        pruning)
+        return self.prefill_chunk_flops(model, plan, 0, plan.prompt_len)
 
     def prefill_chunk_flops(
         self,
         model: ModelConfig,
-        prompt_len: int,
+        plan: SequencePlan,
         chunk_start: int,
         chunk_end: int,
-        pruning: Optional[PruningConfig] = None,
     ) -> float:
         """FLOPs to commit prompt tokens ``[chunk_start, chunk_end)``.
 
@@ -123,30 +115,20 @@ class CostModel:
         ``chunk x prefix`` rectangle instead of the monolithic
         ``prompt x prompt`` square — summing chunks therefore costs
         *less* total attention arithmetic than one monolithic pass,
-        exactly the Sarathi-style chunked-prefill win.  With a pruning
-        schedule, layer ``l`` additionally scales queries and keys by
-        its token keep fraction and charges only live heads.
+        exactly the Sarathi-style chunked-prefill win.  Layer ``l``
+        additionally scales queries and keys by the plan's token keep
+        fraction and charges only its live heads.
         """
+        prompt_len = plan.prompt_len
         if not 0 <= chunk_start < chunk_end <= prompt_len:
             raise ValueError(
                 f"invalid chunk [{chunk_start}, {chunk_end}) for prompt of "
                 f"{prompt_len} tokens"
             )
         d, d_ff, n_heads = model.d_model, model.d_ff, model.n_heads
-        if pruning is None:
-            token_fracs = [1.0] * model.n_layers
-            head_counts = [n_heads] * model.n_layers
-        else:
-            counts = sched.token_keep_counts(
-                pruning, model.n_layers, prompt_len
-            )
-            token_fracs = [int(c) / prompt_len for c in counts]
-            head_counts = [
-                int(h) for h in
-                sched.head_keep_counts(pruning, model.n_layers, n_heads)
-            ]
         flops = 0.0
-        for frac, heads in zip(token_fracs, head_counts):
+        for count, heads in zip(plan.token_counts, plan.head_counts):
+            frac = count / prompt_len
             queries = frac * (chunk_end - chunk_start)
             keys = frac * chunk_end
             proj = 2 * d * d * (3 * heads / n_heads + 1)
@@ -155,16 +137,10 @@ class CostModel:
             flops += queries * (proj + ffn) + attn
         return flops
 
-    def prefill_time(
-        self,
-        model: ModelConfig,
-        prompt_len: int,
-        pruning: Optional[PruningConfig] = None,
-    ) -> float:
+    def prefill_time(self, model: ModelConfig, plan: SequencePlan) -> float:
         return (
             self.step_overhead_s
-            + self.prefill_flops(model, prompt_len, pruning)
-            / self.flops_per_second
+            + self.prefill_flops(model, plan) / self.flops_per_second
         )
 
     def step_time(self, batch_flops: float, batch_size: int) -> float:

@@ -59,9 +59,13 @@ def _stub_executor(rng):
         _alive_heads=np.sort(
             rng.choice(N_HEADS, size=n_live_heads, replace=False)
         ),
-        # Fractions from "keeps everything" (target >= live) downward.
-        _token_fracs=np.sort(rng.uniform(0.1, 1.2, size=N_LAYERS))[::-1],
-        _head_counts=np.sort(rng.integers(1, N_HEADS + 1, size=N_LAYERS))[::-1],
+        _plan=SimpleNamespace(
+            # Fractions from "keeps everything" (target >= live) downward.
+            token_fracs=np.sort(rng.uniform(0.1, 1.2, size=N_LAYERS))[::-1],
+            head_counts=np.sort(
+                rng.integers(1, N_HEADS + 1, size=N_LAYERS)
+            )[::-1],
+        ),
         pruning=pruning,
         trace=AttentionTrace(CONFIG, total, 0, pruning=pruning),
     )
@@ -87,7 +91,7 @@ def test_token_and_head_decisions_match_per_sequence(seed):
             live = np.flatnonzero(before[j])
             assert live.max() < total, "padding was alive"
             target = decode_token_target(
-                executor.pruning, float(executor._token_fracs[layer_idx]),
+                executor.pruning, float(executor._plan.token_fracs[layer_idx]),
                 total,
             )
             expected = live
@@ -102,7 +106,7 @@ def test_token_and_head_decisions_match_per_sequence(seed):
 
             live_heads = np.flatnonzero(heads_before[j])
             expected = live_heads
-            target = int(executor._head_counts[layer_idx])
+            target = int(executor._plan.head_counts[layer_idx])
             if target < len(live_heads):
                 expected = prune_heads(
                     live_heads, executor.head_acc.scores_for(live_heads),

@@ -13,6 +13,7 @@ from repro.cluster import (
     ShardedKVPool,
 )
 from repro.config import GPT2_SMALL, PruningConfig
+from repro.core import SequencePlan
 from repro.serving import (
     KVMemoryPool,
     PoolExhausted,
@@ -161,8 +162,10 @@ class TestShardedKVPool:
     def test_global_ledger_views(self, cluster_setup):
         config, _, _ = cluster_setup
         pool = make_sharded(config, total_pages=64, n_replicas=2)
-        pool.shard(0).admit(1, PROMPT_LEN, 8, None)
-        pool.shard(1).admit(2, PROMPT_LEN, 8, PRUNING)
+        pool.shard(0).admit(1, [PROMPT_LEN + 8] * config.n_layers)
+        pool.shard(1).admit(
+            2, SequencePlan.build(PRUNING, config, PROMPT_LEN, 8).kv_bounds
+        )
         assert pool.n_sequences == 2
         assert pool.reserved_pages == (
             pool.shard(0).reserved_pages + pool.shard(1).reserved_pages
@@ -175,15 +178,16 @@ class TestShardedKVPool:
     def test_audit_catches_double_billing(self, cluster_setup):
         config, _, _ = cluster_setup
         pool = make_sharded(config)
-        pool.shard(0).admit(7, PROMPT_LEN, 4, None)
-        pool.shard(1).admit(7, PROMPT_LEN, 4, None)  # same id on two shards
+        bounds = [PROMPT_LEN + 4] * config.n_layers
+        pool.shard(0).admit(7, bounds)
+        pool.shard(1).admit(7, bounds)  # same id on two shards
         with pytest.raises(PoolExhausted, match="billed by replica 0 and"):
             pool.audit()
 
     def test_audit_catches_nonempty_retired_shard(self, cluster_setup):
         config, _, _ = cluster_setup
         pool = make_sharded(config)
-        pool.shard(0).admit(3, PROMPT_LEN, 4, None)
+        pool.shard(0).admit(3, [PROMPT_LEN + 4] * config.n_layers)
         pool.drain(0)
         with pytest.raises(PoolExhausted, match="retired replica 0"):
             pool.audit()
@@ -245,7 +249,7 @@ class TestClusterRouter:
 
     def test_least_loaded_prefers_free_pages(self, cluster_setup):
         config, replicas = self.make_replicas(cluster_setup, pages=(32, 32))
-        replicas[0].shard.admit(99, PROMPT_LEN, 8, None)
+        replicas[0].shard.admit(99, [PROMPT_LEN + 8] * config.n_layers)
         router = ClusterRouter("least_loaded")
         assert router.choose(self.request(config), replicas).index == 1
 
@@ -281,22 +285,23 @@ class TestClusterRouter:
         pruned = self.request(config, rid=2, prompt_len=40, max_new=20,
                               pruning=AGGRESSIVE)
         idle = replicas[0]
-        dense_key = router._pruning_aware_key(
-            dense, idle, idle.engine.placement_pages_estimate(dense))
-        pruned_key = router._pruning_aware_key(
-            pruned, idle, idle.engine.placement_pages_estimate(pruned))
+
+        def key(request, replica):
+            plan = replica.engine.plan_for(request)
+            need = replica.engine.placement_pages_estimate(request, plan)
+            return router._pruning_aware_key(plan, replica, need), need
+
+        dense_key, dense_need = key(dense, idle)
+        pruned_key, pruned_need = key(pruned, idle)
         # Same prompt and budget: the pruned request's schedule-bound
         # cost (pages and FLOPs) is strictly cheaper.
         assert pruned_key[0] < dense_key[0]
-        assert idle.engine.placement_pages_estimate(pruned) < \
-            idle.engine.placement_pages_estimate(dense)
+        assert pruned_need < dense_need
         # Backlog raises the same request's score on a busier replica.
         replicas[1].engine.submit(
             self.request(config, rid=95, prompt_len=40, max_new=40)
         )
-        busy = replicas[1]
-        busy_key = router._pruning_aware_key(
-            dense, busy, busy.engine.placement_pages_estimate(dense))
+        busy_key, _ = key(dense, replicas[1])
         assert busy_key[0] > dense_key[0]
 
 
@@ -588,16 +593,14 @@ class TestClusterEngine:
         inherit = Request(0, prompt, 4)
         forced_dense = Request(1, prompt, 4, pruning=None)
         override = Request(2, prompt, 4, pruning=AGGRESSIVE)
-        assert engine.pruning_of(inherit) is PRUNING
-        assert engine.pruning_of(forced_dense) is None
-        assert engine.pruning_of(override) is AGGRESSIVE
+        assert engine.plan_for(inherit).pruning is PRUNING
+        assert engine.plan_for(forced_dense).pruning is None
+        assert engine.plan_for(override).pruning is AGGRESSIVE
         # The pool reservation follows the per-request schedule.
         shard = pool.shard(0)
-        assert shard.reservation_pages(
-            PROMPT_LEN, 4, engine.pruning_of(override)
-        ) < shard.reservation_pages(
-            PROMPT_LEN, 4, engine.pruning_of(forced_dense)
-        )
+        assert shard.pages_for_lengths(
+            engine.plan_for(override).kv_bounds
+        ) < shard.pages_for_lengths(engine.plan_for(forced_dense).kv_bounds)
 
     def test_cluster_stats_json_roundtrip(self, cluster_setup):
         config, model, corpus = cluster_setup

@@ -27,6 +27,8 @@ from repro.faults import (
 )
 from repro.serving import (
     DegradationPolicy,
+    KVMemoryPool,
+    PoolExhausted,
     Request,
     RequestRecord,
     RequestStatus,
@@ -39,6 +41,7 @@ from repro.workloads import (
     accuracy_scale_config,
     build_task_model,
     build_vocabulary,
+    lm_prompts,
     make_lm_corpus,
     synthetic_request_trace,
 )
@@ -520,6 +523,81 @@ class TestDegradation:
         assert all(
             r.status is RequestStatus.FINISHED for r in degraded
         )
+
+    #: 64-token prompt + 32 new tokens on the 4-layer model at 16-token
+    #: pages: 24 pages dense, 16 under this escalated schedule.
+    ESCALATED = PruningConfig(token_keep_final=0.25, head_keep_final=0.5)
+
+    def test_submit_validates_the_override_the_record_carries(
+        self, chaos_setup
+    ):
+        """A repruned request handed to another engine is validated,
+        priced and billed at the escalated schedule on its record, not
+        at the request's own (which this 20-page pool can never hold)."""
+        config, model, corpus = chaos_setup
+        pool = KVMemoryPool(
+            config, page_budget(config, 20, page_tokens=16), page_tokens=16
+        )
+        engine = ServingEngine(model, pool)
+        request = Request(0, lm_prompts(corpus, 64, 1, seed=3)[0], 32)
+        record = RequestRecord(request)
+        record.pruning_override = self.ESCALATED
+        own = engine.plan_for(request)
+        escalated = engine.plan_for(request, record)
+        assert pool.pages_for_lengths(own.kv_bounds) == 24
+        assert pool.pages_for_lengths(escalated.kv_bounds) == 16
+        assert engine.placement_pages_estimate(request, own) is None
+        assert engine.placement_pages_estimate(request, escalated) == 16
+        engine.start()
+        with pytest.raises(PoolExhausted):
+            engine.submit(request)  # no record: its own dense schedule
+        assert engine.submit(request, record) is record
+        assert record.plan == escalated
+        while engine.has_work:
+            engine.step()
+        assert record.status is RequestStatus.FINISHED
+        assert record.n_generated == 32
+        pool.audit()
+
+    def test_drained_repruned_request_lands_where_its_override_fits(
+        self, chaos_setup
+    ):
+        """Replica 0 (24 pages) reprunes the waiting request 1 under
+        pressure and is then drained; replica 1 (20 pages) can hold
+        request 1 only at its escalated schedule, so the router must
+        price the record's override — request 1 lands and finishes,
+        while the never-repruned dense request 0 is unplaceable."""
+        config, model, corpus = chaos_setup
+        pool = ShardedKVPool(
+            config, n_replicas=2, page_tokens=16,
+            replica_budgets_bytes=[
+                page_budget(config, pages, page_tokens=16)
+                for pages in (24, 20)
+            ],
+        )
+        prompts = lm_prompts(corpus, 64, 2, seed=3)
+        cluster = ClusterEngine(
+            model, pool, policy="least_loaded",
+            degradation=DegradationPolicy(
+                free_page_frac=0.5, sustain_steps=2,
+                shed_priority_floor=2,  # nothing sheddable
+                reprune=self.ESCALATED,
+            ),
+            drain_events=[(0.002, 0)],
+        )
+        stats = cluster.run([
+            Request(0, prompts[0], 32, arrival_time=0.0),
+            Request(1, prompts[1], 32, arrival_time=1e-4),
+        ])
+        pool.audit()
+        dense, repruned = sorted(
+            stats.fleet.records, key=lambda r: r.request.request_id
+        )
+        assert repruned.pruning_override is self.ESCALATED
+        assert repruned.status is RequestStatus.FINISHED
+        assert repruned.n_generated == 32
+        assert dense.failure == "unplaceable"
+        assert cluster.failed_requests == [0]
 
 
 class TestChaosSoak:

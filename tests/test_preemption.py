@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster import ClusterEngine, ShardedKVPool
 from repro.config import GPT2_SMALL, PruningConfig
+from repro.core import SequencePlan
 from repro.serving import (
     KVMemoryPool,
     PoolExhausted,
@@ -83,8 +84,9 @@ class TestOptimisticPool:
     def test_optimistic_floor_cheaper_than_worst_case(self, serving_setup):
         config, _, _ = serving_setup
         pool = make_pool(config, pages=64)
-        floor = pool.optimistic_floor_pages(PROMPT_LEN, PRUNING)
-        worst = pool.reservation_pages(PROMPT_LEN, 16, PRUNING)
+        plan = SequencePlan.build(PRUNING, config, PROMPT_LEN, 16)
+        floor = pool.pages_for_lengths(plan.token_counts)
+        worst = pool.pages_for_lengths(plan.kv_bounds)
         assert 0 < floor < worst
 
     def test_optimistic_reservation_tracks_actual_usage(self, serving_setup):
@@ -93,7 +95,8 @@ class TestOptimisticPool:
         must shrink with the allocation once the prompt has landed."""
         config, _, _ = serving_setup
         pool = make_pool(config, pages=64)
-        pool.admit_optimistic(1, PROMPT_LEN, PRUNING)
+        plan = SequencePlan.build(PRUNING, config, PROMPT_LEN)
+        pool.admit_optimistic(1, plan.token_counts)
         floor = pool.reserved_pages_of(1)
         pool.sync(1, [PROMPT_LEN] * config.n_layers)
         assert pool.reserved_pages_of(1) >= floor
@@ -109,20 +112,19 @@ class TestOptimisticPool:
     def test_headroom_gates_admission(self, serving_setup):
         config, _, _ = serving_setup
         pool = make_pool(config, pages=16)
-        floor = pool.optimistic_floor_pages(PROMPT_LEN, None)
-        assert pool.can_admit_optimistic(PROMPT_LEN)
+        prompt = [PROMPT_LEN] * config.n_layers
+        floor = pool.pages_for_lengths(prompt)
+        assert pool.can_admit_optimistic(prompt)
         assert not pool.can_admit_optimistic(
-            PROMPT_LEN, headroom_pages=16 - floor + 1
+            prompt, headroom_pages=16 - floor + 1
         )
         with pytest.raises(PoolExhausted, match="headroom"):
-            pool.admit_optimistic(
-                5, PROMPT_LEN, headroom_pages=16 - floor + 1
-            )
+            pool.admit_optimistic(5, prompt, headroom_pages=16 - floor + 1)
 
     def test_try_grow_signals_pressure_without_mutating(self, serving_setup):
         config, _, _ = serving_setup
         pool = make_pool(config, pages=8)
-        pool.admit_optimistic(1, 8)
+        pool.admit_optimistic(1, [8] * config.n_layers)
         pool.sync(1, [8] * config.n_layers)  # 4 layers x 1 page
         before = pool.allocated_pages
         # Growing every layer past the remaining budget must refuse.
@@ -143,11 +145,11 @@ class TestOptimisticPool:
         pool = make_pool(config, pages=16)
         # Sequence 1: dense 24-token prompt, floor 12 pages, only 4
         # allocated so far (prompt still committing chunk by chunk).
-        pool.admit_optimistic(1, 24)
+        pool.admit_optimistic(1, [24] * config.n_layers)
         pool.sync(1, [8] * config.n_layers)
         assert pool.reserved_pages_of(1) == 12
         # Sequence 2 fits the remaining 4 unreserved pages.
-        pool.admit_optimistic(2, 8)
+        pool.admit_optimistic(2, [8] * config.n_layers)
         pool.sync(2, [8] * config.n_layers)
         # Growing 2 to 8 pages fits *allocations* (4 + 8 <= 16) but
         # would steal 4 pages promised to sequence 1's prefill: refuse.
@@ -166,7 +168,7 @@ class TestOptimisticPool:
     def test_pressure_pages_projection(self, serving_setup):
         config, _, _ = serving_setup
         pool = make_pool(config, pages=8)
-        pool.admit_optimistic(1, 8)
+        pool.admit_optimistic(1, [8] * config.n_layers)
         pool.sync(1, [8] * config.n_layers)
         assert pool.pressure_pages({}) == 0
         assert pool.pressure_pages({1: [16] * config.n_layers}) == 0
@@ -177,7 +179,7 @@ class TestOptimisticPool:
     def test_preempt_release_counts_and_clears(self, serving_setup):
         config, _, _ = serving_setup
         pool = make_pool(config, pages=16)
-        pool.admit_optimistic(1, 8)
+        pool.admit_optimistic(1, [8] * config.n_layers)
         pool.sync(1, [8] * config.n_layers)
         freed = pool.preempt_release(1)
         assert freed == config.n_layers
@@ -191,7 +193,7 @@ class TestOptimisticPool:
     def test_audit_catches_corrupt_accounts(self, serving_setup):
         config, _, _ = serving_setup
         pool = make_pool(config, pages=16)
-        pool.admit_optimistic(1, 8)
+        pool.admit_optimistic(1, [8] * config.n_layers)
         pool.sync(1, [8] * config.n_layers)
         pool.audit()
         pool._accounts[1].reserved_pages += 1  # simulate a ledger bug

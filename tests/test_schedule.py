@@ -1,10 +1,15 @@
 """Unit tests for the pruning schedules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import PruningConfig
+from repro.config import ModelConfig, PruningConfig
 from repro.core.schedule import (
+    SequencePlan,
     decode_token_target,
     decode_token_targets,
     effective_token_keep,
@@ -131,3 +136,70 @@ class TestDecodeTarget:
             assert batch[i] == decode_token_target(
                 config, float(fractions[i]), int(totals[i])
             )
+
+
+plan_prunings = st.none() | st.builds(
+    PruningConfig,
+    token_keep_final=st.sampled_from([1.0, 0.75, 0.4, 0.15, 0.02]),
+    head_keep_final=st.sampled_from([1.0, 0.75, 0.5, 0.1]),
+    token_front_frac=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+    head_front_frac=st.sampled_from([0.0, 0.3, 1.0]),
+    length_adaptive=st.booleans(),
+    reference_length=st.sampled_from([16, 128]),
+    min_tokens=st.integers(0, 12),
+)
+
+
+class TestSequencePlan:
+    """The plan is the replay, frozen: every field equals the
+    standalone schedule function it replaces at its call sites."""
+
+    @given(
+        plan_prunings, st.integers(1, 12), st.integers(1, 16),
+        st.integers(1, 300), st.integers(0, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fields_equal_the_functions_they_replace(
+        self, pruning, n_layers, n_heads, prompt_len, max_new
+    ):
+        model = ModelConfig("plan", n_layers, n_heads, 8 * n_heads, 16)
+        plan = SequencePlan.build(pruning, model, prompt_len, max_new)
+        total = prompt_len + max_new
+        assert (plan.pruning, plan.prompt_len, plan.max_new_tokens) == (
+            pruning, prompt_len, max_new
+        )
+        if pruning is None:  # dense: nothing is ever pruned
+            counts = [prompt_len] * n_layers
+            assert plan.token_fracs == (1.0,) * n_layers
+            assert plan.head_counts == (n_heads,) * n_layers
+            bounds = [total] * n_layers
+        else:
+            counts = token_keep_counts(pruning, n_layers, prompt_len).tolist()
+            fracs = token_keep_fractions(pruning, n_layers, prompt_len)
+            assert plan.token_fracs == tuple(fracs.tolist())
+            assert plan.head_counts == tuple(
+                head_keep_counts(pruning, n_layers, n_heads).tolist()
+            )
+            # What serving.memory_pool.pruned_kv_bounds computed.
+            bounds = [
+                max(counts[layer], decode_token_target(
+                    pruning, float(fracs[layer]), total
+                ))
+                for layer in range(n_layers)
+            ]
+        assert plan.token_counts == tuple(counts)
+        assert plan.kv_bounds == tuple(bounds)
+        assert all(type(n) is int for n in plan.token_counts + plan.kv_bounds)
+        # What serving.memory_pool.prefill_kv_lengths computed.
+        for committed in (0, prompt_len // 2, prompt_len, prompt_len + 7):
+            assert plan.prefix_kv_lengths(committed) == [
+                min(committed, prompt_len, count) for count in counts
+            ]
+
+    def test_plan_is_immutable(self):
+        plan = SequencePlan.build(
+            PruningConfig(token_keep_final=0.5),
+            ModelConfig("plan", 3, 4, 32, 16), 40, 8,
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.prompt_len = 1

@@ -18,8 +18,6 @@ from repro.serving import (
     ServingEngine,
     ServingStats,
     SimulatedClock,
-    prefill_kv_lengths,
-    pruned_kv_bounds,
     transition,
 )
 from repro.telemetry import NULL_TELEMETRY, Telemetry, chrome_trace_json
@@ -46,6 +44,10 @@ def serving_setup():
     model, _ = build_task_model(config, vocab, "lm", seed=0)
     corpus = make_lm_corpus(vocab, n_tokens=1024, seed=2)
     return config, model, corpus
+
+
+def plan_of(config, pruning, prompt_len, max_new=0):
+    return sched.SequencePlan.build(pruning, config, prompt_len, max_new)
 
 
 def make_pool(config, pages=64, page_tokens=8):
@@ -108,11 +110,15 @@ class TestRequestAndQueue:
 
 class TestKVBounds:
     def test_dense_bounds_are_full_length(self):
-        assert pruned_kv_bounds(None, 3, 10, 5) == [15, 15, 15]
+        three = GPT2_SMALL.with_overrides(n_layers=3)
+        assert plan_of(three, None, 10, 5).kv_bounds == (15, 15, 15)
 
     def test_pruned_bounds_replay_the_schedule(self):
         n_layers, prompt, max_new = 6, 40, 10
-        bounds = pruned_kv_bounds(PRUNING, n_layers, prompt, max_new)
+        bounds = plan_of(
+            GPT2_SMALL.with_overrides(n_layers=n_layers), PRUNING, prompt,
+            max_new,
+        ).kv_bounds
         counts = sched.token_keep_counts(PRUNING, n_layers, prompt)
         fracs = sched.token_keep_fractions(PRUNING, n_layers, prompt)
         for layer in range(n_layers):
@@ -130,9 +136,7 @@ class TestKVBounds:
         config, model, corpus = serving_setup
         prompt = lm_prompts(corpus, PROMPT_LEN, 1, seed=9)[0]
         max_new = 8
-        bounds = pruned_kv_bounds(
-            PRUNING, config.n_layers, PROMPT_LEN, max_new
-        )
+        bounds = plan_of(config, PRUNING, PROMPT_LEN, max_new).kv_bounds
         executor = SpAttenExecutor(PRUNING)
         logits = model.prefill(prompt, executor)
         assert all(
@@ -171,31 +175,34 @@ class TestKVMemoryPool:
     def test_admission_accounting(self, serving_setup):
         config, _, _ = serving_setup
         pool = make_pool(config, pages=20, page_tokens=8)
-        need = pool.reservation_pages(PROMPT_LEN, 8, None)
+        bounds = plan_of(config, None, PROMPT_LEN, 8).kv_bounds
+        need = pool.pages_for_lengths(bounds)
         assert need == config.n_layers * 4  # ceil(32 / 8) pages per layer
-        assert pool.can_admit(PROMPT_LEN, 8, None)
-        pool.admit(0, PROMPT_LEN, 8, None)
+        assert pool.can_admit(bounds)
+        pool.admit(0, bounds)
         assert pool.reserved_pages == need
-        assert not pool.can_admit(PROMPT_LEN, 8, None)
+        assert not pool.can_admit(bounds)
         with pytest.raises(PoolExhausted):
-            pool.admit(1, PROMPT_LEN, 8, None)
+            pool.admit(1, bounds)
         with pytest.raises(ValueError):
-            pool.admit(0, PROMPT_LEN, 8, None)  # duplicate id
+            pool.admit(0, bounds)  # duplicate id
+        with pytest.raises(ValueError):
+            pool.admit(2, bounds[:-1])  # must cover every layer
         pool.release(0)
         assert pool.reserved_pages == 0
-        assert pool.can_admit(PROMPT_LEN, 8, None)
+        assert pool.can_admit(bounds)
 
     def test_pruned_reservation_is_smaller(self, serving_setup):
         config, _, _ = serving_setup
         pool = make_pool(config)
-        dense = pool.reservation_pages(PROMPT_LEN, 8, None)
-        pruned = pool.reservation_pages(PROMPT_LEN, 8, PRUNING)
-        assert pruned < dense
+        dense = plan_of(config, None, PROMPT_LEN, 8).kv_bounds
+        pruned = plan_of(config, PRUNING, PROMPT_LEN, 8).kv_bounds
+        assert pool.pages_for_lengths(pruned) < pool.pages_for_lengths(dense)
 
     def test_sync_allocates_and_reclaims(self, serving_setup):
         config, _, _ = serving_setup
         pool = make_pool(config, pages=32, page_tokens=8)
-        pool.admit(0, PROMPT_LEN, 8, None)
+        pool.admit(0, [PROMPT_LEN + 8] * config.n_layers)
         grown = pool.sync(0, [24, 24, 24, 24])
         assert grown == 0
         assert pool.allocated_pages == 4 * 3
@@ -213,7 +220,7 @@ class TestKVMemoryPool:
             pool.sync(7, [0] * config.n_layers)
         with pytest.raises(ValueError, match="unknown sequence 9"):
             pool.release(9)
-        pool.admit(1, PROMPT_LEN, 4, None)
+        pool.admit(1, [PROMPT_LEN + 4] * config.n_layers)
         pool.release(1)
         with pytest.raises(ValueError, match="unknown sequence 1"):
             pool.release(1)  # double release
@@ -223,19 +230,21 @@ class TestKVMemoryPool:
 
 class TestPrefillKVLengths:
     def test_dense_tracks_committed_prefix(self):
-        assert prefill_kv_lengths(None, 3, 24, 0) == [0, 0, 0]
-        assert prefill_kv_lengths(None, 3, 24, 9) == [9, 9, 9]
-        assert prefill_kv_lengths(None, 3, 24, 99) == [24, 24, 24]
+        plan = plan_of(GPT2_SMALL.with_overrides(n_layers=3), None, 24)
+        assert plan.prefix_kv_lengths(0) == [0, 0, 0]
+        assert plan.prefix_kv_lengths(9) == [9, 9, 9]
+        assert plan.prefix_kv_lengths(99) == [24, 24, 24]
 
     def test_pruned_caps_at_summarize_keep_targets(self):
         n_layers, prompt = 6, 40
         counts = sched.token_keep_counts(PRUNING, n_layers, prompt)
-        mid = prefill_kv_lengths(PRUNING, n_layers, prompt, 16)
-        assert mid == [min(16, int(c)) for c in counts]
+        plan = plan_of(
+            GPT2_SMALL.with_overrides(n_layers=n_layers), PRUNING, prompt
+        )
+        assert plan.prefix_kv_lengths(16) == [min(16, int(c)) for c in counts]
         # At full commit, the model matches the executor's real
         # post-summarize cache lengths exactly (= the keep counts).
-        full = prefill_kv_lengths(PRUNING, n_layers, prompt, prompt)
-        assert full == [int(c) for c in counts]
+        assert plan.prefix_kv_lengths(prompt) == [int(c) for c in counts]
 
 
 class TestBatchedDecodeEquivalence:
@@ -416,6 +425,48 @@ class TestServingEngine:
         stats = engine.run([good])
         assert stats.records[0].n_generated == good.max_new_tokens
 
+    def test_schedule_replays_once_per_request_not_per_step(
+        self, serving_setup, monkeypatch
+    ):
+        """After ``submit`` stored each request's plan, serving a mixed
+        dense + SpAtten trace replays the schedule exactly once per
+        SpAtten prefill — the executor's own init — however many steps,
+        blocked admission checks and backlog walks the run takes."""
+        config, model, corpus = serving_setup
+        requests = synthetic_request_trace(
+            corpus, n_requests=8, rate_per_s=4000.0, prompt_len=PROMPT_LEN,
+            max_new_tokens=(4, 8), seed=3,
+        )
+        for request in requests[::2]:
+            request.pruning = None  # dense rows ride the same batch
+        # Tight pool + chunked prefill: requests wait at the queue head
+        # (an admission check per step) and commit chunk by chunk.
+        pool = make_pool(config, pages=32, page_tokens=8)
+        engine = ServingEngine(
+            model, pool, pruning=PRUNING, prefill_chunk=8, numerics="fp32",
+        )
+        engine.start()
+        for request in requests:
+            engine.submit(request)
+        replays = []
+        counts = sched.token_keep_counts
+        monkeypatch.setattr(
+            sched, "token_keep_counts",
+            lambda *args: replays.append(args) or counts(*args),
+        )
+        waited = False
+        while engine.has_work:
+            engine.step()
+            waited |= bool(engine.queue) and bool(engine.live)
+            engine.outstanding_flops()
+            engine.outstanding_page_seconds()
+        assert waited  # the admission check did run against a full pool
+        stats = engine.finish()
+        assert all(
+            r.n_generated == r.request.max_new_tokens for r in stats.records
+        )
+        assert len(replays) == len(requests[1::2])
+
 
 class TestChunkedServing:
     """The three-phase mixed-step scheduler at every chunk size."""
@@ -532,10 +583,8 @@ class TestChunkedServing:
         assert pool.allocated_pages == 0
         for committed in (8, 16, 24):
             engine._mixed_step(clock)
-            lengths = prefill_kv_lengths(
-                PRUNING, config.n_layers, PROMPT_LEN, committed
-            )
-            want = sum(pool.pages_for_tokens(n) for n in lengths)
+            plan = plan_of(config, PRUNING, PROMPT_LEN)
+            want = pool.pages_for_lengths(plan.prefix_kv_lengths(committed))
             assert pool.allocated_pages == want
         # The modeled growth converged onto the executor's real pruned
         # cache lengths — nothing was spuriously "reclaimed" mid-prefill.
@@ -564,7 +613,9 @@ class TestChunkedServing:
                 requests
             )
             worst[label] = max(stats.records[0].token_latencies)
-        prefill_s = CostModel().prefill_time(config, PROMPT_LEN)
+        prefill_s = CostModel().prefill_time(
+            config, plan_of(config, None, PROMPT_LEN)
+        )
         assert worst["whole"] > prefill_s  # the stall is visible...
         assert worst["chunked"] < worst["whole"]  # ...and chunking removes it
 
@@ -726,11 +777,13 @@ class TestCostModelAndClock:
     def test_prefill_flops_are_schedule_aware(self, serving_setup):
         config, _, _ = serving_setup
         cost = CostModel()
-        dense = cost.prefill_flops(config, 48)
-        pruned = cost.prefill_flops(config, 48, PRUNING)
-        assert pruned < dense
-        assert cost.prefill_time(config, 48, PRUNING) < cost.prefill_time(
-            config, 48
+        dense = plan_of(config, None, 48)
+        pruned = plan_of(config, PRUNING, 48)
+        assert cost.prefill_flops(config, pruned) < cost.prefill_flops(
+            config, dense
+        )
+        assert cost.prefill_time(config, pruned) < cost.prefill_time(
+            config, dense
         )
 
     def test_chunk_flops_sum_below_monolithic_square(self, serving_setup):
@@ -738,15 +791,16 @@ class TestCostModelAndClock:
         config, _, _ = serving_setup
         cost = CostModel()
         for pruning in (None, PRUNING):
-            whole = cost.prefill_flops(config, 48, pruning)
+            plan = plan_of(config, pruning, 48)
+            whole = cost.prefill_flops(config, plan)
             chunked = sum(
-                cost.prefill_chunk_flops(config, 48, s, s + 16, pruning)
+                cost.prefill_chunk_flops(config, plan, s, s + 16)
                 for s in (0, 16, 32)
             )
             assert chunked < whole
             # A single full-width chunk is exactly the monolithic charge.
             assert cost.prefill_chunk_flops(
-                config, 48, 0, 48, pruning
+                config, plan, 0, 48
             ) == pytest.approx(whole)
 
     def test_chunk_flops_validate_span(self, serving_setup):
@@ -754,7 +808,9 @@ class TestCostModelAndClock:
         cost = CostModel()
         for start, end in ((-1, 8), (8, 8), (40, 56)):
             with pytest.raises(ValueError):
-                cost.prefill_chunk_flops(config, 48, start, end)
+                cost.prefill_chunk_flops(
+                    config, plan_of(config, None, 48), start, end
+                )
 
     def test_mixed_step_degenerates_to_decode_step(self):
         cost = CostModel()
