@@ -8,9 +8,9 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # Static-analysis gate: the tree must carry zero unsuppressed lint
-# violations (determinism, clock-domain, accounting, drift rules —
-# see the "Static analysis" section of the serving guide).  The JSON
-# report lands in benchmarks/results/ so CI uploads it as an artifact.
+# violations (determinism, clock-domain, drift rules — see the "Static
+# analysis" section of the serving guide).  The JSON report is written
+# before the exit code is decided, so CI uploads it pass or fail.
 mkdir -p benchmarks/results
 python -m repro.cli lint --out benchmarks/results/lint_report.json
 

@@ -1,11 +1,13 @@
-"""Determinism & accounting lint pass for the serving stack.
+"""Determinism lint pass for the serving stack.
 
 Every layer grown on top of the SpAtten reproduction stakes its
-correctness on two contracts that runtime tests can only police *after*
-a violation ships: bit-identical token streams / byte-identical
-artifacts across identical runs, and conservation of pages in the KV
-ledgers.  This package checks both at lint time, before a single
-simulation runs, with an AST-based framework tailored to this codebase:
+correctness on bit-identical token streams / byte-identical artifacts
+across identical runs — a contract runtime tests can only police
+*after* a violation ships.  This package checks it at lint time, before
+a single simulation runs, with an AST-based framework tailored to this
+codebase.  (The other contract, conservation of pages in the KV
+ledgers, is not linted: each ledger has one open / close / resize site
+and ``tests/test_ledger_machine.py`` drives them under ``audit()``.)
 
 * :mod:`~repro.analysis.engine` — the visitor engine:
   :class:`LintEngine` scans a path set (default ``src/repro``), runs
@@ -19,12 +21,11 @@ simulation runs, with an AST-based framework tailored to this codebase:
 * :mod:`~repro.analysis.manifest` — the clock-domain manifest: every
   module declares (by dotted prefix) whether it lives on the
   ``simulated`` clock, the sanctioned ``wall`` clock, or neither;
-* four rule families: **determinism** (``det-wallclock``,
-  ``det-global-rng``, ``det-env-read``, ``det-set-order``),
-  **clock-domain** (``clock-domain-import``), **accounting**
-  (``acct-observer-notify``, ``acct-audit-test``) and **drift**
-  (``drift-cli-doc``, ``drift-stats-schema``), plus the
-  self-policing ``lint-suppression`` hygiene rule;
+* three rule families: **determinism** (``det-wallclock``,
+  ``det-global-rng``, ``det-env-read``, ``det-set-order``,
+  ``det-dtype-literal``), **clock-domain** (``clock-domain-import``)
+  and **drift** (``drift-cli-doc``), plus the self-policing
+  ``lint-suppression`` hygiene rule;
 * :mod:`~repro.analysis.reporters` — text and byte-deterministic JSON
   renderings.
 

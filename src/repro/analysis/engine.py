@@ -296,10 +296,10 @@ class RepoIndex:
     """Scanned modules plus on-demand access to reference files.
 
     Repo rules cross-reference files that may sit outside the lint
-    path set (``tests/`` for the accounting rules, the golden schema
-    for the drift rules).  :meth:`module` loads and caches those on
-    demand; :meth:`scanned` answers whether a file was part of the
-    scan, which gates whether a repo rule runs at all.
+    path set (the guides ``drift-cli-doc`` reads).  :meth:`module`
+    loads and caches those on demand; :meth:`scanned` answers whether
+    a file was part of the scan, which gates whether a repo rule runs
+    at all.
     """
 
     def __init__(self, root: Path, modules: Sequence[ModuleInfo]):
@@ -322,18 +322,6 @@ class RepoIndex:
             except (OSError, SyntaxError):
                 self._cache[relpath] = None
         return self._cache[relpath]
-
-    def dir_modules(self, reldir: str) -> List[ModuleInfo]:
-        """Every parseable ``.py`` file under a repo-relative dir."""
-        base = self.root / reldir
-        if not base.is_dir():
-            return []
-        out = []
-        for path in sorted(base.rglob("*.py")):
-            mod = self.module(path.relative_to(self.root).as_posix())
-            if mod is not None:
-                out.append(mod)
-        return out
 
     def read_text(self, relpath: str) -> Optional[str]:
         try:

@@ -1,9 +1,9 @@
 """Rule registry for the :mod:`repro.analysis` lint pass.
 
 A rule is a class with a unique ``rule_id``, a ``family`` (one of the
-families the pass ships: ``determinism``, ``clock-domain``,
-``accounting``, ``drift`` — plus the engine's own ``lint`` hygiene
-family), and one of two check hooks:
+families the pass ships: ``determinism``, ``clock-domain``, ``drift``
+— plus the engine's own ``lint`` hygiene family), and one of two check
+hooks:
 
 * per-file rules implement ``check_module(module, index)`` and run on
   every scanned module;
@@ -66,7 +66,6 @@ def all_rule_classes() -> Dict[str, Type[Rule]]:
     # Import the rule modules lazily; each @register call populates the
     # registry as a side effect of the import.
     from . import (  # noqa: F401  (imported for registration side effect)
-        rules_accounting,
         rules_determinism,
         rules_domains,
         rules_drift,

@@ -1,39 +1,31 @@
-"""Drift rule family: docs and golden schemas vs. the code they mirror.
+"""Drift rule family: docs vs. the code they mirror.
 
-Two artifacts in this repo are hand-maintained mirrors of code and rot
-silently when the code moves:
+``drift-cli-doc`` — the CLI flag surface is a hand-maintained mirror of
+code and rots silently when the code moves.  The module docstrings of
+``repro.cli`` and ``repro.cluster`` and the serving guide
+(``docs/serving.md``) narrate flags by name; this rule extracts every
+``--flag`` token from those documents and every
+``add_argument("--flag", ...)`` definition from ``cli.py`` and flags
+both directions of drift: a documented flag that no parser defines
+(stale doc), and a defined flag no guide mentions (undocumented
+surface).
 
-* ``drift-cli-doc`` — the CLI flag surface.  The module docstrings of
-  ``repro.cli`` and ``repro.cluster`` and the serving guide
-  (``docs/serving.md``) narrate flags by name; this rule extracts every
-  ``--flag`` token from those documents and every
-  ``add_argument("--flag", ...)`` definition from ``cli.py`` and flags
-  both directions of drift: a documented flag that no parser defines
-  (stale doc), and a defined flag no guide mentions (undocumented
-  surface).
-* ``drift-stats-schema`` — the ``--stats-json`` document shape.
-  ``benchmarks/results/stats_schema_v2.json`` is the checked-in golden
-  schema for ``STATS_SCHEMA_VERSION``; this rule statically derives the
-  key set of :meth:`ServingStats.to_dict` (dataclass fields minus
-  ``records`` plus ``schema_version``) and :meth:`ClusterStats.to_dict`
-  (literal dict keys) and compares both against the golden file, so a
-  renamed or removed stats field fails lint until either the schema
-  version is bumped and the golden regenerated, or the field comes
-  back.  A runtime round-trip test asserts the same equality on live
-  objects.
+The ``--stats-json`` document shape needs no rule: both ``to_dict``
+methods derive from their dataclass fields, and
+``tests/test_analysis.py::TestGoldenSchemaRoundTrip`` holds live
+objects to ``benchmarks/results/stats_schema_v2.json``.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .engine import Finding, ModuleInfo, RepoIndex
 from .registry import Rule, register
 
-__all__ = ["CliDocDriftRule", "StatsSchemaDriftRule", "GOLDEN_SCHEMA_PATH"]
+__all__ = ["CliDocDriftRule"]
 
 _CLI_PATH = "src/repro/cli.py"
 
@@ -48,10 +40,6 @@ _DOC_SOURCES = (
 #: ``--flag`` tokens: require a leading letter so reST underlines
 #: (----) and em-dash art never match.
 _FLAG_TOKEN_RE = re.compile(r"--[a-z][a-z0-9-]*")
-
-GOLDEN_SCHEMA_PATH = "benchmarks/results/stats_schema_v2.json"
-_SERVING_STATS_PATH = "src/repro/serving/stats.py"
-_CLUSTER_STATS_PATH = "src/repro/cluster/stats.py"
 
 
 def _docstring_span(module: ModuleInfo) -> Optional[Tuple[int, int]]:
@@ -148,140 +136,3 @@ class CliDocDriftRule(Rule):
                         f"guides — document it where operators look"
                     ),
                 )
-
-
-def _dataclass_field_names(
-    module: ModuleInfo, class_name: str
-) -> Optional[List[str]]:
-    for node in module.tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return [
-                item.target.id
-                for item in node.body
-                if isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)
-            ]
-    return None
-
-
-def _to_dict_literal_keys(
-    module: ModuleInfo, class_name: str
-) -> Optional[List[str]]:
-    """String keys of the dict literal ``to_dict`` returns."""
-    for node in module.tree.body:
-        if not (isinstance(node, ast.ClassDef) and node.name == class_name):
-            continue
-        for item in node.body:
-            if isinstance(item, ast.FunctionDef) and item.name == "to_dict":
-                for ret in ast.walk(item):
-                    if isinstance(ret, ast.Return) and \
-                            isinstance(ret.value, ast.Dict):
-                        return [
-                            k.value for k in ret.value.keys
-                            if isinstance(k, ast.Constant)
-                            and isinstance(k.value, str)
-                        ]
-    return None
-
-
-def _schema_version_literal(module: ModuleInfo) -> Optional[int]:
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and \
-                        target.id == "STATS_SCHEMA_VERSION" and \
-                        isinstance(node.value, ast.Constant):
-                    return node.value.value
-    return None
-
-
-@register
-class StatsSchemaDriftRule(Rule):
-    rule_id = "drift-stats-schema"
-    family = "drift"
-    description = (
-        "ServingStats/ClusterStats.to_dict() keys vs the checked-in "
-        "golden schema for STATS_SCHEMA_VERSION"
-    )
-    anchors = (_SERVING_STATS_PATH, _CLUSTER_STATS_PATH)
-
-    def check_repo(self, index: RepoIndex) -> Iterator[Finding]:
-        serving = index.module(_SERVING_STATS_PATH)
-        cluster = index.module(_CLUSTER_STATS_PATH)
-        if serving is None or cluster is None:
-            return
-        golden_text = index.read_text(GOLDEN_SCHEMA_PATH)
-        if golden_text is None:
-            yield self._finding(
-                _SERVING_STATS_PATH, 1,
-                f"golden stats schema {GOLDEN_SCHEMA_PATH} is missing; "
-                f"check it in so --stats-json consumers have a contract",
-            )
-            return
-        try:
-            golden = json.loads(golden_text)
-        except ValueError as exc:
-            yield self._finding(
-                _SERVING_STATS_PATH, 1,
-                f"golden stats schema {GOLDEN_SCHEMA_PATH} is not valid "
-                f"JSON: {exc}",
-            )
-            return
-
-        version = _schema_version_literal(serving)
-        if golden.get("schema_version") != version:
-            yield self._finding(
-                _SERVING_STATS_PATH, 1,
-                f"STATS_SCHEMA_VERSION is {version} but the golden schema "
-                f"records schema_version={golden.get('schema_version')}: "
-                f"regenerate {GOLDEN_SCHEMA_PATH} when bumping",
-            )
-
-        fields = _dataclass_field_names(serving, "ServingStats")
-        if fields is not None:
-            expected = sorted(
-                (set(fields) - {"records"}) | {"schema_version"}
-            )
-            yield from self._compare(
-                "ServingStats.to_dict()", expected,
-                golden.get("serving_stats"), _SERVING_STATS_PATH, serving,
-            )
-        cluster_keys = _to_dict_literal_keys(cluster, "ClusterStats")
-        if cluster_keys is not None:
-            yield from self._compare(
-                "ClusterStats.to_dict()", sorted(set(cluster_keys)),
-                golden.get("cluster_stats"), _CLUSTER_STATS_PATH, cluster,
-            )
-
-    def _compare(self, what, expected, golden_keys, path, module):
-        if golden_keys is None:
-            yield self._finding(
-                path, 1,
-                f"golden schema lacks the key list for {what}",
-            )
-            return
-        missing = sorted(set(expected) - set(golden_keys))
-        stale = sorted(set(golden_keys) - set(expected))
-        if missing or stale:
-            detail = []
-            if missing:
-                detail.append(
-                    f"keys in code but not golden: {', '.join(missing)}"
-                )
-            if stale:
-                detail.append(
-                    f"keys in golden but not code: {', '.join(stale)}"
-                )
-            yield self._finding(
-                path, 1,
-                f"{what} drifted from {GOLDEN_SCHEMA_PATH} "
-                f"({'; '.join(detail)}): renaming/removing fields needs a "
-                f"STATS_SCHEMA_VERSION bump plus a regenerated golden; "
-                f"added fields just need the golden refreshed",
-            )
-
-    def _finding(self, path: str, line: int, message: str) -> Finding:
-        return Finding(
-            rule=self.rule_id, family=self.family,
-            path=path, line=line, message=message,
-        )

@@ -60,9 +60,9 @@ field; see the "Numerics ladder" section of the serving guide,
 ``docs/serving.md``).
 
 ``repro lint`` runs the :mod:`repro.analysis` static-analysis pass —
-determinism, clock-domain, page-accounting, and doc/schema drift rules
-— over the tree (default ``src/repro``), exiting 1 on any unsuppressed
-finding.  ``--format json`` switches the console report, ``--out PATH``
+determinism, clock-domain, and CLI-doc drift rules — over the tree
+(default ``src/repro``), exiting 1 on any unsuppressed finding.
+``--format json`` switches the console report, ``--out PATH``
 archives the JSON report for CI, ``--rules ID,ID`` restricts the run,
 and ``--list-rules`` prints the catalog.  Tier-1 and CI gate on it; see
 the "Static analysis" section of the serving guide
@@ -810,7 +810,7 @@ def main(argv=None) -> int:
                               "replica; exhaustion fails it cleanly")
     lint = sub.add_parser(
         "lint",
-        help="run the repro.analysis determinism/accounting lint pass "
+        help="run the repro.analysis determinism lint pass "
              "(exit 1 on unsuppressed findings)",
     )
     lint.add_argument("paths", nargs="*", metavar="PATH",

@@ -212,9 +212,11 @@ class ClusterEngine:
         #: SLO verdicts, a partial fleet view would misattribute them.
         self.slo = slo
         self.router = router if router is not None else ClusterRouter(policy)
-        if self.telemetry.active:
-            self.router.observer = self
-            self.pool.observer = self
+        # Cleared when inert, so a router / ledger a traced engine drove
+        # before stops notifying that stale engine.
+        observer = self if self.telemetry.active else None
+        self.router.observer = observer
+        self.pool.observer = observer
         self.replicas: List[Replica] = [
             Replica(
                 index=i,
@@ -325,8 +327,18 @@ class ClusterEngine:
             sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
         )
         faults = FaultInjector(self._fault_events, self.pool.n_replicas)
+        # Per-run state starts over, so a second run() reports itself
+        # alone (the replicas did the same in start()).
+        self.n_requeued = self.n_recovered = self._steps = 0
+        self._mttr_samples = []
+        self._down_since = {}
+        self.failed_requests = []
         self._retries = []
         self._activity_timeline = [(0.0, self.pool.n_active)]
+        router = self.router
+        router.routed_counts = {}
+        router._rr_cursor = router.n_breaker_trips = 0
+        router.breaker_open = set()
         occupancy_samples: List[float] = []
         occupancy_peak = 0.0
         last_event_time = 0.0

@@ -17,12 +17,12 @@ serving.  The :class:`ShardedKVPool` layers a *global ledger* on top:
   :meth:`recover` re-activates an *empty* retired shard — a crashed
   replica rejoining the fleet re-registers with the ledger under the
   same audit that governed its departure;
-* :meth:`audit` enforces the ledger invariants — every live sequence
-  is billed by **exactly one** shard, per-shard reservation totals
-  equal the sum of their per-sequence accounts, and retired shards
-  hold nothing.  A drain/requeue bug that double-billed pages (freed
-  on the drained shard *and* still reserved there, or reserved on two
-  shards at once) fails the audit immediately.
+* :meth:`audit` enforces the ledger invariants — every shard passes
+  its own audit, every live sequence is billed by **exactly one**
+  shard, and retired shards hold nothing.  A drain/requeue bug that
+  double-billed pages (freed on the drained shard *and* still reserved
+  there, or reserved on two shards at once) fails the audit
+  immediately.
 """
 
 from __future__ import annotations
@@ -123,9 +123,7 @@ class ShardedKVPool:
         replica = self._check_index(replica)
         if not self._active[replica]:
             raise ValueError(f"replica {replica} already drained or failed")
-        self._active[replica] = False
-        if self.observer is not None:
-            self.observer.ledger_transition(replica, "drain")
+        self._set_membership(replica, "drain")
 
     def fail(self, replica: int) -> None:
         """Abruptly retire a shard (simulated replica failure).
@@ -135,9 +133,7 @@ class ShardedKVPool:
         shard is flagged failed for the fleet report.
         """
         self.drain(replica)
-        self._failed[replica] = True
-        if self.observer is not None:
-            self.observer.ledger_transition(replica, "fail")
+        self._set_membership(replica, "fail")
 
     def recover(self, replica: int) -> None:
         """Re-activate a retired shard (replica rejoin after a crash).
@@ -158,10 +154,15 @@ class ShardedKVPool:
                 f"{shard.reserved_pages} reserved / "
                 f"{shard.allocated_pages} allocated pages"
             )
-        self._active[replica] = True
-        self._failed[replica] = False
+        self._set_membership(replica, "recover")
+
+    def _set_membership(self, replica: int, kind: str) -> None:
+        """The one site that writes a shard's membership flags: only a
+        ``recover`` leaves it active, only a ``fail`` leaves it failed."""
+        self._active[replica] = kind == "recover"
+        self._failed[replica] = kind == "fail"
         if self.observer is not None:
-            self.observer.ledger_transition(replica, "recover")
+            self.observer.ledger_transition(replica, kind)
 
     def _check_index(self, replica: int) -> int:
         if not 0 <= replica < len(self.shards):
@@ -259,8 +260,6 @@ class ShardedKVPool:
           ``max(floor, allocated)``);
         * a sequence id is billed by at most one shard (no
           double-billed pages after a drain requeue or a preemption);
-        * each shard's reservation total equals the sum of its
-          per-sequence accounts;
         * retired (drained/failed) shards hold zero reservations and
           zero allocations once their requeue has landed.
         """
@@ -274,15 +273,6 @@ class ShardedKVPool:
                         f"replica {owners[seq_id]} and replica {i}"
                     )
                 owners[seq_id] = i
-            per_seq = sum(
-                shard.reserved_pages_of(s) for s in shard.tracked_sequences
-            )
-            if per_seq != shard.reserved_pages:
-                raise PoolExhausted(
-                    f"ledger violation: replica {i} reserves "
-                    f"{shard.reserved_pages} pages but its accounts sum to "
-                    f"{per_seq}"
-                )
             if not self._active[i] and (
                 shard.reserved_pages or shard.allocated_pages
             ):

@@ -12,7 +12,7 @@ never by averaging per-replica percentiles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..eval.reporting import Table
@@ -150,27 +150,21 @@ class ClusterStats:
     # Reporting
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema_version": STATS_SCHEMA_VERSION,
-            "policy": self.policy,
-            "n_replicas": self.n_replicas,
-            "n_active_replicas": self.n_active_replicas,
-            "n_drained": self.n_drained,
-            "n_failed": self.n_failed,
-            "n_requeued": self.n_requeued,
-            "n_failed_requests": self.n_failed_requests,
-            "numerics": self.numerics,
-            "n_recovered": self.n_recovered,
-            "n_retries": self.n_retries,
-            "n_breaker_trips": self.n_breaker_trips,
-            "availability": self.availability,
-            "goodput_tps": self.goodput_tps,
-            "mttr_s": _null_if_nan(self.mttr_s),
-            "slo": self.slo,
-            "routed_counts": list(self.routed_counts),
-            "fleet": self.fleet.to_dict(),
-            "replicas": [s.to_dict() for s in self.replicas],
-        }
+        """Every field as plain data, derived from the dataclass fields
+        the way :meth:`ServingStats.to_dict` is: the nested fleet /
+        replica reports render through it and NaN becomes ``None``."""
+        out: Dict[str, object] = {"schema_version": STATS_SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, ServingStats):
+                value = value.to_dict()
+            elif isinstance(value, list):
+                value = [
+                    v.to_dict() if isinstance(v, ServingStats) else v
+                    for v in value
+                ]
+            out[f.name] = _null_if_nan(value)
+        return out
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -224,26 +224,7 @@ class KVMemoryPool:
         Raises :class:`PoolExhausted` if the reservation does not fit —
         callers use :meth:`can_admit` first and keep the request queued.
         """
-        if seq_id in self._accounts:
-            raise ValueError(f"sequence {seq_id} already admitted")
-        need = self.pages_for_lengths(kv_bounds)
-        if need > self.n_pages:
-            raise PoolExhausted(
-                f"request needs {need} pages but the pool only has "
-                f"{self.n_pages}; raise the budget or lower max_new_tokens"
-            )
-        if need > self.free_reservation_pages:
-            raise PoolExhausted(
-                f"request needs {need} pages, only "
-                f"{self.free_reservation_pages} unreserved"
-            )
-        self._accounts[seq_id] = _SequenceAccount(
-            reserved_pages=need,
-            allocated_per_layer=[0] * self.model.n_layers,
-        )
-        self._checksums[seq_id] = [[] for _ in range(self.model.n_layers)]
-        self._notify("admit", seq_id, pages=need, optimistic=False)
-        return need
+        return self._open(seq_id, kv_bounds, 0, optimistic=False)
 
     def can_admit_optimistic(
         self, prompt_kv_lengths: Sequence[int], headroom_pages: int = 0
@@ -271,29 +252,46 @@ class KVMemoryPool:
         Returns the floor; raises :class:`PoolExhausted` when it does
         not fit (callers use :meth:`can_admit_optimistic` first).
         """
+        return self._open(
+            seq_id, prompt_kv_lengths, headroom_pages, optimistic=True
+        )
+
+    def _open(
+        self,
+        seq_id: int,
+        lengths: Sequence[int],
+        headroom_pages: int,
+        optimistic: bool,
+    ) -> int:
+        """The one site that opens an account (both admission modes).
+
+        Bills the pages of ``lengths`` once they — plus
+        ``headroom_pages`` of slack — fit the unreserved pool; an
+        optimistic account also holds them as its prompt floor.
+        """
         if seq_id in self._accounts:
             raise ValueError(f"sequence {seq_id} already admitted")
         if headroom_pages < 0:
             raise ValueError("headroom_pages must be >= 0")
-        need = self.pages_for_lengths(prompt_kv_lengths)
-        if need + headroom_pages > self.n_pages:
-            raise PoolExhausted(
-                f"request needs {need} prompt pages plus {headroom_pages} "
-                f"headroom but the pool only has {self.n_pages}"
+        need = self.pages_for_lengths(lengths)
+        free = self.free_reservation_pages
+        if need + headroom_pages > free:
+            bill = (
+                f"{need} prompt pages plus {headroom_pages} headroom"
+                if optimistic else f"{need} pages"
             )
-        if need + headroom_pages > self.free_reservation_pages:
             raise PoolExhausted(
-                f"request needs {need} prompt pages plus {headroom_pages} "
-                f"headroom, only {self.free_reservation_pages} unreserved"
+                f"request needs {bill}; the pool has {self.n_pages} pages, "
+                f"{free} of them unreserved"
             )
         self._accounts[seq_id] = _SequenceAccount(
             reserved_pages=need,
             allocated_per_layer=[0] * self.model.n_layers,
-            optimistic=True,
-            floor_pages=need,
+            optimistic=optimistic,
+            floor_pages=need if optimistic else 0,
         )
         self._checksums[seq_id] = [[] for _ in range(self.model.n_layers)]
-        self._notify("admit", seq_id, pages=need, optimistic=True)
+        self._notify("admit", seq_id, pages=need, optimistic=optimistic)
         return need
 
     def finish_prefill(self, seq_id: int) -> None:
@@ -319,24 +317,33 @@ class KVMemoryPool:
         Growth allocates pages; shrinkage (cascade token pruning
         evicting columns) returns whole pages to the pool and counts
         toward :attr:`reclaimed_pages`.  Returns pages freed this call.
+        Growth past the pool raises :class:`PoolExhausted` and changes
+        nothing: the new page counts are validated, then committed.
         """
         account = self._account(seq_id)
         if len(kv_lengths) != self.model.n_layers:
             raise ValueError("kv_lengths must cover every layer")
         freed = 0
         grown = 0
-        checksums = self._checksums[seq_id]
-        for layer, length in enumerate(kv_lengths):
+        wanted = []
+        for held, length in zip(account.allocated_per_layer, kv_lengths):
             pages = self.pages_for_tokens(length)
-            delta = pages - account.allocated_per_layer[layer]
-            if delta < 0:
-                freed -= delta
+            if pages < held:
+                freed += held - pages
             else:
-                grown += delta
-            account.allocated_per_layer[layer] = pages
-            # Keep the integrity plane in lockstep: freed pages drop
-            # their tags, new pages are stamped with the expected tag.
-            row = checksums[layer]
+                grown += pages - held
+            wanted.append(pages)
+        allocated = self.allocated_pages + grown - freed
+        if allocated > self.n_pages:
+            raise PoolExhausted(
+                f"allocations ({allocated} pages) overflow the "
+                f"pool ({self.n_pages}); reservation accounting is broken"
+            )
+        account.allocated_per_layer = wanted
+        # Keep the integrity plane in lockstep: freed pages drop their
+        # tags, new pages are stamped with the expected tag.
+        rows = zip(self._checksums[seq_id], wanted)
+        for layer, (row, pages) in enumerate(rows):
             if pages < len(row):
                 del row[pages:]
             else:
@@ -348,14 +355,7 @@ class KVMemoryPool:
             account.reserved_pages = max(
                 account.floor_pages, account.allocated_pages
             )
-        if freed:
-            self.reclaimed_pages += freed
-        allocated = self.allocated_pages
-        if allocated > self.n_pages:
-            raise PoolExhausted(
-                f"allocations ({allocated} pages) overflow the "
-                f"pool ({self.n_pages}); reservation accounting is broken"
-            )
+        self.reclaimed_pages += freed
         self.peak_allocated_pages = max(self.peak_allocated_pages, allocated)
         if grown or freed:  # quiet syncs stay out of the trace
             self._notify("sync", seq_id, grown=grown, freed=freed)
@@ -435,10 +435,7 @@ class KVMemoryPool:
 
     def release(self, seq_id: int) -> None:
         """Drop a finished sequence's reservation and allocations."""
-        account = self._account(seq_id)
-        self._accounts.pop(seq_id)
-        self._checksums.pop(seq_id, None)
-        self._notify("release", seq_id, pages=account.reserved_pages)
+        self._close(seq_id, "release")
 
     def preempt_release(self, seq_id: int) -> int:
         """Release a preemption victim's account; returns pages regained.
@@ -452,13 +449,18 @@ class KVMemoryPool:
         and for a mid-prefill victim it exceeds the pages physically
         allocated so far.
         """
-        account = self._account(seq_id)
-        freed = account.reserved_pages
+        freed = self._close(seq_id, "preempt_release")
         self.n_preempted += 1
         self.preempted_pages += freed
+        return freed
+
+    def _close(self, seq_id: int, kind: str) -> int:
+        """The one site that closes an account, announced as ``kind``;
+        returns the reserved pages the admission plane regains."""
+        freed = self._account(seq_id).reserved_pages
         self._accounts.pop(seq_id)
-        self._checksums.pop(seq_id, None)
-        self._notify("preempt_release", seq_id, pages=freed)
+        self._checksums.pop(seq_id)
+        self._notify(kind, seq_id, pages=freed)
         return freed
 
     # ------------------------------------------------------------------
@@ -519,13 +521,9 @@ class KVMemoryPool:
         tallied under the quarantine counters the fault report
         surfaces.
         """
-        account = self._account(seq_id)
-        freed = account.reserved_pages
+        freed = self._close(seq_id, "quarantine_release")
         self.n_quarantined += 1
         self.quarantined_pages += freed
-        self._accounts.pop(seq_id)
-        self._checksums.pop(seq_id, None)
-        self._notify("quarantine_release", seq_id, pages=freed)
         return freed
 
     def audit(self) -> None:

@@ -613,6 +613,23 @@ class TestClusterEngine:
         assert "records" not in payload["fleet"]
         assert "cluster report" in str(stats.table())
 
+    def test_run_is_reentrant(self, cluster_setup):
+        """A second run() reports itself alone: the cluster's tallies and
+        the router's start over, as each replica's do in start().  (A
+        dense trace: the pool's reclaimed_* counters are pool-lifetime.)"""
+        config, model, corpus = cluster_setup
+        requests = synthetic_request_trace(
+            corpus, n_requests=6, rate_per_s=800.0, prompt_len=PROMPT_LEN,
+            max_new_tokens=(3, 6), seed=5,
+        )
+        cluster = ClusterEngine(
+            model, make_sharded(config), policy="round_robin", prefill_chunk=8,
+            heartbeat_timeout_s=0.0002,
+        )
+        first = cluster.run(requests).to_dict()
+        assert sum(first["routed_counts"]) == 6 and first["n_breaker_trips"]
+        assert cluster.run(requests).to_dict() == first
+
 
 @pytest.mark.smoke
 def test_cluster_smoke(cluster_setup):

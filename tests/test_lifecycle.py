@@ -11,6 +11,7 @@
 """
 
 import collections
+import dataclasses
 import json
 import pathlib
 
@@ -36,6 +37,7 @@ from repro.serving import (
     transition,
 )
 from repro.serving.request import SPAN_PHASES
+from repro.serving.stats import STATS_SCHEMA_VERSION
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: Event sequence that takes a fresh record into each phase.
@@ -251,6 +253,25 @@ def setup():
 def test_artifacts_match_the_recorded_parent(setup, name):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert digest(SCENARIOS[name](setup)) == golden[name]
+
+
+def test_cluster_stats_dict_is_its_dataclass_fields(setup):
+    """``ClusterStats.to_dict()`` is derived: value for value the
+    fields, nested reports through their own ``to_dict``, NaN as None."""
+    [(_, stats)] = cluster_chaos(setup)
+    doc = stats.to_dict()
+    assert doc.pop("schema_version") == STATS_SCHEMA_VERSION
+    assert doc.pop("fleet") == stats.fleet.to_dict()
+    assert doc.pop("replicas") == [s.to_dict() for s in stats.replicas]
+    assert stats.n_recovered and stats.n_retries and stats.n_breaker_trips
+    assert doc == {
+        f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
+        if f.name not in ("fleet", "replicas")
+    }
+    slo = {"objectives": []}
+    edited = dataclasses.replace(stats, mttr_s=float("nan"), slo=slo)
+    assert edited.to_dict()["mttr_s"] is None
+    assert edited.to_dict()["slo"] is slo
 
 
 def test_cluster_chaos_off_the_exact_tier(setup):

@@ -19,7 +19,7 @@ import math
 
 import pytest
 
-from repro.cluster import ClusterEngine, ShardedKVPool
+from repro.cluster import ClusterEngine, ClusterRouter, ShardedKVPool
 from repro.config import GPT2_SMALL, PruningConfig
 from repro.serving import KVMemoryPool, ServingEngine
 from repro.serving.stats import STATS_SCHEMA_VERSION
@@ -434,6 +434,23 @@ class TestPoolObserver:
         ServingEngine(model, pool, pruning=PRUNING,
                       prefill_chunk=8).run(requests)
         assert pool.observer is None
+        assert len(tel.tracer) == n_events
+
+    def test_inert_cluster_clears_stale_fleet_observers(self, serving_setup):
+        """Same contract for the fleet hooks: a router + sharded ledger a
+        traced cluster drove stop feeding it once an inert one runs."""
+        config, model, corpus = serving_setup
+        requests = trace(corpus, n=6)
+        pool, router = make_sharded(config), ClusterRouter("pruning_aware")
+        tel = Telemetry()
+        traced = ClusterEngine(model, pool, router=router, pruning=PRUNING,
+                               prefill_chunk=8, telemetry=tel)
+        traced.run(requests)
+        assert router.observer is traced and pool.observer is traced
+        n_events = len(tel.tracer)
+        ClusterEngine(model, pool, router=router, pruning=PRUNING,
+                      prefill_chunk=8).run(requests)
+        assert router.observer is None and pool.observer is None
         assert len(tel.tracer) == n_events
 
 
