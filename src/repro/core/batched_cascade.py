@@ -50,12 +50,14 @@ class CascadeBatch:
     (``positions[j]``) joins its live set and its length grows by one.
 
     Attributes:
-        alive: ``[B, P]`` live-token mask by original position (``P`` is
-            the longest sequence's length; shorter rows are padded dead).
+        alive: ``[B, P + 1]`` live-token mask by original position (``P``
+            is the longest sequence's length; shorter rows are padded
+            dead, and so is the last column, the sink).
         head_alive: ``[B, h]`` live-head mask.
-        sink: column index of :attr:`token_ids`' padding — one past
-            every real position, where padded arena columns scatter
-            their (zero) probability mass.
+        sink: the label of a column that holds no token — one past every
+            real position, so ``-1`` names it too
+            (:data:`repro.nn.kv_cache.NO_TOKEN`): always dead, and where
+            such columns scatter their (zero) probability mass.
     """
 
     def __init__(self, executors: Sequence, positions: np.ndarray):
@@ -79,7 +81,7 @@ class CascadeBatch:
         self._scores = np.zeros((n, self.sink + 1), dtype=np.float64)
         # repro: allow[det-dtype-literal] -- importance accumulators
         self._head_scores = np.empty((n, n_heads), dtype=np.float64)
-        self.alive = np.zeros((n, self.sink), dtype=bool)
+        self.alive = np.zeros((n, self.sink + 1), dtype=bool)
         self.head_alive = np.zeros((n, n_heads), dtype=bool)
         for j, (executor, length) in enumerate(zip(executors, lengths)):
             self._scores[j, :length] = executor.token_acc.live_scores(length)
@@ -122,9 +124,7 @@ class CascadeBatch:
         )
         rows = np.flatnonzero(targets < self._n_alive)
         if len(rows):
-            ranked = np.where(
-                self.alive[rows], self._scores[rows, : self.sink], -np.inf
-            )
+            ranked = np.where(self.alive[rows], self._scores[rows], -np.inf)
             ranked[np.arange(len(rows)), self._positions[rows]] = np.inf
             self.alive[rows] = topk_mask(ranked, targets[rows])
             self._n_alive[rows] = targets[rows]
@@ -146,9 +146,10 @@ class CascadeBatch:
 
         ``probs`` is the padded ``[B, h, L]`` probability plane and
         ``lengths`` each row's live columns.  Returns the ``[B, h, L]``
-        keep mask, or ``None`` when no row drops anything.  Padding
-        columns hold exact zeros *after* every real column, so they lose
-        every tie and are never kept ahead of a real one.
+        keep mask, or ``None`` when no row drops anything.  Columns
+        without a token hold exact zeros, so one is kept only in place
+        of a live column that ties it at zero — and a zero masked or
+        not contributes the same nothing.
         """
         self._n_values = value_keep_count(self._value_keep, lengths)
         if not (self._n_values < lengths).any():
@@ -168,8 +169,8 @@ class CascadeBatch:
         """Add one layer's probability mass to the token scores.
 
         ``probs`` ``[B, h, L]`` must already be zero on dead heads;
-        ``token_ids`` ``[B, L]`` labels each arena column with its
-        original position, padding with :attr:`sink`.
+        ``token_ids`` ``[B, L]`` labels each column with its original
+        position, and those without a token with :attr:`sink`.
         """
         mass = np.add.reduce(probs, axis=1)
         self._scores[self._rows[:, None], token_ids] += mass

@@ -517,7 +517,9 @@ class SpAttenExecutor(AttentionExecutor):
           arrays, so the backend gathers it into batch planes
           (:meth:`decode_batch_control`) and runs pruning decisions,
           eviction, attention, local value pruning and importance
-          accumulation for every such row at once over a padded pack.
+          accumulation for every such row at once, over the per-layer
+          row stores it keeps their K/V in (the caches become handles
+          on their rows; :mod:`repro.nn.kv_cache`).
         * ``"custom"`` — the exact tier, where
           :meth:`decode_attend_packed` is the bit-identity oracle, and
           progressive-quantization rows on any tier, whose LSB refetch
@@ -536,7 +538,7 @@ class SpAttenExecutor(AttentionExecutor):
 
     def decode_kv_cache(self, layer_idx: int):
         """Bare layer cache: the ``"pruned"`` core evicts and appends
-        centrally."""
+        centrally, in the row store the cache is then a handle on."""
         return self._cache[layer_idx]
 
     @staticmethod

@@ -128,11 +128,18 @@ forbids:
 * pruned rows take the same padded-pack core with SpAtten's stages in
   the datapath (:func:`_pruned_core_arena`), as the accelerator keeps
   its top-k engine beside batch-parallel Q·K / A·V units so pruning
-  control never starves them (PAPER.md §IV-B).  Their planes are staged
-  per layer rather than mirrored across steps: cascade eviction changes
-  the live columns of most rows at most layers of every step, so a
-  persistent mirror would be rebuilt from cache truth about as often as
-  it could be appended to.
+  control never starves them (PAPER.md §IV-B).  Their K/V do not sit in
+  per-sequence caches mirrored into an arena but *are* batch-resident:
+  one :class:`~repro.nn.kv_cache.KVRowStore` per layer holds every
+  pruned row's columns at the storage dtype, and each
+  :class:`~repro.nn.kv_cache.LayerKVCache` is a handle on its row.
+  Cascade eviction — which changes the live columns of most rows at
+  most layers of every step — is then one gathered mask that relabels
+  the dead columns where they sit, with a row compacted only once a
+  page of them has built up; the step's new columns are one indexed
+  store per plane; and the core reads ``store[:n, :, :width]`` views.
+  :meth:`PackedDecodeBackend.decode_step_policy` reconciles the stores'
+  rows with the step's batch once, before the first layer.
 """
 
 from __future__ import annotations
@@ -143,6 +150,7 @@ import numpy as np
 
 from .attention import split_heads
 from .functional import GELU_C, softmax_inplace
+from .kv_cache import NO_TOKEN, KVRowStore
 from .numerics import NumericsMismatchError, resolve_numerics
 from .transformer import AttentionExecutor, PrefillState, TransformerModel
 
@@ -159,11 +167,6 @@ _SCRATCH_PAGE = 64
 #: Rows per pass of the compute-dtype FFN: its two ``[rows, d_ff]``
 #: scratch planes persist, and a prompt step can carry thousands of rows.
 _FFN_BLOCK = 256
-
-#: Column growth quantum of the pruned core's K/V staging planes, whose
-#: every column is resident whether live or not: sized close to the
-#: live columns (pruned rows hold a fraction of their sequence).
-_STAGING_PAGE = 16
 
 #: ``(batch row, executor)`` pairs of one packed style.
 _Rows = List[Tuple[int, AttentionExecutor]]
@@ -333,8 +336,10 @@ class PackedDecodeBackend:
     :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
     call.  The backend holds the fused per-layer projection weights and
     reusable scratch tensors (scores, denominators, head outputs, the
-    KV arena), which grow with the live batch instead of being rebuilt
-    every step.
+    dense rows' KV arena), which grow with the live batch instead of
+    being rebuilt every step — and, off the exact tier, the ``"pruned"``
+    rows' K/V themselves (one :class:`~repro.nn.kv_cache.KVRowStore`
+    per layer; see :meth:`release` and :meth:`reset`).
     """
 
     def __init__(self, model: TransformerModel, numerics=None):
@@ -357,6 +362,9 @@ class PackedDecodeBackend:
         # core touches.
         self._scratch: Dict[str, np.ndarray] = {}
         self._planes: List[Optional[_ArenaPlane]] = [None] * cfg.n_layers
+        #: The ``"pruned"`` rows' K/V, one store per layer (built from
+        #: the first such row's caches), rows in one order throughout.
+        self._stores: List[KVRowStore] = []
         self._inv_sqrt_d = 1.0 / float(np.sqrt(cfg.head_dim))
         #: Optional :class:`repro.telemetry.HotPathProfiler` measuring
         #: real wall-clock time per stage (the serving engine attaches
@@ -388,23 +396,6 @@ class PackedDecodeBackend:
                 dtype=self.policy.compute_dtype,
             )
         return buf[:n, :, :, :max_len]
-
-    def _kv_staging(self, n: int, max_len: int) -> np.ndarray:
-        """``[2, n, h, max_len, D]`` K and V staging planes of the pruned
-        core — one pair, refilled by every layer."""
-        buf = self._scratch.get("staged_kv")
-        if buf is None or buf.shape[1] < n or buf.shape[3] < max_len:
-            rows, cap = (0, 0) if buf is None else (buf.shape[1], buf.shape[3])
-            cfg = self._model.config
-            # Drop the outgrown planes first: growth never holds both.
-            buf = self._scratch["staged_kv"] = None
-            buf = self._scratch["staged_kv"] = np.zeros(
-                (2, max(n, rows), cfg.n_heads,
-                 max(-(-max_len // _STAGING_PAGE) * _STAGING_PAGE, cap),
-                 cfg.head_dim),
-                dtype=self.policy.compute_dtype,
-            )
-        return buf[:, :n, :, :max_len]
 
     def _plane(self, layer_idx: int, n_rows: int, cap_needed: int) -> _ArenaPlane:
         """The layer's arena, grown (rows and columns) to fit this step.
@@ -483,11 +474,14 @@ class PackedDecodeBackend:
         positions: np.ndarray,
         rows: Tuple[_Rows, _Rows, _Rows],
         cascade=None,
+        pruned_sel=None,
     ) -> np.ndarray:
         """Packed attention of one block: ``x [B, d]`` → ``attn_out [B, d]``.
 
-        ``cascade`` is the step's batch control of the pruned rows
-        (:meth:`decode_step_policy` opens and commits it).
+        ``cascade`` is the step's batch control of the pruned rows and
+        ``pruned_sel`` their batch indices, both in row-store order
+        (:meth:`decode_step_policy` opens and commits the one and
+        :meth:`_resident` gives the other).
         """
         dense_rows, custom_rows, pruned_rows = rows
         model = self._model
@@ -502,41 +496,39 @@ class PackedDecodeBackend:
         # i's slice is the [h, 1, D] column the executor protocol takes.
         heads = qkv.reshape(batch, 3, cfg.n_heads, 1, cfg.head_dim)
         q_all, k_all, v_all = heads[:, 0], heads[:, 1], heads[:, 2]
+        # Each stage starts where the one before stopped (``lap``), so
+        # the layer's stages tile it.
         if prof is not None:
-            prof.stop("decode_qkv_proj", t0)
+            t0 = prof.lap("decode_qkv_proj", t0)
 
         merged = self._rows("merged", batch, 1, cfg.d_model)
         for i, executor in custom_rows:
-            t0 = prof.start() if prof is not None else 0.0
             merged[i] = executor.decode_attend_packed(
                 layer_idx, model, q_all[i], k_all[i], v_all[i],
                 positions[i : i + 1],
             )
             if prof is not None:
-                prof.stop("decode_custom_core", t0)
+                t0 = prof.lap("decode_custom_core", t0)
         if pruned_rows:
-            t0 = prof.start() if prof is not None else 0.0
-            caches = _prune_control(layer_idx, pruned_rows, cascade)
+            store = self._stores[layer_idx]
+            _prune_control(store, layer_idx, cascade)
             if prof is not None:
-                prof.stop("decode_prune_control", t0)
-            t0 = prof.start() if prof is not None else 0.0
+                t0 = prof.lap("decode_prune_control", t0)
             _pruned_core_arena(
-                self, layer_idx, pruned_rows, cascade, caches,
+                self, store, pruned_sel, cascade,
                 q_all, k_all, v_all, positions, merged,
             )
             if prof is not None:
-                prof.stop("decode_pruned_core", t0)
+                t0 = prof.lap("decode_pruned_core", t0)
         if dense_rows:
-            t0 = prof.start() if prof is not None else 0.0
             self._dense_core(
                 self, layer_idx, dense_rows, q_all, k_all, v_all, positions,
                 merged,
             )
             if prof is not None:
-                prof.stop("decode_dense_core", t0)
+                t0 = prof.lap("decode_dense_core", t0)
 
         # Fused output FC over every sequence's merged head features.
-        t0 = prof.start() if prof is not None else 0.0
         attn_out = self._project(
             merged[:, 0, :], w.wo[layer_idx], w.bo[layer_idx]
         )
@@ -579,29 +571,130 @@ class PackedDecodeBackend:
         exact path operation-for-operation — embedding gather, packed
         attention, residual + LayerNorm, tanh/gelu FFN, LM head — but
         runs vectorized over the cast weights.  ``pruned`` executors'
-        cascade control is opened here as one batch, stepped by every
-        layer's pruned core, and committed back to the executors once
-        the stack is through; ``custom`` executors keep their own
-        per-sequence core.
+        K/V are made resident in the row stores and their cascade
+        control is opened here as one batch, stepped by every layer's
+        pruned core, and committed back to the executors once the stack
+        is through; ``custom`` executors keep their own per-sequence
+        core.
         """
+        prof = self.profiler
+        t_step = t0 = prof.start() if prof is not None else 0.0
         rows = self._group_rows(model, executors)
         pruned_rows = rows[2]
-        cascade = None
+        cascade = sel = None
+        if pruned_rows or self._stores:
+            resident, sel = self._resident(pruned_rows, len(executors))
         if pruned_rows:
-            cascade = pruned_rows[0][1].decode_batch_control(
-                [executor for _, executor in pruned_rows],
-                positions[[i for i, _ in pruned_rows]],
+            cascade = resident[0].decode_batch_control(
+                resident, positions[sel]
             )
         w = self._weights
         x = w.tok_emb[token_ids] + w.pos_emb[positions]
+        if prof is not None:
+            prof.stop("decode_setup", t0)
         for layer_idx in range(model.config.n_layers):
             attn_out = self._attend_layer(
-                layer_idx, x, positions, rows, cascade
+                layer_idx, x, positions, rows, cascade, sel
             )
+            t0 = prof.start() if prof is not None else 0.0
             x = self._ffn_half(layer_idx, x, attn_out)
+            if prof is not None:
+                prof.stop("decode_ffn", t0)
         if cascade is not None:
+            t0 = prof.start() if prof is not None else 0.0
             cascade.commit()
-        return x @ w.lm_proj
+            if prof is not None:
+                prof.stop("decode_commit", t0)
+        t0 = prof.start() if prof is not None else 0.0
+        logits = x @ w.lm_proj
+        if prof is not None:
+            prof.stop("decode_lm_head", t0)
+            prof.stop("decode_step", t_step)
+        return logits
+
+    # ------------------------------------------------------------------
+    # Row-store residency of the pruned rows
+    # ------------------------------------------------------------------
+    def _resident(self, pruned_rows: _Rows, batch: int):
+        """Make the row stores hold exactly this step's pruned rows.
+
+        Membership is read off the rows' layer-0 caches, each of which
+        knows its store and row.  While it stands — the steady state —
+        this is all that happens.  When it moved, rows whose sequence
+        is not in the batch (or whose cache took its columns back,
+        :meth:`~repro.nn.kv_cache.KVRowStore.orphan`) are released in
+        every layer's store, their caches taking the live columns with
+        them, and arrivals are adopted: the one copy per sequence and
+        layer a dense row's arena rebuild pays.
+
+        Returns ``(executors, sel)`` in store-row order — the order the
+        step's batch control and every layer's core run in; ``sel`` are
+        the rows' batch indices (a plain slice when the two orders
+        coincide: views, not fancy-index copies).
+        """
+        if not self._stores:
+            self._stores = [
+                KVRowStore(pruned_rows[0][1].decode_kv_cache(layer_idx))
+                for layer_idx in range(self._model.config.n_layers)
+            ]
+        stores = self._stores
+        first = stores[0]
+        caches = [executor.decode_kv_cache(0) for _, executor in pruned_rows]
+        if (
+            len(caches) != len(first.owners)
+            or any(cache._store is not first for cache in caches)
+            or any(None in store.owners for store in stores)
+        ):
+            gone = set(range(len(first.owners))).difference(
+                cache._row for cache in caches if cache._store is first
+            )
+            for store in stores:
+                gone.update(
+                    row for row, owner in enumerate(store.owners)
+                    if owner is None
+                )
+            # Highest first: the row that fills a vacated one stays.
+            for row in sorted(gone, reverse=True):
+                for store in stores:
+                    store.release(row, keep_columns=True)
+            arrivals = [
+                executor for (_, executor), cache in zip(pruned_rows, caches)
+                if cache._store is not first
+            ]
+            for layer_idx, store in enumerate(stores):
+                store.adopt([
+                    executor.decode_kv_cache(layer_idx)
+                    for executor in arrivals
+                ])
+        rows = [cache._row for cache in caches]
+        resident: List[Optional[AttentionExecutor]] = [None] * len(rows)
+        for row, (_, executor) in zip(rows, pruned_rows):
+            resident[row] = executor
+        if rows == list(range(batch)):
+            return resident, slice(None)
+        sel = np.empty(len(rows), dtype=np.intp)
+        sel[rows] = [i for i, _ in pruned_rows]
+        return resident, sel
+
+    def release(self, executor: AttentionExecutor) -> None:
+        """Forget a sequence that will not decode here again (retired,
+        preempted, quarantined, drained): its store rows are vacated
+        without copying the columns back, and its caches left empty.
+        Rows nobody releases are found by the next step's reconcile,
+        which does copy them back.
+        """
+        if self._stores and executor.packed_decode_style == "pruned":
+            cache = executor.decode_kv_cache(0)
+            if cache._store is self._stores[0]:
+                row = cache._row
+                for store in self._stores:
+                    store.release(row, keep_columns=False)
+
+    def reset(self) -> None:
+        """Hand every resident row back to its cache: a new serving run
+        starts from empty stores."""
+        if self._stores:
+            self._resident([], 0)
 
     def _ffn_half(
         self, layer_idx: int, x: np.ndarray, attn_out: np.ndarray
@@ -961,7 +1054,7 @@ def _stage_kv_columns(
 
     Returns ``(k_cols, v_cols, quantized)``: the inputs and ``None``
     under float storage; under int8 the dequantized columns and the
-    ``(k_codes, k_scales, v_codes, v_scales)`` batch.
+    ``(k_codes, v_codes, k_scales, v_scales)`` batch.
     """
     if not backend.policy.quantized_gemm:
         return k_cols, v_cols, None
@@ -999,7 +1092,7 @@ def _stage_kv_columns(
     # arena columns (what the score GEMM reads back).
     np.multiply(codes_f, scales, out=kv_rows)
     return kv_rows[:n], kv_rows[n:], (
-        codes[:n], scales[:n, :, 0], codes[n:], scales[n:, :, 0]
+        codes[:n], codes[n:], scales[:n, :, 0], scales[n:, :, 0]
     )
 
 
@@ -1029,7 +1122,7 @@ def _dense_core_arena(
         backend, k_all[sel][:, :, 0], v_all[sel][:, :, 0]
     )
     if quantized:
-        k_codes, k_scales, v_codes, v_scales = quantized
+        k_codes, v_codes, k_scales, v_scales = quantized
     # Append this step's column to every cache first so plane
     # capacity can be ensured once, before any row writes.
     lens = np.empty(n, dtype=np.int64)
@@ -1110,60 +1203,53 @@ def _dense_core_arena(
     merged[sel] = head_out.reshape(n, 1, -1)
 
 
-def _prune_control(layer_idx: int, pruned_rows: _Rows, cascade) -> list:
-    """Pruning control of one layer's pruned rows; returns their caches.
+def _prune_control(store: KVRowStore, layer_idx: int, cascade) -> None:
+    """Pruning control of one layer's pruned rows.
 
     The batch decides (cascade token and head pruning as ranked masks
-    over the control planes), then each sequence's
-    :class:`~repro.nn.kv_cache.LayerKVCache` — the truth for
-    ``kv_lengths()``, eviction counts and pool pages — drops the columns
-    whose token left the live set.
+    over the control planes), then the layer's row store — through its
+    handles the truth for ``kv_lengths()``, eviction counts and pool
+    pages — drops the columns whose token left the live set: one mask
+    gathered over every row's labels.
     """
     cascade.prune(layer_idx)
-    alive = cascade.alive
-    caches = []
-    for j, (_, executor) in enumerate(pruned_rows):
-        cache = executor.decode_kv_cache(layer_idx)
-        keep = alive[j, cache.token_ids]
-        if np.count_nonzero(keep) < len(keep):
-            cache.keep(keep.nonzero()[0])
-        caches.append(cache)
-    return caches
+    store.evict(cascade.alive)
 
 
 def _pruned_core_arena(
     backend: "PackedDecodeBackend",
-    layer_idx: int,
-    pruned_rows: _Rows,
+    store: KVRowStore,
+    sel,
     cascade,
-    caches: list,
     q_all: np.ndarray,
     k_all: np.ndarray,
     v_all: np.ndarray,
     positions: np.ndarray,
     merged: np.ndarray,
 ) -> None:
-    """Arena-packed attention core for the pruned rows of one layer.
+    """Attention core for the pruned rows of one layer, over their
+    row store.
 
     The dense arena core with SpAtten's stages in the datapath: dead
     heads gated by a ``[n, h]`` plane (their new K/V columns are stored
     as zeros and their probabilities contribute nothing), local value
-    pruning as one ranked mask over the ``[n, h, max_len]``
+    pruning as one ranked mask over the ``[n, h, width]``
     probabilities, and token / head importance accumulated for the
     whole batch.  Probabilities are normalized before A·V here —
     importance accumulates probabilities, not exponentials.
 
-    The padded K/V planes are *staged*, not persistent: cascade eviction
-    changes the live columns of most rows at most layers of every step
-    (one old token leaves per ``1 / (1 - keep)`` generated), so a
-    mirrored arena would rebuild those rows from cache truth anyway.
-    Every layer instead refills one shared pair of planes from its
-    caches — the same copies, no ownership to track, and one pair's
-    memory instead of one pair per layer.
+    ``store`` holds the rows' K/V in the order ``sel`` indexes the
+    batch in.  This step's columns are appended with one indexed write
+    per plane and the GEMMs read ``[:n, :, :width]`` views of the
+    planes (the int8 tier dequantizes the codes first, the whole batch
+    in one multiply per plane).  ``width`` spans every row's written
+    columns: those without a token — evicted ones not yet compacted
+    away, and the ragged tail — are labelled
+    :data:`~repro.nn.kv_cache.NO_TOKEN`, masked out of the softmax and
+    worth an exact zero from there on.
     """
     cfg = backend._model.config
-    n = len(pruned_rows)
-    sel = _batch_selector(pruned_rows, merged.shape[0])
+    n = len(store.owners)
     k_cols, v_cols = k_all[sel][:, :, 0], v_all[sel][:, :, 0]
     head_gate = None
     if cascade.any_head_dead:
@@ -1171,40 +1257,28 @@ def _pruned_core_arena(
         k_cols = k_cols * head_gate
         v_cols = v_cols * head_gate
     k_cols, v_cols, quantized = _stage_kv_columns(backend, k_cols, v_cols)
-    if quantized:
-        k_codes, k_scales, v_codes, v_scales = quantized
-    row_positions = positions[sel]
-    lens = np.array([cache._len for cache in caches]) + 1
-    max_len = int(lens.max())
-    keys, values = backend._kv_staging(n, max_len)  # [n, h, max_len, D] each
-    token_ids = np.full((n, max_len), cascade.sink)
-    for j, cache in enumerate(caches):
-        if quantized:
-            cache.append_decode_col_quantized(
-                k_codes[j], k_scales[j],
-                v_codes[j], v_scales[j], row_positions[j],
-            )
-        else:
-            cache.append_decode_col(k_cols[j], v_cols[j], row_positions[j])
-        length = cache._len
-        keys[j, :, :length], values[j, :, :length] = cache.compute_columns(
-            0, length
-        )
-        token_ids[j, :length] = cache.token_ids
+    # What the store holds, plane for plane: codes and scales on int8.
+    width = store.append(positions[sel], *(quantized or (k_cols, v_cols)))
+    keys, values, *scales = (plane[:n, :, :width] for plane in store.planes)
+    if scales:
+        # LayerKVCache._dequant's arithmetic, over the batch.
+        keys = keys * scales[0][..., None]
+        values = values * scales[1][..., None]
+    token_ids, lens = store.labels[:n, :width], store.live[:n]
 
     q_pack = backend._rows("q_pack", n, cfg.n_heads, 1, cfg.head_dim)
     np.multiply(q_all[sel], backend._inv_sqrt_d, out=q_pack)
-    scores = backend._scores(n, max_len)
-    # Keys are staged in the caches' own [L, D] layout (a straight copy
-    # per row); BLAS takes the transposed view without materializing it.
+    scores = backend._scores(n, width)
+    # Keys sit in the caches' own [L, D] layout; BLAS takes the
+    # transposed view without materializing it.
     np.matmul(q_pack, keys.transpose(0, 1, 3, 2), out=scores)
-    if int(lens.min()) < max_len:
+    if int(lens.min()) < width:
         np.copyto(
             scores, _MASKED,
-            where=(token_ids == cascade.sink)[:, None, None, :],
+            where=(token_ids == NO_TOKEN)[:, None, None, :],
         )
     softmax_inplace(scores)
-    probs = scores[:, :, 0]  # [n, h, max_len] view
+    probs = scores[:, :, 0]  # [n, h, width] view
     # Ranked on every head's own probabilities, before dead heads are
     # zeroed: an all-zero row would be one big tie.
     value_mask = cascade.value_mask(probs, lens)

@@ -7,11 +7,15 @@ the QKV of it will never be used in all the following attention heads and
 layers".  The cache therefore tracks, for every cached column, the
 original sentence position it came from.
 
-Storage model (capacity/length separation)
-------------------------------------------
+Storage model (private buffers or a store row)
+----------------------------------------------
 
-The cache distinguishes the *live length* (columns holding real K/V
-state) from the *capacity* (columns the backing buffers can hold).
+A :class:`LayerKVCache` keeps its columns in one of two places.
+
+**Private buffers** — the default, and the only form the ``exact``
+tier, ``"dense"`` / ``"custom"`` decode rows and every prompt pass ever
+see.  The cache distinguishes the *live length* (columns holding real
+K/V state) from the *capacity* (columns the backing buffers can hold).
 Buffers are preallocated and grown by amortized doubling at
 **page granularity** — ``page_tokens`` columns per growth quantum, the
 same unit the serving memory pool (:class:`repro.serving.KVMemoryPool`)
@@ -20,6 +24,32 @@ instead of an O(L) ``np.concatenate`` (O(L²) copy traffic over a
 generation).  :attr:`keys` / :attr:`values` / :attr:`token_ids` expose
 zero-copy views of the live prefix, and :meth:`keep` compacts surviving
 columns in place.
+
+**A row of a** :class:`KVRowStore` — where the packed backend's
+``"pruned"`` decode core keeps the sequences it is decoding
+(:mod:`repro.nn.batched_attention`).  One store per layer holds every
+such sequence's columns as row ``j`` of batch-shaped planes, so a layer
+of a decode step touches all of them with a handful of array
+operations: the step's new columns land with one indexed store per
+plane, and cascade eviction is *lazy* — a newly pruned column is
+relabelled :data:`NO_TOKEN` where it sits (its score is masked, its
+probability an exact zero) and the row is compacted, order preserved,
+only once a whole ``page_tokens`` page of such holes has built up: the
+zero eliminator's software analogue (PAPER.md §IV-B).  The cache is
+then a *handle* on its row: ``len()`` and :attr:`evicted_tokens` read
+the store's per-row vectors, so ``kv_lengths()``, pool pages and the
+serving report stay exact while the hot path never calls the cache —
+and **every column-exposing accessor** (:attr:`keys`, :attr:`values`,
+:attr:`token_ids`, the scales, :meth:`compute_columns`, ``append*``,
+:meth:`keep`, :meth:`reserve`, :meth:`padded_to`, deep copy / pickling)
+is a barrier that first brings the live columns, compacted, back into
+private buffers and leaves the row orphaned for the store's backend to
+reclaim (and re-adopt from, if the sequence decodes on).  The barrier
+is structural, not remembered per accessor: adoption *deletes* the
+private-buffer attributes, so the first read of one — whoever makes
+it — lands in ``__getattr__``, which restores them.  A cache is
+therefore the truth about its sequence whoever asks, and nothing
+outside this module can alias a store row.
 
 Numerics-policy storage (dtype parameterization)
 ------------------------------------------------
@@ -50,20 +80,35 @@ int8, where :attr:`nbytes` additionally counts the fp32 scale columns).
 :attr:`nbytes` counts live columns (what the pool pages back);
 :attr:`capacity_nbytes` counts the preallocated buffers.
 
-:attr:`version` counts in-place content mutations that are *not*
-appends (today: :meth:`keep` compaction).  The batched decode backend
-uses it to invalidate per-sequence arena slots cheaply: an unchanged
-version plus a grown length means "columns were only appended", so the
-arena copies just the new tail.
+:attr:`version` counts content mutations of the *private buffers* that
+are not appends: :meth:`keep` compaction, and columns coming back from
+a store row (they may have been evicted there).  The dense arena of the
+batched decode backend uses it to invalidate per-sequence arena slots
+cheaply: an unchanged version plus a grown length means "columns were
+only appended", so the arena copies just the new tail.  Store rows need
+no version — the store is the only writer of what it reads.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["LayerKVCache", "KVCache"]
+__all__ = ["LayerKVCache", "KVCache", "KVRowStore", "NO_TOKEN"]
+
+#: The private buffers of a :class:`LayerKVCache` — attributes it lacks
+#: while its columns sit in a store row.
+_BUFFERS = frozenset((
+    "_keys", "_values", "_kscales", "_vscales", "_token_ids", "_len",
+    "_tail_dirty",
+))
+
+#: Label of a :class:`KVRowStore` column that holds no live token — an
+#: evicted one, or one never written.  As an index it reads the last
+#: column of a control plane, which
+#: :class:`~repro.core.batched_cascade.CascadeBatch` keeps dead.
+NO_TOKEN = -1
 
 
 class LayerKVCache:
@@ -111,24 +156,42 @@ class LayerKVCache:
         self.bytes_per_element = bytes_per_element
         self.page_tokens = page_tokens
         self._len = 0
-        self._keys = np.zeros((n_heads, 0, head_dim), dtype=self.dtype)
-        self._values = np.zeros((n_heads, 0, head_dim), dtype=self.dtype)
-        if self.quantized:
-            # One fp32 scale per (head, column) row, for K and V each.
-            self._kscales = np.ones((n_heads, 0), dtype=np.float32)
-            self._vscales = np.ones((n_heads, 0), dtype=np.float32)
-        self._token_ids = np.zeros(0, dtype=np.int64)
-        #: Whether buffer columns past the live length may hold stale
-        #: (non-zero) data — set by :meth:`keep` compaction, consumed by
-        #: :meth:`padded_to`, which needs a zero tail.
-        self._tail_dirty = False
-        #: Cumulative count of columns evicted through :meth:`keep`.
-        self.evicted_tokens = 0
+        self._allocate(0)
+        self._evicted = 0
+        #: The :class:`KVRowStore` row holding this cache's columns, or
+        #: ``None`` while they sit in the private buffers.
+        self._store: Optional["KVRowStore"] = None
+        self._row = -1
         #: In-place non-append mutation counter (see module docstring).
         self.version = 0
 
     def __len__(self) -> int:
+        if self._store is not None:
+            return int(self._store.live[self._row])
         return self._len
+
+    @property
+    def evicted_tokens(self) -> int:
+        """Cumulative count of columns evicted by cascade pruning."""
+        if self._store is not None:
+            return int(self._store.evicted[self._row])
+        return self._evicted
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is missing: a private
+        # buffer of a cache whose columns sit in a store row (adoption
+        # deletes them).  So every read of one — whichever accessor
+        # makes it — is the barrier that brings the columns back first.
+        if name in _BUFFERS and self._store is not None:
+            self._store.orphan(self._row)
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    def __getstate__(self) -> dict:
+        # Deep copies and pickles hold their own columns, never a row.
+        if self._store is not None:
+            self._store.orphan(self._row)
+        return self.__dict__
 
     @property
     def capacity(self) -> int:
@@ -189,22 +252,34 @@ class LayerKVCache:
         if n_tokens > self.capacity:
             self._grow(n_tokens)
 
-    def _grow(self, min_capacity: int) -> None:
-        new_cap = self._aligned(max(2 * self.capacity, min_capacity))
-        keys = np.zeros((self.n_heads, new_cap, self.head_dim), dtype=self.dtype)
-        values = np.zeros((self.n_heads, new_cap, self.head_dim), dtype=self.dtype)
-        token_ids = np.zeros(new_cap, dtype=np.int64)
-        keys[:, : self._len] = self._keys[:, : self._len]
-        values[:, : self._len] = self._values[:, : self._len]
-        token_ids[: self._len] = self._token_ids[: self._len]
-        self._keys, self._values, self._token_ids = keys, values, token_ids
+    def _allocate(self, capacity: int) -> None:
+        """Fresh zeroed private buffers (whatever they held is dropped)."""
+        shape = (self.n_heads, capacity, self.head_dim)
+        self._keys = np.zeros(shape, dtype=self.dtype)
+        self._values = np.zeros(shape, dtype=self.dtype)
         if self.quantized:
-            kscales = np.ones((self.n_heads, new_cap), dtype=np.float32)
-            vscales = np.ones((self.n_heads, new_cap), dtype=np.float32)
-            kscales[:, : self._len] = self._kscales[:, : self._len]
-            vscales[:, : self._len] = self._vscales[:, : self._len]
-            self._kscales, self._vscales = kscales, vscales
+            # One fp32 scale per (head, column) row, for K and V each.
+            self._kscales = np.ones(shape[:2], dtype=np.float32)
+            self._vscales = np.ones(shape[:2], dtype=np.float32)
+        self._token_ids = np.zeros(capacity, dtype=np.int64)
+        #: Whether buffer columns past the live length may hold stale
+        #: (non-zero) data — set by :meth:`keep` compaction, consumed by
+        #: :meth:`padded_to`, which needs a zero tail.
         self._tail_dirty = False
+
+    def _planes(self) -> tuple:
+        """The private buffers with a column axis after the head axis —
+        a row of :attr:`KVRowStore.planes`, plane for plane."""
+        if self.quantized:
+            return self._keys, self._values, self._kscales, self._vscales
+        return self._keys, self._values
+
+    def _grow(self, min_capacity: int) -> None:
+        planes, token_ids, n_live = self._planes(), self._token_ids, self._len
+        self._allocate(self._aligned(max(2 * self.capacity, min_capacity)))
+        for new, old in zip(self._planes(), planes):
+            new[:, :n_live] = old[:, :n_live]
+        self._token_ids[:n_live] = token_ids[:n_live]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -384,10 +459,8 @@ class LayerKVCache:
                 )
         if n_kept == n_live:
             return
-        self.evicted_tokens += n_live - n_kept
-        planes = [self._keys, self._values]
-        if self.quantized:
-            planes += [self._kscales, self._vscales]
+        self._evicted += n_live - n_kept
+        planes = self._planes()
         if n_live - n_kept == 1:
             # One evicted column — the steady state of decode, where
             # roughly one old token leaves per generated one — is the
@@ -487,12 +560,202 @@ class LayerKVCache:
     @property
     def nbytes(self) -> int:
         """Live-column footprint in bytes at the configured storage width."""
-        return self._len * self._bytes_per_column
+        return len(self) * self._bytes_per_column
 
     @property
     def capacity_nbytes(self) -> int:
         """Preallocated-buffer footprint at the storage width."""
         return self.capacity * self._bytes_per_column
+
+
+class KVRowStore:
+    """Batch-resident K/V rows of one layer (see the module docstring).
+
+    Rows ``[0, n)`` are in use — ``n = len(owners)`` — in one order the
+    owning backend keeps the same in every layer's store:
+
+    * ``planes`` — K and V, ``[S, h, cap, D]`` each at the caches'
+      storage dtype; on the int8 tier these are the codes and the
+      K and V scales follow, ``[S, h, cap]`` fp32 each
+      (:meth:`LayerKVCache._planes`' order, with a leading row axis);
+    * ``labels`` — ``[S, cap]``, the original position of each column's
+      token, :data:`NO_TOKEN` for an evicted or unwritten column;
+    * ``cursor`` / ``live`` / ``evicted`` — ``[S]``: the next column a
+      row writes, its live columns (what ``len(cache)`` reports) and
+      its cache's cumulative evictions.
+
+    ``owners[j]`` is the :class:`LayerKVCache` whose columns fill row
+    ``j`` — the cache points back, so ownership is an identity on both
+    sides — or ``None`` once that cache took its columns back on its
+    own (:meth:`orphan`), which the backend answers by releasing the
+    row in every layer.  Geometry is that of ``like``, a cache of the
+    kind the store will adopt.  Columns grow a ``page_tokens`` page at
+    a time: every column of a row is resident whether live or not.
+    """
+
+    def __init__(self, like: LayerKVCache):
+        self.page_tokens = like.page_tokens
+        shape = (0, like.n_heads, 0, like.head_dim)
+        self.planes = [np.zeros(shape, dtype=like.dtype) for _ in "kv"]
+        if like.quantized:
+            self.planes += [
+                np.zeros(shape[:3], dtype=np.float32) for _ in "kv"
+            ]
+        self.labels = np.zeros((0, 0), dtype=np.int64)
+        self._vectors = np.zeros((3, 0), dtype=np.int64)
+        self.cursor, self.live, self.evicted = self._vectors
+        self.owners: List[Optional[LayerKVCache]] = []
+
+    def _reserve(self, n_rows: int, n_cols: int) -> None:
+        """Grow the planes to hold ``n_rows`` rows of ``n_cols`` columns."""
+        rows, cap = self.labels.shape
+        if n_rows <= rows and n_cols <= cap:
+            return
+        # Every column of a row in use is resident whether live or not,
+        # so both axes grow in small steps: rows to what is asked for
+        # (a step's arrivals ask once) or by an eighth, columns by
+        # whole pages.
+        if n_rows > rows:
+            rows = max(n_rows, rows + rows // 8)
+        if n_cols > cap:
+            cap = -(-n_cols // self.page_tokens) * self.page_tokens
+        n = len(self.owners)
+        width = int(self.cursor[:n].max(initial=0))
+        for i, old in enumerate(self.planes):
+            # One plane at a time: growth never holds two of each.
+            new = np.zeros((rows, old.shape[1], cap) + old.shape[3:], old.dtype)
+            new[:n, :, :width] = old[:n, :, :width]
+            self.planes[i] = new
+        labels = np.full((rows, cap), NO_TOKEN)
+        labels[:n, :width] = self.labels[:n, :width]
+        self.labels = labels
+        vectors = np.zeros((3, rows), dtype=np.int64)
+        vectors[:, :n] = self._vectors[:, :n]
+        self._vectors = vectors
+        self.cursor, self.live, self.evicted = vectors
+
+    # ------------------------------------------------------------------
+    # Membership
+    # ------------------------------------------------------------------
+    def adopt(self, caches: Sequence[LayerKVCache]) -> None:
+        """Move each cache's columns into a new last row (one copy) and
+        free its private buffers; a cache resident in another store
+        takes its columns back from there first."""
+        # Reading a length brings the cache home from any store it is in.
+        lengths = [cache._len for cache in caches]
+        self._reserve(len(self.owners) + len(caches), max(lengths, default=0))
+        for cache, n_cols in zip(caches, lengths):
+            row = len(self.owners)
+            for plane, private in zip(self.planes, cache._planes()):
+                plane[row, :, :n_cols] = private[:, :n_cols]
+            self.labels[row, :n_cols] = cache._token_ids[:n_cols]
+            self.cursor[row] = self.live[row] = n_cols
+            self.evicted[row] = cache._evicted
+            self.owners.append(cache)
+            cache._store, cache._row = self, row
+            for name in _BUFFERS:
+                vars(cache).pop(name, None)
+
+    def _hand_back(self, row: int, keep_columns: bool) -> None:
+        """Return row ``row``'s cache to private buffers: holding the
+        live columns in order, or empty (a sequence nobody reads again)."""
+        cache = self.owners[row]
+        cache._store = None
+        cache._evicted = int(self.evicted[row])
+        cache.version += 1
+        if keep_columns:
+            self.compact(row)
+        n_live = cache._len = int(self.live[row]) if keep_columns else 0
+        cache._allocate(cache._aligned(n_live))
+        for plane, private in zip(self.planes, cache._planes()):
+            private[:, :n_live] = plane[row, :, :n_live]
+        cache._token_ids[:n_live] = self.labels[row, :n_live]
+
+    def orphan(self, row: int) -> None:
+        """Row ``row``'s cache takes its columns back (its own barrier).
+
+        The row stays where it is, ownerless — rows move only in every
+        layer's store at once, which only the backend can do — for it
+        to :meth:`release`.
+        """
+        self._hand_back(row, keep_columns=True)
+        self.owners[row] = None
+
+    def release(self, row: int, keep_columns: bool) -> None:
+        """Vacate row ``row``; the last row moves into its place."""
+        if self.owners[row] is not None:
+            self._hand_back(row, keep_columns)
+        last = len(self.owners) - 1
+        if row != last:
+            end = int(self.cursor[last])
+            for plane in self.planes:
+                plane[row, :, :end] = plane[last, :, :end]
+            self.labels[row] = self.labels[last]
+            self._vectors[:, row] = self._vectors[:, last]
+            moved = self.owners[row] = self.owners[last]
+            if moved is not None:
+                moved._row = row
+        self.labels[last] = NO_TOKEN
+        self.owners.pop()
+
+    # ------------------------------------------------------------------
+    # The decode step's three writes
+    # ------------------------------------------------------------------
+    def evict(self, alive: np.ndarray) -> None:
+        """Cascade eviction as one gathered mask.
+
+        ``alive`` ``[n, P]`` says, by label, which tokens each row's
+        sequence still holds live; its last column — what
+        :data:`NO_TOKEN` reads — must be dead.  Newly dead columns are
+        relabelled where they sit, and a row is compacted once a page
+        of them has built up.
+        """
+        n = len(self.owners)
+        labels = self.labels[:n, : int(self.cursor[:n].max())]
+        keep = alive[np.arange(n)[:, None], labels]
+        live = np.count_nonzero(keep, axis=1)
+        newly_dead = self.live[:n] - live
+        if not newly_dead.any():
+            return
+        labels[~keep] = NO_TOKEN
+        self.evicted[:n] += newly_dead
+        self.live[:n] = live
+        holes = self.cursor[:n] - live
+        for row in np.flatnonzero(holes >= self.page_tokens):
+            self.compact(row)
+
+    def compact(self, row: int) -> None:
+        """Close the holes of one row, order preserved (the top-k engine
+        keeps stream order; PAPER.md §IV-B)."""
+        end, n_live = int(self.cursor[row]), int(self.live[row])
+        if n_live == end:
+            return
+        kept = np.flatnonzero(self.labels[row, :end] != NO_TOKEN)
+        for plane in self.planes:
+            # Fancy indexing materializes the survivors before the
+            # (overlapping) assignment.
+            plane[row, :, :n_live] = plane[row][:, kept]
+        self.labels[row, :n_live] = self.labels[row, kept]
+        self.labels[row, n_live:end] = NO_TOKEN
+        self.cursor[row] = n_live
+
+    def append(self, labels: np.ndarray, *columns: np.ndarray) -> int:
+        """Write one new column per row: ``labels`` ``[n]`` and, plane
+        for plane (:attr:`planes`), ``columns`` ``[n, h(, D)]``.
+
+        Returns the width the rows now span — the columns a reader
+        slices, of which each row's :data:`NO_TOKEN` ones are masked.
+        """
+        n = len(self.owners)
+        width = int(self.cursor[:n].max()) + 1
+        self._reserve(n, width)
+        rows, cursor = np.arange(n), self.cursor[:n]
+        for plane, column in zip(self.planes, columns):
+            plane[rows, :, cursor] = column
+        self.labels[rows, cursor] = labels
+        cursor += 1
+        self.live[:n] += 1
+        return width
 
 
 class KVCache:

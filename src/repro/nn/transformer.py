@@ -150,10 +150,15 @@ class AttentionExecutor:
         * ``"pruned"`` — non-exact tiers only: the executor prunes, but
           its control state is plain arrays the backend can gather.  The
           backend opens one batch control per step through
-          :meth:`decode_batch_control`, reads each layer's cache through
-          :meth:`decode_kv_cache`, and runs decisions, eviction,
+          :meth:`decode_batch_control` and runs decisions, eviction,
           attention and importance accumulation for all such rows at
-          once.
+          once — over K/V it keeps batch-resident: the caches
+          :meth:`decode_kv_cache` returns are adopted into the backend's
+          per-layer :class:`~repro.nn.kv_cache.KVRowStore` on the
+          sequence's first decode step and are handles on their rows
+          from then on (still the truth for :meth:`kv_lengths` and
+          :attr:`evicted_kv_tokens`; reading their columns brings them
+          back into private buffers).
 
         A non-exact backend's prompt pass reads the same property:
         ``"dense"`` executors' chunks attend centrally against their
@@ -199,7 +204,8 @@ class AttentionExecutor:
         The fp32/int8 cores append centrally — batching the
         quantization of a whole step's new columns — so they need the
         bare cache rather than the append-and-return of
-        :meth:`decode_kv_append`.
+        :meth:`decode_kv_append`.  A ``"pruned"`` row's cache may be a
+        handle on a row of the backend's store.
         """
         raise NotImplementedError
 

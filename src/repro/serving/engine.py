@@ -451,6 +451,10 @@ class ServingEngine:
         self._occupancy_samples = []
         self.preemption_log = []
         self._steps = 0
+        # A run reports itself alone: the pool's cumulative counters
+        # and the backend's resident rows start over too.
+        self.pool.reset_counters()
+        self._backend.reset()
         self._corrupt_seen = self.pool.n_corrupt_events
         self._pressure_streak = 0
         self.slowdown = 1.0
@@ -567,6 +571,8 @@ class ServingEngine:
         for seq in resident:
             self._transition(seq.record, "drained", now)
             self.pool.release(seq.seq_id)
+            if isinstance(seq, LiveSequence):
+                self._backend.release(seq.executor)
         return [
             (request, self._records.pop(request.request_id))
             for request in waiting + [seq.request for seq in resident]
@@ -1147,6 +1153,7 @@ class ServingEngine:
         """
         if isinstance(seq, LiveSequence):
             self.live.remove(seq)
+            self._backend.release(seq.executor)
             work = seq.request.prompt_len + seq.record.n_generated
         else:
             self.prefilling.remove(seq)
@@ -1162,6 +1169,7 @@ class ServingEngine:
     def _retire(self, seq: LiveSequence, clock: SimulatedClock) -> None:
         self.pool.note_reclaimed_tokens(seq.executor.evicted_kv_tokens)
         self.pool.release(seq.seq_id)
+        self._backend.release(seq.executor)
         self._transition(
             seq.record, "finished", clock.now,
             n_tokens=seq.record.n_generated,

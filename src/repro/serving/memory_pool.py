@@ -122,15 +122,12 @@ class KVMemoryPool:
         #: ``(seq_id, layer, page)``, so any deviation (a chaos-engine
         #: :meth:`corrupt_page` strike) is detectable by recomputation.
         self._checksums: Dict[int, List[List[int]]] = {}
-        # Cumulative statistics.
-        self.reclaimed_pages = 0
-        self.reclaimed_tokens = 0
-        self.peak_allocated_pages = 0
-        self.n_preempted = 0
-        self.preempted_pages = 0
-        self.n_corrupt_events = 0
-        self.n_quarantined = 0
-        self.quarantined_pages = 0
+        #: Running totals over the accounts, written only where an
+        #: account opens, closes or resizes (``_open``, ``_close``,
+        #: ``sync``, ``finish_prefill``); :meth:`audit` recomputes them.
+        self.reserved_pages = 0
+        self.allocated_pages = 0
+        self.reset_counters()
         #: Duck-typed observability hook: anything with a
         #: ``pool_event(kind, seq_id, **info)`` method (the serving
         #: engine, when telemetry is on).  Kept as an attribute rather
@@ -138,6 +135,21 @@ class KVMemoryPool:
         #: :mod:`repro.telemetry`; ``None`` (the default) costs one
         #: ``is None`` check per ledger mutation.
         self.observer = None
+
+    def reset_counters(self) -> None:
+        """Start the cumulative statistics over (a new serving run).
+
+        The ledger itself — accounts, pages, integrity tags — is not
+        touched; the peak restarts from what is allocated now.
+        """
+        self.reclaimed_pages = 0
+        self.reclaimed_tokens = 0
+        self.peak_allocated_pages = self.allocated_pages
+        self.n_preempted = 0
+        self.preempted_pages = 0
+        self.n_corrupt_events = 0
+        self.n_quarantined = 0
+        self.quarantined_pages = 0
 
     def _notify(self, kind: str, seq_id: int, **info) -> None:
         if self.observer is not None:
@@ -163,14 +175,6 @@ class KVMemoryPool:
     # ------------------------------------------------------------------
     # Occupancy views
     # ------------------------------------------------------------------
-    @property
-    def reserved_pages(self) -> int:
-        return sum(acc.reserved_pages for acc in self._accounts.values())
-
-    @property
-    def allocated_pages(self) -> int:
-        return sum(acc.allocated_pages for acc in self._accounts.values())
-
     @property
     def free_reservation_pages(self) -> int:
         return self.n_pages - self.reserved_pages
@@ -291,6 +295,7 @@ class KVMemoryPool:
             floor_pages=need if optimistic else 0,
         )
         self._checksums[seq_id] = [[] for _ in range(self.model.n_layers)]
+        self.reserved_pages += need
         self._notify("admit", seq_id, pages=need, optimistic=optimistic)
         return need
 
@@ -308,6 +313,7 @@ class KVMemoryPool:
         if account.optimistic:
             account.reserved_pages = account.allocated_pages
         freed -= account.reserved_pages
+        self.reserved_pages -= freed
         if freed:  # floor drops below allocation: billing actually shrank
             self._notify("finish_prefill", seq_id, pages=freed)
 
@@ -333,6 +339,8 @@ class KVMemoryPool:
             else:
                 grown += pages - held
             wanted.append(pages)
+        if not (grown or freed):  # every layer holds the pages it wants
+            return 0
         allocated = self.allocated_pages + grown - freed
         if allocated > self.n_pages:
             raise PoolExhausted(
@@ -340,6 +348,7 @@ class KVMemoryPool:
                 f"pool ({self.n_pages}); reservation accounting is broken"
             )
         account.allocated_per_layer = wanted
+        self.allocated_pages = allocated
         # Keep the integrity plane in lockstep: freed pages drop their
         # tags, new pages are stamped with the expected tag.
         rows = zip(self._checksums[seq_id], wanted)
@@ -352,13 +361,14 @@ class KVMemoryPool:
                     for page in range(len(row), pages)
                 )
         if account.optimistic:
+            self.reserved_pages -= account.reserved_pages
             account.reserved_pages = max(
                 account.floor_pages, account.allocated_pages
             )
+            self.reserved_pages += account.reserved_pages
         self.reclaimed_pages += freed
         self.peak_allocated_pages = max(self.peak_allocated_pages, allocated)
-        if grown or freed:  # quiet syncs stay out of the trace
-            self._notify("sync", seq_id, grown=grown, freed=freed)
+        self._notify("sync", seq_id, grown=grown, freed=freed)
         return freed
 
     def _projected_reserved(
@@ -457,7 +467,10 @@ class KVMemoryPool:
     def _close(self, seq_id: int, kind: str) -> int:
         """The one site that closes an account, announced as ``kind``;
         returns the reserved pages the admission plane regains."""
-        freed = self._account(seq_id).reserved_pages
+        account = self._account(seq_id)
+        freed = account.reserved_pages
+        self.reserved_pages -= freed
+        self.allocated_pages -= account.allocated_pages
         self._accounts.pop(seq_id)
         self._checksums.pop(seq_id)
         self._notify(kind, seq_id, pages=freed)
@@ -538,9 +551,18 @@ class KVMemoryPool:
           (tag *values* are the corruption detector's business — a
           poisoned page is a data fault, not a ledger fault).
 
+        The running totals are recomputed from the accounts first: a
+        total that drifted from its accounts is a ledger fault too.
         The serving engine runs this after every preemption cycle, and
         the sharded cluster ledger audits every shard through it.
         """
+        for total in ("reserved_pages", "allocated_pages"):
+            held = sum(getattr(a, total) for a in self._accounts.values())
+            if held != getattr(self, total):
+                raise PoolExhausted(
+                    f"audit: running total {total} = {getattr(self, total)} "
+                    f"but the accounts hold {held}"
+                )
         if self.allocated_pages > self.n_pages:
             raise PoolExhausted(
                 f"audit: allocations ({self.allocated_pages} pages) "

@@ -9,6 +9,16 @@ packed hot path".  :class:`HotPathProfiler` measures that with
 :class:`~repro.nn.batched_attention.PackedDecodeBackend` stages of the
 decode step and the prompt pass:
 
+* ``decode_step`` — a whole ``fp32`` / ``int8`` decode step
+  (``decode_step_policy``), the *total* its ``decode_*`` stages below
+  are parts of: what they leave over is reported as ``unattributed``
+  (:meth:`HotPathProfiler.unattributed_seconds`; a test holds it under
+  5 % of the step).  The exact tier's step belongs to the model's own
+  fp64 stack, so only the per-layer stages are recorded there;
+* ``decode_setup`` — before the first layer: grouping the rows by
+  style, reconciling the row stores with the batch (adopting arrivals,
+  releasing departures), opening the step's ``CascadeBatch`` and the
+  embedding gather;
 * ``decode_qkv_proj`` — the fused ``[B, d] @ [d, 3d]`` projection;
 * ``decode_dense_core`` — KV append + scores/softmax/A·V of the dense
   rows (exact-length cache views or the padded arena, by tier);
@@ -16,10 +26,18 @@ decode step and the prompt pass:
   row on the exact tier, progressive-quantization rows on any tier;
 * ``decode_prune_control`` — the batched cascade of the other SpAtten
   rows on ``fp32`` / ``int8``: token and head pruning decisions over
-  the batch's control planes plus KV-cache eviction;
-* ``decode_pruned_core`` — their KV append + scores / softmax / local
-  value pruning / A·V / importance accumulation over the padded pack;
+  the batch's control planes, then eviction from the layer's row store
+  (one gathered mask, plus compaction of the rows a page of holes has
+  built up in);
+* ``decode_pruned_core`` — their batched KV append into the row store
+  + scores / softmax / local value pruning / A·V / importance
+  accumulation over its planes;
 * ``decode_output_fc`` — the fused output projection;
+* ``decode_ffn`` — the rest of a block: residual adds, LayerNorms and
+  the tanh/gelu FFN;
+* ``decode_commit`` — ``CascadeBatch.commit()``: the step's control
+  state and trace rows stored back into the executors;
+* ``decode_lm_head`` — the final ``[B, d] @ [d, vocab]`` projection;
 * ``prefill_chunk_proj`` — the prompt pass's fused Q/K/V projections;
 * ``prefill_core`` — the rest of its attention half: cascade entry
   pruning, KV append, scores / softmax / A·V per sequence (plus local
@@ -48,6 +66,10 @@ from ..eval.reporting import Table
 
 __all__ = ["HotPathProfiler"]
 
+#: The stage that times a whole decode step: the other ``decode_*``
+#: stages are its parts.
+STEP_TOTAL = "decode_step"
+
 
 class HotPathProfiler:
     """Accumulates wall-clock (calls, seconds) per named stage."""
@@ -61,12 +83,17 @@ class HotPathProfiler:
     def start(self) -> float:
         return time.perf_counter()
 
+    def lap(self, stage: str, t0: float) -> float:
+        """Charge ``stage`` the time since ``t0``; returns the stamp it
+        stopped at, where a stage that follows without a gap starts."""
+        now = time.perf_counter()
+        self._calls[stage] = self._calls.get(stage, 0) + 1
+        self._seconds[stage] = self._seconds.get(stage, 0.0) + (now - t0)
+        return now
+
     def stop(self, stage: str, t0: float) -> float:
         """Charge ``stage`` the time since ``t0``; returns that time."""
-        dt = time.perf_counter() - t0
-        self._calls[stage] = self._calls.get(stage, 0) + 1
-        self._seconds[stage] = self._seconds.get(stage, 0.0) + dt
-        return dt
+        return self.lap(stage, t0) - t0
 
     # ------------------------------------------------------------------
     # Read side
@@ -81,18 +108,28 @@ class HotPathProfiler:
     def seconds(self, stage: str) -> float:
         return self._seconds.get(stage, 0.0)
 
+    def unattributed_seconds(self) -> float:
+        """What the whole decode steps hold beyond their stages."""
+        return self.seconds(STEP_TOTAL) - sum(
+            seconds for stage, seconds in self._seconds.items()
+            if stage.startswith("decode_") and stage != STEP_TOTAL
+        )
+
     @property
     def total_seconds(self) -> float:
-        return sum(self._seconds.values())
+        """Seconds covered, a whole step's counted once."""
+        return sum(row[2] for row in self.as_rows())
 
     def as_rows(self) -> List[Tuple[str, int, float, float]]:
-        """(stage, calls, seconds, share) sorted by descending cost."""
-        total = self.total_seconds or 1.0
-        rows = [
-            (stage, self._calls[stage], self._seconds[stage],
-             self._seconds[stage] / total)
-            for stage in self._calls
-        ]
+        """(stage, calls, seconds, share) sorted by descending cost; the
+        step total appears as its ``unattributed`` remainder."""
+        calls, seconds = dict(self._calls), dict(self._seconds)
+        if seconds.pop(STEP_TOTAL, None) is not None:
+            rest = f"unattributed ({STEP_TOTAL})"
+            calls[rest] = calls[STEP_TOTAL]
+            seconds[rest] = self.unattributed_seconds()
+        covered = sum(seconds.values()) or 1.0
+        rows = [(s, calls[s], t, t / covered) for s, t in seconds.items()]
         rows.sort(key=lambda r: (-r[2], r[0]))
         return rows
 
@@ -108,6 +145,7 @@ class HotPathProfiler:
         t.add_note(
             "real time.perf_counter seconds around the packed backend's "
             "decode_* and prefill_* stages — separate from the simulated "
-            "serving clock"
+            "serving clock; 'unattributed' is what a whole decode step "
+            "holds beyond its stages"
         )
         return t

@@ -615,8 +615,7 @@ class TestClusterEngine:
 
     def test_run_is_reentrant(self, cluster_setup):
         """A second run() reports itself alone: the cluster's tallies and
-        the router's start over, as each replica's do in start().  (A
-        dense trace: the pool's reclaimed_* counters are pool-lifetime.)"""
+        the router's start over, as each replica's do in start()."""
         config, model, corpus = cluster_setup
         requests = synthetic_request_trace(
             corpus, n_requests=6, rate_per_s=800.0, prompt_len=PROMPT_LEN,
@@ -628,6 +627,24 @@ class TestClusterEngine:
         )
         first = cluster.run(requests).to_dict()
         assert sum(first["routed_counts"]) == 6 and first["n_breaker_trips"]
+        assert cluster.run(requests).to_dict() == first
+
+    def test_spatten_run_is_reentrant(self, cluster_setup):
+        """The shards' cumulative counters (reclaimed pages and tokens,
+        occupancy peaks) start over with each replica too, so a pruned
+        fleet's second run() equals its first."""
+        config, model, corpus = cluster_setup
+        requests = synthetic_request_trace(
+            corpus, n_requests=6, rate_per_s=800.0, prompt_len=PROMPT_LEN,
+            max_new_tokens=(8, 16), seed=5,
+        )
+        cluster = ClusterEngine(
+            model, make_sharded(config), pruning=PRUNING, numerics="fp32",
+            policy="round_robin", prefill_chunk=8,
+        )
+        first = cluster.run(requests).to_dict()
+        assert first["fleet"]["reclaimed_pages"]
+        assert first["fleet"]["reclaimed_tokens"]
         assert cluster.run(requests).to_dict() == first
 
 

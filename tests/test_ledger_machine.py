@@ -318,6 +318,18 @@ class LedgerMachine(RuleBasedStateMachine):
         self.call(self.fleet.shard(i).note_reclaimed_tokens, n_tokens)
         self.counters[i]["reclaimed_tokens"] += n_tokens
 
+    @mutator(shard=shards)
+    def reset_counters(self, shard):
+        """A new serving run: the statistics start over — no ledger
+        mutation, so no event is owed — and every bill stays."""
+        bills, seen = billing(self.fleet)[1], len(self.events)
+        self.fleet.shard(shard).reset_counters()
+        assert billing(self.fleet)[1] == bills and len(self.events) == seen
+        tally = self.counters[shard]
+        tally.update(dict.fromkeys(tally, 0))
+        tally["peak_allocated_pages"] = sum(
+            sum(a.allocated) for a in self.on_shard(shard).values())
+
     # ------------------------------------------------------------------
     # Close
     # ------------------------------------------------------------------
@@ -461,6 +473,26 @@ def test_refused_sync_leaves_the_ledger_untouched():
     assert pool_state(pool) == before
     assert pool.allocated_pages == 0
     pool.audit()
+
+
+@pytest.mark.parametrize("total", ["reserved_pages", "allocated_pages"])
+def test_audit_recomputes_the_running_totals(total):
+    """The pool-wide totals are kept, not summed per read: audit()
+    holds them to the accounts they summarise."""
+    pool = KVMemoryPool(
+        CONFIG, budget_bytes=8 * 16 * CONFIG.kv_bytes_per_token)
+    pool.admit(1, [32] * CONFIG.n_layers)
+    pool.admit_optimistic(2, [16] * CONFIG.n_layers)
+    pool.sync(1, [20] * CONFIG.n_layers)
+    pool.sync(2, [16] * CONFIG.n_layers)
+    pool.finish_prefill(2)
+    pool.sync(2, [3] * CONFIG.n_layers)
+    pool.release(1)
+    pool.audit()
+    assert (pool.reserved_pages, pool.allocated_pages) == (2, 2)
+    setattr(pool, total, getattr(pool, total) + 1)
+    with pytest.raises(PoolExhausted, match=f"running total {total}"):
+        pool.audit()
 
 
 def unexercised():

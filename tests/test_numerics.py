@@ -430,16 +430,22 @@ class TestBatchedCascadeRoute:
             ref_cache, hot_cache = ex32._cache[0], ex8._cache[0]
             pos = len(ref_cache) - 1
             assert len(hot_cache) == len(ref_cache)
-            for ref_plane, codes_plane, scales_plane in (
-                (ref_cache.keys, hot_cache._keys, hot_cache._kscales),
-                (ref_cache.values, hot_cache._values, hot_cache._vscales),
+            # Through the public accessors (the cache is a handle on a
+            # store row): equal scales and equal dequantized columns
+            # are equal codes.
+            for ref_plane, hot_plane, scales_plane in (
+                (ref_cache.keys, hot_cache.keys, hot_cache.key_scales),
+                (ref_cache.values, hot_cache.values, hot_cache.value_scales),
             ):
                 want_codes, want_scales = quantize_rows(
                     ref_plane[:, pos, :], bits=8
                 )
-                assert np.array_equal(codes_plane[:, pos], want_codes)
                 assert np.array_equal(scales_plane[:, pos],
                                       want_scales[:, 0])
+                assert np.array_equal(
+                    hot_plane[:, pos],
+                    want_codes.astype(np.float32) * want_scales,
+                )
 
     @pytest.mark.parametrize("tier", ["fp32", "int8"])
     def test_progressive_quant_rows_keep_the_per_sequence_core(
@@ -702,30 +708,43 @@ class TestTierPrefill:
         assert streams["fp32"] == streams["exact"]
         assert set(calls) == {prefill_chunk or config.max_seq_len}
 
-    def test_preempted_spatten_request_replays_its_stream_on_fp32(self, world):
-        """ROADMAP item 5's cross product: SpAtten x preemption x fp32.
+    SERVED = PruningConfig(
+        token_keep_final=0.3, head_keep_final=0.625, value_keep=0.9
+    )
+
+    def _engine(self, world, tier, pages, admission):
+        config, model, _, _ = world
+        pool = KVMemoryPool(
+            config,
+            budget_bytes=pages * 8 * 2 * config.n_heads * config.head_dim
+            * config.bytes_per_element,
+            page_tokens=8,
+        )
+        engine = ServingEngine(
+            model, pool, pruning=self.SERVED, prefill_chunk=8,
+            admission=admission, numerics=tier,
+        )
+        return engine, pool
+
+    @staticmethod
+    def _streams(stats):
+        assert all(
+            r.n_generated == r.request.max_new_tokens for r in stats.records
+        )
+        return {r.request.request_id: list(r.token_ids) for r in stats.records}
+
+    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    def test_preempted_spatten_request_replays_its_stream(self, world, tier):
+        """ROADMAP item 6's cross product: SpAtten x preemption x tier.
         A preempted request recomputes its prompt through the tier's
         prompt pass and must continue the stream it had."""
-        config, model, corpus, _ = world
         requests = synthetic_request_trace(
-            corpus, n_requests=16, rate_per_s=2000.0, prompt_len=24,
+            world[2], n_requests=16, rate_per_s=2000.0, prompt_len=24,
             max_new_tokens=(12, 24), seed=11,
         )
 
         def run(pages, admission):
-            pool = KVMemoryPool(
-                config,
-                budget_bytes=pages * 8 * 2 * config.n_heads * config.head_dim
-                * config.bytes_per_element,
-                page_tokens=8,
-            )
-            engine = ServingEngine(
-                model, pool, pruning=PruningConfig(
-                    token_keep_final=0.3, head_keep_final=0.625,
-                    value_keep=0.9,
-                ),
-                prefill_chunk=8, admission=admission, numerics="fp32",
-            )
+            engine, pool = self._engine(world, tier, pages, admission)
             stats = engine.run(requests)
             pool.audit()
             return stats
@@ -733,13 +752,51 @@ class TestTierPrefill:
         roomy = run(160, "reserve")
         tight = run(36, "optimistic")
         assert tight.n_preemptions > 0 and tight.recompute_tokens > 0
-        assert all(
-            r.n_generated == r.request.max_new_tokens for r in tight.records
+        assert self._streams(tight) == self._streams(roomy)
+
+    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    def test_quarantined_spatten_request_replays_its_stream(self, world, tier):
+        """SpAtten x quarantine x tier: a page corrupted mid-decode
+        costs its sequence a recompute, never a token — and the evicted
+        executor leaves no row behind in the backend's stores."""
+        requests = synthetic_request_trace(
+            world[2], n_requests=6, rate_per_s=2000.0, prompt_len=24,
+            max_new_tokens=(12, 24), seed=11,
         )
-        assert (
-            {r.request.request_id: list(r.token_ids) for r in tight.records}
-            == {r.request.request_id: list(r.token_ids) for r in roomy.records}
+        engine, pool = self._engine(world, tier, 160, "reserve")
+        clean = self._streams(engine.run(requests))
+
+        engine.start()
+        for request in requests:
+            engine.submit(request)
+        while len(engine.live) < 3:
+            engine.step()
+        for _ in range(3):
+            engine.step()
+        victim = engine.live[1]
+        caches = [
+            victim.executor.decode_kv_cache(layer)
+            for layer in range(world[0].n_layers)
+        ]
+        stores = engine._backend._stores
+        assert all(c._store is s for c, s in zip(caches, stores))
+        layer = next(
+            i for i, n in enumerate(
+                pool.allocated_pages_per_layer(victim.seq_id)
+            ) if n
         )
+        pool.corrupt_page(victim.seq_id, layer, 0)
+        engine.step()  # detects, quarantines, requeues for recompute
+        assert victim not in engine.live and pool.n_quarantined == 1
+        for cache, store in zip(caches, stores):
+            assert cache._store is None
+            assert all(owner is not cache for owner in store.owners)
+        while engine.has_work:
+            engine.step()
+        stats = engine.finish()
+        pool.audit()
+        assert stats.n_corruptions == 1 and stats.recompute_tokens > 0
+        assert self._streams(stats) == clean
 
 
 class TestTierMismatch:
@@ -788,15 +845,20 @@ class TestHotPathQuantization:
             ref_cache = ex32._cache[0]
             hot_cache = ex8._cache[0]
             pos = len(ref_cache) - 1
-            for ref_plane, codes_plane, scales_plane in (
-                (ref_cache.keys, hot_cache._keys, hot_cache._kscales),
-                (ref_cache.values, hot_cache._values, hot_cache._vscales),
+            for ref_plane, hot_plane, scales_plane in (
+                (ref_cache.keys, hot_cache.keys, hot_cache.key_scales),
+                (ref_cache.values, hot_cache.values, hot_cache.value_scales),
             ):
                 ref_col = ref_plane[:, pos, :]  # [h, D] fp32
                 want_codes, want_scales = quantize_rows(ref_col, bits=8)
-                assert np.array_equal(codes_plane[:, pos], want_codes)
+                # Equal scales and equal dequantized columns are equal
+                # codes.
                 assert np.array_equal(scales_plane[:, pos],
                                       want_scales[:, 0])
+                assert np.array_equal(
+                    hot_plane[:, pos],
+                    want_codes.astype(np.float32) * want_scales,
+                )
 
 
 class TestServingEngineNumerics:

@@ -346,6 +346,26 @@ class TestServingEngine:
         assert stats.reclaimed_pages == 0
         assert stats.reclaimed_tokens == 0
 
+    def test_second_spatten_run_is_a_fresh_run(self, serving_setup):
+        """One engine + pool, the same trace twice: the pool's
+        cumulative counters (reclaimed pages and tokens, the occupancy
+        peak, preemptions) and the backend's row stores start over in
+        ``start()``, so the second report equals the first."""
+        config, model, corpus = serving_setup
+        requests = synthetic_request_trace(
+            corpus, n_requests=8, rate_per_s=500.0, prompt_len=PROMPT_LEN,
+            max_new_tokens=(12, 20), seed=3,
+        )
+        pool = make_pool(config, pages=28, page_tokens=8)
+        engine = ServingEngine(
+            model, pool, pruning=PRUNING, numerics="fp32",
+            admission="optimistic", prefill_chunk=8,
+        )
+        first = engine.run(requests).to_dict()
+        assert first["reclaimed_pages"] and first["n_preemptions"]
+        assert engine.run(requests).to_dict() == first
+        pool.audit()
+
     def test_pruned_serving_reclaims_pages(self, serving_setup):
         stats, _ = self.run_trace(serving_setup, pruning=PRUNING)
         assert stats.reclaimed_tokens > 0

@@ -502,6 +502,42 @@ class TestProfiler:
             assert prof.calls("prefill_chunk_proj") > 0
         assert "prefill_ffn" in str(prof.table())
 
+    @pytest.mark.parametrize("pruning", [None, PRUNING],
+                             ids=["dense", "spatten"])
+    def test_decode_stages_sum_to_the_step(self, serving_setup, pruning):
+        """The SpanRecorder identity moved inside the opaque span: on a
+        non-exact tier the ``decode_*`` stages account for the whole
+        ``decode_step`` but an ``unattributed`` remainder the table
+        shows, held under 5 % of the step."""
+        tel = Telemetry(profile=True)
+        requests = trace(serving_setup[2], n=10, max_new=(16, 24))
+        run_engine(serving_setup, requests, telemetry=tel, pruning=pruning,
+                   numerics="fp32")
+        prof = tel.profiler
+        n_layers = serving_setup[0].n_layers
+        steps = prof.calls("decode_step")
+        assert steps > 0 and prof.calls("decode_setup") == steps
+        assert prof.calls("decode_lm_head") == steps
+        assert prof.calls("decode_ffn") == steps * n_layers
+        core = "decode_dense_core" if pruning is None else "decode_pruned_core"
+        assert prof.calls(core) == steps * n_layers
+        assert prof.calls("decode_commit") == (0 if pruning is None else steps)
+        unattributed = prof.unattributed_seconds()
+        assert 0 <= unattributed <= 0.05 * prof.seconds("decode_step")
+        rows = {row[0]: row for row in prof.as_rows()}
+        assert "decode_step" not in rows
+        assert rows["unattributed (decode_step)"][2] == unattributed
+        assert sum(row[3] for row in rows.values()) == pytest.approx(1.0)
+        assert "unattributed (decode_step)" in str(prof.table())
+
+    def test_exact_tier_records_no_step_total(self, serving_setup):
+        """The exact step belongs to the model's own stack: no total,
+        so no remainder row."""
+        tel = Telemetry(profile=True)
+        run_engine(serving_setup, trace(serving_setup[2], n=4), telemetry=tel)
+        assert tel.profiler.calls("decode_step") == 0
+        assert "unattributed (" not in str(tel.profiler.table())
+
     def test_unit_timing(self):
         prof = HotPathProfiler()
         t0 = prof.start()
