@@ -14,7 +14,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 mkdir -p benchmarks/results
 python -m repro.cli lint --out benchmarks/results/lint_report.json
 
-python -m pytest -x -q "$@"
+# --durations=10: the suite's budget (~70 s) is a number somebody sees
+# — the ten slowest tests print under every run's summary.
+python -m pytest -x -q --durations=10 "$@"
 python -m pytest -q -m smoke tests/test_serving.py \
     tests/test_packed_decode.py \
     tests/test_cluster.py \

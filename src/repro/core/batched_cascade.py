@@ -3,7 +3,7 @@
 The accelerator's top-k engine and its Q·K / A·V units are
 batch-parallel, so pruning *control* never starves the datapath
 (Fig. 8).  :class:`CascadeBatch` is that arrangement for the packed
-decode backend's padded arena (:mod:`repro.nn.batched_attention`): the
+decode backend's store core (:mod:`repro.nn.batched_attention`): the
 control state of every pruned sequence of one decode step — cumulative
 token and head importance, the live token and head sets, the schedule
 targets — gathered into ``[B, ...]`` planes, so that each layer's

@@ -30,19 +30,24 @@ quantization are stages (PAPER.md §IV, Fig. 8):
    per-sequence core on those projections via
    :meth:`~repro.nn.transformer.AttentionExecutor.decode_attend_packed`;
 4. ``"pruned"`` rows (SpAtten on ``fp32`` / ``int8`` without
-   progressive quantization) run the backend's **pruned core**: the
-   whole cascade of one layer — token and head pruning decisions, KV
-   eviction, scores, masked softmax, local value pruning, A·V,
-   importance accumulation — as batch-level array operations over a
-   padded pack, with the rows' control state held for the step in a
-   batch control object
+   progressive quantization) run the backend's **store core**
+   (:func:`_store_core`) with the cascade in its datapath: token and
+   head pruning decisions and KV eviction ahead of it, then scores,
+   masked softmax, local value pruning, A·V and importance
+   accumulation as batch-level array operations over a padded pack,
+   with the rows' control state held for the step in a batch control
+   object
    (:meth:`~repro.nn.transformer.AttentionExecutor.decode_batch_control`);
-5. ``"dense"`` rows (cache-only state) run the backend's **dense core**;
+5. ``"dense"`` rows (cache-only state) run the same store core with no
+   cascade — the pruning stages are bypassed, as a dense run bypasses
+   the accelerator's top-k engines and zero eliminators — or, on the
+   exact tier, the **exact core** (:func:`_dense_core_exact`) over
+   their private caches;
 6. **fused output FC** over every row's merged head features.
 
-Two pieces depend on the tier, both bound once at construction from
-``policy.is_exact``: the projection kernel of steps 2 and 6 and the
-dense core of step 5 (step 4 exists only off the exact tier).  Weights
+Two pieces depend on the tier, both read off ``policy.is_exact``: the
+projection kernel of steps 2 and 6 (bound once at construction) and
+which core step 5 runs (step 4 exists only off the exact tier).  Weights
 live in one holder at the policy's compute dtype (under fp64 it aliases
 the model's own arrays) and scratch in one family of buffers grown on
 demand.
@@ -98,8 +103,8 @@ SpAtten's per-sequence surviving-head sets are honored by gathering
 live-head slices from the full-width rows (per-head projections are
 independent output columns).
 
-fp32 / int8 tiers: the padded arena
------------------------------------
+fp32 / int8 tiers: batch-resident rows, one padded-pack core
+------------------------------------------------------------
 
 Under a non-exact :class:`~repro.nn.numerics.NumericsPolicy` the
 bit-identity constraint is *traded away* for a declared accuracy
@@ -107,39 +112,38 @@ budget, which unlocks the padded-pack design the contract above
 forbids:
 
 * projections are plain 2-D GEMMs (one call, not ``B`` GEMVs);
-* every dense sequence's K/V live in a persistent per-layer **arena**
-  — ``[S, h, cap, D]`` compute-dtype planes in batch-row order — so
-  the score and A·V stages run as *one* batched ``[B, h, 1, max_len]``
-  gufunc matmul each, with a masked softmax batched over the padded
-  scratch (padding columns are masked to ``-1e30`` and underflow to
-  exact 0);
-* arena rows sync incrementally: an unchanged
-  :attr:`~repro.nn.kv_cache.LayerKVCache.version` plus one new column
-  means an O(h·D) tail write; eviction, preemption, or batch-order
-  churn trigger an O(L) rebuild from the cache (dequantizing int8
-  codes through their per-row scales);
+* the K/V of every row one of the backend's cores decodes *are*
+  batch-resident: one :class:`~repro.nn.kv_cache.KVRowStore` per layer
+  and style (``"dense"``, ``"pruned"``) holds its rows' columns at the
+  storage dtype — ``[S, h, cap, D]`` planes in one row order across
+  layers — and each :class:`~repro.nn.kv_cache.LayerKVCache` is a
+  handle on its row.  A sequence is adopted on its first decode step
+  (one copy per layer, its private buffers freed) and lives there until
+  it retires; :meth:`PackedDecodeBackend.decode_step_policy` reconciles
+  the stores' rows with the step's batch once, before the first layer;
+* the step's new columns are one indexed store per plane, and the
+  score and A·V stages run as *one* batched ``[n, h, 1, width]`` gufunc
+  matmul each over ``store[:n, :, :width]`` views, with a masked
+  softmax batched over the padded scratch (columns without a token —
+  the ragged tail, and evicted ones not yet compacted away — are
+  masked to ``-1e30`` and underflow to exact 0);
 * LayerNorm, the tanh/gelu FFN, and the LM head run vectorized in the
   compute dtype over weight copies cast once at backend construction,
   for decode steps and prompt passes alike;
 * the ``int8`` tier quantizes each step's *batch* of new K/V columns in
-  one pass before handing each cache its pre-quantized slice, so score
-  GEMMs read fp32 Q against dequantized int8 K (fp32 accumulation) —
-  exactly what the cache stores;
-* pruned rows take the same padded-pack core with SpAtten's stages in
-  the datapath (:func:`_pruned_core_arena`), as the accelerator keeps
-  its top-k engine beside batch-parallel Q·K / A·V units so pruning
-  control never starves them (PAPER.md §IV-B).  Their K/V do not sit in
-  per-sequence caches mirrored into an arena but *are* batch-resident:
-  one :class:`~repro.nn.kv_cache.KVRowStore` per layer holds every
-  pruned row's columns at the storage dtype, and each
-  :class:`~repro.nn.kv_cache.LayerKVCache` is a handle on its row.
+  one pass, so score GEMMs read fp32 Q against dequantized int8 K (fp32
+  accumulation) — exactly what the store holds.  Dense rows, which
+  never evict and so are the long ones, keep their columns dequantized
+  in two further planes of the same store (written from the quantizer's
+  own dequantized output, filled once at adoption); pruned rows
+  dequantize their shorter width each step, one multiply per plane;
+* a pruned row adds SpAtten's stages to that datapath, as the
+  accelerator keeps its top-k engine beside batch-parallel Q·K / A·V
+  units so pruning control never starves them (PAPER.md §IV-B).
   Cascade eviction — which changes the live columns of most rows at
-  most layers of every step — is then one gathered mask that relabels
-  the dead columns where they sit, with a row compacted only once a
-  page of them has built up; the step's new columns are one indexed
-  store per plane; and the core reads ``store[:n, :, :width]`` views.
-  :meth:`PackedDecodeBackend.decode_step_policy` reconciles the stores'
-  rows with the step's batch once, before the first layer.
+  most layers of every step — is one gathered mask that relabels the
+  dead columns where they sit, with a row compacted only once a page
+  of them has built up.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ __all__ = ["PackedDecodeBackend", "UnpackableExecutorError"]
 #: exact 0.0 after the softmax's exp.
 _MASKED = -1e30
 
-#: Column growth quantum of the score scratch and the arena planes.
+#: Column growth quantum of the score scratch.
 _SCRATCH_PAGE = 64
 
 #: Rows per pass of the compute-dtype FFN: its two ``[rows, d_ff]``
@@ -284,29 +288,6 @@ class _Weights:
             self.b2.append(cast(bp.ffn_b2))
 
 
-class _ArenaPlane:
-    """One layer's persistent padded KV arena (non-exact tiers).
-
-    ``k`` is a ``[S, h, D, cap]`` and ``v`` a ``[S, h, cap, D]``
-    compute-dtype plane holding the dequantized KV columns of up to
-    ``S`` sequences in *batch-row order* (K is stored pre-transposed so
-    the score GEMM needs no strided transpose view);
-    ``owners[j]`` is the :class:`~repro.nn.kv_cache.LayerKVCache`
-    whose columns currently fill row ``j`` (identity-checked every
-    step, so stale or deep-copied caches can never alias a row).
-    Rows are rebuilt from cache truth whenever ownership, content
-    version, or batch order changes; growth reallocates the plane and
-    clears ownership, forcing a one-step rebuild of every row.
-    """
-
-    __slots__ = ("k", "v", "owners")
-
-    def __init__(self, k: np.ndarray, v: np.ndarray):
-        self.k = k
-        self.v = v
-        self.owners: List[Optional[object]] = [None] * k.shape[0]
-
-
 class _PromptRows:
     """One sequence's rows in a prompt step
     (:meth:`PackedDecodeBackend.prefill_chunk_policy`).
@@ -335,11 +316,11 @@ class PackedDecodeBackend:
     :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch` /
     :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
     call.  The backend holds the fused per-layer projection weights and
-    reusable scratch tensors (scores, denominators, head outputs, the
-    dense rows' KV arena), which grow with the live batch instead of
-    being rebuilt every step — and, off the exact tier, the ``"pruned"``
-    rows' K/V themselves (one :class:`~repro.nn.kv_cache.KVRowStore`
-    per layer; see :meth:`release` and :meth:`reset`).
+    reusable scratch tensors (scores, denominators, head outputs), which
+    grow with the live batch instead of being rebuilt every step — and,
+    off the exact tier, the K/V of the ``"dense"`` and ``"pruned"`` rows
+    themselves (one :class:`~repro.nn.kv_cache.KVRowStore` per layer and
+    style; see :meth:`release` and :meth:`reset`).
     """
 
     def __init__(self, model: TransformerModel, numerics=None):
@@ -350,21 +331,16 @@ class PackedDecodeBackend:
         self.policy = resolve_numerics(numerics)
         cfg = model.config
         self._weights = _Weights(model, self.policy.compute_dtype)
-        # The two tier-dependent pieces of the skeleton.
-        if self.policy.is_exact:
-            self._project = _project_rows
-            self._dense_core = _dense_core_exact
-        else:
-            self._project = _project_gemm
-            self._dense_core = _dense_core_arena
-        # Reusable scratch (name -> buffer) and per-layer arena planes,
-        # both allocated on first use: a tier pays only for what its
-        # core touches.
+        self._project = (
+            _project_rows if self.policy.is_exact else _project_gemm
+        )
+        # Reusable scratch (name -> buffer), allocated on first use: a
+        # tier pays only for what its core touches.
         self._scratch: Dict[str, np.ndarray] = {}
-        self._planes: List[Optional[_ArenaPlane]] = [None] * cfg.n_layers
-        #: The ``"pruned"`` rows' K/V, one store per layer (built from
-        #: the first such row's caches), rows in one order throughout.
-        self._stores: List[KVRowStore] = []
+        #: The resident rows' K/V by style, one store per layer (built
+        #: from the style's first row's caches), a style's rows in one
+        #: order throughout.
+        self._stores: Dict[str, List[KVRowStore]] = {}
         self._inv_sqrt_d = 1.0 / float(np.sqrt(cfg.head_dim))
         #: Optional :class:`repro.telemetry.HotPathProfiler` measuring
         #: real wall-clock time per stage (the serving engine attaches
@@ -397,32 +373,6 @@ class PackedDecodeBackend:
             )
         return buf[:n, :, :, :max_len]
 
-    def _plane(self, layer_idx: int, n_rows: int, cap_needed: int) -> _ArenaPlane:
-        """The layer's arena, grown (rows and columns) to fit this step.
-
-        Growth reallocates and clears ownership — every row rebuilds
-        from its cache next sync, so stale plane content can never leak.
-        """
-        cfg = self._model.config
-        plane = self._planes[layer_idx]
-        if (
-            plane is None
-            or plane.k.shape[0] < n_rows
-            or plane.k.shape[3] < cap_needed
-        ):
-            old_rows = plane.k.shape[0] if plane is not None else 0
-            old_cap = plane.k.shape[3] if plane is not None else 0
-            rows = max(n_rows, old_rows)
-            pages = -(-cap_needed // _SCRATCH_PAGE)
-            cap = max(pages * _SCRATCH_PAGE, 2 * old_cap)
-            ct = self.policy.compute_dtype
-            plane = _ArenaPlane(
-                np.zeros((rows, cfg.n_heads, cfg.head_dim, cap), dtype=ct),
-                np.zeros((rows, cfg.n_heads, cap, cfg.head_dim), dtype=ct),
-            )
-            self._planes[layer_idx] = plane
-        return plane
-
     # ------------------------------------------------------------------
     # The per-layer skeleton and its two entry points
     # ------------------------------------------------------------------
@@ -435,9 +385,8 @@ class PackedDecodeBackend:
 
     def _group_rows(
         self, model: TransformerModel, executors: Sequence[AttentionExecutor]
-    ) -> Tuple[_Rows, _Rows, _Rows]:
-        """Validate the batch and split it into (dense, custom, pruned)
-        rows.
+    ) -> Dict[str, _Rows]:
+        """Validate the batch and split it into its rows by style.
 
         Executor styles cannot change mid-step, so the policy entry
         groups once and reuses the grouping across every layer.
@@ -465,25 +414,24 @@ class PackedDecodeBackend:
                     "(use decode_step_batch(backend=None) for the rest)"
                 )
             by_style[style].append((i, executor))
-        return by_style["dense"], by_style["custom"], by_style["pruned"]
+        return by_style
 
     def _attend_layer(
         self,
         layer_idx: int,
         x: np.ndarray,
         positions: np.ndarray,
-        rows: Tuple[_Rows, _Rows, _Rows],
+        rows: Dict[str, _Rows],
         cascade=None,
-        pruned_sel=None,
+        sels=None,
     ) -> np.ndarray:
         """Packed attention of one block: ``x [B, d]`` → ``attn_out [B, d]``.
 
         ``cascade`` is the step's batch control of the pruned rows and
-        ``pruned_sel`` their batch indices, both in row-store order
-        (:meth:`decode_step_policy` opens and commits the one and
-        :meth:`_resident` gives the other).
+        ``sels`` each resident style's batch indices, all in row-store
+        order (:meth:`decode_step_policy` opens and commits the one and
+        :meth:`_resident` gives the others).
         """
-        dense_rows, custom_rows, pruned_rows = rows
         model = self._model
         cfg = model.config
         batch = len(x)
@@ -502,29 +450,35 @@ class PackedDecodeBackend:
             t0 = prof.lap("decode_qkv_proj", t0)
 
         merged = self._rows("merged", batch, 1, cfg.d_model)
-        for i, executor in custom_rows:
+        for i, executor in rows["custom"]:
             merged[i] = executor.decode_attend_packed(
                 layer_idx, model, q_all[i], k_all[i], v_all[i],
                 positions[i : i + 1],
             )
             if prof is not None:
                 t0 = prof.lap("decode_custom_core", t0)
-        if pruned_rows:
-            store = self._stores[layer_idx]
+        if rows["pruned"]:
+            store = self._stores["pruned"][layer_idx]
             _prune_control(store, layer_idx, cascade)
             if prof is not None:
                 t0 = prof.lap("decode_prune_control", t0)
-            _pruned_core_arena(
-                self, store, pruned_sel, cascade,
+            _store_core(
+                self, store, sels["pruned"], cascade,
                 q_all, k_all, v_all, positions, merged,
             )
             if prof is not None:
                 t0 = prof.lap("decode_pruned_core", t0)
-        if dense_rows:
-            self._dense_core(
-                self, layer_idx, dense_rows, q_all, k_all, v_all, positions,
-                merged,
-            )
+        if rows["dense"]:
+            if self.policy.is_exact:
+                _dense_core_exact(
+                    self, layer_idx, rows["dense"], q_all, k_all, v_all,
+                    positions, merged,
+                )
+            else:
+                _store_core(
+                    self, self._stores["dense"][layer_idx], sels["dense"],
+                    None, q_all, k_all, v_all, positions, merged,
+                )
             if prof is not None:
                 t0 = prof.lap("decode_dense_core", t0)
 
@@ -570,23 +524,27 @@ class PackedDecodeBackend:
         backend's policy is non-exact.  The layer stack mirrors the
         exact path operation-for-operation — embedding gather, packed
         attention, residual + LayerNorm, tanh/gelu FFN, LM head — but
-        runs vectorized over the cast weights.  ``pruned`` executors'
-        K/V are made resident in the row stores and their cascade
-        control is opened here as one batch, stepped by every layer's
-        pruned core, and committed back to the executors once the stack
-        is through; ``custom`` executors keep their own per-sequence
-        core.
+        runs vectorized over the cast weights.  ``dense`` and ``pruned``
+        executors' K/V are made resident in the row stores here; the
+        ``pruned`` ones' cascade control is opened as one batch, stepped
+        by every layer's core, and committed back to the executors once
+        the stack is through; ``custom`` executors keep their own
+        per-sequence core.
         """
         prof = self.profiler
         t_step = t0 = prof.start() if prof is not None else 0.0
         rows = self._group_rows(model, executors)
-        pruned_rows = rows[2]
-        cascade = sel = None
-        if pruned_rows or self._stores:
-            resident, sel = self._resident(pruned_rows, len(executors))
-        if pruned_rows:
-            cascade = resident[0].decode_batch_control(
-                resident, positions[sel]
+        residents, sels = {}, {}
+        for style in ("dense", "pruned"):  # the store-resident styles
+            if rows[style] or style in self._stores:
+                residents[style], sels[style] = self._resident(
+                    style, rows[style], len(executors)
+                )
+        cascade = None
+        pruned = residents.get("pruned")
+        if pruned:
+            cascade = pruned[0].decode_batch_control(
+                pruned, positions[sels["pruned"]]
             )
         w = self._weights
         x = w.tok_emb[token_ids] + w.pos_emb[positions]
@@ -594,7 +552,7 @@ class PackedDecodeBackend:
             prof.stop("decode_setup", t0)
         for layer_idx in range(model.config.n_layers):
             attn_out = self._attend_layer(
-                layer_idx, x, positions, rows, cascade, sel
+                layer_idx, x, positions, rows, cascade, sels
             )
             t0 = prof.start() if prof is not None else 0.0
             x = self._ffn_half(layer_idx, x, attn_out)
@@ -613,10 +571,10 @@ class PackedDecodeBackend:
         return logits
 
     # ------------------------------------------------------------------
-    # Row-store residency of the pruned rows
+    # Row-store residency of the dense and the pruned rows
     # ------------------------------------------------------------------
-    def _resident(self, pruned_rows: _Rows, batch: int):
-        """Make the row stores hold exactly this step's pruned rows.
+    def _resident(self, style: str, rows: _Rows, batch: int):
+        """Make ``style``'s row stores hold exactly this step's ``rows``.
 
         Membership is read off the rows' layer-0 caches, each of which
         knows its store and row.  While it stands — the steady state —
@@ -624,22 +582,25 @@ class PackedDecodeBackend:
         is not in the batch (or whose cache took its columns back,
         :meth:`~repro.nn.kv_cache.KVRowStore.orphan`) are released in
         every layer's store, their caches taking the live columns with
-        them, and arrivals are adopted: the one copy per sequence and
-        layer a dense row's arena rebuild pays.
+        them, and arrivals are adopted: one copy per sequence and
+        layer, after which the private buffers are gone.
 
         Returns ``(executors, sel)`` in store-row order — the order the
         step's batch control and every layer's core run in; ``sel`` are
         the rows' batch indices (a plain slice when the two orders
         coincide: views, not fancy-index copies).
         """
-        if not self._stores:
-            self._stores = [
-                KVRowStore(pruned_rows[0][1].decode_kv_cache(layer_idx))
+        stores = self._stores.get(style)
+        if stores is None:
+            # Dense rows never evict, so they are the long ones: on
+            # int8 their stores keep the columns dequantized as well.
+            dequantized = style == "dense" and self.policy.quantized_gemm
+            stores = self._stores[style] = [
+                KVRowStore(rows[0][1].decode_kv_cache(layer_idx), dequantized)
                 for layer_idx in range(self._model.config.n_layers)
             ]
-        stores = self._stores
         first = stores[0]
-        caches = [executor.decode_kv_cache(0) for _, executor in pruned_rows]
+        caches = [executor.decode_kv_cache(0) for _, executor in rows]
         if (
             len(caches) != len(first.owners)
             or any(cache._store is not first for cache in caches)
@@ -658,7 +619,7 @@ class PackedDecodeBackend:
                 for store in stores:
                     store.release(row, keep_columns=True)
             arrivals = [
-                executor for (_, executor), cache in zip(pruned_rows, caches)
+                executor for (_, executor), cache in zip(rows, caches)
                 if cache._store is not first
             ]
             for layer_idx, store in enumerate(stores):
@@ -666,14 +627,14 @@ class PackedDecodeBackend:
                     executor.decode_kv_cache(layer_idx)
                     for executor in arrivals
                 ])
-        rows = [cache._row for cache in caches]
-        resident: List[Optional[AttentionExecutor]] = [None] * len(rows)
-        for row, (_, executor) in zip(rows, pruned_rows):
+        order = [cache._row for cache in caches]
+        resident: List[Optional[AttentionExecutor]] = [None] * len(order)
+        for row, (_, executor) in zip(order, rows):
             resident[row] = executor
-        if rows == list(range(batch)):
+        if order == list(range(batch)):
             return resident, slice(None)
-        sel = np.empty(len(rows), dtype=np.intp)
-        sel[rows] = [i for i, _ in pruned_rows]
+        sel = np.empty(len(order), dtype=np.intp)
+        sel[order] = [i for i, _ in rows]
         return resident, sel
 
     def release(self, executor: AttentionExecutor) -> None:
@@ -683,18 +644,19 @@ class PackedDecodeBackend:
         Rows nobody releases are found by the next step's reconcile,
         which does copy them back.
         """
-        if self._stores and executor.packed_decode_style == "pruned":
+        stores = self._stores.get(executor.packed_decode_style)
+        if stores is not None:
             cache = executor.decode_kv_cache(0)
-            if cache._store is self._stores[0]:
+            if cache._store is stores[0]:
                 row = cache._row
-                for store in self._stores:
+                for store in stores:
                     store.release(row, keep_columns=False)
 
     def reset(self) -> None:
         """Hand every resident row back to its cache: a new serving run
         starts from empty stores."""
-        if self._stores:
-            self._resident([], 0)
+        for style in self._stores:
+            self._resident(style, [], 0)
 
     def _ffn_half(
         self, layer_idx: int, x: np.ndarray, attn_out: np.ndarray
@@ -781,10 +743,8 @@ class PackedDecodeBackend:
         Returns one entry per state: the next-token logits (compute
         dtype) of prompts that completed, else ``None``.
         """
-        dense_rows, _, _ = self._group_rows(
-            model, [state.executor for state in states]
-        )
-        dense = {i for i, _ in dense_rows}
+        rows = self._group_rows(model, [state.executor for state in states])
+        dense = {i for i, _ in rows["dense"]}
         spans = [state.next_span(max_tokens) for state in states]
         # The sequences with rows in this step, in batch order.
         active: List[_PromptRows] = []
@@ -1035,29 +995,19 @@ def _dense_core_exact(
     )
 
 
-def _batch_selector(rows: _Rows, batch: int):
-    """Index of ``rows`` into ``[batch, ...]`` arrays.
-
-    All-one-style batches (the common serving case) index with a plain
-    slice — views, not fancy-index copies.
-    """
-    if len(rows) == batch:
-        return slice(None)
-    return [i for i, _ in rows]
-
-
 def _stage_kv_columns(
     backend: "PackedDecodeBackend", k_cols: np.ndarray, v_cols: np.ndarray
 ):
-    """This step's ``[n, h, D]`` K/V columns as the attention core reads
-    them back, plus what an int8 cache stores.
+    """This step's ``[n, h, D]`` K/V columns as a row store takes them,
+    plane for plane (:attr:`~repro.nn.kv_cache.KVRowStore.planes`).
 
-    Returns ``(k_cols, v_cols, quantized)``: the inputs and ``None``
-    under float storage; under int8 the dequantized columns and the
-    ``(k_codes, v_codes, k_scales, v_scales)`` batch.
+    The inputs themselves under float storage; under int8 ``(k_codes,
+    v_codes, k_scales, v_scales)`` and then the columns dequantized —
+    what the attention core reads back, which a store with dequantized
+    planes keeps and any other drops.
     """
     if not backend.policy.quantized_gemm:
-        return k_cols, v_cols, None
+        return k_cols, v_cols
     # One fused quantization of this step's k and v rows —
     # inlined :func:`repro.core.quantization.quantize_rows`
     # (bit-identical codes and scales, asserted by
@@ -1088,119 +1038,13 @@ def _stage_kv_columns(
     # codes_f holds exact integers in [-127, 127] after the
     # rint+clip, so the int8 assignment cast is value-exact.
     codes[...] = codes_f
-    # Dequantize in place over the staging rows: these are the
-    # arena columns (what the score GEMM reads back).
+    # Dequantize in place over the staging rows: what the score GEMM
+    # reads back.
     np.multiply(codes_f, scales, out=kv_rows)
-    return kv_rows[:n], kv_rows[n:], (
-        codes[:n], codes[n:], scales[:n, :, 0], scales[n:, :, 0]
+    return (
+        codes[:n], codes[n:], scales[:n, :, 0], scales[n:, :, 0],
+        kv_rows[:n], kv_rows[n:],
     )
-
-
-def _dense_core_arena(
-    backend: "PackedDecodeBackend",
-    layer_idx: int,
-    dense_rows: _Rows,
-    q_all: np.ndarray,
-    k_all: np.ndarray,
-    v_all: np.ndarray,
-    positions: np.ndarray,
-    merged: np.ndarray,
-) -> None:
-    """Arena-packed attention core for the dense rows of one layer.
-
-    Appends this step's KV columns (the whole batch's k/v rows
-    quantized in *one* pass under int8), syncs each cache into its
-    batch-order arena row (a single vectorized fancy-index tail
-    write in the steady state), then runs scores → masked softmax →
-    A·V as three batched tensor ops over the ``[n, h, ...]`` pack —
-    no per-sequence BLAS calls.
-    """
-    cfg = backend._model.config
-    n = len(dense_rows)
-    sel = _batch_selector(dense_rows, merged.shape[0])
-    k_cols, v_cols, quantized = _stage_kv_columns(
-        backend, k_all[sel][:, :, 0], v_all[sel][:, :, 0]
-    )
-    if quantized:
-        k_codes, v_codes, k_scales, v_scales = quantized
-    # Append this step's column to every cache first so plane
-    # capacity can be ensured once, before any row writes.
-    lens = np.empty(n, dtype=np.int64)
-    caches = []
-    for j, (i, executor) in enumerate(dense_rows):
-        cache = executor.decode_kv_cache(layer_idx)
-        if quantized:
-            cache.append_decode_col_quantized(
-                k_codes[j], k_scales[j],
-                v_codes[j], v_scales[j], positions[i],
-            )
-        else:
-            cache.append_decode_col(k_cols[j], v_cols[j], positions[i])
-        caches.append(cache)
-        lens[j] = cache._len
-    max_len = int(lens.max())
-    min_len = int(lens.min())
-    plane = backend._plane(layer_idx, n, max_len)
-    owners = plane.owners
-    plane_k, plane_v = plane.k, plane.v
-    rebuild: List[int] = []
-    for j in range(n):
-        cache = caches[j]
-        if owners[j] is cache:
-            synced_len, synced_version = cache._arena_state
-            if synced_version == cache.version and synced_len == lens[j] - 1:
-                cache._arena_state = (synced_len + 1, synced_version)
-                continue
-        rebuild.append(j)
-    if not rebuild and min_len == max_len:
-        # Steady state, uniform lengths: the new columns land in one
-        # basic-slice write per plane.
-        plane_k[:n, :, :, max_len - 1] = k_cols
-        plane_v[:n, :, max_len - 1] = v_cols
-    elif len(rebuild) < n:
-        # Steady state, ragged lengths: one vectorized fancy-index
-        # tail write lands every append-only row's new column at
-        # its own length.
-        if rebuild:
-            skip = set(rebuild)
-            fast = np.array([j for j in range(n) if j not in skip])
-        else:
-            fast = np.arange(n)
-        tail = lens[fast] - 1
-        plane_k[fast, :, :, tail] = k_cols[fast]
-        plane_v[fast, :, tail] = v_cols[fast]
-    for j in rebuild:
-        # Ownership, order, or content (eviction) changed: rebuild
-        # the row from cache truth (dequantized under int8).
-        cache = caches[j]
-        length = int(lens[j])
-        k, v = cache.compute_columns(0, length)
-        plane_k[j, :, :, :length] = k.transpose(0, 2, 1)
-        plane_v[j, :, :length] = v
-        owners[j] = cache
-        cache._arena_state = (length, cache.version)
-
-    q_pack = backend._rows("q_pack", n, cfg.n_heads, 1, cfg.head_dim)
-    np.multiply(q_all[sel], backend._inv_sqrt_d, out=q_pack)
-    scores = backend._scores(n, max_len)
-    np.matmul(q_pack, plane_k[:n, :, :, :max_len], out=scores)
-    if min_len < max_len:
-        for j in range(n):
-            if lens[j] < max_len:
-                scores[j, :, :, lens[j] :] = _MASKED
-    # fmax skips NaN handling (scores are finite by construction).
-    shift = np.fmax.reduce(scores, axis=-1, keepdims=True)
-    scores -= shift
-    np.exp(scores, out=scores)
-    denom = np.add.reduce(scores, axis=-1, keepdims=True)
-    # Normalize after A·V: dividing the [n, h, 1, D] head outputs
-    # touches max_len/D fewer elements than dividing the scores,
-    # and (exp·V)/denom distributes over the dot product.
-    head_out = np.matmul(scores, plane_v[:n, :, :max_len])
-    head_out /= denom
-    # [n, h, 1, D] → [n, 1, h·D] reshapes in place (the moved axis
-    # is the singleton), so no transpose copy is needed.
-    merged[sel] = head_out.reshape(n, 1, -1)
 
 
 def _prune_control(store: KVRowStore, layer_idx: int, cascade) -> None:
@@ -1216,7 +1060,7 @@ def _prune_control(store: KVRowStore, layer_idx: int, cascade) -> None:
     store.evict(cascade.alive)
 
 
-def _pruned_core_arena(
+def _store_core(
     backend: "PackedDecodeBackend",
     store: KVRowStore,
     sel,
@@ -1227,43 +1071,41 @@ def _pruned_core_arena(
     positions: np.ndarray,
     merged: np.ndarray,
 ) -> None:
-    """Attention core for the pruned rows of one layer, over their
-    row store.
+    """Attention core of one layer over a row store (non-exact tiers):
+    append → scores → masked softmax → A·V as batched tensor ops over
+    the ``[n, h, ...]`` pack, no per-sequence BLAS calls.
 
-    The dense arena core with SpAtten's stages in the datapath: dead
-    heads gated by a ``[n, h]`` plane (their new K/V columns are stored
-    as zeros and their probabilities contribute nothing), local value
-    pruning as one ranked mask over the ``[n, h, width]``
-    probabilities, and token / head importance accumulated for the
-    whole batch.  Probabilities are normalized before A·V here —
+    With a ``cascade`` — the pruned rows' batch control — SpAtten's
+    stages sit in the datapath: dead heads gated by a ``[n, h]`` plane
+    (their new K/V columns are stored as zeros and their probabilities
+    contribute nothing), local value pruning as one ranked mask over
+    the ``[n, h, width]`` probabilities, and token / head importance
+    accumulated for the whole batch.  Dense rows pass ``None`` and
+    bypass them.  Probabilities are normalized before A·V —
     importance accumulates probabilities, not exponentials.
 
     ``store`` holds the rows' K/V in the order ``sel`` indexes the
     batch in.  This step's columns are appended with one indexed write
-    per plane and the GEMMs read ``[:n, :, :width]`` views of the
-    planes (the int8 tier dequantizes the codes first, the whole batch
-    in one multiply per plane).  ``width`` spans every row's written
-    columns: those without a token — evicted ones not yet compacted
-    away, and the ragged tail — are labelled
-    :data:`~repro.nn.kv_cache.NO_TOKEN`, masked out of the softmax and
-    worth an exact zero from there on.
+    per plane — the whole batch's k/v rows quantized in *one* pass under
+    int8 — and the GEMMs read ``[:n, :, :width]`` float columns off the
+    store (:meth:`~repro.nn.kv_cache.KVRowStore.compute_columns`).
+    ``width`` spans every row's written columns: those without a token
+    — evicted ones not yet compacted away, and the ragged tail — are
+    labelled :data:`~repro.nn.kv_cache.NO_TOKEN`, masked out of the
+    softmax and worth an exact zero from there on.
     """
     cfg = backend._model.config
     n = len(store.owners)
     k_cols, v_cols = k_all[sel][:, :, 0], v_all[sel][:, :, 0]
     head_gate = None
-    if cascade.any_head_dead:
+    if cascade is not None and cascade.any_head_dead:
         head_gate = cascade.head_alive[:, :, None]
         k_cols = k_cols * head_gate
         v_cols = v_cols * head_gate
-    k_cols, v_cols, quantized = _stage_kv_columns(backend, k_cols, v_cols)
-    # What the store holds, plane for plane: codes and scales on int8.
-    width = store.append(positions[sel], *(quantized or (k_cols, v_cols)))
-    keys, values, *scales = (plane[:n, :, :width] for plane in store.planes)
-    if scales:
-        # LayerKVCache._dequant's arithmetic, over the batch.
-        keys = keys * scales[0][..., None]
-        values = values * scales[1][..., None]
+    width = store.append(
+        positions[sel], *_stage_kv_columns(backend, k_cols, v_cols)
+    )
+    keys, values = store.compute_columns(width)
     token_ids, lens = store.labels[:n, :width], store.live[:n]
 
     q_pack = backend._rows("q_pack", n, cfg.n_heads, 1, cfg.head_dim)
@@ -1278,15 +1120,19 @@ def _pruned_core_arena(
             where=(token_ids == NO_TOKEN)[:, None, None, :],
         )
     softmax_inplace(scores)
-    probs = scores[:, :, 0]  # [n, h, width] view
-    # Ranked on every head's own probabilities, before dead heads are
-    # zeroed: an all-zero row would be one big tie.
-    value_mask = cascade.value_mask(probs, lens)
-    if head_gate is not None:
-        probs *= head_gate
-    cascade.accumulate_tokens(probs, token_ids)
-    if value_mask is not None:
-        probs *= value_mask
+    if cascade is not None:
+        probs = scores[:, :, 0]  # [n, h, width] view
+        # Ranked on every head's own probabilities, before dead heads
+        # are zeroed: an all-zero row would be one big tie.
+        value_mask = cascade.value_mask(probs, lens)
+        if head_gate is not None:
+            probs *= head_gate
+        cascade.accumulate_tokens(probs, token_ids)
+        if value_mask is not None:
+            probs *= value_mask
     head_out = np.matmul(scores, values)
-    cascade.accumulate_heads(head_out, lens)
+    if cascade is not None:
+        cascade.accumulate_heads(head_out, lens)
+    # [n, h, 1, D] → [n, 1, h·D] reshapes in place (the moved axis is
+    # the singleton), so no transpose copy is needed.
     merged[sel] = head_out.reshape(n, 1, -1)

@@ -13,33 +13,35 @@ Storage model (private buffers or a store row)
 A :class:`LayerKVCache` keeps its columns in one of two places.
 
 **Private buffers** — the default, and the only form the ``exact``
-tier, ``"dense"`` / ``"custom"`` decode rows and every prompt pass ever
-see.  The cache distinguishes the *live length* (columns holding real
-K/V state) from the *capacity* (columns the backing buffers can hold).
-Buffers are preallocated and grown by amortized doubling at
-**page granularity** — ``page_tokens`` columns per growth quantum, the
-same unit the serving memory pool (:class:`repro.serving.KVMemoryPool`)
+tier, ``"custom"`` decode rows and every prompt pass ever see.  The
+cache distinguishes the *live length* (columns holding real K/V state)
+from the *capacity* (columns the backing buffers can hold).  Buffers
+are preallocated and grown by amortized doubling at **page
+granularity** — ``page_tokens`` columns per growth quantum, the same
+unit the serving memory pool (:class:`repro.serving.KVMemoryPool`)
 budgets in — so appending a decode token is an O(1) in-place write
 instead of an O(L) ``np.concatenate`` (O(L²) copy traffic over a
 generation).  :attr:`keys` / :attr:`values` / :attr:`token_ids` expose
 zero-copy views of the live prefix, and :meth:`keep` compacts surviving
 columns in place.
 
-**A row of a** :class:`KVRowStore` — where the packed backend's
-``"pruned"`` decode core keeps the sequences it is decoding
-(:mod:`repro.nn.batched_attention`).  One store per layer holds every
-such sequence's columns as row ``j`` of batch-shaped planes, so a layer
-of a decode step touches all of them with a handful of array
-operations: the step's new columns land with one indexed store per
-plane, and cascade eviction is *lazy* — a newly pruned column is
-relabelled :data:`NO_TOKEN` where it sits (its score is masked, its
-probability an exact zero) and the row is compacted, order preserved,
-only once a whole ``page_tokens`` page of such holes has built up: the
-zero eliminator's software analogue (PAPER.md §IV-B).  The cache is
-then a *handle* on its row: ``len()`` and :attr:`evicted_tokens` read
-the store's per-row vectors, so ``kv_lengths()``, pool pages and the
-serving report stay exact while the hot path never calls the cache —
-and **every column-exposing accessor** (:attr:`keys`, :attr:`values`,
+**A row of a** :class:`KVRowStore` — where the packed backend keeps
+every sequence one of its own cores decodes off the exact tier: the
+``"dense"`` and the ``"pruned"`` rows of ``fp32`` / ``int8``
+(:mod:`repro.nn.batched_attention`), each style in its own stores.  One
+store per layer holds every such sequence's columns as row ``j`` of
+batch-shaped planes, so a layer of a decode step touches all of them
+with a handful of array operations: the step's new columns land with
+one indexed store per plane, and cascade eviction is *lazy* — a newly
+pruned column is relabelled :data:`NO_TOKEN` where it sits (its score
+is masked, its probability an exact zero) and the row is compacted,
+order preserved, only once a whole ``page_tokens`` page of such holes
+has built up: the zero eliminator's software analogue (PAPER.md §IV-B).
+A dense row simply never evicts.  The cache is then a *handle* on its
+row: ``len()`` and :attr:`evicted_tokens` read the store's per-row
+vectors, so ``kv_lengths()``, pool pages and the serving report stay
+exact while the hot path never calls the cache — and **every
+column-exposing accessor** (:attr:`keys`, :attr:`values`,
 :attr:`token_ids`, the scales, :meth:`compute_columns`, ``append*``,
 :meth:`keep`, :meth:`reserve`, :meth:`padded_to`, deep copy / pickling)
 is a barrier that first brings the live columns, compacted, back into
@@ -50,6 +52,14 @@ private-buffer attributes, so the first read of one — whoever makes
 it — lands in ``__getattr__``, which restores them.  A cache is
 therefore the truth about its sequence whoever asks, and nothing
 outside this module can alias a store row.
+
+An int8 store may carry two further planes: the columns *dequantized*,
+written beside the codes they mirror (filled once at adoption, appended
+from the dequantized columns the backend's batch quantization leaves
+behind) and dropped when a row goes home.  The backend asks for them
+for its dense rows — the long ones, whose whole width a step would
+otherwise dequantize again — and a reader takes the float columns from
+:meth:`KVRowStore.compute_columns` either way.
 
 Numerics-policy storage (dtype parameterization)
 ------------------------------------------------
@@ -79,14 +89,6 @@ numerics policies pass their true storage width (4 for fp32, 1 for
 int8, where :attr:`nbytes` additionally counts the fp32 scale columns).
 :attr:`nbytes` counts live columns (what the pool pages back);
 :attr:`capacity_nbytes` counts the preallocated buffers.
-
-:attr:`version` counts content mutations of the *private buffers* that
-are not appends: :meth:`keep` compaction, and columns coming back from
-a store row (they may have been evicted there).  The dense arena of the
-batched decode backend uses it to invalidate per-sequence arena slots
-cheaply: an unchanged version plus a grown length means "columns were
-only appended", so the arena copies just the new tail.  Store rows need
-no version — the store is the only writer of what it reads.
 """
 
 from __future__ import annotations
@@ -162,8 +164,6 @@ class LayerKVCache:
         #: ``None`` while they sit in the private buffers.
         self._store: Optional["KVRowStore"] = None
         self._row = -1
-        #: In-place non-append mutation counter (see module docstring).
-        self.version = 0
 
     def __len__(self) -> int:
         if self._store is not None:
@@ -364,8 +364,9 @@ class LayerKVCache:
     def append_decode_col(self, k: np.ndarray, v: np.ndarray, token_id) -> None:
         """O(1) single-column decode append (``[h, D]`` per plane).
 
-        The policy decode backend's per-row hot loop: minimal checks,
-        no reshapes.  Float storage only — int8 callers use
+        The per-sequence form of :meth:`KVRowStore.append`, which took
+        its place on the decode hot path: minimal checks, no reshapes.
+        Float storage only — int8 callers use
         :meth:`append_decode_col_quantized` with precomputed codes.
         """
         if self.quantized:
@@ -478,7 +479,6 @@ class LayerKVCache:
             self._token_ids[:n_kept] = self._token_ids[column_indices]
         self._len = n_kept
         self._tail_dirty = True
-        self.version += 1
 
     # ------------------------------------------------------------------
     # Views
@@ -495,9 +495,9 @@ class LayerKVCache:
         """Columns ``[start, end)`` as float arrays for compute.
 
         Float storage returns zero-copy views; int8 storage returns
-        dequantized fp32 copies.  The batched decode backend uses this
-        to (re)fill arena slots — including the one-column fast path
-        after each decode append.
+        dequantized fp32 copies.  The non-exact prompt pass attends
+        over these, and a row store fills its dequantized planes from
+        them at adoption.
         """
         end = self._len if end is None else end
         if not 0 <= start <= end <= self._len:
@@ -577,7 +577,10 @@ class KVRowStore:
     * ``planes`` — K and V, ``[S, h, cap, D]`` each at the caches'
       storage dtype; on the int8 tier these are the codes and the
       K and V scales follow, ``[S, h, cap]`` fp32 each
-      (:meth:`LayerKVCache._planes`' order, with a leading row axis);
+      (:meth:`LayerKVCache._planes`' order, with a leading row axis),
+      and after them, when ``dequantized`` asks, the K and V columns
+      dequantized, ``[S, h, cap, D]`` fp32 each — planes like any
+      other to growth, moves and compaction, which no cache takes home;
     * ``labels`` — ``[S, cap]``, the original position of each column's
       token, :data:`NO_TOKEN` for an evicted or unwritten column;
     * ``cursor`` / ``live`` / ``evicted`` — ``[S]``: the next column a
@@ -593,7 +596,7 @@ class KVRowStore:
     a time: every column of a row is resident whether live or not.
     """
 
-    def __init__(self, like: LayerKVCache):
+    def __init__(self, like: LayerKVCache, dequantized: bool = False):
         self.page_tokens = like.page_tokens
         shape = (0, like.n_heads, 0, like.head_dim)
         self.planes = [np.zeros(shape, dtype=like.dtype) for _ in "kv"]
@@ -601,6 +604,10 @@ class KVRowStore:
             self.planes += [
                 np.zeros(shape[:3], dtype=np.float32) for _ in "kv"
             ]
+            if dequantized:
+                self.planes += [
+                    np.zeros(shape, dtype=np.float32) for _ in "kv"
+                ]
         self.labels = np.zeros((0, 0), dtype=np.int64)
         self._vectors = np.zeros((3, 0), dtype=np.int64)
         self.cursor, self.live, self.evicted = self._vectors
@@ -646,8 +653,11 @@ class KVRowStore:
         self._reserve(len(self.owners) + len(caches), max(lengths, default=0))
         for cache, n_cols in zip(caches, lengths):
             row = len(self.owners)
-            for plane, private in zip(self.planes, cache._planes()):
-                plane[row, :, :n_cols] = private[:, :n_cols]
+            private = cache._planes()
+            if len(self.planes) > len(private):
+                private += cache.compute_columns()
+            for plane, columns in zip(self.planes, private):
+                plane[row, :, :n_cols] = columns[:, :n_cols]
             self.labels[row, :n_cols] = cache._token_ids[:n_cols]
             self.cursor[row] = self.live[row] = n_cols
             self.evicted[row] = cache._evicted
@@ -662,7 +672,6 @@ class KVRowStore:
         cache = self.owners[row]
         cache._store = None
         cache._evicted = int(self.evicted[row])
-        cache.version += 1
         if keep_columns:
             self.compact(row)
         n_live = cache._len = int(self.live[row]) if keep_columns else 0
@@ -699,7 +708,7 @@ class KVRowStore:
         self.owners.pop()
 
     # ------------------------------------------------------------------
-    # The decode step's three writes
+    # The decode step's three writes and its read
     # ------------------------------------------------------------------
     def evict(self, alive: np.ndarray) -> None:
         """Cascade eviction as one gathered mask.
@@ -741,7 +750,8 @@ class KVRowStore:
 
     def append(self, labels: np.ndarray, *columns: np.ndarray) -> int:
         """Write one new column per row: ``labels`` ``[n]`` and, plane
-        for plane (:attr:`planes`), ``columns`` ``[n, h(, D)]``.
+        for plane (:attr:`planes`), ``columns`` ``[n, h(, D)]`` — those
+        past the last plane this store keeps are not stored.
 
         Returns the width the rows now span — the columns a reader
         slices, of which each row's :data:`NO_TOKEN` ones are masked.
@@ -756,6 +766,20 @@ class KVRowStore:
         cursor += 1
         self.live[:n] += 1
         return width
+
+    def compute_columns(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
+        """K and V of the rows in use over columns ``[0, width)`` as
+        float arrays ``[n, h, width, D]``: views of the float (or the
+        dequantized) planes, else :meth:`LayerKVCache._dequant`'s
+        arithmetic over the whole batch, one multiply per plane."""
+        n = len(self.owners)
+        if len(self.planes) == 4:  # codes and scales, nothing dequantized
+            k_codes, v_codes, k_scales, v_scales = (
+                plane[:n, :, :width] for plane in self.planes
+            )
+            return k_codes * k_scales[..., None], v_codes * v_scales[..., None]
+        keys, values = self.planes[-2:]
+        return keys[:n, :, :width], values[:n, :, :width]
 
 
 class KVCache:

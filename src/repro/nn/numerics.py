@@ -20,10 +20,10 @@ axis:
     (asserted by the identity tests and ``benchmarks/bench_numerics``).
 ``fp32``
     fp32 KV planes and an fp32 batched decode core: one padded
-    ``[B, h, 1, max_len]`` masked-softmax attention over a shared
-    scratch arena plus a vectorized fp32 tanh/gelu FFN — the design
-    PR 3 proved impossible bit-identically.  Prompts are summarized by
-    the same backend in fp32.
+    ``[B, h, 1, max_len]`` masked-softmax attention over batch-resident
+    KV rows plus a vectorized fp32 tanh/gelu FFN — the design PR 3
+    proved impossible bit-identically.  Prompts are summarized by the
+    same backend in fp32.
 ``int8``
     Same batched core, but the KV cache stores int8 codes with per-row
     (head × column) fp32 scales — :func:`repro.core.quantization

@@ -139,10 +139,14 @@ class AttentionExecutor:
           .UnpackableExecutorError`.  Decode such executors through the
           looped oracle, ``decode_step_batch(backend=None)``.
         * ``"dense"`` — the executor's only per-layer decode state is a
-          :class:`~repro.nn.kv_cache.LayerKVCache`; the backend appends
-          the new column via :meth:`decode_kv_append` and runs the whole
-          attention core (scores, softmax, A·V) centrally over the
-          batch.
+          :class:`~repro.nn.kv_cache.LayerKVCache`; the backend runs the
+          whole attention core (append, scores, softmax, A·V) centrally
+          over the batch.  On the exact tier it appends the new column
+          via :meth:`decode_kv_append` and reads the cache's own
+          buffers; off it, the caches :meth:`decode_kv_cache` returns
+          are adopted into the backend's row stores exactly as a
+          ``"pruned"`` row's are (below), and the core is the pruned
+          rows' with no cascade.
         * ``"custom"`` — the backend supplies full-width projections and
           the executor runs its own per-sequence core via
           :meth:`decode_attend_packed` (pruning decisions, progressive
@@ -155,8 +159,9 @@ class AttentionExecutor:
           once — over K/V it keeps batch-resident: the caches
           :meth:`decode_kv_cache` returns are adopted into the backend's
           per-layer :class:`~repro.nn.kv_cache.KVRowStore` on the
-          sequence's first decode step and are handles on their rows
-          from then on (still the truth for :meth:`kv_lengths` and
+          sequence's first decode step (one copy per layer, private
+          buffers freed) and are handles on their rows from then on
+          (still the truth for :meth:`kv_lengths` and
           :attr:`evicted_kv_tokens`; reading their columns brings them
           back into private buffers).
 
@@ -194,18 +199,21 @@ class AttentionExecutor:
         positions: np.ndarray,
     ):
         """Append one decode column (``[h, 1, D]``) for a ``"dense"``
-        executor and return the layer's :class:`LayerKVCache`."""
+        executor and return the layer's :class:`LayerKVCache` (the
+        exact tier's hand-off)."""
         raise NotImplementedError
 
     def decode_kv_cache(self, layer_idx: int):
         """The layer's :class:`~repro.nn.kv_cache.LayerKVCache` without
         appending (``"dense"`` and ``"pruned"`` styles).
 
-        The fp32/int8 cores append centrally — batching the
-        quantization of a whole step's new columns — so they need the
-        bare cache rather than the append-and-return of
-        :meth:`decode_kv_append`.  A ``"pruned"`` row's cache may be a
-        handle on a row of the backend's store.
+        The fp32/int8 core appends centrally, into the row store the
+        backend adopted the cache into — batching the quantization of
+        a whole step's new columns — so it needs the bare cache rather
+        than the append-and-return of :meth:`decode_kv_append`: to
+        adopt it, and to read its store and row each step after.  The
+        cache of a row on those tiers may therefore be a handle on a
+        row of the backend's store.
         """
         raise NotImplementedError
 
@@ -428,7 +436,8 @@ class DenseExecutor(AttentionExecutor):
         return layer_cache
 
     def decode_kv_cache(self, layer_idx: int):
-        """Bare layer cache for the arena core's central append."""
+        """Bare layer cache: off the exact tier the backend adopts it
+        into its dense row store and appends there."""
         return self._cache[layer_idx]
 
     def run_layer(
@@ -932,7 +941,7 @@ class TransformerModel:
             )
         if backend is not None and not backend.policy.is_exact:
             # Non-exact numerics tier: the backend owns the whole step
-            # (compute-dtype layer stack + arena-packed attention core);
+            # (compute-dtype layer stack + store-packed attention core);
             # see repro.nn.numerics for the ladder contract.
             return backend.decode_step_policy(
                 self, token_ids, positions, executors

@@ -16,12 +16,13 @@ decode step and the prompt pass:
   5 % of the step).  The exact tier's step belongs to the model's own
   fp64 stack, so only the per-layer stages are recorded there;
 * ``decode_setup`` — before the first layer: grouping the rows by
-  style, reconciling the row stores with the batch (adopting arrivals,
-  releasing departures), opening the step's ``CascadeBatch`` and the
-  embedding gather;
+  style, reconciling the dense and the pruned rows' stores with the
+  batch (adopting arrivals, releasing departures), opening the step's
+  ``CascadeBatch`` and the embedding gather;
 * ``decode_qkv_proj`` — the fused ``[B, d] @ [d, 3d]`` projection;
 * ``decode_dense_core`` — KV append + scores/softmax/A·V of the dense
-  rows (exact-length cache views or the padded arena, by tier);
+  rows: per sequence over exact-length cache views on the exact tier,
+  the batched store core (no cascade) over their row store otherwise;
 * ``decode_custom_core`` — per-sequence SpAtten cores: every SpAtten
   row on the exact tier, progressive-quantization rows on any tier;
 * ``decode_prune_control`` — the batched cascade of the other SpAtten
@@ -29,9 +30,10 @@ decode step and the prompt pass:
   the batch's control planes, then eviction from the layer's row store
   (one gathered mask, plus compaction of the rows a page of holes has
   built up in);
-* ``decode_pruned_core`` — their batched KV append into the row store
-  + scores / softmax / local value pruning / A·V / importance
-  accumulation over its planes;
+* ``decode_pruned_core`` — the same store core with the cascade in
+  its datapath: batched KV append into their row store + scores /
+  softmax / local value pruning / A·V / importance accumulation over
+  its planes;
 * ``decode_output_fc`` — the fused output projection;
 * ``decode_ffn`` — the rest of a block: residual adds, LayerNorms and
   the tanh/gelu FFN;

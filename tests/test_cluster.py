@@ -409,17 +409,24 @@ class TestClusterEngine:
         assert stats.fleet.queue_wait_p95 > 0
         pool.audit()
 
-    def test_mid_run_drain_requeues_without_token_loss(self, cluster_setup):
+    @pytest.mark.parametrize("numerics", ["exact", "fp32", "int8"])
+    def test_mid_run_drain_requeues_without_token_loss(
+        self, cluster_setup, numerics
+    ):
+        """On every tier: the skewed trace mixes dense and pruned rows
+        in one batch, so off ``exact`` a drain vacates rows of both
+        styles' stores (int8: scale planes included)."""
         config, model, corpus = cluster_setup
         requests = skewed_requests(config, corpus, n=10, rate=2000.0)
         baseline, _ = self.run_cluster(
-            cluster_setup, requests, n_replicas=2, policy="least_loaded"
+            cluster_setup, requests, n_replicas=2, policy="least_loaded",
+            numerics=numerics,
         )
         # Drain replica 0 while it still has work in flight.
         drain_t = baseline.fleet.makespan_s / 3
         stats, pool = self.run_cluster(
             cluster_setup, requests, n_replicas=2, policy="least_loaded",
-            drain_events=[(drain_t, 0)],
+            drain_events=[(drain_t, 0)], numerics=numerics,
         )
         assert stats.n_requeued > 0
         assert stats.n_drained == 1 and stats.n_failed == 0

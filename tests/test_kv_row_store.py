@@ -1,15 +1,17 @@
 """The batch-resident K/V row store against the caches it replaces.
 
-A :class:`repro.nn.kv_cache.KVRowStore` holds the ``"pruned"`` decode
-rows' columns for the packed backend, and every resident
-:class:`~repro.nn.kv_cache.LayerKVCache` is a handle on its row.  The
-state machine drives one store (and a second, to move rows between
-backends) with everything a decode step and the membership reconcile do
-to it, beside a shadow list of plain private-buffer caches that take
-the same appends and evictions through the per-sequence API; after
-every rule each handle reports what its shadow holds.  The structural
-guard below it pins what the change is for: a steady-state decode step
-over pruned rows never calls the per-sequence cache mutators.
+A :class:`repro.nn.kv_cache.KVRowStore` holds the ``"dense"`` and the
+``"pruned"`` decode rows' columns for the packed backend off the exact
+tier, and every resident :class:`~repro.nn.kv_cache.LayerKVCache` is a
+handle on its row.  The state machine drives one store (and a second,
+to move rows between backends) with everything a decode step and the
+membership reconcile do to it, beside a shadow list of plain
+private-buffer caches that take the same appends and evictions through
+the per-sequence API; after every rule each handle reports what its
+shadow holds — and a store that keeps its columns dequantized holds
+what the shadow dequantizes.  The structural guard below it pins what
+the stores are for: a steady-state decode step over dense or pruned
+rows never calls the per-sequence cache mutators.
 """
 
 import copy
@@ -32,6 +34,7 @@ from repro.core.quantization import quantize_rows
 from repro.nn import TransformerModel, random_model
 from repro.nn.batched_attention import PackedDecodeBackend
 from repro.nn.kv_cache import NO_TOKEN, KVRowStore, LayerKVCache
+from repro.nn.transformer import DenseExecutor
 
 N_HEADS, HEAD_DIM, PAGE = 2, 4, 4
 #: Positions a sequence can reach; the alive plane is one column wider
@@ -67,6 +70,8 @@ class RowStoreMachine(RuleBasedStateMachine):
     """Random walks over a store, a second store, and the shadow caches."""
 
     dtype = np.float32
+    #: Whether the stores keep the int8 columns dequantized as well.
+    dequantized = False
 
     def __init__(self):
         super().__init__()
@@ -74,7 +79,9 @@ class RowStoreMachine(RuleBasedStateMachine):
         self.sequences = []
         like = LayerKVCache(N_HEADS, HEAD_DIM, page_tokens=PAGE,
                             dtype=self.dtype)
-        self.stores = [KVRowStore(like) for _ in range(2)]
+        self.stores = [
+            KVRowStore(like, self.dequantized) for _ in range(2)
+        ]
 
     @property
     def store(self):
@@ -132,9 +139,11 @@ class RowStoreMachine(RuleBasedStateMachine):
         if self.dtype == np.int8:
             k_codes, k_scales = quantize_rows(k, bits=8)
             v_codes, v_scales = quantize_rows(v, bits=8)
+            # As the backend calls it: the dequantized columns follow,
+            # for the stores that keep them.
             width = self.store.append(
                 positions, k_codes, v_codes, k_scales[..., 0],
-                v_scales[..., 0],
+                v_scales[..., 0], k_codes * k_scales, v_codes * v_scales,
             )
             for j, seq in enumerate(residents):
                 seq.shadow.append_decode_col_quantized(
@@ -274,6 +283,10 @@ class RowStoreMachine(RuleBasedStateMachine):
             assert np.array_equal(token_ids, shadow.token_ids)
             for got, want in zip(planes, shadow._planes()):
                 assert np.array_equal(got, want[:, : len(shadow)])
+            if self.dequantized and seq.cache._store is not None:
+                assert len(planes) == 6
+                assert np.array_equal(planes[4], shadow.keys)
+                assert np.array_equal(planes[5], shadow.values)
 
     @invariant()
     def rows_are_dense_and_owned_once(self):
@@ -313,12 +326,22 @@ class Int8RowStoreMachine(RowStoreMachine):
     dtype = np.int8
 
 
-TestRowStoreFp32 = RowStoreMachine.TestCase
-TestRowStoreInt8 = Int8RowStoreMachine.TestCase
-for case in (TestRowStoreFp32, TestRowStoreInt8):
-    case.settings = settings(
+class DequantizedRowStoreMachine(Int8RowStoreMachine):
+    dequantized = True
+
+
+def _test_case(machine):
+    # Bound to no module-level name of its own: a TestCase left behind
+    # one (a loop variable, say) is collected a second time.
+    machine.TestCase.settings = settings(
         max_examples=60, stateful_step_count=30, deadline=None,
     )
+    return machine.TestCase
+
+
+TestRowStoreFp32 = _test_case(RowStoreMachine)
+TestRowStoreInt8 = _test_case(Int8RowStoreMachine)
+TestRowStoreInt8Dequantized = _test_case(DequantizedRowStoreMachine)
 
 
 # ----------------------------------------------------------------------
@@ -333,13 +356,20 @@ PER_ROW_CALLS = (
 )
 
 
-@pytest.mark.parametrize("tier", ["fp32", "int8"])
+# The SpAtten cells keep the ids they have always had.
+@pytest.mark.parametrize("family,tier", [
+    pytest.param(
+        family, tier, id=tier if family == "spatten" else f"{family}-{tier}"
+    )
+    for family in ("spatten", "dense")
+    for tier in ("fp32", "int8")
+])
 def test_steady_state_decode_never_calls_the_per_row_cache_api(
-    tier, monkeypatch
+    family, tier, monkeypatch
 ):
-    """With membership unchanged, a decode step over pruned rows evicts,
-    appends and reads through the row stores alone — while the caches
-    stay the truth for lengths and eviction counts."""
+    """With membership unchanged, a decode step over dense or pruned
+    rows evicts, appends and reads through the row stores alone — while
+    the caches stay the truth for lengths and eviction counts."""
     config = ModelConfig(
         "store-guard", n_layers=3, n_heads=4, d_model=32, d_ff=64,
         vocab_size=96, max_seq_len=160, causal=True,
@@ -349,13 +379,17 @@ def test_steady_state_decode_never_calls_the_per_row_cache_api(
     lengths = [48, 41, 36, 30, 27, 20, 14, 9, 33]
     executors = []
     for length in lengths:
-        executor = SpAttenExecutor(PRUNING, numerics=tier)
+        executor = (
+            SpAttenExecutor(PRUNING, numerics=tier) if family == "spatten"
+            else DenseExecutor(numerics=tier)
+        )
         model.prefill(
             rng.integers(0, config.vocab_size, size=length).tolist(),
             executor,
         )
         executors.append(executor)
-    assert {e.packed_decode_style for e in executors} == {"pruned"}
+    style = "pruned" if family == "spatten" else "dense"
+    assert {e.packed_decode_style for e in executors} == {style}
     backend = PackedDecodeBackend(model, numerics=tier)
     tokens, positions = [1] * len(lengths), list(lengths)
 
@@ -381,10 +415,18 @@ def test_steady_state_decode_never_calls_the_per_row_cache_api(
     for _ in range(12):
         step()
     assert calls == dict.fromkeys(PER_ROW_CALLS, 0)
-    assert sum(e.evicted_kv_tokens for e in executors) > evicted
+    if family == "spatten":
+        assert sum(e.evicted_kv_tokens for e in executors) > evicted
+    stores = backend._stores[style]
+    # Dense int8 rows, the long ones, keep their columns dequantized.
+    assert len(stores[0].planes) == {
+        ("dense", "int8"): 6, ("spatten", "int8"): 4,
+    }.get((family, tier), 2)
     for executor, position in zip(executors, positions):
+        if family == "dense":
+            assert set(executor.kv_lengths()) == {position}
         assert executor.kv_lengths()[0] <= position
         assert all(
-            executor.decode_kv_cache(layer)._store is backend._stores[layer]
+            executor.decode_kv_cache(layer)._store is stores[layer]
             for layer in range(config.n_layers)
         )

@@ -712,7 +712,17 @@ class TestTierPrefill:
         token_keep_final=0.3, head_keep_final=0.625, value_keep=0.9
     )
 
-    def _engine(self, world, tier, pages, admission):
+    # The SpAtten cells keep the ids they have always had.
+    FAMILY_X_TIER = pytest.mark.parametrize("family,tier", [
+        pytest.param(
+            family, tier,
+            id=tier if family == "spatten" else f"{family}-{tier}",
+        )
+        for family in ("spatten", "dense")
+        for tier in ("fp32", "int8")
+    ])
+
+    def _engine(self, world, family, tier, pages, admission):
         config, model, _, _ = world
         pool = KVMemoryPool(
             config,
@@ -721,8 +731,9 @@ class TestTierPrefill:
             page_tokens=8,
         )
         engine = ServingEngine(
-            model, pool, pruning=self.SERVED, prefill_chunk=8,
-            admission=admission, numerics=tier,
+            model, pool,
+            pruning=self.SERVED if family == "spatten" else None,
+            prefill_chunk=8, admission=admission, numerics=tier,
         )
         return engine, pool
 
@@ -733,9 +744,11 @@ class TestTierPrefill:
         )
         return {r.request.request_id: list(r.token_ids) for r in stats.records}
 
-    @pytest.mark.parametrize("tier", ["fp32", "int8"])
-    def test_preempted_spatten_request_replays_its_stream(self, world, tier):
-        """ROADMAP item 6's cross product: SpAtten x preemption x tier.
+    @FAMILY_X_TIER
+    def test_preempted_spatten_request_replays_its_stream(
+        self, world, family, tier
+    ):
+        """ROADMAP item 7's cross product: family x preemption x tier.
         A preempted request recomputes its prompt through the tier's
         prompt pass and must continue the stream it had."""
         requests = synthetic_request_trace(
@@ -744,7 +757,7 @@ class TestTierPrefill:
         )
 
         def run(pages, admission):
-            engine, pool = self._engine(world, tier, pages, admission)
+            engine, pool = self._engine(world, family, tier, pages, admission)
             stats = engine.run(requests)
             pool.audit()
             return stats
@@ -754,16 +767,19 @@ class TestTierPrefill:
         assert tight.n_preemptions > 0 and tight.recompute_tokens > 0
         assert self._streams(tight) == self._streams(roomy)
 
-    @pytest.mark.parametrize("tier", ["fp32", "int8"])
-    def test_quarantined_spatten_request_replays_its_stream(self, world, tier):
-        """SpAtten x quarantine x tier: a page corrupted mid-decode
+    @FAMILY_X_TIER
+    def test_quarantined_spatten_request_replays_its_stream(
+        self, world, family, tier
+    ):
+        """Family x quarantine x tier: a page corrupted mid-decode
         costs its sequence a recompute, never a token — and the evicted
-        executor leaves no row behind in the backend's stores."""
+        executor, dense or pruned, leaves no row behind in the
+        backend's stores."""
         requests = synthetic_request_trace(
             world[2], n_requests=6, rate_per_s=2000.0, prompt_len=24,
             max_new_tokens=(12, 24), seed=11,
         )
-        engine, pool = self._engine(world, tier, 160, "reserve")
+        engine, pool = self._engine(world, family, tier, 160, "reserve")
         clean = self._streams(engine.run(requests))
 
         engine.start()
@@ -778,7 +794,7 @@ class TestTierPrefill:
             victim.executor.decode_kv_cache(layer)
             for layer in range(world[0].n_layers)
         ]
-        stores = engine._backend._stores
+        (stores,) = engine._backend._stores.values()  # one style served
         assert all(c._store is s for c, s in zip(caches, stores))
         layer = next(
             i for i, n in enumerate(
