@@ -515,16 +515,20 @@ class SpAttenExecutor(AttentionExecutor):
           the cascade's control state (live token mask, live heads,
           importance scores, schedule targets) is plain per-sequence
           arrays, so the backend gathers it into batch planes
-          (:meth:`decode_batch_control`) and runs pruning decisions,
-          eviction, attention, local value pruning and importance
-          accumulation for every such row at once, over the per-layer
-          row stores it keeps their K/V in (the caches become handles
-          on their rows; :mod:`repro.nn.kv_cache`).
+          (:meth:`summarize_batch_control` for the prompt pass,
+          :meth:`decode_batch_control` for a decode step) and runs
+          pruning decisions, eviction, attention, local value pruning
+          and importance accumulation for every such row at once, over
+          the per-layer row stores it keeps their K/V in from the
+          prompt pass on (the caches are handles on their rows;
+          :mod:`repro.nn.kv_cache`).
         * ``"custom"`` — the exact tier, where
           :meth:`decode_attend_packed` is the bit-identity oracle, and
           progressive-quantization rows on any tier, whose LSB refetch
           is decided per row from that row's own probabilities: the
-          backend batches only the projections and the output FC.
+          backend batches only the projections and the output FC, in
+          the prompt pass (:meth:`summarize_control`,
+          :meth:`summarize_attend_packed`) as in a decode step.
 
         Both are functions of what the executor *is*
         (``numerics.is_exact``, ``quant is None``); nothing selects the
@@ -537,14 +541,19 @@ class SpAttenExecutor(AttentionExecutor):
         return "pruned"
 
     def decode_kv_cache(self, layer_idx: int):
-        """Bare layer cache: the ``"pruned"`` core evicts and appends
-        centrally, in the row store the cache is then a handle on."""
+        """Bare layer cache: the ``"pruned"`` cores write, evict and
+        append centrally, in the row store the cache is a handle on."""
         return self._cache[layer_idx]
 
     @staticmethod
     def decode_batch_control(executors, positions: np.ndarray) -> CascadeBatch:
         """Open one decode step for a batch of ``"pruned"`` executors."""
         return CascadeBatch(executors, positions)
+
+    @staticmethod
+    def summarize_batch_control(executors, lengths) -> CascadeBatch:
+        """Open the prompt pass of a batch of ``"pruned"`` executors."""
+        return CascadeBatch.summarize(executors, lengths)
 
     def decode_attend_packed(
         self,
@@ -581,7 +590,8 @@ class SpAttenExecutor(AttentionExecutor):
         v_full: np.ndarray,
         positions: np.ndarray,
     ) -> np.ndarray:
-        """Whole-sentence summarize core on backend-projected rows.
+        """Whole-sentence summarize core on backend-projected rows
+        (``"custom"`` rows: progressive quantization off the exact tier).
 
         The prompt-pass counterpart of :meth:`decode_attend_packed`:
         the backend has dropped the rows :meth:`summarize_control`

@@ -75,17 +75,52 @@ class LayerStep:
 
 @dataclass
 class AttentionTrace:
-    """A full run's worth of :class:`LayerStep` entries plus metadata."""
+    """A full run's worth of :class:`LayerStep` entries plus metadata.
+
+    The batched cascade (:mod:`repro.core.batched_cascade`) records a
+    step of a whole batch as the per-layer count rows it already holds
+    (:meth:`add_batched`); they become :class:`LayerStep` entries when
+    :attr:`steps` is first read — a serving run never reads them.
+    """
 
     model: ModelConfig
     original_length: int
     n_generated: int
-    steps: List[LayerStep] = field(default_factory=list)
+    _steps: List[LayerStep] = field(default_factory=list)
     quant: Optional[QuantConfig] = None
     pruning: Optional[PruningConfig] = None
+    #: Batched steps not yet expanded: ``(stage, rows, column)``.
+    _batched: List[tuple] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def add(self, step: LayerStep) -> None:
         self.steps.append(step)
+
+    def add_batched(self, stage: str, rows: List[tuple], column: int) -> None:
+        """Record one step of a batch this trace's sequence was in.
+
+        ``rows[layer]`` is ``(n_keys, n_heads, n_values)``, each a list
+        with one entry per sequence of the batch — shared by every
+        trace of the batch, never copied — and ``column`` this
+        sequence's place in them.  A ``"summarize"`` layer has as many
+        queries as keys, a ``"decode"`` layer one.
+        """
+        self._batched.append((stage, rows, column))
+
+    @property
+    def steps(self) -> List[LayerStep]:
+        """Every step so far, in execution order."""
+        if self._batched:
+            batched, self._batched = self._batched, []
+            for stage, rows, j in batched:
+                for layer, (n_keys, n_heads, n_values) in enumerate(rows):
+                    self._steps.append(LayerStep(
+                        layer, stage,
+                        1 if stage == "decode" else n_keys[j],
+                        n_keys[j], n_heads[j], n_values[j],
+                    ))
+        return self._steps
 
     @property
     def summarize_steps(self) -> List[LayerStep]:

@@ -58,17 +58,29 @@ and additionally runs the layer stack in the compute dtype.
 
 The prompt pass is on the ladder too — SpAtten prunes and quantizes the
 summarization stage as much as the generation stage (PAPER.md §III,
-Fig. 3) — with the same split.  On the exact tier the model keeps its
-fp64 stack and :meth:`~PackedDecodeBackend.project_chunk_rows` only
-fuses the Q/K/V projections of every in-flight prompt's chunk into one
-GEMM over the concatenated rows.  On fp32/int8,
+Fig. 3) — and takes the decode step's split by
+``packed_decode_style``.  On the exact tier the model keeps its fp64
+stack and :meth:`~PackedDecodeBackend.project_chunk_rows` only fuses the
+Q/K/V projections of every in-flight prompt's chunk into one GEMM over
+the concatenated rows.  On fp32/int8,
 :meth:`~PackedDecodeBackend.prefill_chunk_policy` owns the step: dense
-chunks and the whole-sentence SpAtten cascades that complete in it run
-one compute-dtype layer stack (fused QKV GEMM, masked softmax,
-LayerNorm, in-place tanh/gelu FFN, LM head), K/V reach the caches from
-compute-dtype rows (int8 quantizes them from fp32, live heads only),
-and the cascade's token / head importance alone accumulates in fp64 —
-the ranking truth, as in the decode step's batch control.
+chunks and the whole sentences whose final chunk lands in it run one
+compute-dtype layer stack (fused QKV GEMM, masked softmax, LayerNorm,
+in-place tanh/gelu FFN, LM head).  ``"dense"`` chunks attend centrally
+against their (private) caches; ``"custom"`` sentences keep the
+per-sequence cascade and core; and every ``"pruned"`` sentence of the
+step runs **one batched whole-sentence core per layer**
+(:func:`_prefill_pruned_core`): entry token / head pruning as ranked
+masks over the batch's control planes (the summarize-stage opening of
+:class:`~repro.core.batched_cascade.CascadeBatch`), then one score
+GEMM, causal softmax, local value pruning and A·V over a padded
+``[B, h, L, L]`` plane, the sequences taken in blocks whose plane stays
+under a fixed scratch budget.  Their K/V go **straight into the
+``"pruned"`` row stores** — the sequences' empty caches are adopted
+before the first layer, each layer writes its block once per plane
+(int8 quantizes the block in one pass, live heads only) — and the
+cascade's token / head importance alone accumulates in fp64: the
+ranking truth, as in the decode step's batch control.
 
 Exact tier: the bit-identity contract
 -------------------------------------
@@ -117,10 +129,12 @@ forbids:
   and style (``"dense"``, ``"pruned"``) holds its rows' columns at the
   storage dtype — ``[S, h, cap, D]`` planes in one row order across
   layers — and each :class:`~repro.nn.kv_cache.LayerKVCache` is a
-  handle on its row.  A sequence is adopted on its first decode step
-  (one copy per layer, its private buffers freed) and lives there until
-  it retires; :meth:`PackedDecodeBackend.decode_step_policy` reconciles
-  the stores' rows with the step's batch once, before the first layer;
+  handle on its row.  A pruned sequence is a store row from the first
+  column its prompt pass computes; a dense one is adopted on its first
+  decode step (one copy per layer, its private buffers freed).  Either
+  lives there until it retires;
+  :meth:`PackedDecodeBackend.decode_step_policy` reconciles the stores'
+  rows with the step's batch once, before the first layer;
 * the step's new columns are one indexed store per plane, and the
   score and A·V stages run as *one* batched ``[n, h, 1, width]`` gufunc
   matmul each over ``store[:n, :, :width]`` views, with a masked
@@ -154,7 +168,7 @@ import numpy as np
 
 from .attention import split_heads
 from .functional import GELU_C, softmax_inplace
-from .kv_cache import NO_TOKEN, KVRowStore
+from .kv_cache import NO_TOKEN, KVRowStore, ragged_arange
 from .numerics import NumericsMismatchError, resolve_numerics
 from .transformer import AttentionExecutor, PrefillState, TransformerModel
 
@@ -171,6 +185,14 @@ _SCRATCH_PAGE = 64
 #: Rows per pass of the compute-dtype FFN: its two ``[rows, d_ff]``
 #: scratch planes persist, and a prompt step can carry thousands of rows.
 _FFN_BLOCK = 256
+
+#: Bytes of padded ``[B, h, L, L]`` score plane a block of pruned
+#: prompts may span (:meth:`PackedDecodeBackend._open_pruned_blocks`):
+#: every 32-token sentence a step is likely to carry (64 of an 8-head
+#: model), but one 192-token sentence at a time — their planes are
+#: GEMM-sized already, and the scratch is resident for good (a 4 MiB
+#: budget read +10 % peak RSS on ``prefill_spatten_int8``, this +3 %).
+_PROMPT_PLANE_BYTES = 2 << 20
 
 #: ``(batch row, executor)`` pairs of one packed style.
 _Rows = List[Tuple[int, AttentionExecutor]]
@@ -289,23 +311,93 @@ class _Weights:
 
 
 class _PromptRows:
-    """One sequence's rows in a prompt step
+    """One ``"dense"`` or ``"custom"`` sequence's rows in a prompt step
     (:meth:`PackedDecodeBackend.prefill_chunk_policy`).
 
-    ``index`` is the sequence's place in the step's states; ``dense``
-    whether the backend runs its attention core centrally;
+    ``indices`` holds the sequence's place in the step's states;
+    ``dense`` whether the backend runs its attention core centrally;
     ``positions`` the original positions of its rows still in the
     residual stream — the chunk ``[start, end)`` going in, fewer as
     cascade pruning drops rows layer by layer.
     """
 
-    __slots__ = ("index", "executor", "dense", "positions")
+    __slots__ = ("indices", "executor", "dense", "positions")
 
     def __init__(self, index, executor, dense, start, end):
-        self.index = index
+        self.indices = [index]
         self.executor = executor
         self.dense = dense
         self.positions = np.arange(start, end)
+
+    @property
+    def core_stage(self) -> str:
+        return "prefill_dense_core" if self.dense else "prefill_custom_core"
+
+    def ends(self) -> List[int]:
+        return [len(self.positions)]
+
+    def prune(self, layer_idx: int) -> np.ndarray:
+        """Entry pruning; returns the surviving rows' indices."""
+        if self.dense:
+            return np.arange(len(self.positions))
+        survivors = self.executor.summarize_control(layer_idx, self.positions)
+        self.positions = self.positions[survivors]
+        return survivors
+
+    def attend(self, backend, layer_idx, heads, out) -> None:
+        """``heads`` ``[L, 3, h, D]`` projections → ``out`` ``[L, d]``."""
+        q, k, v = heads.transpose(1, 2, 0, 3)  # three [h, L, D] views
+        if self.dense:
+            _prefill_dense_core(
+                backend, self.executor.decode_kv_cache(layer_idx),
+                q, k, v, self.positions, out,
+            )
+        else:
+            out[...] = self.executor.summarize_attend_packed(
+                layer_idx, backend._model, q, k, v, self.positions
+            )
+
+
+class _PrunedBlock:
+    """``"pruned"`` sequences of a prompt step that share one padded
+    score plane — the whole sentence of each.
+
+    ``indices`` are their places in the step's states, ``cascade`` their
+    batch control (:meth:`~repro.nn.transformer.AttentionExecutor
+    .summarize_batch_control`) and ``rows`` the rows their caches were
+    adopted into, empty, in every layer's ``"pruned"`` store.  The rows
+    still in the residual stream are flat, sequence after sequence:
+    ``seq_of`` names each one's sequence (of the block) and
+    ``positions`` its original position.
+    """
+
+    __slots__ = ("indices", "cascade", "rows", "seq_of", "positions")
+    core_stage = "prefill_pruned_core"
+
+    def __init__(self, indices, cascade, rows, lengths):
+        self.indices = indices
+        self.cascade = cascade
+        self.rows = rows
+        self.seq_of = np.repeat(np.arange(len(lengths)), lengths)
+        self.positions = ragged_arange(np.asarray(lengths))
+
+    def ends(self) -> np.ndarray:
+        return np.cumsum(self.cascade.n_alive)
+
+    def prune(self, layer_idx: int) -> np.ndarray:
+        """Entry pruning; returns the surviving rows' indices."""
+        self.cascade.prune(layer_idx)
+        survivors = np.flatnonzero(
+            self.cascade.alive[self.seq_of, self.positions]
+        )
+        self.seq_of = self.seq_of[survivors]
+        self.positions = self.positions[survivors]
+        return survivors
+
+    def attend(self, backend, layer_idx, heads, out) -> None:
+        _prefill_pruned_core(
+            backend, backend._stores["pruned"][layer_idx], self, heads, out
+        )
 
 
 class PackedDecodeBackend:
@@ -372,6 +464,18 @@ class PackedDecodeBackend:
                 dtype=self.policy.compute_dtype,
             )
         return buf[:n, :, :, :max_len]
+
+    def _prompt_plane(self, n: int, length: int) -> np.ndarray:
+        """``[n, h, length, length]`` score scratch of a block of pruned
+        prompts, contiguous at whatever shape is asked for."""
+        shape = (n, self._model.config.n_heads, length, length)
+        size = int(np.prod(shape))
+        buf = self._scratch.get("prompt_plane")
+        if buf is None or buf.size < size:
+            buf = self._scratch["prompt_plane"] = np.empty(
+                size, dtype=self.policy.compute_dtype
+            )
+        return buf[:size].reshape(shape)
 
     # ------------------------------------------------------------------
     # The per-layer skeleton and its two entry points
@@ -525,11 +629,12 @@ class PackedDecodeBackend:
         exact path operation-for-operation — embedding gather, packed
         attention, residual + LayerNorm, tanh/gelu FFN, LM head — but
         runs vectorized over the cast weights.  ``dense`` and ``pruned``
-        executors' K/V are made resident in the row stores here; the
-        ``pruned`` ones' cascade control is opened as one batch, stepped
-        by every layer's core, and committed back to the executors once
-        the stack is through; ``custom`` executors keep their own
-        per-sequence core.
+        executors' K/V are made resident in the row stores here (a
+        ``pruned`` one served by this backend has been since its prompt
+        pass); the ``pruned`` ones' cascade control is opened as one
+        batch, stepped by every layer's core, and committed back to the
+        executors once the stack is through; ``custom`` executors keep
+        their own per-sequence core.
         """
         prof = self.profiler
         t_step = t0 = prof.start() if prof is not None else 0.0
@@ -573,6 +678,22 @@ class PackedDecodeBackend:
     # ------------------------------------------------------------------
     # Row-store residency of the dense and the pruned rows
     # ------------------------------------------------------------------
+    def _style_stores(
+        self, style: str, executor: AttentionExecutor
+    ) -> List[KVRowStore]:
+        """``style``'s per-layer stores, built on first use from the
+        caches of ``executor``, one of its rows."""
+        stores = self._stores.get(style)
+        if stores is None:
+            # Dense rows never evict, so they are the long ones: on
+            # int8 their stores keep the columns dequantized as well.
+            dequantized = style == "dense" and self.policy.quantized_gemm
+            stores = self._stores[style] = [
+                KVRowStore(executor.decode_kv_cache(layer_idx), dequantized)
+                for layer_idx in range(self._model.config.n_layers)
+            ]
+        return stores
+
     def _resident(self, style: str, rows: _Rows, batch: int):
         """Make ``style``'s row stores hold exactly this step's ``rows``.
 
@@ -582,23 +703,20 @@ class PackedDecodeBackend:
         is not in the batch (or whose cache took its columns back,
         :meth:`~repro.nn.kv_cache.KVRowStore.orphan`) are released in
         every layer's store, their caches taking the live columns with
-        them, and arrivals are adopted: one copy per sequence and
-        layer, after which the private buffers are gone.
+        them, and arrivals — rows not resident yet: a dense sequence
+        after its prompt pass, any sequence prefilled elsewhere or whose
+        cache took its columns back — are adopted: one copy per
+        sequence and layer, after which the private buffers are gone.
 
         Returns ``(executors, sel)`` in store-row order — the order the
         step's batch control and every layer's core run in; ``sel`` are
         the rows' batch indices (a plain slice when the two orders
         coincide: views, not fancy-index copies).
         """
-        stores = self._stores.get(style)
-        if stores is None:
-            # Dense rows never evict, so they are the long ones: on
-            # int8 their stores keep the columns dequantized as well.
-            dequantized = style == "dense" and self.policy.quantized_gemm
-            stores = self._stores[style] = [
-                KVRowStore(rows[0][1].decode_kv_cache(layer_idx), dequantized)
-                for layer_idx in range(self._model.config.n_layers)
-            ]
+        stores = (
+            self._style_stores(style, rows[0][1]) if rows
+            else self._stores[style]
+        )
         first = stores[0]
         caches = [executor.decode_kv_cache(0) for _, executor in rows]
         if (
@@ -639,10 +757,11 @@ class PackedDecodeBackend:
 
     def release(self, executor: AttentionExecutor) -> None:
         """Forget a sequence that will not decode here again (retired,
-        preempted, quarantined, drained): its store rows are vacated
-        without copying the columns back, and its caches left empty.
-        Rows nobody releases are found by the next step's reconcile,
-        which does copy them back.
+        preempted, quarantined, drained — a pruned one possibly straight
+        after its prompt pass, which made it resident): its store rows
+        are vacated without copying the columns back, and its caches
+        left empty.  Rows nobody releases are found by the next decode
+        step's reconcile, which does copy them back.
         """
         stores = self._stores.get(executor.packed_decode_style)
         if stores is not None:
@@ -724,122 +843,194 @@ class PackedDecodeBackend:
         :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
         delegates here (after its input validation) whenever the
         backend's policy is non-exact — the prompt pass's counterpart of
-        :meth:`decode_step_policy`.  Every prompt row of the step runs
-        one layer stack over the cast weights: ``"dense"`` executors'
-        next chunk, attended centrally against their cache
+        :meth:`decode_step_policy`, with the same split by
+        :attr:`~repro.nn.transformer.AttentionExecutor
+        .packed_decode_style`.  Every prompt row of the step runs one
+        layer stack over the cast weights: ``"dense"`` executors' next
+        chunk, attended centrally against their cache
         (:func:`_prefill_dense_core`), and, for every other executor
         whose *final* chunk this is, the whole sentence — cascade
         pruning decides over all of it, so earlier chunks only advance
-        the committed-token counter, as on the exact tier.  Such an
-        executor prunes its rows at each layer's entry
-        (:meth:`~repro.nn.transformer.AttentionExecutor
-        .summarize_control`), so pruned tokens skip the projections and
-        the FFN, and runs its own core on the survivors' projections
-        (:meth:`~repro.nn.transformer.AttentionExecutor
-        .summarize_attend_packed`).  The QKV projection, the output FC,
-        the residual / LayerNorm / FFN arithmetic and the LM head each
-        run once per layer over all sequences' rows.
+        the committed-token counter, as on the exact tier.  Pruned
+        tokens leave the residual stream at each layer's entry, so they
+        skip the projections and the FFN:
+
+        * ``"pruned"`` sequences run **one batched core per layer**
+          (:func:`_prefill_pruned_core`) under one batch control, opened
+          for the pass and committed to the executors once; their K/V
+          go straight into the ``"pruned"`` row stores, which adopt the
+          sequences' empty caches before the first layer — a sequence
+          is resident from its first column;
+        * ``"custom"`` sequences (progressive quantization) prune
+          through :meth:`~repro.nn.transformer.AttentionExecutor
+          .summarize_control` and run their own core on the survivors'
+          projections (:meth:`~repro.nn.transformer.AttentionExecutor
+          .summarize_attend_packed`).
+
+        The QKV projection, the output FC, the residual / LayerNorm /
+        FFN arithmetic and the LM head each run once per layer over all
+        sequences' rows.
 
         Returns one entry per state: the next-token logits (compute
         dtype) of prompts that completed, else ``None``.
         """
-        rows = self._group_rows(model, [state.executor for state in states])
-        dense = {i for i, _ in rows["dense"]}
+        prof = self.profiler
+        t_step = t0 = prof.start() if prof is not None else 0.0
+        cfg, w = model.config, self._weights
+        by_style = self._group_rows(
+            model, [state.executor for state in states]
+        )
         spans = [state.next_span(max_tokens) for state in states]
-        # The sequences with rows in this step, in batch order.
-        active: List[_PromptRows] = []
-        for i, (state, (start, end)) in enumerate(zip(states, spans)):
-            if i in dense:
-                active.append(_PromptRows(i, state.executor, True, start, end))
-            elif end == state.prompt_len:
-                active.append(_PromptRows(i, state.executor, False, 0, end))
+        final = [
+            end == state.prompt_len for state, (_, end) in zip(states, spans)
+        ]
+        # The sequences with rows in this step, style by style.
+        parts: list = [
+            _PromptRows(i, executor, True, *spans[i])
+            for i, executor in by_style["dense"]
+        ] + [
+            _PromptRows(i, executor, False, 0, spans[i][1])
+            for i, executor in by_style["custom"] if final[i]
+        ]
+        whole = [(i, ex) for i, ex in by_style["pruned"] if final[i]]
         results: List[Optional[np.ndarray]] = [None] * len(states)
-        if active:
-            hidden = self._prefill_layers(model, states, active)
+        x = None
+        if parts or whole:
+            lengths = [states[i].prompt_len for i, _ in whole]
+            token_ids = np.concatenate(
+                [states[rows.indices[0]].prompt_ids[rows.positions]
+                 for rows in parts]
+                + [states[i].prompt_ids for i, _ in whole]
+            )
+            positions = np.concatenate(
+                [rows.positions for rows in parts]
+                + [ragged_arange(np.array(lengths, dtype=np.int64))]
+            )
+            if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:
+                raise ValueError("token id out of vocabulary range")
+            if positions.max() >= cfg.max_seq_len:
+                raise ValueError(
+                    f"sequence exceeds max_seq_len={cfg.max_seq_len}"
+                )
+            blocks = self._open_pruned_blocks(whole, lengths)
+            parts += blocks
+            x = w.tok_emb[token_ids] + w.pos_emb[positions]
+        if prof is not None:
+            t0 = prof.lap("prefill_setup", t0)
+        if x is not None:
+            hidden = self._prefill_layers(parts, x)
+            t0 = prof.start() if prof is not None else 0.0
+            for block in blocks:
+                block.cascade.commit()
+            if prof is not None:
+                t0 = prof.lap("prefill_commit", t0)
             # A sequence's last row survives every layer (cascade pruning
-            # protects the final prompt token) and ends its block.
-            ends = np.cumsum([len(rows.positions) for rows in active])
-            done = [
-                j for j, rows in enumerate(active)
-                if spans[rows.index][1] == states[rows.index].prompt_len
-            ]
+            # protects the final prompt token) and ends its rows.
+            done, last_rows, offset = [], [], 0
+            for part in parts:
+                for i, end in zip(part.indices, part.ends()):
+                    if final[i]:
+                        done.append(i)
+                        last_rows.append(offset + end - 1)
+                offset += len(part.positions)
             if done:
-                logits = hidden[ends[done] - 1] @ self._weights.lm_proj
-                for j, row in zip(done, logits):
-                    results[active[j].index] = row
+                logits = hidden[last_rows] @ w.lm_proj
+                for i, row in zip(done, logits):
+                    results[i] = row
         for state, (_, end), logits in zip(states, spans, results):
             state.n_committed = end
             state.logits = logits
+        if prof is not None:
+            prof.stop("prefill_lm_head", t0)
+            prof.stop("prefill_step", t_step)
         return results
 
-    def _prefill_layers(self, model, states, active) -> np.ndarray:
-        """The layer stack of one prompt step over ``active``'s rows.
+    def _open_pruned_blocks(
+        self, whole: _Rows, lengths: List[int]
+    ) -> List[_PrunedBlock]:
+        """Make the step's ``"pruned"`` sequences ``whole`` resident and
+        open their batch controls, a block of consecutive ones each.
 
-        Returns the final hidden rows, one block per sequence in order;
-        each entry's ``positions`` are left at its surviving rows'.
+        A block is as many sequences as keep its padded ``[B, h, L, L]``
+        score plane — ``L`` the longest prompt among them — within
+        :data:`_PROMPT_PLANE_BYTES`, so the scratch stays that size
+        however many prompts a step completes, and a short prompt is
+        never padded out to a long one's plane past that budget.
         """
-        cfg = model.config
+        if not whole:
+            return []
+        cfg = self._model.config
+        indices = [i for i, _ in whole]
+        executors = [executor for _, executor in whole]
+        stores = self._style_stores("pruned", executors[0])
+        first_row = len(stores[0].owners)
+        for layer_idx, store in enumerate(stores):
+            store.adopt([
+                executor.decode_kv_cache(layer_idx) for executor in executors
+            ])
+        pair_bytes = cfg.n_heads * np.dtype(self.policy.compute_dtype).itemsize
+        blocks, start, longest = [], 0, lengths[0]
+        for stop in range(1, len(whole) + 1):
+            if stop < len(whole):
+                # Would the next sequence still fit this block's plane?
+                longest = max(longest, lengths[stop])
+                if ((stop + 1 - start) * longest * longest * pair_bytes
+                        <= _PROMPT_PLANE_BYTES):
+                    continue
+                longest = lengths[stop]
+            blocks.append(_PrunedBlock(
+                indices[start:stop],
+                executors[start].summarize_batch_control(
+                    executors[start:stop], lengths[start:stop]
+                ),
+                np.arange(first_row + start, first_row + stop),
+                lengths[start:stop],
+            ))
+            start = stop
+        return blocks
+
+    def _prefill_layers(self, parts, x: np.ndarray) -> np.ndarray:
+        """The layer stack of one prompt step over ``parts``' rows
+        ``x``, one after the other in order.
+
+        Returns the final hidden rows in the same order; each part's
+        ``positions`` are left at its surviving rows'.
+        """
+        cfg = self._model.config
         w = self._weights
         prof = self.profiler
-        token_ids = np.concatenate([
-            states[rows.index].prompt_ids[rows.positions] for rows in active
-        ])
-        positions = np.concatenate([rows.positions for rows in active])
-        if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:
-            raise ValueError("token id out of vocabulary range")
-        if positions.max() >= cfg.max_seq_len:
-            raise ValueError(
-                f"sequence exceeds max_seq_len={cfg.max_seq_len}"
-            )
-        x = w.tok_emb[token_ids] + w.pos_emb[positions]
         for layer_idx in range(cfg.n_layers):
             # Entry pruning: rows the cascade drops leave the residual
             # stream before the projections (and the FFN) see them.
-            t_core = prof.start() if prof is not None else 0.0
+            t0 = prof.start() if prof is not None else 0.0
             kept, offset = [], 0
-            for rows in active:
-                n_rows = len(rows.positions)
-                survivors = np.arange(n_rows)
-                if not rows.dense:
-                    survivors = rows.executor.summarize_control(
-                        layer_idx, rows.positions
-                    )
-                    rows.positions = rows.positions[survivors]
-                kept.append(survivors + offset)
+            for part in parts:
+                n_rows = len(part.positions)
+                kept.append(part.prune(layer_idx) + offset)
                 offset += n_rows
             kept = np.concatenate(kept)
             if len(kept) < len(x):
                 x = x[kept]
+            # Each stage starts where the one before stopped (``lap``),
+            # so the layer's stages tile it.
+            if prof is not None:
+                t0 = prof.lap("prefill_prune_control", t0)
 
-            t0 = prof.start() if prof is not None else 0.0
             qkv = self._project(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
             if prof is not None:
-                # prefill_core is the attention half (entry pruning to
-                # output FC) less the projection it brackets.
-                t_core += prof.stop("prefill_chunk_proj", t0)
+                t0 = prof.lap("prefill_chunk_proj", t0)
 
             heads = qkv.reshape(len(x), 3, cfg.n_heads, cfg.head_dim)
             merged = np.empty_like(x)
             offset = 0
-            for rows in active:
-                block = slice(offset, offset + len(rows.positions))
+            for part in parts:
+                block = slice(offset, offset + len(part.positions))
                 offset = block.stop
-                # [L, 3, h, D] -> three [h, L, D] views.
-                q, k, v = heads[block].transpose(1, 2, 0, 3)
-                if rows.dense:
-                    _prefill_dense_core(
-                        self, rows.executor.decode_kv_cache(layer_idx),
-                        q, k, v, rows.positions, merged[block],
-                    )
-                else:
-                    merged[block] = rows.executor.summarize_attend_packed(
-                        layer_idx, model, q, k, v, rows.positions
-                    )
-            attn_out = self._project(merged, w.wo[layer_idx], w.bo[layer_idx])
-            if prof is not None:
-                prof.stop("prefill_core", t_core)
+                part.attend(self, layer_idx, heads[block], merged[block])
+                if prof is not None:
+                    t0 = prof.lap(part.core_stage, t0)
 
-            t0 = prof.start() if prof is not None else 0.0
+            attn_out = self._project(merged, w.wo[layer_idx], w.bo[layer_idx])
             x = self._ffn_half(layer_idx, x, attn_out)
             if prof is not None:
                 prof.stop("prefill_ffn", t0)
@@ -933,6 +1124,89 @@ def _prefill_dense_core(
     )
     softmax_inplace(scores)
     out[...] = np.matmul(scores, values).transpose(1, 0, 2).reshape(out.shape)
+
+
+def _prefill_pruned_core(
+    backend: "PackedDecodeBackend",
+    store: KVRowStore,
+    block: _PrunedBlock,
+    heads: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Whole-sentence attention core of one layer over a block of
+    ``"pruned"`` prompts: K/V block write → scores → causal softmax →
+    local value pruning → A·V → importance, as batched tensor ops over
+    a padded ``[B, h, L, L]`` plane — the prompt pass's
+    :func:`_store_core`.
+
+    ``heads`` ``[N, 3, h, D]`` are the projections of the block's
+    surviving rows, flat, and ``out`` ``[N, d]`` takes their merged head
+    features.  The K/V columns (dead heads' as zeros) go to the rows'
+    store in one write per plane — the block quantized in *one* pass
+    under int8 — while the attention reads them un-quantized, as the
+    per-sequence summarize core does.  Sequence ``j``'s ``n_j`` rows sit
+    in rows and columns ``[0, n_j)`` of its plane in position order, so
+    the causal mask is one triangle for the block and a real query never
+    sees a padding column; padded *query* rows are zeroed after the
+    softmax and contribute exact zeros from there on.  Local value
+    pruning ranks each head's column mass — summed over the queries
+    once, the same plane the fp64 token importance accumulates — and
+    zeroes the dropped V rows, which is masking their probabilities.
+    """
+    cfg = backend._model.config
+    cascade = block.cascade
+    counts = cascade.n_alive
+    n, length = len(counts), int(counts.max())
+    seq_of, col_of = block.seq_of, None
+    if n * length > len(seq_of):
+        col_of = ragged_arange(counts)
+
+    def padded(flat: np.ndarray, fill=0) -> np.ndarray:
+        """Flat ``[N, ...]`` rows as ``[n, length, ...]``."""
+        if col_of is None:
+            return flat.reshape((n, length) + flat.shape[1:])
+        pack = np.full((n, length) + flat.shape[1:], fill, flat.dtype)
+        pack[seq_of, col_of] = flat
+        return pack
+
+    q, k, v = heads[:, 0], heads[:, 1], heads[:, 2]
+    head_gate = None
+    if cascade.any_head_dead:
+        head_gate = cascade.head_alive[:, :, None]
+        gate = head_gate[seq_of]
+        k, v = k * gate, v * gate
+    store.write_block(
+        block.rows, counts, block.positions,
+        *_stage_kv_columns(backend, k, v),
+    )
+
+    # [n, length, h, D] → [n, h, length, D] views; BLAS takes them (and
+    # the transposed keys) without materializing.
+    q_pack = padded(q * backend._inv_sqrt_d).transpose(0, 2, 1, 3)
+    k_pack = padded(k).transpose(0, 2, 3, 1)
+    v_pack = padded(v).transpose(0, 2, 1, 3)
+    probs = backend._prompt_plane(n, length)
+    np.matmul(q_pack, k_pack, out=probs)
+    cols = np.arange(length)
+    np.copyto(probs, _MASKED, where=cols > cols[:, None])
+    softmax_inplace(probs)
+    if col_of is not None:
+        probs *= (cols < counts[:, None])[:, None, :, None]
+    mass = np.add.reduce(probs, axis=2)  # [n, h, length]
+    # Ranked on every head's own mass, before dead heads are zeroed.
+    value_mask = cascade.value_mask(mass, counts)
+    if head_gate is not None:
+        mass *= head_gate
+    cascade.accumulate_tokens(mass, padded(block.positions, cascade.sink))
+    if value_mask is not None:
+        v_pack = v_pack * value_mask[..., None]
+    head_out = np.matmul(probs, v_pack)  # [n, h, length, D]
+    cascade.accumulate_heads(head_out, counts)
+    merged = head_out.transpose(0, 2, 1, 3).reshape(n, length, -1)
+    out[...] = (
+        merged.reshape(out.shape) if col_of is None
+        else merged[seq_of, col_of]
+    )
 
 
 def _dense_core_exact(

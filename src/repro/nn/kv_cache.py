@@ -13,7 +13,7 @@ Storage model (private buffers or a store row)
 A :class:`LayerKVCache` keeps its columns in one of two places.
 
 **Private buffers** — the default, and the only form the ``exact``
-tier, ``"custom"`` decode rows and every prompt pass ever see.  The
+tier, ``"custom"`` rows and a ``"dense"`` prompt pass ever see.  The
 cache distinguishes the *live length* (columns holding real K/V state)
 from the *capacity* (columns the backing buffers can hold).  Buffers
 are preallocated and grown by amortized doubling at **page
@@ -37,7 +37,12 @@ pruned column is relabelled :data:`NO_TOKEN` where it sits (its score
 is masked, its probability an exact zero) and the row is compacted,
 order preserved, only once a whole ``page_tokens`` page of such holes
 has built up: the zero eliminator's software analogue (PAPER.md §IV-B).
-A dense row simply never evicts.  The cache is then a *handle* on its
+A dense row simply never evicts.  A dense sequence moves in on its
+first decode step (:meth:`KVRowStore.adopt`: one copy, its private
+buffers freed); a pruned one is adopted *empty* when its prompt pass
+opens and each layer fills its row with one ragged block write
+(:meth:`KVRowStore.write_block`), so it never holds private columns at
+all.  The cache is then a *handle* on its
 row: ``len()`` and :attr:`evicted_tokens` read the store's per-row
 vectors, so ``kv_lengths()``, pool pages and the serving report stay
 exact while the hot path never calls the cache — and **every
@@ -111,6 +116,14 @@ _BUFFERS = frozenset((
 #: column of a control plane, which
 #: :class:`~repro.core.batched_cascade.CascadeBatch` keeps dead.
 NO_TOKEN = -1
+
+
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """``0 .. counts[i] - 1`` for every ``i``, concatenated: the column
+    of each entry of a flat, ragged block of rows."""
+    return np.arange(counts.sum()) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
 
 
 class LayerKVCache:
@@ -766,6 +779,28 @@ class KVRowStore:
         cursor += 1
         self.live[:n] += 1
         return width
+
+    def write_block(
+        self,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        labels: np.ndarray,
+        *columns: np.ndarray,
+    ) -> None:
+        """Fill rows adopted empty with a prompt pass's columns.
+
+        Row ``rows[i]`` takes ``counts[i]`` columns; the block is ragged
+        and flat, sequence after sequence: ``labels`` ``[N]`` and, plane
+        for plane as :meth:`append` takes them, ``columns``
+        ``[N, h(, D)]``, ``N = counts.sum()``.  One indexed store per
+        plane, whatever the rows' lengths.
+        """
+        self._reserve(len(self.owners), int(counts.max(initial=0)))
+        row_of, col_of = np.repeat(rows, counts), ragged_arange(counts)
+        for plane, column in zip(self.planes, columns):
+            plane[row_of, :, col_of] = column
+        self.labels[row_of, col_of] = labels
+        self.cursor[rows] = self.live[rows] = counts
 
     def compute_columns(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
         """K and V of the rows in use over columns ``[0, width)`` as

@@ -158,17 +158,20 @@ class AttentionExecutor:
           attention and importance accumulation for all such rows at
           once — over K/V it keeps batch-resident: the caches
           :meth:`decode_kv_cache` returns are adopted into the backend's
-          per-layer :class:`~repro.nn.kv_cache.KVRowStore` on the
-          sequence's first decode step (one copy per layer, private
-          buffers freed) and are handles on their rows from then on
+          per-layer :class:`~repro.nn.kv_cache.KVRowStore` — empty,
+          when the backend's prompt pass opens, or with one copy per
+          layer on the first decode step of a sequence prefilled
+          elsewhere — and are handles on their rows from then on
           (still the truth for :meth:`kv_lengths` and
           :attr:`evicted_kv_tokens`; reading their columns brings them
           back into private buffers).
 
         A non-exact backend's prompt pass reads the same property:
         ``"dense"`` executors' chunks attend centrally against their
-        cache, every other style is summarized whole-sentence through
-        :meth:`summarize_control` / :meth:`summarize_attend_packed`.
+        cache; every other style is summarized whole-sentence —
+        ``"custom"`` through :meth:`summarize_control` /
+        :meth:`summarize_attend_packed`, ``"pruned"`` by the backend's
+        batched core under :meth:`summarize_batch_control`.
 
         ``"dense"`` and ``"custom"`` results must be bit-identical to the
         looped :meth:`run_layer` path on the exact tier — the backend
@@ -230,6 +233,18 @@ class AttentionExecutor:
         """
         raise NotImplementedError
 
+    @staticmethod
+    def summarize_batch_control(executors, lengths):
+        """Open one prompt pass's batch control (``"pruned"`` style).
+
+        ``executors`` are begun sequences whose whole sentences — of
+        ``lengths`` tokens — a non-exact backend summarizes together.
+        The prompt pass's :meth:`decode_batch_control`: the same
+        object, opened at the summarize stage
+        (:meth:`repro.core.batched_cascade.CascadeBatch.summarize`).
+        """
+        raise NotImplementedError
+
     def decode_attend_packed(
         self,
         layer_idx: int,
@@ -257,11 +272,12 @@ class AttentionExecutor:
         The non-exact tiers' prompt pass
         (:meth:`~repro.nn.batched_attention.PackedDecodeBackend
         .prefill_chunk_policy`) runs every executor that is not
-        ``"dense"`` whole-sentence: each layer first asks the executor
-        which of the rows at ``positions`` survive — the returned
-        indices; the others leave the residual stream — then projects
-        the survivors together with every other sequence's rows and
-        hands them to :meth:`summarize_attend_packed`.
+        ``"dense"`` whole-sentence.  For a ``"custom"`` one, each layer
+        first asks the executor which of the rows at ``positions``
+        survive — the returned indices; the others leave the residual
+        stream — then projects the survivors together with every other
+        sequence's rows and hands them to
+        :meth:`summarize_attend_packed`.
         """
         raise NotImplementedError
 
@@ -274,7 +290,8 @@ class AttentionExecutor:
         v_full: np.ndarray,
         positions: np.ndarray,
     ) -> np.ndarray:
-        """Whole-sentence summarize core on the backend's projections.
+        """Whole-sentence summarize core on the backend's projections
+        (``"custom"`` style).
 
         Receives the surviving rows' full-width ``q/k/v`` (``[h, L, D]``
         each, in the backend's compute dtype), caches K/V, and returns

@@ -17,8 +17,9 @@ decode step and the prompt pass:
   fp64 stack, so only the per-layer stages are recorded there;
 * ``decode_setup`` — before the first layer: grouping the rows by
   style, reconciling the dense and the pruned rows' stores with the
-  batch (adopting arrivals, releasing departures), opening the step's
-  ``CascadeBatch`` and the embedding gather;
+  batch (adopting arrivals — dense rows after their prompt pass; pruned
+  ones are resident since theirs — and releasing departures), opening
+  the step's ``CascadeBatch`` and the embedding gather;
 * ``decode_qkv_proj`` — the fused ``[B, d] @ [d, 3d]`` projection;
 * ``decode_dense_core`` — KV append + scores/softmax/A·V of the dense
   rows: per sequence over exact-length cache views on the exact tier,
@@ -40,17 +41,44 @@ decode step and the prompt pass:
 * ``decode_commit`` — ``CascadeBatch.commit()``: the step's control
   state and trace rows stored back into the executors;
 * ``decode_lm_head`` — the final ``[B, d] @ [d, vocab]`` projection;
-* ``prefill_chunk_proj`` — the prompt pass's fused Q/K/V projections;
-* ``prefill_core`` — the rest of its attention half: cascade entry
+* ``prefill_step`` — a whole ``fp32`` / ``int8`` prompt step
+  (``prefill_chunk_policy``), the total of the ``prefill_*`` stages on
+  those tiers as ``decode_step`` is of the decode stages (same
+  ``unattributed`` row, same 5 % test).  Its stages, contiguous:
+* ``prefill_setup`` — grouping the states by style, the chunk spans,
+  input validation, adopting the pruned sequences' empty caches into
+  the ``"pruned"`` row stores and opening their batch controls
+  (``CascadeBatch.summarize``), and the embedding gather;
+* ``prefill_prune_control`` — each layer's entry pruning: the batched
+  cascade of the pruned sentences (per-sequence ``summarize_control``
+  for ``custom`` ones) and the gather that drops pruned rows from the
+  residual stream;
+* ``prefill_chunk_proj`` — the fused Q/K/V projection of every row;
+* ``prefill_dense_core`` — a dense chunk's KV append + causal attention
+  against its cache (once per sequence and layer);
+* ``prefill_custom_core`` — a progressive-quantization sentence's own
+  per-sequence core;
+* ``prefill_pruned_core`` — the batched whole-sentence core of a block
+  of pruned sentences: K/V block write into their row store (the int8
+  quantization of the block included), scores / causal softmax / local
+  value pruning / A·V / importance over the padded plane;
+* ``prefill_ffn`` — the rest of a block: output FC, residual adds,
+  LayerNorms and the tanh/gelu FFN;
+* ``prefill_commit`` — the pruned sentences' control state and trace
+  rows stored back into the executors, once per sequence;
+* ``prefill_lm_head`` — the LM head over the completed prompts' last
+  rows, and the states' bookkeeping.
+
+The exact tier's prompt pass belongs to the model's own fp64 stack and
+records three stages, with no step total:
+
+* ``prefill_chunk_proj`` — the fused Q/K/V projections of the
+  incremental chunks;
+* ``prefill_core`` — the rest of the attention half: cascade entry
   pruning, KV append, scores / softmax / A·V per sequence (plus local
   value pruning and importance accumulation for SpAtten prompts) and
   the output FC;
 * ``prefill_ffn`` — its residual adds, LayerNorms and tanh/gelu FFN.
-
-The three ``prefill_*`` stages cover the prompt pass on every tier —
-the model's own fp64 stack under ``exact``, the backend's
-compute-dtype stack under ``fp32`` / ``int8`` — up to the embedding
-gather and the LM head.
 
 Wall times are inherently nondeterministic, so profiler output is kept
 *out* of the trace and metrics artifacts (whose bytes must reproduce);
@@ -68,9 +96,10 @@ from ..eval.reporting import Table
 
 __all__ = ["HotPathProfiler"]
 
-#: The stage that times a whole decode step: the other ``decode_*``
-#: stages are its parts.
-STEP_TOTAL = "decode_step"
+#: The stages that time a whole step of the ``fp32`` / ``int8``
+#: backend; the other stages sharing a total's prefix (``decode_``,
+#: ``prefill_``) are its parts.
+STEP_TOTALS = ("decode_step", "prefill_step")
 
 
 class HotPathProfiler:
@@ -110,11 +139,13 @@ class HotPathProfiler:
     def seconds(self, stage: str) -> float:
         return self._seconds.get(stage, 0.0)
 
-    def unattributed_seconds(self) -> float:
-        """What the whole decode steps hold beyond their stages."""
-        return self.seconds(STEP_TOTAL) - sum(
+    def unattributed_seconds(self, total: str) -> float:
+        """What the whole steps ``total`` timed (one of
+        :data:`STEP_TOTALS`) hold beyond their stages."""
+        prefix = total[: -len("step")]
+        return self.seconds(total) - sum(
             seconds for stage, seconds in self._seconds.items()
-            if stage.startswith("decode_") and stage != STEP_TOTAL
+            if stage.startswith(prefix) and stage != total
         )
 
     @property
@@ -123,13 +154,14 @@ class HotPathProfiler:
         return sum(row[2] for row in self.as_rows())
 
     def as_rows(self) -> List[Tuple[str, int, float, float]]:
-        """(stage, calls, seconds, share) sorted by descending cost; the
+        """(stage, calls, seconds, share) sorted by descending cost; a
         step total appears as its ``unattributed`` remainder."""
         calls, seconds = dict(self._calls), dict(self._seconds)
-        if seconds.pop(STEP_TOTAL, None) is not None:
-            rest = f"unattributed ({STEP_TOTAL})"
-            calls[rest] = calls[STEP_TOTAL]
-            seconds[rest] = self.unattributed_seconds()
+        for total in STEP_TOTALS:
+            if seconds.pop(total, None) is not None:
+                rest = f"unattributed ({total})"
+                calls[rest] = calls.pop(total)
+                seconds[rest] = self.unattributed_seconds(total)
         covered = sum(seconds.values()) or 1.0
         rows = [(s, calls[s], t, t / covered) for s, t in seconds.items()]
         rows.sort(key=lambda r: (-r[2], r[0]))
@@ -147,7 +179,7 @@ class HotPathProfiler:
         t.add_note(
             "real time.perf_counter seconds around the packed backend's "
             "decode_* and prefill_* stages — separate from the simulated "
-            "serving clock; 'unattributed' is what a whole decode step "
-            "holds beyond its stages"
+            "serving clock; 'unattributed' is what a whole fp32 / int8 "
+            "decode step or prompt step holds beyond its stages"
         )
         return t

@@ -1,12 +1,15 @@
 """Batched cascade control ≡ the per-sequence pruning functions.
 
 :class:`repro.core.batched_cascade.CascadeBatch` decides for a whole
-decode batch at once over padded planes.  Every decision must be the
-one the per-sequence reference (``prune_tokens``, ``prune_heads``,
+decode batch at once over padded planes — and, opened with
+:meth:`~repro.core.batched_cascade.CascadeBatch.summarize`, for the
+whole sentences of a batch of prompts.  Every decision must be the one
+the per-sequence reference (``prune_tokens``, ``prune_heads``,
 ``local_value_keep_indices``) makes on the same scores — with ragged
-lengths, tied scores, the protected current token, targets at or above
-the live count, and padding that is never selected.  The cases are
-generated: hypothesis draws a seed, the seed draws a batch.
+lengths, tied scores, the protected token (the current one of a decode
+step, the last one of a prompt), targets at or above the live count,
+and padding that is never selected.  The cases are generated:
+hypothesis draws a seed, the seed draws a batch.
 """
 
 from types import SimpleNamespace
@@ -189,3 +192,120 @@ def test_commit_stores_the_step_back(seed):
         steps = executor.trace.decode_steps
         assert [step.layer for step in steps] == list(range(N_LAYERS))
         assert steps[-1].n_heads == len(executor._alive_heads)
+
+
+# ----------------------------------------------------------------------
+# The summarize-stage opening: a batch of whole prompts
+# ----------------------------------------------------------------------
+def _begun_executor(rng):
+    """A sequence as ``prefill_begin`` leaves it, with a drawn plan."""
+    pruning = PruningConfig(
+        value_keep=float(rng.choice([0.5, 0.75, 0.9, 1.0])),
+    )
+    stub = SimpleNamespace(
+        _original_length=None, _total_length=0,
+        token_acc=TokenImportanceAccumulator(),
+        head_acc=HeadImportanceAccumulator(N_HEADS),
+        _alive_mask=None, _n_alive=0, _alive_heads=np.arange(N_HEADS),
+        _plan=None, pruning=pruning, trace=None,
+    )
+
+    def init_schedules(sentence_length):
+        stub._original_length = stub._total_length = sentence_length
+        stub._alive_mask = np.zeros(CONFIG.max_seq_len, dtype=bool)
+        stub._plan = SimpleNamespace(
+            # Non-increasing, from "keeps everything" (>= live) downward.
+            token_counts=np.minimum.accumulate(
+                rng.integers(1, sentence_length + 3, size=N_LAYERS)
+            ),
+            head_counts=np.sort(
+                rng.integers(1, N_HEADS + 1, size=N_LAYERS)
+            )[::-1],
+        )
+        stub.trace = AttentionTrace(CONFIG, sentence_length, 0,
+                                    pruning=pruning)
+
+    stub._init_schedules = init_schedules
+    return stub
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_summarize_decisions_match_per_sequence(seed):
+    """A prompt pass over a ragged batch — a one-token prompt among
+    them — against the per-sequence functions layer by layer, the
+    scores accumulated between layers few-valued so ranks tie."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 40, size=rng.integers(1, 7))
+    lengths[rng.integers(len(lengths))] = 1
+    n = len(lengths)
+    executors = [_begun_executor(rng) for _ in lengths]
+    batch = CascadeBatch.summarize(executors, lengths.tolist())
+    assert np.array_equal(batch.n_alive, lengths)
+    live = [np.arange(length) for length in lengths]
+    scores = [np.zeros(length) for length in lengths]
+    live_heads = [np.arange(N_HEADS)] * n
+    head_scores = [np.zeros(N_HEADS) for _ in lengths]
+    signatures = [[] for _ in lengths]
+    for layer_idx in range(N_LAYERS):
+        batch.prune(layer_idx)
+        for j, (executor, length) in enumerate(zip(executors, lengths)):
+            live[j] = prune_tokens(
+                live[j], scores[j][live[j]],
+                int(executor._plan.token_counts[layer_idx]),
+                protected_ids=[length - 1],
+            ).kept_ids
+            assert np.array_equal(np.flatnonzero(batch.alive[j]), live[j])
+            assert batch.alive[j, length - 1], "last prompt token pruned"
+            assert not batch.alive[j, length:].any(), "padding selected"
+            target = int(executor._plan.head_counts[layer_idx])
+            if target < len(live_heads[j]):
+                live_heads[j] = prune_heads(
+                    live_heads[j], head_scores[j][live_heads[j]], target
+                ).kept_ids
+            assert np.array_equal(
+                np.flatnonzero(batch.head_alive[j]), live_heads[j]
+            )
+        counts = np.array([len(ids) for ids in live])
+        assert np.array_equal(batch.n_alive, counts)
+
+        # The layer's core: each head's column mass over the padded
+        # plane (exact zeros on padding), quantized so that it ties.
+        width = int(counts.max())
+        mass = rng.integers(0, 5, size=(n, N_HEADS, width)) / 8.0
+        mass *= (np.arange(width) < counts[:, None])[:, None, :]
+        mask = batch.value_mask(mass, batch.n_alive)
+        labels = np.full((n, width), batch.sink)
+        head_out = rng.integers(-2, 3, size=(n, N_HEADS, width, 4)).astype(float)
+        head_out *= batch.head_alive[:, :, None, None]
+        for j, executor in enumerate(executors):
+            count = int(counts[j])
+            kept = local_value_keep_indices(
+                mass[j][:, None, :count], executor.pruning.value_keep
+            )
+            for head in live_heads[j]:
+                got = (
+                    np.arange(count) if mask is None
+                    else np.flatnonzero(mask[j, head])
+                )
+                assert np.array_equal(got, kept[head])
+                assert got.max() < count, "padding column kept"
+            labels[j, :count] = live[j]
+            scores[j][live[j]] += mass[j, live_heads[j], :count].sum(axis=0)
+            head_scores[j] += np.abs(head_out[j]).sum(axis=(1, 2))
+            signatures[j].append((
+                layer_idx, "summarize", count, count, len(live_heads[j]),
+                len(kept[0]),
+            ))
+        batch.accumulate_tokens(mass * batch.head_alive[:, :, None], labels)
+        batch.accumulate_heads(head_out, batch.n_alive)
+    batch.commit()
+    for j, (executor, length) in enumerate(zip(executors, lengths)):
+        assert executor._total_length == executor._original_length == length
+        assert executor.trace.n_generated == 0
+        assert np.array_equal(np.flatnonzero(executor._alive_mask), live[j])
+        assert executor._n_alive == len(live[j])
+        assert np.array_equal(executor._alive_heads, live_heads[j])
+        assert np.array_equal(executor.token_acc.raw_scores, scores[j])
+        assert np.array_equal(executor.head_acc.raw_scores, head_scores[j])
+        assert executor.trace.count_signature() == signatures[j]

@@ -9,12 +9,16 @@ membership reconcile do to it, beside a shadow list of plain
 private-buffer caches that take the same appends and evictions through
 the per-sequence API; after every rule each handle reports what its
 shadow holds — and a store that keeps its columns dequantized holds
-what the shadow dequantizes.  The structural guard below it pins what
+what the shadow dequantizes.  The structural guards below it pin what
 the stores are for: a steady-state decode step over dense or pruned
-rows never calls the per-sequence cache mutators.
+rows never calls the per-sequence cache mutators, and a prompt step
+over pruned sequences never calls the per-sequence cascade, quantizer
+or cache append — its sequences are store rows from their first column.
 """
 
 import copy
+import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +68,20 @@ class Sequence:
         k, v, position = self.column(rng)
         for cache in (self.cache, self.shadow):
             cache.append(k[:, None], v[:, None], [position])
+
+
+def store_planes(dtype, k, v):
+    """``[n, h, D]`` K/V columns as a store takes them, plane for plane
+    — as the backend calls it on int8: the dequantized columns follow
+    the codes and scales, for the stores that keep them."""
+    if dtype != np.int8:
+        return k, v
+    k_codes, k_scales = quantize_rows(k, bits=8)
+    v_codes, v_scales = quantize_rows(v, bits=8)
+    return (
+        k_codes, v_codes, k_scales[..., 0], v_scales[..., 0],
+        k_codes * k_scales, v_codes * v_scales,
+    )
 
 
 class RowStoreMachine(RuleBasedStateMachine):
@@ -122,6 +140,41 @@ class RowStoreMachine(RuleBasedStateMachine):
         for seq in arrivals:
             assert "_keys" not in vars(seq.cache), "private buffers kept"
 
+    @rule(counts=st.lists(
+        st.integers(1, 2 * PAGE + 1), min_size=1, max_size=3
+    ))
+    def block_write(self, counts):
+        """A prompt pass's arrivals: caches adopted empty, then filled
+        by one ragged block write; the shadows take the per-sequence
+        ``append``."""
+        if len(self.sequences) >= 6:
+            return
+        self.sweep(self.store)
+        arrivals = [Sequence(self.dtype, self.rng, 0) for _ in counts]
+        self.sequences += arrivals
+        first = len(self.store.owners)
+        self.store.adopt([seq.cache for seq in arrivals])
+        assert all(len(seq.cache) == 0 for seq in arrivals)
+        columns = [
+            [seq.column(self.rng) for _ in range(count)]
+            for seq, count in zip(arrivals, counts)
+        ]
+        for seq, block in zip(arrivals, columns):
+            seq.shadow.append(
+                np.stack([c[0] for c in block], axis=1),
+                np.stack([c[1] for c in block], axis=1),
+                [c[2] for c in block],
+            )
+        flat = [column for block in columns for column in block]
+        self.store.write_block(
+            np.arange(first, first + len(arrivals)), np.array(counts),
+            np.array([c[2] for c in flat]),
+            *store_planes(
+                self.dtype, np.stack([c[0] for c in flat]),
+                np.stack([c[1] for c in flat]),
+            ),
+        )
+
     @precondition(lambda self: self.store.owners)
     @rule()
     def batched_append(self):
@@ -136,23 +189,16 @@ class RowStoreMachine(RuleBasedStateMachine):
         k = np.stack([c[0] for c in columns])
         v = np.stack([c[1] for c in columns])
         positions = np.array([c[2] for c in columns])
-        if self.dtype == np.int8:
-            k_codes, k_scales = quantize_rows(k, bits=8)
-            v_codes, v_scales = quantize_rows(v, bits=8)
-            # As the backend calls it: the dequantized columns follow,
-            # for the stores that keep them.
-            width = self.store.append(
-                positions, k_codes, v_codes, k_scales[..., 0],
-                v_scales[..., 0], k_codes * k_scales, v_codes * v_scales,
-            )
-            for j, seq in enumerate(residents):
+        planes = store_planes(self.dtype, k, v)
+        width = self.store.append(positions, *planes)
+        for j, seq in enumerate(residents):
+            if self.dtype == np.int8:
+                k_codes, v_codes, k_scales, v_scales = planes[:4]
                 seq.shadow.append_decode_col_quantized(
-                    k_codes[j], k_scales[j, :, 0], v_codes[j],
-                    v_scales[j, :, 0], positions[j],
+                    k_codes[j], k_scales[j], v_codes[j], v_scales[j],
+                    positions[j],
                 )
-        else:
-            width = self.store.append(positions, k, v)
-            for j, seq in enumerate(residents):
+            else:
                 seq.shadow.append_decode_col(k[j], v[j], positions[j])
         assert width == int(self.store.cursor[: len(residents)].max())
 
@@ -430,3 +476,84 @@ def test_steady_state_decode_never_calls_the_per_row_cache_api(
             executor.decode_kv_cache(layer)._store is stores[layer]
             for layer in range(config.n_layers)
         )
+
+
+# ----------------------------------------------------------------------
+# Structural guard: no per-sequence cascade in a pruned prompt step
+# ----------------------------------------------------------------------
+PER_SEQUENCE_CALLS = (
+    ("repro.core.token_pruning", "prune_tokens"),
+    ("repro.core.topk", "topk_indices"),
+    ("repro.core.value_pruning", "local_value_keep_indices"),
+    ("repro.core.value_pruning", "apply_local_value_pruning"),
+    ("repro.core.quantization", "quantize_rows"),
+    ("repro.core.importance", "TokenImportanceAccumulator.accumulate"),
+    ("repro.core.importance", "HeadImportanceAccumulator.accumulate"),
+    ("repro.nn.kv_cache", "LayerKVCache.append"),
+)
+
+
+def _count_calls(monkeypatch, calls, module_name, qualname):
+    """Count calls of ``module.qualname`` wherever ``repro`` bound it: a
+    method on its class, a function in every module that imported it."""
+    module = importlib.import_module(module_name)
+    owner_name, _, attr = qualname.rpartition(".")
+    original = getattr(getattr(module, owner_name, module), attr)
+
+    def counted(*args, **kwargs):
+        calls[qualname] += 1
+        return original(*args, **kwargs)
+
+    if owner_name:
+        monkeypatch.setattr(getattr(module, owner_name), attr, counted)
+        return
+    for name, bound_in in list(sys.modules.items()):
+        if name.startswith("repro.") and vars(bound_in).get(attr) is original:
+            monkeypatch.setattr(bound_in, attr, counted)
+
+
+@pytest.mark.parametrize("tier", ["fp32", "int8"])
+def test_pruned_prompt_step_never_calls_the_per_sequence_cascade(
+    tier, monkeypatch
+):
+    """A policy-tier prompt pass over pruned sequences decides, attends,
+    quantizes and stores batch by batch: no per-sequence pruning, value
+    selection, importance, quantizer or cache-append call — and every
+    layer cache ends the pass a handle on that layer's store."""
+    config = ModelConfig(
+        "store-guard", n_layers=3, n_heads=4, d_model=32, d_ff=64,
+        vocab_size=96, max_seq_len=160, causal=True,
+    )
+    model = TransformerModel(config, random_model(config, seed=33))
+    rng = np.random.default_rng(3)
+    backend = PackedDecodeBackend(model, numerics=tier)
+    # 65 leaves a trailing one-row chunk (absorbed), 40 ends mid-chunk.
+    states = [
+        model.prefill_begin(
+            rng.integers(0, config.vocab_size, size=length).tolist(),
+            SpAttenExecutor(PRUNING, numerics=tier),
+        )
+        for length in (96, 65, 40, 1)
+    ]
+    executors = [state.executor for state in states]
+    assert {e.packed_decode_style for e in executors} == {"pruned"}
+    calls = {qualname: 0 for _, qualname in PER_SEQUENCE_CALLS}
+    for module_name, qualname in PER_SEQUENCE_CALLS:
+        _count_calls(monkeypatch, calls, module_name, qualname)
+    while not all(state.done for state in states):
+        model.prefill_chunk_batch(
+            [state for state in states if not state.done], 32,
+            backend=backend,
+        )
+    assert calls == dict.fromkeys(calls, 0)
+    stores = backend._stores["pruned"]
+    assert len(stores[0].owners) == len(executors)
+    for executor, state in zip(executors, states):
+        assert state.logits is not None
+        assert executor.kv_lengths() == list(executor._plan.token_counts)
+        assert executor.kv_lengths()[-1] <= state.prompt_len
+        assert all(
+            executor.decode_kv_cache(layer)._store is stores[layer]
+            for layer in range(config.n_layers)
+        )
+    assert executors[0].kv_lengths()[-1] < states[0].prompt_len

@@ -563,6 +563,33 @@ class TestTierPrefill:
             assert np.allclose(chunked[i], whole, rtol=tol, atol=tol)
             assert executor.kv_lengths() == chunked_execs[i].kv_lengths()
 
+    def test_plane_budget_splits_the_batch_not_the_result(
+        self, world, monkeypatch
+    ):
+        """The pruned prompts of a step share padded score planes in
+        blocks under a scratch budget: one block, two, or one per
+        prompt commit the same decisions and the same logits."""
+        import repro.nn.batched_attention as batched_attention
+
+        config, model, _, prompts = world
+        outcomes = []
+        # Two 96-token planes' worth keeps [96, 65] and [40, 1] apart.
+        two_planes = 2 * config.n_heads * 96 * 96 * 4
+        for budget in (batched_attention._PROMPT_PLANE_BYTES, two_planes, 1):
+            monkeypatch.setattr(
+                batched_attention, "_PROMPT_PLANE_BYTES", budget
+            )
+            backend = PackedDecodeBackend(model, numerics="fp32")
+            logits, execs = _tier_prefill(
+                model, backend, ["spatten"] * len(prompts), prompts,
+                chunk=config.max_seq_len,
+            )
+            outcomes.append((logits, [e.kv_lengths() for e in execs]))
+        for logits, kv_lengths in outcomes[1:]:
+            assert kv_lengths == outcomes[0][1]
+            for mine, theirs in zip(logits, outcomes[0][0]):
+                assert np.allclose(mine, theirs, rtol=1e-4, atol=1e-4)
+
     @pytest.mark.parametrize("tier", ["fp32", "int8"])
     def test_spatten_commits_the_oracle_pruning_decisions(self, world, tier):
         """Importance accumulates in fp64 on every tier, so the tier's
@@ -604,7 +631,7 @@ class TestTierPrefill:
 
         def spy(cache, k, v, token_ids, heads=None):
             assert k.dtype == v.dtype == np.float32
-            seen.append((cache, np.array(k), np.array(v), heads))
+            seen.append((cache, np.array(k), np.array(v)))
             return append(cache, k, v, token_ids, heads)
 
         monkeypatch.setattr(LayerKVCache, "append", spy)
@@ -612,30 +639,42 @@ class TestTierPrefill:
         _, (executor,) = _tier_prefill(
             model, backend, [kind], prompts[:1], chunk=32
         )
-        pruned_heads = False
+        if kind == "spatten":
+            # The batched core never calls the per-sequence append, and
+            # its attention reads the K/V un-quantized: an fp32 twin
+            # computes — and stores, pruned heads as zeros — the very
+            # columns the int8 pass quantized, at every layer.
+            assert not seen
+            _, (twin,) = _tier_prefill(
+                model, PackedDecodeBackend(model, numerics="fp32"),
+                [kind], prompts[:1], chunk=32,
+            )
+            assert len(twin._alive_heads) < config.n_heads
         for layer_idx in range(config.n_layers):
             cache = executor._cache[layer_idx]
-            shape = (config.n_heads, len(cache), config.head_dim)
-            k_full = np.zeros(shape, dtype=np.float32)
-            v_full = np.zeros_like(k_full)
-            start = 0
-            for owner, k, v, heads in seen:
-                if owner is not cache:
-                    continue
-                rows = slice(None) if heads is None else heads
-                pruned_heads |= len(k) < config.n_heads
-                k_full[rows, start:start + k.shape[1]] = k
-                v_full[rows, start:start + k.shape[1]] = v
-                start += k.shape[1]
-            assert start == len(cache)
-            for plane, codes, scales in (
-                (k_full, cache._keys, cache.key_scales),
-                (v_full, cache._values, cache.value_scales),
+            if kind == "spatten":
+                computed = twin._cache[layer_idx]
+                k_full, v_full = computed.keys, computed.values
+            else:
+                k_full, v_full = (
+                    np.concatenate(
+                        [kv[which] for kv in seen if kv[0] is cache], axis=1
+                    )
+                    for which in (1, 2)
+                )
+            assert k_full.shape[1] == len(cache)
+            # Through the public accessors (a pruned row's cache is a
+            # handle on a store row): equal scales and equal dequantized
+            # columns are equal codes.
+            for plane, columns, scales in (
+                (k_full, cache.keys, cache.key_scales),
+                (v_full, cache.values, cache.value_scales),
             ):
                 want_codes, want_scales = quantize_rows(plane)
-                assert np.array_equal(codes[:, :len(cache)], want_codes)
                 assert np.array_equal(scales, want_scales[..., 0])
-        assert pruned_heads == (kind == "spatten")
+                assert np.array_equal(
+                    columns, want_codes.astype(np.float32) * want_scales
+                )
 
     def test_exact_backend_and_no_backend_stay_the_oracle(self, world):
         _, model, _, prompts = world
@@ -712,13 +751,20 @@ class TestTierPrefill:
         token_keep_final=0.3, head_keep_final=0.625, value_keep=0.9
     )
 
-    # The SpAtten cells keep the ids they have always had.
-    FAMILY_X_TIER = pytest.mark.parametrize("family,tier", [
+    # The SpAtten cells keep the ids they have always had.  "mid-decode"
+    # evicts a sequence some steps into its generation; "after-prompt"
+    # one whose prompt pass just completed and which has not decoded
+    # yet — a pruned row is resident in the backend's stores by then.
+    FAMILY_X_TIER_X_WHEN = pytest.mark.parametrize("family,tier,when", [
         pytest.param(
-            family, tier,
+            family, tier, "mid-decode",
             id=tier if family == "spatten" else f"{family}-{tier}",
         )
         for family in ("spatten", "dense")
+        for tier in ("fp32", "int8")
+    ] + [
+        pytest.param("spatten", tier, "after-prompt",
+                     id=f"{tier}-after-prompt")
         for tier in ("fp32", "int8")
     ])
 
@@ -744,13 +790,71 @@ class TestTierPrefill:
         )
         return {r.request.request_id: list(r.token_ids) for r in stats.records}
 
-    @FAMILY_X_TIER
+    def _evict_resident_and_replay(self, world, family, tier, when, evict):
+        """Run a trace clean, then again with one resident sequence
+        evicted by ``evict(engine, pool, victim)`` at ``when``: the
+        streams agree, the ledger audits clean and the evicted
+        executor, dense or pruned, leaves no row behind in the
+        backend's stores.  Returns the faulted run's stats."""
+        requests = synthetic_request_trace(
+            world[2], n_requests=6, rate_per_s=2000.0, prompt_len=24,
+            max_new_tokens=(12, 24), seed=11,
+        )
+        engine, pool = self._engine(world, family, tier, 160, "reserve")
+        clean = self._streams(engine.run(requests))
+
+        engine.start()
+        for request in requests:
+            engine.submit(request)
+        if when == "after-prompt":
+            # Promoted by the step its last chunk landed in: the first
+            # token is sampled from the prompt's logits, no decode yet.
+            while not any(s.record.n_generated == 1 for s in engine.live):
+                engine.step()
+            victim = next(
+                s for s in engine.live if s.record.n_generated == 1
+            )
+        else:
+            while len(engine.live) < 3:
+                engine.step()
+            for _ in range(3):
+                engine.step()
+            victim = engine.live[1]
+        caches = [
+            victim.executor.decode_kv_cache(layer)
+            for layer in range(world[0].n_layers)
+        ]
+        (stores,) = engine._backend._stores.values()  # one style served
+        assert all(c._store is s for c, s in zip(caches, stores))
+        evict(engine, pool, victim)
+        assert victim not in engine.live
+        for cache, store in zip(caches, stores):
+            assert cache._store is None
+            assert all(owner is not cache for owner in store.owners)
+        while engine.has_work:
+            engine.step()
+        stats = engine.finish()
+        pool.audit()
+        assert stats.recompute_tokens > 0
+        assert self._streams(stats) == clean
+        return stats
+
+    @FAMILY_X_TIER_X_WHEN
     def test_preempted_spatten_request_replays_its_stream(
-        self, world, family, tier
+        self, world, family, tier, when
     ):
         """ROADMAP item 7's cross product: family x preemption x tier.
         A preempted request recomputes its prompt through the tier's
         prompt pass and must continue the stream it had."""
+        if when == "after-prompt":
+            stats = self._evict_resident_and_replay(
+                world, family, tier, when,
+                lambda engine, pool, victim: engine._preempt(
+                    victim, engine.clock
+                ),
+            )
+            assert stats.n_preemptions == 1
+            return
         requests = synthetic_request_trace(
             world[2], n_requests=16, rate_per_s=2000.0, prompt_len=24,
             max_new_tokens=(12, 24), seed=11,
@@ -767,52 +871,27 @@ class TestTierPrefill:
         assert tight.n_preemptions > 0 and tight.recompute_tokens > 0
         assert self._streams(tight) == self._streams(roomy)
 
-    @FAMILY_X_TIER
+    @FAMILY_X_TIER_X_WHEN
     def test_quarantined_spatten_request_replays_its_stream(
-        self, world, family, tier
+        self, world, family, tier, when
     ):
-        """Family x quarantine x tier: a page corrupted mid-decode
-        costs its sequence a recompute, never a token — and the evicted
-        executor, dense or pruned, leaves no row behind in the
-        backend's stores."""
-        requests = synthetic_request_trace(
-            world[2], n_requests=6, rate_per_s=2000.0, prompt_len=24,
-            max_new_tokens=(12, 24), seed=11,
-        )
-        engine, pool = self._engine(world, family, tier, 160, "reserve")
-        clean = self._streams(engine.run(requests))
+        """Family x quarantine x tier: a corrupted page costs its
+        sequence a recompute, never a token."""
 
-        engine.start()
-        for request in requests:
-            engine.submit(request)
-        while len(engine.live) < 3:
-            engine.step()
-        for _ in range(3):
-            engine.step()
-        victim = engine.live[1]
-        caches = [
-            victim.executor.decode_kv_cache(layer)
-            for layer in range(world[0].n_layers)
-        ]
-        (stores,) = engine._backend._stores.values()  # one style served
-        assert all(c._store is s for c, s in zip(caches, stores))
-        layer = next(
-            i for i, n in enumerate(
-                pool.allocated_pages_per_layer(victim.seq_id)
-            ) if n
+        def corrupt(engine, pool, victim):
+            layer = next(
+                i for i, n in enumerate(
+                    pool.allocated_pages_per_layer(victim.seq_id)
+                ) if n
+            )
+            pool.corrupt_page(victim.seq_id, layer, 0)
+            engine.step()  # detects, quarantines, requeues for recompute
+            assert pool.n_quarantined == 1
+
+        stats = self._evict_resident_and_replay(
+            world, family, tier, when, corrupt
         )
-        pool.corrupt_page(victim.seq_id, layer, 0)
-        engine.step()  # detects, quarantines, requeues for recompute
-        assert victim not in engine.live and pool.n_quarantined == 1
-        for cache, store in zip(caches, stores):
-            assert cache._store is None
-            assert all(owner is not cache for owner in store.owners)
-        while engine.has_work:
-            engine.step()
-        stats = engine.finish()
-        pool.audit()
-        assert stats.n_corruptions == 1 and stats.recompute_tokens > 0
-        assert self._streams(stats) == clean
+        assert stats.n_corruptions == 1
 
 
 class TestTierMismatch:

@@ -495,9 +495,16 @@ class TestProfiler:
                    numerics=numerics)
         prof = tel.profiler
         n_layers = serving_setup[0].n_layers
-        assert prof.calls("prefill_core") > 0
-        assert prof.calls("prefill_core") == prof.calls("prefill_ffn")
-        assert prof.calls("prefill_core") % n_layers == 0
+        # Off the exact tier the attention half is named by the core
+        # that ran it (the split the decode step has), a dense chunk's
+        # once per sequence.
+        core = "prefill_core"
+        if numerics != "exact":
+            core = ("prefill_dense_core" if pruning is None
+                    else "prefill_pruned_core")
+        assert prof.calls("prefill_ffn") > 0
+        assert prof.calls(core) >= prof.calls("prefill_ffn")
+        assert prof.calls(core) % n_layers == 0
         if pruning is None or numerics != "exact":
             assert prof.calls("prefill_chunk_proj") > 0
         assert "prefill_ffn" in str(prof.table())
@@ -522,13 +529,44 @@ class TestProfiler:
         core = "decode_dense_core" if pruning is None else "decode_pruned_core"
         assert prof.calls(core) == steps * n_layers
         assert prof.calls("decode_commit") == (0 if pruning is None else steps)
-        unattributed = prof.unattributed_seconds()
+        unattributed = prof.unattributed_seconds("decode_step")
         assert 0 <= unattributed <= 0.05 * prof.seconds("decode_step")
         rows = {row[0]: row for row in prof.as_rows()}
         assert "decode_step" not in rows
         assert rows["unattributed (decode_step)"][2] == unattributed
         assert sum(row[3] for row in rows.values()) == pytest.approx(1.0)
         assert "unattributed (decode_step)" in str(prof.table())
+
+    @pytest.mark.parametrize("pruning", [None, PRUNING],
+                             ids=["dense", "spatten"])
+    def test_prefill_stages_sum_to_the_step(self, serving_setup, pruning):
+        """The same identity for the prompt pass: on a non-exact tier
+        the ``prefill_*`` stages tile every ``prefill_step``."""
+        tel = Telemetry(profile=True)
+        requests = trace(serving_setup[2], n=10, max_new=(2, 4))
+        run_engine(serving_setup, requests, telemetry=tel, pruning=pruning,
+                   numerics="fp32")
+        prof = tel.profiler
+        n_layers = serving_setup[0].n_layers
+        steps = prof.calls("prefill_step")
+        assert steps > 0 and prof.calls("prefill_setup") == steps
+        assert prof.calls("prefill_lm_head") == steps
+        core = "prefill_dense_core" if pruning is None else "prefill_pruned_core"
+        # Every layer of a step with rows runs each stage once (chunks
+        # of a pruned prompt before its last carry no rows).
+        layers = prof.calls("prefill_ffn")
+        assert 0 < layers <= steps * n_layers and layers % n_layers == 0
+        assert prof.calls("prefill_prune_control") == layers
+        assert prof.calls("prefill_chunk_proj") == layers
+        assert prof.calls(core) >= layers
+        assert prof.calls("prefill_commit") == layers // n_layers
+        unattributed = prof.unattributed_seconds("prefill_step")
+        assert 0 <= unattributed <= 0.05 * prof.seconds("prefill_step")
+        rows = {row[0]: row for row in prof.as_rows()}
+        assert "prefill_step" not in rows
+        assert rows["unattributed (prefill_step)"][2] == unattributed
+        assert sum(row[3] for row in rows.values()) == pytest.approx(1.0)
+        assert "unattributed (prefill_step)" in str(prof.table())
 
     def test_exact_tier_records_no_step_total(self, serving_setup):
         """The exact step belongs to the model's own stack: no total,
