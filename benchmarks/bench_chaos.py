@@ -115,7 +115,7 @@ def run_cell(config, model, requests, plan=None, pages=POOL_PAGES,
     pool = make_pool(config, pages)
     stats = ClusterEngine(
         model, pool, policy="least_loaded",
-        fault_plan=plan,
+        faults=plan.events if plan is not None else (),
         heartbeat_timeout_s=(
             plan.heartbeat_timeout_s if plan is not None else None
         ),

@@ -4,11 +4,13 @@
 A *code* line holds at least one token that is neither a comment nor
 part of a docstring (found with ``tokenize`` and ``ast``), so blank
 lines, comments and prose do not count.  This is the counter behind
-the "net ``src/`` lines, code vs prose" figures in CHANGES.md; run it
-on the parent and on the change and subtract.
+the "net ``src/`` lines, code vs prose" figures in CHANGES.md:
+``--against <rev>`` prints, per file that moved, the code lines at that
+git revision, now, and the difference, then the totals.
 
     python scripts/count_loc.py                # src/ total only
     python scripts/count_loc.py -v src tests   # per file, then totals
+    python scripts/count_loc.py --against HEAD~1 src
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
-from typing import Iterator, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 _SKIP = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -56,12 +59,49 @@ def _python_files(roots) -> Iterator[Path]:
         yield from sorted(root.rglob("*.py")) if root.is_dir() else [root]
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ("git",) + args, check=True, capture_output=True, text=True
+    ).stdout
+
+
+def _counts_at(rev: str, roots) -> Dict[str, Tuple[int, int]]:
+    """path -> ``count()`` of every Python blob under ``roots`` at a
+    git revision (read with ``git show``; the work tree is untouched)."""
+    listed = _git("ls-tree", "-r", "--name-only", rev, "--", *roots)
+    return {
+        path: count(_git("show", f"{rev}:{path}"))
+        for path in listed.splitlines() if path.endswith(".py")
+    }
+
+
+def _print_delta(rev: str, roots) -> None:
+    then = _counts_at(rev, roots)
+    now = {str(p): count(p.read_text()) for p in _python_files(roots)}
+    print(f"   {rev:>7s}     now   delta  code lines")
+    for path in sorted(set(then) | set(now)):
+        before, after = then.get(path, (0, 0))[1], now.get(path, (0, 0))[1]
+        if before != after:
+            print(f"{before:10d} {after:7d} {after - before:+7d}  {path}")
+    for label, column in (("all", 0), ("code", 1)):
+        before = sum(c[column] for c in then.values())
+        after = sum(c[column] for c in now.values())
+        print(f"{before:10d} {after:7d} {after - before:+7d}  "
+              f"total {label} lines under {' '.join(roots)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=["src"])
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="also print one row per file")
+    parser.add_argument("--against", metavar="REV",
+                        help="print the per-file code-line delta against "
+                             "a git revision instead")
     args = parser.parse_args(argv)
+    if args.against:
+        _print_delta(args.against, args.paths)
+        return 0
     total_all = total_code = n_files = 0
     for path in _python_files(args.paths):
         n_all, n_code = count(path.read_text())

@@ -513,16 +513,19 @@ def _write_stats_json(path: str, payload: dict) -> None:
     print(f"\nstats written to {path}")
 
 
-def _parse_retire_events(specs, flag: str):
-    """Parse repeated ``TIME:REPLICA`` flags into (time, index) pairs."""
+def _parse_fault_events(specs, kind: str):
+    """Parse one repeated ``--<kind>-at TIME:REPLICA`` flag into events."""
+    from .faults import FaultEvent
+
     events = []
     for spec in specs or ():
         try:
             time_s, _, idx_s = spec.partition(":")
-            events.append((float(time_s), int(idx_s)))
+            events.append(FaultEvent(float(time_s), int(idx_s), kind))
         except ValueError:
             raise ValueError(
-                f"{flag} expects TIME:REPLICA (e.g. 0.05:1), got {spec!r}"
+                f"--{kind}-at expects TIME:REPLICA (e.g. 0.05:1), "
+                f"got {spec!r}"
             )
     return events
 
@@ -573,6 +576,11 @@ def _serve_cluster(args) -> int:
             n_replicas=args.replicas, page_tokens=args.page_tokens,
         )
     telemetry = _build_telemetry(args)
+    faults = [
+        event
+        for kind in ("drain", "fail", "recover")
+        for event in _parse_fault_events(getattr(args, f"{kind}_at"), kind)
+    ]
     fault_plan = None
     heartbeat_timeout_s = None
     degradation = None
@@ -586,6 +594,7 @@ def _serve_cluster(args) -> int:
             args.chaos_seed, args.replicas, horizon_s,
             profile=args.chaos_profile,
         )
+        faults += fault_plan.events
         heartbeat_timeout_s = fault_plan.heartbeat_timeout_s
         degradation = DegradationPolicy(
             reprune=PruningConfig(
@@ -598,10 +607,7 @@ def _serve_cluster(args) -> int:
         policy=args.policy,
         pruning=engine_pruning,
         **_engine_flags(args),
-        drain_events=_parse_retire_events(args.drain_at, "--drain-at"),
-        fail_events=_parse_retire_events(args.fail_at, "--fail-at"),
-        recover_events=_parse_retire_events(args.recover_at, "--recover-at"),
-        fault_plan=fault_plan,
+        faults=faults,
         heartbeat_timeout_s=heartbeat_timeout_s,
         deadline_s=args.deadline_ms / 1e3 if args.deadline_ms else None,
         retry_budget=args.retry_budget,

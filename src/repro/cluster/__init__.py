@@ -23,13 +23,15 @@ Layers of the subsystem
   each candidate's :class:`~repro.core.schedule.SequencePlan` and the
   serving :class:`~repro.serving.stats.CostModel`), plus the
   heartbeat-driven circuit breaker that steers placements away from
-  suspected-stale replicas.
+  suspected-stale replicas.  The router is stateless: membership,
+  breaker and placement tallies live on the :class:`Replica` records.
 * :mod:`~repro.cluster.engine` — :class:`ClusterEngine`: the
   event-driven driver merging arrivals, per-replica scheduler steps on
   parallel simulated timelines, retry-with-backoff placements, and the
-  validated fault schedule (drain / fail / recover / straggler /
-  corruption events, scripted or generated by a seeded
-  :class:`repro.faults.FaultPlan`).
+  validated fault schedule (``faults=``: drain / fail / recover /
+  straggler / corruption events, scripted or generated by a seeded
+  :class:`repro.faults.FaultPlan`), each event one row of
+  :data:`repro.faults.REPLICA_LIFECYCLE`.
 * :mod:`~repro.cluster.stats` — :class:`ClusterStats`: per-replica
   :class:`~repro.serving.stats.ServingStats` plus a fleet-level
   aggregate whose percentiles are recomputed from the pooled records,
@@ -47,13 +49,14 @@ Run a heterogeneous trace over three replicas from the command line::
 or drive the cluster directly::
 
     from repro.cluster import ClusterEngine, ShardedKVPool
+    from repro.faults import FaultEvent
     from repro.workloads import heterogeneous_request_trace, TrafficClass
 
     pool = ShardedKVPool(config, total_budget_bytes=3 * 512 * 1024,
                          n_replicas=3)
     cluster = ClusterEngine(model, pool, policy="pruning_aware",
                             prefill_chunk=32,
-                            drain_events=[(0.05, 1)])
+                            faults=[FaultEvent(0.05, 1, "drain")])
     print(cluster.run(requests).table())
 
 ``benchmarks/bench_cluster_scaling.py`` sweeps replica count × routing

@@ -37,10 +37,11 @@ cost tightly enough to route on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from ..core.schedule import SequencePlan
+from ..faults import ReplicaRecord
 from ..serving.engine import ServingEngine
 from ..serving.memory_pool import KVMemoryPool, PoolExhausted
 from ..serving.request import Request, RequestRecord
@@ -51,37 +52,25 @@ ROUTING_POLICIES = ("round_robin", "least_loaded", "pruning_aware")
 
 
 @dataclass
-class Replica:
-    """One serving replica: an engine bound to its KV pool shard."""
+class Replica(ReplicaRecord):
+    """One serving replica: an engine bound to its KV pool shard, and
+    the replica's :data:`~repro.faults.REPLICA_LIFECYCLE` record."""
 
-    index: int
-    engine: ServingEngine
-    shard: KVMemoryPool
+    engine: ServingEngine = None
+    shard: KVMemoryPool = None
 
 
 @dataclass
 class ClusterRouter:
-    """Stateful request router over a set of replicas.
+    """Request router over a fleet of replicas.
 
-    The router is policy-pluggable (:data:`ROUTING_POLICIES`) and
-    deterministic: given the same replica states and request stream it
-    always makes the same placements.  It also keeps the fleet routing
-    tally (``routed_counts``) for the cluster report.
+    The router is policy-pluggable (:data:`ROUTING_POLICIES`),
+    deterministic and stateless: what it reads of the fleet — which
+    replicas are active, whose heartbeat breaker is open, how many
+    placements each has taken — lives on the :class:`Replica` records.
     """
 
     policy: str = "round_robin"
-    routed_counts: dict = field(default_factory=dict)
-    _rr_cursor: int = 0
-    #: Circuit breaker: replica indices whose heartbeat is currently
-    #: suspected stale (see :class:`repro.faults.HeartbeatMonitor`).
-    #: :meth:`choose` avoids open-breaker replicas while any healthy
-    #: candidate exists, but falls back to the full candidate set when
-    #: every candidate is suspected — the breaker degrades placement
-    #: quality, never liveness.
-    breaker_open: Set[int] = field(default_factory=set)
-    #: Open transitions (closed -> open) since construction, for the
-    #: fleet report.
-    n_breaker_trips: int = 0
     #: Duck-typed observability hook: anything with a
     #: ``route_decision(request, scored, chosen)`` method (the cluster
     #: engine, when telemetry is on).  ``scored`` is the candidate list
@@ -97,23 +86,6 @@ class ClusterRouter:
                 f"{ROUTING_POLICIES}"
             )
 
-    def update_breaker(self, suspected: Iterable[int]) -> Tuple[list, list]:
-        """Reconcile the breaker set with the current suspicion verdict.
-
-        ``suspected`` is the set of replica indices whose heartbeat the
-        failure detector currently distrusts.  Returns the transitions
-        as ``(opened, closed)`` index lists (sorted), so the caller can
-        emit one telemetry event per state change instead of one per
-        poll.  Trips (closed -> open) are tallied in
-        :attr:`n_breaker_trips`.
-        """
-        suspected = set(suspected)
-        opened = sorted(suspected - self.breaker_open)
-        closed = sorted(self.breaker_open - suspected)
-        self.n_breaker_trips += len(opened)
-        self.breaker_open = suspected
-        return opened, closed
-
     def choose(
         self,
         request: Request,
@@ -122,7 +94,10 @@ class ClusterRouter:
     ) -> Replica:
         """Pick the replica this request is placed on.
 
-        ``replicas`` must be the *active* set; ``record`` is the
+        ``replicas`` is the whole fleet — only ``active`` ones are
+        candidates, and ones whose heartbeat breaker is open are avoided
+        while any healthy candidate exists (the breaker degrades
+        placement quality, never liveness); ``record`` is the
         record the request travels with, so a schedule override the
         degradation ladder installed before a drain is what every
         candidate is filtered and priced at.  One schedule replay
@@ -142,6 +117,8 @@ class ClusterRouter:
         """
         candidates = []
         for r in replicas:
+            if r.phase != "active":
+                continue
             plan = r.engine.plan_for(request, record)
             est = r.engine.placement_pages_estimate(request, plan)
             if est is not None:
@@ -151,17 +128,14 @@ class ClusterRouter:
                 f"request {request.request_id} fits no active replica "
                 f"(needs more pages than any remaining shard holds)"
             )
-        if self.breaker_open:
-            healthy = [
-                cn for cn in candidates
-                if cn[0].index not in self.breaker_open
-            ]
-            if healthy:
-                candidates = healthy
+        candidates = [
+            cn for cn in candidates if cn[0].breaker == "closed"
+        ] or candidates
         if self.policy == "round_robin":
+            # The cursor is the fleet's placements so far.
+            cursor = sum(r.n_routed for r in replicas)
             scored = [(r, est, None) for r, _, est in candidates]
-            chosen = candidates[self._rr_cursor % len(candidates)][0]
-            self._rr_cursor += 1
+            chosen = candidates[cursor % len(candidates)][0]
         elif self.policy == "least_loaded":
             # Score = pages free on the shard (higher is better; the
             # policy minimizes its negation, ties on replica index).
@@ -181,9 +155,7 @@ class ClusterRouter:
                 for r, plan, est in candidates
             ]
             chosen = min(scored, key=lambda cn: (cn[2], cn[0].index))[0]
-        self.routed_counts[chosen.index] = (
-            self.routed_counts.get(chosen.index, 0) + 1
-        )
+        chosen.n_routed += 1
         if self.observer is not None:
             self.observer.route_decision(request, scored, chosen)
         return chosen

@@ -16,7 +16,9 @@ serving.  The :class:`ShardedKVPool` layers a *global ledger* on top:
   through the router (see :class:`repro.cluster.engine.ClusterEngine`);
   :meth:`recover` re-activates an *empty* retired shard — a crashed
   replica rejoining the fleet re-registers with the ledger under the
-  same audit that governed its departure;
+  same audit that governed its departure.  All three are rows of
+  :data:`repro.faults.REPLICA_LIFECYCLE`, whose one writer is the only
+  code that moves the membership flags;
 * :meth:`audit` enforces the ledger invariants — every shard passes
   its own audit, every live sequence is billed by **exactly one**
   shard, and retired shards hold nothing.  A drain/requeue bug that
@@ -30,6 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..config import ModelConfig
+from ..faults import ReplicaRecord, replica_transition
 from ..serving.memory_pool import KVMemoryPool, PoolExhausted
 
 __all__ = ["ShardedKVPool"]
@@ -80,11 +83,6 @@ class ShardedKVPool:
         ]
         self._active = [True] * len(self.shards)
         self._failed = [False] * len(self.shards)
-        #: Duck-typed observability hook: anything with a
-        #: ``ledger_transition(replica, kind)`` method (the cluster
-        #: engine, when telemetry is on).  Same no-import pattern as
-        #: :attr:`KVMemoryPool.observer`.
-        self.observer = None
 
     # ------------------------------------------------------------------
     # Shard access / lifecycle
@@ -113,6 +111,12 @@ class ShardedKVPool:
     def n_active(self) -> int:
         return sum(self._active)
 
+    def phase(self, replica: int) -> str:
+        """The shard's membership as a ``REPLICA_LIFECYCLE`` phase."""
+        if self.is_active(replica):
+            return "active"
+        return "failed" if self._failed[replica] else "drained"
+
     def drain(self, replica: int) -> None:
         """Gracefully retire a shard: no new placements land on it.
 
@@ -120,10 +124,7 @@ class ShardedKVPool:
         the replica's in-flight sequences *before* expecting the audit
         to see the shard empty.
         """
-        replica = self._check_index(replica)
-        if not self._active[replica]:
-            raise ValueError(f"replica {replica} already drained or failed")
-        self._set_membership(replica, "drain")
+        self._apply(replica, "drain")
 
     def fail(self, replica: int) -> None:
         """Abruptly retire a shard (simulated replica failure).
@@ -132,8 +133,7 @@ class ShardedKVPool:
         pages must still return to the ledger via requeue — but the
         shard is flagged failed for the fleet report.
         """
-        self.drain(replica)
-        self._set_membership(replica, "fail")
+        self._apply(replica, "fail")
 
     def recover(self, replica: int) -> None:
         """Re-activate a retired shard (replica rejoin after a crash).
@@ -144,25 +144,21 @@ class ShardedKVPool:
         rejoin clears the failed flag: the replica is a full member of
         the active set again and the router may place new work on it.
         """
-        replica = self._check_index(replica)
-        if self._active[replica]:
-            raise ValueError(f"replica {replica} is already active")
-        shard = self.shards[replica]
-        if shard.reserved_pages or shard.allocated_pages:
-            raise ValueError(
-                f"replica {replica} cannot rejoin: its shard still holds "
-                f"{shard.reserved_pages} reserved / "
-                f"{shard.allocated_pages} allocated pages"
-            )
-        self._set_membership(replica, "recover")
+        self._apply(replica, "recover")
 
-    def _set_membership(self, replica: int, kind: str) -> None:
-        """The one site that writes a shard's membership flags: only a
-        ``recover`` leaves it active, only a ``fail`` leaves it failed."""
-        self._active[replica] = kind == "recover"
-        self._failed[replica] = kind == "fail"
-        if self.observer is not None:
-            self.observer.ledger_transition(replica, kind)
+    def _apply(self, replica: int, event: str) -> None:
+        """One membership event on a bare ledger (no fleet record): the
+        lifecycle's writer checks it against the shard's phase and
+        raises :class:`repro.faults.IllegalReplicaEvent` if illegal."""
+        record = ReplicaRecord(replica, self.phase(replica))
+        replica_transition(record, event, 0.0, pool=self)
+
+    def _set_membership(self, replica: int, step: str) -> None:
+        """Flip a shard's membership flags — ``replica_transition``'s to
+        call, once per ledger step of a row: only a ``recover`` leaves
+        it active, only a ``fail`` leaves it failed."""
+        self._active[replica] = step == "recover"
+        self._failed[replica] = step == "fail"
 
     def _check_index(self, replica: int) -> int:
         if not 0 <= replica < len(self.shards):

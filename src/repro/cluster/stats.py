@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..eval.reporting import Table
+from ..faults import ReplicaRecord
 from ..serving.request import RequestRecord, RequestStatus
 from ..serving.stats import (
     STATS_SCHEMA_VERSION,
@@ -24,7 +25,38 @@ from ..serving.stats import (
     format_quantiles,
 )
 
-__all__ = ["ClusterStats"]
+__all__ = ["ClusterStats", "availability"]
+
+
+def _phase_changes(replicas: Sequence[ReplicaRecord]) -> List[tuple]:
+    """The fleet's membership change points in firing order, each
+    ``(time, replica, previous change time, phase left, phase entered)``."""
+    return sorted(
+        (t, r.index, since, left, entered)
+        for r in replicas
+        for (since, left), (t, entered) in zip(r.history, r.history[1:])
+    )
+
+
+def availability(
+    replicas: Sequence[ReplicaRecord], makespan_s: float
+) -> float:
+    """Time-averaged active-replica fraction over the makespan: the
+    integral of the records' phase histories (change points past the
+    makespan are clamped off)."""
+    if makespan_s <= 0:
+        return 1.0
+    n_active = sum(r.history[0][1] == "active" for r in replicas)
+    integral = last_t = 0.0
+    for t, _, _, left, entered in _phase_changes(replicas):
+        t = min(t, makespan_s)
+        if t > last_t:
+            integral += n_active * (t - last_t)
+            last_t = t
+        n_active += (entered == "active") - (left == "active")
+    if last_t < makespan_s:
+        integral += n_active * (makespan_s - last_t)
+    return integral / (len(replicas) * makespan_s)
 
 
 @dataclass
@@ -77,28 +109,19 @@ class ClusterStats:
     def from_run(
         policy: str,
         records: List[RequestRecord],
+        replicas: Sequence[ReplicaRecord],
         replica_stats: List[ServingStats],
         makespan_s: float,
         global_occupancy_samples: List[float],
         global_occupancy_peak: float,
-        total_pages: int,
-        page_tokens: int,
-        reclaimed_pages: int,
-        reclaimed_tokens: int,
-        n_active_replicas: int,
-        n_drained: int,
-        n_failed: int,
-        n_requeued: int,
-        routed_counts: List[int],
-        n_failed_requests: int = 0,
+        pool,
         admission: str = "reserve",
         numerics: str = "exact",
-        n_recovered: int = 0,
-        n_retries: int = 0,
-        n_breaker_trips: int = 0,
-        availability: float = 1.0,
-        mttr_s: float = float("nan"),
     ) -> "ClusterStats":
+        """The fleet report.  Replica and routing tallies, availability
+        and MTTR are read off ``replicas`` — the run's lifecycle records
+        — the request tallies off ``records`` and the page totals off
+        ``pool`` (the run's :class:`~repro.cluster.ShardedKVPool`)."""
         modes = {s.mode for s in replica_stats}
         mode = modes.pop() if len(modes) == 1 else "mixed"
         fleet = ServingStats.from_run(
@@ -109,11 +132,11 @@ class ClusterStats:
             makespan_s=makespan_s,
             batch_sizes=[],
             occupancy_samples=global_occupancy_samples,
-            pool_pages=total_pages,
-            pool_page_tokens=page_tokens,
+            pool_pages=pool.total_pages,
+            pool_page_tokens=pool.page_tokens,
             occupancy_peak=global_occupancy_peak,
-            reclaimed_pages=reclaimed_pages,
-            reclaimed_tokens=reclaimed_tokens,
+            reclaimed_pages=pool.reclaimed_pages,
+            reclaimed_tokens=pool.reclaimed_tokens,
         )
         # Mean live batch across the fleet: per-replica means weighted
         # equally by replica would misweight idle replicas; sum of
@@ -126,23 +149,35 @@ class ClusterStats:
             if r.status is RequestStatus.FINISHED
         )
         goodput = finished_tokens / makespan_s if makespan_s > 0 else 0.0
+        phases = [r.phase for r in replicas]
+        # Crash-to-rejoin repair times, in the order the rejoins fired.
+        repairs = [
+            up - down for up, _, down, _, entered in _phase_changes(replicas)
+            if entered == "active"
+        ]
         return ClusterStats(
             policy=policy,
             n_replicas=len(replica_stats),
-            n_active_replicas=n_active_replicas,
-            n_drained=n_drained,
-            n_failed=n_failed,
-            n_requeued=n_requeued,
-            routed_counts=list(routed_counts),
+            n_active_replicas=phases.count("active"),
+            n_drained=phases.count("drained"),
+            n_failed=phases.count("failed"),
+            n_requeued=sum(r.n_requeued for r in replicas),
+            routed_counts=[r.n_routed for r in replicas],
             fleet=fleet,
-            n_failed_requests=n_failed_requests,
+            # Deadline expiries and degradation sheds fail requests
+            # *inside* a replica engine, so count the records.
+            n_failed_requests=sum(
+                r.status is RequestStatus.FAILED for r in records
+            ),
             numerics=numerics,
-            n_recovered=n_recovered,
-            n_retries=n_retries,
-            n_breaker_trips=n_breaker_trips,
-            availability=availability,
+            n_recovered=sum(r.n_recovered for r in replicas),
+            n_retries=sum(r.n_retries for r in records),
+            n_breaker_trips=sum(r.n_breaker_trips for r in replicas),
+            availability=availability(replicas, makespan_s),
             goodput_tps=goodput,
-            mttr_s=mttr_s,
+            mttr_s=(
+                sum(repairs) / len(repairs) if repairs else float("nan")
+            ),
             replicas=list(replica_stats),
         )
 

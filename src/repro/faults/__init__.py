@@ -3,8 +3,9 @@
 Everything here runs on the **simulated clock**: fault schedules are
 plain data (:class:`FaultPlan`), generated from a seeded
 ``numpy.random.Generator`` or scripted by hand, validated once
-(:func:`validate_fault_events`), and fired by the cluster loop through
-a :class:`FaultInjector`.  Because injection, detection
+(:func:`validate_fault_events`, a dry replay of
+:data:`REPLICA_LIFECYCLE`), and fired by the cluster loop through the
+table's one writer, :func:`replica_transition`.  Because injection, detection
 (:class:`HeartbeatMonitor` + KV-page checksums), and repair (recovery,
 quarantine-and-recompute, retries) are all deterministic functions of
 the (plan seed, trace seed) pair, a chaos run replays byte-for-byte —
@@ -20,10 +21,13 @@ from .heartbeat import HeartbeatMonitor
 from .plan import (
     CHAOS_PROFILES,
     FAULT_KINDS,
+    REPLICA_LIFECYCLE,
     ChaosProfile,
     FaultEvent,
-    FaultInjector,
     FaultPlan,
+    IllegalReplicaEvent,
+    ReplicaRecord,
+    replica_transition,
     validate_fault_events,
 )
 
@@ -32,8 +36,11 @@ __all__ = [
     "FAULT_KINDS",
     "ChaosProfile",
     "FaultEvent",
-    "FaultInjector",
     "FaultPlan",
     "HeartbeatMonitor",
+    "IllegalReplicaEvent",
+    "REPLICA_LIFECYCLE",
+    "ReplicaRecord",
+    "replica_transition",
     "validate_fault_events",
 ]

@@ -4,10 +4,10 @@ A :class:`FaultPlan` is a validated, time-ordered list of
 :class:`FaultEvent` records — replica crashes and recoveries, transient
 straggler windows, and KV-page corruption strikes — either scripted by
 hand or generated deterministically from a seed with
-:meth:`FaultPlan.generate`.  The :class:`FaultInjector` hands the
-ordered events to :class:`repro.cluster.ClusterEngine`, which fires
-each one on the simulated clock, so a (seed, profile) pair replays to
-byte-identical fleet behaviour.
+:meth:`FaultPlan.generate`.  :class:`repro.cluster.ClusterEngine`
+takes the events (``faults=plan.events``) and fires each one on the
+simulated clock, so a (seed, profile) pair replays to byte-identical
+fleet behaviour.
 
 Event taxonomy (``FaultEvent.kind``):
 
@@ -30,35 +30,99 @@ Event taxonomy (``FaultEvent.kind``):
     ``u_seq``/``u_page`` coordinates over the pages resident when the
     event fires (a no-op on an empty shard).
 
-Sequencing rules (enforced by :func:`validate_fault_events`): a replica
-must be active to ``drain``/``fail`` and retired to ``recover`` —
-``drain -> recover -> fail`` is legal, overlapping retire events on one
-replica are not — and straggler windows must be properly bracketed and
-non-overlapping per replica.
+Sequencing rules are the rows of :data:`REPLICA_LIFECYCLE` — what each
+event needs of the replica it hits and what it leaves behind — applied
+by :func:`replica_transition`, the one writer of a
+:class:`ReplicaRecord`: the cluster engine fires schedules through it,
+:class:`repro.cluster.ShardedKVPool` moves its membership flags through
+it, and :func:`validate_fault_events` is a dry replay of it.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..serving.request import Transition
+from ..telemetry import NULL_TELEMETRY
+
 __all__ = [
     "FAULT_KINDS",
+    "REPLICA_LIFECYCLE",
     "CHAOS_PROFILES",
     "ChaosProfile",
     "FaultEvent",
     "FaultPlan",
-    "FaultInjector",
+    "IllegalReplicaEvent",
+    "ReplicaRecord",
+    "replica_transition",
     "validate_fault_events",
 ]
 
 
 FAULT_KINDS = ("drain", "fail", "recover", "slow_start", "slow_end",
                "corrupt")
+
+_RETIREMENT_COUNTERS = (
+    ("repro_requests_requeued_total",),
+    ("repro_replica_retirements_total", "kind"),
+)
+#: Every event of a replica's life, by name: the schedulable
+#: :data:`FAULT_KINDS`, the heartbeat breaker's two and
+#: ``corrupt_noop`` (a strike that found no page).  A replica has three
+#: axes — membership ``phase`` (``active`` / ``drained`` / ``failed``),
+#: ``pace`` (``steady`` / ``slowed``) and ``breaker`` (``closed`` /
+#: ``open``); a row speaks of one.  ``ledger`` steps flip the shard's
+#: membership flags and are each a ``ledger_<step>`` instant and a
+#: ``repro_ledger_transitions_total{kind=<step>}`` count.  Counters
+#: carry ``kind=<event>`` where a row asks for it.
+REPLICA_LIFECYCLE: Dict[str, Transition] = {
+    "drain": Transition(
+        ("active",), "drained", ledger=("drain",), effect="hand_back",
+        instants=("replica_drain",), counters=_RETIREMENT_COUNTERS,
+        track="scheduler",
+    ),
+    "fail": Transition(
+        ("active",), "failed", ledger=("drain", "fail"),
+        effect="hand_back", instants=("replica_fail",),
+        counters=_RETIREMENT_COUNTERS, track="scheduler",
+    ),
+    "recover": Transition(
+        ("drained", "failed"), "active", tally="n_recovered",
+        ledger=("recover",), effect="rejoin",
+        instants=("replica_recover",),
+        counters=(("repro_replica_recoveries_total",),), track="scheduler",
+    ),
+    "slow_start": Transition(
+        ("steady",), "slowed", axis="pace", effect="set_pace",
+        instants=("straggler_start",),
+        counters=(("repro_straggler_windows_total",),), track="faults",
+    ),
+    "slow_end": Transition(
+        ("slowed",), "steady", axis="pace", effect="set_pace",
+        instants=("straggler_end",), track="faults",
+    ),
+    "breaker_open": Transition(
+        ("closed",), "open", axis="breaker", tally="n_breaker_trips",
+        instants=("breaker_open",),
+        counters=(("repro_breaker_trips_total",),), track="router",
+    ),
+    "breaker_close": Transition(
+        ("open",), "closed", axis="breaker",
+        instants=("breaker_close",), track="router",
+    ),
+    "corrupt": Transition(
+        ("active", "drained", "failed"), effect="strike",
+        instants=("corruption_injected",),
+        counters=(("repro_corruptions_injected_total",),), track="faults",
+    ),
+    "corrupt_noop": Transition(
+        ("active", "drained", "failed"),
+        instants=("corruption_noop",), track="faults",
+    ),
+}
 
 # Deterministic tiebreak for events sharing a timestamp on one replica:
 # close out the previous episode (recover / slow_end) before opening a
@@ -95,21 +159,98 @@ class FaultEvent:
         return (self.time, self.replica, _KIND_ORDER.get(self.kind, -1))
 
 
+class IllegalReplicaEvent(ValueError):
+    """A replica event fired where :data:`REPLICA_LIFECYCLE` has no row
+    for it (recover an active replica, retire a retired one, close a
+    straggler window that never opened, rejoin a shard that still holds
+    pages).  Nothing was touched."""
+
+    def __init__(self, replica: int, phase: str, event: str, why: str = ""):
+        self.replica, self.phase, self.event = replica, phase, event
+        super().__init__(
+            f"replica {replica}: event {event!r} is not legal in phase "
+            f"{phase!r}{why}"
+        )
+
+
+@dataclass
+class ReplicaRecord:
+    """Where one replica is in :data:`REPLICA_LIFECYCLE`, and its
+    tallies.  Only :func:`replica_transition` moves the three axes."""
+
+    index: int
+    phase: str = "active"
+    pace: str = "steady"
+    breaker: str = "closed"
+    #: ``(time, phase)`` change points of the membership phase, from
+    #: the phase the record was built in; availability and MTTR are
+    #: integrals over it.
+    history: List[Tuple[float, str]] = field(init=False)
+    n_recovered: int = 0
+    n_breaker_trips: int = 0
+    #: In-flight requests the replica handed back when it retired.
+    n_requeued: int = 0
+    #: Placements the router made on the replica, requeues included.
+    n_routed: int = 0
+
+    def __post_init__(self) -> None:
+        self.history = [(0.0, self.phase)]
+
+
+def replica_transition(
+    record: ReplicaRecord, event: str, now: float, tel=NULL_TELEMETRY,
+    pool=None,
+) -> Transition:
+    """Apply one :data:`REPLICA_LIFECYCLE` row to ``record`` at ``now``.
+
+    Raises :class:`IllegalReplicaEvent` — before anything moves — unless
+    the row is legal where the record stands and, for a rejoin, the
+    replica's shard of ``pool`` (:class:`repro.cluster.ShardedKVPool`)
+    is empty.  Then the shard takes the row's ledger steps, the record
+    its target and tally.  Returns the row: its ``effect`` and its own
+    instants and counters are the driver's to run and emit
+    (:func:`repro.serving.request.emit_row`) once that work is done.
+    """
+    row = REPLICA_LIFECYCLE.get(event)
+    held = getattr(record, row.axis) if row is not None else record.phase
+    if row is None or held not in row.sources:
+        raise IllegalReplicaEvent(record.index, held, event)
+    if pool is not None and row.target == "active":
+        shard = pool.shard(record.index)
+        if shard.reserved_pages or shard.allocated_pages:
+            raise IllegalReplicaEvent(
+                record.index, held, event,
+                f": its shard still holds {shard.reserved_pages} reserved "
+                f"/ {shard.allocated_pages} allocated pages",
+            )
+    for step in row.ledger:
+        if pool is not None:
+            pool._set_membership(record.index, step)
+        tel.instant(f"ledger_{step}", now, "fleet", "ledger",
+                    replica=record.index)
+        tel.count("repro_ledger_transitions_total", engine="fleet", kind=step)
+    if row.target is not None:
+        setattr(record, row.axis, row.target)
+        if row.axis == "phase":
+            record.history.append((now, row.target))
+    if row.tally is not None:
+        setattr(record, row.tally, getattr(record, row.tally) + 1)
+    return row
+
+
 def validate_fault_events(
     events: Iterable[FaultEvent], n_replicas: int
 ) -> List[FaultEvent]:
     """Validate and time-order a fault schedule.
 
-    Enforces the per-replica event-sequence rules documented in the
-    module docstring and returns the events sorted by
-    ``(time, replica, kind)``.  Raises ``ValueError`` on any illegal
-    schedule — unknown replica, negative time, overlapping retire
-    events without an intervening ``recover``, a ``recover`` while the
-    replica is still active, or an unbracketed straggler window.
+    Returns the events sorted by ``(time, replica, kind)`` after a dry
+    replay of :data:`REPLICA_LIFECYCLE` over a fleet of fresh records:
+    an illegal sequence raises :class:`IllegalReplicaEvent`, an unknown
+    kind or replica, a negative time or a payload out of range a plain
+    ``ValueError``.
     """
     ordered = sorted(events, key=FaultEvent.sort_key)
-    retired: Dict[int, bool] = {}
-    slowed: Dict[int, bool] = {}
+    fleet = [ReplicaRecord(i) for i in range(n_replicas)]
     for event in ordered:
         if event.kind not in _KIND_ORDER:
             raise ValueError(
@@ -123,43 +264,11 @@ def validate_fault_events(
             )
         if event.time < 0:
             raise ValueError("fault event times must be non-negative")
-        idx = event.replica
-        if event.kind in ("drain", "fail"):
-            if retired.get(idx):
-                raise ValueError(
-                    f"overlapping retire events on replica {idx}: it is "
-                    f"already drained/failed at t={event.time:.6g}; "
-                    "schedule a recover first"
-                )
-            retired[idx] = True
-        elif event.kind == "recover":
-            if not retired.get(idx):
-                raise ValueError(
-                    f"recover on replica {idx} at t={event.time:.6g} "
-                    "while it is still active"
-                )
-            retired[idx] = False
-        elif event.kind == "slow_start":
-            if not event.factor >= 1.0:
-                raise ValueError("slow_start factor must be >= 1")
-            if slowed.get(idx):
-                raise ValueError(
-                    f"overlapping straggler windows on replica {idx} "
-                    f"at t={event.time:.6g}"
-                )
-            slowed[idx] = True
-        elif event.kind == "slow_end":
-            if not slowed.get(idx):
-                raise ValueError(
-                    f"slow_end on replica {idx} at t={event.time:.6g} "
-                    "without a matching slow_start"
-                )
-            slowed[idx] = False
-        else:  # corrupt
-            if not (0.0 <= event.u_seq < 1.0 and 0.0 <= event.u_page < 1.0):
-                raise ValueError(
-                    "corrupt event coordinates must lie in [0, 1)"
-                )
+        if not event.factor >= 1.0:
+            raise ValueError("slow_start factor must be >= 1")
+        if not (0.0 <= event.u_seq < 1.0 and 0.0 <= event.u_page < 1.0):
+            raise ValueError("corrupt event coordinates must lie in [0, 1)")
+        replica_transition(fleet[event.replica], event.kind, event.time)
     return ordered
 
 
@@ -295,31 +404,3 @@ class FaultPlan:
         for event in self.events:
             out[event.kind] += 1
         return out
-
-
-class FaultInjector:
-    """Hands a validated fault schedule to the cluster loop in order.
-
-    Thin consumable view over the merged per-run schedule (scripted
-    ``drain_at``/``fail_at``/``recover_at`` events plus an optional
-    generated :class:`FaultPlan`); the cluster fires :meth:`pop` when
-    the simulated clock reaches :attr:`next_time`.
-    """
-
-    def __init__(
-        self, events: Iterable[FaultEvent], n_replicas: int
-    ) -> None:
-        self._events = deque(validate_fault_events(events, n_replicas))
-
-    @property
-    def next_time(self) -> float:
-        return self._events[0].time if self._events else math.inf
-
-    def pop(self) -> FaultEvent:
-        return self._events.popleft()
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __bool__(self) -> bool:
-        return bool(self._events)

@@ -51,7 +51,9 @@ routing possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -162,6 +164,39 @@ class PrefillingSequence(ScheduledSequence):
     """An admitted request whose prompt is still committing in chunks."""
 
     state: PrefillState
+
+
+@dataclass
+class _EngineRun:
+    """What one stepwise run accumulates.  :meth:`ServingEngine.start`
+    builds a new one, so a second run inherits nothing from the first."""
+
+    #: ``None`` until the first :meth:`~ServingEngine.start`.
+    clock: Optional[SimulatedClock]
+    #: Pool corruption events already handled by quarantine; the cheap
+    #: per-step guard that keeps the checksum scan off the fault-free
+    #: hot path.
+    corrupt_seen: int
+    #: Submitted records not yet visible to the queue.  Each one's
+    #: ``phase_start`` is when the scheduler may first see it: the
+    #: arrival time, or the requeue time for a request handed back by a
+    #: drained replica (which must not restart in the simulated past).
+    pending: List[RequestRecord] = field(default_factory=list)
+    records: Dict[int, RequestRecord] = field(default_factory=dict)
+    batch_sizes: List[int] = field(default_factory=list)
+    occupancy_samples: List[float] = field(default_factory=list)
+    #: Every preemption this run, in order (tests assert the livelock
+    #: guard on it; reports aggregate from the records).
+    preemption_log: List[PreemptionEvent] = field(default_factory=list)
+    steps: int = 0
+    #: Consecutive pressured steps (degradation ladder trigger).
+    pressure_streak: int = 0
+    #: Transient straggler factor: every cost-model duration is
+    #: multiplied by this before the clock advances.  1.0 (healthy) is
+    #: exact in IEEE arithmetic, so a never-slowed run is bit-identical
+    #: to one built before the knob existed.  The chaos engine toggles
+    #: it over bounded fault windows.
+    slowdown: float = 1.0
 
 
 class ServingEngine:
@@ -282,6 +317,27 @@ class ServingEngine:
         self.admission = admission
         self.preemption = PreemptionPolicy(preempt_policy)
         self.headroom_pages = int(headroom_pages)
+        #: The admission mode, resolved once: which plan column list a
+        #: request is billed (its worst-case bounds, or optimistically
+        #: its post-prefill floor), the headroom that must stay free on
+        #: top, the pool calls that check, open and resize the bill, and
+        #: whether a bill can outgrow the pool (preemption's job).
+        self._preempts = admission == "optimistic"
+        if self._preempts:
+            self._billed = attrgetter("token_counts")
+            self._headroom = self.headroom_pages
+            self._fits = partial(
+                pool.can_admit_optimistic, headroom_pages=self._headroom
+            )
+            self._open = partial(
+                pool.admit_optimistic, headroom_pages=self._headroom
+            )
+            self._resize = pool.try_grow
+        else:
+            self._billed = attrgetter("kv_bounds")
+            self._headroom = 0
+            self._fits, self._open = pool.can_admit, pool.admit
+            self._resize = pool.sync
         self.name = name
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.audit_every = audit_every
@@ -292,12 +348,6 @@ class ServingEngine:
         #: the analysis layer; evaluated read-only in :meth:`finish`, so
         #: core stats fields are bit-identical with and without it.
         self.slo = slo
-        #: Transient straggler factor: every cost-model duration is
-        #: multiplied by this before the clock advances.  1.0 (healthy)
-        #: is exact in IEEE arithmetic, so a never-slowed run is
-        #: bit-identical to one built before the knob existed.  The
-        #: chaos engine toggles it over bounded fault windows.
-        self.slowdown = 1.0
         #: Decode steps and prompt passes run through one packed backend
         #: at the engine's tier (fused batch-level GEMMs; off the exact
         #: tier the whole layer stack in the tier's compute dtype — see
@@ -306,27 +356,12 @@ class ServingEngine:
         self.queue = RequestQueue()
         self.live: List[LiveSequence] = []
         self.prefilling: List[PrefillingSequence] = []
-        # Stepwise-run state (populated by start()).
-        self._clock: Optional[SimulatedClock] = None
-        #: Submitted records not yet visible to the queue.  Each one's
-        #: ``phase_start`` is when the scheduler may first see it: the
-        #: arrival time, or the requeue time for a request handed back
-        #: by a drained replica (which must not restart in the
-        #: simulated past).
-        self._pending: List[RequestRecord] = []
-        self._records: Dict[int, RequestRecord] = {}
-        self._batch_sizes: List[int] = []
-        self._occupancy_samples: List[float] = []
-        #: Every preemption this run, in order (tests assert the
-        #: livelock guard on it; reports aggregate from the records).
-        self.preemption_log: List[PreemptionEvent] = []
-        self._steps = 0
-        #: Pool corruption events already handled by quarantine; the
-        #: cheap per-step guard that keeps the checksum scan off the
-        #: fault-free hot path.
-        self._corrupt_seen = 0
-        #: Consecutive pressured steps (degradation ladder trigger).
-        self._pressure_streak = 0
+        self._run = _EngineRun(clock=None, corrupt_seen=0)
+
+    @property
+    def preemption_log(self) -> List[PreemptionEvent]:
+        """Every preemption of the latest run, in order."""
+        return self._run.preemption_log
 
     @property
     def mode(self) -> str:
@@ -363,7 +398,7 @@ class ServingEngine:
         """Set the straggler factor (>= 1) scaling every step duration."""
         if not math.isfinite(factor) or factor < 1.0:
             raise ValueError("slowdown factor must be finite and >= 1")
-        self.slowdown = float(factor)
+        self._run.slowdown = float(factor)
 
     def _make_executor(
         self, pruning: Optional[PruningConfig]
@@ -384,9 +419,9 @@ class ServingEngine:
     # ------------------------------------------------------------------
     @property
     def clock(self) -> SimulatedClock:
-        if self._clock is None:
+        if self._run.clock is None:
             raise RuntimeError("engine not started: call start() first")
-        return self._clock
+        return self._run.clock
 
     @property
     def now(self) -> float:
@@ -396,7 +431,7 @@ class ServingEngine:
     def has_work(self) -> bool:
         """True while any request is pending, queued, or in flight."""
         return bool(
-            self._pending or self.queue or self.prefilling or self.live
+            self._run.pending or self.queue or self.prefilling or self.live
         )
 
     def validate_request(self, request: Request, plan: SequencePlan) -> None:
@@ -415,24 +450,21 @@ class ServingEngine:
                 f"tokens (prompt + max_new), model max_seq_len is "
                 f"{max_seq_len}"
             )
+        # Two bills must fit the whole pool: what admission charges (the
+        # mode's column list plus headroom) and — in either mode — the
+        # worst-case bound: preemption can evict every *other* sequence,
+        # but a lone resident sequence must be able to run to
+        # completion.
         need = self.pool.pages_for_lengths(plan.kv_bounds)
-        # Even optimistic mode needs the worst-case bound to fit the
-        # whole pool: preemption can evict every *other* sequence, but
-        # a lone resident sequence must be able to run to completion.
-        if need > self.pool.n_pages:
+        billed = (
+            self.pool.pages_for_lengths(self._billed(plan)) + self._headroom
+        )
+        if max(need, billed) > self.pool.n_pages:
             raise PoolExhausted(
-                f"request {request.request_id} needs {need} pages, pool "
+                f"request {request.request_id} needs {need} pages at worst "
+                f"and {billed} (headroom included) at admission, pool "
                 f"holds {self.pool.n_pages}: it can never be admitted"
             )
-        if self.admission == "optimistic":
-            floor = self.pool.pages_for_lengths(plan.token_counts)
-            if floor + self.headroom_pages > self.pool.n_pages:
-                raise PoolExhausted(
-                    f"request {request.request_id} needs {floor} prompt "
-                    f"pages plus {self.headroom_pages} headroom, pool "
-                    f"holds {self.pool.n_pages}: it can never be admitted "
-                    f"optimistically"
-                )
 
     def can_ever_admit(self, request: Request) -> bool:
         """Whether this engine could ever serve the request (routing)."""
@@ -442,22 +474,15 @@ class ServingEngine:
 
     def start(self, clock: Optional[SimulatedClock] = None) -> None:
         """Open a stepwise run (fresh clock, empty pending/record state)."""
-        if self._clock is not None and self.has_work:
+        if self.has_work:
             raise RuntimeError("engine already running with work in flight")
-        self._clock = clock or SimulatedClock()
-        self._pending = []
-        self._records = {}
-        self._batch_sizes = []
-        self._occupancy_samples = []
-        self.preemption_log = []
-        self._steps = 0
         # A run reports itself alone: the pool's cumulative counters
         # and the backend's resident rows start over too.
         self.pool.reset_counters()
         self._backend.reset()
-        self._corrupt_seen = self.pool.n_corrupt_events
-        self._pressure_streak = 0
-        self.slowdown = 1.0
+        self._run = _EngineRun(
+            clock or SimulatedClock(), self.pool.n_corrupt_events
+        )
         # Cleared when inert, so a pool a traced engine drove before
         # stops notifying that stale engine.
         self.pool.observer = self if self.telemetry.active else None
@@ -480,7 +505,7 @@ class ServingEngine:
         delays queue visibility past the arrival time (a requeue must
         not restart in the simulated past).
         """
-        if request.request_id in self._records:
+        if request.request_id in self._run.records:
             raise ValueError(
                 f"request {request.request_id} already submitted; "
                 f"request_ids must be unique"
@@ -489,13 +514,13 @@ class ServingEngine:
         plan = self.plan_for(request, record)
         self.validate_request(request, plan)
         record.plan = plan
-        self._records[request.request_id] = record
+        self._run.records[request.request_id] = record
         available = (
             request.arrival_time
             if available_time is None
             else max(float(available_time), request.arrival_time)
         )
-        self._pending.append(record)
+        self._run.pending.append(record)
         self._transition(
             record, "submitted", available,
             prompt_len=request.prompt_len,
@@ -526,11 +551,11 @@ class ServingEngine:
         self._expire_deadlines(clock)
         self._apply_degradation(clock)
         self._admit_ready(clock)
-        if self.admission == "optimistic" and (self.live or self.prefilling):
+        if self._preempts and (self.live or self.prefilling):
             self._relieve_pressure(clock)
         if not self.live and not self.prefilling:
-            if self._pending:
-                target = min(r.phase_start for r in self._pending)
+            if self._run.pending:
+                target = min(r.phase_start for r in self._run.pending)
                 if horizon is not None:
                     target = min(target, float(horizon))
                 clock.advance_to(target)
@@ -538,9 +563,9 @@ class ServingEngine:
             if self.queue:  # pragma: no cover - submit() pre-validation
                 raise PoolExhausted("queued request can never be admitted")
             return 0.0
-        self._batch_sizes.append(len(self.live) + len(self.prefilling))
+        self._run.batch_sizes.append(len(self.live) + len(self.prefilling))
         self._mixed_step(clock)
-        self._occupancy_samples.append(self.pool.occupancy)
+        self._run.occupancy_samples.append(self.pool.occupancy)
         return clock.now - before
 
     def drain(self) -> List[Tuple[Request, RequestRecord]]:
@@ -555,18 +580,18 @@ class ServingEngine:
         Requests already finished on this engine stay in its report.
         """
         now = self.now
-        for record in self._pending:
+        for record in self._run.pending:
             if record.phase_start <= now:
                 # Visible but not yet ingested: its queue wait is real,
                 # and must tile the timeline for latency attribution.
                 self._transition(record, "queued", record.phase_start)
-        waiting = [record.request for record in self._pending]
+        waiting = [record.request for record in self._run.pending]
         waiting += self.queue.drain()
         resident = self.prefilling + self.live
-        self._pending, self.prefilling, self.live = [], [], []
+        self._run.pending, self.prefilling, self.live = [], [], []
         for request in waiting:
             self._transition(
-                self._records[request.request_id], "drained", now
+                self._run.records[request.request_id], "drained", now
             )
         for seq in resident:
             self._transition(seq.record, "drained", now)
@@ -574,21 +599,21 @@ class ServingEngine:
             if isinstance(seq, LiveSequence):
                 self._backend.release(seq.executor)
         return [
-            (request, self._records.pop(request.request_id))
+            (request, self._run.records.pop(request.request_id))
             for request in waiting + [seq.request for seq in resident]
         ]
 
     def finish(self) -> ServingStats:
         """Build the stats report over the requests this engine served."""
-        records = [self._records[i] for i in sorted(self._records)]
+        records = [self._run.records[i] for i in sorted(self._run.records)]
         stats = ServingStats.from_run(
             mode=self.mode,
             admission=self.admission,
             numerics=self.numerics.name,
             records=records,
             makespan_s=self.clock.now,
-            batch_sizes=self._batch_sizes,
-            occupancy_samples=self._occupancy_samples,
+            batch_sizes=self._run.batch_sizes,
+            occupancy_samples=self._run.occupancy_samples,
             pool_pages=self.pool.n_pages,
             pool_page_tokens=self.pool.page_tokens,
             occupancy_peak=self.pool.peak_allocated_pages / self.pool.n_pages,
@@ -628,11 +653,8 @@ class ServingEngine:
             self.validate_request(request, plan)
         except (ValueError, PoolExhausted):
             return None
-        if self.admission == "reserve":
-            return self.pool.pages_for_lengths(plan.kv_bounds)
         return (
-            self.pool.pages_for_lengths(plan.token_counts)
-            + self.headroom_pages
+            self.pool.pages_for_lengths(self._billed(plan)) + self._headroom
         )
 
     def request_flops_estimate(self, plan: SequencePlan) -> float:
@@ -661,10 +683,10 @@ class ServingEngine:
         """
         cfg = self.model.config
         queued = [
-            self._records[request.request_id]
+            self._run.records[request.request_id]
             for request in self.queue.as_ordered_list()
         ]
-        for record in self._pending + queued:
+        for record in self._run.pending + queued:
             yield record, False, self.request_flops_estimate(record.plan)
         for seq in self.prefilling:
             state = seq.state  # never done here: done sequences promote
@@ -713,7 +735,7 @@ class ServingEngine:
     # ------------------------------------------------------------------
     def _ingest(self, now: float) -> None:
         still_pending: List[RequestRecord] = []
-        for record in self._pending:
+        for record in self._run.pending:
             if record.phase_start <= now:
                 # The queue wait starts when the request became
                 # visible, not at the step that noticed.
@@ -721,7 +743,7 @@ class ServingEngine:
                 self.queue.push(record.request)
             else:
                 still_pending.append(record)
-        self._pending = still_pending
+        self._run.pending = still_pending
 
     def _admit_ready(self, clock: SimulatedClock) -> None:
         """Backfill the live batch from the queue while the pool fits."""
@@ -741,11 +763,8 @@ class ServingEngine:
         admit new work mid-run instead of idling until a reservation
         retires.
         """
-        plan = self._records[request.request_id].plan
-        if self.admission == "reserve":
-            return self.pool.can_admit(plan.kv_bounds)
-        return self.pool.can_admit_optimistic(
-            plan.token_counts, self.headroom_pages
+        return self._fits(
+            self._billed(self._run.records[request.request_id].plan)
         )
 
     def _reserve(
@@ -757,15 +776,9 @@ class ServingEngine:
         inside subsequent mixed steps, so reservation itself costs no
         simulated time and never stalls the live batch.
         """
-        record = self._records[request.request_id]
+        record = self._run.records[request.request_id]
         plan = record.plan
-        if self.admission == "reserve":
-            self.pool.admit(request.request_id, plan.kv_bounds)
-        else:
-            self.pool.admit_optimistic(
-                request.request_id, plan.token_counts,
-                headroom_pages=self.headroom_pages,
-            )
+        self._open(request.request_id, self._billed(plan))
         self._transition(
             record, "admitted", clock.now,
             bound_pages=self.pool.pages_for_lengths(plan.kv_bounds),
@@ -843,7 +856,7 @@ class ServingEngine:
         )
         dt = self.cost.mixed_step_time(
             prefill_flops, decode_flops, len(prefills), len(decode_batch),
-        ) * self.slowdown
+        ) * self._run.slowdown
         clock.advance(dt)
 
         # Commit prefill progress; promote sequences whose last chunk
@@ -905,14 +918,12 @@ class ServingEngine:
         """
         if not lengths:  # executors without a KV cache have nothing to page
             return
-        if self.admission == "optimistic":
-            if not self.pool.try_grow(seq_id, lengths):
-                raise PoolExhausted(
-                    f"sequence {seq_id} outgrew the pool after pressure "
-                    f"relief; the step projection under-counted its growth"
-                )
-        else:
-            self.pool.sync(seq_id, lengths)
+        # sync raises by itself; try_grow answers False when refused.
+        if self._resize(seq_id, lengths) is False:
+            raise PoolExhausted(
+                f"sequence {seq_id} outgrew the pool after pressure "
+                f"relief; the step projection under-counted its growth"
+            )
 
     def _commit_chunk(self, seq: PrefillingSequence) -> None:
         """Book a committed chunk: grow the sequence's pool pages to match.
@@ -946,7 +957,7 @@ class ServingEngine:
         recompute from scratch — greedy decoding replays the identical
         stream, so corruption costs latency, never tokens.
         """
-        if self.pool.n_corrupt_events == self._corrupt_seen:
+        if self.pool.n_corrupt_events == self._run.corrupt_seen:
             return
         report = self.pool.verify_checksums()
         for seq in self.live + self.prefilling:
@@ -955,7 +966,7 @@ class ServingEngine:
                     seq, "quarantined", self.pool.quarantine_release, clock,
                     corrupted=[list(p) for p in report[seq.seq_id]],
                 )
-        self._corrupt_seen = self.pool.n_corrupt_events
+        self._run.corrupt_seen = self.pool.n_corrupt_events
         if report:
             self.pool.audit()
 
@@ -971,7 +982,7 @@ class ServingEngine:
         now = clock.now
         for request in list(self.queue.as_ordered_list()):
             if now > request.arrival_time + self.deadline_s and not \
-                    self._records[request.request_id].admitted_before:
+                    self._run.records[request.request_id].admitted_before:
                 self._fail_request(request, "deadline", now)
 
     def _apply_degradation(self, clock: SimulatedClock) -> None:
@@ -989,10 +1000,10 @@ class ServingEngine:
             self.pool.free_reservation_pages, self.pool.n_pages,
             len(self.queue),
         ):
-            self._pressure_streak = 0
+            self._run.pressure_streak = 0
             return
-        self._pressure_streak += 1
-        if self._pressure_streak < policy.sustain_steps:
+        self._run.pressure_streak += 1
+        if self._run.pressure_streak < policy.sustain_steps:
             return
         if self._shed_one(clock):
             return
@@ -1016,7 +1027,7 @@ class ServingEngine:
         if escalated is None or not self.queue:
             return
         request = self.queue.peek()
-        record = self._records[request.request_id]
+        record = self._run.records[request.request_id]
         if record.pruning_override is not None:
             return
         plan = SequencePlan.build(
@@ -1039,7 +1050,7 @@ class ServingEngine:
         """Drop one queued request for good (ladder shed, deadline)."""
         self.queue.remove(request)
         self._transition(
-            self._records[request.request_id], "shed", now,
+            self._run.records[request.request_id], "shed", now,
             reason=reason, priority=request.priority,
         )
 
@@ -1128,7 +1139,7 @@ class ServingEngine:
             seq, "preempted", self.pool.preempt_release, clock,
             policy=self.preemption.policy,
         )
-        self.preemption_log.append(PreemptionEvent(
+        self._run.preemption_log.append(PreemptionEvent(
             time=clock.now,
             request_id=seq.seq_id,
             pages_freed=pages,
@@ -1212,9 +1223,9 @@ class ServingEngine:
         """Per-step bookkeeping: periodic audits plus one metrics/trace
         sample.  Runs after the step's commits, so pool gauges reflect
         the post-step ledger."""
-        self._steps += 1
+        self._run.steps += 1
         tel = self.telemetry
-        if self.audit_every and self._steps % self.audit_every == 0:
+        if self.audit_every and self._run.steps % self.audit_every == 0:
             self.pool.audit()
             tel.count("repro_pool_audits_total", engine=self.name)
         if not tel.active:
@@ -1236,7 +1247,7 @@ class ServingEngine:
             "decode_flops": decode_flops,
             "live": n_decode,
             "prefilling": n_prefill,
-            "queued": len(self.queue) + len(self._pending),
+            "queued": len(self.queue) + len(self._run.pending),
             "allocated_pages": pool.allocated_pages,
             "reserved_pages": pool.reserved_pages,
             "reclaimed_pages": pool.reclaimed_pages,

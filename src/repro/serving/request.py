@@ -12,7 +12,9 @@ The request lifecycle lives here too: :data:`LIFECYCLE` is the one table
 of events a request can go through and :func:`transition` the one
 function that applies a row — record fields, the phase span it closes,
 the instants and counters it emits (see "Request lifecycle" in the
-serving guide).
+serving guide).  :class:`Transition` and :func:`emit_row` are also the
+row type and the emitter of the fleet's
+:data:`repro.faults.REPLICA_LIFECYCLE`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "Transition",
     "LIFECYCLE",
     "SPAN_PHASES",
+    "emit_row",
     "transition",
 ]
 
@@ -173,9 +176,9 @@ class RequestRecord:
     #: token).  A protected request is never selected as a preemption
     #: victim, so no request can be preempted twice without progress.
     preempt_protected: bool = False
-    #: Routing attempts consumed by retry-with-backoff after a failed
-    #: placement (cluster mode).  Bounded by the cluster's retry
-    #: budget; exhaustion fails the request cleanly.
+    #: Placement retries *scheduled* after a failed placement (cluster
+    #: mode; the ``retry`` lifecycle event).  Bounded by the cluster's
+    #: retry budget; exhaustion fails the request cleanly.
     n_retries: int = 0
     #: KV-page corruption strikes survived: each one quarantined the
     #: sequence's pages and recomputed it from scratch (greedy decoding
@@ -313,17 +316,21 @@ SPAN_PHASES = ("queued", "prefill", "decode")
 
 @dataclass(frozen=True)
 class Transition:
-    """One row of :data:`LIFECYCLE`.
+    """One row of :data:`LIFECYCLE` (or of the fleet's
+    :data:`repro.faults.REPLICA_LIFECYCLE`, which reads ``axis``,
+    ``ledger`` and ``effect`` too).
 
     Attributes:
         sources: phases the event is legal in.
         target: next phase (``None`` = stay; the open span carries on).
         status: ``RequestStatus`` set (``None`` = unchanged).
         stamp: record timestamp field set to the event time.
-        strike: strike tally bumped (``n_preemptions`` /
-            ``n_corruptions``); a strike also books the discarded
-            ``work_tokens`` as ``recompute_tokens`` and arms the
-            livelock guard (``preempt_protected``).
+        tally: record tally the event adds one to (``n_retries``, the
+            strike tallies, a replica's ``n_recovered``); the row's
+            first counter is its metric twin.
+        strike: the event discards committed work: ``work_tokens`` is
+            booked as ``recompute_tokens`` and the livelock guard
+            (``preempt_protected``) armed.
         requeue: reset the record to its pre-admission state — greedy
             decoding replays the identical stream, and the original
             ``arrival_time`` keeps the penalty visible in the tails.
@@ -332,18 +339,26 @@ class Transition:
         counters: ``(name, *label_args)`` counters bumped, labelled with
             the emitting engine plus the named event args.
         track: trace track (``None`` = the request's own ``req <id>``).
+        axis: record attribute ``sources`` / ``target`` speak of (a
+            replica also has a ``pace`` and a ``breaker``).
+        ledger: membership steps the replica's shard takes, in order.
+        effect: the driver-side work the event triggers, by name.
     """
 
     sources: Tuple[str, ...]
     target: Optional[str] = None
     status: Optional[RequestStatus] = None
     stamp: Optional[str] = None
-    strike: Optional[str] = None
+    tally: Optional[str] = None
+    strike: bool = False
     requeue: bool = False
     outcome: Optional[str] = None
     instants: Tuple[str, ...] = ()
     counters: Tuple[Tuple[str, ...], ...] = ()
     track: Optional[str] = None
+    axis: str = "phase"
+    ledger: Tuple[str, ...] = ()
+    effect: Optional[str] = None
 
 
 #: Every event of the request lifecycle, by name.  Failing events
@@ -372,14 +387,14 @@ LIFECYCLE: Dict[str, Transition] = {
         counters=(("repro_requests_finished_total",),),
     ),
     "preempted": Transition(
-        ("prefill", "decode"), "queued", strike="n_preemptions",
-        requeue=True, outcome="preempted",
+        ("prefill", "decode"), "queued", tally="n_preemptions",
+        strike=True, requeue=True, outcome="preempted",
         instants=("preempted", "requeued"),
         counters=(("repro_preemptions_total",),),
     ),
     "quarantined": Transition(
-        ("prefill", "decode"), "queued", strike="n_corruptions",
-        requeue=True, outcome="quarantined",
+        ("prefill", "decode"), "queued", tally="n_corruptions",
+        strike=True, requeue=True, outcome="quarantined",
         instants=("quarantined", "requeued"),
         counters=(("repro_corruptions_total",),),
     ),
@@ -397,12 +412,34 @@ LIFECYCLE: Dict[str, Transition] = {
         ("queued",), instants=("repruned",),
         counters=(("repro_requests_repruned_total",),),
     ),
+    "retry": Transition(
+        ("unrouted",), tally="n_retries", instants=("route_retry",),
+        counters=(("repro_route_retries_total",),), track="router",
+    ),
     "route_failed": Transition(
         ("unrouted",), "failed", RequestStatus.FAILED,
         instants=("route_failed",),
         counters=(("repro_requests_failed_total",),), track="router",
     ),
 }
+
+
+def emit_row(
+    row: Transition, now: float, tel, process: str, track: str,
+    args: Dict[str, object], amount: float = 1.0, **labels,
+) -> None:
+    """The telemetry half of a table row, through ``tel`` under
+    ``process``: the row's instants on ``track`` (the first carries
+    ``args``) and its counters, labelled from ``args`` and ``labels``;
+    the first counter moves by ``amount``."""
+    for i, name in enumerate(row.instants):
+        tel.instant(name, now, process, track, **(args if i == 0 else {}))
+    labels.update(args)
+    for i, (name, *keys) in enumerate(row.counters):
+        tel.count(
+            name, amount if i == 0 else 1.0, engine=process,
+            **{key: labels[key] for key in keys},
+        )
 
 
 def transition(
@@ -435,8 +472,9 @@ def transition(
         )
         record.token_ids.clear()
         record.token_latencies.clear()
-    if row.strike is not None:
-        state[row.strike] += 1
+    if row.tally is not None:
+        state[row.tally] += 1
+    if row.strike:
         record.recompute_tokens += int(args["work_tokens"])
         record.preempt_protected = True
     if row.status is not None:
@@ -455,9 +493,4 @@ def transition(
         tel.span(
             phase, phase_start, now, process, track, outcome=row.outcome
         )
-    for i, name in enumerate(row.instants):
-        tel.instant(name, now, process, track, **(args if i == 0 else {}))
-    for name, *label_args in row.counters:
-        tel.count(
-            name, engine=process, **{key: args[key] for key in label_args}
-        )
+    emit_row(row, now, tel, process, track, args)

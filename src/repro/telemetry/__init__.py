@@ -15,8 +15,10 @@ reproducible:
     one table (:data:`repro.serving.request.LIFECYCLE`, rendered in
     the serving guide's "Request lifecycle" section), the KV
     pool emits alloc/evict/preempt events through its observer hook,
-    the cluster router emits per-replica scored decisions, and the
-    sharded ledger emits drain/fail transitions.
+    the cluster router emits per-replica scored decisions, and a
+    replica's drain / fail / recover / straggler / breaker events come
+    from the fleet's own table
+    (:data:`repro.faults.REPLICA_LIFECYCLE`).
 
 ``metrics``
     :class:`MetricsRegistry` — Prometheus-style counters, gauges, and

@@ -162,7 +162,7 @@ def cluster_chaos(setup, numerics="exact"):
     stats = ClusterEngine(
         model, pool, policy="pruning_aware", pruning=PRUNING,
         prefill_chunk=8, admission="optimistic", numerics=numerics,
-        fault_plan=chaos_plan(requests), heartbeat_timeout_s=0.02 * span,
+        faults=chaos_plan(requests).events, heartbeat_timeout_s=0.02 * span,
         retry_budget=1, retry_backoff_s=0.04 * span, audit_every=3,
         telemetry=tel,
     ).run(requests)

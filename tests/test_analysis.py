@@ -23,7 +23,9 @@ from repro.analysis import (
     render_text,
 )
 from repro.cli import main as cli_main
-from repro.cluster.stats import ClusterStats
+from repro.cluster import ClusterStats, ShardedKVPool
+from repro.config import GPT2_SMALL
+from repro.faults import ReplicaRecord
 from repro.serving.stats import STATS_SCHEMA_VERSION, ServingStats
 
 
@@ -534,9 +536,8 @@ class TestGoldenSchemaRoundTrip:
             policy="round_robin", records=[],
             replica_stats=[serving_stats], makespan_s=1.0,
             global_occupancy_samples=[0.5], global_occupancy_peak=0.75,
-            total_pages=8, page_tokens=16, reclaimed_pages=1,
-            reclaimed_tokens=16, n_active_replicas=1, n_drained=0,
-            n_failed=0, n_requeued=0, routed_counts=[0],
+            replicas=[ReplicaRecord(0)],
+            pool=ShardedKVPool(GPT2_SMALL, 1 << 20, n_replicas=1),
         )
         assert sorted(stats.to_dict()) == golden["cluster_stats"]
         assert sorted(stats.to_dict()["fleet"]) == golden["serving_stats"]

@@ -14,6 +14,7 @@ from repro.cluster import (
 )
 from repro.config import GPT2_SMALL, PruningConfig
 from repro.core import SequencePlan
+from repro.faults import FaultEvent, IllegalReplicaEvent
 from repro.serving import (
     KVMemoryPool,
     PoolExhausted,
@@ -206,7 +207,8 @@ class TestShardedKVPool:
         pool.fail(2)
         assert pool.is_failed(2)
         assert pool.n_active == 1
-        with pytest.raises(ValueError, match="already drained"):
+        with pytest.raises(ValueError, match="replica 1: event 'drain' is "
+                                             "not legal in phase 'drained'"):
             pool.drain(1)
         with pytest.raises(IndexError):
             pool.drain(5)
@@ -245,7 +247,7 @@ class TestClusterRouter:
             for rid in range(4)
         ]
         assert picks == [0, 1, 0, 1]
-        assert router.routed_counts == {0: 2, 1: 2}
+        assert [r.n_routed for r in replicas] == [2, 2]
 
     def test_least_loaded_prefers_free_pages(self, cluster_setup):
         config, replicas = self.make_replicas(cluster_setup, pages=(32, 32))
@@ -426,7 +428,7 @@ class TestClusterEngine:
         drain_t = baseline.fleet.makespan_s / 3
         stats, pool = self.run_cluster(
             cluster_setup, requests, n_replicas=2, policy="least_loaded",
-            drain_events=[(drain_t, 0)], numerics=numerics,
+            faults=[FaultEvent(drain_t, 0, "drain")], numerics=numerics,
         )
         assert stats.n_requeued > 0
         assert stats.n_drained == 1 and stats.n_failed == 0
@@ -459,7 +461,7 @@ class TestClusterEngine:
         baseline, _ = self.run_cluster(cluster_setup, requests, n_replicas=2)
         late, pool = self.run_cluster(
             cluster_setup, requests, n_replicas=2,
-            drain_events=[(baseline.fleet.makespan_s + 10.0, 0)],
+            faults=[FaultEvent(baseline.fleet.makespan_s + 10.0, 0, "drain")],
         )
         assert late.n_requeued == 0
         assert late.n_drained == 1
@@ -475,7 +477,7 @@ class TestClusterEngine:
         requests = skewed_requests(config, corpus, n=6, rate=2000.0)
         stats, pool = self.run_cluster(
             cluster_setup, requests, n_replicas=2,
-            fail_events=[(1e-4, 1)],
+            faults=[FaultEvent(1e-4, 1, "fail")],
         )
         assert stats.n_failed == 1 and stats.n_drained == 0
         assert pool.is_failed(1)
@@ -495,7 +497,8 @@ class TestClusterEngine:
         requests = skewed_requests(config, corpus, n=6, rate=2000.0)
         stats, pool = self.run_cluster(
             cluster_setup, requests, n_replicas=2,
-            drain_events=[(1e-4, 0), (2e-4, 1)],
+            faults=[FaultEvent(1e-4, 0, "drain"),
+                    FaultEvent(2e-4, 1, "drain")],
         )
         pool.audit()
         assert stats.n_failed_requests > 0
@@ -531,7 +534,7 @@ class TestClusterEngine:
                       max_new_tokens=20, arrival_time=2e-5)
         cluster = ClusterEngine(
             model, pool, policy="round_robin", prefill_chunk=8,
-            drain_events=[(1e-4, 0)],
+            faults=[FaultEvent(1e-4, 0, "drain")],
         )
         stats = cluster.run(small + [big])
         pool.audit()
@@ -553,22 +556,21 @@ class TestClusterEngine:
         config, model, corpus = cluster_setup
         pool = make_sharded(config)
         with pytest.raises(ValueError, match="unknown replica"):
-            ClusterEngine(model, pool, drain_events=[(0.1, 9)])
+            ClusterEngine(model, pool, faults=[FaultEvent(0.1, 9, "drain")])
         with pytest.raises(ValueError, match="non-negative"):
-            ClusterEngine(model, pool, drain_events=[(-0.1, 0)])
+            ClusterEngine(model, pool, faults=[FaultEvent(-0.1, 0, "drain")])
         # Overlapping retire events (no recover in between) are
         # rejected; a drain -> recover -> fail sequence is legal.
-        with pytest.raises(ValueError, match="recover first"):
-            ClusterEngine(
-                model, pool, drain_events=[(0.1, 0)],
-                fail_events=[(0.2, 0)],
-            )
-        with pytest.raises(ValueError, match="still active"):
-            ClusterEngine(model, pool, recover_events=[(0.1, 0)])
-        ClusterEngine(
-            model, pool, drain_events=[(0.1, 0)],
-            recover_events=[(0.15, 0)], fail_events=[(0.2, 0)],
+        drain, recover, fail = (
+            FaultEvent(t, 0, kind) for t, kind in
+            ((0.1, "drain"), (0.15, "recover"), (0.2, "fail"))
         )
+        with pytest.raises(ValueError, match="'fail' is not legal in phase "
+                                             "'drained'"):
+            ClusterEngine(model, pool, faults=[drain, fail])
+        with pytest.raises(IllegalReplicaEvent, match="phase 'active'"):
+            ClusterEngine(model, pool, faults=[recover])
+        ClusterEngine(model, pool, faults=[fail, drain, recover])
 
     def test_infeasible_request_rejected_up_front(self, cluster_setup):
         config, model, corpus = cluster_setup
@@ -663,7 +665,7 @@ def test_cluster_smoke(cluster_setup):
     pool = make_sharded(config, total_pages=96, n_replicas=2)
     stats = ClusterEngine(
         model, pool, policy="pruning_aware", prefill_chunk=8,
-        drain_events=[(0.002, 0)],
+        faults=[FaultEvent(0.002, 0, "drain")],
     ).run(requests)
     assert all(
         r.n_generated == r.request.max_new_tokens

@@ -20,9 +20,9 @@ from repro.faults import (
     CHAOS_PROFILES,
     FAULT_KINDS,
     FaultEvent,
-    FaultInjector,
     FaultPlan,
     HeartbeatMonitor,
+    IllegalReplicaEvent,
     validate_fault_events,
 )
 from repro.serving import (
@@ -36,7 +36,7 @@ from repro.serving import (
     ServingStats,
     transition,
 )
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.workloads import (
     accuracy_scale_config,
     build_task_model,
@@ -114,19 +114,10 @@ class TestFaultPlanGrammar:
         with pytest.raises(ValueError, match="non-negative"):
             validate_fault_events([FaultEvent(-0.1, 0, "fail")], 1)
 
-    def test_overlapping_retire_rejected(self):
-        # The seed's once-only restriction, now expressed as sequence
-        # validation: a second retirement without an intervening
-        # recover is illegal.
-        with pytest.raises(ValueError, match="recover first"):
-            validate_fault_events(
-                [FaultEvent(0.1, 0, "drain"), FaultEvent(0.2, 0, "fail")], 1
-            )
-
-    def test_recover_on_active_replica_rejected(self):
-        with pytest.raises(ValueError, match="still active"):
-            validate_fault_events([FaultEvent(0.1, 0, "recover")], 1)
-
+    # Which sequences are legal is REPLICA_LIFECYCLE's to say and
+    # tests/test_fleet_machine.py's to walk (in firing order); here, a
+    # schedule handed over out of order, one cell of the named error
+    # and the payload checks.
     def test_drain_recover_fail_sequence_is_legal(self):
         ordered = validate_fault_events(
             [
@@ -143,16 +134,11 @@ class TestFaultPlanGrammar:
             validate_fault_events(
                 [FaultEvent(0.1, 0, "slow_start", factor=0.5)], 1
             )
-        with pytest.raises(ValueError, match="without a matching"):
-            validate_fault_events([FaultEvent(0.1, 0, "slow_end")], 1)
-        with pytest.raises(ValueError, match="overlapping straggler"):
-            validate_fault_events(
-                [
-                    FaultEvent(0.1, 0, "slow_start", factor=2.0),
-                    FaultEvent(0.2, 0, "slow_start", factor=3.0),
-                ],
-                1,
-            )
+        with pytest.raises(IllegalReplicaEvent, match="replica 1: event "
+                           "'slow_end' is not legal in phase 'steady'") as err:
+            validate_fault_events([FaultEvent(0.1, 1, "slow_end")], 2)
+        assert (err.value.replica, err.value.phase, err.value.event) \
+            == (1, "steady", "slow_end")
 
     def test_corrupt_coordinates_bounded(self):
         with pytest.raises(ValueError, match="lie in"):
@@ -181,25 +167,6 @@ class TestFaultPlanGrammar:
         with pytest.raises(ValueError, match="unknown chaos profile"):
             FaultPlan.generate(0, n_replicas=1, horizon_s=1.0,
                                profile="apocalyptic")
-
-    def test_injector_drains_in_order(self):
-        plan = FaultPlan(
-            n_replicas=1,
-            events=(
-                FaultEvent(0.2, 0, "drain"),
-                FaultEvent(0.1, 0, "slow_start", factor=2.0),
-                FaultEvent(0.15, 0, "slow_end"),
-            ),
-        )
-        injector = FaultInjector(plan.events, 1)
-        assert len(injector) == 3 and bool(injector)
-        seen = []
-        while injector:
-            next_time = injector.next_time
-            seen.append(injector.pop().time)
-            assert seen[-1] == next_time
-        assert seen == sorted(seen)
-        assert injector.next_time == math.inf
 
 
 class TestHeartbeat:
@@ -299,8 +266,22 @@ class TestRecovery:
         assert pool.is_active(0) and not pool.is_failed(0)
         assert pool.n_active == 2
         pool.audit()
-        with pytest.raises(ValueError, match="already active"):
+        with pytest.raises(ValueError, match="not legal in phase 'active'"):
             pool.recover(0)
+
+    def test_rejoin_needs_an_empty_shard(self, chaos_setup):
+        config, _, _ = chaos_setup
+        pool = make_sharded(config, total_pages=64, n_replicas=2)
+        pool.shard(0).admit(7, [PROMPT_LEN] * config.n_layers)
+        pool.drain(0)
+        before = pool.ledger()
+        with pytest.raises(IllegalReplicaEvent, match="still holds 12 "
+                           "reserved / 0 allocated pages"):
+            pool.recover(0)
+        assert pool.ledger() == before
+        pool.shard(0).release(7)
+        pool.recover(0)
+        pool.audit()
 
     def test_crashed_replica_rejoins_without_token_loss(self, chaos_setup):
         config, model, corpus = chaos_setup
@@ -314,7 +295,8 @@ class TestRecovery:
         pool = make_sharded(config)
         engine = ClusterEngine(
             model, pool, policy="least_loaded",
-            fail_events=[(0.005, 0)], recover_events=[(0.02, 0)],
+            faults=[FaultEvent(0.005, 0, "fail"),
+                    FaultEvent(0.02, 0, "recover")],
             retry_budget=3, retry_backoff_s=0.01,
             heartbeat_timeout_s=0.05, audit_every=1,
         )
@@ -364,7 +346,7 @@ class TestStragglers:
         )
         stats = ClusterEngine(
             model, make_sharded(config), policy="round_robin",
-            fault_plan=plan,
+            faults=plan.events,
         ).run(requests)
         assert stats.fleet.makespan_s > baseline.fleet.makespan_s
         assert stats.n_failed_requests == 0
@@ -378,7 +360,7 @@ class TestDeadlinesAndRetries:
         pool = make_sharded(config)
         stats = ClusterEngine(
             model, pool, policy="least_loaded",
-            fail_events=[(0.0, 0), (0.0, 1)],
+            faults=[FaultEvent(0.0, 0, "fail"), FaultEvent(0.0, 1, "fail")],
             retry_budget=2, retry_backoff_s=0.01,
         ).run(requests)
         pool.audit()
@@ -389,13 +371,41 @@ class TestDeadlinesAndRetries:
         assert stats.n_retries == 8
         assert stats.n_failed_requests == len(requests)
 
+    def test_a_deadline_that_cuts_the_backoff_ladder_counts_no_retry(
+        self, chaos_setup
+    ):
+        """Regression: a retry whose backoff lands past the deadline is
+        never scheduled, so it is no retry — the record tally, the
+        fleet stat, the counter and the ``route_retry`` instants agree
+        (the tally used to be bumped before the deadline check: 12)."""
+        config, model, corpus = chaos_setup
+        requests = make_trace(corpus, n=6, seed=5)
+        span = requests[-1].arrival_time
+        tel = Telemetry()
+        stats = ClusterEngine(
+            model, make_sharded(config), policy="least_loaded",
+            faults=[FaultEvent(0.0, 0, "fail"), FaultEvent(0.0, 1, "fail")],
+            retry_budget=3, retry_backoff_s=span, deadline_s=1.5 * span,
+            telemetry=tel,
+        ).run(requests)
+        records = stats.fleet.records
+        # Retry 1 fires one span after arrival; retry 2 would fire two
+        # spans after that, past the deadline.
+        assert all(r.failure == "deadline" for r in records)
+        assert [r.n_retries for r in records] == [1] * 6
+        assert stats.n_retries == 6
+        assert len(tel.tracer.named("route_retry")) == 6
+        retries = tel.metrics.counter(
+            "repro_route_retries_total", engine="fleet")
+        assert retries.value == 6
+
     def test_recovery_lands_before_retries_exhaust(self, chaos_setup):
         config, model, corpus = chaos_setup
         requests = make_trace(corpus, n=4, seed=5)
         stats = ClusterEngine(
             model, make_sharded(config), policy="least_loaded",
-            fail_events=[(0.0, 0), (0.0, 1)],
-            recover_events=[(0.01, 0)],
+            faults=[FaultEvent(0.0, 0, "fail"), FaultEvent(0.0, 1, "fail"),
+                    FaultEvent(0.01, 0, "recover")],
             retry_budget=8, retry_backoff_s=0.01,
         ).run(requests)
         assert stats.n_failed_requests == 0
@@ -583,7 +593,7 @@ class TestDegradation:
                 shed_priority_floor=2,  # nothing sheddable
                 reprune=self.ESCALATED,
             ),
-            drain_events=[(0.002, 0)],
+            faults=[FaultEvent(0.002, 0, "drain")],
         )
         stats = cluster.run([
             Request(0, prompts[0], 32, arrival_time=0.0),
@@ -616,7 +626,7 @@ class TestChaosSoak:
         def run_once(plan):
             pool = make_sharded(config)
             stats = ClusterEngine(
-                model, pool, policy="least_loaded", fault_plan=plan,
+                model, pool, policy="least_loaded", faults=plan.events,
                 heartbeat_timeout_s=plan.heartbeat_timeout_s,
                 retry_budget=3, retry_backoff_s=0.01, audit_every=1,
             ).run(requests)

@@ -114,7 +114,7 @@ def run_chaos_cluster(world, seed, telemetry=None, **kwargs):
     requests = trace(corpus, n=12, max_new=(8, 16), seed=seed)
     cluster = ClusterEngine(
         model, make_sharded(config), pruning=PRUNING, prefill_chunk=8,
-        fail_events=[(0.004, 0)], recover_events=[(0.02, 0)],
+        faults=[FaultEvent(0.004, 0, "fail"), FaultEvent(0.02, 0, "recover")],
         telemetry=telemetry, **kwargs,
     )
     return cluster.run(requests), cluster
@@ -193,7 +193,7 @@ class TestAttributionExactness:
         requests = trace(corpus, n=12, max_new=(8, 16), seed=5)
         cluster = ClusterEngine(
             model, make_sharded(config), pruning=PRUNING, prefill_chunk=8,
-            fault_plan=plan, telemetry=tel,
+            faults=plan.events, telemetry=tel,
         )
         stats = cluster.run(requests)
         attribution = TraceAttribution.from_tracer(tel.tracer)

@@ -1,15 +1,17 @@
 """The KV page ledgers under a hypothesis state machine.
 
 ``KVMemoryPool`` and ``ShardedKVPool`` keep their contracts by
-construction — one open / close / resize site per ledger, one
-membership site per fleet — and this machine is the runtime check that
-the construction holds.  It drives a two-shard fleet with every public
-mutator of both classes and keeps its own shadow ledger; after every
-rule the fleet audit is clean and the shadow equals the ledger's own
-views, every call that moved the ledger produced an observer event, and
-every call that raised changed nothing.  A completeness walk fails when
-a public method of either class is neither a rule here nor declared
-read-only, so a new mutator cannot ship unexercised.
+construction — one open / close / resize site per ledger, membership
+moved by the replica lifecycle's one writer (whose table
+``tests/test_fleet_machine.py`` walks) — and this machine is the
+runtime check that the construction holds.  It drives a two-shard fleet
+with every public mutator of both classes and keeps its own shadow
+ledger; after every rule the fleet audit is clean and the shadow equals
+the ledger's own views, every call that moved a shard's bills produced
+an observer event, and every call that raised changed nothing.  A
+completeness walk fails when a public method of either class is neither
+a rule here nor declared read-only, so a new mutator cannot ship
+unexercised.
 """
 
 import copy
@@ -47,7 +49,8 @@ READ_ONLY = {
         "can_admit_optimistic", "pressure_pages", "corrupted_pages",
         "verify_checksums", "audit",
     },
-    ShardedKVPool: {"shard", "is_active", "is_failed", "ledger", "audit"},
+    ShardedKVPool: {"shard", "is_active", "is_failed", "phase", "ledger",
+                    "audit"},
 }
 MUTATORS = set()
 
@@ -127,7 +130,6 @@ class LedgerMachine(RuleBasedStateMachine):
                                 * CONFIG.kv_bytes_per_token),
         )
         self.events = []
-        self.fleet.observer = self
         for shard in self.fleet.shards:
             shard.observer = self
         self.accounts = {}
@@ -141,11 +143,8 @@ class LedgerMachine(RuleBasedStateMachine):
             for _ in range(N_SHARDS)
         ]
 
-    # The observer hooks of both ledgers.
+    # The shards' observer hook.
     def pool_event(self, kind, seq_id, **info):
-        self.events.append(kind)
-
-    def ledger_transition(self, replica, kind):
         self.events.append(kind)
 
     def call(self, method, *args, refused=None):
@@ -386,11 +385,14 @@ class LedgerMachine(RuleBasedStateMachine):
             refused = IndexError
         elif self.active[replica] == (kind == "recover"):
             refused = ValueError
-        _, events = self.call(getattr(self.fleet, kind), replica,
-                              refused=refused)
         if refused is not None:
+            self.call(getattr(self.fleet, kind), replica, refused=refused)
             return False
-        assert events == (["drain", "fail"] if kind == "fail" else [kind])
+        # Membership is the fleet's own: no shard's bills move, so no
+        # shard event is owed (the shadow invariant checks the flags).
+        bills, seen = billing(self.fleet)[1], len(self.events)
+        getattr(self.fleet, kind)(replica)
+        assert billing(self.fleet)[1] == bills and len(self.events) == seen
         self.active[replica] = kind == "recover"
         self.failed[replica] = kind == "fail"
         return True
@@ -449,6 +451,9 @@ class LedgerMachine(RuleBasedStateMachine):
                 == self.counters[i]
             assert fleet.is_active(i) == self.active[i]
             assert fleet.is_failed(i) == self.failed[i]
+            assert fleet.phase(i) == (
+                "active" if self.active[i]
+                else "failed" if self.failed[i] else "drained")
         assert fleet.active_indices == [
             i for i in range(N_SHARDS) if self.active[i]]
         assert fleet.reserved_pages == sum(

@@ -7,7 +7,12 @@
 * four seeded end-to-end scenarios (``lifecycle_scenarios.py``) must
   reproduce the artifacts recorded at the commit before the lifecycle
   moved into the table;
-* the cluster chaos scenario also runs off the ``exact`` tier.
+* the cluster chaos scenario also runs off the ``exact`` tier, and a
+  second ``run()`` of one engine or one fleet equals its first.
+
+The fleet's own table (``repro.faults.REPLICA_LIFECYCLE``) has its
+machine in ``tests/test_fleet_machine.py``; the serving guide renders
+both tables and the test here holds the rendering to the code.
 """
 
 import collections
@@ -22,11 +27,17 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from lifecycle_scenarios import (
     GOLDEN_PATH,
+    PRUNING,
     SCENARIOS,
+    _pool,
+    _sharded,
+    _trace,
     build_setup,
     cluster_chaos,
     digest,
 )
+from repro.cluster import ClusterEngine
+from repro.faults import REPLICA_LIFECYCLE, FaultEvent
 from repro.insight import TraceAttribution
 from repro.serving import (
     LIFECYCLE,
@@ -34,6 +45,7 @@ from repro.serving import (
     Request,
     RequestRecord,
     RequestStatus,
+    ServingEngine,
     transition,
 )
 from repro.serving.request import SPAN_PHASES
@@ -95,26 +107,48 @@ def test_every_pair_outside_the_table_raises():
                    "engine")
 
 
-def test_the_serving_guide_renders_the_table():
+def rendered_rows(heading):
+    """event -> cells of the table under a serving-guide heading."""
     guide = pathlib.Path(__file__).parents[1] / "docs" / "serving.md"
-    section = guide.read_text().split("## Request lifecycle\n")[1]
+    section = guide.read_text().split(f"## {heading}\n")[1]
     rule = next(ln for ln in section.splitlines() if ln.startswith("==="))
     body = section.split(rule + "\n")[2]
-    rows = {line.split()[0]: line for line in body.splitlines()}
+    return {
+        line.split()[0]: [c.strip() for c in line.split("  ") if c.strip()]
+        for line in body.splitlines()
+    }
+
+
+def rendered_counters(row):
+    return ", ".join(
+        name[len("repro_"):-len("_total")]
+        + "".join("{%s}" % key for key in keys)
+        for name, *keys in row.counters
+    ) or "—"
+
+
+def test_the_serving_guide_renders_the_table():
+    rows = rendered_rows("Request lifecycle")
     assert list(rows) == list(LIFECYCLE)
     for event, row in LIFECYCLE.items():
-        cells = [c.strip() for c in rows[event].split("  ") if c.strip()]
-        _, sources, target, outcome, instants, counters = cells
+        _, sources, target, outcome, instants, counters = rows[event]
         if event != "drained":  # rendered as the range "pending … decode"
             assert sources == ", ".join(row.sources)
         assert target == (row.target or "—")
         assert outcome == (row.outcome or "—")
         assert instants == (", ".join(row.instants) or "—")
-        assert counters == (", ".join(
-            name[len("repro_"):-len("_total")]
-            + "".join("{%s}" % key for key in keys)
-            for name, *keys in row.counters
-        ) or "—")
+        assert counters == rendered_counters(row)
+    rows = rendered_rows("Replica lifecycle")
+    assert list(rows) == list(REPLICA_LIFECYCLE)
+    for event, row in REPLICA_LIFECYCLE.items():
+        _, sources, target, ledger, effect, instants, counters = rows[event]
+        if len(row.sources) < 3:  # all three phases render as "any"
+            assert sources == f"{row.axis}: " + ", ".join(row.sources)
+        assert target == (row.target or "—")
+        assert ledger == (", ".join(row.ledger) or "—")
+        assert effect == (row.effect or "—")
+        assert instants == ", ".join(row.instants)
+        assert counters == rendered_counters(row)
 
 
 class LifecycleMachine(RuleBasedStateMachine):
@@ -197,6 +231,13 @@ class LifecycleMachine(RuleBasedStateMachine):
         self.fire("repruned", dt)
 
     @rule(dt=ticks)
+    def retry(self, dt):
+        retries = self.record.n_retries
+        self.fire("retry", dt)
+        assert self.record.n_retries == retries + (
+            self.record.phase == "unrouted")
+
+    @rule(dt=ticks)
     def route_fail(self, dt):
         self.fire("route_failed", dt)
 
@@ -274,10 +315,12 @@ def test_cluster_stats_dict_is_its_dataclass_fields(setup):
     assert edited.to_dict()["slo"] is slo
 
 
-def test_cluster_chaos_off_the_exact_tier(setup):
-    """ROADMAP item 5 cell: drain / fail / corrupt on ``fp32``."""
+@pytest.mark.parametrize("numerics", ["fp32", "int8"])
+def test_cluster_chaos_off_the_exact_tier(setup, numerics):
+    """ROADMAP item 7 cells: drain / fail / recover / corrupt, the
+    breaker and retry backoff on ``fp32`` and ``int8``."""
     # cluster_chaos() audits the sharded ledger before returning.
-    [(tel, stats)] = cluster_chaos(setup, numerics="fp32")
+    [(tel, stats)] = cluster_chaos(setup, numerics=numerics)
     records = stats.fleet.records
     finished = [r for r in records if r.status is RequestStatus.FINISHED]
     assert finished and len(finished) < len(records)
@@ -292,3 +335,38 @@ def test_cluster_chaos_off_the_exact_tier(setup):
     attribution = TraceAttribution.from_tracer(tel.tracer)
     assert attribution.n_unattributed == 0
     assert len(attribution.vectors) == len(records)
+
+
+def test_a_second_run_inherits_nothing(setup):
+    """Run-scoped state is built per run, not reset: two ``run()``s of
+    one fleet — through a crash, a rejoin, a straggler window, the
+    breaker and retry backoff — and of one engine under preemption
+    report the same."""
+    config, model, corpus = setup
+    requests = _trace(corpus, 12, 1500.0, (6, 12), seed=11)
+    span = requests[-1].arrival_time
+    cluster = ClusterEngine(
+        model, _sharded(config, 72, 2), policy="round_robin",
+        pruning=PRUNING, prefill_chunk=8, admission="optimistic",
+        faults=[
+            FaultEvent(0.10 * span, 1, "slow_start", factor=8.0),
+            FaultEvent(0.20 * span, 0, "fail"),
+            FaultEvent(0.40 * span, 1, "slow_end"),
+            FaultEvent(0.50 * span, 0, "recover"),
+        ],
+        heartbeat_timeout_s=0.02 * span, retry_budget=1,
+        retry_backoff_s=0.04 * span,
+    )
+    first = cluster.run(requests).to_dict()
+    assert first["n_recovered"] and first["n_requeued"]
+    assert first["n_breaker_trips"] and first["availability"] < 1.0
+    assert cluster.run(requests).to_dict() == first
+
+    requests = _trace(corpus, 16, 2000.0, (8, 16), seed=3)
+    engine = ServingEngine(
+        model, _pool(config, 36), pruning=PRUNING, prefill_chunk=8,
+        admission="optimistic",
+    )
+    first = engine.run(requests).to_dict()
+    assert first["n_preemptions"]
+    assert engine.run(requests).to_dict() == first

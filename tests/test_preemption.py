@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster import ClusterEngine, ShardedKVPool
 from repro.config import GPT2_SMALL, PruningConfig
+from repro.faults import FaultEvent
 from repro.core import SequencePlan
 from repro.serving import (
     KVMemoryPool,
@@ -487,7 +488,7 @@ class TestOptimisticCluster:
         requests = trace(corpus, n=12, max_new=(8, 16), seed=23)
         stats, pool = self.run_cluster(
             serving_setup, requests, "optimistic",
-            drain_events=[(2e-3, 0)],
+            faults=[FaultEvent(2e-3, 0, "drain")],
         )
         assert pool.shard(0).n_sequences == 0
         for r in stats.fleet.records:

@@ -21,6 +21,7 @@ import pytest
 
 from repro.cluster import ClusterEngine, ClusterRouter, ShardedKVPool
 from repro.config import GPT2_SMALL, PruningConfig
+from repro.faults import FaultEvent
 from repro.serving import KVMemoryPool, ServingEngine
 from repro.serving.stats import STATS_SCHEMA_VERSION
 from repro.telemetry import (
@@ -265,7 +266,7 @@ class TestInertness:
             cluster = ClusterEngine(
                 model, make_sharded(config), policy="pruning_aware",
                 pruning=PRUNING, prefill_chunk=8, telemetry=telemetry,
-                drain_events=[(0.015, 1)],
+                faults=[FaultEvent(0.015, 1, "drain")],
             )
             return cluster.run(requests)
 
@@ -302,7 +303,7 @@ class TestDeterminism:
             cluster = ClusterEngine(
                 model, make_sharded(config), policy="pruning_aware",
                 pruning=PRUNING, prefill_chunk=8, telemetry=tel,
-                audit_every=3, drain_events=[(0.015, 1)],
+                audit_every=3, faults=[FaultEvent(0.015, 1, "drain")],
             )
             cluster.run(requests)
             return chrome_trace_json(tel.tracer), metrics_jsonl(tel.metrics)
@@ -397,7 +398,7 @@ class TestTraceContent:
         cluster = ClusterEngine(
             model, make_sharded(config), policy="pruning_aware",
             pruning=PRUNING, prefill_chunk=8, telemetry=tel,
-            drain_events=[(0.015, 1)],
+            faults=[FaultEvent(0.015, 1, "drain")],
         )
         stats = cluster.run(requests)
         routed = tel.tracer.named("routed")
@@ -437,8 +438,9 @@ class TestPoolObserver:
         assert len(tel.tracer) == n_events
 
     def test_inert_cluster_clears_stale_fleet_observers(self, serving_setup):
-        """Same contract for the fleet hooks: a router + sharded ledger a
-        traced cluster drove stop feeding it once an inert one runs."""
+        """Same contract for the fleet hook: a router a traced cluster
+        drove stops feeding it once an inert one runs (the sharded
+        ledger has no hook: its events go through the run's sinks)."""
         config, model, corpus = serving_setup
         requests = trace(corpus, n=6)
         pool, router = make_sharded(config), ClusterRouter("pruning_aware")
@@ -446,11 +448,11 @@ class TestPoolObserver:
         traced = ClusterEngine(model, pool, router=router, pruning=PRUNING,
                                prefill_chunk=8, telemetry=tel)
         traced.run(requests)
-        assert router.observer is traced and pool.observer is traced
+        assert router.observer is traced
         n_events = len(tel.tracer)
         ClusterEngine(model, pool, router=router, pruning=PRUNING,
                       prefill_chunk=8).run(requests)
-        assert router.observer is None and pool.observer is None
+        assert router.observer is None
         assert len(tel.tracer) == n_events
 
 
@@ -626,7 +628,8 @@ class TestTraceReport:
         tel = Telemetry()
         cluster = ClusterEngine(
             model, make_sharded(config), pruning=PRUNING, prefill_chunk=8,
-            fail_events=[(0.004, 0)], recover_events=[(0.02, 0)],
+            faults=[FaultEvent(0.004, 0, "fail"),
+                    FaultEvent(0.02, 0, "recover")],
             telemetry=tel,
         )
         cluster.run(trace(corpus, n=10))
