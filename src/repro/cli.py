@@ -117,6 +117,7 @@ serving guide (``docs/serving.md``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Callable, Dict
@@ -347,15 +348,15 @@ def _build_slo(args):
 def _sink_path(path, mode, multi_mode: bool):
     """Resolve one artifact path for one mode of a (possibly 2-mode) run.
 
-    Multi-mode runs suffix the mode before the extension
-    (``trace.json`` -> ``trace.dense.json``); ``-`` (stdout) cannot be
-    shared by two modes and is rejected up front by
-    :func:`_check_stdout_sinks`.
+    Multi-mode runs suffix the mode before the file name's extension
+    (``trace.json`` -> ``trace.dense.json``, ``runs.v2/trace`` ->
+    ``runs.v2/trace.dense``); ``-`` (stdout) cannot be shared by two
+    modes and is rejected up front by :func:`_check_stdout_sinks`.
     """
     if path is None or not multi_mode:
         return path
-    root, _, ext = path.rpartition(".")
-    return f"{root}.{mode}.{ext}" if root else f"{path}.{mode}"
+    root, ext = os.path.splitext(path)
+    return f"{root}.{mode}{ext}"
 
 
 def _check_stdout_sinks(args, multi_mode: bool) -> None:

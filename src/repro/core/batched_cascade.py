@@ -3,8 +3,8 @@
 The accelerator's top-k engine and its Q·K / A·V units are
 batch-parallel, so pruning *control* never starves the datapath
 (Fig. 8).  :class:`CascadeBatch` is that arrangement for the packed
-backend's batched cores (:mod:`repro.nn.batched_attention`): the
-control state of every pruned sequence of one step — cumulative token
+backend's store core (:mod:`repro.nn.batched_attention`): the control
+state of every pruned sequence of one step — cumulative token
 and head importance, the live token and head sets, the schedule targets
 — gathered into ``[B, ...]`` planes, so that each layer's cascade runs
 as a handful of array operations over the batch instead of one Python
@@ -12,14 +12,16 @@ core per sequence.  It opens either stage of a sequence's life:
 
 * a **decode step** (the constructor) — each sequence's new token joins
   its live set, the targets track the current total length and the new
-  token is protected, over the store core;
+  token is protected;
 * a **prompt pass** (:meth:`CascadeBatch.summarize`) — each sequence's
   whole sentence is admitted, the targets are the plan's summarize keep
-  counts and the last prompt token is protected, over the batched
-  whole-sentence core.  The SpAtten sequences of ``fp32`` / ``int8``
-  without progressive quantization take it (the exact tier and
-  progressive-quantization rows keep the per-sequence functions, which
-  stay the oracle).
+  counts and the last prompt token is protected.
+
+Both run over the one store core, a decode step being a pass of one
+query row a sequence.  The SpAtten sequences of ``fp32`` / ``int8``
+without progressive quantization take it (the exact tier and
+progressive-quantization rows keep the per-sequence functions, which
+stay the oracle).
 
 The per-layer stages are the same for both:
 

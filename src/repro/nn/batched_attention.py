@@ -8,79 +8,80 @@ wide batched Q·K·V units).  :class:`PackedDecodeBackend` restructures
 one decode step so that everything that *can* run as a single
 batch-level BLAS call does.
 
-One skeleton, two cores
------------------------
+One skeleton, two kinds of part, one store core
+-----------------------------------------------
 
-Every tier of the numerics ladder (:mod:`repro.nn.numerics`) runs the
-same per-layer attention skeleton, :meth:`PackedDecodeBackend
-._attend_layer`, as SpAtten runs one datapath in which pruning and
-quantization are stages (PAPER.md §IV, Fig. 8):
+SpAtten runs summarization and generation on one datapath — the same
+Q·K, softmax, top-k and A·V units, with pruning and quantization as
+stages of it (PAPER.md §IV, Fig. 8).  The backend does the same: a
+decode step and a prompt step are one per-layer skeleton,
+:meth:`PackedDecodeBackend._attend`, over the step's rows split into
+*parts* — the rows one core runs — and put into part order once per
+step (the logits go back to batch order once):
 
-1. group the batch rows by
-   :attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`
-   (once per call; an executor on another tier than the backend's, or
-   one that opts out of packing, is a named error rather than a silent
-   change of arithmetic);
-2. **fused Q/K/V projection** of all ``B`` rows against one ``[d, 3d]``
-   weight, split into per-head ``[B, h, 1, D]`` views;
-3. ``"custom"`` rows — SpAtten on the exact tier, where the
-   per-sequence core is the bit-identity oracle, and
-   progressive-quantization rows on any tier, whose LSB refetch is
-   decided per row from that row's own probabilities — run their own
-   per-sequence core on those projections via
-   :meth:`~repro.nn.transformer.AttentionExecutor.decode_attend_packed`;
-4. ``"pruned"`` rows (SpAtten on ``fp32`` / ``int8`` without
-   progressive quantization) run the backend's **store core**
-   (:func:`_store_core`) with the cascade in its datapath: token and
-   head pruning decisions and KV eviction ahead of it, then scores,
-   masked softmax, local value pruning, A·V and importance
-   accumulation as batch-level array operations over a padded pack,
-   with the rows' control state held for the step in a batch control
-   object
-   (:meth:`~repro.nn.transformer.AttentionExecutor.decode_batch_control`);
-5. ``"dense"`` rows (cache-only state) run the same store core with no
-   cascade — the pruning stages are bypassed, as a dense run bypasses
-   the accelerator's top-k engines and zero eliminators — or, on the
-   exact tier, the **exact core** (:func:`_dense_core_exact`) over
-   their private caches;
-6. **fused output FC** over every row's merged head features.
+1. **entry pruning**, part by part: the rows a cascade drops leave the
+   residual stream before the projections see them;
+2. **fused Q/K/V projection** of every row against one ``[d, 3d]``
+   weight, split into per-head ``[N, 3, h, D]`` views;
+3. each part's **core** over its contiguous slice of those rows;
+4. **fused output FC** over every row's merged head features.
 
+A decode step has one query row a sequence, a prompt step a chunk or a
+whole sentence of them.  Off the exact tier the model's compute-dtype
+FFN half follows (:meth:`~PackedDecodeBackend._ffn_half`; the
+:meth:`~PackedDecodeBackend._layers` loop is the same for both stages),
+while the exact tier's :meth:`~PackedDecodeBackend.decode_layer` runs
+the attention half alone and its model keeps the fp64 FFN stack.
+
+There are two kinds of part.  **Per-sequence parts** keep their own
+cores: ``"custom"`` rows —
+:attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`
+SpAtten on the exact tier, where the per-sequence core is the
+bit-identity oracle, and progressive-quantization rows on any tier,
+whose LSB refetch is decided per row from that row's own probabilities
+— through :meth:`~repro.nn.transformer.AttentionExecutor
+.decode_attend_packed`, or :meth:`~repro.nn.transformer
+.AttentionExecutor.summarize_control` and :meth:`~repro.nn.transformer
+.AttentionExecutor.summarize_attend_packed` in a prompt step; a dense
+prompt chunk against its private cache (:func:`_prefill_dense_core`);
+and the exact tier's dense rows (:func:`_dense_core_exact`).  **Store
+blocks** are consecutive rows of a :class:`~repro.nn.kv_cache.KVRowStore`
+— a decode step's ``"dense"`` rows and its ``"pruned"`` rows, and each
+prompt step's ``"pruned"`` sentences — and all run **one** core,
+:func:`_store_core`, over ``[n, h, Lq, Lk]`` planes: the block's K/V
+appended at each row's cursor, one mask (the causal position test plus
+columns without a token), softmax, local value pruning ranked on each
+column's probability mass, A·V and importance accumulation.  A block
+of pruned rows carries its batch control,
+:class:`~repro.core.batched_cascade.CascadeBatch` (opened per decode
+step or per prompt block, committed to the executors once), whose entry
+pruning is ranked masks over its control planes plus
+:meth:`~repro.nn.kv_cache.KVRowStore.evict` over the block's rows; a
+dense block has none and bypasses those stages, as a dense run bypasses
+the accelerator's top-k engines and zero eliminators.
+
+An executor on another tier than the backend's, or one that opts out of
+packing, is a named error rather than a silent change of arithmetic.
 Two pieces depend on the tier, both read off ``policy.is_exact``: the
-projection kernel of steps 2 and 6 (bound once at construction) and
-which core step 5 runs (step 4 exists only off the exact tier).  Weights
-live in one holder at the policy's compute dtype (under fp64 it aliases
-the model's own arrays) and scratch in one family of buffers grown on
-demand.
-:meth:`~PackedDecodeBackend.decode_layer` is the exact tier's entry
-(the model keeps its fp64 residual/LayerNorm/FFN stack around it);
-:meth:`~PackedDecodeBackend.decode_step_policy` is the fp32/int8 entry
-and additionally runs the layer stack in the compute dtype.
+projection kernel of steps 2 and 4 (bound once at construction) and
+whether dense decode rows are a store block or a per-sequence part.
+Weights live in one holder at the policy's compute dtype (under fp64 it
+aliases the model's own arrays) and scratch in one family of buffers
+grown on demand.
 
 The prompt pass is on the ladder too — SpAtten prunes and quantizes the
 summarization stage as much as the generation stage (PAPER.md §III,
-Fig. 3) — and takes the decode step's split by
-``packed_decode_style``.  On the exact tier the model keeps its fp64
-stack and :meth:`~PackedDecodeBackend.project_chunk_rows` only fuses the
-Q/K/V projections of every in-flight prompt's chunk into one GEMM over
-the concatenated rows.  On fp32/int8,
-:meth:`~PackedDecodeBackend.prefill_chunk_policy` owns the step: dense
-chunks and the whole sentences whose final chunk lands in it run one
-compute-dtype layer stack (fused QKV GEMM, masked softmax, LayerNorm,
-in-place tanh/gelu FFN, LM head).  ``"dense"`` chunks attend centrally
-against their (private) caches; ``"custom"`` sentences keep the
-per-sequence cascade and core; and every ``"pruned"`` sentence of the
-step runs **one batched whole-sentence core per layer**
-(:func:`_prefill_pruned_core`): entry token / head pruning as ranked
-masks over the batch's control planes (the summarize-stage opening of
-:class:`~repro.core.batched_cascade.CascadeBatch`), then one score
-GEMM, causal softmax, local value pruning and A·V over a padded
-``[B, h, L, L]`` plane, the sequences taken in blocks whose plane stays
-under a fixed scratch budget.  Their K/V go **straight into the
-``"pruned"`` row stores** — the sequences' empty caches are adopted
-before the first layer, each layer writes its block once per plane
-(int8 quantizes the block in one pass, live heads only) — and the
-cascade's token / head importance alone accumulates in fp64: the
-ranking truth, as in the decode step's batch control.
+Fig. 3).  On the exact tier the model keeps its fp64 stack and
+:meth:`~PackedDecodeBackend.project_chunk_rows` only fuses the Q/K/V
+projections of every in-flight prompt's chunk into one GEMM over the
+concatenated rows.  On fp32/int8,
+:meth:`~PackedDecodeBackend.prefill_chunk_policy` owns the step:
+``"dense"`` executors' next chunk and the whole sentence of every other
+executor whose final chunk lands in it run the skeleton, the
+``"pruned"`` sentences in blocks whose padded score plane stays under a
+fixed scratch budget, their caches adopted empty into the ``"pruned"``
+row stores before the first layer — a pruned sequence is a store row
+from its first column.
 
 Exact tier: the bit-identity contract
 -------------------------------------
@@ -94,9 +95,9 @@ because BLAS reductions are not grouping-invariant:
 
 * multi-slice ``np.matmul`` (the gufunc) computes each 2-D slice with
   the same kernel as a standalone single-row matmul, so batching the
-  projections as ``[B, 1, d] @ [d, 3d]`` is exact — but a *2-D*
-  ``[B, d] @ [d, d]`` GEMM is not (single-row products take a
-  GEMV-shaped path whose accumulation differs in the last ulp);
+  projections as ``[B, 1, d] @ [d, 3d]`` is exact — in any row order —
+  but a *2-D* ``[B, d] @ [d, d]`` GEMM is not (single-row products take
+  a GEMV-shaped path whose accumulation differs in the last ulp);
 * fusing Q/K/V into one ``[d, 3d]`` weight is exact (output columns are
   independent), and concatenating chunk rows is exact for blocks of
   ≥ 2 rows (row blocks of a GEMM are independent) — single-row chunks
@@ -115,8 +116,8 @@ SpAtten's per-sequence surviving-head sets are honored by gathering
 live-head slices from the full-width rows (per-head projections are
 independent output columns).
 
-fp32 / int8 tiers: batch-resident rows, one padded-pack core
-------------------------------------------------------------
+fp32 / int8 tiers: batch-resident rows, one store core
+------------------------------------------------------
 
 Under a non-exact :class:`~repro.nn.numerics.NumericsPolicy` the
 bit-identity constraint is *traded away* for a declared accuracy
@@ -124,37 +125,36 @@ budget, which unlocks the padded-pack design the contract above
 forbids:
 
 * projections are plain 2-D GEMMs (one call, not ``B`` GEMVs);
-* the K/V of every row one of the backend's cores decodes *are*
-  batch-resident: one :class:`~repro.nn.kv_cache.KVRowStore` per layer
-  and style (``"dense"``, ``"pruned"``) holds its rows' columns at the
-  storage dtype — ``[S, h, cap, D]`` planes in one row order across
-  layers — and each :class:`~repro.nn.kv_cache.LayerKVCache` is a
-  handle on its row.  A pruned sequence is a store row from the first
-  column its prompt pass computes; a dense one is adopted on its first
-  decode step (one copy per layer, its private buffers freed).  Either
-  lives there until it retires;
-  :meth:`PackedDecodeBackend.decode_step_policy` reconciles the stores'
-  rows with the step's batch once, before the first layer;
-* the step's new columns are one indexed store per plane, and the
-  score and A·V stages run as *one* batched ``[n, h, 1, width]`` gufunc
-  matmul each over ``store[:n, :, :width]`` views, with a masked
-  softmax batched over the padded scratch (columns without a token —
-  the ragged tail, and evicted ones not yet compacted away — are
-  masked to ``-1e30`` and underflow to exact 0);
+* the K/V of every row a store block runs *are* batch-resident: one
+  :class:`~repro.nn.kv_cache.KVRowStore` per layer and style
+  (``"dense"``, ``"pruned"``) holds its rows' columns at the storage
+  dtype — ``[S, h, cap, D]`` planes in one row order across layers —
+  and each :class:`~repro.nn.kv_cache.LayerKVCache` is a handle on its
+  row.  A dense sequence is adopted on its first decode step (one copy
+  per layer, its private buffers freed) and lives there until it
+  retires; :meth:`PackedDecodeBackend.decode_step_policy` reconciles
+  the stores' rows with the step's batch once, before the first layer;
+* a block's new columns are one indexed store per plane
+  (:meth:`~repro.nn.kv_cache.KVRowStore.write_block`), and the score
+  and A·V stages run as *one* batched gufunc matmul each over the
+  block's ``[n, h, Lk, D]`` columns, with a masked softmax batched over
+  the padded scratch (columns past a row's queries, without a token —
+  the ragged tail, and evicted ones not yet compacted away — are masked
+  to ``-1e30`` and underflow to exact 0);
+* a row's *first* pass — its rows held no column before the block's
+  write: a prompt sentence — attends to the K/V it has just computed
+  in the compute dtype; a later pass — a decode step — reads the
+  columns as the store holds them (under int8, dequantized codes);
 * LayerNorm, the tanh/gelu FFN, and the LM head run vectorized in the
   compute dtype over weight copies cast once at backend construction,
   for decode steps and prompt passes alike;
-* the ``int8`` tier quantizes each step's *batch* of new K/V columns in
-  one pass, so score GEMMs read fp32 Q against dequantized int8 K (fp32
-  accumulation) — exactly what the store holds.  Dense rows, which
-  never evict and so are the long ones, keep their columns dequantized
-  in two further planes of the same store (written from the quantizer's
-  own dequantized output, filled once at adoption); pruned rows
-  dequantize their shorter width each step, one multiply per plane;
-* a pruned row adds SpAtten's stages to that datapath, as the
-  accelerator keeps its top-k engine beside batch-parallel Q·K / A·V
-  units so pruning control never starves them (PAPER.md §IV-B).
-  Cascade eviction — which changes the live columns of most rows at
+* the ``int8`` tier quantizes each block's new K/V columns in one
+  pass.  Dense rows, which never evict and so are the long ones, keep
+  their columns dequantized in two further planes of the same store
+  (written from the quantizer's own dequantized output, filled once at
+  adoption); pruned rows dequantize their shorter width each step, one
+  multiply per plane;
+* cascade eviction — which changes the live columns of most rows at
   most layers of every step — is one gathered mask that relabels the
   dead columns where they sit, with a row compacted only once a page
   of them has built up.
@@ -179,9 +179,6 @@ __all__ = ["PackedDecodeBackend", "UnpackableExecutorError"]
 #: exact 0.0 after the softmax's exp.
 _MASKED = -1e30
 
-#: Column growth quantum of the score scratch.
-_SCRATCH_PAGE = 64
-
 #: Rows per pass of the compute-dtype FFN: its two ``[rows, d_ff]``
 #: scratch planes persist, and a prompt step can carry thousands of rows.
 _FFN_BLOCK = 256
@@ -193,6 +190,9 @@ _FFN_BLOCK = 256
 #: GEMM-sized already, and the scratch is resident for good (a 4 MiB
 #: budget read +10 % peak RSS on ``prefill_spatten_int8``, this +3 %).
 _PROMPT_PLANE_BYTES = 2 << 20
+
+#: Profiler stage of the fused QKV projection, per stage of a sequence.
+_PROJ_STAGE = {"decode": "decode_qkv_proj", "prefill": "prefill_chunk_proj"}
 
 #: ``(batch row, executor)`` pairs of one packed style.
 _Rows = List[Tuple[int, AttentionExecutor]]
@@ -310,36 +310,76 @@ class _Weights:
             self.b2.append(cast(bp.ffn_b2))
 
 
-class _PromptRows:
+class _Part:
+    """Rows of one step that one core runs, contiguous in the step's
+    part order (:meth:`PackedDecodeBackend._attend`).
+
+    ``positions`` holds the original position of each of its rows still
+    in the residual stream, ``core_stage`` the profiler stage its core
+    is charged to, and ``cascade`` the batch control the step commits
+    (only a store block of pruned rows has one).
+    """
+
+    cascade = None
+
+    def prune(self, layer_idx: int) -> Optional[np.ndarray]:
+        """Entry pruning of one layer: the surviving rows' indices, or
+        ``None`` when every row survives."""
+        return None
+
+
+class _DecodeRows(_Part):
+    """A decode step's ``"custom"`` rows, or the exact tier's
+    ``"dense"`` ones: one query row a sequence, each through the
+    per-sequence core of its style."""
+
+    def __init__(self, style: str, rows: _Rows, positions: np.ndarray):
+        self.executors = [executor for _, executor in rows]
+        self.positions = positions[[i for i, _ in rows]]
+        self.custom = style == "custom"
+        self.core_stage = f"decode_{style}_core"
+
+    def attend(self, backend, layer_idx, heads, out) -> None:
+        """``heads`` ``[n, 3, h, D]`` projections → ``out`` ``[n, d]``."""
+        if not self.custom:
+            _dense_core_exact(
+                backend, layer_idx, self.executors, heads, self.positions,
+                out,
+            )
+            return
+        for j, executor in enumerate(self.executors):
+            q, k, v = heads[j, :, :, None]  # three [h, 1, D] views
+            out[j : j + 1] = executor.decode_attend_packed(
+                layer_idx, backend._model, q, k, v,
+                self.positions[j : j + 1],
+            )
+
+
+class _PromptRows(_Part):
     """One ``"dense"`` or ``"custom"`` sequence's rows in a prompt step
     (:meth:`PackedDecodeBackend.prefill_chunk_policy`).
 
     ``indices`` holds the sequence's place in the step's states;
     ``dense`` whether the backend runs its attention core centrally;
-    ``positions`` the original positions of its rows still in the
-    residual stream — the chunk ``[start, end)`` going in, fewer as
-    cascade pruning drops rows layer by layer.
+    ``positions`` starts as the chunk ``[start, end)`` going in, fewer
+    as cascade pruning drops rows layer by layer.
     """
-
-    __slots__ = ("indices", "executor", "dense", "positions")
 
     def __init__(self, index, executor, dense, start, end):
         self.indices = [index]
         self.executor = executor
         self.dense = dense
         self.positions = np.arange(start, end)
-
-    @property
-    def core_stage(self) -> str:
-        return "prefill_dense_core" if self.dense else "prefill_custom_core"
+        self.core_stage = (
+            "prefill_dense_core" if dense else "prefill_custom_core"
+        )
 
     def ends(self) -> List[int]:
         return [len(self.positions)]
 
-    def prune(self, layer_idx: int) -> np.ndarray:
-        """Entry pruning; returns the surviving rows' indices."""
+    def prune(self, layer_idx: int) -> Optional[np.ndarray]:
         if self.dense:
-            return np.arange(len(self.positions))
+            return None
         survivors = self.executor.summarize_control(layer_idx, self.positions)
         self.positions = self.positions[survivors]
         return survivors
@@ -358,46 +398,59 @@ class _PromptRows:
             )
 
 
-class _PrunedBlock:
-    """``"pruned"`` sequences of a prompt step that share one padded
-    score plane — the whole sentence of each.
+class _StoreBlock(_Part):
+    """Consecutive rows of one style's row stores that one
+    :func:`_store_core` runs: a decode step's dense or pruned rows (one
+    query row each), or a block of a prompt step's pruned sentences
+    (each whole).
 
-    ``indices`` are their places in the step's states, ``cascade`` their
-    batch control (:meth:`~repro.nn.transformer.AttentionExecutor
-    .summarize_batch_control`) and ``rows`` the rows their caches were
-    adopted into, empty, in every layer's ``"pruned"`` store.  The rows
-    still in the residual stream are flat, sequence after sequence:
-    ``seq_of`` names each one's sequence (of the block) and
-    ``positions`` its original position.
+    ``rows`` are the block's rows in every layer's store and ``cascade``
+    their batch control, ``None`` for dense rows.  The rows still in the
+    residual stream are flat, store row after store row: ``seq_of``
+    names each one's row of the block, ``positions`` its original
+    position, and ``counts`` holds how many each store row has.
+    ``indices`` are a prompt block's places in the step's states.
     """
 
-    __slots__ = ("indices", "cascade", "rows", "seq_of", "positions")
-    core_stage = "prefill_pruned_core"
-
-    def __init__(self, indices, cascade, rows, lengths):
+    def __init__(self, stage, stores, rows, cascade, counts, positions,
+                 indices=None):
+        self.stores, self.rows, self.cascade = stores, rows, cascade
+        self.counts = np.asarray(counts)
+        self.seq_of = np.repeat(np.arange(len(self.counts)), self.counts)
+        self.positions = positions
         self.indices = indices
-        self.cascade = cascade
-        self.rows = rows
-        self.seq_of = np.repeat(np.arange(len(lengths)), lengths)
-        self.positions = ragged_arange(np.asarray(lengths))
+        kind = "dense" if cascade is None else "pruned"
+        self.core_stage = f"{stage}_{kind}_core"
 
     def ends(self) -> np.ndarray:
-        return np.cumsum(self.cascade.n_alive)
+        return np.cumsum(self.counts)
 
-    def prune(self, layer_idx: int) -> np.ndarray:
-        """Entry pruning; returns the surviving rows' indices."""
+    def prune(self, layer_idx: int) -> Optional[np.ndarray]:
+        """The cascade decides over its control planes; then the layer's
+        store drops the block's columns whose token left the live set
+        (through its handles the truth for ``kv_lengths()``, eviction
+        counts and pool pages), and the block the rows whose token
+        left it."""
+        if self.cascade is None:
+            return None
         self.cascade.prune(layer_idx)
+        self.stores[layer_idx].evict(self.rows, self.cascade.alive)
+        if len(self.positions) == len(self.counts):
+            # A row's last query is its protected token (a decode step's
+            # new one, a prompt's last): one query a row drops no row.
+            return None
         survivors = np.flatnonzero(
             self.cascade.alive[self.seq_of, self.positions]
         )
+        if len(survivors) == len(self.positions):
+            return None
         self.seq_of = self.seq_of[survivors]
         self.positions = self.positions[survivors]
+        self.counts = np.bincount(self.seq_of, minlength=len(self.counts))
         return survivors
 
     def attend(self, backend, layer_idx, heads, out) -> None:
-        _prefill_pruned_core(
-            backend, backend._stores["pruned"][layer_idx], self, heads, out
-        )
+        _store_core(backend, self.stores[layer_idx], self, heads, out)
 
 
 class PackedDecodeBackend:
@@ -452,33 +505,21 @@ class PackedDecodeBackend:
             )
         return buf[:n]
 
-    def _scores(self, n: int, max_len: int) -> np.ndarray:
-        """``[n, h, 1, max_len]`` score scratch (columns grow by pages)."""
-        buf = self._scratch.get("scores")
-        if buf is None or buf.shape[0] < n or buf.shape[3] < max_len:
-            rows, cap = (0, 0) if buf is None else (buf.shape[0], buf.shape[3])
-            pages = -(-max_len // _SCRATCH_PAGE)
-            buf = self._scratch["scores"] = np.zeros(
-                (max(n, rows), self._model.config.n_heads, 1,
-                 max(pages * _SCRATCH_PAGE, cap)),
-                dtype=self.policy.compute_dtype,
-            )
-        return buf[:n, :, :, :max_len]
-
-    def _prompt_plane(self, n: int, length: int) -> np.ndarray:
-        """``[n, h, length, length]`` score scratch of a block of pruned
-        prompts, contiguous at whatever shape is asked for."""
-        shape = (n, self._model.config.n_heads, length, length)
-        size = int(np.prod(shape))
-        buf = self._scratch.get("prompt_plane")
+    def _plane(self, n: int, n_queries: int, width: int) -> np.ndarray:
+        """The one score scratch: a contiguous ``[n, h, n_queries,
+        width]`` view of a flat buffer that doubles when outgrown."""
+        shape = (n, self._model.config.n_heads, n_queries, width)
+        size = n * shape[1] * n_queries * width
+        buf = self._scratch.get("plane")
         if buf is None or buf.size < size:
-            buf = self._scratch["prompt_plane"] = np.empty(
-                size, dtype=self.policy.compute_dtype
+            grown = 0 if buf is None else 2 * buf.size
+            buf = self._scratch["plane"] = np.empty(
+                max(size, grown), dtype=self.policy.compute_dtype
             )
         return buf[:size].reshape(shape)
 
     # ------------------------------------------------------------------
-    # The per-layer skeleton and its two entry points
+    # The per-layer skeleton and its entry points
     # ------------------------------------------------------------------
     def _check_model(self, model: TransformerModel) -> None:
         if model is not self._model:
@@ -490,11 +531,7 @@ class PackedDecodeBackend:
     def _group_rows(
         self, model: TransformerModel, executors: Sequence[AttentionExecutor]
     ) -> Dict[str, _Rows]:
-        """Validate the batch and split it into its rows by style.
-
-        Executor styles cannot change mid-step, so the policy entry
-        groups once and reuses the grouping across every layer.
-        """
+        """Validate the batch and split it into its rows by style."""
         self._check_model(model)
         policy = self.policy
         by_style: Dict[str, _Rows] = {"dense": [], "custom": [], "pruned": []}
@@ -520,79 +557,117 @@ class PackedDecodeBackend:
             by_style[style].append((i, executor))
         return by_style
 
-    def _attend_layer(
-        self,
-        layer_idx: int,
-        x: np.ndarray,
-        positions: np.ndarray,
-        rows: Dict[str, _Rows],
-        cascade=None,
-        sels=None,
-    ) -> np.ndarray:
-        """Packed attention of one block: ``x [B, d]`` → ``attn_out [B, d]``.
+    def _attend(
+        self, layer_idx: int, parts: Sequence[_Part], x: np.ndarray,
+        stage: str,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The attention half of one layer over ``parts``' rows ``x``,
+        one part after the other: entry pruning, the fused QKV
+        projection, each part's core over its slice of the rows, the
+        fused output FC.
 
-        ``cascade`` is the step's batch control of the pruned rows and
-        ``sels`` each resident style's batch indices, all in row-store
-        order (:meth:`decode_step_policy` opens and commits the one and
-        :meth:`_resident` gives the others).
+        Returns ``(x, attn_out)``: the rows that survived entry pruning
+        and their attention output, both ``[N, d]``.
         """
-        model = self._model
-        cfg = model.config
-        batch = len(x)
-        w = self._weights
-        prof = self.profiler
-
+        cfg, w, prof = self._model.config, self._weights, self.profiler
         t0 = prof.start() if prof is not None else 0.0
-        qkv = self._project(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
-        # Batched head split: [B, 3d] → three [B, h, 1, D] views, so row
-        # i's slice is the [h, 1, D] column the executor protocol takes.
-        heads = qkv.reshape(batch, 3, cfg.n_heads, 1, cfg.head_dim)
-        q_all, k_all, v_all = heads[:, 0], heads[:, 1], heads[:, 2]
+        # Rows the cascade drops leave the residual stream before the
+        # projections (and the FFN) see them.
+        sizes = [len(part.positions) for part in parts]
+        survivors = [part.prune(layer_idx) for part in parts]
+        if any(kept is not None for kept in survivors):
+            starts = np.cumsum([0] + sizes[:-1])
+            x = x[np.concatenate([
+                start + (np.arange(size) if kept is None else kept)
+                for start, size, kept in zip(starts, sizes, survivors)
+            ])]
         # Each stage starts where the one before stopped (``lap``), so
         # the layer's stages tile it.
         if prof is not None:
-            t0 = prof.lap("decode_qkv_proj", t0)
+            t0 = prof.lap(f"{stage}_prune_control", t0)
 
-        merged = self._rows("merged", batch, 1, cfg.d_model)
-        for i, executor in rows["custom"]:
-            merged[i] = executor.decode_attend_packed(
-                layer_idx, model, q_all[i], k_all[i], v_all[i],
-                positions[i : i + 1],
-            )
-            if prof is not None:
-                t0 = prof.lap("decode_custom_core", t0)
-        if rows["pruned"]:
-            store = self._stores["pruned"][layer_idx]
-            _prune_control(store, layer_idx, cascade)
-            if prof is not None:
-                t0 = prof.lap("decode_prune_control", t0)
-            _store_core(
-                self, store, sels["pruned"], cascade,
-                q_all, k_all, v_all, positions, merged,
-            )
-            if prof is not None:
-                t0 = prof.lap("decode_pruned_core", t0)
-        if rows["dense"]:
-            if self.policy.is_exact:
-                _dense_core_exact(
-                    self, layer_idx, rows["dense"], q_all, k_all, v_all,
-                    positions, merged,
-                )
-            else:
-                _store_core(
-                    self, self._stores["dense"][layer_idx], sels["dense"],
-                    None, q_all, k_all, v_all, positions, merged,
-                )
-            if prof is not None:
-                t0 = prof.lap("decode_dense_core", t0)
-
-        # Fused output FC over every sequence's merged head features.
-        attn_out = self._project(
-            merged[:, 0, :], w.wo[layer_idx], w.bo[layer_idx]
-        )
+        qkv = self._project(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
         if prof is not None:
-            prof.stop("decode_output_fc", t0)
-        return attn_out
+            t0 = prof.lap(_PROJ_STAGE[stage], t0)
+
+        heads = qkv.reshape(len(x), 3, cfg.n_heads, cfg.head_dim)
+        merged = self._rows("merged", len(x), cfg.d_model, dtype=x.dtype)
+        stop = 0
+        for part in parts:
+            rows = slice(stop, stop + len(part.positions))
+            stop = rows.stop
+            part.attend(self, layer_idx, heads[rows], merged[rows])
+            if prof is not None:
+                t0 = prof.lap(part.core_stage, t0)
+
+        attn_out = self._project(merged, w.wo[layer_idx], w.bo[layer_idx])
+        if prof is not None:
+            prof.lap(f"{stage}_output_fc", t0)
+        return x, attn_out
+
+    def _layers(
+        self, parts: Sequence[_Part], x: np.ndarray, stage: str
+    ) -> np.ndarray:
+        """The compute-dtype layer stack over ``parts``' rows ``x`` —
+        every layer's attention half, then its FFN half — run alike by a
+        decode step and a prompt step off the exact tier.  Returns the
+        final hidden rows, part by part."""
+        prof = self.profiler
+        for layer_idx in range(self._model.config.n_layers):
+            x, attn_out = self._attend(layer_idx, parts, x, stage)
+            t0 = prof.start() if prof is not None else 0.0
+            x = self._ffn_half(layer_idx, x, attn_out)
+            if prof is not None:
+                prof.stop(f"{stage}_ffn", t0)
+        return x
+
+    def _decode_parts(
+        self,
+        model: TransformerModel,
+        positions: np.ndarray,
+        executors: Sequence[AttentionExecutor],
+    ) -> Tuple[List[_Part], Optional[np.ndarray]]:
+        """A decode step's parts and the batch rows in part order
+        (``None`` when that is the batch order).
+
+        ``"custom"`` rows are one part (on the exact tier, its dense
+        rows another); off it, the ``"pruned"`` and the ``"dense"`` rows
+        are a store block each, in store-row order, the pruned one with
+        the step's batch control opened.
+        """
+        rows = self._group_rows(model, executors)
+        per_sequence = (
+            ("custom", "dense") if self.policy.is_exact else ("custom",)
+        )
+        parts: List[_Part] = []
+        order: List[int] = []
+        for style in per_sequence:
+            if rows[style]:
+                parts.append(_DecodeRows(style, rows[style], positions))
+                order += [i for i, _ in rows[style]]
+        for style in ("pruned", "dense"):
+            if style in per_sequence or not (
+                rows[style] or style in self._stores
+            ):
+                continue
+            indices = self._resident(style, rows[style])
+            if not indices:
+                continue
+            resident = [executors[i] for i in indices]
+            cascade = None
+            if style == "pruned":
+                cascade = resident[0].decode_batch_control(
+                    resident, positions[indices]
+                )
+            parts.append(_StoreBlock(
+                "decode", self._stores[style], slice(0, len(indices)),
+                cascade, np.ones(len(indices), dtype=np.int64),
+                positions[indices],
+            ))
+            order += indices
+        if order == list(range(len(executors))):
+            return parts, None
+        return parts, np.array(order)
 
     def decode_layer(
         self,
@@ -610,9 +685,11 @@ class PackedDecodeBackend:
         Returns ``attn_out [B, d_model]``, bit-identical to
         concatenating the looped per-sequence ``run_layer`` outputs.
         """
-        return self._attend_layer(
-            layer_idx, x, positions, self._group_rows(model, executors)
-        )
+        parts, order = self._decode_parts(model, positions, executors)
+        if order is None:
+            return self._attend(layer_idx, parts, x, "decode")[1]
+        attn_out = self._attend(layer_idx, parts, x[order], "decode")[1]
+        return attn_out[np.argsort(order)]
 
     def decode_step_policy(
         self,
@@ -628,48 +705,35 @@ class PackedDecodeBackend:
         backend's policy is non-exact.  The layer stack mirrors the
         exact path operation-for-operation — embedding gather, packed
         attention, residual + LayerNorm, tanh/gelu FFN, LM head — but
-        runs vectorized over the cast weights.  ``dense`` and ``pruned``
-        executors' K/V are made resident in the row stores here (a
-        ``pruned`` one served by this backend has been since its prompt
-        pass); the ``pruned`` ones' cascade control is opened as one
-        batch, stepped by every layer's core, and committed back to the
-        executors once the stack is through; ``custom`` executors keep
-        their own per-sequence core.
+        runs vectorized over the cast weights, on the rows in part
+        order.  ``dense`` and ``pruned`` executors' K/V are made
+        resident in the row stores here (a ``pruned`` one served by
+        this backend has been since its prompt pass); the ``pruned``
+        ones' cascade control is opened as one batch, stepped by every
+        layer, and committed back to the executors once the stack is
+        through; ``custom`` executors keep their own per-sequence core.
         """
         prof = self.profiler
         t_step = t0 = prof.start() if prof is not None else 0.0
-        rows = self._group_rows(model, executors)
-        residents, sels = {}, {}
-        for style in ("dense", "pruned"):  # the store-resident styles
-            if rows[style] or style in self._stores:
-                residents[style], sels[style] = self._resident(
-                    style, rows[style], len(executors)
-                )
-        cascade = None
-        pruned = residents.get("pruned")
-        if pruned:
-            cascade = pruned[0].decode_batch_control(
-                pruned, positions[sels["pruned"]]
-            )
+        parts, order = self._decode_parts(model, positions, executors)
+        if order is not None:
+            token_ids, positions = token_ids[order], positions[order]
         w = self._weights
         x = w.tok_emb[token_ids] + w.pos_emb[positions]
         if prof is not None:
             prof.stop("decode_setup", t0)
-        for layer_idx in range(model.config.n_layers):
-            attn_out = self._attend_layer(
-                layer_idx, x, positions, rows, cascade, sels
-            )
+        x = self._layers(parts, x, "decode")
+        cascades = [part.cascade for part in parts if part.cascade is not None]
+        if cascades:
             t0 = prof.start() if prof is not None else 0.0
-            x = self._ffn_half(layer_idx, x, attn_out)
-            if prof is not None:
-                prof.stop("decode_ffn", t0)
-        if cascade is not None:
-            t0 = prof.start() if prof is not None else 0.0
-            cascade.commit()
+            for cascade in cascades:
+                cascade.commit()
             if prof is not None:
                 prof.stop("decode_commit", t0)
         t0 = prof.start() if prof is not None else 0.0
         logits = x @ w.lm_proj
+        if order is not None:
+            logits = logits[np.argsort(order)]
         if prof is not None:
             prof.stop("decode_lm_head", t0)
             prof.stop("decode_step", t_step)
@@ -694,7 +758,7 @@ class PackedDecodeBackend:
             ]
         return stores
 
-    def _resident(self, style: str, rows: _Rows, batch: int):
+    def _resident(self, style: str, rows: _Rows) -> List[int]:
         """Make ``style``'s row stores hold exactly this step's ``rows``.
 
         Membership is read off the rows' layer-0 caches, each of which
@@ -708,10 +772,8 @@ class PackedDecodeBackend:
         cache took its columns back — are adopted: one copy per
         sequence and layer, after which the private buffers are gone.
 
-        Returns ``(executors, sel)`` in store-row order — the order the
-        step's batch control and every layer's core run in; ``sel`` are
-        the rows' batch indices (a plain slice when the two orders
-        coincide: views, not fancy-index copies).
+        Returns the rows' batch indices in store-row order — the order
+        the step's batch control and every layer's core run them in.
         """
         stores = (
             self._style_stores(style, rows[0][1]) if rows
@@ -745,15 +807,10 @@ class PackedDecodeBackend:
                     executor.decode_kv_cache(layer_idx)
                     for executor in arrivals
                 ])
-        order = [cache._row for cache in caches]
-        resident: List[Optional[AttentionExecutor]] = [None] * len(order)
-        for row, (_, executor) in zip(order, rows):
-            resident[row] = executor
-        if order == list(range(batch)):
-            return resident, slice(None)
-        sel = np.empty(len(order), dtype=np.intp)
-        sel[order] = [i for i, _ in rows]
-        return resident, sel
+        indices = [0] * len(caches)
+        for cache, (i, _) in zip(caches, rows):
+            indices[cache._row] = i
+        return indices
 
     def release(self, executor: AttentionExecutor) -> None:
         """Forget a sequence that will not decode here again (retired,
@@ -775,7 +832,7 @@ class PackedDecodeBackend:
         """Hand every resident row back to its cache: a new serving run
         starts from empty stores."""
         for style in self._stores:
-            self._resident(style, [], 0)
+            self._resident(style, [])
 
     def _ffn_half(
         self, layer_idx: int, x: np.ndarray, attn_out: np.ndarray
@@ -843,11 +900,10 @@ class PackedDecodeBackend:
         :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
         delegates here (after its input validation) whenever the
         backend's policy is non-exact — the prompt pass's counterpart of
-        :meth:`decode_step_policy`, with the same split by
+        :meth:`decode_step_policy`, the same layer stack over a split by
         :attr:`~repro.nn.transformer.AttentionExecutor
-        .packed_decode_style`.  Every prompt row of the step runs one
-        layer stack over the cast weights: ``"dense"`` executors' next
-        chunk, attended centrally against their cache
+        .packed_decode_style`: ``"dense"`` executors' next chunk,
+        attended centrally against their cache
         (:func:`_prefill_dense_core`), and, for every other executor
         whose *final* chunk this is, the whole sentence — cascade
         pruning decides over all of it, so earlier chunks only advance
@@ -855,21 +911,17 @@ class PackedDecodeBackend:
         tokens leave the residual stream at each layer's entry, so they
         skip the projections and the FFN:
 
-        * ``"pruned"`` sequences run **one batched core per layer**
-          (:func:`_prefill_pruned_core`) under one batch control, opened
-          for the pass and committed to the executors once; their K/V
-          go straight into the ``"pruned"`` row stores, which adopt the
-          sequences' empty caches before the first layer — a sequence
-          is resident from its first column;
+        * ``"pruned"`` sentences are store blocks
+          (:meth:`_open_pruned_blocks`) under one batch control each,
+          opened for the pass and committed to the executors once; their
+          K/V go straight into the ``"pruned"`` row stores, which adopt
+          the sequences' empty caches before the first layer — a
+          sequence is resident from its first column;
         * ``"custom"`` sequences (progressive quantization) prune
           through :meth:`~repro.nn.transformer.AttentionExecutor
           .summarize_control` and run their own core on the survivors'
           projections (:meth:`~repro.nn.transformer.AttentionExecutor
           .summarize_attend_packed`).
-
-        The QKV projection, the output FC, the residual / LayerNorm /
-        FFN arithmetic and the LM head each run once per layer over all
-        sequences' rows.
 
         Returns one entry per state: the next-token logits (compute
         dtype) of prompts that completed, else ``None``.
@@ -885,7 +937,7 @@ class PackedDecodeBackend:
             end == state.prompt_len for state, (_, end) in zip(states, spans)
         ]
         # The sequences with rows in this step, style by style.
-        parts: list = [
+        parts: List[_Part] = [
             _PromptRows(i, executor, True, *spans[i])
             for i, executor in by_style["dense"]
         ] + [
@@ -912,16 +964,16 @@ class PackedDecodeBackend:
                 raise ValueError(
                     f"sequence exceeds max_seq_len={cfg.max_seq_len}"
                 )
-            blocks = self._open_pruned_blocks(whole, lengths)
-            parts += blocks
+            parts += self._open_pruned_blocks(whole, lengths)
             x = w.tok_emb[token_ids] + w.pos_emb[positions]
         if prof is not None:
             t0 = prof.lap("prefill_setup", t0)
         if x is not None:
-            hidden = self._prefill_layers(parts, x)
+            hidden = self._layers(parts, x, "prefill")
             t0 = prof.start() if prof is not None else 0.0
-            for block in blocks:
-                block.cascade.commit()
+            for part in parts:
+                if part.cascade is not None:
+                    part.cascade.commit()
             if prof is not None:
                 t0 = prof.lap("prefill_commit", t0)
             # A sequence's last row survives every layer (cascade pruning
@@ -947,9 +999,10 @@ class PackedDecodeBackend:
 
     def _open_pruned_blocks(
         self, whole: _Rows, lengths: List[int]
-    ) -> List[_PrunedBlock]:
+    ) -> List[_StoreBlock]:
         """Make the step's ``"pruned"`` sequences ``whole`` resident and
-        open their batch controls, a block of consecutive ones each.
+        open their batch controls, a store block of consecutive ones
+        each.
 
         A block is as many sequences as keep its padded ``[B, h, L, L]``
         score plane — ``L`` the longest prompt among them — within
@@ -978,63 +1031,16 @@ class PackedDecodeBackend:
                         <= _PROMPT_PLANE_BYTES):
                     continue
                 longest = lengths[stop]
-            blocks.append(_PrunedBlock(
-                indices[start:stop],
+            counts = np.array(lengths[start:stop], dtype=np.int64)
+            blocks.append(_StoreBlock(
+                "prefill", stores, slice(first_row + start, first_row + stop),
                 executors[start].summarize_batch_control(
                     executors[start:stop], lengths[start:stop]
                 ),
-                np.arange(first_row + start, first_row + stop),
-                lengths[start:stop],
+                counts, ragged_arange(counts), indices[start:stop],
             ))
             start = stop
         return blocks
-
-    def _prefill_layers(self, parts, x: np.ndarray) -> np.ndarray:
-        """The layer stack of one prompt step over ``parts``' rows
-        ``x``, one after the other in order.
-
-        Returns the final hidden rows in the same order; each part's
-        ``positions`` are left at its surviving rows'.
-        """
-        cfg = self._model.config
-        w = self._weights
-        prof = self.profiler
-        for layer_idx in range(cfg.n_layers):
-            # Entry pruning: rows the cascade drops leave the residual
-            # stream before the projections (and the FFN) see them.
-            t0 = prof.start() if prof is not None else 0.0
-            kept, offset = [], 0
-            for part in parts:
-                n_rows = len(part.positions)
-                kept.append(part.prune(layer_idx) + offset)
-                offset += n_rows
-            kept = np.concatenate(kept)
-            if len(kept) < len(x):
-                x = x[kept]
-            # Each stage starts where the one before stopped (``lap``),
-            # so the layer's stages tile it.
-            if prof is not None:
-                t0 = prof.lap("prefill_prune_control", t0)
-
-            qkv = self._project(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
-            if prof is not None:
-                t0 = prof.lap("prefill_chunk_proj", t0)
-
-            heads = qkv.reshape(len(x), 3, cfg.n_heads, cfg.head_dim)
-            merged = np.empty_like(x)
-            offset = 0
-            for part in parts:
-                block = slice(offset, offset + len(part.positions))
-                offset = block.stop
-                part.attend(self, layer_idx, heads[block], merged[block])
-                if prof is not None:
-                    t0 = prof.lap(part.core_stage, t0)
-
-            attn_out = self._project(merged, w.wo[layer_idx], w.bo[layer_idx])
-            x = self._ffn_half(layer_idx, x, attn_out)
-            if prof is not None:
-                prof.stop("prefill_ffn", t0)
-        return x
 
     def project_chunk_rows(
         self,
@@ -1126,98 +1132,13 @@ def _prefill_dense_core(
     out[...] = np.matmul(scores, values).transpose(1, 0, 2).reshape(out.shape)
 
 
-def _prefill_pruned_core(
-    backend: "PackedDecodeBackend",
-    store: KVRowStore,
-    block: _PrunedBlock,
-    heads: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Whole-sentence attention core of one layer over a block of
-    ``"pruned"`` prompts: K/V block write → scores → causal softmax →
-    local value pruning → A·V → importance, as batched tensor ops over
-    a padded ``[B, h, L, L]`` plane — the prompt pass's
-    :func:`_store_core`.
-
-    ``heads`` ``[N, 3, h, D]`` are the projections of the block's
-    surviving rows, flat, and ``out`` ``[N, d]`` takes their merged head
-    features.  The K/V columns (dead heads' as zeros) go to the rows'
-    store in one write per plane — the block quantized in *one* pass
-    under int8 — while the attention reads them un-quantized, as the
-    per-sequence summarize core does.  Sequence ``j``'s ``n_j`` rows sit
-    in rows and columns ``[0, n_j)`` of its plane in position order, so
-    the causal mask is one triangle for the block and a real query never
-    sees a padding column; padded *query* rows are zeroed after the
-    softmax and contribute exact zeros from there on.  Local value
-    pruning ranks each head's column mass — summed over the queries
-    once, the same plane the fp64 token importance accumulates — and
-    zeroes the dropped V rows, which is masking their probabilities.
-    """
-    cfg = backend._model.config
-    cascade = block.cascade
-    counts = cascade.n_alive
-    n, length = len(counts), int(counts.max())
-    seq_of, col_of = block.seq_of, None
-    if n * length > len(seq_of):
-        col_of = ragged_arange(counts)
-
-    def padded(flat: np.ndarray, fill=0) -> np.ndarray:
-        """Flat ``[N, ...]`` rows as ``[n, length, ...]``."""
-        if col_of is None:
-            return flat.reshape((n, length) + flat.shape[1:])
-        pack = np.full((n, length) + flat.shape[1:], fill, flat.dtype)
-        pack[seq_of, col_of] = flat
-        return pack
-
-    q, k, v = heads[:, 0], heads[:, 1], heads[:, 2]
-    head_gate = None
-    if cascade.any_head_dead:
-        head_gate = cascade.head_alive[:, :, None]
-        gate = head_gate[seq_of]
-        k, v = k * gate, v * gate
-    store.write_block(
-        block.rows, counts, block.positions,
-        *_stage_kv_columns(backend, k, v),
-    )
-
-    # [n, length, h, D] → [n, h, length, D] views; BLAS takes them (and
-    # the transposed keys) without materializing.
-    q_pack = padded(q * backend._inv_sqrt_d).transpose(0, 2, 1, 3)
-    k_pack = padded(k).transpose(0, 2, 3, 1)
-    v_pack = padded(v).transpose(0, 2, 1, 3)
-    probs = backend._prompt_plane(n, length)
-    np.matmul(q_pack, k_pack, out=probs)
-    cols = np.arange(length)
-    np.copyto(probs, _MASKED, where=cols > cols[:, None])
-    softmax_inplace(probs)
-    if col_of is not None:
-        probs *= (cols < counts[:, None])[:, None, :, None]
-    mass = np.add.reduce(probs, axis=2)  # [n, h, length]
-    # Ranked on every head's own mass, before dead heads are zeroed.
-    value_mask = cascade.value_mask(mass, counts)
-    if head_gate is not None:
-        mass *= head_gate
-    cascade.accumulate_tokens(mass, padded(block.positions, cascade.sink))
-    if value_mask is not None:
-        v_pack = v_pack * value_mask[..., None]
-    head_out = np.matmul(probs, v_pack)  # [n, h, length, D]
-    cascade.accumulate_heads(head_out, counts)
-    merged = head_out.transpose(0, 2, 1, 3).reshape(n, length, -1)
-    out[...] = (
-        merged.reshape(out.shape) if col_of is None
-        else merged[seq_of, col_of]
-    )
-
-
 def _dense_core_exact(
     backend: "PackedDecodeBackend",
     layer_idx: int,
-    dense_rows: _Rows,
-    q_all: np.ndarray,
-    k_all: np.ndarray,
-    v_all: np.ndarray,
+    executors: Sequence[AttentionExecutor],
+    heads: np.ndarray,
     positions: np.ndarray,
-    merged: np.ndarray,
+    out: np.ndarray,
 ) -> None:
     """Bit-identical attention core for the dense rows of one layer.
 
@@ -1230,21 +1151,22 @@ def _dense_core_exact(
     cfg = backend._model.config
     caches = [
         executor.decode_kv_append(
-            layer_idx, k_all[i], v_all[i], positions[i : i + 1]
+            layer_idx, heads[j, 1, :, None], heads[j, 2, :, None],
+            positions[j : j + 1],
         )
-        for i, executor in dense_rows
+        for j, executor in enumerate(executors)
     ]
     lens = [len(cache) for cache in caches]
     n, max_len, min_len = len(caches), max(lens), min(lens)
-    scores = backend._scores(n, max_len)
+    scores = backend._plane(n, 1, max_len)
     if min_len < max_len:
         # Mask the ragged tail once for the whole batch; each
         # sequence's real columns are then overwritten in place by
         # its exact-length scores below.
         scores[:, :, :, min_len:] = _MASKED
-    for j, (i, _) in enumerate(dense_rows):
+    for j, cache in enumerate(caches):
         np.matmul(
-            q_all[i], caches[j].keys.transpose(0, 2, 1),
+            heads[j, 0, :, None], cache.keys.transpose(0, 2, 1),
             out=scores[j, :, :, : lens[j]],
         )
     scores /= np.sqrt(cfg.head_dim)
@@ -1264,34 +1186,32 @@ def _dense_core_exact(
     scores /= denom
     for j, cache in enumerate(caches):
         np.matmul(scores[j, :, :, : lens[j]], cache.values, out=head_out[j])
-    merged[[i for i, _ in dense_rows]] = (
-        head_out.transpose(0, 2, 1, 3).reshape(n, 1, -1)
-    )
+    out[...] = head_out.transpose(0, 2, 1, 3).reshape(n, -1)
 
 
 def _stage_kv_columns(
     backend: "PackedDecodeBackend", k_cols: np.ndarray, v_cols: np.ndarray
 ):
-    """This step's ``[n, h, D]`` K/V columns as a row store takes them,
+    """A block's ``[N, h, D]`` new K/V columns as a row store takes them,
     plane for plane (:attr:`~repro.nn.kv_cache.KVRowStore.planes`).
 
     The inputs themselves under float storage; under int8 ``(k_codes,
     v_codes, k_scales, v_scales)`` and then the columns dequantized —
-    what the attention core reads back, which a store with dequantized
-    planes keeps and any other drops.
+    what a later pass reads back, which a store with dequantized planes
+    keeps and any other drops.
     """
     if not backend.policy.quantized_gemm:
         return k_cols, v_cols
-    # One fused quantization of this step's k and v rows —
+    # One fused quantization of the block's k and v rows —
     # inlined :func:`repro.core.quantization.quantize_rows`
     # (bit-identical codes and scales, asserted by
     # tests/test_numerics.py) over persistent scratch: every op
     # runs in place, and the finite-input guard is skipped
-    # because decode activations are bounded by construction
+    # because activations are bounded by construction
     # (LayerNormed hidden state through finite weights).  Q
-    # stays in the compute dtype — the score GEMM reads fp Q
-    # against dequantized int8 K, matching what the cache
-    # stores.
+    # stays in the compute dtype — a later pass's score GEMM
+    # reads fp Q against dequantized int8 K, matching what the
+    # store holds.
     n = len(k_cols)
     shape = k_cols.shape[1:]
     kv_rows = backend._rows("kv_stage", 2 * n, *shape)
@@ -1321,92 +1241,113 @@ def _stage_kv_columns(
     )
 
 
-def _prune_control(store: KVRowStore, layer_idx: int, cascade) -> None:
-    """Pruning control of one layer's pruned rows.
-
-    The batch decides (cascade token and head pruning as ranked masks
-    over the control planes), then the layer's row store — through its
-    handles the truth for ``kv_lengths()``, eviction counts and pool
-    pages — drops the columns whose token left the live set: one mask
-    gathered over every row's labels.
-    """
-    cascade.prune(layer_idx)
-    store.evict(cascade.alive)
-
-
 def _store_core(
     backend: "PackedDecodeBackend",
     store: KVRowStore,
-    sel,
-    cascade,
-    q_all: np.ndarray,
-    k_all: np.ndarray,
-    v_all: np.ndarray,
-    positions: np.ndarray,
-    merged: np.ndarray,
+    block: _StoreBlock,
+    heads: np.ndarray,
+    out: np.ndarray,
 ) -> None:
-    """Attention core of one layer over a row store (non-exact tiers):
-    append → scores → masked softmax → A·V as batched tensor ops over
-    the ``[n, h, ...]`` pack, no per-sequence BLAS calls.
+    """Attention of one layer over a store block (non-exact tiers): K/V
+    write → scores → masked softmax → local value pruning → A·V →
+    importance, as batched tensor ops over an ``[n, h, Lq, Lk]`` plane —
+    ``n`` the block's rows, ``Lq`` their most query rows, ``Lk`` the
+    columns they span — with no per-sequence BLAS call.
+
+    ``heads`` ``[N, 3, h, D]`` are the projections of the block's rows,
+    flat, and ``out`` ``[N, d]`` takes their merged head features.  Row
+    ``j``'s queries sit in rows ``[0, counts[j])`` of its plane; padded
+    query rows are zeroed after the softmax and contribute exact zeros
+    from there on.  The new K/V columns (dead heads' as zeros) go to the
+    store with one write per plane, the block quantized in *one* pass
+    under int8.  A first pass — rows that held no column before this
+    write — attends to the K/V it has just computed; a later one reads
+    the ``[:width]`` columns as the store holds them
+    (:meth:`~repro.nn.kv_cache.KVRowStore.compute_columns`).  One mask
+    hides a column from the queries before its position, and a column
+    without a token — evicted and not compacted away yet, or the ragged
+    tail, labelled :data:`~repro.nn.kv_cache.NO_TOKEN` — from all.
 
     With a ``cascade`` — the pruned rows' batch control — SpAtten's
-    stages sit in the datapath: dead heads gated by a ``[n, h]`` plane
-    (their new K/V columns are stored as zeros and their probabilities
-    contribute nothing), local value pruning as one ranked mask over
-    the ``[n, h, width]`` probabilities, and token / head importance
-    accumulated for the whole batch.  Dense rows pass ``None`` and
-    bypass them.  Probabilities are normalized before A·V —
-    importance accumulates probabilities, not exponentials.
-
-    ``store`` holds the rows' K/V in the order ``sel`` indexes the
-    batch in.  This step's columns are appended with one indexed write
-    per plane — the whole batch's k/v rows quantized in *one* pass under
-    int8 — and the GEMMs read ``[:n, :, :width]`` float columns off the
-    store (:meth:`~repro.nn.kv_cache.KVRowStore.compute_columns`).
-    ``width`` spans every row's written columns: those without a token
-    — evicted ones not yet compacted away, and the ragged tail — are
-    labelled :data:`~repro.nn.kv_cache.NO_TOKEN`, masked out of the
-    softmax and worth an exact zero from there on.
+    stages sit in the datapath: dead heads gated by a ``[n, h]`` plane,
+    local value pruning ranked on each head's probability mass per
+    column (summed over the queries once; at one query a row, the
+    probabilities themselves) — the same plane the fp64 token
+    importance accumulates — and head importance accumulated for the
+    whole block.  Dense blocks pass ``None`` and bypass them.  A block
+    of several queries a row is a first pass, whose dead heads' values
+    are the zeros just computed; at one query a row the dead heads'
+    probabilities are zeroed instead, as stale columns may sit under
+    them.
     """
-    cfg = backend._model.config
-    n = len(store.owners)
-    k_cols, v_cols = k_all[sel][:, :, 0], v_all[sel][:, :, 0]
-    head_gate = None
-    if cascade is not None and cascade.any_head_dead:
-        head_gate = cascade.head_alive[:, :, None]
-        k_cols = k_cols * head_gate
-        v_cols = v_cols * head_gate
-    width = store.append(
-        positions[sel], *_stage_kv_columns(backend, k_cols, v_cols)
-    )
-    keys, values = store.compute_columns(width)
-    token_ids, lens = store.labels[:n, :width], store.live[:n]
+    cascade, rows, counts = block.cascade, block.rows, block.counts
+    n, n_queries = len(counts), int(counts.max())
+    seq_of, col_of = block.seq_of, None
+    if n * n_queries > len(seq_of):
+        col_of = ragged_arange(counts)
 
-    q_pack = backend._rows("q_pack", n, cfg.n_heads, 1, cfg.head_dim)
-    np.multiply(q_all[sel], backend._inv_sqrt_d, out=q_pack)
-    scores = backend._scores(n, width)
-    # Keys sit in the caches' own [L, D] layout; BLAS takes the
-    # transposed view without materializing it.
-    np.matmul(q_pack, keys.transpose(0, 1, 3, 2), out=scores)
-    if int(lens.min()) < width:
-        np.copyto(
-            scores, _MASKED,
-            where=(token_ids == NO_TOKEN)[:, None, None, :],
-        )
-    softmax_inplace(scores)
+    def padded(flat: np.ndarray, fill=0) -> np.ndarray:
+        """Flat ``[N, ...]`` rows as ``[n, n_queries, ...]``."""
+        if col_of is None:
+            return flat.reshape((n, n_queries) + flat.shape[1:])
+        pack = np.full((n, n_queries) + flat.shape[1:], fill, flat.dtype)
+        pack[seq_of, col_of] = flat
+        return pack
+
+    q, k, v = heads[:, 0], heads[:, 1], heads[:, 2]
+    gate = None
+    if cascade is not None and cascade.any_head_dead:
+        gate = cascade.head_alive[:, :, None]
+        row_gate = gate if n_queries == 1 else gate[seq_of]
+        k, v = k * row_gate, v * row_gate
+    first = not store.cursor[rows].any()
+    width = store.write_block(
+        rows, counts, block.positions, *_stage_kv_columns(backend, k, v)
+    )
+    # [n, h, Lk, D] each; BLAS takes the transposed keys (and these
+    # views) without materializing them.
+    if first:
+        keys, values = (padded(a).transpose(0, 2, 1, 3) for a in (k, v))
+    else:
+        keys, values = store.compute_columns(rows, width)
+    labels = store.labels[rows, :width]
+    probs = backend._plane(n, n_queries, width)
+    np.matmul(
+        padded(q * backend._inv_sqrt_d).transpose(0, 2, 1, 3),
+        keys.transpose(0, 1, 3, 2), out=probs,
+    )
+    # NO_TOKEN (-1) read unsigned lies past every position, so one test
+    # hides a column from the queries before its token and a column
+    # without a token from all.
+    unsigned = np.dtype(np.uint64)
+    hidden = labels.view(unsigned)[:, None, :] > padded(
+        block.positions, NO_TOKEN
+    ).view(unsigned)[..., None]
+    np.copyto(probs, _MASKED, where=hidden[:, None])
+    softmax_inplace(probs)
+    if col_of is not None:
+        probs *= (np.arange(n_queries) < counts[:, None])[:, None, :, None]
+    mass = probs[:, :, 0] if n_queries == 1 else np.add.reduce(probs, axis=2)
+    lens = store.live[rows]
     if cascade is not None:
-        probs = scores[:, :, 0]  # [n, h, width] view
-        # Ranked on every head's own probabilities, before dead heads
-        # are zeroed: an all-zero row would be one big tie.
-        value_mask = cascade.value_mask(probs, lens)
-        if head_gate is not None:
-            probs *= head_gate
-        cascade.accumulate_tokens(probs, token_ids)
-        if value_mask is not None:
-            probs *= value_mask
-    head_out = np.matmul(scores, values)
+        # Ranked on every head's own mass, before dead heads are
+        # zeroed: an all-zero row would be one big tie.
+        value_mask = cascade.value_mask(mass, lens)
+        if gate is not None:
+            mass *= gate
+        cascade.accumulate_tokens(mass, labels)
+        if value_mask is not None and n_queries == 1:
+            mass *= value_mask  # the probabilities, in place
+        elif value_mask is not None:
+            # Zeroing the dropped V rows masks their probabilities.
+            values = values * value_mask[..., None]
+    head_out = np.matmul(probs, values)  # [n, h, Lq, D]
     if cascade is not None:
         cascade.accumulate_heads(head_out, lens)
     # [n, h, 1, D] → [n, 1, h·D] reshapes in place (the moved axis is
-    # the singleton), so no transpose copy is needed.
-    merged[sel] = head_out.reshape(n, 1, -1)
+    # the singleton); a prompt block's plane gathers its real rows.
+    merged = head_out.transpose(0, 2, 1, 3).reshape(n, n_queries, -1)
+    out[...] = (
+        merged.reshape(out.shape) if col_of is None
+        else merged[seq_of, col_of]
+    )

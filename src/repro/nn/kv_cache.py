@@ -30,9 +30,11 @@ every sequence one of its own cores decodes off the exact tier: the
 ``"dense"`` and the ``"pruned"`` rows of ``fp32`` / ``int8``
 (:mod:`repro.nn.batched_attention`), each style in its own stores.  One
 store per layer holds every such sequence's columns as row ``j`` of
-batch-shaped planes, so a layer of a decode step touches all of them
-with a handful of array operations: the step's new columns land with
-one indexed store per plane, and cascade eviction is *lazy* — a newly
+batch-shaped planes, so a layer of a step touches a block of them with
+a handful of array operations: the block's new columns — a decode
+step's one a row, a prompt pass's whole sentence — land at each row's
+cursor with one indexed store per plane (:meth:`KVRowStore.write_block`,
+the store's only write), and cascade eviction is *lazy* — a newly
 pruned column is relabelled :data:`NO_TOKEN` where it sits (its score
 is masked, its probability an exact zero) and the row is compacted,
 order preserved, only once a whole ``page_tokens`` page of such holes
@@ -40,9 +42,8 @@ has built up: the zero eliminator's software analogue (PAPER.md §IV-B).
 A dense row simply never evicts.  A dense sequence moves in on its
 first decode step (:meth:`KVRowStore.adopt`: one copy, its private
 buffers freed); a pruned one is adopted *empty* when its prompt pass
-opens and each layer fills its row with one ragged block write
-(:meth:`KVRowStore.write_block`), so it never holds private columns at
-all.  The cache is then a *handle* on its
+opens and each layer fills its row with its prompt's block, so it never
+holds private columns at all.  The cache is then a *handle* on its
 row: ``len()`` and :attr:`evicted_tokens` read the store's per-row
 vectors, so ``kv_lengths()``, pool pages and the serving report stay
 exact while the hot path never calls the cache — and **every
@@ -377,8 +378,9 @@ class LayerKVCache:
     def append_decode_col(self, k: np.ndarray, v: np.ndarray, token_id) -> None:
         """O(1) single-column decode append (``[h, D]`` per plane).
 
-        The per-sequence form of :meth:`KVRowStore.append`, which took
-        its place on the decode hot path: minimal checks, no reshapes.
+        The per-sequence form of a decode step's
+        :meth:`KVRowStore.write_block`, which took its place on the
+        decode hot path: minimal checks, no reshapes.
         Float storage only — int8 callers use
         :meth:`append_decode_col_quantized` with precomputed codes.
         """
@@ -721,10 +723,10 @@ class KVRowStore:
         self.owners.pop()
 
     # ------------------------------------------------------------------
-    # The decode step's three writes and its read
+    # A block of rows: eviction, the one write, the read
     # ------------------------------------------------------------------
-    def evict(self, alive: np.ndarray) -> None:
-        """Cascade eviction as one gathered mask.
+    def evict(self, rows: slice, alive: np.ndarray) -> None:
+        """Cascade eviction over the rows ``rows`` as one gathered mask.
 
         ``alive`` ``[n, P]`` says, by label, which tokens each row's
         sequence still holds live; its last column — what
@@ -732,19 +734,18 @@ class KVRowStore:
         relabelled where they sit, and a row is compacted once a page
         of them has built up.
         """
-        n = len(self.owners)
-        labels = self.labels[:n, : int(self.cursor[:n].max())]
-        keep = alive[np.arange(n)[:, None], labels]
+        labels = self.labels[rows, : int(self.cursor[rows].max())]
+        keep = alive[np.arange(len(labels))[:, None], labels]
         live = np.count_nonzero(keep, axis=1)
-        newly_dead = self.live[:n] - live
+        newly_dead = self.live[rows] - live
         if not newly_dead.any():
             return
         labels[~keep] = NO_TOKEN
-        self.evicted[:n] += newly_dead
-        self.live[:n] = live
-        holes = self.cursor[:n] - live
+        self.evicted[rows] += newly_dead
+        self.live[rows] = live
+        holes = self.cursor[rows] - live
         for row in np.flatnonzero(holes >= self.page_tokens):
-            self.compact(row)
+            self.compact(rows.start + int(row))
 
     def compact(self, row: int) -> None:
         """Close the holes of one row, order preserved (the top-k engine
@@ -761,60 +762,56 @@ class KVRowStore:
         self.labels[row, n_live:end] = NO_TOKEN
         self.cursor[row] = n_live
 
-    def append(self, labels: np.ndarray, *columns: np.ndarray) -> int:
-        """Write one new column per row: ``labels`` ``[n]`` and, plane
-        for plane (:attr:`planes`), ``columns`` ``[n, h(, D)]`` — those
-        past the last plane this store keeps are not stored.
+    def write_block(
+        self,
+        rows: slice,
+        counts: np.ndarray,
+        labels: np.ndarray,
+        *columns: np.ndarray,
+    ) -> int:
+        """Append a ragged block of columns at each row's cursor.
+
+        Row ``rows.start + i`` takes ``counts[i] >= 1`` columns; the
+        block is flat, row after row: ``labels`` ``[N]`` and, plane for
+        plane (:attr:`planes`), ``columns`` ``[N, h(, D)]``, ``N =
+        counts.sum()`` — columns past the last plane this store keeps
+        are not stored.  One indexed store per plane, whatever the
+        rows' lengths: a prompt pass fills rows adopted empty, and a
+        decode step is the all-ones case.
 
         Returns the width the rows now span — the columns a reader
         slices, of which each row's :data:`NO_TOKEN` ones are masked.
         """
-        n = len(self.owners)
-        width = int(self.cursor[:n].max()) + 1
-        self._reserve(n, width)
-        rows, cursor = np.arange(n), self.cursor[:n]
-        for plane, column in zip(self.planes, columns):
-            plane[rows, :, cursor] = column
-        self.labels[rows, cursor] = labels
-        cursor += 1
-        self.live[:n] += 1
-        return width
-
-    def write_block(
-        self,
-        rows: np.ndarray,
-        counts: np.ndarray,
-        labels: np.ndarray,
-        *columns: np.ndarray,
-    ) -> None:
-        """Fill rows adopted empty with a prompt pass's columns.
-
-        Row ``rows[i]`` takes ``counts[i]`` columns; the block is ragged
-        and flat, sequence after sequence: ``labels`` ``[N]`` and, plane
-        for plane as :meth:`append` takes them, ``columns``
-        ``[N, h(, D)]``, ``N = counts.sum()``.  One indexed store per
-        plane, whatever the rows' lengths.
-        """
-        self._reserve(len(self.owners), int(counts.max(initial=0)))
-        row_of, col_of = np.repeat(rows, counts), ragged_arange(counts)
+        start = self.cursor[rows]
+        stop = start + counts
+        width = int(stop.max())
+        self._reserve(len(self.owners), width)
+        row_of = np.arange(rows.start, rows.stop)
+        col_of = start
+        if len(labels) > len(counts):  # some row takes several columns
+            row_of = np.repeat(row_of, counts)
+            col_of = np.repeat(start, counts) + ragged_arange(counts)
         for plane, column in zip(self.planes, columns):
             plane[row_of, :, col_of] = column
         self.labels[row_of, col_of] = labels
-        self.cursor[rows] = self.live[rows] = counts
+        self.cursor[rows] = stop
+        self.live[rows] += counts
+        return width
 
-    def compute_columns(self, width: int) -> Tuple[np.ndarray, np.ndarray]:
-        """K and V of the rows in use over columns ``[0, width)`` as
+    def compute_columns(
+        self, rows: slice, width: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """K and V of the rows ``rows`` over columns ``[0, width)`` as
         float arrays ``[n, h, width, D]``: views of the float (or the
         dequantized) planes, else :meth:`LayerKVCache._dequant`'s
-        arithmetic over the whole batch, one multiply per plane."""
-        n = len(self.owners)
+        arithmetic over the whole block, one multiply per plane."""
         if len(self.planes) == 4:  # codes and scales, nothing dequantized
             k_codes, v_codes, k_scales, v_scales = (
-                plane[:n, :, :width] for plane in self.planes
+                plane[rows, :, :width] for plane in self.planes
             )
             return k_codes * k_scales[..., None], v_codes * v_scales[..., None]
         keys, values = self.planes[-2:]
-        return keys[:n, :, :width], values[:n, :, :width]
+        return keys[rows, :, :width], values[rows, :, :width]
 
 
 class KVCache:

@@ -19,19 +19,23 @@ axis:
     per-sequence attention cores — bit-identical to the looped oracle
     (asserted by the identity tests and ``benchmarks/bench_numerics``).
 ``fp32``
-    fp32 KV planes and an fp32 batched decode core: one padded
-    ``[B, h, 1, max_len]`` masked-softmax attention over batch-resident
-    KV rows plus a vectorized fp32 tanh/gelu FFN — the design PR 3
-    proved impossible bit-identically.  Prompts are summarized by the
-    same backend in fp32.
+    fp32 KV planes and an fp32 batched core: masked-softmax attention
+    over padded ``[n, h, Lq, Lk]`` planes of batch-resident KV rows
+    plus a vectorized fp32 tanh/gelu FFN — the padded design the
+    bit-identity contract rules out.  Prompts are summarized by the same
+    backend, on the same core, in fp32.
 ``int8``
     Same batched core, but the KV cache stores int8 codes with per-row
     (head × column) fp32 scales — :func:`repro.core.quantization
-    .quantize_rows` — so the score GEMM reads fp32 Q against
-    dequantized int8 K (fp32 accumulation), exactly what the cache can
-    reproduce.  4× less KV storage than fp32 at a declared accuracy
-    budget.  Prompts are summarized in fp32 and their K/V quantized
-    from it.
+    .quantize_rows`.  4× less KV storage than fp32 at a declared
+    accuracy budget.  Which K/V a row's attention reads depends on the
+    pass, not on the stage that runs it: a row's *first* pass — a
+    prompt, whose rows held no columns before it wrote its block —
+    attends to the fp32 K/V it has just computed, so prompts are
+    summarized in fp32 and their K/V quantized from it; every *later*
+    pass — a decode step — reads K/V as the store holds them, so the
+    score GEMM reads fp32 Q against dequantized int8 K (fp32
+    accumulation), exactly what the cache can reproduce.
 
 A tier governs both stages of a request — prompt summarization and
 decode — whenever the model is driven through a

@@ -5,73 +5,81 @@ clock; this profiler is the deliberate exception.  The simulated cost
 model answers "what would this schedule cost on modeled hardware" —
 it cannot answer "where does the *real* Python/BLAS time go in the
 packed hot path".  :class:`HotPathProfiler` measures that with
-``time.perf_counter`` around the
-:class:`~repro.nn.batched_attention.PackedDecodeBackend` stages of the
-decode step and the prompt pass:
+``time.perf_counter`` around the stages of the
+:class:`~repro.nn.batched_attention.PackedDecodeBackend`'s decode step
+and prompt step.  Both run one per-layer skeleton — entry pruning, the
+fused QKV projection, each part's core, the output FC — so the two
+record the same stages, each under its own prefix (the catalog below
+is the whole set; a test holds a traced run of every tier to it).
 
-* ``decode_step`` — a whole ``fp32`` / ``int8`` decode step
-  (``decode_step_policy``), the *total* its ``decode_*`` stages below
-  are parts of: what they leave over is reported as ``unattributed``
-  (:meth:`HotPathProfiler.unattributed_seconds`; a test holds it under
-  5 % of the step).  The exact tier's step belongs to the model's own
-  fp64 stack, so only the per-layer stages are recorded there;
-* ``decode_setup`` — before the first layer: grouping the rows by
-  style, reconciling the dense and the pruned rows' stores with the
-  batch (adopting arrivals — dense rows after their prompt pass; pruned
-  ones are resident since theirs — and releasing departures), opening
-  the step's ``CascadeBatch`` and the embedding gather;
-* ``decode_qkv_proj`` — the fused ``[B, d] @ [d, 3d]`` projection;
-* ``decode_dense_core`` — KV append + scores/softmax/A·V of the dense
-  rows: per sequence over exact-length cache views on the exact tier,
-  the batched store core (no cascade) over their row store otherwise;
-* ``decode_custom_core`` — per-sequence SpAtten cores: every SpAtten
-  row on the exact tier, progressive-quantization rows on any tier;
-* ``decode_prune_control`` — the batched cascade of the other SpAtten
-  rows on ``fp32`` / ``int8``: token and head pruning decisions over
-  the batch's control planes, then eviction from the layer's row store
-  (one gathered mask, plus compaction of the rows a page of holes has
-  built up in);
-* ``decode_pruned_core`` — the same store core with the cascade in
-  its datapath: batched KV append into their row store + scores /
-  softmax / local value pruning / A·V / importance accumulation over
-  its planes;
-* ``decode_output_fc`` — the fused output projection;
-* ``decode_ffn`` — the rest of a block: residual adds, LayerNorms and
-  the tanh/gelu FFN;
-* ``decode_commit`` — ``CascadeBatch.commit()``: the step's control
-  state and trace rows stored back into the executors;
-* ``decode_lm_head`` — the final ``[B, d] @ [d, vocab]`` projection;
-* ``prefill_step`` — a whole ``fp32`` / ``int8`` prompt step
-  (``prefill_chunk_policy``), the total of the ``prefill_*`` stages on
-  those tiers as ``decode_step`` is of the decode stages (same
-  ``unattributed`` row, same 5 % test).  Its stages, contiguous:
-* ``prefill_setup`` — grouping the states by style, the chunk spans,
-  input validation, adopting the pruned sequences' empty caches into
-  the ``"pruned"`` row stores and opening their batch controls
-  (``CascadeBatch.summarize``), and the embedding gather;
-* ``prefill_prune_control`` — each layer's entry pruning: the batched
-  cascade of the pruned sentences (per-sequence ``summarize_control``
-  for ``custom`` ones) and the gather that drops pruned rows from the
-  residual stream;
-* ``prefill_chunk_proj`` — the fused Q/K/V projection of every row;
-* ``prefill_dense_core`` — a dense chunk's KV append + causal attention
-  against its cache (once per sequence and layer);
-* ``prefill_custom_core`` — a progressive-quantization sentence's own
-  per-sequence core;
-* ``prefill_pruned_core`` — the batched whole-sentence core of a block
-  of pruned sentences: K/V block write into their row store (the int8
-  quantization of the block included), scores / causal softmax / local
-  value pruning / A·V / importance over the padded plane;
-* ``prefill_ffn`` — the rest of a block: output FC, residual adds,
-  LayerNorms and the tanh/gelu FFN;
-* ``prefill_commit`` — the pruned sentences' control state and trace
-  rows stored back into the executors, once per sequence;
-* ``prefill_lm_head`` — the LM head over the completed prompts' last
-  rows, and the states' bookkeeping.
+Stages off the exact tier
+-------------------------
 
-The exact tier's prompt pass belongs to the model's own fp64 stack and
-records three stages, with no step total:
+An ``fp32`` / ``int8`` decode step (``decode_step_policy``) or prompt
+step (``prefill_chunk_policy``) records, per step or per layer:
 
+* ``decode_step`` / ``prefill_step`` — the whole step, the *total* the
+  other stages of its prefix are parts of: what they leave over is
+  reported as ``unattributed`` (:meth:`HotPathProfiler
+  .unattributed_seconds`; tests hold it under 5 % of the step);
+* ``decode_setup`` / ``prefill_setup`` — before the first layer:
+  grouping the rows by style into the step's parts and putting the
+  rows into part order; in a decode step, reconciling the dense and
+  the pruned rows' stores with the batch (adopting arrivals, releasing
+  departures) and opening the pruned block's ``CascadeBatch``; in a
+  prompt step, the chunk spans, input validation, adopting the pruned
+  sentences' empty caches into the ``"pruned"`` row stores and opening
+  each block's ``CascadeBatch.summarize``; both, the embedding gather;
+* ``decode_prune_control`` / ``prefill_prune_control`` — each layer's
+  entry pruning: every pruned store block's cascade decisions over its
+  control planes, then eviction of the block's rows from the layer's
+  store (one gathered mask, plus compaction of the rows a page of holes
+  has built up in), a ``custom`` sentence's ``summarize_control`` (a
+  ``custom`` decode row prunes inside its core), and the gather that
+  drops pruned rows from the residual stream;
+* ``decode_qkv_proj`` / ``prefill_chunk_proj`` — the fused
+  ``[N, d] @ [d, 3d]`` projection of every row;
+* ``decode_custom_core`` / ``prefill_custom_core`` — the
+  per-sequence SpAtten cores of progressive-quantization rows;
+* ``decode_dense_core`` — the dense rows' store block: the store core
+  with no cascade (K/V write at each row's cursor, scores / mask /
+  softmax / A·V over the block's plane);
+* ``prefill_dense_core`` — a dense chunk's KV append and causal
+  attention against its private cache, once per sequence and layer;
+* ``decode_pruned_core`` / ``prefill_pruned_core`` — a pruned store
+  block's store core: K/V write at each row's cursor (the int8
+  quantization of the block included), then scores / mask / softmax /
+  local value pruning / A·V / importance accumulation over its plane —
+  one query row a sequence in a decode step, the whole sentence in a
+  prompt step;
+* ``decode_output_fc`` / ``prefill_output_fc`` — the fused output
+  projection;
+* ``decode_ffn`` / ``prefill_ffn`` — the rest of a block: residual
+  adds, LayerNorms and the tanh/gelu FFN;
+* ``decode_commit`` / ``prefill_commit`` — ``CascadeBatch.commit()``:
+  the pruned blocks' control state and trace rows stored back into the
+  executors, once per sequence (a decode step records it when it has
+  pruned rows, a prompt step whenever it has rows);
+* ``decode_lm_head`` / ``prefill_lm_head`` — the LM head: over every
+  row, back in batch order, in a decode step; over the completed
+  prompts' last rows, and the states' bookkeeping, in a prompt step.
+
+Stages on the exact tier
+------------------------
+
+The exact tier's steps belong to the model's own fp64 stack, so there
+is no step total and no ``unattributed`` row.  Its decode step runs the
+backend's skeleton for each layer's attention half
+(``decode_layer``), its prompt pass the model's stack around fused
+projections:
+
+* ``decode_prune_control`` — entry pruning, which is empty here (a
+  SpAtten row prunes inside its own core): the skeleton's bookkeeping;
+* ``decode_qkv_proj`` — the fused projection, row by row;
+* ``decode_custom_core`` — every SpAtten row's per-sequence core;
+* ``decode_dense_core`` — the dense rows' KV append and attention, per
+  sequence over exact-length cache views;
+* ``decode_output_fc`` — the fused output projection, row by row;
 * ``prefill_chunk_proj`` — the fused Q/K/V projections of the
   incremental chunks;
 * ``prefill_core`` — the rest of the attention half: cascade entry

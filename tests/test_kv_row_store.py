@@ -4,10 +4,11 @@ A :class:`repro.nn.kv_cache.KVRowStore` holds the ``"dense"`` and the
 ``"pruned"`` decode rows' columns for the packed backend off the exact
 tier, and every resident :class:`~repro.nn.kv_cache.LayerKVCache` is a
 handle on its row.  The state machine drives one store (and a second,
-to move rows between backends) with everything a decode step and the
-membership reconcile do to it, beside a shadow list of plain
-private-buffer caches that take the same appends and evictions through
-the per-sequence API; after every rule each handle reports what its
+to move rows between backends) with everything a step's store blocks
+and the membership reconcile do to it — block writes of one column a
+row or ragged counts, at each row's cursor, and block evictions —
+beside a shadow list of plain private-buffer caches that take the same
+appends and evictions through the per-sequence API; after every rule each handle reports what its
 shadow holds — and a store that keeps its columns dequantized holds
 what the shadow dequantizes.  The structural guards below it pin what
 the stores are for: a steady-state decode step over dense or pruned
@@ -140,81 +141,77 @@ class RowStoreMachine(RuleBasedStateMachine):
         for seq in arrivals:
             assert "_keys" not in vars(seq.cache), "private buffers kept"
 
-    @rule(counts=st.lists(
-        st.integers(1, 2 * PAGE + 1), min_size=1, max_size=3
-    ))
-    def block_write(self, counts):
-        """A prompt pass's arrivals: caches adopted empty, then filled
-        by one ragged block write; the shadows take the per-sequence
-        ``append``."""
-        if len(self.sequences) >= 6:
-            return
-        self.sweep(self.store)
-        arrivals = [Sequence(self.dtype, self.rng, 0) for _ in counts]
-        self.sequences += arrivals
-        first = len(self.store.owners)
-        self.store.adopt([seq.cache for seq in arrivals])
-        assert all(len(seq.cache) == 0 for seq in arrivals)
-        columns = [
-            [seq.column(self.rng) for _ in range(count)]
-            for seq, count in zip(arrivals, counts)
-        ]
-        for seq, block in zip(arrivals, columns):
-            seq.shadow.append(
-                np.stack([c[0] for c in block], axis=1),
-                np.stack([c[1] for c in block], axis=1),
-                [c[2] for c in block],
-            )
-        flat = [column for block in columns for column in block]
-        self.store.write_block(
-            np.arange(first, first + len(arrivals)), np.array(counts),
-            np.array([c[2] for c in flat]),
-            *store_planes(
-                self.dtype, np.stack([c[0] for c in flat]),
-                np.stack([c[1] for c in flat]),
-            ),
-        )
-
     @precondition(lambda self: self.store.owners)
-    @rule()
-    def batched_append(self):
-        """One decode column per resident row, in one store call."""
-        self.sweep(self.store)
-        residents = self.resident()
-        if not residents or any(
-            seq.next_position >= MAX_LEN for seq in residents
-        ):
-            return
-        columns = [seq.column(self.rng) for seq in residents]
-        k = np.stack([c[0] for c in columns])
-        v = np.stack([c[1] for c in columns])
-        positions = np.array([c[2] for c in columns])
-        planes = store_planes(self.dtype, k, v)
-        width = self.store.append(positions, *planes)
-        for j, seq in enumerate(residents):
-            if self.dtype == np.int8:
-                k_codes, v_codes, k_scales, v_scales = planes[:4]
-                seq.shadow.append_decode_col_quantized(
-                    k_codes[j], k_scales[j], v_codes[j], v_scales[j],
-                    positions[j],
-                )
-            else:
-                seq.shadow.append_decode_col(k[j], v[j], positions[j])
-        assert width == int(self.store.cursor[: len(residents)].max())
-
-    @precondition(lambda self: self.store.owners)
-    @rule(keep=st.floats(0.3, 1.0))
-    def mask_evict(self, keep):
-        """Cascade eviction: the store takes one alive-by-position
-        plane, the shadows the per-sequence ``keep``."""
+    @rule(data=st.data(), decode=st.booleans())
+    def write_block(self, data, decode):
+        """A block of consecutive rows takes its new columns at each
+        row's cursor in one store call — a decode step's one a row, or
+        a ragged count >= 1 a row: a prompt pass onto rows adopted
+        empty, or more columns onto rows that hold some.  The shadows
+        take the per-sequence ``append`` / ``append_decode_col*``."""
         self.sweep(self.store)
         residents = self.resident()
         if not residents:
             return
-        alive = self.rng.random((len(residents), MAX_LEN + 1)) < keep
+        start = data.draw(st.integers(0, len(residents) - 1))
+        stop = data.draw(st.integers(start + 1, len(residents)))
+        block = residents[start:stop]
+        counts = [1] * len(block) if decode else data.draw(st.lists(
+            st.integers(1, 2 * PAGE + 1),
+            min_size=len(block), max_size=len(block),
+        ))
+        if any(seq.next_position + count > MAX_LEN
+               for seq, count in zip(block, counts)):
+            return
+        flat = [
+            seq.column(self.rng)
+            for seq, count in zip(block, counts) for _ in range(count)
+        ]
+        k = np.stack([c[0] for c in flat])
+        v = np.stack([c[1] for c in flat])
+        positions = np.array([c[2] for c in flat])
+        planes = store_planes(self.dtype, k, v)
+        width = self.store.write_block(
+            slice(start, stop), np.array(counts), positions, *planes
+        )
+        assert width == int(self.store.cursor[start:stop].max())
+        first = 0
+        for seq, count in zip(block, counts):
+            cols = slice(first, first + count)
+            first = cols.stop
+            if count > 1:
+                seq.shadow.append(
+                    k[cols].transpose(1, 0, 2), v[cols].transpose(1, 0, 2),
+                    positions[cols],
+                )
+            elif self.dtype == np.int8:
+                k_codes, v_codes, k_scales, v_scales = (
+                    plane[cols.start] for plane in planes[:4]
+                )
+                seq.shadow.append_decode_col_quantized(
+                    k_codes, k_scales, v_codes, v_scales, positions[cols.start]
+                )
+            else:
+                seq.shadow.append_decode_col(
+                    k[cols.start], v[cols.start], positions[cols.start]
+                )
+
+    @precondition(lambda self: self.store.owners)
+    @rule(data=st.data(), keep=st.floats(0.3, 1.0))
+    def mask_evict(self, data, keep):
+        """Cascade eviction over a block of consecutive rows: the store
+        takes one alive-by-position plane, the shadows the per-sequence
+        ``keep``."""
+        self.sweep(self.store)
+        residents = self.resident()
+        if not residents:
+            return
+        start = data.draw(st.integers(0, len(residents) - 1))
+        stop = data.draw(st.integers(start + 1, len(residents)))
+        alive = self.rng.random((stop - start, MAX_LEN + 1)) < keep
         alive[:, -1] = False  # the sink NO_TOKEN reads
-        self.store.evict(alive)
-        for j, seq in enumerate(residents):
+        self.store.evict(slice(start, stop), alive)
+        for j, seq in enumerate(residents[start:stop]):
             seq.shadow.keep(np.flatnonzero(alive[j, seq.shadow.token_ids]))
 
     @precondition(lambda self: self.store.owners)

@@ -447,18 +447,54 @@ class TestBatchedCascadeRoute:
                     want_codes.astype(np.float32) * want_scales,
                 )
 
-    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    #: A scrambled batch: every style's rows interleave with the others'.
+    SCRAMBLED = [("quant", 20), ("dense", 9), ("spatten", 33),
+                 ("dense", 26), ("quant", 14), ("spatten", 20),
+                 ("spatten", 7), ("dense", 17)]
+
+    @staticmethod
+    def _row_state(executor):
+        """What a step leaves on an executor: KV lengths and, for
+        SpAtten, the live heads and tokens and the trace's counts."""
+        state = [executor.kv_lengths()]
+        if isinstance(executor, SpAttenExecutor):
+            state += [
+                executor._alive_heads.tolist(),
+                executor._alive_tokens.tolist(),
+                executor.trace.count_signature(),
+            ]
+        return state
+
+    def _prompt_and_decode(self, decoder, tier, spec, prompts, tokens):
+        """One prompt step (one chunk spans every prompt) and one decode
+        step (of ``tokens``) of ``spec``'s rows as one batch, through one
+        backend: ``(prompt logits, decode logits, executors)``."""
+        backend = PackedDecodeBackend(decoder, numerics=tier)
+        logits, execs = _tier_prefill(
+            decoder, backend, [kind for kind, _ in spec], prompts,
+            chunk=max(len(prompt) for prompt in prompts),
+        )
+        step = decoder.decode_step_batch(
+            tokens, [length for _, length in spec], execs, backend=backend
+        )
+        return np.array(logits), step, execs
+
+    @pytest.mark.parametrize("tier", ["exact", "fp32", "int8"])
     def test_progressive_quant_rows_keep_the_per_sequence_core(
         self, decoder, tier, monkeypatch
     ):
         """The route is a function of the tier and ``quant`` alone: in
-        one non-exact batch the quant row takes ``decode_attend_packed``
-        and the plain SpAtten row never does."""
-        spec = [("spatten", 20), ("quant", 20), ("dense", 9)]
-        execs = _prefilled(decoder, spec, seed=6, numerics=tier)
-        assert [e.packed_decode_style for e in execs] == [
-            "pruned", "custom", "dense"
-        ]
+        one batch the quant rows take ``decode_attend_packed`` (and off
+        the exact tier the plain SpAtten rows never do) — and a row of a
+        scrambled batch of dense, pruned and progressive-quant rows
+        comes out of one prompt step and one decode step as it does
+        from a batch of its own style: the step puts the batch into
+        part order and back, and nothing else of the batch reaches a
+        row.  Bit for bit on ``exact``, within the tier's test
+        tolerance otherwise."""
+        spec = self.SCRAMBLED
+        prompts = _prompts(decoder, spec, seed=6)
+        tokens = [3 + 5 * i for i in range(len(spec))]
         called = []
         original = SpAttenExecutor.decode_attend_packed
 
@@ -467,14 +503,34 @@ class TestBatchedCascadeRoute:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(SpAttenExecutor, "decode_attend_packed", spy)
-        logits = decoder.decode_step_batch(
-            [1, 2, 3], [20, 20, 9], execs,
-            backend=PackedDecodeBackend(decoder, numerics=tier),
-        )
-        assert np.isfinite(logits).all()
-        assert called == [execs[1]] * decoder.config.n_layers
-        exact = _prefilled(decoder, spec[:1], seed=6, numerics="exact")
-        assert exact[0].packed_decode_style == "custom"
+        mixed = self._prompt_and_decode(decoder, tier, spec, prompts, tokens)
+        styles = [e.packed_decode_style for e in mixed[2]]
+        assert styles == [
+            {"dense": "dense", "quant": "custom"}.get(
+                kind, "custom" if tier == "exact" else "pruned"
+            )
+            for kind, _ in spec
+        ]
+        custom = [e for e, style in zip(mixed[2], styles) if style == "custom"]
+        assert called == custom * decoder.config.n_layers
+        for kind in ("dense", "spatten", "quant"):
+            rows = [i for i, (k, _) in enumerate(spec) if k == kind]
+            alone = self._prompt_and_decode(
+                decoder, tier, [spec[i] for i in rows],
+                [prompts[i] for i in rows], [tokens[i] for i in rows],
+            )
+            for j, i in enumerate(rows):
+                for got, want in zip(mixed[:2], alone[:2]):
+                    assert got[i].dtype == want[j].dtype
+                    if tier == "exact":
+                        assert np.array_equal(got[i], want[j]), (kind, i)
+                    else:
+                        assert np.allclose(
+                            got[i], want[j], rtol=1e-4, atol=1e-4
+                        ), (kind, i)
+                assert self._row_state(mixed[2][i]) == self._row_state(
+                    alone[2][j]
+                ), (kind, i)
 
 
 def _tier_prefill(model, backend, kinds, prompts, chunk):

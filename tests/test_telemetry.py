@@ -16,6 +16,7 @@ The contract under test, in order of importance:
 
 import json
 import math
+import re
 
 import pytest
 
@@ -570,6 +571,62 @@ class TestProfiler:
         assert sum(row[3] for row in rows.values()) == pytest.approx(1.0)
         assert "unattributed (prefill_step)" in str(prof.table())
 
+    @staticmethod
+    def _documented_stages():
+        """The profiler module's catalog: the names heading each bullet,
+        off the exact tier and on it."""
+        from repro.telemetry import profiler
+
+        off, on = profiler.__doc__.split("Stages on the exact tier")
+        off = off.split("Stages off the exact tier")[1]
+        return tuple(
+            {
+                name
+                for line in text.splitlines() if line.startswith("* ")
+                for name in re.findall(r"``(\w+)``", line.split(" — ")[0])
+            }
+            for text in (off, on)
+        )
+
+    @pytest.mark.parametrize("numerics", ["exact", "fp32", "int8"])
+    def test_recorded_stages_are_the_documented_ones(
+        self, serving_setup, numerics
+    ):
+        """Chunked prompts and decode steps of a batch of dense, pruned
+        and progressive-quant rows record exactly the stages the
+        profiler's catalog lists for the tier."""
+        from repro.config import QuantConfig
+        from repro.core.pipeline import SpAttenExecutor
+        from repro.nn import PackedDecodeBackend
+        from repro.nn.transformer import DenseExecutor
+
+        _, model, corpus = serving_setup
+        backend = PackedDecodeBackend(model, numerics=numerics)
+        backend.profiler = prof = HotPathProfiler()
+        quant = QuantConfig(msb_bits=6, lsb_bits=4, progressive=True,
+                            threshold=0.1)
+        executors = [
+            DenseExecutor(numerics=numerics),
+            SpAttenExecutor(PRUNING, numerics=numerics),
+            SpAttenExecutor(PRUNING, quant, numerics=numerics),
+        ]
+        states = [
+            model.prefill_begin(corpus[:PROMPT_LEN].tolist(), executor)
+            for executor in executors
+        ]
+        while not all(state.done for state in states):
+            model.prefill_chunk_batch(
+                [state for state in states if not state.done], 8,
+                backend=backend,
+            )
+        for step in range(2):
+            model.decode_step_batch(
+                [1, 2, 3], [PROMPT_LEN + step] * 3, executors,
+                backend=backend,
+            )
+        off, on = self._documented_stages()
+        assert set(prof.stages) == (on if numerics == "exact" else off)
+
     def test_exact_tier_records_no_step_total(self, serving_setup):
         """The exact step belongs to the model's own stack: no total,
         so no remainder row."""
@@ -766,6 +823,15 @@ class TestCLI:
         assert main(self.SERVE_BOTH + ["--trace-out", str(out)]) == 0
         for mode in ("dense", "spatten"):
             written = tmp_path / f"trace.{mode}.json"
+            assert validate_chrome_trace(json.loads(written.read_text()))
+        # A dot in a directory name is not an extension.
+        dotted = tmp_path / "runs.v2"
+        dotted.mkdir()
+        assert main(
+            self.SERVE_BOTH + ["--trace-out", str(dotted / "trace")]
+        ) == 0
+        for mode in ("dense", "spatten"):
+            written = dotted / f"trace.{mode}"
             assert validate_chrome_trace(json.loads(written.read_text()))
 
     def test_trace_report_subcommand(self, tmp_path, capsys):
