@@ -4,7 +4,8 @@
     python3 benchmarks/e2e/run.py --workload W --trace 1 --seed 7 > A.txt   # parent
     python3 benchmarks/e2e/run.py --workload W --trace 1 --seed 7 > B.txt   # change
     python scripts/diff_layer_counts.py A.txt B.txt \\
-        --equal 'core.*.calls' --equal serving.stats.sim_tok_s
+        --equal '*.calls' --equal serving.stats.sim_tok_s \\
+        --except nn.kv_cache.read.calls
 
 Each file holds the standard output of one ``run.py --trace 1`` run (or
 just its last line, the JSON verdict).  Every metric whose unit is a
@@ -13,8 +14,10 @@ which repeat exactly from run to run — is compared, and each one that
 differs is printed with both values.  ``--equal`` pins metrics (names
 or ``fnmatch`` patterns, any unit) that must not have moved: the exit
 status is 1 if one did, 2 if a pattern names no metric of the runs, 0
-otherwise.  Timings (``.self_s`` and the like) are never compared:
-they are what ``run.py --compare`` judges over many runs.
+otherwise.  ``--except`` takes metrics out of what ``--equal`` pins —
+the counters a change is meant to move — and prints each with both
+values, moved or not.  Timings (``.self_s`` and the like) are never
+compared: they are what ``run.py --compare`` judges over many runs.
 
 This reads the benchmark's output only and imports nothing from it.
 """
@@ -57,17 +60,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="metric name or fnmatch pattern that must be equal in both "
              "(repeatable)",
     )
+    parser.add_argument(
+        "--except", dest="excepted", action="append", default=[],
+        metavar="NAME",
+        help="metric name or fnmatch pattern to print but not judge by "
+             "--equal (repeatable)",
+    )
     args = parser.parse_args(argv)
     a, b = load_metrics(args.a), load_metrics(args.b)
     names = sorted(set(a) | set(b))
 
-    pinned = set()
-    for pattern in args.equal:
-        matched = fnmatch.filter(names, pattern)
-        if not matched:
-            print(f"--equal {pattern}: no such metric", file=sys.stderr)
-            return 2
-        pinned.update(matched)
+    selected = {}
+    for flag, patterns in [
+        ("--except", args.excepted), ("--equal", args.equal),
+    ]:
+        selected[flag] = set()
+        for pattern in patterns:
+            matched = fnmatch.filter(names, pattern)
+            if not matched:
+                print(f"{flag} {pattern}: no such metric", file=sys.stderr)
+                return 2
+            selected[flag].update(matched)
+    excepted = selected["--except"]
+    pinned = selected["--equal"] - excepted
 
     def value(metrics, name):
         return metrics[name]["value"] if name in metrics else None
@@ -75,12 +90,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     moved = []
     for name in names:
         unit = (a.get(name) or b.get(name))["unit"]
-        if unit not in EXACT_UNITS and name not in pinned:
+        compared = unit in EXACT_UNITS or name in pinned or name in excepted
+        if not compared:
             continue
         before, after = value(a, name), value(b, name)
         if before != after:
             moved.append(name)
-            flag = "  [pinned by --equal]" if name in pinned else ""
+        if before != after or name in excepted:
+            flag = (
+                "  [excepted by --except]" if name in excepted
+                else "  [pinned by --equal]" if name in pinned else ""
+            )
             print(f"{name}: {before!r} -> {after!r} ({unit}){flag}")
     broken = [name for name in moved if name in pinned]
     print(

@@ -262,7 +262,7 @@ def validate_fault_events(
                 f"unknown replica {event.replica} in fault event "
                 f"(fleet has {n_replicas})"
             )
-        if event.time < 0:
+        if not event.time >= 0:
             raise ValueError("fault event times must be non-negative")
         if not event.factor >= 1.0:
             raise ValueError("slow_start factor must be >= 1")

@@ -8,8 +8,8 @@ wide batched Q·K·V units).  :class:`PackedDecodeBackend` restructures
 one decode step so that everything that *can* run as a single
 batch-level BLAS call does.
 
-One skeleton, two kinds of part, one store core
------------------------------------------------
+One skeleton, two cores
+-----------------------
 
 SpAtten runs summarization and generation on one datapath — the same
 Q·K, softmax, top-k and A·V units, with pruning and quantization as
@@ -33,26 +33,27 @@ FFN half follows (:meth:`~PackedDecodeBackend._ffn_half`; the
 while the exact tier's :meth:`~PackedDecodeBackend.decode_layer` runs
 the attention half alone and its model keeps the fp64 FFN stack.
 
-There are two kinds of part.  **Per-sequence parts** keep their own
-cores: ``"custom"`` rows —
-:attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`
-SpAtten on the exact tier, where the per-sequence core is the
-bit-identity oracle, and progressive-quantization rows on any tier,
-whose LSB refetch is decided per row from that row's own probabilities
-— through :meth:`~repro.nn.transformer.AttentionExecutor
-.decode_attend_packed`, or :meth:`~repro.nn.transformer
-.AttentionExecutor.summarize_control` and :meth:`~repro.nn.transformer
-.AttentionExecutor.summarize_attend_packed` in a prompt step; a dense
-prompt chunk against its private cache (:func:`_prefill_dense_core`);
-and the exact tier's dense rows (:func:`_dense_core_exact`).  **Store
-blocks** are consecutive rows of a :class:`~repro.nn.kv_cache.KVRowStore`
-— a decode step's ``"dense"`` rows and its ``"pruned"`` rows, and each
-prompt step's ``"pruned"`` sentences — and all run **one** core,
-:func:`_store_core`, over ``[n, h, Lq, Lk]`` planes: the block's K/V
-appended at each row's cursor, one mask (the causal position test plus
-columns without a token), softmax, local value pruning ranked on each
-column's probability mass, A·V and importance accumulation.  A block
-of pruned rows carries its batch control,
+There are two cores, and every part runs one of them.  A
+**per-sequence part** is one style's rows, each sequence's run by *its
+executor's own* packed core: :meth:`~repro.nn.transformer
+.AttentionExecutor.decode_attend_packed` in a decode step, and in a
+prompt step :meth:`~repro.nn.transformer.AttentionExecutor
+.summarize_control` (entry pruning) then :meth:`~repro.nn.transformer
+.AttentionExecutor.summarize_attend_packed`.  Every exact-tier row is
+one — the executors' cores are the bit-identity oracle's own arithmetic
+— as are, off it, a dense prompt chunk, which attends against its
+private cache, and progressive-quantization rows
+(:attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`
+``"custom"``), whose LSB refetch is decided per row from that row's own
+probabilities.  A **store block** is consecutive rows of a
+:class:`~repro.nn.kv_cache.KVRowStore` — a decode step's ``"dense"``
+rows and its ``"pruned"`` rows, and each prompt step's ``"pruned"``
+sentences — and all run the backend's one core, :func:`_store_core`,
+over ``[n, h, Lq, Lk]`` planes: the block's K/V appended at each row's
+cursor, one mask (the causal position test plus columns without a
+token), softmax, local value pruning ranked on each column's
+probability mass, A·V and importance accumulation.  A block of pruned
+rows carries its batch control,
 :class:`~repro.core.batched_cascade.CascadeBatch` (opened per decode
 step or per prompt block, committed to the executors once), whose entry
 pruning is ranked masks over its control planes plus
@@ -75,8 +76,8 @@ Fig. 3).  On the exact tier the model keeps its fp64 stack and
 :meth:`~PackedDecodeBackend.project_chunk_rows` only fuses the Q/K/V
 projections of every in-flight prompt's chunk into one GEMM over the
 concatenated rows.  On fp32/int8,
-:meth:`~PackedDecodeBackend.prefill_chunk_policy` owns the step:
-``"dense"`` executors' next chunk and the whole sentence of every other
+:meth:`~PackedDecodeBackend.prefill_chunk_policy` owns the step: an
+incremental executor's next chunk and the whole sentence of every other
 executor whose final chunk lands in it run the skeleton, the
 ``"pruned"`` sentences in blocks whose padded score plane stays under a
 fixed scratch budget, their caches adopted empty into the ``"pruned"``
@@ -90,8 +91,8 @@ Under ``exact`` the packed path must produce logits **bit-identical**
 to the looped oracle, ``decode_step_batch(backend=None)``
 (``tests/test_packed_decode.py`` enforces this property across
 executors, ragged lengths, pruned-head sets, and mid-generation
-evictions).  That constraint dictates the exact kernel and core,
-because BLAS reductions are not grouping-invariant:
+evictions).  BLAS reductions are not grouping-invariant, so that
+constraint dictates the projection kernel:
 
 * multi-slice ``np.matmul`` (the gufunc) computes each 2-D slice with
   the same kernel as a standalone single-row matmul, so batching the
@@ -101,28 +102,22 @@ because BLAS reductions are not grouping-invariant:
 * fusing Q/K/V into one ``[d, 3d]`` weight is exact (output columns are
   independent), and concatenating chunk rows is exact for blocks of
   ≥ 2 rows (row blocks of a GEMM are independent) — single-row chunks
-  are projected solo;
-* zero-padding the *reduction* axis is **not** exact on OpenBLAS (the
-  k-loop blocking changes with length), so scores and A·V run per
-  sequence at exact lengths over zero-copy views of each sequence's
-  KV buffers (:class:`~repro.nn.kv_cache.LayerKVCache`), never over a
-  padded pack;
-* ``max`` is order-exact, and exp/shift/normalize are elementwise, so
-  those softmax stages batch across the padded scratch; the softmax
-  *denominator* (a length-sensitive pairwise sum) reduces per sequence
-  over exact-length views.
+  are projected solo.
 
-SpAtten's per-sequence surviving-head sets are honored by gathering
-live-head slices from the full-width rows (per-head projections are
-independent output columns).
+Attention needs no rule of its own: every exact-tier row is a
+per-sequence part, whose executor runs the oracle's operations in the
+oracle's order over its own cache's columns at their exact length.
+Nothing is padded, so the length-sensitive reductions — the score and
+A·V GEMMs, the softmax denominator's pairwise sum — group as the
+oracle's do.  SpAtten's surviving-head sets are gathered from the
+full-width rows (per-head projections are independent output columns).
 
 fp32 / int8 tiers: batch-resident rows, one store core
 ------------------------------------------------------
 
 Under a non-exact :class:`~repro.nn.numerics.NumericsPolicy` the
 bit-identity constraint is *traded away* for a declared accuracy
-budget, which unlocks the padded-pack design the contract above
-forbids:
+budget, which unlocks the padded planes the exact tier never builds:
 
 * projections are plain 2-D GEMMs (one call, not ``B`` GEMVs);
 * the K/V of every row a store block runs *are* batch-resident: one
@@ -328,74 +323,57 @@ class _Part:
         return None
 
 
-class _DecodeRows(_Part):
-    """A decode step's ``"custom"`` rows, or the exact tier's
-    ``"dense"`` ones: one query row a sequence, each through the
-    per-sequence core of its style."""
+class _SequenceRows(_Part):
+    """One style's per-sequence rows in a step, each sequence's through
+    its executor's own packed core: a decode step's one query row
+    through ``decode_attend_packed``; a prompt step's chunk or sentence
+    through ``summarize_control`` (entry pruning) and then
+    ``summarize_attend_packed``.
 
-    def __init__(self, style: str, rows: _Rows, positions: np.ndarray):
-        self.executors = [executor for _, executor in rows]
-        self.positions = positions[[i for i, _ in rows]]
-        self.custom = style == "custom"
-        self.core_stage = f"decode_{style}_core"
-
-    def attend(self, backend, layer_idx, heads, out) -> None:
-        """``heads`` ``[n, 3, h, D]`` projections → ``out`` ``[n, d]``."""
-        if not self.custom:
-            _dense_core_exact(
-                backend, layer_idx, self.executors, heads, self.positions,
-                out,
-            )
-            return
-        for j, executor in enumerate(self.executors):
-            q, k, v = heads[j, :, :, None]  # three [h, 1, D] views
-            out[j : j + 1] = executor.decode_attend_packed(
-                layer_idx, backend._model, q, k, v,
-                self.positions[j : j + 1],
-            )
-
-
-class _PromptRows(_Part):
-    """One ``"dense"`` or ``"custom"`` sequence's rows in a prompt step
-    (:meth:`PackedDecodeBackend.prefill_chunk_policy`).
-
-    ``indices`` holds the sequence's place in the step's states;
-    ``dense`` whether the backend runs its attention core centrally;
-    ``positions`` starts as the chunk ``[start, end)`` going in, fewer
-    as cascade pruning drops rows layer by layer.
+    ``indices`` are the sequences' places in the step's batch or states
+    and ``spans`` their rows still in the residual stream, as original
+    positions — a prompt's ``[start, end)`` going in, fewer as entry
+    pruning drops rows layer by layer.
     """
 
-    def __init__(self, index, executor, dense, start, end):
-        self.indices = [index]
-        self.executor = executor
-        self.dense = dense
-        self.positions = np.arange(start, end)
-        self.core_stage = (
-            "prefill_dense_core" if dense else "prefill_custom_core"
-        )
+    def __init__(self, stage: str, style: str, rows: _Rows, spans):
+        self.indices = [i for i, _ in rows]
+        self.executors = [executor for _, executor in rows]
+        self.spans = spans
+        self.positions = np.concatenate(spans)
+        self.prompt = stage == "prefill"
+        self.core_stage = f"{stage}_{style}_core"
 
-    def ends(self) -> List[int]:
-        return [len(self.positions)]
+    def ends(self) -> np.ndarray:
+        return np.cumsum([len(span) for span in self.spans])
 
     def prune(self, layer_idx: int) -> Optional[np.ndarray]:
-        if self.dense:
+        if not self.prompt:
+            return None  # a decode row prunes inside its core
+        kept = [
+            executor.summarize_control(layer_idx, span)
+            for executor, span in zip(self.executors, self.spans)
+        ]
+        lens = [len(span) for span in self.spans]
+        if all(len(k) == n for k, n in zip(kept, lens)):
             return None
-        survivors = self.executor.summarize_control(layer_idx, self.positions)
-        self.positions = self.positions[survivors]
-        return survivors
+        starts = np.cumsum([0] + lens[:-1])
+        self.spans = [span[k] for span, k in zip(self.spans, kept)]
+        self.positions = np.concatenate(self.spans)
+        return np.concatenate([start + k for start, k in zip(starts, kept)])
 
     def attend(self, backend, layer_idx, heads, out) -> None:
-        """``heads`` ``[L, 3, h, D]`` projections → ``out`` ``[L, d]``."""
-        q, k, v = heads.transpose(1, 2, 0, 3)  # three [h, L, D] views
-        if self.dense:
-            _prefill_dense_core(
-                backend, self.executor.decode_kv_cache(layer_idx),
-                q, k, v, self.positions, out,
+        """``heads`` ``[N, 3, h, D]`` projections → ``out`` ``[N, d]``."""
+        stop = 0
+        for executor, span in zip(self.executors, self.spans):
+            rows = slice(stop, stop + len(span))
+            stop = rows.stop
+            q, k, v = heads[rows].transpose(1, 2, 0, 3)  # [h, L, D] views
+            core = (
+                executor.summarize_attend_packed if self.prompt
+                else executor.decode_attend_packed
             )
-        else:
-            out[...] = self.executor.summarize_attend_packed(
-                layer_idx, backend._model, q, k, v, self.positions
-            )
+            out[rows] = core(layer_idx, backend._model, q, k, v, span)
 
 
 class _StoreBlock(_Part):
@@ -461,7 +439,7 @@ class PackedDecodeBackend:
     :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch` /
     :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
     call.  The backend holds the fused per-layer projection weights and
-    reusable scratch tensors (scores, denominators, head outputs), which
+    reusable scratch tensors (scores, merged heads, FFN planes), which
     grow with the live batch instead of being rebuilt every step — and,
     off the exact tier, the K/V of the ``"dense"`` and ``"pruned"`` rows
     themselves (one :class:`~repro.nn.kv_cache.KVRowStore` per layer and
@@ -630,10 +608,10 @@ class PackedDecodeBackend:
         """A decode step's parts and the batch rows in part order
         (``None`` when that is the batch order).
 
-        ``"custom"`` rows are one part (on the exact tier, its dense
-        rows another); off it, the ``"pruned"`` and the ``"dense"`` rows
-        are a store block each, in store-row order, the pruned one with
-        the step's batch control opened.
+        ``"custom"`` rows are one per-sequence part (on the exact tier,
+        its dense rows another); off it, the ``"pruned"`` and the
+        ``"dense"`` rows are a store block each, in store-row order, the
+        pruned one with the step's batch control opened.
         """
         rows = self._group_rows(model, executors)
         per_sequence = (
@@ -643,8 +621,10 @@ class PackedDecodeBackend:
         order: List[int] = []
         for style in per_sequence:
             if rows[style]:
-                parts.append(_DecodeRows(style, rows[style], positions))
-                order += [i for i, _ in rows[style]]
+                parts.append(_SequenceRows("decode", style, rows[style], [
+                    positions[i : i + 1] for i, _ in rows[style]
+                ]))
+                order += parts[-1].indices
         for style in ("pruned", "dense"):
             if style in per_sequence or not (
                 rows[style] or style in self._stores
@@ -900,16 +880,15 @@ class PackedDecodeBackend:
         :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
         delegates here (after its input validation) whenever the
         backend's policy is non-exact — the prompt pass's counterpart of
-        :meth:`decode_step_policy`, the same layer stack over a split by
-        :attr:`~repro.nn.transformer.AttentionExecutor
-        .packed_decode_style`: ``"dense"`` executors' next chunk,
-        attended centrally against their cache
-        (:func:`_prefill_dense_core`), and, for every other executor
-        whose *final* chunk this is, the whole sentence — cascade
-        pruning decides over all of it, so earlier chunks only advance
-        the committed-token counter, as on the exact tier.  Pruned
-        tokens leave the residual stream at each layer's entry, so they
-        skip the projections and the FFN:
+        :meth:`decode_step_policy`, the same layer stack over the rows
+        each sequence brings: an incremental executor's
+        (:attr:`~repro.nn.transformer.AttentionExecutor
+        .supports_incremental_prefill`) next chunk, and the whole
+        sentence of every other executor whose *final* chunk this is —
+        cascade pruning decides over all of it, so earlier chunks only
+        advance the committed-token counter, as on the exact tier.
+        Pruned tokens leave the residual stream at each layer's entry,
+        so they skip the projections and the FFN:
 
         * ``"pruned"`` sentences are store blocks
           (:meth:`_open_pruned_blocks`) under one batch control each,
@@ -917,11 +896,12 @@ class PackedDecodeBackend:
           K/V go straight into the ``"pruned"`` row stores, which adopt
           the sequences' empty caches before the first layer — a
           sequence is resident from its first column;
-        * ``"custom"`` sequences (progressive quantization) prune
-          through :meth:`~repro.nn.transformer.AttentionExecutor
-          .summarize_control` and run their own core on the survivors'
+        * every other sequence's rows prune through its executor's
+          :meth:`~repro.nn.transformer.AttentionExecutor
+          .summarize_control` and run its own core on the survivors'
           projections (:meth:`~repro.nn.transformer.AttentionExecutor
-          .summarize_attend_packed`).
+          .summarize_attend_packed`) — a dense chunk attends against
+          its private cache.
 
         Returns one entry per state: the next-token logits (compute
         dtype) of prompts that completed, else ``None``.
@@ -936,26 +916,33 @@ class PackedDecodeBackend:
         final = [
             end == state.prompt_len for state, (_, end) in zip(states, spans)
         ]
-        # The sequences with rows in this step, style by style.
-        parts: List[_Part] = [
-            _PromptRows(i, executor, True, *spans[i])
-            for i, executor in by_style["dense"]
-        ] + [
-            _PromptRows(i, executor, False, 0, spans[i][1])
-            for i, executor in by_style["custom"] if final[i]
-        ]
-        whole = [(i, ex) for i, ex in by_style["pruned"] if final[i]]
+        # The rows a sequence brings: an incremental executor's next
+        # chunk; any other's whole sentence once its final chunk lands.
+        rows_of: Dict[int, np.ndarray] = {}
+        for i, (state, (start, end)) in enumerate(zip(states, spans)):
+            if state.executor.supports_incremental_prefill:
+                rows_of[i] = np.arange(start, end)
+            elif final[i]:
+                rows_of[i] = np.arange(end)
+        parts: List[_Part] = []
+        for style in ("dense", "custom"):
+            rows = [(i, ex) for i, ex in by_style[style] if i in rows_of]
+            if rows:
+                parts.append(_SequenceRows(
+                    "prefill", style, rows, [rows_of[i] for i, _ in rows]
+                ))
+        whole = [(i, ex) for i, ex in by_style["pruned"] if i in rows_of]
         results: List[Optional[np.ndarray]] = [None] * len(states)
         x = None
         if parts or whole:
             lengths = [states[i].prompt_len for i, _ in whole]
             token_ids = np.concatenate(
-                [states[rows.indices[0]].prompt_ids[rows.positions]
-                 for rows in parts]
+                [states[i].prompt_ids[span] for part in parts
+                 for i, span in zip(part.indices, part.spans)]
                 + [states[i].prompt_ids for i, _ in whole]
             )
             positions = np.concatenate(
-                [rows.positions for rows in parts]
+                [part.positions for part in parts]
                 + [ragged_arange(np.array(lengths, dtype=np.int64))]
             )
             if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:
@@ -1100,93 +1087,6 @@ class PackedDecodeBackend:
             split_heads(proj[:, d : 2 * d], n_heads),
             split_heads(proj[:, 2 * d :], n_heads),
         )
-
-
-def _prefill_dense_core(
-    backend: "PackedDecodeBackend",
-    cache,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    positions: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Causal attention of one dense prompt chunk against its cache.
-
-    ``q/k/v`` are the chunk's ``[h, L, D]`` projections in the compute
-    dtype.  K/V go to the cache first (int8 quantizes them from that
-    dtype), and the chunk attends over what the cache then holds —
-    earlier chunks and its own columns alike read back through the
-    storage representation, so a chunked prompt sees the keys a
-    one-chunk prompt sees.  Writes the merged head features into
-    ``out [L, h*D]``.
-    """
-    cache.append(k, v, positions)
-    keys, values = cache.compute_columns()
-    scores = np.matmul(q * backend._inv_sqrt_d, keys.transpose(0, 2, 1))
-    np.copyto(
-        scores, _MASKED,
-        where=cache.token_ids[None, :] > positions[:, None],
-    )
-    softmax_inplace(scores)
-    out[...] = np.matmul(scores, values).transpose(1, 0, 2).reshape(out.shape)
-
-
-def _dense_core_exact(
-    backend: "PackedDecodeBackend",
-    layer_idx: int,
-    executors: Sequence[AttentionExecutor],
-    heads: np.ndarray,
-    positions: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Bit-identical attention core for the dense rows of one layer.
-
-    Each executor appends its column exactly as the looped path
-    would; scores and A·V then run per sequence at exact lengths
-    over zero-copy cache views (BLAS reductions are not
-    padding-invariant) while the elementwise softmax stages batch
-    across the padded scratch.
-    """
-    cfg = backend._model.config
-    caches = [
-        executor.decode_kv_append(
-            layer_idx, heads[j, 1, :, None], heads[j, 2, :, None],
-            positions[j : j + 1],
-        )
-        for j, executor in enumerate(executors)
-    ]
-    lens = [len(cache) for cache in caches]
-    n, max_len, min_len = len(caches), max(lens), min(lens)
-    scores = backend._plane(n, 1, max_len)
-    if min_len < max_len:
-        # Mask the ragged tail once for the whole batch; each
-        # sequence's real columns are then overwritten in place by
-        # its exact-length scores below.
-        scores[:, :, :, min_len:] = _MASKED
-    for j, cache in enumerate(caches):
-        np.matmul(
-            heads[j, 0, :, None], cache.keys.transpose(0, 2, 1),
-            out=scores[j, :, :, : lens[j]],
-        )
-    scores /= np.sqrt(cfg.head_dim)
-    # max is order-exact and shift/exp/normalize are elementwise, so
-    # they batch; the denominator's pairwise sum is length-sensitive
-    # and reduces per sequence over the exact live width.
-    shift = scores.max(axis=-1, keepdims=True)
-    scores -= shift
-    np.exp(scores, out=scores)
-    denom = backend._rows("denom", n, cfg.n_heads, 1, 1)
-    head_out = backend._rows("head_out", n, cfg.n_heads, 1, cfg.head_dim)
-    for j in range(n):
-        np.sum(
-            scores[j, :, :, : lens[j]], axis=-1, keepdims=True,
-            out=denom[j],
-        )
-    scores /= denom
-    for j, cache in enumerate(caches):
-        np.matmul(scores[j, :, :, : lens[j]], cache.values, out=head_out[j])
-    out[...] = head_out.transpose(0, 2, 1, 3).reshape(n, -1)
 
 
 def _stage_kv_columns(

@@ -24,8 +24,10 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..config import ModelConfig
-from .attention import AttentionRecord, AttentionWeights, MultiHeadAttention
-from .functional import gelu, layer_norm, linear, softmax
+from .attention import (
+    AttentionRecord, AttentionWeights, MultiHeadAttention, merge_heads,
+)
+from .functional import gelu, layer_norm, linear, softmax, softmax_inplace
 from .kv_cache import KVCache
 from .numerics import EXACT, resolve_numerics
 
@@ -139,18 +141,19 @@ class AttentionExecutor:
           .UnpackableExecutorError`.  Decode such executors through the
           looped oracle, ``decode_step_batch(backend=None)``.
         * ``"dense"`` — the executor's only per-layer decode state is a
-          :class:`~repro.nn.kv_cache.LayerKVCache`; the backend runs the
-          whole attention core (append, scores, softmax, A·V) centrally
-          over the batch.  On the exact tier it appends the new column
-          via :meth:`decode_kv_append` and reads the cache's own
-          buffers; off it, the caches :meth:`decode_kv_cache` returns
-          are adopted into the backend's row stores exactly as a
+          :class:`~repro.nn.kv_cache.LayerKVCache`.  Off the exact tier
+          a decode step adopts the caches :meth:`decode_kv_cache`
+          returns into the backend's row stores exactly as a
           ``"pruned"`` row's are (below), and the core is the pruned
-          rows' with no cascade.
+          rows' with no cascade.  On the exact tier a decode step, and
+          off it a prompt step, run the executor's own core as for
+          ``"custom"``.
         * ``"custom"`` — the backend supplies full-width projections and
-          the executor runs its own per-sequence core via
-          :meth:`decode_attend_packed` (pruning decisions, progressive
-          quantization, trace accounting).
+          the executor runs its own per-sequence core (pruning
+          decisions, progressive quantization, trace accounting):
+          :meth:`decode_attend_packed` in a decode step,
+          :meth:`summarize_control` then :meth:`summarize_attend_packed`
+          in a prompt step.
         * ``"pruned"`` — non-exact tiers only: the executor prunes, but
           its control state is plain arrays the backend can gather.  The
           backend opens one batch control per step through
@@ -167,16 +170,17 @@ class AttentionExecutor:
           back into private buffers).
 
         A non-exact backend's prompt pass reads the same property:
-        ``"dense"`` executors' chunks attend centrally against their
-        cache; every other style is summarized whole-sentence —
-        ``"custom"`` through :meth:`summarize_control` /
-        :meth:`summarize_attend_packed`, ``"pruned"`` by the backend's
-        batched core under :meth:`summarize_batch_control`.
+        ``"pruned"`` sentences run the backend's batched core under
+        :meth:`summarize_batch_control`; every other executor is a
+        per-sequence row whose span :attr:`supports_incremental_prefill`
+        decides — the next chunk, or the whole sentence once its final
+        chunk lands.
 
         ``"dense"`` and ``"custom"`` results must be bit-identical to the
         looped :meth:`run_layer` path on the exact tier — the backend
         only batches operations whose grouping provably does not change
-        the floats.  Under a non-exact
+        the floats, and runs the rest in the executor's own core at
+        exact lengths.  Under a non-exact
         :class:`~repro.nn.numerics.NumericsPolicy` every style instead
         targets the policy's declared accuracy budget.
         """
@@ -194,26 +198,13 @@ class AttentionExecutor:
         """
         return EXACT
 
-    def decode_kv_append(
-        self,
-        layer_idx: int,
-        k_new: np.ndarray,
-        v_new: np.ndarray,
-        positions: np.ndarray,
-    ):
-        """Append one decode column (``[h, 1, D]``) for a ``"dense"``
-        executor and return the layer's :class:`LayerKVCache` (the
-        exact tier's hand-off)."""
-        raise NotImplementedError
-
     def decode_kv_cache(self, layer_idx: int):
-        """The layer's :class:`~repro.nn.kv_cache.LayerKVCache` without
-        appending (``"dense"`` and ``"pruned"`` styles).
+        """The layer's :class:`~repro.nn.kv_cache.LayerKVCache`
+        (``"dense"`` and ``"pruned"`` styles).
 
-        The fp32/int8 core appends centrally, into the row store the
-        backend adopted the cache into — batching the quantization of
-        a whole step's new columns — so it needs the bare cache rather
-        than the append-and-return of :meth:`decode_kv_append`: to
+        The fp32/int8 store core appends centrally, into the row store
+        the backend adopted the cache into — batching the quantization
+        of a whole step's new columns — so it needs the bare cache: to
         adopt it, and to read its store and row each step after.  The
         cache of a row on those tiers may therefore be a handle on a
         row of the backend's store.
@@ -254,7 +245,8 @@ class AttentionExecutor:
         v_full: np.ndarray,
         positions: np.ndarray,
     ) -> np.ndarray:
-        """Per-sequence decode core for a ``"custom"`` executor.
+        """Per-sequence decode core (``"custom"`` rows, and the exact
+        tier's ``"dense"`` ones).
 
         Receives the sequence's full-width projected ``q/k/v`` rows
         (``[h, 1, D]`` each, bit-identical to what projecting this row
@@ -269,17 +261,16 @@ class AttentionExecutor:
     ) -> np.ndarray:
         """Entry pruning of one summarize layer, ahead of the projections.
 
-        The non-exact tiers' prompt pass
+        In the non-exact tiers' prompt pass
         (:meth:`~repro.nn.batched_attention.PackedDecodeBackend
-        .prefill_chunk_policy`) runs every executor that is not
-        ``"dense"`` whole-sentence.  For a ``"custom"`` one, each layer
-        first asks the executor which of the rows at ``positions``
-        survive — the returned indices; the others leave the residual
-        stream — then projects the survivors together with every other
-        sequence's rows and hands them to
-        :meth:`summarize_attend_packed`.
+        .prefill_chunk_policy`) each layer first asks a per-sequence
+        row's executor which of its rows at ``positions`` survive — the
+        returned indices; the others leave the residual stream — then
+        projects the survivors together with every other sequence's
+        rows and hands them to :meth:`summarize_attend_packed`.  The
+        default prunes nothing.
         """
-        raise NotImplementedError
+        return np.arange(len(positions))
 
     def summarize_attend_packed(
         self,
@@ -290,13 +281,14 @@ class AttentionExecutor:
         v_full: np.ndarray,
         positions: np.ndarray,
     ) -> np.ndarray:
-        """Whole-sentence summarize core on the backend's projections
-        (``"custom"`` style).
+        """Per-sequence summarize core on the backend's projections: a
+        non-exact prompt step's :meth:`decode_attend_packed`.
 
         Receives the surviving rows' full-width ``q/k/v`` (``[h, L, D]``
-        each, in the backend's compute dtype), caches K/V, and returns
-        the merged pre-projection features ``[L, n_heads * head_dim]``
-        in that dtype.
+        each, in the backend's compute dtype) — a chunk, or the whole
+        sentence (:attr:`supports_incremental_prefill`) — caches K/V,
+        and returns the merged pre-projection features
+        ``[L, n_heads * head_dim]`` in that dtype.
         """
         raise NotImplementedError
 
@@ -374,8 +366,9 @@ class DenseExecutor(AttentionExecutor):
             computes in whatever dtype it is handed — fp64 from the
             model's own stack, which is what ``prefill(backend=None)``
             and the looped oracle run on every tier — while a non-exact
-            packed backend runs both the prompt pass and the decode
-            core over this cache in the policy's compute dtype.
+            packed backend runs the prompt pass through
+            :meth:`summarize_attend_packed` and the decode steps over
+            its row stores, in the policy's compute dtype.
     """
 
     def __init__(
@@ -447,7 +440,8 @@ class DenseExecutor(AttentionExecutor):
         v_new: np.ndarray,
         positions: np.ndarray,
     ):
-        """Append the decode column exactly as the looped path would."""
+        """Append K/V columns (``[h, L, D]``) exactly as the looped path
+        would and return the layer's cache."""
         layer_cache = self._cache[layer_idx]
         layer_cache.append(k_new, v_new, positions)
         return layer_cache
@@ -456,6 +450,30 @@ class DenseExecutor(AttentionExecutor):
         """Bare layer cache: off the exact tier the backend adopts it
         into its dense row store and appends there."""
         return self._cache[layer_idx]
+
+    def decode_attend_packed(
+        self, layer_idx: int, model: "TransformerModel", q_full: np.ndarray,
+        k_full: np.ndarray, v_full: np.ndarray, positions: np.ndarray,
+    ) -> np.ndarray:
+        """The packed core of both stages: the rows' K/V join the
+        layer's cache, then their queries attend over its columns in
+        :meth:`run_layer`'s order — ``q @ Kᵀ``, ``/ √D``, columns past a
+        query masked, softmax, ``@ V`` — at exact lengths, so the exact
+        tier is bit-identical to the looped oracle.  Returns the merged
+        ``[L, h*D]`` features in the projections' dtype (off the exact
+        tier the keys are read back as stored: int8 dequantized).
+        """
+        cache = self.decode_kv_append(layer_idx, k_full, v_full, positions)
+        keys, values = cache.compute_columns()
+        scores = q_full @ keys.transpose(0, 2, 1)
+        # A Python float keeps a narrower tier's dtype.
+        scores /= float(np.sqrt(q_full.shape[-1]))
+        token_ids = cache.token_ids
+        if positions[0] < token_ids[-1]:  # else no column lies past a query
+            np.copyto(scores, -1e30, where=token_ids > positions[:, None])
+        return merge_heads(softmax_inplace(scores) @ values)
+
+    summarize_attend_packed = decode_attend_packed
 
     def run_layer(
         self,
@@ -629,6 +647,8 @@ class TransformerModel:
             )
         if np.any(token_ids < 0) or np.any(token_ids >= self.config.vocab_size):
             raise ValueError("token id out of vocabulary range")
+        if position_offset < 0:
+            raise ValueError("positions must be non-negative")
         positions = np.arange(len(token_ids)) + position_offset
         if positions[-1] >= self.config.max_seq_len:
             raise ValueError(
@@ -934,9 +954,9 @@ class TransformerModel:
         single-row projections per step.  With a
         :class:`~repro.nn.batched_attention.PackedDecodeBackend` (the
         **packed** path) each layer's Q/K/V and output projections run
-        as single fused batch-level matmuls and the dense attention core
-        is executed centrally over preallocated KV views — bit-identical
-        logits, a fraction of the interpreter and copy traffic.
+        as single fused batch-level matmuls around each executor's own
+        exact-length core — bit-identical logits, a fraction of the
+        interpreter and copy traffic.
 
         Each executor must already hold a prefilled sequence (see
         :meth:`prefill`); sequence ``i`` decodes ``token_ids[i]`` at
@@ -952,6 +972,8 @@ class TransformerModel:
             raise ValueError("decode_step_batch needs at least one sequence")
         if np.any(token_ids < 0) or np.any(token_ids >= self.config.vocab_size):
             raise ValueError("token id out of vocabulary range")
+        if np.any(positions < 0):
+            raise ValueError("positions must be non-negative")
         if np.any(positions >= self.config.max_seq_len):
             raise ValueError(
                 f"position exceeds max_seq_len={self.config.max_seq_len}"

@@ -34,18 +34,23 @@ step (``prefill_chunk_policy``) records, per step or per layer:
   entry pruning: every pruned store block's cascade decisions over its
   control planes, then eviction of the block's rows from the layer's
   store (one gathered mask, plus compaction of the rows a page of holes
-  has built up in), a ``custom`` sentence's ``summarize_control`` (a
-  ``custom`` decode row prunes inside its core), and the gather that
-  drops pruned rows from the residual stream;
+  has built up in), every per-sequence prompt row's
+  ``summarize_control`` (a dense chunk's prunes nothing; a decode row
+  prunes inside its core), and the gather that drops pruned rows from
+  the residual stream;
 * ``decode_qkv_proj`` / ``prefill_chunk_proj`` — the fused
   ``[N, d] @ [d, 3d]`` projection of every row;
 * ``decode_custom_core`` / ``prefill_custom_core`` — the
-  per-sequence SpAtten cores of progressive-quantization rows;
+  progressive-quantization rows' part: each sequence's own SpAtten
+  core (``decode_attend_packed`` / ``summarize_attend_packed``), one
+  part for every such row of the step;
 * ``decode_dense_core`` — the dense rows' store block: the store core
   with no cascade (K/V write at each row's cursor, scores / mask /
   softmax / A·V over the block's plane);
-* ``prefill_dense_core`` — a dense chunk's KV append and causal
-  attention against its private cache, once per sequence and layer;
+* ``prefill_dense_core`` — the dense chunks' part: each chunk's K/V
+  appended to its private cache and causal attention over it, in
+  ``DenseExecutor``'s own core, one part for every dense chunk of the
+  step;
 * ``decode_pruned_core`` / ``prefill_pruned_core`` — a pruned store
   block's store core: K/V write at each row's cursor (the int8
   quantization of the block included), then scores / mask / softmax /
@@ -76,9 +81,11 @@ projections:
 * ``decode_prune_control`` — entry pruning, which is empty here (a
   SpAtten row prunes inside its own core): the skeleton's bookkeeping;
 * ``decode_qkv_proj`` — the fused projection, row by row;
-* ``decode_custom_core`` — every SpAtten row's per-sequence core;
-* ``decode_dense_core`` — the dense rows' KV append and attention, per
-  sequence over exact-length cache views;
+* ``decode_custom_core`` — the SpAtten rows' part: each row's own
+  per-sequence core;
+* ``decode_dense_core`` — the dense rows' part: each row's KV append
+  and attention over its cache at exact length, in ``DenseExecutor``'s
+  own core;
 * ``decode_output_fc`` — the fused output projection, row by row;
 * ``prefill_chunk_proj`` — the fused Q/K/V projections of the
   incremental chunks;

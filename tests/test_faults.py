@@ -114,6 +114,12 @@ class TestFaultPlanGrammar:
         with pytest.raises(ValueError, match="non-negative"):
             validate_fault_events([FaultEvent(-0.1, 0, "fail")], 1)
 
+    def test_nan_time_rejected(self):
+        """NaN compares false both ways: a ``time < 0`` test would pass
+        it on to the fleet's event heap, which it corrupts."""
+        with pytest.raises(ValueError, match="non-negative"):
+            validate_fault_events([FaultEvent(float("nan"), 0, "drain")], 1)
+
     # Which sequences are legal is REPLICA_LIFECYCLE's to say and
     # tests/test_fleet_machine.py's to walk (in firing order); here, a
     # schedule handed over out of order, one cell of the named error

@@ -765,6 +765,26 @@ class TestTierPrefill:
         with pytest.raises(ValueError, match="max_seq_len"):
             model.prefill_chunk_batch([state], 1000, backend=backend)
 
+    @pytest.mark.parametrize("route", ["looped", "exact", "fp32"])
+    def test_out_of_range_decode_position_is_rejected(self, world, route):
+        """Position -1 would read ``pos_embedding[-1]`` and label the new
+        column with the row store's ``NO_TOKEN``."""
+        config, model, _, prompts = world
+        numerics = "exact" if route == "looped" else route
+        backend = (
+            None if route == "looped"
+            else PackedDecodeBackend(model, numerics=numerics)
+        )
+        executor = _executor("dense", numerics)
+        model.prefill(prompts[0], executor)
+        for position, match in [
+            (-1, "non-negative"), (config.max_seq_len, "max_seq_len"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                model.decode_step_batch(
+                    [4], [position], [executor], backend=backend
+                )
+
     @pytest.mark.parametrize("prefill_chunk", [8, None])
     def test_engine_prompt_pass_runs_at_the_engine_tier(
         self, world, prefill_chunk, monkeypatch

@@ -154,14 +154,20 @@ def test_spatten_evictions_happen_and_match(decoder, backend):
     _assert_same_state(looped, packed)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 15, 23])
 def test_randomized_batches_bit_identical(decoder, backend, seed):
-    """Property-style sweep: random composition, lengths, and horizon."""
+    """Property-style sweep: random composition, lengths, and horizon.
+
+    Prompts run from one column to past 128, where NumPy's pairwise sum
+    changes its blocking: the per-sequence cores reduce at exact
+    lengths, and these are the lengths where padding would show.  Seed
+    15 draws a one-token dense prompt, seed 23 a 137-token one.
+    """
     rng = np.random.default_rng(100 + seed)
     kinds = ["dense", "spatten", "quant"]
     spec = [
         (kinds[int(rng.integers(0, len(kinds)))],
-         int(rng.integers(2, 60)))
+         int(rng.integers(1, 151)))
         for _ in range(int(rng.integers(2, 7)))
     ]
     _run_twin_decode(

@@ -31,6 +31,10 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             tiny_encoder.embed([0] * 1000)
 
+    def test_embed_rejects_negative_offset(self, tiny_encoder):
+        with pytest.raises(ValueError, match="non-negative"):
+            tiny_encoder.embed([1, 2], position_offset=-2)
+
     def test_embed_rejects_2d(self, tiny_encoder):
         with pytest.raises(ValueError):
             tiny_encoder.embed(np.zeros((2, 2), dtype=int))
