@@ -21,9 +21,10 @@ gain counts when the change wins at least nine tenths of the pairs
 (ties count for neither side) and the medians differ, in the better
 direction, by more than the distance between the parent's quartiles.
 Run length, names, directions and bounds come from the *change*
-checkout's ``BENCHMARK.json``.  Exit status 1 if any run of any
-workload was not ``correct``, failed a request, or a metric left its
-bound; 0 otherwise.
+checkout's ``BENCHMARK.json``.  A run that exits non-zero (or prints no
+verdict) is reported ``NOT CORRECT`` and its pair leaves the medians;
+the study goes on.  Exit status 1 if any run of any workload was not
+``correct``, failed a request, or a metric left its bound; 0 otherwise.
 
 Standard library only; this imports nothing from ``benchmarks/e2e``.
 """
@@ -36,19 +37,27 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 COMMAND = ["python3", "benchmarks/e2e/run.py"]
 
 
-def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One untraced run in ``checkout``; its verdict (the last line)."""
+def run_once(checkout: Path, workload: str, seconds: float,
+             seed: int) -> Optional[dict]:
+    """One untraced run in ``checkout``; its verdict (the last line), or
+    ``None`` when the run exited non-zero or printed no verdict."""
     done = subprocess.run(
         COMMAND + ["--workload", workload, "--seconds", str(seconds),
                    "--trace", "0", "--seed", str(seed)],
-        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True,
+        cwd=checkout, stdout=subprocess.PIPE, text=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        return None
+    try:
+        return json.loads(lines[-1])
+    except ValueError:
+        return None
 
 
 def quartiles(samples: List[float]) -> tuple:
@@ -94,30 +103,41 @@ def study(sides: Dict[str, Path], specs: dict, workload: str, pairs: int,
         for side in sides
     }
     clean = True
+    kept = 0
     for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        verdicts = {}
         for side in order:
-            verdict = run_once(
+            verdict = verdicts[side] = run_once(
                 sides[side], workload, specs["run_seconds"], seed
             )
-            ok = verdict["correct"] and not verdict["failed"]
-            clean &= ok
-            for name, values in samples[side].items():
-                values.append(verdict["metrics"][name]["value"])
-            print(
-                f"{workload} pair {pair + 1} {side:6s} "
-                + " ".join(
-                    f"{name}={values[-1]:.4g}"
-                    for name, values in samples[side].items()
-                )
-                + ("" if ok else "  NOT CORRECT"),
-                flush=True,
+            ok = verdict is not None and verdict["correct"] and not (
+                verdict["failed"]
             )
+            clean &= ok
+            values = (
+                "exited without a verdict" if verdict is None
+                else " ".join(
+                    f"{name}={verdict['metrics'][name]['value']:.4g}"
+                    for name in samples[side]
+                )
+            )
+            print(f"{workload} pair {pair + 1} {side:6s} {values}"
+                  + ("" if ok else "  NOT CORRECT"), flush=True)
+        # A pair with a run that gave no verdict leaves the medians.
+        if all(verdict is not None for verdict in verdicts.values()):
+            kept += 1
+            for side, verdict in verdicts.items():
+                for name, values in samples[side].items():
+                    values.append(verdict["metrics"][name]["value"])
 
-    print(f"\n{workload}, seed {seed}, {pairs} pairs at "
+    print(f"\n{workload}, seed {seed}, {kept} of {pairs} pairs at "
           f"--seconds {specs['run_seconds']:g}: median [q1, q3]")
     for spec in specs["end_to_end"]:
         name = spec["name"]
+        if not kept:
+            print(f"  {name}: no pair to judge")
+            continue
         row = judge(spec, samples["parent"][name], samples["change"][name])
         clean &= row["bound"] != "OUTSIDE"
         (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = row["parent"], row["change"]
@@ -126,7 +146,7 @@ def study(sides: Dict[str, Path], specs: dict, workload: str, pairs: int,
             f"parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}] -> "
             f"change {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}] "
             f"({row['relative']:+.1%} better); change wins {row['wins']}, "
-            f"loses {row['losses']} of {pairs}; "
+            f"loses {row['losses']} of {kept}; "
             f"{row['bound']} the {spec['bound']:.0%} bound; "
             f"{'GAIN' if row['gain'] else 'no gain'} by the claim rule"
         )

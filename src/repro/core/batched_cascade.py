@@ -1,37 +1,52 @@
-"""Cascade pruning control of a whole batch (paper Section IV-B).
+"""Resident cascade pruning control of a whole batch (paper Section IV-B).
 
-The accelerator's top-k engine and its Q·K / A·V units are
-batch-parallel, so pruning *control* never starves the datapath
-(Fig. 8).  :class:`CascadeBatch` is that arrangement for the packed
-backend's store core (:mod:`repro.nn.batched_attention`): the control
-state of every pruned sequence of one step — cumulative token
-and head importance, the live token and head sets, the schedule targets
-— gathered into ``[B, ...]`` planes, so that each layer's cascade runs
-as a handful of array operations over the batch instead of one Python
-core per sequence.  It opens either stage of a sequence's life:
+The accelerator's top-k engine ranks cumulative importance scores that
+stay beside its Q·K / A·V units, so pruning *control* never starves the
+datapath (Fig. 8).  :class:`CascadeBatch` is that arrangement for the
+packed backend's store core (:mod:`repro.nn.batched_attention`): the
+control state of every ``"pruned"`` row — cumulative token and head
+importance, the live token and head masks and counts, the total
+lengths, the per-row schedule tables — lives in ``[S, ...]`` planes,
+one row per row of the backend's ``"pruned"``
+:class:`~repro.nn.kv_cache.KVRowStore`\\ s and in the same order, for
+as long as the sequence is resident.  Each layer's cascade then runs as
+a handful of array operations over a block of rows instead of one
+Python core per sequence, and a step neither loads per-sequence state
+nor stores it back.
 
-* a **decode step** (the constructor) — each sequence's new token joins
-  its live set, the targets track the current total length and the new
-  token is protected;
-* a **prompt pass** (:meth:`CascadeBatch.summarize`) — each sequence's
-  whole sentence is admitted, the targets are the plan's summarize keep
-  counts and the last prompt token is protected.
+Residency follows the K/V rows'.  Whatever adopts a sequence's store
+rows adopts its control row (:meth:`CascadeBatch.adopt`): the prompt
+pass, which opens the sentence's schedule, or the first decode step of
+a sequence prefilled elsewhere.  The backend's reconcile and release
+move control rows together with the K/V rows
+(:meth:`CascadeBatch.release`, the last row filling a vacated one).
+Adoption *deletes* the executor's control attributes and keeps them
+here, so any read of one lands in the executor's ``__getattr__`` and is
+a barrier (:meth:`CascadeBatch.orphan`) that writes the planes back
+first — the :class:`~repro.nn.kv_cache.LayerKVCache` pattern.  The
+other barriers are release (retire, preempt, drain, quarantine), the
+backend's ``reset`` and deep copies or pickles.  A steady step opens
+with one vectorized admission over the resident rows and commits
+nothing:
 
-Both run over the one store core, a decode step being a pass of one
-query row a sequence.  The SpAtten sequences of ``fp32`` / ``int8``
-without progressive quantization take it (the exact tier and
-progressive-quantization rows keep the per-sequence functions, which
-stay the oracle).
+* a **decode step** (:meth:`CascadeBatch.open_decode`) — each row's new
+  token joins its live set, its total length grows by one, the targets
+  follow from the resident schedule tables and the new token is
+  protected;
+* a **prompt pass** (:meth:`CascadeBatch.open_prompts`) — each
+  sequence's whole sentence is admitted, the targets are the plan's
+  summarize keep counts and the last prompt token is protected.
 
-The per-layer stages are the same for both:
+Both return a :class:`CascadeStep`, the block's per-layer stages over
+views of its resident rows:
 
-* :meth:`~CascadeBatch.prune` — cascade token pruning (ragged per-row
+* :meth:`~CascadeStep.prune` — cascade token pruning (ragged per-row
   keep count, one token protected) and cascade head pruning, each one
   :func:`~repro.core.topk.topk_mask` over a padded plane;
-* :meth:`~CascadeBatch.value_mask` — local value pruning of every
+* :meth:`~CascadeStep.value_mask` — local value pruning of every
   sequence and head at once;
-* :meth:`~CascadeBatch.accumulate_tokens` /
-  :meth:`~CascadeBatch.accumulate_heads` — Algorithm 2's importance
+* :meth:`~CascadeStep.accumulate_tokens` /
+  :meth:`~CascadeStep.accumulate_heads` — Algorithm 2's importance
   accumulation as one reduction and one scatter.
 
 Every decision is the one the per-sequence functions
@@ -39,16 +54,16 @@ Every decision is the one the per-sequence functions
 :func:`~repro.core.head_pruning.prune_heads`,
 :func:`~repro.core.value_pruning.local_value_keep_indices`) make on the
 same scores: the counts come from the same schedule arithmetic and the
-selection from the same rule (:mod:`repro.core.topk`).  The executors
-stay the truth between steps — the planes are loaded from them when the
-batch opens and stored back, once per sequence, by
-:meth:`~CascadeBatch.commit`, the layers' work shapes as the rows the
-batch holds (:meth:`repro.core.trace.AttentionTrace.add_batched`).
+selection from the same rule (:mod:`repro.core.topk`).  The layers'
+work shapes go into one block-level log, ``(n_keys, n_heads,
+n_values)`` rows per step, of which each executor's
+:class:`~repro.core.trace.AttentionTrace` takes its share at its
+barrier (:meth:`~repro.core.trace.AttentionTrace.add_batched`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -56,106 +71,287 @@ from .schedule import decode_token_targets
 from .topk import topk_mask
 from .value_pruning import value_keep_count
 
-__all__ = ["CascadeBatch"]
+__all__ = ["CascadeBatch", "CascadeStep", "CONTROL_ATTRIBUTES"]
+
+#: An executor's control attributes: what adoption takes off it and a
+#: barrier writes back.
+CONTROL_ATTRIBUTES = (
+    "token_acc", "head_acc", "_alive_mask", "_n_alive", "_alive_heads",
+    "_total_length", "trace",
+)
+
+#: The row planes, each ``[S, ...]``: moved, grown and cleared as rows.
+_PLANES = (
+    "scores", "alive", "head_scores", "head_alive", "n_alive",
+    "n_heads_alive", "total", "min_tokens", "token_fracs", "head_counts",
+    "value_keep", "log_from",
+)
 
 
 class CascadeBatch:
-    """Cascade control planes of the pruned rows of one batched step.
+    """Resident cascade control planes of a backend's pruned rows.
 
-    Constructing the batch opens a *decode* step, which is layer 0's
-    admission: each sequence's new token (``positions[j]``) joins its
-    live set and its length grows by one.  :meth:`summarize` opens a
-    prompt pass instead.
+    Rows ``[0, n)`` are in use — ``n = len(owners)`` — in the order of
+    the ``"pruned"`` row stores.  ``owners[j]`` is the executor whose
+    control row ``j`` holds, or ``None`` once a barrier wrote it back
+    (:meth:`orphan`), which the backend answers by re-adopting the row
+    in place at its next step (:meth:`readopt`) — or by releasing it
+    with its K/V rows, if the sequence left.
 
     Attributes:
-        alive: ``[B, P + 1]`` live-token mask by original position (``P``
-            is the longest sequence's length; shorter rows are padded
-            dead, and so is the last column, the sink).
-        head_alive: ``[B, h]`` live-head mask.
-        n_alive: ``[B]`` live tokens per sequence.
-        sink: the label of a column that holds no token — one past every
-            real position, so ``-1`` names it too
-            (:data:`repro.nn.kv_cache.NO_TOKEN`): always dead, and where
-            such columns scatter their (zero) probability mass.
+        scores: ``[S, P + 1]`` cumulative token importance by original
+            position (``P`` the model's ``max_seq_len``); the last
+            column, the sink, is what a column without a token
+            (:data:`repro.nn.kv_cache.NO_TOKEN`, ``-1``) reads and stays
+            dead, where such columns scatter their (zero) mass.
+        alive: ``[S, P + 1]`` live-token mask by original position.
+        head_scores / head_alive: ``[S, h]`` head importance and mask.
+        n_alive / n_heads_alive / total: ``[S]`` live tokens, live heads
+            and total length (prompt plus generated tokens).
     """
 
-    def __init__(self, executors: Sequence, positions: np.ndarray):
+    def __init__(self, config):
+        self.n_layers = config.n_layers
+        shapes = {
+            "scores": (config.max_seq_len + 1,),
+            "alive": (config.max_seq_len + 1,),
+            "head_scores": (config.n_heads,),
+            "head_alive": (config.n_heads,),
+            "token_fracs": (config.n_layers,),
+            "head_counts": (config.n_layers,),
+        }
+        dtypes = {
+            # Cumulative scores are the ranking truth, so they stay fp64
+            # on every tier (a tier's compute dtype governs the
+            # attention arithmetic, not the accumulators).
+            # repro: allow[det-dtype-literal] -- importance accumulators
+            "scores": np.float64, "head_scores": np.float64,
+            "alive": bool, "head_alive": bool,
+            # repro: allow[det-dtype-literal] -- schedule fractions
+            "token_fracs": np.float64, "value_keep": np.float64,
+        }
+        for name in _PLANES:
+            setattr(self, name, np.zeros(
+                (0,) + shapes.get(name, ()), dtype=dtypes.get(name, np.int64)
+            ))
+        self.owners: List = []
+        #: Each owner's control attributes, kept here while it is
+        #: resident (``None`` for an orphaned row).
+        self._held: List[Optional[dict]] = []
+        #: The block-level log: ``(stage, counts, rows_of, start)`` per
+        #: step and block — ``counts`` ``[n_layers, 3, n]`` the work
+        #: shapes of rows ``[start, start + n)``, ``rows_of`` the rows'
+        #: owners then (``id(owner) -> row``).  Entry ``i`` of the list
+        #: is entry ``_log_base + i`` of the run.
+        self._log: List[tuple] = []
+        self._log_base = 0
+        self._rows_of: Optional[Dict[int, int]] = None
+
+    # ------------------------------------------------------------------
+    # Membership: adoption, barriers, release
+    # ------------------------------------------------------------------
+    def _reserve(self, n_rows: int) -> None:
+        rows = len(self.total)
+        if n_rows <= rows:
+            return
+        # Rows grow as the stores' do: to what is asked for or by an
+        # eighth.
+        rows = max(n_rows, rows + rows // 8)
+        n = len(self.owners)
+        for name in _PLANES:
+            old = getattr(self, name)
+            new = np.zeros((rows,) + old.shape[1:], old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
+    def adopt(
+        self, executors: Sequence, prompt_lengths: Optional[Sequence] = None
+    ) -> None:
+        """Take each executor's control state into a new last row.
+
+        With ``prompt_lengths`` the executors are begun sequences whose
+        prompt pass opens here: each one's schedule is built for its
+        sentence first.  Otherwise they were prefilled, and a sequence
+        resident in another batch is written back from there first.
+        """
+        if prompt_lengths is not None:
+            for executor, length in zip(executors, prompt_lengths):
+                executor._init_schedules(length)
         for executor in executors:
             if executor._original_length is None:
                 raise RuntimeError(
                     "decode before summarize; call encode/generate"
                 )
-        self._load(
-            executors, [executor._total_length + 1 for executor in executors]
-        )
-        self._stage = "decode"
-        self._protected = positions
-        self.alive[self._rows, positions] = True
-        self.n_alive += 1
-        # The live-set budget tracks the current total length.
-        self._token_targets = decode_token_targets(
-            np.array([e.pruning.min_tokens for e in executors])[:, None],
-            np.array([e._plan.token_fracs for e in executors]),
-            np.array(self._lengths)[:, None],
-        )
+        self._reserve(len(self.owners) + len(executors))
+        for executor in executors:
+            self.owners.append(None)
+            self._held.append(None)
+            self.readopt(len(self.owners) - 1, executor)
 
-    @classmethod
-    def summarize(
-        cls, executors: Sequence, lengths: Sequence[int]
-    ) -> "CascadeBatch":
-        """Open the prompt pass of a batch of begun sequences.
+    def readopt(self, row: int, executor) -> None:
+        """Take ``executor``'s control state into row ``row`` — a new
+        one, or one a barrier orphaned whose K/V rows stayed put."""
+        # Reading a control attribute brings it home from any batch.
+        total = executor._total_length
+        self.scores[row] = 0.0
+        self.scores[row, :total] = executor.token_acc.live_scores(total)
+        self.head_scores[row] = executor.head_acc.live_scores()
+        self.alive[row] = False
+        self.alive[row, :total] = executor._alive_mask[:total]
+        self.head_alive[row] = False
+        self.head_alive[row, executor._alive_heads] = True
+        self.n_alive[row] = executor._n_alive
+        self.n_heads_alive[row] = len(executor._alive_heads)
+        self.total[row] = total
+        self.min_tokens[row] = executor.pruning.min_tokens
+        self.token_fracs[row] = executor._plan.token_fracs
+        self.head_counts[row] = np.maximum(executor._plan.head_counts, 1)
+        self.value_keep[row] = executor.pruning.value_keep
+        self.log_from[row] = self._log_base + len(self._log)
+        self.owners[row] = executor
+        self._held[row] = {
+            name: vars(executor).pop(name) for name in CONTROL_ATTRIBUTES
+        }
+        executor._control, executor._control_row = self, row
+        self._rows_of = None
 
-        The summarize-stage opening: sequence ``j``'s whole sentence of
-        ``lengths[j]`` tokens is admitted (which fixes its schedule),
-        each layer's targets are the plan's summarize keep counts, and
-        the last prompt token — whose row the next-token logits are read
-        from — is the protected one.
-        """
-        self = cls.__new__(cls)
-        for executor, length in zip(executors, lengths):
-            executor._init_schedules(length)
-        self._load(executors, list(lengths))
-        self._stage = "summarize"
-        self.n_alive = np.array(lengths)
-        self._protected = self.n_alive - 1
-        self.alive[:, :-1] = np.arange(self.sink) < self.n_alive[:, None]
-        self._token_targets = np.array(
-            [e._plan.token_counts for e in executors]
+    def _hand_back(self, row: int) -> None:
+        """Write row ``row``'s planes and log share back to its owner."""
+        executor, held = self.owners[row], self._held[row]
+        total = int(self.total[row])
+        held["token_acc"].live_scores(total)[:] = self.scores[row, :total]
+        held["head_acc"].live_scores()[:] = self.head_scores[row]
+        held["_alive_mask"][:total] = self.alive[row, :total]
+        held["_n_alive"] = int(self.n_alive[row])
+        held["_total_length"] = total
+        held["_alive_heads"] = np.flatnonzero(self.head_alive[row])
+        trace, key = held["trace"], id(executor)
+        for stage, counts, rows_of, start in self._log[
+            int(self.log_from[row]) - self._log_base:
+        ]:
+            column = rows_of.get(key, -1) - start
+            if 0 <= column < counts.shape[2]:
+                trace.n_generated += int(stage == "decode")
+                trace.add_batched(stage, counts, column)
+        vars(executor).update(held)
+        executor._control = None
+
+    def orphan(self, row: int) -> None:
+        """Row ``row``'s executor takes its control state back (its
+        barrier).  The row stays where it is, ownerless, for the backend
+        to re-adopt or release with its K/V rows."""
+        self._hand_back(row)
+        self.owners[row] = self._held[row] = None
+        self._rows_of = None
+
+    def release(self, row: int) -> None:
+        """Vacate row ``row``, writing it back to its executor if it has
+        one; the last row moves into its place."""
+        if self.owners[row] is not None:
+            self._hand_back(row)
+        last = len(self.owners) - 1
+        if row != last:
+            for name in _PLANES:
+                plane = getattr(self, name)
+                plane[row] = plane[last]
+            moved = self.owners[row] = self.owners[last]
+            self._held[row] = self._held[last]
+            if moved is not None:
+                moved._control_row = row
+        self.owners.pop()
+        self._held.pop()
+        self._rows_of = None
+        # Entries every remaining row joined after are nobody's share.
+        end = self._log_base + len(self._log)
+        first = int(self.log_from[:last].min(initial=end))
+        del self._log[: first - self._log_base]
+        self._log_base = first
+
+    # ------------------------------------------------------------------
+    # Opening a step
+    # ------------------------------------------------------------------
+    def open_decode(self, positions: np.ndarray) -> "CascadeStep":
+        """Open a decode step over every resident row: layer 0's
+        admission — row ``j``'s new token (``positions[j]``) joins its
+        live set and its total length grows by one — as one vectorized
+        update.  The live-set budget tracks the new total length."""
+        n = len(self.owners)
+        self.alive[np.arange(n), positions] = True
+        self.n_alive[:n] += 1
+        total = self.total[:n]
+        total += 1
+        targets = decode_token_targets(
+            self.min_tokens[:n, None], self.token_fracs[:n], total[:, None]
         )
-        return self
+        return CascadeStep(self, slice(0, n), "decode", positions, targets)
 
-    def _load(self, executors: Sequence, lengths: List[int]) -> None:
-        """Gather the executors' control state into ``[B, ...]`` planes
-        covering positions ``[0, lengths[j])``."""
-        n = len(executors)
-        n_heads = executors[0].head_acc.n_heads
-        self._executors = executors
-        self._lengths = lengths
-        self.sink = max(lengths)
-        # Cumulative scores are the ranking truth, so they stay fp64 on
-        # every tier (a tier's compute dtype governs the attention
-        # arithmetic, not the accumulators).
-        # repro: allow[det-dtype-literal] -- importance accumulators
-        self._scores = np.zeros((n, self.sink + 1), dtype=np.float64)
-        # repro: allow[det-dtype-literal] -- importance accumulators
-        self._head_scores = np.empty((n, n_heads), dtype=np.float64)
-        self.alive = np.zeros((n, self.sink + 1), dtype=bool)
-        self.head_alive = np.zeros((n, n_heads), dtype=bool)
-        for j, (executor, length) in enumerate(zip(executors, lengths)):
-            self._scores[j, :length] = executor.token_acc.live_scores(length)
-            self._head_scores[j] = executor.head_acc.live_scores()
-            self.alive[j, :length] = executor._alive_mask[:length]
-            self.head_alive[j, executor._alive_heads] = True
-        self._rows = np.arange(n)
-        self.n_alive = np.array([e._n_alive for e in executors])
-        self._n_heads_alive = np.count_nonzero(self.head_alive, axis=1)
-        self._heads_pruned = False
-        # Per-sequence schedules, [B, n_layers] / [B].
-        self._head_counts = np.array([e._plan.head_counts for e in executors])
-        self._value_keep = np.array([e.pruning.value_keep for e in executors])
-        # Work shapes of the layers run so far (the executors' traces).
+    def open_prompts(self, rows: slice, lengths: np.ndarray) -> "CascadeStep":
+        """Open the prompt pass of the rows ``rows`` (adopted with these
+        ``prompt_lengths``): row ``j``'s whole sentence of
+        ``lengths[j]`` tokens is admitted, each layer's targets are the
+        plan's summarize keep counts, and the last prompt token — whose
+        row the next-token logits are read from — is the protected
+        one."""
+        lengths = np.asarray(lengths)
+        self.n_alive[rows] = lengths
+        positions = np.arange(self.alive.shape[1] - 1)
+        self.alive[rows, :-1] = positions < lengths[:, None]
+        targets = np.array(
+            [executor._plan.token_counts for executor in self.owners[rows]]
+        )
+        return CascadeStep(self, rows, "summarize", lengths - 1, targets)
+
+    def _log_step(self, stage: str, counts: np.ndarray, start: int) -> None:
+        if self._rows_of is None:
+            self._rows_of = {
+                id(owner): row for row, owner in enumerate(self.owners)
+            }
+        self._log.append((stage, counts, self._rows_of, start))
+
+
+class CascadeStep:
+    """One store block's cascade over one step: views of its resident
+    rows (writes land in the planes), the step's targets and protected
+    tokens, and its entry of the block-level log.
+
+    Attributes:
+        alive: ``[n, P + 1]`` live-token mask of the block's rows.
+        head_alive: ``[n, h]`` live-head mask.
+        n_alive: ``[n]`` live tokens per row.
+    """
+
+    def __init__(
+        self, control: CascadeBatch, rows: slice, stage: str,
+        protected: np.ndarray, targets: np.ndarray,
+    ):
+        self.alive = control.alive[rows]
+        self.head_alive = control.head_alive[rows]
+        self.n_alive = control.n_alive[rows]
+        self._scores = control.scores[rows]
+        self._head_scores = control.head_scores[rows]
+        self._n_heads_alive = control.n_heads_alive[rows]
+        self._head_counts = control.head_counts[rows]
+        self._value_keep = control.value_keep[rows]
+        self._protected = protected
+        self._token_targets = targets
+        # Positions past every row's total length are dead: the ranked
+        # planes stop there.
+        self._width = int(control.total[rows].max())
+        # The rows' scores flat (a view: the plane is C-ordered), where
+        # row ``j``'s position ``c`` sits at ``c + offsets[j]`` and
+        # ``-1`` at a sink: one 1-D scatter where a 2-D one would build
+        # two index planes.
+        width = control.scores.shape[1]
+        self._flat_scores = control.scores.reshape(-1)[
+            rows.start * width : rows.stop * width
+        ]
+        self._offsets = width * np.arange(len(self.n_alive))[:, None]
         self._n_values: Optional[np.ndarray] = None
-        self._steps: List[tuple] = []
+        self._layer = 0
+        self._counts = np.empty(
+            (control.n_layers, 3, len(self.n_alive)), dtype=np.int64
+        )
+        control._log_step(stage, self._counts, rows.start)
 
     @property
     def any_head_dead(self) -> bool:
@@ -174,33 +370,36 @@ class CascadeBatch:
         :func:`~repro.core.token_pruning.prune_tokens` with
         ``protected_ids=[position]`` on each row's live tokens.
         """
+        self._layer = layer_idx
         targets = self._token_targets[:, layer_idx]
-        rows = np.flatnonzero(targets < self.n_alive)
+        rows = np.nonzero(targets < self.n_alive)[0]
         if len(rows):
-            ranked = np.where(self.alive[rows], self._scores[rows], -np.inf)
+            width = self._width
+            ranked = np.where(
+                self.alive[rows, :width], self._scores[rows, :width], -np.inf
+            )
             ranked[np.arange(len(rows)), self._protected[rows]] = np.inf
-            self.alive[rows] = topk_mask(ranked, targets[rows])
+            self.alive[rows, :width] = topk_mask(ranked, targets[rows])
             self.n_alive[rows] = targets[rows]
 
-        targets = np.maximum(self._head_counts[:, layer_idx], 1)
-        rows = np.flatnonzero(targets < self._n_heads_alive)
+        targets = self._head_counts[:, layer_idx]
+        rows = np.nonzero(targets < self._n_heads_alive)[0]
         if len(rows):
             ranked = np.where(
                 self.head_alive[rows], self._head_scores[rows], -np.inf
             )
             self.head_alive[rows] = topk_mask(ranked, targets[rows])
             self._n_heads_alive[rows] = targets[rows]
-            self._heads_pruned = True
 
     def value_mask(
         self, probs: np.ndarray, lengths: np.ndarray
     ) -> Optional[np.ndarray]:
         """Local value pruning: the V vectors each head fetches.
 
-        ``probs`` is the padded ``[B, h, L]`` plane each head ranks its
+        ``probs`` is the padded ``[n, h, L]`` plane each head ranks its
         columns by — a decode step's probabilities, a prompt pass's
         probability mass per column (summed over the queries) — and
-        ``lengths`` each row's live columns.  Returns the ``[B, h, L]``
+        ``lengths`` each row's live columns.  Returns the ``[n, h, L]``
         keep mask, or ``None`` when no row drops anything.  Columns
         without a token hold exact zeros, so one is kept only in place
         of a live column that ties it at zero — and a zero masked or
@@ -223,45 +422,26 @@ class CascadeBatch:
     ) -> None:
         """Add one layer's probability mass to the token scores.
 
-        ``probs`` ``[B, h, L]`` must already be zero on dead heads;
-        ``token_ids`` ``[B, L]`` labels each column with its original
-        position, and those without a token with :attr:`sink`.
+        ``probs`` ``[n, h, L]`` must already be zero on dead heads;
+        ``token_ids`` ``[n, L]`` labels each column with its original
+        position, and those without a token with ``-1``: a sink, which
+        takes their zero mass.
         """
         mass = np.add.reduce(probs, axis=1)
-        self._scores[self._rows[:, None], token_ids] += mass
+        self._flat_scores[token_ids + self._offsets] += mass
 
     def accumulate_heads(
         self, head_out: np.ndarray, lengths: np.ndarray
     ) -> None:
         """Add one layer's head output magnitudes; closes the layer.
 
-        ``head_out`` is ``[B, h, Q, D]`` (one query row in a decode
+        ``head_out`` is ``[n, h, Q, D]`` (one query row in a decode
         step, the padded sentence in a prompt pass), zero on dead heads
-        and on padded rows.  The
-        layer's work shape is recorded with the value counts
-        :meth:`value_mask` computed for it.
+        and on padded rows.  The layer's work shape goes into the log
+        with the value counts :meth:`value_mask` computed for it.
         """
         self._head_scores += np.add.reduce(np.abs(head_out), axis=(2, 3))
-        self._steps.append(
-            (lengths.tolist(), self._n_heads_alive.tolist(),
-             self._n_values.tolist())
-        )
-
-    # ------------------------------------------------------------------
-    def commit(self) -> None:
-        """Store the step's control state back into the executors."""
-        n_alive = self.n_alive.tolist()
-        generated = int(self._stage == "decode")
-        for j, (executor, length) in enumerate(
-            zip(self._executors, self._lengths)
-        ):
-            executor.token_acc.live_scores(length)[:] = self._scores[j, :length]
-            executor.head_acc.live_scores()[:] = self._head_scores[j]
-            executor._alive_mask[:length] = self.alive[j, :length]
-            executor._n_alive = n_alive[j]
-            executor._total_length = length
-            if self._heads_pruned:
-                executor._alive_heads = np.flatnonzero(self.head_alive[j])
-            executor.trace.n_generated += generated
-            # The layers' work shapes stay the rows the batch holds.
-            executor.trace.add_batched(self._stage, self._steps, j)
+        counts = self._counts[self._layer]
+        counts[0] = lengths
+        counts[1] = self._n_heads_alive
+        counts[2] = self._n_values

@@ -32,7 +32,7 @@ from ..nn.kv_cache import KVCache
 from ..nn.numerics import resolve_numerics
 from ..nn.transformer import AttentionExecutor, LayerExecution, TransformerModel
 from . import schedule as sched
-from .batched_cascade import CascadeBatch
+from .batched_cascade import CONTROL_ATTRIBUTES, CascadeBatch
 from .head_pruning import prune_heads
 from .importance import HeadImportanceAccumulator, TokenImportanceAccumulator
 from .quantization import LinearQuantizer, needs_lsb
@@ -90,11 +90,35 @@ class SpAttenExecutor(AttentionExecutor):
         self._plan: Optional[sched.SequencePlan] = None
         self._original_length: Optional[int] = None
         self._total_length = 0
+        #: The packed backend's :class:`CascadeBatch` holding this
+        #: sequence's control state (row ``_control_row``), or ``None``
+        #: while the control attributes are the executor's own.
+        self._control: Optional[CascadeBatch] = None
+        self._control_row = -1
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is missing: a control
+        # attribute of a sequence whose control state sits in a batch's
+        # resident rows (adoption deletes them).  So every read of one is
+        # the barrier that writes the planes back first.
+        control = vars(self).get("_control")
+        if control is not None and name in CONTROL_ATTRIBUTES:
+            control.orphan(self._control_row)
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    def __getstate__(self) -> dict:
+        # Deep copies and pickles hold their own control state.
+        if self._control is not None:
+            self._control.orphan(self._control_row)
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # Sequence lifecycle
     # ------------------------------------------------------------------
     def begin_sequence(self, model: TransformerModel) -> None:
+        if self._control is not None:
+            self._control.orphan(self._control_row)
         cfg = model.config
         self._model_config = cfg
         self.token_acc = TokenImportanceAccumulator()
@@ -162,7 +186,11 @@ class SpAttenExecutor(AttentionExecutor):
 
     @property
     def n_live_heads(self) -> int:
-        """Heads surviving cascade head pruning so far."""
+        """Heads surviving cascade head pruning so far (read off the
+        resident plane while the control state is a batch's, with no
+        barrier)."""
+        if self._control is not None:
+            return int(self._control.n_heads_alive[self._control_row])
         return len(self._alive_heads) if self._alive_heads is not None else 0
 
     @property
@@ -513,15 +541,18 @@ class SpAttenExecutor(AttentionExecutor):
 
         * ``"pruned"`` — non-exact tier, no progressive quantization:
           the cascade's control state (live token mask, live heads,
-          importance scores, schedule targets) is plain per-sequence
-          arrays, so the backend gathers it into batch planes
-          (:meth:`summarize_batch_control` for the prompt pass,
-          :meth:`decode_batch_control` for a decode step) and runs
+          importance scores, lengths, schedule tables) is plain
+          per-sequence arrays, so the backend keeps it *resident* in
+          the planes of one :class:`CascadeBatch`
+          (:meth:`batch_control`), a row beside each of its per-layer
+          row stores' K/V rows, from the prompt pass on — and runs
           pruning decisions, eviction, attention, local value pruning
-          and importance accumulation for every such row at once, over
-          the per-layer row stores it keeps their K/V in from the
-          prompt pass on (the caches are handles on their rows;
-          :mod:`repro.nn.kv_cache`).
+          and importance accumulation for every such row at once.  The
+          caches are handles on their store rows
+          (:mod:`repro.nn.kv_cache`) and the executor is a handle on its
+          control row: adoption deletes its control attributes, and
+          reading one (or a deep copy, a pickle, a release) writes the
+          planes back first; :attr:`n_live_heads` reads the plane.
         * ``"custom"`` — the exact tier, where
           :meth:`decode_attend_packed` is the bit-identity oracle, and
           progressive-quantization rows on any tier, whose LSB refetch
@@ -546,14 +577,9 @@ class SpAttenExecutor(AttentionExecutor):
         return self._cache[layer_idx]
 
     @staticmethod
-    def decode_batch_control(executors, positions: np.ndarray) -> CascadeBatch:
-        """Open one decode step for a batch of ``"pruned"`` executors."""
-        return CascadeBatch(executors, positions)
-
-    @staticmethod
-    def summarize_batch_control(executors, lengths) -> CascadeBatch:
-        """Open the prompt pass of a batch of ``"pruned"`` executors."""
-        return CascadeBatch.summarize(executors, lengths)
+    def batch_control(config: ModelConfig) -> CascadeBatch:
+        """The resident control planes of a backend's ``"pruned"`` rows."""
+        return CascadeBatch(config)
 
     def decode_attend_packed(
         self,

@@ -75,8 +75,9 @@ def topk_mask(scores: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Per-row mask of the ``k`` largest entries along the last axis.
 
     The plane form of :func:`topk_indices`: ``scores`` is ``[..., n]``,
-    ``k`` an integer array broadcastable to ``scores.shape[:-1]`` with
-    ``0 <= k <= n`` (one count per row — rows may differ), and
+    ``k`` an integer array of shape ``scores.shape[:-1]`` (or one count
+    for every row) with ``0 <= k <= n`` (one count per row — rows may
+    differ), and
     ``topk_mask(scores, k)[row]`` is True exactly at
     ``topk_indices(scores[row], k[row])``.  Callers exclude a column
     (padding, an already-pruned token) by scoring it ``-inf`` and force
@@ -88,14 +89,17 @@ def topk_mask(scores: np.ndarray, k: np.ndarray) -> np.ndarray:
     threshold and ``num_eq_k_th_largest`` of :func:`quick_select_kth`
     followed by :func:`filter_topk`, for every row at once.
     """
-    n = scores.shape[-1]
-    k = np.asarray(k)[..., None]
-    ordered = np.sort(scores, axis=-1)
+    n, rows = scores.shape[-1], scores.shape[:-1]
+    k = np.asarray(k)
     # Ascending order: the k-th largest sits at n - k (k == 0 reads the
     # maximum, and the surplus-tie pass below then drops every match).
-    kth = np.take_along_axis(ordered, np.minimum(n - k, n - 1), axis=-1)
+    at = np.minimum(n - k, n - 1)
+    # One gather from the rows of the sorted plane (cheaper than
+    # ``take_along_axis`` on the small planes the cascade ranks).
+    ordered = np.sort(scores, axis=-1).reshape(-1, n)
+    kth = ordered[np.arange(len(ordered)), at.reshape(-1)].reshape(rows + (1,))
     mask = scores >= kth
-    surplus = np.count_nonzero(mask, axis=-1, keepdims=True) - k
+    surplus = np.add.reduce(mask, axis=-1, keepdims=True) - k[..., None]
     if surplus.any():
         ties = scores == kth
         later_ties = np.cumsum(ties[..., ::-1], axis=-1)[..., ::-1]

@@ -77,8 +77,9 @@ class LayerStep:
 class AttentionTrace:
     """A full run's worth of :class:`LayerStep` entries plus metadata.
 
-    The batched cascade (:mod:`repro.core.batched_cascade`) records a
-    step of a whole batch as the per-layer count rows it already holds
+    The batched cascade (:mod:`repro.core.batched_cascade`) hands a
+    sequence its share of the steps its block ran at the sequence's
+    barrier, as the per-layer count rows the block logged
     (:meth:`add_batched`); they become :class:`LayerStep` entries when
     :attr:`steps` is first read — a serving run never reads them.
     """
@@ -100,11 +101,12 @@ class AttentionTrace:
     def add_batched(self, stage: str, rows: List[tuple], column: int) -> None:
         """Record one step of a batch this trace's sequence was in.
 
-        ``rows[layer]`` is ``(n_keys, n_heads, n_values)``, each a list
-        with one entry per sequence of the batch — shared by every
-        trace of the batch, never copied — and ``column`` this
-        sequence's place in them.  A ``"summarize"`` layer has as many
-        queries as keys, a ``"decode"`` layer one.
+        ``rows[layer]`` is ``(n_keys, n_heads, n_values)``, each with
+        one entry per sequence of the batch — the block's ``[n_layers,
+        3, n]`` log entry, shared by every trace of the batch, never
+        copied — and ``column`` this sequence's place in them.  A
+        ``"summarize"`` layer has as many queries as keys, a
+        ``"decode"`` layer one.
         """
         self._batched.append((stage, rows, column))
 
@@ -115,10 +117,10 @@ class AttentionTrace:
             batched, self._batched = self._batched, []
             for stage, rows, j in batched:
                 for layer, (n_keys, n_heads, n_values) in enumerate(rows):
+                    n_keys = int(n_keys[j])
                     self._steps.append(LayerStep(
-                        layer, stage,
-                        1 if stage == "decode" else n_keys[j],
-                        n_keys[j], n_heads[j], n_values[j],
+                        layer, stage, 1 if stage == "decode" else n_keys,
+                        n_keys, int(n_heads[j]), int(n_values[j]),
                     ))
         return self._steps
 

@@ -53,10 +53,14 @@ over ``[n, h, Lq, Lk]`` planes: the block's K/V appended at each row's
 cursor, one mask (the causal position test plus columns without a
 token), softmax, local value pruning ranked on each column's
 probability mass, A·V and importance accumulation.  A block of pruned
-rows carries its batch control,
-:class:`~repro.core.batched_cascade.CascadeBatch` (opened per decode
-step or per prompt block, committed to the executors once), whose entry
-pruning is ranked masks over its control planes plus
+rows carries a step of the backend's resident batch control,
+:class:`~repro.core.batched_cascade.CascadeBatch`, whose planes hold
+every pruned row's cascade state beside its store rows, in the same
+order: adopted with the rows (at the prompt pass, or the first decode
+step of a sequence prefilled elsewhere), moved and released with them,
+opened per decode step or prompt block with one vectorized admission,
+and written back to an executor only at a barrier — never at the end of
+a step.  Its entry pruning is ranked masks over those planes plus
 :meth:`~repro.nn.kv_cache.KVRowStore.evict` over the block's rows; a
 dense block has none and bypasses those stages, as a dense run bypasses
 the accelerator's top-k engines and zero eliminators.
@@ -81,8 +85,9 @@ incremental executor's next chunk and the whole sentence of every other
 executor whose final chunk lands in it run the skeleton, the
 ``"pruned"`` sentences in blocks whose padded score plane stays under a
 fixed scratch budget, their caches adopted empty into the ``"pruned"``
-row stores before the first layer — a pruned sequence is a store row
-from its first column.
+row stores and their control state into the resident batch control
+before the first layer — a pruned sequence is a store row, columns and
+control, from its first column.
 
 Exact tier: the bit-identity contract
 -------------------------------------
@@ -152,7 +157,11 @@ budget, which unlocks the padded planes the exact tier never builds:
 * cascade eviction — which changes the live columns of most rows at
   most layers of every step — is one gathered mask that relabels the
   dead columns where they sit, with a row compacted only once a page
-  of them has built up.
+  of them has built up;
+* the pruned rows' cascade control is batch-resident too, in one
+  :class:`~repro.core.batched_cascade.CascadeBatch` whose planes follow
+  the ``"pruned"`` stores' rows, so a steady decode step loads no
+  per-sequence control state and commits none.
 """
 
 from __future__ import annotations
@@ -310,12 +319,9 @@ class _Part:
     part order (:meth:`PackedDecodeBackend._attend`).
 
     ``positions`` holds the original position of each of its rows still
-    in the residual stream, ``core_stage`` the profiler stage its core
-    is charged to, and ``cascade`` the batch control the step commits
-    (only a store block of pruned rows has one).
+    in the residual stream and ``core_stage`` the profiler stage its
+    core is charged to.
     """
-
-    cascade = None
 
     def prune(self, layer_idx: int) -> Optional[np.ndarray]:
         """Entry pruning of one layer: the surviving rows' indices, or
@@ -383,7 +389,9 @@ class _StoreBlock(_Part):
     (each whole).
 
     ``rows`` are the block's rows in every layer's store and ``cascade``
-    their batch control, ``None`` for dense rows.  The rows still in the
+    their step of the resident batch control
+    (:class:`~repro.core.batched_cascade.CascadeStep`), ``None`` for
+    dense rows.  The rows still in the
     residual stream are flat, store row after store row: ``seq_of``
     names each one's row of the block, ``positions`` its original
     position, and ``counts`` holds how many each store row has.
@@ -464,6 +472,9 @@ class PackedDecodeBackend:
         #: from the style's first row's caches), a style's rows in one
         #: order throughout.
         self._stores: Dict[str, List[KVRowStore]] = {}
+        #: The ``"pruned"`` rows' cascade control, resident beside their
+        #: store rows in the same order (built with those stores).
+        self._control = None
         self._inv_sqrt_d = 1.0 / float(np.sqrt(cfg.head_dim))
         #: Optional :class:`repro.telemetry.HotPathProfiler` measuring
         #: real wall-clock time per stage (the serving engine attaches
@@ -611,7 +622,7 @@ class PackedDecodeBackend:
         ``"custom"`` rows are one per-sequence part (on the exact tier,
         its dense rows another); off it, the ``"pruned"`` and the
         ``"dense"`` rows are a store block each, in store-row order, the
-        pruned one with the step's batch control opened.
+        pruned one with the step opened on its resident batch control.
         """
         rows = self._group_rows(model, executors)
         per_sequence = (
@@ -633,12 +644,9 @@ class PackedDecodeBackend:
             indices = self._resident(style, rows[style])
             if not indices:
                 continue
-            resident = [executors[i] for i in indices]
             cascade = None
             if style == "pruned":
-                cascade = resident[0].decode_batch_control(
-                    resident, positions[indices]
-                )
+                cascade = self._control.open_decode(positions[indices])
             parts.append(_StoreBlock(
                 "decode", self._stores[style], slice(0, len(indices)),
                 cascade, np.ones(len(indices), dtype=np.int64),
@@ -688,10 +696,11 @@ class PackedDecodeBackend:
         runs vectorized over the cast weights, on the rows in part
         order.  ``dense`` and ``pruned`` executors' K/V are made
         resident in the row stores here (a ``pruned`` one served by
-        this backend has been since its prompt pass); the ``pruned``
-        ones' cascade control is opened as one batch, stepped by every
-        layer, and committed back to the executors once the stack is
-        through; ``custom`` executors keep their own per-sequence core.
+        this backend has been since its prompt pass, its cascade
+        control too); the ``pruned`` rows' step is opened on their
+        resident control with one admission and stepped by every layer,
+        and nothing is stored back to the executors; ``custom``
+        executors keep their own per-sequence core.
         """
         prof = self.profiler
         t_step = t0 = prof.start() if prof is not None else 0.0
@@ -703,13 +712,6 @@ class PackedDecodeBackend:
         if prof is not None:
             prof.stop("decode_setup", t0)
         x = self._layers(parts, x, "decode")
-        cascades = [part.cascade for part in parts if part.cascade is not None]
-        if cascades:
-            t0 = prof.start() if prof is not None else 0.0
-            for cascade in cascades:
-                cascade.commit()
-            if prof is not None:
-                prof.stop("decode_commit", t0)
         t0 = prof.start() if prof is not None else 0.0
         logits = x @ w.lm_proj
         if order is not None:
@@ -726,9 +728,12 @@ class PackedDecodeBackend:
         self, style: str, executor: AttentionExecutor
     ) -> List[KVRowStore]:
         """``style``'s per-layer stores, built on first use from the
-        caches of ``executor``, one of its rows."""
+        caches of ``executor``, one of its rows (``"pruned"`` ones with
+        the resident cascade control beside them)."""
         stores = self._stores.get(style)
         if stores is None:
+            if style == "pruned":
+                self._control = executor.batch_control(self._model.config)
             # Dense rows never evict, so they are the long ones: on
             # int8 their stores keep the columns dequantized as well.
             dequantized = style == "dense" and self.policy.quantized_gemm
@@ -746,11 +751,15 @@ class PackedDecodeBackend:
         this is all that happens.  When it moved, rows whose sequence
         is not in the batch (or whose cache took its columns back,
         :meth:`~repro.nn.kv_cache.KVRowStore.orphan`) are released in
-        every layer's store, their caches taking the live columns with
+        every layer's store and the ``"pruned"`` control, their caches
+        and executors taking the live columns and control state with
         them, and arrivals — rows not resident yet: a dense sequence
         after its prompt pass, any sequence prefilled elsewhere or whose
         cache took its columns back — are adopted: one copy per
         sequence and layer, after which the private buffers are gone.
+        A ``"pruned"`` row whose executor alone took its control state
+        back (:meth:`~repro.core.batched_cascade.CascadeBatch.orphan`)
+        keeps its K/V rows, and its control row is re-adopted in place.
 
         Returns the rows' batch indices in store-row order — the order
         the step's batch control and every layer's core run them in.
@@ -760,6 +769,7 @@ class PackedDecodeBackend:
             else self._stores[style]
         )
         first = stores[0]
+        control = self._control if style == "pruned" else None
         caches = [executor.decode_kv_cache(0) for _, executor in rows]
         if (
             len(caches) != len(first.owners)
@@ -778,6 +788,8 @@ class PackedDecodeBackend:
             for row in sorted(gone, reverse=True):
                 for store in stores:
                     store.release(row, keep_columns=True)
+                if control is not None:
+                    control.release(row)
             arrivals = [
                 executor for (_, executor), cache in zip(rows, caches)
                 if cache._store is not first
@@ -787,6 +799,14 @@ class PackedDecodeBackend:
                     executor.decode_kv_cache(layer_idx)
                     for executor in arrivals
                 ])
+            if control is not None:
+                control.adopt(arrivals)
+        if control is not None and None in control.owners:
+            # An executor took its control state back and its K/V rows
+            # stayed put: its row is re-adopted where it is.
+            for cache, (_, executor) in zip(caches, rows):
+                if control.owners[cache._row] is None:
+                    control.readopt(cache._row, executor)
         indices = [0] * len(caches)
         for cache, (i, _) in zip(caches, rows):
             indices[cache._row] = i
@@ -797,16 +817,21 @@ class PackedDecodeBackend:
         preempted, quarantined, drained — a pruned one possibly straight
         after its prompt pass, which made it resident): its store rows
         are vacated without copying the columns back, and its caches
-        left empty.  Rows nobody releases are found by the next decode
-        step's reconcile, which does copy them back.
+        left empty; a pruned one's control row is written back to it (a
+        barrier: its trace takes its share of the log).  Rows nobody
+        releases are found by the next decode step's reconcile, which
+        does copy them back.
         """
-        stores = self._stores.get(executor.packed_decode_style)
+        style = executor.packed_decode_style
+        stores = self._stores.get(style)
         if stores is not None:
             cache = executor.decode_kv_cache(0)
             if cache._store is stores[0]:
                 row = cache._row
                 for store in stores:
                     store.release(row, keep_columns=False)
+                if style == "pruned":
+                    self._control.release(row)
 
     def reset(self) -> None:
         """Hand every resident row back to its cache: a new serving run
@@ -891,11 +916,12 @@ class PackedDecodeBackend:
         so they skip the projections and the FFN:
 
         * ``"pruned"`` sentences are store blocks
-          (:meth:`_open_pruned_blocks`) under one batch control each,
-          opened for the pass and committed to the executors once; their
-          K/V go straight into the ``"pruned"`` row stores, which adopt
-          the sequences' empty caches before the first layer — a
-          sequence is resident from its first column;
+          (:meth:`_open_pruned_blocks`), each a step of the resident
+          batch control, which adopts the sequences' control state —
+          opening their schedules — as the ``"pruned"`` row stores adopt
+          their empty caches, before the first layer; their K/V go
+          straight into the stores — a sequence is resident, control and
+          columns, from its first column and nothing is stored back;
         * every other sequence's rows prune through its executor's
           :meth:`~repro.nn.transformer.AttentionExecutor
           .summarize_control` and run its own core on the survivors'
@@ -958,11 +984,6 @@ class PackedDecodeBackend:
         if x is not None:
             hidden = self._layers(parts, x, "prefill")
             t0 = prof.start() if prof is not None else 0.0
-            for part in parts:
-                if part.cascade is not None:
-                    part.cascade.commit()
-            if prof is not None:
-                t0 = prof.lap("prefill_commit", t0)
             # A sequence's last row survives every layer (cascade pruning
             # protects the final prompt token) and ends its rows.
             done, last_rows, offset = [], [], 0
@@ -987,9 +1008,9 @@ class PackedDecodeBackend:
     def _open_pruned_blocks(
         self, whole: _Rows, lengths: List[int]
     ) -> List[_StoreBlock]:
-        """Make the step's ``"pruned"`` sequences ``whole`` resident and
-        open their batch controls, a store block of consecutive ones
-        each.
+        """Make the step's ``"pruned"`` sequences ``whole`` resident —
+        caches and control state — and open their prompt pass, a store
+        block of consecutive ones each.
 
         A block is as many sequences as keep its padded ``[B, h, L, L]``
         score plane — ``L`` the longest prompt among them — within
@@ -1008,6 +1029,7 @@ class PackedDecodeBackend:
             store.adopt([
                 executor.decode_kv_cache(layer_idx) for executor in executors
             ])
+        self._control.adopt(executors, lengths)
         pair_bytes = cfg.n_heads * np.dtype(self.policy.compute_dtype).itemsize
         blocks, start, longest = [], 0, lengths[0]
         for stop in range(1, len(whole) + 1):
@@ -1019,11 +1041,10 @@ class PackedDecodeBackend:
                     continue
                 longest = lengths[stop]
             counts = np.array(lengths[start:stop], dtype=np.int64)
+            rows = slice(first_row + start, first_row + stop)
             blocks.append(_StoreBlock(
-                "prefill", stores, slice(first_row + start, first_row + stop),
-                executors[start].summarize_batch_control(
-                    executors[start:stop], lengths[start:stop]
-                ),
+                "prefill", stores, rows,
+                self._control.open_prompts(rows, counts),
                 counts, ragged_arange(counts), indices[start:stop],
             ))
             start = stop

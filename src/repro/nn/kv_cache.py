@@ -735,8 +735,11 @@ class KVRowStore:
         of them has built up.
         """
         labels = self.labels[rows, : int(self.cursor[rows].max())]
-        keep = alive[np.arange(len(labels))[:, None], labels]
-        live = np.count_nonzero(keep, axis=1)
+        # A 1-D gather from the flat plane: row ``j``'s label ``c`` is
+        # ``c + j * P`` there, and ``NO_TOKEN`` a dead last column.
+        offsets = alive.shape[1] * np.arange(len(labels))[:, None]
+        keep = alive.reshape(-1)[labels + offsets]
+        live = np.add.reduce(keep, axis=1)
         newly_dead = self.live[rows] - live
         if not newly_dead.any():
             return

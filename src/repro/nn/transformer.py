@@ -155,9 +155,10 @@ class AttentionExecutor:
           :meth:`summarize_control` then :meth:`summarize_attend_packed`
           in a prompt step.
         * ``"pruned"`` — non-exact tiers only: the executor prunes, but
-          its control state is plain arrays the backend can gather.  The
-          backend opens one batch control per step through
-          :meth:`decode_batch_control` and runs decisions, eviction,
+          its control state is plain arrays the backend can keep
+          beside its K/V rows, in the planes of one batch control
+          (:meth:`batch_control`; the executor a handle on its row, as
+          its caches are on theirs), and it runs decisions, eviction,
           attention and importance accumulation for all such rows at
           once — over K/V it keeps batch-resident: the caches
           :meth:`decode_kv_cache` returns are adopted into the backend's
@@ -170,8 +171,9 @@ class AttentionExecutor:
           back into private buffers).
 
         A non-exact backend's prompt pass reads the same property:
-        ``"pruned"`` sentences run the backend's batched core under
-        :meth:`summarize_batch_control`; every other executor is a
+        ``"pruned"`` sentences run the backend's batched core, their
+        control rows opened by :meth:`batch_control`'s prompt pass;
+        every other executor is a
         per-sequence row whose span :attr:`supports_incremental_prefill`
         decides — the next chunk, or the whole sentence once its final
         chunk lands.
@@ -212,27 +214,17 @@ class AttentionExecutor:
         raise NotImplementedError
 
     @staticmethod
-    def decode_batch_control(executors, positions: np.ndarray):
-        """Open one decode step's batch control (``"pruned"`` style).
+    def batch_control(config: ModelConfig):
+        """The resident batch control of a backend's ``"pruned"`` rows.
 
-        ``executors`` are the batch's ``"pruned"`` rows in batch order
-        and ``positions`` their new tokens' positions.  The returned
-        object carries the rows' pruning state as ``[B, ...]`` planes
-        for the step and stores it back on ``commit()``; see
+        One object per backend, built with its first ``"pruned"`` row
+        stores, whose control rows follow the K/V rows: adopted with
+        them — at the prompt pass, which opens each sentence's schedule,
+        or at the first decode step of a sequence prefilled elsewhere —
+        moved and released with them, and opened once per decode step
+        or prompt block for the layers' cascade stages; see
         :class:`repro.core.batched_cascade.CascadeBatch`, the one
-        implementation, for the stages the backend calls.
-        """
-        raise NotImplementedError
-
-    @staticmethod
-    def summarize_batch_control(executors, lengths):
-        """Open one prompt pass's batch control (``"pruned"`` style).
-
-        ``executors`` are begun sequences whose whole sentences — of
-        ``lengths`` tokens — a non-exact backend summarizes together.
-        The prompt pass's :meth:`decode_batch_control`: the same
-        object, opened at the summarize stage
-        (:meth:`repro.core.batched_cascade.CascadeBatch.summarize`).
+        implementation.
         """
         raise NotImplementedError
 

@@ -25,11 +25,16 @@ step (``prefill_chunk_policy``) records, per step or per layer:
 * ``decode_setup`` / ``prefill_setup`` — before the first layer:
   grouping the rows by style into the step's parts and putting the
   rows into part order; in a decode step, reconciling the dense and
-  the pruned rows' stores with the batch (adopting arrivals, releasing
-  departures) and opening the pruned block's ``CascadeBatch``; in a
-  prompt step, the chunk spans, input validation, adopting the pruned
-  sentences' empty caches into the ``"pruned"`` row stores and opening
-  each block's ``CascadeBatch.summarize``; both, the embedding gather;
+  the pruned rows' stores — and the pruned rows' resident
+  ``CascadeBatch`` with them — with the batch (adopting arrivals,
+  releasing departures, whose control rows are written back) and
+  opening the pruned rows' step, one vectorized admission over the
+  resident planes (new tokens, lengths, targets); in a prompt step, the
+  chunk spans, input validation, adopting the pruned sentences' empty
+  caches into the ``"pruned"`` row stores and their control state into
+  the ``CascadeBatch`` (which opens their schedules) and opening each
+  block's prompt pass; both, the embedding gather.  The control state
+  stays resident, so no stage stores it back at the end of a step;
 * ``decode_prune_control`` / ``prefill_prune_control`` — each layer's
   entry pruning: every pruned store block's cascade decisions over its
   control planes, then eviction of the block's rows from the layer's
@@ -61,10 +66,6 @@ step (``prefill_chunk_policy``) records, per step or per layer:
   projection;
 * ``decode_ffn`` / ``prefill_ffn`` — the rest of a block: residual
   adds, LayerNorms and the tanh/gelu FFN;
-* ``decode_commit`` / ``prefill_commit`` — ``CascadeBatch.commit()``:
-  the pruned blocks' control state and trace rows stored back into the
-  executors, once per sequence (a decode step records it when it has
-  pruned rows, a prompt step whenever it has rows);
 * ``decode_lm_head`` / ``prefill_lm_head`` — the LM head: over every
   row, back in batch order, in a decode step; over the completed
   prompts' last rows, and the states' bookkeeping, in a prompt step.

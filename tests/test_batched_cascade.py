@@ -1,17 +1,21 @@
 """Batched cascade control ≡ the per-sequence pruning functions.
 
-:class:`repro.core.batched_cascade.CascadeBatch` decides for a whole
-decode batch at once over padded planes — and, opened with
-:meth:`~repro.core.batched_cascade.CascadeBatch.summarize`, for the
-whole sentences of a batch of prompts.  Every decision must be the one
+:class:`repro.core.batched_cascade.CascadeBatch` keeps the control
+state of a batch's rows resident and decides for a whole decode step at
+once over padded planes (:meth:`~repro.core.batched_cascade.CascadeBatch
+.open_decode`) — and, opened with :meth:`~repro.core.batched_cascade
+.CascadeBatch.open_prompts`, for the whole sentences of a batch of
+prompts.  Every decision must be the one
 the per-sequence reference (``prune_tokens``, ``prune_heads``,
 ``local_value_keep_indices``) makes on the same scores — with ragged
 lengths, tied scores, the protected token (the current one of a decode
 step, the last one of a prompt), targets at or above the live count,
 and padding that is never selected.  The cases are generated:
-hypothesis draws a seed, the seed draws a batch.
+hypothesis draws a seed, the seed draws a batch.  What the planes hold
+goes back to the executors at a barrier (a release, an orphaning).
 """
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,16 +79,24 @@ def _stub_executor(rng):
 
 
 def _open(seed):
+    """A decode step opened over a batch of drawn sequences: ``(rng,
+    executors, step, positions, control, twins)`` — ``twins`` deep
+    copies of the executors as they were before adoption took their
+    control state."""
     rng = np.random.default_rng(seed)
     executors = [_stub_executor(rng) for _ in range(rng.integers(1, 7))]
+    twins = copy.deepcopy(executors)
     positions = np.array([e._total_length for e in executors])
-    return rng, executors, CascadeBatch(executors, positions), positions
+    control = CascadeBatch(CONFIG)
+    control.adopt(executors)
+    step = control.open_decode(positions)
+    return rng, executors, step, positions, control, twins
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_token_and_head_decisions_match_per_sequence(seed):
-    _, executors, batch, positions = _open(seed)
+    _, _, batch, positions, _, executors = _open(seed)
     for layer_idx in range(N_LAYERS):
         before = batch.alive.copy()
         heads_before = batch.head_alive.copy()
@@ -123,7 +135,7 @@ def test_token_and_head_decisions_match_per_sequence(seed):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_value_masks_match_per_sequence(seed):
-    rng, executors, batch, _ = _open(seed)
+    rng, _, batch, _, _, executors = _open(seed)
     lengths = rng.integers(1, 30, size=len(executors))
     width = int(lengths.max())
     # Quantized probabilities tie; padding columns are exact zeros.
@@ -146,20 +158,22 @@ def test_value_masks_match_per_sequence(seed):
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_commit_stores_the_step_back(seed):
+def test_barrier_writes_the_step_back(seed):
     """What the planes decided and accumulated over a step is what the
-    executors hold afterwards."""
-    rng, executors, batch, positions = _open(seed)
+    executors hold after their barriers — an orphaning, or a release
+    that moves the last row into the vacated one."""
+    rng, executors, batch, positions, control, twins = _open(seed)
     n = len(executors)
     totals = positions + 1
-    # Opening the batch grew each accumulator to cover the new token.
-    token_scores = [e.token_acc.raw_scores for e in executors]
-    head_scores = [e.head_acc.raw_scores for e in executors]
+    token_scores = [np.zeros(CONFIG.max_seq_len) for _ in twins]
+    for scores, twin in zip(token_scores, twins):
+        scores[: len(twin.token_acc)] = twin.token_acc.raw_scores
+    head_scores = [e.head_acc.raw_scores for e in twins]
     for layer_idx in range(N_LAYERS):
         batch.prune(layer_idx)
         lengths = np.minimum(rng.integers(1, 9, size=n), totals)
         width = int(lengths.max())
-        token_ids = np.full((n, width), batch.sink)
+        token_ids = np.full((n, width), -1)
         probs = rng.random((n, N_HEADS, width))
         for j, length in enumerate(lengths):
             token_ids[j, :length] = np.sort(
@@ -175,19 +189,25 @@ def test_commit_stores_the_step_back(seed):
         batch.accumulate_heads(head_out, lengths)
         for j in range(n):
             head_scores[j] += np.abs(head_out[j]).sum(axis=(1, 2))
-    batch.commit()
+    alive, head_alive = batch.alive.copy(), batch.head_alive.copy()
+    control.orphan(int(rng.integers(n)))
+    for _ in range(n):
+        control.release(0)
+    assert not control.owners
     for j, executor in enumerate(executors):
+        assert executor._control is None
         assert executor._total_length == totals[j]
         assert executor.trace.n_generated == 1
         assert np.array_equal(
-            np.flatnonzero(executor._alive_mask),
-            np.flatnonzero(batch.alive[j]),
+            np.flatnonzero(executor._alive_mask), np.flatnonzero(alive[j])
         )
-        assert executor._n_alive == np.count_nonzero(batch.alive[j])
+        assert executor._n_alive == np.count_nonzero(alive[j])
         assert np.array_equal(
-            executor._alive_heads, np.flatnonzero(batch.head_alive[j])
+            executor._alive_heads, np.flatnonzero(head_alive[j])
         )
-        assert np.allclose(executor.token_acc.raw_scores, token_scores[j])
+        assert np.allclose(
+            executor.token_acc.raw_scores, token_scores[j][: totals[j]]
+        )
         assert np.allclose(executor.head_acc.raw_scores, head_scores[j])
         steps = executor.trace.decode_steps
         assert [step.layer for step in steps] == list(range(N_LAYERS))
@@ -214,6 +234,7 @@ def _begun_executor(rng):
         stub._original_length = stub._total_length = sentence_length
         stub._alive_mask = np.zeros(CONFIG.max_seq_len, dtype=bool)
         stub._plan = SimpleNamespace(
+            token_fracs=np.ones(N_LAYERS),
             # Non-increasing, from "keeps everything" (>= live) downward.
             token_counts=np.minimum.accumulate(
                 rng.integers(1, sentence_length + 3, size=N_LAYERS)
@@ -240,7 +261,9 @@ def test_summarize_decisions_match_per_sequence(seed):
     lengths[rng.integers(len(lengths))] = 1
     n = len(lengths)
     executors = [_begun_executor(rng) for _ in lengths]
-    batch = CascadeBatch.summarize(executors, lengths.tolist())
+    control = CascadeBatch(CONFIG)
+    control.adopt(executors, lengths.tolist())
+    batch = control.open_prompts(slice(0, n), lengths)
     assert np.array_equal(batch.n_alive, lengths)
     live = [np.arange(length) for length in lengths]
     scores = [np.zeros(length) for length in lengths]
@@ -275,7 +298,7 @@ def test_summarize_decisions_match_per_sequence(seed):
         mass = rng.integers(0, 5, size=(n, N_HEADS, width)) / 8.0
         mass *= (np.arange(width) < counts[:, None])[:, None, :]
         mask = batch.value_mask(mass, batch.n_alive)
-        labels = np.full((n, width), batch.sink)
+        labels = np.full((n, width), -1)
         head_out = rng.integers(-2, 3, size=(n, N_HEADS, width, 4)).astype(float)
         head_out *= batch.head_alive[:, :, None, None]
         for j, executor in enumerate(executors):
@@ -299,7 +322,8 @@ def test_summarize_decisions_match_per_sequence(seed):
             ))
         batch.accumulate_tokens(mass * batch.head_alive[:, :, None], labels)
         batch.accumulate_heads(head_out, batch.n_alive)
-    batch.commit()
+    for row in reversed(range(n)):
+        control.release(row)
     for j, (executor, length) in enumerate(zip(executors, lengths)):
         assert executor._total_length == executor._original_length == length
         assert executor.trace.n_generated == 0

@@ -10,16 +10,26 @@ row or ragged counts, at each row's cursor, and block evictions —
 beside a shadow list of plain private-buffer caches that take the same
 appends and evictions through the per-sequence API; after every rule each handle reports what its
 shadow holds — and a store that keeps its columns dequantized holds
-what the shadow dequantizes.  The structural guards below it pin what
-the stores are for: a steady-state decode step over dense or pruned
-rows never calls the per-sequence cache mutators, and a prompt step
-over pruned sequences never calls the per-sequence cascade, quantizer
-or cache append — its sequences are store rows from their first column.
+what the shadow dequantizes.  Each store has its resident cascade
+control beside it, a :class:`~repro.core.batched_cascade.CascadeBatch`
+whose rows move with the store's; its decode steps run against a twin
+of every sequence's executor that takes today's per-step route instead
+(control state opened from the executors, stepped, and stored back at
+the end of the step), and after every rule the resident planes — or,
+past a barrier, the executors — hold what the twins hold.  The
+structural guards below it pin what the stores are for: a steady-state
+decode step over dense or pruned rows never calls the per-sequence
+cache mutators nor loads or stores per-sequence control, and a prompt
+step over pruned sequences never calls the per-sequence cascade,
+quantizer or cache append — its sequences are store rows from their
+first column.
 """
 
 import copy
 import importlib
+import pickle
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +44,7 @@ from hypothesis.stateful import (
 )
 
 from repro.config import ModelConfig, PruningConfig
+from repro.core.batched_cascade import CascadeBatch
 from repro.core.pipeline import SpAttenExecutor
 from repro.core.quantization import quantize_rows
 from repro.nn import TransformerModel, random_model
@@ -45,10 +56,39 @@ N_HEADS, HEAD_DIM, PAGE = 2, 4, 4
 #: Positions a sequence can reach; the alive plane is one column wider
 #: (the always-dead sink that ``NO_TOKEN`` reads).
 MAX_LEN = 40
+#: The executors' model: only its shape matters to the control planes.
+CONTROL_CONFIG = ModelConfig(
+    "control-machine", n_layers=3, n_heads=N_HEADS,
+    d_model=N_HEADS * HEAD_DIM, d_ff=16, vocab_size=16,
+    max_seq_len=MAX_LEN, causal=True,
+)
+CONTROL_PRUNING = PruningConfig(
+    token_keep_final=0.4, head_keep_final=0.5, value_keep=0.75,
+)
+
+
+def _summarized_executor(rng, length):
+    """An executor as a prompt pass of ``length`` tokens leaves it, with
+    drawn few-valued scores (so ranks tie) and live sets."""
+    executor = SpAttenExecutor(CONTROL_PRUNING, numerics="fp32")
+    executor.begin_sequence(SimpleNamespace(config=CONTROL_CONFIG))
+    executor._init_schedules(length)
+    executor.token_acc.live_scores(length)[:] = rng.integers(0, 4, length)
+    executor.head_acc.live_scores()[:] = rng.integers(0, 3, N_HEADS)
+    alive = rng.random(length) < 0.7
+    alive[rng.integers(length)] = True
+    executor._alive_mask[:length] = alive
+    executor._n_alive = int(alive.sum())
+    executor._alive_heads = np.sort(rng.choice(
+        N_HEADS, size=int(rng.integers(1, N_HEADS + 1)), replace=False
+    ))
+    return executor
 
 
 class Sequence:
-    """One sequence: the cache under test and its private-buffer twin."""
+    """One sequence: the cache under test and its private-buffer twin,
+    and its executor — whose control state the store's batch control
+    holds while the cache is resident — and that executor's twin."""
 
     def __init__(self, dtype, rng, n_prompt):
         self.cache = LayerKVCache(N_HEADS, HEAD_DIM, page_tokens=PAGE,
@@ -58,6 +98,8 @@ class Sequence:
         self.next_position = 0
         for _ in range(n_prompt):
             self.append_private(rng)
+        self.executor = _summarized_executor(rng, max(n_prompt, 1))
+        self.twin = copy.deepcopy(self.executor)
 
     def column(self, rng):
         k = rng.normal(size=(N_HEADS, HEAD_DIM)).astype(np.float32)
@@ -101,6 +143,7 @@ class RowStoreMachine(RuleBasedStateMachine):
         self.stores = [
             KVRowStore(like, self.dequantized) for _ in range(2)
         ]
+        self.controls = [CascadeBatch(CONTROL_CONFIG) for _ in range(2)]
 
     @property
     def store(self):
@@ -114,10 +157,19 @@ class RowStoreMachine(RuleBasedStateMachine):
                 if cache is not None]
 
     def sweep(self, store):
-        """What the backend's reconcile does about orphaned rows."""
+        """What the backend's reconcile does about orphaned rows: a row
+        whose cache took its columns back leaves the store and the
+        control beside it, and a row whose executor alone took its
+        control state back is re-adopted in place."""
+        control = self.controls[self.stores.index(store)]
         for row in reversed(range(len(store.owners))):
             if store.owners[row] is None:
                 store.release(row, keep_columns=True)
+                control.release(row)
+        by_cache = {id(seq.cache): seq for seq in self.sequences}
+        for row, cache in enumerate(store.owners):
+            if control.owners[row] is None:
+                control.readopt(row, by_cache[id(cache)].executor)
 
     # ------------------------------------------------------------------
     @initialize(seed=st.integers(0, 2**16))
@@ -138,8 +190,10 @@ class RowStoreMachine(RuleBasedStateMachine):
         arrivals = [Sequence(self.dtype, self.rng, n) for n in n_prompts]
         self.sequences += arrivals
         self.stores[which].adopt([seq.cache for seq in arrivals])
+        self.controls[which].adopt([seq.executor for seq in arrivals])
         for seq in arrivals:
             assert "_keys" not in vars(seq.cache), "private buffers kept"
+            assert "token_acc" not in vars(seq.executor), "control kept"
 
     @precondition(lambda self: self.store.owners)
     @rule(data=st.data(), decode=st.booleans())
@@ -232,10 +286,12 @@ class RowStoreMachine(RuleBasedStateMachine):
         row = data.draw(st.integers(0, len(residents) - 1))
         seq = residents[row]
         self.store.release(row, keep_columns)
-        assert seq.cache._store is None
+        self.controls[0].release(row)
+        assert seq.cache._store is None and seq.executor._control is None
         if not keep_columns:  # nobody reads it again: drop the twin too
             assert len(seq.cache) == 0
             assert seq.cache.evicted_tokens == seq.shadow.evicted_tokens
+            self.assert_control_equal(seq.executor, seq.twin)
             self.sequences.remove(seq)
 
     @precondition(lambda self: self.sequences)
@@ -256,6 +312,70 @@ class RowStoreMachine(RuleBasedStateMachine):
         else:
             getattr(seq.cache, accessor)
         assert seq.cache._store is None
+
+    @precondition(lambda self: self.sequences)
+    @rule(data=st.data())
+    def control_barrier(self, data):
+        """A reader of an executor's control state — an attribute, its
+        trace, a deep copy, a pickle — writes its row back first."""
+        seq = data.draw(st.sampled_from(self.sequences))
+        reader = data.draw(st.sampled_from(
+            ["_alive_heads", "trace.steps", "deepcopy", "pickle"]
+        ))
+        if reader == "deepcopy":
+            clone = copy.deepcopy(seq.executor)
+        elif reader == "pickle":
+            clone = pickle.loads(pickle.dumps(seq.executor))
+        else:
+            for name in reader.split("."):
+                getattr(seq.executor if name != "steps" else
+                        seq.executor.trace, name)
+            clone = seq.executor
+        assert seq.executor._control is None and clone._control is None
+        self.assert_control_equal(clone, seq.twin)
+
+    @precondition(lambda self: self.store.owners)
+    @rule(data=st.data())
+    def decode_control(self, data):
+        """A decode step of the store's resident control over all its
+        rows — admission, then each layer's pruning, value selection and
+        importance accumulation on drawn masses — and the same step on
+        the twins through today's route: their control state opened into
+        a batch of their own and stored back at the end."""
+        self.sweep(self.store)
+        residents = self.resident()
+        control = self.controls[0]
+        if not residents or control.total[: len(residents)].max() >= MAX_LEN:
+            return
+        positions = control.total[: len(residents)].copy()
+        step = control.open_decode(positions)
+        per_step = CascadeBatch(CONTROL_CONFIG)
+        per_step.adopt([seq.twin for seq in residents])
+        twin_step = per_step.open_decode(positions)
+        n = len(residents)
+        for layer_idx in range(CONTROL_CONFIG.n_layers):
+            step.prune(layer_idx)
+            twin_step.prune(layer_idx)
+            assert np.array_equal(step.alive, twin_step.alive)
+            assert np.array_equal(step.head_alive, twin_step.head_alive)
+            lengths = step.n_alive.copy()
+            width = int(lengths.max())
+            labels = np.full((n, width), NO_TOKEN)
+            for j in range(n):
+                labels[j, : lengths[j]] = np.flatnonzero(step.alive[j])
+            real = np.arange(width) < lengths[:, None]
+            probs = self.rng.integers(0, 4, (n, N_HEADS, width)) / 8.0
+            probs *= real[:, None, :]
+            head_out = self.rng.integers(-2, 3, (n, N_HEADS, 1, HEAD_DIM))
+            head_out = head_out * step.head_alive[:, :, None, None]
+            for target in (step, twin_step):
+                target.value_mask(probs, lengths)
+                target.accumulate_tokens(
+                    probs * target.head_alive[:, :, None], labels
+                )
+                target.accumulate_heads(head_out, lengths)
+        for row in reversed(range(n)):
+            per_step.release(row)
 
     @precondition(lambda self: self.sequences)
     @rule(data=st.data())
@@ -283,11 +403,13 @@ class RowStoreMachine(RuleBasedStateMachine):
         aliased; a private cache is simply adopted."""
         seq = data.draw(st.sampled_from(self.sequences))
         target = self.stores[which]
+        self.sweep(target)
         if seq.cache._store is target:
             return
-        self.sweep(target)
         target.adopt([seq.cache])
+        self.controls[which].adopt([seq.executor])
         assert seq.cache._store is target
+        assert seq.executor._control is self.controls[which]
 
     # ------------------------------------------------------------------
     def columns_of(self, seq):
@@ -303,6 +425,57 @@ class RowStoreMachine(RuleBasedStateMachine):
         live = labels != NO_TOKEN
         planes = [p[row, :, :cursor][:, live] for p in store.planes]
         return planes, labels[live]
+
+    @staticmethod
+    def assert_control_equal(executor, twin):
+        """An executor holding its own control state holds its twin's."""
+        total = twin._total_length
+        assert executor._total_length == total
+        assert executor._n_alive == twin._n_alive
+        assert np.array_equal(executor._alive_mask, twin._alive_mask)
+        assert np.array_equal(executor._alive_heads, twin._alive_heads)
+        assert np.array_equal(
+            executor.token_acc.live_scores(total),
+            twin.token_acc.live_scores(total),
+        )
+        assert np.array_equal(
+            executor.head_acc.raw_scores, twin.head_acc.raw_scores
+        )
+        assert executor.trace.n_generated == twin.trace.n_generated
+        assert (executor.trace.count_signature()
+                == twin.trace.count_signature())
+
+    @invariant()
+    def resident_control_matches_the_twins(self):
+        """A resident row's planes hold what its twin holds after
+        today's per-step open and store-back; an executor past a barrier
+        holds it itself."""
+        for seq in self.sequences:
+            executor, twin = seq.executor, seq.twin
+            control = executor._control
+            if control is None:
+                self.assert_control_equal(executor, twin)
+                continue
+            row, total = executor._control_row, twin._total_length
+            assert control.owners[row] is executor
+            assert control.total[row] == total
+            assert control.n_alive[row] == twin._n_alive
+            assert np.array_equal(
+                control.alive[row, :-1], twin._alive_mask
+            )
+            assert not control.alive[row, -1], "the sink is alive"
+            assert np.array_equal(
+                np.flatnonzero(control.head_alive[row]), twin._alive_heads
+            )
+            assert control.n_heads_alive[row] == len(twin._alive_heads)
+            assert executor.n_live_heads == len(twin._alive_heads)
+            assert np.array_equal(
+                control.scores[row, :total], twin.token_acc.live_scores(total)
+            )
+            assert not control.scores[row, total:].any()
+            assert np.array_equal(
+                control.head_scores[row], twin.head_acc.raw_scores
+            )
 
     @staticmethod
     def assert_equal(cache, shadow):
@@ -334,12 +507,21 @@ class RowStoreMachine(RuleBasedStateMachine):
     @invariant()
     def rows_are_dense_and_owned_once(self):
         seen = set()
-        for store in self.stores:
+        for store, control in zip(self.stores, self.controls):
             n = len(store.owners)
+            assert len(control.owners) == n, "control rows out of step"
             assert n <= store.labels.shape[0]
-            for row, cache in enumerate(store.owners):
+            by_cache = {id(seq.cache): seq for seq in self.sequences}
+            for row, (cache, executor) in enumerate(
+                zip(store.owners, control.owners)
+            ):
+                if executor is not None:
+                    assert executor._control is control
+                    assert executor._control_row == row
                 if cache is None:
                     continue
+                if executor is not None:
+                    assert by_cache[id(cache)].executor is executor
                 assert cache._store is store and cache._row == row
                 assert id(cache) not in seen, "two rows alias one cache"
                 seen.add(id(cache))
@@ -363,6 +545,7 @@ class RowStoreMachine(RuleBasedStateMachine):
         public accessors equal to its shadow."""
         for seq in self.sequences:
             self.assert_equal(seq.cache, seq.shadow)
+            self.assert_control_equal(seq.executor, seq.twin)
 
 
 class Int8RowStoreMachine(RowStoreMachine):
@@ -473,6 +656,157 @@ def test_steady_state_decode_never_calls_the_per_row_cache_api(
             executor.decode_kv_cache(layer)._store is stores[layer]
             for layer in range(config.n_layers)
         )
+
+
+CONTROL_CALLS = (
+    ("repro.core.importance", "TokenImportanceAccumulator.live_scores"),
+    ("repro.core.importance", "HeadImportanceAccumulator.live_scores"),
+    ("repro.core.trace", "AttentionTrace.add_batched"),
+)
+
+
+@pytest.mark.parametrize("tier", ["fp32", "int8"])
+def test_steady_state_decode_never_loads_or_commits_per_sequence_control(
+    tier, monkeypatch
+):
+    """With membership unchanged, a decode step over pruned rows opens
+    on their resident control planes and stores nothing back: no
+    accumulator is read or written and no trace takes a row — until a
+    barrier, where each trace takes every step it missed."""
+    config = ModelConfig(
+        "store-guard", n_layers=3, n_heads=4, d_model=32, d_ff=64,
+        vocab_size=96, max_seq_len=160, causal=True,
+    )
+    model = TransformerModel(config, random_model(config, seed=33))
+    rng = np.random.default_rng(5)
+    lengths = [44, 37, 30, 21, 12, 26]
+    executors = []
+    for length in lengths:
+        executor = SpAttenExecutor(PRUNING, numerics=tier)
+        model.prefill(
+            rng.integers(0, config.vocab_size, size=length).tolist(),
+            executor,
+        )
+        executors.append(executor)
+    backend = PackedDecodeBackend(model, numerics=tier)
+    tokens, positions = [1] * len(lengths), list(lengths)
+    n_steps = 12
+
+    def step():
+        nonlocal tokens, positions
+        logits = model.decode_step_batch(
+            tokens, positions, executors, backend=backend
+        )
+        tokens = [int(np.argmax(row)) for row in logits]
+        positions = [p + 1 for p in positions]
+
+    step()  # the arrivals' step: every row is adopted here
+    calls = {qualname: 0 for _, qualname in CONTROL_CALLS}
+    for module_name, qualname in CONTROL_CALLS:
+        _count_calls(monkeypatch, calls, module_name, qualname)
+    heads = [executor.n_live_heads for executor in executors]
+    for _ in range(n_steps):
+        step()
+    assert calls == dict.fromkeys(calls, 0)
+    assert [executor.n_live_heads for executor in executors] == heads
+    assert min(heads) < config.n_heads
+    for executor in executors:
+        assert executor._control is backend._control
+        # A read of a control attribute is the barrier.
+        assert executor.trace.n_generated == n_steps + 1
+        assert executor._control is None
+        assert len(executor.trace.decode_steps) == (
+            (n_steps + 1) * config.n_layers
+        )
+    assert calls["AttentionTrace.add_batched"] == (
+        (n_steps + 1) * len(executors)
+    )
+
+
+def _read(executor, reader):
+    """One barrier on ``executor``'s control state: what it returns is
+    an executor holding that state."""
+    if reader == "deepcopy":
+        return copy.deepcopy(executor)
+    if reader == "pickle":
+        return pickle.loads(pickle.dumps(executor))
+    if reader == "trace.steps":
+        executor.trace.steps
+    else:
+        getattr(executor, reader)
+    return executor
+
+
+@pytest.mark.parametrize("reader", [
+    "deepcopy", "pickle", "trace.steps", "_alive_heads",
+])
+@pytest.mark.parametrize("tier", ["fp32", "int8"])
+def test_barriers_mid_run_leave_the_streams_unchanged(tier, reader):
+    """Reading a resident executor's control state mid-run writes it
+    back and the next step re-adopts the row: the run's logits, KV
+    lengths and traces are a clean run's."""
+    config = ModelConfig(
+        "store-guard", n_layers=3, n_heads=4, d_model=32, d_ff=64,
+        vocab_size=96, max_seq_len=160, causal=True,
+    )
+    model = TransformerModel(config, random_model(config, seed=33))
+    prompts = [
+        np.random.default_rng(7 + i).integers(0, 96, size=n).tolist()
+        for i, n in enumerate((40, 29, 52, 17, 33))
+    ]
+
+    def run(read_at):
+        backend = PackedDecodeBackend(model, numerics=tier)
+        states = [
+            model.prefill_begin(
+                prompt, SpAttenExecutor(PRUNING, numerics=tier)
+            )
+            for prompt in prompts
+        ]
+        model.prefill_chunk_batch(states, config.max_seq_len, backend=backend)
+        executors = [state.executor for state in states]
+        tokens = [int(np.argmax(state.logits)) for state in states]
+        positions = [len(prompt) for prompt in prompts]
+        stream, copies = [], []
+        for step in range(14):
+            if step in read_at:
+                executor = executors[step % len(executors)]
+                assert executor._control is backend._control
+                copies.append(_read(executor, reader))
+                assert executor._control is None
+            logits = model.decode_step_batch(
+                tokens, positions, executors, backend=backend
+            )
+            if step in read_at:  # the next step re-adopted the row
+                assert executor._control is backend._control
+            stream.append((logits, [e.kv_lengths() for e in executors]))
+            tokens = [int(np.argmax(row)) for row in logits]
+            positions = [p + 1 for p in positions]
+        traces = [e.trace.count_signature() for e in executors]
+        return stream, traces, copies
+
+    clean, clean_traces, _ = run(())
+    read, read_traces, copies = run((3, 9))
+    copied = reader in ("deepcopy", "pickle")
+    for (want, want_kv), (got, got_kv) in zip(clean, read):
+        assert got_kv == want_kv
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+        if copied:
+            # A copy takes the K/V columns home too (the caches' own
+            # barrier); re-adopted compacted, the row regroups its
+            # reductions, so the logits move in the last bits only.
+            assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+        else:
+            assert np.array_equal(got, want)
+    assert read_traces == clean_traces
+    if copied:
+        # A copy holds the state of the step it was taken at.
+        for step, clone in zip((3, 9), copies):
+            signature = clean_traces[step % len(prompts)]
+            n_layers = config.n_layers * (1 + step)  # the prompt, steps
+            assert clone.trace.count_signature() == signature[:n_layers]
+            assert clone.trace.n_generated == step
+            assert clone._control is None
 
 
 # ----------------------------------------------------------------------
