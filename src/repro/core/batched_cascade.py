@@ -14,18 +14,20 @@ a handful of array operations over a block of rows instead of one
 Python core per sequence, and a step neither loads per-sequence state
 nor stores it back.
 
-Residency follows the K/V rows'.  Whatever adopts a sequence's store
-rows adopts its control row (:meth:`CascadeBatch.adopt`): the prompt
-pass, which opens the sentence's schedule, or the first decode step of
-a sequence prefilled elsewhere.  The backend's reconcile and release
-move control rows together with the K/V rows
-(:meth:`CascadeBatch.release`, the last row filling a vacated one).
-Adoption *deletes* the executor's control attributes and keeps them
-here, so any read of one lands in the executor's ``__getattr__`` and is
-a barrier (:meth:`CascadeBatch.orphan`) that writes the planes back
-first — the :class:`~repro.nn.kv_cache.LayerKVCache` pattern.  The
-other barriers are release (retire, preempt, drain, quarantine), the
-backend's ``reset`` and deep copies or pickles.  A steady step opens
+Residency is the K/V rows': the pruned rows' one
+:class:`~repro.nn.kv_cache.RowTable` says which sequence fills each row
+of every layer's store and of the control planes, and adopts, moves and
+releases all of them as one row — at the prompt pass, which opens the
+sentence's schedule first, or the first decode step of a sequence
+prefilled elsewhere.  Adoption *deletes* the executor's control
+attributes (it keeps them aside, under ``_held``), so any read of one
+lands in the executor's ``__getattr__`` and is a barrier that writes
+the planes back first (:meth:`CascadeBatch.hand_back`) — the
+:class:`~repro.nn.kv_cache.LayerKVCache` pattern; the row stays, and the
+next step takes the control state back in place.  Release (retire,
+preempt, drain, quarantine) and the backend's ``reset`` write it back
+too; a deep copy or a pickle takes a written-back copy and leaves the
+row as it is (:meth:`CascadeBatch.write_back`).  A steady step opens
 with one vectorized admission over the resident rows and commits
 nothing:
 
@@ -63,7 +65,7 @@ barrier (:meth:`~repro.core.trace.AttentionTrace.add_batched`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -84,19 +86,19 @@ CONTROL_ATTRIBUTES = (
 _PLANES = (
     "scores", "alive", "head_scores", "head_alive", "n_alive",
     "n_heads_alive", "total", "min_tokens", "token_fracs", "head_counts",
-    "value_keep", "log_from",
+    "value_keep", "log_from", "ident",
 )
 
 
 class CascadeBatch:
     """Resident cascade control planes of a backend's pruned rows.
 
-    Rows ``[0, n)`` are in use — ``n = len(owners)`` — in the order of
-    the ``"pruned"`` row stores.  ``owners[j]`` is the executor whose
-    control row ``j`` holds, or ``None`` once a barrier wrote it back
-    (:meth:`orphan`), which the backend answers by re-adopting the row
-    in place at its next step (:meth:`readopt`) — or by releasing it
-    with its K/V rows, if the sequence left.
+    One member of the ``"pruned"`` rows'
+    :class:`~repro.nn.kv_cache.RowTable`: row ``j`` holds the control
+    state of the sequence whose K/V fill row ``j`` of every layer's
+    store, and the table adopts, moves and releases it with them
+    through the row primitives below.  ``ident`` names each adoption,
+    so the block-level log can tell whose share a row of an entry is.
 
     Attributes:
         scores: ``[S, P + 1]`` cumulative token importance by original
@@ -134,90 +136,58 @@ class CascadeBatch:
             setattr(self, name, np.zeros(
                 (0,) + shapes.get(name, ()), dtype=dtypes.get(name, np.int64)
             ))
-        self.owners: List = []
-        #: Each owner's control attributes, kept here while it is
-        #: resident (``None`` for an orphaned row).
-        self._held: List[Optional[dict]] = []
-        #: The block-level log: ``(stage, counts, rows_of, start)`` per
-        #: step and block — ``counts`` ``[n_layers, 3, n]`` the work
-        #: shapes of rows ``[start, start + n)``, ``rows_of`` the rows'
-        #: owners then (``id(owner) -> row``).  Entry ``i`` of the list
-        #: is entry ``_log_base + i`` of the run.
+        #: The block-level log: ``(stage, counts, idents)`` per step and
+        #: block — ``counts`` ``[n_layers, 3, n]`` the work shapes of
+        #: its rows, ``idents`` the rows' ``ident`` then.  Entry ``i``
+        #: of the list is entry ``_log_base + i`` of the run.
         self._log: List[tuple] = []
         self._log_base = 0
-        self._rows_of: Optional[Dict[int, int]] = None
+        self._next_ident = 0
 
     # ------------------------------------------------------------------
-    # Membership: adoption, barriers, release
+    # Row primitives, driven by the pruned rows' RowTable
     # ------------------------------------------------------------------
-    def _reserve(self, n_rows: int) -> None:
-        rows = len(self.total)
-        if n_rows <= rows:
-            return
-        # Rows grow as the stores' do: to what is asked for or by an
-        # eighth.
-        rows = max(n_rows, rows + rows // 8)
-        n = len(self.owners)
-        for name in _PLANES:
-            old = getattr(self, name)
-            new = np.zeros((rows,) + old.shape[1:], old.dtype)
-            new[:n] = old[:n]
-            setattr(self, name, new)
-
-    def adopt(
-        self, executors: Sequence, prompt_lengths: Optional[Sequence] = None
-    ) -> None:
-        """Take each executor's control state into a new last row.
-
-        With ``prompt_lengths`` the executors are begun sequences whose
-        prompt pass opens here: each one's schedule is built for its
-        sentence first.  Otherwise they were prefilled, and a sequence
-        resident in another batch is written back from there first.
-        """
-        if prompt_lengths is not None:
-            for executor, length in zip(executors, prompt_lengths):
-                executor._init_schedules(length)
-        for executor in executors:
+    def fill_rows(self, start: int, executors: Sequence, n_rows: int) -> None:
+        """Take each executor's control state into rows ``start, start
+        + 1, ...`` of ``n_rows`` rows — new ones, or one whose executor
+        alone went home."""
+        if n_rows > len(self.total):
+            for name in _PLANES:
+                old = getattr(self, name)
+                new = np.zeros((n_rows,) + old.shape[1:], old.dtype)
+                new[: len(old)] = old
+                setattr(self, name, new)
+        for row, executor in enumerate(executors, start):
             if executor._original_length is None:
                 raise RuntimeError(
                     "decode before summarize; call encode/generate"
                 )
-        self._reserve(len(self.owners) + len(executors))
-        for executor in executors:
-            self.owners.append(None)
-            self._held.append(None)
-            self.readopt(len(self.owners) - 1, executor)
+            total = executor._total_length
+            self.scores[row] = 0.0
+            self.scores[row, :total] = executor.token_acc.live_scores(total)
+            self.head_scores[row] = executor.head_acc.live_scores()
+            self.alive[row] = False
+            self.alive[row, :total] = executor._alive_mask[:total]
+            self.head_alive[row] = False
+            self.head_alive[row, executor._alive_heads] = True
+            self.n_alive[row] = executor._n_alive
+            self.n_heads_alive[row] = len(executor._alive_heads)
+            self.total[row] = total
+            self.min_tokens[row] = executor.pruning.min_tokens
+            self.token_fracs[row] = executor._plan.token_fracs
+            self.head_counts[row] = np.maximum(executor._plan.head_counts, 1)
+            self.value_keep[row] = executor.pruning.value_keep
+            self.log_from[row] = self._log_base + len(self._log)
+            self.ident[row] = self._next_ident
+            self._next_ident += 1
+            vars(executor)["_held"] = {
+                name: vars(executor).pop(name) for name in CONTROL_ATTRIBUTES
+            }
+            executor._control = self
 
-    def readopt(self, row: int, executor) -> None:
-        """Take ``executor``'s control state into row ``row`` — a new
-        one, or one a barrier orphaned whose K/V rows stayed put."""
-        # Reading a control attribute brings it home from any batch.
-        total = executor._total_length
-        self.scores[row] = 0.0
-        self.scores[row, :total] = executor.token_acc.live_scores(total)
-        self.head_scores[row] = executor.head_acc.live_scores()
-        self.alive[row] = False
-        self.alive[row, :total] = executor._alive_mask[:total]
-        self.head_alive[row] = False
-        self.head_alive[row, executor._alive_heads] = True
-        self.n_alive[row] = executor._n_alive
-        self.n_heads_alive[row] = len(executor._alive_heads)
-        self.total[row] = total
-        self.min_tokens[row] = executor.pruning.min_tokens
-        self.token_fracs[row] = executor._plan.token_fracs
-        self.head_counts[row] = np.maximum(executor._plan.head_counts, 1)
-        self.value_keep[row] = executor.pruning.value_keep
-        self.log_from[row] = self._log_base + len(self._log)
-        self.owners[row] = executor
-        self._held[row] = {
-            name: vars(executor).pop(name) for name in CONTROL_ATTRIBUTES
-        }
-        executor._control, executor._control_row = self, row
-        self._rows_of = None
-
-    def _hand_back(self, row: int) -> None:
-        """Write row ``row``'s planes and log share back to its owner."""
-        executor, held = self.owners[row], self._held[row]
+    def write_back(self, row: int, held: dict) -> None:
+        """Write row ``row``'s planes and log share into ``held``, an
+        executor's control attributes."""
         total = int(self.total[row])
         held["token_acc"].live_scores(total)[:] = self.scores[row, :total]
         held["head_acc"].live_scores()[:] = self.head_scores[row]
@@ -225,45 +195,33 @@ class CascadeBatch:
         held["_n_alive"] = int(self.n_alive[row])
         held["_total_length"] = total
         held["_alive_heads"] = np.flatnonzero(self.head_alive[row])
-        trace, key = held["trace"], id(executor)
-        for stage, counts, rows_of, start in self._log[
+        trace, ident = held["trace"], int(self.ident[row])
+        for stage, counts, idents in self._log[
             int(self.log_from[row]) - self._log_base:
         ]:
-            column = rows_of.get(key, -1) - start
-            if 0 <= column < counts.shape[2]:
+            if ident in idents:
                 trace.n_generated += int(stage == "decode")
-                trace.add_batched(stage, counts, column)
+                trace.add_batched(stage, counts, idents.index(ident))
+
+    def hand_back(self, row: int, executor) -> None:
+        """Row ``row``'s executor takes its control state back."""
+        held = vars(executor).pop("_held")
+        self.write_back(row, held)
         vars(executor).update(held)
         executor._control = None
 
-    def orphan(self, row: int) -> None:
-        """Row ``row``'s executor takes its control state back (its
-        barrier).  The row stays where it is, ownerless, for the backend
-        to re-adopt or release with its K/V rows."""
-        self._hand_back(row)
-        self.owners[row] = self._held[row] = None
-        self._rows_of = None
+    #: A departing executor takes its control state back all the same:
+    #: its trace keeps its share of the log.
+    drop = hand_back
 
-    def release(self, row: int) -> None:
-        """Vacate row ``row``, writing it back to its executor if it has
-        one; the last row moves into its place."""
-        if self.owners[row] is not None:
-            self._hand_back(row)
-        last = len(self.owners) - 1
-        if row != last:
-            for name in _PLANES:
-                plane = getattr(self, name)
-                plane[row] = plane[last]
-            moved = self.owners[row] = self.owners[last]
-            self._held[row] = self._held[last]
-            if moved is not None:
-                moved._control_row = row
-        self.owners.pop()
-        self._held.pop()
-        self._rows_of = None
-        # Entries every remaining row joined after are nobody's share.
+    def move_row(self, src: int, dst: int) -> None:
+        """The last row in use, ``src``, fills row ``dst``; log entries
+        every remaining row joined after are nobody's share."""
+        for name in _PLANES:
+            plane = getattr(self, name)
+            plane[dst] = plane[src]
         end = self._log_base + len(self._log)
-        first = int(self.log_from[:last].min(initial=end))
+        first = int(self.log_from[:src].min(initial=end))
         del self._log[: first - self._log_base]
         self._log_base = first
 
@@ -275,7 +233,7 @@ class CascadeBatch:
         admission — row ``j``'s new token (``positions[j]``) joins its
         live set and its total length grows by one — as one vectorized
         update.  The live-set budget tracks the new total length."""
-        n = len(self.owners)
+        n = len(positions)
         self.alive[np.arange(n), positions] = True
         self.n_alive[:n] += 1
         total = self.total[:n]
@@ -285,9 +243,11 @@ class CascadeBatch:
         )
         return CascadeStep(self, slice(0, n), "decode", positions, targets)
 
-    def open_prompts(self, rows: slice, lengths: np.ndarray) -> "CascadeStep":
-        """Open the prompt pass of the rows ``rows`` (adopted with these
-        ``prompt_lengths``): row ``j``'s whole sentence of
+    def open_prompts(
+        self, rows: slice, lengths: np.ndarray, executors: Sequence
+    ) -> "CascadeStep":
+        """Open the prompt pass of the rows ``rows``, adopted from
+        ``executors`` with their schedules opened: row ``j``'s whole sentence of
         ``lengths[j]`` tokens is admitted, each layer's targets are the
         plan's summarize keep counts, and the last prompt token — whose
         row the next-token logits are read from — is the protected
@@ -297,16 +257,12 @@ class CascadeBatch:
         positions = np.arange(self.alive.shape[1] - 1)
         self.alive[rows, :-1] = positions < lengths[:, None]
         targets = np.array(
-            [executor._plan.token_counts for executor in self.owners[rows]]
+            [executor._plan.token_counts for executor in executors]
         )
         return CascadeStep(self, rows, "summarize", lengths - 1, targets)
 
-    def _log_step(self, stage: str, counts: np.ndarray, start: int) -> None:
-        if self._rows_of is None:
-            self._rows_of = {
-                id(owner): row for row, owner in enumerate(self.owners)
-            }
-        self._log.append((stage, counts, self._rows_of, start))
+    def _log_step(self, stage: str, counts: np.ndarray, rows: slice) -> None:
+        self._log.append((stage, counts, self.ident[rows].tolist()))
 
 
 class CascadeStep:
@@ -351,7 +307,7 @@ class CascadeStep:
         self._counts = np.empty(
             (control.n_layers, 3, len(self.n_alive)), dtype=np.int64
         )
-        control._log_step(stage, self._counts, rows.start)
+        control._log_step(stage, self._counts, rows)
 
     @property
     def any_head_dead(self) -> bool:

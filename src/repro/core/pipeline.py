@@ -21,6 +21,7 @@ count fields are guaranteed (and tested) to match the analytic
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -91,10 +92,11 @@ class SpAttenExecutor(AttentionExecutor):
         self._original_length: Optional[int] = None
         self._total_length = 0
         #: The packed backend's :class:`CascadeBatch` holding this
-        #: sequence's control state (row ``_control_row``), or ``None``
-        #: while the control attributes are the executor's own.
+        #: sequence's control state, or ``None`` while the control
+        #: attributes are the executor's own; the row is the sequence's
+        #: :class:`~repro.nn.kv_cache.RowSeat`'s.
         self._control: Optional[CascadeBatch] = None
-        self._control_row = -1
+        self._seat = None
 
     def __getattr__(self, name: str):
         # Reached only for an attribute that is missing: a control
@@ -103,22 +105,29 @@ class SpAttenExecutor(AttentionExecutor):
         # the barrier that writes the planes back first.
         control = vars(self).get("_control")
         if control is not None and name in CONTROL_ATTRIBUTES:
-            control.orphan(self._control_row)
+            self._seat.table.orphan(self._seat, control)
             return getattr(self, name)
         raise AttributeError(name)
 
     def __getstate__(self) -> dict:
-        # Deep copies and pickles hold their own control state.
+        # Deep copies and pickles hold their own control state and no
+        # row: a resident executor's is written into copies of its held
+        # attributes — which share, as the copy will, what the executor
+        # holds itself — and the row stays put.
+        state = dict(vars(self), _seat=None, _control=None)
         if self._control is not None:
-            self._control.orphan(self._control_row)
-        return self.__dict__
+            held = state.pop("_held")
+            shared = {id(value): value for value in state.values()}
+            state.update(copy.deepcopy(held, shared))
+            self._control.write_back(self._seat.row, state)
+        return state
 
     # ------------------------------------------------------------------
     # Sequence lifecycle
     # ------------------------------------------------------------------
     def begin_sequence(self, model: TransformerModel) -> None:
         if self._control is not None:
-            self._control.orphan(self._control_row)
+            self._seat.table.orphan(self._seat, self._control)
         cfg = model.config
         self._model_config = cfg
         self.token_acc = TokenImportanceAccumulator()
@@ -190,7 +199,7 @@ class SpAttenExecutor(AttentionExecutor):
         resident plane while the control state is a batch's, with no
         barrier)."""
         if self._control is not None:
-            return int(self._control.n_heads_alive[self._control_row])
+            return int(self._control.n_heads_alive[self._seat.row])
         return len(self._alive_heads) if self._alive_heads is not None else 0
 
     @property
@@ -544,15 +553,16 @@ class SpAttenExecutor(AttentionExecutor):
           importance scores, lengths, schedule tables) is plain
           per-sequence arrays, so the backend keeps it *resident* in
           the planes of one :class:`CascadeBatch`
-          (:meth:`batch_control`), a row beside each of its per-layer
-          row stores' K/V rows, from the prompt pass on — and runs
+          (:meth:`batch_control`), from the prompt pass on — and runs
           pruning decisions, eviction, attention, local value pruning
-          and importance accumulation for every such row at once.  The
-          caches are handles on their store rows
-          (:mod:`repro.nn.kv_cache`) and the executor is a handle on its
-          control row: adoption deletes its control attributes, and
-          reading one (or a deep copy, a pickle, a release) writes the
-          planes back first; :attr:`n_live_heads` reads the plane.
+          and importance accumulation for every such row at once.  One
+          :class:`~repro.nn.kv_cache.RowTable` holds the sequence's K/V
+          rows in every layer's store and its control row as one row,
+          and its caches and the executor are handles on it: adoption
+          deletes the control attributes, and reading one writes the
+          planes back first (a release too); a deep copy or a pickle
+          takes a written-back snapshot and leaves the row resident;
+          :attr:`n_live_heads` reads the plane.
         * ``"custom"`` — the exact tier, where
           :meth:`decode_attend_packed` is the bit-identity oracle, and
           progressive-quantization rows on any tier, whose LSB refetch

@@ -55,12 +55,13 @@ token), softmax, local value pruning ranked on each column's
 probability mass, A·V and importance accumulation.  A block of pruned
 rows carries a step of the backend's resident batch control,
 :class:`~repro.core.batched_cascade.CascadeBatch`, whose planes hold
-every pruned row's cascade state beside its store rows, in the same
-order: adopted with the rows (at the prompt pass, or the first decode
-step of a sequence prefilled elsewhere), moved and released with them,
-opened per decode step or prompt block with one vectorized admission,
-and written back to an executor only at a barrier — never at the end of
-a step.  Its entry pruning is ranked masks over those planes plus
+every pruned row's cascade state: one more member of the pruned rows'
+:class:`~repro.nn.kv_cache.RowTable`, so row ``j`` of it and of every
+layer's store is one sequence, adopted (at the prompt pass, or the
+first decode step of a sequence prefilled elsewhere), moved and
+released as one row, opened per decode step or prompt block with one
+vectorized admission, and written back to an executor only at a
+barrier — never at the end of a step.  Its entry pruning is ranked masks over those planes plus
 :meth:`~repro.nn.kv_cache.KVRowStore.evict` over the block's rows; a
 dense block has none and bypasses those stages, as a dense run bypasses
 the accelerator's top-k engines and zero eliminators.
@@ -126,14 +127,15 @@ budget, which unlocks the padded planes the exact tier never builds:
 
 * projections are plain 2-D GEMMs (one call, not ``B`` GEMVs);
 * the K/V of every row a store block runs *are* batch-resident: one
-  :class:`~repro.nn.kv_cache.KVRowStore` per layer and style
-  (``"dense"``, ``"pruned"``) holds its rows' columns at the storage
-  dtype — ``[S, h, cap, D]`` planes in one row order across layers —
-  and each :class:`~repro.nn.kv_cache.LayerKVCache` is a handle on its
-  row.  A dense sequence is adopted on its first decode step (one copy
-  per layer, its private buffers freed) and lives there until it
-  retires; :meth:`PackedDecodeBackend.decode_step_policy` reconciles
-  the stores' rows with the step's batch once, before the first layer;
+  :class:`~repro.nn.kv_cache.KVRowStore` per layer holds its rows'
+  columns at the storage dtype — ``[S, h, cap, D]`` planes — and one
+  :class:`~repro.nn.kv_cache.RowTable` per style (``"dense"``,
+  ``"pruned"``) says which sequence fills each row of every layer's
+  store, so each :class:`~repro.nn.kv_cache.LayerKVCache` is a handle
+  on its row.  A dense sequence is adopted on its first decode step
+  (one copy per layer, its private buffers freed) and lives there until
+  it retires; :meth:`PackedDecodeBackend.decode_step_policy` has each
+  table hold the step's rows once, before the first layer;
 * a block's new columns are one indexed store per plane
   (:meth:`~repro.nn.kv_cache.KVRowStore.write_block`), and the score
   and A·V stages run as *one* batched gufunc matmul each over the
@@ -159,20 +161,21 @@ budget, which unlocks the padded planes the exact tier never builds:
   dead columns where they sit, with a row compacted only once a page
   of them has built up;
 * the pruned rows' cascade control is batch-resident too, in one
-  :class:`~repro.core.batched_cascade.CascadeBatch` whose planes follow
-  the ``"pruned"`` stores' rows, so a steady decode step loads no
+  :class:`~repro.core.batched_cascade.CascadeBatch`, a member of the
+  ``"pruned"`` table beside the stores, so a steady decode step loads no
   per-sequence control state and commits none.
 """
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .attention import split_heads
 from .functional import GELU_C, softmax_inplace
-from .kv_cache import NO_TOKEN, KVRowStore, ragged_arange
+from .kv_cache import NO_TOKEN, KVRowStore, RowTable, ragged_arange
 from .numerics import NumericsMismatchError, resolve_numerics
 from .transformer import AttentionExecutor, PrefillState, TransformerModel
 
@@ -449,9 +452,10 @@ class PackedDecodeBackend:
     call.  The backend holds the fused per-layer projection weights and
     reusable scratch tensors (scores, merged heads, FFN planes), which
     grow with the live batch instead of being rebuilt every step — and,
-    off the exact tier, the K/V of the ``"dense"`` and ``"pruned"`` rows
-    themselves (one :class:`~repro.nn.kv_cache.KVRowStore` per layer and
-    style; see :meth:`release` and :meth:`reset`).
+    off the exact tier, the ``"dense"`` and ``"pruned"`` rows themselves
+    (one :class:`~repro.nn.kv_cache.RowTable` per style over one
+    :class:`~repro.nn.kv_cache.KVRowStore` per layer; see
+    :meth:`release` and :meth:`reset`).
     """
 
     def __init__(self, model: TransformerModel, numerics=None):
@@ -468,13 +472,10 @@ class PackedDecodeBackend:
         # Reusable scratch (name -> buffer), allocated on first use: a
         # tier pays only for what its core touches.
         self._scratch: Dict[str, np.ndarray] = {}
-        #: The resident rows' K/V by style, one store per layer (built
-        #: from the style's first row's caches), a style's rows in one
-        #: order throughout.
-        self._stores: Dict[str, List[KVRowStore]] = {}
-        #: The ``"pruned"`` rows' cascade control, resident beside their
-        #: store rows in the same order (built with those stores).
-        self._control = None
+        #: The resident rows by style: one row table each, over one store
+        #: per layer (built from the style's first row's caches) and,
+        #: for ``"pruned"`` rows, the cascade control, its last member.
+        self._tables: Dict[str, RowTable] = {}
         self._inv_sqrt_d = 1.0 / float(np.sqrt(cfg.head_dim))
         #: Optional :class:`repro.telemetry.HotPathProfiler` measuring
         #: real wall-clock time per stage (the serving engine attaches
@@ -637,20 +638,21 @@ class PackedDecodeBackend:
                 ]))
                 order += parts[-1].indices
         for style in ("pruned", "dense"):
-            if style in per_sequence or not (
-                rows[style] or style in self._stores
-            ):
+            held = rows[style]
+            if style in per_sequence or not (held or style in self._tables):
                 continue
-            indices = self._resident(style, rows[style])
+            # The style's table holds exactly this step's rows, which
+            # run in its row order.
+            table = self._table(style, held)
+            indices = [held[k][0] for k in table.hold([e for _, e in held])]
             if not indices:
                 continue
             cascade = None
             if style == "pruned":
-                cascade = self._control.open_decode(positions[indices])
+                cascade = table.members[-1].open_decode(positions[indices])
             parts.append(_StoreBlock(
-                "decode", self._stores[style], slice(0, len(indices)),
-                cascade, np.ones(len(indices), dtype=np.int64),
-                positions[indices],
+                "decode", table.members, slice(0, len(indices)), cascade,
+                np.ones(len(indices), dtype=np.int64), positions[indices],
             ))
             order += indices
         if order == list(range(len(executors))):
@@ -724,120 +726,52 @@ class PackedDecodeBackend:
     # ------------------------------------------------------------------
     # Row-store residency of the dense and the pruned rows
     # ------------------------------------------------------------------
-    def _style_stores(
-        self, style: str, executor: AttentionExecutor
-    ) -> List[KVRowStore]:
-        """``style``'s per-layer stores, built on first use from the
-        caches of ``executor``, one of its rows (``"pruned"`` ones with
-        the resident cascade control beside them)."""
-        stores = self._stores.get(style)
-        if stores is None:
-            if style == "pruned":
-                self._control = executor.batch_control(self._model.config)
+    def _table(self, style: str, rows: _Rows) -> RowTable:
+        """``style``'s row table, built on first use from the caches of
+        the first of ``rows``: one store per layer, and for ``"pruned"``
+        rows the resident cascade control beside them."""
+        table = self._tables.get(style)
+        if table is None:
+            executor = rows[0][1]
+            layers = range(self._model.config.n_layers)
             # Dense rows never evict, so they are the long ones: on
             # int8 their stores keep the columns dequantized as well.
             dequantized = style == "dense" and self.policy.quantized_gemm
-            stores = self._stores[style] = [
-                KVRowStore(executor.decode_kv_cache(layer_idx), dequantized)
-                for layer_idx in range(self._model.config.n_layers)
+            members = [
+                KVRowStore(executor.decode_kv_cache(layer), dequantized)
+                for layer in layers
             ]
-        return stores
-
-    def _resident(self, style: str, rows: _Rows) -> List[int]:
-        """Make ``style``'s row stores hold exactly this step's ``rows``.
-
-        Membership is read off the rows' layer-0 caches, each of which
-        knows its store and row.  While it stands — the steady state —
-        this is all that happens.  When it moved, rows whose sequence
-        is not in the batch (or whose cache took its columns back,
-        :meth:`~repro.nn.kv_cache.KVRowStore.orphan`) are released in
-        every layer's store and the ``"pruned"`` control, their caches
-        and executors taking the live columns and control state with
-        them, and arrivals — rows not resident yet: a dense sequence
-        after its prompt pass, any sequence prefilled elsewhere or whose
-        cache took its columns back — are adopted: one copy per
-        sequence and layer, after which the private buffers are gone.
-        A ``"pruned"`` row whose executor alone took its control state
-        back (:meth:`~repro.core.batched_cascade.CascadeBatch.orphan`)
-        keeps its K/V rows, and its control row is re-adopted in place.
-
-        Returns the rows' batch indices in store-row order — the order
-        the step's batch control and every layer's core run them in.
-        """
-        stores = (
-            self._style_stores(style, rows[0][1]) if rows
-            else self._stores[style]
-        )
-        first = stores[0]
-        control = self._control if style == "pruned" else None
-        caches = [executor.decode_kv_cache(0) for _, executor in rows]
-        if (
-            len(caches) != len(first.owners)
-            or any(cache._store is not first for cache in caches)
-            or any(None in store.owners for store in stores)
-        ):
-            gone = set(range(len(first.owners))).difference(
-                cache._row for cache in caches if cache._store is first
+            control = style == "pruned"
+            if control:
+                members.append(executor.batch_control(self._model.config))
+            table = self._tables[style] = RowTable(
+                members,
+                lambda e: [e.decode_kv_cache(i) for i in layers]
+                + [e] * control,
+                methodcaller("decode_kv_cache", 0),
             )
-            for store in stores:
-                gone.update(
-                    row for row, owner in enumerate(store.owners)
-                    if owner is None
-                )
-            # Highest first: the row that fills a vacated one stays.
-            for row in sorted(gone, reverse=True):
-                for store in stores:
-                    store.release(row, keep_columns=True)
-                if control is not None:
-                    control.release(row)
-            arrivals = [
-                executor for (_, executor), cache in zip(rows, caches)
-                if cache._store is not first
-            ]
-            for layer_idx, store in enumerate(stores):
-                store.adopt([
-                    executor.decode_kv_cache(layer_idx)
-                    for executor in arrivals
-                ])
-            if control is not None:
-                control.adopt(arrivals)
-        if control is not None and None in control.owners:
-            # An executor took its control state back and its K/V rows
-            # stayed put: its row is re-adopted where it is.
-            for cache, (_, executor) in zip(caches, rows):
-                if control.owners[cache._row] is None:
-                    control.readopt(cache._row, executor)
-        indices = [0] * len(caches)
-        for cache, (i, _) in zip(caches, rows):
-            indices[cache._row] = i
-        return indices
+        return table
 
     def release(self, executor: AttentionExecutor) -> None:
         """Forget a sequence that will not decode here again (retired,
         preempted, quarantined, drained — a pruned one possibly straight
-        after its prompt pass, which made it resident): its store rows
-        are vacated without copying the columns back, and its caches
-        left empty; a pruned one's control row is written back to it (a
-        barrier: its trace takes its share of the log).  Rows nobody
+        after its prompt pass, which made it resident): its row is
+        vacated in every layer's store without copying the columns
+        back, its caches left empty, and a pruned one's control row is
+        written back to it (a barrier: its trace takes its share of the
+        log) — whatever a barrier already sent home.  Rows nobody
         releases are found by the next decode step's reconcile, which
         does copy them back.
         """
-        style = executor.packed_decode_style
-        stores = self._stores.get(style)
-        if stores is not None:
-            cache = executor.decode_kv_cache(0)
-            if cache._store is stores[0]:
-                row = cache._row
-                for store in stores:
-                    store.release(row, keep_columns=False)
-                if style == "pruned":
-                    self._control.release(row)
+        table = self._tables.get(executor.packed_decode_style)
+        if table is not None:
+            table.release(executor)
 
     def reset(self) -> None:
-        """Hand every resident row back to its cache: a new serving run
-        starts from empty stores."""
-        for style in self._stores:
-            self._resident(style, [])
+        """Hand every resident row back to its sequence: a new serving
+        run starts from empty tables."""
+        for table in self._tables.values():
+            table.hold([])
 
     def _ffn_half(
         self, layer_idx: int, x: np.ndarray, attn_out: np.ndarray
@@ -1023,13 +957,10 @@ class PackedDecodeBackend:
         cfg = self._model.config
         indices = [i for i, _ in whole]
         executors = [executor for _, executor in whole]
-        stores = self._style_stores("pruned", executors[0])
-        first_row = len(stores[0].owners)
-        for layer_idx, store in enumerate(stores):
-            store.adopt([
-                executor.decode_kv_cache(layer_idx) for executor in executors
-            ])
-        self._control.adopt(executors, lengths)
+        for executor, length in zip(executors, lengths):
+            executor._init_schedules(length)
+        table = self._table("pruned", whole)
+        first_row = table.adopt(executors)[0].row
         pair_bytes = cfg.n_heads * np.dtype(self.policy.compute_dtype).itemsize
         blocks, start, longest = [], 0, lengths[0]
         for stop in range(1, len(whole) + 1):
@@ -1043,8 +974,10 @@ class PackedDecodeBackend:
             counts = np.array(lengths[start:stop], dtype=np.int64)
             rows = slice(first_row + start, first_row + stop)
             blocks.append(_StoreBlock(
-                "prefill", stores, rows,
-                self._control.open_prompts(rows, counts),
+                "prefill", table.members, rows,
+                table.members[-1].open_prompts(
+                    rows, counts, executors[start:stop]
+                ),
                 counts, ragged_arange(counts), indices[start:stop],
             ))
             start = stop

@@ -7,8 +7,8 @@ the QKV of it will never be used in all the following attention heads and
 layers".  The cache therefore tracks, for every cached column, the
 original sentence position it came from.
 
-Storage model (private buffers or a store row)
-----------------------------------------------
+Storage model (private buffers or a table's row)
+------------------------------------------------
 
 A :class:`LayerKVCache` keeps its columns in one of two places.
 
@@ -28,36 +28,46 @@ columns in place.
 **A row of a** :class:`KVRowStore` — where the packed backend keeps
 every sequence one of its own cores decodes off the exact tier: the
 ``"dense"`` and the ``"pruned"`` rows of ``fp32`` / ``int8``
-(:mod:`repro.nn.batched_attention`), each style in its own stores.  One
-store per layer holds every such sequence's columns as row ``j`` of
-batch-shaped planes, so a layer of a step touches a block of them with
-a handful of array operations: the block's new columns — a decode
-step's one a row, a prompt pass's whole sentence — land at each row's
-cursor with one indexed store per plane (:meth:`KVRowStore.write_block`,
-the store's only write), and cascade eviction is *lazy* — a newly
-pruned column is relabelled :data:`NO_TOKEN` where it sits (its score
-is masked, its probability an exact zero) and the row is compacted,
-order preserved, only once a whole ``page_tokens`` page of such holes
-has built up: the zero eliminator's software analogue (PAPER.md §IV-B).
-A dense row simply never evicts.  A dense sequence moves in on its
-first decode step (:meth:`KVRowStore.adopt`: one copy, its private
-buffers freed); a pruned one is adopted *empty* when its prompt pass
-opens and each layer fills its row with its prompt's block, so it never
-holds private columns at all.  The cache is then a *handle* on its
-row: ``len()`` and :attr:`evicted_tokens` read the store's per-row
-vectors, so ``kv_lengths()``, pool pages and the serving report stay
-exact while the hot path never calls the cache — and **every
-column-exposing accessor** (:attr:`keys`, :attr:`values`,
+(:mod:`repro.nn.batched_attention`).  One store per layer holds every
+such sequence's columns as row ``j`` of batch-shaped planes, so a layer
+of a step touches a block of them with a handful of array operations:
+the block's new columns — a decode step's one a row, a prompt pass's
+whole sentence — land at each row's cursor with one indexed store per
+plane (:meth:`KVRowStore.write_block`, the store's only write), and
+cascade eviction is *lazy* — a newly pruned column is relabelled
+:data:`NO_TOKEN` where it sits (its score is masked, its probability an
+exact zero) and the row is compacted, order preserved, only once a
+whole ``page_tokens`` page of such holes has built up: the zero
+eliminator's software analogue (PAPER.md §IV-B).  A dense row simply
+never evicts.
+
+Which sequence fills which row is one :class:`RowTable`'s per style,
+one answer for every layer.  Its members are the style's stores and, for pruned rows, their
+resident cascade control; row ``j`` of every member holds the sequence
+of seat ``j``, and the table alone grows the row axis, adopts, moves
+and releases rows (the last row fills a vacated one), driving each
+member's row primitives.  A dense sequence moves in on its first decode
+step (one copy per layer, its private buffers freed); a pruned one is
+adopted *empty* when its prompt pass opens and each layer fills its row
+with its prompt's block, so it never holds private columns at all.
+Every cache of the sequence — and its executor — then holds the same
+:class:`RowSeat`, so a move writes one row index.  The cache is a
+*handle* on its row: ``len()`` and :attr:`evicted_tokens` read the
+store's per-row vectors, so ``kv_lengths()``, pool pages and the serving
+report stay exact while the hot path never calls the cache — and
+**every column-exposing accessor** (:attr:`keys`, :attr:`values`,
 :attr:`token_ids`, the scales, :meth:`compute_columns`, ``append*``,
-:meth:`keep`, :meth:`reserve`, :meth:`padded_to`, deep copy / pickling)
-is a barrier that first brings the live columns, compacted, back into
-private buffers and leaves the row orphaned for the store's backend to
-reclaim (and re-adopt from, if the sequence decodes on).  The barrier
-is structural, not remembered per accessor: adoption *deletes* the
-private-buffer attributes, so the first read of one — whoever makes
-it — lands in ``__getattr__``, which restores them.  A cache is
-therefore the truth about its sequence whoever asks, and nothing
-outside this module can alias a store row.
+:meth:`keep`, :meth:`reserve`, :meth:`padded_to`) is a barrier that
+first brings the sequence's live columns, compacted, back into private
+buffers in every layer, leaving its row for the table to reclaim (and
+to re-adopt the sequence from, if it decodes on).  The barrier is
+structural, not remembered per accessor: adoption *deletes* the
+private-buffer attributes, so the first read of one — whoever makes it
+— lands in ``__getattr__``, which restores them.  A deep copy or a
+pickle is no barrier: it gathers the live columns off the row into its
+own buffers and leaves the row as it is.  A cache is therefore the
+truth about its sequence whoever asks, and nothing outside this module
+can alias a store row.
 
 An int8 store may carry two further planes: the columns *dequantized*,
 written beside the codes they mirror (filled once at adoption, appended
@@ -103,7 +113,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["LayerKVCache", "KVCache", "KVRowStore", "NO_TOKEN"]
+__all__ = [
+    "LayerKVCache", "KVCache", "KVRowStore", "RowSeat", "RowTable", "NO_TOKEN",
+]
 
 #: The private buffers of a :class:`LayerKVCache` — attributes it lacks
 #: while its columns sit in a store row.
@@ -174,38 +186,43 @@ class LayerKVCache:
         self._len = 0
         self._allocate(0)
         self._evicted = 0
-        #: The :class:`KVRowStore` row holding this cache's columns, or
-        #: ``None`` while they sit in the private buffers.
+        #: The :class:`KVRowStore` holding this cache's columns, or
+        #: ``None`` while they sit in the private buffers; the row is
+        #: the sequence's :class:`RowSeat`'s.
         self._store: Optional["KVRowStore"] = None
-        self._row = -1
+        self._seat: Optional["RowSeat"] = None
 
     def __len__(self) -> int:
         if self._store is not None:
-            return int(self._store.live[self._row])
+            return int(self._store.live[self._seat.row])
         return self._len
 
     @property
     def evicted_tokens(self) -> int:
         """Cumulative count of columns evicted by cascade pruning."""
         if self._store is not None:
-            return int(self._store.evicted[self._row])
+            return int(self._store.evicted[self._seat.row])
         return self._evicted
 
     def __getattr__(self, name: str):
         # Reached only for an attribute that is missing: a private
         # buffer of a cache whose columns sit in a store row (adoption
         # deletes them).  So every read of one — whichever accessor
-        # makes it — is the barrier that brings the columns back first.
+        # makes it — is the barrier that brings the sequence's columns
+        # back first, in every layer.
         if name in _BUFFERS and self._store is not None:
-            self._store.orphan(self._row)
+            self._seat.table.orphan(self._seat)
             return getattr(self, name)
         raise AttributeError(name)
 
     def __getstate__(self) -> dict:
-        # Deep copies and pickles hold their own columns, never a row.
+        # Deep copies and pickles hold their own columns and no row; a
+        # resident cache's are gathered off its row, which stays put.
+        twin = object.__new__(LayerKVCache)
+        vars(twin).update(vars(self), _seat=None)
         if self._store is not None:
-            self._store.orphan(self._row)
-        return self.__dict__
+            self._store.hand_back(self._seat.row, twin)
+        return vars(twin)
 
     @property
     def capacity(self) -> int:
@@ -586,8 +603,8 @@ class LayerKVCache:
 class KVRowStore:
     """Batch-resident K/V rows of one layer (see the module docstring).
 
-    Rows ``[0, n)`` are in use — ``n = len(owners)`` — in one order the
-    owning backend keeps the same in every layer's store:
+    Which sequence fills which row is its :class:`RowTable`'s to know;
+    the store keeps the rows' contents:
 
     * ``planes`` — K and V, ``[S, h, cap, D]`` each at the caches'
       storage dtype; on the int8 tier these are the codes and the
@@ -602,13 +619,9 @@ class KVRowStore:
       row writes, its live columns (what ``len(cache)`` reports) and
       its cache's cumulative evictions.
 
-    ``owners[j]`` is the :class:`LayerKVCache` whose columns fill row
-    ``j`` — the cache points back, so ownership is an identity on both
-    sides — or ``None`` once that cache took its columns back on its
-    own (:meth:`orphan`), which the backend answers by releasing the
-    row in every layer.  Geometry is that of ``like``, a cache of the
-    kind the store will adopt.  Columns grow a ``page_tokens`` page at
-    a time: every column of a row is resident whether live or not.
+    Geometry is that of ``like``, a cache of the kind the store will
+    adopt.  Columns grow a ``page_tokens`` page at a time: every column
+    of a row is resident whether live or not.
     """
 
     def __init__(self, like: LayerKVCache, dequantized: bool = False):
@@ -626,48 +639,41 @@ class KVRowStore:
         self.labels = np.zeros((0, 0), dtype=np.int64)
         self._vectors = np.zeros((3, 0), dtype=np.int64)
         self.cursor, self.live, self.evicted = self._vectors
-        self.owners: List[Optional[LayerKVCache]] = []
 
     def _reserve(self, n_rows: int, n_cols: int) -> None:
-        """Grow the planes to hold ``n_rows`` rows of ``n_cols`` columns."""
+        """Grow to ``n_rows`` rows of ``n_cols`` columns (by whole
+        pages) in one reallocation, if either axis falls short — one
+        plane at a time: growth never holds two of each.  (A row out of
+        use is cleared, so it copies nothing.)"""
         rows, cap = self.labels.shape
         if n_rows <= rows and n_cols <= cap:
             return
-        # Every column of a row in use is resident whether live or not,
-        # so both axes grow in small steps: rows to what is asked for
-        # (a step's arrivals ask once) or by an eighth, columns by
-        # whole pages.
-        if n_rows > rows:
-            rows = max(n_rows, rows + rows // 8)
-        if n_cols > cap:
-            cap = -(-n_cols // self.page_tokens) * self.page_tokens
-        n = len(self.owners)
-        width = int(self.cursor[:n].max(initial=0))
+        n_rows = max(n_rows, rows)
+        n_cols = -(-max(n_cols, cap) // self.page_tokens) * self.page_tokens
+        width = int(self.cursor.max(initial=0))
         for i, old in enumerate(self.planes):
-            # One plane at a time: growth never holds two of each.
-            new = np.zeros((rows, old.shape[1], cap) + old.shape[3:], old.dtype)
-            new[:n, :, :width] = old[:n, :, :width]
+            new = np.zeros((n_rows, old.shape[1], n_cols) + old.shape[3:],
+                           old.dtype)
+            new[:rows, :, :width] = old[:, :, :width]
             self.planes[i] = new
-        labels = np.full((rows, cap), NO_TOKEN)
-        labels[:n, :width] = self.labels[:n, :width]
+        labels = np.full((n_rows, n_cols), NO_TOKEN)
+        labels[:rows, :width] = self.labels[:, :width]
         self.labels = labels
-        vectors = np.zeros((3, rows), dtype=np.int64)
-        vectors[:, :n] = self._vectors[:, :n]
+        vectors = np.zeros((3, n_rows), dtype=np.int64)
+        vectors[:, :rows] = self._vectors
         self._vectors = vectors
         self.cursor, self.live, self.evicted = vectors
 
     # ------------------------------------------------------------------
-    # Membership
+    # Row primitives, driven by the store's RowTable
     # ------------------------------------------------------------------
-    def adopt(self, caches: Sequence[LayerKVCache]) -> None:
-        """Move each cache's columns into a new last row (one copy) and
-        free its private buffers; a cache resident in another store
-        takes its columns back from there first."""
-        # Reading a length brings the cache home from any store it is in.
+    def fill_rows(self, start: int, caches: Sequence[LayerKVCache],
+                  n_rows: int) -> None:
+        """Move each cache's columns into rows ``start, start + 1, ...``
+        (one copy) of ``n_rows`` rows, and free its private buffers."""
         lengths = [cache._len for cache in caches]
-        self._reserve(len(self.owners) + len(caches), max(lengths, default=0))
-        for cache, n_cols in zip(caches, lengths):
-            row = len(self.owners)
+        self._reserve(n_rows, max(lengths, default=0))
+        for row, (cache, n_cols) in enumerate(zip(caches, lengths), start):
             private = cache._planes()
             if len(self.planes) > len(private):
                 private += cache.compute_columns()
@@ -676,51 +682,42 @@ class KVRowStore:
             self.labels[row, :n_cols] = cache._token_ids[:n_cols]
             self.cursor[row] = self.live[row] = n_cols
             self.evicted[row] = cache._evicted
-            self.owners.append(cache)
-            cache._store, cache._row = self, row
+            cache._store = self
             for name in _BUFFERS:
                 vars(cache).pop(name, None)
 
-    def _hand_back(self, row: int, keep_columns: bool) -> None:
-        """Return row ``row``'s cache to private buffers: holding the
-        live columns in order, or empty (a sequence nobody reads again)."""
-        cache = self.owners[row]
+    def hand_back(self, row: int, cache: LayerKVCache,
+                  end: Optional[int] = None) -> None:
+        """Return row ``row``'s cache to private buffers holding the
+        row's live columns (of its first ``end``, if given) in order,
+        leaving the row as it is."""
         cache._store = None
+        end = int(self.cursor[row]) if end is None else end
+        kept = np.flatnonzero(self.labels[row, :end] != NO_TOKEN)
+        n_live = cache._len = len(kept)
         cache._evicted = int(self.evicted[row])
-        if keep_columns:
-            self.compact(row)
-        n_live = cache._len = int(self.live[row]) if keep_columns else 0
         cache._allocate(cache._aligned(n_live))
-        for plane, private in zip(self.planes, cache._planes()):
-            private[:, :n_live] = plane[row, :, :n_live]
-        cache._token_ids[:n_live] = self.labels[row, :n_live]
+        if n_live:
+            for private, plane in zip(cache._planes(), self.planes):
+                private[:, :n_live] = plane[row][:, kept]
+            cache._token_ids[:n_live] = self.labels[row, kept]
 
-    def orphan(self, row: int) -> None:
-        """Row ``row``'s cache takes its columns back (its own barrier).
+    def drop(self, row: int, cache: LayerKVCache) -> None:
+        """:meth:`hand_back` for a sequence nobody reads again: its
+        cache keeps no columns."""
+        self.hand_back(row, cache, end=0)
 
-        The row stays where it is, ownerless — rows move only in every
-        layer's store at once, which only the backend can do — for it
-        to :meth:`release`.
-        """
-        self._hand_back(row, keep_columns=True)
-        self.owners[row] = None
-
-    def release(self, row: int, keep_columns: bool) -> None:
-        """Vacate row ``row``; the last row moves into its place."""
-        if self.owners[row] is not None:
-            self._hand_back(row, keep_columns)
-        last = len(self.owners) - 1
-        if row != last:
-            end = int(self.cursor[last])
+    def move_row(self, src: int, dst: int) -> None:
+        """The last row in use, ``src``, fills row ``dst`` and is
+        cleared."""
+        if src != dst:
+            end = int(self.cursor[src])
             for plane in self.planes:
-                plane[row, :, :end] = plane[last, :, :end]
-            self.labels[row] = self.labels[last]
-            self._vectors[:, row] = self._vectors[:, last]
-            moved = self.owners[row] = self.owners[last]
-            if moved is not None:
-                moved._row = row
-        self.labels[last] = NO_TOKEN
-        self.owners.pop()
+                plane[dst, :, :end] = plane[src, :, :end]
+            self.labels[dst] = self.labels[src]
+            self._vectors[:, dst] = self._vectors[:, src]
+        self.labels[src] = NO_TOKEN
+        self._vectors[:, src] = 0
 
     # ------------------------------------------------------------------
     # A block of rows: eviction, the one write, the read
@@ -788,7 +785,7 @@ class KVRowStore:
         start = self.cursor[rows]
         stop = start + counts
         width = int(stop.max())
-        self._reserve(len(self.owners), width)
+        self._reserve(0, width)
         row_of = np.arange(rows.start, rows.stop)
         col_of = start
         if len(labels) > len(counts):  # some row takes several columns
@@ -815,6 +812,148 @@ class KVRowStore:
             return k_codes * k_scales[..., None], v_codes * v_scales[..., None]
         keys, values = self.planes[-2:]
         return keys[rows, :, :width], values[rows, :, :width]
+
+
+class RowSeat:
+    """One sequence's row in a :class:`RowTable`.
+
+    Every handle on the row — the sequence's caches, its executor —
+    holds this one object, so a row move rewrites one index.  ``parts``
+    are the sequence's pieces, member for member of the table (a layer's
+    cache, the executor), and ``home`` the indices of the members whose
+    piece went home at a barrier while the row stayed.  A vacated seat
+    has no ``table`` (nor ``parts``).
+    """
+
+    __slots__ = ("table", "row", "parts", "home")
+
+    def __init__(self, table: "RowTable", row: int, parts: list):
+        self.table, self.row, self.parts = table, row, parts
+        self.home: set = set()
+
+
+class RowTable:
+    """Which sequence fills each row of a packed backend's row members —
+    one :class:`KVRowStore` per layer, and for ``"pruned"`` rows their
+    resident cascade control — for one style of rows.
+
+    Row ``j`` of every member holds the sequence of ``seats[j]``.  The
+    table alone grows the row axis, adopts, moves and releases rows;
+    each member provides the row primitives it drives: ``fill_rows``
+    (growing to the table's row count first), ``hand_back``, ``drop``
+    (a ``hand_back`` for a sequence nobody reads again) and
+    ``move_row``.
+    ``parts(owner)`` lists a sequence's pieces, member for member, and
+    ``handle(owner)`` the piece whose ``_seat`` tells where the sequence
+    sits.
+
+    A barrier sends pieces home (:meth:`orphan`): all of them — a read
+    of a cache's columns — or one member's — a read of an executor's
+    control state, which leaves the K/V rows in place.  :meth:`hold`
+    answers both: a row all of whose pieces went home is released and
+    its sequence, if it decodes on, adopted anew; a row with some home
+    takes them back where it is.
+    """
+
+    def __init__(self, members: list, parts, handle):
+        self.members = members
+        self._parts, self._handle = parts, handle
+        self.seats: List[RowSeat] = []
+        self._n_rows = 0
+
+    def hold(self, owners: Sequence) -> List[int]:
+        """Make the rows hold exactly ``owners``; returns their indices
+        in ``owners`` in row order.  While membership stands — the
+        steady state — this reads one handle a sequence and nothing
+        else."""
+        seats = [self._handle(owner)._seat for owner in owners]
+        # As many distinct seats as rows, all here and whole: these rows.
+        if len(seats) != len(self.seats) or not all(
+            seat is not None and seat.table is self and not seat.home
+            for seat in seats
+        ):
+            whole = len(self.members)
+            staying = {
+                id(seat) for seat in seats
+                if seat is not None and seat.table is self
+                and len(seat.home) < whole
+            }
+            # Highest first: the row that fills a vacated one stays.
+            for row in sorted((
+                seat.row for seat in self.seats if id(seat) not in staying
+            ), reverse=True):
+                self._vacate(self.seats[row], drop=False)
+            for seat in self.seats:
+                for m in seat.home:
+                    self.members[m].fill_rows(
+                        seat.row, [seat.parts[m]], self._n_rows
+                    )
+                seat.home.clear()
+            arrivals = iter(self.adopt([
+                owner for owner, seat in zip(owners, seats)
+                if id(seat) not in staying
+            ]))
+            seats = [seat if id(seat) in staying else next(arrivals)
+                     for seat in seats]
+        order = [0] * len(seats)
+        for i, seat in enumerate(seats):
+            order[seat.row] = i
+        return order
+
+    def adopt(self, owners: Sequence) -> List[RowSeat]:
+        """New last rows for ``owners``; a sequence sitting in another
+        table leaves it first (the members' first read of a piece is its
+        barrier)."""
+        n = len(self.seats)
+        seats = [
+            RowSeat(self, n + i, self._parts(owner))
+            for i, owner in enumerate(owners)
+        ]
+        if n + len(seats) > self._n_rows:
+            # Rows grow to what is asked for (a step's arrivals ask
+            # once) or by an eighth.
+            self._n_rows = max(n + len(seats), self._n_rows + self._n_rows // 8)
+        self.seats += seats
+        for m, member in enumerate(self.members):
+            member.fill_rows(
+                n, [seat.parts[m] for seat in seats], self._n_rows
+            )
+        for seat in seats:
+            for part in seat.parts:
+                part._seat = seat
+        return seats
+
+    def orphan(self, seat: RowSeat, member=None) -> None:
+        """A barrier: ``member``'s piece of ``seat`` — every piece, by
+        default — goes home; the row stays where it is for :meth:`hold`
+        to answer."""
+        for m, (each, part) in enumerate(zip(self.members, seat.parts)):
+            if m not in seat.home and member in (None, each):
+                each.hand_back(seat.row, part)
+                seat.home.add(m)
+
+    def release(self, owner) -> None:
+        """Vacate ``owner``'s row, if it has one here, whatever went
+        home; its pieces still resident are dropped."""
+        seat = self._handle(owner)._seat
+        if seat is not None and seat.table is self:
+            self._vacate(seat, drop=True)
+
+    def _vacate(self, seat: RowSeat, drop: bool) -> None:
+        """Hand ``seat``'s resident pieces back (or drop them) and free
+        its row: the last row moves into it."""
+        row = seat.row
+        for m, (member, part) in enumerate(zip(self.members, seat.parts)):
+            if m not in seat.home:
+                (member.drop if drop else member.hand_back)(row, part)
+        last = self.seats.pop()
+        if last is not seat:
+            self.seats[row], last.row = last, row
+        for member in self.members:
+            member.move_row(len(self.seats), row)
+        # A piece may keep the seat, which keeps nothing: a retired
+        # sequence frees by refcount.
+        seat.table = seat.parts = None
 
 
 class KVCache:

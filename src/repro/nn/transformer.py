@@ -218,11 +218,13 @@ class AttentionExecutor:
         """The resident batch control of a backend's ``"pruned"`` rows.
 
         One object per backend, built with its first ``"pruned"`` row
-        stores, whose control rows follow the K/V rows: adopted with
-        them — at the prompt pass, which opens each sentence's schedule,
-        or at the first decode step of a sequence prefilled elsewhere —
-        moved and released with them, and opened once per decode step
-        or prompt block for the layers' cascade stages; see
+        stores and a member of their row table
+        (:class:`~repro.nn.kv_cache.RowTable`): a sequence's control row
+        and its K/V rows are adopted — at the prompt pass, which opens
+        each sentence's schedule, or at the first decode step of a
+        sequence prefilled elsewhere — moved and released as one row,
+        and it is opened once per decode step or prompt block for the
+        layers' cascade stages; see
         :class:`repro.core.batched_cascade.CascadeBatch`, the one
         implementation.
         """

@@ -24,16 +24,15 @@ step (``prefill_chunk_policy``) records, per step or per layer:
   .unattributed_seconds`; tests hold it under 5 % of the step);
 * ``decode_setup`` / ``prefill_setup`` — before the first layer:
   grouping the rows by style into the step's parts and putting the
-  rows into part order; in a decode step, reconciling the dense and
-  the pruned rows' stores — and the pruned rows' resident
-  ``CascadeBatch`` with them — with the batch (adopting arrivals,
+  rows into part order; in a decode step, having the dense and the
+  pruned rows' row tables hold the batch (adopting arrivals into every
+  layer's store — and the pruned rows' resident ``CascadeBatch`` — and
   releasing departures, whose control rows are written back) and
   opening the pruned rows' step, one vectorized admission over the
   resident planes (new tokens, lengths, targets); in a prompt step, the
-  chunk spans, input validation, adopting the pruned sentences' empty
-  caches into the ``"pruned"`` row stores and their control state into
-  the ``CascadeBatch`` (which opens their schedules) and opening each
-  block's prompt pass; both, the embedding gather.  The control state
+  chunk spans, input validation, opening the pruned sentences'
+  schedules, adopting their empty caches and their control state into
+  the ``"pruned"`` table and opening each block's prompt pass; both, the embedding gather.  The control state
   stays resident, so no stage stores it back at the end of a step;
 * ``decode_prune_control`` / ``prefill_prune_control`` — each layer's
   entry pruning: every pruned store block's cascade decisions over its

@@ -12,7 +12,8 @@ lengths, tied scores, the protected token (the current one of a decode
 step, the last one of a prompt), targets at or above the live count,
 and padding that is never selected.  The cases are generated:
 hypothesis draws a seed, the seed draws a batch.  What the planes hold
-goes back to the executors at a barrier (a release, an orphaning).
+goes back to the executors at a barrier (a release, an orphaning),
+driven here by a row table whose one member is the control.
 """
 
 import copy
@@ -33,6 +34,7 @@ from repro.core.schedule import decode_token_target
 from repro.core.token_pruning import prune_tokens
 from repro.core.trace import AttentionTrace
 from repro.core.value_pruning import local_value_keep_indices
+from repro.nn.kv_cache import RowTable
 
 N_LAYERS = 3
 N_HEADS = 6
@@ -78,19 +80,26 @@ def _stub_executor(rng):
     )
 
 
+def _control_table():
+    """A row table over one batch control: the executors are its rows'
+    only pieces."""
+    control = CascadeBatch(CONFIG)
+    return control, RowTable([control], lambda e: [e], lambda e: e)
+
+
 def _open(seed):
     """A decode step opened over a batch of drawn sequences: ``(rng,
-    executors, step, positions, control, twins)`` — ``twins`` deep
+    executors, step, positions, table, twins)`` — ``twins`` deep
     copies of the executors as they were before adoption took their
     control state."""
     rng = np.random.default_rng(seed)
     executors = [_stub_executor(rng) for _ in range(rng.integers(1, 7))]
     twins = copy.deepcopy(executors)
     positions = np.array([e._total_length for e in executors])
-    control = CascadeBatch(CONFIG)
-    control.adopt(executors)
+    control, table = _control_table()
+    table.adopt(executors)
     step = control.open_decode(positions)
-    return rng, executors, step, positions, control, twins
+    return rng, executors, step, positions, table, twins
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -162,7 +171,7 @@ def test_barrier_writes_the_step_back(seed):
     """What the planes decided and accumulated over a step is what the
     executors hold after their barriers — an orphaning, or a release
     that moves the last row into the vacated one."""
-    rng, executors, batch, positions, control, twins = _open(seed)
+    rng, executors, batch, positions, table, twins = _open(seed)
     n = len(executors)
     totals = positions + 1
     token_scores = [np.zeros(CONFIG.max_seq_len) for _ in twins]
@@ -190,10 +199,10 @@ def test_barrier_writes_the_step_back(seed):
         for j in range(n):
             head_scores[j] += np.abs(head_out[j]).sum(axis=(1, 2))
     alive, head_alive = batch.alive.copy(), batch.head_alive.copy()
-    control.orphan(int(rng.integers(n)))
+    table.orphan(table.seats[int(rng.integers(n))])
     for _ in range(n):
-        control.release(0)
-    assert not control.owners
+        table.release(table.seats[0].parts[-1])
+    assert not table.seats
     for j, executor in enumerate(executors):
         assert executor._control is None
         assert executor._total_length == totals[j]
@@ -261,9 +270,11 @@ def test_summarize_decisions_match_per_sequence(seed):
     lengths[rng.integers(len(lengths))] = 1
     n = len(lengths)
     executors = [_begun_executor(rng) for _ in lengths]
-    control = CascadeBatch(CONFIG)
-    control.adopt(executors, lengths.tolist())
-    batch = control.open_prompts(slice(0, n), lengths)
+    control, table = _control_table()
+    for executor, length in zip(executors, lengths.tolist()):
+        executor._init_schedules(length)
+    table.adopt(executors)
+    batch = control.open_prompts(slice(0, n), lengths, executors)
     assert np.array_equal(batch.n_alive, lengths)
     live = [np.arange(length) for length in lengths]
     scores = [np.zeros(length) for length in lengths]
@@ -322,8 +333,8 @@ def test_summarize_decisions_match_per_sequence(seed):
             ))
         batch.accumulate_tokens(mass * batch.head_alive[:, :, None], labels)
         batch.accumulate_heads(head_out, batch.n_alive)
-    for row in reversed(range(n)):
-        control.release(row)
+    for executor in reversed(executors):
+        table.release(executor)
     for j, (executor, length) in enumerate(zip(executors, lengths)):
         assert executor._total_length == executor._original_length == length
         assert executor.trace.n_generated == 0

@@ -655,3 +655,75 @@ class TestChaosSoak:
             # Deterministic replay: identical stats document.
             replay = run_once(plan)
             assert replay.to_json() == stats.to_json(), f"seed {seed}"
+
+
+class TestChaosOnPolicyTiers:
+    """The chaos soak's world (``benchmarks/bench_chaos.py``) on the
+    fp32 and int8 tiers, where dense and pruned sequences are rows of
+    the backends' row tables: crashes, recoveries, stragglers and
+    corruption quarantine lose no token, keep the ledgers clean, leave
+    the surviving streams the tier's fault-free ones, and leave no
+    resident row behind."""
+
+    @pytest.fixture(scope="class")
+    def soak_world(self):
+        vocab = build_vocabulary(size=512, n_classes=4, seed=0)
+        config = accuracy_scale_config(
+            GPT2_SMALL, len(vocab), n_layers=4, d_model=64, n_heads=4,
+            max_seq_len=160,
+        )
+        model, _ = build_task_model(config, vocab, "lm", seed=0)
+        corpus = make_lm_corpus(vocab, n_tokens=4096, seed=2)
+        trace = synthetic_request_trace(
+            corpus, n_requests=24, rate_per_s=1200.0, prompt_len=PROMPT_LEN,
+            max_new_tokens=(8, 16), seed=11,
+        )
+        # Every other request dense, the rest on the engine's schedule.
+        requests = [
+            Request(r.request_id, r.prompt_ids, r.max_new_tokens,
+                    r.arrival_time,
+                    pruning=None if r.request_id % 2 else AGGRESSIVE)
+            for r in trace
+        ]
+        return config, model, requests
+
+    @staticmethod
+    def _run(world, tier, plan=None):
+        config, model, requests = world
+        pool = make_sharded(config)
+        cluster = ClusterEngine(
+            model, pool, policy="least_loaded", numerics=tier,
+            faults=plan.events if plan is not None else (),
+            heartbeat_timeout_s=(
+                plan.heartbeat_timeout_s if plan is not None else None
+            ),
+            retry_budget=4, retry_backoff_s=0.01, audit_every=1,
+        )
+        stats = cluster.run(requests)
+        pool.audit()
+        styles = set()
+        for replica in cluster.replicas:
+            tables = replica.engine._backend._tables
+            styles.update(tables)
+            for table in tables.values():
+                assert not table.seats, "a row outlived the run"
+        assert styles == {"dense", "pruned"}, "both tables saw traffic"
+        return stats
+
+    @pytest.mark.parametrize("tier", ["fp32", "int8"])
+    def test_moderate_and_heavy_plans_lose_no_token(self, soak_world, tier):
+        baseline = self._run(soak_world, tier)
+        base_tokens = tokens_by_id(baseline)
+        assert len(base_tokens) == len(soak_world[2])
+        horizon = soak_world[2][-1].arrival_time + 0.05
+        for profile in ("moderate", "heavy"):
+            plan = FaultPlan.generate(
+                3, n_replicas=2, horizon_s=horizon, profile=profile
+            )
+            stats = self._run(soak_world, tier, plan)
+            assert_zero_token_loss(stats)
+            for r in stats.fleet.records:
+                if r.status is RequestStatus.FINISHED and not r.degraded:
+                    assert list(r.token_ids) == (
+                        base_tokens[r.request.request_id]
+                    ), f"{tier} {profile}"

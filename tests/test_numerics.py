@@ -257,10 +257,13 @@ class TestNonExactTiers:
         """Incremental packed state == a rebuild from executor truth.
 
         One batch keeps its backend for the whole run, so its dense
-        rows' arena advances by tail writes.  Before every step the
-        batch is deep-copied and the copy decoded by a *fresh* backend:
-        cloned caches own no arena row (ownership is by identity), so
-        that side is rebuilt from cache truth.  Both must produce
+        rows' arena advances by tail writes.  Before every step each
+        pruned sequence's columns are read — the barrier that brings
+        them home compacted, as a rebuild holds them, since compaction
+        regroups a row's reductions — and the batch is deep-copied and
+        the copy decoded by a *fresh* backend: cloned caches own no
+        arena row, so that side is rebuilt from cache truth.  Both must
+        produce
         bit-identical logits and leave identical KV lengths — through
         cascade evictions, a batch reorder, and a row recomputed from
         scratch (what preemption and resume does to a sequence) —
@@ -284,6 +287,9 @@ class TestNonExactTiers:
             if step == 9:  # resume: row 1 recomputed from its tokens
                 execs[1] = _executor(kinds[1], policy)
                 decoder.prefill(streams[1], execs[1])
+            for executor in execs:
+                if executor.packed_decode_style == "pruned":
+                    executor.decode_kv_cache(0).keys
             cloned = copy.deepcopy(execs)
             incremental = decoder.decode_step_batch(
                 tokens, positions, execs, backend=backend
@@ -296,6 +302,11 @@ class TestNonExactTiers:
             assert [e.kv_lengths() for e in execs] == [
                 e.kv_lengths() for e in cloned
             ]
+            # The dense rows stayed resident: tail writes, not rebuilds.
+            assert all(
+                e.decode_kv_cache(0)._store is not None for e in execs
+                if e.packed_decode_style == "dense"
+            )
             for stream, token in zip(streams, tokens):
                 stream.append(token)
             tokens = [int(np.argmax(row)) for row in incremental]
@@ -900,13 +911,14 @@ class TestTierPrefill:
             victim.executor.decode_kv_cache(layer)
             for layer in range(world[0].n_layers)
         ]
-        (stores,) = engine._backend._stores.values()  # one style served
-        assert all(c._store is s for c, s in zip(caches, stores))
+        (table,) = engine._backend._tables.values()  # one style served
+        assert all(c._store is s for c, s in zip(caches, table.members))
         evict(engine, pool, victim)
         assert victim not in engine.live
-        for cache, store in zip(caches, stores):
+        for cache in caches:
             assert cache._store is None
-            assert all(owner is not cache for owner in store.owners)
+            assert cache._seat is None or cache._seat.table is None
+            assert all(cache not in seat.parts for seat in table.seats)
         while engine.has_work:
             engine.step()
         stats = engine.finish()
