@@ -44,7 +44,11 @@ views of its resident rows:
 
 * :meth:`~CascadeStep.prune` — cascade token pruning (ragged per-row
   keep count, one token protected) and cascade head pruning, each one
-  :func:`~repro.core.topk.topk_mask` over a padded plane;
+  :func:`~repro.core.topk.topk_mask` over a padded plane — or, for the
+  tokens of a steady decode step, where every ranked row drops one, one
+  :func:`~repro.core.topk.drop_one`; a step where no row can prune a
+  head (its plan keeps at least the heads it has live) skips the head
+  ranking, and the dead-head gate is settled once a step;
 * :meth:`~CascadeStep.value_mask` — local value pruning of every
   sequence and head at once;
 * :meth:`~CascadeStep.accumulate_tokens` /
@@ -70,7 +74,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .schedule import decode_token_targets
-from .topk import topk_mask
+from .topk import drop_one, topk_mask
 from .value_pruning import value_keep_count
 
 __all__ = ["CascadeBatch", "CascadeStep", "CONTROL_ATTRIBUTES"]
@@ -274,6 +278,8 @@ class CascadeStep:
         alive: ``[n, P + 1]`` live-token mask of the block's rows.
         head_alive: ``[n, h]`` live-head mask.
         n_alive: ``[n]`` live tokens per row.
+        offsets: ``[n, 1]`` where each row starts in the flat
+            ``[n * (P + 1)]`` planes (row ``j`` at ``j * (P + 1)``).
     """
 
     def __init__(
@@ -290,6 +296,18 @@ class CascadeStep:
         self._value_keep = control.value_keep[rows]
         self._protected = protected
         self._token_targets = targets
+        # Settled once a step: a row prunes a head only while its plan
+        # keeps fewer heads than it has live at some layer — after its
+        # prompt pass never, unless it was adopted with more (a
+        # replanned sequence) — and the gate changes only when one does.
+        self._heads_prunable = (
+            self._head_counts < self._n_heads_alive[:, None]
+        ).any()
+        #: The dead-head gate: the ``[n, h, 1]`` live-head mask while
+        #: some row computes fewer than all heads (a view: it follows
+        #: later head pruning), else ``None``.
+        every_head = self._n_heads_alive.min() == self.head_alive.shape[1]
+        self.gate = None if every_head else self.head_alive[:, :, None]
         # Positions past every row's total length are dead: the ranked
         # planes stop there.
         self._width = int(control.total[rows].max())
@@ -301,18 +319,13 @@ class CascadeStep:
         self._flat_scores = control.scores.reshape(-1)[
             rows.start * width : rows.stop * width
         ]
-        self._offsets = width * np.arange(len(self.n_alive))[:, None]
+        self.offsets = width * np.arange(len(self.n_alive))[:, None]
         self._n_values: Optional[np.ndarray] = None
         self._layer = 0
         self._counts = np.empty(
             (control.n_layers, 3, len(self.n_alive)), dtype=np.int64
         )
         control._log_step(stage, self._counts, rows)
-
-    @property
-    def any_head_dead(self) -> bool:
-        """Whether some sequence computes fewer than all heads."""
-        return bool(self._n_heads_alive.min() < self.head_alive.shape[1])
 
     # ------------------------------------------------------------------
     # Per-layer stages, in the order the backend runs them
@@ -321,31 +334,43 @@ class CascadeStep:
         """Entry pruning of one layer: tokens, then heads.
 
         Only rows whose live set exceeds the layer's target are ranked.
-        Dead and padded positions score ``-inf`` and the protected
-        token ``+inf``, which is
+        Dead and padded positions are excluded and the protected token
+        forced in, which is
         :func:`~repro.core.token_pruning.prune_tokens` with
-        ``protected_ids=[position]`` on each row's live tokens.
+        ``protected_ids=[position]`` on each row's live tokens.  When
+        every ranked row drops one token (a steady decode step) each
+        loses its smallest score (:func:`~repro.core.topk.drop_one`);
+        otherwise :func:`~repro.core.topk.topk_mask` ranks them.
         """
         self._layer = layer_idx
-        targets = self._token_targets[:, layer_idx]
-        rows = np.nonzero(targets < self.n_alive)[0]
-        if len(rows):
+        surplus = self.n_alive - self._token_targets[:, layer_idx]
+        most = surplus.max()
+        if most > 0:
+            rows = (surplus > 0).nonzero()[0]
             width = self._width
+            targets = self._token_targets[rows, layer_idx]
             ranked = np.where(
-                self.alive[rows, :width], self._scores[rows, :width], -np.inf
+                self.alive[rows, :width], self._scores[rows, :width],
+                np.inf if most == 1 else -np.inf,
             )
             ranked[np.arange(len(rows)), self._protected[rows]] = np.inf
-            self.alive[rows, :width] = topk_mask(ranked, targets[rows])
-            self.n_alive[rows] = targets[rows]
+            if most == 1:  # every ranked row drops one token
+                self.alive[rows, drop_one(ranked)] = False
+            else:
+                self.alive[rows, :width] = topk_mask(ranked, targets)
+            self.n_alive[rows] = targets
 
+        if not self._heads_prunable:
+            return
         targets = self._head_counts[:, layer_idx]
-        rows = np.nonzero(targets < self._n_heads_alive)[0]
+        rows = (targets < self._n_heads_alive).nonzero()[0]
         if len(rows):
             ranked = np.where(
                 self.head_alive[rows], self._head_scores[rows], -np.inf
             )
             self.head_alive[rows] = topk_mask(ranked, targets[rows])
             self._n_heads_alive[rows] = targets[rows]
+            self.gate = self.head_alive[:, :, None]
 
     def value_mask(
         self, probs: np.ndarray, lengths: np.ndarray
@@ -364,14 +389,16 @@ class CascadeStep:
         self._n_values = value_keep_count(self._value_keep, lengths)
         if not (self._n_values < lengths).any():
             return None
-        # A dead head's probabilities are whatever its stale keys give —
-        # often one exact tie across the row, which would send the whole
-        # plane through the tie filter; its mask is never read, so it
-        # keeps the full width.
+        # A dead head's probabilities are whatever its keys give — the
+        # zeros a prompt pass stored, often one exact tie across the
+        # row, which would send the whole plane through the tie filter;
+        # its mask is never read, so it keeps the full width.
         counts = np.where(
             self.head_alive, self._n_values[:, None], probs.shape[-1]
         )
-        return topk_mask(probs, counts)
+        # Probabilities are non-negative, so their IEEE-754 bit patterns
+        # rank as integers do, and NumPy sorts integers faster.
+        return topk_mask(probs.view(f"i{probs.itemsize}"), counts)
 
     def accumulate_tokens(
         self, probs: np.ndarray, token_ids: np.ndarray
@@ -384,7 +411,7 @@ class CascadeStep:
         takes their zero mass.
         """
         mass = np.add.reduce(probs, axis=1)
-        self._flat_scores[token_ids + self._offsets] += mass
+        self._flat_scores[token_ids + self.offsets] += mass
 
     def accumulate_heads(
         self, head_out: np.ndarray, lengths: np.ndarray

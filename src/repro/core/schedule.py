@@ -177,11 +177,16 @@ class SequencePlan:
             with (:func:`token_keep_fractions`).
         head_counts: per-layer surviving heads
             (:func:`head_keep_counts`).
-        kv_bounds: per-layer worst-case KV columns over the sequence's
-            lifetime: layer ``l`` holds at most ``token_counts[l]``
-            columns during summarization and at most
-            ``decode_token_target(l, prompt + max_new)`` during
-            generation, so the bound is tight, not heuristic.
+        kv_bounds: per-layer KV columns the sequence never exceeds:
+            layer ``l`` holds ``token_counts[l]`` columns after
+            summarization and at most ``decode_token_target(l, T)``
+            during generation (``T = prompt + max_new``).  A safe bound,
+            not a tight one: eviction is global — the live set entering
+            a decode step is what the last layer kept, plus the new
+            token — so layer ``l`` never holds more than
+            ``max(token_counts[l], min(target_l(T), max(token_counts[-1],
+            target_{L-1}(T - 1)) + 1))``, which for front layers is far
+            below their own target.
     """
 
     pruning: Optional[PruningConfig]

@@ -12,6 +12,9 @@ implements the *functional* algorithms that the rest of the library uses:
   ``[..., n]`` plane with a ragged per-row ``k``: what the batched
   decode core (:mod:`repro.core.batched_cascade`) runs once per layer
   for every sequence and head at a time.
+* :func:`drop_one` — the one entry a row of a plane loses when its ``k``
+  is one short of its candidates: the steady decode step's token
+  ranking, where every ranked row drops exactly one token.
 * :func:`quick_select_kth` — the paper's Algorithm 3 as a pure function,
   returning the k-th largest value and the tie budget, along with the
   per-round partition sizes that drive the cycle model in
@@ -21,14 +24,22 @@ implements the *functional* algorithms that the rest of the library uses:
   ``num_eq_k_th_largest`` elements equal to it, preserving input order.
 
 There is exactly one selection rule in the library — the ``k`` largest,
-ties toward earlier indices — and it lives here.  Its two kernels
-differ only in shape: one row with a scalar ``k`` ranks by a stable
-sort; a plane finds each row's k-th largest value and filters
-(Algorithm 3 and the zero-eliminator stage, vectorized).  A stable
-sort of a ``[19, 8, 40]`` plane costs 2.5x the threshold filter and
-the threshold filter on one row 5x the stable sort, so each shape keeps
-the cheaper kernel; ``tests/test_topk.py`` pins them to the same
-selection on generated scores with forced ties.
+ties toward earlier indices — and it lives here.  Its kernels differ
+only in shape: one row with a scalar ``k`` ranks by a stable sort; a
+plane finds each row's k-th largest value and filters (Algorithm 3 and
+the zero-eliminator stage, vectorized); and a plane whose every row
+drops exactly one candidate — a steady decode step's token ranking —
+needs no ranking at all, only each row's smallest entry, the latest of
+equal minima (:func:`drop_one`, one ``argmin`` over the reversed rows).
+A stable sort of a ``[19, 8, 40]`` plane costs 2.5x the threshold filter
+and the threshold filter on one row 5x the stable sort, so each shape
+keeps the cheaper kernel.  The ``argmin`` beats the threshold filter
+only at a surplus of one: a few rounds of it for a surplus of a few
+(value ranking keeps most of a head's columns, but drops several) cost
+more than the filter's one sort, and so does ``np.partition`` with one
+``kth`` per distinct ``k`` below several hundred columns.
+``tests/test_topk.py`` pins the kernels to the same selection on
+generated scores with forced ties.
 
 The cycle-accurate engine (comparator arrays, zero eliminators, FIFO
 occupancy) lives in the hardware package; the functions here are the
@@ -45,6 +56,7 @@ import numpy as np
 __all__ = [
     "topk_indices",
     "topk_mask",
+    "drop_one",
     "quick_select_kth",
     "filter_topk",
     "QuickSelectStats",
@@ -75,9 +87,9 @@ def topk_mask(scores: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Per-row mask of the ``k`` largest entries along the last axis.
 
     The plane form of :func:`topk_indices`: ``scores`` is ``[..., n]``,
-    ``k`` an integer array of shape ``scores.shape[:-1]`` (or one count
-    for every row) with ``0 <= k <= n`` (one count per row — rows may
-    differ), and
+    ``k`` an integer array that broadcasts to ``scores.shape[:-1]`` (one
+    count per row — rows may differ — or per group of rows) with
+    ``0 <= k <= n``, and
     ``topk_mask(scores, k)[row]`` is True exactly at
     ``topk_indices(scores[row], k[row])``.  Callers exclude a column
     (padding, an already-pruned token) by scoring it ``-inf`` and force
@@ -91,21 +103,40 @@ def topk_mask(scores: np.ndarray, k: np.ndarray) -> np.ndarray:
     """
     n, rows = scores.shape[-1], scores.shape[:-1]
     k = np.asarray(k)
-    # Ascending order: the k-th largest sits at n - k (k == 0 reads the
-    # maximum, and the surplus-tie pass below then drops every match).
-    at = np.minimum(n - k, n - 1)
-    # One gather from the rows of the sorted plane (cheaper than
-    # ``take_along_axis`` on the small planes the cascade ranks).
-    ordered = np.sort(scores, axis=-1).reshape(-1, n)
-    kth = ordered[np.arange(len(ordered)), at.reshape(-1)].reshape(rows + (1,))
+    # The sorted plane flat (ascending), row ``r`` up to ``n * (r + 1)``:
+    # the k-th largest sits ``k`` before its end — one 1-D gather, cheaper
+    # than ``take_along_axis`` on the small planes the cascade ranks
+    # (k == 0 reads the maximum, and the surplus-tie pass below then
+    # drops every match).
+    ordered = np.sort(scores, axis=-1).reshape(-1)
+    cut = np.arange(n, ordered.size + 1, n).reshape(rows) - k
+    kth = ordered[cut - (k == 0)][..., None]
     mask = scores >= kth
-    surplus = np.add.reduce(mask, axis=-1, keepdims=True) - k[..., None]
-    if surplus.any():
+    # A row holds more than k at or above its k-th largest only if the
+    # value sorted just below the cut ties it (k == 0 reads the k-th
+    # largest itself); a row with k == n reads another row's value,
+    # and the pass drops nothing there.
+    if (ordered[cut - 1] == kth[..., 0]).any():
+        surplus = np.add.reduce(mask, axis=-1, keepdims=True) - k[..., None]
         ties = scores == kth
         later_ties = np.cumsum(ties[..., ::-1], axis=-1)[..., ::-1]
         ties &= later_ties <= surplus
         mask &= ~ties
     return mask
+
+
+def drop_one(scores: np.ndarray) -> np.ndarray:
+    """Per row of a ``[n, m]`` plane, the column a top-k selection drops
+    when the row's ``k`` is one short of its candidates.
+
+    The excluded columns (padding, already-pruned tokens) and a forced
+    one (a protected token) score ``+inf`` here — never the smallest —
+    so ``topk_mask(where(excluded, -inf, scores), candidates - 1)[row]``
+    is the row's candidates without ``drop_one(scores)[row]``: its
+    smallest entry, the latest of equal minima (ties keep the earlier
+    indices).  A row needs at least one finite entry.
+    """
+    return scores.shape[-1] - 1 - scores[:, ::-1].argmin(axis=-1)
 
 
 @dataclass

@@ -405,11 +405,16 @@ class _StoreBlock(_Part):
                  indices=None):
         self.stores, self.rows, self.cascade = stores, rows, cascade
         self.counts = np.asarray(counts)
+        self.n_queries = int(self.counts.max())
         self.seq_of = np.repeat(np.arange(len(self.counts)), self.counts)
         self.positions = positions
         self.indices = indices
         kind = "dense" if cascade is None else "pruned"
         self.core_stage = f"{stage}_{kind}_core"
+        # A prompt pass fills rows adopted empty; a decode step's rows
+        # hold their prompt's columns at least.
+        self.first = stage == "prefill"
+        self.value_stage = f"{stage}_value_control"
 
     def ends(self) -> np.ndarray:
         return np.cumsum(self.counts)
@@ -423,7 +428,9 @@ class _StoreBlock(_Part):
         if self.cascade is None:
             return None
         self.cascade.prune(layer_idx)
-        self.stores[layer_idx].evict(self.rows, self.cascade.alive)
+        self.stores[layer_idx].evict(
+            self.rows, self.cascade.alive, self.cascade.offsets
+        )
         if len(self.positions) == len(self.counts):
             # A row's last query is its protected token (a decode step's
             # new one, a prompt's last): one query a row drops no row.
@@ -436,6 +443,7 @@ class _StoreBlock(_Part):
         self.seq_of = self.seq_of[survivors]
         self.positions = self.positions[survivors]
         self.counts = np.bincount(self.seq_of, minlength=len(self.counts))
+        self.n_queries = int(self.counts.max())
         return survivors
 
     def attend(self, backend, layer_idx, heads, out) -> None:
@@ -1112,30 +1120,32 @@ def _store_core(
     flat, and ``out`` ``[N, d]`` takes their merged head features.  Row
     ``j``'s queries sit in rows ``[0, counts[j])`` of its plane; padded
     query rows are zeroed after the softmax and contribute exact zeros
-    from there on.  The new K/V columns (dead heads' as zeros) go to the
-    store with one write per plane, the block quantized in *one* pass
-    under int8.  A first pass — rows that held no column before this
-    write — attends to the K/V it has just computed; a later one reads
-    the ``[:width]`` columns as the store holds them
+    from there on.  The new K/V columns (in a prompt block, dead heads'
+    as zeros) go to the store with one write per plane, the block
+    quantized in *one* pass under int8.  A first pass — a prompt block,
+    whose rows held no column before this write — attends to the K/V it
+    has just computed; a later one — a decode step — reads the
+    ``[:width]`` columns as the store holds them
     (:meth:`~repro.nn.kv_cache.KVRowStore.compute_columns`).  One mask
     hides a column from the queries before its position, and a column
     without a token — evicted and not compacted away yet, or the ragged
     tail, labelled :data:`~repro.nn.kv_cache.NO_TOKEN` — from all.
 
     With a ``cascade`` — the pruned rows' batch control — SpAtten's
-    stages sit in the datapath: dead heads gated by a ``[n, h]`` plane,
-    local value pruning ranked on each head's probability mass per
+    stages sit in the datapath: dead heads gated by the step's ``[n, h]``
+    plane, local value pruning ranked on each head's probability mass per
     column (summed over the queries once; at one query a row, the
     probabilities themselves) — the same plane the fp64 token
     importance accumulates — and head importance accumulated for the
-    whole block.  Dense blocks pass ``None`` and bypass them.  A block
-    of several queries a row is a first pass, whose dead heads' values
-    are the zeros just computed; at one query a row the dead heads'
-    probabilities are zeroed instead, as stale columns may sit under
-    them.
+    whole block, all of it the profiler's ``*_value_control`` stage.
+    Dense blocks pass ``None`` and bypass them.  A prompt block's A·V
+    reads the values just computed, so its dead heads' K/V are zeroed
+    before the write; a decode step zeroes the dead heads'
+    probabilities instead, so whatever their store slices hold is never
+    read with nonzero weight, and it writes them ungated.
     """
     cascade, rows, counts = block.cascade, block.rows, block.counts
-    n, n_queries = len(counts), int(counts.max())
+    n, n_queries = len(counts), block.n_queries
     seq_of, col_of = block.seq_of, None
     if n * n_queries > len(seq_of):
         col_of = ragged_arange(counts)
@@ -1149,18 +1159,15 @@ def _store_core(
         return pack
 
     q, k, v = heads[:, 0], heads[:, 1], heads[:, 2]
-    gate = None
-    if cascade is not None and cascade.any_head_dead:
-        gate = cascade.head_alive[:, :, None]
-        row_gate = gate if n_queries == 1 else gate[seq_of]
-        k, v = k * row_gate, v * row_gate
-    first = not store.cursor[rows].any()
+    gate = None if cascade is None else cascade.gate
+    if gate is not None and block.first:
+        k, v = k * gate[seq_of], v * gate[seq_of]
     width = store.write_block(
         rows, counts, block.positions, *_stage_kv_columns(backend, k, v)
     )
     # [n, h, Lk, D] each; BLAS takes the transposed keys (and these
     # views) without materializing them.
-    if first:
+    if block.first:
         keys, values = (padded(a).transpose(0, 2, 1, 3) for a in (k, v))
     else:
         keys, values = store.compute_columns(rows, width)
@@ -1183,7 +1190,9 @@ def _store_core(
         probs *= (np.arange(n_queries) < counts[:, None])[:, None, :, None]
     mass = probs[:, :, 0] if n_queries == 1 else np.add.reduce(probs, axis=2)
     lens = store.live[rows]
+    prof = backend.profiler
     if cascade is not None:
+        t0 = prof.start() if prof is not None else 0.0
         # Ranked on every head's own mass, before dead heads are
         # zeroed: an all-zero row would be one big tie.
         value_mask = cascade.value_mask(mass, lens)
@@ -1195,9 +1204,14 @@ def _store_core(
         elif value_mask is not None:
             # Zeroing the dropped V rows masks their probabilities.
             values = values * value_mask[..., None]
+        if prof is not None:
+            spent = prof.start() - t0
     head_out = np.matmul(probs, values)  # [n, h, Lq, D]
     if cascade is not None:
+        t0 = prof.start() if prof is not None else 0.0
         cascade.accumulate_heads(head_out, lens)
+        if prof is not None:
+            prof.carve(block.value_stage, spent + prof.start() - t0)
     # [n, h, 1, D] → [n, 1, h·D] reshapes in place (the moved axis is
     # the singleton); a prompt block's plane gathers its real rows.
     merged = head_out.transpose(0, 2, 1, 3).reshape(n, n_queries, -1)

@@ -722,19 +722,21 @@ class KVRowStore:
     # ------------------------------------------------------------------
     # A block of rows: eviction, the one write, the read
     # ------------------------------------------------------------------
-    def evict(self, rows: slice, alive: np.ndarray) -> None:
+    def evict(
+        self, rows: slice, alive: np.ndarray, offsets: np.ndarray
+    ) -> None:
         """Cascade eviction over the rows ``rows`` as one gathered mask.
 
         ``alive`` ``[n, P]`` says, by label, which tokens each row's
         sequence still holds live; its last column — what
-        :data:`NO_TOKEN` reads — must be dead.  Newly dead columns are
-        relabelled where they sit, and a row is compacted once a page
-        of them has built up.
+        :data:`NO_TOKEN` reads — must be dead.  ``offsets`` is ``P *
+        arange(n)[:, None]``, where each row starts in the flat plane.
+        Newly dead columns are relabelled where they sit, and a row is
+        compacted once a page of them has built up.
         """
         labels = self.labels[rows, : int(self.cursor[rows].max())]
         # A 1-D gather from the flat plane: row ``j``'s label ``c`` is
         # ``c + j * P`` there, and ``NO_TOKEN`` a dead last column.
-        offsets = alive.shape[1] * np.arange(len(labels))[:, None]
         keep = alive.reshape(-1)[labels + offsets]
         live = np.add.reduce(keep, axis=1)
         newly_dead = self.live[rows] - live
@@ -744,7 +746,7 @@ class KVRowStore:
         self.evicted[rows] += newly_dead
         self.live[rows] = live
         holes = self.cursor[rows] - live
-        for row in np.flatnonzero(holes >= self.page_tokens):
+        for row in (holes >= self.page_tokens).nonzero()[0]:
             self.compact(rows.start + int(row))
 
     def compact(self, row: int) -> None:
@@ -753,13 +755,14 @@ class KVRowStore:
         end, n_live = int(self.cursor[row]), int(self.live[row])
         if n_live == end:
             return
-        kept = np.flatnonzero(self.labels[row, :end] != NO_TOKEN)
+        labels = self.labels[row, :end]
+        kept = (labels != NO_TOKEN).nonzero()[0]
         for plane in self.planes:
-            # Fancy indexing materializes the survivors before the
+            # ``take`` materializes the survivors before the
             # (overlapping) assignment.
-            plane[row, :, :n_live] = plane[row][:, kept]
-        self.labels[row, :n_live] = self.labels[row, kept]
-        self.labels[row, n_live:end] = NO_TOKEN
+            plane[row, :, :n_live] = plane[row].take(kept, axis=1)
+        labels[:n_live] = labels[kept]
+        labels[n_live:] = NO_TOKEN
         self.cursor[row] = n_live
 
     def write_block(

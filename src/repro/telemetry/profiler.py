@@ -56,11 +56,16 @@ step (``prefill_chunk_policy``) records, per step or per layer:
   ``DenseExecutor``'s own core, one part for every dense chunk of the
   step;
 * ``decode_pruned_core`` / ``prefill_pruned_core`` — a pruned store
-  block's store core: K/V write at each row's cursor (the int8
-  quantization of the block included), then scores / mask / softmax /
-  local value pruning / A·V / importance accumulation over its plane —
-  one query row a sequence in a decode step, the whole sentence in a
-  prompt step;
+  block's store core but its value control: K/V write at each row's
+  cursor (the int8 quantization of the block included), then scores /
+  mask / softmax / A·V over its plane — one query row a sequence in a
+  decode step, the whole sentence in a prompt step;
+* ``decode_value_control`` / ``prefill_value_control`` — the cascade's
+  statements inside a pruned block's core, carved out of its time
+  (:meth:`HotPathProfiler.carve`), one call a block and layer: local
+  value pruning (the keep counts and the ranking), the dead-head gate
+  and token importance accumulation before A·V, head importance
+  accumulation after it;
 * ``decode_output_fc`` / ``prefill_output_fc`` — the fused output
   projection;
 * ``decode_ffn`` / ``prefill_ffn`` — the rest of a block: residual
@@ -105,9 +110,10 @@ per stage — the off path stays allocation-free.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..eval.reporting import Table
+if TYPE_CHECKING:
+    from ..eval.reporting import Table
 
 __all__ = ["HotPathProfiler"]
 
@@ -123,6 +129,8 @@ class HotPathProfiler:
     def __init__(self) -> None:
         self._calls: Dict[str, int] = {}
         self._seconds: Dict[str, float] = {}
+        #: Seconds carved out of the stage the next lap closes.
+        self._carved = 0.0
 
     # The backend calls these inline — start/stop, not a context
     # manager, to keep per-stage overhead to two perf_counter reads.
@@ -130,12 +138,22 @@ class HotPathProfiler:
         return time.perf_counter()
 
     def lap(self, stage: str, t0: float) -> float:
-        """Charge ``stage`` the time since ``t0``; returns the stamp it
-        stopped at, where a stage that follows without a gap starts."""
+        """Charge ``stage`` the time since ``t0`` but what :meth:`carve`
+        took out of it; returns the stamp it stopped at, where a stage
+        that follows without a gap starts."""
         now = time.perf_counter()
+        seconds, self._carved = now - t0 - self._carved, 0.0
         self._calls[stage] = self._calls.get(stage, 0) + 1
-        self._seconds[stage] = self._seconds.get(stage, 0.0) + (now - t0)
+        self._seconds[stage] = self._seconds.get(stage, 0.0) + seconds
         return now
+
+    def carve(self, stage: str, seconds: float) -> None:
+        """Charge ``stage`` one call of ``seconds`` spent within the
+        stage the next :meth:`lap` (or :meth:`stop`) closes, which is
+        charged that much less."""
+        self._calls[stage] = self._calls.get(stage, 0) + 1
+        self._seconds[stage] = self._seconds.get(stage, 0.0) + seconds
+        self._carved += seconds
 
     def stop(self, stage: str, t0: float) -> float:
         """Charge ``stage`` the time since ``t0``; returns that time."""
@@ -183,6 +201,10 @@ class HotPathProfiler:
         return rows
 
     def table(self) -> Table:
+        # Imported on use: ``repro.eval`` imports the serving engine,
+        # which imports this package.
+        from ..eval.reporting import Table
+
         t = Table(
             title="hot-path profile (wall clock)",
             headers=["stage", "calls", "total ms", "us/call", "share"],

@@ -22,10 +22,10 @@ right types before the report trusts the file.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from ..eval.charts import line_chart
-from ..eval.reporting import Table
+if TYPE_CHECKING:
+    from ..eval.reporting import Table
 
 __all__ = [
     "TraceOverlapError",
@@ -145,6 +145,14 @@ def _process_names(events: Sequence[dict]) -> Dict[int, str]:
     return names
 
 
+def _table(**kwargs) -> Table:
+    # Imported on use: ``repro.eval`` imports the serving engine, which
+    # imports this package.
+    from ..eval.reporting import Table
+
+    return Table(**kwargs)
+
+
 def _phase_table(events: Sequence[dict]) -> Table:
     spans: Dict[str, List[float]] = {}
     outcomes: Dict[str, Dict[str, int]] = {}
@@ -157,7 +165,7 @@ def _phase_table(events: Sequence[dict]) -> Table:
         if outcome:
             counts = outcomes.setdefault(name, {})
             counts[outcome] = counts.get(outcome, 0) + 1
-    t = Table(
+    t = _table(
         title="per-phase time breakdown (simulated)",
         headers=["phase", "spans", "total ms", "mean ms", "max ms",
                  "share", "outcomes"],
@@ -210,7 +218,7 @@ def _savings_section(events: Sequence[dict]) -> str:
     ts, totals = _savings_series(events)
     if not ts:
         return "pruning-savings timeline: no kv_pool counter samples\n"
-    t = Table(
+    t = _table(
         title="pruning savings (pages reclaimed over time)",
         headers=["metric", "value"],
     )
@@ -221,6 +229,8 @@ def _savings_section(events: Sequence[dict]) -> str:
     t.add_row("final pages reclaimed", f"{totals[-1]:.0f}")
     lines = [t.render()]
     if totals[-1] > 0 and len(ts) > 1:
+        from ..eval.charts import line_chart
+
         lines.append("")
         lines.append(line_chart(
             ts, totals,
@@ -235,7 +245,7 @@ def _storm_table(events: Sequence[dict]) -> Table:
         e for e in events
         if e.get("ph") == "i" and e["name"] in _STORM_EVENTS
     ]
-    t = Table(
+    t = _table(
         title="preemption / requeue storms",
         headers=["event", "count", "peak window", "window at (ms)"],
     )
@@ -268,7 +278,7 @@ def trace_report(path: str) -> str:
     n_spans = sum(1 for e in events if e.get("ph") == "X")
     n_instants = sum(1 for e in events if e.get("ph") == "i")
     n_counters = sum(1 for e in events if e.get("ph") == "C")
-    header = Table(
+    header = _table(
         title=f"trace report — {path}",
         headers=["metric", "value"],
     )

@@ -141,6 +141,56 @@ def test_token_and_head_decisions_match_per_sequence(seed):
             )
 
 
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_head_decisions_with_and_without_a_row_that_can_prune(
+    seed, prunable
+):
+    """A step settles once whether some row can still prune a head —
+    its plan keeps fewer heads than it has live at some layer, as for a
+    sequence adopted with more live heads than its plan keeps — or none
+    can, as after a prompt pass.  Steps of both kinds decide heads as
+    ``prune_heads`` does, and the step's dead-head gate is the live-head
+    mask exactly while some row has a head dead."""
+    rng = np.random.default_rng(seed)
+    executors = [_stub_executor(rng) for _ in range(rng.integers(1, 7))]
+    for executor in executors:
+        plan = executor._plan
+        # Never fewer heads than the row has live.
+        plan.head_counts = np.maximum(
+            plan.head_counts, len(executor._alive_heads)
+        )
+    if prunable:
+        executor = executors[int(rng.integers(len(executors)))]
+        executor._alive_heads = np.arange(N_HEADS)
+        executor._plan.head_counts = np.minimum(
+            executor._plan.head_counts, N_HEADS - 1
+        )
+    twins = copy.deepcopy(executors)
+    control, table = _control_table()
+    table.adopt(executors)
+    step = control.open_decode(np.array([e._total_length for e in twins]))
+    assert step._heads_prunable == prunable
+    for layer_idx in range(N_LAYERS):
+        before = step.head_alive.copy()
+        step.prune(layer_idx)
+        for j, twin in enumerate(twins):
+            live = np.flatnonzero(before[j])
+            target = int(twin._plan.head_counts[layer_idx])
+            expected = live
+            if target < len(live):
+                expected = prune_heads(
+                    live, twin.head_acc.scores_for(live), target
+                ).kept_ids
+            assert np.array_equal(np.flatnonzero(step.head_alive[j]), expected)
+        if step.head_alive.all():
+            assert step.gate is None
+        else:
+            assert np.array_equal(step.gate[..., 0], step.head_alive)
+    if not prunable:
+        assert np.array_equal(step.head_alive, before)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_value_masks_match_per_sequence(seed):

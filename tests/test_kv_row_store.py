@@ -310,7 +310,8 @@ class RowStoreMachine(RuleBasedStateMachine):
         start, stop = self.draw_block(data, residents)
         alive = self.rng.random((stop - start, MAX_LEN + 1)) < keep
         alive[:, -1] = False  # the sink NO_TOKEN reads
-        self.stores[layer].evict(slice(start, stop), alive)
+        offsets = alive.shape[1] * np.arange(stop - start)[:, None]
+        self.stores[layer].evict(slice(start, stop), alive, offsets)
         for j, seq in enumerate(residents[start:stop]):
             shadow = seq.shadows[layer]
             shadow.keep(np.flatnonzero(alive[j, shadow.token_ids]))
@@ -1014,3 +1015,61 @@ def test_pruned_prompt_step_never_calls_the_per_sequence_cascade(
             for layer in range(config.n_layers)
         )
     assert executors[0].kv_lengths()[-1] < states[0].prompt_len
+
+
+@pytest.mark.parametrize("tier", ["fp32", "int8"])
+def test_decode_never_reads_a_dead_heads_columns(tier):
+    """A decode step zeroes a dead head's probabilities before A·V and
+    importance, so its store slices are never read with nonzero weight
+    and a decode block writes them ungated: filling every dead head's
+    slices with finite garbage before each step leaves the logits, KV
+    lengths and traces of a clean run bit for bit."""
+    config = ModelConfig(
+        "dead-heads", n_layers=3, n_heads=4, d_model=32, d_ff=64,
+        vocab_size=96, max_seq_len=160, causal=True,
+    )
+    model = TransformerModel(config, random_model(config, seed=41))
+    prompts = [
+        np.random.default_rng(3 + i).integers(0, 96, size=n).tolist()
+        for i, n in enumerate((38, 21, 45, 30))
+    ]
+
+    def run(garbage):
+        backend = PackedDecodeBackend(model, numerics=tier)
+        states = [
+            model.prefill_begin(
+                prompt, SpAttenExecutor(PRUNING, numerics=tier)
+            )
+            for prompt in prompts
+        ]
+        model.prefill_chunk_batch(states, config.max_seq_len, backend=backend)
+        executors = [state.executor for state in states]
+        tokens = [int(np.argmax(state.logits)) for state in states]
+        positions = [len(prompt) for prompt in prompts]
+        table = backend._tables["pruned"]
+        rng = np.random.default_rng(5)
+        stream = []
+        for _ in range(8):
+            if garbage:
+                dead = ~table.members[-1].head_alive[: len(table.seats)]
+                assert dead.any()
+                for store in table.members[:-1]:
+                    for plane in store.planes:
+                        rows = plane[: len(dead)]
+                        rows[dead] = rng.integers(
+                            1, 100, size=rows[dead].shape
+                        ).astype(plane.dtype)
+            logits = model.decode_step_batch(
+                tokens, positions, executors, backend=backend
+            )
+            stream.append((logits, [e.kv_lengths() for e in executors]))
+            tokens = [int(np.argmax(row)) for row in logits]
+            positions = [p + 1 for p in positions]
+        return stream, [e.trace.count_signature() for e in executors]
+
+    clean, clean_traces = run(False)
+    dirty, dirty_traces = run(True)
+    for (want, want_kv), (got, got_kv) in zip(clean, dirty):
+        assert got_kv == want_kv
+        assert np.array_equal(got, want)
+    assert dirty_traces == clean_traces

@@ -203,3 +203,92 @@ class TestSequencePlan:
         )
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.prompt_len = 1
+
+
+BOUND_MODEL = ModelConfig(
+    "kv-bound", n_layers=3, n_heads=4, d_model=16, d_ff=32, vocab_size=40,
+    max_seq_len=96, causal=True,
+)
+
+
+def _eviction_bound(plan: SequencePlan) -> np.ndarray:
+    """The most columns eviction lets each layer hold over the plan's
+    life: the summarized prompt, or a layer's decode target capped by
+    the live set entering a step — what the last layer kept one step
+    earlier, plus the new token."""
+    pruning, counts = plan.pruning, np.array(plan.token_counts)
+    total = plan.prompt_len + plan.max_new_tokens
+    fracs = np.array(plan.token_fracs)
+    entering = 1 + max(counts[-1], decode_token_target(
+        pruning, float(fracs[-1]), total - 1
+    ))
+    targets = decode_token_targets(pruning.min_tokens, fracs, total)
+    return np.maximum(counts, np.minimum(targets, entering))
+
+
+class TestDecodeKVBound:
+    """Eviction is global, so decode KV lengths stay under a bound far
+    below ``kv_bounds`` at front layers — on the packed store rows and
+    on the looped per-sequence oracle alike."""
+
+    @given(
+        st.sampled_from([0.75, 0.4, 0.15]), st.integers(1, 6),
+        st.lists(st.tuples(st.integers(2, 40), st.integers(1, 24)),
+                 min_size=1, max_size=3),
+        st.booleans(), st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_decode_kv_lengths_stay_under_the_eviction_bound(
+        self, keep_final, min_tokens, shapes, packed, seed
+    ):
+        from repro.core.pipeline import SpAttenExecutor
+        from repro.nn import TransformerModel, random_model
+        from repro.nn.batched_attention import PackedDecodeBackend
+
+        model = TransformerModel(BOUND_MODEL, random_model(BOUND_MODEL, 3))
+        pruning = PruningConfig(
+            token_keep_final=keep_final, min_tokens=min_tokens,
+        )
+        rng = np.random.default_rng(seed)
+        prompts = [rng.integers(0, 40, size=n).tolist() for n, _ in shapes]
+        numerics = "fp32" if packed else None
+        backend = PackedDecodeBackend(model, numerics) if packed else None
+        executors = [
+            SpAttenExecutor(pruning, numerics=numerics) for _ in shapes
+        ]
+        if packed:
+            states = [
+                model.prefill_begin(prompt, executor)
+                for prompt, executor in zip(prompts, executors)
+            ]
+            logits = model.prefill_chunk_batch(
+                states, BOUND_MODEL.max_seq_len, backend=backend
+            )
+        else:
+            logits = [
+                model.prefill(prompt, executor)
+                for prompt, executor in zip(prompts, executors)
+            ]
+        bounds = [
+            _eviction_bound(SequencePlan.build(
+                pruning, BOUND_MODEL, len(prompt), max_new
+            ))
+            for prompt, (_, max_new) in zip(prompts, shapes)
+        ]
+        tokens = [int(np.argmax(row)) for row in logits]
+        positions = [len(prompt) for prompt in prompts]
+        budgets = [max_new for _, max_new in shapes]
+        rows = list(range(len(shapes)))
+        while rows:
+            out = model.decode_step_batch(
+                [tokens[i] for i in rows], [positions[i] for i in rows],
+                [executors[i] for i in rows], backend=backend,
+            )
+            for j, i in enumerate(rows):
+                lengths = executors[i].kv_lengths()
+                assert (np.array(lengths) <= bounds[i]).all(), (
+                    i, lengths, bounds[i].tolist()
+                )
+                tokens[i], positions[i] = int(np.argmax(out[j])), positions[i] + 1
+                budgets[i] -= 1
+            rows = [i for i in rows if budgets[i]]

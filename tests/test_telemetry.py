@@ -16,7 +16,11 @@ The contract under test, in order of importance:
 
 import json
 import math
+import os
+import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -518,7 +522,8 @@ class TestProfiler:
         """The SpanRecorder identity moved inside the opaque span: on a
         non-exact tier the ``decode_*`` stages account for the whole
         ``decode_step`` but an ``unattributed`` remainder the table
-        shows, held under 5 % of the step."""
+        shows, held under 5 % of the step — the value control carved out
+        of the pruned core, once a layer, included."""
         tel = Telemetry(profile=True)
         requests = trace(serving_setup[2], n=10, max_new=(16, 24))
         run_engine(serving_setup, requests, telemetry=tel, pruning=pruning,
@@ -531,6 +536,14 @@ class TestProfiler:
         assert prof.calls("decode_ffn") == steps * n_layers
         core = "decode_dense_core" if pruning is None else "decode_pruned_core"
         assert prof.calls(core) == steps * n_layers
+        # The cascade's own statements are a stage of their own, which a
+        # dense block never runs.
+        assert prof.calls("decode_value_control") == (
+            0 if pruning is None else steps * n_layers
+        )
+        assert (prof.seconds("decode_value_control") > 0) == (
+            pruning is not None
+        )
         # The pruned rows' control is resident: nothing is committed.
         assert prof.calls("decode_commit") == 0
         unattributed = prof.unattributed_seconds("decode_step")
@@ -563,6 +576,9 @@ class TestProfiler:
         assert prof.calls("prefill_prune_control") == layers
         assert prof.calls("prefill_chunk_proj") == layers
         assert prof.calls(core) >= layers
+        assert prof.calls("prefill_value_control") == (
+            0 if pruning is None else prof.calls(core)
+        )
         assert prof.calls("prefill_commit") == 0
         unattributed = prof.unattributed_seconds("prefill_step")
         assert 0 <= unattributed <= 0.05 * prof.seconds("prefill_step")
@@ -849,3 +865,30 @@ class TestCLI:
         from repro.cli import main
         assert main(["trace-report", "/nonexistent/trace.json"]) == 2
         assert "trace-report" in capsys.readouterr().err
+
+
+def test_every_subpackage_imports_first():
+    """Each ``repro`` subpackage — and each telemetry module — imports
+    as the first ``repro`` import of an interpreter: no import cycle
+    needs another module to have been imported before it."""
+    import repro
+
+    names = [f"repro.{module.name}" for module in pkgutil.iter_modules(
+        repro.__path__
+    )] + [
+        f"repro.telemetry.{name}"
+        for name in ("export", "metrics", "profiler", "report", "tracer")
+    ]
+    script = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    for module in [m for m in sys.modules\n"
+        "                   if m == 'repro' or m.startswith('repro.')]:\n"
+        "        del sys.modules[module]\n"
+        "    importlib.import_module(name)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr

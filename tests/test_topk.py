@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.topk import (
+    drop_one,
     filter_topk,
     quick_select_kth,
     topk_indices,
@@ -104,6 +105,42 @@ class TestOneSelectionRule:
                 np.flatnonzero(mask[row]), topk_indices(plane[row], k[row])
             ), (plane[row], k[row])
             assert not (mask[row] & excluded[row]).any()
+
+    @given(
+        hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 6), st.integers(2, 16)),
+            elements=st.integers(0, 3).map(float),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_drop_one_is_the_selection_one_short(self, plane, data):
+        """Rows whose ``k`` is one short of their candidates — forced
+        ties at the minimum, ``-inf`` exclusions, a ``+inf`` protected
+        entry: each loses exactly the entry ``topk_indices`` leaves out,
+        and ``topk_mask`` agrees."""
+        n_rows, n = plane.shape
+        rows = np.arange(n_rows)
+        protected = data.draw(hnp.arrays(
+            np.int64, n_rows, elements=st.integers(0, n - 1)
+        ))
+        excluded = data.draw(hnp.arrays(bool, plane.shape))
+        # The protected entry and one other stay candidates.
+        excluded[rows, protected] = excluded[rows, (protected + 1) % n] = False
+        tied = data.draw(hnp.arrays(bool, plane.shape))
+        plane = np.where(tied, plane.min(axis=1, keepdims=True), plane)
+        ranked = np.where(excluded, -np.inf, plane)
+        ranked[rows, protected] = np.inf
+        k = n - np.count_nonzero(excluded, axis=1) - 1
+        loser = drop_one(np.where(excluded, np.inf, ranked))
+        kept = ~excluded
+        kept[rows, loser] = False
+        assert (loser != protected).all()
+        for row in rows:
+            assert np.array_equal(
+                np.flatnonzero(kept[row]), topk_indices(ranked[row], k[row])
+            ), (ranked[row], loser[row])
+        assert np.array_equal(topk_mask(ranked, k), kept)
 
 
 class TestQuickSelect:
