@@ -14,6 +14,20 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 mkdir -p benchmarks/results
 python -m repro.cli lint --out benchmarks/results/lint_report.json
 
+# Exact-tier bit identity rests on NumPy's batched matmul calling BLAS
+# slice by slice as the per-head 2-D product does, and CI installs an
+# unpinned numpy: name both, so a bit-identity failure names its cause.
+python - <<'EOF'
+import numpy
+
+try:
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = f"{blas.get('name', '?')} {blas.get('version', '')}".strip()
+except (TypeError, KeyError):  # numpy < 1.25 has no "dicts" mode
+    blas = "unknown"
+print(f"numpy {numpy.__version__}, BLAS {blas}")
+EOF
+
 # --durations=10: the suite's budget (~70 s) is a number somebody sees
 # — the ten slowest tests print under every run's summary.
 python -m pytest -x -q --durations=10 "$@"

@@ -60,7 +60,11 @@ Every decision is the one the per-sequence functions
 :func:`~repro.core.head_pruning.prune_heads`,
 :func:`~repro.core.value_pruning.local_value_keep_indices`) make on the
 same scores: the counts come from the same schedule arithmetic and the
-selection from the same rule (:mod:`repro.core.topk`).  The layers'
+selection from the same rule (:mod:`repro.core.topk`), and mostly by
+the same kernels: a sequence ranks its values with one
+:func:`~repro.core.topk.topk_mask` over its ``[h, L1]`` plane and, at a
+surplus of one, its tokens with one :func:`~repro.core.topk.drop_one`
+row, where the batch ranks every sequence's at once.  The layers'
 work shapes go into one block-level log, ``(n_keys, n_heads,
 n_values)`` rows per step, of which each executor's
 :class:`~repro.core.trace.AttentionTrace` takes its share at its

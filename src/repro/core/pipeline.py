@@ -323,34 +323,37 @@ class SpAttenExecutor(AttentionExecutor):
         query_ids: np.ndarray,
         lsb_fraction: float,
         stage: str,
-    ) -> Tuple[np.ndarray, AttentionRecord]:
+        keep_record: bool,
+    ) -> Tuple[np.ndarray, Optional[AttentionRecord]]:
         """Local V pruning, importance accumulation, head merge.
 
         Everything after the probabilities except the output FC:
         returns the merged full-width head features ``[L, h*D]`` so the
         packed backend can batch the output projection across sequences
         (:mod:`repro.nn.batched_attention`); the looped path applies the
-        same FC per sequence, which is bit-identical.
+        same FC per sequence, which is bit-identical.  Only the looped
+        path (``keep_record``) gets the layer's :class:`AttentionRecord`;
+        the packed cores have no use for it.
         """
-        kept_per_head = local_value_keep_indices(probs, self.pruning.value_keep)
-        head_out, kept_counts = apply_local_value_pruning(
-            probs, v_live, kept_per_head
-        )
+        kept = local_value_keep_indices(probs, self.pruning.value_keep)
+        head_out, kept_counts = apply_local_value_pruning(probs, v_live, kept)
         self.token_acc.accumulate(probs, key_ids)
         self.head_acc.accumulate(head_out, self._alive_heads)
 
         cfg = self._model_config
         full = expand_pruned_heads(head_out, self._alive_heads, cfg.n_heads)
         merged = merge_heads(full)
-        record = AttentionRecord(
-            probs=probs,
-            head_outputs=head_out,
-            key_token_ids=key_ids.copy(),
-            query_token_ids=query_ids.copy(),
-            head_ids=self._alive_heads.copy(),
-            value_kept=kept_counts,
-            lsb_refetched=lsb_fraction > 0.0,
-        )
+        record = None
+        if keep_record:
+            record = AttentionRecord(
+                probs=probs,
+                head_outputs=head_out,
+                key_token_ids=key_ids.copy(),
+                query_token_ids=query_ids.copy(),
+                head_ids=self._alive_heads.copy(),
+                value_kept=kept_counts,
+                lsb_refetched=lsb_fraction > 0.0,
+            )
         self.trace.add(
             LayerStep(
                 layer=layer_idx,
@@ -402,7 +405,8 @@ class SpAttenExecutor(AttentionExecutor):
         k_live: np.ndarray,
         v_live: np.ndarray,
         live_positions: np.ndarray,
-    ) -> Tuple[np.ndarray, AttentionRecord]:
+        keep_record: bool = False,
+    ) -> Tuple[np.ndarray, Optional[AttentionRecord]]:
         """Post-projection summarize core; returns merged ``[L, h*D]``.
 
         Caches the live heads' K/V (the pruned heads' columns stay
@@ -427,7 +431,7 @@ class SpAttenExecutor(AttentionExecutor):
         v_used = self._quantize_values(v_live)
         return self._finish_layer_merged(
             model, layer_idx, probs, v_used, key_ids, live_positions,
-            lsb_fraction, "summarize",
+            lsb_fraction, "summarize", keep_record,
         )
 
     def _run_summarize(
@@ -442,7 +446,8 @@ class SpAttenExecutor(AttentionExecutor):
             model, layer_idx, x[kept_rows]
         )
         merged, record = self._summarize_attend_merged(
-            layer_idx, model, q_live, k_live, v_live, positions[kept_rows]
+            layer_idx, model, q_live, k_live, v_live, positions[kept_rows],
+            keep_record=True,
         )
         output = model.attention(layer_idx).project_merged(merged)
         return LayerExecution(output, record, kept_rows)
@@ -498,7 +503,8 @@ class SpAttenExecutor(AttentionExecutor):
         k_live: np.ndarray,
         v_live: np.ndarray,
         positions: np.ndarray,
-    ) -> Tuple[np.ndarray, AttentionRecord]:
+        keep_record: bool = False,
+    ) -> Tuple[np.ndarray, Optional[AttentionRecord]]:
         """Post-projection decode core; returns merged ``[1, h*D]``.
 
         Appends the live heads' K/V column (pruned heads store zeros),
@@ -516,7 +522,7 @@ class SpAttenExecutor(AttentionExecutor):
         v_used = self._quantize_values(v_use)
         return self._finish_layer_merged(
             model, layer_idx, probs, v_used, key_ids, positions,
-            lsb_fraction, "decode",
+            lsb_fraction, "decode", keep_record,
         )
 
     def _run_decode(
@@ -531,7 +537,8 @@ class SpAttenExecutor(AttentionExecutor):
         self._decode_control(layer_idx, positions)
         q_live, k_live, v_live = self._project_live(model, layer_idx, x)
         merged, record = self._decode_attend_merged(
-            layer_idx, model, q_live, k_live, v_live, positions
+            layer_idx, model, q_live, k_live, v_live, positions,
+            keep_record=True,
         )
         output = model.attention(layer_idx).project_merged(merged)
         return LayerExecution(output, record, np.arange(1))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .topk import topk_indices
+from .topk import drop_one, topk_indices
 
 __all__ = ["TokenPruningDecision", "prune_tokens"]
 
@@ -63,10 +63,15 @@ def prune_tokens(
     if live_ids.shape != scores.shape:
         raise ValueError("live_ids and scores must align")
     n_live = len(live_ids)
-    keep_count = int(np.clip(keep_count, 0, n_live))
+    keep_count = min(max(int(keep_count), 0), n_live)
 
-    protected_mask = np.isin(live_ids, np.asarray(list(protected_ids), dtype=np.int64))
-    n_protected = int(protected_mask.sum())
+    if len(protected_ids) == 1:
+        protected_mask = live_ids == protected_ids[0]
+    else:
+        protected_mask = np.isin(
+            live_ids, np.asarray(list(protected_ids), dtype=np.int64)
+        )
+    n_protected = int(np.count_nonzero(protected_mask))
     keep_count = max(keep_count, n_protected)
     if keep_count >= n_live:
         return TokenPruningDecision(
@@ -78,12 +83,18 @@ def prune_tokens(
     # Fill the non-protected slots by score.
     free_rows = np.flatnonzero(~protected_mask)
     n_free_slots = keep_count - n_protected
-    chosen_free = free_rows[topk_indices(scores[free_rows], n_free_slots)]
-    kept_rows = np.sort(np.concatenate([np.flatnonzero(protected_mask), chosen_free]))
-    kept_mask = np.zeros(n_live, dtype=bool)
-    kept_mask[kept_rows] = True
+    kept_mask = np.ones(n_live, dtype=bool)
+    if n_free_slots == len(free_rows) - 1:
+        # One free token leaves (a steady decode step): the smallest
+        # score, the latest of equal minima.
+        kept_mask[free_rows[drop_one(scores[None, free_rows])]] = False
+    else:
+        chosen = topk_indices(scores[free_rows], n_free_slots)
+        kept_mask[free_rows] = False
+        kept_mask[free_rows[chosen]] = True
+    kept_rows = np.flatnonzero(kept_mask)
     return TokenPruningDecision(
-        kept_rows=kept_rows.astype(np.int64),
+        kept_rows=kept_rows,
         kept_ids=live_ids[kept_rows],
         pruned_ids=live_ids[~kept_mask],
     )

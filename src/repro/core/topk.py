@@ -7,14 +7,20 @@ implements the *functional* algorithms that the rest of the library uses:
 
 * :func:`topk_indices` — order-preserving top-k, the semantic ground
   truth everything is tested against (the hardware engine "keeps the
-  original order of inputs").
+  original order of inputs"); the per-sequence head ranking
+  (:func:`~repro.core.head_pruning.prune_heads`) and the per-sequence
+  token ranking at a surplus above one run it.
 * :func:`topk_mask` — the same selection over the last axis of a padded
   ``[..., n]`` plane with a ragged per-row ``k``: what the batched
   decode core (:mod:`repro.core.batched_cascade`) runs once per layer
-  for every sequence and head at a time.
+  for every sequence and head at a time, and what the per-sequence
+  value ranking (:func:`~repro.core.value_pruning.
+  local_value_keep_indices`) runs once per layer over every live head.
 * :func:`drop_one` — the one entry a row of a plane loses when its ``k``
   is one short of its candidates: the steady decode step's token
-  ranking, where every ranked row drops exactly one token.
+  ranking, where every ranked row drops exactly one token — in the
+  batched core and in :func:`~repro.core.token_pruning.prune_tokens`
+  (one row).
 * :func:`quick_select_kth` — the paper's Algorithm 3 as a pure function,
   returning the k-th largest value and the tie budget, along with the
   per-round partition sizes that drive the cycle model in
@@ -33,11 +39,14 @@ needs no ranking at all, only each row's smallest entry, the latest of
 equal minima (:func:`drop_one`, one ``argmin`` over the reversed rows).
 A stable sort of a ``[19, 8, 40]`` plane costs 2.5x the threshold filter
 and the threshold filter on one row 5x the stable sort, so each shape
-keeps the cheaper kernel.  The ``argmin`` beats the threshold filter
-only at a surplus of one: a few rounds of it for a surplus of a few
-(value ranking keeps most of a head's columns, but drops several) cost
-more than the filter's one sort, and so does ``np.partition`` with one
-``kth`` per distinct ``k`` below several hundred columns.
+keeps the cheaper kernel: a sequence's ``[h, L1]`` value plane is a
+plane (one threshold filter, not ``h`` sorts), its token row at a
+surplus of one a row of :func:`drop_one`.  The ``argmin`` beats the
+threshold filter only at a surplus of one: a few rounds of it for a
+surplus of a few (value ranking keeps most of a head's columns, but
+drops several) cost more than the filter's one sort, and so does
+``np.partition`` with one ``kth`` per distinct ``k`` below several
+hundred columns.
 ``tests/test_topk.py`` pins the kernels to the same selection on
 generated scores with forced ties.
 

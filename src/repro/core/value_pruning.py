@@ -9,11 +9,11 @@ token itself stays alive.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .topk import topk_indices
+from .topk import topk_mask
 
 __all__ = [
     "value_keep_count",
@@ -38,7 +38,7 @@ def value_keep_count(keep_fraction, n_keys, min_keep: int = 1):
 
 def local_value_keep_indices(
     probs: np.ndarray, keep_fraction: float, min_keep: int = 1
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Per-head indices of the V vectors worth fetching.
 
     Args:
@@ -47,50 +47,57 @@ def local_value_keep_indices(
         min_keep: lower bound on kept vectors per head.
 
     Returns:
-        A list of ``h`` sorted index arrays into the L1 axis.  Ranking is
-        by the head's total probability mass per key column (for the
-        generation stage L0 == 1, matching the paper's per-query use).
+        An ``[h, k]`` plane of ascending indices into the L1 axis, one
+        row a head: every head keeps the same count ``k``
+        (:func:`value_keep_count`), so one :func:`~repro.core.topk.
+        topk_mask` ranks all heads at once.  Ranking is by the head's
+        total probability mass per key column (for the generation stage
+        L0 == 1, the probabilities themselves, matching the paper's
+        per-query use).
     """
     probs = np.asarray(probs)
     if probs.ndim != 3:
         raise ValueError("probs must be [heads, queries, keys]")
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
-    keep_count = int(value_keep_count(keep_fraction, probs.shape[2], min_keep))
-    return [
-        topk_indices(head_probs.sum(axis=0), keep_count)
-        for head_probs in probs
-    ]
+    n_heads, n_queries, n_keys = probs.shape
+    keep_count = int(value_keep_count(keep_fraction, n_keys, min_keep))
+    if keep_count == n_keys:
+        return np.broadcast_to(np.arange(n_keys), (n_heads, n_keys))
+    mass = probs[:, 0] if n_queries == 1 else probs.sum(axis=1)
+    kept = topk_mask(mass, keep_count).nonzero()[1]
+    return kept.reshape(n_heads, keep_count)
 
 
 def apply_local_value_pruning(
     probs: np.ndarray,
     values: np.ndarray,
-    kept_per_head: List[np.ndarray],
+    kept: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compute head outputs using only the kept V vectors.
 
     Pruned columns simply do not contribute (the paper drops them without
-    renormalising the probabilities).
+    renormalising the probabilities).  One batched ``matmul`` runs every
+    head's ``[L0, k] @ [k, D]`` product on operands laid out as the
+    per-head gathers are, which NumPy hands to the same BLAS routine,
+    slice by slice, as the per-head 2-D product: the outputs are
+    bitwise the per-head loop's.
 
     Args:
         probs: ``[h, L0, L1]``.
         values: ``[h, L1, D]``.
-        kept_per_head: output of :func:`local_value_keep_indices`.
+        kept: ``[h, k]``, the output of :func:`local_value_keep_indices`.
 
     Returns:
         ``(head_outputs [h, L0, D], kept_counts [h])``.
     """
     probs = np.asarray(probs)
     values = np.asarray(values)
-    n_heads, n_queries, _ = probs.shape
-    head_dim = values.shape[2]
-    outputs = np.zeros(
-        (n_heads, n_queries, head_dim),
-        dtype=np.result_type(probs, values),
-    )
-    kept_counts = np.zeros(n_heads, dtype=np.int64)
-    for head, kept in enumerate(kept_per_head):
-        kept_counts[head] = len(kept)
-        outputs[head] = probs[head][:, kept] @ values[head][kept]
-    return outputs, kept_counts
+    kept = np.asarray(kept)
+    n_heads, n_kept = kept.shape
+    rows = np.arange(n_heads)[:, None]
+    # ``[h, k, L0]`` transposed: each slice is laid out as the per-head
+    # gather ``probs[head][:, kept]`` is, kept columns outermost.
+    kept_probs = probs[rows, :, kept].transpose(0, 2, 1)
+    outputs = np.matmul(kept_probs, values[rows, kept])
+    return outputs, np.full(n_heads, n_kept, dtype=np.int64)

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.config import ModelConfig, PruningConfig, QuantConfig
+from repro.core import pipeline
 from repro.core.pipeline import SpAttenExecutor
 from repro.nn import (
     PackedDecodeBackend,
@@ -174,6 +175,53 @@ def test_randomized_batches_bit_identical(decoder, backend, seed):
         decoder, backend, spec, n_steps=int(rng.integers(3, 9)),
         seed=200 + seed,
     )
+
+
+def test_packed_decode_builds_no_attention_record(
+    decoder, backend, monkeypatch
+):
+    """The packed exact core returns only the merged features, so it
+    builds no :class:`AttentionRecord`; the looped ``run_layer`` still
+    returns one per layer, and both paths log equal ``LayerStep`` rows."""
+    spec = [("spatten", 30), ("quant", 12), ("dense", 9), ("spatten", 7)]
+    looped = _make_batch(decoder, spec, seed=9)
+    packed = _make_batch(decoder, spec, seed=9)
+    built = []
+    record_type = pipeline.AttentionRecord
+
+    def counted(*args, **kwargs):
+        built.append(record_type(*args, **kwargs))
+        return built[-1]
+
+    returned = []
+    run_layer = SpAttenExecutor.run_layer
+
+    def recording_run_layer(self, *args, **kwargs):
+        execution = run_layer(self, *args, **kwargs)
+        returned.append(execution.record)
+        return execution
+
+    monkeypatch.setattr(pipeline, "AttentionRecord", counted)
+    monkeypatch.setattr(SpAttenExecutor, "run_layer", recording_run_layer)
+    tokens, positions = [3] * len(spec), [n for _, n in spec]
+    n_pruned = sum(isinstance(e, SpAttenExecutor) for e in looped)
+    for step in range(5):
+        packed_logits = decoder.decode_step_batch(
+            tokens, positions, packed, backend=backend
+        )
+        assert not built, f"step {step}: the packed core built a record"
+        looped_logits = decoder.decode_step_batch(tokens, positions, looped)
+        assert np.array_equal(looped_logits, packed_logits)
+        assert len(built) == n_pruned * decoder.config.n_layers
+        assert len(returned) == len(built)
+        assert all(r is b for r, b in zip(returned, built))
+        built.clear()
+        returned.clear()
+        tokens = [int(np.argmax(row)) for row in looped_logits]
+        positions = [p + 1 for p in positions]
+    for le, pe in zip(looped, packed):
+        if isinstance(le, SpAttenExecutor):
+            assert le.trace.steps == pe.trace.steps
 
 
 def test_single_sequence_batch_bit_identical(decoder, backend):
