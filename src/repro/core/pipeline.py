@@ -281,13 +281,7 @@ class SpAttenExecutor(AttentionExecutor):
         x: np.ndarray,
         positions: np.ndarray,
         stage: str,
-        projected=None,
     ) -> LayerExecution:
-        if projected is not None:
-            raise ValueError(
-                "SpAttenExecutor projects live heads itself; precomputed "
-                "projections are only consumed via decode_attend_packed"
-            )
         if stage == "summarize":
             return self._run_summarize(layer_idx, model, x, positions)
         if stage == "decode":
@@ -634,7 +628,8 @@ class SpAttenExecutor(AttentionExecutor):
         positions: np.ndarray,
     ) -> np.ndarray:
         """Whole-sentence summarize core on backend-projected rows
-        (``"custom"`` rows: progressive quantization off the exact tier).
+        (``"custom"`` rows: every SpAtten prompt on the exact tier,
+        progressive quantization off it).
 
         The prompt-pass counterpart of :meth:`decode_attend_packed`:
         the backend has dropped the rows :meth:`summarize_control`

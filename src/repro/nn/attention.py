@@ -225,7 +225,6 @@ class MultiHeadAttention:
         causal: bool = False,
         kv: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         query_offset: int = 0,
-        q: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, AttentionRecord]:
         """Full dense forward.
 
@@ -237,16 +236,11 @@ class MultiHeadAttention:
                 (generation stage: the concatenated KV cache).
             query_offset: absolute position of ``x[0]`` for causal
                 masking in the generation stage.
-            q: pre-computed queries ``[h, L0, D]`` (the packed backend
-                projects a whole batch's rows in one matmul and hands
-                each sequence its slice); projected from ``x`` when
-                omitted.
 
         Returns:
             ``(attention_out [L0, d_model], AttentionRecord)``.
         """
-        if q is None:
-            q = self.project_q(x)
+        q = self.project_q(x)
         if kv is None:
             k, v = self.project_kv(x)
         else:

@@ -27,11 +27,12 @@ step (the logits go back to batch order once):
 4. **fused output FC** over every row's merged head features.
 
 A decode step has one query row a sequence, a prompt step a chunk or a
-whole sentence of them.  Off the exact tier the model's compute-dtype
-FFN half follows (:meth:`~PackedDecodeBackend._ffn_half`; the
-:meth:`~PackedDecodeBackend._layers` loop is the same for both stages),
-while the exact tier's :meth:`~PackedDecodeBackend.decode_layer` runs
-the attention half alone and its model keeps the fp64 FFN stack.
+whole sentence of them.  The FFN half follows in the
+:meth:`~PackedDecodeBackend._layers` loop, the same for both stages: the
+compute-dtype :meth:`~PackedDecodeBackend._ffn_half` off the exact
+tier, the model's own fp64 one on it; only the exact tier's decode
+step, :meth:`~PackedDecodeBackend.decode_layer`, runs the attention
+half alone, its model keeping the fp64 FFN stack.
 
 There are two cores, and every part runs one of them.  A
 **per-sequence part** is one style's rows, each sequence's run by *its
@@ -68,8 +69,9 @@ the accelerator's top-k engines and zero eliminators.
 
 An executor on another tier than the backend's, or one that opts out of
 packing, is a named error rather than a silent change of arithmetic.
-Two pieces depend on the tier, both read off ``policy.is_exact``: the
-projection kernel of steps 2 and 4 (bound once at construction) and
+What depends on the tier is read off ``policy.is_exact``: the
+projection kernel of steps 2 and 4 (bound once at construction, and on
+the exact tier grouped by sequence in a prompt step), the FFN half and
 whether dense decode rows are a store block or a per-sequence part.
 Weights live in one holder at the policy's compute dtype (under fp64 it
 aliases the model's own arrays) and scratch in one family of buffers
@@ -77,18 +79,14 @@ grown on demand.
 
 The prompt pass is on the ladder too — SpAtten prunes and quantizes the
 summarization stage as much as the generation stage (PAPER.md §III,
-Fig. 3).  On the exact tier the model keeps its fp64 stack and
-:meth:`~PackedDecodeBackend.project_chunk_rows` only fuses the Q/K/V
-projections of every in-flight prompt's chunk into one GEMM over the
-concatenated rows.  On fp32/int8,
-:meth:`~PackedDecodeBackend.prefill_chunk_policy` owns the step: an
-incremental executor's next chunk and the whole sentence of every other
-executor whose final chunk lands in it run the skeleton, the
-``"pruned"`` sentences in blocks whose padded score plane stays under a
-fixed scratch budget, their caches adopted empty into the ``"pruned"``
-row stores and their control state into the resident batch control
-before the first layer — a pruned sequence is a store row, columns and
-control, from its first column.
+Fig. 3).  :meth:`~PackedDecodeBackend.prefill_chunk_policy` owns every
+tier's prompt step: an incremental executor's next chunk and the whole
+sentence of every other executor whose final chunk lands in it run the
+skeleton, the ``"pruned"`` sentences in blocks whose padded score plane
+stays under a fixed scratch budget, their caches adopted empty into the
+``"pruned"`` row stores and their control state into the resident
+batch control before the first layer — a pruned sequence is a store
+row, columns and control, from its first column.
 
 Exact tier: the bit-identity contract
 -------------------------------------
@@ -106,17 +104,22 @@ constraint dictates the projection kernel:
   but a *2-D* ``[B, d] @ [d, d]`` GEMM is not (single-row products take
   a GEMV-shaped path whose accumulation differs in the last ulp);
 * fusing Q/K/V into one ``[d, 3d]`` weight is exact (output columns are
-  independent), and concatenating chunk rows is exact for blocks of
-  ≥ 2 rows (row blocks of a GEMM are independent) — single-row chunks
-  are projected solo.
+  independent), and concatenating prompt rows is exact for sequences
+  of ≥ 2 rows (row blocks of a GEMM are independent) — a prompt step's
+  QKV and output FC (:meth:`~PackedDecodeBackend.project_chunk_rows`)
+  and its fp64 FFN half run those as one GEMM and a sequence's only row
+  solo (:func:`_by_sequence`), regrouped after each layer's entry
+  pruning, and its LM head runs row by row.
 
 Attention needs no rule of its own: every exact-tier row is a
 per-sequence part, whose executor runs the oracle's operations in the
-oracle's order over its own cache's columns at their exact length.
-Nothing is padded, so the length-sensitive reductions — the score and
-A·V GEMMs, the softmax denominator's pairwise sum — group as the
-oracle's do.  SpAtten's surviving-head sets are gathered from the
-full-width rows (per-head projections are independent output columns).
+oracle's order over its own cache's columns at the oracle's widths —
+their exact length, or, for a dense chunk mid-way through its prompt,
+the prompt's (as ``run_layer`` pads them) — so the length-sensitive
+reductions (the score and A·V GEMMs, the softmax denominator's pairwise
+sum) group as the oracle's do.  SpAtten's surviving-head sets are
+gathered from the full-width rows (per-head projections are independent
+output columns).
 
 fp32 / int8 tiers: batch-resident rows, one store core
 ------------------------------------------------------
@@ -168,12 +171,12 @@ budget, which unlocks the padded planes the exact tier never builds:
 
 from __future__ import annotations
 
+from functools import partial
 from operator import methodcaller
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import split_heads
 from .functional import GELU_C, softmax_inplace
 from .kv_cache import NO_TOKEN, KVRowStore, RowTable, ragged_arange
 from .numerics import NumericsMismatchError, resolve_numerics
@@ -217,24 +220,54 @@ class UnpackableExecutorError(ValueError):
     """
 
 
-def _project_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _project_rows(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
     """``x @ w + b`` for ``x [B, n]``, each row through the single-row kernel.
 
-    The exact tier's projection: the ``[B, 1, n]`` gufunc computes every
-    slice exactly as the looped path's ``x[i:i+1] @ w``, so the batch is
-    bit-identical to the oracle row for row.
+    The exact tier's projection of a decode step and its prompt step's
+    LM head: the ``[B, 1, n]`` gufunc computes every slice exactly as
+    the looped path's ``x[i:i+1] @ w``, so the batch is bit-identical to
+    the oracle row for row.
     """
-    out = np.matmul(x[:, None, :], w)
-    out += b
-    return out[:, 0, :]
+    out = np.matmul(x[:, None, :], w)[:, 0, :]
+    if b is not None:
+        out += b
+    return out
 
 
-def _project_gemm(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _project_gemm(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
     """``x @ w + b`` as one 2-D GEMM (the ``[B, 1, n]`` gufunc dispatches
     ``B`` separate GEMVs) — the non-exact tiers' projection."""
     out = x @ w
-    out += b
+    if b is not None:
+        out += b
     return out
+
+
+def _by_sequence(fn, solo: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+    """``fn`` over rows ``[N, ...]`` grouped as each sequence's solo pass
+    groups it — the exact tier's prompt step runs its GEMM stages so.
+
+    The rows of every sequence with two or more go through one call (row
+    blocks of a multi-row GEMM are independent), and each row flagged
+    ``solo`` — its sequence's only one — through a call of its own: the
+    single-row kernel groups its accumulation differently.
+    """
+    if not solo.any():
+        return fn(*rows)
+    groups = [[i] for i in np.flatnonzero(solo)]
+    if not solo.all():
+        groups.append(np.flatnonzero(~solo))
+    pieces = [fn(*(a[group] for a in rows)) for group in groups]
+    out = np.empty((len(solo),) + pieces[0].shape[1:], pieces[0].dtype)
+    for group, piece in zip(groups, pieces):
+        out[group] = piece
+    return out
+
+
+def _solo_rows(parts: Sequence["_Part"]) -> np.ndarray:
+    """Which of ``parts``' rows are their sequence's only one."""
+    sizes = np.concatenate([part.sizes() for part in parts])
+    return np.repeat(sizes == 1, sizes)
 
 
 def _policy_layer_norm(
@@ -353,8 +386,9 @@ class _SequenceRows(_Part):
         self.prompt = stage == "prefill"
         self.core_stage = f"{stage}_{style}_core"
 
-    def ends(self) -> np.ndarray:
-        return np.cumsum([len(span) for span in self.spans])
+    def sizes(self) -> np.ndarray:
+        """How many of the rows each sequence has."""
+        return np.array([len(span) for span in self.spans])
 
     def prune(self, layer_idx: int) -> Optional[np.ndarray]:
         if not self.prompt:
@@ -416,8 +450,8 @@ class _StoreBlock(_Part):
         self.first = stage == "prefill"
         self.value_stage = f"{stage}_value_control"
 
-    def ends(self) -> np.ndarray:
-        return np.cumsum(self.counts)
+    def sizes(self) -> np.ndarray:
+        return self.counts
 
     def prune(self, layer_idx: int) -> Optional[np.ndarray]:
         """The cascade decides over its control planes; then the layer's
@@ -584,7 +618,10 @@ class PackedDecodeBackend:
         if prof is not None:
             t0 = prof.lap(f"{stage}_prune_control", t0)
 
-        qkv = self._project(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
+        project = self._project
+        if stage == "prefill" and self.policy.is_exact:
+            project = partial(self.project_chunk_rows, _solo_rows(parts))
+        qkv = project(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
         if prof is not None:
             t0 = prof.lap(_PROJ_STAGE[stage], t0)
 
@@ -598,7 +635,7 @@ class PackedDecodeBackend:
             if prof is not None:
                 t0 = prof.lap(part.core_stage, t0)
 
-        attn_out = self._project(merged, w.wo[layer_idx], w.bo[layer_idx])
+        attn_out = project(merged, w.wo[layer_idx], w.bo[layer_idx])
         if prof is not None:
             prof.lap(f"{stage}_output_fc", t0)
         return x, attn_out
@@ -608,13 +645,20 @@ class PackedDecodeBackend:
     ) -> np.ndarray:
         """The compute-dtype layer stack over ``parts``' rows ``x`` —
         every layer's attention half, then its FFN half — run alike by a
-        decode step and a prompt step off the exact tier.  Returns the
-        final hidden rows, part by part."""
+        decode step off the exact tier and a prompt step on every tier.
+        Returns the final hidden rows, part by part."""
         prof = self.profiler
         for layer_idx in range(self._model.config.n_layers):
             x, attn_out = self._attend(layer_idx, parts, x, stage)
             t0 = prof.start() if prof is not None else 0.0
-            x = self._ffn_half(layer_idx, x, attn_out)
+            if self.policy.is_exact:
+                # The model's own fp64 FFN half, grouped as the oracle's.
+                x = _by_sequence(
+                    partial(self._model._residual_ffn, layer_idx),
+                    _solo_rows(parts), x, attn_out,
+                )
+            else:
+                x = self._ffn_half(layer_idx, x, attn_out)
             if prof is not None:
                 prof.stop(f"{stage}_ffn", t0)
         return x
@@ -845,15 +889,15 @@ class PackedDecodeBackend:
         """One prefill chunk per in-flight prompt, in the compute dtype.
 
         :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
-        delegates here (after its input validation) whenever the
-        backend's policy is non-exact — the prompt pass's counterpart of
-        :meth:`decode_step_policy`, the same layer stack over the rows
-        each sequence brings: an incremental executor's
+        delegates here (after its input validation) on every tier — the
+        prompt pass's counterpart of :meth:`decode_step_policy`, the
+        same layer stack over the rows each sequence brings: an
+        incremental executor's
         (:attr:`~repro.nn.transformer.AttentionExecutor
         .supports_incremental_prefill`) next chunk, and the whole
         sentence of every other executor whose *final* chunk this is —
         cascade pruning decides over all of it, so earlier chunks only
-        advance the committed-token counter, as on the exact tier.
+        advance the committed-token counter, as in the looped oracle.
         Pruned tokens leave the residual stream at each layer's entry,
         so they skip the projections and the FFN:
 
@@ -870,6 +914,13 @@ class PackedDecodeBackend:
           projections (:meth:`~repro.nn.transformer.AttentionExecutor
           .summarize_attend_packed`) — a dense chunk attends against
           its private cache.
+
+        On the exact tier every sequence is such a per-sequence row,
+        and the step reproduces a solo
+        :meth:`~repro.nn.transformer.TransformerModel.prefill` bit for
+        bit: the projections (:meth:`project_chunk_rows`) and the
+        model's own fp64 FFN half group rows as solo passes do
+        (:func:`_by_sequence`), and the LM head runs row by row.
 
         Returns one entry per state: the next-token logits (compute
         dtype) of prompts that completed, else ``None``.
@@ -930,13 +981,13 @@ class PackedDecodeBackend:
             # protects the final prompt token) and ends its rows.
             done, last_rows, offset = [], [], 0
             for part in parts:
-                for i, end in zip(part.indices, part.ends()):
+                for i, end in zip(part.indices, np.cumsum(part.sizes())):
                     if final[i]:
                         done.append(i)
                         last_rows.append(offset + end - 1)
                 offset += len(part.positions)
             if done:
-                logits = hidden[last_rows] @ w.lm_proj
+                logits = self._project(hidden[last_rows], w.lm_proj)
                 for i, row in zip(done, logits):
                     results[i] = row
         for state, (_, end), logits in zip(states, spans, results):
@@ -992,63 +1043,14 @@ class PackedDecodeBackend:
         return blocks
 
     def project_chunk_rows(
-        self,
-        model: TransformerModel,
-        layer_idx: int,
-        rows: Dict[int, np.ndarray],
-        executors: Sequence[AttentionExecutor],
-        order: Sequence[int],
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Fused Q/K/V projection of every incremental prefill chunk
-        (exact tier; :meth:`prefill_chunk_policy` projects the others').
-
-        ``rows[i]`` holds sequence ``i``'s chunk hidden rows
-        ``[L_i, d]``.  Chunks of ≥ 2 rows are concatenated into one
-        GEMM (row blocks of a multi-row GEMM are bit-identical to solo
-        products); single-row chunks take a solo fused matmul because
-        the single-row kernel groups its accumulation differently.
-        Only executors whose :attr:`packed_decode_style` is ``"dense"``
-        are projected — others keep their own projection semantics.
-        """
-        self._check_model(model)
-        prof = self.profiler
-        t0 = prof.start() if prof is not None else 0.0
-        eligible = [
-            i for i, executor in zip(order, executors)
-            if executor.packed_decode_style == "dense"
-        ]
-        multi = [i for i in eligible if len(rows[i]) >= 2]
-        solo = [i for i in eligible if len(rows[i]) == 1]
-        wqkv = self._weights.wqkv[layer_idx]
-        bqkv = self._weights.bqkv[layer_idx]
-        projected: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        if multi:
-            proj = np.concatenate([rows[i] for i in multi], axis=0) @ wqkv
-            proj += bqkv
-            offset = 0
-            for i in multi:
-                n_rows = len(rows[i])
-                projected[i] = self._split_qkv(proj[offset : offset + n_rows])
-                offset += n_rows
-        for i in solo:
-            proj = rows[i] @ wqkv
-            proj += bqkv
-            projected[i] = self._split_qkv(proj)
-        if prof is not None:
-            prof.stop("prefill_chunk_proj", t0)
-        return projected
-
-    def _split_qkv(
-        self, proj: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split fused ``[L, 3d]`` rows into per-head q/k/v ``[h, L, D]``."""
-        cfg = self._model.config
-        d, n_heads = cfg.d_model, cfg.n_heads
-        return (
-            split_heads(proj[:, :d], n_heads),
-            split_heads(proj[:, d : 2 * d], n_heads),
-            split_heads(proj[:, 2 * d :], n_heads),
-        )
+        self, solo: np.ndarray, x: np.ndarray, w: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        """``x @ w + b`` over an exact-tier prompt step's rows — its
+        fused QKV projection and output FC — grouped as solo passes
+        group them (:func:`_by_sequence`): one GEMM over the rows of
+        every sequence with ≥ 2 of them, and each row flagged ``solo``
+        alone."""
+        return _by_sequence(partial(_project_gemm, w=w, b=b), solo, x)
 
 
 def _stage_kv_columns(

@@ -527,9 +527,9 @@ class LayerKVCache:
         """Columns ``[start, end)`` as float arrays for compute.
 
         Float storage returns zero-copy views; int8 storage returns
-        dequantized fp32 copies.  The non-exact prompt pass attends
-        over these, and a row store fills its dequantized planes from
-        them at adoption.
+        dequantized fp32 copies.  ``DenseExecutor``'s packed core
+        attends over these, and a row store fills its dequantized
+        planes from them at adoption.
         """
         end = self._len if end is None else end
         if not 0 <= start <= end <= self._len:

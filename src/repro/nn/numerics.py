@@ -15,9 +15,10 @@ philosophy to the serving hot path as an explicit, operator-visible
 axis:
 
 ``exact``
-    The default.  fp64 compute, fp64 KV storage, exact-length
-    per-sequence attention cores — bit-identical to the looped oracle
-    (asserted by the identity tests and ``benchmarks/bench_numerics``).
+    The default.  fp64 compute, fp64 KV storage, per-sequence
+    attention cores at the oracle's widths — bit-identical to the
+    looped oracle (asserted by the identity tests and
+    ``benchmarks/bench_numerics``).
 ``fp32``
     fp32 KV planes and an fp32 batched core: masked-softmax attention
     over padded ``[n, h, Lq, Lk]`` planes of batch-resident KV rows

@@ -146,8 +146,8 @@ class AttentionExecutor:
           returns into the backend's row stores exactly as a
           ``"pruned"`` row's are (below), and the core is the pruned
           rows' with no cascade.  On the exact tier a decode step, and
-          off it a prompt step, run the executor's own core as for
-          ``"custom"``.
+          on every tier a prompt step, run the executor's own core as
+          for ``"custom"``.
         * ``"custom"`` — the backend supplies full-width projections and
           the executor runs its own per-sequence core (pruning
           decisions, progressive quantization, trace accounting):
@@ -170,7 +170,7 @@ class AttentionExecutor:
           :attr:`evicted_kv_tokens`; reading their columns brings them
           back into private buffers).
 
-        A non-exact backend's prompt pass reads the same property:
+        A backend's prompt pass reads the same property:
         ``"pruned"`` sentences run the backend's batched core, their
         control rows opened by :meth:`batch_control`'s prompt pass;
         every other executor is a
@@ -181,8 +181,8 @@ class AttentionExecutor:
         ``"dense"`` and ``"custom"`` results must be bit-identical to the
         looped :meth:`run_layer` path on the exact tier — the backend
         only batches operations whose grouping provably does not change
-        the floats, and runs the rest in the executor's own core at
-        exact lengths.  Under a non-exact
+        the floats, and runs the rest in the executor's own core at the
+        oracle's widths.  Under a non-exact
         :class:`~repro.nn.numerics.NumericsPolicy` every style instead
         targets the policy's declared accuracy budget.
         """
@@ -255,7 +255,7 @@ class AttentionExecutor:
     ) -> np.ndarray:
         """Entry pruning of one summarize layer, ahead of the projections.
 
-        In the non-exact tiers' prompt pass
+        In the backend's prompt pass
         (:meth:`~repro.nn.batched_attention.PackedDecodeBackend
         .prefill_chunk_policy`) each layer first asks a per-sequence
         row's executor which of its rows at ``positions`` survive — the
@@ -276,7 +276,7 @@ class AttentionExecutor:
         positions: np.ndarray,
     ) -> np.ndarray:
         """Per-sequence summarize core on the backend's projections: a
-        non-exact prompt step's :meth:`decode_attend_packed`.
+        prompt step's :meth:`decode_attend_packed`.
 
         Receives the surviving rows' full-width ``q/k/v`` (``[h, L, D]``
         each, in the backend's compute dtype) — a chunk, or the whole
@@ -324,7 +324,6 @@ class AttentionExecutor:
         x: np.ndarray,
         positions: np.ndarray,
         stage: str,
-        projected=None,
     ) -> LayerExecution:
         """Execute attention of block ``layer_idx`` on hidden rows ``x``.
 
@@ -336,12 +335,10 @@ class AttentionExecutor:
             stage: ``"summarize"`` (batch over the whole remaining
                 sentence) or ``"decode"`` (single new token against the
                 KV cache).
-            projected: optional pre-computed ``(q, k, v)`` full-width
-                projections of ``x`` (``[h, L, D]`` each), produced by
-                the packed backend's batched projection.  Only handed to
-                executors whose :attr:`packed_decode_style` supports it;
-                the kwarg is omitted entirely otherwise, so legacy
-                five-argument overrides keep working.
+
+        This is the looped oracle's attention, one sequence at a time
+        in fp64; the packed backend drives executors through their
+        packed cores instead (:attr:`packed_decode_style`).
         """
         raise NotImplementedError
 
@@ -359,9 +356,11 @@ class DenseExecutor(AttentionExecutor):
             codes with per-row scales otherwise.  :meth:`run_layer`
             computes in whatever dtype it is handed — fp64 from the
             model's own stack, which is what ``prefill(backend=None)``
-            and the looped oracle run on every tier — while a non-exact
-            packed backend runs the prompt pass through
-            :meth:`summarize_attend_packed` and the decode steps over
+            and the looped oracle run on every tier — while a packed
+            backend runs the prompt pass through
+            :meth:`summarize_attend_packed` on every tier (on the exact
+            one bit-identical to :meth:`run_layer`, chunk padding
+            included) and, off the exact tier, the decode steps over
             its row stores, in the policy's compute dtype.
     """
 
@@ -452,17 +451,25 @@ class DenseExecutor(AttentionExecutor):
         """The packed core of both stages: the rows' K/V join the
         layer's cache, then their queries attend over its columns in
         :meth:`run_layer`'s order — ``q @ Kᵀ``, ``/ √D``, columns past a
-        query masked, softmax, ``@ V`` — at exact lengths, so the exact
-        tier is bit-identical to the looped oracle.  Returns the merged
+        query masked, softmax, ``@ V`` — over the widths it uses: the
+        cache's length, or the prompt's while a chunked prompt is
+        mid-way (:meth:`begin_prefill`), so the exact tier is
+        bit-identical to the looped oracle.  Returns the merged
         ``[L, h*D]`` features in the projections' dtype (off the exact
         tier the keys are read back as stored: int8 dequantized).
         """
         cache = self.decode_kv_append(layer_idx, k_full, v_full, positions)
-        keys, values = cache.compute_columns()
+        if len(cache) < self._prefill_total:
+            # A dense cache's columns are positions 0, 1, ...: labelled
+            # alike, the padding lies past every query.
+            keys, values = cache.padded_to(self._prefill_total)
+            token_ids = np.arange(self._prefill_total)
+        else:
+            keys, values = cache.compute_columns()
+            token_ids = cache.token_ids
         scores = q_full @ keys.transpose(0, 2, 1)
         # A Python float keeps a narrower tier's dtype.
         scores /= float(np.sqrt(q_full.shape[-1]))
-        token_ids = cache.token_ids
         if positions[0] < token_ids[-1]:  # else no column lies past a query
             np.copyto(scores, -1e30, where=token_ids > positions[:, None])
         return merge_heads(softmax_inplace(scores) @ values)
@@ -476,7 +483,6 @@ class DenseExecutor(AttentionExecutor):
         x: np.ndarray,
         positions: np.ndarray,
         stage: str,
-        projected=None,
     ) -> LayerExecution:
         attn = model.attention(layer_idx)
         cfg = model.config
@@ -488,11 +494,7 @@ class DenseExecutor(AttentionExecutor):
 
         # Causal model: maintain the KV cache across summarize + decode.
         layer_cache = self._cache[layer_idx]
-        if projected is not None:
-            q, k_new, v_new = projected
-        else:
-            q = None  # forward() projects the queries itself
-            k_new, v_new = attn.project_kv(x)
+        k_new, v_new = attn.project_kv(x)
         layer_cache.append(k_new, v_new, positions)
         if stage == "summarize":
             n_cached = len(layer_cache)
@@ -506,12 +508,12 @@ class DenseExecutor(AttentionExecutor):
             else:
                 kv = layer_cache.as_tuple()
             out, record = attn.forward(
-                x, causal=True, kv=kv, query_offset=int(positions[0]), q=q,
+                x, causal=True, kv=kv, query_offset=int(positions[0])
             )
             record.probs = record.probs[:, :, :n_cached]
         else:
             out, record = attn.forward(
-                x, causal=False, kv=layer_cache.as_tuple(), q=q
+                x, causal=False, kv=layer_cache.as_tuple()
             )
         record.key_token_ids = layer_cache.token_ids.copy()
         record.query_token_ids = positions.copy()
@@ -726,34 +728,23 @@ class TransformerModel:
             raise ValueError("prefill() requires a causal (GPT-style) model")
         executor = executor or DenseExecutor()
         executor.begin_sequence(self)
-        return self._summarize_rows(prompt_ids, executor)
+        return self._summarize_rows(prompt_ids, executor, 0)
 
     def _summarize_rows(
         self,
         prompt_ids: Sequence[int],
         executor: AttentionExecutor,
-        profiler=None,
+        start: int,
     ) -> np.ndarray:
-        """Monolithic summarization pass; returns next-token logits.
-
-        ``profiler`` (a serving prompt pass's, when one is attached)
-        times each block's halves as ``prefill_core`` / ``prefill_ffn``.
-        """
-        x = self.embed(prompt_ids)
-        positions = np.arange(len(prompt_ids))
+        """Summarize the prompt rows at positions ``start`` onwards
+        through every block, one sequence alone; returns the next-token
+        logits of its last row."""
+        x = self.embed(prompt_ids, position_offset=start)
+        positions = np.arange(start, start + len(prompt_ids))
         for layer_idx in range(self.config.n_layers):
-            t0 = profiler.start() if profiler is not None else 0.0
-            execution = executor.run_layer(
-                layer_idx, self, x, positions, "summarize"
+            x, positions, _ = self._run_block(
+                layer_idx, x, positions, executor, stage="summarize"
             )
-            if profiler is not None:
-                profiler.stop("prefill_core", t0)
-                t0 = profiler.start()
-            kept = execution.kept_query_rows
-            x = self._residual_ffn(layer_idx, x[kept], execution.output)
-            positions = positions[kept]
-            if profiler is not None:
-                profiler.stop("prefill_ffn", t0)
         return self.lm_logits(x[-1:])[0]
 
     def prefill_begin(
@@ -799,35 +790,23 @@ class TransformerModel:
     ) -> List[Optional[np.ndarray]]:
         """One prefill chunk for each of several in-flight prompts.
 
-        Like :meth:`decode_step_batch`, the chunk rows of every
-        incremental executor run as one batch: residual/LayerNorm
-        arithmetic and the FFN matmuls execute over the concatenated
-        ``[sum_chunk_lens, d_model]`` rows while attention runs per
-        sequence against each sequence's own KV cache.  Row-wise
-        batching keeps every sequence's arithmetic bit-identical to a
-        solo :meth:`prefill`.  With a
-        :class:`~repro.nn.batched_attention.PackedDecodeBackend`, the
-        per-layer Q/K/V projections of every incremental chunk
-        additionally run as one fused matmul over the concatenated rows
-        (bit-identical: multi-row GEMMs are row- and column-block
-        consistent; see :mod:`repro.nn.batched_attention`).
-
-        Executors that cannot summarize incrementally (cascade token
-        pruning decides over the whole sentence — see
+        Each state commits the span :meth:`PrefillState.next_span`
+        names.  An incremental executor summarizes its chunk against its
+        own KV cache; any other (cascade token pruning decides over the
+        whole sentence — see
         :attr:`AttentionExecutor.supports_incremental_prefill`) only
-        advance their committed-token counter per chunk; their full
-        summarization executes when the final chunk commits, which
-        preserves bit-exactness while the serving cost model still
-        charges the work chunk by chunk.
+        advances its committed-token counter until the final chunk,
+        which summarizes the whole sentence.  The serving cost model
+        still charges the work chunk by chunk.
 
-        All of the above is the fp64 oracle: what runs without a
-        ``backend`` and with an ``exact`` one, whatever tier the
-        executors store KV at.  A backend on a non-exact numerics tier
-        instead owns the whole prompt pass — same chunk spans, same
-        deferral, every sequence's rows through one layer stack in the
-        tier's compute dtype — and returns logits in that dtype
+        With a :class:`~repro.nn.batched_attention.PackedDecodeBackend`
+        the backend owns the whole step on every tier
         (:meth:`~repro.nn.batched_attention.PackedDecodeBackend
-        .prefill_chunk_policy`).
+        .prefill_chunk_policy`): every sequence's rows run one layer
+        stack, in the tier's compute dtype, and the exact tier's logits
+        are bit-identical to a solo :meth:`prefill`.  Without one each
+        state runs alone through :meth:`AttentionExecutor.run_layer` —
+        the looped fp64 oracle, whatever tier the executors store KV at.
 
         Returns one entry per state: the next-token logits for states
         whose prompt completed this call, else ``None``.
@@ -837,94 +816,22 @@ class TransformerModel:
         for state in states:
             if state.done:
                 raise ValueError("prefill already complete for this state")
-        if backend is not None and not backend.policy.is_exact:
-            # Non-exact numerics tier: the backend owns the whole prompt
-            # pass, as it owns the decode step (see decode_step_batch).
+        if backend is not None:
             return backend.prefill_chunk_policy(self, states, max_tokens)
-        profiler = backend.profiler if backend is not None else None
-        results: List[Optional[np.ndarray]] = [None] * len(states)
-        incremental = [
-            i for i, s in enumerate(states)
-            if s.executor.supports_incremental_prefill
-        ]
-        deferred = [
-            i for i, s in enumerate(states)
-            if not s.executor.supports_incremental_prefill
-        ]
-
-        if incremental:
-            rows: dict = {}
-            row_positions: dict = {}
-            for i in incremental:
-                s = states[i]
-                start, end = s.next_span(max_tokens)
-                rows[i] = self.embed(s.prompt_ids[start:end],
-                                     position_offset=start)
-                row_positions[i] = np.arange(start, end)
-            for layer_idx in range(self.config.n_layers):
-                projected = (
-                    backend.project_chunk_rows(
-                        self, layer_idx,
-                        {i: rows[i] for i in incremental},
-                        [states[i].executor for i in incremental],
-                        incremental,
-                    )
-                    if backend is not None
-                    else {}
+        results: List[Optional[np.ndarray]] = []
+        for state in states:
+            start, end = state.next_span(max_tokens)
+            state.n_committed = end
+            incremental = state.executor.supports_incremental_prefill
+            logits = None
+            if incremental or state.done:
+                # A deferred executor's final chunk: the whole sentence.
+                start = start if incremental else 0
+                logits = self._summarize_rows(
+                    state.prompt_ids[start:end], state.executor, start
                 )
-                t0 = profiler.start() if profiler is not None else 0.0
-                outputs: dict = {}
-                for i in incremental:
-                    kwargs = (
-                        {"projected": projected[i]} if i in projected else {}
-                    )
-                    execution = states[i].executor.run_layer(
-                        layer_idx, self, rows[i], row_positions[i],
-                        "summarize", **kwargs,
-                    )
-                    kept = execution.kept_query_rows
-                    rows[i] = rows[i][kept]
-                    row_positions[i] = row_positions[i][kept]
-                    outputs[i] = execution.output
-                if profiler is not None:
-                    profiler.stop("prefill_core", t0)
-                    t0 = profiler.start()
-                # Single-row blocks run solo, as in project_chunk_rows:
-                # a one-token prompt's oracle takes the single-row
-                # kernel, which groups its accumulation differently
-                # from a row block of a multi-row GEMM.
-                groups = [[i for i in incremental if len(rows[i]) >= 2]]
-                groups += [[i] for i in incremental if len(rows[i]) == 1]
-                for group in filter(None, groups):
-                    x = self._residual_ffn(
-                        layer_idx,
-                        np.concatenate([rows[i] for i in group], axis=0),
-                        np.concatenate([outputs[i] for i in group], axis=0),
-                    )
-                    offset = 0
-                    for i in group:
-                        n = len(rows[i])
-                        rows[i] = x[offset:offset + n]
-                        offset += n
-                if profiler is not None:
-                    profiler.stop("prefill_ffn", t0)
-            for i in incremental:
-                s = states[i]
-                s.n_committed = s.next_span(max_tokens)[1]
-                if s.done:
-                    s.logits = self.lm_logits(rows[i][-1:])[0]
-                    results[i] = s.logits
-
-        for i in deferred:
-            s = states[i]
-            s.n_committed = s.next_span(max_tokens)[1]
-            if s.done:
-                # Whole-sentence execution on the final chunk; the
-                # executor was already begun by prefill_begin().
-                s.logits = self._summarize_rows(
-                    s.prompt_ids, s.executor, profiler
-                )
-                results[i] = s.logits
+            state.logits = logits if state.done else None
+            results.append(state.logits)
         return results
 
     def decode_step_batch(

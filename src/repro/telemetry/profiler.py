@@ -77,11 +77,13 @@ step (``prefill_chunk_policy``) records, per step or per layer:
 Stages on the exact tier
 ------------------------
 
-The exact tier's steps belong to the model's own fp64 stack, so there
-is no step total and no ``unattributed`` row.  Its decode step runs the
-backend's skeleton for each layer's attention half
-(``decode_layer``), its prompt pass the model's stack around fused
-projections:
+The exact tier's decode step belongs to the model's own fp64 stack, so
+there is no ``decode_step`` total and no remainder row for it: the
+stack runs the backend's skeleton for each layer's attention half
+(``decode_layer``).  Its prompt step is the backend's whole step, as
+off the tier — total and ``unattributed`` remainder included — with
+every prompt a per-sequence row, so no store block and no value
+control:
 
 * ``decode_prune_control`` — entry pruning, which is empty here (a
   SpAtten row prunes inside its own core): the skeleton's bookkeeping;
@@ -92,13 +94,21 @@ projections:
   and attention over its cache at exact length, in ``DenseExecutor``'s
   own core;
 * ``decode_output_fc`` — the fused output projection, row by row;
-* ``prefill_chunk_proj`` — the fused Q/K/V projections of the
-  incremental chunks;
-* ``prefill_core`` — the rest of the attention half: cascade entry
-  pruning, KV append, scores / softmax / A·V per sequence (plus local
-  value pruning and importance accumulation for SpAtten prompts) and
-  the output FC;
-* ``prefill_ffn`` — its residual adds, LayerNorms and tanh/gelu FFN.
+* ``prefill_step`` / ``prefill_setup`` / ``prefill_lm_head`` — as off
+  the tier, the LM head row by row;
+* ``prefill_prune_control`` — each SpAtten sentence's
+  ``summarize_control`` and the gather that drops its pruned rows;
+* ``prefill_chunk_proj`` / ``prefill_output_fc`` — the fused
+  projections, grouped as a solo prompt pass groups them: one GEMM over
+  the rows of every sequence with two or more, a sequence's only row
+  alone;
+* ``prefill_custom_core`` — the SpAtten sentences' part: each one's own
+  core (``summarize_attend_packed``);
+* ``prefill_dense_core`` — the dense chunks' part, as off the tier,
+  over K/V padded to the prompt's width while a chunked prompt is
+  mid-way;
+* ``prefill_ffn`` — the model's own fp64 residual adds, LayerNorms and
+  tanh/gelu FFN, grouped as the projections.
 
 Wall times are inherently nondeterministic, so profiler output is kept
 *out* of the trace and metrics artifacts (whose bytes must reproduce);
@@ -117,9 +127,9 @@ if TYPE_CHECKING:
 
 __all__ = ["HotPathProfiler"]
 
-#: The stages that time a whole step of the ``fp32`` / ``int8``
-#: backend; the other stages sharing a total's prefix (``decode_``,
-#: ``prefill_``) are its parts.
+#: The stages that time a whole step of the backend (a decode step off
+#: the exact tier, a prompt step on every tier); the other stages
+#: sharing a total's prefix (``decode_``, ``prefill_``) are its parts.
 STEP_TOTALS = ("decode_step", "prefill_step")
 
 
@@ -217,6 +227,6 @@ class HotPathProfiler:
             "real time.perf_counter seconds around the packed backend's "
             "decode_* and prefill_* stages — separate from the simulated "
             "serving clock; 'unattributed' is what a whole fp32 / int8 "
-            "decode step or prompt step holds beyond its stages"
+            "decode step or any prompt step holds beyond its stages"
         )
         return t

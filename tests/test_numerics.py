@@ -745,9 +745,6 @@ class TestTierPrefill:
 
     def test_exact_backend_and_no_backend_stay_the_oracle(self, world):
         _, model, _, prompts = world
-        # Not the one-token prompt: batched with others its single row
-        # rides a multi-row GEMM, which is not the solo GEMV bit for bit.
-        prompts = prompts[:3]
         exact = PackedDecodeBackend(model, numerics="exact")
         for kind in ("dense", "spatten"):
             oracle = [model.prefill(p, _executor(kind)) for p in prompts]
@@ -801,8 +798,8 @@ class TestTierPrefill:
         self, world, prefill_chunk, monkeypatch
     ):
         """Every chunk size — ``None`` is one chunk spanning any prompt —
-        enters the model through the backend, so the prompt pass never
-        silently stays fp64 on fp32."""
+        enters the model through the backend on every tier, so the
+        prompt pass never silently stays fp64 on fp32."""
         config, model, corpus, _ = world
         calls = []
         policy_pass = PackedDecodeBackend.prefill_chunk_policy
@@ -818,6 +815,7 @@ class TestTierPrefill:
         )
         streams = {}
         for tier in ("exact", "fp32"):
+            calls.clear()
             pool = KVMemoryPool(
                 config,
                 budget_bytes=160 * 8 * 2 * config.n_heads * config.head_dim
@@ -830,9 +828,8 @@ class TestTierPrefill:
             )
             stats = engine.run(requests)
             streams[tier] = [list(r.token_ids) for r in stats.records]
-            assert bool(calls) == (tier == "fp32")
+            assert set(calls) == {prefill_chunk or config.max_seq_len}
         assert streams["fp32"] == streams["exact"]
-        assert set(calls) == {prefill_chunk or config.max_seq_len}
 
     SERVED = PruningConfig(
         token_keep_final=0.3, head_keep_final=0.625, value_keep=0.9

@@ -12,8 +12,8 @@ executor state (KV buffers, alive sets, traces) across:
 * cascade-pruned head sets that differ per sequence,
 * mid-generation ``keep()`` evictions from cascade token pruning,
 * mixed executor types in one batch,
-* chunked prefill with fused chunk projections (single-token prompts
-  included).
+* chunked prefill through the backend's prompt pass, dense chunks and
+  SpAtten sentences in one batch (single-token prompts included).
 
 Fast representative cases are ``smoke``-marked for tier-1.
 """
@@ -229,18 +229,35 @@ def test_single_sequence_batch_bit_identical(decoder, backend):
     _run_twin_decode(decoder, backend, [("spatten", 21)], n_steps=4)
 
 
+_PROMPT_KINDS = {
+    "": ("dense",) * 4,
+    "mixed-": ("spatten", "dense", "dense", "spatten"),
+    "swapped-": ("dense", "spatten", "spatten", "dense"),
+}
+
+
 @pytest.mark.smoke
-@pytest.mark.parametrize("chunk", [2, 5, 32])
-def test_chunked_prefill_packed_bit_identical(decoder, backend, chunk):
-    """Fused chunk projections commit bit-identical prefills."""
+@pytest.mark.parametrize("chunk, kinds", [
+    pytest.param(chunk, kinds, id=f"{name}{chunk}")
+    for name, kinds in _PROMPT_KINDS.items() for chunk in (2, 5, 32)
+])
+def test_chunked_prefill_packed_bit_identical(decoder, backend, chunk, kinds):
+    """The backend's prompt pass commits bit-identical prefills, dense
+    chunks and SpAtten sentences sharing its GEMMs."""
     rng = np.random.default_rng(31)
     prompt_lens = [1, 2, 9, 33]  # includes the single-row solo-GEMM edge
     prompts = [
         rng.integers(0, decoder.config.vocab_size, size=n).tolist()
         for n in prompt_lens
     ]
-    looped = [decoder.prefill_begin(p, DenseExecutor()) for p in prompts]
-    packed = [decoder.prefill_begin(p, DenseExecutor()) for p in prompts]
+
+    def executor(kind):
+        return DenseExecutor() if kind == "dense" else SpAttenExecutor(PRUNING)
+
+    looped = [decoder.prefill_begin(p, executor(k))
+              for p, k in zip(prompts, kinds)]
+    packed = [decoder.prefill_begin(p, executor(k))
+              for p, k in zip(prompts, kinds)]
     while not all(s.done for s in looped):
         ll = decoder.prefill_chunk_batch(
             [s for s in looped if not s.done], chunk
@@ -329,13 +346,3 @@ def test_opt_out_executor_is_a_named_error(decoder, numerics):
         decoder.prefill([1, 2, 3], executor)
     with pytest.raises(UnpackableExecutorError, match="_OptOutExecutor"):
         decoder.decode_step_batch([4, 4], [3, 3], executors, backend=backend)
-
-
-def test_spatten_rejects_precomputed_projections(decoder):
-    executor = SpAttenExecutor(PRUNING)
-    decoder.prefill([1, 2, 3, 4], executor)
-    with pytest.raises(ValueError, match="decode_attend_packed"):
-        executor.run_layer(
-            0, decoder, np.zeros((1, 32)), np.array([4]), "decode",
-            projected=(None, None, None),
-        )

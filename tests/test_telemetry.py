@@ -479,6 +479,17 @@ class TestAuditEvery:
 # ----------------------------------------------------------------------
 # Profiler
 # ----------------------------------------------------------------------
+def _prompt_core_stage(numerics, pruning):
+    """The profiler stage of a prompt step's attention core: a dense
+    chunk's own core, a pruned store block's off the exact tier, a
+    SpAtten sentence's own (``"custom"``) core on it."""
+    if pruning is None:
+        return "prefill_dense_core"
+    return "prefill_custom_core" if numerics == "exact" else (
+        "prefill_pruned_core"
+    )
+
+
 class TestProfiler:
     def test_packed_backend_stages_recorded(self, serving_setup):
         tel = Telemetry(profile=True)
@@ -494,26 +505,21 @@ class TestProfiler:
                              ids=["dense", "spatten"])
     def test_prompt_pass_stages_recorded(self, serving_setup, numerics,
                                          pruning):
-        """The prompt pass is attributed on every tier: the model's own
-        fp64 stack under exact, the backend's stack off it."""
+        """The prompt pass is attributed on every tier: the backend's
+        stack runs it on each."""
         tel = Telemetry(profile=True)
         requests = trace(serving_setup[2], n=4)
         run_engine(serving_setup, requests, telemetry=tel, pruning=pruning,
                    numerics=numerics)
         prof = tel.profiler
         n_layers = serving_setup[0].n_layers
-        # Off the exact tier the attention half is named by the core
-        # that ran it (the split the decode step has), a dense chunk's
-        # once per sequence.
-        core = "prefill_core"
-        if numerics != "exact":
-            core = ("prefill_dense_core" if pruning is None
-                    else "prefill_pruned_core")
+        # The attention half is named by the core that ran it (the
+        # split the decode step has).
+        core = _prompt_core_stage(numerics, pruning)
         assert prof.calls("prefill_ffn") > 0
         assert prof.calls(core) >= prof.calls("prefill_ffn")
         assert prof.calls(core) % n_layers == 0
-        if pruning is None or numerics != "exact":
-            assert prof.calls("prefill_chunk_proj") > 0
+        assert prof.calls("prefill_chunk_proj") > 0
         assert "prefill_ffn" in str(prof.table())
 
     @pytest.mark.parametrize("pruning", [None, PRUNING],
@@ -554,21 +560,25 @@ class TestProfiler:
         assert sum(row[3] for row in rows.values()) == pytest.approx(1.0)
         assert "unattributed (decode_step)" in str(prof.table())
 
-    @pytest.mark.parametrize("pruning", [None, PRUNING],
-                             ids=["dense", "spatten"])
-    def test_prefill_stages_sum_to_the_step(self, serving_setup, pruning):
-        """The same identity for the prompt pass: on a non-exact tier
-        the ``prefill_*`` stages tile every ``prefill_step``."""
+    @pytest.mark.parametrize("pruning, numerics", [
+        pytest.param(pruning, numerics, id=name + suffix)
+        for name, pruning in (("dense", None), ("spatten", PRUNING))
+        for numerics, suffix in (("fp32", ""), ("exact", "-exact"))
+    ])
+    def test_prefill_stages_sum_to_the_step(self, serving_setup, pruning,
+                                            numerics):
+        """The same identity for the prompt pass, on every tier: the
+        ``prefill_*`` stages tile every ``prefill_step``."""
         tel = Telemetry(profile=True)
         requests = trace(serving_setup[2], n=10, max_new=(2, 4))
         run_engine(serving_setup, requests, telemetry=tel, pruning=pruning,
-                   numerics="fp32")
+                   numerics=numerics)
         prof = tel.profiler
         n_layers = serving_setup[0].n_layers
         steps = prof.calls("prefill_step")
         assert steps > 0 and prof.calls("prefill_setup") == steps
         assert prof.calls("prefill_lm_head") == steps
-        core = "prefill_dense_core" if pruning is None else "prefill_pruned_core"
+        core = _prompt_core_stage(numerics, pruning)
         # Every layer of a step with rows runs each stage once (chunks
         # of a pruned prompt before its last carry no rows).
         layers = prof.calls("prefill_ffn")
@@ -576,8 +586,9 @@ class TestProfiler:
         assert prof.calls("prefill_prune_control") == layers
         assert prof.calls("prefill_chunk_proj") == layers
         assert prof.calls(core) >= layers
+        # Only a pruned store block carves value control out of its core.
         assert prof.calls("prefill_value_control") == (
-            0 if pruning is None else prof.calls(core)
+            prof.calls(core) if core == "prefill_pruned_core" else 0
         )
         assert prof.calls("prefill_commit") == 0
         unattributed = prof.unattributed_seconds("prefill_step")
@@ -645,12 +656,15 @@ class TestProfiler:
         assert set(prof.stages) == (on if numerics == "exact" else off)
 
     def test_exact_tier_records_no_step_total(self, serving_setup):
-        """The exact step belongs to the model's own stack: no total,
-        so no remainder row."""
+        """The exact decode step belongs to the model's own stack: no
+        total, so no remainder row; its prompt step is the backend's."""
         tel = Telemetry(profile=True)
         run_engine(serving_setup, trace(serving_setup[2], n=4), telemetry=tel)
         assert tel.profiler.calls("decode_step") == 0
-        assert "unattributed (" not in str(tel.profiler.table())
+        assert tel.profiler.calls("prefill_step") > 0
+        table = str(tel.profiler.table())
+        assert "unattributed (decode_step)" not in table
+        assert "unattributed (prefill_step)" in table
 
     def test_unit_timing(self):
         prof = HotPathProfiler()
