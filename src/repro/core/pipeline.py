@@ -47,6 +47,16 @@ __all__ = ["SpAttenExecutor"]
 class SpAttenExecutor(AttentionExecutor):
     """Attention executor implementing the full SpAtten algorithm stack.
 
+    Every layer of either stage is control, then core, as on the
+    accelerator, whose top-k engines sit ahead of the Q·K units: the
+    stage's control (:meth:`summarize_control` or
+    :meth:`decode_control`) decides which tokens and heads survive and
+    evicts the rest, then the survivors' Q/K/V are projected and one
+    attend core runs them.  :meth:`run_layer` projects them itself; a
+    packed backend runs the control at the layer's entry, projects
+    every row of its step at once and hands this sequence's to
+    :meth:`decode_attend_packed`.
+
     Args:
         pruning: cascade/local pruning schedule.  The default
             (:class:`PruningConfig` with all keeps at 1.0) disables
@@ -283,10 +293,22 @@ class SpAttenExecutor(AttentionExecutor):
         stage: str,
     ) -> LayerExecution:
         if stage == "summarize":
-            return self._run_summarize(layer_idx, model, x, positions)
-        if stage == "decode":
-            return self._run_decode(layer_idx, model, x, positions)
-        raise ValueError(f"unknown stage {stage!r}")
+            kept_rows = self.summarize_control(layer_idx, positions)
+        elif stage == "decode":
+            if len(x) != 1:
+                raise ValueError("decode processes exactly one token")
+            kept_rows = self.decode_control(layer_idx, positions)
+        else:
+            raise ValueError(f"unknown stage {stage!r}")
+        q_live, k_live, v_live = self._project_live(
+            model, layer_idx, x[kept_rows]
+        )
+        merged, record = self._attend_merged(
+            layer_idx, q_live, k_live, v_live, positions[kept_rows],
+            keep_record=True,
+        )
+        output = model.attention(layer_idx).project_merged(merged)
+        return LayerExecution(output, record, kept_rows)
 
     def _prune_heads_at(self, layer_idx: int) -> None:
         target = self._plan.head_counts[layer_idx]
@@ -309,7 +331,6 @@ class SpAttenExecutor(AttentionExecutor):
 
     def _finish_layer_merged(
         self,
-        model: TransformerModel,
         layer_idx: int,
         probs: np.ndarray,
         v_live: np.ndarray,
@@ -391,70 +412,19 @@ class SpAttenExecutor(AttentionExecutor):
         self._prune_heads_at(layer_idx)
         return decision.kept_rows
 
-    def _summarize_attend_merged(
-        self,
-        layer_idx: int,
-        model: TransformerModel,
-        q_live: np.ndarray,
-        k_live: np.ndarray,
-        v_live: np.ndarray,
-        live_positions: np.ndarray,
-        keep_record: bool = False,
-    ) -> Tuple[np.ndarray, Optional[AttentionRecord]]:
-        """Post-projection summarize core; returns merged ``[L, h*D]``.
-
-        Caches the live heads' K/V (the pruned heads' columns stay
-        zero), runs the quantization-aware attention probabilities in
-        the projections' dtype, and finishes with local value pruning
-        and importance accumulation — everything except the output FC.
-        """
-        if self._model_config.causal:
-            layer_cache = self._cache[layer_idx]
-            # Summarization visits each layer once, so the cache is empty
-            # here; appending keeps decode and summarize on one code path.
-            layer_cache.append(
-                k_live, v_live, live_positions, heads=self._alive_heads
-            )
-            key_ids = layer_cache.token_ids
-            mask = key_ids[None, :] <= live_positions[:, None]
-        else:
-            key_ids = live_positions
-            mask = None
-
-        probs, lsb_fraction = self._attention_probs(q_live, k_live, mask)
-        v_used = self._quantize_values(v_live)
-        return self._finish_layer_merged(
-            model, layer_idx, probs, v_used, key_ids, live_positions,
-            lsb_fraction, "summarize", keep_record,
-        )
-
-    def _run_summarize(
-        self,
-        layer_idx: int,
-        model: TransformerModel,
-        x: np.ndarray,
-        positions: np.ndarray,
-    ) -> LayerExecution:
-        kept_rows = self.summarize_control(layer_idx, positions)
-        q_live, k_live, v_live = self._project_live(
-            model, layer_idx, x[kept_rows]
-        )
-        merged, record = self._summarize_attend_merged(
-            layer_idx, model, q_live, k_live, v_live, positions[kept_rows],
-            keep_record=True,
-        )
-        output = model.attention(layer_idx).project_merged(merged)
-        return LayerExecution(output, record, kept_rows)
-
-    def _decode_control(self, layer_idx: int, positions: np.ndarray) -> None:
+    def decode_control(
+        self, layer_idx: int, positions: np.ndarray
+    ) -> np.ndarray:
         """Pre-projection decode control: pruning decisions + eviction.
 
         Everything in a decode layer that precedes the Q/K/V projection:
         admitting the new token to the live set (layer 0), cascade token
         pruning over the global live set, cascade head pruning, and
         evicting pruned columns from this layer's KV cache.  Shared
-        verbatim by the looped and packed decode paths, so both commit
-        exactly the same pruning decisions.
+        verbatim by :meth:`run_layer` and the packed backend's decode
+        step, so both commit exactly the same pruning decisions.
+        Returns the surviving rows — always the one row, since the new
+        token is protected.
         """
         if self._original_length is None:
             raise RuntimeError("decode before summarize; call encode/generate")
@@ -488,54 +458,53 @@ class SpAttenExecutor(AttentionExecutor):
         keep_cols = self._alive_mask[layer_cache.token_ids]
         if not keep_cols.all():
             layer_cache.keep(np.flatnonzero(keep_cols))
+        return np.arange(len(positions))
 
-    def _decode_attend_merged(
+    def _attend_merged(
         self,
         layer_idx: int,
-        model: TransformerModel,
         q_live: np.ndarray,
         k_live: np.ndarray,
         v_live: np.ndarray,
         positions: np.ndarray,
         keep_record: bool = False,
     ) -> Tuple[np.ndarray, Optional[AttentionRecord]]:
-        """Post-projection decode core; returns merged ``[1, h*D]``.
+        """Post-projection core of both stages; returns merged
+        ``[L, h*D]``.
 
-        Appends the live heads' K/V column (pruned heads store zeros),
-        runs the quantization-aware attention probabilities over them,
-        and finishes with local value pruning and importance
-        accumulation — everything except the output FC.
+        Caches the live heads' K/V (the pruned heads' columns stay
+        zero) and runs the quantization-aware attention probabilities:
+        summarization — the layer's first pass — over the K/V it has
+        just computed, in the projections' dtype, masked causally; a
+        decode step over the cache's columns.  Finishes with local
+        value pruning and importance accumulation — everything except
+        the output FC.  The stage is the executor's own: a decode
+        step's layer-0 admission grows the sentence past its prompt.
+        (A layer's cache cannot tell: a ``min_tokens=1`` schedule may
+        evict every column it held before the new one lands.)
         """
-        layer_cache = self._cache[layer_idx]
-        layer_cache.append(k_live, v_live, positions, heads=self._alive_heads)
+        decode = self._total_length > self._original_length
+        mask = None
+        if not self._model_config.causal:
+            key_ids = positions
+        else:
+            layer_cache = self._cache[layer_idx]
+            layer_cache.append(
+                k_live, v_live, positions, heads=self._alive_heads
+            )
+            key_ids = layer_cache.token_ids
+            if decode:
+                k_live = layer_cache.keys[self._alive_heads]
+                v_live = layer_cache.values[self._alive_heads]
+            else:
+                mask = key_ids[None, :] <= positions[:, None]
 
-        key_ids = layer_cache.token_ids
-        k_use = layer_cache.keys[self._alive_heads]
-        v_use = layer_cache.values[self._alive_heads]
-        probs, lsb_fraction = self._attention_probs(q_live, k_use, mask=None)
-        v_used = self._quantize_values(v_use)
+        probs, lsb_fraction = self._attention_probs(q_live, k_live, mask)
+        v_used = self._quantize_values(v_live)
         return self._finish_layer_merged(
-            model, layer_idx, probs, v_used, key_ids, positions,
-            lsb_fraction, "decode", keep_record,
+            layer_idx, probs, v_used, key_ids, positions, lsb_fraction,
+            "decode" if decode else "summarize", keep_record,
         )
-
-    def _run_decode(
-        self,
-        layer_idx: int,
-        model: TransformerModel,
-        x: np.ndarray,
-        positions: np.ndarray,
-    ) -> LayerExecution:
-        if len(x) != 1:
-            raise ValueError("decode processes exactly one token")
-        self._decode_control(layer_idx, positions)
-        q_live, k_live, v_live = self._project_live(model, layer_idx, x)
-        merged, record = self._decode_attend_merged(
-            layer_idx, model, q_live, k_live, v_live, positions,
-            keep_record=True,
-        )
-        output = model.attention(layer_idx).project_merged(merged)
-        return LayerExecution(output, record, np.arange(1))
 
     # ------------------------------------------------------------------
     # Packed backend protocol (repro.nn.batched_attention)
@@ -568,9 +537,11 @@ class SpAttenExecutor(AttentionExecutor):
           :meth:`decode_attend_packed` is the bit-identity oracle, and
           progressive-quantization rows on any tier, whose LSB refetch
           is decided per row from that row's own probabilities: the
-          backend batches only the projections and the output FC, in
-          the prompt pass (:meth:`summarize_control`,
-          :meth:`summarize_attend_packed`) as in a decode step.
+          backend runs the stage's control at the layer's entry
+          (:meth:`summarize_control` in the prompt pass,
+          :meth:`decode_control` in a decode step), batches the
+          projections and the output FC, and runs
+          :meth:`decode_attend_packed` as the core of both stages.
 
         Both are functions of what the executor *is*
         (``numerics.is_exact``, ``quant is None``); nothing selects the
@@ -601,46 +572,22 @@ class SpAttenExecutor(AttentionExecutor):
         v_full: np.ndarray,
         positions: np.ndarray,
     ) -> np.ndarray:
-        """Per-sequence decode core on backend-projected full-width rows.
+        """The per-sequence packed core of both stages (``"custom"``
+        rows: every SpAtten row on the exact tier, progressive
+        quantization off it), on backend-projected full-width rows.
 
-        Gathers the surviving-head slices from the full-width
-        projections — bit-identical to :meth:`_project_live`'s
+        The backend has already run the stage's control —
+        :meth:`summarize_control` or :meth:`decode_control` — dropped
+        the rows it pruned and projected the survivors full-width in
+        its compute dtype (``[h, L, D]`` each).  Gathers the
+        surviving-head slices — bit-identical to :meth:`_project_live`'s
         project-then-gather, since per-head projections are independent
-        output columns — and runs exactly the looped control + attend
-        path, returning the merged pre-projection features ``[1, h*D]``.
-        """
-        self._decode_control(layer_idx, positions)
-        q_live = q_full[self._alive_heads]
-        k_live = k_full[self._alive_heads]
-        v_live = v_full[self._alive_heads]
-        merged, _ = self._decode_attend_merged(
-            layer_idx, model, q_live, k_live, v_live, positions
-        )
-        return merged
-
-    def summarize_attend_packed(
-        self,
-        layer_idx: int,
-        model: TransformerModel,
-        q_full: np.ndarray,
-        k_full: np.ndarray,
-        v_full: np.ndarray,
-        positions: np.ndarray,
-    ) -> np.ndarray:
-        """Whole-sentence summarize core on backend-projected rows
-        (``"custom"`` rows: every SpAtten prompt on the exact tier,
-        progressive quantization off it).
-
-        The prompt-pass counterpart of :meth:`decode_attend_packed`:
-        the backend has dropped the rows :meth:`summarize_control`
-        pruned and projected the survivors full-width in its compute
-        dtype (``[h, L, D]`` each); the surviving-head slices run the
-        same attend path as :meth:`run_layer`, returning the merged
-        pre-projection features ``[L, h*D]`` in that dtype.
+        output columns — and runs :meth:`run_layer`'s attend core,
+        returning the merged pre-projection features ``[L, h*D]`` in
+        that dtype.
         """
         heads = self._alive_heads
-        merged, _ = self._summarize_attend_merged(
-            layer_idx, model, q_full[heads], k_full[heads], v_full[heads],
-            positions,
+        merged, _ = self._attend_merged(
+            layer_idx, q_full[heads], k_full[heads], v_full[heads], positions
         )
         return merged

@@ -19,8 +19,10 @@ decode step and a prompt step are one per-layer skeleton,
 *parts* — the rows one core runs — and put into part order once per
 step (the logits go back to batch order once):
 
-1. **entry pruning**, part by part: the rows a cascade drops leave the
-   residual stream before the projections see them;
+1. **entry pruning**, part by part: every part's control — its
+   pruning decisions and evictions, in both stages — and the rows a
+   cascade drops leave the residual stream before the projections see
+   them;
 2. **fused Q/K/V projection** of every row against one ``[d, 3d]``
    weight, split into per-head ``[N, 3, h, D]`` views;
 3. each part's **core** over its contiguous slice of those rows;
@@ -34,16 +36,18 @@ tier, the model's own fp64 one on it; only the exact tier's decode
 step, :meth:`~PackedDecodeBackend.decode_layer`, runs the attention
 half alone, its model keeping the fp64 FFN stack.
 
-There are two cores, and every part runs one of them.  A
-**per-sequence part** is one style's rows, each sequence's run by *its
-executor's own* packed core: :meth:`~repro.nn.transformer
-.AttentionExecutor.decode_attend_packed` in a decode step, and in a
-prompt step :meth:`~repro.nn.transformer.AttentionExecutor
-.summarize_control` (entry pruning) then :meth:`~repro.nn.transformer
-.AttentionExecutor.summarize_attend_packed`.  Every exact-tier row is
-one — the executors' cores are the bit-identity oracle's own arithmetic
-— as are, off it, a dense prompt chunk, which attends against its
-private cache, and progressive-quantization rows
+There are two cores, and every part runs one of them, after its
+control.  A **per-sequence part** is one style's rows, each sequence's
+run by *its executor's own* control and packed core: in step 1 the
+stage's control, :meth:`~repro.nn.transformer.AttentionExecutor
+.summarize_control` in a prompt step and :meth:`~repro.nn.transformer
+.AttentionExecutor.decode_control` in a decode step (the defaults keep
+every row), then in step 3 :meth:`~repro.nn.transformer
+.AttentionExecutor.decode_attend_packed`, the one core of both
+stages.  Every exact-tier row is one — the executors' cores are the
+bit-identity oracle's own arithmetic — as are, off it, a dense prompt
+chunk, which attends against its private cache, and
+progressive-quantization rows
 (:attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`
 ``"custom"``), whose LSB refetch is decided per row from that row's own
 probabilities.  A **store block** is consecutive rows of a
@@ -366,11 +370,12 @@ class _Part:
 
 
 class _SequenceRows(_Part):
-    """One style's per-sequence rows in a step, each sequence's through
-    its executor's own packed core: a decode step's one query row
-    through ``decode_attend_packed``; a prompt step's chunk or sentence
-    through ``summarize_control`` (entry pruning) and then
-    ``summarize_attend_packed``.
+    """One style's per-sequence rows in a step, each sequence's run by
+    its executor as control, then core, like a store block's: entry
+    pruning through the stage's control — ``summarize_control`` in a
+    prompt step, ``decode_control`` in a decode step — and then the
+    one packed core of both stages, ``decode_attend_packed``, over a
+    decode step's one query row or a prompt step's chunk or sentence.
 
     ``indices`` are the sequences' places in the step's batch or states
     and ``spans`` their rows still in the residual stream, as original
@@ -383,7 +388,10 @@ class _SequenceRows(_Part):
         self.executors = [executor for _, executor in rows]
         self.spans = spans
         self.positions = np.concatenate(spans)
-        self.prompt = stage == "prefill"
+        #: The executors' control method for this stage.
+        self.control = (
+            "summarize_control" if stage == "prefill" else "decode_control"
+        )
         self.core_stage = f"{stage}_{style}_core"
 
     def sizes(self) -> np.ndarray:
@@ -391,10 +399,8 @@ class _SequenceRows(_Part):
         return np.array([len(span) for span in self.spans])
 
     def prune(self, layer_idx: int) -> Optional[np.ndarray]:
-        if not self.prompt:
-            return None  # a decode row prunes inside its core
         kept = [
-            executor.summarize_control(layer_idx, span)
+            getattr(executor, self.control)(layer_idx, span)
             for executor, span in zip(self.executors, self.spans)
         ]
         lens = [len(span) for span in self.spans]
@@ -412,11 +418,9 @@ class _SequenceRows(_Part):
             rows = slice(stop, stop + len(span))
             stop = rows.stop
             q, k, v = heads[rows].transpose(1, 2, 0, 3)  # [h, L, D] views
-            core = (
-                executor.summarize_attend_packed if self.prompt
-                else executor.decode_attend_packed
+            out[rows] = executor.decode_attend_packed(
+                layer_idx, backend._model, q, k, v, span
             )
-            out[rows] = core(layer_idx, backend._model, q, k, v, span)
 
 
 class _StoreBlock(_Part):
@@ -912,8 +916,8 @@ class PackedDecodeBackend:
           :meth:`~repro.nn.transformer.AttentionExecutor
           .summarize_control` and run its own core on the survivors'
           projections (:meth:`~repro.nn.transformer.AttentionExecutor
-          .summarize_attend_packed`) — a dense chunk attends against
-          its private cache.
+          .decode_attend_packed`, the core of both stages) — a dense
+          chunk attends against its private cache.
 
         On the exact tier every sequence is such a per-sequence row,
         and the step reproduces a solo

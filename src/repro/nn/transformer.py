@@ -148,12 +148,13 @@ class AttentionExecutor:
           rows' with no cascade.  On the exact tier a decode step, and
           on every tier a prompt step, run the executor's own core as
           for ``"custom"``.
-        * ``"custom"`` — the backend supplies full-width projections and
-          the executor runs its own per-sequence core (pruning
-          decisions, progressive quantization, trace accounting):
-          :meth:`decode_attend_packed` in a decode step,
-          :meth:`summarize_control` then :meth:`summarize_attend_packed`
-          in a prompt step.
+        * ``"custom"`` — the executor runs its own per-sequence control
+          and core (pruning decisions, progressive quantization, trace
+          accounting), in both stages as control, then core: at the
+          layer's entry the stage's control — :meth:`summarize_control`
+          in a prompt step, :meth:`decode_control` in a decode step —
+          then, on the backend's full-width projections of the rows it
+          kept, :meth:`decode_attend_packed`.
         * ``"pruned"`` — non-exact tiers only: the executor prunes, but
           its control state is plain arrays the backend can keep
           beside its K/V rows, in the planes of one batch control
@@ -239,14 +240,22 @@ class AttentionExecutor:
         v_full: np.ndarray,
         positions: np.ndarray,
     ) -> np.ndarray:
-        """Per-sequence decode core (``"custom"`` rows, and the exact
-        tier's ``"dense"`` ones).
+        """The per-sequence packed core of both stages (``"custom"``
+        rows; on the exact tier, and in every prompt step, ``"dense"``
+        ones too).
 
-        Receives the sequence's full-width projected ``q/k/v`` rows
-        (``[h, 1, D]`` each, bit-identical to what projecting this row
-        alone would produce) and returns the *merged pre-projection*
-        attention features ``[1, n_heads * head_dim]`` — the backend
-        applies the output FC over the whole batch in one matmul.
+        Receives the rows the stage's control kept, as the backend's
+        full-width ``q/k/v`` projections (``[h, L, D]`` each, in its
+        compute dtype; on the exact tier bit-identical to what
+        projecting this sequence alone would produce) — a decode step's
+        one row, or a prompt step's chunk or whole sentence
+        (:attr:`supports_incremental_prefill`) — caches their K/V and
+        returns the *merged pre-projection* attention features
+        ``[L, n_heads * head_dim]`` in that dtype: the backend applies
+        the output FC over the whole batch in one matmul.  The name
+        says "decode" only because the end-to-end benchmark's span
+        table (``benchmarks/e2e/e2e_spans.py``) pins it; renaming it
+        waits until that table can follow.
         """
         raise NotImplementedError
 
@@ -261,30 +270,23 @@ class AttentionExecutor:
         row's executor which of its rows at ``positions`` survive — the
         returned indices; the others leave the residual stream — then
         projects the survivors together with every other sequence's
-        rows and hands them to :meth:`summarize_attend_packed`.  The
+        rows and hands them to :meth:`decode_attend_packed`.  The
         default prunes nothing.
         """
         return np.arange(len(positions))
 
-    def summarize_attend_packed(
-        self,
-        layer_idx: int,
-        model: "TransformerModel",
-        q_full: np.ndarray,
-        k_full: np.ndarray,
-        v_full: np.ndarray,
-        positions: np.ndarray,
+    def decode_control(
+        self, layer_idx: int, positions: np.ndarray
     ) -> np.ndarray:
-        """Per-sequence summarize core on the backend's projections: a
-        prompt step's :meth:`decode_attend_packed`.
+        """Entry control of one decode layer, ahead of the projections:
+        a decode step's :meth:`summarize_control`.
 
-        Receives the surviving rows' full-width ``q/k/v`` (``[h, L, D]``
-        each, in the backend's compute dtype) — a chunk, or the whole
-        sentence (:attr:`supports_incremental_prefill`) — caches K/V,
-        and returns the merged pre-projection features
-        ``[L, n_heads * head_dim]`` in that dtype.
+        The executor commits the layer's pruning decisions and evicts
+        what they drop before the backend projects the step's rows;
+        returns the surviving rows' indices into ``positions``.  The
+        default keeps the row.
         """
-        raise NotImplementedError
+        return np.arange(len(positions))
 
     @property
     def supports_incremental_prefill(self) -> bool:
@@ -358,7 +360,7 @@ class DenseExecutor(AttentionExecutor):
             model's own stack, which is what ``prefill(backend=None)``
             and the looped oracle run on every tier — while a packed
             backend runs the prompt pass through
-            :meth:`summarize_attend_packed` on every tier (on the exact
+            :meth:`decode_attend_packed` on every tier (on the exact
             one bit-identical to :meth:`run_layer`, chunk padding
             included) and, off the exact tier, the decode steps over
             its row stores, in the policy's compute dtype.
@@ -473,8 +475,6 @@ class DenseExecutor(AttentionExecutor):
         if positions[0] < token_ids[-1]:  # else no column lies past a query
             np.copyto(scores, -1e30, where=token_ids > positions[:, None])
         return merge_heads(softmax_inplace(scores) @ values)
-
-    summarize_attend_packed = decode_attend_packed
 
     def run_layer(
         self,
@@ -891,7 +891,6 @@ class TransformerModel:
             + self.params.pos_embedding[positions]
         )
         for layer_idx in range(self.config.n_layers):
-            bp = self.block(layer_idx)
             if backend is not None:
                 attn_out = backend.decode_layer(
                     self, layer_idx, x, positions, executors
@@ -907,8 +906,7 @@ class TransformerModel:
                     ],
                     axis=0,
                 )
-            x = layer_norm(x + attn_out, bp.ln1_gamma, bp.ln1_beta)
-            x = layer_norm(x + self._ffn(layer_idx, x), bp.ln2_gamma, bp.ln2_beta)
+            x = self._residual_ffn(layer_idx, x, attn_out)
         return self.lm_logits(x)
 
     def generate(

@@ -38,16 +38,17 @@ step (``prefill_chunk_policy``) records, per step or per layer:
   entry pruning: every pruned store block's cascade decisions over its
   control planes, then eviction of the block's rows from the layer's
   store (one gathered mask, plus compaction of the rows a page of holes
-  has built up in), every per-sequence prompt row's
-  ``summarize_control`` (a dense chunk's prunes nothing; a decode row
-  prunes inside its core), and the gather that drops pruned rows from
-  the residual stream;
+  has built up in), every per-sequence row's control —
+  ``summarize_control`` in a prompt step, ``decode_control`` in a decode
+  step (a dense chunk's prunes nothing) — and the gather that drops
+  pruned rows from the residual stream;
 * ``decode_qkv_proj`` / ``prefill_chunk_proj`` — the fused
   ``[N, d] @ [d, 3d]`` projection of every row;
 * ``decode_custom_core`` / ``prefill_custom_core`` — the
   progressive-quantization rows' part: each sequence's own SpAtten
-  core (``decode_attend_packed`` / ``summarize_attend_packed``), one
-  part for every such row of the step;
+  core (``decode_attend_packed``, the core of both stages; its control
+  ran in the prune-control stage), one part for every such row of the
+  step;
 * ``decode_dense_core`` — the dense rows' store block: the store core
   with no cascade (K/V write at each row's cursor, scores / mask /
   softmax / A·V over the block's plane);
@@ -85,11 +86,13 @@ off the tier — total and ``unattributed`` remainder included — with
 every prompt a per-sequence row, so no store block and no value
 control:
 
-* ``decode_prune_control`` — entry pruning, which is empty here (a
-  SpAtten row prunes inside its own core): the skeleton's bookkeeping;
+* ``decode_prune_control`` — entry pruning: each SpAtten row's
+  ``decode_control`` (admission, cascade token and head pruning,
+  eviction from the layer's cache), each dense row's default that keeps
+  it, and the skeleton's bookkeeping;
 * ``decode_qkv_proj`` — the fused projection, row by row;
 * ``decode_custom_core`` — the SpAtten rows' part: each row's own
-  per-sequence core;
+  per-sequence core, its control excluded;
 * ``decode_dense_core`` — the dense rows' part: each row's KV append
   and attention over its cache at exact length, in ``DenseExecutor``'s
   own core;
@@ -103,7 +106,7 @@ control:
   the rows of every sequence with two or more, a sequence's only row
   alone;
 * ``prefill_custom_core`` — the SpAtten sentences' part: each one's own
-  core (``summarize_attend_packed``);
+  core (``decode_attend_packed``);
 * ``prefill_dense_core`` — the dense chunks' part, as off the tier,
   over K/V padded to the prompt's width while a chunked prompt is
   mid-way;

@@ -495,10 +495,11 @@ class TestBatchedCascadeRoute:
         self, decoder, tier, monkeypatch
     ):
         """The route is a function of the tier and ``quant`` alone: in
-        one batch the quant rows take ``decode_attend_packed`` (and off
-        the exact tier the plain SpAtten rows never do) — and a row of a
-        scrambled batch of dense, pruned and progressive-quant rows
-        comes out of one prompt step and one decode step as it does
+        one batch the quant rows take ``decode_attend_packed``, the one
+        per-sequence core of the prompt step and the decode step alike
+        (and off the exact tier the plain SpAtten rows never do) — and
+        a row of a scrambled batch of dense, pruned and progressive-quant
+        rows comes out of one prompt step and one decode step as it does
         from a batch of its own style: the step puts the batch into
         part order and back, and nothing else of the batch reaches a
         row.  Bit for bit on ``exact``, within the tier's test
@@ -523,7 +524,7 @@ class TestBatchedCascadeRoute:
             for kind, _ in spec
         ]
         custom = [e for e, style in zip(mixed[2], styles) if style == "custom"]
-        assert called == custom * decoder.config.n_layers
+        assert called == custom * decoder.config.n_layers * 2
         for kind in ("dense", "spatten", "quant"):
             rows = [i for i, (k, _) in enumerate(spec) if k == kind]
             alone = self._prompt_and_decode(

@@ -155,6 +155,49 @@ def test_spatten_evictions_happen_and_match(decoder, backend):
     _assert_same_state(looped, packed)
 
 
+def test_spatten_control_runs_before_the_projection(decoder, monkeypatch):
+    """Control, then core: in an exact packed decode step every SpAtten
+    row — progressive quantization's too — runs its layer-``l`` control
+    before layer ``l``'s fused QKV projection, as the accelerator's
+    top-k engines sit ahead of its Q·K units."""
+    spec = [("dense", 17), ("spatten", 30), ("quant", 12), ("spatten", 6)]
+    executors = _make_batch(decoder, spec, seed=4)
+    backend = PackedDecodeBackend(decoder)
+    events = []
+    decode_control = SpAttenExecutor.decode_control
+
+    def control_spy(self, layer_idx, positions):
+        events.append(("control", layer_idx, id(self)))
+        return decode_control(self, layer_idx, positions)
+
+    project = backend._project
+    wqkv = backend._weights.wqkv
+
+    def project_spy(x, w, b=None):
+        layers = [l for l, weight in enumerate(wqkv) if weight is w]
+        if layers:
+            events.append(("qkv", layers[0], None))
+        return project(x, w, b)
+
+    monkeypatch.setattr(SpAttenExecutor, "decode_control", control_spy)
+    monkeypatch.setattr(backend, "_project", project_spy)
+    n_layers = decoder.config.n_layers
+    spatten = {id(e) for e in executors if isinstance(e, SpAttenExecutor)}
+    tokens, positions = [5] * len(spec), [n for _, n in spec]
+    for _ in range(3):
+        events.clear()
+        decoder.decode_step_batch(tokens, positions, executors, backend=backend)
+        for layer_idx in range(n_layers):
+            qkv = events.index(("qkv", layer_idx, None))
+            controlled = {
+                who for i, (kind, layer, who) in enumerate(events)
+                if kind == "control" and layer == layer_idx and i < qkv
+            }
+            assert controlled == spatten, layer_idx
+        assert len(events) == n_layers * (1 + len(spatten))
+        positions = [p + 1 for p in positions]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 15, 23])
 def test_randomized_batches_bit_identical(decoder, backend, seed):
     """Property-style sweep: random composition, lengths, and horizon.
@@ -175,6 +218,45 @@ def test_randomized_batches_bit_identical(decoder, backend, seed):
         decoder, backend, spec, n_steps=int(rng.integers(3, 9)),
         seed=200 + seed,
     )
+
+
+def test_min_tokens_one_schedule_empties_a_layer_and_matches(decoder, backend):
+    """A ``min_tokens=1`` schedule can evict every old column of a layer
+    before the new one is appended, so a layer's cache cannot tell a
+    decode step from summarization: the step must still log ``"decode"``
+    layers, and packed runs must match the looped ones bit for bit."""
+    pruning = PruningConfig(
+        token_keep_final=0.01, head_keep_final=0.5, min_tokens=1
+    )
+    spec = [("spatten", 20), ("quant", 14), ("spatten", 9)]
+
+    def batch():
+        rng = np.random.default_rng(8)
+        executors = []
+        for kind, n in spec:
+            executor = SpAttenExecutor(
+                pruning, QUANT if kind == "quant" else None
+            )
+            prompt = rng.integers(0, decoder.config.vocab_size, size=n)
+            decoder.prefill(prompt.tolist(), executor)
+            executors.append(executor)
+        return executors
+
+    looped, packed = batch(), batch()
+    prompt_steps = [len(e.trace.steps) for e in looped]
+    tokens, positions = [2] * len(spec), [n for _, n in spec]
+    for _ in range(4):
+        ll = decoder.decode_step_batch(tokens, positions, looped)
+        pl = decoder.decode_step_batch(tokens, positions, packed,
+                                       backend=backend)
+        assert np.array_equal(ll, pl)
+        _assert_same_state(looped, packed)
+        tokens = [int(np.argmax(row)) for row in ll]
+        positions = [p + 1 for p in positions]
+    assert any(1 in e.kv_lengths() for e in looped), "no layer held 1 column"
+    for le, pe, n in zip(looped, packed, prompt_steps):
+        assert le.trace.steps == pe.trace.steps
+        assert {step.stage for step in pe.trace.steps[n:]} == {"decode"}
 
 
 def test_packed_decode_builds_no_attention_record(
@@ -233,6 +315,7 @@ _PROMPT_KINDS = {
     "": ("dense",) * 4,
     "mixed-": ("spatten", "dense", "dense", "spatten"),
     "swapped-": ("dense", "spatten", "spatten", "dense"),
+    "quant-": ("quant", "dense", "spatten", "quant"),
 }
 
 
@@ -243,7 +326,8 @@ _PROMPT_KINDS = {
 ])
 def test_chunked_prefill_packed_bit_identical(decoder, backend, chunk, kinds):
     """The backend's prompt pass commits bit-identical prefills, dense
-    chunks and SpAtten sentences sharing its GEMMs."""
+    chunks and SpAtten sentences — progressive quantization's included —
+    sharing its GEMMs."""
     rng = np.random.default_rng(31)
     prompt_lens = [1, 2, 9, 33]  # includes the single-row solo-GEMM edge
     prompts = [
@@ -252,7 +336,9 @@ def test_chunked_prefill_packed_bit_identical(decoder, backend, chunk, kinds):
     ]
 
     def executor(kind):
-        return DenseExecutor() if kind == "dense" else SpAttenExecutor(PRUNING)
+        if kind == "dense":
+            return DenseExecutor()
+        return SpAttenExecutor(PRUNING, QUANT if kind == "quant" else None)
 
     looped = [decoder.prefill_begin(p, executor(k))
               for p, k in zip(prompts, kinds)]
