@@ -384,17 +384,13 @@ def _write_telemetry(args, telemetry, mode, multi_mode: bool) -> None:
     """Flush one run's telemetry artifacts to their sinks."""
     if telemetry is None:
         return
-    from .telemetry import (
-        chrome_trace_json,
-        metrics_jsonl,
-        prometheus_text,
-        write_text,
-    )
+    from .telemetry import MetricsRegistry, chrome_trace_json, write_text
 
     for path, render, sink, label in (
         (args.trace_out, chrome_trace_json, telemetry.tracer, "trace"),
-        (args.metrics_out, metrics_jsonl, telemetry.metrics, "metrics"),
-        (args.prom_out, prometheus_text, telemetry.metrics,
+        (args.metrics_out, MetricsRegistry.to_jsonl, telemetry.metrics,
+         "metrics"),
+        (args.prom_out, MetricsRegistry.prometheus_text, telemetry.metrics,
          "prometheus metrics"),
     ):
         if path:

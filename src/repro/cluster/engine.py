@@ -79,7 +79,6 @@ from ..serving.request import (
     emit_row,
     transition,
 )
-from ..serving.stats import CostModel
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .router import Replica, ClusterRouter
 from .sharded_pool import ShardedKVPool
@@ -117,17 +116,18 @@ class ClusterEngine:
     Args:
         model: causal transformer shared by every replica.
         pool: the sharded KV pool (one shard per replica).
-        policy: routing policy name, or pass a ready
-            :class:`ClusterRouter` via ``router``.
+        policy: routing policy name (:class:`ClusterRouter`).
         pruning: fleet-default cascade schedule (requests may override
             per-request via :attr:`~repro.serving.request.Request.
             pruning`).
-        quant / cost_model / prefill_chunk / admission / numerics /
-        preempt_policy / headroom_pages / sampler:
+        quant / prefill_chunk / admission / numerics / preempt_policy /
+        headroom_pages:
             forwarded to every replica's engine, identical semantics
             to :class:`~repro.serving.engine.ServingEngine`.  The
             ``numerics`` tier is fleet-wide: every replica runs the
             same rung of the ladder, and the fleet report carries it.
+            Replicas decode greedily, so a request requeued off a
+            drained or failed replica replays its stream elsewhere.
         faults: the run's fault schedule, a sequence of
             :class:`~repro.faults.FaultEvent` in any order (hand-written,
             or a :class:`~repro.faults.FaultPlan`'s ``events``),
@@ -174,14 +174,11 @@ class ClusterEngine:
         policy: str = "round_robin",
         pruning: Optional[PruningConfig] = None,
         quant: Optional[QuantConfig] = None,
-        cost_model: Optional[CostModel] = None,
         prefill_chunk: Optional[int] = None,
         admission: str = "reserve",
         numerics: str = "exact",
         preempt_policy: str = "lowest_priority",
         headroom_pages: int = 0,
-        sampler=None,
-        router: Optional[ClusterRouter] = None,
         faults: Sequence[FaultEvent] = (),
         heartbeat_timeout_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
@@ -210,18 +207,15 @@ class ClusterEngine:
         #: end of :meth:`run` — per-replica stats deliberately carry no
         #: SLO verdicts, a partial fleet view would misattribute them.
         self.slo = slo
-        self.router = router if router is not None else ClusterRouter(policy)
-        # Cleared when inert, so a router a traced engine drove before
-        # stops notifying that stale engine.
-        self.router.observer = self if self.telemetry.active else None
+        self.router = ClusterRouter(
+            policy, observer=self if self.telemetry.active else None
+        )
         self._engines = [
             ServingEngine(
                 model,
                 pool.shard(i),
                 pruning=pruning,
                 quant=quant,
-                cost_model=cost_model,
-                sampler=sampler,
                 prefill_chunk=prefill_chunk,
                 admission=admission,
                 numerics=numerics,

@@ -217,11 +217,6 @@ class SpAttenExecutor(AttentionExecutor):
         """Cumulative KV columns evicted by cascade token pruning."""
         return self._cache.total_evicted_tokens if self._cache is not None else 0
 
-    @property
-    def kv_nbytes(self) -> int:
-        """Live KV-cache footprint in storage bytes (dtype-aware)."""
-        return self._cache.nbytes if self._cache is not None else 0
-
     # ------------------------------------------------------------------
     # Quantized / progressive attention probabilities
     # ------------------------------------------------------------------

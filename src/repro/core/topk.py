@@ -165,10 +165,6 @@ class QuickSelectStats:
     def n_rounds(self) -> int:
         return len(self.partition_sizes)
 
-    @property
-    def total_elements_processed(self) -> int:
-        return int(sum(self.partition_sizes))
-
 
 def quick_select_kth(
     values: np.ndarray,

@@ -23,7 +23,6 @@ experiments (BERT-Large, GPT-2-Medium with 992-token prompts).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from ..config import ModelConfig, PruningConfig, QuantConfig
 from . import schedule as sched
+from .value_pruning import value_keep_count
 
 __all__ = ["LayerStep", "AttentionTrace", "dense_trace", "spatten_trace"]
 
@@ -180,12 +180,6 @@ class AttentionTrace:
         return sum(self.kv_bytes_per_step)
 
 
-def _value_keep_count(pruning: Optional[PruningConfig], n_keys: int) -> int:
-    if pruning is None or pruning.value_keep >= 1.0:
-        return n_keys
-    return max(int(math.ceil(pruning.value_keep * n_keys)), min(1, n_keys))
-
-
 def dense_trace(
     model: ModelConfig, seq_len: int, n_generate: int = 0
 ) -> AttentionTrace:
@@ -242,7 +236,8 @@ def spatten_trace(
         trace.add(
             LayerStep(
                 layer, "summarize", alive, alive, alive_heads,
-                _value_keep_count(pruning, alive), effective_lsb,
+                int(value_keep_count(pruning.value_keep, alive)),
+                effective_lsb,
             )
         )
 
@@ -257,7 +252,8 @@ def spatten_trace(
             trace.add(
                 LayerStep(
                     layer, "decode", 1, alive, alive_heads,
-                    _value_keep_count(pruning, alive), effective_lsb,
+                    int(value_keep_count(pruning.value_keep, alive)),
+                    effective_lsb,
                 )
             )
     return trace

@@ -72,10 +72,6 @@ class ArchConfig:
         """Peak DRAM bandwidth in bytes/s."""
         return self.hbm_channels * self.hbm_channel_bandwidth
 
-    @property
-    def dram_bytes_per_cycle(self) -> float:
-        return self.dram_bandwidth / self.clock_hz
-
     def scaled(self, factor: float, name: str = None) -> "ArchConfig":
         """A proportionally scaled instance (e.g. 1/8 for Table III).
 

@@ -49,10 +49,6 @@ class EnergyBreakdown:
     dram_j: float = 0.0
 
     @property
-    def onchip_j(self) -> float:
-        return self.compute_logic_j + self.sram_j
-
-    @property
     def total_j(self) -> float:
         return self.compute_logic_j + self.sram_j + self.dram_j
 
@@ -61,16 +57,6 @@ class EnergyBreakdown:
             compute_logic_j=self.compute_logic_j + other.compute_logic_j,
             sram_j=self.sram_j + other.sram_j,
             dram_j=self.dram_j + other.dram_j,
-        )
-
-    def power_w(self, latency_s: float) -> "EnergyBreakdown":
-        """Average power per subsystem over a run."""
-        if latency_s <= 0:
-            raise ValueError("latency must be positive")
-        return EnergyBreakdown(
-            compute_logic_j=self.compute_logic_j / latency_s,
-            sram_j=self.sram_j / latency_s,
-            dram_j=self.dram_j / latency_s,
         )
 
 

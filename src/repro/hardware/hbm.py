@@ -68,13 +68,6 @@ class HBMTransfer:
     n_activations: float
     per_channel_bytes: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def bandwidth_utilisation(self) -> float:
-        """Achieved fraction of peak bandwidth during this transfer."""
-        if self.cycles <= 0:
-            return 0.0
-        return self.n_bytes / self.cycles  # bytes per cycle (caller scales)
-
 
 class HBMModel:
     """Stateful traffic accountant for one HBM stack."""

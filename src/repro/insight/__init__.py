@@ -60,7 +60,6 @@ from .timeline import (
     PhaseSpan,
     RequestTimeline,
     timelines_from_events,
-    timelines_from_tracer,
 )
 
 __all__ = [
@@ -82,5 +81,4 @@ __all__ = [
     "samples_from_records",
     "samples_from_timelines",
     "timelines_from_events",
-    "timelines_from_tracer",
 ]

@@ -43,11 +43,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..eval.reporting import Table
-from .timeline import (
-    RequestTimeline,
-    timelines_from_events,
-    timelines_from_tracer,
-)
+from .timeline import RequestTimeline, timelines_from_events
 
 __all__ = [
     "CAUSES",
@@ -262,10 +258,6 @@ class TraceAttribution:
                 continue
             vectors.append(attribute_timeline(tl))
         return cls(vectors=vectors, n_unattributed=unattributed)
-
-    @classmethod
-    def from_tracer(cls, tracer) -> "TraceAttribution":
-        return cls.from_timelines(timelines_from_tracer(tracer))
 
     @classmethod
     def from_events(cls, trace_events) -> "TraceAttribution":

@@ -6,18 +6,18 @@ phases: the ``queued`` / ``prefill`` / ``decode`` spans the serving and
 cluster engines emit, the instants that bound them (``submitted``,
 ``promoted``, ``finished``, ``shed``, ``route_failed``), and the
 uncovered gaps in between (cluster routing latency, retry backoff,
-drain-to-resubmit windows).  This module turns a raw event stream —
-either an in-memory :class:`~repro.telemetry.tracer.Tracer` or a Chrome
-trace file — into that normalized per-request view.
+drain-to-resubmit windows).  This module turns Chrome ``traceEvents``
+— a loaded trace file, or ``chrome_trace(tracer)["traceEvents"]`` for
+an in-memory :class:`~repro.telemetry.tracer.Tracer` — into that
+normalized per-request view.
 
 Exactness model
 ---------------
 
 Timestamps live in the *microsecond domain* as exact rationals
-(:class:`fractions.Fraction` of the float microsecond values), matching
-the Chrome exporter's ``ts = t * 1e6`` convention bit for bit.  Both
-input paths apply the identical conversion, so a timeline built from a
-tracer in memory equals the one built from its exported file.
+(:class:`fractions.Fraction` of the exported float microsecond
+values); an ``arrival_time`` argument, recorded in seconds, takes the
+Chrome exporter's own ``ts = t * 1e6`` conversion bit for bit.
 
 A span's exported end (``ts + dur``) can differ from the next span's
 start — or from the terminal instant — by a float ulp, because the
@@ -41,7 +41,6 @@ __all__ = [
     "PhaseSpan",
     "RequestTimeline",
     "timelines_from_events",
-    "timelines_from_tracer",
 ]
 
 #: Boundary-snapping tolerance in exported microseconds: 1e-3 us = 1
@@ -153,38 +152,13 @@ def _us(t: float) -> Fraction:
     return Fraction(t * 1e6)
 
 
-def _us_exact(ts: float) -> Fraction:
-    """Exact rational of a value already in exported microseconds."""
-    return Fraction(ts)
-
-
-def timelines_from_tracer(tracer) -> Dict[int, RequestTimeline]:
-    """Timelines from an in-memory :class:`~repro.telemetry.Tracer`.
-
-    Applies the Chrome exporter's ``t * 1e6`` conversion to every
-    timestamp so the result is bit-identical to parsing the exported
-    file (see the module docstring's exactness model).
-    """
-    rows = []
-    for event in tracer.events:
-        if event.kind == "counter":
-            continue
-        rows.append((
-            event.kind, event.name, _us(event.t),
-            _us(event.t) + Fraction(event.dur * 1e6),
-            event.process, event.track, event.args_dict,
-        ))
-    return _build_timelines(rows)
-
-
 def timelines_from_events(
     trace_events: Iterable[dict],
 ) -> Dict[int, RequestTimeline]:
-    """Timelines from Chrome ``traceEvents`` dicts (a loaded file)."""
+    """Timelines from Chrome ``traceEvents`` dicts."""
     trace_events = list(trace_events)
     procs: Dict[int, str] = {}
     threads: Dict[Tuple[int, int], str] = {}
-    rows = []
     for event in trace_events:
         ph = event.get("ph")
         if ph == "M":
@@ -195,23 +169,6 @@ def timelines_from_events(
                 threads[(event["pid"], event.get("tid", 0))] = str(
                     args.get("name", "")
                 )
-    for event in trace_events:
-        ph = event.get("ph")
-        if ph not in ("X", "i"):
-            continue
-        pid = event.get("pid")
-        process = procs.get(pid, str(pid))
-        track = threads.get((pid, event.get("tid", 0)), "")
-        start = _us_exact(event["ts"])
-        end = start + Fraction(event.get("dur", 0.0)) if ph == "X" else start
-        rows.append((
-            "span" if ph == "X" else "instant", event.get("name", ""),
-            start, end, process, track, event.get("args", {}),
-        ))
-    return _build_timelines(rows)
-
-
-def _build_timelines(rows) -> Dict[int, RequestTimeline]:
     timelines: Dict[int, RequestTimeline] = {}
 
     def timeline(rid: int) -> RequestTimeline:
@@ -219,28 +176,36 @@ def _build_timelines(rows) -> Dict[int, RequestTimeline]:
             timelines[rid] = RequestTimeline(request_id=rid)
         return timelines[rid]
 
-    for kind, name, start, end, process, track, args in rows:
-        match = _TRACK_RE.match(track)
+    for event in trace_events:
+        ph = event.get("ph")
+        if ph not in ("X", "i"):
+            continue
+        name = event.get("name", "")
+        args = event.get("args", {})
+        pid = event.get("pid")
+        start = Fraction(event["ts"])
+        match = _TRACK_RE.match(threads.get((pid, event.get("tid", 0)), ""))
         if match is None:
             # Fleet router instants carry the request id in their args.
-            if kind == "instant" and name == "route_failed" \
-                    and "request_id" in args:
+            if ph == "i" and name == "route_failed" and "request_id" in args:
                 tl = timeline(int(args["request_id"]))
                 tl.terminal = "route_failed"
                 tl.end_us = start
                 if "arrival_time" in args and tl.arrival_us is None:
                     tl.arrival_us = _us(float(args["arrival_time"]))
-            elif kind == "instant" and name == "route_retry" \
+            elif ph == "i" and name == "route_retry" \
                     and "request_id" in args:
                 timeline(int(args["request_id"])).n_route_retries += 1
             continue
         tl = timeline(int(match.group(1)))
-        if kind == "span" and name in PHASES:
+        if ph == "X" and name in PHASES:
             tl.spans.append(PhaseSpan(
-                name=name, start_us=start, end_us=end,
-                outcome=str(args.get("outcome", "")), process=process,
+                name=name, start_us=start,
+                end_us=start + Fraction(event.get("dur", 0.0)),
+                outcome=str(args.get("outcome", "")),
+                process=procs.get(pid, str(pid)),
             ))
-        elif kind == "instant":
+        elif ph == "i":
             if name == "submitted":
                 tl.submit_us.append(start)
                 tl.priority = int(args.get("priority", tl.priority))

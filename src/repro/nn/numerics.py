@@ -29,14 +29,14 @@ axis:
     Same batched core, but the KV cache stores int8 codes with per-row
     (head × column) fp32 scales — :func:`repro.core.quantization
     .quantize_rows`.  4× less KV storage than fp32 at a declared
-    accuracy budget.  Which K/V a row's attention reads depends on the
-    pass, not on the stage that runs it: a row's *first* pass — a
-    prompt, whose rows held no columns before it wrote its block —
-    attends to the fp32 K/V it has just computed, so prompts are
-    summarized in fp32 and their K/V quantized from it; every *later*
-    pass — a decode step — reads K/V as the store holds them, so the
-    score GEMM reads fp32 Q against dequantized int8 K (fp32
-    accumulation), exactly what the cache can reproduce.
+    accuracy budget.  A pruned prompt's store block attends to the
+    fp32 K/V it has just computed — its rows held no columns before it
+    wrote them — so pruned prompts are summarized in fp32 and their K/V
+    quantized from it.  A dense prompt chunk appends to its private
+    cache first and attends over the columns as stored, so it reads
+    dequantized int8 K/V, as does every decode step: the score GEMM
+    reads fp32 Q against dequantized int8 K (fp32 accumulation),
+    exactly what the cache can reproduce.
 
 A tier governs both stages of a request — prompt summarization and
 decode — whenever the model is driven through a
@@ -54,7 +54,7 @@ budgets and fails the build when a tier exceeds its declaration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -87,12 +87,10 @@ class NumericsPolicy:
         compute_dtype: dtype of the prompt-pass and decode-step
             hidden-state math.
         kv_dtype: storage dtype of KV cache planes (``np.int8`` stores
-            codes plus per-row fp32 scales).
-        kv_bytes_per_element: DRAM accounting width per cached scalar.
-            ``None`` keeps the model config's declared width (the
-            ``exact`` tier changes no accounting).
-        quantized_gemm: whether decode-step score GEMMs read
-            int8-rounded KV operands (per-row scales, fp32 accumulate).
+            codes plus per-row fp32 scales).  It decides the tier's DRAM
+            accounting width (:meth:`storage_bytes_per_element`) and
+            whether score GEMMs read int8-rounded KV operands
+            (:attr:`quantized_gemm`).
         kl_budget: max mean KL(oracle ‖ tier) over next-token
             distributions tolerated by the quality gate.
         argmax_budget: min fraction of decode steps whose argmax token
@@ -102,8 +100,6 @@ class NumericsPolicy:
     name: str
     compute_dtype: type
     kv_dtype: type
-    kv_bytes_per_element: Optional[int]
-    quantized_gemm: bool
     kl_budget: float
     argmax_budget: float
 
@@ -112,11 +108,19 @@ class NumericsPolicy:
         """Whether this tier promises bit identity with the oracle."""
         return self.name == "exact"
 
+    @property
+    def quantized_gemm(self) -> bool:
+        """Whether score GEMMs read int8-rounded KV operands (per-row
+        scales, fp32 accumulate): the cache stores int8 codes."""
+        return np.dtype(self.kv_dtype) == np.int8
+
     def storage_bytes_per_element(self, default: int) -> int:
-        """DRAM accounting width, falling back to the model's declared one."""
-        if self.kv_bytes_per_element is None:
+        """DRAM accounting width per cached scalar: the storage dtype's,
+        or the model's declared ``default`` on the exact tier, which
+        changes no accounting."""
+        if self.is_exact:
             return default
-        return self.kv_bytes_per_element
+        return np.dtype(self.kv_dtype).itemsize
 
 
 #: Bit-identical fp64 — the contract every pre-existing test asserts.
@@ -124,8 +128,6 @@ EXACT = NumericsPolicy(
     name="exact",
     compute_dtype=np.float64,
     kv_dtype=np.float64,
-    kv_bytes_per_element=None,
-    quantized_gemm=False,
     kl_budget=0.0,
     argmax_budget=1.0,
 )
@@ -135,8 +137,6 @@ FP32 = NumericsPolicy(
     name="fp32",
     compute_dtype=np.float32,
     kv_dtype=np.float32,
-    kv_bytes_per_element=4,
-    quantized_gemm=False,
     kl_budget=5e-4,
     argmax_budget=0.995,
 )
@@ -146,8 +146,6 @@ INT8 = NumericsPolicy(
     name="int8",
     compute_dtype=np.float32,
     kv_dtype=np.int8,
-    kv_bytes_per_element=1,
-    quantized_gemm=True,
     kl_budget=5e-2,
     argmax_budget=0.99,
 )

@@ -581,10 +581,6 @@ class PrefillState:
         return len(self.prompt_ids)
 
     @property
-    def n_remaining(self) -> int:
-        return self.prompt_len - self.n_committed
-
-    @property
     def done(self) -> bool:
         return self.n_committed >= self.prompt_len
 

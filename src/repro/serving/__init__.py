@@ -36,7 +36,6 @@ from .engine import (
     LiveSequence,
     PrefillingSequence,
     ServingEngine,
-    greedy_sampler,
 )
 from .memory_pool import KVMemoryPool, PoolExhausted
 from .preemption import (
@@ -68,7 +67,6 @@ __all__ = [
     "PreemptionEvent",
     "PreemptionPolicy",
     "ServingEngine",
-    "greedy_sampler",
     "KVMemoryPool",
     "PoolExhausted",
     "Request",

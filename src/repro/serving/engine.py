@@ -94,7 +94,6 @@ __all__ = [
     "PrefillingSequence",
     "ScheduledSequence",
     "ServingEngine",
-    "greedy_sampler",
 ]
 
 ADMISSION_MODES = ("reserve", "optimistic")
@@ -125,10 +124,6 @@ STEP_TRACKS = {
     )},
     "step_flops": {"prefill": "prefill_flops", "decode": "decode_flops"},
 }
-
-
-def greedy_sampler(logits: np.ndarray) -> int:
-    return int(np.argmax(logits))
 
 
 @dataclass
@@ -202,6 +197,10 @@ class _EngineRun:
 class ServingEngine:
     """Continuous-batching scheduler + executor over a simulated clock.
 
+    Decoding is greedy (argmax, first of tied maxima): recompute after a
+    preemption, quarantine or drain replays a request's stream, which
+    only a deterministic choice reproduces token for token.
+
     Args:
         model: causal transformer shared by every request.
         pool: the KV memory pool enforcing the global byte budget.
@@ -211,9 +210,6 @@ class ServingEngine:
             Individual requests may override it
             (:attr:`~repro.serving.request.Request.pruning`).
         quant: optional progressive quantization for pruned serving.
-        cost_model: simulated-clock step costs.
-        sampler: logits -> token id (greedy by default, which keeps
-            batched serving bit-comparable with ``model.generate``).
         prefill_chunk: prompt tokens committed per mixed step, batched
             across requests and interleaved with decode.  ``None``
             (default) means ``model.config.max_seq_len``: every prompt
@@ -269,8 +265,6 @@ class ServingEngine:
         pool: KVMemoryPool,
         pruning: Optional[PruningConfig] = None,
         quant: Optional[QuantConfig] = None,
-        cost_model: Optional[CostModel] = None,
-        sampler: Optional[Callable[[np.ndarray], int]] = None,
         prefill_chunk: Optional[int] = None,
         numerics: str = "exact",
         admission: str = "reserve",
@@ -307,8 +301,7 @@ class ServingEngine:
         self.pool = pool
         self.pruning = pruning
         self.quant = quant
-        self.cost = cost_model or CostModel()
-        self.sampler = sampler or greedy_sampler
+        self.cost = CostModel()
         self.prefill_chunk = prefill_chunk
         #: Resolved :class:`~repro.nn.numerics.NumericsPolicy` governing
         #: decode-step compute and KV storage across every executor this
@@ -796,12 +789,12 @@ class ServingEngine:
         logits: np.ndarray,
         clock: SimulatedClock,
     ) -> Optional[LiveSequence]:
-        """The final prefill chunk landed: sample the first token and
+        """The final prefill chunk landed: pick the first token and
         move the sequence to decode.  Returns the live sequence, or
         ``None`` when a one-token budget retired it on the spot."""
         record = seq.record
         self.pool.finish_prefill(seq.seq_id)
-        first = self.sampler(logits)
+        first = int(np.argmax(logits))
         record.token_ids.append(first)
         self._transition(record, "promoted", clock.now)
         live = LiveSequence(
@@ -829,15 +822,16 @@ class ServingEngine:
             for seq in prefills
         )
         decode_batch = list(self.live)
-        decode_logits = (
+        # Greedy: a recomputed stream must replay the tokens it committed.
+        decode_tokens = (
             self.model.decode_step_batch(
                 [seq.next_token for seq in decode_batch],
                 [seq.next_position for seq in decode_batch],
                 [seq.executor for seq in decode_batch],
                 backend=self._backend,
-            )
+            ).argmax(axis=1).tolist()
             if decode_batch
-            else None
+            else []
         )
         chunk_logits = (
             self.model.prefill_chunk_batch(
@@ -874,7 +868,7 @@ class ServingEngine:
         self.prefilling = still_prefilling
 
         self.live = self._commit_decode(
-            decode_batch, decode_lengths, decode_logits, clock
+            decode_batch, decode_lengths, decode_tokens, clock
         ) + promoted
         self._note_step(
             clock.now, dt, prefill_flops, decode_flops,
@@ -885,15 +879,14 @@ class ServingEngine:
         self,
         batch: Sequence[LiveSequence],
         kv_lengths: Sequence[List[int]],
-        logits: np.ndarray,
+        tokens: Sequence[int],
         clock: SimulatedClock,
     ) -> List[LiveSequence]:
-        """Sample and record each live sequence's token; retire finishers."""
+        """Record each live sequence's token; retire finishers."""
         still_live: List[LiveSequence] = []
         now = clock.now
-        for row, seq in enumerate(batch):
-            self._pool_sync(seq.seq_id, kv_lengths[row])
-            token = self.sampler(logits[row])
+        for seq, lengths, token in zip(batch, kv_lengths, tokens):
+            self._pool_sync(seq.seq_id, lengths)
             seq.record.token_ids.append(token)
             self._transition(seq.record, "token", now)
             seq.record.preempt_protected = False

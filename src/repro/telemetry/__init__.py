@@ -23,9 +23,9 @@ reproducible:
 ``metrics``
     :class:`MetricsRegistry` — Prometheus-style counters, gauges, and
     histograms plus a per-step time series (live batch size, pool
-    occupancy, pruning savings, step FLOPs, backlog).  Exports as JSONL
-    (:func:`metrics_jsonl`) and text exposition
-    (:func:`prometheus_text`).
+    occupancy, pruning savings, step FLOPs, backlog).  Exports itself as
+    JSONL (:meth:`MetricsRegistry.to_jsonl`) and text exposition
+    (:meth:`MetricsRegistry.prometheus_text`).
 
 ``profiler``
     :class:`HotPathProfiler` — the one *wall-clock* component,
@@ -66,8 +66,6 @@ from typing import Optional
 from .export import (
     chrome_trace,
     chrome_trace_json,
-    metrics_jsonl,
-    prometheus_text,
     write_text,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -93,8 +91,6 @@ __all__ = [
     "HotPathProfiler",
     "chrome_trace",
     "chrome_trace_json",
-    "metrics_jsonl",
-    "prometheus_text",
     "write_text",
     "validate_chrome_trace",
     "load_chrome_trace",

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, metrics JSONL, Prometheus text.
+"""Exporter: Chrome trace-event JSON.
 
 The Chrome trace-event format (also consumed by Perfetto's legacy
 importer) is a JSON object with a ``traceEvents`` list.  The exporter
@@ -28,15 +28,12 @@ import json
 import sys
 from typing import Dict, List, Tuple
 
-from .metrics import MetricsRegistry
 from .tracer import Tracer
 
 __all__ = [
     "chrome_trace",
     "chrome_trace_json",
     "write_text",
-    "metrics_jsonl",
-    "prometheus_text",
 ]
 
 #: Microseconds per simulated second (Chrome ``ts`` unit).
@@ -125,16 +122,6 @@ def chrome_trace_json(tracer: Tracer) -> str:
     return json.dumps(
         chrome_trace(tracer), sort_keys=True, separators=(",", ":")
     ) + "\n"
-
-
-def metrics_jsonl(registry: MetricsRegistry) -> str:
-    """The registry's time series as JSON Lines."""
-    return registry.to_jsonl()
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """The registry's instruments in Prometheus text exposition."""
-    return registry.prometheus_text()
 
 
 def write_text(path: str, text: str, label: str) -> None:

@@ -98,10 +98,6 @@ class Vocabulary:
         return self._index[SEP_TOKEN]
 
     @property
-    def pad_id(self) -> int:
-        return self._index[PAD_TOKEN]
-
-    @property
     def function_ids(self) -> np.ndarray:
         return np.flatnonzero((self.class_of < 0) & (self.salience < 0.3))
 

@@ -29,7 +29,7 @@ from repro.serving import (
     Request,
     ServingEngine,
 )
-from repro.telemetry import Telemetry, chrome_trace_json, prometheus_text
+from repro.telemetry import Telemetry, chrome_trace_json
 from repro.workloads import (
     accuracy_scale_config,
     build_task_model,
@@ -183,7 +183,7 @@ def digest(runs) -> str:
     h = hashlib.sha256()
     for tel, stats in runs:
         for text in (chrome_trace_json(tel.tracer),
-                     prometheus_text(tel.metrics), stats.to_json()):
+                     tel.metrics.prometheus_text(), stats.to_json()):
             h.update(text.encode())
             h.update(b"\0")
     return h.hexdigest()

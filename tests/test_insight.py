@@ -24,7 +24,7 @@ from repro.cluster import ClusterEngine, ShardedKVPool
 from repro.config import GPT2_SMALL, PruningConfig
 from repro.faults import FaultEvent, FaultPlan
 from repro.serving import KVMemoryPool, ServingEngine
-from repro.telemetry import Telemetry, chrome_trace_json
+from repro.telemetry import Telemetry, chrome_trace, chrome_trace_json
 from repro.insight import (
     CAUSES,
     SLOObjective,
@@ -36,7 +36,7 @@ from repro.insight import (
     compare_history,
     load_history,
     metric,
-    timelines_from_tracer,
+    timelines_from_events,
 )
 from repro.cli import main as cli_main
 from repro.workloads import (
@@ -144,6 +144,11 @@ def assert_exact(attribution, records=None):
             )
 
 
+def attribution_of(tel):
+    """Blame vectors of a run's trace, read as the exporter writes it."""
+    return TraceAttribution.from_events(chrome_trace(tel.tracer)["traceEvents"])
+
+
 def total_cause(attribution, cause):
     return sum(
         (v.components[cause] for v in attribution.vectors), Fraction(0)
@@ -161,7 +166,7 @@ class TestAttributionExactness:
         pruning = PRUNING if mode == "spatten" else None
         stats, _ = run_preempting_engine(world, seed, pruning=pruning,
                                          telemetry=tel)
-        attribution = TraceAttribution.from_tracer(tel.tracer)
+        attribution = attribution_of(tel)
         assert len(attribution.vectors) == len(stats.records)
         assert_exact(attribution, stats.records)
         if stats.n_preemptions:
@@ -179,7 +184,7 @@ class TestAttributionExactness:
     def test_cluster_with_chaos_sums_exactly(self, world, seed):
         tel = Telemetry()
         stats, _ = run_chaos_cluster(world, seed, telemetry=tel)
-        attribution = TraceAttribution.from_tracer(tel.tracer)
+        attribution = attribution_of(tel)
         assert len(attribution.vectors) == len(stats.fleet.records)
         assert_exact(attribution, stats.fleet.records)
 
@@ -196,32 +201,24 @@ class TestAttributionExactness:
             faults=plan.events, telemetry=tel,
         )
         stats = cluster.run(requests)
-        attribution = TraceAttribution.from_tracer(tel.tracer)
+        attribution = attribution_of(tel)
         assert_exact(attribution, stats.fleet.records)
         # Not vacuous: the explicit plan really corrupted pages, and
         # the discarded work shows up as quarantine blame.
         assert total_cause(attribution, "quarantine_discard") > 0
 
-    def test_tracer_and_exported_file_agree_exactly(self, world, tmp_path):
-        tel = Telemetry()
-        run_preempting_engine(world, 7, telemetry=tel)
-        live = TraceAttribution.from_tracer(tel.tracer)
-        doc = json.loads(chrome_trace_json(tel.tracer))
-        exported = TraceAttribution.from_events(doc["traceEvents"])
-        assert live.to_dict() == exported.to_dict()
-
     def test_every_cause_key_is_always_present(self, world):
         tel = Telemetry()
         run_preempting_engine(world, 3, telemetry=tel)
-        attribution = TraceAttribution.from_tracer(tel.tracer)
+        attribution = attribution_of(tel)
         for vector in attribution.vectors:
             assert tuple(vector.components) == CAUSES
 
     def test_render_is_deterministic(self, world):
         tel = Telemetry()
         run_preempting_engine(world, 3, telemetry=tel)
-        a = TraceAttribution.from_tracer(tel.tracer)
-        b = TraceAttribution.from_tracer(tel.tracer)
+        a = attribution_of(tel)
+        b = attribution_of(tel)
         assert a.render() == b.render()
 
 
@@ -589,7 +586,9 @@ class TestTimelines:
     def test_timelines_cover_every_record(self, world):
         tel = Telemetry()
         stats, _ = run_preempting_engine(world, 3, telemetry=tel)
-        timelines = timelines_from_tracer(tel.tracer)
+        timelines = timelines_from_events(
+            chrome_trace(tel.tracer)["traceEvents"]
+        )
         assert sorted(timelines) == sorted(
             r.request.request_id for r in stats.records
         )

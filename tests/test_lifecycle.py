@@ -50,7 +50,7 @@ from repro.serving import (
 )
 from repro.serving.request import SPAN_PHASES
 from repro.serving.stats import STATS_SCHEMA_VERSION
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry, chrome_trace
 
 #: Event sequence that takes a fresh record into each phase.
 PATH_TO_PHASE = {
@@ -332,7 +332,9 @@ def test_cluster_chaos_off_the_exact_tier(setup, numerics):
             assert record.status is RequestStatus.FAILED
     # Every timeline reaches a terminal and tiles: attribution raises
     # on overlap and on a blame vector that does not sum to e2e.
-    attribution = TraceAttribution.from_tracer(tel.tracer)
+    attribution = TraceAttribution.from_events(
+        chrome_trace(tel.tracer)["traceEvents"]
+    )
     assert attribution.n_unattributed == 0
     assert len(attribution.vectors) == len(records)
 

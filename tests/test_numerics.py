@@ -155,11 +155,21 @@ class TestResolution:
     def test_custom_policy_is_accepted(self):
         custom = NumericsPolicy(
             name="fp32-wide", compute_dtype=np.float32,
-            kv_dtype=np.float32, kv_bytes_per_element=4,
-            quantized_gemm=False, kl_budget=1e-3, argmax_budget=0.99,
+            kv_dtype=np.float32, kl_budget=1e-3, argmax_budget=0.99,
         )
         assert resolve_numerics(custom) is custom
         assert not custom.is_exact
+
+    def test_policy_fields_follow_the_storage_dtype(self):
+        custom = NumericsPolicy(
+            name="int8-wide", compute_dtype=np.float32,
+            kv_dtype=np.int8, kl_budget=5e-2, argmax_budget=0.99,
+        )
+        assert custom.quantized_gemm
+        assert custom.storage_bytes_per_element(2) == 1
+        assert EXACT.storage_bytes_per_element(2) == 2
+        assert FP32.storage_bytes_per_element(2) == 4
+        assert not FP32.quantized_gemm
 
 
 class TestExactTierBitIdentity:

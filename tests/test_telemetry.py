@@ -24,7 +24,7 @@ import sys
 
 import pytest
 
-from repro.cluster import ClusterEngine, ClusterRouter, ShardedKVPool
+from repro.cluster import ClusterEngine, ShardedKVPool
 from repro.config import GPT2_SMALL, PruningConfig
 from repro.faults import FaultEvent
 from repro.serving import KVMemoryPool, ServingEngine
@@ -38,8 +38,6 @@ from repro.telemetry import (
     Tracer,
     chrome_trace,
     chrome_trace_json,
-    metrics_jsonl,
-    prometheus_text,
     trace_report,
     validate_chrome_trace,
 )
@@ -294,8 +292,8 @@ class TestDeterminism:
             run_engine(serving_setup, requests, telemetry=tel,
                        pruning=pruning, audit_every=2)
             return (chrome_trace_json(tel.tracer),
-                    metrics_jsonl(tel.metrics),
-                    prometheus_text(tel.metrics))
+                    tel.metrics.to_jsonl(),
+                    tel.metrics.prometheus_text())
 
         assert artifacts() == artifacts()
 
@@ -311,7 +309,7 @@ class TestDeterminism:
                 audit_every=3, faults=[FaultEvent(0.015, 1, "drain")],
             )
             cluster.run(requests)
-            return chrome_trace_json(tel.tracer), metrics_jsonl(tel.metrics)
+            return chrome_trace_json(tel.tracer), tel.metrics.to_jsonl()
 
         assert artifacts() == artifacts()
 
@@ -440,24 +438,6 @@ class TestPoolObserver:
         ServingEngine(model, pool, pruning=PRUNING,
                       prefill_chunk=8).run(requests)
         assert pool.observer is None
-        assert len(tel.tracer) == n_events
-
-    def test_inert_cluster_clears_stale_fleet_observers(self, serving_setup):
-        """Same contract for the fleet hook: a router a traced cluster
-        drove stops feeding it once an inert one runs (the sharded
-        ledger has no hook: its events go through the run's sinks)."""
-        config, model, corpus = serving_setup
-        requests = trace(corpus, n=6)
-        pool, router = make_sharded(config), ClusterRouter("pruning_aware")
-        tel = Telemetry()
-        traced = ClusterEngine(model, pool, router=router, pruning=PRUNING,
-                               prefill_chunk=8, telemetry=tel)
-        traced.run(requests)
-        assert router.observer is traced
-        n_events = len(tel.tracer)
-        ClusterEngine(model, pool, router=router, pruning=PRUNING,
-                      prefill_chunk=8).run(requests)
-        assert router.observer is None
         assert len(tel.tracer) == n_events
 
 
