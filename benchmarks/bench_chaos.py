@@ -35,15 +35,12 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterEngine, ShardedKVPool
-from repro.config import GPT2_SMALL, PruningConfig
+from repro.config import PruningConfig
 from repro.eval.reporting import Table
 from repro.faults import CHAOS_PROFILES, FaultPlan
 from repro.serving import DegradationPolicy, Request, RequestStatus
 from repro.workloads import (
-    accuracy_scale_config,
-    build_task_model,
-    build_vocabulary,
-    make_lm_corpus,
+    serving_lm_world,
     synthetic_request_trace,
 )
 
@@ -76,14 +73,8 @@ DEGRADE_POLICY = DegradationPolicy(
 
 @pytest.fixture(scope="module")
 def chaos_world():
-    vocab = build_vocabulary(size=512, n_classes=4, seed=0)
-    config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=4, d_model=64, n_heads=4,
-        max_seq_len=160,
-    )
-    model, _ = build_task_model(config, vocab, "lm", seed=0)
-    corpus = make_lm_corpus(vocab, n_tokens=4096, seed=2)
-    return config, model, corpus
+    return serving_lm_world(n_layers=4, d_model=64, n_heads=4,
+                            max_seq_len=160, corpus_tokens=4096)
 
 
 def make_pool(config, pages=POOL_PAGES):

@@ -24,17 +24,14 @@ Three claims are checked, matching the subsystem's acceptance bar:
 
 import pytest
 
-from repro.config import GPT2_SMALL, PruningConfig
+from repro.config import PruningConfig
 from repro.cluster import ClusterEngine, ShardedKVPool
 from repro.eval.reporting import Table
 from repro.serving import KVMemoryPool, ServingEngine
 from repro.workloads import (
     TrafficClass,
-    accuracy_scale_config,
-    build_task_model,
-    build_vocabulary,
     heterogeneous_request_trace,
-    make_lm_corpus,
+    serving_lm_world,
 )
 
 PAGE_TOKENS = 16
@@ -61,14 +58,7 @@ SKEWED_CLASSES = [
 
 @pytest.fixture(scope="module")
 def cluster_world():
-    vocab = build_vocabulary(size=512, n_classes=4, seed=0)
-    config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=6, d_model=128, n_heads=8,
-        max_seq_len=256,
-    )
-    model, _ = build_task_model(config, vocab, "lm", seed=0)
-    corpus = make_lm_corpus(vocab, n_tokens=8192, seed=2)
-    return config, model, corpus
+    return serving_lm_world(corpus_tokens=8192)
 
 
 def total_budget_bytes(config):

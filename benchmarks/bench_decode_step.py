@@ -32,15 +32,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import GPT2_SMALL
 from repro.eval.reporting import Table
 from repro.nn import PackedDecodeBackend
 from repro.nn.transformer import DenseExecutor
-from repro.workloads import (
-    accuracy_scale_config,
-    build_task_model,
-    build_vocabulary,
-)
+from repro.workloads import serving_lm_world
 
 PAGE_TOKENS = 16
 VARIANTS = ("looped", "packed")
@@ -48,12 +43,7 @@ VARIANTS = ("looped", "packed")
 
 @pytest.fixture(scope="module")
 def decode_world():
-    vocab = build_vocabulary(size=512, n_classes=4, seed=0)
-    config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=6, d_model=128, n_heads=8,
-        max_seq_len=2048,
-    )
-    model, _ = build_task_model(config, vocab, "lm", seed=0)
+    _, model, _ = serving_lm_world(max_seq_len=2048)
     return model, PackedDecodeBackend(model)
 
 

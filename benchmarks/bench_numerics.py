@@ -63,18 +63,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import GPT2_SMALL, PruningConfig
+from repro.config import PruningConfig
 from repro.core.pipeline import SpAttenExecutor
 from repro.eval.reporting import Table
 from repro.nn import PackedDecodeBackend
 from repro.nn.functional import kl_divergence, log_softmax, softmax
 from repro.nn.numerics import NUMERICS_LADDER, resolve_numerics
 from repro.nn.transformer import DenseExecutor
-from repro.workloads import (
-    accuracy_scale_config,
-    build_task_model,
-    build_vocabulary,
-)
+from repro.workloads import serving_lm_world
 
 BATCH = 16
 PREFILL = 64
@@ -91,12 +87,7 @@ PRUNING = PruningConfig(
 
 @pytest.fixture(scope="module")
 def numerics_world():
-    vocab = build_vocabulary(size=512, n_classes=4, seed=0)
-    config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=6, d_model=128, n_heads=8,
-        max_seq_len=2048,
-    )
-    model, _ = build_task_model(config, vocab, "lm", seed=0)
+    config, model, _ = serving_lm_world(max_seq_len=2048)
     rng = np.random.default_rng(7)
     prompts = [
         rng.integers(0, config.vocab_size, size=PREFILL).tolist()

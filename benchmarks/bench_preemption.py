@@ -29,16 +29,13 @@ Three claims are gated, matching the acceptance bar:
 
 import pytest
 
-from repro.config import GPT2_SMALL, PruningConfig
+from repro.config import PruningConfig
 from repro.eval.reporting import Table
 from repro.serving import KVMemoryPool, ServingEngine
 from repro.workloads import (
     TrafficClass,
-    accuracy_scale_config,
-    build_task_model,
-    build_vocabulary,
     heterogeneous_request_trace,
-    make_lm_corpus,
+    serving_lm_world,
 )
 
 PAGE_TOKENS = 16
@@ -88,14 +85,7 @@ OPTIMISTIC_KEY = ("optimistic", "lowest_priority", HEADROOM)
 
 @pytest.fixture(scope="module")
 def preemption_world():
-    vocab = build_vocabulary(size=512, n_classes=4, seed=0)
-    config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=6, d_model=128, n_heads=8,
-        max_seq_len=256,
-    )
-    model, _ = build_task_model(config, vocab, "lm", seed=0)
-    corpus = make_lm_corpus(vocab, n_tokens=8192, seed=2)
-    return config, model, corpus
+    return serving_lm_world(corpus_tokens=8192)
 
 
 def pool_budget_bytes(config):

@@ -19,15 +19,12 @@ decode-latency p95 under load.
 
 import pytest
 
-from repro.config import GPT2_SMALL, PruningConfig
+from repro.config import PruningConfig
 from repro.eval.reporting import Table
 from repro.insight import metric
 from repro.serving import KVMemoryPool, ServingEngine
 from repro.workloads import (
-    accuracy_scale_config,
-    build_task_model,
-    build_vocabulary,
-    make_lm_corpus,
+    serving_lm_world,
     synthetic_request_trace,
 )
 
@@ -52,14 +49,7 @@ TTFT_PARITY_TOL = 0.05
 
 @pytest.fixture(scope="module")
 def serving_world():
-    vocab = build_vocabulary(size=512, n_classes=4, seed=0)
-    config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=6, d_model=128, n_heads=8,
-        max_seq_len=256,
-    )
-    model, _ = build_task_model(config, vocab, "lm", seed=0)
-    corpus = make_lm_corpus(vocab, n_tokens=4096, seed=2)
-    return config, model, corpus
+    return serving_lm_world(corpus_tokens=4096)
 
 
 def pool_budget_bytes(config, pages=POOL_PAGES):
@@ -135,14 +125,7 @@ def test_serving_throughput(serving_world, benchmark, publish):
 @pytest.fixture(scope="module")
 def long_prompt_world():
     """A longer-context model for the chunked-prefill TTFT sweep."""
-    vocab = build_vocabulary(size=512, n_classes=4, seed=0)
-    config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=6, d_model=128, n_heads=8,
-        max_seq_len=384,
-    )
-    model, _ = build_task_model(config, vocab, "lm", seed=0)
-    corpus = make_lm_corpus(vocab, n_tokens=8192, seed=2)
-    return config, model, corpus
+    return serving_lm_world(max_seq_len=384, corpus_tokens=8192)
 
 
 def run_chunk_mode(config, model, requests, pruning, prefill_chunk):

@@ -82,3 +82,8 @@ python -m repro.cli bench-compare \
 # CHANGES.md's per-PR "net src/ lines, code vs prose" is this total at
 # the change minus the same total at the parent commit.
 python scripts/count_loc.py src
+
+# Settable values of src/ (defaulted public parameters and dataclass
+# fields), for information only: a default no caller overrides is a
+# constant written as a knob.  `--against <rev>` gives the per-file delta.
+python scripts/count_knobs.py src

@@ -133,12 +133,9 @@ class A3CostModel:
     published effective throughput wraps both effects.
     """
 
-    def __init__(
-        self,
-        point: A3PublishedPoint = A3_PUBLISHED,
-        dram_bandwidth: float = 64.0e9,
-    ):
-        self.point = point
+    point = A3_PUBLISHED
+
+    def __init__(self, dram_bandwidth: float = 64.0e9):
         self.dram_bandwidth = dram_bandwidth
 
     def attention_latency(self, dense_flops: float, dense_bytes: float) -> float:

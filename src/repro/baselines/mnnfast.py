@@ -75,15 +75,11 @@ MNNFAST_PUBLISHED = MNNFastPublishedPoint()
 
 
 class MNNFastCostModel:
-    """Latency/energy of MNNFast on an attention workload."""
+    """Latency/energy of MNNFast on an attention workload (64 GB/s of
+    DRAM bandwidth, as SpAtten-1/8)."""
 
-    def __init__(
-        self,
-        point: MNNFastPublishedPoint = MNNFAST_PUBLISHED,
-        dram_bandwidth: float = 64.0e9,
-    ):
-        self.point = point
-        self.dram_bandwidth = dram_bandwidth
+    point = MNNFAST_PUBLISHED
+    dram_bandwidth = 64.0e9
 
     def attention_latency(self, dense_flops: float, dense_bytes: float) -> float:
         compute = dense_flops / (self.point.throughput_gops * 1e9)

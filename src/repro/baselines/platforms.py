@@ -219,7 +219,6 @@ def fc_cost(
     spec: PlatformSpec,
     trace: AttentionTrace,
     include_summarize: bool = True,
-    include_decode: bool = True,
 ) -> PlatformReport:
     """FC-layer (QKV proj + output FC + FFN) cost on a platform."""
     latency = 0.0
@@ -233,8 +232,6 @@ def fc_cost(
     )
     for step in trace.steps:
         if step.stage == "summarize" and not include_summarize:
-            continue
-        if step.stage == "decode" and not include_decode:
             continue
         eff = (
             spec.fc_eff_summarize

@@ -403,22 +403,15 @@ def _write_telemetry(args, telemetry, mode, multi_mode: bool) -> None:
 def _serving_world(args, longest_prompt: int):
     """The model config, model, LM corpus and cascade schedule both
     serving subcommands run, sized for ``longest_prompt``."""
-    from .config import GPT2_SMALL, PruningConfig
-    from .workloads import (
-        accuracy_scale_config,
-        build_task_model,
-        build_vocabulary,
-        make_lm_corpus,
-    )
+    from .config import PruningConfig
+    from .workloads import serving_lm_world
 
-    vocab = build_vocabulary(size=512, n_classes=4, seed=args.seed)
-    config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=args.layers, d_model=128, n_heads=8,
+    config, model, corpus = serving_lm_world(
+        n_layers=args.layers,
         max_seq_len=max(256, longest_prompt + args.max_new[1] + 1),
-    )
-    model, _ = build_task_model(config, vocab, "lm", seed=args.seed)
-    corpus = make_lm_corpus(
-        vocab, n_tokens=max(4096, 8 * longest_prompt), seed=args.seed + 1
+        corpus_tokens=max(4096, 8 * longest_prompt),
+        seed=args.seed,
+        corpus_seed=args.seed + 1,
     )
     pruning = PruningConfig(
         token_keep_final=args.token_keep, head_keep_final=0.75, value_keep=0.9

@@ -201,8 +201,8 @@ class ClusterStats:
             out[f.name] = _null_if_nan(value)
         return out
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def table(self) -> Table:
         ms = 1e3

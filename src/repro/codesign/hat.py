@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..hardware.arch_config import ArchConfig, SPATTEN_FULL
+from ..hardware.arch_config import SPATTEN_FULL
 
 __all__ = [
     "TransformerDesign",
@@ -123,17 +123,14 @@ def design_flops(design: TransformerDesign) -> Tuple[float, float]:
     return attn, fc
 
 
-def spatten_e2e_latency(
-    design: TransformerDesign,
-    arch: ArchConfig = SPATTEN_FULL,
-    fc_bits: int = 8,
-) -> float:
-    """Seconds to translate one sentence on SpAtten-e2e.
+def spatten_e2e_latency(design: TransformerDesign, fc_bits: int = 8) -> float:
+    """Seconds to translate one sentence on full-scale SpAtten-e2e.
 
     The encoder streams each layer's weights once (batch reuse); every
     decoder step streams every decoder layer's weights (matrix-vector,
     bandwidth-bound) — the asymmetry that drives the co-design.
     """
+    arch = SPATTEN_FULL
     e, f = design.embed_dim, design.ffn_dim
     bandwidth = arch.dram_bandwidth * arch.dram_efficiency
     attn_flops, _ = design_flops(design)
@@ -178,14 +175,12 @@ class DesignPoint:
     fc_flops: float
 
 
-def evaluate_design(
-    design: TransformerDesign, arch: ArchConfig = SPATTEN_FULL, fc_bits: int = 8
-) -> DesignPoint:
+def evaluate_design(design: TransformerDesign) -> DesignPoint:
     attn, fc = design_flops(design)
     return DesignPoint(
         design=design,
         bleu=bleu_surrogate(design),
-        latency_s=spatten_e2e_latency(design, arch, fc_bits),
+        latency_s=spatten_e2e_latency(design),
         parameters=design_parameters(design),
         attention_flops=attn,
         fc_flops=fc,
@@ -230,8 +225,6 @@ def _mutate(design: TransformerDesign, rng: np.random.Generator) -> TransformerD
 
 def evolutionary_search(
     latency_constraint_s: float,
-    arch: ArchConfig = SPATTEN_FULL,
-    fc_bits: int = 8,
     population: int = 48,
     generations: int = 30,
     seed: int = 0,
@@ -245,7 +238,7 @@ def evolutionary_search(
         raise ValueError("latency constraint must be positive")
     rng = np.random.default_rng(seed)
     pop: List[DesignPoint] = [
-        evaluate_design(_random_design(rng), arch, fc_bits)
+        evaluate_design(_random_design(rng))
         for _ in range(population)
     ]
 
@@ -260,7 +253,7 @@ def evolutionary_search(
         while len(children) < population - len(parents):
             parent = parents[int(rng.integers(len(parents)))]
             children.append(
-                evaluate_design(_mutate(parent.design, rng), arch, fc_bits)
+                evaluate_design(_mutate(parent.design, rng))
             )
         pop = parents + children
     pop.sort(key=fitness, reverse=True)
@@ -268,28 +261,20 @@ def evolutionary_search(
     return feasible[0] if feasible else pop[0]
 
 
-def vanilla_layer_scaling(
-    arch: ArchConfig = SPATTEN_FULL, fc_bits: int = 8
-) -> List[DesignPoint]:
+def vanilla_layer_scaling() -> List[DesignPoint]:
     """Vanilla Transformer-Base with 1..6 decoder layers (Fig. 16 curve)."""
     return [
-        evaluate_design(
-            TransformerDesign(512, 2048, n_layers), arch, fc_bits
-        )
+        evaluate_design(TransformerDesign(512, 2048, n_layers))
         for n_layers in range(1, 7)
     ]
 
 
-def vanilla_dim_scaling(
-    arch: ArchConfig = SPATTEN_FULL, fc_bits: int = 8
-) -> List[DesignPoint]:
+def vanilla_dim_scaling() -> List[DesignPoint]:
     """Vanilla Transformers with scaled width, Base..Big (Fig. 16 curve)."""
     points = []
     for e, f, h in ((256, 1024, 8), (384, 1536, 8), (512, 2048, 8),
                     (640, 2560, 8), (768, 3072, 8), (1024, 4096, 16)):
         points.append(
-            evaluate_design(
-                TransformerDesign(e, f, 6, n_heads=h), arch, fc_bits
-            )
+            evaluate_design(TransformerDesign(e, f, 6, n_heads=h))
         )
     return points

@@ -22,29 +22,29 @@ __all__ = [
 ]
 
 
-def value_keep_count(keep_fraction, n_keys, min_keep: int = 1):
+def value_keep_count(keep_fraction, n_keys):
     """V vectors each head fetches out of ``n_keys`` live columns.
 
-    ``ceil(keep_fraction * n_keys)``, floored at ``min_keep`` (itself
-    capped at ``n_keys``).  Scalars give the per-sequence count; arrays
+    ``ceil(keep_fraction * n_keys)``, floored at one (when there is a
+    column).  Scalars give the per-sequence count; arrays
     (one fraction and one live length per sequence) give the batched
     decode core the whole batch's counts from the same arithmetic.
     """
     return np.maximum(
         np.ceil(keep_fraction * n_keys).astype(np.int64),
-        np.minimum(min_keep, n_keys),
+        np.minimum(1, n_keys),
     )
 
 
 def local_value_keep_indices(
-    probs: np.ndarray, keep_fraction: float, min_keep: int = 1
+    probs: np.ndarray, keep_fraction: float
 ) -> np.ndarray:
     """Per-head indices of the V vectors worth fetching.
 
     Args:
         probs: ``[h, L0, L1]`` attention probabilities of one layer.
-        keep_fraction: fraction of the L1 value vectors to keep per head.
-        min_keep: lower bound on kept vectors per head.
+        keep_fraction: fraction of the L1 value vectors to keep per head
+            (at least one).
 
     Returns:
         An ``[h, k]`` plane of ascending indices into the L1 axis, one
@@ -61,7 +61,7 @@ def local_value_keep_indices(
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
     n_heads, n_queries, n_keys = probs.shape
-    keep_count = int(value_keep_count(keep_fraction, n_keys, min_keep))
+    keep_count = int(value_keep_count(keep_fraction, n_keys))
     if keep_count == n_keys:
         return np.broadcast_to(np.arange(n_keys), (n_heads, n_keys))
     mass = probs[:, 0] if n_queries == 1 else probs.sum(axis=1)

@@ -14,7 +14,6 @@ from .accuracy import (
     classification_accuracy,
     extract_features,
     lm_fidelity,
-    regression_score,
     train_classification_readout,
     train_regression_readout,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "classification_accuracy",
     "extract_features",
     "lm_fidelity",
-    "regression_score",
     "train_classification_readout",
     "train_regression_readout",
     "BASELINE_BITS",

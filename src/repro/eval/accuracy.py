@@ -33,7 +33,6 @@ __all__ = [
     "train_classification_readout",
     "train_regression_readout",
     "classification_accuracy",
-    "regression_score",
     "lm_fidelity",
     "LmFidelity",
 ]
@@ -74,9 +73,8 @@ def extract_features(
     model: TransformerModel,
     examples: Sequence[Example],
     executor_factory: Optional[Callable[[], AttentionExecutor]] = None,
-    pooling: str = "cls",
 ) -> np.ndarray:
-    """Pooled sentence features for every example.
+    """CLS-pooled sentence features for every example.
 
     ``executor_factory`` builds a fresh executor per sentence (executors
     carry per-sequence state); ``None`` uses dense attention.
@@ -84,7 +82,7 @@ def extract_features(
     if executor_factory is None:
         executor_factory = DenseExecutor
     features = [
-        model.encode(ex.token_ids, executor=executor_factory()).pooled(pooling)
+        model.encode(ex.token_ids, executor=executor_factory()).pooled()
         for ex in examples
     ]
     return np.stack(features)
@@ -141,12 +139,10 @@ def train_classification_readout(
     features: np.ndarray,
     labels: np.ndarray,
     n_classes: int,
-    l2: float = 1e-3,
-    lr: float = 0.5,
-    epochs: int = 300,
     seed: int = 0,
 ) -> SoftmaxReadout:
-    """Full-batch gradient-descent softmax regression."""
+    """Full-batch gradient-descent softmax regression: 300 epochs at
+    learning rate 0.5 with an L2 weight of 1e-3."""
     z, mean, scale = _standardise(features)
     labels = np.asarray(labels, dtype=np.int64)
     n, d = z.shape
@@ -154,13 +150,13 @@ def train_classification_readout(
     weight = rng.normal(0, 0.01, size=(d, n_classes))
     bias = np.zeros(n_classes)
     onehot = np.eye(n_classes)[labels]
-    for _ in range(epochs):
+    for _ in range(300):
         probs = np.exp(log_softmax(z @ weight + bias, axis=-1))
         grad_logits = (probs - onehot) / n
-        grad_w = z.T @ grad_logits + l2 * weight
+        grad_w = z.T @ grad_logits + 1e-3 * weight
         grad_b = grad_logits.sum(axis=0)
-        weight -= lr * grad_w
-        bias -= lr * grad_b
+        weight -= 0.5 * grad_w
+        bias -= 0.5 * grad_b
     return SoftmaxReadout(weight, bias, mean, scale)
 
 
@@ -182,30 +178,13 @@ def classification_accuracy(
     dataset: Dataset,
     readout: SoftmaxReadout,
     executor_factory: Optional[Callable[[], AttentionExecutor]] = None,
-    split: str = "test",
 ) -> float:
-    """Accuracy of the (dense-trained) readout under an executor."""
-    examples = getattr(dataset, split)
+    """Test-split accuracy of the (dense-trained) readout under an
+    executor."""
+    examples = dataset.test
     features = extract_features(model, examples, executor_factory)
     labels = np.asarray([int(ex.label) for ex in examples])
     return float(np.mean(readout.predict(features) == labels))
-
-
-def regression_score(
-    model: TransformerModel,
-    dataset: Dataset,
-    readout: RidgeReadout,
-    executor_factory: Optional[Callable[[], AttentionExecutor]] = None,
-    split: str = "test",
-) -> float:
-    """Pearson correlation of predictions with targets (STS-B metric)."""
-    examples = getattr(dataset, split)
-    features = extract_features(model, examples, executor_factory)
-    targets = np.asarray([ex.label for ex in examples])
-    preds = readout.predict(features)
-    if np.std(preds) < 1e-12 or np.std(targets) < 1e-12:
-        return 0.0
-    return float(np.corrcoef(preds, targets)[0, 1])
 
 
 @dataclass

@@ -97,8 +97,6 @@ def step_attention_bytes(
 def trace_dram(
     trace: AttentionTrace,
     quant: Optional[QuantConfig] = "from_trace",
-    include_summarize: bool = True,
-    include_decode: bool = True,
 ) -> DramTraffic:
     """Aggregate attention DRAM traffic over a trace.
 
@@ -110,9 +108,5 @@ def trace_dram(
         quant = trace.quant
     total = DramTraffic()
     for step in trace.steps:
-        if step.stage == "summarize" and not include_summarize:
-            continue
-        if step.stage == "decode" and not include_decode:
-            continue
         total = total + step_attention_bytes(step, trace.model, quant)
     return total

@@ -10,7 +10,7 @@ they execute real models rather than analytic traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from ..baselines import (
     JETSON_NANO,
     A3CostModel,
     MNNFastCostModel,
-    PlatformSpec,
     Roofline,
     RooflinePoint,
     attention_cost,
@@ -43,6 +42,7 @@ from ..hardware import (
     TopKEngine,
     area_model,
 )
+from ..hardware.energy import TOKEN_TOPK_COMPARE_PJ, ZERO_ELIMINATOR_ELEMENT_PJ
 from ..workloads import Benchmark, all_benchmarks, bert_benchmarks, gpt2_benchmarks
 from .dram import trace_dram
 from .flops import trace_flops
@@ -284,7 +284,8 @@ def fig02_latency_breakdown() -> Fig02Result:
 # ----------------------------------------------------------------------
 # Table I / Table II / Fig. 13 — architecture, power, area
 # ----------------------------------------------------------------------
-def table1_architecture(arch: ArchConfig = SPATTEN_FULL) -> Table:
+def table1_architecture() -> Table:
+    arch = SPATTEN_FULL
     table = Table("Table I — Architectural setup", ["component", "setting"])
     table.add_row("Q-K-V fetcher", "32x16 addr + 16x32 data crossbars, 64-deep FIFOs")
     table.add_row("Q x K", f"{arch.key_sram_bytes // 1024}KB Key SRAM; "
@@ -391,11 +392,9 @@ PAPER_FIG14_GEOMEANS = {
 }
 
 
-def fig14_speedup_energy(
-    platforms: Optional[List[PlatformSpec]] = None,
-) -> Fig14Result:
+def fig14_speedup_energy() -> Fig14Result:
     """Per-benchmark attention speedup and energy saving of SpAtten."""
-    platforms = platforms or ALL_PLATFORMS
+    platforms = ALL_PLATFORMS
     speedups: Dict[str, Dict[str, float]] = {p.name: {} for p in platforms}
     energies: Dict[str, Dict[str, float]] = {p.name: {} for p in platforms}
     table = Table(
@@ -657,14 +656,14 @@ class Fig16Result:
     fig17_table: Table
 
 
-def fig16_hat_codesign(seed: int = 0) -> Fig16Result:
+def fig16_hat_codesign() -> Fig16Result:
     """Evolutionary HAT search under a ladder of latency constraints."""
     big = hat.evaluate_design(hat.TRANSFORMER_BIG)
     base = hat.evaluate_design(hat.TRANSFORMER_BASE)
     constraints = [big.latency_s * f for f in
                    (0.10, 0.16, 0.22, 0.30, 0.38, 0.46, 0.55)]
     codesigned = [
-        hat.evolutionary_search(c, seed=seed + idx)
+        hat.evolutionary_search(c, seed=idx)
         for idx, c in enumerate(constraints)
     ]
     # Best co-designed point within 0.35 BLEU of Transformer-Big.
@@ -904,14 +903,14 @@ class GpuPruningResult:
     table: Table
 
 
-def gpu_token_pruning(gather_overhead: float = 1.15) -> GpuPruningResult:
+def gpu_token_pruning() -> GpuPruningResult:
     """The paper's "token pruning on CPUs/GPUs" experiment.
 
     "We use topk and gather operations to select un-pruned tokens and
     QKV matrices to reduce matrix sizes ... 3x pruning ratio brings up
     to 2.3x speedup for BERT in batch mode."  The gather/topk cost is
-    modelled as a multiplicative overhead on the (reduced) attention
-    work.
+    modelled as a multiplicative overhead (1.15) on the (reduced)
+    attention work.
     """
     speedups: Dict[str, float] = {}
     table = Table(
@@ -924,7 +923,7 @@ def gpu_token_pruning(gather_overhead: float = 1.15) -> GpuPruningResult:
         pruned, dense = benchmark_traces(bench)
         base = attention_cost(TITAN_XP, dense)
         with_pruning = attention_cost(
-            TITAN_XP, pruned, gather_overhead=gather_overhead
+            TITAN_XP, pruned, gather_overhead=1.15
         )
         speedup = base.latency_s / with_pruning.latency_s
         speedups[bench.key] = speedup
@@ -945,7 +944,7 @@ class AblationResult:
     table: Table
 
 
-def ablation_pruning_components(benchmark_key: str = "gpt2-small-wikitext2") -> AblationResult:
+def ablation_pruning_components() -> AblationResult:
     """Isolate each technique's contribution on one GPT-2 benchmark.
 
     Unlike Fig. 20's cumulative waterfall, each row here enables exactly
@@ -954,6 +953,7 @@ def ablation_pruning_components(benchmark_key: str = "gpt2-small-wikitext2") -> 
     """
     from ..workloads import get_benchmark
 
+    benchmark_key = "gpt2-small-wikitext2"
     bench = get_benchmark(benchmark_key)
     dense = dense_trace(bench.model, bench.seq_len, bench.n_generate)
     dense_dec = _stage_filter(dense, True)
@@ -1013,12 +1013,12 @@ class TopkComparisonResult:
     table: Table
 
 
-def topk_engine_comparison(
-    n: int = 1024, seed: int = 0, trials: int = 16
-) -> TopkComparisonResult:
-    """Quick-select engine vs Batcher sorter on length-1024 median finds."""
-    rng = np.random.default_rng(seed)
-    engine = TopKEngine(parallelism=16, seed=seed)
+def topk_engine_comparison() -> TopkComparisonResult:
+    """Quick-select engine vs Batcher sorter on 16 length-1024 median
+    finds."""
+    n = 1024
+    rng = np.random.default_rng(0)
+    engine = TopKEngine(parallelism=16, seed=0)
     sorter = BatcherSorter()
     engine_cycles, sorter_cycles = [], []
     engine_pj, sorter_pj = [], []
@@ -1027,11 +1027,11 @@ def topk_engine_comparison(
     # must additionally stream out the top-k *indices* after sorting
     # (one gather pass at the same 16-wide port).
     engine_pj_per_op = (
-        engine.energy_per_compare_pj
-        + engine.eliminator.energy_per_element_pj
+        TOKEN_TOPK_COMPARE_PJ
+        + ZERO_ELIMINATOR_ELEMENT_PJ
         + 0.10  # FIFO push+pop
     )
-    for _ in range(trials):
+    for _ in range(16):
         values = rng.random(n)
         result = engine.select(values, n // 2)  # worst case: the median
         engine_cycles.append(result.cycles)

@@ -10,9 +10,9 @@ visualisations), and Fig. 23 (per-layer cumulative importance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -65,27 +65,25 @@ class ClassificationWorld:
 @lru_cache(maxsize=4)
 def classification_world(
     avg_len: int = 25,
-    n_layers: int = 6,
-    n_train: int = 96,
     n_test: int = 64,
     signal_purity: float = 0.75,
-    seed: int = 0,
 ) -> ClassificationWorld:
-    """SST-2/CoLA-style world with a trained readout (cached)."""
-    vocab = build_vocabulary(size=512, n_classes=2, seed=seed)
+    """SST-2/CoLA-style world with a trained readout (cached): six
+    layers, 96 training sentences."""
+    vocab = build_vocabulary(size=512, n_classes=2, seed=0)
     config = accuracy_scale_config(
-        BERT_BASE, len(vocab), n_layers=n_layers, d_model=128, n_heads=8,
+        BERT_BASE, len(vocab), n_layers=6, d_model=128, n_heads=8,
         max_seq_len=max(4 * avg_len, 128),
     )
-    model, info = build_task_model(config, vocab, "classification", seed=seed)
+    model, info = build_task_model(config, vocab, "classification", seed=0)
     dataset = make_classification_dataset(
         vocab, f"cls-len{avg_len}", avg_len=avg_len,
-        n_train=n_train, n_test=n_test, signal_purity=signal_purity,
-        seed=seed + 1,
+        n_train=96, n_test=n_test, signal_purity=signal_purity,
+        seed=1,
     )
     features = extract_features(model, dataset.train)
     labels = np.array([int(e.label) for e in dataset.train])
-    readout = train_classification_readout(features, labels, 2, seed=seed)
+    readout = train_classification_readout(features, labels, 2, seed=0)
     dense_acc = classification_accuracy(model, dataset, readout)
     return ClassificationWorld(
         vocab, model, dataset, readout, dense_acc, info.head_strengths
@@ -99,25 +97,18 @@ class LmWorld:
     prompts: List[np.ndarray]
 
 
-@lru_cache(maxsize=4)
-def lm_world(
-    prompt_len: int = 96,
-    n_prompts: int = 16,
-    n_layers: int = 6,
-    mean_segment: int = 24,
-    seed: int = 0,
-) -> LmWorld:
-    """PTB/WikiText-style LM world (cached)."""
-    vocab = build_vocabulary(size=512, n_classes=4, seed=seed)
+@lru_cache(maxsize=1)
+def lm_world() -> LmWorld:
+    """PTB/WikiText-style LM world (cached): six layers, 16 prompts of
+    96 tokens."""
+    vocab = build_vocabulary(size=512, n_classes=4, seed=0)
     config = accuracy_scale_config(
-        GPT2_SMALL, len(vocab), n_layers=n_layers, d_model=128, n_heads=8,
-        max_seq_len=max(2 * prompt_len, 256),
+        GPT2_SMALL, len(vocab), n_layers=6, d_model=128, n_heads=8,
+        max_seq_len=256,
     )
-    model, _ = build_task_model(config, vocab, "lm", seed=seed)
-    corpus = make_lm_corpus(
-        vocab, n_tokens=6144, mean_segment=mean_segment, seed=seed + 2
-    )
-    prompts = lm_prompts(corpus, prompt_len, n_prompts, seed=seed + 3)
+    model, _ = build_task_model(config, vocab, "lm", seed=0)
+    corpus = make_lm_corpus(vocab, n_tokens=6144, mean_segment=24, seed=2)
+    prompts = lm_prompts(corpus, 96, 16, seed=3)
     return LmWorld(vocab, model, prompts)
 
 
@@ -136,14 +127,14 @@ class Fig01Result:
     table: Table
 
 
-def fig01_cascade_pruning(seed: int = 0) -> Fig01Result:
+def fig01_cascade_pruning() -> Fig01Result:
     """Cascade pruning on an SST-2-style sentence (paper Fig. 1).
 
     The paper prunes "As a visual treat, the film is almost perfect."
     from 11 tokens to 6 to 2 ('film perfect') and 12 heads to 10 to 8,
     with per-layer computation dropping to 38% then 12%.
     """
-    world = classification_world(avg_len=25, seed=seed)
+    world = classification_world(avg_len=25)
     sentence = "As a visual treat, the film is almost perfect."
     ids = np.concatenate([[world.vocab.cls_id], world.vocab.encode(sentence)])
 
@@ -201,12 +192,10 @@ class Fig07Result:
     table: Table
 
 
-def fig07_quant_error(
-    bits: int = 4, n_rows: int = 4000, seed: int = 0
-) -> Fig07Result:
+def fig07_quant_error(bits: int = 4, n_rows: int = 4000) -> Fig07Result:
     """Mean attention-probability error (fp vs int4) against the row's
     max probability — dominated rows quantize almost losslessly."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # Attention-score rows with a spectrum of peakedness, the same
     # mixture a trained model produces across heads and layers: flat
     # rows (nothing dominant) through sharply dominated rows.
@@ -261,11 +250,7 @@ class Fig21Result:
     table: Table
 
 
-def fig21_accuracy_tradeoff(
-    token_keeps: Sequence[float] = (1.0, 0.5, 0.33, 0.25, 0.2, 0.15, 0.12),
-    head_keeps: Sequence[float] = (1.0, 0.89, 0.75, 0.625, 0.5, 0.42, 0.375),
-    seed: int = 0,
-) -> Fig21Result:
+def fig21_accuracy_tradeoff() -> Fig21Result:
     """Token curve on a PTB-like LM; head curve on a CoLA-like task.
 
     Paper shape: ~4x token pruning and ~1.2x head pruning are free;
@@ -274,10 +259,10 @@ def fig21_accuracy_tradeoff(
     # Token pruning curve (LM): loss = drop of top-1 agreement with the
     # dense model (12-bit static quantization, progressive off — the
     # paper's protocol for this figure).
-    lm = lm_world(seed=seed)
+    lm = lm_world()
     quant = QuantConfig(msb_bits=12, lsb_bits=4, progressive=False)
     token_ratios, token_losses, token_kls = [], [], []
-    for keep in token_keeps:
+    for keep in (1.0, 0.5, 0.33, 0.25, 0.2, 0.15, 0.12):
         pruning = PruningConfig(token_keep_final=keep, value_keep=1.0)
         fidelity = lm_fidelity(
             lm.model, lm.prompts,
@@ -289,11 +274,9 @@ def fig21_accuracy_tradeoff(
 
     # Head pruning curve (classification accuracy delta) on a
     # CoLA-style short-sentence task, matching the paper's right panel.
-    world = classification_world(
-        avg_len=11, n_test=96, signal_purity=0.70, seed=seed
-    )
+    world = classification_world(avg_len=11, n_test=96, signal_purity=0.70)
     head_ratios, head_losses = [], []
-    for keep in head_keeps:
+    for keep in (1.0, 0.89, 0.75, 0.625, 0.5, 0.42, 0.375):
         pruning = PruningConfig(head_keep_final=keep)
         acc = classification_accuracy(
             world.model, world.dataset, world.readout,
@@ -352,9 +335,9 @@ class Fig22Result:
     table: Table
 
 
-def fig22_visualization(seed: int = 0) -> Fig22Result:
+def fig22_visualization() -> Fig22Result:
     """Progressive token-pruning renderings of the paper's sentences."""
-    world = classification_world(seed=seed)
+    world = classification_world()
     stages = (0.7, 0.4, 0.2)
     table = Table("Fig. 22 — Cascade token pruning visualisation",
                   ["task", "keep", "survivors"])
@@ -388,9 +371,9 @@ class Fig23Result:
     table: Table
 
 
-def fig23_importance_map(seed: int = 0) -> Fig23Result:
+def fig23_importance_map() -> Fig23Result:
     """Per-layer cumulative token importance for a GPT-2-style model."""
-    lm = lm_world(seed=seed)
+    lm = lm_world()
     ids = lm.vocab.encode(PAPER_SENTENCES["lm"])
     executor = SpAttenExecutor()  # no pruning: observe raw importance
     result = lm.model.encode(ids, executor=executor)

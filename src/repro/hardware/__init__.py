@@ -13,7 +13,7 @@ from .arch_config import SPATTEN_EIGHTH, SPATTEN_FULL, ArchConfig
 from .area import PAPER_AREA_MM2, AreaBreakdown, area_model
 from .bitwidth_converter import BitwidthConverter
 from .crossbar import Crossbar
-from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyModel
+from .energy import EnergyBreakdown
 from .hbm import HBMConfig, HBMModel, HBMTransfer
 from .modules import ModuleStats, ProbVModule, QKModule, SoftmaxUnit
 from .sorter import BatcherSorter, SortResult, batcher_network, sort_with_network
@@ -34,9 +34,7 @@ __all__ = [
     "area_model",
     "BitwidthConverter",
     "Crossbar",
-    "DEFAULT_ENERGY",
     "EnergyBreakdown",
-    "EnergyModel",
     "HBMConfig",
     "HBMModel",
     "HBMTransfer",

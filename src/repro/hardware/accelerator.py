@@ -31,14 +31,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.trace import AttentionTrace, LayerStep
 from ..eval.dram import step_attention_bytes
 from .arch_config import ArchConfig, SPATTEN_FULL
 from .bitwidth_converter import BitwidthConverter
 from .crossbar import Crossbar
-from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyModel
+from .energy import (
+    ACCUMULATE_PJ,
+    FIFO_PJ_PER_BIT,
+    VALUE_TOPK_COMPARE_PJ,
+    EnergyBreakdown,
+)
 from .hbm import HBMConfig, HBMModel
 from .modules import ProbVModule, QKModule, SoftmaxUnit
 from .sram import SRAM
@@ -115,32 +120,22 @@ class SimReport:
 class SpAttenSimulator:
     """Composable cycle/energy simulator for one SpAtten instance."""
 
-    def __init__(
-        self,
-        arch: ArchConfig = SPATTEN_FULL,
-        energy: EnergyModel = DEFAULT_ENERGY,
-        hbm: Optional[HBMConfig] = None,
-    ):
+    def __init__(self, arch: ArchConfig = SPATTEN_FULL):
         self.arch = arch
-        self.energy_model = energy
-        if hbm is None:
-            hbm = HBMConfig(
-                n_channels=arch.hbm_channels,
-                channel_bandwidth=arch.hbm_channel_bandwidth,
-                clock_hz=arch.clock_hz,
-                random_efficiency=arch.dram_efficiency,
-            )
-        self.hbm = HBMModel(hbm)
-        self.qk = QKModule(arch.qk_multipliers, energy)
-        self.softmax = SoftmaxUnit(arch.softmax_parallelism, energy)
-        self.probv = ProbVModule(arch.probv_multipliers, energy)
+        self.hbm = HBMModel(HBMConfig(
+            n_channels=arch.hbm_channels,
+            channel_bandwidth=arch.hbm_channel_bandwidth,
+            clock_hz=arch.clock_hz,
+            random_efficiency=arch.dram_efficiency,
+        ))
+        self.qk = QKModule(arch.qk_multipliers)
+        self.softmax = SoftmaxUnit(arch.softmax_parallelism)
+        self.probv = ProbVModule(arch.probv_multipliers)
         self.token_topk = TopKEngine(parallelism=arch.topk_parallelism)
         self.key_sram = SRAM("key", arch.key_sram_bytes)
         self.value_sram = SRAM("value", arch.value_sram_bytes)
-        self.crossbar = Crossbar(32, arch.hbm_channels,
-                                 energy.crossbar_request_pj)
-        self.converter = BitwidthConverter(arch.onchip_bits,
-                                           energy.converter_element_pj)
+        self.crossbar = Crossbar(32, arch.hbm_channels)
+        self.converter = BitwidthConverter(arch.onchip_bits)
         self._accumulate_energy_pj = 0.0
         self._fifo_energy_pj = 0.0
 
@@ -239,10 +234,10 @@ class SpAttenSimulator:
             * head_dim
         )
         self.converter.account_elements(int(n_fetched_elems))
-        self._fifo_energy_pj += dram_bytes * 8.0 * self.energy_model.fifo_pj_per_bit
+        self._fifo_energy_pj += dram_bytes * 8.0 * FIFO_PJ_PER_BIT
         # Importance-score accumulation: one add per attention probability.
         self._accumulate_energy_pj += (
-            n_query_slots * step.n_keys * self.energy_model.accumulate_pj
+            n_query_slots * step.n_keys * ACCUMULATE_PJ
         )
 
         return StepCost(
@@ -312,5 +307,5 @@ class SpAttenSimulator:
         total = 0.0
         for step in trace.steps:
             comparisons = 2.0 * step.n_keys * step.n_heads * step.n_queries
-            total += comparisons * self.energy_model.compare_pj
+            total += comparisons * VALUE_TOPK_COMPARE_PJ
         return total

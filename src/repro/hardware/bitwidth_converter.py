@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import CONVERTER_ELEMENT_PJ
+
 __all__ = ["BitwidthConverter", "ConverterStats"]
 
 
@@ -28,16 +30,15 @@ class ConverterStats:
 class BitwidthConverter:
     """Convert packed DRAM codes into the fixed on-chip width."""
 
-    def __init__(self, onchip_bits: int = 12, energy_per_element_pj: float = 0.05):
+    def __init__(self, onchip_bits: int = 12):
         if onchip_bits < 4:
             raise ValueError("onchip_bits must be >= 4")
         self.onchip_bits = onchip_bits
-        self.energy_per_element_pj = energy_per_element_pj
         self.stats = ConverterStats()
 
     def _account(self, n: int) -> None:
         self.stats.elements_converted += n
-        self.stats.energy_pj += n * self.energy_per_element_pj
+        self.stats.energy_pj += n * CONVERTER_ELEMENT_PJ
 
     def account_elements(self, n: int) -> None:
         """Cost-only accounting for elements converted in bulk (the

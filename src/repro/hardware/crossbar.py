@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .energy import CROSSBAR_REQUEST_PJ
+
 __all__ = ["Crossbar", "CrossbarStats"]
 
 
@@ -27,17 +29,11 @@ class CrossbarStats:
 class Crossbar:
     """Cycle/energy model of an NxM request router."""
 
-    def __init__(
-        self,
-        n_masters: int = 32,
-        n_slaves: int = 16,
-        energy_per_request_pj: float = 1.1,
-    ):
+    def __init__(self, n_masters: int = 32, n_slaves: int = 16):
         if n_masters <= 0 or n_slaves <= 0:
             raise ValueError("port counts must be positive")
         self.n_masters = n_masters
         self.n_slaves = n_slaves
-        self.energy_per_request_pj = energy_per_request_pj
         self.stats = CrossbarStats()
 
     def route(self, n_requests: int) -> float:
@@ -51,7 +47,7 @@ class Crossbar:
         cycles = float(np.ceil(n_requests / self.n_slaves)) if n_requests else 0.0
         self.stats.routed_requests += n_requests
         self.stats.cycles += cycles
-        self.stats.energy_pj += n_requests * self.energy_per_request_pj
+        self.stats.energy_pj += n_requests * CROSSBAR_REQUEST_PJ
         return cycles
 
     def route_channel_requests(self, per_channel: Sequence[int]) -> float:
@@ -65,7 +61,7 @@ class Crossbar:
         cycles = float(per_channel.max()) if n_requests else 0.0
         self.stats.routed_requests += n_requests
         self.stats.cycles += cycles
-        self.stats.energy_pj += n_requests * self.energy_per_request_pj
+        self.stats.energy_pj += n_requests * CROSSBAR_REQUEST_PJ
         return cycles
 
     def reset(self) -> None:

@@ -17,37 +17,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energy import (HBM_ACTIVATION_PJ, HBM_PJ_PER_BIT,
+                     HBM_STATIC_W_PER_CHANNEL)
+
 __all__ = ["HBMConfig", "HBMModel", "HBMTransfer"]
 
 
 @dataclass(frozen=True)
 class HBMConfig:
-    """Channel geometry and energy constants.
+    """Channel geometry; energies come from :mod:`.energy`.
 
-    Energy constants follow the fine-grained-DRAM accounting the paper
-    cites (O'Connor et al., MICRO'17): a per-bit transfer cost plus a
+    Energy follows the fine-grained-DRAM accounting the paper cites
+    (O'Connor et al., MICRO'17): a per-bit transfer cost plus a
     per-activation cost amortised over the bytes of each row burst.
     """
 
     n_channels: int = 16
     channel_bandwidth: float = 32.0e9  # bytes/s
     clock_hz: float = 1.0e9  # accelerator clock used for cycle conversion
-    interleave_bytes: int = 256
-    row_bytes: int = 1024
-    energy_per_bit_pj: float = 3.9
-    activation_energy_pj: float = 909.0
+    activation_energy_pj: float = HBM_ACTIVATION_PJ
     random_efficiency: float = 0.70
-    sequential_efficiency: float = 0.95
-    #: Background power per channel (refresh, I/O idle, clocking),
-    #: charged for the whole run duration; dominant at the modest
-    #: average bandwidths of the benchmark mix, which is how the paper's
-    #: Table II reaches 5.71 W of DRAM power (16 x 0.2875 = 4.6 W static
-    #: plus dynamic transfer energy).
-    static_power_w_per_channel: float = 0.2875
+    # Unannotated, so not fields: every configuration shares them.
+    interleave_bytes = 256
+    row_bytes = 1024
+    sequential_efficiency = 0.95
 
     @property
     def static_power_w(self) -> float:
-        return self.static_power_w_per_channel * self.n_channels
+        return HBM_STATIC_W_PER_CHANNEL * self.n_channels
 
     @property
     def bytes_per_cycle_per_channel(self) -> float:
@@ -72,7 +69,7 @@ class HBMTransfer:
 class HBMModel:
     """Stateful traffic accountant for one HBM stack."""
 
-    def __init__(self, config: HBMConfig = HBMConfig()):
+    def __init__(self, config: HBMConfig):
         self.config = config
         self.total_bytes = 0.0
         self.total_cycles = 0.0
@@ -116,7 +113,7 @@ class HBMModel:
             activations = float(n_bursts)
         else:
             activations = float(np.ceil(n_bytes / cfg.row_bytes))
-        energy = n_bytes * 8.0 * cfg.energy_per_bit_pj
+        energy = n_bytes * 8.0 * HBM_PJ_PER_BIT
         energy += activations * cfg.activation_energy_pj
 
         self.total_bytes += float(n_bytes)

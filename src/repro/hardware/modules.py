@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energy import EnergyModel
+from .energy import MAC_PJ, SOFTMAX_ELEMENT_PJ
 
 __all__ = ["ModuleStats", "QKModule", "SoftmaxUnit", "ProbVModule"]
 
@@ -33,11 +33,10 @@ class ModuleStats:
 class QKModule:
     """Query-key multiplication unit."""
 
-    def __init__(self, n_multipliers: int, energy: EnergyModel):
+    def __init__(self, n_multipliers: int):
         if n_multipliers <= 0:
             raise ValueError("n_multipliers must be positive")
         self.n_multipliers = n_multipliers
-        self.energy_model = energy
         self.stats = ModuleStats()
 
     def keys_per_cycle(self, head_dim: int) -> float:
@@ -56,17 +55,16 @@ class QKModule:
         macs = float(n_queries) * n_keys * head_dim
         self.stats.operations += macs
         self.stats.cycles += n_queries * self.query_cycles(n_keys, head_dim)
-        self.stats.energy_pj += macs * self.energy_model.mac_pj
+        self.stats.energy_pj += macs * MAC_PJ
 
 
 class SoftmaxUnit:
     """Softmax + progressive-quantization decision pipeline (Fig. 12)."""
 
-    def __init__(self, parallelism: int, energy: EnergyModel):
+    def __init__(self, parallelism: int):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
         self.parallelism = parallelism
-        self.energy_model = energy
         self.stats = ModuleStats()
 
     def query_cycles(self, n_keys: int) -> float:
@@ -78,17 +76,16 @@ class SoftmaxUnit:
         elements = float(n_rows) * n_keys
         self.stats.operations += elements
         self.stats.cycles += n_rows * self.query_cycles(n_keys)
-        self.stats.energy_pj += elements * self.energy_model.softmax_element_pj
+        self.stats.energy_pj += elements * SOFTMAX_ELEMENT_PJ
 
 
 class ProbVModule:
     """Attention_prob x V unit over locally-kept values."""
 
-    def __init__(self, n_multipliers: int, energy: EnergyModel):
+    def __init__(self, n_multipliers: int):
         if n_multipliers <= 0:
             raise ValueError("n_multipliers must be positive")
         self.n_multipliers = n_multipliers
-        self.energy_model = energy
         self.stats = ModuleStats()
 
     def values_per_cycle(self, head_dim: int) -> float:
@@ -105,4 +102,4 @@ class ProbVModule:
         macs = float(n_queries) * n_values * head_dim
         self.stats.operations += macs
         self.stats.cycles += n_queries * self.query_cycles(n_values, head_dim)
-        self.stats.energy_pj += macs * self.energy_model.mac_pj
+        self.stats.energy_pj += macs * MAC_PJ

@@ -20,6 +20,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .energy import SORTER_COMPARE_PJ
+
 __all__ = ["batcher_network", "BatcherSorter", "SortResult"]
 
 
@@ -75,33 +77,29 @@ class BatcherSorter:
 
     A full combinational network for n=1024 needs ~28k compare-exchange
     units — far too much area; a realistic unit time-multiplexes a bank
-    of ``n_comparators`` over the schedule.  Cycles are
-    ``ceil(stage_size / n_comparators)`` summed over stages.  The
-    default budget of 64 comparators (4x the top-k engine's 2x16
-    arrays, reflecting the paper's larger-sorter design point) lands the
-    published comparison: the quick-select engine delivers ~1.4x the
-    throughput at a fraction of the comparator energy.
+    of ``N_COMPARATORS`` over the schedule.  Cycles are
+    ``ceil(stage_size / N_COMPARATORS)`` summed over stages.  A budget
+    of 64 comparators (4x the top-k engine's 2x16 arrays, reflecting the
+    paper's larger-sorter design point) lands the published comparison:
+    the quick-select engine delivers ~1.4x the throughput at a fraction
+    of the comparator energy.
     """
 
-    def __init__(self, n_comparators: int = 64, energy_per_compare_pj: float = 0.14):
-        if n_comparators <= 0:
-            raise ValueError("n_comparators must be positive")
-        self.n_comparators = n_comparators
-        self.energy_per_compare_pj = energy_per_compare_pj
+    N_COMPARATORS = 64
 
     def sort(self, values: np.ndarray) -> SortResult:
         values = np.asarray(values, dtype=np.float64)
         n = 1 << max(0, math.ceil(math.log2(max(len(values), 1))))
         stages = batcher_network(n)
         cycles = sum(
-            math.ceil(len(stage) / self.n_comparators) for stage in stages
+            math.ceil(len(stage) / self.N_COMPARATORS) for stage in stages
         )
         comparator_ops = sum(len(stage) for stage in stages)
         return SortResult(
             sorted_values=sort_with_network(values),
             cycles=float(cycles),
             comparator_ops=comparator_ops,
-            energy_pj=comparator_ops * self.energy_per_compare_pj,
+            energy_pj=comparator_ops * SORTER_COMPARE_PJ,
         )
 
     def topk_indices(self, values: np.ndarray, k: int) -> Tuple[np.ndarray, SortResult]:

@@ -15,14 +15,11 @@ dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from ..config import ModelConfig
 from ..core.trace import AttentionTrace
 from .accelerator import SimReport, SpAttenSimulator
-from .arch_config import ArchConfig, SPATTEN_FULL
-from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyModel
-from .hbm import HBMConfig
+from .arch_config import SPATTEN_FULL
+from .energy import MAC_PJ, EnergyBreakdown
 
 __all__ = ["E2EReport", "SpAttenE2ESimulator", "fc_weight_bytes_per_block"]
 
@@ -81,19 +78,12 @@ class E2EReport:
 class SpAttenE2ESimulator:
     """SpAtten with FC support via the reused multiplier arrays."""
 
-    def __init__(
-        self,
-        arch: ArchConfig = SPATTEN_FULL,
-        energy: EnergyModel = DEFAULT_ENERGY,
-        hbm: Optional[HBMConfig] = None,
-        fc_bits: int = 8,
-    ):
+    def __init__(self, fc_bits: int = 8):
         if fc_bits not in (8, 12):
             raise ValueError("the paper evaluates 8-bit and 12-bit FC weights")
-        self.arch = arch
-        self.energy_model = energy
+        self.arch = SPATTEN_FULL
         self.fc_bits = fc_bits
-        self.attention_sim = SpAttenSimulator(arch, energy, hbm)
+        self.attention_sim = SpAttenSimulator(SPATTEN_FULL)
 
     def _fc_step_cost(
         self, model: ModelConfig, n_rows: int, weights_streamed: bool
@@ -119,7 +109,7 @@ class SpAttenE2ESimulator:
         else:
             dram_cycles, dram_bytes, dram_energy_pj = 0.0, 0.0, 0.0
         cycles = max(compute_cycles, dram_cycles)
-        compute_energy_pj = macs * self.energy_model.mac_pj
+        compute_energy_pj = macs * MAC_PJ
         return cycles, dram_bytes, compute_energy_pj, dram_energy_pj
 
     def run_trace(self, trace: AttentionTrace) -> E2EReport:

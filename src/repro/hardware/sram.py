@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Generic, List, Optional, TypeVar
+from typing import Deque, Generic, List, TypeVar
+
+from .energy import SRAM_READ_PJ_PER_BIT, SRAM_WRITE_PJ_PER_BIT
 
 __all__ = ["SRAM", "SRAMStats", "Fifo"]
 
@@ -30,33 +32,21 @@ class SRAM:
     """Capacity-checked scratchpad with access-energy accounting.
 
     Args:
-        capacity_bytes: total size (double-buffering included).
-        read_energy_pj_per_bit / write_energy_pj_per_bit: CACTI-class
-            constants for a ~196 KB 40 nm macro.
-        double_buffered: if True, only half the capacity is usable by a
-            single working set (the other half is being filled).
+        capacity_bytes: total size.  The SRAMs are double-buffered, so
+            only half of it is usable by a single working set (the other
+            half is being filled).
     """
 
-    def __init__(
-        self,
-        name: str,
-        capacity_bytes: int,
-        read_energy_pj_per_bit: float = 0.22,
-        write_energy_pj_per_bit: float = 0.26,
-        double_buffered: bool = True,
-    ):
+    def __init__(self, name: str, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         self.name = name
         self.capacity_bytes = capacity_bytes
-        self.read_energy_pj_per_bit = read_energy_pj_per_bit
-        self.write_energy_pj_per_bit = write_energy_pj_per_bit
-        self.double_buffered = double_buffered
         self.stats = SRAMStats()
 
     @property
     def usable_bytes(self) -> int:
-        return self.capacity_bytes // 2 if self.double_buffered else self.capacity_bytes
+        return self.capacity_bytes // 2
 
     def fits(self, n_bytes: float) -> bool:
         return n_bytes <= self.usable_bytes
@@ -66,14 +56,14 @@ class SRAM:
             raise ValueError("n_bytes must be non-negative")
         self.stats.writes += 1
         self.stats.bytes_written += n_bytes
-        self.stats.energy_pj += n_bytes * 8.0 * self.write_energy_pj_per_bit
+        self.stats.energy_pj += n_bytes * 8.0 * SRAM_WRITE_PJ_PER_BIT
 
     def read(self, n_bytes: float) -> None:
         if n_bytes < 0:
             raise ValueError("n_bytes must be non-negative")
         self.stats.reads += 1
         self.stats.bytes_read += n_bytes
-        self.stats.energy_pj += n_bytes * 8.0 * self.read_energy_pj_per_bit
+        self.stats.energy_pj += n_bytes * 8.0 * SRAM_READ_PJ_PER_BIT
 
     def reset(self) -> None:
         self.stats = SRAMStats()
@@ -86,11 +76,10 @@ class Fifo(Generic[T]):
     matching the back-pressure the real design must apply.
     """
 
-    def __init__(self, depth: int = 64, name: str = "fifo"):
+    def __init__(self, depth: int = 64):
         if depth <= 0:
             raise ValueError("depth must be positive")
         self.depth = depth
-        self.name = name
         self._items: Deque[T] = deque()
         self.max_occupancy = 0
         self.total_pushes = 0
@@ -108,14 +97,14 @@ class Fifo(Generic[T]):
 
     def push(self, item: T) -> None:
         if self.full:
-            raise OverflowError(f"{self.name}: push into full FIFO (depth {self.depth})")
+            raise OverflowError(f"push into full FIFO (depth {self.depth})")
         self._items.append(item)
         self.total_pushes += 1
         self.max_occupancy = max(self.max_occupancy, len(self._items))
 
     def pop(self) -> T:
         if self.empty:
-            raise IndexError(f"{self.name}: pop from empty FIFO")
+            raise IndexError("pop from empty FIFO")
         return self._items.popleft()
 
     def drain(self) -> List[T]:

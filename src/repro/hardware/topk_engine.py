@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..core.topk import filter_topk, quick_select_kth
+from .energy import TOKEN_TOPK_COMPARE_PJ
 from .zero_eliminator import ZeroEliminator
 
 __all__ = ["TopKEngine", "TopKResult", "TopKEngineStats"]
@@ -54,27 +55,18 @@ class TopKEngine:
     Args:
         parallelism: comparators per array (the paper uses 16, chosen in
             Fig. 19 so the engine is never the pipeline bottleneck).
-        fifo_depth: capacity of FIFO_L/FIFO_R.  The architectural default
-            holds a full 1024-token context; occupancy is tracked so
-            design-space exploration can study smaller FIFOs.
-        pivot_cycles: constant cost of the START stage per round.
-        energy_per_compare_pj: comparator toggle energy.
     """
 
-    def __init__(
-        self,
-        parallelism: int = 16,
-        fifo_depth: int = 1024,
-        pivot_cycles: int = 2,
-        energy_per_compare_pj: float = 0.12,
-        seed: int = 0,
-    ):
+    #: Capacity of FIFO_L/FIFO_R: a full 1024-token context.  Larger
+    #: partitions drain in FIFO-sized chunks; occupancy is tracked.
+    FIFO_DEPTH = 1024
+    #: Constant cost of the START stage per round.
+    PIVOT_CYCLES = 2
+
+    def __init__(self, parallelism: int = 16, seed: int = 0):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
         self.parallelism = parallelism
-        self.fifo_depth = fifo_depth
-        self.pivot_cycles = pivot_cycles
-        self.energy_per_compare_pj = energy_per_compare_pj
         self._rng = np.random.default_rng(seed)
         self.eliminator = ZeroEliminator(parallelism=parallelism)
         self.stats = TopKEngineStats()
@@ -99,13 +91,13 @@ class TopKEngine:
         cycles = 0.0
         comparator_ops = 0
         for round_size in qs_stats.partition_sizes:
-            if round_size > self.fifo_depth:
+            if round_size > self.FIFO_DEPTH:
                 # Oversized partitions are processed in FIFO-sized chunks
                 # (extra drain passes), costing proportionally more.
-                chunks = math.ceil(round_size / self.fifo_depth)
+                chunks = math.ceil(round_size / self.FIFO_DEPTH)
             else:
                 chunks = 1
-            cycles += self.pivot_cycles * chunks
+            cycles += self.PIVOT_CYCLES * chunks
             cycles += math.ceil(round_size / self.parallelism)
             # Two zero eliminators (FIFO_L and FIFO_R sides) are pipelined
             # with the comparators; their stage latency appears once.
@@ -113,7 +105,7 @@ class TopKEngine:
             comparator_ops += round_size
             self.stats.round_sizes.append(round_size)
             self.stats.max_fifo_occupancy = max(
-                self.stats.max_fifo_occupancy, min(round_size, self.fifo_depth)
+                self.stats.max_fifo_occupancy, min(round_size, self.FIFO_DEPTH)
             )
 
         # Final filtering pass over the buffered inputs + zero eliminate.
@@ -131,9 +123,9 @@ class TopKEngine:
         self.stats.selections += 1
         self.stats.total_cycles += cycles
         self.stats.comparator_ops += comparator_ops
-        self.stats.energy_pj += comparator_ops * self.energy_per_compare_pj
+        self.stats.energy_pj += comparator_ops * TOKEN_TOPK_COMPARE_PJ
 
-    def expected_cycles(self, n: int, k: Optional[int] = None) -> float:
+    def expected_cycles(self, n: int) -> float:
         """Closed-form expected cost (used by the pipeline scheduler).
 
         Quick-select processes a geometrically shrinking series of
@@ -146,7 +138,7 @@ class TopKEngine:
         partition_work = 2.0 * n
         cycles = (partition_work + n) / self.parallelism
         cycles += expected_rounds * (
-            self.pivot_cycles + self.eliminator.latency_cycles(n)
+            self.PIVOT_CYCLES + self.eliminator.latency_cycles(n)
         )
         return float(cycles)
 

@@ -19,6 +19,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .energy import ZERO_ELIMINATOR_ELEMENT_PJ
+
 __all__ = ["shift_network_eliminate", "ZeroEliminator", "ZeroEliminatorStats"]
 
 
@@ -83,11 +85,10 @@ class ZeroEliminator:
     invocation.
     """
 
-    def __init__(self, parallelism: int = 16, energy_per_element_pj: float = 0.08):
+    def __init__(self, parallelism: int = 16):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
         self.parallelism = parallelism
-        self.energy_per_element_pj = energy_per_element_pj
         self.stats = ZeroEliminatorStats()
 
     def latency_cycles(self, n: int) -> int:
@@ -102,7 +103,7 @@ class ZeroEliminator:
         )
         self.stats.elements += len(values)
         self.stats.invocations += 1
-        self.stats.energy_pj += len(values) * self.energy_per_element_pj
+        self.stats.energy_pj += len(values) * ZERO_ELIMINATOR_ELEMENT_PJ
         return compacted, float(cycles)
 
     def reset(self) -> None:

@@ -41,8 +41,6 @@ def beam_search(
     n_new_tokens: int,
     beam_width: int = 4,
     executor_factory: Optional[Callable[[], AttentionExecutor]] = None,
-    length_penalty: float = 0.0,
-    candidates_per_beam: Optional[int] = None,
 ) -> List[BeamHypothesis]:
     """Beam-search continuation of ``prompt_ids``.
 
@@ -50,16 +48,15 @@ def beam_search(
         model: a causal model.
         prompt_ids: the shared prompt.
         n_new_tokens: continuation length.
-        beam_width: live hypotheses kept per step.
+        beam_width: live hypotheses kept per step, and expansions
+            considered per beam per step.
         executor_factory: builds the attention executor used to score a
             hypothesis (``None`` = dense attention).  A SpAtten executor
             here makes every beam run under cascade pruning.
-        length_penalty: exponent for length normalisation at the end.
-        candidates_per_beam: expansions considered per beam per step
-            (defaults to ``beam_width``).
 
     Returns:
-        Hypotheses sorted best-first by normalised score.
+        Hypotheses sorted best-first by log-probability (every one has
+        ``n_new_tokens`` tokens, so no length normalisation applies).
     """
     if not model.config.causal:
         raise ValueError("beam search requires a causal model")
@@ -67,7 +64,6 @@ def beam_search(
         raise ValueError("beam_width must be >= 1")
     if n_new_tokens < 1:
         raise ValueError("n_new_tokens must be >= 1")
-    expansions = candidates_per_beam or beam_width
     prompt = list(int(t) for t in prompt_ids)
 
     def next_log_probs(sequence: List[int]) -> np.ndarray:
@@ -80,7 +76,7 @@ def beam_search(
         candidates: List[BeamHypothesis] = []
         for beam in beams:
             log_probs = next_log_probs(prompt + beam.token_ids)
-            top = np.argsort(log_probs)[::-1][:expansions]
+            top = np.argsort(log_probs)[::-1][:beam_width]
             for token in top:
                 candidates.append(
                     BeamHypothesis(
@@ -90,6 +86,4 @@ def beam_search(
                 )
         candidates.sort(key=lambda h: h.log_probability, reverse=True)
         beams = candidates[:beam_width]
-
-    beams.sort(key=lambda h: h.score(length_penalty), reverse=True)
     return beams

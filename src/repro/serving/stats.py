@@ -39,8 +39,8 @@ __all__ = [
 class SimulatedClock:
     """Monotone simulated time in seconds."""
 
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
+    def __init__(self):
+        self.now = 0.0
 
     def advance(self, dt: float) -> float:
         if dt < 0:
@@ -53,20 +53,22 @@ class SimulatedClock:
         return self.now
 
 
-@dataclass(frozen=True)
 class CostModel:
     """Step-time model for the simulated serving clock.
 
-    Attributes:
-        flops_per_second: modeled sustained arithmetic throughput.
-        step_overhead_s: fixed cost per engine step, amortised over the
-            whole live batch (the continuous-batching win).
-        seq_overhead_s: per-live-sequence bookkeeping cost per step.
+    Its three coefficients are class constants: both engines build
+    ``CostModel()`` themselves, so every run of the simulated clock
+    prices steps alike.  A fitted model (ROADMAP item 6(b)) replaces the
+    numbers here, not a constructor argument.
     """
 
-    flops_per_second: float = 50e9
-    step_overhead_s: float = 2e-4
-    seq_overhead_s: float = 1e-5
+    #: Modeled sustained arithmetic throughput (FLOP/s).
+    flops_per_second = 50e9
+    #: Fixed cost per engine step, amortised over the whole live batch
+    #: (the continuous-batching win).
+    step_overhead_s = 2e-4
+    #: Per-live-sequence bookkeeping cost per step.
+    seq_overhead_s = 1e-5
 
     def decode_seq_flops(
         self,
@@ -382,9 +384,9 @@ class ServingStats:
         out["schema_version"] = STATS_SCHEMA_VERSION
         return out
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_json(self) -> str:
         """The scalar metrics as a JSON document (see :meth:`to_dict`)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def table(self) -> Table:
         t = Table(

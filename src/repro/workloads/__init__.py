@@ -13,7 +13,7 @@ from .benchmarks import (
 from .model_zoo import (
     accuracy_scale_config,
     build_task_model,
-    default_accuracy_vocab,
+    serving_lm_world,
 )
 from .tasks import (
     Dataset,
@@ -24,7 +24,6 @@ from .tasks import (
     make_regression_dataset,
 )
 from .traffic import (
-    SEED_SCHEMES,
     TrafficClass,
     heterogeneous_request_trace,
     poisson_arrival_times,
@@ -42,7 +41,7 @@ __all__ = [
     "gpt2_benchmarks",
     "accuracy_scale_config",
     "build_task_model",
-    "default_accuracy_vocab",
+    "serving_lm_world",
     "Dataset",
     "Example",
     "lm_prompts",
@@ -51,7 +50,6 @@ __all__ = [
     "make_regression_dataset",
     "poisson_arrival_times",
     "synthetic_request_trace",
-    "SEED_SCHEMES",
     "TrafficClass",
     "heterogeneous_request_trace",
     "CONTENT_EXEMPLARS",

@@ -17,19 +17,22 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..config import ModelConfig
+import numpy as np
+
+from ..config import GPT2_SMALL, ModelConfig
 from ..nn import (
     SemanticModelInfo,
     SemanticSpec,
     TransformerModel,
     build_semantic_model,
 )
+from .tasks import make_lm_corpus
 from .vocab import Vocabulary, build_vocabulary
 
 __all__ = [
     "accuracy_scale_config",
     "build_task_model",
-    "default_accuracy_vocab",
+    "serving_lm_world",
 ]
 
 
@@ -58,17 +61,11 @@ def accuracy_scale_config(
     )
 
 
-def default_accuracy_vocab(n_classes: int = 2, seed: int = 0) -> Vocabulary:
-    """The standard vocabulary for accuracy-scale experiments."""
-    return build_vocabulary(size=512, n_classes=n_classes, seed=seed)
-
-
 def build_task_model(
     config: ModelConfig,
     vocab: Vocabulary,
     task_type: str = "classification",
     seed: int = 0,
-    lm_signature_dim: int = 16,
     **semantic_kwargs,
 ) -> Tuple[TransformerModel, SemanticModelInfo]:
     """Construct a semantic model aligned with a vocabulary's structure.
@@ -78,7 +75,7 @@ def build_task_model(
             ``len(vocab)``).
         vocab: the task vocabulary (salience + class structure).
         task_type: ``"classification"``/``"regression"`` use class
-            one-hot evidence; ``"lm"`` appends a per-token topic
+            one-hot evidence; ``"lm"`` appends a 16-wide per-token topic
             signature so the LM head can distinguish content words.
         seed: weight-construction seed.
         semantic_kwargs: forwarded to
@@ -96,7 +93,7 @@ def build_task_model(
         # next-word prediction), not just class mass: append per-token
         # signatures to the class one-hots.
         evidence = vocab.evidence_matrix(
-            evidence_dim=vocab.n_classes + lm_signature_dim, seed=seed + 1
+            evidence_dim=vocab.n_classes + 16, seed=seed + 1
         )
     else:
         raise ValueError(f"unknown task_type {task_type!r}")
@@ -112,8 +109,6 @@ def build_task_model(
         # Explicit LM head reading the evidence subspace: next-token
         # logits are driven by the topic/evidence state the attention
         # layers accumulated, not by incidental id-feature alignments.
-        import numpy as np
-
         from ..nn.weights import EVIDENCE_START
 
         rng = np.random.default_rng(seed + 7)
@@ -122,3 +117,31 @@ def build_task_model(
         lm_head[EVIDENCE_START : EVIDENCE_START + e_dim, :] += 4.0 * evidence.T
         params.lm_head = lm_head
     return TransformerModel(config, params), info
+
+
+def serving_lm_world(
+    n_layers: int = 6,
+    d_model: int = 128,
+    n_heads: int = 8,
+    max_seq_len: int = 256,
+    corpus_tokens: Optional[int] = None,
+    seed: int = 0,
+    corpus_seed: int = 2,
+) -> Tuple[ModelConfig, TransformerModel, Optional[np.ndarray]]:
+    """``(config, model, corpus)`` of the LM that serving runs.
+
+    A GPT-2-style accuracy-scale model over a 512-word, four-topic
+    vocabulary, plus (given ``corpus_tokens``) a topic-segmented corpus
+    of that length to draw prompts from; ``None`` without.  ``seed``
+    seeds the vocabulary and the weights, ``corpus_seed`` the corpus.
+    """
+    vocab = build_vocabulary(size=512, n_classes=4, seed=seed)
+    config = accuracy_scale_config(
+        GPT2_SMALL, len(vocab), n_layers=n_layers, d_model=d_model,
+        n_heads=n_heads, max_seq_len=max_seq_len,
+    )
+    model, _ = build_task_model(config, vocab, "lm", seed=seed)
+    corpus = None
+    if corpus_tokens is not None:
+        corpus = make_lm_corpus(vocab, n_tokens=corpus_tokens, seed=corpus_seed)
+    return config, model, corpus

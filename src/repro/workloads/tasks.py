@@ -63,10 +63,15 @@ class Dataset:
         return float(np.mean([e.length for e in examples])) if examples else 0.0
 
 
-def _sample_length(rng: np.random.Generator, avg_len: int, min_len: int = 4) -> int:
-    """Length with realistic right-skew (clipped lognormal)."""
-    length = int(round(rng.lognormal(np.log(max(avg_len, min_len)), 0.25)))
-    return max(min_len, min(length, avg_len * 3))
+#: Share of a sentence's (or a corpus segment's) slots that hold content
+#: words; the rest are Zipfian function words.
+_CONTENT_FRACTION = 0.35
+
+
+def _sample_length(rng: np.random.Generator, avg_len: int) -> int:
+    """Length with realistic right-skew (clipped lognormal, at least 4)."""
+    length = int(round(rng.lognormal(np.log(max(avg_len, 4)), 0.25)))
+    return max(4, min(length, avg_len * 3))
 
 
 def _compose_sentence(
@@ -74,7 +79,6 @@ def _compose_sentence(
     rng: np.random.Generator,
     length: int,
     class_idx: Optional[int],
-    content_fraction: float = 0.35,
     signal_purity: float = 0.75,
 ) -> np.ndarray:
     """A sentence: Zipfian function words + planted content words.
@@ -84,7 +88,7 @@ def _compose_sentence(
     classifier genuinely has to aggregate evidence (and over-pruning
     genuinely hurts).
     """
-    n_content = max(1, int(round(content_fraction * length)))
+    n_content = max(1, int(round(_CONTENT_FRACTION * length)))
     n_function = length - n_content
     fn_ids = vocab.function_ids
     fn_weights = vocab.zipf_weights[fn_ids]
@@ -171,7 +175,6 @@ def make_lm_corpus(
     vocab: Vocabulary,
     n_tokens: int,
     mean_segment: int = 24,
-    content_fraction: float = 0.35,
     seed: int = 0,
 ) -> np.ndarray:
     """Topic-segmented Zipfian token stream for LM benchmarks.
@@ -194,7 +197,7 @@ def make_lm_corpus(
         segment_len = 1 + int(rng.geometric(1.0 / mean_segment))
         topic_pool = vocab.content_ids_of_class(topic)
         for _ in range(segment_len):
-            if rng.random() < content_fraction:
+            if rng.random() < _CONTENT_FRACTION:
                 tokens.append(int(rng.choice(topic_pool)))
             else:
                 tokens.append(int(rng.choice(fn_ids, p=fn_weights)))

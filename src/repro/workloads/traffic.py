@@ -19,23 +19,10 @@ Two trace shapes:
   dense ones — are what make the cluster's schedule-aware routing
   measurably better than round-robin.
 
-Seed schemes
-------------
-
-Each trace draws from several independent random streams (class
-assignment/budgets, arrival times, prompts).  ``seed_scheme`` selects
-how those streams derive from the trace seed:
-
-* ``"legacy"`` (default) — adjacent integer seeds (``seed``,
-  ``seed + 1``, ...), which keeps every checked-in benchmark trace
-  bit-identical.  **Caveat:** traces built with seeds ``s`` and
-  ``s + 1`` share underlying bit streams (trace ``s``'s arrival RNG is
-  trace ``s + 1``'s base RNG), so sweeps over consecutive seeds are
-  cross-correlated.
-* ``"spawn"`` — ``np.random.SeedSequence(seed).spawn(...)`` children:
-  statistically independent streams both *within* a trace and *across*
-  any two trace seeds.  Use this for new experiments, especially
-  multi-seed sweeps.
+Each trace draws its random streams (class assignment and budgets,
+arrival times, prompts) from adjacent integer seeds (``seed``,
+``seed + 1``, ...), so traces built with seeds ``s`` and ``s + 1``
+share bit streams: sweeps over consecutive seeds are cross-correlated.
 """
 
 from __future__ import annotations
@@ -50,7 +37,6 @@ from ..serving.request import Request
 from .tasks import lm_prompts
 
 __all__ = [
-    "SEED_SCHEMES",
     "poisson_arrival_times",
     "synthetic_request_trace",
     "TrafficClass",
@@ -58,18 +44,10 @@ __all__ = [
 ]
 
 
-SEED_SCHEMES = ("legacy", "spawn")
-
-
 def poisson_arrival_times(
-    n_requests: int, rate_per_s: float, seed=0
+    n_requests: int, rate_per_s: float, seed: int = 0
 ) -> np.ndarray:
-    """Arrival timestamps of a Poisson process with the given rate.
-
-    ``seed`` is anything :func:`numpy.random.default_rng` accepts — an
-    int, or a :class:`numpy.random.SeedSequence` child spawned by a
-    trace builder's ``seed_scheme="spawn"``.
-    """
+    """Arrival timestamps of a Poisson process with the given rate."""
     if n_requests < 1:
         raise ValueError("n_requests must be >= 1")
     if rate_per_s <= 0:
@@ -77,14 +55,6 @@ def poisson_arrival_times(
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_per_s, size=n_requests)
     return np.cumsum(gaps)
-
-
-def _check_seed_scheme(seed_scheme: str) -> None:
-    if seed_scheme not in SEED_SCHEMES:
-        raise ValueError(
-            f"unknown seed_scheme {seed_scheme!r}; choose from "
-            f"{SEED_SCHEMES}"
-        )
 
 
 def synthetic_request_trace(
@@ -95,7 +65,6 @@ def synthetic_request_trace(
     max_new_tokens: Tuple[int, int] = (8, 24),
     n_priorities: int = 1,
     seed: int = 0,
-    seed_scheme: str = "legacy",
 ) -> List[Request]:
     """A full arrival trace: prompts, budgets, priorities, timestamps.
 
@@ -108,25 +77,13 @@ def synthetic_request_trace(
         n_priorities: priorities drawn uniformly from ``[0, n)``.
         seed: RNG seed (prompts, budgets, priorities, and arrivals all
             derive from it, so traces are reproducible).
-        seed_scheme: how the trace's random streams derive from
-            ``seed`` — ``"legacy"`` (adjacent integer seeds, keeps
-            checked-in benchmark traces bit-identical but correlates
-            traces built with consecutive seeds) or ``"spawn"``
-            (independent ``SeedSequence`` children; see the module
-            docstring).
     """
     low, high = max_new_tokens
     if not 1 <= low <= high:
         raise ValueError("max_new_tokens range must satisfy 1 <= low <= high")
-    _check_seed_scheme(seed_scheme)
-    if seed_scheme == "spawn":
-        rng_seed, arrival_seed, prompt_seed = \
-            np.random.SeedSequence(seed).spawn(3)
-    else:
-        rng_seed, arrival_seed, prompt_seed = seed, seed + 1, seed + 2
-    rng = np.random.default_rng(rng_seed)
-    arrivals = poisson_arrival_times(n_requests, rate_per_s, seed=arrival_seed)
-    prompts = lm_prompts(corpus, prompt_len, n_requests, seed=prompt_seed)
+    rng = np.random.default_rng(seed)
+    arrivals = poisson_arrival_times(n_requests, rate_per_s, seed=seed + 1)
+    prompts = lm_prompts(corpus, prompt_len, n_requests, seed=seed + 2)
     return [
         Request(
             request_id=idx,
@@ -181,7 +138,6 @@ def heterogeneous_request_trace(
     n_requests: int,
     rate_per_s: float,
     seed: int = 0,
-    seed_scheme: str = "legacy",
 ) -> List[Request]:
     """A Poisson trace drawn from a weighted mix of request classes.
 
@@ -190,26 +146,16 @@ def heterogeneous_request_trace(
     class's prompt length, decode budget, priority, and per-request
     pruning schedule.  Everything derives from ``seed``, so traces are
     reproducible, and the *same* trace can be replayed against every
-    routing policy.  ``seed_scheme`` picks how the internal streams
-    derive from the seed (``"legacy"`` integer offsets vs independent
-    ``"spawn"`` children; see the module docstring).
+    routing policy.
     """
     if not classes:
         raise ValueError("need at least one TrafficClass")
     if n_requests < 1:
         raise ValueError("n_requests must be >= 1")
-    _check_seed_scheme(seed_scheme)
     weights = np.array([c.weight for c in classes], dtype=np.float64)
     weights /= weights.sum()
-    if seed_scheme == "spawn":
-        children = np.random.SeedSequence(seed).spawn(2 + len(classes))
-        rng_seed, arrival_seed = children[0], children[1]
-        class_seeds = list(children[2:])
-    else:
-        rng_seed, arrival_seed = seed, seed + 1
-        class_seeds = [seed + 3 + ci for ci in range(len(classes))]
-    rng = np.random.default_rng(rng_seed)
-    arrivals = poisson_arrival_times(n_requests, rate_per_s, seed=arrival_seed)
+    rng = np.random.default_rng(seed)
+    arrivals = poisson_arrival_times(n_requests, rate_per_s, seed=seed + 1)
     assignment = rng.choice(len(classes), size=n_requests, p=weights)
     # Draw each class's prompt pool in one call so a class's prompts do
     # not depend on how the other classes' draws interleave.
@@ -219,7 +165,7 @@ def heterogeneous_request_trace(
         count = int(np.sum(assignment == ci))
         if count:
             prompts_by_class[ci] = lm_prompts(
-                corpus, cls.prompt_len, count, seed=class_seeds[ci]
+                corpus, cls.prompt_len, count, seed=seed + 3 + ci
             )
             cursor_by_class[ci] = 0
     requests = []

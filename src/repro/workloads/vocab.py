@@ -165,25 +165,19 @@ class Vocabulary:
 def build_vocabulary(
     size: int = 512,
     n_classes: int = 2,
-    content_fraction: float = 0.5,
-    neutral_content_fraction: float = 0.2,
     seed: int = 0,
 ) -> Vocabulary:
     """Construct a synthetic vocabulary.
 
     Layout: ``[CLS] [SEP] [PAD]``, then all function words (real list,
     padded with synthetic ``fw-K`` fillers if needed), then content
-    words.  Content words are assigned round-robin to classes, except a
-    ``neutral_content_fraction`` that are salient but evidence-free
-    (realistic: not every noun determines the label).
+    words, half of the non-special tokens.  Content words are assigned
+    round-robin to classes, except a fifth of them that are salient but
+    evidence-free (realistic: not every noun determines the label).
 
     Args:
         size: total vocabulary size.
         n_classes: classes/topics for evidence assignment.
-        content_fraction: fraction of non-special tokens that are content
-            words.
-        neutral_content_fraction: fraction *of content words* carrying no
-            class evidence.
         seed: RNG seed for salience jitter.
     """
     if size < len(FUNCTION_WORDS) + 32:
@@ -193,7 +187,7 @@ def build_vocabulary(
     words: List[str] = [CLS_TOKEN, SEP_TOKEN, PAD_TOKEN]
     n_specials = len(words)
     n_regular = size - n_specials
-    n_content = int(round(content_fraction * n_regular))
+    n_content = int(round(0.5 * n_regular))
     n_function = n_regular - n_content
 
     function_words = list(FUNCTION_WORDS[:n_function])
@@ -217,7 +211,7 @@ def build_vocabulary(
 
     ct_slice = slice(n_specials + n_function, size)
     salience[ct_slice] = rng.uniform(0.55, 1.0, size=n_content)
-    n_neutral = int(round(neutral_content_fraction * n_content))
+    n_neutral = int(round(0.2 * n_content))
     content_ids = np.arange(ct_slice.start, ct_slice.stop)
     carriers = content_ids[n_neutral:]
     class_of[carriers] = np.arange(len(carriers)) % n_classes

@@ -186,3 +186,64 @@ class TestE2ESimulator:
         assert report.energy.total_j == pytest.approx(
             report.attention.energy.total_j + report.fc_energy.total_j
         )
+
+
+class TestPinnedNumbers:
+    """Exact outputs of both simulators on two registry benchmarks.
+
+    The paper-band tests above tolerate any drift inside their bands;
+    these pin every modelled number to the last bit, so moving a
+    constant (or the code that reads it) cannot change a figure
+    silently.
+    """
+
+    ATTENTION = {
+        "bert-base-sst-2": (
+            17304.63157894737,
+            {"qk_module": 9421536.0, "softmax": 2304180.0,
+             "probv_module": 8653888.0, "topk_engines": 33282.6,
+             "qkv_fetcher": 1494683.84, "accumulators": 21121.65},
+            (2.192869209e-05, 2.1846881279999992e-05,
+             0.00010659029406315789),
+        ),
+        "gpt2-small-wikitext2": (
+            15534543.769423561,
+            {"qk_module": 10216342841.599998, "softmax": 2498562108.0,
+             "probv_module": 8694390668.8,
+             "topk_engines": 36090341.559999965,
+             "qkv_fetcher": 218953869.8636805,
+             "accumulators": 22903485.990000032},
+            (0.021687243315813683, 0.022112783324160057,
+             0.07542875248095002),
+        ),
+    }
+
+    @staticmethod
+    def _trace(key):
+        from repro.eval.experiments import benchmark_traces
+        from repro.workloads.benchmarks import get_benchmark
+
+        return benchmark_traces(get_benchmark(key))[0]
+
+    @staticmethod
+    def _joules(energy):
+        return (energy.compute_logic_j, energy.sram_j, energy.dram_j)
+
+    @pytest.mark.parametrize("key", sorted(ATTENTION))
+    def test_attention_simulator(self, key):
+        report = SpAttenSimulator().run_trace(self._trace(key))
+        cycles, modules, joules = self.ATTENTION[key]
+        assert report.total_cycles == cycles
+        assert report.module_energy_pj == modules
+        assert self._joules(report.energy) == joules
+
+    def test_e2e_simulator(self):
+        key = "gpt2-small-wikitext2"
+        report = SpAttenE2ESimulator().run_trace(self._trace(key))
+        _, modules, _ = self.ATTENTION[key]
+        assert report.total_cycles == 75499054.08521183
+        assert report.attention.module_energy_pj == modules
+        assert self._joules(report.fc_energy) == (
+            0.13431920394239763, 0.0, 0.08993679298560024)
+        assert self._joules(report.energy) == (
+            0.1560064472582113, 0.022112783324160057, 0.16536554546655025)

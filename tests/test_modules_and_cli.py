@@ -4,54 +4,55 @@ import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, main
-from repro.hardware.energy import DEFAULT_ENERGY
+from repro.hardware.energy import MAC_PJ, SOFTMAX_ELEMENT_PJ
 from repro.hardware.modules import ProbVModule, QKModule, SoftmaxUnit
 
 
 class TestQKModule:
     def test_keys_per_cycle_packing(self):
-        qk = QKModule(512, DEFAULT_ENERGY)
+        qk = QKModule(512)
         assert qk.keys_per_cycle(64) == 8  # the paper's 512/D packing
         assert qk.keys_per_cycle(128) == 4
 
     def test_wide_head_multi_cycle(self):
-        qk = QKModule(64, DEFAULT_ENERGY)
+        qk = QKModule(64)
         assert qk.keys_per_cycle(128) == 0.5
         assert qk.query_cycles(4, 128) == 8
 
     def test_query_cycles(self):
-        qk = QKModule(512, DEFAULT_ENERGY)
+        qk = QKModule(512)
         assert qk.query_cycles(64, 64) == 8
         assert qk.query_cycles(0, 64) == 0
 
     def test_accounting(self):
-        qk = QKModule(512, DEFAULT_ENERGY)
+        qk = QKModule(512)
         qk.account(n_queries=2, n_keys=64, head_dim=64)
         assert qk.stats.operations == 2 * 64 * 64
         assert qk.stats.energy_pj == pytest.approx(
-            2 * 64 * 64 * DEFAULT_ENERGY.mac_pj
+            2 * 64 * 64 * MAC_PJ
         )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            QKModule(0, DEFAULT_ENERGY)
+            QKModule(0)
 
 
 class TestSoftmaxUnit:
     def test_parallelism(self):
-        unit = SoftmaxUnit(8, DEFAULT_ENERGY)
+        unit = SoftmaxUnit(8)
         assert unit.query_cycles(64) == 8
         assert unit.query_cycles(65) == 9
 
     def test_energy(self):
-        unit = SoftmaxUnit(8, DEFAULT_ENERGY)
+        unit = SoftmaxUnit(8)
         unit.account(n_rows=3, n_keys=10)
         assert unit.stats.operations == 30
+        assert unit.stats.energy_pj == pytest.approx(30 * SOFTMAX_ELEMENT_PJ)
 
 
 class TestProbVModule:
     def test_value_pruning_shrinks_cycles(self):
-        pv = ProbVModule(512, DEFAULT_ENERGY)
+        pv = ProbVModule(512)
         assert pv.query_cycles(32, 64) < pv.query_cycles(64, 64)
 
 

@@ -6,6 +6,12 @@ import pytest
 from repro.core.quantization import LinearQuantizer
 from repro.hardware.bitwidth_converter import BitwidthConverter
 from repro.hardware.crossbar import Crossbar
+from repro.hardware.energy import (
+    CONVERTER_ELEMENT_PJ,
+    CROSSBAR_REQUEST_PJ,
+    SRAM_READ_PJ_PER_BIT,
+    SRAM_WRITE_PJ_PER_BIT,
+)
 from repro.hardware.sram import SRAM, Fifo
 
 
@@ -18,11 +24,13 @@ class TestSRAM:
         assert not sram.fits(working_set * 2.1)
 
     def test_energy_accounting(self):
-        sram = SRAM("key", 1024, read_energy_pj_per_bit=1.0,
-                    write_energy_pj_per_bit=2.0)
+        sram = SRAM("key", 1024)
         sram.read(10)
+        assert sram.stats.energy_pj == pytest.approx(
+            10 * 8 * SRAM_READ_PJ_PER_BIT)
         sram.write(10)
-        assert sram.stats.energy_pj == pytest.approx(10 * 8 * 1.0 + 10 * 8 * 2.0)
+        assert sram.stats.energy_pj == pytest.approx(
+            10 * 8 * SRAM_READ_PJ_PER_BIT + 10 * 8 * SRAM_WRITE_PJ_PER_BIT)
         assert sram.stats.reads == 1 and sram.stats.writes == 1
 
     def test_reset(self):
@@ -87,9 +95,9 @@ class TestCrossbar:
         assert xbar.route_channel_requests(per_channel) == 5.0
 
     def test_energy_per_request(self):
-        xbar = Crossbar(32, 16, energy_per_request_pj=2.0)
+        xbar = Crossbar(32, 16)
         xbar.route(10)
-        assert xbar.stats.energy_pj == pytest.approx(20.0)
+        assert xbar.stats.energy_pj == pytest.approx(10 * CROSSBAR_REQUEST_PJ)
 
     def test_validation(self):
         xbar = Crossbar(32, 16)
@@ -129,5 +137,7 @@ class TestBitwidthConverter:
         converter = BitwidthConverter()
         converter.account_elements(100)
         assert converter.stats.elements_converted == 100
+        assert converter.stats.energy_pj == pytest.approx(
+            100 * CONVERTER_ELEMENT_PJ)
         with pytest.raises(ValueError):
             converter.account_elements(-1)

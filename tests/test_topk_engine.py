@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.topk import topk_indices
+from repro.hardware.energy import TOKEN_TOPK_COMPARE_PJ
 from repro.hardware.sorter import BatcherSorter, batcher_network, sort_with_network
 from repro.hardware.topk_engine import TopKEngine
 from repro.hardware.zero_eliminator import ZeroEliminator, shift_network_eliminate
@@ -156,7 +157,7 @@ class TestBatcherSorter:
             # The sorter additionally streams out the selected indices.
             sorter_cycles.append(sort_result.cycles + 1024 / 16)
             engine_pj.append(
-                engine_result.comparator_ops * engine.energy_per_compare_pj
+                engine_result.comparator_ops * TOKEN_TOPK_COMPARE_PJ
             )
             sorter_pj.append(sort_result.energy_pj)
         assert np.mean(sorter_cycles) > np.mean(engine_cycles)

@@ -5,14 +5,12 @@ import pytest
 
 from repro.workloads import (
     Benchmark,
-    TrafficClass,
     Vocabulary,
     all_benchmarks,
     bert_benchmarks,
     build_vocabulary,
     get_benchmark,
     gpt2_benchmarks,
-    heterogeneous_request_trace,
     lm_prompts,
     make_classification_dataset,
     make_lm_corpus,
@@ -172,11 +170,9 @@ class TestBenchmarkRegistry:
 
 
 class TestTrafficSeedSchemes:
-    """Regression: the legacy scheme derives the arrival RNG as
-    ``seed + 1``, so traces built with seeds ``s`` and ``s + 1`` share
-    underlying bit streams.  ``seed_scheme="spawn"`` replaces the
-    integer offsets with independent ``SeedSequence`` children while the
-    legacy default keeps every checked-in benchmark trace bit-identical.
+    """Regression: a trace derives its arrival RNG as ``seed + 1``, so
+    traces built with seeds ``s`` and ``s + 1`` share underlying bit
+    streams — the derivation every checked-in benchmark trace rests on.
     """
 
     @pytest.fixture(scope="class")
@@ -186,81 +182,29 @@ class TestTrafficSeedSchemes:
             n_tokens=1024, seed=2,
         )
 
-    def trace(self, corpus, seed, scheme):
+    def trace(self, corpus, seed):
         return synthetic_request_trace(
             corpus, n_requests=16, rate_per_s=100.0, prompt_len=12,
-            max_new_tokens=(2, 6), seed=seed, seed_scheme=scheme,
+            max_new_tokens=(2, 6), seed=seed,
         )
 
     def test_legacy_default_is_unchanged(self, corpus):
-        """The default trace still derives its arrival stream from
-        ``default_rng(seed + 1)`` — checked-in benchmark results built
-        on the legacy scheme stay valid."""
-        implicit = self.trace(corpus, seed=9, scheme="legacy")
-        default = synthetic_request_trace(
-            corpus, n_requests=16, rate_per_s=100.0, prompt_len=12,
-            max_new_tokens=(2, 6), seed=9,
-        )
-        assert [r.arrival_time for r in implicit] == \
-            [r.arrival_time for r in default]
+        """The trace still derives its arrival stream from
+        ``default_rng(seed + 1)`` — checked-in benchmark results stay
+        valid."""
         pinned = np.cumsum(
             np.random.default_rng(10).exponential(1.0 / 100.0, size=16)
         )
         np.testing.assert_allclose(
-            [r.arrival_time for r in implicit], pinned
+            [r.arrival_time for r in self.trace(corpus, seed=9)], pinned
         )
 
     def test_legacy_adjacent_seeds_share_bit_streams(self, corpus):
-        """The bug the spawn scheme fixes, pinned: trace ``s``'s
-        arrival stream *is* ``default_rng(s + 1)``'s bit stream, which
-        trace ``s + 1`` consumes as its base RNG."""
+        """Pinned: trace ``s``'s arrival stream *is*
+        ``default_rng(s + 1)``'s bit stream, which trace ``s + 1``
+        consumes as its base RNG."""
         arrivals = poisson_arrival_times(16, 100.0, seed=8)
-        trace_7 = self.trace(corpus, seed=7, scheme="legacy")
+        trace_7 = self.trace(corpus, seed=7)
         np.testing.assert_allclose(
             [r.arrival_time for r in trace_7], arrivals
         )
-
-    def test_spawn_scheme_is_reproducible_and_decorrelated(self, corpus):
-        a1 = self.trace(corpus, seed=7, scheme="spawn")
-        a2 = self.trace(corpus, seed=7, scheme="spawn")
-        assert [r.arrival_time for r in a1] == [r.arrival_time for r in a2]
-        assert [list(r.prompt_ids) for r in a1] == \
-            [list(r.prompt_ids) for r in a2]
-        # Adjacent seeds no longer share any stream: arrivals differ
-        # everywhere and no longer reproduce default_rng(seed + 1).
-        b = self.trace(corpus, seed=8, scheme="spawn")
-        assert all(
-            x.arrival_time != y.arrival_time for x, y in zip(a1, b)
-        )
-        legacy_style = np.cumsum(
-            np.random.default_rng(8).exponential(1.0 / 100.0, size=16)
-        )
-        assert not np.allclose(
-            [r.arrival_time for r in a1], legacy_style
-        )
-
-    def test_heterogeneous_trace_supports_spawn(self, corpus):
-        classes = [
-            TrafficClass("a", weight=0.5, prompt_len=8,
-                         max_new_tokens=(2, 4)),
-            TrafficClass("b", weight=0.5, prompt_len=16,
-                         max_new_tokens=(2, 4)),
-        ]
-        t1 = heterogeneous_request_trace(
-            corpus, classes, n_requests=12, rate_per_s=100.0, seed=3,
-            seed_scheme="spawn",
-        )
-        t2 = heterogeneous_request_trace(
-            corpus, classes, n_requests=12, rate_per_s=100.0, seed=3,
-            seed_scheme="spawn",
-        )
-        assert [r.arrival_time for r in t1] == [r.arrival_time for r in t2]
-        legacy = heterogeneous_request_trace(
-            corpus, classes, n_requests=12, rate_per_s=100.0, seed=3,
-        )
-        assert [r.arrival_time for r in t1] != \
-            [r.arrival_time for r in legacy]
-
-    def test_unknown_scheme_rejected(self, corpus):
-        with pytest.raises(ValueError, match="seed_scheme"):
-            self.trace(corpus, seed=0, scheme="mystery")
