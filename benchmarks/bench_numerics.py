@@ -453,5 +453,13 @@ def test_numerics_smoke(numerics_world, publish, history):
     }, context={"batch": BATCH, "prefill": PREFILL})
     # Wall-clock floors with slack for loaded runners; the full bench
     # holds the 1.5x and INT8_OVER_FP32_BOUND lines.
-    assert dense["exact"] / dense["fp32"] >= 1.2, "fp32 speedup regressed"
-    assert dense["int8"] / dense["fp32"] <= 1.5, "int8 step regressed"
+    fp32_speedup = dense["exact"] / dense["fp32"]
+    assert fp32_speedup >= 1.2, (
+        f"fp32 speedup regressed: {fp32_speedup:.3f}x < 1.2x (exact "
+        f"{dense['exact'] * 1e3:.3f} ms/step, fp32 "
+        f"{dense['fp32'] * 1e3:.3f} ms/step)")
+    int8_over_fp32 = dense["int8"] / dense["fp32"]
+    assert int8_over_fp32 <= 1.5, (
+        f"int8 step regressed: {int8_over_fp32:.3f}x > 1.5x (int8 "
+        f"{dense['int8'] * 1e3:.3f} ms/step, fp32 "
+        f"{dense['fp32'] * 1e3:.3f} ms/step)")

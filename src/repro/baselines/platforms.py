@@ -151,12 +151,6 @@ class PlatformReport:
     flops: float
     dram_bytes: float
 
-    @property
-    def effective_tflops(self) -> float:
-        if self.latency_s <= 0:
-            return 0.0
-        return self.flops / self.latency_s / 1e12
-
 
 def _attention_step_bytes(step, model: ModelConfig) -> float:
     """fp32 QKV + output traffic of one dense attention execution."""

@@ -100,9 +100,10 @@ storm table from a trace file without a browser.
 
 SLOs and latency attribution (:mod:`repro.insight`): both serving
 subcommands accept repeated ``--slo CLASS:METRIC:pPCT:TARGET_MS``
-objectives (e.g. ``--slo 0:ttft:p95:150 --slo all:e2e:p99:2000``)
-evaluated on the simulated clock over ``--slo-window-ms`` tumbling
-windows; attainment lands in the stats report's ``slo`` section.
+objectives (e.g. ``--slo 0:ttft:p95:150 --slo all:e2e:p99:2000``),
+which the CLI evaluates over the records a run returns, on the
+simulated clock over ``--slo-window-ms`` tumbling windows; attainment
+lands in the stats report's ``slo`` section.
 ``repro slo-report TRACE --slo SPEC`` evaluates the same objectives
 *offline* over a ``--trace-out`` file with the exact critical-path
 latency attribution (exit 1 when an objective is missed), and ``repro
@@ -471,10 +472,14 @@ def _serve(args) -> int:
         # metrics document per mode instead of interleaving them.
         telemetry = _build_telemetry(args)
         engine = ServingEngine(
-            model, pool, pruning=mode_pruning, telemetry=telemetry, slo=slo,
+            model, pool, pruning=mode_pruning, telemetry=telemetry,
             **_engine_flags(args),
         )
         stats = engine.run(requests)
+        if slo is not None:
+            stats.slo = slo.evaluate_records(
+                stats.records, stats.makespan_s
+            ).to_dict()
         throughputs[mode] = stats.throughput_tps
         stats_by_mode[mode] = stats
         print()
@@ -592,6 +597,7 @@ def _serve_cluster(args) -> int:
                 head_keep_final=0.625, value_keep=0.9,
             ),
         )
+    slo = _build_slo(args)
     cluster = ClusterEngine(
         model, pool,
         policy=args.policy,
@@ -603,7 +609,6 @@ def _serve_cluster(args) -> int:
         retry_budget=args.retry_budget,
         degradation=degradation,
         telemetry=telemetry,
-        slo=_build_slo(args),
     )
     if fault_plan is not None:
         counts = ", ".join(
@@ -612,6 +617,10 @@ def _serve_cluster(args) -> int:
         print(f"chaos plan (seed {args.chaos_seed}, "
               f"{args.chaos_profile}): {counts or 'no events'}")
     stats = cluster.run(requests)
+    if slo is not None:
+        stats.slo = slo.evaluate_records(
+            stats.fleet.records, stats.fleet.makespan_s
+        ).to_dict()
     print()
     print(stats.table())
     _write_telemetry(args, telemetry, "cluster", multi_mode=False)

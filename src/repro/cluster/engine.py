@@ -187,7 +187,6 @@ class ClusterEngine:
         degradation: Optional[DegradationPolicy] = None,
         telemetry: Optional[Telemetry] = None,
         audit_every: Optional[int] = None,
-        slo: Optional[object] = None,
     ):
         if audit_every is not None and audit_every < 1:
             raise ValueError("audit_every must be >= 1, or None to disable")
@@ -201,12 +200,6 @@ class ClusterEngine:
         self.numerics = numerics
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.audit_every = audit_every
-        #: Optional SLO policy (:class:`repro.insight.SLOPolicy`), held
-        #: by duck type (no import edge on the analysis layer) and
-        #: evaluated read-only over the fleet's pooled records at the
-        #: end of :meth:`run` — per-replica stats deliberately carry no
-        #: SLO verdicts, a partial fleet view would misattribute them.
-        self.slo = slo
         self.router = ClusterRouter(
             policy, observer=self if self.telemetry.active else None
         )
@@ -354,7 +347,7 @@ class ClusterEngine:
             [last_event_time] + [r.engine.now for r in run.replicas]
         )
         ordered = [records[i] for i in sorted(records)]
-        stats = ClusterStats.from_run(
+        return ClusterStats.from_run(
             policy=self.router.policy,
             admission=self.admission,
             numerics=self.numerics,
@@ -366,11 +359,6 @@ class ClusterEngine:
             global_occupancy_peak=occupancy_peak,
             pool=self.pool,
         )
-        if self.slo is not None:
-            stats.slo = self.slo.evaluate_records(
-                ordered, makespan_s=makespan
-            ).to_dict()
-        return stats
 
     # ------------------------------------------------------------------
     def _route(

@@ -97,10 +97,9 @@ class ClusterStats:
     #: Mean crash-to-rejoin repair time; NaN when nothing recovered.
     mttr_s: float = float("nan")
     #: Fleet-level SLO attainment report
-    #: (:meth:`repro.insight.SLOReport.to_dict`) when the cluster ran
-    #: under an SLO policy, else ``None``.  Computed over the pooled
-    #: records after :meth:`from_run`; read-only, so every other field
-    #: is bit-identical with and without it.
+    #: (:meth:`repro.insight.SLOReport.to_dict`), or ``None``: set by a
+    #: caller holding an SLO policy from ``fleet.records`` after the run
+    #: (``repro serve-cluster --slo``).
     slo: Optional[dict] = None
     #: Each replica's own ServingStats, as reported by its engine.
     replicas: List[ServingStats] = field(default_factory=list)

@@ -865,10 +865,6 @@ def fig20_speedup_breakdown() -> Fig20Result:
         for idx, (arch, pruning, quant) in enumerate(configs, start=1):
             if pruning is None:
                 trace = dense_dec
-                trace = AttentionTrace(
-                    dense.model, dense.original_length, dense.n_generated,
-                    dense_dec.steps, None, None,
-                )
             else:
                 full = spatten_trace(bench.model, pruning, quant,
                                      bench.seq_len, bench.n_generate,

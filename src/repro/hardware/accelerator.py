@@ -92,16 +92,8 @@ class SimReport:
     decode_cycles: float
     dram_bytes: float
     energy: EnergyBreakdown
-    attention_flops_performed: float
     step_costs: List[StepCost] = field(default_factory=list)
     module_energy_pj: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def effective_tflops(self) -> float:
-        """Performed attention FLOPs per second (paper Section V-B)."""
-        if self.latency_s <= 0:
-            return 0.0
-        return self.attention_flops_performed / self.latency_s / 1e12
 
     @property
     def average_power_w(self) -> float:
@@ -200,7 +192,7 @@ class SpAttenSimulator:
         # --- token/head-importance top-k (parallel with critical path) --
         token_topk_cycles = 0.0
         if token_pruning_on or head_pruning_on:
-            token_topk_cycles = self.token_topk.expected_cycles(step.n_keys)
+            token_topk_cycles = self.token_topk.expected_pass(step.n_keys)
 
         # --- DRAM -------------------------------------------------------
         traffic = step_attention_bytes(step, model, trace.quant)
@@ -288,7 +280,6 @@ class SpAttenSimulator:
             dram_j=dram_dynamic_j + dram_static_j,
         )
 
-        attention_flops = 2.0 * (self.qk.stats.operations + self.probv.stats.operations)
         return SimReport(
             arch_name=self.arch.name,
             total_cycles=total_cycles,
@@ -297,7 +288,6 @@ class SpAttenSimulator:
             decode_cycles=decode_cycles,
             dram_bytes=self.hbm.total_bytes,
             energy=energy,
-            attention_flops_performed=attention_flops,
             step_costs=step_costs,
             module_energy_pj=module_energy,
         )

@@ -27,18 +27,21 @@ SOFTMAX_ELEMENT_PJ = 36.0
 ACCUMULATE_PJ = 0.33
 
 # --- comparators (pJ per comparison or element) -----------------------
-#: One comparator toggle of the token/head top-k engine (Section IV-B).
-#: With the zero eliminator's charge and 0.10 pJ of FIFO traffic per
-#: element it sets the engine's power against the Batcher sorter's
-#: comparator (SORTER_COMPARE_PJ): the paper reports the engine at 3.5x
-#: lower power.  Only the top-k comparison experiment charges it; the
-#: simulator times the token engine in closed form and charges no
-#: energy for it.
+#: One comparator toggle of the token/head top-k engine (Section IV-B),
+#: charged by ``TopKEngine`` (``hardware/topk_engine.py``): per
+#: comparison in ``select``, and ~3n per ranked pass of n scores in the
+#: simulator's closed-form ``expected_pass``.  With the zero
+#: eliminator's charge and 0.10 pJ of FIFO traffic per element it sets
+#: the engine's power against the Batcher sorter's comparator
+#: (SORTER_COMPARE_PJ): the paper reports the engine at 3.5x lower
+#: power but publishes no per-comparison energy.
 TOKEN_TOPK_COMPARE_PJ = 0.12
-#: One comparison of the per-query local value-pruning top-k.  The
-#: simulator charges two per key and query (partition and filter pass)
-#: and this one constant makes Fig. 13(b)'s whole "top-k engines"
-#: slice; the paper gives no per-comparison energy for either engine.
+#: One comparison of the per-query local value-pruning top-k, charged
+#: by ``SpAttenSimulator._value_topk_energy_pj``: two per key and query
+#: (partition and filter pass).  The paper publishes no per-comparison
+#: energy either; 0.26 pJ is calibrated so the value engine, which
+#: makes nearly all of Fig. 13(b)'s "top-k engines" slice, lands on
+#: the figure's share.
 VALUE_TOPK_COMPARE_PJ = 0.26
 #: Zero eliminator (Fig. 10) per element compacted.
 ZERO_ELIMINATOR_ELEMENT_PJ = 0.08

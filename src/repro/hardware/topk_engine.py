@@ -142,6 +142,15 @@ class TopKEngine:
         )
         return float(cycles)
 
+    def expected_pass(self, n: int) -> float:
+        """One ranked pass over ``n`` scores in closed form: returns its
+        :meth:`expected_cycles` and charges the ~3n comparator operations
+        that count assumes (2n partitioning, n filtering) as
+        :meth:`select` charges its own."""
+        cycles = self.expected_cycles(n)
+        self._account(cycles, 3 * n, n)
+        return cycles
+
     def reset(self) -> None:
         self.stats = TopKEngineStats()
         self.eliminator.reset()

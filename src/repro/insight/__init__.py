@@ -3,9 +3,9 @@
 ``repro.insight`` is the *analysis* layer over :mod:`repro.telemetry`:
 it consumes traces, request records, and bench results the serving
 stack already produces and turns them into verdicts.  It is strictly
-read-only — engines never import it (SLO policies reach them duck-typed
-through the ``slo=`` constructor argument), and enabling any of it
-leaves token streams and core stats bit-identical.
+read-only: engines neither import it nor hold a policy, so the caller
+computes SLO verdicts from the records a run returns, and no stat or
+token of the run can depend on them.
 
 Three subsystems:
 
@@ -24,9 +24,11 @@ Three subsystems:
   ``CLASS:METRIC:pPCT:TARGET_MS`` objectives (e.g. ``0:ttft:p95:150``,
   ``all:e2e:p99:2000``) evaluated over simulated time: measured
   percentile, attainment, and error-budget burn rate per tumbling
-  window.  Threads into ``ServingStats.slo`` / ``ClusterStats.slo``
-  via ``--slo`` on ``repro serve`` / ``serve-cluster``, or evaluates a
-  trace offline via ``repro slo-report``.
+  window.  ``repro serve`` / ``serve-cluster --slo`` evaluate the
+  run's records (``policy.evaluate_records(stats.records,
+  stats.makespan_s)``; a cluster's are ``stats.fleet``'s) into
+  ``ServingStats.slo`` / ``ClusterStats.slo``; ``repro slo-report``
+  evaluates a trace offline.
 
 * :mod:`~repro.insight.history` — **continuous perf tracking**.
   Benches append normalized, timestamp-free records to

@@ -16,10 +16,10 @@ accepts (``--slo CLASS:METRIC:pPCT:TARGET_MS``):
 
 An :class:`SLOPolicy` bundles objectives with a window width and
 evaluates them over request samples from either source — the engines'
-:class:`~repro.serving.request.RequestRecord` lists (threaded into
-``ServingStats.slo`` / ``ClusterStats.slo`` when an engine is built
-with ``slo=...``) or the per-request timelines the trace reconstructs
-(the ``repro slo-report`` path).  Both reduce to the same
+:class:`~repro.serving.request.RequestRecord` lists (the caller stores
+the verdicts in ``ServingStats.slo`` / ``ClusterStats.slo``, as
+``repro serve --slo`` does) or the per-request timelines the trace
+reconstructs (the ``repro slo-report`` path).  Both reduce to the same
 :class:`RequestSample` shape, so the two views agree by construction.
 
 Evaluation is deliberately simple and exactly reproducible:

@@ -29,11 +29,6 @@ class BeamHypothesis:
     token_ids: List[int]
     log_probability: float
 
-    def score(self, length_penalty: float) -> float:
-        """Length-normalised score (GNMT-style penalty)."""
-        length = max(len(self.token_ids), 1)
-        return self.log_probability / length**length_penalty
-
 
 def beam_search(
     model: TransformerModel,

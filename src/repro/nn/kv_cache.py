@@ -393,26 +393,8 @@ class LayerKVCache:
         self._append_storage(k_codes, v_codes, token_ids, k_scales, v_scales)
 
     def append_decode_col(self, k: np.ndarray, v: np.ndarray, token_id) -> None:
-        """O(1) single-column decode append (``[h, D]`` per plane).
-
-        The per-sequence form of a decode step's
-        :meth:`KVRowStore.write_block`, which took its place on the
-        decode hot path: minimal checks, no reshapes.
-        Float storage only — int8 callers use
-        :meth:`append_decode_col_quantized` with precomputed codes.
-        """
-        if self.quantized:
-            self.append(k[:, None, :], v[:, None, :], [token_id])
-            return
-        pos = self._len
-        keys = self._keys
-        if pos + 1 > keys.shape[1]:
-            self._grow(pos + 1)
-            keys = self._keys
-        keys[:, pos] = k
-        self._values[:, pos] = v
-        self._token_ids[pos] = token_id
-        self._len = pos + 1
+        """One decode column (``[h, D]`` per plane): :meth:`append`."""
+        self.append(k[:, None, :], v[:, None, :], [token_id])
 
     def append_decode_col_quantized(
         self,
@@ -422,27 +404,12 @@ class LayerKVCache:
         v_scales: np.ndarray,
         token_id,
     ) -> None:
-        """O(1) single pre-quantized column append (int8 storage).
-
-        ``*_codes`` are ``[h, D]`` int8; ``*_scales`` are ``[h]`` fp32
-        (the backend quantizes the whole batch's new columns in one
-        :func:`~repro.core.quantization.quantize_rows` call).
-        """
-        if not self.quantized:
-            raise ValueError(
-                "append_decode_col_quantized requires int8 storage dtype"
-            )
-        pos = self._len
-        keys = self._keys
-        if pos + 1 > keys.shape[1]:
-            self._grow(pos + 1)
-            keys = self._keys
-        keys[:, pos] = k_codes
-        self._values[:, pos] = v_codes
-        self._kscales[:, pos] = k_scales
-        self._vscales[:, pos] = v_scales
-        self._token_ids[pos] = token_id
-        self._len = pos + 1
+        """One pre-quantized decode column (``*_codes`` ``[h, D]`` int8,
+        ``*_scales`` ``[h]`` fp32): :meth:`append_quantized`."""
+        self.append_quantized(
+            k_codes[:, None, :], k_scales[:, None],
+            v_codes[:, None, :], v_scales[:, None], [token_id],
+        )
 
     def _append_storage(
         self, k, v, token_ids, k_scales=None, v_scales=None, heads=None
@@ -545,9 +512,6 @@ class LayerKVCache:
             self._keys[:, start:end, :],
             self._values[:, start:end, :],
         )
-
-    def as_tuple(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.keys, self.values
 
     def padded_to(self, total: int) -> Tuple[np.ndarray, np.ndarray]:
         """K/V padded with zero columns out to ``total`` columns.

@@ -18,7 +18,7 @@ and also FC layers outside attention").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -492,29 +492,25 @@ class DenseExecutor(AttentionExecutor):
             record.query_token_ids = positions.copy()
             return LayerExecution(out, record, np.arange(len(x)))
 
-        # Causal model: maintain the KV cache across summarize + decode.
+        # Causal model: one body for both stages over the KV cache.  A
+        # decode row's mask is all True, which attention skips.
         layer_cache = self._cache[layer_idx]
         k_new, v_new = attn.project_kv(x)
         layer_cache.append(k_new, v_new, positions)
-        if stage == "summarize":
-            n_cached = len(layer_cache)
-            if n_cached < self._prefill_total:
-                # Mid-chunked-prefill: pad K/V to the final prompt
-                # width (the causal mask excludes the extra columns) so
-                # the softmax normalizes over the same columns as the
-                # monolithic pass — see begin_prefill.  A zero-copy
-                # view for float storage.
-                kv = layer_cache.padded_to(self._prefill_total)
-            else:
-                kv = layer_cache.as_tuple()
-            out, record = attn.forward(
-                x, causal=True, kv=kv, query_offset=int(positions[0])
-            )
-            record.probs = record.probs[:, :, :n_cached]
+        n_cached = len(layer_cache)
+        if n_cached < self._prefill_total:
+            # Mid-chunked-prefill: pad K/V to the final prompt width
+            # (the causal mask excludes the extra columns) so the
+            # softmax normalizes over the same columns as the
+            # monolithic pass — see begin_prefill.  A zero-copy view
+            # for float storage.
+            kv = layer_cache.padded_to(self._prefill_total)
         else:
-            out, record = attn.forward(
-                x, causal=False, kv=layer_cache.as_tuple()
-            )
+            kv = layer_cache.compute_columns()
+        out, record = attn.forward(
+            x, causal=True, kv=kv, query_offset=int(positions[0])
+        )
+        record.probs = record.probs[:, :, :n_cached]
         record.key_token_ids = layer_cache.token_ids.copy()
         record.query_token_ids = positions.copy()
         return LayerExecution(out, record, np.arange(len(x)))
@@ -550,7 +546,6 @@ class GenerationResult:
 
     token_ids: List[int]
     logits: List[np.ndarray]
-    step_records: List[List[AttentionRecord]] = field(default_factory=list)
 
     @property
     def n_generated(self) -> int:
@@ -716,32 +711,13 @@ class TransformerModel:
         This is the first half of :meth:`generate`, split out so the
         serving engine (:mod:`repro.serving`) can admit a request —
         populating the executor's KV cache — without committing to a
-        fixed number of decode steps up front.  For latency-friendly
-        scheduling under load, the prompt can instead be committed in
-        chunks: see :meth:`prefill_begin` / :meth:`prefill_chunk`.
+        fixed number of decode steps up front: :meth:`prefill_begin`
+        and one :meth:`prefill_chunk` spanning the whole prompt.  For
+        latency-friendly scheduling under load, the prompt can instead
+        be committed in several chunks.
         """
-        if not self.config.causal:
-            raise ValueError("prefill() requires a causal (GPT-style) model")
-        executor = executor or DenseExecutor()
-        executor.begin_sequence(self)
-        return self._summarize_rows(prompt_ids, executor, 0)
-
-    def _summarize_rows(
-        self,
-        prompt_ids: Sequence[int],
-        executor: AttentionExecutor,
-        start: int,
-    ) -> np.ndarray:
-        """Summarize the prompt rows at positions ``start`` onwards
-        through every block, one sequence alone; returns the next-token
-        logits of its last row."""
-        x = self.embed(prompt_ids, position_offset=start)
-        positions = np.arange(start, start + len(prompt_ids))
-        for layer_idx in range(self.config.n_layers):
-            x, positions, _ = self._run_block(
-                layer_idx, x, positions, executor, stage="summarize"
-            )
-        return self.lm_logits(x[-1:])[0]
+        state = self.prefill_begin(prompt_ids, executor)
+        return self.prefill_chunk(state, state.prompt_len)
 
     def prefill_begin(
         self,
@@ -823,9 +799,13 @@ class TransformerModel:
             if incremental or state.done:
                 # A deferred executor's final chunk: the whole sentence.
                 start = start if incremental else 0
-                logits = self._summarize_rows(
-                    state.prompt_ids[start:end], state.executor, start
-                )
+                x = self.embed(state.prompt_ids[start:end], start)
+                positions = np.arange(start, end)
+                for layer_idx in range(self.config.n_layers):
+                    x, positions, _ = self._run_block(
+                        layer_idx, x, positions, state.executor, "summarize"
+                    )
+                logits = self.lm_logits(x[-1:])[0]
             state.logits = logits if state.done else None
             results.append(state.logits)
         return results
@@ -911,13 +891,13 @@ class TransformerModel:
         n_new_tokens: int,
         executor: Optional[AttentionExecutor] = None,
         sampler: Optional[Callable[[np.ndarray], int]] = None,
-        collect_records: bool = False,
     ) -> GenerationResult:
         """Summarize the prompt, then generate tokens one at a time.
 
         Mirrors the paper's GPT-2 benchmark setting: a long prompt (992
         tokens in the paper) followed by iterative single-token decode
-        steps against the growing KV cache.
+        steps against the growing KV cache: :meth:`prefill`, then one
+        looped :meth:`decode_step_batch` of a batch of one per token.
 
         Args:
             prompt_ids: prompt token ids.
@@ -925,38 +905,21 @@ class TransformerModel:
             executor: attention strategy (dense by default).
             sampler: maps final-token logits to the next token id
                 (greedy argmax by default).
-            collect_records: keep per-step attention records (memory
-                heavy for long generations).
         """
         if not self.config.causal:
             raise ValueError("generate() requires a causal (GPT-style) model")
         if sampler is None:
             sampler = lambda logits: int(np.argmax(logits))
         executor = executor or DenseExecutor()
-
-        # Summarization stage over the prompt.
         logits = self.prefill(prompt_ids, executor)
-
         result = GenerationResult(token_ids=[], logits=[])
-        next_position = len(prompt_ids)
-        for _ in range(n_new_tokens):
+        for position in range(len(prompt_ids), len(prompt_ids) + n_new_tokens):
             next_id = sampler(logits)
             result.token_ids.append(next_id)
             result.logits.append(logits)
-            # Decode stage: one token through every block.
-            x = self.embed([next_id], position_offset=next_position)
-            positions = np.array([next_position])
-            step_records: List[AttentionRecord] = []
-            for layer_idx in range(self.config.n_layers):
-                x, positions, record = self._run_block(
-                    layer_idx, x, positions, executor, stage="decode"
-                )
-                if collect_records:
-                    step_records.append(record)
-            if collect_records:
-                result.step_records.append(step_records)
-            logits = self.lm_logits(x)[0]
-            next_position += 1
+            logits = self.decode_step_batch(
+                [next_id], [position], [executor]
+            )[0]
         return result
 
     def next_token_distribution(

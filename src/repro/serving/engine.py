@@ -275,7 +275,6 @@ class ServingEngine:
         audit_every: Optional[int] = None,
         deadline_s: Optional[float] = None,
         degradation: Optional[DegradationPolicy] = None,
-        slo: Optional[object] = None,
     ):
         if not model.config.causal:
             raise ValueError("serving requires a causal (GPT-style) model")
@@ -336,11 +335,6 @@ class ServingEngine:
         self.audit_every = audit_every
         self.deadline_s = deadline_s
         self.degradation = degradation
-        #: Optional SLO policy (:class:`repro.insight.SLOPolicy`).  Held
-        #: by duck type so the simulated engine takes no import edge on
-        #: the analysis layer; evaluated read-only in :meth:`finish`, so
-        #: core stats fields are bit-identical with and without it.
-        self.slo = slo
         #: Decode steps and prompt passes run through one packed backend
         #: at the engine's tier (fused batch-level GEMMs; off the exact
         #: tier the whole layer stack in the tier's compute dtype — see
@@ -599,7 +593,7 @@ class ServingEngine:
     def finish(self) -> ServingStats:
         """Build the stats report over the requests this engine served."""
         records = [self._run.records[i] for i in sorted(self._run.records)]
-        stats = ServingStats.from_run(
+        return ServingStats.from_run(
             mode=self.mode,
             admission=self.admission,
             numerics=self.numerics.name,
@@ -613,11 +607,6 @@ class ServingEngine:
             reclaimed_pages=self.pool.reclaimed_pages,
             reclaimed_tokens=self.pool.reclaimed_tokens,
         )
-        if self.slo is not None:
-            stats.slo = self.slo.evaluate_records(
-                records, makespan_s=self.clock.now
-            ).to_dict()
-        return stats
 
     # ------------------------------------------------------------------
     # Routing cost estimates (used by repro.cluster policies)

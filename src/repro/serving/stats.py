@@ -140,17 +140,10 @@ class CostModel:
         return flops
 
     def prefill_time(self, model: ModelConfig, plan: SequencePlan) -> float:
-        return (
-            self.step_overhead_s
-            + self.prefill_flops(model, plan) / self.flops_per_second
-        )
+        return self.mixed_step_time(self.prefill_flops(model, plan), 0.0, 0, 0)
 
     def step_time(self, batch_flops: float, batch_size: int) -> float:
-        return (
-            self.step_overhead_s
-            + self.seq_overhead_s * batch_size
-            + batch_flops / self.flops_per_second
-        )
+        return self.mixed_step_time(0.0, batch_flops, 0, batch_size)
 
     def mixed_step_time(
         self,
@@ -262,11 +255,10 @@ class ServingStats:
     #: never tokens lost (greedy replay is bit-identical).
     n_preemptions: int = 0
     recompute_tokens: int = 0
-    #: SLO attainment report (:meth:`repro.insight.SLOReport.to_dict`)
-    #: when the engine ran under an SLO policy, else ``None``.  Filled
-    #: in *after* :meth:`from_run` by the engine's ``finish()`` — the
-    #: evaluation is read-only over the records, so every other field
-    #: is bit-identical with and without it.
+    #: SLO attainment report (:meth:`repro.insight.SLOReport.to_dict`),
+    #: or ``None``.  The engine never fills it: a caller holding an SLO
+    #: policy sets it from :attr:`records` and :attr:`makespan_s` after
+    #: the run (``repro serve --slo``).
     slo: Optional[dict] = None
     records: List[RequestRecord] = field(default_factory=list)
 

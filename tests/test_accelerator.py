@@ -10,6 +10,7 @@ from repro.config import (
     QuantConfig,
 )
 from repro.core.trace import AttentionTrace, dense_trace, spatten_trace
+from repro.hardware.energy import TOKEN_TOPK_COMPARE_PJ
 from repro.hardware import (
     SPATTEN_EIGHTH,
     SPATTEN_FULL,
@@ -126,6 +127,22 @@ class TestEnergyModel:
             "qkv_fetcher",
         }
 
+    def test_token_topk_engine_charged_only_when_pruning(self):
+        """Each ranked pass of a pruned trace charges the token/head
+        top-k engine its ~3n comparisons; a dense trace ranks nothing."""
+        trace = spatten_trace(GPT2_SMALL, PRUNING, None, 64, n_generate=2)
+        pruned = SpAttenSimulator()
+        pruned.run_trace(trace)
+        stats = pruned.token_topk.stats
+        assert stats.selections == len(trace.steps)
+        assert stats.comparator_ops == 3 * sum(s.n_keys for s in trace.steps)
+        assert stats.energy_pj == pytest.approx(
+            stats.comparator_ops * TOKEN_TOPK_COMPARE_PJ)
+        dense = SpAttenSimulator()
+        dense.run_trace(dense_trace(GPT2_SMALL, 64, n_generate=2))
+        assert dense.token_topk.stats.selections == 0
+        assert dense.token_topk.stats.energy_pj == 0.0
+
     def test_qk_dominates_onchip_energy(self, sim):
         """Fig. 13(b): Q x K is the largest on-chip consumer."""
         trace = spatten_trace(BERT_BASE, PRUNING, QUANT, 170)
@@ -201,19 +218,19 @@ class TestPinnedNumbers:
         "bert-base-sst-2": (
             17304.63157894737,
             {"qk_module": 9421536.0, "softmax": 2304180.0,
-             "probv_module": 8653888.0, "topk_engines": 33282.6,
+             "probv_module": 8653888.0, "topk_engines": 33376.92,
              "qkv_fetcher": 1494683.84, "accumulators": 21121.65},
-            (2.192869209e-05, 2.1846881279999992e-05,
+            (2.192878641e-05, 2.1846881279999992e-05,
              0.00010659029406315789),
         ),
         "gpt2-small-wikitext2": (
             15534543.769423561,
             {"qk_module": 10216342841.599998, "softmax": 2498562108.0,
              "probv_module": 8694390668.8,
-             "topk_engines": 36090341.559999965,
+             "topk_engines": 36129513.519999966,
              "qkv_fetcher": 218953869.8636805,
              "accumulators": 22903485.990000032},
-            (0.021687243315813683, 0.022112783324160057,
+            (0.02168728248777368, 0.022112783324160057,
              0.07542875248095002),
         ),
     }
@@ -246,4 +263,4 @@ class TestPinnedNumbers:
         assert self._joules(report.fc_energy) == (
             0.13431920394239763, 0.0, 0.08993679298560024)
         assert self._joules(report.energy) == (
-            0.1560064472582113, 0.022112783324160057, 0.16536554546655025)
+            0.15600648643017132, 0.022112783324160057, 0.16536554546655025)

@@ -21,16 +21,9 @@ class TestBeamSearch:
 
     def test_returns_sorted_hypotheses(self, tiny_decoder, sample_tokens):
         beams = beam_search(tiny_decoder, sample_tokens, 3, beam_width=3)
-        scores = [b.score(0.0) for b in beams]
+        scores = [b.log_probability for b in beams]
         assert scores == sorted(scores, reverse=True)
         assert all(len(b.token_ids) == 3 for b in beams)
-
-    def test_length_penalty_normalises(self):
-        from repro.nn.beam import BeamHypothesis
-
-        hypothesis = BeamHypothesis([1, 2, 3, 4], -4.0)
-        assert hypothesis.score(0.0) == -4.0
-        assert hypothesis.score(1.0) == pytest.approx(-1.0)
 
     def test_works_under_cascade_pruning(self, tiny_decoder, sample_tokens):
         """The paper's claim: pruning composes with beam search (a

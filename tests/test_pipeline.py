@@ -150,13 +150,14 @@ class TestDecoderPath:
     def test_current_token_protected_in_decode(self, tiny_decoder, sample_tokens):
         pruning = PruningConfig(token_keep_final=0.2)
         executor = SpAttenExecutor(pruning)
-        gen = tiny_decoder.generate(
-            sample_tokens, 3, executor=executor, collect_records=True
-        )
-        for step_idx, records in enumerate(gen.step_records):
-            current_position = len(sample_tokens) + step_idx
-            for record in records:
-                assert current_position in record.key_token_ids
+        logits = tiny_decoder.prefill(sample_tokens, executor)
+        for position in range(len(sample_tokens), len(sample_tokens) + 3):
+            logits = tiny_decoder.decode_step_batch(
+                [int(np.argmax(logits))], [position], [executor]
+            )[0]
+            assert executor._alive_mask[position]
+            for layer_cache in executor._cache.layers:
+                assert position in layer_cache.token_ids
 
     def test_generation_with_full_stack_runs(
         self, tiny_decoder, sample_tokens, full_stack_executor

@@ -95,13 +95,6 @@ class TestGenerate:
         )
         assert result.token_ids == [7, 7, 7]
 
-    def test_collect_records(self, tiny_decoder, sample_tokens):
-        result = tiny_decoder.generate(
-            sample_tokens, 2, collect_records=True
-        )
-        assert len(result.step_records) == 2
-        assert len(result.step_records[0]) == 4  # one per layer
-
     def test_incremental_decode_matches_batch_attention(self, tiny_decoder, rng):
         """KV-cache decoding must equal full causal recomputation.
 
@@ -142,9 +135,16 @@ class TestDenseExecutorEquivalence:
         assert np.allclose(result.records[0].probs, probs)
 
     def test_causal_records_have_growing_keys(self, tiny_decoder, sample_tokens):
-        gen = tiny_decoder.generate(sample_tokens, 3, collect_records=True)
-        n_keys = [records[0].n_keys for records in gen.step_records]
-        assert n_keys == [len(sample_tokens) + 1 + i for i in range(3)]
+        """Each decode step attends over one more key: the dense cache
+        grows one column per step in every layer."""
+        executor = DenseExecutor()
+        logits = tiny_decoder.prefill(sample_tokens, executor)
+        assert executor.kv_lengths() == [len(sample_tokens)] * 4
+        for position in range(len(sample_tokens), len(sample_tokens) + 3):
+            logits = tiny_decoder.decode_step_batch(
+                [int(np.argmax(logits))], [position], [executor]
+            )[0]
+            assert executor.kv_lengths() == [position + 1] * 4
 
 
 class TestChunkedPrefill:
