@@ -34,7 +34,9 @@ cascade in its datapath — the core the dense rows run without one — and
 the smoke run publishes ``spatten_fp32_over_dense_fp32`` (pruned over
 dense decode-step time, both at fp32, batch 16) to the regression
 history: ROADMAP item 4's "make pruning win" target is a ratio at or
-below 1.
+below 1.  It publishes ``spatten_int8_over_spatten_fp32`` beside it —
+the pruned decode step at int8 over the same step at fp32, the cost of
+the int8 row store on the pruned route.
 
 The **prompt pass** is on the ladder as well: a tier's backend
 summarizes all :data:`BATCH` prompts in one step (dense, and SpAtten's
@@ -450,6 +452,8 @@ def test_numerics_smoke(numerics_world, publish, history):
                               "higher", rel_tol=0.05),
         "spatten_fp32_over_dense_fp32": metric(
             spatten["fp32"] / dense["fp32"], "x", "lower", rel_tol=0.5),
+        "spatten_int8_over_spatten_fp32": metric(
+            spatten["int8"] / spatten["fp32"], "x", "lower", rel_tol=0.5),
     }, context={"batch": BATCH, "prefill": PREFILL})
     # Wall-clock floors with slack for loaded runners; the full bench
     # holds the 1.5x and INT8_OVER_FP32_BOUND lines.

@@ -153,16 +153,20 @@ budget, which unlocks the padded planes the exact tier never builds:
 * a row's *first* pass — its rows held no column before the block's
   write: a prompt sentence — attends to the K/V it has just computed
   in the compute dtype; a later pass — a decode step — reads the
-  columns as the store holds them (under int8, dequantized codes);
+  columns as the store holds them: under int8, a dense row's
+  dequantized planes, and a pruned row's codes themselves, cast to the
+  compute dtype with the per-column scales folded in (K's into the
+  scores, V's into the A·V operand);
 * LayerNorm, the tanh/gelu FFN, and the LM head run vectorized in the
   compute dtype over weight copies cast once at backend construction,
   for decode steps and prompt passes alike;
 * the ``int8`` tier quantizes each block's new K/V columns in one
-  pass.  Dense rows, which never evict and so are the long ones, keep
-  their columns dequantized in two further planes of the same store
-  (written from the quantizer's own dequantized output, filled once at
-  adoption); pruned rows dequantize their shorter width each step, one
-  multiply per plane;
+  pass over a ``[D, 2·N·h]`` staging plane (every reduction and
+  broadcast along rows of ``2·N·h``, not ``D``, elements).  Dense rows,
+  which never evict and so are the long ones, keep their columns
+  dequantized in two further planes of the same store (written from
+  the same pass, filled once at adoption); pruned rows keep codes and
+  scales alone and attend on the codes, so no step dequantizes them;
 * cascade eviction — which changes the live columns of most rows at
   most layers of every step — is one gathered mask that relabels the
   dead columns where they sit, with a row compacted only once a page
@@ -176,6 +180,7 @@ budget, which unlocks the padded planes the exact tier never builds:
 from __future__ import annotations
 
 from functools import partial
+from math import prod
 from operator import methodcaller
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -541,16 +546,17 @@ class PackedDecodeBackend:
             )
         return buf[:n]
 
-    def _plane(self, n: int, n_queries: int, width: int) -> np.ndarray:
-        """The one score scratch: a contiguous ``[n, h, n_queries,
-        width]`` view of a flat buffer that doubles when outgrown."""
-        shape = (n, self._model.config.n_heads, n_queries, width)
-        size = n * shape[1] * n_queries * width
-        buf = self._scratch.get("plane")
+    def _flat(
+        self, name: str, shape: Tuple[int, ...], dtype=None
+    ) -> np.ndarray:
+        """Persistent contiguous scratch ``name`` of ``shape``: a view of
+        a flat buffer that doubles when outgrown."""
+        size = prod(shape)
+        buf = self._scratch.get(name)
         if buf is None or buf.size < size:
             grown = 0 if buf is None else 2 * buf.size
-            buf = self._scratch["plane"] = np.empty(
-                max(size, grown), dtype=self.policy.compute_dtype
+            buf = self._scratch[name] = np.empty(
+                max(size, grown), dtype=dtype or self.policy.compute_dtype
             )
         return buf[:size].reshape(shape)
 
@@ -1058,55 +1064,56 @@ class PackedDecodeBackend:
 
 
 def _stage_kv_columns(
-    backend: "PackedDecodeBackend", k_cols: np.ndarray, v_cols: np.ndarray
+    backend: "PackedDecodeBackend", k_cols: np.ndarray, v_cols: np.ndarray,
+    n_planes: int,
 ):
-    """A block's ``[N, h, D]`` new K/V columns as a row store takes them,
-    plane for plane (:attr:`~repro.nn.kv_cache.KVRowStore.planes`).
+    """A block's ``[N, h, D]`` new K/V columns as a row store of
+    ``n_planes`` planes takes them, plane for plane
+    (:attr:`~repro.nn.kv_cache.KVRowStore.planes`).
 
     The inputs themselves under float storage; under int8 ``(k_codes,
-    v_codes, k_scales, v_scales)`` and then the columns dequantized —
-    what a later pass reads back, which a store with dequantized planes
-    keeps and any other drops.
+    v_codes, k_scales, v_scales)`` and, for a store that keeps them
+    (six planes), the columns dequantized.
+
+    The int8 block is quantized in one pass — :func:`repro.core
+    .quantization.quantize_rows` inlined, with its per-element
+    operations, so codes and scales are bit-identical (asserted by
+    tests/test_numerics.py) — over one ``[D, 2·N·h]`` staging plane, a
+    column per (K or V, row, head) row: the max, the divide by the
+    scale, ``rint``, the clip and the cast all run along rows of
+    ``2·N·h`` elements rather than of ``D``.  Every op writes persistent
+    scratch, and the finite-input guard is skipped because activations
+    are bounded by construction (LayerNormed hidden state through finite
+    weights).
     """
-    if not backend.policy.quantized_gemm:
+    if n_planes == 2:
         return k_cols, v_cols
-    # One fused quantization of the block's k and v rows —
-    # inlined :func:`repro.core.quantization.quantize_rows`
-    # (bit-identical codes and scales, asserted by
-    # tests/test_numerics.py) over persistent scratch: every op
-    # runs in place, and the finite-input guard is skipped
-    # because activations are bounded by construction
-    # (LayerNormed hidden state through finite weights).  Q
-    # stays in the compute dtype — a later pass's score GEMM
-    # reads fp Q against dequantized int8 K, matching what the
-    # store holds.
-    n = len(k_cols)
-    shape = k_cols.shape[1:]
-    kv_rows = backend._rows("kv_stage", 2 * n, *shape)
-    kv_rows[:n] = k_cols
-    kv_rows[n:] = v_cols
-    codes_f = backend._rows("quant_codes_f", 2 * n, *shape)
-    scales = backend._rows(
-        "quant_scales", 2 * n, shape[0], 1, dtype=np.float32
-    )
-    codes = backend._rows("quant_codes", 2 * n, *shape, dtype=np.int8)
-    np.abs(kv_rows, out=codes_f)
-    np.fmax.reduce(codes_f, axis=-1, keepdims=True, out=scales)
+    n, h, d = k_cols.shape
+    shape = (d, 2 * n * h)
+    staged = backend._flat("kv_stage", shape)
+    kv = staged.reshape(d, 2, n, h)
+    np.copyto(kv[:, 0], k_cols.transpose(2, 0, 1))
+    np.copyto(kv[:, 1], v_cols.transpose(2, 0, 1))
+    work = backend._flat("quant_work", shape)
+    scales = backend._flat("quant_scales", shape[1:], dtype=np.float32)
+    np.abs(staged, out=work)
+    np.fmax.reduce(work, axis=0, out=scales)
     np.divide(scales, 127.0, out=scales)
     scales[scales == 0.0] = 1.0
-    np.divide(kv_rows, scales, out=codes_f)
-    np.rint(codes_f, out=codes_f)
-    np.clip(codes_f, -127.0, 127.0, out=codes_f)
-    # codes_f holds exact integers in [-127, 127] after the
-    # rint+clip, so the int8 assignment cast is value-exact.
-    codes[...] = codes_f
-    # Dequantize in place over the staging rows: what the score GEMM
-    # reads back.
-    np.multiply(codes_f, scales, out=kv_rows)
-    return (
-        codes[:n], codes[n:], scales[:n, :, 0], scales[n:, :, 0],
-        kv_rows[:n], kv_rows[n:],
-    )
+    np.divide(staged, scales, out=work)
+    np.rint(work, out=work)
+    np.clip(work, -127.0, 127.0, out=work)
+    # Exact integers in [-127, 127] after the rint and clip, so the
+    # int8 cast is value-exact.
+    codes = backend._flat("quant_codes", shape, dtype=np.int8)
+    np.copyto(codes, work, casting="unsafe")
+    planes = [*codes.reshape(d, 2, n, h).transpose(1, 2, 3, 0),
+              *scales.reshape(2, n, h)]
+    if n_planes > 4:
+        # Dequantized over the staging plane: what a later pass reads.
+        np.multiply(work, scales, out=staged)
+        planes += [*kv.transpose(1, 2, 3, 0)]
+    return planes
 
 
 def _store_core(
@@ -1131,8 +1138,13 @@ def _store_core(
     quantized in *one* pass under int8.  A first pass — a prompt block,
     whose rows held no column before this write — attends to the K/V it
     has just computed; a later one — a decode step — reads the
-    ``[:width]`` columns as the store holds them
-    (:meth:`~repro.nn.kv_cache.KVRowStore.compute_columns`).  One mask
+    ``[:width]`` columns as the store holds them: float (or dequantized)
+    planes as they are
+    (:meth:`~repro.nn.kv_cache.KVRowStore.compute_columns`), int8 codes
+    without dequantized planes — the pruned rows' — cast once each to
+    the compute dtype, the K scales multiplying the ``[n, h, Lq, Lk]``
+    scores before the mask and the V scales the probabilities inside
+    the A·V operand alone.  One mask
     hides a column from the queries before its position, and a column
     without a token — evicted and not compacted away yet, or the ragged
     tail, labelled :data:`~repro.nn.kv_cache.NO_TOKEN` — from all.
@@ -1168,21 +1180,34 @@ def _store_core(
     gate = None if cascade is None else cascade.gate
     if gate is not None and block.first:
         k, v = k * gate[seq_of], v * gate[seq_of]
+    planes = store.planes
     width = store.write_block(
-        rows, counts, block.positions, *_stage_kv_columns(backend, k, v)
+        rows, counts, block.positions,
+        *_stage_kv_columns(backend, k, v, len(planes)),
     )
     # [n, h, Lk, D] each; BLAS takes the transposed keys (and these
     # views) without materializing them.
+    k_scales = v_scales = None
     if block.first:
         keys, values = (padded(a).transpose(0, 2, 1, 3) for a in (k, v))
+    elif len(planes) == 4:
+        # int8 codes and scales alone: attend on the codes, one cast
+        # each, with the scales folded in — K's into the scores, V's
+        # into the A·V operand.
+        dtype = backend.policy.compute_dtype
+        keys, values = (plane[rows, :, :width].astype(dtype)
+                        for plane in planes[:2])
+        k_scales, v_scales = (plane[rows, :, :width] for plane in planes[2:])
     else:
         keys, values = store.compute_columns(rows, width)
     labels = store.labels[rows, :width]
-    probs = backend._plane(n, n_queries, width)
+    probs = backend._flat("plane", (n, q.shape[1], n_queries, width))
     np.matmul(
         padded(q * backend._inv_sqrt_d).transpose(0, 2, 1, 3),
         keys.transpose(0, 1, 3, 2), out=probs,
     )
+    if k_scales is not None:
+        probs *= k_scales[:, :, None]
     # NO_TOKEN (-1) read unsigned lies past every position, so one test
     # hides a column from the queries before its token and a column
     # without a token from all.
@@ -1212,6 +1237,10 @@ def _store_core(
             values = values * value_mask[..., None]
         if prof is not None:
             spent = prof.start() - t0
+    if v_scales is not None:
+        # The A·V operand alone: importance, value ranking and the
+        # gate read the probabilities unscaled.
+        probs = probs * v_scales[:, :, None]
     head_out = np.matmul(probs, values)  # [n, h, Lq, D]
     if cascade is not None:
         t0 = prof.start() if prof is not None else 0.0

@@ -71,11 +71,14 @@ can alias a store row.
 
 An int8 store may carry two further planes: the columns *dequantized*,
 written beside the codes they mirror (filled once at adoption, appended
-from the dequantized columns the backend's batch quantization leaves
-behind) and dropped when a row goes home.  The backend asks for them
-for its dense rows — the long ones, whose whole width a step would
-otherwise dequantize again — and a reader takes the float columns from
-:meth:`KVRowStore.compute_columns` either way.
+from the same pass of the backend's batch quantization that made the
+codes) and dropped when a row goes home.  The backend asks for them for
+its dense rows — the long ones, whose whole width a step would
+otherwise dequantize again — and reads their float columns from
+:meth:`KVRowStore.compute_columns`.  Its pruned rows keep codes and
+scales alone: a decode step attends on the codes, cast to the compute
+dtype, with the scales folded into the scores and the A·V operand, so
+no step dequantizes a pruned row.
 
 Numerics-policy storage (dtype parameterization)
 ------------------------------------------------
@@ -89,10 +92,11 @@ per :mod:`repro.nn.numerics` ladder tier:
   views, appends cast on write.
 * ``np.int8`` — quantized codes with one fp32 scale per (head, column)
   row for K and V each (:func:`repro.core.quantization.quantize_rows`).
-  Reads (:attr:`keys` / :attr:`values` / :meth:`padded_to` /
+  A cache's reads (:attr:`keys` / :attr:`values` / :meth:`padded_to` /
   :meth:`compute_columns`) return *dequantized fp32 copies*, so every
-  consumer of the cache API keeps working unmodified; writers that
-  already hold codes (the batched decode backend quantizes whole
+  consumer of the cache API keeps working unmodified (the packed
+  backend reads its pruned store rows on their codes, above); writers
+  that already hold codes (the batched decode backend quantizes whole
   batches at once) use :meth:`append_quantized` to skip requantization.
   Scales travel with their rows through :meth:`keep` compaction — an
   evicted-and-compacted cache never requantizes surviving columns.
@@ -741,8 +745,7 @@ class KVRowStore:
         Row ``rows.start + i`` takes ``counts[i] >= 1`` columns; the
         block is flat, row after row: ``labels`` ``[N]`` and, plane for
         plane (:attr:`planes`), ``columns`` ``[N, h(, D)]``, ``N =
-        counts.sum()`` — columns past the last plane this store keeps
-        are not stored.  One indexed store per plane, whatever the
+        counts.sum()``.  One indexed store per plane, whatever the
         rows' lengths: a prompt pass fills rows adopted empty, and a
         decode step is the all-ones case.
 
@@ -769,14 +772,10 @@ class KVRowStore:
         self, rows: slice, width: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """K and V of the rows ``rows`` over columns ``[0, width)`` as
-        float arrays ``[n, h, width, D]``: views of the float (or the
-        dequantized) planes, else :meth:`LayerKVCache._dequant`'s
-        arithmetic over the whole block, one multiply per plane."""
-        if len(self.planes) == 4:  # codes and scales, nothing dequantized
-            k_codes, v_codes, k_scales, v_scales = (
-                plane[rows, :, :width] for plane in self.planes
-            )
-            return k_codes * k_scales[..., None], v_codes * v_scales[..., None]
+        float arrays ``[n, h, width, D]``: views of the float planes, or
+        of an int8 store's dequantized ones.  (A store of codes and
+        scales alone has no float columns: its reader attends on the
+        codes with the scales folded in.)"""
         keys, values = self.planes[-2:]
         return keys[rows, :, :width], values[rows, :, :width]
 

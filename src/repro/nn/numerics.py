@@ -34,9 +34,14 @@ axis:
     wrote them — so pruned prompts are summarized in fp32 and their K/V
     quantized from it.  A dense prompt chunk appends to its private
     cache first and attends over the columns as stored, so it reads
-    dequantized int8 K/V, as does every decode step: the score GEMM
-    reads fp32 Q against dequantized int8 K (fp32 accumulation),
-    exactly what the cache can reproduce.
+    dequantized int8 K/V, as does a dense row's decode step (from the
+    dequantized planes its store keeps): the score GEMM reads fp32 Q
+    against dequantized int8 K (fp32 accumulation), exactly what the
+    cache can reproduce.  A pruned row's decode step attends on the
+    int8 codes themselves, cast to fp32, with the per-column scales
+    folded in — the K scales multiply the scores, the V scales the
+    probabilities inside the A·V operand — which equals the
+    dequantized product up to fp32 rounding.
 
 A tier governs both stages of a request — prompt summarization and
 decode — whenever the model is driven through a
@@ -141,7 +146,8 @@ FP32 = NumericsPolicy(
     argmax_budget=0.995,
 )
 
-#: int8 KV codes (per-row fp32 scales) + dequantized-int8 score GEMMs.
+#: int8 KV codes (per-row fp32 scales) + fp32 score GEMMs over the
+#: int8-rounded K (dequantized, or codes with the scales folded in).
 INT8 = NumericsPolicy(
     name="int8",
     compute_dtype=np.float32,

@@ -60,7 +60,9 @@ step (``prefill_chunk_policy``) records, per step or per layer:
   block's store core but its value control: K/V write at each row's
   cursor (the int8 quantization of the block included), then scores /
   mask / softmax / A·V over its plane — one query row a sequence in a
-  decode step, the whole sentence in a prompt step;
+  decode step, the whole sentence in a prompt step; an int8 decode
+  step reads its codes cast once, the scales folded into the scores
+  and the A·V operand;
 * ``decode_value_control`` / ``prefill_value_control`` — the cascade's
   statements inside a pruned block's core, carved out of its time
   (:meth:`HotPathProfiler.carve`), one call a block and layer: local

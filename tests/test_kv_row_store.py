@@ -145,18 +145,18 @@ class Sequence:
                 cache.append(k[:, None], v[:, None], [position])
 
 
-def store_planes(tier, k, v):
+def store_planes(tier, k, v, dequantized):
     """``[n, h, D]`` K/V columns as a store takes them, plane for plane
-    — as the backend calls it on int8: the dequantized columns follow
-    the codes and scales, for the stores that keep them."""
+    — as the backend stages them on int8: codes and scales, and the
+    dequantized columns after them for a store that keeps them."""
     if tier != "int8":
         return k, v
     k_codes, k_scales = quantize_rows(k, bits=8)
     v_codes, v_scales = quantize_rows(v, bits=8)
-    return (
-        k_codes, v_codes, k_scales[..., 0], v_scales[..., 0],
-        k_codes * k_scales, v_codes * v_scales,
-    )
+    planes = (k_codes, v_codes, k_scales[..., 0], v_scales[..., 0])
+    if dequantized:
+        planes += (k_codes * k_scales, v_codes * v_scales)
+    return planes
 
 
 class RowStoreMachine(RuleBasedStateMachine):
@@ -269,7 +269,7 @@ class RowStoreMachine(RuleBasedStateMachine):
                     for _ in range(count)]
             k = np.stack([c[0] for c in flat])
             v = np.stack([c[1] for c in flat])
-            planes = store_planes(self.tier, k, v)
+            planes = store_planes(self.tier, k, v, self.dequantized)
             width = store.write_block(
                 slice(start, stop), np.array(counts), positions, *planes
             )

@@ -31,13 +31,17 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.config import GPT2_SMALL, ModelConfig, PruningConfig, QuantConfig
 from repro.core.pipeline import SpAttenExecutor
 from repro.core.quantization import quantize_rows
 from repro.nn import PackedDecodeBackend, TransformerModel, random_model
+from repro.nn.batched_attention import _stage_kv_columns
 from repro.nn.functional import kl_divergence, softmax
-from repro.nn.kv_cache import LayerKVCache
+from repro.nn.kv_cache import KVRowStore, LayerKVCache
 from repro.nn.numerics import (
     EXACT,
     FP32,
@@ -754,6 +758,64 @@ class TestTierPrefill:
                     columns, want_codes.astype(np.float32) * want_scales
                 )
 
+    def test_pruned_int8_decode_on_codes_tracks_dequantized_attend(
+        self, world, monkeypatch
+    ):
+        """A pruned int8 decode step attends on its codes, the scales
+        folded into the scores and the A·V operand; stores that keep
+        dequantized planes — as the dense rows' do — attend on those:
+        the dequantize-then-attend route.  Teacher-forced, the two agree
+        to the tier's tolerance and keep the same KV lengths, live
+        heads and alive masks at every step."""
+        config, model, _, prompts = world
+        prompts = prompts[:3]
+        steps = 16
+        tokens = np.random.default_rng(5).integers(
+            0, config.vocab_size, size=(steps, len(prompts))
+        ).tolist()
+
+        def run(dequantized):
+            if dequantized:
+                init = KVRowStore.__init__
+                monkeypatch.setattr(
+                    KVRowStore, "__init__",
+                    lambda store, like, dequantized=False: init(
+                        store, like, like.quantized
+                    ),
+                )
+            backend = PackedDecodeBackend(model, numerics="int8")
+            _, execs = _tier_prefill(
+                model, backend, ["spatten"] * len(prompts), prompts,
+                chunk=32,
+            )
+            positions = [len(prompt) for prompt in prompts]
+            trail = []
+            for step in tokens:
+                logits = model.decode_step_batch(
+                    step, positions, execs, backend=backend
+                )
+                trail.append((np.array(logits), [
+                    (e.kv_lengths(), e._alive_heads.tolist(),
+                     e._alive_mask.tolist())
+                    for e in execs
+                ]))
+                positions = [p + 1 for p in positions]
+            stores = backend._tables["pruned"].members[:-1]
+            assert {len(store.planes) for store in stores} == {
+                6 if dequantized else 4
+            }
+            monkeypatch.undo()
+            return trail, execs
+
+        folded, execs = run(dequantized=False)
+        reference, _ = run(dequantized=True)
+        assert sum(e.evicted_kv_tokens for e in execs) > 0
+        for (mine, my_state), (theirs, their_state) in zip(
+            folded, reference
+        ):
+            assert np.allclose(mine, theirs, rtol=1e-4, atol=1e-4)
+            assert my_state == their_state
+
     def test_exact_backend_and_no_backend_stay_the_oracle(self, world):
         _, model, _, prompts = world
         exact = PackedDecodeBackend(model, numerics="exact")
@@ -1009,8 +1071,52 @@ class TestTierMismatch:
         assert [ex.kv_lengths() for ex in execs] == lengths
 
 
+@st.composite
+def _kv_blocks(draw):
+    """A block's ``[N, h, D]`` fp32 K and V columns: one-row blocks,
+    all-zero rows (scale 1.0) and magnitudes near the top of fp32 (kept
+    below the range whose dequantized columns would round to inf)."""
+    shape = draw(st.tuples(
+        st.integers(1, 6), st.integers(1, 4), st.integers(1, 16)
+    ))
+    top = float(np.float32(1e38))
+    finite = st.floats(-top, top, width=32)
+    k, v = (
+        draw(hnp.arrays(np.float32, shape, elements=finite))
+        for _ in "kv"
+    )
+    for plane in (k, v):
+        plane[draw(hnp.arrays(bool, shape[:2]))] = 0.0
+    return k, v
+
+
 class TestHotPathQuantization:
     """The int8 decode hot path inlines ``quantize_rows`` — prove it."""
+
+    @given(block=_kv_blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_staging_equals_quantize_rows(self, decoder, block):
+        """One ``[D, 2·N·h]`` pass stages codes and scales bit-identical
+        to ``quantize_rows`` of each row, and the dequantized columns a
+        store that keeps them takes, for stores of four and six
+        planes."""
+        k, v = block
+        backend = PackedDecodeBackend(decoder, numerics="int8")
+        for n_planes in (4, 6):
+            planes = _stage_kv_columns(backend, k, v, n_planes)
+            assert len(planes) == n_planes
+            for i, columns in enumerate((k, v)):
+                want_codes, want_scales = quantize_rows(columns, bits=8)
+                codes, scales = planes[i], planes[2 + i]
+                assert codes.dtype == np.int8
+                assert np.array_equal(codes, want_codes)
+                assert scales.dtype == np.float32
+                assert np.array_equal(scales, want_scales[..., 0])
+                if n_planes == 6:
+                    assert np.array_equal(
+                        planes[4 + i],
+                        want_codes.astype(np.float32) * want_scales,
+                    )
 
     def test_inline_decode_quantization_matches_quantize_rows(self, decoder):
         from repro.core.quantization import quantize_rows
