@@ -10,7 +10,17 @@ committing bit-identical logits (asserted while timing):
   central dense attention core over zero-copy cache views.
 
 The sweep covers B ∈ {4, 16, 64} at the serving benchmark's prompt
-scale plus a long-context row.  Engine-level wall clock is
+scale plus a long-context row.
+
+The smoke run adds a **mixed step** arm at the ``fp32`` tier: 16 decode
+rows plus 2 prompt chunks, once as the one fused step
+(``decode_step_batch(..., prefill=(states, chunk))``, which shares every
+GEMM between the two kinds of rows) and once as the two passes the
+exact tier still runs (``decode_step_batch`` followed by
+``prefill_chunk_batch``), on deep copies of one prefilled batch.  The
+arms alternate within each trial, the first one rotating, and the
+smoke publishes the median of the per-trial ratios as
+``mixed_step_fused_over_two_pass`` (lower is better).  Engine-level wall clock is
 ``benchmarks/e2e``'s job (``BENCHMARK.json``); the faster fp32/int8
 tiers are measured by ``bench_numerics.py``.
 
@@ -39,6 +49,10 @@ from repro.workloads import serving_lm_world
 
 PAGE_TOKENS = 16
 VARIANTS = ("looped", "packed")
+#: The mixed-step arm: decode rows and their context, prompts being
+#: chunked alongside them, their length and chunk, timed steps a trial.
+MIXED_BATCH, MIXED_CONTEXT = 16, 192
+MIXED_PROMPTS, MIXED_PROMPT_LEN, MIXED_CHUNK, MIXED_STEPS = 2, 96, 32, 3
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +61,11 @@ def decode_world():
     return model, PackedDecodeBackend(model)
 
 
-def build_executors(model, batch, prompt_len):
+def build_executors(model, batch, prompt_len, numerics=None):
     """Prefill one prototype executor and clone it across the batch."""
     rng = np.random.default_rng(1)
     prompt = rng.integers(0, model.config.vocab_size, size=prompt_len)
-    prototype = DenseExecutor(kv_page_tokens=PAGE_TOKENS)
+    prototype = DenseExecutor(kv_page_tokens=PAGE_TOKENS, numerics=numerics)
     state = model.prefill_begin(prompt.tolist(), prototype)
     while not state.done:
         model.prefill_chunk(state, 256)
@@ -100,6 +114,74 @@ def decode_sweep(model, backend, cases, steps=6, trials=3):
         assert np.array_equal(final_logits["looped"], final_logits["packed"])
         rows.append((batch, prompt_len, per_variant))
     return rows
+
+
+def mixed_step_trial(model, backend, batch, fused):
+    """One arm of one trial: a deep copy of ``batch`` — decode
+    executors and prompt states — decodes a step outside the timer
+    (adopting its rows into ``backend``), then :data:`MIXED_STEPS`
+    mixed steps are timed.  Returns ``(s/step, argmax tokens)``: the
+    last step's decode rows' and every completed prompt's."""
+    executors, states = copy.deepcopy(batch)
+    backend.reset()
+    positions = [MIXED_CONTEXT] * len(executors)
+    logits = model.decode_step_batch(
+        [3] * len(executors), positions, executors, backend=backend
+    )
+    start = time.perf_counter()
+    for _ in range(MIXED_STEPS):
+        positions = [p + 1 for p in positions]
+        tokens = logits.argmax(axis=1).tolist()
+        live = [state for state in states if not state.done]
+        chunks = (live, MIXED_CHUNK) if live else None
+        if fused:
+            logits = model.decode_step_batch(
+                tokens, positions, executors, backend=backend,
+                prefill=chunks,
+            )
+        else:
+            logits = model.decode_step_batch(
+                tokens, positions, executors, backend=backend
+            )
+            if chunks:
+                model.prefill_chunk_batch(*chunks, backend=backend)
+    seconds = (time.perf_counter() - start) / MIXED_STEPS
+    done = [int(np.argmax(s.logits)) for s in states if s.done]
+    return seconds, logits.argmax(axis=1).tolist() + done
+
+
+def mixed_step_ratios(model, trials):
+    """Per-trial fused / two-pass step time of the mixed-step arm (fp32):
+    the arms alternate within a trial, the first one rotating trial by
+    trial, and both must pick the same tokens."""
+    rng = np.random.default_rng(2)
+    batch = (
+        build_executors(model, MIXED_BATCH, MIXED_CONTEXT, numerics="fp32"),
+        [
+            model.prefill_begin(
+                rng.integers(0, model.config.vocab_size,
+                             size=MIXED_PROMPT_LEN).tolist(),
+                DenseExecutor(kv_page_tokens=PAGE_TOKENS, numerics="fp32"),
+            )
+            for _ in range(MIXED_PROMPTS)
+        ],
+    )
+    backends = {
+        fused: PackedDecodeBackend(model, numerics="fp32")
+        for fused in (True, False)
+    }
+    ratios = []
+    for trial in range(trials):
+        order = (True, False) if trial % 2 == 0 else (False, True)
+        runs = {
+            fused: mixed_step_trial(model, backends[fused], batch, fused)
+            for fused in order
+        }
+        assert runs[True][1] == runs[False][1], (
+            "fused and two-pass mixed steps picked different tokens"
+        )
+        ratios.append(runs[True][0] / runs[False][0])
+    return ratios
 
 
 def speedup_table(rows, title):
@@ -159,8 +241,26 @@ def test_decode_step_smoke(decode_world, publish, history):
 
     model, backend = decode_world
     rows = decode_sweep(model, backend, [(16, 192)], steps=4, trials=4)
+    ratios = mixed_step_ratios(model, trials=11)
+    mixed = float(np.median(ratios))
+    table = Table(
+        title="mixed step smoke (fp32): one fused pass vs two passes",
+        headers=["decode rows", "context", "prompt chunks",
+                 "fused / two-pass (median)", "per trial"],
+    )
+    table.add_row(
+        str(MIXED_BATCH), str(MIXED_CONTEXT),
+        f"{MIXED_PROMPTS} x {MIXED_CHUNK} of {MIXED_PROMPT_LEN}",
+        f"{mixed:.2f}", " ".join(f"{r:.2f}" for r in ratios),
+    )
+    table.add_note(
+        "fused = decode_step_batch(..., prefill=(states, chunk)), one "
+        "layer stack over both kinds of rows; two-pass = decode_step_batch "
+        "then prefill_chunk_batch; equal argmax asserted every trial"
+    )
     publish(
-        "decode_step_smoke", speedup_table(rows, "decode step smoke (batch 16)")
+        "decode_step_smoke",
+        speedup_table(rows, "decode step smoke (batch 16)"), table,
     )
     (_, _, r), = rows
     # Wall-clock ratios wobble with machine load, so this carries a much
@@ -168,5 +268,7 @@ def test_decode_step_smoke(decode_world, publish, history):
     history("decode_step", {
         "looped_over_packed": metric(r["looped"] / r["packed"], "x",
                                      "higher", rel_tol=0.6),
+        "mixed_step_fused_over_two_pass": metric(mixed, "x", "lower",
+                                                 rel_tol=0.5),
     }, context={"batch": 16, "seq_len": 192})
     assert r["looped"] / r["packed"] >= 1.0, "looped-vs-packed regression"

@@ -29,7 +29,14 @@ step (the logits go back to batch order once):
 4. **fused output FC** over every row's merged head features.
 
 A decode step has one query row a sequence, a prompt step a chunk or a
-whole sentence of them.  The FFN half follows in the
+whole sentence of them.  Off the exact tier a step that has both — a
+serving engine's mixed step — is one pass of the one step body,
+:meth:`~PackedDecodeBackend._step`: the decode parts and the prompt
+parts share the embedding gather, every layer's entry-pruning pass,
+fused projections and FFN half, and the LM head, and
+:meth:`~PackedDecodeBackend.decode_step_policy` /
+:meth:`~PackedDecodeBackend.prefill_chunk_policy` are that body without
+prompt rows or without decode rows.  The FFN half follows in the
 :meth:`~PackedDecodeBackend._layers` loop, the same for both stages: the
 compute-dtype :meth:`~PackedDecodeBackend._ffn_half` off the exact
 tier, the model's own fp64 one on it; only the exact tier's decode
@@ -83,8 +90,8 @@ grown on demand.
 
 The prompt pass is on the ladder too — SpAtten prunes and quantizes the
 summarization stage as much as the generation stage (PAPER.md §III,
-Fig. 3).  :meth:`~PackedDecodeBackend.prefill_chunk_policy` owns every
-tier's prompt step: an incremental executor's next chunk and the whole
+Fig. 3).  The step body owns every tier's prompt rows: an incremental
+executor's next chunk and the whole
 sentence of every other executor whose final chunk lands in it run the
 skeleton, the ``"pruned"`` sentences in blocks whose padded score plane
 stays under a fixed scratch budget, their caches adopted empty into the
@@ -141,8 +148,9 @@ budget, which unlocks the padded planes the exact tier never builds:
   store, so each :class:`~repro.nn.kv_cache.LayerKVCache` is a handle
   on its row.  A dense sequence is adopted on its first decode step
   (one copy per layer, its private buffers freed) and lives there until
-  it retires; :meth:`PackedDecodeBackend.decode_step_policy` has each
-  table hold the step's rows once, before the first layer;
+  it retires; a step with decode rows has each table hold them once,
+  before the first layer — and before the step's prompt sentences are
+  adopted after them, the pruned rows' cascade step opening last;
 * a block's new columns are one indexed store per plane
   (:meth:`~repro.nn.kv_cache.KVRowStore.write_block`), and the score
   and A·V stages run as *one* batched gufunc matmul each over the
@@ -675,19 +683,20 @@ class PackedDecodeBackend:
 
     def _decode_parts(
         self,
-        model: TransformerModel,
+        rows: Dict[str, _Rows],
+        held: Dict[str, List[int]],
         positions: np.ndarray,
-        executors: Sequence[AttentionExecutor],
     ) -> Tuple[List[_Part], Optional[np.ndarray]]:
-        """A decode step's parts and the batch rows in part order
-        (``None`` when that is the batch order).
+        """A decode step's parts over its ``rows`` by style and the
+        batch rows in part order (``None`` when that is the batch order).
 
         ``"custom"`` rows are one per-sequence part (on the exact tier,
-        its dense rows another); off it, the ``"pruned"`` and the
-        ``"dense"`` rows are a store block each, in store-row order, the
-        pruned one with the step opened on its resident batch control.
+        its dense rows another); off it, the ``"pruned"`` and
+        ``"dense"`` rows ``held`` — batch indices in the row order of
+        their table, which holds exactly them — are a store block each,
+        the pruned one with the step opened on its resident batch
+        control.
         """
-        rows = self._group_rows(model, executors)
         per_sequence = (
             ("custom", "dense") if self.policy.is_exact else ("custom",)
         )
@@ -699,25 +708,19 @@ class PackedDecodeBackend:
                     positions[i : i + 1] for i, _ in rows[style]
                 ]))
                 order += parts[-1].indices
-        for style in ("pruned", "dense"):
-            held = rows[style]
-            if style in per_sequence or not (held or style in self._tables):
-                continue
-            # The style's table holds exactly this step's rows, which
-            # run in its row order.
-            table = self._table(style, held)
-            indices = [held[k][0] for k in table.hold([e for _, e in held])]
+        for style, indices in held.items():
             if not indices:
                 continue
+            members = self._tables[style].members
             cascade = None
             if style == "pruned":
-                cascade = table.members[-1].open_decode(positions[indices])
+                cascade = members[-1].open_decode(positions[indices])
             parts.append(_StoreBlock(
-                "decode", table.members, slice(0, len(indices)), cascade,
+                "decode", members, slice(0, len(indices)), cascade,
                 np.ones(len(indices), dtype=np.int64), positions[indices],
             ))
             order += indices
-        if order == list(range(len(executors))):
+        if order == list(range(len(positions))):
             return parts, None
         return parts, np.array(order)
 
@@ -737,7 +740,8 @@ class PackedDecodeBackend:
         Returns ``attn_out [B, d_model]``, bit-identical to
         concatenating the looped per-sequence ``run_layer`` outputs.
         """
-        parts, order = self._decode_parts(model, positions, executors)
+        rows = self._group_rows(model, executors)
+        parts, order = self._decode_parts(rows, {}, positions)
         if order is None:
             return self._attend(layer_idx, parts, x, "decode")[1]
         attn_out = self._attend(layer_idx, parts, x[order], "decode")[1]
@@ -749,8 +753,12 @@ class PackedDecodeBackend:
         token_ids: np.ndarray,
         positions: np.ndarray,
         executors: Sequence[AttentionExecutor],
+        prefill: Optional[Tuple[Sequence[PrefillState], int]],
     ) -> np.ndarray:
-        """One whole decode step in the policy's compute dtype.
+        """One whole decode step in the policy's compute dtype, with the
+        step's prompt chunks ``prefill`` — ``(states, max_tokens)`` as
+        :meth:`prefill_chunk_policy` takes them, or ``None`` — sharing
+        its layer stack (:meth:`_step`).
 
         :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch`
         delegates here (after its input validation) whenever the
@@ -766,24 +774,128 @@ class PackedDecodeBackend:
         and nothing is stored back to the executors; ``custom``
         executors keep their own per-sequence core.
         """
+        return self._step(
+            model, token_ids, positions, executors, *(prefill or ((), 1))
+        )[0]
+
+    def _step(
+        self,
+        model: TransformerModel,
+        token_ids: np.ndarray,
+        positions: np.ndarray,
+        executors: Sequence[AttentionExecutor],
+        states: Sequence[PrefillState],
+        max_tokens: int,
+    ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
+        """The one step body: decode rows (one a sequence of
+        ``executors``) and the prompt rows of ``states`` through one
+        layer stack — one embedding gather; per layer one entry-pruning
+        pass, one fused QKV projection, each part's core, one output FC
+        and one FFN half over all rows; one LM head over the decode rows
+        and the last rows of the prompts that completed.
+
+        Each store style's table first holds exactly the decode rows;
+        then the ``"pruned"`` one adopts the arriving prompt sentences
+        (:meth:`prefill_chunk_policy`), and only then do the decode rows'
+        cascade step open: adoption may grow the control planes, which
+        would leave the step's views on them stale.  A step with decode
+        rows is profiled as a ``decode_step`` (its prompt parts' cores
+        under their ``prefill_*`` names), one without as a
+        ``prefill_step``.
+
+        Returns the decode rows' logits in batch order and one entry per
+        state: the next-token logits of a prompt that completed, else
+        ``None``.
+        """
         prof = self.profiler
-        t_step = t0 = prof.start() if prof is not None else 0.0
-        parts, order = self._decode_parts(model, positions, executors)
+        stage = "decode" if len(executors) else "prefill"
+        t_step = t0 = prof.begin_step() if prof is not None else 0.0
+        cfg, w, n = model.config, self._weights, len(executors)
+        rows = self._group_rows(model, executors)
+        held: Dict[str, List[int]] = {}
+        # A step without decode rows (and the exact tier, whose decode
+        # step is the model's) leaves the tables as they are.
+        for style in ("pruned", "dense") if n else ():
+            if rows[style] or style in self._tables:
+                kept = self._table(style, rows[style]).hold(
+                    [executor for _, executor in rows[style]]
+                )
+                held[style] = [rows[style][k][0] for k in kept]
+
+        by_style = self._group_rows(model, [s.executor for s in states])
+        spans = [state.next_span(max_tokens) for state in states]
+        final = [end == s.prompt_len for s, (_, end) in zip(states, spans)]
+        # The rows a sequence brings: an incremental executor's next
+        # chunk; any other's whole sentence once its final chunk lands.
+        rows_of: Dict[int, np.ndarray] = {}
+        for i, (state, (start, end)) in enumerate(zip(states, spans)):
+            if state.executor.supports_incremental_prefill:
+                rows_of[i] = np.arange(start, end)
+            elif final[i]:
+                rows_of[i] = np.arange(end)
+        prompt_parts: List[_Part] = []
+        for style in ("dense", "custom"):
+            chosen = [(i, ex) for i, ex in by_style[style] if i in rows_of]
+            if chosen:
+                prompt_parts.append(_SequenceRows(
+                    "prefill", style, chosen, [rows_of[i] for i, _ in chosen]
+                ))
+        whole = [(i, ex) for i, ex in by_style["pruned"] if i in rows_of]
+        lengths = [states[i].prompt_len for i, _ in whole]
+        # Every row's token and position: the decode rows', then the
+        # prompt parts'.
+        ids = np.concatenate(
+            [token_ids]
+            + [states[i].prompt_ids[span] for part in prompt_parts
+               for i, span in zip(part.indices, part.spans)]
+            + [states[i].prompt_ids for i, _ in whole]
+        )
+        pos = np.concatenate(
+            [positions] + [part.positions for part in prompt_parts]
+            + [np.arange(length) for length in lengths]
+        )
+        if len(ids) > n:
+            if ids[n:].min() < 0 or ids[n:].max() >= cfg.vocab_size:
+                raise ValueError("token id out of vocabulary range")
+            if pos[n:].max() >= cfg.max_seq_len:
+                raise ValueError(
+                    f"sequence exceeds max_seq_len={cfg.max_seq_len}"
+                )
+        prompt_parts += self._open_pruned_blocks(whole, lengths)
+        parts, order = self._decode_parts(rows, held, positions)
         if order is not None:
-            token_ids, positions = token_ids[order], positions[order]
-        w = self._weights
-        x = w.tok_emb[token_ids] + w.pos_emb[positions]
+            ids[:n], pos[:n] = token_ids[order], positions[order]
+        parts += prompt_parts
+        # (A step without rows has no logits to read: ``x`` stays empty.)
+        logits = x = w.tok_emb[ids] + w.pos_emb[pos]
         if prof is not None:
-            prof.stop("decode_setup", t0)
-        x = self._layers(parts, x, "decode")
-        t0 = prof.start() if prof is not None else 0.0
-        logits = x @ w.lm_proj
-        if order is not None:
-            logits = logits[np.argsort(order)]
+            t0 = prof.lap(f"{stage}_setup", t0)
+        results: List[Optional[np.ndarray]] = [None] * len(states)
+        if parts:
+            hidden = self._layers(parts, x, stage)
+            t0 = prof.start() if prof is not None else 0.0
+            # The decode rows in batch order, then the last row of each
+            # prompt that completed: cascade pruning protects the final
+            # prompt token, so it survives every layer and ends its rows.
+            head = list(range(n)) if order is None else list(np.argsort(order))
+            done, offset = [], n
+            for part in prompt_parts:
+                for i, end in zip(part.indices, np.cumsum(part.sizes())):
+                    if final[i]:
+                        done.append(i)
+                        head.append(offset + end - 1)
+                offset += len(part.positions)
+            logits = self._project(hidden[head], w.lm_proj)
+            for i, row in zip(done, logits[n:]):
+                results[i] = row
+            logits = logits[:n]
+        for state, (_, end), row in zip(states, spans, results):
+            state.n_committed = end
+            state.logits = row
         if prof is not None:
-            prof.stop("decode_lm_head", t0)
-            prof.stop("decode_step", t_step)
-        return logits
+            prof.lap(f"{stage}_lm_head", t0)
+            prof.end_step(f"{stage}_step", t_step)
+        return logits, results
 
     # ------------------------------------------------------------------
     # Row-store residency of the dense and the pruned rows
@@ -896,13 +1008,12 @@ class PackedDecodeBackend:
         states: Sequence[PrefillState],
         max_tokens: int,
     ) -> List[Optional[np.ndarray]]:
-        """One prefill chunk per in-flight prompt, in the compute dtype.
+        """One prefill chunk per in-flight prompt, in the compute dtype:
+        the step body (:meth:`_step`) without decode rows.
 
         :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
-        delegates here (after its input validation) on every tier — the
-        prompt pass's counterpart of :meth:`decode_step_policy`, the
-        same layer stack over the rows each sequence brings: an
-        incremental executor's
+        delegates here (after its input validation) on every tier.  The
+        rows each sequence brings are an incremental executor's
         (:attr:`~repro.nn.transformer.AttentionExecutor
         .supports_incremental_prefill`) next chunk, and the whole
         sentence of every other executor whose *final* chunk this is —
@@ -935,78 +1046,8 @@ class PackedDecodeBackend:
         Returns one entry per state: the next-token logits (compute
         dtype) of prompts that completed, else ``None``.
         """
-        prof = self.profiler
-        t_step = t0 = prof.start() if prof is not None else 0.0
-        cfg, w = model.config, self._weights
-        by_style = self._group_rows(
-            model, [state.executor for state in states]
-        )
-        spans = [state.next_span(max_tokens) for state in states]
-        final = [
-            end == state.prompt_len for state, (_, end) in zip(states, spans)
-        ]
-        # The rows a sequence brings: an incremental executor's next
-        # chunk; any other's whole sentence once its final chunk lands.
-        rows_of: Dict[int, np.ndarray] = {}
-        for i, (state, (start, end)) in enumerate(zip(states, spans)):
-            if state.executor.supports_incremental_prefill:
-                rows_of[i] = np.arange(start, end)
-            elif final[i]:
-                rows_of[i] = np.arange(end)
-        parts: List[_Part] = []
-        for style in ("dense", "custom"):
-            rows = [(i, ex) for i, ex in by_style[style] if i in rows_of]
-            if rows:
-                parts.append(_SequenceRows(
-                    "prefill", style, rows, [rows_of[i] for i, _ in rows]
-                ))
-        whole = [(i, ex) for i, ex in by_style["pruned"] if i in rows_of]
-        results: List[Optional[np.ndarray]] = [None] * len(states)
-        x = None
-        if parts or whole:
-            lengths = [states[i].prompt_len for i, _ in whole]
-            token_ids = np.concatenate(
-                [states[i].prompt_ids[span] for part in parts
-                 for i, span in zip(part.indices, part.spans)]
-                + [states[i].prompt_ids for i, _ in whole]
-            )
-            positions = np.concatenate(
-                [part.positions for part in parts]
-                + [ragged_arange(np.array(lengths, dtype=np.int64))]
-            )
-            if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:
-                raise ValueError("token id out of vocabulary range")
-            if positions.max() >= cfg.max_seq_len:
-                raise ValueError(
-                    f"sequence exceeds max_seq_len={cfg.max_seq_len}"
-                )
-            parts += self._open_pruned_blocks(whole, lengths)
-            x = w.tok_emb[token_ids] + w.pos_emb[positions]
-        if prof is not None:
-            t0 = prof.lap("prefill_setup", t0)
-        if x is not None:
-            hidden = self._layers(parts, x, "prefill")
-            t0 = prof.start() if prof is not None else 0.0
-            # A sequence's last row survives every layer (cascade pruning
-            # protects the final prompt token) and ends its rows.
-            done, last_rows, offset = [], [], 0
-            for part in parts:
-                for i, end in zip(part.indices, np.cumsum(part.sizes())):
-                    if final[i]:
-                        done.append(i)
-                        last_rows.append(offset + end - 1)
-                offset += len(part.positions)
-            if done:
-                logits = self._project(hidden[last_rows], w.lm_proj)
-                for i, row in zip(done, logits):
-                    results[i] = row
-        for state, (_, end), logits in zip(states, spans, results):
-            state.n_committed = end
-            state.logits = logits
-        if prof is not None:
-            prof.stop("prefill_lm_head", t0)
-            prof.stop("prefill_step", t_step)
-        return results
+        empty = np.zeros(0, dtype=np.int64)
+        return self._step(model, empty, empty, [], states, max_tokens)[1]
 
     def _open_pruned_blocks(
         self, whole: _Rows, lengths: List[int]

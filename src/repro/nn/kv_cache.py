@@ -592,7 +592,7 @@ class KVRowStore:
     of a row is resident whether live or not.
     """
 
-    def __init__(self, like: LayerKVCache, dequantized: bool = False):
+    def __init__(self, like: LayerKVCache, dequantized: bool):
         self.page_tokens = like.page_tokens
         shape = (0, like.n_heads, 0, like.head_dim)
         self.planes = [np.zeros(shape, dtype=like.dtype) for _ in "kv"]

@@ -19,7 +19,7 @@ and also FC layers outside attention").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -589,6 +589,10 @@ class PrefillState:
         monolithic pass uses, which would break bit-identity.  The
         serving cost model charges chunks over exactly these spans.
         """
+        if max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if self.done:
+            raise ValueError("prefill already complete for this state")
         start = self.n_committed
         end = min(start + max(2, max_tokens), self.prompt_len)
         if self.prompt_len - end == 1:
@@ -783,11 +787,6 @@ class TransformerModel:
         Returns one entry per state: the next-token logits for states
         whose prompt completed this call, else ``None``.
         """
-        if max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        for state in states:
-            if state.done:
-                raise ValueError("prefill already complete for this state")
         if backend is not None:
             return backend.prefill_chunk_policy(self, states, max_tokens)
         results: List[Optional[np.ndarray]] = []
@@ -816,6 +815,7 @@ class TransformerModel:
         positions: Sequence[int],
         executors: Sequence[AttentionExecutor],
         backend=None,
+        prefill: Optional[Tuple[Sequence[PrefillState], int]] = None,
     ) -> np.ndarray:
         """One decode step across a batch of independent sequences.
 
@@ -838,6 +838,16 @@ class TransformerModel:
         Each executor must already hold a prefilled sequence (see
         :meth:`prefill`); sequence ``i`` decodes ``token_ids[i]`` at
         absolute position ``positions[i]``.
+
+        ``prefill`` — ``(states, max_tokens)``, the arguments of
+        :meth:`prefill_chunk_batch` — carries the step's prompt chunks,
+        whose logits land in each state's ``logits``.  On the fp32 /
+        int8 tiers they share the decode rows' one layer stack (one
+        embedding gather, one GEMM per projection and FFN half, one LM
+        head), so a mixed step's wall clock is the single pass the
+        serving cost model charges; otherwise — the exact tier, whose
+        decode step is the model's own fp64 stack, or no backend — the
+        decode step runs first and :meth:`prefill_chunk_batch` after it.
         """
         if not self.config.causal:
             raise ValueError("decode_step_batch() requires a causal model")
@@ -860,7 +870,7 @@ class TransformerModel:
             # (compute-dtype layer stack + store-packed attention core);
             # see repro.nn.numerics for the ladder contract.
             return backend.decode_step_policy(
-                self, token_ids, positions, executors
+                self, token_ids, positions, executors, prefill
             )
         x = (
             self.params.token_embedding[token_ids]
@@ -883,7 +893,10 @@ class TransformerModel:
                     axis=0,
                 )
             x = self._residual_ffn(layer_idx, x, attn_out)
-        return self.lm_logits(x)
+        logits = self.lm_logits(x)
+        if prefill is not None:
+            self.prefill_chunk_batch(*prefill, backend=backend)
+        return logits
 
     def generate(
         self,

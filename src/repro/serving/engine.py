@@ -811,25 +811,23 @@ class ServingEngine:
             for seq in prefills
         )
         decode_batch = list(self.live)
-        # Greedy: a recomputed stream must replay the tokens it committed.
-        decode_tokens = (
-            self.model.decode_step_batch(
+        chunks = (
+            ([seq.state for seq in prefills], self.prefill_chunk)
+            if prefills else None
+        )
+        decode_tokens = []
+        if decode_batch:
+            # Greedy: a recomputed stream must replay the tokens it
+            # committed.  The step's prompt chunks ride along.
+            decode_tokens = self.model.decode_step_batch(
                 [seq.next_token for seq in decode_batch],
                 [seq.next_position for seq in decode_batch],
                 [seq.executor for seq in decode_batch],
-                backend=self._backend,
+                backend=self._backend, prefill=chunks,
             ).argmax(axis=1).tolist()
-            if decode_batch
-            else []
-        )
-        chunk_logits = (
-            self.model.prefill_chunk_batch(
-                [seq.state for seq in prefills], self.prefill_chunk,
-                backend=self._backend,
-            )
-            if prefills
-            else []
-        )
+        elif chunks:
+            self.model.prefill_chunk_batch(*chunks, backend=self._backend)
+        chunk_logits = [seq.state.logits for seq in prefills]
         # Each live row's cache lengths are read once: they price the
         # step and are what the pool commits below.
         decode_lengths = [seq.executor.kv_lengths() for seq in decode_batch]

@@ -15,24 +15,31 @@ is the whole set; a test holds a traced run of every tier to it).
 Stages off the exact tier
 -------------------------
 
-An ``fp32`` / ``int8`` decode step (``decode_step_policy``) or prompt
-step (``prefill_chunk_policy``) records, per step or per layer:
+Off the exact tier a step is one layer stack over every row it
+carries: a step with decode rows is a *decode step*
+(``decode_step_policy``) — also when the step's prompt chunks ride
+along in it, a *mixed step*, whose prompt parts' cores keep their
+``prefill_*`` names — and a step without is a *prompt step*
+(``prefill_chunk_policy``).  An ``fp32`` / ``int8`` step records, per
+step or per layer:
 
 * ``decode_step`` / ``prefill_step`` — the whole step, the *total* the
-  other stages of its prefix are parts of: what they leave over is
+  stages charged while it runs are parts of: what they leave over is
   reported as ``unattributed`` (:meth:`HotPathProfiler
   .unattributed_seconds`; tests hold it under 5 % of the step);
 * ``decode_setup`` / ``prefill_setup`` — before the first layer:
   grouping the rows by style into the step's parts and putting the
-  rows into part order; in a decode step, having the dense and the
+  rows into part order; for decode rows, having the dense and the
   pruned rows' row tables hold the batch (adopting arrivals into every
   layer's store — and the pruned rows' resident ``CascadeBatch`` — and
   releasing departures, whose control rows are written back) and
   opening the pruned rows' step, one vectorized admission over the
-  resident planes (new tokens, lengths, targets); in a prompt step, the
+  resident planes (new tokens, lengths, targets); for prompt rows, the
   chunk spans, input validation, opening the pruned sentences'
   schedules, adopting their empty caches and their control state into
-  the ``"pruned"`` table and opening each block's prompt pass; both, the embedding gather.  The control state
+  the ``"pruned"`` table — after the decode rows are held and before
+  their step opens — and opening each block's prompt pass; for both,
+  the one embedding gather.  The control state
   stays resident, so no stage stores it back at the end of a step;
 * ``decode_prune_control`` / ``prefill_prune_control`` — each layer's
   entry pruning: every pruned store block's cascade decisions over its
@@ -73,9 +80,9 @@ step (``prefill_chunk_policy``) records, per step or per layer:
   projection;
 * ``decode_ffn`` / ``prefill_ffn`` — the rest of a block: residual
   adds, LayerNorms and the tanh/gelu FFN;
-* ``decode_lm_head`` / ``prefill_lm_head`` — the LM head: over every
-  row, back in batch order, in a decode step; over the completed
-  prompts' last rows, and the states' bookkeeping, in a prompt step.
+* ``decode_lm_head`` / ``prefill_lm_head`` — the one LM head over the
+  decode rows, back in batch order, and the last rows of the prompts
+  that completed, and the prompt states' bookkeeping.
 
 Stages on the exact tier
 ------------------------
@@ -86,7 +93,8 @@ stack runs the backend's skeleton for each layer's attention half
 (``decode_layer``).  Its prompt step is the backend's whole step, as
 off the tier — total and ``unattributed`` remainder included — with
 every prompt a per-sequence row, so no store block and no value
-control:
+control; a step with both kinds of rows runs the two passes one after
+the other:
 
 * ``decode_prune_control`` — entry pruning: each SpAtten row's
   ``decode_control`` (admission, cascade token and head pruning,
@@ -133,8 +141,8 @@ if TYPE_CHECKING:
 __all__ = ["HotPathProfiler"]
 
 #: The stages that time a whole step of the backend (a decode step off
-#: the exact tier, a prompt step on every tier); the other stages
-#: sharing a total's prefix (``decode_``, ``prefill_``) are its parts.
+#: the exact tier, a prompt step on every tier); the stages charged while
+#: a step is open (:meth:`HotPathProfiler.begin_step`) are its parts.
 STEP_TOTALS = ("decode_step", "prefill_step")
 
 
@@ -146,6 +154,11 @@ class HotPathProfiler:
         self._seconds: Dict[str, float] = {}
         #: Seconds carved out of the stage the next lap closes.
         self._carved = 0.0
+        #: Seconds charged so far, and what that read when the open step
+        #: began.
+        self._charged = self._step_from = 0.0
+        #: Seconds the steps of each total charged to their stages.
+        self._inside: Dict[str, float] = {}
 
     # The backend calls these inline — start/stop, not a context
     # manager, to keep per-stage overhead to two perf_counter reads.
@@ -160,6 +173,7 @@ class HotPathProfiler:
         seconds, self._carved = now - t0 - self._carved, 0.0
         self._calls[stage] = self._calls.get(stage, 0) + 1
         self._seconds[stage] = self._seconds.get(stage, 0.0) + seconds
+        self._charged += seconds
         return now
 
     def carve(self, stage: str, seconds: float) -> None:
@@ -169,10 +183,25 @@ class HotPathProfiler:
         self._calls[stage] = self._calls.get(stage, 0) + 1
         self._seconds[stage] = self._seconds.get(stage, 0.0) + seconds
         self._carved += seconds
+        self._charged += seconds
 
     def stop(self, stage: str, t0: float) -> float:
         """Charge ``stage`` the time since ``t0``; returns that time."""
         return self.lap(stage, t0) - t0
+
+    def begin_step(self) -> float:
+        """Open a whole step: the stages charged until :meth:`end_step`
+        are its parts.  Returns its start stamp."""
+        self._step_from = self._charged
+        return time.perf_counter()
+
+    def end_step(self, total: str, t0: float) -> None:
+        """Charge ``total`` (one of :data:`STEP_TOTALS`) the step
+        :meth:`begin_step` opened at ``t0``, and note what its stages
+        took of it."""
+        inside = self._charged - self._step_from
+        self._inside[total] = self._inside.get(total, 0.0) + inside
+        self.stop(total, t0)
 
     # ------------------------------------------------------------------
     # Read side
@@ -190,11 +219,7 @@ class HotPathProfiler:
     def unattributed_seconds(self, total: str) -> float:
         """What the whole steps ``total`` timed (one of
         :data:`STEP_TOTALS`) hold beyond their stages."""
-        prefix = total[: -len("step")]
-        return self.seconds(total) - sum(
-            seconds for stage, seconds in self._seconds.items()
-            if stage.startswith(prefix) and stage != total
-        )
+        return self.seconds(total) - self._inside.get(total, 0.0)
 
     @property
     def total_seconds(self) -> float:

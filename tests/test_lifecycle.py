@@ -317,7 +317,7 @@ def test_cluster_stats_dict_is_its_dataclass_fields(setup):
 
 @pytest.mark.parametrize("numerics", ["fp32", "int8"])
 def test_cluster_chaos_off_the_exact_tier(setup, numerics):
-    """ROADMAP item 7 cells: drain / fail / recover / corrupt, the
+    """ROADMAP item 12 cells: drain / fail / recover / corrupt, the
     breaker and retry backoff on ``fp32`` and ``int8``."""
     # cluster_chaos() audits the sharded ledger before returning.
     [(tel, stats)] = cluster_chaos(setup, numerics=numerics)

@@ -1001,7 +1001,7 @@ class TestTierPrefill:
     def test_preempted_spatten_request_replays_its_stream(
         self, world, family, tier, when
     ):
-        """ROADMAP item 7's cross product: family x preemption x tier.
+        """ROADMAP item 12's cross product: family x preemption x tier.
         A preempted request recomputes its prompt through the tier's
         prompt pass and must continue the stream it had."""
         if when == "after-prompt":

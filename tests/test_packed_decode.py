@@ -15,11 +15,20 @@ executor state (KV buffers, alive sets, traces) across:
 * chunked prefill through the backend's prompt pass, dense chunks and
   SpAtten sentences in one batch (single-token prompts included).
 
+Off the exact tier the contract is the tier's budget, not bits: there a
+mixed step — decode rows and prompt chunks in one layer stack — is held
+to the two passes it replaces, run on deep copies (logits within
+rounding, equal cache lengths, cascade masks and traces).
+
 Fast representative cases are ``smoke``-marked for tier-1.
 """
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ModelConfig, PruningConfig, QuantConfig
 from repro.core import pipeline
@@ -31,6 +40,7 @@ from repro.nn import (
     random_model,
 )
 from repro.nn.transformer import DenseExecutor
+from repro.telemetry import HotPathProfiler
 
 
 @pytest.fixture(scope="module")
@@ -432,3 +442,139 @@ def test_opt_out_executor_is_a_named_error(decoder, numerics):
         decoder.prefill([1, 2, 3], executor)
     with pytest.raises(UnpackableExecutorError, match="_OptOutExecutor"):
         decoder.decode_step_batch([4, 4], [3, 3], executors, backend=backend)
+
+
+# ----------------------------------------------------------------------
+# fp32 / int8: one fused mixed step against its two passes
+# ----------------------------------------------------------------------
+#: Decode and prompt rows of a mixed step, drawn by kind and prompt
+#: length: dense, pruned (SpAtten) and progressive-quantization rows.
+_MIXED_ROWS = st.lists(
+    st.tuples(st.sampled_from(["dense", "spatten", "quant"]),
+              st.integers(2, 40)),
+    min_size=1, max_size=5,
+)
+#: Both arms run one tier and differ only in how rows group into GEMMs.
+_MIXED_ATOL = 1e-4
+
+
+def _tier_executor(kind, tier):
+    if kind == "dense":
+        return DenseExecutor(numerics=tier)
+    return SpAttenExecutor(
+        PRUNING, QUANT if kind == "quant" else None, numerics=tier
+    )
+
+
+def _fused_vs_two_pass(model, tier, decode_rows, prompt_rows, chunk,
+                       advance, seed=0):
+    """Build a batch of resident decode rows and in-flight prompts on one
+    backend, run one fused mixed step on it and the two passes on a deep
+    copy with a backend of its own, and assert they agree.  Returns
+    whether the step's prompt adoption grew the pruned rows' control
+    planes."""
+    rng = np.random.default_rng(seed)
+
+    def draw(kind, n):
+        prompt = rng.integers(0, model.config.vocab_size, size=n).tolist()
+        return model.prefill_begin(prompt, _tier_executor(kind, tier))
+
+    backend = PackedDecodeBackend(model, numerics=tier)
+    prefilled = [draw(kind, n) for kind, n in decode_rows]
+    model.prefill_chunk_batch(
+        prefilled, model.config.max_seq_len, backend=backend
+    )
+    executors = [state.executor for state in prefilled]
+    positions = [state.prompt_len for state in prefilled]
+    # One decode step of their own: every store row is resident.
+    tokens = model.decode_step_batch(
+        [int(np.argmax(state.logits)) for state in prefilled], positions,
+        executors, backend=backend,
+    ).argmax(axis=1).tolist()
+    positions = [p + 1 for p in positions]
+    states = [draw(kind, n) for kind, n in prompt_rows]
+    if advance:
+        # Earlier chunks: dense prompts go into the step mid-way.
+        model.prefill_chunk_batch(states, chunk, backend=backend)
+        states = [state for state in states if not state.done]
+
+    ref_backend = PackedDecodeBackend(model, numerics=tier)
+    ref_executors, ref_states = copy.deepcopy((executors, states))
+    table = backend._tables.get("pruned")
+    capacity = 0 if table is None else len(table.members[-1].total)
+    backend.profiler = prof = HotPathProfiler()
+    fused = model.decode_step_batch(
+        tokens, positions, executors, backend=backend,
+        prefill=(states, chunk) if states else None,
+    )
+    backend.profiler = None
+    table = backend._tables.get("pruned")
+    grew = table is not None and len(table.members[-1].total) > capacity
+    two_pass = model.decode_step_batch(
+        tokens, positions, ref_executors, backend=ref_backend
+    )
+    if ref_states:
+        model.prefill_chunk_batch(ref_states, chunk, backend=ref_backend)
+
+    # One layer stack: one FFN half a layer, no prompt step of its own.
+    n_layers = model.config.n_layers
+    assert prof.calls("decode_step") == 1 and prof.calls("prefill_step") == 0
+    assert prof.calls("decode_ffn") == n_layers
+    assert prof.calls("prefill_ffn") == 0
+    np.testing.assert_allclose(fused, two_pass, rtol=0, atol=_MIXED_ATOL)
+    for a, b in zip(states, ref_states):
+        assert a.n_committed == b.n_committed
+        assert (a.logits is None) == (b.logits is None)
+        if a.logits is not None:
+            np.testing.assert_allclose(
+                a.logits, b.logits, rtol=0, atol=_MIXED_ATOL
+            )
+    for i, (a, b) in enumerate(zip(
+        executors + [state.executor for state in states],
+        ref_executors + [state.executor for state in ref_states],
+    )):
+        assert a.kv_lengths() == b.kv_lengths(), i
+        if isinstance(a, SpAttenExecutor) and a.trace is not None:
+            assert np.array_equal(a._alive_mask, b._alive_mask), i
+            assert np.array_equal(a._alive_heads, b._alive_heads), i
+            total = a._total_length
+            for acc_a, acc_b in ((a.token_acc.live_scores(total),
+                                  b.token_acc.live_scores(total)),
+                                 (a.head_acc.live_scores(),
+                                  b.head_acc.live_scores())):
+                np.testing.assert_allclose(acc_a, acc_b, rtol=1e-5,
+                                           atol=_MIXED_ATOL)
+            assert a.trace.n_generated == b.trace.n_generated, i
+            assert a.trace.count_signature() == b.trace.count_signature(), i
+    return grew
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("tier", ["fp32", "int8"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(decode_rows=_MIXED_ROWS, prompt_rows=_MIXED_ROWS,
+       chunk=st.integers(2, 12), advance=st.booleans())
+def test_fused_mixed_step_matches_two_passes(
+    decoder, tier, decode_rows, prompt_rows, chunk, advance
+):
+    """Dense, pruned and progressive decode rows beside dense chunks
+    mid-prompt, pruned final chunks and prompts that complete: one fused
+    step agrees with the decode step and prompt step it replaces."""
+    _fused_vs_two_pass(
+        decoder, tier, decode_rows, prompt_rows, chunk, advance
+    )
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("tier", ["fp32", "int8"])
+def test_fused_step_opens_the_decode_cascade_after_adoption(decoder, tier):
+    """Pruned prompts completing beside resident pruned decode rows grow
+    the control planes past their row capacity mid-step: the decode
+    rows' cascade step opens on the grown planes, so their masks and
+    traces still match the two passes."""
+    assert _fused_vs_two_pass(
+        decoder, tier,
+        [("spatten", 40), ("spatten", 36), ("spatten", 24), ("dense", 12)],
+        [("spatten", 25), ("spatten", 30), ("dense", 20)],
+        chunk=32, advance=False,
+    )

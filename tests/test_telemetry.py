@@ -459,6 +459,31 @@ class TestAuditEvery:
 # ----------------------------------------------------------------------
 # Profiler
 # ----------------------------------------------------------------------
+def _count_steps(monkeypatch):
+    """Count the model's step calls: ``"mixed"``, decode steps carrying
+    the step's prompt chunks (``decode_step_batch(..., prefill=...)``),
+    and ``"prompt"``, ``prefill_chunk_batch`` calls — what a mixed step
+    still makes on the exact tier, and only a step without decode rows
+    makes off it."""
+    from repro.nn import TransformerModel
+
+    counts = {"mixed": 0, "prompt": 0}
+    decode, prompt = (TransformerModel.decode_step_batch,
+                      TransformerModel.prefill_chunk_batch)
+
+    def decode_spy(model, *args, prefill=None, **kwargs):
+        counts["mixed"] += prefill is not None
+        return decode(model, *args, prefill=prefill, **kwargs)
+
+    def prompt_spy(model, *args, **kwargs):
+        counts["prompt"] += 1
+        return prompt(model, *args, **kwargs)
+
+    monkeypatch.setattr(TransformerModel, "decode_step_batch", decode_spy)
+    monkeypatch.setattr(TransformerModel, "prefill_chunk_batch", prompt_spy)
+    return counts
+
+
 def _prompt_core_stage(numerics, pruning):
     """The profiler stage of a prompt step's attention core: a dense
     chunk's own core, a pruned store block's off the exact tier, a
@@ -504,12 +529,17 @@ class TestProfiler:
 
     @pytest.mark.parametrize("pruning", [None, PRUNING],
                              ids=["dense", "spatten"])
-    def test_decode_stages_sum_to_the_step(self, serving_setup, pruning):
+    def test_decode_stages_sum_to_the_step(self, serving_setup, pruning,
+                                           monkeypatch):
         """The SpanRecorder identity moved inside the opaque span: on a
         non-exact tier the ``decode_*`` stages account for the whole
         ``decode_step`` but an ``unattributed`` remainder the table
         shows, held under 5 % of the step — the value control carved out
-        of the pruned core, once a layer, included."""
+        of the pruned core, once a layer, included.  Prompts arrive while
+        others decode, so some steps carry prompt rows too: such a mixed
+        step is one ``decode_step`` whose prompt parts' cores (and value
+        control) are its stages too, and runs one FFN half a layer."""
+        counts = _count_steps(monkeypatch)
         tel = Telemetry(profile=True)
         requests = trace(serving_setup[2], n=10, max_new=(16, 24))
         run_engine(serving_setup, requests, telemetry=tel, pruning=pruning,
@@ -517,11 +547,17 @@ class TestProfiler:
         prof = tel.profiler
         n_layers = serving_setup[0].n_layers
         steps = prof.calls("decode_step")
-        assert steps > 0 and prof.calls("decode_setup") == steps
+        assert 0 < counts["mixed"] < steps
+        assert prof.calls("prefill_step") == counts["prompt"]
+        assert prof.calls("decode_setup") == steps
         assert prof.calls("decode_lm_head") == steps
         assert prof.calls("decode_ffn") == steps * n_layers
         core = "decode_dense_core" if pruning is None else "decode_pruned_core"
         assert prof.calls(core) == steps * n_layers
+        # Prompt cores ran in the mixed steps as well as in the prompt
+        # steps' layers (one part or block a layer at this scale).
+        prompt_core = _prompt_core_stage("fp32", pruning)
+        assert prof.calls(prompt_core) > prof.calls("prefill_ffn")
         # The cascade's own statements are a stage of their own, which a
         # dense block never runs.
         assert prof.calls("decode_value_control") == (
@@ -546,9 +582,14 @@ class TestProfiler:
         for numerics, suffix in (("fp32", ""), ("exact", "-exact"))
     ])
     def test_prefill_stages_sum_to_the_step(self, serving_setup, pruning,
-                                            numerics):
+                                            numerics, monkeypatch):
         """The same identity for the prompt pass, on every tier: the
-        ``prefill_*`` stages tile every ``prefill_step``."""
+        ``prefill_*`` stages tile every ``prefill_step``.  Off the exact
+        tier a step that also decodes is a ``decode_step`` (its prompt
+        cores keep their ``prefill_*`` names), so ``prefill_step`` counts
+        the steps without decode rows; the exact tier still runs a prompt
+        step of its own after each decode step that carries chunks."""
+        counts = _count_steps(monkeypatch)
         tel = Telemetry(profile=True)
         requests = trace(serving_setup[2], n=10, max_new=(2, 4))
         run_engine(serving_setup, requests, telemetry=tel, pruning=pruning,
@@ -556,6 +597,9 @@ class TestProfiler:
         prof = tel.profiler
         n_layers = serving_setup[0].n_layers
         steps = prof.calls("prefill_step")
+        assert counts["mixed"] > 0 and steps == counts["prompt"]
+        if numerics == "exact":
+            assert steps > counts["mixed"]
         assert steps > 0 and prof.calls("prefill_setup") == steps
         assert prof.calls("prefill_lm_head") == steps
         core = _prompt_core_stage(numerics, pruning)
@@ -601,7 +645,8 @@ class TestProfiler:
         self, serving_setup, numerics
     ):
         """Chunked prompts and decode steps of a batch of dense, pruned
-        and progressive-quant rows record exactly the stages the
+        and progressive-quant rows — and decode steps that carry another
+        such batch's prompt chunks — record exactly the stages the
         profiler's catalog lists for the tier."""
         from repro.config import QuantConfig
         from repro.core.pipeline import SpAttenExecutor
@@ -613,11 +658,15 @@ class TestProfiler:
         backend.profiler = prof = HotPathProfiler()
         quant = QuantConfig(msb_bits=6, lsb_bits=4, progressive=True,
                             threshold=0.1)
-        executors = [
-            DenseExecutor(numerics=numerics),
-            SpAttenExecutor(PRUNING, numerics=numerics),
-            SpAttenExecutor(PRUNING, quant, numerics=numerics),
-        ]
+
+        def batch():
+            return [
+                DenseExecutor(numerics=numerics),
+                SpAttenExecutor(PRUNING, numerics=numerics),
+                SpAttenExecutor(PRUNING, quant, numerics=numerics),
+            ]
+
+        executors = batch()
         states = [
             model.prefill_begin(corpus[:PROMPT_LEN].tolist(), executor)
             for executor in executors
@@ -627,11 +676,17 @@ class TestProfiler:
                 [state for state in states if not state.done], 8,
                 backend=backend,
             )
-        for step in range(2):
+        arriving = [
+            model.prefill_begin(corpus[:PROMPT_LEN].tolist(), executor)
+            for executor in batch()
+        ]
+        for step in range(PROMPT_LEN // 8 + 1):
+            live = [state for state in arriving if not state.done]
             model.decode_step_batch(
                 [1, 2, 3], [PROMPT_LEN + step] * 3, executors,
-                backend=backend,
+                backend=backend, prefill=(live, 8) if live else None,
             )
+        assert all(state.done for state in arriving)
         off, on = self._documented_stages()
         assert set(prof.stages) == (on if numerics == "exact" else off)
 
