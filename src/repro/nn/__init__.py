@@ -11,7 +11,6 @@ Public surface:
 * weight constructors (:func:`random_model`, :func:`build_semantic_model`)
 """
 
-from .beam import BeamHypothesis, beam_search
 from .batched_attention import PackedDecodeBackend, UnpackableExecutorError
 from .attention import (
     AttentionRecord,
@@ -66,8 +65,6 @@ from .weights import (
 )
 
 __all__ = [
-    "BeamHypothesis",
-    "beam_search",
     "PackedDecodeBackend",
     "UnpackableExecutorError",
     "AttentionRecord",

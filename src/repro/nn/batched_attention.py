@@ -52,20 +52,19 @@ stage's control, :meth:`~repro.nn.transformer.AttentionExecutor
 every row), then in step 3 :meth:`~repro.nn.transformer
 .AttentionExecutor.decode_attend_packed`, the one core of both
 stages.  Every exact-tier row is one — the executors' cores are the
-bit-identity oracle's own arithmetic — as are, off it, a dense prompt
-chunk, which attends against its private cache, and
+bit-identity oracle's own arithmetic — as are, off it,
 progressive-quantization rows
 (:attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`
 ``"custom"``), whose LSB refetch is decided per row from that row's own
 probabilities.  A **store block** is consecutive rows of a
 :class:`~repro.nn.kv_cache.KVRowStore` — a decode step's ``"dense"``
-rows and its ``"pruned"`` rows, and each prompt step's ``"pruned"``
-sentences — and all run the backend's one core, :func:`_store_core`,
-over ``[n, h, Lq, Lk]`` planes: the block's K/V appended at each row's
-cursor, one mask (the causal position test plus columns without a
-token), softmax, local value pruning ranked on each column's
-probability mass, A·V and importance accumulation.  A block of pruned
-rows carries a step of the backend's resident batch control,
+rows and its ``"pruned"`` rows, each step's ``"dense"`` prompt chunks
+and ``"pruned"`` sentences — and all run the backend's one core,
+:func:`_store_core`, over ``[n, h, Lq, Lk]`` planes: the block's K/V
+appended at each row's cursor, one mask (the causal position test plus
+columns without a token), softmax, local value pruning ranked on each
+column's probability mass, A·V and importance accumulation.  A block of
+pruned rows carries a step of the backend's resident batch control,
 :class:`~repro.core.batched_cascade.CascadeBatch`, whose planes hold
 every pruned row's cascade state: one more member of the pruned rows'
 :class:`~repro.nn.kv_cache.RowTable`, so row ``j`` of it and of every
@@ -83,7 +82,7 @@ packing, is a named error rather than a silent change of arithmetic.
 What depends on the tier is read off ``policy.is_exact``: the
 projection kernel of steps 2 and 4 (bound once at construction, and on
 the exact tier grouped by sequence in a prompt step), the FFN half and
-whether dense decode rows are a store block or a per-sequence part.
+whether dense rows are store blocks or a per-sequence part.
 Weights live in one holder at the policy's compute dtype (under fp64 it
 aliases the model's own arrays) and scratch in one family of buffers
 grown on demand.
@@ -93,11 +92,13 @@ summarization stage as much as the generation stage (PAPER.md §III,
 Fig. 3).  The step body owns every tier's prompt rows: an incremental
 executor's next chunk and the whole
 sentence of every other executor whose final chunk lands in it run the
-skeleton, the ``"pruned"`` sentences in blocks whose padded score plane
-stays under a fixed scratch budget, their caches adopted empty into the
-``"pruned"`` row stores and their control state into the resident
-batch control before the first layer — a pruned sequence is a store
-row, columns and control, from its first column.
+skeleton, the ``"dense"`` chunks and ``"pruned"`` sentences in blocks
+whose padded score plane stays under a fixed scratch budget.  Off the
+exact tier a dense sequence's caches are adopted empty into the
+``"dense"`` row stores at its first chunk, and a pruned one's into the
+``"pruned"`` ones, its control state into the resident batch control,
+before the first layer of its sentence's pass — a sequence is a store
+row from its first column.
 
 Exact tier: the bit-identity contract
 -------------------------------------
@@ -146,11 +147,12 @@ budget, which unlocks the padded planes the exact tier never builds:
   :class:`~repro.nn.kv_cache.RowTable` per style (``"dense"``,
   ``"pruned"``) says which sequence fills each row of every layer's
   store, so each :class:`~repro.nn.kv_cache.LayerKVCache` is a handle
-  on its row.  A dense sequence is adopted on its first decode step
-  (one copy per layer, its private buffers freed) and lives there until
-  it retires; a step with decode rows has each table hold them once,
-  before the first layer — and before the step's prompt sentences are
-  adopted after them, the pruned rows' cascade step opening last;
+  on its row.  A sequence the backend prefills is adopted empty at its
+  first prompt chunk (a dense one) or sentence (a pruned one), one
+  prefilled elsewhere at its first decode step (one copy per layer, its
+  private buffers freed), and lives there until it retires; a step with
+  decode rows has each table hold them and its prompt sequences once,
+  before the first layer, every cascade step opening after that;
 * a block's new columns are one indexed store per plane
   (:meth:`~repro.nn.kv_cache.KVRowStore.write_block`), and the score
   and A·V stages run as *one* batched gufunc matmul each over the
@@ -158,10 +160,11 @@ budget, which unlocks the padded planes the exact tier never builds:
   the padded scratch (columns past a row's queries, without a token —
   the ragged tail, and evicted ones not yet compacted away — are masked
   to ``-1e30`` and underflow to exact 0);
-* a row's *first* pass — its rows held no column before the block's
-  write: a prompt sentence — attends to the K/V it has just computed
-  in the compute dtype; a later pass — a decode step — reads the
-  columns as the store holds them: under int8, a dense row's
+* a pruned prompt sentence — its rows held no column before the
+  block's write — attends to the K/V it has just computed in the
+  compute dtype; every other block — a decode step, a dense prompt
+  chunk — reads the columns as the store holds them, so a chunked
+  prompt computes what a one-chunk one does: under int8, a dense row's
   dequantized planes, and a pruned row's codes themselves, cast to the
   compute dtype with the per-column scales folded in (K's into the
   scores, V's into the A·V operand);
@@ -173,7 +176,8 @@ budget, which unlocks the padded planes the exact tier never builds:
   broadcast along rows of ``2·N·h``, not ``D``, elements).  Dense rows,
   which never evict and so are the long ones, keep their columns
   dequantized in two further planes of the same store (written from
-  the same pass, filled once at adoption); pruned rows keep codes and
+  the same pass; a row adopted with columns has them filled once);
+  pruned rows keep codes and
   scales alone and attend on the codes, so no step dequantizes them;
 * cascade eviction — which changes the live columns of most rows at
   most layers of every step — is one gathered mask that relabels the
@@ -188,6 +192,7 @@ budget, which unlocks the padded planes the exact tier never builds:
 from __future__ import annotations
 
 from functools import partial
+from itertools import groupby
 from math import prod
 from operator import methodcaller
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -211,7 +216,7 @@ _MASKED = -1e30
 _FFN_BLOCK = 256
 
 #: Bytes of padded ``[B, h, L, L]`` score plane a block of pruned
-#: prompts may span (:meth:`PackedDecodeBackend._open_pruned_blocks`):
+#: prompts may span (:meth:`PackedDecodeBackend._prompt_blocks`):
 #: every 32-token sentence a step is likely to carry (64 of an 8-head
 #: model), but one 192-token sentence at a time — their planes are
 #: GEMM-sized already, and the scratch is resident for good (a 4 MiB
@@ -220,6 +225,9 @@ _PROMPT_PLANE_BYTES = 2 << 20
 
 #: Profiler stage of the fused QKV projection, per stage of a sequence.
 _PROJ_STAGE = {"decode": "decode_qkv_proj", "prefill": "prefill_chunk_proj"}
+
+#: A per-sequence row's control method, per stage of a sequence.
+_CONTROL = {"decode": "decode_control", "prefill": "summarize_control"}
 
 #: ``(batch row, executor)`` pairs of one packed style.
 _Rows = List[Tuple[int, AttentionExecutor]]
@@ -245,10 +253,7 @@ def _project_rows(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
     the looped path's ``x[i:i+1] @ w``, so the batch is bit-identical to
     the oracle row for row.
     """
-    out = np.matmul(x[:, None, :], w)[:, 0, :]
-    if b is not None:
-        out += b
-    return out
+    return _project_gemm(x[:, None, :], w, b)[:, 0, :]
 
 
 def _project_gemm(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
@@ -371,9 +376,10 @@ class _Part:
     """Rows of one step that one core runs, contiguous in the step's
     part order (:meth:`PackedDecodeBackend._attend`).
 
-    ``positions`` holds the original position of each of its rows still
-    in the residual stream and ``core_stage`` the profiler stage its
-    core is charged to.
+    ``indices`` are the sequences' places in the step's batch or
+    states, ``positions`` the original position of each of its rows
+    still in the residual stream and ``core_stage`` the profiler stage
+    its core is charged to.
     """
 
     def prune(self, layer_idx: int) -> Optional[np.ndarray]:
@@ -390,10 +396,9 @@ class _SequenceRows(_Part):
     one packed core of both stages, ``decode_attend_packed``, over a
     decode step's one query row or a prompt step's chunk or sentence.
 
-    ``indices`` are the sequences' places in the step's batch or states
-    and ``spans`` their rows still in the residual stream, as original
-    positions — a prompt's ``[start, end)`` going in, fewer as entry
-    pruning drops rows layer by layer.
+    ``spans`` are the sequences' rows still in the residual stream, as
+    original positions — a prompt's ``[start, end)`` going in, fewer as
+    entry pruning drops rows layer by layer.
     """
 
     def __init__(self, stage: str, style: str, rows: _Rows, spans):
@@ -402,9 +407,7 @@ class _SequenceRows(_Part):
         self.spans = spans
         self.positions = np.concatenate(spans)
         #: The executors' control method for this stage.
-        self.control = (
-            "summarize_control" if stage == "prefill" else "decode_control"
-        )
+        self.control = _CONTROL[stage]
         self.core_stage = f"{stage}_{style}_core"
 
     def sizes(self) -> np.ndarray:
@@ -439,8 +442,8 @@ class _SequenceRows(_Part):
 class _StoreBlock(_Part):
     """Consecutive rows of one style's row stores that one
     :func:`_store_core` runs: a decode step's dense or pruned rows (one
-    query row each), or a block of a prompt step's pruned sentences
-    (each whole).
+    query row each), or a block of a prompt step's dense chunks or
+    pruned sentences (each whole).
 
     ``rows`` are the block's rows in every layer's store and ``cascade``
     their step of the resident batch control
@@ -449,11 +452,10 @@ class _StoreBlock(_Part):
     residual stream are flat, store row after store row: ``seq_of``
     names each one's row of the block, ``positions`` its original
     position, and ``counts`` holds how many each store row has.
-    ``indices`` are a prompt block's places in the step's states.
     """
 
     def __init__(self, stage, stores, rows, cascade, counts, positions,
-                 indices=None):
+                 indices):
         self.stores, self.rows, self.cascade = stores, rows, cascade
         self.counts = np.asarray(counts)
         self.n_queries = int(self.counts.max())
@@ -462,9 +464,10 @@ class _StoreBlock(_Part):
         self.indices = indices
         kind = "dense" if cascade is None else "pruned"
         self.core_stage = f"{stage}_{kind}_core"
-        # A prompt pass fills rows adopted empty; a decode step's rows
-        # hold their prompt's columns at least.
-        self.first = stage == "prefill"
+        # A pruned prompt block fills rows adopted empty and attends to
+        # the K/V it has just computed; every other block reads its
+        # columns as the store holds them.
+        self.first = stage == "prefill" and cascade is not None
         self.value_stage = f"{stage}_value_control"
 
     def sizes(self) -> np.ndarray:
@@ -571,18 +574,15 @@ class PackedDecodeBackend:
     # ------------------------------------------------------------------
     # The per-layer skeleton and its entry points
     # ------------------------------------------------------------------
-    def _check_model(self, model: TransformerModel) -> None:
+    def _group_rows(
+        self, model: TransformerModel, executors: Sequence[AttentionExecutor]
+    ) -> Dict[str, _Rows]:
+        """Validate the batch and split it into its rows by style."""
         if model is not self._model:
             raise ValueError(
                 "PackedDecodeBackend is bound to a different model; create "
                 "one backend per TransformerModel"
             )
-
-    def _group_rows(
-        self, model: TransformerModel, executors: Sequence[AttentionExecutor]
-    ) -> Dict[str, _Rows]:
-        """Validate the batch and split it into its rows by style."""
-        self._check_model(model)
         policy = self.policy
         by_style: Dict[str, _Rows] = {"dense": [], "custom": [], "pruned": []}
         for i, executor in enumerate(executors):
@@ -681,48 +681,20 @@ class PackedDecodeBackend:
                 prof.stop(f"{stage}_ffn", t0)
         return x
 
-    def _decode_parts(
-        self,
-        rows: Dict[str, _Rows],
-        held: Dict[str, List[int]],
-        positions: np.ndarray,
-    ) -> Tuple[List[_Part], Optional[np.ndarray]]:
-        """A decode step's parts over its ``rows`` by style and the
-        batch rows in part order (``None`` when that is the batch order).
-
-        ``"custom"`` rows are one per-sequence part (on the exact tier,
-        its dense rows another); off it, the ``"pruned"`` and
-        ``"dense"`` rows ``held`` — batch indices in the row order of
-        their table, which holds exactly them — are a store block each,
-        the pruned one with the step opened on its resident batch
-        control.
-        """
-        per_sequence = (
-            ("custom", "dense") if self.policy.is_exact else ("custom",)
-        )
-        parts: List[_Part] = []
-        order: List[int] = []
-        for style in per_sequence:
-            if rows[style]:
-                parts.append(_SequenceRows("decode", style, rows[style], [
-                    positions[i : i + 1] for i, _ in rows[style]
-                ]))
-                order += parts[-1].indices
-        for style, indices in held.items():
-            if not indices:
-                continue
-            members = self._tables[style].members
-            cascade = None
-            if style == "pruned":
-                cascade = members[-1].open_decode(positions[indices])
-            parts.append(_StoreBlock(
-                "decode", members, slice(0, len(indices)), cascade,
-                np.ones(len(indices), dtype=np.int64), positions[indices],
-            ))
-            order += indices
-        if order == list(range(len(positions))):
-            return parts, None
-        return parts, np.array(order)
+    def _sequence_parts(
+        self, stage: str, rows: Dict[str, _Rows], spans
+    ) -> List[_Part]:
+        """A step's per-sequence parts of ``stage`` over ``rows`` by
+        style, sequence ``i`` bringing its rows at ``spans[i]``: the
+        ``"custom"`` rows, and on the exact tier the ``"dense"`` ones
+        (off it, those are store rows)."""
+        styles = ("dense", "custom") if self.policy.is_exact else ("custom",)
+        return [
+            _SequenceRows(
+                stage, style, rows[style], [spans[i] for i, _ in rows[style]]
+            )
+            for style in styles if rows[style]
+        ]
 
     def decode_layer(
         self,
@@ -740,9 +712,11 @@ class PackedDecodeBackend:
         Returns ``attn_out [B, d_model]``, bit-identical to
         concatenating the looped per-sequence ``run_layer`` outputs.
         """
-        rows = self._group_rows(model, executors)
-        parts, order = self._decode_parts(rows, {}, positions)
-        if order is None:
+        parts = self._sequence_parts(
+            "decode", self._group_rows(model, executors), positions[:, None]
+        )
+        order = [i for part in parts for i in part.indices]
+        if order == list(range(len(order))):
             return self._attend(layer_idx, parts, x, "decode")[1]
         attn_out = self._attend(layer_idx, parts, x[order], "decode")[1]
         return attn_out[np.argsort(order)]
@@ -766,10 +740,10 @@ class PackedDecodeBackend:
         exact path operation-for-operation — embedding gather, packed
         attention, residual + LayerNorm, tanh/gelu FFN, LM head — but
         runs vectorized over the cast weights, on the rows in part
-        order.  ``dense`` and ``pruned`` executors' K/V are made
-        resident in the row stores here (a ``pruned`` one served by
-        this backend has been since its prompt pass, its cascade
-        control too); the ``pruned`` rows' step is opened on their
+        order.  ``dense`` and ``pruned`` executors' K/V are row-store
+        rows (one served by this backend has been since its prompt pass,
+        a ``pruned`` one's cascade control too; one prefilled elsewhere
+        is adopted here); the ``pruned`` rows' step is opened on their
         resident control with one admission and stepped by every layer,
         and nothing is stored back to the executors; ``custom``
         executors keep their own per-sequence core.
@@ -794,14 +768,17 @@ class PackedDecodeBackend:
         and one FFN half over all rows; one LM head over the decode rows
         and the last rows of the prompts that completed.
 
-        Each store style's table first holds exactly the decode rows;
-        then the ``"pruned"`` one adopts the arriving prompt sentences
-        (:meth:`prefill_chunk_policy`), and only then do the decode rows'
-        cascade step open: adoption may grow the control planes, which
-        would leave the step's views on them stale.  A step with decode
-        rows is profiled as a ``decode_step`` (its prompt parts' cores
-        under their ``prefill_*`` names), one without as a
-        ``prefill_step``.
+        Off the exact tier each store style's table seats its rows
+        before any of its blocks opens (:meth:`_store_parts`): a step
+        with decode rows has each table hold exactly its decode rows and
+        its prompt sequences, so a dense sequence is a store row from its
+        first chunk until it retires and a pruned one from its
+        sentence's pass; the pruned rows' cascade steps open only then,
+        because adoption may grow the control planes.  The decode rows
+        come first in the step's part order, then the prompt parts.  A
+        step with decode rows is profiled as a ``decode_step`` (its
+        prompt parts' cores under their ``prefill_*`` names), one
+        without as a ``prefill_step``.
 
         Returns the decode rows' logits in batch order and one entry per
         state: the next-token logits of a prompt that completed, else
@@ -812,16 +789,6 @@ class PackedDecodeBackend:
         t_step = t0 = prof.begin_step() if prof is not None else 0.0
         cfg, w, n = model.config, self._weights, len(executors)
         rows = self._group_rows(model, executors)
-        held: Dict[str, List[int]] = {}
-        # A step without decode rows (and the exact tier, whose decode
-        # step is the model's) leaves the tables as they are.
-        for style in ("pruned", "dense") if n else ():
-            if rows[style] or style in self._tables:
-                kept = self._table(style, rows[style]).hold(
-                    [executor for _, executor in rows[style]]
-                )
-                held[style] = [rows[style][k][0] for k in kept]
-
         by_style = self._group_rows(model, [s.executor for s in states])
         spans = [state.next_span(max_tokens) for state in states]
         final = [end == s.prompt_len for s, (_, end) in zip(states, spans)]
@@ -833,38 +800,37 @@ class PackedDecodeBackend:
                 rows_of[i] = np.arange(start, end)
             elif final[i]:
                 rows_of[i] = np.arange(end)
-        prompt_parts: List[_Part] = []
-        for style in ("dense", "custom"):
-            chosen = [(i, ex) for i, ex in by_style[style] if i in rows_of]
-            if chosen:
-                prompt_parts.append(_SequenceRows(
-                    "prefill", style, chosen, [rows_of[i] for i, _ in chosen]
-                ))
-        whole = [(i, ex) for i, ex in by_style["pruned"] if i in rows_of]
-        lengths = [states[i].prompt_len for i, _ in whole]
-        # Every row's token and position: the decode rows', then the
-        # prompt parts'.
-        ids = np.concatenate(
-            [token_ids]
-            + [states[i].prompt_ids[span] for part in prompt_parts
-               for i, span in zip(part.indices, part.spans)]
-            + [states[i].prompt_ids for i, _ in whole]
-        )
-        pos = np.concatenate(
-            [positions] + [part.positions for part in prompt_parts]
-            + [np.arange(length) for length in lengths]
-        )
-        if len(ids) > n:
-            if ids[n:].min() < 0 or ids[n:].max() >= cfg.vocab_size:
+        ids_of = {i: states[i].prompt_ids[r] for i, r in rows_of.items()}
+        if ids_of:
+            prompt_ids = np.concatenate(list(ids_of.values()))
+            if prompt_ids.min() < 0 or prompt_ids.max() >= cfg.vocab_size:
                 raise ValueError("token id out of vocabulary range")
-            if pos[n:].max() >= cfg.max_seq_len:
+            if max(r[-1] for r in rows_of.values()) >= cfg.max_seq_len:
                 raise ValueError(
                     f"sequence exceeds max_seq_len={cfg.max_seq_len}"
                 )
-        prompt_parts += self._open_pruned_blocks(whole, lengths)
-        parts, order = self._decode_parts(rows, held, positions)
-        if order is not None:
-            ids[:n], pos[:n] = token_ids[order], positions[order]
+        prompt = {
+            style: [(i, ex) for i, ex in by_style[style] if i in rows_of]
+            for style in by_style
+        }
+        parts = self._sequence_parts("decode", rows, positions[:, None])
+        prompt_parts: List[_Part] = []
+        for style in () if self.policy.is_exact else ("pruned", "dense"):
+            decode_blocks, prompt_blocks = self._store_parts(
+                style, rows[style], prompt[style], positions, rows_of
+            )
+            parts += decode_blocks
+            prompt_parts += prompt_blocks
+        prompt_parts += self._sequence_parts("prefill", prompt, rows_of)
+        # Every row's token and position: the decode rows', then the
+        # prompt parts'.
+        order = [i for part in parts for i in part.indices]
+        ids = np.concatenate([token_ids[order]] + [
+            ids_of[i] for part in prompt_parts for i in part.indices
+        ])
+        pos = np.concatenate(
+            [positions[order]] + [part.positions for part in prompt_parts]
+        )
         parts += prompt_parts
         # (A step without rows has no logits to read: ``x`` stays empty.)
         logits = x = w.tok_emb[ids] + w.pos_emb[pos]
@@ -877,7 +843,7 @@ class PackedDecodeBackend:
             # The decode rows in batch order, then the last row of each
             # prompt that completed: cascade pruning protects the final
             # prompt token, so it survives every layer and ends its rows.
-            head = list(range(n)) if order is None else list(np.argsort(order))
+            head = sorted(range(n), key=order.__getitem__)
             done, offset = [], n
             for part in prompt_parts:
                 for i, end in zip(part.indices, np.cumsum(part.sizes())):
@@ -928,7 +894,7 @@ class PackedDecodeBackend:
 
     def release(self, executor: AttentionExecutor) -> None:
         """Forget a sequence that will not decode here again (retired,
-        preempted, quarantined, drained — a pruned one possibly straight
+        preempted, quarantined, drained — possibly mid-prompt or straight
         after its prompt pass, which made it resident): its row is
         vacated in every layer's store without copying the columns
         back, its caches left empty, and a pruned one's control row is
@@ -950,31 +916,21 @@ class PackedDecodeBackend:
     def _ffn_half(
         self, layer_idx: int, x: np.ndarray, attn_out: np.ndarray
     ) -> np.ndarray:
-        """A block after its attention: residual + LayerNorm, FFN,
-        residual + LayerNorm, in the compute dtype.
+        """A block after its attention: residual + LayerNorm, the
+        vectorized tanh/gelu FFN, residual + LayerNorm, in the compute
+        dtype.
 
         Residual adds run in place on the freshly produced left operand
         (attention / FFN output buffers are never aliased to ``x``).
+        FFN rows go through in blocks of :data:`_FFN_BLOCK`, so the
+        ``[rows, d_ff]`` scratch stays a decode batch's size however
+        many prompt rows a step carries.
         """
         w = self._weights
         attn_out += x
         x = _policy_layer_norm(
             attn_out, w.ln1_g[layer_idx], w.ln1_b[layer_idx]
         )
-        ffn_out = self._ffn_policy(layer_idx, x)
-        ffn_out += x
-        return _policy_layer_norm(
-            ffn_out, w.ln2_g[layer_idx], w.ln2_b[layer_idx]
-        )
-
-    def _ffn_policy(self, layer_idx: int, x: np.ndarray) -> np.ndarray:
-        """Vectorized compute-dtype tanh/gelu FFN (the PR-3 fp64 tax).
-
-        Rows go through in blocks of :data:`_FFN_BLOCK`, so the
-        ``[rows, d_ff]`` scratch stays a decode batch's size however
-        many prompt rows a step carries.
-        """
-        w = self._weights
         d_ff = w.w1[layer_idx].shape[1]
         out = np.empty_like(x)
         for start in range(0, len(x), _FFN_BLOCK):
@@ -997,7 +953,8 @@ class PackedDecodeBackend:
                 inner, w.w2[layer_idx], out=out[start : start + _FFN_BLOCK]
             )
         out += w.b2[layer_idx]
-        return out
+        out += x
+        return _policy_layer_norm(out, w.ln2_g[layer_idx], w.ln2_b[layer_idx])
 
     # ------------------------------------------------------------------
     # Prefill
@@ -1022,19 +979,21 @@ class PackedDecodeBackend:
         Pruned tokens leave the residual stream at each layer's entry,
         so they skip the projections and the FFN:
 
-        * ``"pruned"`` sentences are store blocks
-          (:meth:`_open_pruned_blocks`), each a step of the resident
+        * ``"pruned"`` sentences and ``"dense"`` chunks are store blocks
+          (:meth:`_store_parts`), a pruned one a step of the resident
           batch control, which adopts the sequences' control state —
           opening their schedules — as the ``"pruned"`` row stores adopt
-          their empty caches, before the first layer; their K/V go
-          straight into the stores — a sequence is resident, control and
-          columns, from its first column and nothing is stored back;
-        * every other sequence's rows prune through its executor's
+          their empty caches, before the first layer; a dense sequence's
+          empty caches are adopted at its first chunk and each chunk
+          reads its columns back from the stores; their K/V go straight
+          into the stores — a sequence is resident from its first column
+          and nothing is stored back;
+        * every other sequence's rows — ``"custom"`` ones, and on the
+          exact tier dense ones — prune through its executor's
           :meth:`~repro.nn.transformer.AttentionExecutor
           .summarize_control` and run its own core on the survivors'
           projections (:meth:`~repro.nn.transformer.AttentionExecutor
-          .decode_attend_packed`, the core of both stages) — a dense
-          chunk attends against its private cache.
+          .decode_attend_packed`, the core of both stages).
 
         On the exact tier every sequence is such a per-sequence row,
         and the step reproduces a solo
@@ -1049,46 +1008,104 @@ class PackedDecodeBackend:
         empty = np.zeros(0, dtype=np.int64)
         return self._step(model, empty, empty, [], states, max_tokens)[1]
 
-    def _open_pruned_blocks(
-        self, whole: _Rows, lengths: List[int]
-    ) -> List[_StoreBlock]:
-        """Make the step's ``"pruned"`` sequences ``whole`` resident —
-        caches and control state — and open their prompt pass, a store
-        block of consecutive ones each.
+    def _store_parts(
+        self, style: str, decode: _Rows, prompt: _Rows,
+        positions: np.ndarray, rows_of: Dict[int, np.ndarray],
+    ) -> Tuple[List[_StoreBlock], List[_StoreBlock]]:
+        """Seat the step's ``style`` rows — its ``decode`` rows and the
+        sequences of its ``prompt`` rows ``rows_of`` — and open their
+        store blocks; returns the decode rows' blocks and the prompt
+        rows'.
 
-        A block is as many sequences as keep its padded ``[B, h, L, L]``
-        score plane — ``L`` the longest prompt among them — within
-        :data:`_PROMPT_PLANE_BYTES`, so the scratch stays that size
-        however many prompts a step completes, and a short prompt is
-        never padded out to a long one's plane past that budget.
+        A step with decode rows has the table hold exactly both: a
+        pruned sentence or a dense first chunk arrives with empty caches
+        (and a pruned one its control state, schedules opened), adopted
+        without copying a column; a mid-prompt dense row is seated
+        already.  A step without decode rows seats its prompts
+        (:meth:`~repro.nn.kv_cache.RowTable.join`) and vacates nothing.
+        A retirement moves the last row into the vacated one, so a
+        mid-prompt dense row may sit between decode rows: each run of
+        consecutive rows of one stage opens its own blocks.
         """
-        if not whole:
-            return []
-        cfg = self._model.config
-        indices = [i for i, _ in whole]
-        executors = [executor for _, executor in whole]
-        for executor, length in zip(executors, lengths):
-            executor._init_schedules(length)
-        table = self._table("pruned", whole)
-        first_row = table.adopt(executors)[0].row
-        pair_bytes = cfg.n_heads * np.dtype(self.policy.compute_dtype).itemsize
-        blocks, start, longest = [], 0, lengths[0]
-        for stop in range(1, len(whole) + 1):
-            if stop < len(whole):
-                # Would the next sequence still fit this block's plane?
-                longest = max(longest, lengths[stop])
-                if ((stop + 1 - start) * longest * longest * pair_bytes
-                        <= _PROMPT_PLANE_BYTES):
-                    continue
-                longest = lengths[stop]
-            counts = np.array(lengths[start:stop], dtype=np.int64)
+        owners = decode + prompt
+        for i, executor in prompt if style == "pruned" else ():
+            executor._init_schedules(len(rows_of[i]))
+        if not owners and not (len(positions) and style in self._tables):
+            return [], []
+        table = self._table(style, owners)
+        if len(positions):
+            seated = enumerate(table.hold([ex for _, ex in owners]))
+        else:
+            seats = table.join([ex for _, ex in prompt])
+            seated = sorted((seat.row, k) for k, seat in enumerate(seats))
+        members = table.members
+        blocks: Tuple[List[_StoreBlock], List[_StoreBlock]] = ([], [])
+        # (place, (row, owner)): a run's rows share ``row - place``.
+        for (is_decode, _), run in groupby(
+            enumerate(seated),
+            key=lambda e: (e[1][1] < len(decode), e[1][0] - e[0]),
+        ):
+            run = [(row, owners[k]) for _, (row, k) in run]
+            first, chosen = run[0][0], [owner for _, owner in run]
+            if not is_decode:
+                blocks[1].extend(
+                    self._prompt_blocks(style, first, chosen, rows_of)
+                )
+                continue
+            indices = [i for i, _ in chosen]
+            blocks[0].append(_StoreBlock(
+                "decode", members, slice(first, first + len(indices)),
+                # The table's first rows: a pruned sequence is seated at
+                # its sentence's pass, after every decode row.
+                members[-1].open_decode(positions[indices])
+                if style == "pruned" else None,
+                np.ones(len(indices), dtype=np.int64), positions[indices],
+                indices,
+            ))
+        return blocks
+
+    def _prompt_blocks(
+        self, style: str, first_row: int, chosen: _Rows,
+        rows_of: Dict[int, np.ndarray],
+    ) -> List[_StoreBlock]:
+        """The prompt store blocks of ``chosen``, consecutive rows of
+        ``style``'s table from ``first_row``, sequence ``i`` bringing its
+        rows ``rows_of[i]``; a pruned block opens its prompt pass on the
+        resident batch control.
+
+        A block is as many sequences as keep its padded ``[n, h, Lq,
+        Lk]`` score plane — ``Lq`` the most rows one brings, ``Lk`` the
+        widest row once written — within :data:`_PROMPT_PLANE_BYTES`, so
+        the scratch stays that size however many prompts a step carries,
+        and a short prompt is never padded out to a long one's plane
+        past that budget.
+        """
+        members = self._tables[style].members
+        spans = [rows_of[i] for i, _ in chosen]
+        counts = np.array([len(span) for span in spans])
+        widths = np.array([span[-1] + 1 for span in spans])
+        pair_bytes = (self._model.config.n_heads
+                      * np.dtype(self.policy.compute_dtype).itemsize)
+        blocks, start = [], 0
+        for stop in range(1, len(chosen) + 1):
+            # Would the next sequence still fit this block's plane?
+            if stop < len(chosen) and (
+                (stop + 1 - start) * counts[start : stop + 1].max()
+                * widths[start : stop + 1].max() * pair_bytes
+                <= _PROMPT_PLANE_BYTES
+            ):
+                continue
             rows = slice(first_row + start, first_row + stop)
+            cascade = None
+            if style == "pruned":
+                cascade = members[-1].open_prompts(
+                    rows, counts[start:stop],
+                    [executor for _, executor in chosen[start:stop]],
+                )
             blocks.append(_StoreBlock(
-                "prefill", table.members, rows,
-                table.members[-1].open_prompts(
-                    rows, counts, executors[start:stop]
-                ),
-                counts, ragged_arange(counts), indices[start:stop],
+                "prefill", members, rows, cascade, counts[start:stop],
+                np.concatenate(spans[start:stop]),
+                [i for i, _ in chosen[start:stop]],
             ))
             start = stop
         return blocks
@@ -1176,10 +1193,11 @@ def _store_core(
     query rows are zeroed after the softmax and contribute exact zeros
     from there on.  The new K/V columns (in a prompt block, dead heads'
     as zeros) go to the store with one write per plane, the block
-    quantized in *one* pass under int8.  A first pass — a prompt block,
-    whose rows held no column before this write — attends to the K/V it
-    has just computed; a later one — a decode step — reads the
-    ``[:width]`` columns as the store holds them: float (or dequantized)
+    quantized in *one* pass under int8.  A pruned prompt block
+    (``block.first``: its rows held no column before this write) attends
+    to the K/V it has just computed; every other block — a decode step,
+    a dense prompt chunk — reads the ``[:width]`` columns as the store
+    holds them: float (or dequantized)
     planes as they are
     (:meth:`~repro.nn.kv_cache.KVRowStore.compute_columns`), int8 codes
     without dequantized planes — the pruned rows' — cast once each to
@@ -1260,10 +1278,11 @@ def _store_core(
     softmax_inplace(probs)
     if col_of is not None:
         probs *= (np.arange(n_queries) < counts[:, None])[:, None, :, None]
-    mass = probs[:, :, 0] if n_queries == 1 else np.add.reduce(probs, axis=2)
-    lens = store.live[rows]
     prof = backend.profiler
     if cascade is not None:
+        mass = (probs[:, :, 0] if n_queries == 1
+                else np.add.reduce(probs, axis=2))
+        lens = store.live[rows]
         t0 = prof.start() if prof is not None else 0.0
         # Ranked on every head's own mass, before dead heads are
         # zeroed: an all-zero row would be one big tie.

@@ -13,7 +13,7 @@ Storage model (private buffers or a table's row)
 A :class:`LayerKVCache` keeps its columns in one of two places.
 
 **Private buffers** — the default, and the only form the ``exact``
-tier, ``"custom"`` rows and a ``"dense"`` prompt pass ever see.  The
+tier, ``"custom"`` rows and the looped oracle ever see.  The
 cache distinguishes the *live length* (columns holding real K/V state)
 from the *capacity* (columns the backing buffers can hold).  Buffers
 are preallocated and grown by amortized doubling at **page
@@ -31,25 +31,27 @@ every sequence one of its own cores decodes off the exact tier: the
 (:mod:`repro.nn.batched_attention`).  One store per layer holds every
 such sequence's columns as row ``j`` of batch-shaped planes, so a layer
 of a step touches a block of them with a handful of array operations:
-the block's new columns — a decode step's one a row, a prompt pass's
-whole sentence — land at each row's cursor with one indexed store per
-plane (:meth:`KVRowStore.write_block`, the store's only write), and
-cascade eviction is *lazy* — a newly pruned column is relabelled
-:data:`NO_TOKEN` where it sits (its score is masked, its probability an
-exact zero) and the row is compacted, order preserved, only once a
-whole ``page_tokens`` page of such holes has built up: the zero
-eliminator's software analogue (PAPER.md §IV-B).  A dense row simply
-never evicts.
+the block's new columns — a decode step's one a row, a dense prompt
+chunk, a pruned prompt's whole sentence — land at each row's cursor
+with one indexed store per plane (:meth:`KVRowStore.write_block`, the
+store's only write), and cascade eviction is *lazy* — a newly pruned
+column is relabelled :data:`NO_TOKEN` where it sits (its score is
+masked, its probability an exact zero) and the row is compacted, order
+preserved, only once a whole ``page_tokens`` page of such holes has
+built up: the zero eliminator's software analogue (PAPER.md §IV-B).
+A dense row simply never evicts.
 
 Which sequence fills which row is one :class:`RowTable`'s per style,
 one answer for every layer.  Its members are the style's stores and, for pruned rows, their
 resident cascade control; row ``j`` of every member holds the sequence
 of seat ``j``, and the table alone grows the row axis, adopts, moves
 and releases rows (the last row fills a vacated one), driving each
-member's row primitives.  A dense sequence moves in on its first decode
-step (one copy per layer, its private buffers freed); a pruned one is
-adopted *empty* when its prompt pass opens and each layer fills its row
-with its prompt's block, so it never holds private columns at all.
+member's row primitives.  A sequence the backend prefills is adopted
+*empty* — a dense one at its first prompt chunk, a pruned one when its
+sentence's pass opens — and each layer fills its row block by block, so
+it never holds private columns at all; one prefilled elsewhere moves in
+on its first decode step (one copy per layer, its private buffers
+freed).
 Every cache of the sequence — and its executor — then holds the same
 :class:`RowSeat`, so a move writes one row index.  The cache is a
 *handle* on its row: ``len()`` and :attr:`evicted_tokens` read the
@@ -70,13 +72,13 @@ truth about its sequence whoever asks, and nothing outside this module
 can alias a store row.
 
 An int8 store may carry two further planes: the columns *dequantized*,
-written beside the codes they mirror (filled once at adoption, appended
-from the same pass of the backend's batch quantization that made the
-codes) and dropped when a row goes home.  The backend asks for them for
-its dense rows — the long ones, whose whole width a step would
-otherwise dequantize again — and reads their float columns from
-:meth:`KVRowStore.compute_columns`.  Its pruned rows keep codes and
-scales alone: a decode step attends on the codes, cast to the compute
+written beside the codes they mirror (appended from the same pass of
+the backend's batch quantization that made the codes, filled once when
+a row is adopted with columns) and dropped when a row goes home.  The
+backend asks for them for its dense rows — the long ones, whose whole
+width a step would otherwise dequantize again — and reads their float
+columns from :meth:`KVRowStore.compute_columns`.  Its pruned rows keep
+codes and scales alone: a decode step attends on the codes, cast to the compute
 dtype, with the scales folded into the scores and the A·V operand, so
 no step dequantizes a pruned row.
 
@@ -746,8 +748,9 @@ class KVRowStore:
         block is flat, row after row: ``labels`` ``[N]`` and, plane for
         plane (:attr:`planes`), ``columns`` ``[N, h(, D)]``, ``N =
         counts.sum()``.  One indexed store per plane, whatever the
-        rows' lengths: a prompt pass fills rows adopted empty, and a
-        decode step is the all-ones case.
+        rows' lengths: a prompt block fills rows adopted empty or, a
+        dense chunk, extends them, and a decode step is the all-ones
+        case.
 
         Returns the width the rows now span — the columns a reader
         slices, of which each row's :data:`NO_TOKEN` ones are masked.
@@ -815,10 +818,10 @@ class RowTable:
 
     A barrier sends pieces home (:meth:`orphan`): all of them — a read
     of a cache's columns — or one member's — a read of an executor's
-    control state, which leaves the K/V rows in place.  :meth:`hold`
-    answers both: a row all of whose pieces went home is released and
-    its sequence, if it decodes on, adopted anew; a row with some home
-    takes them back where it is.
+    control state, which leaves the K/V rows in place.  :meth:`join`
+    (and so :meth:`hold`) answers both: a row all of whose pieces went
+    home is released and its sequence, if it decodes on, adopted anew;
+    a row with some home takes them back where it is.
     """
 
     def __init__(self, members: list, parts, handle):
@@ -828,43 +831,47 @@ class RowTable:
         self._n_rows = 0
 
     def hold(self, owners: Sequence) -> List[int]:
-        """Make the rows hold exactly ``owners``; returns their indices
-        in ``owners`` in row order.  While membership stands — the
-        steady state — this reads one handle a sequence and nothing
-        else."""
+        """Make the rows hold exactly ``owners`` (:meth:`join`, after
+        vacating every other row); returns their indices in ``owners``
+        in row order.  While membership stands — the steady state — this
+        reads one handle a sequence and nothing else."""
         seats = [self._handle(owner)._seat for owner in owners]
         # As many distinct seats as rows, all here and whole: these rows.
         if len(seats) != len(self.seats) or not all(
             seat is not None and seat.table is self and not seat.home
             for seat in seats
         ):
-            whole = len(self.members)
-            staying = {
-                id(seat) for seat in seats
-                if seat is not None and seat.table is self
-                and len(seat.home) < whole
-            }
+            staying = {id(seat) for seat in seats}
             # Highest first: the row that fills a vacated one stays.
             for row in sorted((
                 seat.row for seat in self.seats if id(seat) not in staying
             ), reverse=True):
                 self._vacate(self.seats[row], drop=False)
-            for seat in self.seats:
-                for m in seat.home:
-                    self.members[m].fill_rows(
-                        seat.row, [seat.parts[m]], self._n_rows
-                    )
-                seat.home.clear()
-            arrivals = iter(self.adopt([
-                owner for owner, seat in zip(owners, seats)
-                if id(seat) not in staying
-            ]))
-            seats = [seat if id(seat) in staying else next(arrivals)
-                     for seat in seats]
-        order = [0] * len(seats)
-        for i, seat in enumerate(seats):
-            order[seat.row] = i
-        return order
+            seats = self.join(owners)
+        return sorted(range(len(seats)), key=lambda i: seats[i].row)
+
+    def join(self, owners: Sequence) -> List[RowSeat]:
+        """Seat each of ``owners`` here, vacating no other row; returns
+        their seats.  A row all of whose pieces went home is released
+        and its sequence adopted anew; a row with some home takes them
+        back where it is."""
+        seats = [self._handle(owner)._seat for owner in owners]
+        for seat in sorted((
+            seat for seat in seats if seat is not None and seat.table is self
+        ), key=lambda seat: -seat.row):
+            if len(seat.home) == len(self.members):
+                self._vacate(seat, drop=False)
+                continue
+            for m in seat.home:
+                self.members[m].fill_rows(
+                    seat.row, [seat.parts[m]], self._n_rows
+                )
+            seat.home.clear()
+        self.adopt([
+            owner for owner, seat in zip(owners, seats)
+            if seat is None or seat.table is not self
+        ])
+        return [self._handle(owner)._seat for owner in owners]
 
     def adopt(self, owners: Sequence) -> List[RowSeat]:
         """New last rows for ``owners``; a sequence sitting in another

@@ -32,10 +32,10 @@ axis:
     accuracy budget.  A pruned prompt's store block attends to the
     fp32 K/V it has just computed — its rows held no columns before it
     wrote them — so pruned prompts are summarized in fp32 and their K/V
-    quantized from it.  A dense prompt chunk appends to its private
-    cache first and attends over the columns as stored, so it reads
-    dequantized int8 K/V, as does a dense row's decode step (from the
-    dequantized planes its store keeps): the score GEMM reads fp32 Q
+    quantized from it.  A dense prompt chunk writes its store row first
+    and attends over the columns as stored, so it reads dequantized
+    int8 K/V, as does a dense row's decode step (from the dequantized
+    planes its store keeps): the score GEMM reads fp32 Q
     against dequantized int8 K (fp32 accumulation), exactly what the
     cache can reproduce.  A pruned row's decode step attends on the
     int8 codes themselves, cast to fp32, with the per-column scales

@@ -142,12 +142,12 @@ class AttentionExecutor:
           looped oracle, ``decode_step_batch(backend=None)``.
         * ``"dense"`` — the executor's only per-layer decode state is a
           :class:`~repro.nn.kv_cache.LayerKVCache`.  Off the exact tier
-          a decode step adopts the caches :meth:`decode_kv_cache`
-          returns into the backend's row stores exactly as a
-          ``"pruned"`` row's are (below), and the core is the pruned
-          rows' with no cascade.  On the exact tier a decode step, and
-          on every tier a prompt step, run the executor's own core as
-          for ``"custom"``.
+          the backend adopts the caches :meth:`decode_kv_cache` returns
+          into its row stores exactly as a ``"pruned"`` row's are
+          (below) — empty, at the sequence's first prompt chunk — and
+          both stages run the pruned rows' core with no cascade.  On
+          the exact tier both stages run the executor's own core as for
+          ``"custom"``.
         * ``"custom"`` — the executor runs its own per-sequence control
           and core (pruning decisions, progressive quantization, trace
           accounting), in both stages as control, then core: at the
@@ -171,12 +171,12 @@ class AttentionExecutor:
           :attr:`evicted_kv_tokens`; reading their columns brings them
           back into private buffers).
 
-        A backend's prompt pass reads the same property:
-        ``"pruned"`` sentences run the backend's batched core, their
-        control rows opened by :meth:`batch_control`'s prompt pass;
-        every other executor is a
-        per-sequence row whose span :attr:`supports_incremental_prefill`
-        decides — the next chunk, or the whole sentence once its final
+        A backend's prompt pass reads the same property: off the exact
+        tier ``"dense"`` chunks and ``"pruned"`` sentences run the
+        backend's batched core, the pruned control rows opened by
+        :meth:`batch_control`'s prompt pass; every other executor is a
+        per-sequence row.  :attr:`supports_incremental_prefill` decides
+        the span — the next chunk, or the whole sentence once its final
         chunk lands.
 
         ``"dense"`` and ``"custom"`` results must be bit-identical to the
@@ -241,8 +241,7 @@ class AttentionExecutor:
         positions: np.ndarray,
     ) -> np.ndarray:
         """The per-sequence packed core of both stages (``"custom"``
-        rows; on the exact tier, and in every prompt step, ``"dense"``
-        ones too).
+        rows; on the exact tier ``"dense"`` ones too).
 
         Receives the rows the stage's control kept, as the backend's
         full-width ``q/k/v`` projections (``[h, L, D]`` each, in its
@@ -359,11 +358,11 @@ class DenseExecutor(AttentionExecutor):
             computes in whatever dtype it is handed — fp64 from the
             model's own stack, which is what ``prefill(backend=None)``
             and the looped oracle run on every tier — while a packed
-            backend runs the prompt pass through
-            :meth:`decode_attend_packed` on every tier (on the exact
-            one bit-identical to :meth:`run_layer`, chunk padding
-            included) and, off the exact tier, the decode steps over
-            its row stores, in the policy's compute dtype.
+            backend runs both stages through :meth:`decode_attend_packed`
+            on the exact tier (bit-identical to :meth:`run_layer`, chunk
+            padding included) and, off it, over its row stores, the
+            sequence resident from its first prompt chunk, in the
+            policy's compute dtype.
     """
 
     def __init__(
@@ -443,7 +442,8 @@ class DenseExecutor(AttentionExecutor):
 
     def decode_kv_cache(self, layer_idx: int):
         """Bare layer cache: off the exact tier the backend adopts it
-        into its dense row store and appends there."""
+        into its dense row store — empty, at the first prompt chunk —
+        and appends there."""
         return self._cache[layer_idx]
 
     def decode_attend_packed(
@@ -457,8 +457,8 @@ class DenseExecutor(AttentionExecutor):
         cache's length, or the prompt's while a chunked prompt is
         mid-way (:meth:`begin_prefill`), so the exact tier is
         bit-identical to the looped oracle.  Returns the merged
-        ``[L, h*D]`` features in the projections' dtype (off the exact
-        tier the keys are read back as stored: int8 dequantized).
+        ``[L, h*D]`` features in the projections' dtype.  (Off the
+        exact tier the backend runs dense rows over its row stores.)
         """
         cache = self.decode_kv_append(layer_idx, k_full, v_full, positions)
         if len(cache) < self._prefill_total:

@@ -160,6 +160,10 @@ class PrefillingSequence(ScheduledSequence):
 
     state: PrefillState
 
+    @property
+    def executor(self) -> AttentionExecutor:
+        return self.state.executor
+
 
 @dataclass
 class _EngineRun:
@@ -583,8 +587,7 @@ class ServingEngine:
         for seq in resident:
             self._transition(seq.record, "drained", now)
             self.pool.release(seq.seq_id)
-            if isinstance(seq, LiveSequence):
-                self._backend.release(seq.executor)
+            self._backend.release(seq.executor)
         return [
             (request, self._run.records.pop(request.request_id))
             for request in waiting + [seq.request for seq in resident]
@@ -1142,9 +1145,9 @@ class ServingEngine:
         sequence's account.  Returns ``(pages freed, work tokens
         discarded)``.
         """
+        self._backend.release(seq.executor)
         if isinstance(seq, LiveSequence):
             self.live.remove(seq)
-            self._backend.release(seq.executor)
             work = seq.request.prompt_len + seq.record.n_generated
         else:
             self.prefilling.remove(seq)

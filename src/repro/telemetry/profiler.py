@@ -36,10 +36,11 @@ step or per layer:
   opening the pruned rows' step, one vectorized admission over the
   resident planes (new tokens, lengths, targets); for prompt rows, the
   chunk spans, input validation, opening the pruned sentences'
-  schedules, adopting their empty caches and their control state into
-  the ``"pruned"`` table — after the decode rows are held and before
-  their step opens — and opening each block's prompt pass; for both,
-  the one embedding gather.  The control state
+  schedules, seating them — a dense sequence's empty caches at its
+  first chunk, a pruned sentence's and its control state — in their
+  style's table in the same hold as the decode rows (before any step
+  opens) and opening each block's prompt pass; for both, the one
+  embedding gather.  The control state
   stays resident, so no stage stores it back at the end of a step;
 * ``decode_prune_control`` / ``prefill_prune_control`` — each layer's
   entry pruning: every pruned store block's cascade decisions over its
@@ -59,10 +60,11 @@ step or per layer:
 * ``decode_dense_core`` — the dense rows' store block: the store core
   with no cascade (K/V write at each row's cursor, scores / mask /
   softmax / A·V over the block's plane);
-* ``prefill_dense_core`` — the dense chunks' part: each chunk's K/V
-  appended to its private cache and causal attention over it, in
-  ``DenseExecutor``'s own core, one part for every dense chunk of the
-  step;
+* ``prefill_dense_core`` — a dense prompt store block: the store core
+  with no cascade over the chunks of consecutive dense rows (K/V write
+  at each row's cursor, then scores / mask / softmax / A·V over the
+  columns the store holds — on int8 its dequantized planes), one call
+  a block and layer;
 * ``decode_pruned_core`` / ``prefill_pruned_core`` — a pruned store
   block's store core but its value control: K/V write at each row's
   cursor (the int8 quantization of the block included), then scores /
@@ -117,9 +119,10 @@ the other:
   alone;
 * ``prefill_custom_core`` — the SpAtten sentences' part: each one's own
   core (``decode_attend_packed``);
-* ``prefill_dense_core`` — the dense chunks' part, as off the tier,
-  over K/V padded to the prompt's width while a chunked prompt is
-  mid-way;
+* ``prefill_dense_core`` — the dense chunks' part: each chunk's K/V
+  appended to its private cache and causal attention over it, in
+  ``DenseExecutor``'s own core, over K/V padded to the prompt's width
+  while a chunked prompt is mid-way;
 * ``prefill_ffn`` — the model's own fp64 residual adds, LayerNorms and
   tanh/gelu FFN, grouped as the projections.
 

@@ -947,6 +947,7 @@ PER_SEQUENCE_CALLS = (
     ("repro.core.importance", "TokenImportanceAccumulator.accumulate"),
     ("repro.core.importance", "HeadImportanceAccumulator.accumulate"),
     ("repro.nn.kv_cache", "LayerKVCache.append"),
+    ("repro.nn.transformer", "DenseExecutor.decode_attend_packed"),
 )
 
 
@@ -969,14 +970,21 @@ def _count_calls(monkeypatch, calls, module_name, qualname):
             monkeypatch.setattr(bound_in, attr, counted)
 
 
-@pytest.mark.parametrize("tier", ["fp32", "int8"])
+@pytest.mark.parametrize("family,tier", [
+    pytest.param("spatten", tier, id=tier) for tier in ("fp32", "int8")
+] + [
+    pytest.param("dense", tier, id=f"dense-{tier}", marks=pytest.mark.smoke)
+    for tier in ("fp32", "int8")
+])
 def test_pruned_prompt_step_never_calls_the_per_sequence_cascade(
-    tier, monkeypatch
+    family, tier, monkeypatch
 ):
-    """A policy-tier prompt pass over pruned sequences decides, attends,
-    quantizes and stores batch by batch: no per-sequence pruning, value
-    selection, importance, quantizer or cache-append call — and every
-    layer cache ends the pass a handle on that layer's store."""
+    """A policy-tier prompt pass decides, attends, quantizes and stores
+    batch by batch: no per-sequence pruning, value selection,
+    importance, quantizer, cache-append or dense-core call.  Every
+    layer cache ends the pass a handle on that layer's store — a dense
+    one after every chunk, being a store row from its first — and the
+    next decode step adopts nothing that holds a column."""
     config = ModelConfig(
         "store-guard", n_layers=3, n_heads=4, d_model=32, d_ff=64,
         vocab_size=96, max_seq_len=160, causal=True,
@@ -988,33 +996,57 @@ def test_pruned_prompt_step_never_calls_the_per_sequence_cascade(
     states = [
         model.prefill_begin(
             rng.integers(0, config.vocab_size, size=length).tolist(),
-            SpAttenExecutor(PRUNING, numerics=tier),
+            SpAttenExecutor(PRUNING, numerics=tier) if family == "spatten"
+            else DenseExecutor(numerics=tier),
         )
         for length in (96, 65, 40, 1)
     ]
     executors = [state.executor for state in states]
-    assert {e.packed_decode_style for e in executors} == {"pruned"}
+    style = "pruned" if family == "spatten" else "dense"
+    assert {e.packed_decode_style for e in executors} == {style}
+    adopted = []
+    fill_rows = KVRowStore.fill_rows
+
+    def fill_spy(store, start, caches, n_rows):
+        adopted.extend(cache._len for cache in caches)
+        return fill_rows(store, start, caches, n_rows)
+
+    monkeypatch.setattr(KVRowStore, "fill_rows", fill_spy)
     calls = {qualname: 0 for _, qualname in PER_SEQUENCE_CALLS}
     for module_name, qualname in PER_SEQUENCE_CALLS:
         _count_calls(monkeypatch, calls, module_name, qualname)
+
+    def resident():
+        stores = backend._tables[style].members
+        return all(
+            executor.decode_kv_cache(layer)._store is stores[layer]
+            for executor in executors for layer in range(config.n_layers)
+        )
+
     while not all(state.done for state in states):
         model.prefill_chunk_batch(
             [state for state in states if not state.done], 32,
             backend=backend,
         )
-    assert calls == dict.fromkeys(calls, 0)
-    table = backend._tables["pruned"]
-    stores = table.members
-    assert len(table.seats) == len(executors)
+        assert calls == dict.fromkeys(calls, 0)
+        assert family == "spatten" or resident()
+    assert resident()
+    assert len(backend._tables[style].seats) == len(executors)
     for executor, state in zip(executors, states):
         assert state.logits is not None
+        if family == "dense":
+            assert executor.kv_lengths() == [state.prompt_len] * 3
+            continue
         assert executor.kv_lengths() == list(executor._plan.token_counts)
         assert executor.kv_lengths()[-1] <= state.prompt_len
-        assert all(
-            executor.decode_kv_cache(layer)._store is stores[layer]
-            for layer in range(config.n_layers)
-        )
-    assert executors[0].kv_lengths()[-1] < states[0].prompt_len
+    if family == "spatten":
+        assert executors[0].kv_lengths()[-1] < states[0].prompt_len
+    model.decode_step_batch(
+        [int(np.argmax(state.logits)) for state in states],
+        [state.prompt_len for state in states], executors, backend=backend,
+    )
+    assert adopted and not any(adopted)
+    assert resident()
 
 
 @pytest.mark.parametrize("tier", ["fp32", "int8"])

@@ -706,48 +706,59 @@ class TestTierPrefill:
     ):
         """Codes and scales come from the fp32 K/V the pass computed —
         for SpAtten from the live heads only, the pruned heads' columns
-        being what ``quantize_rows`` makes of a zero row."""
+        being what ``quantize_rows`` makes of a zero row.  Neither family
+        calls the per-sequence append: every block is quantized in the
+        store core, and an fp32 twin computes the columns it quantized.
+        A SpAtten prompt block attends to the K/V it has just computed,
+        so its twin matches at every layer, pruned heads as zeros; a
+        dense block reads its columns back dequantized, so its twin
+        matches at the first layer (the embeddings' K/V) and the core's
+        own inputs are the computed K/V at every layer."""
+        import repro.nn.batched_attention as batched_attention
+
         config, model, _, prompts = world
-        seen = []
-        append = LayerKVCache.append
+        appended = []
+        monkeypatch.setattr(
+            LayerKVCache, "append",
+            lambda cache, *args, **kwargs: appended.append(cache),
+        )
+        entering = {}
+        core = batched_attention._store_core
 
-        def spy(cache, k, v, token_ids, heads=None):
-            assert k.dtype == v.dtype == np.float32
-            seen.append((cache, np.array(k), np.array(v)))
-            return append(cache, k, v, token_ids, heads)
+        def core_spy(backend, store, block, heads, out):
+            entering.setdefault(id(store), []).append(np.array(heads[:, 1:]))
+            return core(backend, store, block, heads, out)
 
-        monkeypatch.setattr(LayerKVCache, "append", spy)
+        monkeypatch.setattr(batched_attention, "_store_core", core_spy)
         backend = PackedDecodeBackend(model, numerics="int8")
         _, (executor,) = _tier_prefill(
             model, backend, [kind], prompts[:1], chunk=32
         )
+        style = "pruned" if kind == "spatten" else "dense"
+        stores = backend._tables[style].members
+        _, (twin,) = _tier_prefill(
+            model, PackedDecodeBackend(model, numerics="fp32"),
+            [kind], prompts[:1], chunk=32,
+        )
+        assert not appended
         if kind == "spatten":
-            # The batched core never calls the per-sequence append, and
-            # its attention reads the K/V un-quantized: an fp32 twin
-            # computes — and stores, pruned heads as zeros — the very
-            # columns the int8 pass quantized, at every layer.
-            assert not seen
-            _, (twin,) = _tier_prefill(
-                model, PackedDecodeBackend(model, numerics="fp32"),
-                [kind], prompts[:1], chunk=32,
-            )
             assert len(twin._alive_heads) < config.n_heads
         for layer_idx in range(config.n_layers):
             cache = executor._cache[layer_idx]
-            if kind == "spatten":
+            if kind == "spatten" or layer_idx == 0:
                 computed = twin._cache[layer_idx]
                 k_full, v_full = computed.keys, computed.values
-            else:
-                k_full, v_full = (
-                    np.concatenate(
-                        [kv[which] for kv in seen if kv[0] is cache], axis=1
-                    )
-                    for which in (1, 2)
-                )
+            if kind == "dense":
+                # [N, 2, h, D], chunk after chunk, as the core took them.
+                kv = np.concatenate(entering[id(stores[layer_idx])])
+                if layer_idx == 0:
+                    assert np.array_equal(kv[:, 0].transpose(1, 0, 2), k_full)
+                    assert np.array_equal(kv[:, 1].transpose(1, 0, 2), v_full)
+                k_full, v_full = kv.transpose(1, 2, 0, 3)
             assert k_full.shape[1] == len(cache)
-            # Through the public accessors (a pruned row's cache is a
-            # handle on a store row): equal scales and equal dequantized
-            # columns are equal codes.
+            # Through the public accessors (a store row's cache is a
+            # handle on it): equal scales and equal dequantized columns
+            # are equal codes.
             for plane, columns, scales in (
                 (k_full, cache.keys, cache.key_scales),
                 (v_full, cache.values, cache.value_scales),
@@ -911,7 +922,9 @@ class TestTierPrefill:
     # The SpAtten cells keep the ids they have always had.  "mid-decode"
     # evicts a sequence some steps into its generation; "after-prompt"
     # one whose prompt pass just completed and which has not decoded
-    # yet — a pruned row is resident in the backend's stores by then.
+    # yet — a pruned row is resident in the backend's stores by then;
+    # "mid-prompt" a dense one between two prompt chunks, resident
+    # since its first.
     FAMILY_X_TIER_X_WHEN = pytest.mark.parametrize("family,tier,when", [
         pytest.param(
             family, tier, "mid-decode",
@@ -922,6 +935,11 @@ class TestTierPrefill:
     ] + [
         pytest.param("spatten", tier, "after-prompt",
                      id=f"{tier}-after-prompt")
+        for tier in ("fp32", "int8")
+    ] + [
+        pytest.param("dense", tier, when, id=f"dense-{tier}-{when}",
+                     marks=pytest.mark.smoke)
+        for when in ("after-prompt", "mid-prompt")
         for tier in ("fp32", "int8")
     ])
 
@@ -971,6 +989,11 @@ class TestTierPrefill:
             victim = next(
                 s for s in engine.live if s.record.n_generated == 1
             )
+        elif when == "mid-prompt":
+            # Chunks of 8 over 24-token prompts: committed, not done.
+            while not any(s.state.n_committed for s in engine.prefilling):
+                engine.step()
+            victim = next(s for s in engine.prefilling if s.state.n_committed)
         else:
             while len(engine.live) < 3:
                 engine.step()
@@ -984,7 +1007,7 @@ class TestTierPrefill:
         (table,) = engine._backend._tables.values()  # one style served
         assert all(c._store is s for c, s in zip(caches, table.members))
         evict(engine, pool, victim)
-        assert victim not in engine.live
+        assert victim not in engine.live + engine.prefilling
         for cache in caches:
             assert cache._store is None
             assert cache._seat is None or cache._seat.table is None
@@ -1004,7 +1027,7 @@ class TestTierPrefill:
         """ROADMAP item 12's cross product: family x preemption x tier.
         A preempted request recomputes its prompt through the tier's
         prompt pass and must continue the stream it had."""
-        if when == "after-prompt":
+        if when != "mid-decode":
             stats = self._evict_resident_and_replay(
                 world, family, tier, when,
                 lambda engine, pool, victim: engine._preempt(

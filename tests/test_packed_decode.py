@@ -467,12 +467,13 @@ def _tier_executor(kind, tier):
 
 
 def _fused_vs_two_pass(model, tier, decode_rows, prompt_rows, chunk,
-                       advance, seed=0):
+                       advance, seed=0, retire=None):
     """Build a batch of resident decode rows and in-flight prompts on one
-    backend, run one fused mixed step on it and the two passes on a deep
-    copy with a backend of its own, and assert they agree.  Returns
-    whether the step's prompt adoption grew the pruned rows' control
-    planes."""
+    backend — the decode row ``retire``, if given, retired after the
+    prompts' earlier chunks — run one fused mixed step on it and the two
+    passes on a deep copy with a backend of its own, and assert they
+    agree.  Returns whether the step's prompt adoption grew the pruned
+    rows' control planes, and the fused step's profile."""
     rng = np.random.default_rng(seed)
 
     def draw(kind, n):
@@ -497,6 +498,10 @@ def _fused_vs_two_pass(model, tier, decode_rows, prompt_rows, chunk,
         # Earlier chunks: dense prompts go into the step mid-way.
         model.prefill_chunk_batch(states, chunk, backend=backend)
         states = [state for state in states if not state.done]
+    if retire is not None:
+        # The last row of its table fills the vacated one.
+        backend.release(executors.pop(retire))
+        del tokens[retire], positions[retire]
 
     ref_backend = PackedDecodeBackend(model, numerics=tier)
     ref_executors, ref_states = copy.deepcopy((executors, states))
@@ -546,7 +551,7 @@ def _fused_vs_two_pass(model, tier, decode_rows, prompt_rows, chunk,
                                            atol=_MIXED_ATOL)
             assert a.trace.n_generated == b.trace.n_generated, i
             assert a.trace.count_signature() == b.trace.count_signature(), i
-    return grew
+    return grew, prof
 
 
 @pytest.mark.smoke
@@ -577,4 +582,24 @@ def test_fused_step_opens_the_decode_cascade_after_adoption(decoder, tier):
         [("spatten", 40), ("spatten", 36), ("spatten", 24), ("dense", 12)],
         [("spatten", 25), ("spatten", 30), ("dense", 20)],
         chunk=32, advance=False,
+    )[0]
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("tier", ["fp32", "int8"])
+def test_retirement_seats_a_mid_prompt_row_between_decode_rows(
+    decoder, tier
+):
+    """A dense row retires while a dense prompt is mid-way: the prompt's
+    row, the last, fills the vacated one, between two decode rows.  The
+    fused step runs the dense rows as three store blocks — decode,
+    prompt chunk, decode — and agrees with the two passes."""
+    _, prof = _fused_vs_two_pass(
+        decoder, tier,
+        [("dense", 12), ("dense", 20), ("spatten", 24), ("dense", 16)],
+        [("dense", 30), ("spatten", 20)],
+        chunk=8, advance=True, retire=1,
     )
+    n_layers = decoder.config.n_layers
+    assert prof.calls("decode_dense_core") == 2 * n_layers
+    assert prof.calls("prefill_dense_core") == n_layers
