@@ -15,9 +15,9 @@ scale plus a long-context row.
 The smoke run adds a **mixed step** arm at the ``fp32`` tier: 16 decode
 rows plus 2 prompt chunks, once as the one fused step
 (``decode_step_batch(..., prefill=(states, chunk))``, which shares every
-GEMM between the two kinds of rows) and once as the two passes the
-exact tier still runs (``decode_step_batch`` followed by
-``prefill_chunk_batch``), on deep copies of one prefilled batch.  The
+GEMM between the two kinds of rows) and once as two passes
+(``decode_step_batch``, then ``prefill_chunk_batch`` on a backend of its
+own), on deep copies of one prefilled batch.  The
 arms alternate within each trial, the first one rotating, and the
 smoke publishes the median of the per-trial ratios as
 ``mixed_step_fused_over_two_pass`` (lower is better).  Engine-level wall clock is
@@ -116,14 +116,23 @@ def decode_sweep(model, backend, cases, steps=6, trials=3):
     return rows
 
 
-def mixed_step_trial(model, backend, batch, fused):
+def mixed_step_trial(model, backends, batch):
     """One arm of one trial: a deep copy of ``batch`` — decode
     executors and prompt states — decodes a step outside the timer
-    (adopting its rows into ``backend``), then :data:`MIXED_STEPS`
-    mixed steps are timed.  Returns ``(s/step, argmax tokens)``: the
-    last step's decode rows' and every completed prompt's."""
+    (adopting its rows into the first of ``backends``), then
+    :data:`MIXED_STEPS` mixed steps are timed.  The fused arm has one
+    backend, whose decode steps carry the prompt chunks.  The two-pass
+    arm has two, each reset every trial like the fused arm's: its decode
+    pass runs on the first and its prompt pass on the second, as a step
+    with decode rows and a step without them do in a served run — a
+    decode step on the backend holding the prompts' in-flight dense rows
+    would hand them home and re-adopt them, which no served run does.
+    Returns ``(s/step, argmax tokens)``: the last step's decode rows'
+    and every completed prompt's."""
     executors, states = copy.deepcopy(batch)
-    backend.reset()
+    for backend in backends:
+        backend.reset()
+    backend = backends[0]
     positions = [MIXED_CONTEXT] * len(executors)
     logits = model.decode_step_batch(
         [3] * len(executors), positions, executors, backend=backend
@@ -134,7 +143,7 @@ def mixed_step_trial(model, backend, batch, fused):
         tokens = logits.argmax(axis=1).tolist()
         live = [state for state in states if not state.done]
         chunks = (live, MIXED_CHUNK) if live else None
-        if fused:
+        if len(backends) == 1:
             logits = model.decode_step_batch(
                 tokens, positions, executors, backend=backend,
                 prefill=chunks,
@@ -144,7 +153,7 @@ def mixed_step_trial(model, backend, batch, fused):
                 tokens, positions, executors, backend=backend
             )
             if chunks:
-                model.prefill_chunk_batch(*chunks, backend=backend)
+                model.prefill_chunk_batch(*chunks, backend=backends[1])
     seconds = (time.perf_counter() - start) / MIXED_STEPS
     done = [int(np.argmax(s.logits)) for s in states if s.done]
     return seconds, logits.argmax(axis=1).tolist() + done
@@ -167,14 +176,15 @@ def mixed_step_ratios(model, trials):
         ],
     )
     backends = {
-        fused: PackedDecodeBackend(model, numerics="fp32")
+        fused: [PackedDecodeBackend(model, numerics="fp32")
+                for _ in range(1 if fused else 2)]
         for fused in (True, False)
     }
     ratios = []
     for trial in range(trials):
         order = (True, False) if trial % 2 == 0 else (False, True)
         runs = {
-            fused: mixed_step_trial(model, backends[fused], batch, fused)
+            fused: mixed_step_trial(model, backends[fused], batch)
             for fused in order
         }
         assert runs[True][1] == runs[False][1], (
@@ -256,7 +266,8 @@ def test_decode_step_smoke(decode_world, publish, history):
     table.add_note(
         "fused = decode_step_batch(..., prefill=(states, chunk)), one "
         "layer stack over both kinds of rows; two-pass = decode_step_batch "
-        "then prefill_chunk_batch; equal argmax asserted every trial"
+        "then prefill_chunk_batch on a second backend; equal argmax "
+        "asserted every trial"
     )
     publish(
         "decode_step_smoke",

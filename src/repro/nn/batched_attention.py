@@ -29,19 +29,14 @@ step (the logits go back to batch order once):
 4. **fused output FC** over every row's merged head features.
 
 A decode step has one query row a sequence, a prompt step a chunk or a
-whole sentence of them.  Off the exact tier a step that has both — a
-serving engine's mixed step — is one pass of the one step body,
-:meth:`~PackedDecodeBackend._step`: the decode parts and the prompt
-parts share the embedding gather, every layer's entry-pruning pass,
-fused projections and FFN half, and the LM head, and
-:meth:`~PackedDecodeBackend.decode_step_policy` /
-:meth:`~PackedDecodeBackend.prefill_chunk_policy` are that body without
-prompt rows or without decode rows.  The FFN half follows in the
-:meth:`~PackedDecodeBackend._layers` loop, the same for both stages: the
+whole sentence of them.  On every tier a step — decode rows, prompt
+rows, or both, a serving engine's mixed step — is one pass of the one
+step body, :meth:`~PackedDecodeBackend.step`: the decode parts and the
+prompt parts share the embedding gather, every layer's entry-pruning
+pass, fused projections and FFN half, and the LM head.  The FFN half
+follows each layer's attention half, the same for both stages: the
 compute-dtype :meth:`~PackedDecodeBackend._ffn_half` off the exact
-tier, the model's own fp64 one on it; only the exact tier's decode
-step, :meth:`~PackedDecodeBackend.decode_layer`, runs the attention
-half alone, its model keeping the fp64 FFN stack.
+tier, the model's own fp64 one on it.
 
 There are two cores, and every part runs one of them, after its
 control.  A **per-sequence part** is one style's rows, each sequence's
@@ -80,9 +75,9 @@ the accelerator's top-k engines and zero eliminators.
 An executor on another tier than the backend's, or one that opts out of
 packing, is a named error rather than a silent change of arithmetic.
 What depends on the tier is read off ``policy.is_exact``: the
-projection kernel of steps 2 and 4 (bound once at construction, and on
-the exact tier grouped by sequence in a prompt step), the FFN half and
-whether dense rows are store blocks or a per-sequence part.
+projection kernel of steps 2 and 4 (on the exact tier grouped as the
+oracle groups its rows), the FFN half and the LM head, and whether
+dense rows are store blocks or a per-sequence part.
 Weights live in one holder at the policy's compute dtype (under fp64 it
 aliases the model's own arrays) and scratch in one family of buffers
 grown on demand.
@@ -104,24 +99,30 @@ Exact tier: the bit-identity contract
 -------------------------------------
 
 Under ``exact`` the packed path must produce logits **bit-identical**
-to the looped oracle, ``decode_step_batch(backend=None)``
+to the looped oracle — ``decode_step_batch(backend=None)`` for the
+decode rows, a solo ``prefill`` for each prompt
 (``tests/test_packed_decode.py`` enforces this property across
-executors, ragged lengths, pruned-head sets, and mid-generation
-evictions).  BLAS reductions are not grouping-invariant, so that
-constraint dictates the projection kernel:
+executors, ragged lengths, pruned-head sets, mid-generation evictions
+and mixed steps).  BLAS reductions are not grouping-invariant, so that
+constraint dictates how the step's rows group into GEMM calls
+(:func:`_by_sequence`):
 
 * multi-slice ``np.matmul`` (the gufunc) computes each 2-D slice with
-  the same kernel as a standalone single-row matmul, so batching the
-  projections as ``[B, 1, d] @ [d, 3d]`` is exact — in any row order —
-  but a *2-D* ``[B, d] @ [d, d]`` GEMM is not (single-row products take
-  a GEMV-shaped path whose accumulation differs in the last ulp);
+  the same kernel as a standalone single-row matmul, so a
+  ``[k, 1, n] @ [n, m]`` call over every row the oracle multiplies
+  alone is exact — in any row order — but a *2-D* GEMM over them is not
+  (single-row products take a GEMV-shaped path whose accumulation
+  differs in the last ulp);
 * fusing Q/K/V into one ``[d, 3d]`` weight is exact (output columns are
-  independent), and concatenating prompt rows is exact for sequences
-  of ≥ 2 rows (row blocks of a GEMM are independent) — a prompt step's
-  QKV and output FC (:meth:`~PackedDecodeBackend.project_chunk_rows`)
-  and its fp64 FFN half run those as one GEMM and a sequence's only row
-  solo (:func:`_by_sequence`), regrouped after each layer's entry
-  pruning, and its LM head runs row by row.
+  independent), and so is one GEMM over every row the oracle multiplies
+  in a multi-row GEMM (row blocks of a GEMM are independent);
+* so the fused QKV projection and output FC
+  (:meth:`~PackedDecodeBackend.project_chunk_rows`) run each decode row
+  and each prompt's only row in the gufunc call and every other prompt
+  row in the GEMM, regrouped after each layer's entry pruning; the
+  model's fp64 FFN half and the LM head take the decode rows as one
+  group, as the oracle's ``[B, d]`` batch does — in the GEMM unless
+  ``B`` is 1 — and each completed prompt's last row alone.
 
 Attention needs no rule of its own: every exact-tier row is a
 per-sequence part, whose executor runs the oracle's operations in the
@@ -245,20 +246,9 @@ class UnpackableExecutorError(ValueError):
     """
 
 
-def _project_rows(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
-    """``x @ w + b`` for ``x [B, n]``, each row through the single-row kernel.
-
-    The exact tier's projection of a decode step and its prompt step's
-    LM head: the ``[B, 1, n]`` gufunc computes every slice exactly as
-    the looped path's ``x[i:i+1] @ w``, so the batch is bit-identical to
-    the oracle row for row.
-    """
-    return _project_gemm(x[:, None, :], w, b)[:, 0, :]
-
-
 def _project_gemm(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
-    """``x @ w + b`` as one 2-D GEMM (the ``[B, 1, n]`` gufunc dispatches
-    ``B`` separate GEMVs) — the non-exact tiers' projection."""
+    """``x @ w + b`` in one call: one 2-D GEMM for ``x [N, n]``, ``N``
+    single-row GEMVs for the ``[N, 1, n]`` gufunc form."""
     out = x @ w
     if b is not None:
         out += b
@@ -266,30 +256,39 @@ def _project_gemm(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
 
 
 def _by_sequence(fn, solo: np.ndarray, *rows: np.ndarray) -> np.ndarray:
-    """``fn`` over rows ``[N, ...]`` grouped as each sequence's solo pass
-    groups it — the exact tier's prompt step runs its GEMM stages so.
+    """``fn`` over rows ``[N, ...]`` grouped as the looped oracle groups
+    them — the exact tier's GEMM stages run so.
 
-    The rows of every sequence with two or more go through one call (row
-    blocks of a multi-row GEMM are independent), and each row flagged
-    ``solo`` — its sequence's only one — through a call of its own: the
-    single-row kernel groups its accumulation differently.
+    The rows flagged ``solo`` — each one the oracle multiplies alone —
+    go through one ``[k, 1, n]`` gufunc call, which computes every slice
+    with the single-row kernel, and all other rows through one
+    multi-row call (row blocks of a multi-row GEMM are independent).
     """
-    if not solo.any():
+    n_solo = np.count_nonzero(solo)
+    if not n_solo:
         return fn(*rows)
-    groups = [[i] for i in np.flatnonzero(solo)]
-    if not solo.all():
-        groups.append(np.flatnonzero(~solo))
-    pieces = [fn(*(a[group] for a in rows)) for group in groups]
-    out = np.empty((len(solo),) + pieces[0].shape[1:], pieces[0].dtype)
-    for group, piece in zip(groups, pieces):
-        out[group] = piece
+    if n_solo == len(solo):
+        return fn(*[a[:, None] for a in rows])[:, 0]
+    alone = fn(*(a[solo][:, None] for a in rows))[:, 0]
+    out = np.empty((len(solo),) + alone.shape[1:], alone.dtype)
+    out[solo] = alone
+    out[~solo] = fn(*(a[~solo] for a in rows))
     return out
 
 
 def _solo_rows(parts: Sequence["_Part"]) -> np.ndarray:
-    """Which of ``parts``' rows are their sequence's only one."""
+    """Which of ``parts``' rows are their sequence's only one (every
+    decode row is)."""
     sizes = np.concatenate([part.sizes() for part in parts])
     return np.repeat(sizes == 1, sizes)
+
+
+def _batch_solo(solo: np.ndarray, n: int) -> np.ndarray:
+    """``solo``, in place, with its first ``n`` rows — a step's decode
+    rows — one group, as the oracle's ``[B, d]`` FFN half and LM head
+    take them: alone only when ``n`` is 1."""
+    solo[:n] = n == 1
+    return solo
 
 
 def _policy_layer_norm(
@@ -528,9 +527,6 @@ class PackedDecodeBackend:
         self.policy = resolve_numerics(numerics)
         cfg = model.config
         self._weights = _Weights(model, self.policy.compute_dtype)
-        self._project = (
-            _project_rows if self.policy.is_exact else _project_gemm
-        )
         # Reusable scratch (name -> buffer), allocated on first use: a
         # tier pays only for what its core touches.
         self._scratch: Dict[str, np.ndarray] = {}
@@ -610,14 +606,16 @@ class PackedDecodeBackend:
     def _attend(
         self, layer_idx: int, parts: Sequence[_Part], x: np.ndarray,
         stage: str,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """The attention half of one layer over ``parts``' rows ``x``,
         one part after the other: entry pruning, the fused QKV
         projection, each part's core over its slice of the rows, the
         fused output FC.
 
-        Returns ``(x, attn_out)``: the rows that survived entry pruning
-        and their attention output, both ``[N, d]``.
+        Returns ``(x, attn_out, solo)``: the rows that survived entry
+        pruning and their attention output, both ``[N, d]``, and on the
+        exact tier which of them are their sequence's only one
+        (:func:`_solo_rows`; ``None`` off it).
         """
         cfg, w, prof = self._model.config, self._weights, self.profiler
         t0 = prof.start() if prof is not None else 0.0
@@ -636,9 +634,10 @@ class PackedDecodeBackend:
         if prof is not None:
             t0 = prof.lap(f"{stage}_prune_control", t0)
 
-        project = self._project
-        if stage == "prefill" and self.policy.is_exact:
-            project = partial(self.project_chunk_rows, _solo_rows(parts))
+        project, solo = _project_gemm, None
+        if self.policy.is_exact:
+            solo = _solo_rows(parts)
+            project = partial(self.project_chunk_rows, solo)
         qkv = project(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
         if prof is not None:
             t0 = prof.lap(_PROJ_STAGE[stage], t0)
@@ -656,30 +655,7 @@ class PackedDecodeBackend:
         attn_out = project(merged, w.wo[layer_idx], w.bo[layer_idx])
         if prof is not None:
             prof.lap(f"{stage}_output_fc", t0)
-        return x, attn_out
-
-    def _layers(
-        self, parts: Sequence[_Part], x: np.ndarray, stage: str
-    ) -> np.ndarray:
-        """The compute-dtype layer stack over ``parts``' rows ``x`` —
-        every layer's attention half, then its FFN half — run alike by a
-        decode step off the exact tier and a prompt step on every tier.
-        Returns the final hidden rows, part by part."""
-        prof = self.profiler
-        for layer_idx in range(self._model.config.n_layers):
-            x, attn_out = self._attend(layer_idx, parts, x, stage)
-            t0 = prof.start() if prof is not None else 0.0
-            if self.policy.is_exact:
-                # The model's own fp64 FFN half, grouped as the oracle's.
-                x = _by_sequence(
-                    partial(self._model._residual_ffn, layer_idx),
-                    _solo_rows(parts), x, attn_out,
-                )
-            else:
-                x = self._ffn_half(layer_idx, x, attn_out)
-            if prof is not None:
-                prof.stop(f"{stage}_ffn", t0)
-        return x
+        return x, attn_out, solo
 
     def _sequence_parts(
         self, stage: str, rows: Dict[str, _Rows], spans
@@ -704,90 +680,90 @@ class PackedDecodeBackend:
         positions: np.ndarray,
         executors: Sequence[AttentionExecutor],
     ) -> np.ndarray:
-        """Packed attention of one block over a decode batch.
-
-        The exact tier's entry point:
-        :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch`
-        keeps its own fp64 layer stack and calls this once per block.
-        Returns ``attn_out [B, d_model]``, bit-identical to
-        concatenating the looped per-sequence ``run_layer`` outputs.
-        """
+        """Packed attention of one block over an exact-tier decode batch:
+        ``attn_out [B, d_model]``, bit-identical to concatenating the
+        looped per-sequence ``run_layer`` outputs.  Nothing calls it —
+        :meth:`step` runs every tier's decode step — but the end-to-end
+        benchmark's span table pins the name."""
         parts = self._sequence_parts(
             "decode", self._group_rows(model, executors), positions[:, None]
         )
         order = [i for part in parts for i in part.indices]
-        if order == list(range(len(order))):
-            return self._attend(layer_idx, parts, x, "decode")[1]
         attn_out = self._attend(layer_idx, parts, x[order], "decode")[1]
         return attn_out[np.argsort(order)]
 
-    def decode_step_policy(
-        self,
-        model: TransformerModel,
-        token_ids: np.ndarray,
-        positions: np.ndarray,
-        executors: Sequence[AttentionExecutor],
-        prefill: Optional[Tuple[Sequence[PrefillState], int]],
-    ) -> np.ndarray:
-        """One whole decode step in the policy's compute dtype, with the
-        step's prompt chunks ``prefill`` — ``(states, max_tokens)`` as
-        :meth:`prefill_chunk_policy` takes them, or ``None`` — sharing
-        its layer stack (:meth:`_step`).
-
-        :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch`
-        delegates here (after its input validation) whenever the
-        backend's policy is non-exact.  The layer stack mirrors the
-        exact path operation-for-operation — embedding gather, packed
-        attention, residual + LayerNorm, tanh/gelu FFN, LM head — but
-        runs vectorized over the cast weights, on the rows in part
-        order.  ``dense`` and ``pruned`` executors' K/V are row-store
-        rows (one served by this backend has been since its prompt pass,
-        a ``pruned`` one's cascade control too; one prefilled elsewhere
-        is adopted here); the ``pruned`` rows' step is opened on their
-        resident control with one admission and stepped by every layer,
-        and nothing is stored back to the executors; ``custom``
-        executors keep their own per-sequence core.
-        """
-        return self._step(
+    def decode_step_policy(self, model, token_ids, positions, executors,
+                           prefill):
+        """:meth:`step` with the prompt chunks as ``prefill``, ``(states,
+        max_tokens)`` or ``None``.  Nothing calls it; the end-to-end
+        benchmark's span table pins the name."""
+        return self.step(
             model, token_ids, positions, executors, *(prefill or ((), 1))
         )[0]
 
-    def _step(
+    def step(
         self,
         model: TransformerModel,
-        token_ids: np.ndarray,
-        positions: np.ndarray,
+        token_ids: Sequence[int],
+        positions: Sequence[int],
         executors: Sequence[AttentionExecutor],
         states: Sequence[PrefillState],
         max_tokens: int,
     ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
-        """The one step body: decode rows (one a sequence of
-        ``executors``) and the prompt rows of ``states`` through one
-        layer stack — one embedding gather; per layer one entry-pruning
-        pass, one fused QKV projection, each part's core, one output FC
-        and one FFN half over all rows; one LM head over the decode rows
-        and the last rows of the prompts that completed.
+        """One step on every tier: decode rows (one a sequence of
+        ``executors``, decoding ``token_ids`` at ``positions``) and the
+        prompt rows of ``states`` — each the span
+        :meth:`~repro.nn.transformer.PrefillState.next_span` names for
+        ``max_tokens`` — through one layer stack: one embedding gather;
+        per layer one entry-pruning pass, one fused QKV projection, each
+        part's core, one output FC and one FFN half over all rows; one
+        LM head over the decode rows and the last rows of the prompts
+        that completed.
 
-        Off the exact tier each store style's table seats its rows
-        before any of its blocks opens (:meth:`_store_parts`): a step
-        with decode rows has each table hold exactly its decode rows and
-        its prompt sequences, so a dense sequence is a store row from its
-        first chunk until it retires and a pruned one from its
-        sentence's pass; the pruned rows' cascade steps open only then,
-        because adoption may grow the control planes.  The decode rows
-        come first in the step's part order, then the prompt parts.  A
-        step with decode rows is profiled as a ``decode_step`` (its
-        prompt parts' cores under their ``prefill_*`` names), one
-        without as a ``prefill_step``.
+        :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch`
+        and :meth:`~repro.nn.transformer.TransformerModel
+        .prefill_chunk_batch` delegate here after their input
+        validation.  The rows a prompt brings are an incremental
+        executor's (:attr:`~repro.nn.transformer.AttentionExecutor
+        .supports_incremental_prefill`) next chunk, and the whole
+        sentence of every other executor whose *final* chunk this is —
+        cascade pruning decides over all of it, so earlier chunks only
+        advance the committed-token counter, as in the looped oracle.
+        Pruned tokens leave the residual stream at each layer's entry,
+        so they skip the projections and the FFN.
+
+        Off the exact tier ``"dense"`` and ``"pruned"`` rows are store
+        blocks, and each style's table seats its rows before any of its
+        blocks opens (:meth:`_store_parts`): a step with decode rows has
+        each table hold exactly its decode rows and its prompt
+        sequences, so a dense sequence is a store row from its first
+        chunk until it retires and a pruned one from its sentence's
+        pass; the pruned rows' cascade steps open only then, because
+        adoption may grow the control planes.  Nothing is stored back to
+        the executors.  Every other row — ``"custom"`` ones, and on the
+        exact tier every row — is a per-sequence part, run through its
+        executor's control and core.  On the exact tier the decode
+        logits are bit-identical to the looped oracle's and each
+        prompt's to a solo :meth:`~repro.nn.transformer.TransformerModel
+        .prefill`: the GEMM stages group rows as those do
+        (:func:`_by_sequence`).
+
+        The decode rows come first in the step's part order, then the
+        prompt parts.  A step with decode rows is profiled as a
+        ``decode_step`` (its prompt parts' cores under their
+        ``prefill_*`` names), one without as a ``prefill_step``.
 
         Returns the decode rows' logits in batch order and one entry per
-        state: the next-token logits of a prompt that completed, else
-        ``None``.
+        state: the next-token logits (compute dtype) of a prompt that
+        completed, else ``None``.
         """
+        token_ids = np.asarray(token_ids, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.int64)
         prof = self.profiler
         stage = "decode" if len(executors) else "prefill"
         t_step = t0 = prof.begin_step() if prof is not None else 0.0
         cfg, w, n = model.config, self._weights, len(executors)
+        exact = self.policy.is_exact
         rows = self._group_rows(model, executors)
         by_style = self._group_rows(model, [s.executor for s in states])
         spans = [state.next_span(max_tokens) for state in states]
@@ -815,7 +791,7 @@ class PackedDecodeBackend:
         }
         parts = self._sequence_parts("decode", rows, positions[:, None])
         prompt_parts: List[_Part] = []
-        for style in () if self.policy.is_exact else ("pruned", "dense"):
+        for style in () if exact else ("pruned", "dense"):
             decode_blocks, prompt_blocks = self._store_parts(
                 style, rows[style], prompt[style], positions, rows_of
             )
@@ -838,7 +814,20 @@ class PackedDecodeBackend:
             t0 = prof.lap(f"{stage}_setup", t0)
         results: List[Optional[np.ndarray]] = [None] * len(states)
         if parts:
-            hidden = self._layers(parts, x, stage)
+            for layer_idx in range(cfg.n_layers):
+                x, attn_out, solo = self._attend(layer_idx, parts, x, stage)
+                t0 = prof.start() if prof is not None else 0.0
+                if exact:
+                    # The model's own fp64 FFN half, grouped as the
+                    # oracle's.
+                    x = _by_sequence(
+                        partial(model._residual_ffn, layer_idx),
+                        _batch_solo(solo, n), x, attn_out,
+                    )
+                else:
+                    x = self._ffn_half(layer_idx, x, attn_out)
+                if prof is not None:
+                    prof.stop(f"{stage}_ffn", t0)
             t0 = prof.start() if prof is not None else 0.0
             # The decode rows in batch order, then the last row of each
             # prompt that completed: cascade pruning protects the final
@@ -851,7 +840,13 @@ class PackedDecodeBackend:
                         done.append(i)
                         head.append(offset + end - 1)
                 offset += len(part.positions)
-            logits = self._project(hidden[head], w.lm_proj)
+            lm_head = partial(_project_gemm, w=w.lm_proj)
+            if exact:
+                # The oracle's heads: its decode batch, and each
+                # prompt's last row alone.
+                solo = _batch_solo(np.ones(len(head), dtype=bool), n)
+                lm_head = partial(_by_sequence, lm_head, solo)
+            logits = lm_head(x[head])
             for i, row in zip(done, logits[n:]):
                 results[i] = row
             logits = logits[:n]
@@ -955,58 +950,6 @@ class PackedDecodeBackend:
         out += w.b2[layer_idx]
         out += x
         return _policy_layer_norm(out, w.ln2_g[layer_idx], w.ln2_b[layer_idx])
-
-    # ------------------------------------------------------------------
-    # Prefill
-    # ------------------------------------------------------------------
-    def prefill_chunk_policy(
-        self,
-        model: TransformerModel,
-        states: Sequence[PrefillState],
-        max_tokens: int,
-    ) -> List[Optional[np.ndarray]]:
-        """One prefill chunk per in-flight prompt, in the compute dtype:
-        the step body (:meth:`_step`) without decode rows.
-
-        :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
-        delegates here (after its input validation) on every tier.  The
-        rows each sequence brings are an incremental executor's
-        (:attr:`~repro.nn.transformer.AttentionExecutor
-        .supports_incremental_prefill`) next chunk, and the whole
-        sentence of every other executor whose *final* chunk this is —
-        cascade pruning decides over all of it, so earlier chunks only
-        advance the committed-token counter, as in the looped oracle.
-        Pruned tokens leave the residual stream at each layer's entry,
-        so they skip the projections and the FFN:
-
-        * ``"pruned"`` sentences and ``"dense"`` chunks are store blocks
-          (:meth:`_store_parts`), a pruned one a step of the resident
-          batch control, which adopts the sequences' control state —
-          opening their schedules — as the ``"pruned"`` row stores adopt
-          their empty caches, before the first layer; a dense sequence's
-          empty caches are adopted at its first chunk and each chunk
-          reads its columns back from the stores; their K/V go straight
-          into the stores — a sequence is resident from its first column
-          and nothing is stored back;
-        * every other sequence's rows — ``"custom"`` ones, and on the
-          exact tier dense ones — prune through its executor's
-          :meth:`~repro.nn.transformer.AttentionExecutor
-          .summarize_control` and run its own core on the survivors'
-          projections (:meth:`~repro.nn.transformer.AttentionExecutor
-          .decode_attend_packed`, the core of both stages).
-
-        On the exact tier every sequence is such a per-sequence row,
-        and the step reproduces a solo
-        :meth:`~repro.nn.transformer.TransformerModel.prefill` bit for
-        bit: the projections (:meth:`project_chunk_rows`) and the
-        model's own fp64 FFN half group rows as solo passes do
-        (:func:`_by_sequence`), and the LM head runs row by row.
-
-        Returns one entry per state: the next-token logits (compute
-        dtype) of prompts that completed, else ``None``.
-        """
-        empty = np.zeros(0, dtype=np.int64)
-        return self._step(model, empty, empty, [], states, max_tokens)[1]
 
     def _store_parts(
         self, style: str, decode: _Rows, prompt: _Rows,
@@ -1113,11 +1056,12 @@ class PackedDecodeBackend:
     def project_chunk_rows(
         self, solo: np.ndarray, x: np.ndarray, w: np.ndarray, b: np.ndarray
     ) -> np.ndarray:
-        """``x @ w + b`` over an exact-tier prompt step's rows — its
-        fused QKV projection and output FC — grouped as solo passes
-        group them (:func:`_by_sequence`): one GEMM over the rows of
-        every sequence with ≥ 2 of them, and each row flagged ``solo``
-        alone."""
+        """``x @ w + b`` over an exact-tier step's rows — its fused QKV
+        projection and output FC — grouped as the looped oracle groups
+        them (:func:`_by_sequence`): one GEMM over the prompt rows of
+        every sequence with ≥ 2 of them, and every row flagged ``solo``
+        — each decode row, each prompt's only row — through the
+        single-row kernel."""
         return _by_sequence(partial(_project_gemm, w=w, b=b), solo, x)
 
 

@@ -171,13 +171,14 @@ class AttentionExecutor:
           :attr:`evicted_kv_tokens`; reading their columns brings them
           back into private buffers).
 
-        A backend's prompt pass reads the same property: off the exact
-        tier ``"dense"`` chunks and ``"pruned"`` sentences run the
-        backend's batched core, the pruned control rows opened by
-        :meth:`batch_control`'s prompt pass; every other executor is a
-        per-sequence row.  :attr:`supports_incremental_prefill` decides
-        the span — the next chunk, or the whole sentence once its final
-        chunk lands.
+        A backend step reads it for prompt rows and decode rows alike,
+        on every tier (:meth:`~repro.nn.batched_attention
+        .PackedDecodeBackend.step`): off the exact tier ``"dense"``
+        chunks and ``"pruned"`` sentences run the backend's batched
+        core, the pruned control rows opened by :meth:`batch_control`'s
+        prompt pass; every other executor is a per-sequence row.
+        :attr:`supports_incremental_prefill` decides the span — the next
+        chunk, or the whole sentence once its final chunk lands.
 
         ``"dense"`` and ``"custom"`` results must be bit-identical to the
         looped :meth:`run_layer` path on the exact tier — the backend
@@ -263,14 +264,13 @@ class AttentionExecutor:
     ) -> np.ndarray:
         """Entry pruning of one summarize layer, ahead of the projections.
 
-        In the backend's prompt pass
-        (:meth:`~repro.nn.batched_attention.PackedDecodeBackend
-        .prefill_chunk_policy`) each layer first asks a per-sequence
-        row's executor which of its rows at ``positions`` survive — the
-        returned indices; the others leave the residual stream — then
-        projects the survivors together with every other sequence's
-        rows and hands them to :meth:`decode_attend_packed`.  The
-        default prunes nothing.
+        For a step's prompt rows the backend
+        (:meth:`~repro.nn.batched_attention.PackedDecodeBackend.step`)
+        has each layer first ask a per-sequence row's executor which of
+        its rows at ``positions`` survive — the returned indices; the
+        others leave the residual stream — then projects the survivors
+        together with every other row of the step and hands them to
+        :meth:`decode_attend_packed`.  The default prunes nothing.
         """
         return np.arange(len(positions))
 
@@ -358,11 +358,11 @@ class DenseExecutor(AttentionExecutor):
             computes in whatever dtype it is handed — fp64 from the
             model's own stack, which is what ``prefill(backend=None)``
             and the looped oracle run on every tier — while a packed
-            backend runs both stages through :meth:`decode_attend_packed`
-            on the exact tier (bit-identical to :meth:`run_layer`, chunk
-            padding included) and, off it, over its row stores, the
-            sequence resident from its first prompt chunk, in the
-            policy's compute dtype.
+            backend's step runs both stages through
+            :meth:`decode_attend_packed` on the exact tier
+            (bit-identical to :meth:`run_layer`, chunk padding included)
+            and, off it, over its row stores, the sequence resident from
+            its first prompt chunk, in the policy's compute dtype.
     """
 
     def __init__(
@@ -405,13 +405,14 @@ class DenseExecutor(AttentionExecutor):
         excludes the padded columns).  The softmax denominator then
         sums over exactly the same columns — in the same pairwise
         grouping — as the monolithic pass, which is what makes chunked
-        prefill bit-identical rather than merely close.  Capacity for
-        the whole prompt is reserved up front so chunked appends never
-        reallocate mid-prefill.
+        prefill bit-identical rather than merely close.  Nothing is
+        reserved here: the first padded read
+        (:meth:`~repro.nn.kv_cache.LayerKVCache.padded_to`) grows a
+        cache to the prompt's width, so later chunks append without
+        reallocating, and a cache a backend's row store adopts empty
+        never holds a buffer it does not use.
         """
         self._prefill_total = int(prompt_len)
-        if self._cache is not None:
-            self._cache.reserve(self._prefill_total)
 
     def kv_lengths(self) -> List[int]:
         """Per-layer live KV column counts (serving pool bookkeeping)."""
@@ -776,19 +777,19 @@ class TransformerModel:
         still charges the work chunk by chunk.
 
         With a :class:`~repro.nn.batched_attention.PackedDecodeBackend`
-        the backend owns the whole step on every tier
-        (:meth:`~repro.nn.batched_attention.PackedDecodeBackend
-        .prefill_chunk_policy`): every sequence's rows run one layer
-        stack, in the tier's compute dtype, and the exact tier's logits
-        are bit-identical to a solo :meth:`prefill`.  Without one each
-        state runs alone through :meth:`AttentionExecutor.run_layer` —
-        the looped fp64 oracle, whatever tier the executors store KV at.
+        the backend's step body runs it, without decode rows
+        (:meth:`~repro.nn.batched_attention.PackedDecodeBackend.step`):
+        every sequence's rows run one layer stack, in the tier's compute
+        dtype, and the exact tier's logits are bit-identical to a solo
+        :meth:`prefill`.  Without one each state runs alone through
+        :meth:`AttentionExecutor.run_layer` — the looped fp64 oracle,
+        whatever tier the executors store KV at.
 
         Returns one entry per state: the next-token logits for states
         whose prompt completed this call, else ``None``.
         """
         if backend is not None:
-            return backend.prefill_chunk_policy(self, states, max_tokens)
+            return backend.step(self, (), (), [], states, max_tokens)[1]
         results: List[Optional[np.ndarray]] = []
         for state in states:
             start, end = state.next_span(max_tokens)
@@ -830,10 +831,12 @@ class TransformerModel:
         :meth:`AttentionExecutor.run_layer`, issuing ``B × n_layers``
         single-row projections per step.  With a
         :class:`~repro.nn.batched_attention.PackedDecodeBackend` (the
-        **packed** path) each layer's Q/K/V and output projections run
-        as single fused batch-level matmuls around each executor's own
-        exact-length core — bit-identical logits, a fraction of the
-        interpreter and copy traffic.
+        **packed** path) the backend's step body runs the whole step on
+        every tier (:meth:`~repro.nn.batched_attention
+        .PackedDecodeBackend.step`): each layer's Q/K/V and output
+        projections run as fused batch-level matmuls around the
+        attention cores — on the exact tier bit-identical logits, a
+        fraction of the interpreter and copy traffic.
 
         Each executor must already hold a prefilled sequence (see
         :meth:`prefill`); sequence ``i`` decodes ``token_ids[i]`` at
@@ -841,13 +844,12 @@ class TransformerModel:
 
         ``prefill`` — ``(states, max_tokens)``, the arguments of
         :meth:`prefill_chunk_batch` — carries the step's prompt chunks,
-        whose logits land in each state's ``logits``.  On the fp32 /
-        int8 tiers they share the decode rows' one layer stack (one
-        embedding gather, one GEMM per projection and FFN half, one LM
-        head), so a mixed step's wall clock is the single pass the
-        serving cost model charges; otherwise — the exact tier, whose
-        decode step is the model's own fp64 stack, or no backend — the
-        decode step runs first and :meth:`prefill_chunk_batch` after it.
+        whose logits land in each state's ``logits``.  With a backend
+        they share the decode rows' one layer stack (one embedding
+        gather, one pass of each projection and FFN half, one LM head),
+        so a mixed step's wall clock is the single pass the serving cost
+        model charges; without one the decode step runs first and
+        :meth:`prefill_chunk_batch` after it.
         """
         if not self.config.causal:
             raise ValueError("decode_step_batch() requires a causal model")
@@ -865,38 +867,29 @@ class TransformerModel:
             raise ValueError(
                 f"position exceeds max_seq_len={self.config.max_seq_len}"
             )
-        if backend is not None and not backend.policy.is_exact:
-            # Non-exact numerics tier: the backend owns the whole step
-            # (compute-dtype layer stack + store-packed attention core);
-            # see repro.nn.numerics for the ladder contract.
-            return backend.decode_step_policy(
-                self, token_ids, positions, executors, prefill
-            )
+        if backend is not None:
+            return backend.step(
+                self, token_ids, positions, executors, *(prefill or ((), 1))
+            )[0]
         x = (
             self.params.token_embedding[token_ids]
             + self.params.pos_embedding[positions]
         )
         for layer_idx in range(self.config.n_layers):
-            if backend is not None:
-                attn_out = backend.decode_layer(
-                    self, layer_idx, x, positions, executors
-                )
-            else:
-                attn_out = np.concatenate(
-                    [
-                        executor.run_layer(
-                            layer_idx, self, x[i : i + 1],
-                            positions[i : i + 1], "decode",
-                        ).output
-                        for i, executor in enumerate(executors)
-                    ],
-                    axis=0,
-                )
+            attn_out = np.concatenate(
+                [
+                    executor.run_layer(
+                        layer_idx, self, x[i : i + 1],
+                        positions[i : i + 1], "decode",
+                    ).output
+                    for i, executor in enumerate(executors)
+                ],
+                axis=0,
+            )
             x = self._residual_ffn(layer_idx, x, attn_out)
-        logits = self.lm_logits(x)
         if prefill is not None:
-            self.prefill_chunk_batch(*prefill, backend=backend)
-        return logits
+            self.prefill_chunk_batch(*prefill)
+        return self.lm_logits(x)
 
     def generate(
         self,

@@ -156,12 +156,10 @@ class CostModel:
 
         A single fixed step overhead covers the whole mixed batch —
         this is what lets chunked prefill hide prompt summarization
-        behind decode steps instead of stalling them.  On the fp32 /
-        int8 tiers the wall clock does the same: the step's prompt
-        chunks and decode rows run one layer stack
-        (``decode_step_batch(..., prefill=...)``); the exact tier still
-        runs its decode pass and its prompt pass one after the other.
-        Degenerates to :meth:`step_time` for a decode-only step.
+        behind decode steps instead of stalling them.  On every tier
+        the wall clock does the same: the step's prompt chunks and
+        decode rows run one layer stack
+        (``decode_step_batch(..., prefill=...)``).  Degenerates to :meth:`step_time` for a decode-only step.
         """
         return (
             self.step_overhead_s

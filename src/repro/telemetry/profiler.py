@@ -12,16 +12,15 @@ fused QKV projection, each part's core, the output FC — so the two
 record the same stages, each under its own prefix (the catalog below
 is the whole set; a test holds a traced run of every tier to it).
 
-Stages off the exact tier
--------------------------
+Stages
+------
 
-Off the exact tier a step is one layer stack over every row it
-carries: a step with decode rows is a *decode step*
-(``decode_step_policy``) — also when the step's prompt chunks ride
-along in it, a *mixed step*, whose prompt parts' cores keep their
-``prefill_*`` names — and a step without is a *prompt step*
-(``prefill_chunk_policy``).  An ``fp32`` / ``int8`` step records, per
-step or per layer:
+On every tier a step is one layer stack over every row it carries
+(``PackedDecodeBackend.step``): a step with decode rows is a *decode
+step* — also when the step's prompt chunks ride along in it, a *mixed
+step*, whose prompt parts' cores keep their ``prefill_*`` names — and
+a step without is a *prompt step*.  A step records, per step or per
+layer:
 
 * ``decode_step`` / ``prefill_step`` — the whole step, the *total* the
   stages charged while it runs are parts of: what they leave over is
@@ -48,23 +47,23 @@ step or per layer:
   store (one gathered mask, plus compaction of the rows a page of holes
   has built up in), every per-sequence row's control —
   ``summarize_control`` in a prompt step, ``decode_control`` in a decode
-  step (a dense chunk's prunes nothing) — and the gather that drops
-  pruned rows from the residual stream;
+  step (admission, cascade token and head pruning, eviction from the
+  row's own cache; a dense row's default prunes nothing) — and the
+  gather that drops pruned rows from the residual stream;
 * ``decode_qkv_proj`` / ``prefill_chunk_proj`` — the fused
   ``[N, d] @ [d, 3d]`` projection of every row;
-* ``decode_custom_core`` / ``prefill_custom_core`` — the
-  progressive-quantization rows' part: each sequence's own SpAtten
-  core (``decode_attend_packed``, the core of both stages; its control
-  ran in the prune-control stage), one part for every such row of the
-  step;
-* ``decode_dense_core`` — the dense rows' store block: the store core
-  with no cascade (K/V write at each row's cursor, scores / mask /
-  softmax / A·V over the block's plane);
-* ``prefill_dense_core`` — a dense prompt store block: the store core
-  with no cascade over the chunks of consecutive dense rows (K/V write
-  at each row's cursor, then scores / mask / softmax / A·V over the
-  columns the store holds — on int8 its dequantized planes), one call
-  a block and layer;
+* ``decode_custom_core`` / ``prefill_custom_core`` — the per-sequence
+  SpAtten rows' part: each sequence's own core (``decode_attend_packed``,
+  the core of both stages; its control ran in the prune-control stage),
+  one part for every such row of the step;
+* ``decode_dense_core`` / ``prefill_dense_core`` — the dense rows: off
+  the exact tier a store block, the store core with no cascade (K/V
+  write at each row's cursor, then scores / mask / softmax / A·V over
+  the columns the store holds — on int8 a dense row's dequantized
+  planes), one call a block and layer; on it a per-sequence part, each
+  row's K/V appended to its own cache and causal attention over it in
+  ``DenseExecutor``'s own core, over K/V padded to the prompt's width
+  while a chunked prompt is mid-way;
 * ``decode_pruned_core`` / ``prefill_pruned_core`` — a pruned store
   block's store core but its value control: K/V write at each row's
   cursor (the int8 quantization of the block included), then scores /
@@ -86,45 +85,12 @@ step or per layer:
   decode rows, back in batch order, and the last rows of the prompts
   that completed, and the prompt states' bookkeeping.
 
-Stages on the exact tier
-------------------------
-
-The exact tier's decode step belongs to the model's own fp64 stack, so
-there is no ``decode_step`` total and no remainder row for it: the
-stack runs the backend's skeleton for each layer's attention half
-(``decode_layer``).  Its prompt step is the backend's whole step, as
-off the tier — total and ``unattributed`` remainder included — with
-every prompt a per-sequence row, so no store block and no value
-control; a step with both kinds of rows runs the two passes one after
-the other:
-
-* ``decode_prune_control`` — entry pruning: each SpAtten row's
-  ``decode_control`` (admission, cascade token and head pruning,
-  eviction from the layer's cache), each dense row's default that keeps
-  it, and the skeleton's bookkeeping;
-* ``decode_qkv_proj`` — the fused projection, row by row;
-* ``decode_custom_core`` — the SpAtten rows' part: each row's own
-  per-sequence core, its control excluded;
-* ``decode_dense_core`` — the dense rows' part: each row's KV append
-  and attention over its cache at exact length, in ``DenseExecutor``'s
-  own core;
-* ``decode_output_fc`` — the fused output projection, row by row;
-* ``prefill_step`` / ``prefill_setup`` / ``prefill_lm_head`` — as off
-  the tier, the LM head row by row;
-* ``prefill_prune_control`` — each SpAtten sentence's
-  ``summarize_control`` and the gather that drops its pruned rows;
-* ``prefill_chunk_proj`` / ``prefill_output_fc`` — the fused
-  projections, grouped as a solo prompt pass groups them: one GEMM over
-  the rows of every sequence with two or more, a sequence's only row
-  alone;
-* ``prefill_custom_core`` — the SpAtten sentences' part: each one's own
-  core (``decode_attend_packed``);
-* ``prefill_dense_core`` — the dense chunks' part: each chunk's K/V
-  appended to its private cache and causal attention over it, in
-  ``DenseExecutor``'s own core, over K/V padded to the prompt's width
-  while a chunked prompt is mid-way;
-* ``prefill_ffn`` — the model's own fp64 residual adds, LayerNorms and
-  tanh/gelu FFN, grouped as the projections.
+The exact tier records the same stages but the store blocks': every
+row is a per-sequence part, so it has no ``*_pruned_core`` and no
+``*_value_control``.  Its projections, FFN half and LM head group rows
+as the looped oracle does (each decode row and each prompt's only row
+through the single-row kernel in the projections), and its FFN half is
+the model's own fp64 one.
 
 Wall times are inherently nondeterministic, so profiler output is kept
 *out* of the trace and metrics artifacts (whose bytes must reproduce);
@@ -143,9 +109,9 @@ if TYPE_CHECKING:
 
 __all__ = ["HotPathProfiler"]
 
-#: The stages that time a whole step of the backend (a decode step off
-#: the exact tier, a prompt step on every tier); the stages charged while
-#: a step is open (:meth:`HotPathProfiler.begin_step`) are its parts.
+#: The stages that time a whole step of the backend, a decode step or a
+#: prompt step; the stages charged while a step is open
+#: (:meth:`HotPathProfiler.begin_step`) are its parts.
 STEP_TOTALS = ("decode_step", "prefill_step")
 
 
@@ -259,7 +225,7 @@ class HotPathProfiler:
         t.add_note(
             "real time.perf_counter seconds around the packed backend's "
             "decode_* and prefill_* stages — separate from the simulated "
-            "serving clock; 'unattributed' is what a whole fp32 / int8 "
-            "decode step or any prompt step holds beyond its stages"
+            "serving clock; 'unattributed' is what a whole decode step "
+            "or prompt step holds beyond its stages"
         )
         return t

@@ -886,13 +886,16 @@ class TestTierPrefill:
         prompt pass never silently stays fp64 on fp32."""
         config, model, corpus, _ = world
         calls = []
-        policy_pass = PackedDecodeBackend.prefill_chunk_policy
+        step = PackedDecodeBackend.step
 
-        def spy(backend, model_, states, max_tokens):
-            calls.append(max_tokens)
-            return policy_pass(backend, model_, states, max_tokens)
+        def spy(backend, model_, token_ids, positions, executors, states,
+                max_tokens):
+            if states:
+                calls.append(max_tokens)
+            return step(backend, model_, token_ids, positions, executors,
+                        states, max_tokens)
 
-        monkeypatch.setattr(PackedDecodeBackend, "prefill_chunk_policy", spy)
+        monkeypatch.setattr(PackedDecodeBackend, "step", spy)
         requests = synthetic_request_trace(
             corpus, n_requests=4, rate_per_s=2000.0, prompt_len=24,
             max_new_tokens=(4, 8), seed=3,

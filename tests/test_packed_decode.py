@@ -15,10 +15,11 @@ executor state (KV buffers, alive sets, traces) across:
 * chunked prefill through the backend's prompt pass, dense chunks and
   SpAtten sentences in one batch (single-token prompts included).
 
-Off the exact tier the contract is the tier's budget, not bits: there a
-mixed step — decode rows and prompt chunks in one layer stack — is held
-to the two passes it replaces, run on deep copies (logits within
-rounding, equal cache lengths, cascade masks and traces).
+A mixed step — decode rows and prompt chunks in one layer stack — is
+held to the two passes it replaces, run on deep copies: on the exact
+tier bit for bit, and against the looped oracle too; off it within the
+tier's budget (logits within rounding, equal cache lengths, cascade
+masks and traces).
 
 Fast representative cases are ``smoke``-marked for tier-1.
 """
@@ -180,17 +181,17 @@ def test_spatten_control_runs_before_the_projection(decoder, monkeypatch):
         events.append(("control", layer_idx, id(self)))
         return decode_control(self, layer_idx, positions)
 
-    project = backend._project
+    project = backend.project_chunk_rows
     wqkv = backend._weights.wqkv
 
-    def project_spy(x, w, b=None):
+    def project_spy(solo, x, w, b):
         layers = [l for l, weight in enumerate(wqkv) if weight is w]
         if layers:
             events.append(("qkv", layers[0], None))
-        return project(x, w, b)
+        return project(solo, x, w, b)
 
     monkeypatch.setattr(SpAttenExecutor, "decode_control", control_spy)
-    monkeypatch.setattr(backend, "_project", project_spy)
+    monkeypatch.setattr(backend, "project_chunk_rows", project_spy)
     n_layers = decoder.config.n_layers
     spatten = {id(e) for e in executors if isinstance(e, SpAttenExecutor)}
     tokens, positions = [5] * len(spec), [n for _, n in spec]
@@ -445,7 +446,7 @@ def test_opt_out_executor_is_a_named_error(decoder, numerics):
 
 
 # ----------------------------------------------------------------------
-# fp32 / int8: one fused mixed step against its two passes
+# Every tier: one fused mixed step against its two passes
 # ----------------------------------------------------------------------
 #: Decode and prompt rows of a mixed step, drawn by kind and prompt
 #: length: dense, pruned (SpAtten) and progressive-quantization rows.
@@ -454,7 +455,8 @@ _MIXED_ROWS = st.lists(
               st.integers(2, 40)),
     min_size=1, max_size=5,
 )
-#: Both arms run one tier and differ only in how rows group into GEMMs.
+#: Off the exact tier both arms run one tier and differ only in how rows
+#: group into GEMMs.
 _MIXED_ATOL = 1e-4
 
 
@@ -471,9 +473,10 @@ def _fused_vs_two_pass(model, tier, decode_rows, prompt_rows, chunk,
     """Build a batch of resident decode rows and in-flight prompts on one
     backend — the decode row ``retire``, if given, retired after the
     prompts' earlier chunks — run one fused mixed step on it and the two
-    passes on a deep copy with a backend of its own, and assert they
-    agree.  Returns whether the step's prompt adoption grew the pruned
-    rows' control planes, and the fused step's profile."""
+    passes on a deep copy with a backend of its own (on the exact tier
+    the looped oracle on a third), and assert they agree.  Returns
+    whether the step's prompt adoption grew the pruned rows' control
+    planes, and the fused step's profile."""
     rng = np.random.default_rng(seed)
 
     def draw(kind, n):
@@ -505,6 +508,8 @@ def _fused_vs_two_pass(model, tier, decode_rows, prompt_rows, chunk,
 
     ref_backend = PackedDecodeBackend(model, numerics=tier)
     ref_executors, ref_states = copy.deepcopy((executors, states))
+    if tier == "exact":
+        oracle_executors, oracle_states = copy.deepcopy((executors, states))
     table = backend._tables.get("pruned")
     capacity = 0 if table is None else len(table.members[-1].total)
     backend.profiler = prof = HotPathProfiler()
@@ -526,14 +531,36 @@ def _fused_vs_two_pass(model, tier, decode_rows, prompt_rows, chunk,
     assert prof.calls("decode_step") == 1 and prof.calls("prefill_step") == 0
     assert prof.calls("decode_ffn") == n_layers
     assert prof.calls("prefill_ffn") == 0
-    np.testing.assert_allclose(fused, two_pass, rtol=0, atol=_MIXED_ATOL)
+    arms = [(fused, states, executors), (two_pass, ref_states, ref_executors)]
+    if tier == "exact":
+        # Bits, not a budget: the looped oracle's decode step and solo
+        # prompt passes are a third arm.
+        oracle = model.decode_step_batch(tokens, positions, oracle_executors)
+        for state in oracle_states:
+            model.prefill_chunk_batch([state], chunk)
+        arms.append((oracle, oracle_states, oracle_executors))
+    for arm in arms[1:]:
+        _assert_same_step(tier, arms[0], arm)
+    return grew, prof
+
+
+def _assert_same_step(tier, one, other):
+    """Two arms of one mixed step agree: bit for bit on the exact tier,
+    within the tier's rounding off it."""
+    def same(a, b, rtol=0):
+        if tier == "exact":
+            assert np.array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=_MIXED_ATOL)
+
+    logits, states, executors = one
+    ref_logits, ref_states, ref_executors = other
+    same(logits, ref_logits)
     for a, b in zip(states, ref_states):
         assert a.n_committed == b.n_committed
         assert (a.logits is None) == (b.logits is None)
         if a.logits is not None:
-            np.testing.assert_allclose(
-                a.logits, b.logits, rtol=0, atol=_MIXED_ATOL
-            )
+            same(a.logits, b.logits)
     for i, (a, b) in enumerate(zip(
         executors + [state.executor for state in states],
         ref_executors + [state.executor for state in ref_states],
@@ -547,15 +574,13 @@ def _fused_vs_two_pass(model, tier, decode_rows, prompt_rows, chunk,
                                   b.token_acc.live_scores(total)),
                                  (a.head_acc.live_scores(),
                                   b.head_acc.live_scores())):
-                np.testing.assert_allclose(acc_a, acc_b, rtol=1e-5,
-                                           atol=_MIXED_ATOL)
+                same(acc_a, acc_b, rtol=1e-5)
             assert a.trace.n_generated == b.trace.n_generated, i
             assert a.trace.count_signature() == b.trace.count_signature(), i
-    return grew, prof
 
 
 @pytest.mark.smoke
-@pytest.mark.parametrize("tier", ["fp32", "int8"])
+@pytest.mark.parametrize("tier", ["exact", "fp32", "int8"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(decode_rows=_MIXED_ROWS, prompt_rows=_MIXED_ROWS,
        chunk=st.integers(2, 12), advance=st.booleans())
@@ -564,7 +589,8 @@ def test_fused_mixed_step_matches_two_passes(
 ):
     """Dense, pruned and progressive decode rows beside dense chunks
     mid-prompt, pruned final chunks and prompts that complete: one fused
-    step agrees with the decode step and prompt step it replaces."""
+    step agrees with the decode step and prompt step it replaces — on
+    the exact tier bit for bit, and with the looped oracle too."""
     _fused_vs_two_pass(
         decoder, tier, decode_rows, prompt_rows, chunk, advance
     )

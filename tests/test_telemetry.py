@@ -462,9 +462,8 @@ class TestAuditEvery:
 def _count_steps(monkeypatch):
     """Count the model's step calls: ``"mixed"``, decode steps carrying
     the step's prompt chunks (``decode_step_batch(..., prefill=...)``),
-    and ``"prompt"``, ``prefill_chunk_batch`` calls — what a mixed step
-    still makes on the exact tier, and only a step without decode rows
-    makes off it."""
+    and ``"prompt"``, ``prefill_chunk_batch`` calls — which only a step
+    without decode rows makes, on every tier."""
     from repro.nn import TransformerModel
 
     counts = {"mixed": 0, "prompt": 0}
@@ -527,23 +526,28 @@ class TestProfiler:
         assert prof.calls("prefill_chunk_proj") > 0
         assert "prefill_ffn" in str(prof.table())
 
-    @pytest.mark.parametrize("pruning", [None, PRUNING],
-                             ids=["dense", "spatten"])
+    @pytest.mark.parametrize("pruning, numerics", [
+        pytest.param(pruning, numerics, id=name + suffix)
+        for name, pruning in (("dense", None), ("spatten", PRUNING))
+        for numerics, suffix in (("fp32", ""), ("exact", "-exact"))
+    ])
     def test_decode_stages_sum_to_the_step(self, serving_setup, pruning,
-                                           monkeypatch):
-        """The SpanRecorder identity moved inside the opaque span: on a
-        non-exact tier the ``decode_*`` stages account for the whole
+                                           numerics, monkeypatch):
+        """The SpanRecorder identity moved inside the opaque span: on
+        every tier the ``decode_*`` stages account for the whole
         ``decode_step`` but an ``unattributed`` remainder the table
-        shows, held under 5 % of the step — the value control carved out
-        of the pruned core, once a layer, included.  Prompts arrive while
-        others decode, so some steps carry prompt rows too: such a mixed
-        step is one ``decode_step`` whose prompt parts' cores (and value
-        control) are its stages too, and runs one FFN half a layer."""
+        shows, held under 5 % of the step — off the exact tier the value
+        control carved out of the pruned core, once a layer, included.
+        Prompts arrive while others decode, so some steps carry prompt
+        rows too: such a mixed step is one ``decode_step`` whose prompt
+        parts' cores (and value control) are its stages too, and runs
+        one FFN half a layer."""
         counts = _count_steps(monkeypatch)
         tel = Telemetry(profile=True)
         requests = trace(serving_setup[2], n=10, max_new=(16, 24))
         run_engine(serving_setup, requests, telemetry=tel, pruning=pruning,
-                   numerics="fp32")
+                   numerics=numerics)
+        exact = numerics == "exact"
         prof = tel.profiler
         n_layers = serving_setup[0].n_layers
         steps = prof.calls("decode_step")
@@ -552,20 +556,21 @@ class TestProfiler:
         assert prof.calls("decode_setup") == steps
         assert prof.calls("decode_lm_head") == steps
         assert prof.calls("decode_ffn") == steps * n_layers
-        core = "decode_dense_core" if pruning is None else "decode_pruned_core"
+        core = "decode_dense_core" if pruning is None else (
+            "decode_custom_core" if exact else "decode_pruned_core"
+        )
         assert prof.calls(core) == steps * n_layers
         # Prompt cores ran in the mixed steps as well as in the prompt
         # steps' layers (one part or block a layer at this scale).
-        prompt_core = _prompt_core_stage("fp32", pruning)
+        prompt_core = _prompt_core_stage(numerics, pruning)
         assert prof.calls(prompt_core) > prof.calls("prefill_ffn")
         # The cascade's own statements are a stage of their own, which a
-        # dense block never runs.
+        # dense block and a per-sequence row never run.
+        pruned_blocks = pruning is not None and not exact
         assert prof.calls("decode_value_control") == (
-            0 if pruning is None else steps * n_layers
+            steps * n_layers if pruned_blocks else 0
         )
-        assert (prof.seconds("decode_value_control") > 0) == (
-            pruning is not None
-        )
+        assert (prof.seconds("decode_value_control") > 0) == pruned_blocks
         # The pruned rows' control is resident: nothing is committed.
         assert prof.calls("decode_commit") == 0
         unattributed = prof.unattributed_seconds("decode_step")
@@ -584,11 +589,10 @@ class TestProfiler:
     def test_prefill_stages_sum_to_the_step(self, serving_setup, pruning,
                                             numerics, monkeypatch):
         """The same identity for the prompt pass, on every tier: the
-        ``prefill_*`` stages tile every ``prefill_step``.  Off the exact
-        tier a step that also decodes is a ``decode_step`` (its prompt
-        cores keep their ``prefill_*`` names), so ``prefill_step`` counts
-        the steps without decode rows; the exact tier still runs a prompt
-        step of its own after each decode step that carries chunks."""
+        ``prefill_*`` stages tile every ``prefill_step``.  A step that
+        also decodes is a ``decode_step`` (its prompt cores keep their
+        ``prefill_*`` names), so ``prefill_step`` counts the steps
+        without decode rows."""
         counts = _count_steps(monkeypatch)
         tel = Telemetry(profile=True)
         requests = trace(serving_setup[2], n=10, max_new=(2, 4))
@@ -598,8 +602,6 @@ class TestProfiler:
         n_layers = serving_setup[0].n_layers
         steps = prof.calls("prefill_step")
         assert counts["mixed"] > 0 and steps == counts["prompt"]
-        if numerics == "exact":
-            assert steps > counts["mixed"]
         assert steps > 0 and prof.calls("prefill_setup") == steps
         assert prof.calls("prefill_lm_head") == steps
         core = _prompt_core_stage(numerics, pruning)
@@ -625,20 +627,15 @@ class TestProfiler:
 
     @staticmethod
     def _documented_stages():
-        """The profiler module's catalog: the names heading each bullet,
-        off the exact tier and on it."""
+        """The profiler module's catalog: the names heading each bullet."""
         from repro.telemetry import profiler
 
-        off, on = profiler.__doc__.split("Stages on the exact tier")
-        off = off.split("Stages off the exact tier")[1]
-        return tuple(
-            {
-                name
-                for line in text.splitlines() if line.startswith("* ")
-                for name in re.findall(r"``(\w+)``", line.split(" — ")[0])
-            }
-            for text in (off, on)
-        )
+        return {
+            name
+            for line in profiler.__doc__.split("Stages\n------")[1]
+            .splitlines() if line.startswith("* ")
+            for name in re.findall(r"``(\w+)``", line.split(" — ")[0])
+        }
 
     @pytest.mark.parametrize("numerics", ["exact", "fp32", "int8"])
     def test_recorded_stages_are_the_documented_ones(
@@ -647,7 +644,8 @@ class TestProfiler:
         """Chunked prompts and decode steps of a batch of dense, pruned
         and progressive-quant rows — and decode steps that carry another
         such batch's prompt chunks — record exactly the stages the
-        profiler's catalog lists for the tier."""
+        profiler's catalog lists, on the exact tier all but the store
+        blocks' (every row a per-sequence part there)."""
         from repro.config import QuantConfig
         from repro.core.pipeline import SpAttenExecutor
         from repro.nn import PackedDecodeBackend
@@ -687,19 +685,13 @@ class TestProfiler:
                 backend=backend, prefill=(live, 8) if live else None,
             )
         assert all(state.done for state in arriving)
-        off, on = self._documented_stages()
-        assert set(prof.stages) == (on if numerics == "exact" else off)
-
-    def test_exact_tier_records_no_step_total(self, serving_setup):
-        """The exact decode step belongs to the model's own stack: no
-        total, so no remainder row; its prompt step is the backend's."""
-        tel = Telemetry(profile=True)
-        run_engine(serving_setup, trace(serving_setup[2], n=4), telemetry=tel)
-        assert tel.profiler.calls("decode_step") == 0
-        assert tel.profiler.calls("prefill_step") > 0
-        table = str(tel.profiler.table())
-        assert "unattributed (decode_step)" not in table
-        assert "unattributed (prefill_step)" in table
+        documented = self._documented_stages()
+        if numerics == "exact":
+            documented = {
+                stage for stage in documented
+                if not stage.endswith(("_pruned_core", "_value_control"))
+            }
+        assert set(prof.stages) == documented
 
     def test_unit_timing(self):
         prof = HotPathProfiler()
